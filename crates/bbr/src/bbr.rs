@@ -59,9 +59,9 @@ enum State {
 
 /// A BBR-style model-based congestion controller — the workspace's
 /// reference *hybrid* algorithm: every control decision requests a pacing
-/// rate *and* a congestion window, so the engine (simulated
-/// [`pcc_transport::CcSender`] or the real-UDP sender) enforces both
-/// simultaneously.
+/// rate *and* a congestion window, so the engine
+/// ([`pcc_transport::CcSender`], in simulation and on real UDP sockets
+/// alike) enforces both simultaneously.
 ///
 /// Faithful to BBR v1's architecture (windowed max-bandwidth filter,
 /// windowed min-RTT with deliberate ProbeRTT refresh, the four-phase gain

@@ -21,10 +21,10 @@
 //!
 //! Every control decision requests **both** effects —
 //! `set_rate(pacing_gain · btl_bw)` *and* `set_cwnd(cwnd_gain · BDP)` —
-//! so the engine ([`pcc_transport::CcSender`] in simulation, `pcc-udp` on
-//! real sockets) enforces pacing and window simultaneously: the cap the
-//! rate-based machinery needs plus the inflight bound that keeps a wrong
-//! bandwidth estimate from flooding the path.
+//! so the engine ([`pcc_transport::CcSender`], in simulation and under
+//! `pcc-udp` on real sockets) enforces pacing and window simultaneously:
+//! the cap the rate-based machinery needs plus the inflight bound that
+//! keeps a wrong bandwidth estimate from flooding the path.
 //!
 //! [`register_algorithms`] installs it as `bbr` in the workspace-wide
 //! [`pcc_transport::registry`], which makes it constructible by name from

@@ -87,8 +87,8 @@ const TOKEN_KIND_BOUNDARY: u64 = 0;
 const TOKEN_KIND_DEADLINE: u64 = 1;
 
 /// The PCC controller: a rate-driving [`CongestionControl`] (plugs into
-/// [`pcc_transport::CcSender`] in simulation and the `pcc-udp` datapath on
-/// real sockets).
+/// [`pcc_transport::CcSender`], in simulation and under the `pcc-udp`
+/// driver on real sockets).
 pub struct PccController {
     cfg: PccConfig,
     utility: Box<dyn UtilityFunction>,

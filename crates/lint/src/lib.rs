@@ -18,7 +18,6 @@
 //! | L006 | dep-free | every Cargo.toml dependency is an in-workspace path dep |
 //! | L007 | float-total-order | `total_cmp`, never `partial_cmp(..).unwrap()` |
 //! | L008 | batched-conformance | every registered algorithm is batched-certified or carries an allow |
-//! | L009 | unbudgeted-retry | real-datapath timeout loops carry backoff/dead-time budget state |
 //!
 //! Suppression is per-site and accountable: `// lint: allow(L00x) — <reason>`
 //! on (or directly above) the offending line; a missing reason is itself
@@ -47,11 +46,6 @@ pub const REAL_TIME_CRATES: &[&str] = &["pcc-udp", "pcc-bench"];
 
 /// The crates whose `install_registry` bodies L005 compares.
 pub const PARITY_CRATES: [&str; 2] = ["pcc-scenarios", "pcc-udp"];
-
-/// Crates held to L009: they retry over real sockets, where an unbudgeted
-/// timeout loop means retrying a dead peer forever (sim runs are bounded
-/// by their horizon, so the rule does not apply there).
-pub const RETRY_BUDGET_CRATES: &[&str] = &["pcc-udp"];
 
 /// Result of a workspace lint run.
 pub struct Report {
@@ -87,7 +81,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         let policy = Policy {
             crate_name: f.crate_name.clone(),
             real_time: REAL_TIME_CRATES.contains(&f.crate_name.as_str()),
-            retry_budget: RETRY_BUDGET_CRATES.contains(&f.crate_name.as_str()),
         };
         diagnostics.extend(lint_source(&f.rel_path, &f.src, &policy));
     }

@@ -68,11 +68,6 @@ pub const CATALOG: &[LintInfo] = &[
         slug: "batched-conformance",
         rule: "every registered algorithm is in the batched conformance list or carries a reasoned allow",
     },
-    LintInfo {
-        id: "L009",
-        slug: "unbudgeted-retry",
-        rule: "real-datapath files declaring LossKind::Timeout must carry backoff/dead-time budget state",
-    },
 ];
 
 /// Is `id` a catalog id (valid in an `allow(...)`)? `L000` itself is not
@@ -99,11 +94,6 @@ pub struct Policy {
     /// Skip L001/L002: the crate's job is real sockets or wall-clock
     /// benchmarking, so its outputs are outside the determinism contract.
     pub real_time: bool,
-    /// Enforce L009: the crate drives real sockets, where a retry loop
-    /// re-armed after a whole-window timeout with no backoff/budget state
-    /// in reach hammers a dead peer forever (the simulator's horizon
-    /// bounds every sim run, so only real datapaths need the gate).
-    pub retry_budget: bool,
 }
 
 /// RNG constructors/types that pull ambient entropy. Any of these
@@ -121,16 +111,6 @@ const ENTROPY_IDENTS: &[&str] = &[
     "RandomState",
 ];
 
-/// Idents that witness budget/backoff machinery for L009: a file that
-/// classifies losses as timeouts is exempt as soon as it also touches any
-/// of the retry-bounding state the engine/datapath ship.
-const BUDGET_IDENTS: &[&str] = &[
-    "rto_backoff",
-    "dead_time_budget",
-    "timeouts_since_progress",
-    "Stalled",
-];
-
 /// Run every per-file token rule over `toks` (comments included; rules
 /// skip them). Suppressions are applied by the caller.
 pub fn run(path: &str, toks: &[Tok], policy: &Policy) -> Vec<Diagnostic> {
@@ -139,11 +119,6 @@ pub fn run(path: &str, toks: &[Tok], policy: &Policy) -> Vec<Diagnostic> {
         .iter()
         .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
         .collect();
-    // L009 witness scan: does this file reference any retry-bounding
-    // state at all?
-    let has_budget_state = code
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && BUDGET_IDENTS.contains(&t.text.as_str()));
     let mut diags = Vec::new();
     let mut push = |id: &'static str, t: &Tok, message: String, help: Option<String>| {
         diags.push(Diagnostic {
@@ -243,31 +218,6 @@ pub fn run(path: &str, toks: &[Tok], policy: &Policy) -> Vec<Diagnostic> {
                 ),
             );
         }
-        // L009 unbudgeted-retry: a real-datapath file that declares
-        // whole-window timeouts (`LossKind::Timeout`) re-arms its retry
-        // loop on them — that loop must live beside backoff/budget state
-        // (any of BUDGET_IDENTS), or a dead peer is retried forever.
-        if policy.retry_budget
-            && t.text == "LossKind"
-            && path_call(&code, i, "Timeout")
-            && !has_budget_state
-        {
-            push(
-                "L009",
-                t,
-                format!(
-                    "`LossKind::Timeout` in real-datapath crate `{}` with no backoff or \
-                     dead-time budget state in this file: the retry loop it re-arms can \
-                     hammer a dead peer forever",
-                    policy.crate_name
-                ),
-                Some(
-                    "bound the retries with `rto_backoff`/`dead_time_budget` (the udp sender \
-                     idiom), or suppress with a written liveness argument"
-                        .to_string(),
-                ),
-            );
-        }
         // L007 float-total-order: `.partial_cmp(...).unwrap()/.expect(...)`.
         if t.text == "partial_cmp"
             && i > 0
@@ -329,7 +279,6 @@ mod tests {
         Policy {
             crate_name: "pcc-test".to_string(),
             real_time: false,
-            retry_budget: false,
         }
     }
 
@@ -399,22 +348,6 @@ mod tests {
             &p
         )
         .is_empty());
-    }
-
-    #[test]
-    fn l009_needs_budget_state_in_reach() {
-        let p = Policy {
-            retry_budget: true,
-            ..det_policy()
-        };
-        // Declaring a timeout with no bounding state in the file fires.
-        assert_eq!(ids("let k = LossKind::Timeout;", &p), vec!["L009"]);
-        // Any budget/backoff witness in the same file is the exemption.
-        assert!(ids("let k = LossKind::Timeout; rto_backoff += 1;", &p).is_empty());
-        assert!(ids("emit(LossKind::Timeout, cfg.dead_time_budget)", &p).is_empty());
-        // Other loss kinds never fire, and sim-side crates are exempt.
-        assert!(ids("let k = LossKind::Detected;", &p).is_empty());
-        assert!(ids("let k = LossKind::Timeout;", &det_policy()).is_empty());
     }
 
     #[test]

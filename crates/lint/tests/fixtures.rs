@@ -15,7 +15,6 @@ fn det_policy() -> Policy {
     Policy {
         crate_name: "pcc-fixture".to_string(),
         real_time: false,
-        retry_budget: false,
     }
 }
 
@@ -64,33 +63,6 @@ fn l004_lock_poison() {
 fn l007_float_total_order() {
     let got = triples("l007.rs", include_str!("../fixtures/l007.rs"));
     assert_eq!(got, vec![("L007", 3, 24), ("L007", 4, 24)]);
-}
-
-#[test]
-fn l009_unbudgeted_retry() {
-    // Mirrors the pcc-udp policy: real_time (sockets are its job) and
-    // retry_budget both on. The bare `LossKind::Timeout` in `classify`
-    // fires because the file carries no backoff/budget witness ident;
-    // `LossKind::Detected`, string/comment decoys, and the reasoned
-    // allow in `allowed()` stay silent.
-    let udp_policy = Policy {
-        crate_name: "pcc-udp".to_string(),
-        real_time: true,
-        retry_budget: true,
-    };
-    let mut got: Vec<(&'static str, u32, u32)> =
-        lint_source("l009.rs", include_str!("../fixtures/l009.rs"), &udp_policy)
-            .into_iter()
-            .map(|d| (d.id, d.line, d.col))
-            .collect();
-    got.sort();
-    assert_eq!(got, vec![("L009", 7, 9)]);
-    // The same file under the deterministic-crate policy is clean: the
-    // rule only holds real-datapath retry loops to the budget contract.
-    assert_eq!(
-        triples("l009.rs", include_str!("../fixtures/l009.rs")),
-        Vec::new()
-    );
 }
 
 #[test]

@@ -12,7 +12,6 @@ fn det_policy() -> Policy {
     Policy {
         crate_name: "pcc-prop".to_string(),
         real_time: false,
-        retry_budget: false,
     }
 }
 

@@ -6,8 +6,8 @@
 //! the engine — via [`CtrlCtx::set_mode`] — to re-plumb it as a pure
 //! window controller for steady state (Reno-style AIMD per report). The
 //! engine derives the missing operating point at the switch, so the
-//! transition is seamless on both datapaths (simulated `CcSender` and the
-//! real-UDP sender).
+//! transition is seamless on both datapaths (`CcSender` under the
+//! simulator and under the real-UDP driver).
 //!
 //! Natively batched ([`ReportMode::batched_rtt`]): control decisions run
 //! once per smoothed RTT off [`MeasurementReport`]s. On an engine that

@@ -16,10 +16,10 @@
 //! * window-based algorithms (the TCPs) call [`Ctx::set_cwnd`];
 //! * hybrid algorithms call both;
 //!
-//! and the one engine ([`crate::sender::CcSender`] in simulation,
-//! `pcc-udp`'s sender on real sockets) enforces whichever combination the
-//! algorithm requested. The same boxed algorithm object runs unchanged on
-//! either datapath.
+//! and the one engine ([`crate::sender::CcSender`], driven by the
+//! simulator's event loop or by `pcc-udp`'s socket loop) enforces whichever
+//! combination the algorithm requested. The same boxed algorithm object —
+//! and the same engine under it — runs unchanged on either datapath.
 //!
 //! The reference *hybrid* implementation is `pcc-bbr`'s `Bbr` (registered
 //! as `bbr`): a BBR-style model-based controller whose every control
@@ -27,10 +27,10 @@
 //! `set_cwnd(cwnd_gain · BDP)`, so both machineries — pacing and window
 //! clocking — run simultaneously for the whole flow. The `-paced` TCP
 //! wrappers (`pcc-tcp`'s `PacedWindowed`) are the thin end of the same
-//! path. Engines hosting this trait must enforce *both* effects when both
-//! are set: a closed window blocks transmission even when the pacing gap
-//! has elapsed, and vice versa (asserted for both datapaths by the root
-//! conformance suite's `hybrid_enforcement` tests).
+//! path. The engine enforces *both* effects when both are set: a closed
+//! window blocks transmission even when the pacing gap has elapsed, and
+//! vice versa (asserted under both drivers by the root conformance
+//! suite's `hybrid_enforcement` tests).
 
 use pcc_simnet::rng::SimRng;
 use pcc_simnet::time::{SimDuration, SimTime};
@@ -205,9 +205,9 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// Take everything requested so far. Used by engines hosting an
-    /// algorithm outside the simulator (e.g. the real-network UDP sender)
-    /// as well as by [`crate::sender::CcSender`].
+    /// Take everything requested so far ([`crate::sender::CcSender`] does
+    /// after every callback; harnesses driving an algorithm directly do
+    /// the same).
     pub fn drain(&mut self) -> Decisions {
         Decisions {
             rate: self.new_rate.take(),

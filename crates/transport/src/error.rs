@@ -1,9 +1,10 @@
 //! Typed transfer failures shared by both datapaths.
 //!
-//! The simulator engine ([`crate::sender::CcSender`]) and the real-socket
-//! engine (`pcc-udp`) both convert an expired dead-time budget into a
-//! [`TransferError::Stalled`] carrying partial-progress statistics, instead
-//! of retrying a dead peer forever on a capped-backoff timer.
+//! The engine ([`crate::sender::CcSender`]) converts an expired dead-time
+//! budget into a stall carrying partial-progress statistics, instead of
+//! retrying a dead peer forever on a capped-backoff timer. The simulator
+//! records it in `FlowStats::stalled`; the real-socket driver (`pcc-udp`)
+//! returns it as a [`TransferError::Stalled`].
 
 use std::fmt;
 

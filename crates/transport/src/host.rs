@@ -9,8 +9,8 @@
 //! datapath replays into its own [`Ctx`] via [`CcHost::apply_to`].
 //!
 //! [`HostedCc`] is the datapath-side stub: it implements
-//! [`CongestionControl`] itself, so *any* engine (the simulator's
-//! `CcSender`, `pcc-udp`'s real-socket sender) can be pointed at a shared
+//! [`CongestionControl`] itself, so the engine (`CcSender`, under the
+//! simulator or `pcc-udp`'s real-socket driver) can be pointed at a shared
 //! host without modification — each callback is forwarded to the host and
 //! the queued commands are drained straight back. One host can drive all
 //! concurrent transfers of a process (the paper's millions-of-users shape:

@@ -13,7 +13,8 @@
 //! * [`sender::CcSender`] — the one sender engine: SACK reliability plus
 //!   transmission scheduling that enforces whatever operating point the
 //!   algorithm requested (pacing, window clocking with TSO burstiness and
-//!   RTO machinery, or both).
+//!   RTO machinery, or both). Sans-IO: the simulator's event loop and
+//!   `pcc-udp`'s socket loop are two thin drivers around it.
 //! * [`registry`] — datapath-agnostic algorithm registry: construct any
 //!   registered algorithm via [`registry::by_name`], including
 //!   parameterized specs (`"cubic:beta=0.7,iw=32"` — see [`spec`]);

@@ -50,7 +50,11 @@ impl SackReceiver {
         self.duplicates
     }
 
-    fn accept(&mut self, seq: u64, bytes: u32) -> bool {
+    /// Record the arrival of `seq` carrying `bytes`: true when it is new
+    /// data (counted into [`recv_bytes`](Self::recv_bytes), cumulative
+    /// point advanced over any now-contiguous prefix), false for a
+    /// duplicate. The reassembly state behind both datapaths' receivers.
+    pub fn accept(&mut self, seq: u64, bytes: u32) -> bool {
         if seq < self.cum_ack || self.ooo.contains(&seq) {
             self.duplicates += 1;
             return false;

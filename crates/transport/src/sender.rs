@@ -7,6 +7,14 @@
 //! the paper's §3 split between dumb sending machinery and pluggable
 //! control intelligence, taken to its conclusion.
 //!
+//! The engine is sans-IO: it touches neither a clock nor a socket. Its
+//! inputs are the three [`Endpoint`] callbacks (`start`, an arrived ACK,
+//! a fired timer) stamped with the caller's `now`; its outputs are the
+//! `Action`s drained from the [`EndpointCtx`] (transmit this packet, arm
+//! this timer, finish, stall). Two thin drivers feed it — the simulator's
+//! event loop and `pcc-udp`'s socket + monotonic-clock loop — so every
+//! engine feature exists once and both datapaths get it.
+//!
 //! What the algorithm sets in `on_start` engages the matching machinery:
 //!
 //! * **rate only** (PCC, SABUL, PCP): packets are paced at the requested
@@ -169,6 +177,8 @@ pub struct CcSender {
     last_progress_at: SimTime,
     /// Consecutive RTO firings since the last forward progress.
     timeouts_since_progress: u64,
+    /// RTO firings over the whole flow (never reset).
+    rto_fires: u64,
     /// RTO floor resolved at `start()` (mode convention or explicit
     /// override); the resumption path re-seeds the RTT estimator with it.
     resolved_min_rto: SimDuration,
@@ -208,6 +218,7 @@ impl CcSender {
             requested_interval: None,
             last_progress_at: SimTime::ZERO,
             timeouts_since_progress: 0,
+            rto_fires: 0,
             resolved_min_rto: RATE_MIN_RTO,
             last_cum_ack: 0,
         }
@@ -231,6 +242,17 @@ impl CcSender {
     /// Total losses the scoreboard has declared.
     pub fn losses(&self) -> u64 {
         self.sb.total_losses()
+    }
+
+    /// Cumulative ack point: every sequence below it is known delivered.
+    pub fn cum_ack(&self) -> u64 {
+        self.sb.cum_ack()
+    }
+
+    /// RTO expiries over the flow's life (windowed machinery; pure rate
+    /// control arms no RTO timer).
+    pub fn timeouts(&self) -> u64 {
+        self.rto_fires
     }
 
     fn mss(&self) -> u32 {
@@ -696,6 +718,7 @@ impl CcSender {
             }
         }
         self.rto_backoff += 1;
+        self.rto_fires += 1;
         let lost = self.sb.mark_all_lost();
         ctx.record_loss(lost.len() as u64);
         // Requeue every lost sequence the scoreboard knows, not just the
@@ -853,17 +876,21 @@ impl CcSender {
     }
 }
 
-impl Endpoint for CcSender {
-    fn start(&mut self, ctx: &mut EndpointCtx) {
+impl CcSender {
+    /// [`Endpoint::start`] for drivers that must not panic on a broken
+    /// algorithm: an `on_start` that declared no operating point is
+    /// returned as the error message `start` would have panicked with.
+    pub fn try_start(&mut self, ctx: &mut EndpointCtx) -> Result<(), String> {
         // Resolve the feedback path before the first callback so a
         // `set_report_interval` in `on_start` lands on the right machinery.
         self.report_mode = self.cfg.report.unwrap_or_else(|| self.cc.report_mode());
         self.with_cc(ctx, |c, cc| c.on_start(cc));
-        assert!(
-            self.rate_bps.is_some() || self.cwnd_pkts.is_some(),
-            "algorithm `{}` set neither a rate nor a cwnd in on_start",
-            self.cc.name()
-        );
+        if self.rate_bps.is_none() && self.cwnd_pkts.is_none() {
+            return Err(format!(
+                "algorithm `{}` set neither a rate nor a cwnd in on_start",
+                self.cc.name()
+            ));
+        }
         // The RTO floor convention differs between user-space rate control
         // and TCP-style window control; honour an explicit override.
         let min_rto = self.cfg.min_rto.unwrap_or(if self.windowed() {
@@ -890,6 +917,15 @@ impl Endpoint for CcSender {
         if self.batched() {
             self.agg.begin(ctx.now);
             self.arm_report(ctx);
+        }
+        Ok(())
+    }
+}
+
+impl Endpoint for CcSender {
+    fn start(&mut self, ctx: &mut EndpointCtx) {
+        if let Err(msg) = self.try_start(ctx) {
+            panic!("{msg}");
         }
     }
 
@@ -1337,6 +1373,70 @@ mod tests {
         let resumed =
             report.avg_throughput_mbps(flow, SimTime::from_secs(8), SimTime::from_secs(12));
         assert!(resumed > 5.0, "flow resumed after blackout: {resumed} Mbps");
+    }
+
+    #[test]
+    fn stale_retx_entries_drain_in_one_send_slot() {
+        // Five packets go out, a scan writes all five off, then 0..4 turn
+        // out to have been delivered after all: their retransmit-queue
+        // entries are stale. The next pacing slot must skip every stale
+        // entry and retransmit the one still-lost sequence — burning one
+        // slot per stale entry would stall the tail of the transfer.
+        use pcc_simnet::endpoint::Action;
+        use pcc_simnet::packet::AckInfo;
+        let cfg = CcSenderConfig {
+            transport: TransportConfig {
+                mss: 1500,
+                size: FlowSize::Bytes(5 * 1500),
+            },
+            ..Default::default()
+        };
+        let mut s = CcSender::new(cfg, Box::new(FixedRate::new(1e9)));
+        let mut rng = pcc_simnet::rng::SimRng::new(1);
+        let mut actions = Vec::new();
+        let mut at = |s: &mut CcSender,
+                      now: SimTime,
+                      f: &dyn Fn(&mut CcSender, &mut EndpointCtx)| {
+            actions.clear();
+            let mut ctx = EndpointCtx::new(now, FlowId(0), Side::Sender, &mut rng, &mut actions);
+            f(s, &mut ctx);
+            actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send(p) => p.as_data().map(|d| (d.seq, d.retx)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let pace = |s: &mut CcSender, ctx: &mut EndpointCtx| {
+            let token = TOKEN_PACE | (s.pace_gen & TOKEN_GEN_MASK);
+            s.on_timer(token, ctx);
+        };
+        at(&mut s, SimTime::ZERO, &|s, ctx| s.start(ctx));
+        for seq in 0..5 {
+            assert_eq!(at(&mut s, SimTime::ZERO, &pace), vec![(seq, false)]);
+        }
+        let later = SimTime::from_secs(1);
+        at(&mut s, later, &|s, ctx| s.on_timer(TOKEN_SCAN, ctx));
+        assert_eq!(s.retx_queue.len(), 5, "the scan wrote the window off");
+        for seq in 0..4 {
+            let sent = at(&mut s, later, &|s, ctx| {
+                let info = AckInfo {
+                    acked_seq: seq,
+                    cum_ack: seq + 1,
+                    echo_sent_at: SimTime::ZERO,
+                    recv_at: later,
+                    recv_bytes: 0,
+                    probe_train: None,
+                    of_retx: false,
+                };
+                s.on_packet(&Packet::ack(ctx.flow, info, ctx.now), ctx);
+            });
+            assert!(sent.is_empty(), "ACKs open no pacing slot");
+        }
+        assert_eq!(s.retx_queue.len(), 5, "four entries are now stale");
+        assert_eq!(at(&mut s, later, &pace), vec![(4, true)]);
+        assert!(s.retx_queue.is_empty(), "stale entries discarded eagerly");
     }
 
     // ---- graceful degradation: dead-time budget & resumption -------------

@@ -1,13 +1,16 @@
 //! # pcc-udp — congestion control over real UDP sockets
 //!
 //! The paper ships a user-space prototype on UDT that "can deliver real
-//! data today" (§1). This crate is that shape in Rust, generalized by the
-//! unified control API: a `std::net` UDP sender driven by *any*
+//! data today" (§1). This crate is that shape in Rust, and it contains no
+//! transport engine of its own: the sender is a `std::net` socket +
+//! monotonic-clock driver around [`pcc_transport::CcSender`], the same
+//! sans-IO engine the simulator drives, hosting *any*
 //! [`pcc_transport::CongestionControl`] — the same boxed object that runs
-//! in the simulator — with SACK-scoreboard reliability, plus a
-//! per-datagram-acking receiver. The engine enforces whatever the
-//! algorithm requests: a pacing rate (PCC, SABUL, PCP), a congestion
-//! window (any TCP baseline), or both (paced TCP).
+//! in the simulator. The receiver acks every datagram off the simulator
+//! receiver's reassembly state ([`pcc_transport::SackReceiver`]), and the
+//! [`wire`] format carries the simulator's packet metadata. The engine
+//! enforces whatever the algorithm requests: a pacing rate (PCC, SABUL,
+//! PCP), a congestion window (any TCP baseline), or both (paced TCP).
 //!
 //! Resolve algorithms by name with [`send_named`] (via the workspace
 //! registry; unknown names are a typed error), hand a constructed

@@ -1,9 +1,11 @@
-//! The UDP receiver: per-datagram SACK generation, like the simulator's
-//! `SackReceiver` but over a real socket.
+//! The UDP receiver: per-datagram SACK generation over a real socket,
+//! on the same reassembly state ([`SackReceiver`]) as the simulator's
+//! receiver endpoint.
 
-use std::collections::BTreeSet;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::UdpSocket;
 use std::time::Instant;
+
+use pcc_transport::SackReceiver;
 
 use crate::wire::{decode, encode_ack, AckPacket, Frame};
 
@@ -18,17 +20,15 @@ pub struct ReceiverReport {
     pub duplicates: u64,
 }
 
-/// Receive `expected_bytes` of payload on `socket`, acking every datagram,
-/// then return. The sender address is learned from the first datagram.
+/// Receive `expected_bytes` of payload on `socket`, acking every datagram
+/// back to its source address, then return.
 pub fn receive(socket: &UdpSocket, expected_bytes: u64) -> std::io::Result<ReceiverReport> {
     let start = Instant::now();
     let mut buf = vec![0u8; 65_536];
-    let mut cum_ack = 0u64;
-    let mut ooo: BTreeSet<u64> = BTreeSet::new();
-    let mut report = ReceiverReport::default();
-    let mut peer: Option<SocketAddr> = None;
+    let mut rx = SackReceiver::new();
+    let mut datagrams = 0u64;
     socket.set_nonblocking(false)?;
-    while report.unique_bytes < expected_bytes {
+    while rx.recv_bytes() < expected_bytes {
         let (n, from) = match socket.recv_from(&mut buf) {
             Ok(ok) => ok,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -37,26 +37,21 @@ pub fn receive(socket: &UdpSocket, expected_bytes: u64) -> std::io::Result<Recei
         let Some(Frame::Data(h, payload)) = decode(&buf[..n]) else {
             continue;
         };
-        peer.get_or_insert(from);
-        report.datagrams += 1;
-        let fresh = h.seq >= cum_ack && !ooo.contains(&h.seq);
-        if fresh {
-            ooo.insert(h.seq);
-            while ooo.remove(&cum_ack) {
-                cum_ack += 1;
-            }
-            report.unique_bytes += payload.len() as u64;
-        } else {
-            report.duplicates += 1;
-        }
+        datagrams += 1;
+        rx.accept(h.seq, payload.len() as u32);
         let ack = AckPacket {
             acked_seq: h.seq,
-            cum_ack,
+            cum_ack: rx.cum_ack(),
             echo_sent_us: h.sent_us,
             recv_us: start.elapsed().as_micros() as u64,
             of_retx: h.retx,
+            probe_train: h.probe_train,
         };
         socket.send_to(&encode_ack(&ack), from)?;
     }
-    Ok(report)
+    Ok(ReceiverReport {
+        unique_bytes: rx.recv_bytes(),
+        datagrams,
+        duplicates: rx.duplicates(),
+    })
 }

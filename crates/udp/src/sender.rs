@@ -1,35 +1,37 @@
-//! The UDP sender: the paper's user-space prototype shape — a sender whose
-//! transmission schedule is dictated by any [`CongestionControl`]
-//! algorithm, with SACK-scoreboard reliability. The algorithm is the *same
-//! object* that drives the simulator: real time is mapped onto [`SimTime`],
-//! algorithm timers run on a local timer heap, and the engine enforces
-//! whatever the algorithm requests — a pacing rate (PCC, SABUL, PCP), a
-//! congestion window (the TCP baselines), or both (paced TCP).
+//! The UDP sender: the paper's user-space prototype shape, as a thin
+//! driver around the one transport engine. [`send_with`] owns a socket, a
+//! monotonic clock and a timer heap — nothing else. Every transmission
+//! decision (pacing, window clocking, SACK reliability, RTO backoff, batched
+//! reports, mode switches, the dead-time budget) is made by
+//! [`CcSender`], the same sans-IO engine the simulator drives: the loop
+//! feeds it `start`, each decoded ACK and each due timer through the
+//! simulator's own [`Endpoint`] interface with real time mapped onto
+//! [`SimTime`], and carries out the [`Action`]s it emits. So the algorithm
+//! *and* the engine under it are the same objects on both datapaths.
 //!
 //! Everything runs on blocking `std::net` sockets (non-blocking receive +
 //! short sleeps); no async runtime is required.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use pcc_core::{PccConfig, PccController};
-use pcc_simnet::packet::AckInfo;
+use pcc_simnet::endpoint::{Action, Endpoint, EndpointCtx};
+use pcc_simnet::ids::{FlowId, Side};
+use pcc_simnet::packet::{AckInfo, Packet};
 use pcc_simnet::rng::SimRng;
 use pcc_simnet::time::{SimDuration, SimTime};
-use pcc_transport::cc::{
-    AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportInterval,
-    ReportMode, SentEvent,
-};
+use pcc_transport::cc::{CongestionControl, ReportMode};
 use pcc_transport::error::TransferError;
 use pcc_transport::host::{HostedCc, SharedHost};
 use pcc_transport::registry::{self, CcParams, SpecError};
-use pcc_transport::report::ReportAggregator;
-use pcc_transport::rtt::RttEstimator;
-use pcc_transport::sack::Scoreboard;
+use pcc_transport::sender::RATE_MIN_RTO;
+use pcc_transport::{CcSender, CcSenderConfig, FlowSize, TransportConfig};
 
-use crate::wire::{decode, encode_data, DataHeader, Frame};
+use crate::wire::{decode, encode_data, AckPacket, DataHeader, Frame};
 
 /// Sender configuration.
 #[derive(Clone, Copy, Debug)]
@@ -42,18 +44,19 @@ pub struct UdpSenderConfig {
     pub seed: u64,
     /// Feedback-path override. `None` honours the algorithm's own
     /// [`CongestionControl::report_mode`] preference; `Some` forces per-ACK
-    /// or batched delivery regardless, mirroring
-    /// `CcSenderConfig::report` on the simulated datapath.
+    /// or batched delivery regardless. Passed through as
+    /// `CcSenderConfig::report`.
     pub report: Option<ReportMode>,
-    /// Dead-time budget: if no forward progress (no new bytes cumulatively
-    /// acknowledged) happens for this long while whole-window timeouts keep
-    /// firing, the transfer aborts with an [`ErrorKind::TimedOut`]
-    /// `io::Error` wrapping [`TransferError::Stalled`] (downcast via
-    /// `err.get_ref()`), instead of retrying a dead peer forever on the
-    /// capped-backoff timer. `None` disables the budget. Unlike the
-    /// simulator engine (where the default is off and the experiment
-    /// horizon bounds every run), a real socket has no horizon — the
-    /// default is 30 s on.
+    /// Dead-time budget, passed through as
+    /// `CcSenderConfig::dead_time_budget`: if no forward progress (no new
+    /// bytes cumulatively acknowledged) happens for this long while
+    /// timeouts keep firing, the transfer aborts with an
+    /// [`ErrorKind::TimedOut`] `io::Error` wrapping
+    /// [`TransferError::Stalled`] (downcast via `err.get_ref()`), instead
+    /// of retrying a dead peer forever on the capped-backoff timer. `None`
+    /// disables the budget. In simulation the engine's default is off (the
+    /// experiment horizon bounds every run); a real socket has no horizon
+    /// — the default here is 30 s on.
     pub dead_time_budget: Option<Duration>,
 }
 
@@ -84,24 +87,11 @@ pub struct SenderReport {
     pub final_rate_bps: f64,
     /// Final congestion window, packets (0 for pure rate algorithms).
     pub final_cwnd_pkts: f64,
-    /// Whole-window (RTO-style) loss declarations. Each one doubles the
-    /// effective RTO until an ACK advances the scoreboard, so a blackout
-    /// fires O(log duration) of these instead of one per base RTO.
+    /// RTO expiries (window and hybrid algorithms; pure rate control arms
+    /// no RTO timer). Each one doubles the effective RTO until an ACK
+    /// delivers an RTT sample, so a blackout fires O(log duration) of
+    /// these instead of one per base RTO.
     pub timeouts: u64,
-}
-
-#[derive(PartialEq, Eq)]
-struct TimerEntry(SimTime, u64);
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.cmp(&self.0) // min-heap
-    }
-}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Install every workspace algorithm into the
@@ -190,19 +180,115 @@ pub fn send_hosted(
     send_with(socket, peer, cfg, Box::new(HostedCc::new(host, cc)))
 }
 
-/// Pop the next sequence that genuinely needs retransmission, eagerly
-/// discarding stale entries (already acked, or no longer marked lost) on
-/// the way. Draining stales here — instead of one per pacing slot — means
-/// a post-recovery queue of stale sequences can never stall the tail of a
-/// transfer: the first slot that reaches the queue either finds real work
-/// or empties it.
-fn next_transmit(retx: &mut VecDeque<u64>, sb: &Scoreboard) -> Option<u64> {
-    while let Some(seq) = retx.pop_front() {
-        if sb.is_lost(seq) && !sb.is_acked(seq) {
-            return Some(seq);
-        }
+/// Upper bound on one idle nap, so ACK processing stays responsive while
+/// the next timer is far away (the socket is polled, not blocked on).
+const MAX_NAP: Duration = Duration::from_millis(1);
+
+/// The engine plus everything its actions act on.
+struct Driver<'a> {
+    socket: &'a UdpSocket,
+    peer: SocketAddr,
+    payload: Vec<u8>,
+    start: Instant,
+    engine: CcSender,
+    rng: SimRng,
+    actions: Vec<Action>,
+    /// Armed timers as `(deadline, arm order, token)`: a min-heap that
+    /// fires equal deadlines in the order they were armed, like the
+    /// simulator's event queue.
+    timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    armed: u64,
+    /// Last probe-train id put on the wire; widens the 16-bit echo.
+    last_train: u32,
+    sent: u64,
+    finished: bool,
+}
+
+impl Driver<'_> {
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
     }
-    None
+
+    /// Run one engine callback at the current time, then carry out the
+    /// actions it emitted, in order.
+    fn step<R>(
+        &mut self,
+        f: impl FnOnce(&mut CcSender, &mut EndpointCtx) -> R,
+    ) -> std::io::Result<R> {
+        let mut ctx = EndpointCtx::new(
+            self.now(),
+            FlowId(0),
+            Side::Sender,
+            &mut self.rng,
+            &mut self.actions,
+        );
+        let out = f(&mut self.engine, &mut ctx);
+        for action in self.actions.drain(..) {
+            match action {
+                Action::Send(pkt) => {
+                    let Some(d) = pkt.as_data() else { continue };
+                    if let Some(train) = d.probe_train {
+                        self.last_train = train;
+                    }
+                    let h = DataHeader {
+                        seq: d.seq,
+                        sent_us: d.sent_at.as_nanos() / 1_000,
+                        retx: d.retx,
+                        probe_train: d.probe_train.map(|t| t as u16),
+                    };
+                    self.socket
+                        .send_to(&encode_data(&h, &self.payload), self.peer)?;
+                    self.sent += 1;
+                }
+                Action::SetTimer { at, token } => {
+                    self.timers.push(Reverse((at, self.armed, token)));
+                    self.armed += 1;
+                }
+                Action::Finish => self.finished = true,
+                Action::Stall { dark, timeouts } => {
+                    return Err(std::io::Error::new(
+                        ErrorKind::TimedOut,
+                        TransferError::Stalled {
+                            dark_ms: dark.as_nanos() / 1_000_000,
+                            timeouts,
+                            acked_bytes: self
+                                .engine
+                                .cum_ack()
+                                .saturating_mul(self.payload.len() as u64),
+                        },
+                    ));
+                }
+                // The simulator's per-flow statistics hooks; the report
+                // reads the engine's own accessors instead.
+                Action::RecordRate(_)
+                | Action::RecordRtt(_)
+                | Action::RecordLoss(_)
+                | Action::RecordGoodput(_) => {}
+            }
+        }
+        Ok(out)
+    }
+
+    /// Hand a decoded ACK to the engine as the packet the simulator would
+    /// have delivered.
+    fn on_ack(&mut self, a: &AckPacket) -> std::io::Result<()> {
+        // The echo carries the low 16 bits of the train id: the full id is
+        // the most recent one at or below the last id sent that matches.
+        let last = self.last_train;
+        let probe_train = a
+            .probe_train
+            .map(|echo| last.wrapping_sub((last as u16).wrapping_sub(echo) as u32));
+        let info = AckInfo {
+            acked_seq: a.acked_seq,
+            cum_ack: a.cum_ack,
+            echo_sent_at: SimTime::from_nanos(a.echo_sent_us.saturating_mul(1_000)),
+            recv_at: SimTime::from_nanos(a.recv_us.saturating_mul(1_000)),
+            recv_bytes: 0,
+            probe_train,
+            of_retx: a.of_retx,
+        };
+        self.step(|e, ctx| e.on_packet(&Packet::ack(ctx.flow, info, ctx.now), ctx))
+    }
 }
 
 /// Send with an arbitrary congestion-control algorithm. The engine
@@ -212,383 +298,57 @@ pub fn send_with(
     socket: &UdpSocket,
     peer: SocketAddr,
     cfg: UdpSenderConfig,
-    mut cc: Box<dyn CongestionControl>,
+    cc: Box<dyn CongestionControl>,
 ) -> std::io::Result<SenderReport> {
-    let start = Instant::now();
-    let now_sim = |t0: Instant| SimTime::from_nanos(t0.elapsed().as_nanos() as u64);
-    let mut rng = SimRng::new(cfg.seed);
-    let mut effects = Effects::default();
-    let mut timers: BinaryHeap<TimerEntry> = BinaryHeap::new();
-    let mut sb = Scoreboard::new();
-    let mut rtt = RttEstimator::new(SimDuration::from_millis(10), SimDuration::from_secs(10));
-    let mut retx: VecDeque<u64> = VecDeque::new();
+    let mss = wire_mss(&cfg);
+    // One engine packet per datagram: sizing the flow in wire bytes keeps
+    // the engine's packet count equal to the payload's.
     let total_pkts = cfg.total_bytes.div_ceil(cfg.payload as u64);
-    let payload = vec![0xA5u8; cfg.payload];
-    let wire_bytes = wire_mss(&cfg);
-    let mut report = SenderReport::default();
-
-    let mut rate_bps: Option<f64> = None;
-    let mut cwnd_pkts: Option<f64> = None;
-    // Engine-side recovery-episode tracking for window algorithms.
-    let mut recovery_point: Option<u64> = None;
-    // Off-path feedback machinery. When the algorithm (or the config
-    // override) asks for batched reports, per-packet events accumulate in
-    // the aggregator and the algorithm only hears from the engine at report
-    // boundaries — the real-socket twin of `CcSender`'s batched mode.
-    let report_mode = cfg.report.unwrap_or_else(|| cc.report_mode());
-    let batched = matches!(report_mode, ReportMode::Batched(_));
-    let mut agg = ReportAggregator::default();
-    // One-shot interval override requested via `Ctx::set_report_interval`.
-    let mut requested_interval: Option<SimDuration> = None;
-    let mut next_report: Option<Instant> = None;
-    // Exponential RTO backoff, mirroring `CcSender`'s windowed mode: each
-    // whole-window loss declaration doubles the effective RTO (capped at
-    // 2^6×), and any ACK that delivers new data resets it. Without this a
-    // real-path blackout re-fired the full-scan loss declaration — and
-    // the full-window retransmission burst — every *base* RTO, hammering
-    // the dead path and recovering far slower than the simulated engine.
-    let mut rto_backoff: u32 = 0;
-    // Dead-time bookkeeping for the graceful-degradation budget: the last
-    // wall-clock instant at which an ACK delivered new bytes, and how many
-    // consecutive whole-window timeouts have fired since. Any forward
-    // progress resets both; crossing `cfg.dead_time_budget` aborts with
-    // `TransferError::Stalled` *before* the retransmission burst, so an
-    // aborted transfer leaves the dead path quiet.
-    let mut last_progress = Instant::now();
-    let mut timeouts_since_progress: u64 = 0;
-    // Consecutive fruitless timeouts after which progress returning is
-    // treated as outage recovery rather than ordinary loss: the RTT
-    // estimator is re-seeded from the fresh sample (stale-path SRTT and a
-    // backed-off RTO would otherwise govern the healed path for a long
-    // tail) and the algorithm's `on_resume` hook runs. Mirrors the
-    // simulator engine's constant of the same name.
-    const RESUME_TIMEOUTS: u64 = 3;
-    let mut next_send = Instant::now();
+    let engine_cfg = CcSenderConfig {
+        transport: TransportConfig {
+            mss,
+            size: FlowSize::Bytes(total_pkts * mss as u64),
+        },
+        // A user-space transport in every mode: window algorithms get the
+        // 10 ms floor too, not TCP's 200 ms convention.
+        min_rto: Some(RATE_MIN_RTO),
+        // Offload burstiness is the simulator's model of a NIC; a real one
+        // does its own.
+        tso_burst_pkts: 1,
+        report: cfg.report,
+        dead_time_budget: cfg
+            .dead_time_budget
+            .map(|d| SimDuration::from_nanos(d.as_nanos() as u64)),
+        ..Default::default()
+    };
+    let mut d = Driver {
+        socket,
+        peer,
+        payload: vec![0xA5u8; cfg.payload],
+        start: Instant::now(),
+        engine: CcSender::new(engine_cfg, cc),
+        rng: SimRng::new(cfg.seed),
+        actions: Vec::new(),
+        timers: BinaryHeap::new(),
+        armed: 0,
+        last_train: 0,
+        sent: 0,
+        finished: false,
+    };
     let mut buf = vec![0u8; 65_536];
-
     socket.set_nonblocking(true)?;
 
-    // Drain algorithm decisions into engine state. The operating point is
-    // applied before any mode switch so a switch in the same callback
-    // derives from the values just set (same ordering as `CcSender`).
-    macro_rules! apply_effects {
-        () => {{
-            let d = effects.drain();
-            if let Some(r) = d.rate {
-                rate_bps = Some(r.max(1_000.0));
-            }
-            if let Some(w) = d.cwnd {
-                cwnd_pkts = Some(w);
-            }
-            if let Some(dur) = d.report_in {
-                requested_interval = Some(dur);
-            }
-            for (at, token) in d.timers {
-                timers.push(TimerEntry(at, token));
-            }
-            if let Some(mode) = d.mode {
-                let srtt = rtt.srtt_or(SimDuration::from_millis(100)).as_secs_f64();
-                match mode {
-                    CcMode::Rate => {
-                        if rate_bps.is_none() {
-                            let w = cwnd_pkts.unwrap_or(2.0).max(1.0);
-                            rate_bps = Some((w * wire_bytes as f64 * 8.0 / srtt).max(1_000.0));
-                        }
-                        cwnd_pkts = None;
-                        recovery_point = None;
-                    }
-                    CcMode::Window => {
-                        if cwnd_pkts.is_none() {
-                            let r = rate_bps.unwrap_or(1_000.0);
-                            cwnd_pkts = Some((r * srtt / (wire_bytes as f64 * 8.0)).max(2.0));
-                        }
-                        rate_bps = None;
-                    }
-                    CcMode::Hybrid => {
-                        if rate_bps.is_none() {
-                            let w = cwnd_pkts.unwrap_or(2.0).max(1.0);
-                            rate_bps = Some((w * wire_bytes as f64 * 8.0 / srtt).max(1_000.0));
-                        }
-                        if cwnd_pkts.is_none() {
-                            let r = rate_bps.unwrap_or(1_000.0);
-                            cwnd_pkts = Some((r * srtt / (wire_bytes as f64 * 8.0)).max(2.0));
-                        }
-                    }
-                }
-            }
-        }};
-    }
-
-    // Re-arm the report deadline: the algorithm's one-shot override if it
-    // set one (PCC aligning reports with its monitor intervals), else the
-    // configured cadence — the adaptive default re-reads the smoothed RTT
-    // at every boundary, exactly like `CcSender::report_interval`.
-    macro_rules! arm_report {
-        () => {{
-            let interval = match requested_interval.take() {
-                Some(d) => d.max(SimDuration::from_micros(100)),
-                None => match report_mode {
-                    ReportMode::Batched(ReportInterval::Rtts(k)) => rtt
-                        .srtt_or(SimDuration::from_millis(100))
-                        .mul_f64(k)
-                        .max(SimDuration::from_millis(1)),
-                    ReportMode::Batched(ReportInterval::Fixed(d)) => {
-                        d.max(SimDuration::from_micros(100))
-                    }
-                    // Unreachable: only armed in batched mode.
-                    ReportMode::PerAck => SimDuration::from_secs(3600),
-                },
-            }
-            .min(SimDuration::from_secs(3600));
-            next_report = Some(Instant::now() + Duration::from_nanos(interval.as_nanos()));
-        }};
-    }
-
-    // Close the current interval, stamp the engine snapshot, and deliver
-    // the report. Empty intervals are delivered too — interval-structured
-    // algorithms (PCC) use the boundary itself as their clock.
-    macro_rules! emit_report {
-        ($now:expr) => {{
-            let now = $now;
-            let mut rep = agg.take(now);
-            let srtt = rtt.srtt_or(SimDuration::from_millis(100));
-            rep.srtt = srtt;
-            rep.min_rtt = rtt.min_rtt().unwrap_or(srtt);
-            rep.in_flight = sb.in_flight();
-            rep.cum_ack = sb.cum_ack();
-            rep.mss = wire_bytes;
-            rep.in_recovery = recovery_point.is_some();
-            {
-                let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                cc.on_report(&rep, &mut ctx);
-            }
-            apply_effects!();
-            arm_report!();
-        }};
-    }
-
-    {
-        let mut ctx = Ctx::new(now_sim(start), &mut rng, &mut effects);
-        cc.on_start(&mut ctx);
-    }
-    apply_effects!();
-    if rate_bps.is_none() && cwnd_pkts.is_none() {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidInput,
-            format!("algorithm `{}` set neither rate nor cwnd", cc.name()),
-        ));
-    }
-    if batched {
-        agg.begin(now_sim(start));
-        arm_report!();
-    }
-
-    while !sb.all_acked_below(total_pkts) {
-        let now = now_sim(start);
-        // Fire due algorithm timers.
-        while timers.peek().map(|t| t.0 <= now).unwrap_or(false) {
-            let TimerEntry(_, token) = timers.pop().expect("peeked");
-            {
-                let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                cc.on_timer(token, &mut ctx);
-            }
-            apply_effects!();
-        }
-        // Close a due report interval.
-        if batched && next_report.is_some_and(|t| Instant::now() >= t) {
-            emit_report!(now_sim(start));
-        }
-        // Loss detection. When the scan wipes out the *entire* in-flight
-        // window, that is the real-socket analogue of the simulator
-        // engine's RTO (mark-all-lost): deliver it as a Timeout so window
-        // algorithms run their RTO path (collapse + slow-start restart),
-        // matching `CcSender` semantics on the same algorithm object.
-        let rto = SimDuration::from_nanos(rtt.rto().as_nanos() * (1u64 << rto_backoff.min(6)));
-        let lost = sb.detect_losses(now, rto);
-        if !lost.is_empty() {
-            report.losses += lost.len() as u64;
-            retx.extend(lost.iter().copied());
-            let whole_window = sb.in_flight() == 0;
-            if whole_window {
-                rto_backoff = rto_backoff.saturating_add(1);
-                report.timeouts += 1;
-                timeouts_since_progress += 1;
-                if let Some(budget) = cfg.dead_time_budget {
-                    let dark = last_progress.elapsed();
-                    if dark >= budget {
-                        // Abort before the retransmission burst below: a
-                        // stalled transfer must not keep hammering the
-                        // dead path on its way out.
-                        return Err(std::io::Error::new(
-                            ErrorKind::TimedOut,
-                            TransferError::Stalled {
-                                dark_ms: dark.as_millis() as u64,
-                                timeouts: timeouts_since_progress,
-                                acked_bytes: sb.cum_ack().saturating_mul(cfg.payload as u64),
-                            },
-                        ));
-                    }
-                }
-            }
-            let new_episode = match (cwnd_pkts.is_some(), recovery_point) {
-                (false, _) => true,
-                (true, Some(_)) => false,
-                (true, None) => {
-                    recovery_point = Some(sb.next_seq());
-                    true
-                }
-            };
-            if whole_window {
-                // An RTO-style event aborts any recovery episode.
-                recovery_point = None;
-            }
-            let ev = LossEvent {
-                now,
-                seqs: &lost,
-                kind: if whole_window {
-                    LossKind::Timeout
-                } else {
-                    LossKind::Detected
-                },
-                new_episode: whole_window || new_episode,
-                in_flight: sb.in_flight(),
-                mss: wire_bytes,
-            };
-            if batched {
-                agg.on_loss(&ev);
-                if ev.new_episode || whole_window {
-                    // Urgent flush: a fresh loss episode must not wait out
-                    // the report cadence (same rule as the sim engine).
-                    emit_report!(now);
-                }
-            } else {
-                {
-                    let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                    cc.on_loss(&ev, &mut ctx);
-                }
-                apply_effects!();
-            }
-        }
-        // Transmit if the algorithm's operating point allows it right now.
-        let pace_due = rate_bps.is_none() || Instant::now() >= next_send;
-        let window_open = cwnd_pkts.is_none_or(|w| sb.in_flight() < w.max(1.0) as u64);
-        let has_new = sb.next_seq() < total_pkts;
-        let has_work = has_new || !retx.is_empty();
-        if pace_due && window_open && has_work {
-            let (seq, is_retx) = match next_transmit(&mut retx, &sb) {
-                Some(s) => (s, true),
-                None if has_new => (sb.next_seq(), false),
-                None => (0, false), // queue was all stale and no new data
-            };
-            if is_retx || has_new {
-                let h = DataHeader {
-                    seq,
-                    sent_us: start.elapsed().as_micros() as u64,
-                    retx: is_retx,
-                };
-                socket.send_to(&encode_data(&h, &payload), peer)?;
-                sb.on_send(seq, now, is_retx);
-                report.sent += 1;
-                let ev = SentEvent {
-                    now,
-                    seq,
-                    bytes: wire_bytes,
-                    retx: is_retx,
-                    in_flight: sb.in_flight(),
-                };
-                if batched {
-                    agg.on_sent(&ev);
-                } else {
-                    {
-                        let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                        cc.on_sent(&ev, &mut ctx);
-                    }
-                    apply_effects!();
-                }
-                if let Some(rate) = rate_bps {
-                    let gap = wire_bytes as f64 * 8.0 / rate;
-                    next_send = Instant::now() + Duration::from_secs_f64(gap);
-                }
-            }
-        }
-        // Drain whatever ACKs have arrived; if nothing is sendable, nap
-        // briefly instead of spinning.
-        let mut got_any = false;
+    d.step(|e, ctx| e.try_start(ctx))?
+        .map_err(|msg| std::io::Error::new(ErrorKind::InvalidInput, msg))?;
+    while !d.finished {
+        let mut idle = true;
+        // Drain whatever ACKs have arrived.
         loop {
             match socket.recv_from(&mut buf) {
                 Ok((n, _)) => {
-                    got_any = true;
-                    let Some(Frame::Ack(a)) = decode(&buf[..n]) else {
-                        continue;
-                    };
-                    let now = now_sim(start);
-                    let echo = SimTime::from_nanos(a.echo_sent_us * 1_000);
-                    let sample = now.saturating_since(echo);
-                    rtt.on_sample(sample);
-                    let info = AckInfo {
-                        acked_seq: a.acked_seq,
-                        cum_ack: a.cum_ack,
-                        echo_sent_at: echo,
-                        recv_at: SimTime::from_nanos(a.recv_us * 1_000),
-                        recv_bytes: 0,
-                        probe_train: None,
-                        of_retx: a.of_retx,
-                    };
-                    let out = sb.on_ack(&info, now);
-                    if out.newly_acked > 0 {
-                        // Fresh delivery: the path is alive again.
-                        rto_backoff = 0;
-                        last_progress = Instant::now();
-                        if timeouts_since_progress >= RESUME_TIMEOUTS {
-                            // Outage recovery: discard the dead path's RTT
-                            // history (re-seeded from this fresh sample) and
-                            // let the algorithm reset its measurement state.
-                            rtt = RttEstimator::new(
-                                SimDuration::from_millis(10),
-                                SimDuration::from_secs(10),
-                            );
-                            rtt.on_sample(sample);
-                            {
-                                let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                                cc.on_resume(&mut ctx);
-                            }
-                            apply_effects!();
-                        }
-                        timeouts_since_progress = 0;
-                    }
-                    if let Some(rp) = recovery_point {
-                        if sb.cum_ack() >= rp {
-                            recovery_point = None;
-                        }
-                    }
-                    if out.rtt.is_some() || out.newly_acked > 0 {
-                        let srtt = rtt.srtt_or(SimDuration::from_millis(1));
-                        let ev = AckEvent {
-                            now,
-                            seq: a.acked_seq,
-                            rtt: out.rtt.unwrap_or(srtt),
-                            sampled: out.rtt.is_some(),
-                            srtt,
-                            min_rtt: rtt.min_rtt().unwrap_or(srtt),
-                            max_rtt: rtt.max_rtt().unwrap_or(srtt),
-                            recv_at: info.recv_at,
-                            probe_train: None,
-                            of_retx: a.of_retx,
-                            cum_ack: a.cum_ack,
-                            newly_acked: out.newly_acked.min(u32::MAX as u64) as u32,
-                            in_flight: sb.in_flight(),
-                            mss: wire_bytes,
-                            in_recovery: recovery_point.is_some(),
-                        };
-                        if batched {
-                            agg.on_ack(&ev);
-                        } else {
-                            {
-                                let mut ctx = Ctx::new(now, &mut rng, &mut effects);
-                                cc.on_ack(&ev, &mut ctx);
-                            }
-                            apply_effects!();
-                        }
+                    idle = false;
+                    if let Some(Frame::Ack(a)) = decode(&buf[..n]) {
+                        d.on_ack(&a)?;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -596,44 +356,40 @@ pub fn send_with(
                 Err(e) => return Err(e),
             }
         }
-        if !got_any && (!has_work || !window_open || (rate_bps.is_some() && !pace_due)) {
-            // Nothing to do right now: sleep until the next interesting
-            // moment (pacing slot, timer) but never more than a millisecond
-            // so ACK processing stays responsive.
-            let mut nap = Duration::from_millis(1);
-            if rate_bps.is_some() {
-                let until = next_send.saturating_duration_since(Instant::now());
-                if until > Duration::ZERO {
-                    nap = nap.min(until);
-                }
+        // Fire the timers due as of this pass. Ones armed meanwhile (the
+        // pacer re-arming itself) wait for the next pass, so a saturated
+        // pacer cannot starve the ACK drain above.
+        let due = d.now();
+        while let Some(&Reverse((at, _, token))) = d.timers.peek() {
+            if at > due {
+                break;
             }
-            std::thread::sleep(nap.max(Duration::from_micros(20)));
+            d.timers.pop();
+            idle = false;
+            d.step(|e, ctx| e.on_timer(token, ctx))?;
+        }
+        if idle {
+            let next = d.timers.peek().map_or(MAX_NAP, |&Reverse((at, ..))| {
+                Duration::from_nanos(at.saturating_since(d.now()).as_nanos())
+            });
+            std::thread::sleep(next.min(MAX_NAP));
         }
     }
-    report.elapsed = start.elapsed();
-    report.goodput_mbps =
-        cfg.total_bytes as f64 * 8.0 / report.elapsed.as_secs_f64().max(1e-9) / 1e6;
-    report.final_rate_bps = rate_bps.unwrap_or(0.0);
-    report.final_cwnd_pkts = cwnd_pkts.unwrap_or(0.0);
-    Ok(report)
+    let elapsed = d.start.elapsed();
+    Ok(SenderReport {
+        elapsed,
+        goodput_mbps: cfg.total_bytes as f64 * 8.0 / elapsed.as_secs_f64().max(1e-9) / 1e6,
+        sent: d.sent,
+        losses: d.engine.losses(),
+        final_rate_bps: d.engine.rate_bps().unwrap_or(0.0),
+        final_cwnd_pkts: d.engine.cwnd_pkts().unwrap_or(0.0),
+        timeouts: d.engine.timeouts(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ack(sb: &mut Scoreboard, seq: u64, cum_ack: u64, at: SimTime) {
-        let info = AckInfo {
-            acked_seq: seq,
-            cum_ack,
-            echo_sent_at: SimTime::ZERO,
-            recv_at: at,
-            recv_bytes: 0,
-            probe_train: None,
-            of_retx: false,
-        };
-        sb.on_ack(&info, at);
-    }
 
     #[test]
     fn send_pcc_threads_the_wire_mss() {
@@ -648,32 +404,5 @@ mod tests {
         let ctrl = pcc_controller(&cfg, PccConfig::paper());
         assert_eq!(ctrl.mss(), 1240);
         assert_eq!(wire_mss(&cfg), 1240);
-    }
-
-    #[test]
-    fn next_transmit_drains_stale_entries_in_one_call() {
-        // 5 packets in flight, all declared lost, then 0..4 get acked
-        // (SACKed after the loss declaration): their retx entries are
-        // stale. One `next_transmit` call must discard every stale entry
-        // and return the single still-lost sequence — the old code burned
-        // one pacing slot per stale entry, stalling the transfer tail.
-        let mut sb = Scoreboard::new();
-        let t0 = SimTime::ZERO;
-        for seq in 0..5 {
-            sb.on_send(seq, t0, false);
-        }
-        let lost = sb.mark_all_lost();
-        assert_eq!(lost.len(), 5);
-        let mut retx: VecDeque<u64> = lost.into_iter().collect();
-        let t1 = SimTime::from_millis(1);
-        for seq in 0..4 {
-            ack(&mut sb, seq, seq + 1, t1);
-        }
-        assert_eq!(next_transmit(&mut retx, &sb), Some(4));
-        assert!(retx.is_empty(), "stale entries discarded eagerly");
-        // A fully-stale queue empties in one call and reports no work.
-        let mut all_stale: VecDeque<u64> = (0..4).collect();
-        assert_eq!(next_transmit(&mut all_stale, &sb), None);
-        assert!(all_stale.is_empty());
     }
 }

@@ -76,6 +76,7 @@ fn rto_backoff_limits_blackout_refires_and_recovers() {
                 echo_sent_us: h.sent_us,
                 recv_us: start.elapsed().as_micros() as u64,
                 of_retx: h.retx,
+                probe_train: h.probe_train,
             };
             socket.send_to(&encode_ack(&ack), from)?;
             if dark.is_zero() && unique >= pause_after_bytes {
@@ -145,6 +146,15 @@ fn rto_backoff_limits_blackout_refires_and_recovers() {
 
 #[test]
 fn never_returning_receiver_stalls_within_budget_without_parting_burst() {
+    // Both of the engine's budget paths, on real sockets: a window
+    // algorithm enforces the budget off the RTO timer, a pure rate
+    // algorithm off the loss scan.
+    for algo in ["cubic", "pcc"] {
+        never_returning_receiver_stalls(algo);
+    }
+}
+
+fn never_returning_receiver_stalls(algo: &str) {
     // Graceful-degradation hardening: a receiver that ACKs the start of a
     // transfer and then goes silent *forever* must not be retried on the
     // capped-backoff timer until the heat death of the universe. With a
@@ -203,6 +213,7 @@ fn never_returning_receiver_stalls_within_budget_without_parting_burst() {
                 echo_sent_us: h.sent_us,
                 recv_us: start.elapsed().as_micros() as u64,
                 of_retx: h.retx,
+                probe_train: h.probe_train,
             };
             socket.send_to(&encode_ack(&ack), from)?;
         }
@@ -225,7 +236,7 @@ fn never_returning_receiver_stalls_within_budget_without_parting_burst() {
         ..Default::default()
     };
     let t0 = Instant::now();
-    let err = send_named(&tx_sock, rx_addr, cfg, "cubic", SimDuration::from_millis(2))
+    let err = send_named(&tx_sock, rx_addr, cfg, algo, SimDuration::from_millis(2))
         .expect_err("a permanently silent receiver must abort the transfer");
     let aborted_at = Instant::now();
     let elapsed = t0.elapsed();

@@ -8,8 +8,9 @@ use std::thread;
 
 use pcc_core::PccConfig;
 use pcc_simnet::time::SimDuration;
-use pcc_transport::registry::SpecError;
-use pcc_udp::{receive, send_named, send_pcc, UdpSenderConfig};
+use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent, SentEvent};
+use pcc_transport::registry::{self, CcParams, SpecError};
+use pcc_udp::{install_registry, receive, send_named, send_pcc, send_with, UdpSenderConfig};
 
 fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
     let rx_sock = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
@@ -94,6 +95,32 @@ fn unknown_algorithm_is_typed_error_not_panic() {
         err.known.contains(&"bbr".to_string()),
         "the hybrid is a registered real-socket citizen"
     );
+}
+
+#[test]
+fn algorithm_without_operating_point_is_invalid_input_not_panic() {
+    // The simulator treats an `on_start` that sets neither rate nor cwnd
+    // as a programming error and panics; a real-socket caller gets a typed
+    // error before anything is sent (so no receiver is needed).
+    struct Lazy;
+    impl CongestionControl for Lazy {
+        fn name(&self) -> &'static str {
+            "lazy"
+        }
+        fn on_start(&mut self, _ctx: &mut Ctx) {}
+        fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut Ctx) {}
+        fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
+    }
+    let (_rx_sock, tx_sock, rx_addr) = sockets();
+    let err = send_with(
+        &tx_sock,
+        rx_addr,
+        UdpSenderConfig::default(),
+        Box::new(Lazy),
+    )
+    .expect_err("no operating point");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("`lazy` set neither"), "{err}");
 }
 
 #[test]
@@ -214,4 +241,87 @@ fn send_pcc_uses_wire_mss_on_a_nonstandard_payload() {
 
     assert!(rx_report.unique_bytes >= total, "all payload arrived");
     assert!(report.final_rate_bps > 0.0, "PCC drives a rate");
+}
+
+#[test]
+fn pcp_probe_trains_cross_the_wire() {
+    // Regression: the old UDP engine never tagged probe packets, so PCP's
+    // dispersion measurement could not complete on real sockets. The tag
+    // the engine stamps from `probe_tag` must ride the data header, be
+    // echoed by the receiver, and reach the algorithm as
+    // `AckEvent::probe_train`, exactly as in the simulator.
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Forwards everything to the wrapped algorithm, counting tagged ACKs
+    /// and checking each echoed train id is one the algorithm issued.
+    struct TagWatch {
+        inner: Box<dyn CongestionControl>,
+        /// Highest train id issued so far, plus one (0 = none yet).
+        issued: AtomicU64,
+        tagged_acks: Arc<AtomicU64>,
+    }
+    impl CongestionControl for TagWatch {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.inner.on_start(ctx);
+        }
+        fn on_sent(&mut self, ev: &SentEvent, ctx: &mut Ctx) {
+            self.inner.on_sent(ev, ctx);
+        }
+        fn on_ack(&mut self, ack: &AckEvent, ctx: &mut Ctx) {
+            if let Some(train) = ack.probe_train {
+                let issued = self.issued.load(Ordering::Relaxed);
+                assert!(
+                    u64::from(train) < issued,
+                    "echoed train {train} was never issued ({issued} so far)"
+                );
+                self.tagged_acks.fetch_add(1, Ordering::Relaxed);
+            }
+            self.inner.on_ack(ack, ctx);
+        }
+        fn on_loss(&mut self, loss: &LossEvent, ctx: &mut Ctx) {
+            self.inner.on_loss(loss, ctx);
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
+            self.inner.on_timer(token, ctx);
+        }
+        fn probe_tag(&self) -> Option<u32> {
+            let tag = self.inner.probe_tag();
+            if let Some(train) = tag {
+                self.issued
+                    .fetch_max(u64::from(train) + 1, Ordering::Relaxed);
+            }
+            tag
+        }
+    }
+
+    install_registry();
+    let (rx_sock, tx_sock, rx_addr) = sockets();
+    let total: u64 = 256 * 1024;
+    let rx = thread::spawn(move || receive(&rx_sock, total));
+    let cfg = UdpSenderConfig {
+        payload: 1200,
+        total_bytes: total,
+        seed: 17,
+        ..Default::default()
+    };
+    let params = CcParams::default()
+        .with_mss((cfg.payload + 40) as u32)
+        .with_rtt_hint(SimDuration::from_millis(2));
+    let tagged_acks = Arc::new(AtomicU64::new(0));
+    let cc = TagWatch {
+        inner: registry::by_name("pcp:poll_ms=5,rate0_mbps=20", &params).expect("registered"),
+        issued: AtomicU64::new(0),
+        tagged_acks: Arc::clone(&tagged_acks),
+    };
+    send_with(&tx_sock, rx_addr, cfg, Box::new(cc)).expect("send");
+    let rx_report = rx.join().expect("join").expect("receive");
+    assert!(rx_report.unique_bytes >= total, "all payload arrived");
+    assert!(
+        tagged_acks.load(Ordering::Relaxed) >= 1,
+        "at least one probe-train tag made the round trip"
+    );
 }
