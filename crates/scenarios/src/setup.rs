@@ -394,6 +394,122 @@ mod tests {
         assert_eq!(r.report.flows[1].delivered_bytes, 2_410_500);
         assert_eq!(r.report.flows[0].detected_losses, 263);
         assert_eq!(r.report.flows[1].detected_losses, 28);
+
+        // Every other scenario family, one fingerprint each, captured on
+        // the hand-wired constructions that preceded the shared builder.
+        use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
+        use crate::dc::{run_ft_permutation, run_ls_mix, run_rack_incast, LsFabric};
+        use crate::vary::run_trace;
+        use crate::workload::{churn_benchmark_config, run_churn};
+        use pcc_simnet::trace::LinkTrace;
+
+        let cubic = Protocol::Tcp("cubic");
+        let pcc = |rtt| Protocol::pcc_default(rtt);
+        let chaos = |p: &Protocol, s| run_chaos(p, s, 9).fingerprint;
+        let golden: [(&str, u64, u64); 11] = [
+            (
+                "trace lte cubic",
+                report_fingerprint(
+                    &run_trace(
+                        cubic.clone(),
+                        &LinkTrace::builtin("lte").expect("bundled"),
+                        SimDuration::from_secs(10),
+                        3,
+                        ShaperConfig::default(),
+                    )
+                    .report,
+                ),
+                0x3de2_d6da_d5d5_7a24,
+            ),
+            (
+                "rack incast k=4 pcc",
+                report_fingerprint(&run_rack_incast(4, &pcc, 12, 256 * 1024, 5).run.report),
+                0x0570_0333_1d13_173f,
+            ),
+            (
+                "ft permutation k=4 pcc",
+                report_fingerprint(&run_ft_permutation(4, &pcc, 64 * 1024, 9).1.report),
+                0xb914_36fa_ed0b_5c7b,
+            ),
+            (
+                "leaf-spine mix pcc",
+                report_fingerprint(
+                    &run_ls_mix(
+                        LsFabric {
+                            leaves: 4,
+                            spines: 2,
+                            hosts_per_leaf: 4,
+                            oversubscription: 4.0,
+                        },
+                        &pcc,
+                        512 * 1024,
+                        32 * 1024,
+                        11,
+                    )
+                    .2
+                    .report,
+                ),
+                0xae7d_ed81_3493_5a0b,
+            ),
+            (
+                "chaos flap cubic",
+                chaos(&cubic, ChaosScript::LinkFlap),
+                0xa843_4449_f592_033d,
+            ),
+            (
+                "chaos blackout cubic",
+                chaos(&cubic, ChaosScript::Blackout),
+                0xdfd7_8268_0cba_429f,
+            ),
+            (
+                "chaos spine cubic",
+                chaos(&cubic, ChaosScript::SpineFailure),
+                0x8e47_4fc0_1f03_061f,
+            ),
+            (
+                "chaos corrupt cubic",
+                chaos(&cubic, ChaosScript::CorruptStorm),
+                0x385b_cc20_d989_33e1,
+            ),
+            (
+                // A paced window algorithm seeds its first pacing rate
+                // from the RTT hint, so this pins the fabric hint too.
+                "chaos spine cubic-paced",
+                chaos(&Protocol::TcpPaced("cubic"), ChaosScript::SpineFailure),
+                0xd3d1_d33a_8958_e5ea,
+            ),
+            (
+                "churn benchmark 3000",
+                run_churn(churn_benchmark_config(3000, 1)).fingerprint(),
+                0x3825_46ff_6868_73c8,
+            ),
+            (
+                "dumbbell cubic batched",
+                report_fingerprint(
+                    &run_dumbbell(
+                        LinkSetup::new(50e6, SimDuration::from_millis(30), 187_500),
+                        vec![
+                            FlowPlan::new(Protocol::Tcp("cubic"), SimDuration::from_millis(30))
+                                .reporting(ReportMode::batched_rtt()),
+                        ],
+                        SimTime::from_secs(8),
+                        42,
+                    )
+                    .report,
+                ),
+                0x7932_2d0f_ac7c_3d7d,
+            ),
+        ];
+        let moved: Vec<String> = golden
+            .iter()
+            .filter(|(_, got, want)| got != want)
+            .map(|(name, got, want)| format!("{name}: {got:#018x}, pinned {want:#018x}"))
+            .collect();
+        assert!(
+            moved.is_empty(),
+            "fingerprints moved:\n{}",
+            moved.join("\n")
+        );
     }
 
     #[test]
