@@ -14,7 +14,7 @@ fn run_bbr(link_mbps: f64, rtt_ms: u64, buffer: u64, loss: f64, secs: u64) -> (S
     });
     let mut db = Dumbbell::new(
         &mut net,
-        BottleneckSpec::new(link_mbps * 1e6, buffer).with_loss(loss),
+        LinkConfig::bottleneck(link_mbps * 1e6, SimDuration::ZERO, buffer).with_loss(loss),
     );
     let path = db.attach_flow(&mut net, SimDuration::from_millis(rtt_ms));
     let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(rtt_ms));

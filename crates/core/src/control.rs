@@ -469,20 +469,6 @@ impl PccController {
     /// A completed MI's utility is available.
     fn on_mi_complete(&mut self, m: &MiMetrics, ctx: &mut CtrlCtx) {
         self.stats.mis_completed += 1;
-        if std::env::var_os("PCC_TRACE").is_some() {
-            eprintln!(
-                "[pcc {:>10.6}] mi={} phase={} rate={:.2}Mbps x={:.2} T={:.2} L={:.4} rtt={:.2}ms u={:.3}",
-                ctx.now.as_secs_f64(),
-                m.mi_id,
-                self.phase_name(),
-                self.rate / 1e6,
-                m.x_mbps(),
-                m.t_mbps(),
-                m.loss_rate,
-                m.avg_rtt.as_millis_f64(),
-                if m.sent == 0 { 0.0 } else { self.utility.utility(m) },
-            );
-        }
         let Some(purpose) = self.purposes.remove(&m.mi_id) else {
             return;
         };

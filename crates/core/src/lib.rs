@@ -29,7 +29,7 @@
 //! use pcc_transport::{CcSender, CcSenderConfig, SackReceiver};
 //!
 //! let mut net = NetworkBuilder::new(SimConfig::default());
-//! let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(100e6, 64_000));
+//! let mut db = Dumbbell::new(&mut net, LinkConfig::bottleneck(100e6, SimDuration::ZERO, 64_000));
 //! let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
 //! let pcc = PccController::new(
 //!     PccConfig::paper().with_rtt_hint(SimDuration::from_millis(30)),

@@ -22,74 +22,86 @@ use std::process::ExitCode;
 
 use pcc_experiments::{registry, Opts};
 
+/// The parsed command line.
+struct Cli {
+    /// Experiment id or subcommand (`None` = `list`).
+    which: Option<String>,
+    /// Positional arguments of `sweep` (spec templates) and `vary` (traces).
+    extras: Vec<String>,
+    points: usize,
+    /// `--secs`, if given (`sweep` and `vary` have different defaults).
+    secs: Option<u64>,
+    batched: bool,
+    opts: Opts,
+}
+
+/// The value following flag `usage` names, or a one-line usage error.
+fn value<'a, T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = &'a String>,
+    usage: &str,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("usage: {usage}"))
+}
+
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        which: None,
+        extras: Vec::new(),
+        points: 3,
+        secs: None,
+        batched: false,
+        opts: Opts {
+            jobs: 0, // auto: one worker per core (library default is serial)
+            ..Opts::default()
+        },
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--full" => cli.opts.full = true,
+            "--batched" => cli.batched = true,
+            "--jobs" => cli.opts.jobs = value(&mut args, "--jobs <n> (0 = auto)")?,
+            "--seed" => cli.opts.seed = value(&mut args, "--seed <u64>")?,
+            "--out" => cli.opts.out_dir = value(&mut args, "--out <dir>")?,
+            "--points" => cli.points = value(&mut args, "--points <n>")?,
+            "--secs" => cli.secs = Some(value(&mut args, "--secs <n>")?),
+            other if cli.which.is_none() => cli.which = Some(other.to_string()),
+            other if matches!(cli.which.as_deref(), Some("sweep" | "vary")) => {
+                cli.extras.push(other.to_string())
+            }
+            other => return Err(format!("unexpected argument: {other}")),
+        }
+    }
+    Ok(cli)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Option<String> = None;
-    let mut extras: Vec<String> = Vec::new();
-    let mut points: usize = 3;
-    let mut secs: u64 = 4;
-    let mut secs_set = false;
-    let mut opts = Opts {
-        jobs: 0, // auto: one worker per core (library default is serial)
-        ..Opts::default()
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--full" => opts.full = true,
-            // Process-wide: every engine this run switches from per-ACK
-            // callbacks to 1-RTT batched measurement reports (the
-            // off-path control plane). Numbers shift within the
-            // documented tolerance; fingerprints are per-ACK only.
-            "--batched" => pcc_scenarios::force_batched_reports(true),
-            "--jobs" => {
-                i += 1;
-                opts.jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--jobs <n> (0 = auto)");
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed <u64>");
-            }
-            "--out" => {
-                i += 1;
-                opts.out_dir = args.get(i).expect("--out <dir>").into();
-            }
-            "--points" => {
-                i += 1;
-                points = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--points <n>");
-            }
-            "--secs" => {
-                i += 1;
-                secs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--secs <n>");
-                secs_set = true;
-            }
-            other if which.is_none() => which = Some(other.to_string()),
-            other if matches!(which.as_deref(), Some("sweep" | "vary")) => {
-                extras.push(other.to_string())
-            }
-            other => {
-                eprintln!("unexpected argument: {other}");
-                return ExitCode::FAILURE;
-            }
+    let Cli {
+        which,
+        extras,
+        points,
+        secs,
+        batched,
+        opts,
+    } = match parse_args(&args) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-        i += 1;
-    }
+    };
+    // Process-wide: every engine this run switches from per-ACK callbacks
+    // to 1-RTT batched measurement reports (the off-path control plane).
+    // Numbers shift within the documented tolerance; fingerprints are
+    // per-ACK only.
+    pcc_scenarios::force_batched_reports(batched);
     let which = which.unwrap_or_else(|| "list".into());
     // `vary` has its own scaled default duration; 0 lets the module pick
     // it (sweep keeps its historical 4 s default).
-    let vary_secs = if secs_set { secs } else { 0 };
+    let (sweep_secs, vary_secs) = (secs.unwrap_or(4), secs.unwrap_or(0));
     let reg = registry();
     match which.as_str() {
         "list" => {
@@ -117,7 +129,7 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "sweep" => match pcc_experiments::sweep::run_cli(&opts, &extras, points, secs) {
+        "sweep" => match pcc_experiments::sweep::run_cli(&opts, &extras, points, sweep_secs) {
             Ok(_) => {
                 println!("\nCSV output in {}", opts.out_dir.display());
                 ExitCode::SUCCESS
@@ -160,5 +172,65 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn bad_flag_values_are_usage_errors_not_panics() {
+        for (args, flag) in [
+            (&["fig07", "--jobs", "x"][..], "--jobs"),
+            (&["fig07", "--seed", "x"], "--seed"),
+            (&["sweep", "--points", "x"], "--points"),
+            (&["vary", "--secs", "x"], "--secs"),
+            (&["all", "--out"], "--out"),
+        ] {
+            let Err(e) = parse(args) else {
+                panic!("{args:?} must not parse");
+            };
+            assert!(
+                e.starts_with("usage: ") && e.contains(flag),
+                "{args:?}: {e}"
+            );
+            assert!(!e.contains('\n'), "one line: {e:?}");
+        }
+        let e = parse(&["fig07", "stray"]).err().expect("stray positional");
+        assert_eq!(e, "unexpected argument: stray");
+    }
+
+    #[test]
+    fn flags_land_in_their_fields() {
+        let cli = parse(&[
+            "sweep",
+            "cubic:iw=4|32",
+            "--jobs",
+            "2",
+            "--seed",
+            "7",
+            "--points",
+            "5",
+            "--secs",
+            "9",
+            "--out",
+            "x/y",
+            "--full",
+            "--batched",
+        ])
+        .expect("well-formed");
+        assert_eq!(cli.which.as_deref(), Some("sweep"));
+        assert_eq!(cli.extras, ["cubic:iw=4|32"]);
+        assert_eq!((cli.opts.jobs, cli.opts.seed, cli.points), (2, 7, 5));
+        assert_eq!(cli.secs, Some(9));
+        assert_eq!(cli.opts.out_dir, std::path::PathBuf::from("x/y"));
+        assert!(cli.opts.full && cli.batched);
+        let bare = parse(&[]).expect("empty is `list`");
+        assert!(bare.which.is_none() && bare.secs.is_none() && bare.opts.jobs == 0);
     }
 }

@@ -91,8 +91,8 @@ pub fn known_ids() -> Vec<&'static str> {
 pub struct Policy {
     /// Crate the file belongs to (diagnostic messages name it).
     pub crate_name: String,
-    /// Skip L001/L002: the crate's job is real sockets or wall-clock
-    /// benchmarking, so its outputs are outside the determinism contract.
+    /// Skip L001/L002: the crate's job is real sockets, so its outputs
+    /// are outside the determinism contract.
     pub real_time: bool,
 }
 

@@ -20,8 +20,8 @@ fn workspace_is_lint_clean() {
         report.files_scanned
     );
     assert!(
-        report.manifests_scanned >= 13,
-        "walker found only {} manifests",
+        report.manifests_scanned >= 12,
+        "walker found only {} manifests (root + 11 members)",
         report.manifests_scanned
     );
     assert!(

@@ -17,21 +17,20 @@
 //!
 //! Every script is compiled through [`FaultScript::parse`] — the chaos
 //! battery deliberately exercises the plain-text parser on the production
-//! path, not just in parser unit tests. Senders are built with a
-//! dead-time budget ([`Protocol::build_sender_budgeted`]) so a wedged
-//! flow becomes a typed `Stalled` outcome instead of silently burning
-//! the horizon: the conformance contract is *completes or stalls*,
-//! never hangs. Runs are seed-deterministic; [`ChaosOutcome::fingerprint`]
-//! folds the run's counters into one value so reruns (serial or fanned
-//! out on the parallel runner) can be asserted bit-identical.
+//! path, not just in parser unit tests. Flows carry a dead-time budget
+//! ([`Flow::dead_time_budget`]) so a wedged flow becomes a typed `Stalled`
+//! outcome instead of silently burning the horizon: the conformance
+//! contract is *completes or stalls*, never hangs. Runs are
+//! seed-deterministic; [`ChaosOutcome::fingerprint`] folds the run's
+//! counters into one value so reruns (serial or fanned out on the parallel
+//! runner) can be asserted bit-identical.
 
-use pcc_simnet::fault::{FaultPlane, FaultScript};
 use pcc_simnet::prelude::*;
-use pcc_simnet::topo::{ecmp_key, fat_tree, Topology};
-use pcc_transport::{FlowSize, SackReceiver};
+use pcc_transport::FlowSize;
 
 use crate::dc::dc_link;
 use crate::protocol::Protocol;
+use crate::scenario::{Flow, Scenario};
 
 /// Bottleneck rate of the dumbbell chaos scenarios.
 pub const CHAOS_RATE_BPS: f64 = 20e6;
@@ -220,95 +219,71 @@ fn outcome(
 /// shim `1`, reverse shim `2`), which is what the script link indices
 /// address.
 fn run_dumbbell_chaos(protocol: &Protocol, text: &str, repair: SimTime, seed: u64) -> ChaosOutcome {
-    let script = FaultScript::parse(text).expect("chaos scripts are well-formed");
-    let mut net = NetworkBuilder::new(SimConfig {
-        sample_interval: SAMPLE,
-        seed,
-    });
-    let mut topo = Topology::new();
-    let src = topo.add_host();
-    let mid = topo.add_switch();
-    topo.add_link(
-        src,
-        mid,
-        LinkConfig::bottleneck(CHAOS_RATE_BPS, SimDuration::ZERO, CHAOS_BUFFER_BYTES),
+    let mut db = Dumbbell::graph(LinkConfig::bottleneck(
+        CHAOS_RATE_BPS,
+        SimDuration::ZERO,
+        CHAOS_BUFFER_BYTES,
+    ));
+    let flow = chaos_flow(
+        db.source(),
+        db.add_receiver(CHAOS_RTT, 0.0),
+        protocol,
+        CHAOS_BYTES,
     );
-    let recv = topo.add_host();
-    let half = CHAOS_RTT / 2;
-    topo.add_link(mid, recv, LinkConfig::delay_only(half));
-    topo.add_link(recv, src, LinkConfig::delay_only(CHAOS_RTT - half));
-    topo.install(&mut net);
-    let path = topo.flow_path(src, recv, 0);
-    let sender = protocol
-        .build_sender_budgeted(
-            FlowSize::Bytes(CHAOS_BYTES),
-            1500,
-            CHAOS_RTT,
-            Some(CHAOS_BUDGET),
-        )
-        .unwrap_or_else(|e| panic!("chaos scenario references an unknown algorithm: {e}"));
-    let flow = net.add_flow(FlowSpec {
-        sender,
-        receiver: Box::new(SackReceiver::new()),
-        fwd_path: path.fwd,
-        rev_path: path.rev,
-        start_at: SimTime::ZERO,
-    });
-    net.set_fault_plane(FaultPlane::new(script));
-    let report = net.build().run_until(CHAOS_HORIZON);
-    outcome(&report, &[flow], CHAOS_BYTES, repair)
+    let run = chaos_scenario(db.into_topology(), vec![flow], text, seed).run(CHAOS_HORIZON);
+    outcome(&run.report, &run.flows, CHAOS_BYTES, repair)
 }
 
 /// Run four cross-pod flows of `protocol` on a `k=4` fat-tree and kill
-/// one core switch mid-transfer. Flows are registered with the fault
-/// plane, so survivors of the dead spine re-route via ECMP re-resolution
-/// over the surviving graph.
+/// one core switch mid-transfer. The builder registers every flow with the
+/// fault plane, so survivors of the dead spine re-route via ECMP
+/// re-resolution over the surviving graph.
 fn run_spine_failure(protocol: &Protocol, seed: u64) -> ChaosOutcome {
     let ft = fat_tree(4, dc_link(), dc_link());
-    let dead_core = ft.cores[0];
-    let text = format!("0.05 node_down {} 1", dead_core.index());
-    let script = FaultScript::parse(&text).expect("chaos scripts are well-formed");
-    let mut net = NetworkBuilder::new(SimConfig {
-        sample_interval: SAMPLE,
-        seed,
-    });
-    let mut topo = ft.topo;
-    topo.install(&mut net);
-    let mut plane = FaultPlane::new(script);
-    plane.attach_topology(&topo);
+    let text = format!("0.05 node_down {} 1", ft.cores[0].index());
     let n = ft.hosts.len();
-    let mut flows = Vec::new();
-    for i in 0..4usize {
-        let (src, dst) = (ft.hosts[i], ft.hosts[(i + n / 2) % n]);
-        let key = ecmp_key(seed, i as u64);
-        let path = topo.flow_path(src, dst, key);
-        let rtt_hint = SimDuration::from_micros(20) * (path.fwd.len() + path.rev.len()) as u64;
-        let sender = protocol
-            .build_sender_budgeted(
-                FlowSize::Bytes(SPINE_BYTES),
-                1500,
-                rtt_hint,
-                Some(CHAOS_BUDGET),
+    let flows: Vec<Flow> = (0..4)
+        .map(|i| {
+            chaos_flow(
+                ft.hosts[i],
+                ft.hosts[(i + n / 2) % n],
+                protocol,
+                SPINE_BYTES,
             )
-            .unwrap_or_else(|e| panic!("chaos scenario references an unknown algorithm: {e}"));
-        let flow = net.add_flow(FlowSpec {
-            sender,
-            receiver: Box::new(SackReceiver::new()),
-            fwd_path: path.fwd,
-            rev_path: path.rev,
-            start_at: SimTime::ZERO,
-        });
-        plane.register_flow(flow, src, dst, key);
-        flows.push(flow);
-    }
-    net.set_fault_plane(plane);
-    let report = net.build().run_until(CHAOS_HORIZON);
+        })
+        .collect();
+    let run = chaos_scenario(ft.topo, flows, &text, seed).run(CHAOS_HORIZON);
     outcome(
-        &report,
-        &flows,
-        SPINE_BYTES * flows.len() as u64,
+        &run.report,
+        &run.flows,
+        SPINE_BYTES * run.flows.len() as u64,
         ChaosScript::SpineFailure.repair_at(),
     )
+}
+
+/// A finite chaos flow: `bytes` under the battery's dead-time budget.
+fn chaos_flow(src: NodeId, dst: NodeId, protocol: &Protocol, bytes: u64) -> Flow<'static> {
+    Flow {
+        size: FlowSize::Bytes(bytes),
+        dead_time_budget: Some(CHAOS_BUDGET),
+        ..Flow::new(src, dst, protocol.clone())
+    }
+}
+
+/// `flows` on `topology` under the fault script `text`, sampled at the
+/// battery's recovery-time granularity.
+fn chaos_scenario<'a>(
+    topology: Topology,
+    flows: Vec<Flow<'a>>,
+    text: &str,
+    seed: u64,
+) -> Scenario<'a> {
+    Scenario {
+        flows,
+        faults: Some(FaultScript::parse(text).expect("chaos scripts are well-formed")),
+        sample_interval: SAMPLE,
+        ..Scenario::new(topology, seed)
+    }
 }
 
 /// Run `protocol` through `script` with all randomness derived from

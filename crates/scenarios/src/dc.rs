@@ -19,10 +19,10 @@
 //! to fan out on the parallel experiment runner.
 
 use pcc_simnet::prelude::*;
-use pcc_simnet::topo::{ecmp_key, fat_tree, leaf_spine, link_usage, DcLinkSpec, LinkUse, Topology};
-use pcc_transport::{FlowSize, SackReceiver};
+use pcc_transport::FlowSize;
 
 use crate::protocol::Protocol;
+use crate::scenario::{Flow, FlowProtocol, Scenario, ScenarioRun};
 
 /// Host (and full-bisection fabric) port speed.
 pub const DC_HOST_RATE_BPS: f64 = 1e9;
@@ -64,38 +64,34 @@ pub struct DcRun {
 /// Route `flows` over an (uninstalled) fabric and run until `horizon`.
 ///
 /// Each flow's path comes from the fabric's ECMP routing keyed by
-/// [`ecmp_key`]`(seed, flow index)`; its RTT hint for the protocol is the
-/// hop count times `2 × `[`DC_HOP_DELAY`]. All flows start at t=0
-/// (synchronized, the hardest case for shallow buffers).
+/// `ecmp_key(seed, flow index)`; `mk_protocol` sees the routed path's base
+/// RTT (hop count times [`DC_HOP_DELAY`] on these fabrics). All flows start
+/// at t=0 (synchronized, the hardest case for shallow buffers).
 pub fn run_dc(
-    mut topo: Topology,
+    topo: Topology,
     hosts: &[NodeId],
     flows: &[DcFlow],
     mk_protocol: &dyn Fn(SimDuration) -> Protocol,
     horizon: SimTime,
     seed: u64,
 ) -> DcRun {
-    let mut net = NetworkBuilder::new(SimConfig {
-        sample_interval: SimDuration::from_millis(100),
-        seed,
-    });
-    topo.install(&mut net);
-    let mut ids = Vec::with_capacity(flows.len());
-    for (i, f) in flows.iter().enumerate() {
-        let path = topo.flow_path(hosts[f.src], hosts[f.dst], ecmp_key(seed, i as u64));
-        let rtt_hint = DC_HOP_DELAY * (path.fwd.len() + path.rev.len()) as u64;
-        let sender = mk_protocol(rtt_hint)
-            .build_sender_hinted(FlowSize::Bytes(f.size_bytes), 1500, rtt_hint)
-            .unwrap_or_else(|e| panic!("dc workload references an unknown algorithm: {e}"));
-        ids.push(net.add_flow(FlowSpec {
-            sender,
-            receiver: Box::new(SackReceiver::new()),
-            fwd_path: path.fwd,
-            rev_path: path.rev,
-            start_at: SimTime::ZERO,
-        }));
-    }
-    let report = net.build().run_until(horizon);
+    let mut scenario = Scenario::new(topo, seed);
+    scenario.flows = flows
+        .iter()
+        .map(|f| Flow {
+            size: FlowSize::Bytes(f.size_bytes),
+            ..Flow::new(
+                hosts[f.src],
+                hosts[f.dst],
+                FlowProtocol::ForRtt(mk_protocol),
+            )
+        })
+        .collect();
+    let ScenarioRun {
+        report,
+        flows: ids,
+        topology: topo,
+    } = scenario.run(horizon);
     // Utilization over the busy period (last completion), not the full
     // horizon — short workloads would otherwise dilute every link toward
     // zero. Unfinished flows stretch the window to the whole run.

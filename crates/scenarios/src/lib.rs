@@ -1,23 +1,31 @@
 //! # pcc-scenarios — every evaluation scenario from the paper's §4
 //!
-//! Reusable builders mapping each figure/table to a parameterized runner:
+//! One builder, many descriptions. A simulation is wired in exactly one
+//! place — [`Scenario::run`] in [`scenario`]: a topology, the flows on it,
+//! optional faults and churn, run to a horizon. Every `run_*` below is
+//! *data in, reduction out*: it describes a [`Scenario`], calls `run`, and
+//! reduces the [`ScenarioRun`] to its own result type.
 //!
-//! | Module | Reproduces |
-//! |---|---|
-//! | [`internet`] | Figs. 4–5 (wide-area path population) |
-//! | [`links`] | Fig. 6 (satellite), Fig. 7 (lossy), Fig. 9 (shallow buffer), Table 1 (inter-DC) |
-//! | [`dynamics`] | Fig. 8 (RTT fairness), Figs. 12–13 (convergence), Fig. 14 (friendliness), Fig. 16 (trade-off) |
-//! | [`incast`] | Fig. 10 |
-//! | [`rapid`] | Fig. 11 |
-//! | [`fct`] | Fig. 15 |
-//! | [`power`] | Fig. 17 and §4.4.2 |
-//! | [`vary`] | trace-driven time-varying links (`pcc-experiments vary`) |
-//! | [`dc`] | datacenter fabrics: rack incast, cross-pod permutation, oversubscribed mix (`pcc-experiments dc`) |
-//! | [`chaos`] | fault-injection conformance: link flap, ACK blackout, spine failure, corruption storm (`pcc-experiments chaos`) |
-//! | [`workload`] | production-traffic flow churn: heavy-tailed sizes, Poisson arrivals, FCT percentiles (`pcc-experiments churn`) |
+//! | Module | Describes | Reproduces |
+//! |---|---|---|
+//! | [`scenario`] | — (the builder: [`Scenario`], [`Flow`], [`Churn`]) | |
+//! | [`setup`] | dumbbell + per-flow RTT shims ([`run_dumbbell`], [`LinkSetup`], [`FlowPlan`]) | the substrate of every figure below |
+//! | [`internet`] | dumbbells drawn from a path population | Figs. 4–5 |
+//! | [`links`] | one dumbbell per link class | Fig. 6 (satellite), Fig. 7 (lossy), Fig. 9 (shallow buffer), Table 1 (inter-DC) |
+//! | [`dynamics`] | multi-flow dumbbells | Fig. 8 (RTT fairness), Figs. 12–13 (convergence), Fig. 14 (friendliness), Fig. 16 (trade-off) |
+//! | [`incast`] | many-to-one dumbbell | Fig. 10 |
+//! | [`rapid`] | dumbbell with a bottleneck schedule | Fig. 11 |
+//! | [`fct`] | Poisson short flows on a dumbbell | Fig. 15 |
+//! | [`power`] | dumbbells under AQM / FQ | Fig. 17 and §4.4.2 |
+//! | [`vary`] | two hosts, one traced link | trace-driven time-varying links (`pcc-experiments vary`) |
+//! | [`dc`] | fat-tree / leaf-spine fabrics, ECMP-routed flows | rack incast, cross-pod permutation, oversubscribed mix (`pcc-experiments dc`) |
+//! | [`chaos`] | dumbbell or fat-tree + a fault script | link flap, ACK blackout, spine failure, corruption storm (`pcc-experiments chaos`) |
+//! | [`workload`] | dumbbell + an open-loop arrival process | flow churn: heavy-tailed sizes, Poisson arrivals, FCT percentiles (`pcc-experiments churn`) |
 //!
-//! All scenarios take explicit durations/seeds so tests can run scaled-down
-//! versions while the `pcc-experiments` crate runs paper-scale parameters.
+//! [`protocol`] turns a protocol description into a sender
+//! ([`Protocol::build_sender`], the one way to an engine). All scenarios
+//! take explicit durations/seeds so tests can run scaled-down versions
+//! while the `pcc-experiments` crate runs paper-scale parameters.
 
 pub mod chaos;
 pub mod dc;
@@ -26,10 +34,10 @@ pub mod fct;
 pub mod incast;
 pub mod internet;
 pub mod links;
-pub mod perf;
 pub mod power;
 pub mod protocol;
 pub mod rapid;
+pub mod scenario;
 pub mod setup;
 pub mod vary;
 pub mod workload;
@@ -37,6 +45,7 @@ pub mod workload;
 pub use protocol::{
     batched_reports_forced, force_batched_reports, install_registry, Protocol, UtilityKind,
 };
+pub use scenario::{Arrivals, Churn, Flow, FlowProtocol, Scenario, ScenarioRun};
 pub use setup::{
     run_dumbbell, run_dumbbell_scheduled, run_single, FlowPlan, LinkSetup, QueueKind,
     ScenarioResult,

@@ -19,7 +19,7 @@ use pcc_core::{
     UtilityFunction,
 };
 use pcc_simnet::endpoint::Endpoint;
-use pcc_simnet::time::{SimDuration, SimTime};
+use pcc_simnet::time::SimDuration;
 use pcc_transport::registry::{self, CcParams, SpecError};
 use pcc_transport::{
     CcSender, CcSenderConfig, CongestionControl, FlowSize, ReportMode, TransportConfig,
@@ -160,79 +160,31 @@ impl Protocol {
     }
 
     /// Build the sender endpoint for a flow of `size` (use
-    /// [`FlowSize::Infinite`] for long-running throughput flows). Unknown
+    /// [`FlowSize::Infinite`] for long-running throughput flows) — the one
+    /// way from a protocol description to an engine. `rtt_hint` is the
+    /// path's base RTT, threaded into the algorithm's construction
+    /// parameters. `report: None` falls through to the process-global
+    /// [`force_batched_reports`] default, then to the algorithm's own
+    /// [`ReportMode`] preference. With a `dead_time_budget` the engine
+    /// aborts the flow as [`pcc_transport::TransferError::Stalled`]
+    /// (recorded in `FlowStats::stalled`) once that long passes without
+    /// forward progress while timeouts keep firing, so a wedged flow is a
+    /// typed outcome instead of burning the rest of the horizon. Unknown
     /// algorithm names and invalid spec parameters surface as a typed
     /// [`SpecError`].
-    /// Prefer [`Protocol::build_sender_hinted`] when the path RTT is known.
-    pub fn build_sender(&self, size: FlowSize, mss: u32) -> Result<Box<dyn Endpoint>, SpecError> {
-        self.build_sender_with(size, &CcParams::default().with_mss(mss), None, None)
-    }
-
-    /// [`Protocol::build_sender`] with the flow's path RTT threaded into
-    /// the algorithm's construction parameters.
-    pub fn build_sender_hinted(
-        &self,
-        size: FlowSize,
-        mss: u32,
-        rtt_hint: SimDuration,
-    ) -> Result<Box<dyn Endpoint>, SpecError> {
-        self.build_sender_reporting(size, mss, rtt_hint, None)
-    }
-
-    /// [`Protocol::build_sender_hinted`] with an explicit feedback
-    /// granularity. `report: None` falls through to the process-global
-    /// [`force_batched_reports`] default, then to the algorithm's own
-    /// [`ReportMode`] preference.
-    pub fn build_sender_reporting(
+    pub fn build_sender(
         &self,
         size: FlowSize,
         mss: u32,
         rtt_hint: SimDuration,
         report: Option<ReportMode>,
-    ) -> Result<Box<dyn Endpoint>, SpecError> {
-        self.build_sender_with(
-            size,
-            &CcParams::default().with_mss(mss).with_rtt_hint(rtt_hint),
-            report,
-            None,
-        )
-    }
-
-    /// [`Protocol::build_sender_hinted`] with a dead-time budget: the
-    /// engine aborts the flow as [`pcc_transport::TransferError::Stalled`]
-    /// (recorded in `FlowStats::stalled`) once that long passes without
-    /// forward progress while timeouts keep firing. Used by the chaos
-    /// scenarios, where a wedged flow must become a typed outcome instead
-    /// of burning the rest of the horizon.
-    pub fn build_sender_budgeted(
-        &self,
-        size: FlowSize,
-        mss: u32,
-        rtt_hint: SimDuration,
         dead_time_budget: Option<SimDuration>,
     ) -> Result<Box<dyn Endpoint>, SpecError> {
-        self.build_sender_with(
-            size,
-            &CcParams::default().with_mss(mss).with_rtt_hint(rtt_hint),
-            None,
-            dead_time_budget,
-        )
-    }
-
-    fn build_sender_with(
-        &self,
-        size: FlowSize,
-        params: &CcParams,
-        report: Option<ReportMode>,
-        dead_time_budget: Option<SimDuration>,
-    ) -> Result<Box<dyn Endpoint>, SpecError> {
-        let cc = self.build_cc(params)?;
+        let params = CcParams::default().with_mss(mss).with_rtt_hint(rtt_hint);
+        let cc = self.build_cc(&params)?;
         let report = report.or_else(|| batched_reports_forced().then(ReportMode::batched_rtt));
         let cfg = CcSenderConfig {
-            transport: TransportConfig {
-                mss: params.mss,
-                size,
-            },
+            transport: TransportConfig { mss, size },
             report,
             dead_time_budget,
             ..Default::default()
@@ -241,12 +193,14 @@ impl Protocol {
     }
 }
 
-/// The flow-start placeholder time used by builders that start immediately.
-pub const T0: SimTime = SimTime::ZERO;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn build(p: &Protocol) -> Result<Box<dyn Endpoint>, SpecError> {
+        let rtt = SimDuration::from_millis(100);
+        p.build_sender(FlowSize::Infinite, 1500, rtt, None, None)
+    }
 
     #[test]
     fn labels() {
@@ -278,17 +232,13 @@ mod tests {
             Protocol::Named("pcc-lossresilient".into()),
             Protocol::Named("illinois".into()),
         ] {
-            assert!(
-                p.build_sender(FlowSize::Infinite, 1500).is_ok(),
-                "buildable: {}",
-                p.label()
-            );
+            assert!(build(&p).is_ok(), "buildable: {}", p.label());
         }
     }
 
     #[test]
     fn unknown_tcp_is_typed_error() {
-        let err = match Protocol::Tcp("tahoe").build_sender(FlowSize::Infinite, 1500) {
+        let err = match build(&Protocol::Tcp("tahoe")) {
             Ok(_) => panic!("tahoe must not resolve"),
             Err(SpecError::Unknown(e)) => e,
             Err(other) => panic!("expected Unknown, got {other}"),
@@ -307,17 +257,13 @@ mod tests {
         for spec in ["pcc:eps=0.05,util=latency", "cubic:beta=0.7,iw=32"] {
             let p = Protocol::Named(spec.into());
             assert_eq!(p.label(), spec, "label is the spec string");
-            assert!(
-                p.build_sender(FlowSize::Infinite, 1500).is_ok(),
-                "{spec} builds"
-            );
+            assert!(build(&p).is_ok(), "{spec} builds");
         }
-        let err =
-            match Protocol::Named("cubic:bogus=1".into()).build_sender(FlowSize::Infinite, 1500) {
-                Ok(_) => panic!("bad key must not resolve"),
-                Err(SpecError::InvalidParam(e)) => e,
-                Err(other) => panic!("expected InvalidParam, got {other}"),
-            };
+        let err = match build(&Protocol::Named("cubic:bogus=1".into())) {
+            Ok(_) => panic!("bad key must not resolve"),
+            Err(SpecError::InvalidParam(e)) => e,
+            Err(other) => panic!("expected InvalidParam, got {other}"),
+        };
         assert_eq!(err.algo, "cubic");
         assert!(
             err.valid.iter().any(|k| k.contains("beta")),
@@ -332,7 +278,7 @@ mod tests {
         // pick it up by name with zero per-harness code.
         let p = Protocol::Named("bbr".into());
         assert_eq!(p.label(), "bbr");
-        assert!(p.build_sender(FlowSize::Infinite, 1500).is_ok());
+        assert!(build(&p).is_ok());
     }
 
     #[test]
@@ -340,10 +286,7 @@ mod tests {
         install_registry();
         for name in registry::names() {
             let p = Protocol::Named(name.clone());
-            assert!(
-                p.build_sender(FlowSize::Infinite, 1500).is_ok(),
-                "{name} builds"
-            );
+            assert!(build(&p).is_ok(), "{name} builds");
         }
     }
 }

@@ -3,9 +3,10 @@
 
 use pcc_simnet::link::LinkSchedule;
 use pcc_simnet::prelude::*;
-use pcc_transport::{FlowSize, ReportMode, SackReceiver};
+use pcc_transport::{FlowSize, ReportMode};
 
 use crate::protocol::Protocol;
+use crate::scenario::{Flow, Scenario};
 
 /// Queue discipline selection for the bottleneck.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,6 +110,19 @@ impl LinkSetup {
         ShaperConfig {
             jitter: self.jitter,
             policer: self.policer,
+        }
+    }
+
+    /// The bottleneck link this setup describes, varying by `schedule`.
+    /// It carries no delay of its own: the RTT lives in per-flow shims.
+    pub(crate) fn bottleneck(&self, schedule: LinkSchedule) -> LinkConfig {
+        LinkConfig {
+            rate_bps: Some(self.rate_bps),
+            delay: SimDuration::ZERO,
+            loss: self.loss,
+            queue: self.queue.build(self.buffer_bytes),
+            schedule,
+            shaper: self.shaper(),
         }
     }
 
@@ -227,69 +241,33 @@ pub fn run_dumbbell_scheduled(
     schedule: LinkSchedule,
     sample_interval: Option<SimDuration>,
 ) -> ScenarioResult {
-    let mut net = NetworkBuilder::new(SimConfig {
-        sample_interval: sample_interval.unwrap_or(SimDuration::from_millis(100)),
-        seed,
-    });
-    // The dumbbell as a topology graph: a shared source host, a middle
-    // switch (the bottleneck edge between them, carrying the schedule,
-    // shaper, and queue discipline), and one receiver host per plan whose
-    // edges are that flow's RTT shims. Edge installation order reproduces
-    // the historical LinkId layout — bottleneck first, then each flow's
-    // forward/reverse shim pair — so pre-graph outputs are bit-identical.
-    let mut topo = Topology::new();
-    let src = topo.add_host();
-    let mid = topo.add_switch();
-    let bottleneck_edge = topo.add_link(
-        src,
-        mid,
-        LinkConfig {
-            rate_bps: Some(setup.rate_bps),
-            delay: SimDuration::ZERO,
-            loss: setup.loss,
-            queue: setup.queue.build(setup.buffer_bytes),
-            schedule,
-            shaper: setup.shaper(),
-        },
-    );
-    let receivers: Vec<NodeId> = plans
-        .iter()
-        .map(|plan| {
-            let half = plan.rtt / 2;
-            let recv = topo.add_host();
-            topo.add_link(mid, recv, LinkConfig::delay_only(half));
-            topo.add_link(
-                recv,
-                src,
-                LinkConfig::delay_only(plan.rtt - half).with_loss(setup.ack_loss),
-            );
-            recv
+    // The bottleneck edge carries the schedule, shaper and queue
+    // discipline; each plan gets a receiver host behind its own RTT shims.
+    let mut db = Dumbbell::graph(setup.bottleneck(schedule));
+    let flows = plans
+        .into_iter()
+        .map(|plan| Flow {
+            size: plan.size,
+            start_at: plan.start_at,
+            report: plan.report,
+            ..Flow::new(
+                db.source(),
+                db.add_receiver(plan.rtt, setup.ack_loss),
+                plan.protocol,
+            )
         })
         .collect();
-    topo.install(&mut net);
-    let bottleneck = topo.link_of(bottleneck_edge);
-    let mut flows = Vec::with_capacity(plans.len());
-    for (plan, recv) in plans.into_iter().zip(receivers) {
-        // Single-path by construction, so the ECMP key is irrelevant.
-        let path = topo.flow_path(src, recv, 0);
-        let sender = plan
-            .protocol
-            .build_sender_reporting(plan.size, 1500, plan.rtt, plan.report)
-            .unwrap_or_else(|e| panic!("scenario plan references an unknown algorithm: {e}"));
-        let flow = net.add_flow(FlowSpec {
-            sender,
-            receiver: Box::new(SackReceiver::new()),
-            fwd_path: path.fwd,
-            rev_path: path.rev,
-            start_at: plan.start_at,
-        });
-        flows.push(flow);
+    let bottleneck = db.bottleneck_edge();
+    let mut scenario = Scenario::new(db.into_topology(), seed);
+    scenario.flows = flows;
+    if let Some(interval) = sample_interval {
+        scenario.sample_interval = interval;
     }
-    let report = net.build().run_until(horizon);
+    let run = scenario.run(horizon);
     ScenarioResult {
-        report,
-        flows,
-        bottleneck,
+        bottleneck: run.topology.link_of(bottleneck),
+        report: run.report,
+        flows: run.flows,
     }
 }
 
@@ -403,79 +381,69 @@ mod tests {
         use crate::workload::{churn_benchmark_config, run_churn};
         use pcc_simnet::trace::LinkTrace;
 
+        let fp = report_fingerprint;
         let cubic = Protocol::Tcp("cubic");
         let pcc = |rtt| Protocol::pcc_default(rtt);
         let chaos = |p: &Protocol, s| run_chaos(p, s, 9).fingerprint;
+        let lte = LinkTrace::builtin("lte").expect("bundled");
+        let shaper = ShaperConfig::default();
+        let trace = run_trace(cubic.clone(), &lte, SimDuration::from_secs(10), 3, shaper);
+        let fabric = LsFabric {
+            leaves: 4,
+            spines: 2,
+            hosts_per_leaf: 4,
+            oversubscription: 4.0,
+        };
+        let rtt = SimDuration::from_millis(30);
+        let batched = run_dumbbell(
+            LinkSetup::new(50e6, rtt, 187_500),
+            vec![FlowPlan::new(cubic.clone(), rtt).reporting(ReportMode::batched_rtt())],
+            SimTime::from_secs(8),
+            42,
+        );
+        // A paced window algorithm seeds its first pacing rate from the
+        // RTT hint, so the cubic-paced spine run pins the fabric hint too.
+        let paced = Protocol::TcpPaced("cubic");
         let golden: [(&str, u64, u64); 11] = [
-            (
-                "trace lte cubic",
-                report_fingerprint(
-                    &run_trace(
-                        cubic.clone(),
-                        &LinkTrace::builtin("lte").expect("bundled"),
-                        SimDuration::from_secs(10),
-                        3,
-                        ShaperConfig::default(),
-                    )
-                    .report,
-                ),
-                0x3de2_d6da_d5d5_7a24,
-            ),
+            ("trace lte cubic", fp(&trace.report), 0x3de2_d6da_d5d5_7a24),
             (
                 "rack incast k=4 pcc",
-                report_fingerprint(&run_rack_incast(4, &pcc, 12, 256 * 1024, 5).run.report),
+                fp(&run_rack_incast(4, &pcc, 12, 256 * 1024, 5).run.report),
                 0x0570_0333_1d13_173f,
             ),
             (
                 "ft permutation k=4 pcc",
-                report_fingerprint(&run_ft_permutation(4, &pcc, 64 * 1024, 9).1.report),
+                fp(&run_ft_permutation(4, &pcc, 64 * 1024, 9).1.report),
                 0xb914_36fa_ed0b_5c7b,
             ),
             (
                 "leaf-spine mix pcc",
-                report_fingerprint(
-                    &run_ls_mix(
-                        LsFabric {
-                            leaves: 4,
-                            spines: 2,
-                            hosts_per_leaf: 4,
-                            oversubscription: 4.0,
-                        },
-                        &pcc,
-                        512 * 1024,
-                        32 * 1024,
-                        11,
-                    )
-                    .2
-                    .report,
-                ),
+                fp(&run_ls_mix(fabric, &pcc, 512 * 1024, 32 * 1024, 11).2.report),
                 0xae7d_ed81_3493_5a0b,
             ),
             (
-                "chaos flap cubic",
+                "chaos flap",
                 chaos(&cubic, ChaosScript::LinkFlap),
                 0xa843_4449_f592_033d,
             ),
             (
-                "chaos blackout cubic",
+                "chaos blackout",
                 chaos(&cubic, ChaosScript::Blackout),
                 0xdfd7_8268_0cba_429f,
             ),
             (
-                "chaos spine cubic",
+                "chaos spine",
                 chaos(&cubic, ChaosScript::SpineFailure),
                 0x8e47_4fc0_1f03_061f,
             ),
             (
-                "chaos corrupt cubic",
+                "chaos corrupt",
                 chaos(&cubic, ChaosScript::CorruptStorm),
                 0x385b_cc20_d989_33e1,
             ),
             (
-                // A paced window algorithm seeds its first pacing rate
-                // from the RTT hint, so this pins the fabric hint too.
-                "chaos spine cubic-paced",
-                chaos(&Protocol::TcpPaced("cubic"), ChaosScript::SpineFailure),
+                "chaos spine paced",
+                chaos(&paced, ChaosScript::SpineFailure),
                 0xd3d1_d33a_8958_e5ea,
             ),
             (
@@ -485,18 +453,7 @@ mod tests {
             ),
             (
                 "dumbbell cubic batched",
-                report_fingerprint(
-                    &run_dumbbell(
-                        LinkSetup::new(50e6, SimDuration::from_millis(30), 187_500),
-                        vec![
-                            FlowPlan::new(Protocol::Tcp("cubic"), SimDuration::from_millis(30))
-                                .reporting(ReportMode::batched_rtt()),
-                        ],
-                        SimTime::from_secs(8),
-                        42,
-                    )
-                    .report,
-                ),
+                fp(&batched.report),
                 0x7932_2d0f_ac7c_3d7d,
             ),
         ];

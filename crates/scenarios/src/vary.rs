@@ -14,9 +14,9 @@
 
 use pcc_simnet::prelude::*;
 use pcc_simnet::trace::LinkTrace;
-use pcc_transport::{FlowSize, SackReceiver};
 
 use crate::protocol::Protocol;
+use crate::scenario::{Flow, Scenario};
 
 /// Result of one protocol run over one trace.
 pub struct TraceRun {
@@ -103,34 +103,28 @@ pub fn run_trace(
     let first = trace.initial();
     let rtt = trace_rtt(trace);
     let one_way = rtt / 2;
-    let mut net = NetworkBuilder::new(SimConfig {
-        sample_interval: SimDuration::from_millis(100),
-        seed,
-    });
-    let bottleneck = net.add_link(LinkConfig {
-        rate_bps: Some(first.rate_bps),
-        delay: one_way,
-        loss: first.loss.unwrap_or(0.0),
-        queue: Box::new(DropTail::bytes(trace_buffer_bytes(trace, duration))),
-        schedule: trace.to_schedule(horizon),
-        shaper,
-    });
-    let rev = net.add_link(LinkConfig::delay_only(rtt - one_way));
-    let sender = protocol
-        .build_sender_hinted(FlowSize::Infinite, 1500, rtt)
-        .unwrap_or_else(|e| panic!("trace run references an unknown algorithm: {e}"));
-    let flow = net.add_flow(FlowSpec {
-        sender,
-        receiver: Box::new(SackReceiver::new()),
-        fwd_path: vec![bottleneck],
-        rev_path: vec![rev],
-        start_at: SimTime::ZERO,
-    });
-    let report = net.build().run_until(horizon);
+    let mut topo = Topology::new();
+    let (src, dst) = (topo.add_host(), topo.add_host());
+    let bottleneck = topo.add_link(
+        src,
+        dst,
+        LinkConfig {
+            rate_bps: Some(first.rate_bps),
+            delay: one_way,
+            loss: first.loss.unwrap_or(0.0),
+            queue: Box::new(DropTail::bytes(trace_buffer_bytes(trace, duration))),
+            schedule: trace.to_schedule(horizon),
+            shaper,
+        },
+    );
+    topo.add_link(dst, src, LinkConfig::delay_only(rtt - one_way));
+    let mut scenario = Scenario::new(topo, seed);
+    scenario.flows = vec![Flow::new(src, dst, protocol)];
+    let run = scenario.run(horizon);
     TraceRun {
-        report,
-        flow,
-        bottleneck,
+        flow: run.flows[0],
+        bottleneck: run.topology.link_of(bottleneck),
+        report: run.report,
         avg_capacity_mbps: trace.avg_capacity_mbps(duration),
         duration,
     }

@@ -49,9 +49,9 @@ use std::rc::Rc;
 
 use pcc_simnet::link::LinkSchedule;
 use pcc_simnet::prelude::*;
-use pcc_transport::{FlowSize, SackReceiver};
 
 use crate::protocol::Protocol;
+use crate::scenario::{Arrivals, Churn, Flow, Scenario};
 use crate::setup::LinkSetup;
 
 /// RNG stream tag for arrival gaps ("WLAR"): disjoint from the engine's
@@ -480,9 +480,8 @@ pub struct ChurnConfig {
     /// Dead-time budget per sender: a flow making no progress for this
     /// long aborts as a typed stall instead of wedging the run.
     pub dead_time_budget: Option<SimDuration>,
-    /// Optional fault script (the [`crate::chaos`] plain-text format)
-    /// injected into the run — churn under failures.
-    pub fault_script: Option<String>,
+    /// Optional fault script injected into the run — churn under failures.
+    pub fault_script: Option<FaultScript>,
     /// Stats sampling interval.
     pub sample_interval: SimDuration,
 }
@@ -512,17 +511,19 @@ impl ChurnConfig {
         }
     }
 
-    /// Inject a fault script (see [`crate::chaos`] for the format).
-    pub fn with_fault_script(mut self, script: impl Into<String>) -> ChurnConfig {
-        self.fault_script = Some(script.into());
-        self
+    /// Inject a fault script in the [`FaultScript::parse`] plain-text
+    /// format (see [`crate::chaos`] for examples). Malformed text is a
+    /// line-attributed [`FaultError`] here, where it enters, not a panic
+    /// when the run starts.
+    pub fn with_fault_script(mut self, script: &str) -> Result<ChurnConfig, FaultError> {
+        self.fault_script = Some(FaultScript::parse(script)?);
+        Ok(self)
     }
 }
 
 /// The benchmark churn regime: `flows` cache-follower flows at 80% load
-/// on a 1 Gbps / 10 ms dumbbell under CUBIC — `churn_100k` in
-/// `perf::time_all_scenarios` runs this with `flows = 100_000` (~29 s of
-/// simulated time; O(100k) flows through a handful of arena slots).
+/// on a 1 Gbps / 10 ms dumbbell under CUBIC. `flows = 100_000` is ~29 s of
+/// simulated time: O(100k) flows through a handful of arena slots.
 pub fn churn_benchmark_config(flows: u64, seed: u64) -> ChurnConfig {
     let cdf = SizeCdf::builtin("cache-follower").expect("bundled CDF");
     let rate_bps = 1e9;
@@ -531,56 +532,32 @@ pub fn churn_benchmark_config(flows: u64, seed: u64) -> ChurnConfig {
     ChurnConfig::new(Protocol::Tcp("cubic"), link, cdf, arrival, flows, seed)
 }
 
-/// The workload generator as a churn driver: lazy one-arrival look-ahead,
-/// sizes and gaps from derived RNG streams, harvests into a shared
-/// collector.
-struct WorkloadDriver {
-    protocol: Protocol,
-    rtt: SimDuration,
-    fwd_path: Vec<LinkId>,
-    rev_path: Vec<LinkId>,
+/// The workload generator: lazy one-arrival look-ahead, sizes and gaps from
+/// derived RNG streams, harvests into a shared collector.
+struct WorkloadArrivals {
     arr_rng: SimRng,
     size_rng: SimRng,
     arrival: Arrival,
     cdf: SizeCdf,
     remaining: u64,
     clock_secs: f64,
-    dead_time_budget: Option<SimDuration>,
     samples: Rc<RefCell<Vec<ChurnSample>>>,
 }
 
-impl ChurnDriver for WorkloadDriver {
-    fn next_arrival(&mut self, _now: SimTime) -> Option<(SimTime, ChurnFlow)> {
+impl Arrivals for WorkloadArrivals {
+    fn next_arrival(&mut self) -> Option<(SimTime, u64)> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
         self.clock_secs += self.arrival.gap_secs(&mut self.arr_rng);
         let bytes = self.cdf.sample(&mut self.size_rng);
-        let sender = self
-            .protocol
-            .build_sender_budgeted(
-                FlowSize::Bytes(bytes),
-                1500,
-                self.rtt,
-                self.dead_time_budget,
-            )
-            .unwrap_or_else(|e| panic!("churn config references an unknown algorithm: {e}"));
-        Some((
-            SimTime::from_secs_f64(self.clock_secs),
-            ChurnFlow {
-                sender,
-                receiver: Box::new(SackReceiver::new()),
-                fwd_path: self.fwd_path.clone(),
-                rev_path: self.rev_path.clone(),
-                tag: bytes,
-            },
-        ))
+        Some((SimTime::from_secs_f64(self.clock_secs), bytes))
     }
 
-    fn on_flow_complete(&mut self, tag: u64, stats: &FlowStats, _now: SimTime) {
+    fn on_flow_complete(&mut self, bytes: u64, stats: &FlowStats) {
         self.samples.borrow_mut().push(ChurnSample {
-            bytes: tag,
+            bytes,
             fct: stats.fct().map(|d| d.as_secs_f64()),
             goodput: stats.goodput_bytes,
         });
@@ -606,65 +583,36 @@ pub fn run_churn(cfg: ChurnConfig) -> ChurnReport {
     let last_arrival = last_arrival_secs(&cfg);
     let horizon = SimTime::from_secs_f64(last_arrival) + cfg.drain;
 
-    let mut net = NetworkBuilder::new(SimConfig {
-        sample_interval: cfg.sample_interval,
-        seed: cfg.seed,
-    });
-    // One shared path for every flow: src → (bottleneck) → mid → recv and
-    // back, with the RTT split across delay shims exactly like
-    // `run_dumbbell` — but one receiver host total, not one per flow.
+    // One shared path for every flow: the dumbbell with a single receiver
+    // host, not one per flow.
     let setup = cfg.link;
-    let mut topo = Topology::new();
-    let src = topo.add_host();
-    let mid = topo.add_switch();
-    topo.add_link(
-        src,
-        mid,
-        LinkConfig {
-            rate_bps: Some(setup.rate_bps),
-            delay: SimDuration::ZERO,
-            loss: setup.loss,
-            queue: setup.queue.build(setup.buffer_bytes),
-            schedule: LinkSchedule::new(),
-            shaper: setup.shaper(),
-        },
-    );
-    let half = setup.rtt / 2;
-    let recv = topo.add_host();
-    topo.add_link(mid, recv, LinkConfig::delay_only(half));
-    topo.add_link(
-        recv,
-        src,
-        LinkConfig::delay_only(setup.rtt - half).with_loss(setup.ack_loss),
-    );
-    topo.install(&mut net);
-    let path = topo.flow_path(src, recv, 0);
-
-    if let Some(text) = &cfg.fault_script {
-        let script = FaultScript::parse(text).expect("churn fault scripts are well-formed");
-        net.set_fault_plane(FaultPlane::new(script));
-    }
-
+    let mut db = Dumbbell::graph(setup.bottleneck(LinkSchedule::new()));
+    let recv = db.add_receiver(setup.rtt, setup.ack_loss);
     let samples: Rc<RefCell<Vec<ChurnSample>>> = Rc::new(RefCell::new(Vec::new()));
     let master = SimRng::new(cfg.seed);
-    net.set_churn_driver(Box::new(WorkloadDriver {
-        protocol: cfg.protocol,
-        rtt: setup.rtt,
-        fwd_path: path.fwd,
-        rev_path: path.rev,
-        arr_rng: master.derive(ARRIVAL_STREAM),
-        size_rng: master.derive(SIZE_STREAM),
-        arrival: cfg.arrival,
-        cdf: cfg.cdf,
-        remaining: cfg.flows,
-        clock_secs: 0.0,
-        dead_time_budget: cfg.dead_time_budget,
-        samples: Rc::clone(&samples),
-    }));
-    // O(100k) flows: keep aggregates and FCTs, skip per-flow series.
-    net.set_record_series(false);
-
-    let report = net.build().run_until(horizon);
+    let churn = Churn {
+        flow: Flow {
+            dead_time_budget: cfg.dead_time_budget,
+            ..Flow::new(db.source(), recv, cfg.protocol)
+        },
+        arrivals: Box::new(WorkloadArrivals {
+            arr_rng: master.derive(ARRIVAL_STREAM),
+            size_rng: master.derive(SIZE_STREAM),
+            arrival: cfg.arrival,
+            cdf: cfg.cdf,
+            remaining: cfg.flows,
+            clock_secs: 0.0,
+            samples: Rc::clone(&samples),
+        }),
+    };
+    let report = Scenario {
+        faults: cfg.fault_script,
+        churn: Some(churn),
+        sample_interval: cfg.sample_interval,
+        ..Scenario::new(db.into_topology(), cfg.seed)
+    }
+    .run(horizon)
+    .report;
 
     let samples = Rc::try_unwrap(samples)
         .expect("driver dropped with the simulation")
@@ -865,6 +813,23 @@ mod tests {
         // Every bucket flow count sums back to the total.
         let n: usize = r.buckets.iter().map(|b| b.flows).sum();
         assert_eq!(n, 400);
+    }
+
+    #[test]
+    fn malformed_fault_script_is_a_line_attributed_error() {
+        // Caller text is parsed where it enters the config: a bad script
+        // is a typed error naming its line, never a panic inside the run.
+        let cfg = churn_benchmark_config(10, 1);
+        let Err(e) = cfg.with_fault_script("1 down 0 0.5\n2 explode 0") else {
+            panic!("`explode` is not a fault event");
+        };
+        assert_eq!(e.line, 2);
+        assert!(e.to_string().starts_with("fault script line 2:"), "{e}");
+        let ok = churn_benchmark_config(10, 1).with_fault_script("1 down 0 0.5");
+        assert_eq!(
+            ok.ok().and_then(|c| c.fault_script).map(|s| s.len()),
+            Some(2)
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! }
 //!
 //! let mut net = NetworkBuilder::new(SimConfig::default());
-//! let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(100e6, 64_000));
+//! let mut db = Dumbbell::new(&mut net, LinkConfig::bottleneck(100e6, SimDuration::ZERO, 64_000));
 //! let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
 //! net.add_flow(FlowSpec {
 //!     sender: Box::new(Quiet),
@@ -99,6 +99,6 @@ pub mod prelude {
         ecmp_key, fat_tree, leaf_spine, link_usage, DcLinkSpec, FatTree, LeafSpine, LinkUse,
         NodeKind, Routes, Topology,
     };
-    pub use crate::topology::{BottleneckSpec, Dumbbell, FlowPath};
+    pub use crate::topology::{Dumbbell, FlowPath};
     pub use crate::trace::{builtin_names, LinkTrace, TracePoint};
 }

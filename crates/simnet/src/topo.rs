@@ -73,6 +73,9 @@ struct EdgeRec {
     /// Serialization rate recorded before the config is consumed, so
     /// utilization accounting survives installation.
     rate_bps: Option<f64>,
+    /// Configured one-way propagation delay, kept for the same reason: a
+    /// flow's base RTT is the sum of these along its resolved paths.
+    delay: SimDuration,
     /// Present until [`Topology::install`] moves it into the simulator.
     config: Option<LinkConfig>,
     /// The simulator link realizing this edge, once installed.
@@ -131,6 +134,7 @@ impl Topology {
             src,
             dst,
             rate_bps: config.rate_bps,
+            delay: config.delay,
             config: Some(config),
             link: None,
         });
@@ -233,22 +237,22 @@ impl Topology {
         path
     }
 
-    /// Like [`Topology::path_edges`], resolved to simulator links.
-    pub fn path_links(&mut self, src: NodeId, dst: NodeId, key: u64) -> Vec<LinkId> {
-        self.path_edges(src, dst, key)
-            .into_iter()
-            .map(|e| self.link_of(e))
-            .collect()
-    }
-
     /// Expand a host pair into the forward/reverse link paths a
     /// [`crate::sim::FlowSpec`] consumes. Forward and reverse directions
     /// are routed independently (each hop hashes its own node), both under
-    /// the same flow key.
+    /// the same flow key. The path's base RTT is the sum of the configured
+    /// propagation delays of every edge crossed, both ways.
     pub fn flow_path(&mut self, src: NodeId, dst: NodeId, key: u64) -> FlowPath {
+        let fwd = self.path_edges(src, dst, key);
+        let rev = self.path_edges(dst, src, key);
+        let base_rtt = fwd.iter().chain(&rev).fold(SimDuration::ZERO, |sum, e| {
+            sum + self.edges[e.index()].delay
+        });
+        let links = |edges: Vec<EdgeId>| edges.into_iter().map(|e| self.link_of(e)).collect();
         FlowPath {
-            fwd: self.path_links(src, dst, key),
-            rev: self.path_links(dst, src, key),
+            fwd: links(fwd),
+            rev: links(rev),
+            base_rtt,
         }
     }
 }

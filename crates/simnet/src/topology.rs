@@ -16,7 +16,6 @@
 
 use crate::ids::{EdgeId, LinkId, NodeId};
 use crate::link::LinkConfig;
-use crate::queue::{DropTail, Queue};
 use crate::sim::NetworkBuilder;
 use crate::time::SimDuration;
 use crate::topo::Topology;
@@ -28,45 +27,17 @@ pub struct FlowPath {
     pub fwd: Vec<LinkId>,
     /// Links for ACKs, in order.
     pub rev: Vec<LinkId>,
-}
-
-/// Description of a shared bottleneck.
-pub struct BottleneckSpec {
-    /// Bottleneck rate in bits/sec.
-    pub rate_bps: f64,
-    /// Bottleneck buffer in bytes (drop-tail unless a queue is supplied).
-    pub buffer_bytes: u64,
-    /// Random egress loss probability on the bottleneck.
-    pub loss: f64,
-    /// Optional custom queue discipline (FQ, CoDel, ...).
-    pub queue: Option<Box<dyn Queue>>,
-}
-
-impl BottleneckSpec {
-    /// Drop-tail bottleneck with no random loss.
-    pub fn new(rate_bps: f64, buffer_bytes: u64) -> Self {
-        BottleneckSpec {
-            rate_bps,
-            buffer_bytes,
-            loss: 0.0,
-            queue: None,
-        }
-    }
-
-    /// Set the random loss probability.
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        self.loss = loss;
-        self
-    }
-
-    /// Use a custom queue discipline.
-    pub fn with_queue(mut self, queue: Box<dyn Queue>) -> Self {
-        self.queue = Some(queue);
-        self
-    }
+    /// Sum of the configured propagation delays along `fwd` and `rev`: the
+    /// path's round-trip time with empty queues.
+    pub base_rtt: SimDuration,
 }
 
 /// A dumbbell under construction: one shared bottleneck, per-flow RTT shims.
+///
+/// [`Dumbbell::graph`] and [`Dumbbell::add_receiver`] build the graph alone
+/// (the scenario builder installs it); [`Dumbbell::new`] and
+/// [`Dumbbell::attach_flow`] are the same two steps installing into a
+/// [`NetworkBuilder`] as they go.
 pub struct Dumbbell {
     topo: Topology,
     src: NodeId,
@@ -75,24 +46,14 @@ pub struct Dumbbell {
 }
 
 impl Dumbbell {
-    /// Install the shared bottleneck into `net`.
-    pub fn new(net: &mut NetworkBuilder, spec: BottleneckSpec) -> Self {
-        let queue: Box<dyn Queue> = spec
-            .queue
-            .unwrap_or_else(|| Box::new(DropTail::bytes(spec.buffer_bytes)));
-        let cfg = LinkConfig {
-            rate_bps: Some(spec.rate_bps),
-            delay: SimDuration::ZERO,
-            loss: spec.loss,
-            queue,
-            schedule: Default::default(),
-            shaper: Default::default(),
-        };
+    /// The dumbbell graph around `bottleneck` (any link configuration:
+    /// schedule, shaper, queue discipline), with no receivers yet and
+    /// nothing installed. The bottleneck is edge 0.
+    pub fn graph(bottleneck: LinkConfig) -> Self {
         let mut topo = Topology::new();
         let src = topo.add_host();
         let mid = topo.add_switch();
-        let bottleneck = topo.add_link(src, mid, cfg);
-        topo.install(net);
+        let bottleneck = topo.add_link(src, mid, bottleneck);
         Dumbbell {
             topo,
             src,
@@ -101,32 +62,13 @@ impl Dumbbell {
         }
     }
 
-    /// The shared bottleneck link.
-    pub fn bottleneck(&self) -> LinkId {
-        self.topo.link_of(self.bottleneck)
-    }
-
-    /// The underlying topology graph (shared sender, middle switch, one
-    /// receiver host per attached flow).
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Add per-flow delay shims realizing a round-trip time of `rtt`; data
-    /// packets cross the bottleneck then the forward shim, ACKs cross the
-    /// reverse shim only.
-    pub fn attach_flow(&mut self, net: &mut NetworkBuilder, rtt: SimDuration) -> FlowPath {
-        self.attach_flow_with_ack_loss(net, rtt, 0.0)
-    }
-
-    /// Like [`Dumbbell::attach_flow`] but with random loss on the reverse
-    /// (ACK) path as well — satellite links lose ACKs too.
-    pub fn attach_flow_with_ack_loss(
-        &mut self,
-        net: &mut NetworkBuilder,
-        rtt: SimDuration,
-        ack_loss: f64,
-    ) -> FlowPath {
+    /// Add a receiver host behind delay shims realizing a round-trip time
+    /// of `rtt` (forward shim `rtt/2`, reverse shim the rest, so odd
+    /// nanoseconds still sum exactly), with random loss `ack_loss` on the
+    /// reverse shim. Edge order is the historical [`LinkId`] layout:
+    /// bottleneck first, then per receiver the forward shim followed by the
+    /// reverse shim.
+    pub fn add_receiver(&mut self, rtt: SimDuration, ack_loss: f64) -> NodeId {
         let half = rtt / 2;
         let recv = self.topo.add_host();
         self.topo
@@ -136,6 +78,41 @@ impl Dumbbell {
             self.src,
             LinkConfig::delay_only(rtt - half).with_loss(ack_loss),
         );
+        recv
+    }
+
+    /// The shared sending host.
+    pub fn source(&self) -> NodeId {
+        self.src
+    }
+
+    /// The bottleneck edge.
+    pub fn bottleneck_edge(&self) -> EdgeId {
+        self.bottleneck
+    }
+
+    /// Give up the graph (to install and route it elsewhere).
+    pub fn into_topology(self) -> Topology {
+        self.topo
+    }
+
+    /// [`Dumbbell::graph`] with the bottleneck installed into `net`.
+    pub fn new(net: &mut NetworkBuilder, bottleneck: LinkConfig) -> Self {
+        let mut db = Dumbbell::graph(bottleneck);
+        db.topo.install(net);
+        db
+    }
+
+    /// The shared bottleneck link.
+    pub fn bottleneck(&self) -> LinkId {
+        self.topo.link_of(self.bottleneck)
+    }
+
+    /// [`Dumbbell::add_receiver`] (no ACK loss) installed into `net`: data
+    /// packets cross the bottleneck then the forward shim, ACKs cross the
+    /// reverse shim only.
+    pub fn attach_flow(&mut self, net: &mut NetworkBuilder, rtt: SimDuration) -> FlowPath {
+        let recv = self.add_receiver(rtt, 0.0);
         self.topo.install(net);
         // Single-path by construction, so the ECMP key is irrelevant.
         self.topo.flow_path(self.src, recv, 0)
@@ -150,7 +127,10 @@ mod tests {
     #[test]
     fn dumbbell_wires_paths() {
         let mut net = NetworkBuilder::new(SimConfig::default());
-        let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(100e6, 64_000));
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(100e6, SimDuration::ZERO, 64_000),
+        );
         let p1 = db.attach_flow(&mut net, SimDuration::from_millis(30));
         let p2 = db.attach_flow(&mut net, SimDuration::from_millis(60));
         assert_eq!(p1.fwd[0], db.bottleneck(), "data crosses bottleneck first");
@@ -166,7 +146,10 @@ mod tests {
         // forward shim followed by the reverse shim. Determinism of every
         // pre-graph experiment depends on this exact assignment.
         let mut net = NetworkBuilder::new(SimConfig::default());
-        let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(100e6, 64_000));
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(100e6, SimDuration::ZERO, 64_000),
+        );
         let p1 = db.attach_flow(&mut net, SimDuration::from_millis(30));
         let p2 = db.attach_flow(&mut net, SimDuration::from_millis(60));
         assert_eq!(p1.fwd, vec![LinkId(0), LinkId(1)]);
@@ -178,11 +161,13 @@ mod tests {
     #[test]
     fn rtt_split_covers_odd_nanos() {
         let mut net = NetworkBuilder::new(SimConfig::default());
-        let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(1e6, 1 << 16));
-        // Odd RTT: halves must sum exactly.
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(1e6, SimDuration::ZERO, 1 << 16),
+        );
+        // Odd RTT: the shims must sum exactly, and the path reports it.
         let rtt = SimDuration::from_nanos(30_000_001);
-        let _ = db.attach_flow(&mut net, rtt);
-        let half = rtt / 2;
-        assert_eq!(half + (rtt - half), rtt);
+        let path = db.attach_flow(&mut net, rtt);
+        assert_eq!(path.base_rtt, rtt);
     }
 }

@@ -1199,7 +1199,7 @@ mod tests {
         let mut net = net(seed);
         let mut db = Dumbbell::new(
             &mut net,
-            BottleneckSpec::new(link_mbps * 1e6, 64_000).with_loss(loss),
+            LinkConfig::bottleneck(link_mbps * 1e6, SimDuration::ZERO, 64_000).with_loss(loss),
         );
         let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
         let cfg = CcSenderConfig {
@@ -1228,7 +1228,7 @@ mod tests {
         let mut net = net(12);
         let mut db = Dumbbell::new(
             &mut net,
-            BottleneckSpec::new(rate_mbps * 1e6, buffer).with_loss(loss),
+            LinkConfig::bottleneck(rate_mbps * 1e6, SimDuration::ZERO, buffer).with_loss(loss),
         );
         let path = db.attach_flow(&mut net, SimDuration::from_millis(rtt_ms));
         let cfg = CcSenderConfig {
@@ -1627,7 +1627,10 @@ mod tests {
             fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
         }
         let mut net = net(5);
-        let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(100e6, 1 << 20));
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(100e6, SimDuration::ZERO, 1 << 20),
+        );
         let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
         let flow = net.add_flow(FlowSpec {
             sender: Box::new(CcSender::new(
@@ -1686,7 +1689,10 @@ mod tests {
     fn batched_path_aggregates_instead_of_per_ack() {
         let sink = std::sync::Arc::new(std::sync::Mutex::new((0u64, 0u64, 0u64)));
         let mut net = net(21);
-        let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(100e6, 64_000).with_loss(0.02));
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(100e6, SimDuration::ZERO, 64_000).with_loss(0.02),
+        );
         let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
         let flow = net.add_flow(FlowSpec {
             sender: Box::new(CcSender::new(
@@ -1758,7 +1764,10 @@ mod tests {
     #[test]
     fn mode_switch_rate_startup_then_window_steady_state() {
         let mut net = net(22);
-        let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(10e6, 64_000));
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(10e6, SimDuration::ZERO, 64_000),
+        );
         let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
         let flow = net.add_flow(FlowSpec {
             sender: Box::new(CcSender::new(
@@ -1790,7 +1799,10 @@ mod tests {
         // though the algorithm sees no events after on_start — cwnd just
         // stays at its initial value.
         let mut net = net(23);
-        let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(10e6, 64_000));
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(10e6, SimDuration::ZERO, 64_000),
+        );
         let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
         let cfg = CcSenderConfig {
             report: Some(ReportMode::batched_rtt()),
@@ -1822,7 +1834,10 @@ mod tests {
             fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
         }
         let mut net = net(1);
-        let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(10e6, 64_000));
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(10e6, SimDuration::ZERO, 64_000),
+        );
         let path = db.attach_flow(&mut net, SimDuration::from_millis(10));
         net.add_flow(FlowSpec {
             sender: Box::new(CcSender::new(CcSenderConfig::default(), Box::new(Lazy))),

@@ -22,11 +22,9 @@ use pcc::scenarios::Protocol;
 
 fn run_with(label: &str, sender: Box<dyn Endpoint>) -> f64 {
     let mut net = NetworkBuilder::new(SimConfig::default());
-    let setup = LinkSetup::new(100e6, SimDuration::from_millis(30), 375_000);
-    let _ = setup;
     let mut db = Dumbbell::new(
         &mut net,
-        BottleneckSpec::new(100e6, 375_000)
+        LinkConfig::bottleneck(100e6, SimDuration::ZERO, 375_000)
             .with_loss(0.30)
             .with_queue(Box::new(FairQueue::new(375_000))),
     );
@@ -50,15 +48,15 @@ fn main() {
     let cfg = PccConfig::paper().with_rtt_hint(rtt);
 
     // 1. The safe utility: loss-capped, as everywhere in §4.1. A plain
-    //    registry name (the RTT hint rides on build_sender_hinted).
+    //    registry name (the RTT hint rides on build_sender).
     let safe = Protocol::Named("pcc".into())
-        .build_sender_hinted(FlowSize::Infinite, 1500, rtt)
+        .build_sender(FlowSize::Infinite, 1500, rtt, None, None)
         .expect("pcc builds");
     let t_safe = run_with("safe sigmoid (loss-capped)", safe);
 
     // 2. The §4.4.2 loss-resilient utility — one spec string away.
     let resilient = Protocol::Named("pcc:util=lossresilient".into())
-        .build_sender_hinted(FlowSize::Infinite, 1500, rtt)
+        .build_sender(FlowSize::Infinite, 1500, rtt, None, None)
         .expect("spec builds");
     let t_res = run_with("pcc:util=lossresilient", resilient);
 

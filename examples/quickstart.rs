@@ -18,7 +18,10 @@ fn main() {
 
     // 2. Topology: a 100 Mbps bottleneck with a 64 KB drop-tail buffer and
     //    a 30 ms round trip.
-    let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(100e6, 64_000));
+    let mut db = Dumbbell::new(
+        &mut net,
+        LinkConfig::bottleneck(100e6, SimDuration::ZERO, 64_000),
+    );
     let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
 
     // 3. A PCC sender (paper defaults: safe utility, RCTs, ε = 1%-5%).

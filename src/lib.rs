@@ -34,7 +34,7 @@
 //! // One PCC flow on a 100 Mbps / 30 ms dumbbell for five simulated
 //! // seconds. Everything is deterministic: same seed, same bytes.
 //! let mut net = NetworkBuilder::new(SimConfig::default());
-//! let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(100e6, 64_000));
+//! let mut db = Dumbbell::new(&mut net, LinkConfig::bottleneck(100e6, SimDuration::ZERO, 64_000));
 //! let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
 //! let pcc = PccController::new(PccConfig::paper().with_rtt_hint(SimDuration::from_millis(30)));
 //! let flow = net.add_flow(FlowSpec {

@@ -310,7 +310,10 @@ mod hybrid_enforcement {
             sample_interval: SimDuration::from_millis(100),
             seed: 7,
         });
-        let mut db = Dumbbell::new(&mut net, BottleneckSpec::new(100e6, 1 << 20));
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(100e6, SimDuration::ZERO, 1 << 20),
+        );
         let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
         let flow = net.add_flow(FlowSpec {
             sender: Box::new(CcSender::new(

@@ -85,6 +85,7 @@ fn churn_survives_a_mid_run_link_flap() {
         let arrival = Arrival::poisson_for_load(0.5, 100e6, cdf.mean_bytes());
         ChurnConfig::new(Protocol::Tcp("cubic"), link, cdf, arrival, 300, 0xC4A05)
             .with_fault_script("1 down 0 0.5")
+            .expect("the flap script parses")
     };
     let r = run_churn(mk());
     let c = r.churn;
