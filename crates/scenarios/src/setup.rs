@@ -470,6 +470,46 @@ mod tests {
     }
 
     #[test]
+    fn golden_fingerprints_cover_out_of_order_link_events() {
+        // Two runs whose bottleneck emits arrivals out of time order — a
+        // schedule step that lowers the propagation delay mid-run (packets
+        // sent after the step land before ones sent just ahead of it) and
+        // a jitter stage with bounded reordering. Fingerprints captured on
+        // the single-heap event queue.
+        use crate::chaos::report_fingerprint;
+        use pcc_simnet::link::LinkStep;
+
+        let rtt = SimDuration::from_millis(30);
+        let setup = LinkSetup::new(50e6, rtt, 187_500);
+        let plans = || {
+            vec![
+                FlowPlan::new(Protocol::Tcp("cubic"), rtt),
+                FlowPlan::new(Protocol::pcc_default(rtt), rtt),
+            ]
+        };
+        let mut schedule = LinkSchedule::new();
+        for (at_s, delay_ms) in [(0, 20), (3, 2)] {
+            schedule.push(LinkStep {
+                at: SimTime::from_secs(at_s),
+                rate_bps: None,
+                delay: Some(SimDuration::from_millis(delay_ms)),
+                loss: None,
+            });
+        }
+        let horizon = SimTime::from_secs(6);
+        let lowered = run_dumbbell_scheduled(setup, plans(), horizon, 42, schedule, None);
+        let jitter = JitterConfig::uniform(SimDuration::from_millis(2)).with_reordering(0.02, 4);
+        let reordered = run_dumbbell(setup.with_jitter(jitter), plans(), horizon, 42);
+        let shaped = &reordered.report.links[reordered.bottleneck.index()].stats;
+        assert!(shaped.reordered > 100, "the shaper reordered");
+        assert_eq!(
+            [&lowered, &reordered].map(|r| report_fingerprint(&r.report)),
+            [0x30ed_aec2_a7d2_8b33, 0x0891_0ff7_dc13_83d9],
+            "fingerprints moved (delay step, reordering shaper)"
+        );
+    }
+
+    #[test]
     fn batched_reports_land_near_the_per_ack_baseline() {
         // Tolerance gate for the off-path control plane: the same CUBIC
         // flow fed 1-RTT batched reports must land within 10% of the
