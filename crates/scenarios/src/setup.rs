@@ -500,8 +500,9 @@ mod tests {
         let lowered = run_dumbbell_scheduled(setup, plans(), horizon, 42, schedule, None);
         let jitter = JitterConfig::uniform(SimDuration::from_millis(2)).with_reordering(0.02, 4);
         let reordered = run_dumbbell(setup.with_jitter(jitter), plans(), horizon, 42);
-        let shaped = &reordered.report.links[reordered.bottleneck.index()].stats;
-        assert!(shaped.reordered > 100, "the shaper reordered");
+        // Such events cannot join their link's FIFO lane in the event
+        // queue; both runs take its heap fallback.
+        assert!(lowered.report.lane_fallbacks > 0 && reordered.report.lane_fallbacks > 100);
         assert_eq!(
             [&lowered, &reordered].map(|r| report_fingerprint(&r.report)),
             [0x30ed_aec2_a7d2_8b33, 0x0891_0ff7_dc13_83d9],

@@ -1,12 +1,21 @@
 //! The discrete-event queue.
 //!
-//! A binary heap of `(time, sequence)`-ordered entries. The monotonically
-//! increasing sequence number breaks ties deterministically: two events
-//! scheduled for the same instant fire in scheduling order, which makes every
-//! run with the same seed bit-identical.
+//! Events pop in `(time, sequence)` order. The monotonically increasing
+//! sequence number breaks ties deterministically: two events scheduled for
+//! the same instant fire in scheduling order, which makes every run with
+//! the same seed bit-identical.
+//!
+//! Most events come from sources that already emit them in time order — a
+//! link's serialization completions, a link's propagation arrivals. Each
+//! such source gets a FIFO **lane** (a `VecDeque`), and a small heap holds
+//! one key per non-empty lane; everything else (timers, control events, and
+//! any lane push that would go back in time) lives in the general heap.
+//! [`EventQueue::pop`] takes the smaller of the two tops, so the pop order
+//! is the total `(time, sequence)` order wherever an event was stored.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::ids::{FlowId, LinkId, Side};
 use crate::packet::Packet;
@@ -67,19 +76,48 @@ impl PartialOrd for Entry {
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse for earliest-first ordering.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// The `(at, seq)` key of a lane's front entry, held in the lane-head heap.
+#[derive(PartialEq, Eq)]
+struct LaneHead {
+    at: SimTime,
+    seq: u64,
+    lane: u32,
+}
+
+impl PartialOrd for LaneHead {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for LaneHead {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Earliest-first, like `Entry`; `seq` is unique, so `lane` never
+        // decides.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
 /// Deterministic earliest-first event queue.
 #[derive(Default)]
 pub struct EventQueue {
+    /// Events with no lane, and lane pushes that would have gone back in
+    /// time.
     heap: BinaryHeap<Entry>,
+    /// FIFO lanes; within each, entries are in `(at, seq)` order.
+    lanes: Vec<VecDeque<Entry>>,
+    /// One key per non-empty lane: that lane's front entry.
+    heads: BinaryHeap<LaneHead>,
+    /// Entries currently held in lanes.
+    in_lanes: usize,
     next_seq: u64,
     scheduled: u64,
+    lane_scheduled: u64,
+    lane_fallbacks: u64,
 }
 
 impl EventQueue {
@@ -88,48 +126,131 @@ impl EventQueue {
         Self::with_capacity(1024)
     }
 
-    /// Create an empty queue pre-sized for `capacity` pending events (the
-    /// simulation derives a hint from its topology so the heap never
-    /// reallocates mid-run).
+    /// Create an empty queue whose heap is pre-sized for `capacity` pending
+    /// events (the simulation derives a hint from its topology so the heap
+    /// rarely reallocates mid-run).
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-            scheduled: 0,
+            ..Self::default()
         }
+    }
+
+    /// Add `n` FIFO lanes; they take the indices following the existing
+    /// lanes. A lane is for one source whose events are (almost always)
+    /// scheduled in non-decreasing time order.
+    pub fn add_lanes(&mut self, n: usize) {
+        self.lanes.resize_with(self.lanes.len() + n, VecDeque::new);
+        self.heads.reserve(n);
+    }
+
+    fn next_entry(&mut self, at: SimTime, event: Event) -> Entry {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.scheduled += 1;
+        Entry { at, seq, event }
     }
 
     /// Schedule `event` to fire at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled += 1;
-        self.heap.push(Entry { at, seq, event });
+        let entry = self.next_entry(at, event);
+        self.heap.push(entry);
+    }
+
+    /// Schedule `event` at `at` through FIFO lane `lane`. Pop order is the
+    /// same as [`EventQueue::schedule`]'s; only the cost differs. A push
+    /// earlier than the lane's newest entry (a reordering shaper, a delay
+    /// that just fell) cannot join the lane and goes to the heap instead.
+    ///
+    /// # Panics
+    /// If `lane` was not created by [`EventQueue::add_lanes`].
+    pub fn schedule_in(&mut self, lane: usize, at: SimTime, event: Event) {
+        let entry = self.next_entry(at, event);
+        let q = &mut self.lanes[lane];
+        match q.back() {
+            Some(back) if at < back.at => {
+                self.lane_fallbacks += 1;
+                self.heap.push(entry);
+            }
+            back => {
+                if back.is_none() {
+                    self.heads.push(LaneHead {
+                        at,
+                        seq: entry.seq,
+                        lane: lane as u32,
+                    });
+                }
+                q.push_back(entry);
+                self.in_lanes += 1;
+                self.lane_scheduled += 1;
+            }
+        }
+    }
+
+    /// True if the earliest pending event sits at the front of a lane.
+    fn lane_is_next(&self) -> bool {
+        match (self.heads.peek(), self.heap.peek()) {
+            (Some(h), Some(e)) => (h.at, h.seq) < (e.at, e.seq),
+            (Some(_), None) => true,
+            (None, _) => false,
+        }
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|e| (e.at, e.event))
+        if !self.lane_is_next() {
+            return self.heap.pop().map(|e| (e.at, e.event));
+        }
+        let mut head = self.heads.peek_mut()?;
+        let q = &mut self.lanes[head.lane as usize];
+        let e = q.pop_front().expect("a lane with a head key is non-empty");
+        self.in_lanes -= 1;
+        match q.front() {
+            // Re-key in place: dropping the `PeekMut` sifts it down once.
+            Some(next) => {
+                head.at = next.at;
+                head.seq = next.seq;
+            }
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        Some((e.at, e.event))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        if self.lane_is_next() {
+            self.heads.peek().map(|h| h.at)
+        } else {
+            self.heap.peek().map(|e| e.at)
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.in_lanes
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total events scheduled over the queue's lifetime.
     pub fn total_scheduled(&self) -> u64 {
         self.scheduled
+    }
+
+    /// How many of those were stored in a lane rather than the heap.
+    pub fn lane_scheduled(&self) -> u64 {
+        self.lane_scheduled
+    }
+
+    /// How many [`EventQueue::schedule_in`] pushes went to the heap because
+    /// they were earlier than their lane's newest entry.
+    pub fn lane_fallbacks(&self) -> u64 {
+        self.lane_fallbacks
     }
 }
 
@@ -183,6 +304,73 @@ mod tests {
         assert_eq!(q.peek_time(), Some(t(2)));
         assert_eq!(q.total_scheduled(), 2);
     }
+
+    /// Drain the queue, returning each event's `Fault` index.
+    fn drain(q: &mut EventQueue) -> Vec<(SimTime, usize)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(at, e)| match e {
+                Event::Fault { index } => (at, index),
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn same_instant_duplicate_keeps_scheduling_order() {
+        // The fault plane's duplication delivers a packet twice at one
+        // instant through one lane; a timer armed between them for that
+        // instant must still fire between them.
+        let mut q = EventQueue::new();
+        q.add_lanes(1);
+        q.schedule_in(0, t(7), Event::Fault { index: 0 });
+        q.schedule(t(7), Event::Fault { index: 1 });
+        q.schedule_in(0, t(7), Event::Fault { index: 2 });
+        assert_eq!(q.lane_scheduled(), 2);
+        assert_eq!(drain(&mut q), vec![(t(7), 0), (t(7), 1), (t(7), 2)]);
+    }
+
+    #[test]
+    fn non_monotone_push_falls_back_to_the_heap() {
+        let mut q = EventQueue::new();
+        q.add_lanes(2);
+        q.schedule_in(0, t(10), Event::Fault { index: 0 });
+        q.schedule_in(0, t(20), Event::Fault { index: 1 });
+        // Earlier than the lane's back: cannot join the lane...
+        q.schedule_in(0, t(15), Event::Fault { index: 2 });
+        assert_eq!((q.lane_scheduled(), q.lane_fallbacks()), (2, 1));
+        // ...and the lane keeps accepting pushes at or after its back.
+        q.schedule_in(0, t(20), Event::Fault { index: 3 });
+        q.schedule_in(1, t(5), Event::Fault { index: 4 });
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(t(5)));
+        assert_eq!(
+            drain(&mut q),
+            vec![(t(5), 4), (t(10), 0), (t(15), 2), (t(20), 1), (t(20), 3)]
+        );
+    }
+
+    #[test]
+    fn lane_that_empties_refills() {
+        let mut q = EventQueue::new();
+        q.add_lanes(1);
+        for round in 0..3 {
+            let base = 10 * round as u64;
+            q.schedule_in(0, t(base + 1), Event::Fault { index: round });
+            q.schedule_in(0, t(base + 2), Event::Fault { index: round });
+            assert_eq!(q.len(), 2);
+            assert_eq!(
+                drain(&mut q),
+                vec![(t(base + 1), round), (t(base + 2), round)]
+            );
+            assert!(q.is_empty());
+            assert_eq!(q.peek_time(), None);
+        }
+        // An emptied lane has no back: an earlier time than it ever held
+        // is in order again.
+        q.schedule_in(0, t(1), Event::Fault { index: 9 });
+        assert_eq!(q.lane_fallbacks(), 0);
+        assert_eq!(drain(&mut q), vec![(t(1), 9)]);
+    }
 }
 
 #[cfg(test)]
@@ -212,6 +400,49 @@ mod proptests {
                 }
                 last = Some((at, id));
             }
+        }
+
+        /// The queue is a priority queue on `(at, seq)` wherever an event
+        /// is stored: under any interleaving of heap pushes, lane pushes
+        /// (ties and backward steps included) and pops, it agrees with a
+        /// sorted reference at every step.
+        #[test]
+        fn pop_order_is_the_models_order(
+            ops in proptest::collection::vec((0u32..7, 0u64..12), 1..300),
+        ) {
+            const LANES: u32 = 4;
+            let mut q = EventQueue::new();
+            q.add_lanes(LANES as usize);
+            // Pending `(at, seq)` keys; `seq` doubles as the event's tag.
+            let mut model: Vec<(SimTime, usize)> = Vec::new();
+            let mut seq = 0;
+            for (op, ms) in ops {
+                let at = SimTime::from_millis(ms);
+                // Ops 0..LANES push through that lane, LANES pushes to the
+                // heap, the rest pop.
+                if op <= LANES {
+                    let event = Event::Fault { index: seq };
+                    if op < LANES {
+                        q.schedule_in(op as usize, at, event);
+                    } else {
+                        q.schedule(at, event);
+                    }
+                    model.push((at, seq));
+                    seq += 1;
+                } else {
+                    let want = model.iter().copied().min();
+                    model.retain(|&k| Some(k) != want);
+                    let got = q.pop().map(|(at, e)| match e {
+                        Event::Fault { index } => (at, index),
+                        _ => unreachable!(),
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                prop_assert_eq!(q.peek_time(), model.iter().min().map(|k| k.0));
+            }
+            prop_assert_eq!(q.total_scheduled(), seq as u64);
         }
     }
 }

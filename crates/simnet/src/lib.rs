@@ -8,8 +8,9 @@
 //!
 //! ## Architecture
 //!
-//! * [`event::EventQueue`] — binary-heap scheduler with deterministic
-//!   tie-breaking.
+//! * [`event::EventQueue`] — `(time, sequence)`-ordered scheduler with
+//!   deterministic tie-breaking: a FIFO lane per link-event source beside a
+//!   binary heap for timers and control events.
 //! * [`link::Link`] — serialization rate + propagation delay + Bernoulli
 //!   egress loss, with an attached [`queue::Queue`] discipline and optional
 //!   time-varying [`link::LinkSchedule`].

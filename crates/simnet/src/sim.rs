@@ -187,6 +187,14 @@ pub struct SimReport {
     pub ended_at: SimTime,
     /// Total events processed (for performance accounting).
     pub events_processed: u64,
+    /// Events stored in a per-link FIFO lane of the event queue; every
+    /// other scheduled event went through its heap (for performance
+    /// accounting — pop order does not depend on it).
+    pub lane_events: u64,
+    /// Link events that were due earlier than their lane's newest entry
+    /// (a reordering shaper, a delay that just fell) and went through the
+    /// heap instead.
+    pub lane_fallbacks: u64,
     /// Churn-engine accounting (all zeros unless a [`ChurnDriver`] ran).
     pub churn: ChurnStats,
 }
@@ -312,12 +320,12 @@ impl NetworkBuilder {
 
     /// Finalize into a runnable [`Simulation`].
     pub fn build(self) -> Simulation {
-        // Pending events scale with packets in flight: per flow roughly a
-        // window of arrivals plus a handful of timers, per link a
-        // serialization completion. 512 events per flow comfortably covers
-        // every BDP in the evaluation; the cap keeps incast-style
-        // many-flow scenarios from pre-allocating megabytes.
-        let hint = (self.flows.len() * 512 + self.links.len() * 2).clamp(1024, 65_536);
+        // Packets in flight wait in their link's lanes; the heap holds
+        // only timers (a handful per flow: pacing, RTO, scan, controller,
+        // delayed ACK) and control events (one pending step per link).
+        let hint = (self.flows.len() * 8 + self.links.len()).max(256);
+        let mut events = EventQueue::with_capacity(hint);
+        events.add_lanes(2 * self.links.len());
         // Deriving is consumption-independent, so taking the fault stream
         // unconditionally leaves every other stream untouched.
         let fault_rng = self.rng.derive(FAULT_RNG_SALT);
@@ -325,7 +333,7 @@ impl NetworkBuilder {
         let has_driver = self.driver.is_some();
         Simulation {
             now: SimTime::ZERO,
-            events: EventQueue::with_capacity(hint),
+            events,
             links: self.links,
             flows: self.flows,
             free_slots: Vec::new(),
@@ -349,6 +357,16 @@ impl NetworkBuilder {
             started: false,
         }
     }
+}
+
+/// The event-queue lane of `link`'s serialization completions.
+fn tx_lane(link: LinkId) -> usize {
+    2 * link.index()
+}
+
+/// The event-queue lane of arrivals that propagated over `link`.
+fn prop_lane(link: LinkId) -> usize {
+    2 * link.index() + 1
 }
 
 /// A runnable simulation.
@@ -481,17 +499,16 @@ impl Simulation {
             Event::TxComplete { link } => {
                 let res = self.links[link.index()].tx_complete(self.now);
                 if let Some(next) = res.next_tx_done {
-                    self.events.schedule(next, Event::TxComplete { link });
-                }
-                if let Some((mut pkt, arrive_at)) = res.delivered {
-                    pkt.hop += 1;
                     self.events
-                        .schedule(arrive_at, Event::Arrive { packet: pkt });
+                        .schedule_in(tx_lane(link), next, Event::TxComplete { link });
                 }
-                if let Some((mut pkt, arrive_at)) = res.duplicate {
+                for (mut pkt, arrive_at) in [res.delivered, res.duplicate].into_iter().flatten() {
                     pkt.hop += 1;
-                    self.events
-                        .schedule(arrive_at, Event::Arrive { packet: pkt });
+                    self.events.schedule_in(
+                        prop_lane(link),
+                        arrive_at,
+                        Event::Arrive { packet: pkt },
+                    );
                 }
             }
             Event::Arrive { packet } => {
@@ -713,9 +730,12 @@ impl Simulation {
             if !link.roll_loss_counted() && !link.roll_corrupt() {
                 let at = link.shape_arrival(link.propagate(self.now));
                 pkt.hop += 1;
-                self.events.schedule(at, Event::Arrive { packet: pkt });
+                let lane = prop_lane(link_id);
+                self.events
+                    .schedule_in(lane, at, Event::Arrive { packet: pkt });
                 if link.roll_duplicate() {
-                    self.events.schedule(at, Event::Arrive { packet: pkt });
+                    self.events
+                        .schedule_in(lane, at, Event::Arrive { packet: pkt });
                 }
             }
             return;
@@ -724,8 +744,11 @@ impl Simulation {
             LinkOutcome::Accepted {
                 start_tx: Some(done),
             } => {
-                self.events
-                    .schedule(done, Event::TxComplete { link: link_id });
+                self.events.schedule_in(
+                    tx_lane(link_id),
+                    done,
+                    Event::TxComplete { link: link_id },
+                );
             }
             LinkOutcome::Accepted { start_tx: None } => {}
             LinkOutcome::Dropped => {}
@@ -942,6 +965,8 @@ impl Simulation {
             sample_interval: self.config.sample_interval,
             ended_at: self.now,
             events_processed: self.events_processed,
+            lane_events: self.events.lane_scheduled(),
+            lane_fallbacks: self.events.lane_fallbacks(),
             churn: self.churn,
         }
     }
