@@ -375,6 +375,10 @@ mod tests {
 
         // Every other scenario family, one fingerprint each, captured on
         // the hand-wired constructions that preceded the shared builder.
+        // (The three pcc fabric values were re-pinned once: finished
+        // senders stopped ticking their controller to the horizon, which
+        // moved the event count folded into the fingerprint and no
+        // per-flow counter.)
         use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
         use crate::dc::{run_ft_permutation, run_ls_mix, run_rack_incast, LsFabric};
         use crate::vary::run_trace;
@@ -409,17 +413,17 @@ mod tests {
             (
                 "rack incast k=4 pcc",
                 fp(&run_rack_incast(4, &pcc, 12, 256 * 1024, 5).run.report),
-                0x0570_0333_1d13_173f,
+                0xa228_3ad0_50a9_784e,
             ),
             (
                 "ft permutation k=4 pcc",
                 fp(&run_ft_permutation(4, &pcc, 64 * 1024, 9).1.report),
-                0xb914_36fa_ed0b_5c7b,
+                0xe36b_19bf_d059_1368,
             ),
             (
                 "leaf-spine mix pcc",
                 fp(&run_ls_mix(fabric, &pcc, 512 * 1024, 32 * 1024, 11).2.report),
-                0xae7d_ed81_3493_5a0b,
+                0xb142_374d_02f1_e05d,
             ),
             (
                 "chaos flap",
@@ -507,6 +511,43 @@ mod tests {
             [&lowered, &reordered].map(|r| report_fingerprint(&r.report)),
             [0x30ed_aec2_a7d2_8b33, 0x0891_0ff7_dc13_83d9],
             "fingerprints moved (delay step, reordering shaper)"
+        );
+    }
+
+    #[test]
+    fn completed_flows_are_silent() {
+        // A finished sender's controller must stop with it: once both
+        // sized flows complete, a 30 s horizon costs only the sampling
+        // ticks plus the few timers and straggler packets already pending
+        // at completion.
+        let rtt = SimDuration::from_millis(30);
+        let setup = LinkSetup::new(50e6, rtt, 187_500);
+        let plans = || {
+            [Protocol::pcc_default(rtt), Protocol::Tcp("cubic")]
+                .into_iter()
+                .map(|p| FlowPlan::new(p, rtt).sized(FlowSize::Bytes(4 << 20)))
+                .collect()
+        };
+        let horizon = SimTime::from_secs(30);
+        let full = run_dumbbell(setup, plans(), horizon, 42).report;
+        let mut done = SimTime::ZERO;
+        for flow in &full.flows {
+            let completed = flow.completed_at.expect("4 MiB finishes in 30 s");
+            let last_rate = flow.rate_log.last().expect("a rate was set").0;
+            assert!(
+                last_rate <= completed,
+                "rate decided at {last_rate:?}, after completing at {completed:?}"
+            );
+            done = done.max(completed);
+        }
+        // The same run cut at the last completion is the same run up to it.
+        let cut = run_dumbbell(setup, plans(), done, 42).report;
+        let tick = full.sample_interval.as_nanos();
+        let samples = horizon.as_nanos() / tick - done.as_nanos() / tick;
+        let after = full.events_processed - cut.events_processed;
+        assert!(
+            after <= samples + 64,
+            "{after} events after the last completion, {samples} of them samples"
         );
     }
 

@@ -473,9 +473,6 @@ impl CcSender {
 
     fn on_pace_tick(&mut self, ctx: &mut EndpointCtx) {
         self.pace_armed = false;
-        if self.finished {
-            return;
-        }
         if self.sb.in_flight() >= self.flight_limit() {
             if self.windowed() {
                 // Window-blocked: the next ACK re-arms the pacer.
@@ -574,7 +571,7 @@ impl CcSender {
 
     fn on_tso_flush(&mut self, ctx: &mut EndpointCtx) {
         self.tso_armed = false;
-        if self.finished || self.paced() {
+        if self.paced() {
             return;
         }
         let n = self.sendable_new();
@@ -685,7 +682,7 @@ impl CcSender {
 
     fn on_rto_event(&mut self, ctx: &mut EndpointCtx) {
         self.rto_event_at = None;
-        if self.finished || (self.sb.in_flight() == 0 && self.retx_queue.is_empty()) {
+        if self.sb.in_flight() == 0 && self.retx_queue.is_empty() {
             return; // nothing outstanding; stay disarmed
         }
         if ctx.now < self.rto_deadline {
@@ -868,9 +865,6 @@ impl CcSender {
     }
 
     fn on_report_tick(&mut self, ctx: &mut EndpointCtx) {
-        if self.finished {
-            return;
-        }
         self.emit_report(ctx);
         self.arm_report(ctx);
     }
@@ -1015,6 +1009,12 @@ impl Endpoint for CcSender {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
+        if self.finished {
+            // Completed or stalled: every timer still pending is stale,
+            // the controller's included — it must not keep running empty
+            // intervals to the horizon.
+            return;
+        }
         let kind = token & !TOKEN_GEN_MASK;
         let gen = token & TOKEN_GEN_MASK;
         match kind {
