@@ -13,7 +13,7 @@
 //! [`EventQueue::pop`] takes the smaller of the two tops, so the pop order
 //! is the total `(time, sequence)` order wherever an event was stored.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -80,28 +80,6 @@ impl Ord for Entry {
     }
 }
 
-/// The `(at, seq)` key of a lane's front entry, held in the lane-head heap.
-#[derive(PartialEq, Eq)]
-struct LaneHead {
-    at: SimTime,
-    seq: u64,
-    lane: u32,
-}
-
-impl PartialOrd for LaneHead {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for LaneHead {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Earliest-first, like `Entry`; `seq` is unique, so `lane` never
-        // decides.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// Deterministic earliest-first event queue.
 #[derive(Default)]
 pub struct EventQueue {
@@ -110,8 +88,10 @@ pub struct EventQueue {
     heap: BinaryHeap<Entry>,
     /// FIFO lanes; within each, entries are in `(at, seq)` order.
     lanes: Vec<VecDeque<Entry>>,
-    /// One key per non-empty lane: that lane's front entry.
-    heads: BinaryHeap<LaneHead>,
+    /// One `(key, lane)` per non-empty lane: the `(at, seq)` of the lane's
+    /// front entry, reversed for earliest-first. `seq` is unique, so the
+    /// lane index never decides the order.
+    heads: BinaryHeap<(Reverse<(SimTime, u64)>, u32)>,
     /// Entries currently held in lanes.
     in_lanes: usize,
     next_seq: u64,
@@ -167,30 +147,23 @@ impl EventQueue {
     pub fn schedule_in(&mut self, lane: usize, at: SimTime, event: Event) {
         let entry = self.next_entry(at, event);
         let q = &mut self.lanes[lane];
-        match q.back() {
-            Some(back) if at < back.at => {
-                self.lane_fallbacks += 1;
-                self.heap.push(entry);
-            }
-            back => {
-                if back.is_none() {
-                    self.heads.push(LaneHead {
-                        at,
-                        seq: entry.seq,
-                        lane: lane as u32,
-                    });
-                }
-                q.push_back(entry);
-                self.in_lanes += 1;
-                self.lane_scheduled += 1;
-            }
+        if q.back().is_some_and(|back| at < back.at) {
+            self.lane_fallbacks += 1;
+            self.heap.push(entry);
+            return;
         }
+        if q.is_empty() {
+            self.heads.push((Reverse((at, entry.seq)), lane as u32));
+        }
+        q.push_back(entry);
+        self.in_lanes += 1;
+        self.lane_scheduled += 1;
     }
 
     /// True if the earliest pending event sits at the front of a lane.
     fn lane_is_next(&self) -> bool {
         match (self.heads.peek(), self.heap.peek()) {
-            (Some(h), Some(e)) => (h.at, h.seq) < (e.at, e.seq),
+            (Some((Reverse(head), _)), Some(e)) => *head < (e.at, e.seq),
             (Some(_), None) => true,
             (None, _) => false,
         }
@@ -202,15 +175,12 @@ impl EventQueue {
             return self.heap.pop().map(|e| (e.at, e.event));
         }
         let mut head = self.heads.peek_mut()?;
-        let q = &mut self.lanes[head.lane as usize];
+        let q = &mut self.lanes[head.1 as usize];
         let e = q.pop_front().expect("a lane with a head key is non-empty");
         self.in_lanes -= 1;
         match q.front() {
             // Re-key in place: dropping the `PeekMut` sifts it down once.
-            Some(next) => {
-                head.at = next.at;
-                head.seq = next.seq;
-            }
+            Some(next) => head.0 = Reverse((next.at, next.seq)),
             None => {
                 PeekMut::pop(head);
             }
@@ -221,7 +191,7 @@ impl EventQueue {
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.lane_is_next() {
-            self.heads.peek().map(|h| h.at)
+            self.heads.peek().map(|(Reverse((at, _)), _)| *at)
         } else {
             self.heap.peek().map(|e| e.at)
         }
@@ -305,14 +275,17 @@ mod tests {
         assert_eq!(q.total_scheduled(), 2);
     }
 
-    /// Drain the queue, returning each event's `Fault` index.
+    /// A popped `Fault` event as `(time, index)`: the tests tag events by
+    /// their fault index.
+    pub(super) fn tagged((at, event): (SimTime, Event)) -> (SimTime, usize) {
+        match event {
+            Event::Fault { index } => (at, index),
+            _ => unreachable!(),
+        }
+    }
+
     fn drain(q: &mut EventQueue) -> Vec<(SimTime, usize)> {
-        std::iter::from_fn(|| q.pop())
-            .map(|(at, e)| match e {
-                Event::Fault { index } => (at, index),
-                _ => unreachable!(),
-            })
-            .collect()
+        std::iter::from_fn(|| q.pop()).map(tagged).collect()
     }
 
     #[test]
@@ -432,11 +405,7 @@ mod proptests {
                 } else {
                     let want = model.iter().copied().min();
                     model.retain(|&k| Some(k) != want);
-                    let got = q.pop().map(|(at, e)| match e {
-                        Event::Fault { index } => (at, index),
-                        _ => unreachable!(),
-                    });
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(q.pop().map(super::tests::tagged), want);
                 }
                 prop_assert_eq!(q.len(), model.len());
                 prop_assert_eq!(q.is_empty(), model.is_empty());
