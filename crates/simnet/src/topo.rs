@@ -782,6 +782,48 @@ mod tests {
         assert_eq!(t.link_of(e2), LinkId(2));
         assert_eq!(t.edge_rate_bps(e2), None, "shim rate survives install");
     }
+
+    /// FNV-1a over the edge ids of `path_edges(a, b, ecmp_key(seed + k,
+    /// i·n + j))` for every ordered host pair and `k ∈ 0..4`, one
+    /// terminator per path.
+    fn routing_digest(topo: &mut Topology, hosts: &[NodeId], seed: u64) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: u64| h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
+        let n = hosts.len() as u64;
+        for (i, &a) in hosts.iter().enumerate() {
+            for (j, &b) in hosts.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                for k in 0..4 {
+                    let key = ecmp_key(seed + k, i as u64 * n + j as u64);
+                    for e in topo.path_edges(a, b, key) {
+                        fold(e.0 as u64);
+                    }
+                    fold(u64::MAX);
+                }
+            }
+        }
+        h
+    }
+
+    /// Golden routing digests, captured on the eager all-pairs `Routes`
+    /// table before the router was rebuilt: any change to BFS distances,
+    /// choice-set order or the hop hash moves them.
+    #[test]
+    fn routing_digests_are_pinned() {
+        let spec = DcLinkSpec::new(1e9, SimDuration::from_micros(20), 256_000);
+        let (ft4, ft8) = (fat_tree(4, spec, spec), fat_tree(8, spec, spec));
+        let ls = leaf_spine(4, 3, 8, spec, 4.0);
+        for (mut topo, hosts, seed, want) in [
+            (ft4.topo, ft4.hosts, 1, 0xa9cb_bdd5_8902_5c71u64),
+            (ft8.topo, ft8.hosts, 2, 0x9b48_5320_b770_cac5),
+            (ls.topo, ls.hosts, 3, 0x5950_55fa_6fe6_9615),
+        ] {
+            let got = routing_digest(&mut topo, &hosts, seed);
+            assert_eq!(got, want, "seed {seed}: {got:#018x}");
+        }
+    }
 }
 
 #[cfg(test)]
