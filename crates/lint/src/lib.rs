@@ -17,14 +17,12 @@
 //! | L005 | registry-parity | both `install_registry` bodies register the same set |
 //! | L006 | dep-free | every Cargo.toml dependency is an in-workspace path dep |
 //! | L007 | float-total-order | `total_cmp`, never `partial_cmp(..).unwrap()` |
-//! | L008 | batched-conformance | every registered algorithm is batched-certified or carries an allow |
 //!
 //! Suppression is per-site and accountable: `// lint: allow(L00x) — <reason>`
 //! on (or directly above) the offending line; a missing reason is itself
 //! a diagnostic (`L000`, see [`suppress`]). `pcc-lint --deny-all` is the
 //! CI gate: it exits non-zero on any diagnostic.
 
-pub mod batched;
 pub mod diag;
 pub mod lexer;
 pub mod manifest;
@@ -119,49 +117,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
                 }
             }
         }
-    }
-
-    // L008 batched-conformance coverage: locate the BATCHED_CONFORMANCE
-    // list, then check every `register_algorithms` body's literal names
-    // against it. Suppressions at the registration site are honoured, so
-    // a deliberate gap reads as `// lint: allow(L008) — <reason>`.
-    let mut conf_list: Option<batched::ConformanceList> = None;
-    let mut reg_files: Vec<(String, Vec<batched::RegSite>, Vec<suppress::Allow>)> = Vec::new();
-    for f in &ws.sources {
-        if !f.src.contains("BATCHED_CONFORMANCE") && !f.src.contains("fn register_algorithms") {
-            continue;
-        }
-        let toks = lexer::lex(&f.src);
-        if conf_list.is_none() {
-            conf_list = batched::extract_list(&toks);
-        }
-        let sites = batched::extract_registered(&toks);
-        if !sites.is_empty() {
-            let (allows, _) = suppress::collect(&f.rel_path, &toks);
-            reg_files.push((f.rel_path.clone(), sites, allows));
-        }
-    }
-    match &conf_list {
-        Some(list) => {
-            for (path, sites, allows) in &reg_files {
-                diagnostics.extend(
-                    batched::check(list, path, sites)
-                        .into_iter()
-                        .filter(|d| !suppress::is_suppressed(allows, d.id, d.line)),
-                );
-            }
-        }
-        None => diagnostics.push(Diagnostic {
-            id: "L008",
-            path: "Cargo.toml".to_string(),
-            line: 1,
-            col: 1,
-            message: "batched-conformance anchor lost: no `BATCHED_CONFORMANCE` const found \
-                      in the workspace — if the list moved or was renamed, update pcc-lint's \
-                      batched module so the coverage check keeps running"
-                .to_string(),
-            help: None,
-        }),
     }
 
     // L006 dep-free on every manifest.

@@ -3,8 +3,7 @@
 //! Each rule has a stable id (`L001`…), fires with a `file:line:col`
 //! anchor, and suggests the canonical idiom. The cross-file `L005` check
 //! lives in [`crate::parity`]; the manifest check `L006` in
-//! [`crate::manifest`]; the cross-file `L008` check in
-//! [`crate::batched`]; this module holds the per-file token rules.
+//! [`crate::manifest`]; this module holds the per-file token rules.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
@@ -62,11 +61,6 @@ pub const CATALOG: &[LintInfo] = &[
         id: "L007",
         slug: "float-total-order",
         rule: "no partial_cmp(..).unwrap()/expect() on floats; use total_cmp",
-    },
-    LintInfo {
-        id: "L008",
-        slug: "batched-conformance",
-        rule: "every registered algorithm is in the batched conformance list or carries a reasoned allow",
     },
 ];
 

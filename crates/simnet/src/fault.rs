@@ -5,9 +5,10 @@
 //! [`crate::trace::LinkTrace`]: one event per line, `#` comments,
 //! line-attributed parse errors) compiled into time-ordered
 //! [`FaultEvent`]s. A [`FaultPlane`] owns the compiled schedule plus an
-//! optional routing snapshot of the [`Topology`] the simulation was built
-//! from; the simulation fires one [`crate::event::Event::Fault`] per entry
-//! and applies it through the plane.
+//! optional copy of the routing view of the [`Topology`] the simulation
+//! was built from; the simulation fires one
+//! [`crate::event::Event::Fault`] per entry and applies it through the
+//! plane.
 //!
 //! Script format — `time_s event target [args]`, targets are simulator
 //! link / node indexes:
@@ -29,12 +30,12 @@
 //!   fault loss is ever silent). Downing a reverse-path link is the
 //!   asymmetric ACK-path blackout: data flows, ACKs die.
 //! * **Node down** takes every adjacent link down and — when a topology
-//!   snapshot is attached — re-resolves every registered flow's ECMP path
-//!   over the surviving graph with the exact hash routing uses, so flows
-//!   shift to surviving equal-cost paths deterministically. Flows with no
+//!   is attached — marks the node dead in the plane's copy of the router
+//!   and re-resolves every registered flow's path with it, so flows shift
+//!   to surviving equal-cost paths deterministically. Flows with no
 //!   surviving path keep their (dead) path and stall against it; repair
-//!   restores the original routing because ECMP is a pure function of
-//!   `(key, graph)`.
+//!   restores the original routing because a path is a pure function of
+//!   `(key, graph, live nodes)`.
 //! * **Corrupt / duplicate** roll per-packet on dedicated
 //!   [`crate::rng::SimRng::derive`] streams salted by the fault's schedule index, so
 //!   activating a fault never perturbs any other random process and runs
@@ -44,13 +45,12 @@
 //! current hop index: the plane models routing-table updates, not
 //! per-packet tunnels.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::ids::{FlowId, LinkId, NodeId};
-use crate::rng::mix64;
+use crate::ids::{EdgeId, FlowId, LinkId, NodeId};
 use crate::time::SimTime;
-use crate::topo::{NodeKind, Topology, ECMP_SALT};
+use crate::topo::{Router, Topology};
 
 /// A fault-script parse error, attributed to its source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -314,16 +314,14 @@ struct FlowReg {
     key: u64,
 }
 
-/// Routing snapshot of the topology the simulation was built from.
+/// The attached topology: a copy of its router, on which node faults flip
+/// liveness, and the edge ↔ simulator-link correspondence.
 struct FaultGraph {
-    kinds: Vec<NodeKind>,
-    /// `(src, dst, realizing link)` per edge, in edge-id order.
-    edges: Vec<(NodeId, NodeId, LinkId)>,
-    /// Out-edge indexes per node, insertion order.
-    out: Vec<Vec<usize>>,
-    /// In-edge indexes per node (for the reverse BFS).
-    inn: Vec<Vec<usize>>,
-    alive: Vec<bool>,
+    router: Router,
+    /// The link realizing each edge, in edge-id order.
+    links: Vec<LinkId>,
+    /// The edge each link realizes.
+    edges: BTreeMap<LinkId, EdgeId>,
     flows: Vec<FlowReg>,
 }
 
@@ -343,8 +341,8 @@ pub(crate) struct FaultChange {
 }
 
 /// The fault plane: a compiled schedule plus the state needed to apply it
-/// (explicit link faults, node liveness, and the routing snapshot used to
-/// re-resolve ECMP after node failures).
+/// (explicit link faults, and the router copy that tracks node liveness
+/// and re-resolves paths after node failures).
 ///
 /// Attach to a simulation via
 /// [`crate::sim::NetworkBuilder::set_fault_plane`]. Without
@@ -368,30 +366,18 @@ impl FaultPlane {
         }
     }
 
-    /// Snapshot `topo`'s graph (node kinds, edges, realizing links) so node
-    /// failures can re-route flows. Every edge must already be installed
-    /// into the builder this plane will be attached to.
+    /// Copy `topo`'s routing view and edge → link map so node failures can
+    /// re-route flows. Every edge must already be installed into the
+    /// builder this plane will be attached to.
     ///
     /// # Panics
     /// If an edge has not been installed yet.
     pub fn attach_topology(&mut self, topo: &Topology) {
-        let n = topo.num_nodes();
-        let mut edges = Vec::with_capacity(topo.num_edges());
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut inn: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in 0..topo.num_edges() {
-            let edge = crate::ids::EdgeId(i as u32);
-            let (src, dst) = topo.edge_endpoints(edge);
-            edges.push((src, dst, topo.link_of(edge)));
-            out[src.index()].push(i);
-            inn[dst.index()].push(i);
-        }
+        let edge_ids = || (0..topo.num_edges() as u32).map(EdgeId);
         self.graph = Some(FaultGraph {
-            kinds: (0..n).map(|i| topo.kind(NodeId(i as u32))).collect(),
-            edges,
-            out,
-            inn,
-            alive: vec![true; n],
+            router: topo.router().clone(),
+            links: edge_ids().map(|e| topo.link_of(e)).collect(),
+            edges: edge_ids().map(|e| (topo.link_of(e), e)).collect(),
             flows: Vec::new(),
         });
     }
@@ -438,30 +424,21 @@ impl FaultPlane {
             }
             FaultEvent::NodeDown { node } => {
                 if let Some(g) = self.graph.as_mut() {
-                    if node.index() < g.alive.len() && g.alive[node.index()] {
-                        g.alive[node.index()] = false;
-                        for &(src, dst, link) in &g.edges {
-                            if src == node || dst == node {
-                                change.link_down.push(link);
-                            }
-                        }
+                    if g.router.set_alive(node, false) {
+                        let adjacent = g.router.incident(node);
+                        change
+                            .link_down
+                            .extend(adjacent.iter().map(|e| g.links[e.index()]));
                         change.reroute = true;
                     }
                 }
             }
             FaultEvent::NodeUp { node } => {
                 if let Some(g) = self.graph.as_mut() {
-                    if node.index() < g.alive.len() && !g.alive[node.index()] {
-                        g.alive[node.index()] = true;
-                        for &(src, dst, link) in &g.edges {
-                            let other = if src == node {
-                                dst
-                            } else if dst == node {
-                                src
-                            } else {
-                                continue;
-                            };
-                            if g.alive[other.index()] && !self.explicit_down.contains(&link) {
+                    if g.router.set_alive(node, true) {
+                        for e in g.router.incident(node) {
+                            let link = g.links[e.index()];
+                            if g.router.edge_alive(e) && !self.explicit_down.contains(&link) {
                                 change.link_up.push(link);
                             }
                         }
@@ -481,95 +458,38 @@ impl FaultPlane {
     /// surviving graph. Flows with no surviving path (or a dead endpoint)
     /// are omitted — they keep their existing paths and stall against the
     /// downed links.
-    pub(crate) fn reroute(&self) -> Vec<(FlowId, Vec<LinkId>, Vec<LinkId>)> {
-        let Some(g) = self.graph.as_ref() else {
+    pub(crate) fn reroute(&mut self) -> Vec<(FlowId, Vec<LinkId>, Vec<LinkId>)> {
+        let Some(FaultGraph {
+            router,
+            links,
+            flows,
+            ..
+        }) = self.graph.as_mut()
+        else {
             return Vec::new();
         };
-        let mut updates = Vec::new();
-        for reg in &g.flows {
-            let (Some(fwd), Some(rev)) = (
-                surviving_path(g, reg.src, reg.dst, reg.key),
-                surviving_path(g, reg.dst, reg.src, reg.key),
-            ) else {
-                continue;
-            };
-            updates.push((reg.flow, fwd, rev));
-        }
-        updates
-    }
-
-    /// True when both endpoints of `link`'s edge are alive (or no graph is
-    /// attached, in which case node liveness cannot hold it down).
-    fn endpoints_alive(&self, link: LinkId) -> bool {
-        let Some(g) = self.graph.as_ref() else {
-            return true;
+        let mut resolve = |src, dst, key| -> Option<Vec<LinkId>> {
+            let path = router.path(src, dst, key)?;
+            Some(path.into_iter().map(|e| links[e.index()]).collect())
         };
-        for &(src, dst, l) in &g.edges {
-            if l == link {
-                return g.alive[src.index()] && g.alive[dst.index()];
-            }
-        }
-        true
-    }
-}
-
-/// Shortest ECMP path over the alive subgraph, with the exact hop hash
-/// [`Topology::path_edges`] uses — when every node is alive this returns
-/// the identical path, which is what makes repair restore original routing.
-fn surviving_path(g: &FaultGraph, src: NodeId, dst: NodeId, key: u64) -> Option<Vec<LinkId>> {
-    let n = g.kinds.len();
-    if src.index() >= n || dst.index() >= n {
-        return None;
-    }
-    if !g.alive[src.index()] || !g.alive[dst.index()] {
-        return None;
-    }
-    // Reverse BFS from the destination over alive nodes; hosts never
-    // transit (may source or sink only).
-    let mut dist = vec![u32::MAX; n];
-    dist[dst.index()] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(dst);
-    while let Some(u) = queue.pop_front() {
-        if g.kinds[u.index()] == NodeKind::Host && u != dst {
-            continue;
-        }
-        let du = dist[u.index()];
-        for &ei in &g.inn[u.index()] {
-            let v = g.edges[ei].0;
-            if g.alive[v.index()] && dist[v.index()] == u32::MAX {
-                dist[v.index()] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    if dist[src.index()] == u32::MAX {
-        return None;
-    }
-    let mut path = Vec::with_capacity(dist[src.index()] as usize);
-    let mut cur = src;
-    while cur != dst {
-        let du = dist[cur.index()];
-        let mut choices: Vec<usize> = g.out[cur.index()]
+        flows
             .iter()
-            .copied()
-            .filter(|&ei| {
-                let w = g.edges[ei].1;
-                g.alive[w.index()]
-                    && (w == dst || g.kinds[w.index()] == NodeKind::Switch)
-                    && dist[w.index()] == du - 1
+            .filter_map(|reg| {
+                let fwd = resolve(reg.src, reg.dst, reg.key)?;
+                let rev = resolve(reg.dst, reg.src, reg.key)?;
+                Some((reg.flow, fwd, rev))
             })
-            .collect();
-        if choices.is_empty() {
-            return None;
-        }
-        choices.sort_by_key(|&ei| (g.edges[ei].1, ei));
-        let picked = choices
-            [(mix64(key ^ ECMP_SALT ^ ((cur.0 as u64) << 32)) % choices.len() as u64) as usize];
-        path.push(g.edges[picked].2);
-        cur = g.edges[picked].1;
+            .collect()
     }
-    Some(path)
+
+    /// True when both endpoints of `link`'s edge are alive (or the link
+    /// realizes no attached edge, so node liveness cannot hold it down).
+    fn endpoints_alive(&self, link: LinkId) -> bool {
+        self.graph
+            .as_ref()
+            .and_then(|g| Some(g.router.edge_alive(*g.edges.get(&link)?)))
+            .unwrap_or(true)
+    }
 }
 
 #[cfg(test)]
@@ -694,9 +614,6 @@ mod tests {
         assert_eq!(routed[0].1, original.fwd);
         assert_eq!(routed[0].2, original.rev);
 
-        // Kill the switch the original path used (find it via the graph).
-        let via_s1 = original.fwd.len() == 2;
-        let _ = via_s1;
         let change = plane.transition(0);
         assert!(change.reroute);
         assert_eq!(change.link_down.len(), 4, "all four s1-adjacent links");

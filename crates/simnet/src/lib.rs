@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::time::{rate_bps, tx_time, SimDuration, SimTime};
     pub use crate::topo::{
         ecmp_key, fat_tree, leaf_spine, link_usage, DcLinkSpec, FatTree, LeafSpine, LinkUse,
-        NodeKind, Routes, Topology,
+        NodeKind, Topology,
     };
     pub use crate::topology::{Dumbbell, FlowPath};
     pub use crate::trace::{builtin_names, LinkTrace, TracePoint};

@@ -4,12 +4,15 @@
 //! [`Topology`] is a directed multigraph whose nodes are hosts or switches
 //! and whose every edge owns a full [`LinkConfig`] — so queue disciplines,
 //! schedules, traces, shapers, and random loss compose on any fabric edge
-//! exactly as they do on a dumbbell bottleneck. [`Routes`] precomputes
-//! per-destination shortest-path next-hop *edge* sets by BFS (hosts never
-//! transit traffic); equal-cost choices are resolved per hop by a
+//! exactly as they do on a dumbbell bottleneck. One `Router` holds the
+//! graph shape and a node-liveness mask and resolves every path: hop
+//! distances come from a per-destination BFS run on first use (hosts never
+//! transit traffic), and equal-cost next hops are resolved per hop by a
 //! deterministic hash of the flow's key (parsimon-style ECMP), so a flow's
-//! path depends only on the graph shape and the key — never on edge
-//! insertion order, and never on any RNG stream the simulation consumes.
+//! path depends only on the graph shape, the live nodes and the key — never
+//! on edge insertion order, and never on any RNG stream the simulation
+//! consumes. The fault plane ([`crate::fault`]) re-routes on a copy of the
+//! same router, which is why repairing a node restores the original paths.
 //!
 //! [`Topology::flow_path`] expands a `(src, dst)` host pair into the
 //! [`FlowPath`]`{ fwd, rev }` the simulator consumes, which makes the
@@ -47,7 +50,7 @@
 //! assert_eq!(path.rev.len(), 2, "b → s? → a");
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::ids::{EdgeId, LinkId, NodeId};
 use crate::link::LinkConfig;
@@ -67,9 +70,145 @@ pub enum NodeKind {
     Switch,
 }
 
+/// Salt folded into every ECMP hop hash (`"ECMP"`).
+const ECMP_SALT: u64 = 0x4543_4D50;
+
+/// The routing view of a graph: its shape, which nodes are alive, and the
+/// one path resolver both [`Topology::path_edges`] and the fault plane's
+/// post-failure re-routing call.
+///
+/// Hosts never transit: a path may start or end at a host but is never
+/// routed *through* one. A dead node carries nothing and neither sources
+/// nor sinks.
+#[derive(Clone, Default)]
+pub(crate) struct Router {
+    kinds: Vec<NodeKind>,
+    /// `(src, dst)` per edge, in edge-id order.
+    ends: Vec<(NodeId, NodeId)>,
+    /// Out-edges per node, in insertion order.
+    out: Vec<Vec<EdgeId>>,
+    /// In-edges per node (the BFS runs backwards from the destination).
+    inn: Vec<Vec<EdgeId>>,
+    alive: Vec<bool>,
+    /// Hops from every node to each destination routed to so far
+    /// (`u32::MAX` = unreachable). Emptied whenever a node, an edge or a
+    /// node's liveness changes.
+    dist: BTreeMap<NodeId, Vec<u32>>,
+}
+
+impl Router {
+    fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        let id = NodeId(self.kinds.len() as u32);
+        self.kinds.push(kind);
+        self.out.push(Vec::new());
+        self.inn.push(Vec::new());
+        self.alive.push(true);
+        self.dist.clear();
+        id
+    }
+
+    fn add_edge(&mut self, src: NodeId, dst: NodeId) -> EdgeId {
+        let id = EdgeId(self.ends.len() as u32);
+        self.ends.push((src, dst));
+        self.out[src.index()].push(id);
+        self.inn[dst.index()].push(id);
+        self.dist.clear();
+        id
+    }
+
+    /// Mark `node` alive or dead. Returns false, changing nothing, when the
+    /// node is unknown or already in that state.
+    pub(crate) fn set_alive(&mut self, node: NodeId, alive: bool) -> bool {
+        match self.alive.get_mut(node.index()) {
+            Some(a) if *a != alive => {
+                *a = alive;
+                self.dist.clear();
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// True when both endpoints of `edge` are alive.
+    pub(crate) fn edge_alive(&self, edge: EdgeId) -> bool {
+        let (src, dst) = self.ends[edge.index()];
+        self.alive[src.index()] && self.alive[dst.index()]
+    }
+
+    /// Every edge into or out of `node`, in edge-id order.
+    pub(crate) fn incident(&self, node: NodeId) -> Vec<EdgeId> {
+        let (out, inn) = (&self.out[node.index()], &self.inn[node.index()]);
+        let mut edges: Vec<EdgeId> = out.iter().chain(inn).copied().collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    /// The edges of the shortest path `src → dst` over the alive nodes that
+    /// flow key `key` selects, or `None` when an endpoint is unknown, dead
+    /// or cut off.
+    ///
+    /// Each hop picks among the equal-cost next-hop edges — sorted by
+    /// `(next-hop node, edge id)`, so the node sequence is independent of
+    /// edge insertion order — by a deterministic hash of `(key, current
+    /// node)`. The walk follows strictly decreasing BFS distance, so the
+    /// path is loop-free and of shortest length by construction.
+    pub(crate) fn path(&mut self, src: NodeId, dst: NodeId, key: u64) -> Option<Vec<EdgeId>> {
+        let Router {
+            kinds,
+            ends,
+            out,
+            inn,
+            alive,
+            dist,
+        } = self;
+        if !(*alive.get(src.index())? && *alive.get(dst.index())?) {
+            return None;
+        }
+        // A node may forward toward `dst` if it is `dst` or a switch.
+        let carries = |w: NodeId| w == dst || kinds[w.index()] == NodeKind::Switch;
+        let dist = dist.entry(dst).or_insert_with(|| {
+            let mut dist = vec![u32::MAX; kinds.len()];
+            dist[dst.index()] = 0;
+            let mut queue = VecDeque::from([dst]);
+            while let Some(u) = queue.pop_front() {
+                if !carries(u) {
+                    continue;
+                }
+                for &e in &inn[u.index()] {
+                    let v = ends[e.index()].0;
+                    if alive[v.index()] && dist[v.index()] == u32::MAX {
+                        dist[v.index()] = dist[u.index()] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            dist
+        });
+        if dist[src.index()] == u32::MAX {
+            return None;
+        }
+        let mut path = Vec::with_capacity(dist[src.index()] as usize);
+        let mut choices = Vec::new();
+        let mut cur = src;
+        while cur != dst {
+            let closer = dist[cur.index()] - 1;
+            choices.clear();
+            // Only alive nodes have a finite distance.
+            choices.extend(out[cur.index()].iter().copied().filter(|&e| {
+                let w = ends[e.index()].1;
+                carries(w) && dist[w.index()] == closer
+            }));
+            choices.sort_unstable_by_key(|&e| (ends[e.index()].1, e));
+            let hash = mix64(key ^ ECMP_SALT ^ ((cur.0 as u64) << 32));
+            let picked = choices[(hash % choices.len() as u64) as usize];
+            path.push(picked);
+            cur = ends[picked.index()].1;
+        }
+        Some(path)
+    }
+}
+
 struct EdgeRec {
-    src: NodeId,
-    dst: NodeId,
     /// Serialization rate recorded before the config is consumed, so
     /// utilization accounting survives installation.
     rate_bps: Option<f64>,
@@ -87,14 +226,13 @@ struct EdgeRec {
 /// Build nodes and edges, [`install`](Topology::install) into a
 /// [`NetworkBuilder`] (edges become simulator links in edge-id order), then
 /// expand host pairs into [`FlowPath`]s via [`flow_path`](Topology::flow_path).
-/// Routes are computed lazily and cached; adding an edge invalidates them.
+/// Route state is computed per destination on first use and cached; adding
+/// a node or an edge invalidates it.
 #[derive(Default)]
 pub struct Topology {
-    kinds: Vec<NodeKind>,
+    router: Router,
+    /// Per-edge link state, in edge-id order (endpoints live in `router`).
     edges: Vec<EdgeRec>,
-    /// Out-edges per node, in insertion order.
-    out: Vec<Vec<EdgeId>>,
-    routes: Option<Routes>,
     /// First edge not yet moved into a builder (supports incremental
     /// installation, which the dumbbell wrapper uses).
     next_install: usize,
@@ -108,10 +246,7 @@ impl Topology {
 
     /// Add a node of the given kind.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
-        let id = NodeId(self.kinds.len() as u32);
-        self.kinds.push(kind);
-        self.out.push(Vec::new());
-        id
+        self.router.add_node(kind)
     }
 
     /// Add a host (endpoint) node.
@@ -126,21 +261,16 @@ impl Topology {
 
     /// Add a directed edge `src → dst` realized by `config`.
     pub fn add_link(&mut self, src: NodeId, dst: NodeId, config: LinkConfig) -> EdgeId {
-        assert!(src.index() < self.kinds.len(), "unknown src node {src:?}");
-        assert!(dst.index() < self.kinds.len(), "unknown dst node {dst:?}");
+        assert!(src.index() < self.num_nodes(), "unknown src node {src:?}");
+        assert!(dst.index() < self.num_nodes(), "unknown dst node {dst:?}");
         assert_ne!(src, dst, "self-loop edges are not allowed");
-        let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeRec {
-            src,
-            dst,
             rate_bps: config.rate_bps,
             delay: config.delay,
             config: Some(config),
             link: None,
         });
-        self.out[src.index()].push(id);
-        self.routes = None;
-        id
+        self.router.add_edge(src, dst)
     }
 
     /// Add a duplex pair of edges `a → b` and `b → a`.
@@ -156,7 +286,7 @@ impl Topology {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.kinds.len()
+        self.router.kinds.len()
     }
 
     /// Number of directed edges.
@@ -166,13 +296,12 @@ impl Topology {
 
     /// The kind of `node`.
     pub fn kind(&self, node: NodeId) -> NodeKind {
-        self.kinds[node.index()]
+        self.router.kinds[node.index()]
     }
 
     /// The `(src, dst)` endpoints of `edge`.
     pub fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
-        let e = &self.edges[edge.index()];
-        (e.src, e.dst)
+        self.router.ends[edge.index()]
     }
 
     /// The serialization rate `edge` was configured with (`None` =
@@ -202,39 +331,22 @@ impl Topology {
             .unwrap_or_else(|| panic!("{edge:?} not installed; call Topology::install first"))
     }
 
-    /// The precomputed routing tables (computed on first use, cached until
-    /// the graph changes).
-    pub fn routes(&mut self) -> &Routes {
-        if self.routes.is_none() {
-            self.routes = Some(Routes::compute(&self.kinds, &self.edges, &self.out));
-        }
-        self.routes.as_ref().expect("just computed")
+    /// The routing view (graph shape, liveness, path resolver); the fault
+    /// plane re-routes on a clone of it.
+    pub(crate) fn router(&self) -> &Router {
+        &self.router
     }
 
-    /// The edges of the path `src → dst` selected for flow key `key`.
-    ///
-    /// Each hop picks among the equal-cost next-hop edges by a
-    /// deterministic hash of `(key, current node)`; the walk follows
-    /// strictly decreasing BFS distance, so the path is loop-free and of
-    /// shortest length by construction.
+    /// The edges of the shortest path `src → dst` selected for flow key
+    /// `key`: per-hop ECMP by a deterministic hash of `(key, current
+    /// node)`, loop-free by construction.
     ///
     /// # Panics
     /// If `dst` is unreachable from `src`.
     pub fn path_edges(&mut self, src: NodeId, dst: NodeId, key: u64) -> Vec<EdgeId> {
-        self.routes();
-        let routes = self.routes.as_ref().expect("routes cached");
-        let mut path = Vec::with_capacity(routes.distance(src, dst).unwrap_or_else(|| {
-            panic!("no route from {src:?} to {dst:?}");
-        }) as usize);
-        let mut cur = src;
-        while cur != dst {
-            let choices = routes.next_hops(cur, dst);
-            let picked = choices
-                [(mix64(key ^ ECMP_SALT ^ ((cur.0 as u64) << 32)) % choices.len() as u64) as usize];
-            path.push(picked);
-            cur = self.edges[picked.index()].dst;
-        }
-        path
+        self.router
+            .path(src, dst, key)
+            .unwrap_or_else(|| panic!("no route from {src:?} to {dst:?}"))
     }
 
     /// Expand a host pair into the forward/reverse link paths a
@@ -257,98 +369,11 @@ impl Topology {
     }
 }
 
-/// Salt folded into every ECMP hop hash (`"ECMP"`). Shared with the fault
-/// plane so post-failure re-resolution picks the exact path routing would.
-pub(crate) const ECMP_SALT: u64 = 0x4543_4D50;
-
 /// Combine an experiment seed and a flow index into a flow key for
 /// [`Topology::path_edges`]: deterministic, and distinct flows land on
 /// decorrelated hash streams.
 pub fn ecmp_key(seed: u64, flow: u64) -> u64 {
     mix64(seed ^ mix64(flow))
-}
-
-/// Precomputed next-hop routing tables: for every `(node, destination)`
-/// pair, the BFS distance and the set of equal-cost out-edges that make
-/// progress toward the destination.
-///
-/// Hosts never transit: a path may start or end at a host but BFS refuses
-/// to route *through* one. Choice sets are sorted by `(next-hop node,
-/// edge id)`, so the node sequence a flow takes is independent of the
-/// order edges were inserted in.
-pub struct Routes {
-    n: usize,
-    /// `dist[dst * n + node]` = hops from `node` to `dst` (`u32::MAX` =
-    /// unreachable).
-    dist: Vec<u32>,
-    /// `choices[dst * n + node]` = equal-cost next-hop edges.
-    choices: Vec<Vec<EdgeId>>,
-}
-
-impl Routes {
-    fn compute(kinds: &[NodeKind], edges: &[EdgeRec], out: &[Vec<EdgeId>]) -> Routes {
-        let n = kinds.len();
-        // Reverse adjacency for the per-destination BFS.
-        let mut inn: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        for (i, e) in edges.iter().enumerate() {
-            inn[e.dst.index()].push(EdgeId(i as u32));
-        }
-        let mut dist = vec![u32::MAX; n * n];
-        let mut choices = vec![Vec::new(); n * n];
-        let mut queue = VecDeque::new();
-        for dst in 0..n {
-            let base = dst * n;
-            dist[base + dst] = 0;
-            queue.clear();
-            queue.push_back(NodeId(dst as u32));
-            while let Some(u) = queue.pop_front() {
-                // A host sources or sinks traffic but never forwards it.
-                if kinds[u.index()] == NodeKind::Host && u.index() != dst {
-                    continue;
-                }
-                let du = dist[base + u.index()];
-                for &e in &inn[u.index()] {
-                    let v = edges[e.index()].src;
-                    if dist[base + v.index()] == u32::MAX {
-                        dist[base + v.index()] = du + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            // Next-hop choice sets: out-edges one hop closer to dst whose
-            // target is allowed to carry the traffic onward.
-            for u in 0..n {
-                let du = dist[base + u];
-                if du == u32::MAX || du == 0 {
-                    continue;
-                }
-                let mut set: Vec<EdgeId> = out[u]
-                    .iter()
-                    .copied()
-                    .filter(|&e| {
-                        let w = edges[e.index()].dst;
-                        (w.index() == dst || kinds[w.index()] == NodeKind::Switch)
-                            && dist[base + w.index()] == du - 1
-                    })
-                    .collect();
-                set.sort_by_key(|&e| (edges[e.index()].dst, e));
-                choices[base + u] = set;
-            }
-        }
-        Routes { n, dist, choices }
-    }
-
-    /// Hop count from `from` to `to`, if reachable.
-    pub fn distance(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        let d = self.dist[to.index() * self.n + from.index()];
-        (d != u32::MAX).then_some(d)
-    }
-
-    /// The equal-cost next-hop edges out of `from` toward `to` (empty when
-    /// unreachable or already there), sorted by `(next-hop node, edge id)`.
-    pub fn next_hops(&self, from: NodeId, to: NodeId) -> &[EdgeId] {
-        &self.choices[to.index() * self.n + from.index()]
-    }
 }
 
 /// Rate/delay/buffer triple describing one class of datacenter link; every
@@ -622,6 +647,20 @@ mod tests {
         LinkConfig::delay_only(SimDuration::from_micros(20))
     }
 
+    /// Hop count of the route `a → b`, if there is one.
+    fn hops(t: &mut Topology, a: NodeId, b: NodeId) -> Option<usize> {
+        t.router.path(a, b, 0).map(|p| p.len())
+    }
+
+    /// The distinct first-hop edges flows `a → b` take over 64 keys: the
+    /// ECMP choice set at `a`.
+    fn first_hops(t: &mut Topology, a: NodeId, b: NodeId) -> Vec<EdgeId> {
+        let hops: std::collections::BTreeSet<EdgeId> = (0..64)
+            .map(|f| t.path_edges(a, b, ecmp_key(9, f))[0])
+            .collect();
+        hops.into_iter().collect()
+    }
+
     #[test]
     fn line_graph_routes_end_to_end() {
         let mut t = Topology::new();
@@ -635,9 +674,9 @@ mod tests {
         let p = t.flow_path(a, b, 1);
         assert_eq!(p.fwd.len(), 2);
         assert_eq!(p.rev.len(), 2);
-        assert_eq!(t.routes().distance(a, b), Some(2));
-        assert_eq!(t.routes().distance(b, a), Some(2));
-        assert_eq!(t.routes().distance(a, a), Some(0));
+        assert_eq!(hops(&mut t, a, b), Some(2));
+        assert_eq!(hops(&mut t, b, a), Some(2));
+        assert_eq!(hops(&mut t, a, a), Some(0));
     }
 
     #[test]
@@ -653,14 +692,13 @@ mod tests {
         t.add_duplex(h, s2, cfg(), cfg());
         t.add_duplex(s1, x, cfg(), cfg());
         t.add_duplex(x, s2, cfg(), cfg());
-        let routes = t.routes();
-        assert_eq!(routes.distance(s1, s2), Some(2));
-        let hops = routes.next_hops(s1, s2).to_vec();
-        assert_eq!(hops.len(), 1, "only the switch path is usable");
-        assert_eq!(t.edge_endpoints(hops[0]).1, x);
+        assert_eq!(hops(&mut t, s1, s2), Some(2));
+        let first = first_hops(&mut t, s1, s2);
+        assert_eq!(first.len(), 1, "only the switch path is usable");
+        assert_eq!(t.edge_endpoints(first[0]).1, x);
         // h itself can still originate and sink traffic.
-        assert_eq!(t.routes().distance(h, s2), Some(1));
-        assert_eq!(t.routes().distance(s2, h), Some(1));
+        assert_eq!(hops(&mut t, h, s2), Some(1));
+        assert_eq!(hops(&mut t, s2, h), Some(1));
     }
 
     #[test]
@@ -672,9 +710,8 @@ mod tests {
         t.add_link(a, s, cfg());
         t.add_link(s, b, cfg());
         // No reverse direction: b cannot reach a.
-        assert_eq!(t.routes().distance(a, b), Some(2));
-        assert_eq!(t.routes().distance(b, a), None);
-        assert!(t.routes().next_hops(b, a).is_empty());
+        assert_eq!(hops(&mut t, a, b), Some(2));
+        assert_eq!(hops(&mut t, b, a), None);
     }
 
     #[test]
@@ -739,12 +776,12 @@ mod tests {
             DcLinkSpec::new(1e9, SimDuration::from_micros(20), 256_000),
         );
         let (h, t, a, c) = (ft.hosts[0], ft.hosts[1], ft.hosts[2], ft.hosts[15]);
-        let routes = ft.topo.routes();
-        assert_eq!(routes.distance(h, t), Some(2), "same rack: via ToR");
-        assert_eq!(routes.distance(h, a), Some(4), "same pod: via agg");
-        assert_eq!(routes.distance(h, c), Some(6), "cross pod: via core");
+        let topo = &mut ft.topo;
+        assert_eq!(hops(topo, h, t), Some(2), "same rack: via ToR");
+        assert_eq!(hops(topo, h, a), Some(4), "same pod: via agg");
+        assert_eq!(hops(topo, h, c), Some(6), "cross pod: via core");
         // Cross-pod ECMP width at the ToR: k/2 aggs.
-        assert_eq!(routes.next_hops(ft.tors[0], c).len(), 2);
+        assert_eq!(first_hops(topo, ft.tors[0], c).len(), 2);
     }
 
     #[test]
@@ -762,7 +799,7 @@ mod tests {
         assert_eq!(ls.topo.edge_rate_bps(uplink), Some(1e9));
         assert_eq!(ls.leaf_of(9), ls.leaves[1]);
         let mut topo = ls.topo;
-        assert_eq!(topo.routes().distance(ls.hosts[0], ls.hosts[31]), Some(4));
+        assert_eq!(hops(&mut topo, ls.hosts[0], ls.hosts[31]), Some(4));
     }
 
     #[test]
@@ -807,9 +844,8 @@ mod tests {
         h
     }
 
-    /// Golden routing digests, captured on the eager all-pairs `Routes`
-    /// table before the router was rebuilt: any change to BFS distances,
-    /// choice-set order or the hop hash moves them.
+    /// Golden routing digests: any change to BFS distances, choice-set
+    /// order or the hop hash moves them.
     #[test]
     fn routing_digests_are_pinned() {
         let spec = DcLinkSpec::new(1e9, SimDuration::from_micros(20), 256_000);
@@ -849,18 +885,17 @@ mod proptests {
         pairs
     }
 
+    fn cfg() -> LinkConfig {
+        LinkConfig::bottleneck(1e9, SimDuration::from_micros(10), 64_000)
+    }
+
     fn build(n: usize, pairs: &[(u32, u32)]) -> Topology {
         let mut t = Topology::new();
         for _ in 0..n {
             t.add_switch();
         }
         for &(a, b) in pairs {
-            t.add_duplex(
-                NodeId(a),
-                NodeId(b),
-                LinkConfig::bottleneck(1e9, SimDuration::from_micros(10), 64_000),
-                LinkConfig::bottleneck(1e9, SimDuration::from_micros(10), 64_000),
-            );
+            t.add_duplex(NodeId(a), NodeId(b), cfg(), cfg());
         }
         t
     }
@@ -874,29 +909,102 @@ mod proptests {
         seq
     }
 
+    /// Reference hop count `src → dst`: a forward BFS over the alive nodes
+    /// in which only `src` and switches forward — the router's BFS runs
+    /// backwards from `dst`, so the two share no code.
+    fn ref_hops(t: &Topology, alive: &[bool], src: NodeId, dst: NodeId) -> Option<usize> {
+        if !alive[src.index()] || !alive[dst.index()] {
+            return None;
+        }
+        let mut hops = vec![None; t.num_nodes()];
+        hops[src.index()] = Some(0);
+        let mut frontier = VecDeque::from([src]);
+        while let Some(u) = frontier.pop_front() {
+            if u != src && t.kind(u) == NodeKind::Host {
+                continue;
+            }
+            for e in 0..t.num_edges() {
+                let (a, b) = t.edge_endpoints(EdgeId(e as u32));
+                if a == u && alive[b.index()] && hops[b.index()].is_none() {
+                    hops[b.index()] = hops[u.index()].map(|h| h + 1);
+                    frontier.push_back(b);
+                }
+            }
+        }
+        hops[dst.index()]
+    }
+
+    /// Set node liveness to `alive`, resolve `src → dst` and check the
+    /// result: present exactly when the reference BFS finds a route, of
+    /// its length, hop-connected, loop-free, through alive nodes only and
+    /// never through a host.
+    fn checked_path(
+        t: &mut Topology,
+        alive: &[bool],
+        src: NodeId,
+        dst: NodeId,
+        key: u64,
+    ) -> Option<Vec<EdgeId>> {
+        for (i, &a) in alive.iter().enumerate() {
+            t.router.set_alive(NodeId(i as u32), a);
+        }
+        let path = t.router.path(src, dst, key);
+        assert_eq!(
+            path.as_ref().map(Vec::len),
+            ref_hops(t, alive, src, dst),
+            "a path exists exactly when the alive subgraph connects the endpoints, and is shortest"
+        );
+        let mut cur = src;
+        let mut seen = std::collections::BTreeSet::from([src]);
+        for &e in path.iter().flatten() {
+            let (a, b) = t.edge_endpoints(e);
+            assert_eq!(a, cur, "hops are connected");
+            assert!(alive[b.index()], "dead nodes carry nothing");
+            assert!(seen.insert(b), "no node repeats");
+            assert!(
+                b == dst || t.kind(b) == NodeKind::Switch,
+                "hosts never transit"
+            );
+            cur = b;
+        }
+        assert!(path.is_none() || cur == dst, "path reaches its destination");
+        path
+    }
+
     proptest! {
-        /// Every computed path is loop-free, hop-connected, reaches its
-        /// destination, and has shortest length.
+        /// A random connected switch graph with hosts hung off it, with
+        /// every node alive and then with a random dead set: each resolved
+        /// path passes `checked_path`, and reviving every node brings the
+        /// original path back for the same key — what makes node repair
+        /// restore routing.
         #[test]
-        fn paths_are_loop_free_and_reach(
-            n in 2usize..16,
-            picks in proptest::collection::vec(0u64..u64::MAX, 1..24),
+        fn paths_are_shortest_loop_free_and_survive_node_failures(
+            n in 2usize..12,
+            picks in proptest::collection::vec(0u64..u64::MAX, 1..16),
+            homes in proptest::collection::vec(0u64..u64::MAX, 2..5),
+            dead in 0u64..u64::MAX,
             src in 0u64..16, dst in 0u64..16, key in 0u64..u64::MAX,
         ) {
-            let (src, dst) = (NodeId((src % n as u64) as u32), NodeId((dst % n as u64) as u32));
             let mut t = build(n, &random_connected(n, &picks));
-            let path = t.path_edges(src, dst, key);
-            prop_assert_eq!(path.len() as u32, t.routes().distance(src, dst).expect("connected"));
-            let mut cur = src;
-            let mut seen = std::collections::BTreeSet::new();
-            prop_assert!(seen.insert(cur));
-            for e in &path {
-                let (a, b) = t.edge_endpoints(*e);
-                prop_assert_eq!(a, cur, "hops are connected");
-                prop_assert!(seen.insert(b), "no node repeats");
-                cur = b;
+            for &h in &homes {
+                let host = t.add_host();
+                // Dual-homed when the two picks differ, so a host can sit on
+                // a shortcut between switches that it must not carry.
+                let mut homes = vec![h % n as u64, (h >> 20) % n as u64];
+                homes.dedup();
+                for s in homes {
+                    t.add_duplex(host, NodeId(s as u32), cfg(), cfg());
+                }
             }
-            prop_assert_eq!(cur, dst, "path reaches its destination");
+            let total = t.num_nodes();
+            let (src, dst) = (NodeId((src % total as u64) as u32), NodeId((dst % total as u64) as u32));
+            let all = vec![true; total];
+            let original = checked_path(&mut t, &all, src, dst, key);
+            prop_assert!(original.is_some(), "the graph is connected through switches");
+            // About one node in four dies.
+            let alive: Vec<bool> = (0..total).map(|i| (dead >> (2 * i)) & 3 != 0).collect();
+            checked_path(&mut t, &alive, src, dst, key);
+            prop_assert_eq!(checked_path(&mut t, &all, src, dst, key), original);
         }
 
         /// The ECMP choice is a function of (key, graph shape) only:

@@ -591,60 +591,6 @@ fn every_algorithm_moves_data_end_to_end() {
     }
 }
 
-/// Every registered algorithm certified on the off-path control plane:
-/// driven end-to-end with 1-RTT batched [`MeasurementReport`]s instead of
-/// per-ACK callbacks (`every_algorithm_moves_data_with_batched_reports`
-/// runs this exact list). A registered algorithm missing from this list
-/// fails `batched_conformance_list_matches_the_registry` below — and the
-/// in-repo `pcc-lint` L008 rule cross-checks the literal entries against
-/// every `register_*` call site, so the list cannot silently rot.
-const BATCHED_CONFORMANCE: &[&str] = &[
-    "bbr",
-    "bic",
-    "bic-paced",
-    "cubic",
-    "cubic-paced",
-    "hybla",
-    "hybla-paced",
-    "illinois",
-    "illinois-paced",
-    "newreno",
-    "newreno-paced",
-    "pcc",
-    "pcc-latency",
-    "pcc-lossresilient",
-    "pcc-simple",
-    "pcp",
-    "rate-then-window",
-    "reno",
-    "sabul",
-    "vegas",
-    "vegas-paced",
-    "westwood",
-    "westwood-paced",
-];
-
-#[test]
-fn batched_conformance_list_matches_the_registry() {
-    // Set equality, both directions: a newly registered algorithm must be
-    // added to BATCHED_CONFORMANCE (and thereby certified batched), and a
-    // removed one must be pruned from it.
-    use std::collections::BTreeSet;
-    let registered: BTreeSet<String> = all_names().into_iter().collect();
-    let listed: BTreeSet<String> = BATCHED_CONFORMANCE.iter().map(|s| s.to_string()).collect();
-    let missing: Vec<_> = registered.difference(&listed).collect();
-    let stale: Vec<_> = listed.difference(&registered).collect();
-    assert!(
-        missing.is_empty(),
-        "registered but not batched-certified (add to BATCHED_CONFORMANCE \
-         and make the batched battery pass): {missing:?}"
-    );
-    assert!(
-        stale.is_empty(),
-        "listed but no longer registered: {stale:?}"
-    );
-}
-
 #[test]
 fn every_algorithm_moves_data_with_batched_reports() {
     // The tentpole acceptance gate: the identical end-to-end scenario as
@@ -653,16 +599,19 @@ fn every_algorithm_moves_data_with_batched_reports() {
     // algorithm — including the rate→window mode switcher — must still
     // move a meaningful share of the link.
     use pcc::transport::cc::ReportMode;
-    pcc::install_registry();
+    let names = all_names();
+    assert!(
+        names.len() >= 23,
+        "the batched battery covers the whole registry: {names:?}"
+    );
     let rtt = SimDuration::from_millis(20);
-    for name in BATCHED_CONFORMANCE {
+    for name in names {
         let r = pcc::scenarios::run_dumbbell(
             LinkSetup::new(20e6, rtt, 75_000),
-            vec![pcc::scenarios::FlowPlan::new(
-                pcc::scenarios::Protocol::Named(name.to_string()),
-                rtt,
-            )
-            .reporting(ReportMode::batched_rtt())],
+            vec![
+                pcc::scenarios::FlowPlan::new(pcc::scenarios::Protocol::Named(name.clone()), rtt)
+                    .reporting(ReportMode::batched_rtt()),
+            ],
             SimTime::from_secs(4),
             17,
         );
