@@ -18,9 +18,9 @@
 //! equilibrium `x̂`.
 //!
 //! This module implements the model exactly and exposes the dynamics so the
-//! test-suite (and the `fluid_equilibrium` example) can verify both theorems
-//! numerically, including the paper's remark that convergence survives
-//! heterogeneous step rules (AIMD/MIMD mixes).
+//! test-suite can verify both theorems numerically, including the paper's
+//! remark that convergence survives heterogeneous step rules (AIMD/MIMD
+//! mixes).
 
 use crate::utility::sigmoid;
 

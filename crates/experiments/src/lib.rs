@@ -6,7 +6,7 @@
 //! experiment id (`fig05`, `table1`, ... or `all`).
 //!
 //! Durations are scaled down from the paper's (hours of testbed time) —
-//! every scaling decision is recorded in `EXPERIMENTS.md` at the repo root.
+//! each module's `scaled(opts, quick, full)` calls record the scaling.
 //! Pass `--full` for paper-scale durations.
 
 pub mod chaos;

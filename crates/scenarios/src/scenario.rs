@@ -14,8 +14,8 @@
 //! * each sender's RTT hint is its resolved path's
 //!   [`FlowPath::base_rtt`](pcc_simnet::topology::FlowPath::base_rtt) — the
 //!   sum of the configured propagation delays it crosses, both ways;
-//! * with a fault script, the plane snapshots the topology and registers
-//!   every static flow, so node failures re-route them.
+//! * with a fault script, the plane copies the topology's router and
+//!   registers every static flow, so node failures re-route them.
 
 use pcc_simnet::prelude::*;
 use pcc_transport::{FlowSize, ReportMode, SackReceiver};

@@ -304,9 +304,9 @@ impl Link {
 
     /// Offer a packet to the link at `now`.
     ///
-    /// Pure-delay links deliver directly: the caller should schedule an
-    /// arrival at the returned `start_tx` time (which doubles as the arrival
-    /// time for them; egress loss is still applied via [`Link::roll_loss`]).
+    /// Pure-delay links have nothing to serialize: they return
+    /// `start_tx: Some(now)` and the simulation takes the packet straight
+    /// through the egress sequence [`Link::tx_complete`] ends with.
     pub fn offer(&mut self, pkt: Packet, now: SimTime) -> LinkOutcome {
         self.stats.offered += 1;
         // A downed link black-holes everything offered to it; the drop is
@@ -369,24 +369,7 @@ impl Link {
         }
         self.stats.transmitted += 1;
         self.stats.transmitted_bytes += pkt.bytes as u64;
-        let egress_lost = self.roll_loss();
-        if egress_lost {
-            self.stats.egress_lost += 1;
-        }
-        // Fault rolls draw from their own derived streams *after* the
-        // link's loss roll, so activating a fault never shifts the link's
-        // base loss process.
-        let corrupted = !egress_lost && self.roll_corrupt();
-        let delivered = if egress_lost || corrupted {
-            None
-        } else {
-            let arrive = self.shape_arrival(now + self.delay);
-            Some((pkt, arrive))
-        };
-        let duplicate = match delivered {
-            Some(d) if self.roll_duplicate() => Some(d),
-            _ => None,
-        };
+        let res = self.egress(pkt, now);
         // Pull the next packet from the queue, if any.
         let next_tx_done = self.queue.dequeue(now).map(|next| {
             let done = now + tx_time(next.bytes as u64, rate);
@@ -394,28 +377,41 @@ impl Link {
             done
         });
         TxResult {
+            next_tx_done,
+            ..res
+        }
+    }
+
+    /// What leaves the link for a packet departing at `now`: the random
+    /// egress-loss roll (every hit counted in [`LinkStats::egress_lost`]),
+    /// a corruption roll only if it survived, the impairment stage on its
+    /// arrival time, and a duplication roll only if it is delivered.
+    /// [`Link::tx_complete`] ends with this; a pure-delay link has no
+    /// serialization to complete, so the simulation calls it straight after
+    /// [`Link::offer`]. `next_tx_done` is always `None` here.
+    pub(crate) fn egress(&mut self, pkt: Packet, now: SimTime) -> TxResult {
+        let egress_lost = self.rng.chance(self.loss);
+        if egress_lost {
+            self.stats.egress_lost += 1;
+        }
+        // Fault rolls draw from their own derived streams *after* the
+        // link's loss roll, so activating a fault never shifts the link's
+        // base loss process.
+        let fault = self.fault.as_deref_mut();
+        let corrupt = fault.and_then(|f| f.corrupt.as_mut());
+        let corrupted = !egress_lost && roll_fault(corrupt, &mut self.stats.fault_corrupted);
+        let delivered =
+            (!egress_lost && !corrupted).then(|| (pkt, self.shape_arrival(now + self.delay)));
+        let fault = self.fault.as_deref_mut();
+        let duplicate = fault.and_then(|f| f.duplicate.as_mut());
+        let duplicate =
+            delivered.filter(|_| roll_fault(duplicate, &mut self.stats.fault_duplicated));
+        TxResult {
             delivered,
             egress_lost,
             duplicate,
-            next_tx_done,
+            next_tx_done: None,
         }
-    }
-
-    /// Bernoulli egress-loss trial with the link's current loss probability.
-    pub fn roll_loss(&mut self) -> bool {
-        self.rng.chance(self.loss)
-    }
-
-    /// [`Link::roll_loss`], but a hit is also counted in
-    /// [`LinkStats::egress_lost`] — the accounting entry point the
-    /// simulation loop uses for pure-delay links, so no random loss is ever
-    /// silent.
-    pub fn roll_loss_counted(&mut self) -> bool {
-        let lost = self.roll_loss();
-        if lost {
-            self.stats.egress_lost += 1;
-        }
-        lost
     }
 
     /// True unless an injected fault has taken the link down.
@@ -458,55 +454,15 @@ impl Link {
         self.fault_state().duplicate = fault;
     }
 
-    /// Corruption trial for a packet about to be delivered; counts a hit in
-    /// [`LinkStats::fault_corrupted`]. Always false without an active
-    /// corruption fault.
-    pub fn roll_corrupt(&mut self) -> bool {
-        let hit = match self.fault.as_deref_mut().and_then(|f| f.corrupt.as_mut()) {
-            Some((prob, rng)) => {
-                let p = *prob;
-                rng.chance(p)
-            }
-            None => false,
-        };
-        if hit {
-            self.stats.fault_corrupted += 1;
-        }
-        hit
-    }
-
-    /// Duplication trial for a delivered packet; counts a hit in
-    /// [`LinkStats::fault_duplicated`]. Always false without an active
-    /// duplication fault.
-    pub fn roll_duplicate(&mut self) -> bool {
-        let hit = match self.fault.as_deref_mut().and_then(|f| f.duplicate.as_mut()) {
-            Some((prob, rng)) => {
-                let p = *prob;
-                rng.chance(p)
-            }
-            None => false,
-        };
-        if hit {
-            self.stats.fault_duplicated += 1;
-        }
-        hit
-    }
-
     fn fault_state(&mut self) -> &mut FaultState {
         self.fault
             .get_or_insert_with(|| Box::new(FaultState::new()))
     }
 
-    /// Arrival time through a pure-delay link (un-shaped; the simulation
-    /// loop applies [`Link::shape_arrival`] on top).
-    pub fn propagate(&self, now: SimTime) -> SimTime {
-        now + self.delay
-    }
-
     /// Run a delivery through the impairment stage: jitter and bounded
     /// reordering may move the nominal arrival time. Identity when no
     /// shaper is configured.
-    pub fn shape_arrival(&mut self, nominal: SimTime) -> SimTime {
+    fn shape_arrival(&mut self, nominal: SimTime) -> SimTime {
         match &mut self.shaper {
             Some(shaper) => {
                 let (arrive, reordered) = shaper.arrival(nominal);
@@ -541,6 +497,14 @@ impl Link {
     pub fn is_busy(&self) -> bool {
         self.in_flight.is_some()
     }
+}
+
+/// One trial of an injected per-packet fault on the fault's own stream; a
+/// hit is counted in `hits`. Always false while the fault is not active.
+fn roll_fault(fault: Option<&mut (f64, SimRng)>, hits: &mut u64) -> bool {
+    let hit = fault.is_some_and(|(prob, rng)| rng.chance(*prob));
+    *hits += hit as u64;
+    hit
 }
 
 #[cfg(test)]
@@ -629,10 +593,8 @@ mod tests {
         assert!(
             matches!(out, LinkOutcome::Accepted { start_tx: Some(t) } if t == SimTime::from_millis(5))
         );
-        assert_eq!(
-            l.propagate(SimTime::from_millis(5)),
-            SimTime::from_millis(30)
-        );
+        let res = l.egress(data(0), SimTime::from_millis(5));
+        assert_eq!(res.delivered.map(|d| d.1), Some(SimTime::from_millis(30)));
     }
 
     #[test]
@@ -640,7 +602,8 @@ mod tests {
         let mut l =
             mk_link(LinkConfig::bottleneck(1e9, SimDuration::ZERO, 1 << 20).with_loss(0.25));
         let n = 100_000;
-        let losses = (0..n).filter(|_| l.roll_loss()).count();
+        let lost = |_: &u32| l.egress(data(0), SimTime::ZERO).egress_lost;
+        let losses = (0..n).filter(lost).count();
         let rate = losses as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.01, "measured loss {rate}");
     }

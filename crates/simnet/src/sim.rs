@@ -10,7 +10,7 @@ use crate::endpoint::{Action, Endpoint, EndpointCtx};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultPlane;
 use crate::ids::{Direction, FlowId, LinkId, Side};
-use crate::link::{Link, LinkConfig, LinkOutcome, LinkStats};
+use crate::link::{Link, LinkConfig, LinkOutcome, LinkStats, TxResult};
 use crate::packet::Packet;
 use crate::queue::QueueStats;
 use crate::rng::SimRng;
@@ -142,6 +142,39 @@ struct FlowRuntime {
     churn: bool,
     /// Driver-owned tag echoed back on harvest.
     tag: u64,
+}
+
+impl FlowRuntime {
+    /// A flow that has sent nothing yet. `churn` is the driver's tag for a
+    /// driver-admitted flow, `None` for one registered with the builder.
+    fn new(spec: FlowSpec, sender_rng: SimRng, receiver_rng: SimRng, churn: Option<u64>) -> Self {
+        assert!(
+            !spec.fwd_path.is_empty() && !spec.rev_path.is_empty(),
+            "flow needs at least one link each way"
+        );
+        FlowRuntime {
+            sender: spec.sender,
+            receiver: spec.receiver,
+            fwd_path: spec.fwd_path,
+            rev_path: spec.rev_path,
+            start_at: spec.start_at,
+            sender_rng,
+            receiver_rng,
+            stats: FlowStats {
+                started_at: spec.start_at,
+                ..Default::default()
+            },
+            window_delivered_bytes: 0,
+            window_goodput_bytes: 0,
+            window_rtt_sum_ns: 0,
+            window_rtt_count: 0,
+            window_losses: 0,
+            last_rate_bps: 0.0,
+            finished: false,
+            churn: churn.is_some(),
+            tag: churn.unwrap_or(0),
+        }
+    }
 }
 
 /// One arena slot: a generation counter plus the current tenant, if any.
@@ -279,41 +312,11 @@ impl NetworkBuilder {
     /// Add a flow; returns its id.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
         let id = FlowId(self.flows.len() as u32);
-        assert!(
-            !spec.fwd_path.is_empty(),
-            "flow needs at least one forward link"
-        );
-        assert!(
-            !spec.rev_path.is_empty(),
-            "flow needs at least one reverse link"
-        );
         let sender_rng = self.rng.derive(0x534E_4400_0000 + id.0 as u64);
         let receiver_rng = self.rng.derive(0x5243_5600_0000 + id.0 as u64);
-        let stats = FlowStats {
-            started_at: spec.start_at,
-            ..Default::default()
-        };
         self.flows.push(FlowSlot {
             gen: 0,
-            rt: Some(FlowRuntime {
-                sender: spec.sender,
-                receiver: spec.receiver,
-                fwd_path: spec.fwd_path,
-                rev_path: spec.rev_path,
-                start_at: spec.start_at,
-                sender_rng,
-                receiver_rng,
-                stats,
-                window_delivered_bytes: 0,
-                window_goodput_bytes: 0,
-                window_rtt_sum_ns: 0,
-                window_rtt_count: 0,
-                window_losses: 0,
-                last_rate_bps: 0.0,
-                finished: false,
-                churn: false,
-                tag: 0,
-            }),
+            rt: Some(FlowRuntime::new(spec, sender_rng, receiver_rng, None)),
         });
         id
     }
@@ -502,14 +505,7 @@ impl Simulation {
                     self.events
                         .schedule_in(tx_lane(link), next, Event::TxComplete { link });
                 }
-                for (mut pkt, arrive_at) in [res.delivered, res.duplicate].into_iter().flatten() {
-                    pkt.hop += 1;
-                    self.events.schedule_in(
-                        prop_lane(link),
-                        arrive_at,
-                        Event::Arrive { packet: pkt },
-                    );
-                }
+                self.schedule_arrivals(link, &res);
             }
             Event::Arrive { packet } => {
                 self.route(packet);
@@ -616,10 +612,6 @@ impl Simulation {
     /// Allocate a slot (recycling the free list when possible) and start a
     /// driver-admitted flow right now.
     fn spawn_churn_flow(&mut self, flow: ChurnFlow) {
-        assert!(
-            !flow.fwd_path.is_empty() && !flow.rev_path.is_empty(),
-            "churn flow needs at least one link each way"
-        );
         let k = self.churn_seq;
         self.churn_seq += 1;
         self.churn.arrivals += 1;
@@ -629,28 +621,14 @@ impl Simulation {
         // tags disjoint from the builder's per-slot and per-link streams.
         let sender_rng = self.rng.derive(0x574C_5344_0000_0000_u64.wrapping_add(k));
         let receiver_rng = self.rng.derive(0x574C_5243_0000_0000_u64.wrapping_add(k));
-        let rt = FlowRuntime {
+        let spec = FlowSpec {
             sender: flow.sender,
             receiver: flow.receiver,
             fwd_path: flow.fwd_path,
             rev_path: flow.rev_path,
             start_at: self.now,
-            sender_rng,
-            receiver_rng,
-            stats: FlowStats {
-                started_at: self.now,
-                ..Default::default()
-            },
-            window_delivered_bytes: 0,
-            window_goodput_bytes: 0,
-            window_rtt_sum_ns: 0,
-            window_rtt_count: 0,
-            window_losses: 0,
-            last_rate_bps: 0.0,
-            finished: false,
-            churn: true,
-            tag: flow.tag,
         };
+        let rt = FlowRuntime::new(spec, sender_rng, receiver_rng, Some(flow.tag));
         let idx = match self.free_slots.pop() {
             Some(i) => {
                 self.churn.recycled += 1;
@@ -697,7 +675,7 @@ impl Simulation {
 
     /// Move `pkt` along its path: offer to the next link, or deliver to the
     /// destination endpoint if all links are traversed.
-    fn route(&mut self, mut pkt: Packet) {
+    fn route(&mut self, pkt: Packet) {
         let slot = &self.flows[pkt.flow.index()];
         let Some(flow) = slot.live() else {
             self.churn.stale_packets += 1;
@@ -719,28 +697,13 @@ impl Simulation {
         }
         let link_id = path[hop];
         let link = &mut self.links[link_id.index()];
-        if link.rate_bps().is_none() {
-            // Pure-delay link: police at ingress (offer also black-holes
-            // and accounts for downed links), apply counted loss, then
-            // propagate through the impairment stage. Fault rolls draw
-            // from their own streams after the loss roll.
-            if link.offer(pkt, self.now) == LinkOutcome::Dropped {
-                return;
-            }
-            if !link.roll_loss_counted() && !link.roll_corrupt() {
-                let at = link.shape_arrival(link.propagate(self.now));
-                pkt.hop += 1;
-                let lane = prop_lane(link_id);
-                self.events
-                    .schedule_in(lane, at, Event::Arrive { packet: pkt });
-                if link.roll_duplicate() {
-                    self.events
-                        .schedule_in(lane, at, Event::Arrive { packet: pkt });
-                }
-            }
-            return;
-        }
         match link.offer(pkt, self.now) {
+            // Pure-delay link: ingress (policing, downed-link black hole)
+            // is all `offer` does; the packet leaves at once.
+            LinkOutcome::Accepted { .. } if link.rate_bps().is_none() => {
+                let res = link.egress(pkt, self.now);
+                self.schedule_arrivals(link_id, &res);
+            }
             LinkOutcome::Accepted {
                 start_tx: Some(done),
             } => {
@@ -752,6 +715,16 @@ impl Simulation {
             }
             LinkOutcome::Accepted { start_tx: None } => {}
             LinkOutcome::Dropped => {}
+        }
+    }
+
+    /// Schedule what left `link` — the delivered packet, then its
+    /// fault-injected duplicate — to arrive at the next hop.
+    fn schedule_arrivals(&mut self, link: LinkId, res: &TxResult) {
+        for (mut pkt, arrive_at) in [res.delivered, res.duplicate].into_iter().flatten() {
+            pkt.hop += 1;
+            self.events
+                .schedule_in(prop_lane(link), arrive_at, Event::Arrive { packet: pkt });
         }
     }
 

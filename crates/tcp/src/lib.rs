@@ -52,12 +52,7 @@ pub use window::{CcAck, PacedWindowed, WindowAlgo, Windowed};
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::CongestionControl;
 use pcc_transport::registry::{self, CcParams, UnknownAlgorithm};
-use pcc_transport::spec::{ParamKind, ParamSpec, Schema};
-
-/// All baseline names, in the order used by reports.
-pub const ALL_VARIANTS: &[&str] = &[
-    "newreno", "cubic", "illinois", "hybla", "vegas", "bic", "westwood",
-];
+use pcc_transport::spec::{ParamKind, ParamSpec, Schema, SpecParams};
 
 /// CUBIC's spec parameters (`cubic:beta=0.7,c=0.4,iw=32`): the RFC 8312
 /// constants plus the initial window.
@@ -173,62 +168,84 @@ pub const WESTWOOD_SCHEMA: Schema = &[
     IW_PARAM,
 ];
 
-/// The spec schema a baseline (or its `-paced` variant) validates
-/// against.
-pub fn schema_for(variant: &str) -> Schema {
-    match variant {
-        "newreno" => NEWRENO_SCHEMA,
-        "cubic" => CUBIC_SCHEMA,
-        "illinois" => ILLINOIS_SCHEMA,
-        "hybla" => HYBLA_SCHEMA,
-        "vegas" => VEGAS_SCHEMA,
-        "bic" => BIC_SCHEMA,
-        "westwood" => WESTWOOD_SCHEMA,
-        _ => &[],
-    }
-}
+/// Builds a baseline from its validated spec keys and the initial window.
+type Build = fn(&SpecParams, f64) -> Box<dyn WindowAlgo>;
 
-fn algo_by_name(name: &str, params: &CcParams) -> Option<Box<dyn WindowAlgo>> {
-    let s = &params.spec;
-    let iw = s.f64("iw").unwrap_or(common::INITIAL_CWND);
-    Some(match name {
-        "newreno" | "reno" => Box::new(NewReno::with_iw(iw)),
-        "cubic" => Box::new(Cubic::with_params(
+/// Every baseline — name, spec schema, constructor — in the order used by
+/// reports. [`by_name_with`], [`schema_for`], the unknown-name error and
+/// [`register_algorithms`] all read this one table.
+const VARIANTS: &[(&str, Schema, Build)] = &[
+    ("newreno", NEWRENO_SCHEMA, |_, iw| {
+        Box::new(NewReno::with_iw(iw))
+    }),
+    ("cubic", CUBIC_SCHEMA, |s, iw| {
+        Box::new(Cubic::with_params(
             s.f64("beta").unwrap_or(cubic::DEFAULT_BETA),
             s.f64("c").unwrap_or(cubic::DEFAULT_C),
             iw,
-        )),
-        "illinois" => Box::new(Illinois::with_params(
+        ))
+    }),
+    ("illinois", ILLINOIS_SCHEMA, |s, iw| {
+        Box::new(Illinois::with_params(
             s.f64("alpha_max").unwrap_or(illinois::ALPHA_MAX),
             s.f64("beta_max").unwrap_or(illinois::BETA_MAX),
             iw,
-        )),
-        "hybla" => Box::new(Hybla::with_params(
+        ))
+    }),
+    ("hybla", HYBLA_SCHEMA, |s, iw| {
+        Box::new(Hybla::with_params(
             s.f64("rtt0_ms")
                 .map(|ms| SimDuration::from_secs_f64(ms / 1000.0))
                 .unwrap_or(hybla::RTT0),
             iw,
-        )),
-        "vegas" => Box::new(Vegas::with_params(
+        ))
+    }),
+    ("vegas", VEGAS_SCHEMA, |s, iw| {
+        Box::new(Vegas::with_params(
             s.f64("alpha").unwrap_or(vegas::DEFAULT_ALPHA_PKTS),
             s.f64("beta").unwrap_or(vegas::DEFAULT_BETA_PKTS),
             iw,
-        )),
-        "bic" => Box::new(Bic::with_params(s.f64("beta").unwrap_or(bic::BETA), iw)),
-        "westwood" => Box::new(Westwood::with_params(
+        ))
+    }),
+    ("bic", BIC_SCHEMA, |s, iw| {
+        Box::new(Bic::with_params(s.f64("beta").unwrap_or(bic::BETA), iw))
+    }),
+    ("westwood", WESTWOOD_SCHEMA, |s, iw| {
+        Box::new(Westwood::with_params(
             s.f64("gain").unwrap_or(westwood::DEFAULT_GAIN),
             iw,
-        )),
-        _ => return None,
-    })
+        ))
+    }),
+];
+
+fn variant(name: &str) -> Option<&'static (&'static str, Schema, Build)> {
+    VARIANTS.iter().find(|v| v.0 == name)
+}
+
+/// The spec schema a baseline (or its `-paced` variant) validates
+/// against.
+pub fn schema_for(variant_name: &str) -> Schema {
+    variant(variant_name).map_or(&[], |v| v.1)
+}
+
+/// Build the baseline and adapt it onto [`CongestionControl`], windowed or
+/// paced.
+fn construct(build: Build, paced: bool, params: &CcParams) -> Box<dyn CongestionControl> {
+    let iw = params.spec.f64("iw").unwrap_or(common::INITIAL_CWND);
+    let algo = build(&params.spec, iw);
+    if paced {
+        Box::new(PacedWindowed::new(algo, params))
+    } else {
+        Box::new(Windowed::new(algo))
+    }
 }
 
 fn unknown(name: &str) -> UnknownAlgorithm {
-    let mut known: Vec<String> = ALL_VARIANTS.iter().map(|v| v.to_string()).collect();
-    known.extend(ALL_VARIANTS.iter().map(|v| format!("{v}-paced")));
+    let plain = VARIANTS.iter().map(|v| v.0.to_string());
+    let paced = VARIANTS.iter().map(|v| format!("{}-paced", v.0));
     UnknownAlgorithm {
         name: name.to_string(),
-        known,
+        known: plain.chain(paced).collect(),
     }
 }
 
@@ -245,12 +262,13 @@ pub fn by_name_with(
     name: &str,
     params: &CcParams,
 ) -> Result<Box<dyn CongestionControl>, UnknownAlgorithm> {
-    if let Some(plain) = name.strip_suffix("-paced") {
-        let algo = algo_by_name(plain, params).ok_or_else(|| unknown(name))?;
-        return Ok(Box::new(PacedWindowed::new(algo, params)));
-    }
-    let algo = algo_by_name(name, params).ok_or_else(|| unknown(name))?;
-    Ok(Box::new(Windowed::new(algo)))
+    let (plain, paced) = match name.strip_suffix("-paced") {
+        Some(plain) => (plain, true),
+        None => (name, false),
+    };
+    let plain = if plain == "reno" { "newreno" } else { plain };
+    let &(_, _, build) = variant(plain).ok_or_else(|| unknown(name))?;
+    Ok(construct(build, paced, params))
 }
 
 /// Register every TCP baseline (and its `-paced` variant) with the
@@ -258,22 +276,19 @@ pub fn by_name_with(
 /// spec schema (see [`schema_for`] — `cubic:beta=0.7,iw=32` works on both
 /// the plain and `-paced` names). Idempotent.
 pub fn register_algorithms() {
-    for name in ALL_VARIANTS {
-        let plain = name.to_string();
-        registry::register_with_schema(
-            name,
-            schema_for(name),
-            Box::new(move |params| by_name_with(&plain, params).expect("variant list is static")),
-        );
-        let paced = format!("{name}-paced");
-        let paced_inner = paced.clone();
-        registry::register_with_schema(
-            &paced,
-            schema_for(name),
-            Box::new(move |params| {
-                by_name_with(&paced_inner, params).expect("variant list is static")
-            }),
-        );
+    for &(name, schema, build) in VARIANTS {
+        for paced in [false, true] {
+            let name = if paced {
+                format!("{name}-paced")
+            } else {
+                name.to_string()
+            };
+            registry::register_with_schema(
+                &name,
+                schema,
+                Box::new(move |params| construct(build, paced, params)),
+            );
+        }
     }
     registry::register_alias("reno", "newreno");
 }
@@ -284,13 +299,15 @@ mod tests {
 
     #[test]
     fn factory_covers_all_variants() {
-        for name in ALL_VARIANTS {
+        assert_eq!(VARIANTS.len(), 7);
+        for &(name, ..) in VARIANTS {
             let cc = by_name(name).unwrap_or_else(|_| panic!("missing {name}"));
-            assert_eq!(cc.name(), *name);
+            assert_eq!(cc.name(), name);
             let paced = by_name(&format!("{name}-paced"))
                 .unwrap_or_else(|_| panic!("missing {name}-paced"));
-            assert_eq!(paced.name(), *name);
+            assert_eq!(paced.name(), name);
         }
+        assert_eq!(by_name("reno").expect("alias").name(), "newreno");
     }
 
     #[test]
@@ -310,7 +327,7 @@ mod tests {
     fn registration_installs_all_names() {
         register_algorithms();
         let params = pcc_transport::registry::CcParams::default();
-        for name in ALL_VARIANTS {
+        for &(name, ..) in VARIANTS {
             assert!(
                 pcc_transport::registry::by_name(name, &params).is_ok(),
                 "{name} registered"
@@ -356,7 +373,7 @@ mod tests {
     #[test]
     fn every_variant_has_a_schema_with_iw() {
         // The ROADMAP PR 3 gap: all seven baselines now expose tunables.
-        for name in ALL_VARIANTS {
+        for &(name, ..) in VARIANTS {
             let schema = schema_for(name);
             assert!(
                 schema.iter().any(|p| p.key == "iw"),

@@ -302,6 +302,14 @@ impl CcSender {
         }
     }
 
+    /// Window for an algorithm that left one unset: what the pacing rate
+    /// keeps in flight over one smoothed RTT, at least two packets.
+    fn derived_cwnd(&self) -> f64 {
+        let srtt = self.rtt.srtt_or(SimDuration::from_millis(100));
+        let rate = self.rate_bps.unwrap_or(1.0);
+        (rate * srtt.as_secs_f64() / (self.mss() as f64 * 8.0)).max(2.0)
+    }
+
     fn pace_gap(&self) -> SimDuration {
         let rate = self.rate_bps.unwrap_or(1.0).max(1.0);
         SimDuration::from_secs_f64(self.mss() as f64 * 8.0 / rate)
@@ -356,15 +364,14 @@ impl CcSender {
     /// point in the same callback the engine derives one from the old
     /// point. The RTO floor keeps the convention chosen at `start()`.
     fn apply_mode(&mut self, mode: CcMode, ctx: &mut EndpointCtx) {
-        let srtt = self.rtt.srtt_or(SimDuration::from_millis(100));
-        let derived_cwnd = |rate: f64, mss: u32| -> f64 {
-            (rate * srtt.as_secs_f64() / (mss as f64 * 8.0)).max(2.0)
-        };
+        if mode != CcMode::Window && self.rate_bps.is_none() {
+            self.rate_bps = Some(self.derived_rate().max(1.0));
+        }
+        if mode != CcMode::Rate && self.cwnd_pkts.is_none() {
+            self.cwnd_pkts = Some(self.derived_cwnd());
+        }
         match mode {
             CcMode::Rate => {
-                if self.rate_bps.is_none() {
-                    self.rate_bps = Some(self.derived_rate().max(1.0));
-                }
                 self.cwnd_pkts = None;
                 self.recovery_point = None;
                 ctx.record_rate(self.rate_bps.unwrap_or(1.0));
@@ -372,10 +379,6 @@ impl CcSender {
                 self.wake_pacer(ctx);
             }
             CcMode::Window => {
-                if self.cwnd_pkts.is_none() {
-                    let rate = self.rate_bps.unwrap_or(1.0);
-                    self.cwnd_pkts = Some(derived_cwnd(rate, self.mss()));
-                }
                 self.rate_bps = None;
                 // Invalidate any in-flight pace tick.
                 self.pace_gen += 1;
@@ -385,13 +388,6 @@ impl CcSender {
                 self.arm_rto(ctx);
             }
             CcMode::Hybrid => {
-                if self.rate_bps.is_none() {
-                    self.rate_bps = Some(self.derived_rate().max(1.0));
-                }
-                if self.cwnd_pkts.is_none() {
-                    let rate = self.rate_bps.unwrap_or(1.0);
-                    self.cwnd_pkts = Some(derived_cwnd(rate, self.mss()));
-                }
                 self.report_rate(ctx);
                 self.wake_pacer(ctx);
                 self.arm_rto(ctx);
@@ -417,42 +413,24 @@ impl CcSender {
     /// was nothing to send.
     fn send_one(&mut self, ctx: &mut EndpointCtx) -> bool {
         // Skip retx entries that got acked (or un-lost) while queued.
-        while let Some(&seq) = self.retx_queue.front() {
-            if self.sb.is_acked(seq) || !self.sb.is_lost(seq) {
-                self.retx_queue.pop_front();
-                continue;
-            }
-            self.retx_queue.pop_front();
-            self.sb.on_send(seq, ctx.now, true);
-            ctx.send_data(seq, self.mss(), true);
-            let ev = SentEvent {
-                now: ctx.now,
-                seq,
-                bytes: self.mss(),
-                retx: true,
-                in_flight: self.sb.in_flight(),
-            };
-            if self.batched() {
-                self.agg.on_sent(&ev);
-            } else {
-                self.with_cc(ctx, |c, cc| c.on_sent(&ev, cc));
-            }
-            return true;
-        }
-        let next = self.sb.next_seq();
-        if self.cfg.transport.size.exhausted(next, self.mss()) {
+        let queued = std::iter::from_fn(|| self.retx_queue.pop_front())
+            .find(|&seq| !self.sb.is_acked(seq) && self.sb.is_lost(seq));
+        let retx = queued.is_some();
+        let seq = queued.unwrap_or(self.sb.next_seq());
+        if !retx && self.cfg.transport.size.exhausted(seq, self.mss()) {
             return false;
         }
-        self.sb.on_send(next, ctx.now, false);
-        match self.cc.probe_tag() {
-            Some(train) => ctx.send_probe(next, self.mss(), train),
-            None => ctx.send_data(next, self.mss(), false),
+        self.sb.on_send(seq, ctx.now, retx);
+        let probe = if retx { None } else { self.cc.probe_tag() };
+        match probe {
+            Some(train) => ctx.send_probe(seq, self.mss(), train),
+            None => ctx.send_data(seq, self.mss(), retx),
         }
         let ev = SentEvent {
             now: ctx.now,
-            seq: next,
+            seq,
             bytes: self.mss(),
-            retx: false,
+            retx,
             in_flight: self.sb.in_flight(),
         };
         if self.batched() {
@@ -614,13 +592,8 @@ impl CcSender {
             // plays the role of an RTO firing: it drives the consecutive-
             // timeout count (any progress resets it) and enforces the
             // dead-time budget.
-            self.timeouts_since_progress += 1;
-            if let Some(budget) = self.cfg.dead_time_budget {
-                let dark = ctx.now.saturating_since(self.last_progress_at);
-                if dark >= budget {
-                    self.stall(ctx, dark);
-                    return;
-                }
+            if self.timed_out(ctx) {
+                return;
             }
         }
         let ev = LossEvent {
@@ -694,25 +667,28 @@ impl CcSender {
         self.on_rto_fire(ctx);
     }
 
-    /// Abort the flow: the dead-time budget expired. All machinery halts
-    /// behind the `finished` flag (stale timers no-op); the stall and its
-    /// partial-progress statistics land in the flow's `FlowStats::stalled`.
-    fn stall(&mut self, ctx: &mut EndpointCtx, dark: SimDuration) {
-        self.finished = true;
-        ctx.stall(dark, self.timeouts_since_progress);
+    /// Count one more timeout without forward progress and enforce the
+    /// dead-time budget. True if the budget expired and the flow aborted:
+    /// all machinery halts behind the `finished` flag (stale timers no-op);
+    /// the stall and its partial-progress statistics land in the flow's
+    /// `FlowStats::stalled`.
+    fn timed_out(&mut self, ctx: &mut EndpointCtx) -> bool {
+        self.timeouts_since_progress += 1;
+        let dark = ctx.now.saturating_since(self.last_progress_at);
+        let stalled = self.cfg.dead_time_budget.is_some_and(|b| dark >= b);
+        if stalled {
+            self.finished = true;
+            ctx.stall(dark, self.timeouts_since_progress);
+        }
+        stalled
     }
 
     fn on_rto_fire(&mut self, ctx: &mut EndpointCtx) {
         if self.finished || (self.sb.in_flight() == 0 && self.retx_queue.is_empty()) {
             return;
         }
-        self.timeouts_since_progress += 1;
-        if let Some(budget) = self.cfg.dead_time_budget {
-            let dark = ctx.now.saturating_since(self.last_progress_at);
-            if dark >= budget {
-                self.stall(ctx, dark);
-                return;
-            }
+        if self.timed_out(ctx) {
+            return;
         }
         self.rto_backoff += 1;
         self.rto_fires += 1;
@@ -764,12 +740,8 @@ impl CcSender {
         self.rtt = fresh;
         let cwnd_before = self.cwnd_pkts;
         self.with_cc(ctx, |c, cc| c.on_resume(cc));
-        if let (Some(rate), Some(_)) = (self.rate_bps, self.cwnd_pkts) {
-            if self.cwnd_pkts == cwnd_before {
-                let srtt = self.rtt.srtt_or(SimDuration::from_millis(100));
-                let derived = (rate * srtt.as_secs_f64() / (self.mss() as f64 * 8.0)).max(2.0);
-                self.cwnd_pkts = Some(derived.min(self.cfg.max_cwnd_pkts));
-            }
+        if self.paced() && self.windowed() && self.cwnd_pkts == cwnd_before {
+            self.cwnd_pkts = Some(self.derived_cwnd().min(self.cfg.max_cwnd_pkts));
         }
         self.report_rate(ctx);
     }
@@ -850,21 +822,13 @@ impl CcSender {
         if self.windowed() {
             self.report_rate(ctx);
         }
-        if self.paced() {
-            self.wake_pacer(ctx);
-        } else {
-            self.try_send(ctx);
-        }
+        self.try_send(ctx);
     }
 
-    /// Out-of-cadence report (loss episode / timeout): emit now and
-    /// restart the cadence, invalidating the pending tick via generation.
+    /// Emit a report now and start the next interval: the cadence tick,
+    /// and the out-of-cadence report of a loss episode or timeout (which
+    /// invalidates the pending tick via generation).
     fn flush_report(&mut self, ctx: &mut EndpointCtx) {
-        self.emit_report(ctx);
-        self.arm_report(ctx);
-    }
-
-    fn on_report_tick(&mut self, ctx: &mut EndpointCtx) {
         self.emit_report(ctx);
         self.arm_report(ctx);
     }
@@ -998,11 +962,7 @@ impl Endpoint for CcSender {
             self.report_rate(ctx);
         }
         self.check_finished(ctx);
-        if self.paced() {
-            self.wake_pacer(ctx);
-        } else {
-            self.try_send(ctx);
-        }
+        self.try_send(ctx);
         if self.windowed() && out.newly_acked > 0 {
             self.arm_rto(ctx);
         }
@@ -1030,11 +990,7 @@ impl Endpoint for CcSender {
             }
             TOKEN_CTRL => {
                 self.with_cc(ctx, |c, cc| c.on_timer(gen, cc));
-                if self.paced() {
-                    self.wake_pacer(ctx);
-                } else {
-                    self.try_send(ctx);
-                }
+                self.try_send(ctx);
             }
             TOKEN_RTO => {
                 if gen == (self.rto_gen & TOKEN_GEN_MASK) {
@@ -1048,7 +1004,7 @@ impl Endpoint for CcSender {
             }
             TOKEN_REPORT => {
                 if gen == (self.report_gen & TOKEN_GEN_MASK) {
-                    self.on_report_tick(ctx);
+                    self.flush_report(ctx);
                 }
             }
             _ => debug_assert!(false, "unknown timer token"),
