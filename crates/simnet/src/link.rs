@@ -168,6 +168,16 @@ pub struct TxResult {
     pub next_tx_done: Option<SimTime>,
 }
 
+/// What [`Link::egress`] decided for one departing packet.
+pub(crate) struct Egress {
+    /// Killed by random egress loss.
+    pub(crate) lost: bool,
+    /// When it arrives at the next hop; `None` if lost or corrupted.
+    pub(crate) arrive: Option<SimTime>,
+    /// A fault-injected duplicate arrives with it.
+    pub(crate) duplicated: bool,
+}
+
 /// Per-link lifetime counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LinkStats {
@@ -369,7 +379,8 @@ impl Link {
         }
         self.stats.transmitted += 1;
         self.stats.transmitted_bytes += pkt.bytes as u64;
-        let res = self.egress(pkt, now);
+        let out = self.egress(now);
+        let delivered = out.arrive.map(|at| (pkt, at));
         // Pull the next packet from the queue, if any.
         let next_tx_done = self.queue.dequeue(now).map(|next| {
             let done = now + tx_time(next.bytes as u64, rate);
@@ -377,21 +388,23 @@ impl Link {
             done
         });
         TxResult {
+            delivered,
+            egress_lost: out.lost,
+            duplicate: delivered.filter(|_| out.duplicated),
             next_tx_done,
-            ..res
         }
     }
 
-    /// What leaves the link for a packet departing at `now`: the random
+    /// Decide the fate of a packet leaving the link at `now`: the random
     /// egress-loss roll (every hit counted in [`LinkStats::egress_lost`]),
     /// a corruption roll only if it survived, the impairment stage on its
     /// arrival time, and a duplication roll only if it is delivered.
     /// [`Link::tx_complete`] ends with this; a pure-delay link has no
     /// serialization to complete, so the simulation calls it straight after
-    /// [`Link::offer`]. `next_tx_done` is always `None` here.
-    pub(crate) fn egress(&mut self, pkt: Packet, now: SimTime) -> TxResult {
-        let egress_lost = self.rng.chance(self.loss);
-        if egress_lost {
+    /// [`Link::offer`].
+    pub(crate) fn egress(&mut self, now: SimTime) -> Egress {
+        let lost = self.rng.chance(self.loss);
+        if lost {
             self.stats.egress_lost += 1;
         }
         // Fault rolls draw from their own derived streams *after* the
@@ -399,18 +412,16 @@ impl Link {
         // base loss process.
         let fault = self.fault.as_deref_mut();
         let corrupt = fault.and_then(|f| f.corrupt.as_mut());
-        let corrupted = !egress_lost && roll_fault(corrupt, &mut self.stats.fault_corrupted);
-        let delivered =
-            (!egress_lost && !corrupted).then(|| (pkt, self.shape_arrival(now + self.delay)));
+        let corrupted = !lost && roll_fault(corrupt, &mut self.stats.fault_corrupted);
+        let arrive = (!lost && !corrupted).then(|| self.shape_arrival(now + self.delay));
         let fault = self.fault.as_deref_mut();
         let duplicate = fault.and_then(|f| f.duplicate.as_mut());
-        let duplicate =
-            delivered.filter(|_| roll_fault(duplicate, &mut self.stats.fault_duplicated));
-        TxResult {
-            delivered,
-            egress_lost,
-            duplicate,
-            next_tx_done: None,
+        let duplicated =
+            arrive.is_some() && roll_fault(duplicate, &mut self.stats.fault_duplicated);
+        Egress {
+            lost,
+            arrive,
+            duplicated,
         }
     }
 
@@ -593,8 +604,8 @@ mod tests {
         assert!(
             matches!(out, LinkOutcome::Accepted { start_tx: Some(t) } if t == SimTime::from_millis(5))
         );
-        let res = l.egress(data(0), SimTime::from_millis(5));
-        assert_eq!(res.delivered.map(|d| d.1), Some(SimTime::from_millis(30)));
+        let out = l.egress(SimTime::from_millis(5));
+        assert_eq!(out.arrive, Some(SimTime::from_millis(30)));
     }
 
     #[test]
@@ -602,8 +613,7 @@ mod tests {
         let mut l =
             mk_link(LinkConfig::bottleneck(1e9, SimDuration::ZERO, 1 << 20).with_loss(0.25));
         let n = 100_000;
-        let lost = |_: &u32| l.egress(data(0), SimTime::ZERO).egress_lost;
-        let losses = (0..n).filter(lost).count();
+        let losses = (0..n).filter(|_| l.egress(SimTime::ZERO).lost).count();
         let rate = losses as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.01, "measured loss {rate}");
     }

@@ -10,7 +10,7 @@ use crate::endpoint::{Action, Endpoint, EndpointCtx};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultPlane;
 use crate::ids::{Direction, FlowId, LinkId, Side};
-use crate::link::{Link, LinkConfig, LinkOutcome, LinkStats, TxResult};
+use crate::link::{Link, LinkConfig, LinkOutcome, LinkStats};
 use crate::packet::Packet;
 use crate::queue::QueueStats;
 use crate::rng::SimRng;
@@ -505,7 +505,14 @@ impl Simulation {
                     self.events
                         .schedule_in(tx_lane(link), next, Event::TxComplete { link });
                 }
-                self.schedule_arrivals(link, &res);
+                for (mut pkt, arrive_at) in [res.delivered, res.duplicate].into_iter().flatten() {
+                    pkt.hop += 1;
+                    self.events.schedule_in(
+                        prop_lane(link),
+                        arrive_at,
+                        Event::Arrive { packet: pkt },
+                    );
+                }
             }
             Event::Arrive { packet } => {
                 self.route(packet);
@@ -675,7 +682,7 @@ impl Simulation {
 
     /// Move `pkt` along its path: offer to the next link, or deliver to the
     /// destination endpoint if all links are traversed.
-    fn route(&mut self, pkt: Packet) {
+    fn route(&mut self, mut pkt: Packet) {
         let slot = &self.flows[pkt.flow.index()];
         let Some(flow) = slot.live() else {
             self.churn.stale_packets += 1;
@@ -697,13 +704,27 @@ impl Simulation {
         }
         let link_id = path[hop];
         let link = &mut self.links[link_id.index()];
-        match link.offer(pkt, self.now) {
-            // Pure-delay link: ingress (policing, downed-link black hole)
-            // is all `offer` does; the packet leaves at once.
-            LinkOutcome::Accepted { .. } if link.rate_bps().is_none() => {
-                let res = link.egress(pkt, self.now);
-                self.schedule_arrivals(link_id, &res);
+        if link.rate_bps().is_none() {
+            // Pure-delay link: ingress (policing, the downed-link black
+            // hole) is all `offer` does, and with nothing to serialize the
+            // packet leaves at once.
+            if link.offer(pkt, self.now) == LinkOutcome::Dropped {
+                return;
             }
+            let out = link.egress(self.now);
+            if let Some(at) = out.arrive {
+                pkt.hop += 1;
+                let lane = prop_lane(link_id);
+                self.events
+                    .schedule_in(lane, at, Event::Arrive { packet: pkt });
+                if out.duplicated {
+                    self.events
+                        .schedule_in(lane, at, Event::Arrive { packet: pkt });
+                }
+            }
+            return;
+        }
+        match link.offer(pkt, self.now) {
             LinkOutcome::Accepted {
                 start_tx: Some(done),
             } => {
@@ -715,16 +736,6 @@ impl Simulation {
             }
             LinkOutcome::Accepted { start_tx: None } => {}
             LinkOutcome::Dropped => {}
-        }
-    }
-
-    /// Schedule what left `link` — the delivered packet, then its
-    /// fault-injected duplicate — to arrive at the next hop.
-    fn schedule_arrivals(&mut self, link: LinkId, res: &TxResult) {
-        for (mut pkt, arrive_at) in [res.delivered, res.duplicate].into_iter().flatten() {
-            pkt.hop += 1;
-            self.events
-                .schedule_in(prop_lane(link), arrive_at, Event::Arrive { packet: pkt });
         }
     }
 

@@ -654,11 +654,10 @@ mod tests {
 
     /// The distinct first-hop edges flows `a → b` take over 64 keys: the
     /// ECMP choice set at `a`.
-    fn first_hops(t: &mut Topology, a: NodeId, b: NodeId) -> Vec<EdgeId> {
-        let hops: std::collections::BTreeSet<EdgeId> = (0..64)
+    fn first_hops(t: &mut Topology, a: NodeId, b: NodeId) -> std::collections::BTreeSet<EdgeId> {
+        (0..64)
             .map(|f| t.path_edges(a, b, ecmp_key(9, f))[0])
-            .collect();
-        hops.into_iter().collect()
+            .collect()
     }
 
     #[test]
@@ -695,7 +694,7 @@ mod tests {
         assert_eq!(hops(&mut t, s1, s2), Some(2));
         let first = first_hops(&mut t, s1, s2);
         assert_eq!(first.len(), 1, "only the switch path is usable");
-        assert_eq!(t.edge_endpoints(first[0]).1, x);
+        assert_eq!(first.first().map(|&e| t.edge_endpoints(e).1), Some(x));
         // h itself can still originate and sink traffic.
         assert_eq!(hops(&mut t, h, s2), Some(1));
         assert_eq!(hops(&mut t, s2, h), Some(1));

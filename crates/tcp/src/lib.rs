@@ -171,10 +171,13 @@ pub const WESTWOOD_SCHEMA: Schema = &[
 /// Builds a baseline from its validated spec keys and the initial window.
 type Build = fn(&SpecParams, f64) -> Box<dyn WindowAlgo>;
 
-/// Every baseline — name, spec schema, constructor — in the order used by
-/// reports. [`by_name_with`], [`schema_for`], the unknown-name error and
-/// [`register_algorithms`] all read this one table.
-const VARIANTS: &[(&str, Schema, Build)] = &[
+/// One baseline: name, spec schema, constructor.
+type Variant = (&'static str, Schema, Build);
+
+/// Every baseline, in the order used by reports. [`by_name_with`],
+/// [`schema_for`], the unknown-name error and [`register_algorithms`] all
+/// read this one table.
+const VARIANTS: &[Variant] = &[
     ("newreno", NEWRENO_SCHEMA, |_, iw| {
         Box::new(NewReno::with_iw(iw))
     }),
@@ -218,7 +221,7 @@ const VARIANTS: &[(&str, Schema, Build)] = &[
     }),
 ];
 
-fn variant(name: &str) -> Option<&'static (&'static str, Schema, Build)> {
+fn variant(name: &str) -> Option<&'static Variant> {
     VARIANTS.iter().find(|v| v.0 == name)
 }
 

@@ -413,13 +413,23 @@ impl CcSender {
     /// was nothing to send.
     fn send_one(&mut self, ctx: &mut EndpointCtx) -> bool {
         // Skip retx entries that got acked (or un-lost) while queued.
-        let queued = std::iter::from_fn(|| self.retx_queue.pop_front())
-            .find(|&seq| !self.sb.is_acked(seq) && self.sb.is_lost(seq));
-        let retx = queued.is_some();
-        let seq = queued.unwrap_or(self.sb.next_seq());
-        if !retx && self.cfg.transport.size.exhausted(seq, self.mss()) {
-            return false;
+        let mut queued = None;
+        while let Some(seq) = self.retx_queue.pop_front() {
+            if !self.sb.is_acked(seq) && self.sb.is_lost(seq) {
+                queued = Some(seq);
+                break;
+            }
         }
+        let (seq, retx) = match queued {
+            Some(seq) => (seq, true),
+            None => {
+                let next = self.sb.next_seq();
+                if self.cfg.transport.size.exhausted(next, self.mss()) {
+                    return false;
+                }
+                (next, false)
+            }
+        };
         self.sb.on_send(seq, ctx.now, retx);
         let probe = if retx { None } else { self.cc.probe_tag() };
         match probe {
