@@ -515,6 +515,72 @@ mod tests {
     }
 
     #[test]
+    fn golden_fingerprints_pin_both_feedback_paths() {
+        // What crosses the `CongestionControl` seam, pinned per algorithm
+        // family: the four algorithms with a report estimator of their own
+        // on forced 1-RTT batched reports, the natively batched mode
+        // switcher on its own cadence, and a per-ACK PCC run whose monitor
+        // closes ~275 intervals by deadline write-off (1 ms RTT: a lost
+        // retransmission waits out the engine's 10 ms RTO floor, past the
+        // 2.5-SRTT deadline; 2% loss each way).
+        use crate::chaos::report_fingerprint;
+
+        let rtt = SimDuration::from_millis(30);
+        let short = SimDuration::from_millis(1);
+        let setup = LinkSetup::new(50e6, rtt, 187_500);
+        let lossy = LinkSetup::new(100e6, short, 15_000)
+            .with_loss(0.02)
+            .with_ack_loss(0.02);
+        let named = |name: &str| Protocol::Named(name.into());
+        let run = |setup, plan| {
+            report_fingerprint(&run_dumbbell(setup, vec![plan], SimTime::from_secs(8), 42).report)
+        };
+        let batched = |name| FlowPlan::new(named(name), rtt).reporting(ReportMode::batched_rtt());
+        let golden = [
+            (
+                "pcc batched",
+                run(setup, batched("pcc")),
+                0x324e_75ae_c643_c0cf,
+            ),
+            (
+                "bbr batched",
+                run(setup, batched("bbr")),
+                0x2199_7b56_53ce_9149,
+            ),
+            (
+                "pcp batched",
+                run(setup, batched("pcp")),
+                0x60ea_870f_9d8f_94f3,
+            ),
+            (
+                "sabul batched",
+                run(setup, batched("sabul")),
+                0x8245_b5ef_1f97_d32b,
+            ),
+            (
+                "rate-then-window native",
+                run(setup, FlowPlan::new(named("rate-then-window"), rtt)),
+                0xbe5b_ec96_1730_46b5,
+            ),
+            (
+                "pcc per-ack deadline write-offs",
+                run(lossy, FlowPlan::new(Protocol::pcc_default(short), short)),
+                0x8090_82c0_b61e_1168,
+            ),
+        ];
+        let moved: Vec<String> = golden
+            .iter()
+            .filter(|(_, got, want)| got != want)
+            .map(|(name, got, want)| format!("{name}: {got:#018x}, pinned {want:#018x}"))
+            .collect();
+        assert!(
+            moved.is_empty(),
+            "fingerprints moved:\n{}",
+            moved.join("\n")
+        );
+    }
+
+    #[test]
     fn completed_flows_are_silent() {
         // A finished sender's controller must stop with it: once both
         // sized flows complete, a 30 s horizon costs only the sampling
