@@ -839,7 +839,6 @@ mod tests {
         let mut dead = mk_report(t, end, 0, 0);
         dead.timeouts = 1;
         dead.lost_pkts = 2;
-        dead.lost_bytes = 2 * MSS as u64;
         dead.loss_events = 1;
         dead.new_loss_episode = true;
         h.report(&dead);

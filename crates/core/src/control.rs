@@ -123,7 +123,7 @@ pub struct PccController {
     /// (the re-align trick already advanced the pipeline).
     mi_begun: bool,
     /// Batched mode: previous report's average RTT (latency-gradient
-    /// chaining, mirroring the monitor's `last_avg_rtt`).
+    /// chaining; the monitor keeps its own for the per-ACK path).
     prev_avg_rtt: Option<SimDuration>,
 }
 
@@ -604,53 +604,6 @@ impl PccController {
         self.enter_decision(self.cfg.eps_min, ctx);
     }
 
-    /// Translate one report window into the monitor's [`MiMetrics`]
-    /// vocabulary. The formulas mirror `Monitor`'s exactly (send rate =
-    /// sent bytes over the window, spacing-based delivery rate, loss over
-    /// sent, genuine-sample RTT mean; see the parity tests in
-    /// `pcc_transport::report`), so where an MI boundary coincides with a
-    /// report boundary the two paths compute identical utilities.
-    fn metrics_from_report(
-        &mut self,
-        id: u64,
-        target_rate: f64,
-        rep: &MeasurementReport,
-    ) -> MiMetrics {
-        let secs = rep.span().as_secs_f64().max(1e-9);
-        let avg_rtt = if rep.rtt_samples == 0 {
-            self.prev_avg_rtt.unwrap_or(SimDuration::from_millis(100))
-        } else {
-            rep.mean_rtt()
-        };
-        let min_rtt = if rep.min_rtt.is_zero() {
-            avg_rtt
-        } else {
-            rep.min_rtt
-        };
-        let m = MiMetrics {
-            mi_id: id,
-            target_rate_bps: target_rate,
-            send_rate_bps: rep.sent_bytes as f64 * 8.0 / secs,
-            throughput_bps: rep.delivery_rate_bps(),
-            loss_rate: if rep.sent_pkts == 0 {
-                0.0
-            } else {
-                rep.lost_pkts as f64 / rep.sent_pkts as f64
-            },
-            avg_rtt,
-            prev_avg_rtt: self.prev_avg_rtt,
-            min_rtt,
-            rtt_slope: rep.rtt_slope().unwrap_or(0.0),
-            duration: rep.span(),
-            started_at: rep.start,
-            sent: rep.sent_pkts,
-            acked: rep.acked_pkts,
-            lost: rep.lost_pkts,
-        };
-        self.prev_avg_rtt = Some(avg_rtt);
-        m
-    }
-
     /// Rate of starting step `k` assuming pure doubling from the current
     /// overshoot position (used when the step's purpose is gone).
     fn rate_of_start_step(&self, step: u32) -> f64 {
@@ -834,7 +787,9 @@ impl CongestionControl for PccController {
         // (results lag ≈1 RTT, §3.1); judge it now.
         if self.pending_mis.len() >= 2 {
             if let Some((id, rate)) = self.pending_mis.pop_front() {
-                let m = self.metrics_from_report(id, rate, rep);
+                let min_rtt = (!rep.min_rtt.is_zero()).then_some(rep.min_rtt);
+                let m = MiMetrics::from_report(id, rate, rep, self.prev_avg_rtt, min_rtt);
+                self.prev_avg_rtt = Some(m.avg_rtt);
                 self.on_mi_complete(&m, ctx);
             }
         }
@@ -1219,7 +1174,6 @@ mod tests {
             acked_pkts: acked,
             acked_bytes: acked * 1500,
             lost_pkts: lost,
-            lost_bytes: lost * 1500,
             loss_events: u32::from(lost > 0),
             new_loss_episode: lost > 0,
             rtt_min: (acked > 0).then_some(rtt),
@@ -1297,98 +1251,6 @@ mod tests {
         // ≥ the 10-packet MI floor at this rate, and bounded by the RTT
         // multiple rule — i.e. a genuine mi_duration, not a default.
         assert!(next > SimDuration::from_millis(50), "interval {next:?}");
-    }
-
-    #[test]
-    fn batched_metrics_match_the_monitor_where_boundaries_align() {
-        use crate::monitor::Monitor;
-        use crate::utility::UtilityFunction;
-        use pcc_transport::report::ReportAggregator;
-
-        let rtt = SimDuration::from_millis(30);
-        let t0 = SimTime::ZERO;
-        let t_end = SimTime::from_millis(60);
-        let target = 4e6;
-        // Identical traffic through both measurement paths: 20 packets,
-        // the first 18 delivered (30 ms RTT, arrivals evenly spread), the
-        // last 2 lost.
-        let mut mon = Monitor::new();
-        mon.begin(t0, target, SimDuration::from_millis(50));
-        let mut agg = ReportAggregator::default();
-        agg.begin(t0);
-        for seq in 0..20u64 {
-            let at = t0 + SimDuration::from_millis(seq * 2);
-            mon.on_sent(seq, 1500);
-            agg.on_sent(&SentEvent {
-                now: at,
-                seq,
-                bytes: 1500,
-                retx: false,
-                in_flight: seq + 1,
-            });
-        }
-        for seq in 0..18u64 {
-            let recv = t0 + SimDuration::from_millis(2 + seq * 3);
-            mon.on_ack(seq, rtt, recv);
-            agg.on_ack(&AckEvent {
-                now: recv,
-                seq,
-                rtt,
-                sampled: true,
-                srtt: rtt,
-                min_rtt: rtt,
-                max_rtt: rtt,
-                recv_at: recv,
-                probe_train: None,
-                of_retx: false,
-                cum_ack: seq + 1,
-                newly_acked: 1,
-                in_flight: 20 - seq,
-                mss: 1500,
-                in_recovery: false,
-            });
-        }
-        let lost = [18u64, 19];
-        for &seq in &lost {
-            mon.on_loss(seq);
-        }
-        agg.on_loss(&LossEvent {
-            now: t_end,
-            seqs: &lost,
-            kind: LossKind::Detected,
-            new_episode: true,
-            in_flight: 2,
-            mss: 1500,
-        });
-        // Close both windows at the same instant.
-        mon.begin(t_end, target, SimDuration::from_millis(50));
-        let out = mon.poll(t_end + SimDuration::from_secs(1));
-        let m_mon = out.first().expect("monitor published the MI");
-        let mut rep = agg.take(t_end);
-        rep.srtt = rtt;
-        rep.min_rtt = rtt;
-        rep.mss = 1500;
-        let mut ctrl = PccController::new(cfg());
-        let m_rep = ctrl.metrics_from_report(m_mon.mi_id, target, &rep);
-        assert!(
-            (m_rep.send_rate_bps - m_mon.send_rate_bps).abs() < 1e-6,
-            "x: {} vs {}",
-            m_rep.send_rate_bps,
-            m_mon.send_rate_bps
-        );
-        assert!(
-            (m_rep.throughput_bps - m_mon.throughput_bps).abs() < 1e-6,
-            "T: {} vs {}",
-            m_rep.throughput_bps,
-            m_mon.throughput_bps
-        );
-        assert!((m_rep.loss_rate - m_mon.loss_rate).abs() < 1e-12);
-        assert_eq!(m_rep.avg_rtt, m_mon.avg_rtt);
-        assert!((m_rep.rtt_slope - m_mon.rtt_slope).abs() < 1e-12);
-        assert_eq!(m_rep.duration, m_mon.duration);
-        // Same metrics ⇒ bit-identical utility.
-        let u = crate::utility::SafeSigmoid::default();
-        assert_eq!(u.utility(&m_rep), u.utility(m_mon));
     }
 
     #[test]

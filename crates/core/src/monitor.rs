@@ -17,104 +17,27 @@ use std::collections::VecDeque;
 
 use pcc_simnet::time::{SimDuration, SimTime};
 
+use pcc_transport::report::MeasurementReport;
+
 use crate::utility::MiMetrics;
 
+/// One monitor interval: the report it fills, plus what only the monitor
+/// knows about it.
 #[derive(Clone, Debug)]
 struct MiState {
     id: u64,
     target_rate_bps: f64,
-    started_at: SimTime,
-    ended_at: Option<SimTime>,
+    /// When unresolved packets are written off (set when the MI ends).
     deadline: SimTime,
-    sent: u64,
-    sent_bytes: u64,
-    acked: u64,
-    acked_bytes: u64,
-    lost: u64,
-    rtt_sum_ns: u64,
-    rtt_n: u64,
-    /// Receiver-side arrival times of this MI's first and last ACKed
-    /// packets (for span-based delivery-rate measurement).
-    first_ack_recv: Option<SimTime>,
-    last_ack_recv: Option<SimTime>,
-    /// RTTs of the first and last ACKed packets (for the per-MI RTT
-    /// slope, the queue-growth observable).
-    first_ack_rtt: Option<SimDuration>,
-    last_ack_rtt: Option<SimDuration>,
+    /// The measurement record. The monitor fills the event-sourced fields
+    /// the metrics read: `start`/`end`, the sent/acked/lost sums, the RTT
+    /// sum and count, and the first/last *timed* ack's arrival and RTT.
+    rep: MeasurementReport,
 }
 
 impl MiState {
     fn resolved(&self) -> bool {
-        self.acked + self.lost >= self.sent
-    }
-
-    fn metrics(
-        &self,
-        prev_avg_rtt: Option<SimDuration>,
-        min_rtt: Option<SimDuration>,
-    ) -> MiMetrics {
-        let ended = self.ended_at.expect("metrics of ended MI");
-        let duration = ended.saturating_since(self.started_at);
-        let secs = duration.as_secs_f64().max(1e-9);
-        let unresolved = self.sent.saturating_sub(self.acked + self.lost);
-        let lost = self.lost + unresolved;
-        // Delivered rate: prefer the receiver-side ACK-arrival span (the
-        // true drain rate); measuring `acked_bytes / Tm` alone inflates
-        // above link capacity when overdriving, because ACKs of an
-        // overshooting MI keep arriving after the MI ends — which would
-        // make "send faster into the buffer" look like higher throughput.
-        let duration_rate = self.acked_bytes as f64 * 8.0 / secs;
-        let throughput_bps = match (self.first_ack_recv, self.last_ack_recv) {
-            (Some(first), Some(last)) if self.acked >= 2 && last > first => {
-                let span = last.saturating_since(first).as_secs_f64();
-                let per_pkt = self.acked_bytes as f64 / self.acked as f64;
-                let span_rate = (self.acked as f64 - 1.0) * per_pkt * 8.0 / span;
-                span_rate.min(duration_rate)
-            }
-            _ => duration_rate,
-        };
-        // Per-MI RTT slope (seconds of RTT per second of wall time): the
-        // within-interval queue-growth signal. A standing queue hides rate
-        // overshoot from *level* comparisons (both ±ε trials average the
-        // same RTT), but the slope differs by 2ε·x between trials no matter
-        // how deep the queue already is.
-        let rtt_slope = match (
-            self.first_ack_recv,
-            self.last_ack_recv,
-            self.first_ack_rtt,
-            self.last_ack_rtt,
-        ) {
-            (Some(t0), Some(t1), Some(r0), Some(r1)) if t1 > t0 => {
-                let dt = t1.saturating_since(t0).as_secs_f64();
-                (r1.as_secs_f64() - r0.as_secs_f64()) / dt
-            }
-            _ => 0.0,
-        };
-        let avg_rtt = self
-            .rtt_sum_ns
-            .checked_div(self.rtt_n)
-            .map(SimDuration::from_nanos)
-            .unwrap_or_else(|| prev_avg_rtt.unwrap_or(SimDuration::from_millis(100)));
-        MiMetrics {
-            mi_id: self.id,
-            min_rtt: min_rtt.unwrap_or(avg_rtt),
-            target_rate_bps: self.target_rate_bps,
-            send_rate_bps: self.sent_bytes as f64 * 8.0 / secs,
-            throughput_bps,
-            loss_rate: if self.sent == 0 {
-                0.0
-            } else {
-                lost as f64 / self.sent as f64
-            },
-            avg_rtt,
-            prev_avg_rtt,
-            rtt_slope,
-            duration,
-            started_at: self.started_at,
-            sent: self.sent,
-            acked: self.acked,
-            lost,
-        }
+        self.rep.acked_pkts + self.rep.lost_pkts >= self.rep.sent_pkts
     }
 }
 
@@ -254,20 +177,11 @@ impl Monitor {
         self.current = Some(MiState {
             id,
             target_rate_bps,
-            started_at: now,
-            ended_at: None,
             deadline: SimTime::MAX,
-            sent: 0,
-            sent_bytes: 0,
-            acked: 0,
-            acked_bytes: 0,
-            lost: 0,
-            rtt_sum_ns: 0,
-            rtt_n: 0,
-            first_ack_recv: None,
-            last_ack_recv: None,
-            first_ack_rtt: None,
-            last_ack_rtt: None,
+            rep: MeasurementReport {
+                start: now,
+                ..Default::default()
+            },
         });
         id
     }
@@ -276,7 +190,7 @@ impl Monitor {
     /// off as lost if still unresolved at `now + deadline_slack`.
     pub fn end_current(&mut self, now: SimTime, deadline_slack: SimDuration) {
         if let Some(mut mi) = self.current.take() {
-            mi.ended_at = Some(now);
+            mi.rep.end = now;
             mi.deadline = now + deadline_slack;
             self.pending.push_back(mi);
         }
@@ -289,12 +203,12 @@ impl Monitor {
 
     /// When the active MI started.
     pub fn current_started_at(&self) -> Option<SimTime> {
-        self.current.as_ref().map(|m| m.started_at)
+        self.current.as_ref().map(|m| m.rep.start)
     }
 
     /// Packets sent in the active MI so far.
     pub fn current_sent(&self) -> u64 {
-        self.current.as_ref().map(|m| m.sent).unwrap_or(0)
+        self.current.as_ref().map_or(0, |m| m.rep.sent_pkts)
     }
 
     /// Attribute a transmission to the active MI.
@@ -303,8 +217,8 @@ impl Monitor {
             debug_assert!(false, "sent packet outside any MI");
             return;
         };
-        cur.sent += 1;
-        cur.sent_bytes += bytes as u64;
+        cur.rep.sent_pkts += 1;
+        cur.rep.sent_bytes += bytes as u64;
         self.seq_mi.insert(seq, SeqInfo { mi: cur.id, bytes });
     }
 
@@ -331,16 +245,17 @@ impl Monitor {
             return; // duplicate ACK or MI already force-completed
         };
         if let Some(mi) = self.mi_mut(info.mi) {
-            mi.acked += 1;
-            mi.acked_bytes += info.bytes as u64;
-            mi.rtt_sum_ns += rtt.as_nanos();
-            mi.rtt_n += 1;
-            if mi.first_ack_recv.is_none() {
-                mi.first_ack_recv = Some(recv_at);
-                mi.first_ack_rtt = Some(rtt);
+            let rep = &mut mi.rep;
+            rep.acked_pkts += 1;
+            rep.acked_bytes += info.bytes as u64;
+            rep.rtt_sum_ns += rtt.as_nanos() as u128;
+            rep.rtt_samples += 1;
+            if rep.first_recv.is_none() {
+                rep.first_recv = Some(recv_at);
+                rep.first_rtt = Some(rtt);
             }
-            mi.last_ack_recv = Some(recv_at);
-            mi.last_ack_rtt = Some(rtt);
+            rep.last_recv = Some(recv_at);
+            rep.last_rtt = Some(rtt);
         }
     }
 
@@ -350,8 +265,8 @@ impl Monitor {
     /// a different packet's flight.
     fn credit_delivery(&mut self, info: SeqInfo) {
         if let Some(mi) = self.mi_mut(info.mi) {
-            mi.acked += 1;
-            mi.acked_bytes += info.bytes as u64;
+            mi.rep.acked_pkts += 1;
+            mi.rep.acked_bytes += info.bytes as u64;
         }
     }
 
@@ -381,7 +296,7 @@ impl Monitor {
             return;
         };
         if let Some(mi) = self.mi_mut(info.mi) {
-            mi.lost += 1;
+            mi.rep.lost_pkts += 1;
         }
     }
 
@@ -390,13 +305,21 @@ impl Monitor {
     pub fn poll(&mut self, now: SimTime) -> Vec<MiMetrics> {
         while let Some(head) = self.pending.front() {
             if head.resolved() || now >= head.deadline {
-                let mi = self.pending.pop_front().expect("non-empty");
-                // Drop stale seq attributions of a force-completed MI so a
-                // late ACK can't corrupt a future MI's counters.
+                let mut mi = self.pending.pop_front().expect("non-empty");
+                // Past the deadline: write the unresolved packets off as
+                // lost, and drop their seq attributions so a late ACK
+                // can't corrupt a future MI's counters.
                 if !mi.resolved() {
                     self.seq_mi.clear_mi(mi.id);
+                    mi.rep.lost_pkts = mi.rep.sent_pkts - mi.rep.acked_pkts;
                 }
-                let metrics = mi.metrics(self.last_avg_rtt, self.min_rtt);
+                let metrics = MiMetrics::from_report(
+                    mi.id,
+                    mi.target_rate_bps,
+                    &mi.rep,
+                    self.last_avg_rtt,
+                    self.min_rtt,
+                );
                 self.last_avg_rtt = Some(metrics.avg_rtt);
                 self.ready.push_back(metrics);
             } else {
@@ -661,6 +584,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use pcc_transport::cc::{AckEvent, LossEvent, LossKind, SentEvent};
+    use pcc_transport::report::ReportAggregator;
     use proptest::prelude::*;
 
     proptest! {
@@ -723,6 +648,82 @@ mod proptests {
             for w in published.windows(2) {
                 prop_assert!(w[0].mi_id < w[1].mi_id);
             }
+        }
+
+        /// One interval, two folders: a random send/ack/loss sequence
+        /// folded by a single-MI `Monitor` (per-seq attribution) and by a
+        /// single-interval `ReportAggregator` (plain sums) closes to equal
+        /// `MiMetrics` — one record, one formula, whoever fills it.
+        #[test]
+        fn monitor_and_aggregator_close_an_interval_to_equal_metrics(
+            script in proptest::collection::vec((0u8..4, 0u8..=255), 1..300),
+        ) {
+            let mut mon = Monitor::new();
+            let mut agg = ReportAggregator::default();
+            mon.begin(SimTime::ZERO, 5e6, SimDuration::from_millis(20));
+            agg.begin(SimTime::ZERO);
+            let mut now = SimTime::ZERO;
+            let mut outstanding = VecDeque::new();
+            let lose = |mon: &mut Monitor, agg: &mut ReportAggregator, seqs: &[u64], now| {
+                seqs.iter().for_each(|&seq| mon.on_loss(seq));
+                agg.on_loss(&LossEvent {
+                    now,
+                    seqs,
+                    kind: LossKind::Detected,
+                    new_episode: true,
+                    in_flight: 0,
+                    mss: 1500,
+                });
+            };
+            for (seq, (op, mag)) in script.into_iter().enumerate() {
+                now += SimDuration::from_micros(mag as u64 * 40);
+                match (op, outstanding.pop_front()) {
+                    (0 | 1, oldest) => {
+                        outstanding.extend(oldest);
+                        outstanding.push_back(seq as u64);
+                        mon.on_sent(seq as u64, 1500);
+                        agg.on_sent(&SentEvent {
+                            now,
+                            seq: seq as u64,
+                            bytes: 1500,
+                            retx: false,
+                            in_flight: outstanding.len() as u64,
+                        });
+                    }
+                    (2, Some(seq)) => {
+                        let rtt = SimDuration::from_micros(10_000 + mag as u64 * 50);
+                        mon.on_ack(seq, rtt, now);
+                        agg.on_ack(&AckEvent {
+                            now,
+                            seq,
+                            rtt,
+                            sampled: true,
+                            srtt: rtt,
+                            min_rtt: rtt,
+                            max_rtt: rtt,
+                            recv_at: now,
+                            probe_train: None,
+                            of_retx: false,
+                            cum_ack: seq + 1,
+                            newly_acked: 1,
+                            in_flight: outstanding.len() as u64,
+                            mss: 1500,
+                            in_recovery: false,
+                        });
+                    }
+                    (_, Some(seq)) => lose(&mut mon, &mut agg, &[seq], now),
+                    (_, None) => {}
+                }
+            }
+            // The aggregator has no deadline to write off against, so
+            // nothing stays unresolved when the interval closes.
+            let rest: Vec<u64> = outstanding.into_iter().collect();
+            lose(&mut mon, &mut agg, &rest, now);
+            now += SimDuration::from_millis(1);
+            mon.end_current(now, SimDuration::ZERO);
+            let rep = agg.take(now);
+            let from_aggregator = MiMetrics::from_report(0, 5e6, &rep, None, rep.rtt_min);
+            prop_assert_eq!(mon.poll(now), vec![from_aggregator]);
         }
     }
 }

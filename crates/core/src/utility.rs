@@ -8,10 +8,11 @@
 //! or extreme loss resilience) — something no hardwired TCP can express.
 
 use pcc_simnet::time::{SimDuration, SimTime};
+use pcc_transport::report::MeasurementReport;
 
 /// Measured performance of one monitor interval, as handed to a utility
 /// function.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MiMetrics {
     /// Monotonically increasing MI identifier.
     pub mi_id: u64,
@@ -48,6 +49,49 @@ pub struct MiMetrics {
 }
 
 impl MiMetrics {
+    /// The metrics of one closed measurement interval — the only place a
+    /// [`MeasurementReport`] becomes the (x, T, L, RTT) tuple of §3.1,
+    /// whoever closed the interval: the [`crate::Monitor`] (per-ACK path;
+    /// unresolved packets already written off into `lost_pkts`) or the
+    /// engine (batched path). `prev_avg_rtt` is the previous interval's
+    /// mean RTT, which also stands in when this one has no sample;
+    /// `min_rtt` is the flow's propagation estimate, defaulting to this
+    /// interval's mean.
+    pub fn from_report(
+        mi_id: u64,
+        target_rate_bps: f64,
+        rep: &MeasurementReport,
+        prev_avg_rtt: Option<SimDuration>,
+        min_rtt: Option<SimDuration>,
+    ) -> Self {
+        let secs = rep.span().as_secs_f64().max(1e-9);
+        let avg_rtt = if rep.rtt_samples == 0 {
+            prev_avg_rtt.unwrap_or(SimDuration::from_millis(100))
+        } else {
+            rep.mean_rtt()
+        };
+        MiMetrics {
+            mi_id,
+            target_rate_bps,
+            send_rate_bps: rep.sent_bytes as f64 * 8.0 / secs,
+            throughput_bps: rep.delivery_rate_bps(),
+            loss_rate: if rep.sent_pkts == 0 {
+                0.0
+            } else {
+                rep.lost_pkts as f64 / rep.sent_pkts as f64
+            },
+            avg_rtt,
+            prev_avg_rtt,
+            min_rtt: min_rtt.unwrap_or(avg_rtt),
+            rtt_slope: rep.rtt_slope().unwrap_or(0.0),
+            duration: rep.span(),
+            started_at: rep.start,
+            sent: rep.sent_pkts,
+            acked: rep.acked_pkts,
+            lost: rep.lost_pkts,
+        }
+    }
+
     /// Send rate in Mbit/s (`x` in the paper's units).
     pub fn x_mbps(&self) -> f64 {
         self.send_rate_bps / 1e6

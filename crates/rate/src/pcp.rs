@@ -398,7 +398,6 @@ mod tests {
         c.last_estimate_bps = Some(10e6);
         let rep = MeasurementReport {
             lost_pkts: 2,
-            lost_bytes: 3000,
             loss_events: 1,
             new_loss_episode: true,
             mss: 1500,

@@ -10,17 +10,16 @@
 //! simulator and under the real-UDP driver).
 //!
 //! Natively batched ([`ReportMode::batched_rtt`]): control decisions run
-//! once per smoothed RTT off [`MeasurementReport`]s. On an engine that
-//! only offers per-ACK delivery, the algorithm self-batches through its
-//! own [`ReportAggregator`], so either feedback granularity produces the
-//! same decision sequence.
+//! once per smoothed RTT off [`MeasurementReport`]s, and only off them —
+//! the engine never refines a batched algorithm to per-ACK delivery, so
+//! `on_ack` / `on_loss` are never called and do nothing.
 
-use pcc_simnet::time::{SimDuration, SimTime};
+use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::{
-    AckEvent, CcMode, CongestionControl, Ctx as CtrlCtx, LossEvent, LossKind, ReportMode, SentEvent,
+    AckEvent, CcMode, CongestionControl, Ctx as CtrlCtx, LossEvent, ReportMode,
 };
 use pcc_transport::registry::CcParams;
-use pcc_transport::report::{MeasurementReport, ReportAggregator};
+use pcc_transport::report::MeasurementReport;
 
 /// Floor for the steady-state window, packets.
 pub const MIN_CWND_PKTS: f64 = 2.0;
@@ -40,14 +39,6 @@ pub struct RateThenWindow {
     cwnd_pkts: f64,
     /// Steady state reached: the engine has been switched to window mode.
     in_window: bool,
-    /// Per-ACK compatibility path: self-batching aggregator plus the
-    /// engine snapshots the next self-emitted report gets stamped with.
-    agg: ReportAggregator,
-    next_emit: SimTime,
-    last_srtt: SimDuration,
-    last_min_rtt: SimDuration,
-    last_in_flight: u64,
-    last_in_recovery: bool,
 }
 
 impl RateThenWindow {
@@ -66,12 +57,6 @@ impl RateThenWindow {
             rate_bps: rate0.max(1e5),
             cwnd_pkts: SWITCH_CWND_FLOOR,
             in_window: false,
-            agg: ReportAggregator::default(),
-            next_emit: SimTime::ZERO,
-            last_srtt: SimDuration::ZERO,
-            last_min_rtt: SimDuration::ZERO,
-            last_in_flight: 0,
-            last_in_recovery: false,
         }
     }
 
@@ -97,10 +82,26 @@ impl RateThenWindow {
             rep.srtt
         }
     }
+}
 
-    /// The one decision procedure, fed by either the engine's reports
-    /// (batched mode) or self-batched ones (per-ACK compatibility).
-    fn handle_report(&mut self, rep: &MeasurementReport, ctx: &mut CtrlCtx) {
+impl CongestionControl for RateThenWindow {
+    fn name(&self) -> &'static str {
+        "rate-then-window"
+    }
+
+    fn report_mode(&self) -> ReportMode {
+        ReportMode::batched_rtt()
+    }
+
+    fn on_start(&mut self, ctx: &mut CtrlCtx) {
+        ctx.set_rate(self.rate_bps);
+    }
+
+    fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut CtrlCtx) {}
+
+    fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut CtrlCtx) {}
+
+    fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut CtrlCtx) {
         if !self.in_window {
             let delivery = rep.delivery_rate_bps();
             let lossy = rep.lost_pkts > 0 || rep.timeouts > 0;
@@ -152,72 +153,13 @@ impl RateThenWindow {
         }
         ctx.set_cwnd(self.cwnd_pkts);
     }
-
-    /// Per-ACK compatibility: close the self-batched interval, stamp the
-    /// snapshots a real engine would, and decide.
-    fn self_emit(&mut self, ctx: &mut CtrlCtx) {
-        let mut rep = self.agg.take(ctx.now);
-        rep.srtt = self.last_srtt;
-        rep.min_rtt = self.last_min_rtt;
-        rep.in_flight = self.last_in_flight;
-        rep.mss = self.mss;
-        rep.in_recovery = self.last_in_recovery;
-        let srtt = self.srtt_or_hint(&rep);
-        self.next_emit = ctx.now + srtt;
-        self.handle_report(&rep, ctx);
-    }
-}
-
-impl CongestionControl for RateThenWindow {
-    fn name(&self) -> &'static str {
-        "rate-then-window"
-    }
-
-    fn report_mode(&self) -> ReportMode {
-        ReportMode::batched_rtt()
-    }
-
-    fn on_start(&mut self, ctx: &mut CtrlCtx) {
-        self.agg.begin(ctx.now);
-        self.next_emit = ctx.now + self.rtt_hint;
-        ctx.set_rate(self.rate_bps);
-    }
-
-    fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut CtrlCtx) {
-        self.handle_report(rep, ctx);
-    }
-
-    // Per-ACK compatibility path (engines or configs that force PerAck):
-    // feed the internal aggregator and self-emit once per smoothed RTT,
-    // urgently on loss — mirroring the engine's own flush policy.
-
-    fn on_sent(&mut self, ev: &SentEvent, _ctx: &mut CtrlCtx) {
-        self.agg.on_sent(ev);
-    }
-
-    fn on_ack(&mut self, ack: &AckEvent, ctx: &mut CtrlCtx) {
-        self.agg.on_ack(ack);
-        self.last_srtt = ack.srtt;
-        self.last_min_rtt = ack.min_rtt;
-        self.last_in_flight = ack.in_flight;
-        self.last_in_recovery = ack.in_recovery;
-        if ctx.now >= self.next_emit {
-            self.self_emit(ctx);
-        }
-    }
-
-    fn on_loss(&mut self, loss: &LossEvent, ctx: &mut CtrlCtx) {
-        self.agg.on_loss(loss);
-        if loss.new_episode || loss.kind == LossKind::Timeout {
-            self.self_emit(ctx);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pcc_simnet::rng::SimRng;
+    use pcc_simnet::time::SimTime;
     use pcc_transport::cc::Effects;
 
     const MSS: u32 = 1500;
@@ -238,7 +180,6 @@ mod tests {
             acked_pkts: acked,
             acked_bytes: acked * MSS as u64,
             lost_pkts: lost,
-            lost_bytes: lost * MSS as u64,
             loss_events: u32::from(lost > 0),
             new_loss_episode: new_episode,
             rtt_min: (acked > 0).then_some(RTT),
@@ -333,57 +274,70 @@ mod tests {
         assert_eq!(fx.drain().cwnd, Some(c.cwnd_pkts()));
     }
 
+    /// Forwards to a [`RateThenWindow`], counting its reports and noting
+    /// the switch; a per-ACK callback fails the test.
+    struct Watched {
+        inner: RateThenWindow,
+        seen: std::sync::Arc<std::sync::Mutex<(u64, bool)>>,
+    }
+
+    impl CongestionControl for Watched {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn report_mode(&self) -> ReportMode {
+            self.inner.report_mode()
+        }
+        fn on_start(&mut self, ctx: &mut CtrlCtx) {
+            self.inner.on_start(ctx);
+        }
+        fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut CtrlCtx) {
+            panic!("the engine refined a batched algorithm to per-ACK delivery");
+        }
+        fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut CtrlCtx) {
+            panic!("the engine refined a batched algorithm to per-ACK delivery");
+        }
+        fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut CtrlCtx) {
+            self.inner.on_report(rep, ctx);
+            let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
+            *seen = (seen.0 + 1, self.inner.in_window_mode());
+        }
+    }
+
     #[test]
-    fn per_ack_compatibility_self_batches_to_the_same_decisions() {
-        let mut c = cc();
-        let mut rng = SimRng::new(11);
-        let mut fx = Effects::default();
-        {
-            let mut ctx = CtrlCtx::new(SimTime::ZERO, &mut rng, &mut fx);
-            c.on_start(&mut ctx);
-        }
-        let r0 = fx.drain().rate.expect("startup rate");
-        // One RTT of per-ACK feedback at full delivery: the self-batched
-        // report must double the rate exactly once.
-        let pkts = (r0 * 0.030 / (MSS as f64 * 8.0)).ceil() as u64 + 1;
-        for i in 0..pkts {
-            let at = SimTime::from_millis(30) + SimDuration::from_nanos(i * 200_000);
-            let ack = AckEvent {
-                now: at,
-                seq: i,
-                rtt: RTT,
-                sampled: true,
-                srtt: RTT,
-                min_rtt: RTT,
-                max_rtt: RTT,
-                recv_at: at,
-                probe_train: None,
-                of_retx: false,
-                cum_ack: i + 1,
-                newly_acked: 1,
-                in_flight: 1,
-                mss: MSS,
-                in_recovery: false,
-            };
-            let mut ctx = CtrlCtx::new(at, &mut rng, &mut fx);
-            c.on_ack(&ack, &mut ctx);
-        }
-        assert!(!c.in_window_mode());
-        assert!((c.rate_bps() - 2.0 * r0).abs() < 1.0, "one doubling");
-        // A new loss episode flushes immediately and flips the mode.
-        let seqs = [pkts + 3];
-        let loss = LossEvent {
-            now: SimTime::from_millis(61),
-            seqs: &seqs,
-            kind: LossKind::Detected,
-            new_episode: true,
-            in_flight: 4,
-            mss: MSS,
+    fn a_per_ack_override_cannot_refine_the_batched_switcher() {
+        // `report: Some(PerAck)` over a natively batched algorithm keeps
+        // the algorithm's mode: reports keep coming (the switcher has no
+        // other input) and the flow reaches its window-mode steady state.
+        use pcc_simnet::prelude::*;
+        use pcc_transport::{CcSender, CcSenderConfig, SackReceiver};
+        let seen = std::sync::Arc::new(std::sync::Mutex::new((0, false)));
+        let mut net = NetworkBuilder::new(SimConfig::default());
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(20e6, SimDuration::ZERO, 75_000),
+        );
+        let path = db.attach_flow(&mut net, RTT);
+        let cfg = CcSenderConfig {
+            report: Some(ReportMode::PerAck),
+            ..Default::default()
         };
-        let mut ctx = CtrlCtx::new(SimTime::from_millis(61), &mut rng, &mut fx);
-        c.on_loss(&loss, &mut ctx);
-        let _ = ctx;
-        assert!(c.in_window_mode());
-        assert_eq!(fx.drain().mode, Some(CcMode::Window));
+        let watched = Watched {
+            inner: cc(),
+            seen: std::sync::Arc::clone(&seen),
+        };
+        let flow = net.add_flow(FlowSpec {
+            sender: Box::new(CcSender::new(cfg, Box::new(watched))),
+            receiver: Box::new(SackReceiver::new()),
+            fwd_path: path.fwd,
+            rev_path: path.rev,
+            start_at: SimTime::ZERO,
+        });
+        let report = net.build().run_until(SimTime::from_secs(4));
+        let (reports, in_window) = *seen.lock().unwrap_or_else(|e| e.into_inner());
+        assert!(reports > 50, "reports still delivered: {reports}");
+        assert!(in_window, "window mode reached");
+        let tput = report.avg_throughput_mbps(flow, SimTime::from_secs(2), SimTime::from_secs(4));
+        assert!(tput > 5.0, "and the flow moves data: {tput} Mbps");
     }
 }

@@ -155,8 +155,8 @@ pub enum ReportInterval {
 /// How the engine delivers measurement feedback to an algorithm.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ReportMode {
-    /// Legacy/compatibility path: every ACK and loss event is delivered
-    /// individually through `on_ack` / `on_loss`.
+    /// Every ACK and loss event is delivered individually through
+    /// `on_ack` / `on_loss`.
     PerAck,
     /// Off-path control plane: the engine aggregates events locally and
     /// delivers one [`MeasurementReport`] per interval through
@@ -172,10 +172,13 @@ impl ReportMode {
     }
 }
 
-/// Everything an algorithm requested during one callback, drained by the
-/// hosting engine.
+/// Control decisions an algorithm requests during a callback, written
+/// through [`Ctx`] and read back by whoever hosts the algorithm.
+///
+/// The engine applies whatever subset was set: a pacing rate, a congestion
+/// window, or both — plus mode switches and report-cadence overrides.
 #[derive(Debug, Default)]
-pub struct Decisions {
+pub struct Effects {
     /// Pacing rate (bits/sec), if requested.
     pub rate: Option<f64>,
     /// Congestion window (packets), if requested.
@@ -189,40 +192,19 @@ pub struct Decisions {
     pub timers: Vec<(SimTime, u64)>,
 }
 
-/// Control decisions an algorithm requests during a callback.
-///
-/// The engine applies whatever subset was set: a pacing rate, a congestion
-/// window, or both — plus mode switches and report-cadence overrides.
-/// Timers are redelivered through [`CongestionControl::on_timer`] with
-/// their token.
-#[derive(Debug, Default)]
-pub struct Effects {
-    new_rate: Option<f64>,
-    new_cwnd: Option<f64>,
-    new_mode: Option<CcMode>,
-    report_in: Option<SimDuration>,
-    timers: Vec<(SimTime, u64)>,
-}
-
 impl Effects {
-    /// Take everything requested so far ([`crate::sender::CcSender`] does
-    /// after every callback; harnesses driving an algorithm directly do
-    /// the same).
-    pub fn drain(&mut self) -> Decisions {
-        Decisions {
-            rate: self.new_rate.take(),
-            cwnd: self.new_cwnd.take(),
-            mode: self.new_mode.take(),
-            report_in: self.report_in.take(),
-            timers: std::mem::take(&mut self.timers),
-        }
+    /// Take everything requested so far, leaving the sink empty
+    /// ([`crate::sender::CcSender`] does after every callback; harnesses
+    /// driving an algorithm directly do the same).
+    pub fn drain(&mut self) -> Effects {
+        std::mem::take(self)
     }
 
     /// True if nothing was requested.
     pub fn is_empty(&self) -> bool {
-        self.new_rate.is_none()
-            && self.new_cwnd.is_none()
-            && self.new_mode.is_none()
+        self.rate.is_none()
+            && self.cwnd.is_none()
+            && self.mode.is_none()
             && self.report_in.is_none()
             && self.timers.is_empty()
     }
@@ -246,13 +228,13 @@ impl<'a> Ctx<'a> {
     /// Request a pacing rate (bits/sec), effective immediately. Floored at
     /// 1 bps — an engine never stalls on a zero or negative rate.
     pub fn set_rate(&mut self, bps: f64) {
-        self.effects.new_rate = Some(if bps.is_finite() { bps.max(1.0) } else { 1.0 });
+        self.effects.rate = Some(if bps.is_finite() { bps.max(1.0) } else { 1.0 });
     }
 
     /// Request a congestion window (packets), effective immediately.
     /// Floored at one packet.
     pub fn set_cwnd(&mut self, pkts: f64) {
-        self.effects.new_cwnd = Some(if pkts.is_finite() { pkts.max(1.0) } else { 1.0 });
+        self.effects.cwnd = Some(if pkts.is_finite() { pkts.max(1.0) } else { 1.0 });
     }
 
     /// Arm an algorithm timer; `token` is redelivered in
@@ -267,7 +249,7 @@ impl<'a> Ctx<'a> {
     /// in the same callback, the engine derives one from the current
     /// operating point (rate × SRTT → cwnd and vice versa).
     pub fn set_mode(&mut self, mode: CcMode) {
-        self.effects.new_mode = Some(mode);
+        self.effects.mode = Some(mode);
     }
 
     /// One-shot override of the *next* report interval (batched mode
@@ -317,9 +299,10 @@ pub trait CongestionControl: Send {
     /// (the default) delivers every event through `on_ack` / `on_loss`;
     /// [`ReportMode::Batched`] makes the engine aggregate locally and
     /// deliver one [`MeasurementReport`] per interval through
-    /// [`CongestionControl::on_report`] instead. Engines may override the
-    /// preference per flow (e.g. a host driving many flows batches all of
-    /// them).
+    /// [`CongestionControl::on_report`] instead. An engine may coarsen the
+    /// preference per flow (a host driving many flows batches all of
+    /// them) but never refines it: an algorithm that asks for reports is
+    /// never handed per-ACK events.
     fn report_mode(&self) -> ReportMode {
         ReportMode::PerAck
     }

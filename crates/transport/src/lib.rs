@@ -44,12 +44,12 @@ pub mod sender;
 pub mod spec;
 
 pub use cc::{
-    AckEvent, CcMode, CongestionControl, Ctx, Decisions, Effects, LossEvent, LossKind,
+    AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind,
     ReportInterval, ReportMode, SentEvent,
 };
 pub use error::TransferError;
 pub use flow::{FlowSize, TransportConfig};
-pub use host::{shared_host, CcHost, Command, HostFlowId, HostedCc, SharedHost};
+pub use host::{shared_host, CcHost, HostFlowId, HostedCc, SharedHost};
 pub use receiver::SackReceiver;
 pub use registry::{CcParams, SpecError, UnknownAlgorithm};
 pub use report::{MeasurementReport, ReportAggregator};

@@ -34,23 +34,14 @@ pub struct MeasurementReport {
     pub sent_pkts: u64,
     /// Bytes transmitted in the interval (including retx).
     pub sent_bytes: u64,
-    /// Retransmissions among [`MeasurementReport::sent_pkts`].
-    pub retx_pkts: u64,
 
     /// Packets newly acknowledged in the interval.
     pub acked_pkts: u64,
     /// Bytes newly acknowledged in the interval.
     pub acked_bytes: u64,
-    /// Packets newly acknowledged *above* the cumulative-ack point
-    /// (selectively acked — out-of-order delivery).
-    pub sacked_pkts: u64,
-    /// Bytes newly acknowledged above the cumulative-ack point.
-    pub sacked_bytes: u64,
 
     /// Packets newly declared lost in the interval.
     pub lost_pkts: u64,
-    /// Bytes newly declared lost in the interval.
-    pub lost_bytes: u64,
     /// Loss-event deliveries (each batch of sequences counts once).
     pub loss_events: u32,
     /// At least one loss event in the interval began a recovery episode.
@@ -106,47 +97,37 @@ impl MeasurementReport {
         }
     }
 
-    /// Loss rate over the interval's *resolved* packets:
-    /// `lost / (acked + lost)`; 0 when nothing resolved.
-    pub fn loss_rate(&self) -> f64 {
-        let resolved = self.acked_pkts + self.lost_pkts;
-        if resolved == 0 {
-            0.0
-        } else {
-            self.lost_pkts as f64 / resolved as f64
-        }
-    }
-
-    /// Estimated delivery rate, bits/sec, using the same ack-spacing
-    /// formula as the PCC monitor: bytes between the first and last ack
-    /// arrival over their receiver-side spacing, capped by the
-    /// whole-interval average, falling back to `acked_bytes / span` when
-    /// the interval has fewer than two ack arrivals.
+    /// Estimated delivery rate, bits/sec — the §3.1 monitor's estimator,
+    /// and the only definition of it in the workspace. Prefer the
+    /// receiver-side ack-arrival spacing (the true drain rate): bytes
+    /// between the first and last ack arrival over their spacing. Measuring
+    /// `acked_bytes / span` alone inflates above link capacity when
+    /// overdriving, because acks of an overshooting interval keep arriving
+    /// after it ends — "send faster into the buffer" would look like higher
+    /// throughput. The whole-interval average (span floored at 1 ns) caps
+    /// the spaced estimate and stands in for it when the interval has fewer
+    /// than two ack arrivals.
     pub fn delivery_rate_bps(&self) -> f64 {
-        let span_secs = self.span().as_secs_f64();
-        let interval_rate = if span_secs > 0.0 {
-            self.acked_bytes as f64 * 8.0 / span_secs
-        } else {
-            0.0
-        };
-        if let (Some(first), Some(last)) = (self.first_recv, self.last_recv) {
-            if self.acked_pkts >= 2 && last > first {
+        let secs = self.span().as_secs_f64().max(1e-9);
+        let interval_rate = self.acked_bytes as f64 * 8.0 / secs;
+        match (self.first_recv, self.last_recv) {
+            (Some(first), Some(last)) if self.acked_pkts >= 2 && last > first => {
                 let per_pkt = self.acked_bytes as f64 / self.acked_pkts as f64;
                 let spacing = last.saturating_since(first).as_secs_f64();
                 let spaced = (self.acked_pkts - 1) as f64 * per_pkt * 8.0 / spacing;
-                return spaced.min(if interval_rate > 0.0 {
-                    interval_rate
-                } else {
-                    spaced
-                });
+                spaced.min(interval_rate)
             }
+            _ => interval_rate,
         }
-        interval_rate
     }
 
     /// Latency gradient over the interval: `(last_rtt − first_rtt)` over
-    /// the receiver-side time between those samples, seconds per second.
-    /// `None` without two distinct samples.
+    /// the receiver-side time between those samples, seconds of RTT per
+    /// second — the within-interval queue-growth signal. A standing queue
+    /// hides rate overshoot from *level* comparisons (PCC's ±ε trials
+    /// average the same RTT), but the slope differs by 2ε·x between them
+    /// however deep the queue already is. `None` without two distinct
+    /// samples.
     pub fn rtt_slope(&self) -> Option<f64> {
         let (r0, r1) = (self.first_rtt?, self.last_rtt?);
         let (t0, t1) = (self.first_recv?, self.last_recv?);
@@ -165,7 +146,6 @@ impl MeasurementReport {
 #[derive(Debug, Default)]
 pub struct ReportAggregator {
     cur: MeasurementReport,
-    events: u64,
 }
 
 impl ReportAggregator {
@@ -176,36 +156,19 @@ impl ReportAggregator {
             end: now,
             ..Default::default()
         };
-        self.events = 0;
-    }
-
-    /// True if any event was folded into the current interval.
-    pub fn has_events(&self) -> bool {
-        self.events > 0
     }
 
     /// Fold a transmission.
     pub fn on_sent(&mut self, ev: &SentEvent) {
-        self.events += 1;
         self.cur.sent_pkts += 1;
         self.cur.sent_bytes += ev.bytes as u64;
-        if ev.retx {
-            self.cur.retx_pkts += 1;
-        }
     }
 
     /// Fold an ACK.
     pub fn on_ack(&mut self, ack: &AckEvent) {
-        self.events += 1;
         let newly = ack.newly_acked as u64;
         self.cur.acked_pkts += newly;
         self.cur.acked_bytes += newly * ack.mss as u64;
-        if ack.seq >= ack.cum_ack {
-            // The acked sequence sits above the cumulative point: this
-            // delivery was selective (out of order).
-            self.cur.sacked_pkts += newly;
-            self.cur.sacked_bytes += newly * ack.mss as u64;
-        }
         if ack.sampled {
             let r = ack.rtt;
             self.cur.rtt_min = Some(self.cur.rtt_min.map_or(r, |m| m.min(r)));
@@ -225,9 +188,7 @@ impl ReportAggregator {
 
     /// Fold a loss event.
     pub fn on_loss(&mut self, loss: &LossEvent) {
-        self.events += 1;
         self.cur.lost_pkts += loss.seqs.len() as u64;
-        self.cur.lost_bytes += loss.seqs.len() as u64 * loss.mss as u64;
         self.cur.loss_events += 1;
         if loss.new_episode {
             self.cur.new_loss_episode = true;
@@ -241,14 +202,9 @@ impl ReportAggregator {
     /// interval begins at `now`, so consecutive reports tile the timeline.
     /// The caller stamps the engine-snapshot fields on the returned report.
     pub fn take(&mut self, now: SimTime) -> MeasurementReport {
-        let mut rep = std::mem::take(&mut self.cur);
+        let mut rep = self.cur;
         rep.end = now;
-        self.cur = MeasurementReport {
-            start: now,
-            end: now,
-            ..Default::default()
-        };
-        self.events = 0;
+        self.begin(now);
         rep
     }
 }
@@ -290,7 +246,7 @@ mod tests {
             in_flight: 1,
         });
         agg.on_ack(&ack(10, 0, 1, 1, 30, true));
-        agg.on_ack(&ack(12, 5, 1, 1, 50, true)); // above cum_ack: sacked
+        agg.on_ack(&ack(12, 5, 1, 1, 50, true));
         let seqs = [2u64, 3];
         agg.on_loss(&LossEvent {
             now: SimTime::from_millis(15),
@@ -300,45 +256,18 @@ mod tests {
             in_flight: 2,
             mss: 1000,
         });
-        assert!(agg.has_events());
         let rep = agg.take(SimTime::from_millis(20));
         assert_eq!(rep.span(), SimDuration::from_millis(20));
         assert_eq!((rep.sent_pkts, rep.sent_bytes), (1, 1000));
         assert_eq!((rep.acked_pkts, rep.acked_bytes), (2, 2000));
-        assert_eq!((rep.sacked_pkts, rep.sacked_bytes), (1, 1000));
-        assert_eq!((rep.lost_pkts, rep.lost_bytes), (2, 2000));
+        assert_eq!(rep.lost_pkts, 2);
         assert_eq!(rep.loss_events, 1);
         assert!(rep.new_loss_episode);
         assert_eq!(rep.timeouts, 0);
         assert_eq!(rep.rtt_min, Some(SimDuration::from_millis(30)));
         assert_eq!(rep.rtt_max, Some(SimDuration::from_millis(50)));
         assert_eq!(rep.mean_rtt(), SimDuration::from_millis(40));
-        assert!((rep.loss_rate() - 0.5).abs() < 1e-12);
-        assert!(!agg.has_events(), "take resets the interval");
-    }
-
-    #[test]
-    fn delivery_rate_matches_monitor_formula() {
-        // 3 packets of 1000 B acked, first arrival at 10 ms, last at 30 ms:
-        // spaced rate = 2 × 8000 bits / 20 ms = 800 kbit/s; the interval
-        // average over 100 ms is 240 kbit/s and caps it.
-        let mut agg = ReportAggregator::default();
-        agg.begin(SimTime::ZERO);
-        agg.on_ack(&ack(10, 0, 1, 1, 30, true));
-        agg.on_ack(&ack(20, 1, 2, 1, 30, true));
-        agg.on_ack(&ack(30, 2, 3, 1, 30, true));
-        let rep = agg.take(SimTime::from_millis(100));
-        assert!((rep.delivery_rate_bps() - 240_000.0).abs() < 1.0);
-        // Over a 27 ms interval (5..32 ms) the whole-interval average
-        // (24 000 bits / 27 ms ≈ 889 kbit/s) exceeds the spaced estimate
-        // (800 kbit/s), so the spaced estimate wins.
-        let mut agg = ReportAggregator::default();
-        agg.begin(SimTime::from_millis(5));
-        agg.on_ack(&ack(10, 0, 1, 1, 30, true));
-        agg.on_ack(&ack(20, 1, 2, 1, 30, true));
-        agg.on_ack(&ack(30, 2, 3, 1, 30, true));
-        let rep = agg.take(SimTime::from_millis(32));
-        assert!((rep.delivery_rate_bps() - 800_000.0).abs() < 1.0);
+        assert_eq!(agg.take(SimTime::from_millis(21)).acked_pkts, 0, "take resets");
     }
 
     #[test]
@@ -367,7 +296,6 @@ mod tests {
         assert_eq!(rep.end, SimTime::from_millis(35));
         assert_eq!(rep.acked_pkts, 0);
         assert_eq!(rep.delivery_rate_bps(), 0.0);
-        assert_eq!(rep.loss_rate(), 0.0);
         // With no samples, mean_rtt falls back to the (caller-stamped)
         // engine SRTT — zero here because nothing stamped it.
         assert_eq!(rep.mean_rtt(), SimDuration::ZERO);
@@ -379,8 +307,8 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// One scripted event: (kind, magnitude). Kinds: 0 = sent, 1 = ack
-    /// (cumulative), 2 = ack (selective), 3 = loss detected, 4 = timeout.
+    /// One scripted event: (kind, magnitude). Kinds: 0 = sent, 1 and 2 =
+    /// ack, 3 = loss detected, 4 = timeout.
     fn apply(agg: &mut ReportAggregator, op: (u8, u8), at: SimTime) {
         let (kind, mag) = op;
         let n = (mag % 4) as u32 + 1;
@@ -396,8 +324,7 @@ mod proptests {
                 let rtt = SimDuration::from_millis(20 + mag as u64);
                 agg.on_ack(&AckEvent {
                     now: at,
-                    // kind 2 acks above cum_ack (selective).
-                    seq: if kind % 5 == 2 { 100 } else { 0 },
+                    seq: 0,
                     rtt,
                     sampled: mag % 4 != 0,
                     srtt: rtt,
@@ -479,10 +406,8 @@ mod proptests {
                     prop_assert_eq!(s, total.$f, stringify!($f));
                 )+};
             }
-            sums!(sent_pkts: u64, sent_bytes: u64, retx_pkts: u64,
-                  acked_pkts: u64, acked_bytes: u64,
-                  sacked_pkts: u64, sacked_bytes: u64,
-                  lost_pkts: u64, lost_bytes: u64,
+            sums!(sent_pkts: u64, sent_bytes: u64,
+                  acked_pkts: u64, acked_bytes: u64, lost_pkts: u64,
                   rtt_sum_ns: u128, rtt_samples: u64);
             let loss_events: u32 = reports.iter().map(|r| r.loss_events).sum();
             prop_assert_eq!(loss_events, total.loss_events);

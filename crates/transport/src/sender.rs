@@ -52,20 +52,12 @@ use crate::sack::Scoreboard;
 pub struct CcSenderConfig {
     /// Transport basics (MSS, flow size).
     pub transport: TransportConfig,
-    /// Hard cap on packets in flight (memory guard; generously above any
-    /// BDP in the evaluation). Applies in every mode.
-    pub max_in_flight: u64,
     /// Floor for the retransmission timeout. `None` picks the mode default
     /// once the algorithm has declared itself: 200 ms when it drives a
     /// congestion window (TCP's convention — the incast experiment depends
     /// on it), 10 ms for pure rate control (PCC's monitor resolves packet
     /// fates at MI+RTT granularity, §3.1).
     pub min_rto: Option<SimDuration>,
-    /// Receiver-window-like clamp on the effective window, packets. Real
-    /// stacks are bounded by the advertised window; 20 000 packets (30 MB)
-    /// models a well-tuned host and comfortably exceeds every BDP in the
-    /// paper's evaluation (max 18 MB).
-    pub max_cwnd_pkts: f64,
     /// Segmentation-offload burst size in packets, for ack-clocked (cwnd,
     /// unpaced) operation. Paper-era kernels hand the NIC up to 64 KB
     /// (≈44 MSS) per TSO/GSO chunk, which leaves the host at line rate
@@ -74,13 +66,12 @@ pub struct CcSenderConfig {
     /// disables aggregation. Irrelevant whenever a pacing rate is set
     /// (pacing exists precisely to kill these bursts).
     pub tso_burst_pkts: u32,
-    /// How long segments may wait for a burst to fill before the NIC
-    /// flushes anyway (models the offload flush timer).
-    pub tso_flush: SimDuration,
     /// Feedback path override. `None` (the default) honours the
     /// algorithm's own [`CongestionControl::report_mode`] preference;
-    /// `Some` forces per-ACK or batched delivery regardless — e.g. a host
-    /// driving many flows off-path batches all of them.
+    /// `Some(Batched(_))` forces batched delivery at that cadence — e.g. a
+    /// host driving many flows off-path batches all of them. The override
+    /// can only coarsen: `Some(PerAck)` leaves a natively batched
+    /// algorithm on reports (it has no per-ACK path to fall back to).
     pub report: Option<ReportMode>,
     /// Dead-time budget: if the flow makes no forward progress (no new
     /// cumulative bytes acknowledged) for this long while the RTO keeps
@@ -96,11 +87,8 @@ impl Default for CcSenderConfig {
     fn default() -> Self {
         CcSenderConfig {
             transport: TransportConfig::default(),
-            max_in_flight: 65_536,
             min_rto: None,
-            max_cwnd_pkts: 20_000.0,
             tso_burst_pkts: 44,
-            tso_flush: SimDuration::from_millis(1),
             report: None,
             dead_time_budget: None,
         }
@@ -119,6 +107,17 @@ const RESUME_TIMEOUTS: u64 = 3;
 pub const WINDOWED_MIN_RTO: SimDuration = SimDuration::from_millis(200);
 /// RTO floor for pure rate control.
 pub const RATE_MIN_RTO: SimDuration = SimDuration::from_millis(10);
+/// Hard cap on packets in flight (memory guard; generously above any BDP
+/// in the evaluation). Applies in every mode.
+const MAX_IN_FLIGHT: u64 = 65_536;
+/// Receiver-window-like clamp on the effective window, packets. Real
+/// stacks are bounded by the advertised window; 20 000 packets (30 MB)
+/// models a well-tuned host and comfortably exceeds every BDP in the
+/// paper's evaluation (max 18 MB).
+const MAX_CWND_PKTS: f64 = 20_000.0;
+/// How long segments may wait for a segmentation-offload burst to fill
+/// before the NIC flushes anyway (models the offload flush timer).
+const TSO_FLUSH: SimDuration = SimDuration::from_millis(1);
 
 const TOKEN_KIND_SHIFT: u64 = 56;
 const TOKEN_PACE: u64 = 1 << TOKEN_KIND_SHIFT;
@@ -163,9 +162,8 @@ pub struct CcSender {
     tso_armed: bool,
     finished: bool,
     last_rate_report: (SimTime, f64),
-    effects: Effects,
-    /// Resolved feedback path (config override, else the algorithm's
-    /// preference); fixed at `start()`.
+    /// Resolved feedback path (a batching config override, else the
+    /// algorithm's preference); fixed at `start()`.
     report_mode: ReportMode,
     /// Local event accumulator for batched mode.
     agg: ReportAggregator,
@@ -211,7 +209,6 @@ impl CcSender {
             tso_armed: false,
             finished: false,
             last_rate_report: (SimTime::MAX, 0.0),
-            effects: Effects::default(),
             report_mode: ReportMode::PerAck,
             agg: ReportAggregator::default(),
             report_gen: 0,
@@ -282,11 +279,10 @@ impl CcSender {
     /// Effective in-flight limit right now: the memory guard, tightened by
     /// the congestion window when the algorithm drives one.
     fn flight_limit(&self) -> u64 {
-        let mut limit = self.cfg.max_in_flight;
-        if let Some(cwnd) = self.cwnd_pkts {
-            limit = limit.min(cwnd.max(1.0).min(self.cfg.max_cwnd_pkts) as u64);
+        match self.cwnd_pkts {
+            Some(cwnd) => MAX_IN_FLIGHT.min(cwnd.max(1.0).min(MAX_CWND_PKTS) as u64),
+            None => MAX_IN_FLIGHT,
         }
-        limit
     }
 
     /// Rate to report for windowed algorithms without an explicit pacing
@@ -296,7 +292,7 @@ impl CcSender {
             Some(r) => r,
             None => {
                 let srtt = self.rtt.srtt_or(SimDuration::from_millis(100));
-                let cwnd = self.cwnd_pkts.unwrap_or(1.0).min(self.cfg.max_cwnd_pkts);
+                let cwnd = self.cwnd_pkts.unwrap_or(1.0).min(MAX_CWND_PKTS);
                 cwnd * self.mss() as f64 * 8.0 / srtt.as_secs_f64().max(1e-6)
             }
         }
@@ -327,8 +323,7 @@ impl CcSender {
     /// Apply rate/cwnd changes, mode switches, and timers the algorithm
     /// requested. Order matters: the operating point is applied first so a
     /// mode switch in the same callback derives from the values just set.
-    fn apply_effects(&mut self, ctx: &mut EndpointCtx) {
-        let d = self.effects.drain();
+    fn apply_effects(&mut self, d: Effects, ctx: &mut EndpointCtx) {
         if let Some(rate) = d.rate {
             if self.rate_bps != Some(rate) {
                 self.rate_bps = Some(rate);
@@ -400,13 +395,12 @@ impl CcSender {
         ctx: &mut EndpointCtx,
         f: impl FnOnce(&mut dyn CongestionControl, &mut Ctx),
     ) {
-        let mut effects = std::mem::take(&mut self.effects);
-        {
-            let mut cc = Ctx::new(ctx.now, ctx.rng(), &mut effects);
-            f(self.cc.as_mut(), &mut cc);
-        }
-        self.effects = effects;
-        self.apply_effects(ctx);
+        let mut effects = Effects::default();
+        f(
+            self.cc.as_mut(),
+            &mut Ctx::new(ctx.now, ctx.rng(), &mut effects),
+        );
+        self.apply_effects(effects, ctx);
     }
 
     /// Transmit one packet (retransmissions first). Returns false if there
@@ -509,7 +503,7 @@ impl CcSender {
     ///
     /// In ack-clocked mode, new data goes through segmentation-offload
     /// aggregation: segments are released in bursts of `tso_burst_pkts`
-    /// (or after `tso_flush`), back-to-back — the burstiness of a real
+    /// (or after [`TSO_FLUSH`]), back-to-back — the burstiness of a real
     /// offloading NIC. Retransmissions bypass aggregation.
     fn try_send(&mut self, ctx: &mut EndpointCtx) {
         if self.finished {
@@ -552,7 +546,7 @@ impl CcSender {
         self.tso_armed = true;
         self.tso_gen += 1;
         ctx.set_timer(
-            ctx.now + self.cfg.tso_flush,
+            ctx.now + TSO_FLUSH,
             TOKEN_TSO | (self.tso_gen & TOKEN_GEN_MASK),
         );
     }
@@ -751,7 +745,7 @@ impl CcSender {
         let cwnd_before = self.cwnd_pkts;
         self.with_cc(ctx, |c, cc| c.on_resume(cc));
         if self.paced() && self.windowed() && self.cwnd_pkts == cwnd_before {
-            self.cwnd_pkts = Some(self.derived_cwnd().min(self.cfg.max_cwnd_pkts));
+            self.cwnd_pkts = Some(self.derived_cwnd().min(MAX_CWND_PKTS));
         }
         self.report_rate(ctx);
     }
@@ -851,7 +845,12 @@ impl CcSender {
     pub fn try_start(&mut self, ctx: &mut EndpointCtx) -> Result<(), String> {
         // Resolve the feedback path before the first callback so a
         // `set_report_interval` in `on_start` lands on the right machinery.
-        self.report_mode = self.cfg.report.unwrap_or_else(|| self.cc.report_mode());
+        // The override may coarsen the algorithm's preference, never refine
+        // it.
+        self.report_mode = match self.cfg.report {
+            Some(batched @ ReportMode::Batched(_)) => batched,
+            _ => self.cc.report_mode(),
+        };
         self.with_cc(ctx, |c, cc| c.on_start(cc));
         if self.rate_bps.is_none() && self.cwnd_pkts.is_none() {
             return Err(format!(
@@ -915,10 +914,10 @@ impl Endpoint for CcSender {
         );
         self.last_cum_ack = self.sb.cum_ack();
         debug_assert!(
-            (self.sb.tracked() as u64) <= self.cfg.max_in_flight.saturating_mul(2) + 64,
+            (self.sb.tracked() as u64) <= MAX_IN_FLIGHT.saturating_mul(2) + 64,
             "scoreboard leak: {} entries tracked against an in-flight cap of {}",
             self.sb.tracked(),
-            self.cfg.max_in_flight
+            MAX_IN_FLIGHT
         );
         let resuming = out.newly_acked > 0 && self.timeouts_since_progress >= RESUME_TIMEOUTS;
         if let Some(rtt) = out.rtt {

@@ -166,8 +166,8 @@ pub fn send_named(
 /// Send with the algorithm's brain living in a shared
 /// [`CcHost`](pcc_transport::CcHost) — the
 /// off-path control plane on the real-socket datapath. The flow is
-/// registered with `host`, every engine event is forwarded through the
-/// host's command queue, and one host can drive all of a process's
+/// registered with `host`, every engine callback runs the host's instance
+/// under the host lock, and one host can drive all of a process's
 /// concurrent transfers. The flow is removed from the host when the
 /// transfer ends.
 pub fn send_hosted(

@@ -23,7 +23,7 @@ fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
 #[test]
 fn one_host_drives_concurrent_transfers() {
     // Three flows, three algorithms, one brain: every engine callback
-    // funnels through the same CcHost command queue, yet each transfer
+    // funnels through the same CcHost (and its one lock), yet each transfer
     // completes as if it owned its algorithm outright.
     install_registry();
     let host = shared_host();
