@@ -201,16 +201,6 @@ impl Monitor {
         self.current.as_ref().map(|m| m.id)
     }
 
-    /// When the active MI started.
-    pub fn current_started_at(&self) -> Option<SimTime> {
-        self.current.as_ref().map(|m| m.rep.start)
-    }
-
-    /// Packets sent in the active MI so far.
-    pub fn current_sent(&self) -> u64 {
-        self.current.as_ref().map_or(0, |m| m.rep.sent_pkts)
-    }
-
     /// Attribute a transmission to the active MI.
     pub fn on_sent(&mut self, seq: u64, bytes: u32) {
         let Some(cur) = self.current.as_mut() else {
@@ -332,11 +322,6 @@ impl Monitor {
     /// Earliest pending deadline (for timer scheduling).
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.pending.front().map(|m| m.deadline)
-    }
-
-    /// Number of ended-but-unpublished MIs.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 }
 

@@ -130,11 +130,6 @@ impl HostedCc {
         HostedCc { host, flow, name }
     }
 
-    /// The flow id inside the host.
-    pub fn flow(&self) -> HostFlowId {
-        self.flow
-    }
-
     fn with<R>(&self, f: impl FnOnce(&mut dyn CongestionControl) -> R) -> R {
         lock(&self.host).with_flow(self.flow, f)
     }

@@ -267,7 +267,11 @@ mod tests {
         assert_eq!(rep.rtt_min, Some(SimDuration::from_millis(30)));
         assert_eq!(rep.rtt_max, Some(SimDuration::from_millis(50)));
         assert_eq!(rep.mean_rtt(), SimDuration::from_millis(40));
-        assert_eq!(agg.take(SimTime::from_millis(21)).acked_pkts, 0, "take resets");
+        assert_eq!(
+            agg.take(SimTime::from_millis(21)).acked_pkts,
+            0,
+            "take resets"
+        );
     }
 
     #[test]

@@ -280,7 +280,7 @@ impl CcSender {
     /// the congestion window when the algorithm drives one.
     fn flight_limit(&self) -> u64 {
         match self.cwnd_pkts {
-            Some(cwnd) => MAX_IN_FLIGHT.min(cwnd.max(1.0).min(MAX_CWND_PKTS) as u64),
+            Some(cwnd) => MAX_IN_FLIGHT.min(cwnd.clamp(1.0, MAX_CWND_PKTS) as u64),
             None => MAX_IN_FLIGHT,
         }
     }

@@ -43,9 +43,9 @@ pub struct UdpSenderConfig {
     /// RNG seed for the algorithm's randomized decisions.
     pub seed: u64,
     /// Feedback-path override. `None` honours the algorithm's own
-    /// [`CongestionControl::report_mode`] preference; `Some` forces per-ACK
-    /// or batched delivery regardless. Passed through as
-    /// `CcSenderConfig::report`.
+    /// [`CongestionControl::report_mode`] preference;
+    /// `Some(Batched(_))` forces batched delivery (the override can only
+    /// coarsen). Passed through as `CcSenderConfig::report`.
     pub report: Option<ReportMode>,
     /// Dead-time budget, passed through as
     /// `CcSenderConfig::dead_time_budget`: if no forward progress (no new
@@ -319,7 +319,6 @@ pub fn send_with(
         dead_time_budget: cfg
             .dead_time_budget
             .map(|d| SimDuration::from_nanos(d.as_nanos() as u64)),
-        ..Default::default()
     };
     let mut d = Driver {
         socket,
