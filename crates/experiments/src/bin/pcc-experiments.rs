@@ -78,6 +78,16 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 }
 
 fn main() -> ExitCode {
+    let code = run();
+    // Experiments return tables, not results: a CSV that could not be
+    // written was reported on stderr where it happened.
+    if pcc_experiments::table::csv_write_failed() {
+        return ExitCode::FAILURE;
+    }
+    code
+}
+
+fn run() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Cli {
         which,

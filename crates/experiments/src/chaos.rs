@@ -51,19 +51,11 @@ pub fn run_specs(opts: &Opts, specs: &[String]) -> Vec<Table> {
     };
     let scripts = ChaosScript::all();
     // One flat batch: every (script × algorithm) cell is independent.
-    let jobs = scripts
-        .iter()
-        .flat_map(|&script| {
-            algos.iter().map(move |algo| {
-                let algo = algo.clone();
-                let seed = opts.seed;
-                runner::job(move || run_chaos(&Protocol::Named(algo), script, seed))
-            })
-        })
-        .collect();
-    let results = runner::run_jobs(opts, "chaos", jobs);
+    let grid = runner::run_grid(opts, "chaos", &scripts, &algos, |&script, algo| {
+        run_chaos(&Protocol::named(algo), script, opts.seed)
+    });
     let mut tables = Vec::with_capacity(scripts.len());
-    for (s, script) in scripts.iter().enumerate() {
+    for (script, outcomes) in scripts.iter().zip(grid) {
         let mut table = Table::new(
             &format!(
                 "chaos — {} script: outcome, goodput, post-repair recovery by algorithm",
@@ -77,11 +69,10 @@ pub fn run_specs(opts: &Opts, specs: &[String]) -> Vec<Table> {
                 "fingerprint",
             ],
         );
-        for (a, algo) in algos.iter().enumerate() {
-            table.row(row(algo, &results[s * algos.len() + a]));
+        for (algo, outcome) in algos.iter().zip(&outcomes) {
+            table.row(row(algo, outcome));
         }
-        table.print();
-        let _ = table.write_csv(&opts.out_dir, &format!("chaos_{}", script.label()));
+        table.emit(opts, &format!("chaos_{}", script.label()));
         tables.push(table);
     }
     tables

@@ -30,12 +30,10 @@ const RTT: SimDuration = SimDuration::from_millis(10);
 /// Offered load as a fraction of the bottleneck.
 const LOAD: f64 = 0.7;
 
-/// The protocols each workload runs under.
-fn protocols() -> Vec<(&'static str, Protocol)> {
-    vec![
-        ("pcc", Protocol::pcc_default(RTT)),
-        ("cubic", Protocol::Tcp("cubic")),
-    ]
+/// The protocols each workload runs under; their labels fill the `spec`
+/// column.
+pub fn protocols() -> [Protocol; 2] {
+    [Protocol::named("pcc"), Protocol::Tcp("cubic")]
 }
 
 /// The churn configuration for one (workload × protocol) cell.
@@ -62,27 +60,19 @@ pub fn run_flows(opts: &Opts, flows: u64) -> Vec<Table> {
     install_registry();
     let workloads = builtin_names();
     let protos = protocols();
-    let jobs = workloads
-        .iter()
-        .flat_map(|&w| {
-            protos.iter().map(move |(_, p)| {
-                let p = p.clone();
-                let seed = opts.seed;
-                runner::job(move || run_churn(config(w, p, flows, seed)))
-            })
-        })
-        .collect();
-    let results: Vec<ChurnReport> = runner::run_jobs(opts, "churn", jobs);
+    let grid: Vec<Vec<ChurnReport>> =
+        runner::run_grid(opts, "churn", &workloads, &protos, |w, p| {
+            run_churn(config(w, p.clone(), flows, opts.seed))
+        });
     let mut tables = Vec::with_capacity(workloads.len() + 1);
-    for (w, workload) in workloads.iter().enumerate() {
+    for (workload, reports) in workloads.iter().zip(&grid) {
         let mut table = Table::new(
             &format!("churn — {workload}: FCT percentiles by flow-size bucket"),
             &[
                 "spec", "bucket", "flows", "done", "p50_ms", "p99_ms", "p999_ms",
             ],
         );
-        for (p, (spec, _)) in protos.iter().enumerate() {
-            let r = &results[w * protos.len() + p];
+        for (spec, r) in protos.iter().map(Protocol::label).zip(reports) {
             let all = &r.overall;
             table.row(vec![
                 spec.to_string(),
@@ -105,8 +95,7 @@ pub fn run_flows(opts: &Opts, flows: u64) -> Vec<Table> {
                 ]);
             }
         }
-        table.print();
-        let _ = table.write_csv(&opts.out_dir, &format!("churn_{workload}"));
+        table.emit(opts, &format!("churn_{workload}"));
         tables.push(table);
     }
     let mut acct = Table::new(
@@ -125,9 +114,8 @@ pub fn run_flows(opts: &Opts, flows: u64) -> Vec<Table> {
             "fingerprint",
         ],
     );
-    for (w, workload) in workloads.iter().enumerate() {
-        for (p, (spec, _)) in protos.iter().enumerate() {
-            let r = &results[w * protos.len() + p];
+    for (workload, reports) in workloads.iter().zip(&grid) {
+        for (spec, r) in protos.iter().map(Protocol::label).zip(reports) {
             let c = r.churn;
             acct.row(vec![
                 workload.to_string(),
@@ -144,8 +132,7 @@ pub fn run_flows(opts: &Opts, flows: u64) -> Vec<Table> {
             ]);
         }
     }
-    acct.print();
-    let _ = acct.write_csv(&opts.out_dir, "churn_accounting");
+    acct.emit(opts, "churn_accounting");
     tables.push(acct);
     tables
 }

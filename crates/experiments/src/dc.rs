@@ -9,7 +9,6 @@
 
 use pcc_scenarios::dc::{run_ft_permutation, run_ls_mix, run_rack_incast, DcStats, LsFabric};
 use pcc_scenarios::Protocol;
-use pcc_simnet::time::SimDuration;
 
 use crate::{fmt, runner, scaled, Opts, Table};
 
@@ -23,19 +22,9 @@ pub const LEAF_SPINE: (usize, usize, usize) = (8, 4, 8);
 /// Core oversubscription of the leaf-spine mix.
 pub const OVERSUBSCRIPTION: f64 = 4.0;
 
-/// A protocol constructor usable from runner jobs (`fn` pointers are
-/// `Send`, closures capturing the environment are not necessarily).
-type MkProtocol = fn(SimDuration) -> Protocol;
-
-/// The protocols compared in every table.
-fn protocols() -> Vec<(&'static str, MkProtocol)> {
-    fn pcc(rtt: SimDuration) -> Protocol {
-        Protocol::pcc_default(rtt)
-    }
-    fn cubic(_: SimDuration) -> Protocol {
-        Protocol::Tcp("cubic")
-    }
-    vec![("pcc", pcc), ("cubic", cubic)]
+/// The protocols compared in every table; their labels name the rows.
+pub fn protocols() -> [Protocol; 2] {
+    [Protocol::named("pcc"), Protocol::Tcp("cubic")]
 }
 
 /// Rack-scale incast on a k=4 fat-tree: goodput and down-link pressure vs
@@ -52,23 +41,23 @@ pub fn run_incast_table(opts: &Opts) -> Table {
             "cubic_downq_kb",
         ],
     );
-    let mut jobs: Vec<runner::Job<'_, (f64, f64)>> = Vec::new();
-    for &n in INCAST_SENDERS {
-        for (i, (_, mk)) in protocols().into_iter().enumerate() {
-            let seed = opts.seed ^ ((n as u64) << 4) ^ (i as u64);
-            jobs.push(runner::job(move || {
-                let r = run_rack_incast(4, &mk, n, block, seed);
-                (
-                    r.stats.goodput_mbps,
-                    r.down_link.queue.max_backlog_bytes as f64 / 1024.0,
-                )
-            }));
-        }
-    }
-    let mut results = runner::run_jobs(opts, "dc-incast", jobs).into_iter();
-    for &n in INCAST_SENDERS {
-        let (pcc_gp, pcc_q) = results.next().expect("one result per cell");
-        let (cubic_gp, cubic_q) = results.next().expect("one result per cell");
+    let cols: Vec<(u64, Protocol)> = (0..).zip(protocols()).collect();
+    let grid = runner::run_grid(
+        opts,
+        "dc-incast",
+        INCAST_SENDERS,
+        &cols,
+        |&n, (i, proto)| {
+            let seed = opts.seed ^ ((n as u64) << 4) ^ i;
+            let r = run_rack_incast(4, proto, n, block, seed);
+            (
+                r.stats.goodput_mbps,
+                r.down_link.queue.max_backlog_bytes as f64 / 1024.0,
+            )
+        },
+    );
+    for (&n, cells) in INCAST_SENDERS.iter().zip(grid) {
+        let ((pcc_gp, pcc_q), (cubic_gp, cubic_q)) = (cells[0], cells[1]);
         table.row(vec![
             format!("{n}"),
             fmt(pcc_gp),
@@ -77,8 +66,7 @@ pub fn run_incast_table(opts: &Opts) -> Table {
             fmt(cubic_q),
         ]);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "dc_incast");
+    table.emit(opts, "dc_incast");
     table
 }
 
@@ -98,18 +86,20 @@ pub fn run_fattree_table(opts: &Opts) -> Table {
             "max_queue_kb",
         ],
     );
-    let jobs: Vec<runner::Job<'_, DcStats>> = protocols()
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, mk))| {
-            let seed = opts.seed ^ 0xD0 ^ (i as u64);
-            runner::job(move || run_ft_permutation(PERMUTATION_K, &mk, flow_bytes, seed).0)
+    let protocols = protocols();
+    let jobs: Vec<runner::Job<'_, DcStats>> = (0..)
+        .zip(&protocols)
+        .map(|(i, proto)| {
+            let seed = opts.seed ^ 0xD0 ^ i;
+            runner::job(move || {
+                run_ft_permutation(PERMUTATION_K, &|_| proto.clone(), flow_bytes, seed).0
+            })
         })
         .collect();
     let results = runner::run_jobs(opts, "dc-fattree", jobs);
-    for ((name, _), stats) in protocols().into_iter().zip(results) {
+    for (proto, stats) in protocols.iter().zip(results) {
         table.row(vec![
-            name.to_string(),
+            proto.label().to_string(),
             format!("{}/{}", stats.completed, stats.total),
             fmt(stats.fct_p50_ms),
             fmt(stats.fct_p99_ms),
@@ -118,8 +108,7 @@ pub fn run_fattree_table(opts: &Opts) -> Table {
             fmt(stats.max_queue_bytes as f64 / 1024.0),
         ]);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "dc_fattree_perm");
+    table.emit(opts, "dc_fattree_perm");
     table
 }
 
@@ -140,11 +129,11 @@ pub fn run_leafspine_table(opts: &Opts) -> Table {
             "uplink_util",
         ],
     );
-    let jobs: Vec<runner::Job<'_, (DcStats, f64)>> = protocols()
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, mk))| {
-            let seed = opts.seed ^ 0x15 ^ (i as u64);
+    let protocols = protocols();
+    let jobs: Vec<runner::Job<'_, (DcStats, f64)>> = (0..)
+        .zip(&protocols)
+        .map(|(i, proto)| {
+            let seed = opts.seed ^ 0x15 ^ i;
             runner::job(move || {
                 let (stats, uplink_util, _) = run_ls_mix(
                     LsFabric {
@@ -153,7 +142,7 @@ pub fn run_leafspine_table(opts: &Opts) -> Table {
                         hosts_per_leaf: per_leaf,
                         oversubscription: OVERSUBSCRIPTION,
                     },
-                    &mk,
+                    proto,
                     elephant,
                     mouse,
                     seed,
@@ -163,9 +152,9 @@ pub fn run_leafspine_table(opts: &Opts) -> Table {
         })
         .collect();
     let results = runner::run_jobs(opts, "dc-leafspine", jobs);
-    for ((name, _), (stats, uplink_util)) in protocols().into_iter().zip(results) {
+    for (proto, (stats, uplink_util)) in protocols.iter().zip(results) {
         table.row(vec![
-            name.to_string(),
+            proto.label().to_string(),
             format!("{}/{}", stats.completed, stats.total),
             fmt(stats.fct_p50_ms),
             fmt(stats.fct_p99_ms),
@@ -173,8 +162,7 @@ pub fn run_leafspine_table(opts: &Opts) -> Table {
             fmt(uplink_util),
         ]);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "dc_leafspine");
+    table.emit(opts, "dc_leafspine");
     table
 }
 

@@ -15,6 +15,16 @@ use pcc_simnet::time::SimDuration;
 
 use crate::{fmt, runner, scaled, Opts, Table};
 
+/// The protocol columns, in table order.
+pub fn protocols() -> [Protocol; 4] {
+    [
+        Protocol::named("pcc"),
+        Protocol::Tcp("cubic"),
+        Protocol::named("sabul"),
+        Protocol::named("pcp"),
+    ]
+}
+
 /// Run the Figs. 4–5 population sweep.
 pub fn run(opts: &Opts) -> Vec<Table> {
     let n_pairs = scaled(opts, 60, 510) as usize;
@@ -31,22 +41,13 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             "bw_mbps", "rtt_ms", "buf_kb", "loss", "pcc", "cubic", "sabul", "pcp",
         ],
     );
-    let mut jobs: Vec<runner::Job<'_, f64>> = Vec::new();
-    for (i, path) in paths.iter().enumerate() {
+    let rows: Vec<_> = paths.iter().enumerate().collect();
+    let grid = runner::run_grid(opts, "fig05", &rows, &protocols(), |&(i, path), proto| {
         let seed = opts.seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
-        for proto in [
-            Protocol::pcc_default(path.rtt),
-            Protocol::Tcp("cubic"),
-            Protocol::Sabul,
-            Protocol::Pcp,
-        ] {
-            jobs.push(runner::job(move || path_throughput(proto, path, dur, seed)));
-        }
-    }
-    let mut results = runner::run_jobs(opts, "fig05", jobs).into_iter();
-    for path in paths.iter() {
-        let mut next = || results.next().expect("one result per job");
-        let (pcc, cubic, sabul, pcp) = (next(), next(), next(), next());
+        path_throughput(proto.clone(), path, dur, seed)
+    });
+    for (path, cells) in paths.iter().zip(grid) {
+        let (pcc, cubic, sabul, pcp) = (cells[0], cells[1], cells[2], cells[3]);
         let floor = 0.05; // 50 kbps floor avoids divide-by-~zero ratios
         ratios_cubic.push(pcc / cubic.max(floor));
         ratios_sabul.push(pcc / sabul.max(floor));
@@ -81,8 +82,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             format!("{:.2}", ge10),
         ]);
     }
-    summary.print();
-    let _ = per_path.write_csv(&opts.out_dir, "fig05_internet_paths");
-    let _ = summary.write_csv(&opts.out_dir, "fig05_internet_summary");
+    per_path.save(opts, "fig05_internet_paths");
+    summary.emit(opts, "fig05_internet_summary");
     vec![summary, per_path]
 }

@@ -5,7 +5,7 @@
 //! PCC reaches 90% of capacity with a 7.5 KB buffer; Hybla manages only
 //! ~2 Mbps even with 1 MB (17×), Illinois 54× worse at 1 MB.
 
-use pcc_scenarios::links::{run_satellite, SATELLITE_RTT};
+use pcc_scenarios::links::run_satellite;
 use pcc_scenarios::Protocol;
 use pcc_simnet::time::{SimDuration, SimTime};
 
@@ -16,9 +16,10 @@ pub const BUFFERS: &[u64] = &[
     1_500, 3_750, 7_500, 15_000, 37_500, 75_000, 150_000, 375_000, 1_000_000,
 ];
 
-fn protocols() -> Vec<Protocol> {
-    vec![
-        Protocol::pcc_default(SATELLITE_RTT),
+/// The protocol columns, in table order.
+pub fn protocols() -> [Protocol; 5] {
+    [
+        Protocol::named("pcc"),
         Protocol::Tcp("hybla"),
         Protocol::Tcp("illinois"),
         Protocol::Tcp("cubic"),
@@ -36,26 +37,15 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Fig. 6 — satellite (42 Mbps, 800 ms RTT, 0.74% loss): throughput [Mbps] vs buffer",
         &["buffer_kb", "pcc", "hybla", "illinois", "cubic", "newreno"],
     );
-    let mut jobs: Vec<runner::Job<'_, f64>> = Vec::new();
-    for &buf in BUFFERS {
-        for proto in protocols() {
-            let seed = opts.seed;
-            jobs.push(runner::job(move || {
-                let r = run_satellite(proto, buf, dur, seed);
-                r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
-            }));
-        }
-    }
-    let cols = protocols().len();
-    let mut results = runner::run_jobs(opts, "fig06", jobs).into_iter();
-    for &buf in BUFFERS {
+    let grid = runner::run_grid(opts, "fig06", BUFFERS, &protocols(), |&buf, proto| {
+        let r = run_satellite(proto.clone(), buf, dur, opts.seed);
+        r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
+    });
+    for (&buf, cells) in BUFFERS.iter().zip(grid) {
         let mut row = vec![format!("{:.1}", buf as f64 / 1000.0)];
-        for _ in 0..cols {
-            row.push(fmt(results.next().expect("one result per job")));
-        }
+        row.extend(cells.into_iter().map(fmt));
         table.row(row);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig06_satellite");
+    table.emit(opts, "fig06_satellite");
     vec![table]
 }

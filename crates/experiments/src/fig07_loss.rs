@@ -21,9 +21,9 @@ use crate::{fmt, runner, scaled, Opts, Table};
 pub const LOSS_RATES: &[f64] = &[0.0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06];
 
 /// The protocol columns, in table order.
-fn protocols(rtt: SimDuration) -> [Protocol; 4] {
+pub fn protocols() -> [Protocol; 4] {
     [
-        Protocol::pcc_default(rtt),
+        Protocol::named("pcc"),
         Protocol::Named("bbr".into()),
         Protocol::Tcp("illinois"),
         Protocol::Tcp("cubic"),
@@ -35,31 +35,19 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     let secs = scaled(opts, 30, 100);
     let warmup = scaled(opts, 8, 20);
     let dur = SimDuration::from_secs(secs);
-    let rtt = SimDuration::from_millis(30);
     let mut table = Table::new(
         "Fig. 7 — random loss (100 Mbps, 30 ms): throughput [Mbps] vs loss rate",
         &["loss", "pcc", "bbr", "illinois", "cubic"],
     );
-    let mut jobs: Vec<runner::Job<'_, f64>> = Vec::new();
-    for &loss in LOSS_RATES {
-        for proto in protocols(rtt) {
-            let seed = opts.seed;
-            jobs.push(runner::job(move || {
-                let r = run_lossy(proto, loss, dur, seed);
-                r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
-            }));
-        }
-    }
-    let cols = protocols(rtt).len();
-    let mut results = runner::run_jobs(opts, "fig07", jobs).into_iter();
-    for &loss in LOSS_RATES {
+    let grid = runner::run_grid(opts, "fig07", LOSS_RATES, &protocols(), |&loss, proto| {
+        let r = run_lossy(proto.clone(), loss, dur, opts.seed);
+        r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
+    });
+    for (&loss, cells) in LOSS_RATES.iter().zip(grid) {
         let mut row = vec![format!("{loss:.3}")];
-        for _ in 0..cols {
-            row.push(fmt(results.next().expect("one result per job")));
-        }
+        row.extend(cells.into_iter().map(fmt));
         table.row(row);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig07_loss");
+    table.emit(opts, "fig07_loss");
     vec![table]
 }

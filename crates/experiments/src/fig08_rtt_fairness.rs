@@ -15,14 +15,13 @@ use crate::{fmt, runner, scaled, Opts, Table};
 /// Long-flow RTTs swept (ms), as in the paper.
 pub const LONG_RTTS_MS: &[u64] = &[20, 30, 40, 50, 60, 70, 80, 90, 100];
 
-/// Protocol constructors per column (the hybrid resolves by registry
-/// name, zero per-harness code).
-fn columns() -> [fn(SimDuration) -> Protocol; 4] {
+/// The protocol columns, in table order.
+pub fn protocols() -> [Protocol; 4] {
     [
-        Protocol::pcc_default,
-        |_| Protocol::Named("bbr".into()),
-        |_| Protocol::Tcp("cubic"),
-        |_| Protocol::Tcp("newreno"),
+        Protocol::named("pcc"),
+        Protocol::named("bbr"),
+        Protocol::Tcp("cubic"),
+        Protocol::Tcp("newreno"),
     ]
 }
 
@@ -33,26 +32,21 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Fig. 8 — RTT fairness: long-RTT/short-RTT throughput ratio",
         &["long_rtt_ms", "pcc", "bbr", "cubic", "newreno"],
     );
-    let mut jobs: Vec<runner::Job<'_, f64>> = Vec::new();
-    for &rtt_ms in LONG_RTTS_MS {
-        let long = SimDuration::from_millis(rtt_ms);
-        for mk in columns() {
-            let seed = opts.seed;
-            jobs.push(runner::job(move || {
-                rtt_fairness_ratio(mk, long, contention, seed)
-            }));
-        }
-    }
-    let cols = columns().len();
-    let mut results = runner::run_jobs(opts, "fig08", jobs).into_iter();
-    for &rtt_ms in LONG_RTTS_MS {
+    let grid = runner::run_grid(
+        opts,
+        "fig08",
+        LONG_RTTS_MS,
+        &protocols(),
+        |&rtt_ms, proto| {
+            let long = SimDuration::from_millis(rtt_ms);
+            rtt_fairness_ratio(proto.clone(), long, contention, opts.seed)
+        },
+    );
+    for (&rtt_ms, cells) in LONG_RTTS_MS.iter().zip(grid) {
         let mut row = vec![format!("{rtt_ms}")];
-        for _ in 0..cols {
-            row.push(fmt(results.next().expect("one result per job")));
-        }
+        row.extend(cells.into_iter().map(fmt));
         table.row(row);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig08_rtt_fairness");
+    table.emit(opts, "fig08_rtt_fairness");
     vec![table]
 }

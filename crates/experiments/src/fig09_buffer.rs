@@ -16,39 +16,33 @@ pub const BUFFERS: &[u64] = &[
     1_500, 3_000, 6_000, 9_000, 15_000, 30_000, 60_000, 125_000, 250_000, 375_000,
 ];
 
+/// The protocol columns, in table order ("TCP pacing" is paced New Reno).
+pub fn protocols() -> [Protocol; 3] {
+    [
+        Protocol::named("pcc"),
+        Protocol::named("newreno-paced"),
+        Protocol::Tcp("cubic"),
+    ]
+}
+
 /// Run the Fig. 9 sweep.
 pub fn run(opts: &Opts) -> Vec<Table> {
     let secs = scaled(opts, 30, 100);
     let warmup = scaled(opts, 8, 20);
     let dur = SimDuration::from_secs(secs);
-    let rtt = SimDuration::from_millis(30);
     let mut table = Table::new(
         "Fig. 9 — shallow buffers (100 Mbps, 30 ms): throughput [Mbps] vs buffer",
         &["buffer_kb", "pcc", "tcp_pacing", "cubic"],
     );
-    let mut jobs: Vec<runner::Job<'_, f64>> = Vec::new();
-    for &buf in BUFFERS {
-        for proto in [
-            Protocol::pcc_default(rtt),
-            Protocol::TcpPaced("newreno"),
-            Protocol::Tcp("cubic"),
-        ] {
-            let seed = opts.seed;
-            jobs.push(runner::job(move || {
-                let r = run_shallow(proto, buf, dur, seed);
-                r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
-            }));
-        }
-    }
-    let mut results = runner::run_jobs(opts, "fig09", jobs).into_iter();
-    for &buf in BUFFERS {
+    let grid = runner::run_grid(opts, "fig09", BUFFERS, &protocols(), |&buf, proto| {
+        let r = run_shallow(proto.clone(), buf, dur, opts.seed);
+        r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
+    });
+    for (&buf, cells) in BUFFERS.iter().zip(grid) {
         let mut row = vec![format!("{:.1}", buf as f64 / 1000.0)];
-        for _ in 0..3 {
-            row.push(fmt(results.next().expect("one result per job")));
-        }
+        row.extend(cells.into_iter().map(fmt));
         table.row(row);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig09_buffer");
+    table.emit(opts, "fig09_buffer");
     vec![table]
 }

@@ -6,7 +6,7 @@
 //! a sub-millisecond RTT); PCC sustains 60–80% of the maximum goodput,
 //! 7–8× TCP, and stays stable as senders scale.
 
-use pcc_scenarios::incast::{run_incast, INCAST_RTT};
+use pcc_scenarios::incast::run_incast;
 use pcc_scenarios::Protocol;
 
 use crate::{fmt, runner, scaled, Opts, Table};
@@ -15,6 +15,11 @@ use crate::{fmt, runner, scaled, Opts, Table};
 pub const SENDERS: &[usize] = &[2, 5, 10, 15, 20, 25, 30, 33];
 /// Block sizes (KB) swept, as in the paper.
 pub const BLOCKS_KB: &[u64] = &[64, 128, 256];
+
+/// The compared protocols: each block size's `pcc_*` then `tcp_*` column.
+pub fn protocols() -> [Protocol; 2] {
+    [Protocol::named("pcc"), Protocol::Tcp("newreno")]
+}
 
 /// Run the Fig. 10 grid.
 pub fn run(opts: &Opts) -> Vec<Table> {
@@ -25,39 +30,30 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             "senders", "pcc_64k", "tcp_64k", "pcc_128k", "tcp_128k", "pcc_256k", "tcp_256k",
         ],
     );
-    // One job per (senders, block, trial, protocol) cell; trial means are
-    // folded back together in submission order below.
-    let mut jobs: Vec<runner::Job<'_, f64>> = Vec::new();
-    for &n in SENDERS {
-        for &kb in BLOCKS_KB {
-            for t in 0..trials {
-                let seed = opts.seed ^ (t << 8) ^ (n as u64) ^ (kb << 16);
-                jobs.push(runner::job(move || {
-                    run_incast(|| Protocol::pcc_default(INCAST_RTT), n, kb * 1024, seed)
-                        .goodput_mbps
-                }));
-                jobs.push(runner::job(move || {
-                    run_incast(|| Protocol::Tcp("newreno"), n, kb * 1024, seed).goodput_mbps
-                }));
-            }
-        }
-    }
-    let mut results = runner::run_jobs(opts, "fig10", jobs).into_iter();
-    for &n in SENDERS {
+    // A table cell is one (senders, block, protocol) point's mean over its
+    // trials: the points are the grid's rows, in table-cell order.
+    let points: Vec<(usize, u64, Protocol)> = SENDERS
+        .iter()
+        .flat_map(|&n| BLOCKS_KB.iter().map(move |&kb| (n, kb)))
+        .flat_map(|(n, kb)| protocols().map(|proto| (n, kb, proto)))
+        .collect();
+    let trial_ids: Vec<u64> = (0..trials).collect();
+    let grid = runner::run_grid(opts, "fig10", &points, &trial_ids, |(n, kb, proto), &t| {
+        let seed = opts.seed ^ (t << 8) ^ (*n as u64) ^ (kb << 16);
+        run_incast(proto.clone(), *n, kb * 1024, seed).goodput_mbps
+    });
+    let means: Vec<String> = grid
+        .iter()
+        .map(|runs| fmt(runs.iter().sum::<f64>() / trials as f64))
+        .collect();
+    for (&n, cells) in SENDERS
+        .iter()
+        .zip(means.chunks(points.len() / SENDERS.len()))
+    {
         let mut row = vec![format!("{n}")];
-        for _ in BLOCKS_KB {
-            let mut pcc_sum = 0.0;
-            let mut tcp_sum = 0.0;
-            for _ in 0..trials {
-                pcc_sum += results.next().expect("one result per job");
-                tcp_sum += results.next().expect("one result per job");
-            }
-            row.push(fmt(pcc_sum / trials as f64));
-            row.push(fmt(tcp_sum / trials as f64));
-        }
+        row.extend_from_slice(cells);
         table.row(row);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig10_incast");
+    table.emit(opts, "fig10_incast");
     vec![table]
 }

@@ -11,6 +11,15 @@ use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::{fmt, runner, scaled, Opts, Table};
 
+/// The compared protocols: summary rows and series columns, in order.
+pub fn protocols() -> [Protocol; 3] {
+    [
+        Protocol::named("pcc"),
+        Protocol::Tcp("cubic"),
+        Protocol::Tcp("illinois"),
+    ]
+}
+
 /// Run the Fig. 11 experiment.
 pub fn run(opts: &Opts) -> Vec<Table> {
     let secs = scaled(opts, 120, 500);
@@ -27,28 +36,22 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Fig. 11 — sending-rate trace [Mbps per second]",
         &["t_s", "optimal", "pcc", "cubic", "illinois"],
     );
-    let rtt_hint = SimDuration::from_millis(50);
-    let runs = [
-        ("pcc", Protocol::pcc_default(rtt_hint)),
-        ("cubic", Protocol::Tcp("cubic")),
-        ("illinois", Protocol::Tcp("illinois")),
-    ];
+    let runs = protocols();
     let mut rate_series: Vec<Vec<f64>> = Vec::new();
     let mut optimal = None;
     let jobs = runs
         .iter()
-        .map(|(_, proto)| {
-            let proto = proto.clone();
+        .map(|proto| {
             let seed = opts.seed;
-            runner::job(move || run_rapid_change(proto, step, dur, env_seed, seed))
+            runner::job(move || run_rapid_change(proto.clone(), step, dur, env_seed, seed))
         })
         .collect();
     let results = runner::run_jobs(opts, "fig11", jobs);
-    for ((name, _), r) in runs.iter().zip(results) {
+    for (proto, r) in runs.iter().zip(results) {
         let opt = r.optimal_mbps(horizon);
         let ach = r.achieved_mbps();
         summary.row(vec![
-            (*name).into(),
+            proto.label().into(),
             fmt(ach),
             fmt(opt),
             format!("{:.2}", ach / opt),
@@ -84,8 +87,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             fmt(rate_series[2][t]),
         ]);
     }
-    summary.print();
-    let _ = summary.write_csv(&opts.out_dir, "fig11_rapid_summary");
-    let _ = series_tbl.write_csv(&opts.out_dir, "fig11_rapid_series");
+    summary.emit(opts, "fig11_rapid_summary");
+    series_tbl.save(opts, "fig11_rapid_series");
     vec![summary, series_tbl]
 }

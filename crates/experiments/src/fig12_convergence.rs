@@ -11,16 +11,10 @@ use pcc_simnet::time::SimDuration;
 
 use crate::{fmt, runner, scaled, Opts, Table};
 
-/// A labelled protocol constructor.
-type NamedRun = (&'static str, fn() -> Protocol);
-
-/// The two compared protocols, as constructors.
-const RUNS: &[NamedRun] = &[
-    ("pcc", || {
-        Protocol::pcc_default(SimDuration::from_millis(30))
-    }),
-    ("cubic", || Protocol::Tcp("cubic")),
-];
+/// The two compared protocols; their labels name the rows and trace files.
+pub fn protocols() -> [Protocol; 2] {
+    [Protocol::named("pcc"), Protocol::Tcp("cubic")]
+}
 
 /// Run the Fig. 12 experiment.
 pub fn run(opts: &Opts) -> Vec<Table> {
@@ -31,15 +25,16 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Fig. 12 — 4 staggered flows: per-flow stddev after all active [Mbps]",
         &["protocol", "mean_stddev"],
     );
-    let jobs = RUNS
+    let runs = protocols();
+    let jobs = runs
         .iter()
-        .map(|&(_, mk)| {
+        .map(|proto| {
             let seed = opts.seed;
-            runner::job(move || run_convergence(mk, 4, stagger, lifetime, seed))
+            runner::job(move || run_convergence(proto.clone(), 4, stagger, lifetime, seed))
         })
         .collect();
     let results = runner::run_jobs(opts, "fig12", jobs);
-    for (&(name, _), r) in RUNS.iter().zip(results) {
+    for (name, r) in runs.iter().map(Protocol::label).zip(results) {
         summary.row(vec![name.into(), fmt(r.mean_stddev())]);
         let mut trace = Table::new(
             &format!("Fig. 12 — rate trace ({name}), 1 s samples [Mbps]"),
@@ -61,11 +56,10 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 fmt(series[3][t]),
             ]);
         }
-        let _ = trace.write_csv(&opts.out_dir, &format!("fig12_convergence_{name}"));
+        trace.save(opts, &format!("fig12_convergence_{name}"));
         out.push(trace);
     }
-    summary.print();
-    let _ = summary.write_csv(&opts.out_dir, "fig12_convergence_summary");
+    summary.emit(opts, "fig12_convergence_summary");
     out.insert(0, summary);
     out
 }

@@ -15,17 +15,14 @@ use crate::{runner, scaled, Opts, Table};
 /// Time scales (in 1 s samples) at which the index is evaluated.
 pub const SCALES: &[usize] = &[1, 5, 10, 30, 60];
 
-/// A labelled protocol constructor.
-type NamedRun = (&'static str, fn() -> Protocol);
-
-/// The compared protocols, as constructors.
-const RUNS: &[NamedRun] = &[
-    ("pcc", || {
-        Protocol::pcc_default(SimDuration::from_millis(30))
-    }),
-    ("cubic", || Protocol::Tcp("cubic")),
-    ("newreno", || Protocol::Tcp("newreno")),
-];
+/// The compared protocols; their labels name the rows.
+pub fn protocols() -> [Protocol; 3] {
+    [
+        Protocol::named("pcc"),
+        Protocol::Tcp("cubic"),
+        Protocol::Tcp("newreno"),
+    ]
+}
 
 /// Flow counts evaluated per protocol.
 const FLOW_COUNTS: &[usize] = &[2, 3, 4];
@@ -38,26 +35,21 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Fig. 13 — Jain's fairness index vs time scale [s]",
         &["protocol", "flows", "1s", "5s", "10s", "30s", "60s"],
     );
-    let mut jobs: Vec<runner::Job<'_, Vec<f64>>> = Vec::new();
-    for &(_, mk) in RUNS {
-        for &flows in FLOW_COUNTS {
-            let seed = opts.seed;
-            jobs.push(runner::job(move || {
-                let r = run_convergence(mk, flows, stagger, lifetime, seed);
-                SCALES.iter().map(|&scale| r.jain_at_scale(scale)).collect()
-            }));
-        }
-    }
-    let mut results = runner::run_jobs(opts, "fig13", jobs).into_iter();
-    for &(name, _) in RUNS {
-        for &flows in FLOW_COUNTS {
-            let indices = results.next().expect("one result per job");
-            let mut row = vec![name.to_string(), format!("{flows}")];
+    let runs = protocols();
+    let grid = runner::run_grid(opts, "fig13", &runs, FLOW_COUNTS, |proto, &flows| {
+        let r = run_convergence(proto.clone(), flows, stagger, lifetime, opts.seed);
+        SCALES
+            .iter()
+            .map(|&scale| r.jain_at_scale(scale))
+            .collect::<Vec<f64>>()
+    });
+    for (proto, by_flows) in runs.iter().zip(grid) {
+        for (&flows, indices) in FLOW_COUNTS.iter().zip(by_flows) {
+            let mut row = vec![proto.label().to_string(), format!("{flows}")];
             row.extend(indices.iter().map(|v| format!("{v:.3}")));
             table.row(row);
         }
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig13_jain");
+    table.emit(opts, "fig13_jain");
     vec![table]
 }

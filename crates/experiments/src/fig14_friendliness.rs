@@ -25,29 +25,28 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Fig. 14 — relative unfriendliness ratio (>1 ⇒ PCC friendlier than TCP bundles)",
         &["config", "k=1", "k=2", "k=4", "k=6", "k=8"],
     );
-    let mut jobs: Vec<runner::Job<'_, f64>> = Vec::new();
-    for &(mbps, rtt_ms) in CONFIGS {
-        let rtt = SimDuration::from_millis(rtt_ms);
-        for &k in KS {
-            for selfish in [Selfish::Pcc, Selfish::TcpBundle] {
-                let seed = opts.seed;
-                jobs.push(runner::job(move || {
-                    normal_tcp_throughput(selfish, k, mbps * 1e6, rtt, dur, seed)
-                }));
-            }
-        }
-    }
-    let mut results = runner::run_jobs(opts, "fig14", jobs).into_iter();
-    for &(mbps, rtt_ms) in CONFIGS {
+    // Each k is a (vs PCC, vs bundles) pair of adjacent cells.
+    let cols: Vec<(usize, Selfish)> = KS
+        .iter()
+        .flat_map(|&k| [(k, Selfish::Pcc), (k, Selfish::TcpBundle)])
+        .collect();
+    let grid = runner::run_grid(
+        opts,
+        "fig14",
+        CONFIGS,
+        &cols,
+        |&(mbps, rtt_ms), &(k, selfish)| {
+            let rtt = SimDuration::from_millis(rtt_ms);
+            normal_tcp_throughput(selfish, k, mbps * 1e6, rtt, dur, opts.seed)
+        },
+    );
+    for (&(mbps, rtt_ms), cells) in CONFIGS.iter().zip(grid) {
         let mut row = vec![format!("{mbps:.0}Mbps,{rtt_ms}ms")];
-        for _ in KS {
-            let vs_pcc = results.next().expect("one result per job");
-            let vs_bundle = results.next().expect("one result per job");
-            row.push(format!("{:.2}", vs_pcc / vs_bundle.max(1e-3)));
+        for pair in cells.chunks(2) {
+            row.push(format!("{:.2}", pair[0] / pair[1].max(1e-3)));
         }
         table.row(row);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig14_friendliness");
+    table.emit(opts, "fig14_friendliness");
     vec![table]
 }

@@ -5,7 +5,7 @@
 //! at the median and 95th percentile (95th at 75% load is 20% longer) —
 //! the learning startup does not fundamentally harm short flows.
 
-use pcc_scenarios::fct::{run_fct, FCT_RTT};
+use pcc_scenarios::fct::run_fct;
 use pcc_scenarios::Protocol;
 use pcc_simnet::time::SimDuration;
 
@@ -13,6 +13,11 @@ use crate::{fmt, runner, scaled, Opts, Table};
 
 /// Offered loads swept.
 pub const LOADS: &[f64] = &[0.05, 0.25, 0.50, 0.75];
+
+/// The compared protocols: the `pcc_*` then the `tcp_*` columns.
+pub fn protocols() -> [Protocol; 2] {
+    [Protocol::named("pcc"), Protocol::Tcp("cubic")]
+}
 
 /// Run the Fig. 15 sweep.
 pub fn run(opts: &Opts) -> Vec<Table> {
@@ -30,24 +35,15 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             "pcc_incomplete",
         ],
     );
-    let mut jobs: Vec<runner::Job<'_, _>> = Vec::new();
-    for &load in LOADS {
-        let seed = opts.seed;
-        jobs.push(runner::job(move || {
-            run_fct(|| Protocol::pcc_default(FCT_RTT), load, dur, seed)
-        }));
-        jobs.push(runner::job(move || {
-            run_fct(|| Protocol::Tcp("cubic"), load, dur, seed)
-        }));
-    }
-    let mut results = runner::run_jobs(opts, "fig15", jobs).into_iter();
-    for &load in LOADS {
-        let pcc = results.next().expect("one result per job");
-        let tcp = results.next().expect("one result per job");
+    let grid = runner::run_grid(opts, "fig15", LOADS, &protocols(), |&load, proto| {
+        run_fct(proto.clone(), load, dur, opts.seed)
+    });
+    for (&load, cells) in LOADS.iter().zip(grid) {
+        let (pcc, tcp) = (&cells[0], &cells[1]);
         table.row(vec![
             format!("{:.0}%", load * 100.0),
-            fmt(pcc.median_ms()),
-            fmt(tcp.median_ms()),
+            fmt(pcc.p50_ms()),
+            fmt(tcp.p50_ms()),
             fmt(pcc.mean_ms()),
             fmt(tcp.mean_ms()),
             fmt(pcc.p95_ms()),
@@ -55,7 +51,6 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             format!("{}", pcc.incomplete),
         ]);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig15_fct");
+    table.emit(opts, "fig15_fct");
     vec![table]
 }

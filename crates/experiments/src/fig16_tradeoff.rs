@@ -11,11 +11,10 @@
 //!
 //! The figure is literally a parameter sweep, so it rides the same spec
 //! machinery as `pcc-experiments sweep`: every PCC point is a
-//! [`crate::sweep::expand`]ed `pcc:tm=…,eps=…` template resolved through
-//! [`Protocol::Named`] — the registry's schema validates the whole sweep
-//! before any simulation runs.
+//! [`crate::sweep::expand`]ed `pcc:tm=…,eps=…` template — the registry's
+//! schema validates the whole sweep before any simulation runs.
 
-use pcc_scenarios::dynamics::{run_tradeoff, TradeoffPoint};
+use pcc_scenarios::dynamics::run_tradeoff;
 use pcc_scenarios::Protocol;
 
 use crate::{fmt, runner, scaled, sweep, Opts, Table};
@@ -36,6 +35,17 @@ fn eps_spec(eps: f64) -> String {
 /// TCP points.
 pub const TCPS: &[&str] = &["cubic", "newreno", "vegas", "bic", "hybla", "westwood"];
 
+/// Every point of the figure, in table order: the PCC sweeps, the RCT
+/// ablation, the TCPs. A point's label is its spec.
+pub fn protocols() -> Vec<Protocol> {
+    let mut specs = sweep::expand(TM_TEMPLATE, 0).expect("static template");
+    specs.extend(EPS_SWEEP.iter().map(|&eps| eps_spec(eps)));
+    specs.push(NORCT_SPEC.to_string());
+    sweep::validate_specs(&specs).expect("every swept point is schema-valid");
+    let pcc = specs.into_iter().map(Protocol::Named);
+    pcc.chain(TCPS.iter().map(|&t| Protocol::Tcp(t))).collect()
+}
+
 /// Run the Fig. 16 sweep.
 pub fn run(opts: &Opts) -> Vec<Table> {
     let trials = scaled(opts, 3, 15);
@@ -44,35 +54,18 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Fig. 16 — stability vs reactiveness (flow B joins at 20 s)",
         &["point", "convergence_s", "stddev_mbps", "converged"],
     );
-    let mut specs: Vec<String> = Vec::new();
-    specs.extend(sweep::expand(TM_TEMPLATE, 0).expect("static template"));
-    specs.extend(EPS_SWEEP.iter().map(|&eps| eps_spec(eps)));
-    specs.push(NORCT_SPEC.to_string());
-    sweep::validate_specs(&specs).expect("every swept point is schema-valid");
-    // Every point is `trials` independent runs: one job each, folded back
-    // per point in submission order.
-    let points: Vec<(String, Protocol)> = specs
-        .iter()
-        .map(|s| (s.clone(), Protocol::Named(s.clone())))
-        .chain(TCPS.iter().map(|&t| (t.to_string(), Protocol::Tcp(t))))
-        .collect();
-    let mut jobs: Vec<runner::Job<'_, TradeoffPoint>> = Vec::new();
-    for (_, proto) in &points {
-        for t in 0..trials {
-            let proto = proto.clone();
-            let seed = opts.seed ^ (t * 7919);
-            jobs.push(runner::job(move || {
-                run_tradeoff(|| proto.clone(), stability_window, seed)
-            }));
-        }
-    }
-    let mut results = runner::run_jobs(opts, "fig16", jobs).into_iter();
-    for (label, _) in points {
+    // Every point is `trials` independent runs, folded back per point.
+    let points = protocols();
+    let trial_ids: Vec<u64> = (0..trials).collect();
+    let grid = runner::run_grid(opts, "fig16", &points, &trial_ids, |proto, &t| {
+        run_tradeoff(proto.clone(), stability_window, opts.seed ^ (t * 7919))
+    });
+    for (proto, runs) in points.iter().zip(grid) {
+        let label = proto.label().to_string();
         let mut conv = 0.0;
         let mut dev = 0.0;
         let mut ok = 0u32;
-        for _ in 0..trials {
-            let p = results.next().expect("one result per job");
+        for p in runs {
             if p.converged {
                 conv += p.convergence_secs;
                 dev += p.stddev_mbps;
@@ -90,8 +83,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             table.row(vec![label, "inf".into(), "-".into(), format!("0/{trials}")]);
         }
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig16_tradeoff");
+    table.emit(opts, "fig16_tradeoff");
     vec![table]
 }
 

@@ -13,6 +13,11 @@ use pcc_simnet::time::SimDuration;
 
 use crate::{fmt, runner, scaled, Opts, Table};
 
+/// The compared protocols: the `tcp` and the `pcc` cells.
+pub fn protocols() -> [Protocol; 2] {
+    [Protocol::Tcp("cubic"), pcc_interactive()]
+}
+
 /// Run the Fig. 17 grid.
 pub fn run(opts: &Opts) -> Vec<Table> {
     let dur = SimDuration::from_secs(scaled(opts, 40, 120));
@@ -20,42 +25,27 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Fig. 17 — power = throughput/delay (two interactive flows, FQ)",
         &["cell", "tput_mbps", "rtt_ms", "power"],
     );
-    let cells = [
-        (
-            "tcp + codel + fq",
-            Protocol::Tcp("cubic"),
-            QueueKind::FqCodel,
-        ),
-        (
-            "tcp + bufferbloat + fq",
-            Protocol::Tcp("cubic"),
-            QueueKind::Bufferbloat,
-        ),
-        ("pcc + codel + fq", pcc_interactive(), QueueKind::FqCodel),
-        (
-            "pcc + bufferbloat + fq",
-            pcc_interactive(),
-            QueueKind::Bufferbloat,
-        ),
+    let queues = [
+        ("codel", QueueKind::FqCodel),
+        ("bufferbloat", QueueKind::Bufferbloat),
     ];
-    let jobs = cells
-        .iter()
-        .map(|(_, proto, queue)| {
-            let (proto, queue) = (proto.clone(), *queue);
-            let seed = opts.seed;
-            runner::job(move || run_power(proto, queue, dur, seed))
-        })
-        .collect();
-    let results = runner::run_jobs(opts, "fig17", jobs);
-    for ((name, _, _), r) in cells.iter().zip(results) {
-        table.row(vec![
-            (*name).into(),
-            fmt(r.throughput_mbps),
-            fmt(r.rtt_ms),
-            fmt(r.power),
-        ]);
+    let grid = runner::run_grid(
+        opts,
+        "fig17",
+        &protocols(),
+        &queues,
+        |proto, &(_, queue)| run_power(proto.clone(), queue, dur, opts.seed),
+    );
+    for (who, by_queue) in ["tcp", "pcc"].iter().zip(grid) {
+        for ((aqm, _), r) in queues.iter().zip(by_queue) {
+            table.row(vec![
+                format!("{who} + {aqm} + fq"),
+                fmt(r.throughput_mbps),
+                fmt(r.rtt_ms),
+                fmt(r.power),
+            ]);
+        }
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "fig17_power");
+    table.emit(opts, "fig17_power");
     vec![table]
 }

@@ -190,6 +190,41 @@ mod tests {
     }
 
     #[test]
+    fn every_protocol_a_table_names_is_a_spec_the_registry_builds() {
+        use pcc_scenarios::power::{pcc_interactive, pcc_loss_resilient};
+        use pcc_scenarios::Protocol;
+        use pcc_simnet::time::SimDuration;
+        use pcc_transport::registry::{self, CcParams};
+
+        pcc_scenarios::install_registry();
+        let mut all = vec![
+            Protocol::pcc_default(SimDuration::from_millis(30)),
+            pcc_interactive(),
+            pcc_loss_resilient(),
+        ];
+        all.extend(fig05_internet::protocols());
+        all.extend(table1_interdc::protocols());
+        all.extend(fig06_satellite::protocols());
+        all.extend(fig07_loss::protocols());
+        all.extend(fig08_rtt_fairness::protocols());
+        all.extend(fig09_buffer::protocols());
+        all.extend(fig10_incast::protocols());
+        all.extend(fig11_rapid::protocols());
+        all.extend(fig12_convergence::protocols());
+        all.extend(fig13_jain::protocols());
+        all.extend(fig15_fct::protocols());
+        all.extend(fig16_tradeoff::protocols());
+        all.extend(fig17_power::protocols());
+        all.extend(sec442_highloss::protocols());
+        all.extend(dc::protocols());
+        all.extend(churn::protocols());
+        for p in all {
+            let built = registry::by_name(p.label(), &CcParams::default());
+            assert!(built.is_ok(), "`{}`: {:?}", p.label(), built.err());
+        }
+    }
+
+    #[test]
     fn scaled_picks_by_flag() {
         let mut o = Opts::default();
         assert_eq!(scaled(&o, 10, 100), 10);

@@ -9,19 +9,18 @@
 //! and CSV files byte-identical to the serial run: each job owns its
 //! seed, and determinism is per-simulation, not cross-job.
 //!
-//! Usage pattern (every experiment module follows it):
+//! Usage pattern — a row × column figure hands [`run_grid`] its axes and
+//! one cell function; anything else builds its own job list for
+//! [`run_jobs`]:
 //!
 //! ```no_run
 //! use pcc_experiments::{runner, Opts};
 //! let opts = Opts::default();
-//! let jobs: Vec<runner::Job<'_, f64>> = (0..8)
-//!     .map(|i| {
-//!         let seed = opts.seed ^ i;
-//!         runner::job(move || (seed % 7) as f64) // a simulation, really
-//!     })
-//!     .collect();
-//! let results = runner::run_jobs(&opts, "demo", jobs);
-//! assert_eq!(results.len(), 8);
+//! let (losses, protocols) = ([0.0, 0.01], ["pcc", "cubic"]);
+//! let grid = runner::run_grid(&opts, "demo", &losses, &protocols, |&loss, proto| {
+//!     proto.len() as f64 * (1.0 - loss) // a simulation, really
+//! });
+//! assert_eq!((grid.len(), grid[0].len()), (2, 2));
 //! ```
 //!
 //! A shared progress/ETA line is maintained on stderr while a batch runs
@@ -111,6 +110,26 @@ pub fn run_jobs<T: Send>(opts: &Opts, label: &str, jobs: Vec<Job<'_, T>>) -> Vec
                 .expect("result slot poisoned")
                 .expect("scope joined every worker")
         })
+        .collect()
+}
+
+/// Run `cell(row, col)` for every pair as one batch of independent jobs
+/// (row-major submission order) and return `out[r][c]`.
+pub fn run_grid<R: Sync, C: Sync, T: Send>(
+    opts: &Opts,
+    label: &str,
+    rows: &[R],
+    cols: &[C],
+    cell: impl Fn(&R, &C) -> T + Sync,
+) -> Vec<Vec<T>> {
+    let cell = &cell;
+    let jobs = rows
+        .iter()
+        .flat_map(|r| cols.iter().map(move |c| job(move || cell(r, c))))
+        .collect();
+    let mut flat = run_jobs(opts, label, jobs).into_iter();
+    rows.iter()
+        .map(|_| flat.by_ref().take(cols.len()).collect())
         .collect()
 }
 
@@ -216,6 +235,15 @@ mod tests {
         assert!(auto_jobs() >= 1);
         let out = run_jobs(&opts_with_jobs(0), "empty", Vec::<Job<'_, u8>>::new());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn grid_cells_land_at_their_row_and_column() {
+        let (rows, cols) = ([1u32, 2, 3], [10u32, 20]);
+        let grid = run_grid(&opts_with_jobs(3), "grid", &rows, &cols, |r, c| r * c);
+        assert_eq!(grid, vec![vec![10, 20], vec![20, 40], vec![30, 60]]);
+        let none = run_grid(&opts_with_jobs(1), "empty", &rows, &[], |r, c: &u32| r * c);
+        assert_eq!(none, vec![Vec::<u32>::new(); 3]);
     }
 
     #[test]

@@ -14,6 +14,11 @@ use crate::{runner, scaled, Opts, Table};
 /// Loss rates swept.
 pub const LOSSES: &[f64] = &[0.10, 0.20, 0.30, 0.40, 0.50];
 
+/// The protocol columns, in table order.
+pub fn protocols() -> [Protocol; 2] {
+    [pcc_loss_resilient(), Protocol::Tcp("cubic")]
+}
+
 /// Run the §4.4.2 sweep.
 pub fn run(opts: &Opts) -> Vec<Table> {
     let dur = SimDuration::from_secs(scaled(opts, 40, 100));
@@ -21,24 +26,16 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Sec. 4.4.2 — fraction of achievable throughput C·(1−loss) under FQ",
         &["loss", "pcc_lossres", "cubic"],
     );
-    let mut jobs: Vec<runner::Job<'_, f64>> = Vec::new();
-    for &loss in LOSSES {
-        for proto in [pcc_loss_resilient(), Protocol::Tcp("cubic")] {
-            let seed = opts.seed;
-            jobs.push(runner::job(move || run_high_loss(proto, loss, dur, seed)));
-        }
-    }
-    let mut results = runner::run_jobs(opts, "sec442", jobs).into_iter();
-    for &loss in LOSSES {
-        let pcc = results.next().expect("one result per job");
-        let cubic = results.next().expect("one result per job");
+    let grid = runner::run_grid(opts, "sec442", LOSSES, &protocols(), |&loss, proto| {
+        run_high_loss(proto.clone(), loss, dur, opts.seed)
+    });
+    for (&loss, cells) in LOSSES.iter().zip(grid) {
         table.row(vec![
             format!("{:.0}%", loss * 100.0),
-            format!("{pcc:.3}"),
-            format!("{cubic:.4}"),
+            format!("{:.3}", cells[0]),
+            format!("{:.4}", cells[1]),
         ]);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "sec442_highloss");
+    table.emit(opts, "sec442_highloss");
     vec![table]
 }

@@ -160,8 +160,7 @@ pub fn run_cli(
     }
     validate_specs(&specs)?;
     let table = run_specs(opts, &specs, secs);
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "sweep");
+    table.emit(opts, "sweep");
     Ok(table)
 }
 

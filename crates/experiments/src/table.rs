@@ -2,7 +2,20 @@
 
 use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use crate::Opts;
+
+/// Set once any [`Table::save`] fails (see [`csv_write_failed`]).
+static CSV_WRITE_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Whether any table of this process failed to reach its CSV file. The
+/// experiment entry points return tables, not results, so the binary
+/// reads this to exit non-zero.
+pub fn csv_write_failed() -> bool {
+    CSV_WRITE_FAILED.load(Ordering::SeqCst)
+}
 
 /// A simple results table that prints aligned text and writes CSV.
 #[derive(Clone, Debug, Default)]
@@ -72,16 +85,35 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Write as CSV under `dir/<name>.csv`; returns the path.
-    pub fn write_csv(&self, dir: &Path, name: &str) -> std::io::Result<PathBuf> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut f = fs::File::create(&path)?;
+    /// Print the table and [`save`](Table::save) it — what an experiment
+    /// does with a finished table.
+    pub fn emit(&self, opts: &Opts, name: &str) {
+        self.print();
+        self.save(opts, name);
+    }
+
+    /// Write `<opts.out_dir>/<name>.csv`. A failure is reported on stderr
+    /// with the path and the error, and remembered for
+    /// [`csv_write_failed`].
+    pub fn save(&self, opts: &Opts, name: &str) {
+        let path = opts.out_dir.join(format!("{name}.csv"));
+        if let Err(e) = self.write_csv(&path) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            CSV_WRITE_FAILED.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Write as CSV to `path`, creating its directory.
+    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        let mut f = fs::File::create(path)?;
         writeln!(f, "{}", self.header.join(","))?;
         for row in &self.rows {
             writeln!(f, "{}", row.join(","))?;
         }
-        Ok(path)
+        Ok(())
     }
 }
 
@@ -129,10 +161,10 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let dir = std::env::temp_dir().join("pcc_table_test");
+        let path = std::env::temp_dir().join("pcc_table_test/demo.csv");
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
-        let path = t.write_csv(&dir, "demo").expect("write");
+        t.write_csv(&path).expect("write");
         let content = std::fs::read_to_string(path).expect("read");
         assert_eq!(content, "a,b\n1,2\n");
     }

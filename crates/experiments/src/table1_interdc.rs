@@ -12,6 +12,16 @@ use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::{fmt, runner, scaled, Opts, Table};
 
+/// The protocol columns, in table order.
+pub fn protocols() -> [Protocol; 4] {
+    [
+        Protocol::named("pcc"),
+        Protocol::named("sabul"),
+        Protocol::Tcp("cubic"),
+        Protocol::Tcp("illinois"),
+    ]
+}
+
 /// Run the Table 1 grid.
 pub fn run(opts: &Opts) -> Vec<Table> {
     let secs = scaled(opts, 20, 100);
@@ -21,31 +31,21 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Table 1 — inter-DC pairs (800 Mbps reserved): throughput [Mbps]",
         &["pair", "rtt_ms", "pcc", "sabul", "cubic", "illinois"],
     );
-    let mut jobs: Vec<runner::Job<'_, f64>> = Vec::new();
-    for pair in INTERDC_PAIRS {
-        let rtt = SimDuration::from_secs_f64(pair.rtt_ms / 1000.0);
-        for proto in [
-            Protocol::pcc_default(rtt),
-            Protocol::Sabul,
-            Protocol::Tcp("cubic"),
-            Protocol::Tcp("illinois"),
-        ] {
-            let seed = opts.seed;
-            jobs.push(runner::job(move || {
-                let r = run_interdc(proto, pair, dur, seed);
-                r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
-            }));
-        }
-    }
-    let mut results = runner::run_jobs(opts, "table1", jobs).into_iter();
-    for pair in INTERDC_PAIRS {
+    let grid = runner::run_grid(
+        opts,
+        "table1",
+        INTERDC_PAIRS,
+        &protocols(),
+        |pair, proto| {
+            let r = run_interdc(proto.clone(), pair, dur, opts.seed);
+            r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
+        },
+    );
+    for (pair, cells) in INTERDC_PAIRS.iter().zip(grid) {
         let mut row = vec![pair.name.to_string(), fmt(pair.rtt_ms)];
-        for _ in 0..4 {
-            row.push(fmt(results.next().expect("one result per job")));
-        }
+        row.extend(cells.into_iter().map(fmt));
         table.row(row);
     }
-    table.print();
-    let _ = table.write_csv(&opts.out_dir, "table1_interdc");
+    table.emit(opts, "table1_interdc");
     vec![table]
 }

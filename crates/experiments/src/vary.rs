@@ -59,35 +59,19 @@ pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table
     let algos = registry::names();
     // One flat batch: every (trace × algorithm) cell is independent, so a
     // slow cell on one trace never serializes another trace's sweep.
-    let jobs = loaded
-        .iter()
-        .flat_map(|trace| {
-            algos.iter().map(move |algo| {
-                let trace = trace.clone();
-                let algo = algo.clone();
-                let seed = opts.seed;
-                runner::job(move || {
-                    let r = run_trace(
-                        Protocol::Named(algo),
-                        &trace,
-                        dur,
-                        seed,
-                        ShaperConfig::default(),
-                    );
-                    (
-                        r.achieved_mbps(),
-                        r.avg_capacity_mbps,
-                        r.utilization(),
-                        r.loss_rate(),
-                        r.mean_rtt_ms(),
-                    )
-                })
-            })
-        })
-        .collect();
-    let results = runner::run_jobs(opts, "vary", jobs);
+    let grid = runner::run_grid(opts, "vary", &loaded, &algos, |trace, algo| {
+        let shaper = ShaperConfig::default();
+        let r = run_trace(Protocol::named(algo), trace, dur, opts.seed, shaper);
+        (
+            r.achieved_mbps(),
+            r.avg_capacity_mbps,
+            r.utilization(),
+            r.loss_rate(),
+            r.mean_rtt_ms(),
+        )
+    });
     let mut tables = Vec::with_capacity(loaded.len());
-    for (t, trace) in loaded.iter().enumerate() {
+    for (trace, cells) in loaded.iter().zip(&grid) {
         let mut table = Table::new(
             &format!(
                 "vary — {} trace ({} s per cell, {:.1} Mbps deliverable): utilization by algorithm",
@@ -104,8 +88,7 @@ pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table
                 "rtt_ms",
             ],
         );
-        for (a, algo) in algos.iter().enumerate() {
-            let (ach, cap, util, loss, rtt) = results[t * algos.len() + a];
+        for (algo, &(ach, cap, util, loss, rtt)) in algos.iter().zip(cells) {
             table.row(vec![
                 algo.clone(),
                 fmt(ach),
@@ -115,17 +98,13 @@ pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table
                 fmt(rtt),
             ]);
         }
-        table.print();
-        let _ = table.write_csv(&opts.out_dir, &format!("vary_{}", trace.name()));
+        table.emit(opts, &format!("vary_{}", trace.name()));
         tables.push(table);
     }
     // The headline consistency ratio, when both contenders are in view.
-    for (t, trace) in loaded.iter().enumerate() {
+    for (trace, cells) in loaded.iter().zip(&grid) {
         let util_of = |name: &str| -> Option<f64> {
-            algos
-                .iter()
-                .position(|a| a == name)
-                .map(|a| results[t * algos.len() + a].2)
+            algos.iter().position(|a| a == name).map(|a| cells[a].2)
         };
         if let (Some(pcc), Some(cubic)) = (util_of("pcc"), util_of("cubic")) {
             println!(

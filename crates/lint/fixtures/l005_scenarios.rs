@@ -2,5 +2,4 @@
 pub fn install_registry() {
     pcc_core::register_algorithms();
     pcc_tcp::register_algorithms();
-    register_alias("reno", "newreno");
 }

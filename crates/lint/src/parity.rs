@@ -4,10 +4,9 @@
 //! real-socket side (`pcc_udp::install_registry`) must assemble the same
 //! algorithm registry, or a name resolves in one datapath and not the
 //! other — exactly the PR 2 `bbr` bug, where the algorithm existed for
-//! scenarios but `udp_transfer -- bbr` failed. This check extracts, from
-//! each `install_registry` body, (a) every `X::register_algorithms()`
-//! call and (b) every name string passed to a direct `register*` call,
-//! and diagnoses any asymmetry.
+//! scenarios but `udp_transfer -- bbr` failed. This check extracts every
+//! `X::register_algorithms()` call from each `install_registry` body and
+//! diagnoses any asymmetry.
 
 use std::collections::BTreeSet;
 
@@ -17,8 +16,7 @@ use crate::lexer::{Tok, TokKind};
 /// What one `install_registry` registers, with the fn's anchor position.
 #[derive(Debug)]
 pub struct Registrations {
-    /// Union of `X` from `X::register_algorithms()` calls and literal
-    /// names from direct `register*("name", ...)` calls.
+    /// `X::register_algorithms` for every such call in the body.
     pub names: BTreeSet<String>,
     /// Line of the `install_registry` identifier.
     pub line: u32,
@@ -64,32 +62,12 @@ pub fn extract(toks: &[Tok]) -> Option<Registrations> {
         {
             names.insert(format!("{}::register_algorithms", body[j - 3].text));
         }
-        // Direct `register*("name", ...)` — record the literal name.
-        if t.kind == TokKind::Ident
-            && t.text.starts_with("register")
-            && t.text != "register_algorithms"
-            && body.get(j + 1).is_some_and(|p| p.is_punct('('))
-        {
-            if let Some(lit) = body.get(j + 2).filter(|l| l.kind == TokKind::Str) {
-                names.insert(unquote(&lit.text));
-            }
-        }
     }
     Some(Registrations {
         names,
         line: code[fn_ix].line,
         col: code[fn_ix].col,
     })
-}
-
-/// Strip the quoting from a string literal's source text (`"x"`,
-/// `r#"x"#`, `b"x"` all yield `x`). Lossy on escapes, which algorithm
-/// names never contain.
-fn unquote(lit: &str) -> String {
-    lit.trim_start_matches(['r', 'b'])
-        .trim_matches('#')
-        .trim_matches('"')
-        .to_string()
 }
 
 /// Compare the two sides; one diagnostic per missing entry, anchored at
@@ -125,21 +103,19 @@ mod tests {
             ONCE.call_once(|| {
                 pcc_core::register_algorithms();
                 pcc_tcp::register_algorithms();
-                register_alias("reno", "newreno");
             });
         }
     "#;
 
     #[test]
-    fn extracts_both_call_forms() {
+    fn extracts_register_algorithms_calls() {
         let r = extract(&lex(SIDE_A)).expect("found fn");
         let names: Vec<&str> = r.names.iter().map(|s| s.as_str()).collect();
         assert_eq!(
             names,
             vec![
                 "pcc_core::register_algorithms",
-                "pcc_tcp::register_algorithms",
-                "reno"
+                "pcc_tcp::register_algorithms"
             ]
         );
     }
@@ -159,10 +135,8 @@ mod tests {
         ))
         .unwrap();
         let diags = check(("full.rs", &a), ("partial.rs", &b));
-        assert_eq!(diags.len(), 2, "{diags:?}"); // tcp call + reno alias
-        assert!(diags
-            .iter()
-            .all(|d| d.path == "partial.rs" && d.id == "L005"));
+        assert_eq!(diags.len(), 1, "{diags:?}"); // the tcp call
+        assert!(diags[0].path == "partial.rs" && diags[0].id == "L005");
     }
 
     #[test]

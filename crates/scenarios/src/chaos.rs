@@ -262,7 +262,7 @@ fn run_spine_failure(protocol: &Protocol, seed: u64) -> ChaosOutcome {
 }
 
 /// A finite chaos flow: `bytes` under the battery's dead-time budget.
-fn chaos_flow(src: NodeId, dst: NodeId, protocol: &Protocol, bytes: u64) -> Flow<'static> {
+fn chaos_flow(src: NodeId, dst: NodeId, protocol: &Protocol, bytes: u64) -> Flow {
     Flow {
         size: FlowSize::Bytes(bytes),
         dead_time_budget: Some(CHAOS_BUDGET),
@@ -272,12 +272,7 @@ fn chaos_flow(src: NodeId, dst: NodeId, protocol: &Protocol, bytes: u64) -> Flow
 
 /// `flows` on `topology` under the fault script `text`, sampled at the
 /// battery's recovery-time granularity.
-fn chaos_scenario<'a>(
-    topology: Topology,
-    flows: Vec<Flow<'a>>,
-    text: &str,
-    seed: u64,
-) -> Scenario<'a> {
+fn chaos_scenario(topology: Topology, flows: Vec<Flow>, text: &str, seed: u64) -> Scenario {
     Scenario {
         flows,
         faults: Some(FaultScript::parse(text).expect("chaos scripts are well-formed")),
@@ -317,7 +312,7 @@ mod tests {
 
     #[test]
     fn ack_blackout_recovers_for_pcc() {
-        let o = run_chaos(&Protocol::pcc_default(CHAOS_RTT), ChaosScript::Blackout, 3);
+        let o = run_chaos(&Protocol::named("pcc"), ChaosScript::Blackout, 3);
         assert!(o.completed, "the flow resumes after the ACK path heals");
         assert!(!o.stalled);
     }

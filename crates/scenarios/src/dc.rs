@@ -22,7 +22,7 @@ use pcc_simnet::prelude::*;
 use pcc_transport::FlowSize;
 
 use crate::protocol::Protocol;
-use crate::scenario::{Flow, FlowProtocol, Scenario, ScenarioRun};
+use crate::scenario::{Flow, Scenario, ScenarioRun};
 
 /// Host (and full-bisection fabric) port speed.
 pub const DC_HOST_RATE_BPS: f64 = 1e9;
@@ -64,14 +64,14 @@ pub struct DcRun {
 /// Route `flows` over an (uninstalled) fabric and run until `horizon`.
 ///
 /// Each flow's path comes from the fabric's ECMP routing keyed by
-/// `ecmp_key(seed, flow index)`; `mk_protocol` sees the routed path's base
-/// RTT (hop count times [`DC_HOP_DELAY`] on these fabrics). All flows start
-/// at t=0 (synchronized, the hardest case for shallow buffers).
+/// `ecmp_key(seed, flow index)`; its sender's RTT hint is the routed path's
+/// base RTT (hop count times [`DC_HOP_DELAY`] on these fabrics). All flows
+/// start at t=0 (synchronized, the hardest case for shallow buffers).
 pub fn run_dc(
     topo: Topology,
     hosts: &[NodeId],
     flows: &[DcFlow],
-    mk_protocol: &dyn Fn(SimDuration) -> Protocol,
+    protocol: &Protocol,
     horizon: SimTime,
     seed: u64,
 ) -> DcRun {
@@ -80,11 +80,7 @@ pub fn run_dc(
         .iter()
         .map(|f| Flow {
             size: FlowSize::Bytes(f.size_bytes),
-            ..Flow::new(
-                hosts[f.src],
-                hosts[f.dst],
-                FlowProtocol::ForRtt(mk_protocol),
-            )
+            ..Flow::new(hosts[f.src], hosts[f.dst], protocol.clone())
         })
         .collect();
     let ScenarioRun {
@@ -187,7 +183,7 @@ pub struct RackIncast {
 /// synchronized. The receiver's ToR down-link is the bottleneck.
 pub fn run_rack_incast(
     k: usize,
-    mk_protocol: &dyn Fn(SimDuration) -> Protocol,
+    protocol: &Protocol,
     n_senders: usize,
     block_bytes: u64,
     seed: u64,
@@ -208,7 +204,7 @@ pub fn run_rack_incast(
         .collect();
     let down_edge = ft.down_edge(0);
     let hosts = ft.hosts;
-    let run = run_dc(ft.topo, &hosts, &flows, mk_protocol, DC_HORIZON, seed);
+    let run = run_dc(ft.topo, &hosts, &flows, protocol, DC_HORIZON, seed);
     let stats = dc_stats(&run, &flows, DC_HORIZON);
     let down_link = *run
         .links
@@ -225,6 +221,10 @@ pub fn run_rack_incast(
 /// Cross-pod permutation on a `k`-ary fat-tree: every host sends
 /// `flow_bytes` to the host half the fabric away, so all `k³/4` flows
 /// cross the core simultaneously and ECMP spreads them over the spine.
+///
+/// `mk_protocol` is a source-compat shim for the benchmark package, which
+/// may not change with this crate: it is evaluated once, with the 12-hop
+/// base RTT every cross-pod path has, and the result drives every flow.
 pub fn run_ft_permutation(
     k: usize,
     mk_protocol: &dyn Fn(SimDuration) -> Protocol,
@@ -241,7 +241,8 @@ pub fn run_ft_permutation(
         })
         .collect();
     let hosts = ft.hosts;
-    let run = run_dc(ft.topo, &hosts, &flows, mk_protocol, DC_HORIZON, seed);
+    let protocol = mk_protocol(DC_HOP_DELAY * 12);
+    let run = run_dc(ft.topo, &hosts, &flows, &protocol, DC_HORIZON, seed);
     let stats = dc_stats(&run, &flows, DC_HORIZON);
     (stats, run)
 }
@@ -266,7 +267,7 @@ pub struct LsFabric {
 /// **uplink** (leaf→spine) utilization, the contended tier.
 pub fn run_ls_mix(
     fabric: LsFabric,
-    mk_protocol: &dyn Fn(SimDuration) -> Protocol,
+    protocol: &Protocol,
     elephant_bytes: u64,
     mouse_bytes: u64,
     seed: u64,
@@ -293,7 +294,7 @@ pub fn run_ls_mix(
     // Host edges come first; everything after is a leaf↔spine uplink.
     let first_uplink = 2 * n;
     let hosts = ls.hosts;
-    let run = run_dc(ls.topo, &hosts, &flows, mk_protocol, DC_HORIZON, seed);
+    let run = run_dc(ls.topo, &hosts, &flows, protocol, DC_HORIZON, seed);
     let stats = dc_stats(&run, &flows, DC_HORIZON);
     let uplink_util = run
         .links
@@ -313,7 +314,7 @@ mod tests {
         // 12-to-1 over a k=4 fat-tree: 12 × 256 KB bursts into one 1 Gbps
         // down-link with a 256 KB buffer. The hotspot must be the
         // receiver's down-link, not some fabric link.
-        let r = run_rack_incast(4, &|_| Protocol::Tcp("cubic"), 12, 256 * 1024, 5);
+        let r = run_rack_incast(4, &Protocol::Tcp("cubic"), 12, 256 * 1024, 5);
         assert!(
             r.down_link.queue.max_backlog_bytes > DC_BUFFER_BYTES / 2,
             "down-link backlog {} should approach the {} B buffer",
@@ -342,8 +343,8 @@ mod tests {
         // The paper's Fig. 10 ordering, on the multi-hop fabric: PCC's
         // loss resilience keeps goodput where CUBIC's synchronized
         // window collapses cost whole RTOs.
-        let pcc = run_rack_incast(4, &|rtt| Protocol::pcc_default(rtt), 12, 256 * 1024, 5);
-        let cubic = run_rack_incast(4, &|_| Protocol::Tcp("cubic"), 12, 256 * 1024, 5);
+        let pcc = run_rack_incast(4, &Protocol::named("pcc"), 12, 256 * 1024, 5);
+        let cubic = run_rack_incast(4, &Protocol::Tcp("cubic"), 12, 256 * 1024, 5);
         assert_eq!(pcc.stats.completed, 12, "all PCC flows complete");
         assert!(
             pcc.stats.goodput_mbps >= cubic.stats.goodput_mbps,
@@ -355,7 +356,8 @@ mod tests {
 
     #[test]
     fn permutation_crosses_the_core_and_is_deterministic() {
-        let (stats, run) = run_ft_permutation(4, &|rtt| Protocol::pcc_default(rtt), 64 * 1024, 9);
+        let pcc = |_| Protocol::named("pcc");
+        let (stats, run) = run_ft_permutation(4, &pcc, 64 * 1024, 9);
         assert_eq!(stats.total, 16);
         assert!(stats.completed > 0);
         // Cross-pod traffic must put bytes on agg↔core edges (the last
@@ -368,7 +370,7 @@ mod tests {
             .map(|l| l.queue.enqueued)
             .sum();
         assert!(core_bytes > 0, "permutation traffic exercises the core");
-        let (stats2, run2) = run_ft_permutation(4, &|rtt| Protocol::pcc_default(rtt), 64 * 1024, 9);
+        let (stats2, run2) = run_ft_permutation(4, &pcc, 64 * 1024, 9);
         assert_eq!(run.report.events_processed, run2.report.events_processed);
         assert_eq!(stats.fct_p99_ms.to_bits(), stats2.fct_p99_ms.to_bits());
         let _ = run2;
@@ -383,7 +385,7 @@ mod tests {
                 hosts_per_leaf: 4,
                 oversubscription: 4.0,
             },
-            &|rtt| Protocol::pcc_default(rtt),
+            &Protocol::named("pcc"),
             512 * 1024,
             32 * 1024,
             11,

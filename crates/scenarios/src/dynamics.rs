@@ -17,7 +17,7 @@ use crate::setup::{run_dumbbell, FlowPlan, LinkSetup, ScenarioResult};
 /// the short one joins 5 s later. Returns the ratio of the long-RTT flow's
 /// throughput to the short-RTT flow's over the contention window.
 pub fn rtt_fairness_ratio(
-    mk_protocol: impl Fn(SimDuration) -> Protocol,
+    protocol: Protocol,
     long_rtt: SimDuration,
     contention: SimDuration,
     seed: u64,
@@ -30,8 +30,8 @@ pub fn rtt_fairness_ratio(
     let r = run_dumbbell(
         setup,
         vec![
-            FlowPlan::new(mk_protocol(long_rtt), long_rtt),
-            FlowPlan::new(mk_protocol(short_rtt), short_rtt).starting_at(t_join),
+            FlowPlan::new(protocol.clone(), long_rtt),
+            FlowPlan::new(protocol, short_rtt).starting_at(t_join),
         ],
         horizon,
         seed,
@@ -65,7 +65,7 @@ pub struct ConvergenceResult {
 /// horizon (the paper runs each for 2000 s with 500 s staggering; callers
 /// scale).
 pub fn run_convergence(
-    mk_protocol: impl Fn() -> Protocol,
+    protocol: Protocol,
     n: usize,
     stagger: SimDuration,
     lifetime: SimDuration,
@@ -74,7 +74,9 @@ pub fn run_convergence(
     let rtt = SimDuration::from_millis(30);
     let setup = LinkSetup::new(100e6, rtt, 375_000);
     let plans = (0..n)
-        .map(|i| FlowPlan::new(mk_protocol(), rtt).starting_at(SimTime::ZERO + stagger * i as u64))
+        .map(|i| {
+            FlowPlan::new(protocol.clone(), rtt).starting_at(SimTime::ZERO + stagger * i as u64)
+        })
         .collect();
     let horizon = SimTime::ZERO + lifetime;
     let inner = crate::setup::run_dumbbell_scheduled(
@@ -164,7 +166,7 @@ pub fn normal_tcp_throughput(
                     plans.push(FlowPlan::new(Protocol::Tcp("newreno"), rtt));
                 }
             }
-            Selfish::Pcc => plans.push(FlowPlan::new(Protocol::pcc_default(rtt), rtt)),
+            Selfish::Pcc => plans.push(FlowPlan::new(Protocol::named("pcc"), rtt)),
         }
     }
     let horizon = SimTime::ZERO + duration;
@@ -192,11 +194,7 @@ pub struct TradeoffPoint {
 /// definition: the earliest `t` where every 1 s sample in `[t, t+5)` is
 /// within ±25% of the 50 Mbps fair share; stability is B's throughput
 /// stddev over the `stability_window` seconds after convergence.
-pub fn run_tradeoff(
-    mk_protocol: impl Fn() -> Protocol,
-    stability_window: u64,
-    seed: u64,
-) -> TradeoffPoint {
+pub fn run_tradeoff(protocol: Protocol, stability_window: u64, seed: u64) -> TradeoffPoint {
     let rtt = SimDuration::from_millis(30);
     let setup = LinkSetup::new(100e6, rtt, 375_000);
     let join = 20u64;
@@ -204,8 +202,8 @@ pub fn run_tradeoff(
     let r = crate::setup::run_dumbbell_scheduled(
         setup,
         vec![
-            FlowPlan::new(mk_protocol(), rtt),
-            FlowPlan::new(mk_protocol(), rtt).starting_at(SimTime::from_secs(join)),
+            FlowPlan::new(protocol.clone(), rtt),
+            FlowPlan::new(protocol, rtt).starting_at(SimTime::from_secs(join)),
         ],
         SimTime::from_secs(horizon_secs),
         seed,
@@ -235,8 +233,6 @@ pub fn run_tradeoff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::UtilityKind;
-    use pcc_core::PccConfig;
 
     #[test]
     fn rtt_fairness_pcc_beats_newreno() {
@@ -244,13 +240,13 @@ mod tests {
         // starved far below PCC's.
         let contention = SimDuration::from_secs(30);
         let pcc = rtt_fairness_ratio(
-            Protocol::pcc_default,
+            Protocol::named("pcc"),
             SimDuration::from_millis(60),
             contention,
             5,
         );
         let reno = rtt_fairness_ratio(
-            |_| Protocol::Tcp("newreno"),
+            Protocol::Tcp("newreno"),
             SimDuration::from_millis(60),
             contention,
             5,
@@ -269,7 +265,7 @@ mod tests {
         // convergence; a joiner squeezed behind a full buffer can need a
         // few minutes). Judge fairness after the transient.
         let r = run_convergence(
-            || Protocol::pcc_default(SimDuration::from_millis(30)),
+            Protocol::named("pcc"),
             2,
             SimDuration::from_secs(20),
             SimDuration::from_secs(260),
@@ -305,14 +301,14 @@ mod tests {
             pcc_simnet::stats::mean(&devs)
         };
         let pcc = run_convergence(
-            || Protocol::pcc_default(SimDuration::from_millis(30)),
+            Protocol::named("pcc"),
             2,
             SimDuration::from_secs(20),
             SimDuration::from_secs(260),
             7,
         );
         let cubic = run_convergence(
-            || Protocol::Tcp("cubic"),
+            Protocol::Tcp("cubic"),
             2,
             SimDuration::from_secs(20),
             SimDuration::from_secs(260),
@@ -328,16 +324,7 @@ mod tests {
 
     #[test]
     fn tradeoff_point_sane() {
-        let p = run_tradeoff(
-            || {
-                Protocol::Pcc(
-                    PccConfig::paper().with_rtt_hint(SimDuration::from_millis(30)),
-                    UtilityKind::Safe,
-                )
-            },
-            60,
-            8,
-        );
+        let p = run_tradeoff(Protocol::named("pcc"), 60, 8);
         assert!(p.converged, "PCC converges in the tradeoff scenario");
         // Joiners squeezed behind a standing queue can need ~2 minutes to
         // reach the ±25% band (the paper's Fig. 16 default sits at 30-60 s

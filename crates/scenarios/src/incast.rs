@@ -36,15 +36,10 @@ pub struct IncastResult {
 
 /// Run one incast round: `n` senders, `block_bytes` each, synchronized
 /// start.
-pub fn run_incast(
-    mk_protocol: impl Fn() -> Protocol,
-    n: usize,
-    block_bytes: u64,
-    seed: u64,
-) -> IncastResult {
+pub fn run_incast(protocol: Protocol, n: usize, block_bytes: u64, seed: u64) -> IncastResult {
     let setup = LinkSetup::new(INCAST_RATE_BPS, INCAST_RTT, INCAST_BUFFER_BYTES);
     let plans = (0..n)
-        .map(|_| FlowPlan::new(mk_protocol(), INCAST_RTT).sized(FlowSize::Bytes(block_bytes)))
+        .map(|_| FlowPlan::new(protocol.clone(), INCAST_RTT).sized(FlowSize::Bytes(block_bytes)))
         .collect();
     // Generous horizon: even a collapsed TCP round finishes in seconds.
     let horizon = SimTime::from_secs(30);
@@ -83,15 +78,15 @@ mod tests {
     fn few_senders_no_collapse() {
         // 2 senders' bursts fit the switch buffer; TCP finishes in a few
         // RTTs at high goodput.
-        let r = run_incast(|| Protocol::Tcp("newreno"), 2, 256 * 1024, 1);
+        let r = run_incast(Protocol::Tcp("newreno"), 2, 256 * 1024, 1);
         assert_eq!(r.completed, 2);
         assert!(r.goodput_mbps > 300.0, "no collapse: {}", r.goodput_mbps);
     }
 
     #[test]
     fn tcp_collapses_with_many_senders() {
-        let few = run_incast(|| Protocol::Tcp("newreno"), 2, 256 * 1024, 2);
-        let many = run_incast(|| Protocol::Tcp("newreno"), 24, 256 * 1024, 2);
+        let few = run_incast(Protocol::Tcp("newreno"), 2, 256 * 1024, 2);
+        let many = run_incast(Protocol::Tcp("newreno"), 24, 256 * 1024, 2);
         assert!(
             many.goodput_mbps < few.goodput_mbps / 5.0,
             "incast collapse: {} (24 senders) vs {} (2)",
@@ -102,9 +97,8 @@ mod tests {
 
     #[test]
     fn pcc_sustains_goodput_under_incast() {
-        let rtt = INCAST_RTT;
-        let pcc = run_incast(|| Protocol::pcc_default(rtt), 24, 256 * 1024, 3);
-        let tcp = run_incast(|| Protocol::Tcp("newreno"), 24, 256 * 1024, 3);
+        let pcc = run_incast(Protocol::named("pcc"), 24, 256 * 1024, 3);
+        let tcp = run_incast(Protocol::Tcp("newreno"), 24, 256 * 1024, 3);
         assert_eq!(pcc.completed, 24, "all PCC flows complete");
         assert!(
             pcc.goodput_mbps > 100.0,

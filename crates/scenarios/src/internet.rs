@@ -123,12 +123,7 @@ mod tests {
             loss: 0.004,
         };
         let dur = SimDuration::from_secs(15);
-        let pcc = path_throughput(
-            Protocol::pcc_default(SimDuration::from_millis(120)),
-            &path,
-            dur,
-            1,
-        );
+        let pcc = path_throughput(Protocol::named("pcc"), &path, dur, 1);
         let cubic = path_throughput(Protocol::Tcp("cubic"), &path, dur, 1);
         assert!(
             pcc > 5.0 * cubic,

@@ -23,7 +23,10 @@
 //! | [`workload`] | dumbbell + an open-loop arrival process | flow churn: heavy-tailed sizes, Poisson arrivals, FCT percentiles (`pcc-experiments churn`) |
 //!
 //! [`protocol`] turns a protocol description into a sender
-//! ([`Protocol::build_sender`], the one way to an engine). All scenarios
+//! ([`Protocol::build_sender`], the one way to an engine). A [`Protocol`]
+//! is a registry spec — `"pcc"`, `"cubic-paced"`, `"pcc:rct=false"` — and
+//! nothing else, so every `run_*` takes protocols as plain values and the
+//! builder alone supplies each sender's RTT hint. All scenarios
 //! take explicit durations/seeds so tests can run scaled-down versions
 //! while the `pcc-experiments` crate runs paper-scale parameters.
 
@@ -42,10 +45,8 @@ pub mod setup;
 pub mod vary;
 pub mod workload;
 
-pub use protocol::{
-    batched_reports_forced, force_batched_reports, install_registry, Protocol, UtilityKind,
-};
-pub use scenario::{Arrivals, Churn, Flow, FlowProtocol, Scenario, ScenarioRun};
+pub use protocol::{batched_reports_forced, force_batched_reports, install_registry, Protocol};
+pub use scenario::{Arrivals, Churn, Flow, Scenario, ScenarioRun};
 pub use setup::{
     run_dumbbell, run_dumbbell_scheduled, run_single, FlowPlan, LinkSetup, QueueKind,
     ScenarioResult,

@@ -157,7 +157,7 @@ mod tests {
         // of the satellite capacity with a 7.5 KB (5-packet) bottleneck
         // buffer, where every TCP collapses.
         let dur = SimDuration::from_secs(60);
-        let pcc = run_satellite(Protocol::pcc_default(SATELLITE_RTT), 7_500, dur, 1);
+        let pcc = run_satellite(Protocol::named("pcc"), 7_500, dur, 1);
         let hybla = run_satellite(Protocol::Tcp("hybla"), 7_500, dur, 1);
         let t_pcc = pcc.throughput_in(0, SimTime::from_secs(30), SimTime::from_secs(60));
         let t_hybla = hybla.throughput_in(0, SimTime::from_secs(30), SimTime::from_secs(60));
@@ -172,12 +172,7 @@ mod tests {
     fn lossy_pcc_resilient_cubic_collapses() {
         // Fig. 7 shape at 1% loss: PCC near capacity, CUBIC collapsed.
         let dur = SimDuration::from_secs(15);
-        let pcc = run_lossy(
-            Protocol::pcc_default(SimDuration::from_millis(30)),
-            0.01,
-            dur,
-            2,
-        );
+        let pcc = run_lossy(Protocol::named("pcc"), 0.01, dur, 2);
         let cubic = run_lossy(Protocol::Tcp("cubic"), 0.01, dur, 2);
         let t_pcc = pcc.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));
         let t_cubic = cubic.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));
@@ -211,12 +206,7 @@ mod tests {
         // Fig. 9 shape: with a 9 KB (6-packet) buffer PCC reaches most of
         // capacity while CUBIC can't.
         let dur = SimDuration::from_secs(15);
-        let pcc = run_shallow(
-            Protocol::pcc_default(SimDuration::from_millis(30)),
-            9_000,
-            dur,
-            3,
-        );
+        let pcc = run_shallow(Protocol::named("pcc"), 9_000, dur, 3);
         let cubic = run_shallow(Protocol::Tcp("cubic"), 9_000, dur, 3);
         let t_pcc = pcc.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));
         let t_cubic = cubic.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));

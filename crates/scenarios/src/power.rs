@@ -9,10 +9,9 @@
 //! loss-resilient utility `T·(1−L)` and keep ~full throughput under
 //! 10–50% random loss, where loss-backoff TCP gets nothing.
 
-use pcc_core::PccConfig;
 use pcc_simnet::time::{SimDuration, SimTime};
 
-use crate::protocol::{Protocol, UtilityKind};
+use crate::protocol::Protocol;
 use crate::setup::{run_dumbbell, FlowPlan, LinkSetup, QueueKind};
 
 /// Fig. 17 path parameters.
@@ -66,12 +65,10 @@ pub fn run_power(
     }
 }
 
-/// The PCC configuration used for interactive flows in Fig. 17.
+/// The PCC variant used for interactive flows in Fig. 17 (§4.4.1's
+/// latency-sensitive utility).
 pub fn pcc_interactive() -> Protocol {
-    Protocol::Pcc(
-        PccConfig::paper().with_rtt_hint(POWER_RTT),
-        UtilityKind::LatencySensitive,
-    )
+    Protocol::named("pcc-latency")
 }
 
 /// §4.4.2: one loss-resilient PCC flow (or a TCP baseline) on a 100 Mbps /
@@ -93,12 +90,9 @@ pub fn run_high_loss(protocol: Protocol, loss: f64, duration: SimDuration, seed:
     achieved / optimal
 }
 
-/// The PCC configuration used for §4.4.2 (loss-resilient utility).
+/// The PCC variant used for §4.4.2 (loss-resilient utility).
 pub fn pcc_loss_resilient() -> Protocol {
-    Protocol::Pcc(
-        PccConfig::paper().with_rtt_hint(SimDuration::from_millis(30)),
-        UtilityKind::LossResilient,
-    )
+    Protocol::named("pcc-lossresilient")
 }
 
 #[cfg(test)]

@@ -1,23 +1,18 @@
 //! Protocol factory: build any evaluated sender by description.
 //!
-//! Every variant resolves through the workspace-wide
-//! [`pcc_transport::registry`] (installed by [`install_registry`], which
-//! [`Protocol::build_sender`] calls automatically), and every sender is the
-//! same engine — [`CcSender`] — hosting whatever
-//! [`pcc_transport::CongestionControl`] the description names.
-//! [`Protocol::Named`] accepts parameterized specs
-//! (`"pcc:eps=0.05,util=latency"`, `"cubic:iw=32"` — see
-//! `pcc_transport::spec`), so scenario tables can sweep algorithm
-//! parameters by string. Unknown names and invalid parameters are a typed
+//! A [`Protocol`] is a [`pcc_transport::registry`] spec and nothing else:
+//! [`Protocol::build_cc`] is `registry::by_name(spec, params)` (after
+//! [`install_registry`]), [`Protocol::label`] is the spec, and every
+//! sender is the same engine — [`CcSender`] — hosting whatever
+//! [`pcc_transport::CongestionControl`] the spec names. Specs may carry
+//! parameters (`"pcc:eps=0.05,util=latency"`, `"cubic:iw=32"` — see
+//! `pcc_transport::spec`), so scenario tables sweep algorithm parameters
+//! by string. Unknown names and invalid parameters are a typed
 //! [`SpecError`], never a panic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 
-use pcc_core::{
-    LatencySensitive, LossResilient, PccConfig, PccController, SafeSigmoid, SimpleThroughputLoss,
-    UtilityFunction,
-};
 use pcc_simnet::endpoint::Endpoint;
 use pcc_simnet::time::SimDuration;
 use pcc_transport::registry::{self, CcParams, SpecError};
@@ -62,101 +57,47 @@ pub fn install_registry() {
     });
 }
 
-/// Which utility function a PCC sender optimizes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UtilityKind {
-    /// §2.2 safe sigmoid (the default everywhere in §4.1–4.3).
-    Safe,
-    /// `T − x·L` (§2.2's naive starting point).
-    Simple,
-    /// §4.4.2 `T·(1−L)` for extreme-loss links under FQ.
-    LossResilient,
-    /// §4.4.1 latency-sensitive power objective.
-    LatencySensitive,
-}
-
-impl UtilityKind {
-    /// Instantiate the utility function.
-    pub fn build(self) -> Box<dyn UtilityFunction> {
-        match self {
-            UtilityKind::Safe => Box::new(SafeSigmoid::default()),
-            UtilityKind::Simple => Box::new(SimpleThroughputLoss),
-            UtilityKind::LossResilient => Box::new(LossResilient),
-            UtilityKind::LatencySensitive => Box::new(LatencySensitive::default()),
-        }
-    }
-}
-
-/// A protocol under evaluation.
+/// A protocol under evaluation: a registry spec — a bare name (`"pcc"`,
+/// `"cubic-paced"`) or a parameterized one (`"pcc:rct=false"`,
+/// `"cubic:beta=0.7,iw=32"`). Both variants hold the same thing; `Tcp` is
+/// the `&'static str` spelling the benchmark package compiles against.
 #[derive(Clone, Debug)]
 pub enum Protocol {
-    /// PCC with a given config and utility.
-    Pcc(PccConfig, UtilityKind),
-    /// A TCP baseline by name (`"cubic"`, `"illinois"`, ...).
+    /// A spec known at compile time (any registered name, not only TCPs).
     Tcp(&'static str),
-    /// A TCP baseline with packet pacing (Fig. 9's "TCP Pacing").
-    TcpPaced(&'static str),
-    /// SABUL/UDT-style rate control.
-    Sabul,
-    /// PCP-style bandwidth probing.
-    Pcp,
-    /// Any registered algorithm by registry name or parameterized spec
-    /// (`"pcc-lossresilient"`, `"cubic-paced"`, `"cubic:beta=0.7,iw=32"`,
-    /// ...).
+    /// An owned spec.
     Named(String),
 }
 
 impl Protocol {
-    /// PCC with paper defaults and the safe utility, RTT hint attached.
-    pub fn pcc_default(rtt_hint: SimDuration) -> Protocol {
-        Protocol::Pcc(
-            PccConfig::paper().with_rtt_hint(rtt_hint),
-            UtilityKind::Safe,
-        )
+    /// The protocol `spec` names.
+    pub fn named(spec: impl Into<String>) -> Protocol {
+        Protocol::Named(spec.into())
     }
 
-    /// Short label for tables.
-    pub fn label(&self) -> String {
-        match self {
-            Protocol::Pcc(cfg, UtilityKind::Safe) if cfg.rct => "pcc".into(),
-            Protocol::Pcc(_, UtilityKind::Safe) => "pcc-norct".into(),
-            Protocol::Pcc(_, u) => format!("pcc-{u:?}").to_lowercase(),
-            Protocol::Tcp(name) => (*name).into(),
-            Protocol::TcpPaced(name) => format!("{name}-paced"),
-            Protocol::Sabul => "sabul".into(),
-            Protocol::Pcp => "pcp".into(),
-            Protocol::Named(name) => name.clone(),
-        }
+    /// `Protocol::named("pcc")`. Source-compat shim for the benchmark
+    /// package: the argument is ignored — every sender's RTT hint is its
+    /// routed path's base RTT (see [`crate::scenario`]).
+    pub fn pcc_default(_rtt_hint: SimDuration) -> Protocol {
+        Protocol::named("pcc")
     }
 
-    /// The registry name this protocol resolves through, or `None` for the
-    /// directly-constructed custom-config PCC variant.
-    fn registry_name(&self) -> Option<String> {
+    /// The spec: what tables print and what the registry resolves.
+    pub fn label(&self) -> &str {
         match self {
-            Protocol::Pcc(..) => None,
-            Protocol::Tcp(name) => Some((*name).into()),
-            Protocol::TcpPaced(name) => Some(format!("{name}-paced")),
-            Protocol::Sabul => Some("sabul".into()),
-            Protocol::Pcp => Some("pcp".into()),
-            Protocol::Named(name) => Some(name.clone()),
+            Protocol::Tcp(spec) => spec,
+            Protocol::Named(spec) => spec,
         }
     }
 
     /// Build just the congestion-control algorithm (shared by the
     /// simulator path here and by real-datapath callers that bring their
     /// own engine). `params` seeds pre-sample state — MSS, and the RTT
-    /// hint that paced variants derive their initial pacing rate from.
+    /// hint PCC's starting rate and paced variants' initial pacing rate
+    /// derive from.
     pub fn build_cc(&self, params: &CcParams) -> Result<Box<dyn CongestionControl>, SpecError> {
         install_registry();
-        match self {
-            Protocol::Pcc(cfg, util) => Ok(Box::new(
-                PccController::with_utility(*cfg, util.build()).with_mss(params.mss),
-            )),
-            other => {
-                let name = other.registry_name().expect("non-Pcc has a name");
-                registry::by_name(&name, params)
-            }
-        }
+        registry::by_name(self.label(), params)
     }
 
     /// Build the sender endpoint for a flow of `size` (use
@@ -204,33 +145,17 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(
-            Protocol::pcc_default(SimDuration::from_millis(30)).label(),
-            "pcc"
-        );
+        assert_eq!(Protocol::named("pcc").label(), "pcc");
         assert_eq!(Protocol::Tcp("cubic").label(), "cubic");
-        assert_eq!(Protocol::TcpPaced("newreno").label(), "newreno-paced");
-        assert_eq!(
-            Protocol::Pcc(PccConfig::paper().without_rct(), UtilityKind::Safe).label(),
-            "pcc-norct"
-        );
-        assert_eq!(
-            Protocol::Pcc(PccConfig::paper(), UtilityKind::LossResilient).label(),
-            "pcc-lossresilient"
-        );
-        assert_eq!(Protocol::Named("cubic-paced".into()).label(), "cubic-paced");
+        assert_eq!(Protocol::named("pcc:rct=false").label(), "pcc:rct=false");
     }
 
     #[test]
     fn builders_produce_endpoints() {
         for p in [
-            Protocol::pcc_default(SimDuration::from_millis(30)),
+            Protocol::named("pcc"),
             Protocol::Tcp("cubic"),
-            Protocol::TcpPaced("newreno"),
-            Protocol::Sabul,
-            Protocol::Pcp,
-            Protocol::Named("pcc-lossresilient".into()),
-            Protocol::Named("illinois".into()),
+            Protocol::named("pcc:rct=false"),
         ] {
             assert!(build(&p).is_ok(), "buildable: {}", p.label());
         }

@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn environment_is_deterministic_per_seed() {
         let a = run_rapid_change(
-            Protocol::pcc_default(SimDuration::from_millis(50)),
+            Protocol::named("pcc"),
             SimDuration::from_secs(5),
             SimDuration::from_secs(20),
             9,
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn epochs_cover_duration() {
         let r = run_rapid_change(
-            Protocol::pcc_default(SimDuration::from_millis(50)),
+            Protocol::named("pcc"),
             SimDuration::from_secs(5),
             SimDuration::from_secs(30),
             11,
@@ -176,13 +176,7 @@ mod tests {
         // its deliverable-capacity average must equal the figure's
         // optimal line.
         let dur = SimDuration::from_secs(20);
-        let r = run_rapid_change(
-            Protocol::pcc_default(SimDuration::from_millis(50)),
-            SimDuration::from_secs(5),
-            dur,
-            9,
-            1,
-        );
+        let r = run_rapid_change(Protocol::named("pcc"), SimDuration::from_secs(5), dur, 9, 1);
         assert_eq!(r.trace.points().len(), r.epochs.len());
         for (p, e) in r.trace.points().iter().zip(&r.epochs) {
             assert_eq!(p.rate_bps.to_bits(), e.rate_bps.to_bits());
@@ -200,13 +194,7 @@ mod tests {
         // must exceed CUBIC's.
         let step = SimDuration::from_secs(5);
         let dur = SimDuration::from_secs(60);
-        let pcc = run_rapid_change(
-            Protocol::pcc_default(SimDuration::from_millis(50)),
-            step,
-            dur,
-            13,
-            2,
-        );
+        let pcc = run_rapid_change(Protocol::named("pcc"), step, dur, 13, 2);
         let cubic = run_rapid_change(Protocol::Tcp("cubic"), step, dur, 13, 2);
         let opt = pcc.optimal_mbps(SimTime::ZERO + dur);
         let f_pcc = pcc.achieved_mbps() / opt;

@@ -13,7 +13,9 @@
 //!   is routed under [`ecmp_key`]`(seed, i)`;
 //! * each sender's RTT hint is its resolved path's
 //!   [`FlowPath::base_rtt`](pcc_simnet::topology::FlowPath::base_rtt) — the
-//!   sum of the configured propagation delays it crosses, both ways;
+//!   sum of the configured propagation delays it crosses, both ways. A
+//!   [`Protocol`] is a registry spec and carries no RTT, so this is the
+//!   only hint any algorithm sees;
 //! * with a fault script, the plane copies the topology's router and
 //!   registers every static flow, so node failures re-route them.
 
@@ -25,30 +27,14 @@ use crate::protocol::Protocol;
 /// Segment size of every scenario-built sender.
 const MSS: u32 = 1500;
 
-/// What drives a flow's sender: a protocol, or a function from the flow's
-/// base RTT to one (PCC's paper configuration carries an RTT hint, and only
-/// the builder knows the routed path's RTT).
-pub enum FlowProtocol<'a> {
-    /// This protocol.
-    Is(Protocol),
-    /// The protocol this returns for the flow's base RTT.
-    ForRtt(&'a dyn Fn(SimDuration) -> Protocol),
-}
-
-impl From<Protocol> for FlowProtocol<'_> {
-    fn from(protocol: Protocol) -> Self {
-        FlowProtocol::Is(protocol)
-    }
-}
-
 /// One flow between two hosts of the scenario's topology.
-pub struct Flow<'a> {
+pub struct Flow {
     /// Sending host.
     pub src: NodeId,
     /// Receiving host.
     pub dst: NodeId,
-    /// What drives the sender.
-    pub protocol: FlowProtocol<'a>,
+    /// What drives the sender (a registry spec).
+    pub protocol: Protocol,
     /// How much it sends.
     pub size: FlowSize,
     /// When it starts.
@@ -61,14 +47,14 @@ pub struct Flow<'a> {
     pub dead_time_budget: Option<SimDuration>,
 }
 
-impl<'a> Flow<'a> {
+impl Flow {
     /// An infinite flow starting at t=0 with default feedback and no
     /// dead-time budget.
-    pub fn new(src: NodeId, dst: NodeId, protocol: impl Into<FlowProtocol<'a>>) -> Self {
+    pub fn new(src: NodeId, dst: NodeId, protocol: Protocol) -> Self {
         Flow {
             src,
             dst,
-            protocol: protocol.into(),
+            protocol,
             size: FlowSize::Infinite,
             start_at: SimTime::ZERO,
             report: None,
@@ -91,24 +77,24 @@ pub trait Arrivals {
 /// Open-loop flow churn: every arrival is a fresh copy of `flow` (its
 /// `size` and `start_at` replaced by the arrival's), admitted lazily and
 /// recycled through the simulator's slot arena.
-pub struct Churn<'a> {
+pub struct Churn {
     /// Template for every arriving flow.
-    pub flow: Flow<'a>,
+    pub flow: Flow,
     /// The arrival process.
     pub arrivals: Box<dyn Arrivals>,
 }
 
 /// A complete simulation description.
-pub struct Scenario<'a> {
+pub struct Scenario {
     /// The network graph (not yet installed).
     pub topology: Topology,
     /// Static flows, in flow-id order.
-    pub flows: Vec<Flow<'a>>,
+    pub flows: Vec<Flow>,
     /// Fault script injected into the run.
     pub faults: Option<FaultScript>,
     /// Open-loop churn workload (turns per-flow sampled series off: a churn
     /// run keeps aggregates and FCTs only).
-    pub churn: Option<Churn<'a>>,
+    pub churn: Option<Churn>,
     /// Stats sampling interval.
     pub sample_interval: SimDuration,
     /// Master seed: simulator streams and ECMP keys derive from it.
@@ -125,7 +111,7 @@ pub struct ScenarioRun {
     pub topology: Topology,
 }
 
-impl<'a> Scenario<'a> {
+impl Scenario {
     /// A scenario on `topology` with no flows, faults or churn, sampled
     /// every 100 ms.
     pub fn new(topology: Topology, seed: u64) -> Self {
@@ -166,10 +152,9 @@ impl<'a> Scenario<'a> {
         for (i, flow) in flows.into_iter().enumerate() {
             let key = ecmp_key(seed, i as u64);
             let path = topology.flow_path(flow.src, flow.dst, key);
-            let protocol = flow.protocol.resolve(path.base_rtt);
             let id = net.add_flow(FlowSpec {
                 sender: build_sender(
-                    &protocol,
+                    &flow.protocol,
                     flow.size,
                     path.base_rtt,
                     flow.report,
@@ -189,7 +174,7 @@ impl<'a> Scenario<'a> {
             let key = ecmp_key(seed, ids.len() as u64);
             let path = topology.flow_path(flow.src, flow.dst, key);
             net.set_churn_driver(Box::new(ChurnAdapter {
-                protocol: flow.protocol.resolve(path.base_rtt),
+                protocol: flow.protocol,
                 report: flow.report,
                 dead_time_budget: flow.dead_time_budget,
                 path,
@@ -204,15 +189,6 @@ impl<'a> Scenario<'a> {
             report: net.build().run_until(horizon),
             flows: ids,
             topology,
-        }
-    }
-}
-
-impl FlowProtocol<'_> {
-    fn resolve(self, base_rtt: SimDuration) -> Protocol {
-        match self {
-            FlowProtocol::Is(protocol) => protocol,
-            FlowProtocol::ForRtt(mk_protocol) => mk_protocol(base_rtt),
         }
     }
 }
@@ -261,5 +237,35 @@ impl ChurnDriver for ChurnAdapter {
 
     fn on_flow_complete(&mut self, tag: u64, stats: &FlowStats, _now: SimTime) {
         self.arrivals.on_flow_complete(tag, stats);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_routed_path_is_the_only_rtt_hint() {
+        // Fig. 11's shape: 50 ms of RTT shims around a bottleneck that
+        // carries 11 ms of its own. A caller's idea of the RTT reaches no
+        // sender — `pcc_default`'s argument is ignored — so PCC starts at
+        // 2·MSS per *routed* base RTT, like every other algorithm.
+        let mut db = Dumbbell::graph(LinkConfig::bottleneck(
+            100e6,
+            SimDuration::from_millis(11),
+            64_000,
+        ));
+        let dst = db.add_receiver(SimDuration::from_millis(50), 0.0);
+        let protocol = Protocol::pcc_default(SimDuration::from_millis(50));
+        let flow = Flow::new(db.source(), dst, protocol);
+        let mut scenario = Scenario::new(db.into_topology(), 1);
+        scenario.flows = vec![flow];
+        let run = scenario.run(SimTime::from_millis(1));
+        let (_, first_rate) = run.report.flows[0].rate_log[0];
+        let want = 2.0 * f64::from(MSS) * 8.0 / 0.061;
+        assert!(
+            (first_rate - want).abs() < 1e-6 * want,
+            "started at {first_rate} bit/s, 2·MSS/61 ms is {want}"
+        );
     }
 }

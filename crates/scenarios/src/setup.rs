@@ -22,8 +22,6 @@ pub enum QueueKind {
     /// Fair queueing with a 16 MB buffer, ignoring `buffer_bytes` (Fig.
     /// 17's "Bufferbloat + FQ" — all four cells of that figure keep FQ).
     Bufferbloat,
-    /// Plain FIFO with a 16 MB buffer (bufferbloat without isolation).
-    BufferbloatFifo,
 }
 
 impl QueueKind {
@@ -34,7 +32,6 @@ impl QueueKind {
             QueueKind::Codel => Box::new(Codel::bytes(buffer_bytes)),
             QueueKind::FqCodel => Box::new(fq_codel(buffer_bytes)),
             QueueKind::Bufferbloat => Box::new(FairQueue::new(16 * 1024 * 1024)),
-            QueueKind::BufferbloatFifo => Box::new(DropTail::bufferbloat()),
         }
     }
 }
@@ -300,11 +297,7 @@ mod tests {
     #[test]
     fn pcc_fills_clean_link() {
         let setup = LinkSetup::new(50e6, SimDuration::from_millis(30), 64_000);
-        let r = quick(
-            Protocol::pcc_default(SimDuration::from_millis(30)),
-            setup,
-            8,
-        );
+        let r = quick(Protocol::named("pcc"), setup, 8);
         let t = r.throughput_in(0, SimTime::from_secs(4), SimTime::from_secs(8));
         assert!(t > 42.0, "PCC ≈ capacity: {t} Mbps");
     }
@@ -320,7 +313,7 @@ mod tests {
     #[test]
     fn sabul_moves_data() {
         let setup = LinkSetup::new(50e6, SimDuration::from_millis(30), 64_000);
-        let r = quick(Protocol::Sabul, setup, 8);
+        let r = quick(Protocol::named("sabul"), setup, 8);
         let t = r.throughput_in(0, SimTime::from_secs(4), SimTime::from_secs(8));
         assert!(t > 10.0, "SABUL makes progress: {t} Mbps");
     }
@@ -328,7 +321,7 @@ mod tests {
     #[test]
     fn pcp_moves_data() {
         let setup = LinkSetup::new(50e6, SimDuration::from_millis(30), 64_000);
-        let r = quick(Protocol::Pcp, setup, 8);
+        let r = quick(Protocol::named("pcp"), setup, 8);
         let t = r.throughput_in(0, SimTime::from_secs(4), SimTime::from_secs(8));
         assert!(t > 5.0, "PCP makes progress: {t} Mbps");
     }
@@ -340,12 +333,7 @@ mod tests {
         // single event: link ids, per-link RNG streams, and path vectors
         // all have to come out identical.
         let setup = LinkSetup::new(50e6, SimDuration::from_millis(30), 64_000);
-        let r = run_single(
-            Protocol::pcc_default(SimDuration::from_millis(30)),
-            setup,
-            SimDuration::from_secs(8),
-            42,
-        );
+        let r = run_single(Protocol::named("pcc"), setup, SimDuration::from_secs(8), 42);
         assert_eq!(r.report.events_processed, 157_939);
         assert_eq!(r.report.flows[0].delivered_bytes, 46_510_500);
         assert_eq!(r.report.flows[0].goodput_bytes, 46_510_500);
@@ -387,7 +375,8 @@ mod tests {
 
         let fp = report_fingerprint;
         let cubic = Protocol::Tcp("cubic");
-        let pcc = |rtt| Protocol::pcc_default(rtt);
+        let pcc = Protocol::named("pcc");
+        let mk_pcc = |_| pcc.clone();
         let chaos = |p: &Protocol, s| run_chaos(p, s, 9).fingerprint;
         let lte = LinkTrace::builtin("lte").expect("bundled");
         let shaper = ShaperConfig::default();
@@ -407,7 +396,7 @@ mod tests {
         );
         // A paced window algorithm seeds its first pacing rate from the
         // RTT hint, so the cubic-paced spine run pins the fabric hint too.
-        let paced = Protocol::TcpPaced("cubic");
+        let paced = Protocol::named("cubic-paced");
         let golden: [(&str, u64, u64); 11] = [
             ("trace lte cubic", fp(&trace.report), 0x3de2_d6da_d5d5_7a24),
             (
@@ -417,7 +406,7 @@ mod tests {
             ),
             (
                 "ft permutation k=4 pcc",
-                fp(&run_ft_permutation(4, &pcc, 64 * 1024, 9).1.report),
+                fp(&run_ft_permutation(4, &mk_pcc, 64 * 1024, 9).1.report),
                 0xe36b_19bf_d059_1368,
             ),
             (
@@ -488,7 +477,7 @@ mod tests {
         let plans = || {
             vec![
                 FlowPlan::new(Protocol::Tcp("cubic"), rtt),
-                FlowPlan::new(Protocol::pcc_default(rtt), rtt),
+                FlowPlan::new(Protocol::named("pcc"), rtt),
             ]
         };
         let mut schedule = LinkSchedule::new();
@@ -564,7 +553,7 @@ mod tests {
             ),
             (
                 "pcc per-ack deadline write-offs",
-                run(lossy, FlowPlan::new(Protocol::pcc_default(short), short)),
+                run(lossy, FlowPlan::new(named("pcc"), short)),
                 0x8090_82c0_b61e_1168,
             ),
         ];
@@ -589,7 +578,7 @@ mod tests {
         let rtt = SimDuration::from_millis(30);
         let setup = LinkSetup::new(50e6, rtt, 187_500);
         let plans = || {
-            [Protocol::pcc_default(rtt), Protocol::Tcp("cubic")]
+            [Protocol::named("pcc"), Protocol::Tcp("cubic")]
                 .into_iter()
                 .map(|p| FlowPlan::new(p, rtt).sized(FlowSize::Bytes(4 << 20)))
                 .collect()
@@ -674,8 +663,8 @@ mod tests {
         let r = run_dumbbell(
             setup,
             vec![
-                FlowPlan::new(Protocol::pcc_default(rtt), rtt),
-                FlowPlan::new(Protocol::pcc_default(rtt), rtt),
+                FlowPlan::new(Protocol::named("pcc"), rtt),
+                FlowPlan::new(Protocol::named("pcc"), rtt),
             ],
             SimTime::from_secs(90),
             7,

@@ -164,7 +164,7 @@ mod tests {
         // larger scale.
         let dur = SimDuration::from_secs(40);
         let pcc = run_trace(
-            Protocol::pcc_default(trace_rtt(&lte())),
+            Protocol::named("pcc"),
             &lte(),
             dur,
             11,
@@ -202,7 +202,7 @@ mod tests {
             )
             .with_policer(PolicerConfig::new(5e6, 30_000));
         let r = run_trace(
-            Protocol::pcc_default(trace_rtt(&lte())),
+            Protocol::named("pcc"),
             &lte(),
             SimDuration::from_secs(15),
             2,
@@ -224,7 +224,7 @@ mod tests {
         for name in pcc_simnet::trace::builtin_names() {
             let trace = LinkTrace::builtin(name).unwrap();
             let r = run_trace(
-                Protocol::pcc_default(trace_rtt(&trace)),
+                Protocol::named("pcc"),
                 &trace,
                 SimDuration::from_secs(8),
                 5,

@@ -349,11 +349,6 @@ impl FctSummary {
         mean(&self.fcts) * 1000.0
     }
 
-    /// Median FCT in milliseconds.
-    pub fn median_ms(&self) -> f64 {
-        self.p50_ms()
-    }
-
     /// Median (p50) FCT in milliseconds.
     pub fn p50_ms(&self) -> f64 {
         percentile(&self.fcts, 50.0) * 1000.0

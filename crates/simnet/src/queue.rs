@@ -129,11 +129,6 @@ impl DropTail {
             stats: QueueStats::default(),
         }
     }
-
-    /// A very deep FIFO modelling a bufferbloated router (Fig. 17).
-    pub fn bufferbloat() -> Self {
-        Self::bytes(16 * 1024 * 1024)
-    }
 }
 
 impl Queue for DropTail {

@@ -20,11 +20,9 @@
 //! "TCP pacing" (Fig. 9) is any of these wrapped in
 //! [`window::PacedWindowed`], which sets a `cwnd/SRTT` pacing rate *and*
 //! the window — two effects on the unified API rather than an engine
-//! config flag. Request it from [`by_name`] with a `-paced` suffix
-//! (`"cubic-paced"`).
+//! config flag. Request it with a `-paced` suffix (`"cubic-paced"`).
 //!
-//! Construction goes through [`by_name`] (typed [`UnknownAlgorithm`]
-//! errors, never a panic) or the workspace-wide
+//! Construction by name goes through the workspace-wide
 //! [`pcc_transport::registry`] after [`register_algorithms`] has run.
 
 mod bic;
@@ -51,7 +49,7 @@ pub use window::{CcAck, PacedWindowed, WindowAlgo, Windowed};
 
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::CongestionControl;
-use pcc_transport::registry::{self, CcParams, UnknownAlgorithm};
+use pcc_transport::registry::{self, CcParams};
 use pcc_transport::spec::{ParamKind, ParamSpec, Schema, SpecParams};
 
 /// CUBIC's spec parameters (`cubic:beta=0.7,c=0.4,iw=32`): the RFC 8312
@@ -174,9 +172,8 @@ type Build = fn(&SpecParams, f64) -> Box<dyn WindowAlgo>;
 /// One baseline: name, spec schema, constructor.
 type Variant = (&'static str, Schema, Build);
 
-/// Every baseline, in the order used by reports. [`by_name_with`],
-/// [`schema_for`], the unknown-name error and [`register_algorithms`] all
-/// read this one table.
+/// Every baseline, in the order used by reports; what
+/// [`register_algorithms`] registers.
 const VARIANTS: &[Variant] = &[
     ("newreno", NEWRENO_SCHEMA, |_, iw| {
         Box::new(NewReno::with_iw(iw))
@@ -221,16 +218,6 @@ const VARIANTS: &[Variant] = &[
     }),
 ];
 
-fn variant(name: &str) -> Option<&'static Variant> {
-    VARIANTS.iter().find(|v| v.0 == name)
-}
-
-/// The spec schema a baseline (or its `-paced` variant) validates
-/// against.
-pub fn schema_for(variant_name: &str) -> Schema {
-    variant(variant_name).map_or(&[], |v| v.1)
-}
-
 /// Build the baseline and adapt it onto [`CongestionControl`], windowed or
 /// paced.
 fn construct(build: Build, paced: bool, params: &CcParams) -> Box<dyn CongestionControl> {
@@ -243,49 +230,17 @@ fn construct(build: Build, paced: bool, params: &CcParams) -> Box<dyn Congestion
     }
 }
 
-fn unknown(name: &str) -> UnknownAlgorithm {
-    let plain = VARIANTS.iter().map(|v| v.0.to_string());
-    let paced = VARIANTS.iter().map(|v| format!("{}-paced", v.0));
-    UnknownAlgorithm {
-        name: name.to_string(),
-        known: plain.chain(paced).collect(),
-    }
-}
-
-/// Construct a baseline by name (`"cubic"`, `"illinois"`, ...; append
-/// `-paced` for the pacing variant), ready to plug into any engine.
-/// Unknown names are a typed error.
-pub fn by_name(name: &str) -> Result<Box<dyn CongestionControl>, UnknownAlgorithm> {
-    by_name_with(name, &CcParams::default())
-}
-
-/// [`by_name`] with explicit construction parameters (MSS and RTT hint
-/// seed the paced variants' initial pacing rate).
-pub fn by_name_with(
-    name: &str,
-    params: &CcParams,
-) -> Result<Box<dyn CongestionControl>, UnknownAlgorithm> {
-    let (plain, paced) = match name.strip_suffix("-paced") {
-        Some(plain) => (plain, true),
-        None => (name, false),
-    };
-    let plain = if plain == "reno" { "newreno" } else { plain };
-    let &(_, _, build) = variant(plain).ok_or_else(|| unknown(name))?;
-    Ok(construct(build, paced, params))
-}
-
-/// Register every TCP baseline (and its `-paced` variant) with the
-/// workspace-wide [`pcc_transport::registry`], carrying each variant's
-/// spec schema (see [`schema_for`] — `cubic:beta=0.7,iw=32` works on both
-/// the plain and `-paced` names). Idempotent.
+/// Register every TCP baseline and its `-paced` variant with the
+/// workspace-wide [`pcc_transport::registry`], each under its variant's
+/// spec schema (`cubic:beta=0.7,iw=32` works on both the plain and the
+/// `-paced` name), plus `reno` as a second name for `newreno`. Idempotent.
 pub fn register_algorithms() {
     for &(name, schema, build) in VARIANTS {
-        for paced in [false, true] {
-            let name = if paced {
-                format!("{name}-paced")
-            } else {
-                name.to_string()
-            };
+        let mut names = vec![(name.to_string(), false), (format!("{name}-paced"), true)];
+        if name == "newreno" {
+            names.push(("reno".to_string(), false));
+        }
+        for (name, paced) in names {
             registry::register_with_schema(
                 &name,
                 schema,
@@ -293,7 +248,6 @@ pub fn register_algorithms() {
             );
         }
     }
-    registry::register_alias("reno", "newreno");
 }
 
 #[cfg(test)]
@@ -301,47 +255,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn factory_covers_all_variants() {
-        assert_eq!(VARIANTS.len(), 7);
-        for &(name, ..) in VARIANTS {
-            let cc = by_name(name).unwrap_or_else(|_| panic!("missing {name}"));
-            assert_eq!(cc.name(), name);
-            let paced = by_name(&format!("{name}-paced"))
-                .unwrap_or_else(|_| panic!("missing {name}-paced"));
-            assert_eq!(paced.name(), name);
-        }
-        assert_eq!(by_name("reno").expect("alias").name(), "newreno");
-    }
-
-    #[test]
-    fn unknown_name_is_typed_error() {
-        // (`bbr` exists in the workspace registry, but it is not a TCP
-        // variant — this crate-local factory only knows the baselines.)
-        let err = match by_name("tahoe") {
-            Ok(_) => panic!("tahoe is not implemented"),
-            Err(e) => e,
-        };
-        assert_eq!(err.name, "tahoe");
-        assert!(err.known.contains(&"cubic".to_string()));
-        assert!(err.to_string().contains("tahoe"));
-    }
-
-    #[test]
     fn registration_installs_all_names() {
         register_algorithms();
         let params = pcc_transport::registry::CcParams::default();
+        assert_eq!(VARIANTS.len(), 7);
         for &(name, ..) in VARIANTS {
-            assert!(
-                pcc_transport::registry::by_name(name, &params).is_ok(),
-                "{name} registered"
-            );
-            assert!(
-                pcc_transport::registry::by_name(&format!("{name}-paced"), &params).is_ok(),
-                "{name}-paced registered"
-            );
+            for spec in [name.to_string(), format!("{name}-paced")] {
+                let cc = pcc_transport::registry::by_name(&spec, &params)
+                    .unwrap_or_else(|e| panic!("{spec} registered: {e}"));
+                assert_eq!(cc.name(), name);
+            }
         }
-        let reno = pcc_transport::registry::by_name("reno", &params).expect("alias");
+    }
+
+    #[test]
+    fn reno_builds_a_newreno_with_newrenos_schema() {
+        register_algorithms();
+        let params = pcc_transport::registry::CcParams::default();
+        let reno = pcc_transport::registry::by_name("reno:iw=4", &params).expect("second name");
         assert_eq!(reno.name(), "newreno");
+        let keys = |name| -> Vec<&str> {
+            let schema = pcc_transport::registry::schema_of(name).expect("registered");
+            schema.iter().map(|p| p.key).collect()
+        };
+        assert_eq!(keys("reno"), keys("newreno"));
+        assert!(
+            !pcc_transport::registry::contains("reno-paced"),
+            "one extra name, not a second variant"
+        );
     }
 
     #[test]
@@ -376,8 +317,9 @@ mod tests {
     #[test]
     fn every_variant_has_a_schema_with_iw() {
         // The ROADMAP PR 3 gap: all seven baselines now expose tunables.
+        register_algorithms();
         for &(name, ..) in VARIANTS {
-            let schema = schema_for(name);
+            let schema = pcc_transport::registry::schema_of(name).expect("registered");
             assert!(
                 schema.iter().any(|p| p.key == "iw"),
                 "{name} exposes iw: {schema:?}"

@@ -31,7 +31,7 @@
 //! | Algorithm | Keys |
 //! |---|---|
 //! | `pcc`, `pcc-simple`, `pcc-lossresilient`, `pcc-latency` | `eps`, `eps_max`, `tm`, `slack`, `mi_pkts`, `rct`, `util`, `alpha`, `cutoff`, `slope_penalty` |
-//! | `newreno[-paced]` | `iw` |
+//! | `newreno[-paced]`, `reno` | `iw` |
 //! | `cubic[-paced]` | `beta`, `c`, `iw` |
 //! | `illinois[-paced]` | `alpha_max`, `beta_max`, `iw` |
 //! | `hybla[-paced]` | `rtt0_ms`, `iw` |
@@ -52,7 +52,9 @@
 //! (`pcc-scenarios`' `install_registry`, the `pcc` facade) call them once
 //! at startup. Registering the same name twice is idempotent by design
 //! (last registration wins), so multiple entry points may install the
-//! defaults without coordination.
+//! defaults without coordination. The table holds factories only: a
+//! second name for an algorithm (`reno` for `newreno`) is a second
+//! registration of the same constructor.
 //!
 //! The global table recovers from lock poisoning (a panicking test thread
 //! mid-registration) by adopting the poisoned state: every write holds the
@@ -123,10 +125,8 @@ pub struct UnknownAlgorithm {
     /// The name that failed to resolve (the full spec string as the
     /// caller wrote it).
     pub name: String,
-    /// Names that *do* resolve to a constructor, sorted (empty if nothing
-    /// registered yet — a hint that no `register_algorithms()` ran).
-    /// Broken aliases (cyclic or dangling) are excluded, so the error
-    /// never lists its own subject as available.
+    /// The registered names, sorted (empty if nothing registered yet — a
+    /// hint that no `register_algorithms()` ran).
     pub known: Vec<String>,
 }
 
@@ -198,24 +198,13 @@ impl SpecError {
     }
 }
 
-/// A table entry: a real constructor (with its parameter schema), or an
-/// alias naming another entry. Aliases are *data*, resolved iteratively
-/// inside [`by_name`] — an alias factory that re-entered `by_name` would
-/// recurse without bound on a cycle (`a → b → a`, or an alias shadowing
-/// its own target) and blow the stack.
-enum Entry {
-    Factory {
-        f: Arc<CcFactory>,
-        schema: Schema,
-        check: Option<Arc<SchemaCheck>>,
-    },
-    Alias(String),
+/// A table entry: a constructor with its parameter schema. A second name
+/// for an algorithm is a second registration of the same constructor.
+struct Entry {
+    f: Arc<CcFactory>,
+    schema: Schema,
+    check: Option<Arc<SchemaCheck>>,
 }
-
-/// Alias-chain hop budget. Real registries alias one or two hops deep;
-/// anything past this is a cycle (or indistinguishable from one) and
-/// resolves to the typed error instead of crashing.
-const MAX_ALIAS_HOPS: usize = 16;
 
 fn table() -> &'static RwLock<BTreeMap<String, Entry>> {
     static TABLE: OnceLock<RwLock<BTreeMap<String, Entry>>> = OnceLock::new();
@@ -257,7 +246,7 @@ fn insert_factory(name: &str, schema: Schema, check: Option<Arc<SchemaCheck>>, f
         .unwrap_or_else(PoisonError::into_inner)
         .insert(
             name.to_string(),
-            Entry::Factory {
+            Entry {
                 f: Arc::new(factory),
                 schema,
                 check,
@@ -265,24 +254,10 @@ fn insert_factory(name: &str, schema: Schema, check: Option<Arc<SchemaCheck>>, f
         );
 }
 
-/// Register `alias` to resolve to whatever `target` names at lookup time
-/// (spec parameters on the alias validate against the target's schema).
-/// Cyclic alias chains (including self-aliases) are tolerated at
-/// registration and surface as a typed [`UnknownAlgorithm`] from
-/// [`by_name`], never a crash.
-pub fn register_alias(alias: &str, target: &str) {
-    table()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(alias.to_string(), Entry::Alias(target.to_string()));
-}
-
 /// Construct an algorithm from a spec — a bare name (`"cubic"`) or a
-/// parameterized one (`"cubic:beta=0.7,iw=32"`). Unknown names — and
-/// unresolvable alias chains (dangling, cyclic, or deeper than the
-/// 16-hop budget) — are [`SpecError::Unknown`]; malformed, unknown,
-/// or out-of-range parameters are [`SpecError::InvalidParam`]. Never a
-/// panic.
+/// parameterized one (`"cubic:beta=0.7,iw=32"`). Unknown names are
+/// [`SpecError::Unknown`]; malformed, unknown, or out-of-range parameters
+/// are [`SpecError::InvalidParam`]. Never a panic.
 ///
 /// ```
 /// use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent};
@@ -336,30 +311,20 @@ pub fn by_name(name: &str, params: &CcParams) -> Result<Box<dyn CongestionContro
         Ok(spec) => spec.name.clone(),
         Err(e) => e.name.clone(),
     };
-    // Resolve the whole alias chain under one read guard, then drop the
-    // guard *before* invoking the factory so factories can never deadlock
-    // std's RwLock against a queued writer.
-    let resolved = {
+    // Drop the read guard *before* invoking the factory so factories can
+    // never deadlock std's RwLock against a queued writer.
+    let (factory, schema, check) = {
         let table = table().read().unwrap_or_else(PoisonError::into_inner);
-        match resolve(&table, &base) {
-            Some((factory, schema, check)) => {
-                Ok((Arc::clone(factory), schema, check.map(Arc::clone)))
+        match table.get(&base) {
+            Some(e) => (Arc::clone(&e.f), e.schema, e.check.clone()),
+            None => {
+                return Err(SpecError::Unknown(UnknownAlgorithm {
+                    name: name.to_string(),
+                    known: table.keys().cloned().collect(),
+                }))
             }
-            // Whatever made the chain unresolvable — unknown name,
-            // dangling target, cycle — report the name the caller asked
-            // for, and advertise only names that actually resolve (a
-            // broken alias must not appear in its own "registered:" list).
-            None => Err(UnknownAlgorithm {
-                name: name.to_string(),
-                known: table
-                    .keys()
-                    .filter(|k| resolve(&table, k).is_some())
-                    .cloned()
-                    .collect(),
-            }),
         }
     };
-    let (factory, schema, check) = resolved?;
     let spec = parsed.map_err(|e| InvalidParam {
         algo: base.clone(),
         key: e.fragment,
@@ -380,31 +345,12 @@ pub fn by_name(name: &str, params: &CcParams) -> Result<Box<dyn CongestionContro
     Ok(factory(&params))
 }
 
-/// Walk `name`'s alias chain to its factory (and schema), if it reaches
-/// one within the [`MAX_ALIAS_HOPS`] budget. The single resolver behind
-/// both [`by_name`] and the error path's "which names are usable" filter,
-/// so the two can never disagree.
-#[allow(clippy::type_complexity)]
-fn resolve<'t>(
-    table: &'t BTreeMap<String, Entry>,
-    name: &str,
-) -> Option<(&'t Arc<CcFactory>, Schema, Option<&'t Arc<SchemaCheck>>)> {
-    let mut current = name;
-    for _ in 0..=MAX_ALIAS_HOPS {
-        match table.get(current)? {
-            Entry::Factory { f, schema, check } => return Some((f, schema, check.as_ref())),
-            Entry::Alias(target) => current = target,
-        }
-    }
-    None // budget exhausted: a cycle, or indistinguishable from one
-}
-
-/// The parameter schema of a registered name (resolving aliases), if the
-/// name resolves. The empty slice means the algorithm takes no
-/// parameters. Accepts bare names, not specs.
+/// The parameter schema of a registered name, if there is one. The empty
+/// slice means the algorithm takes no parameters. Accepts bare names, not
+/// specs.
 pub fn schema_of(name: &str) -> Option<Schema> {
     let table = table().read().unwrap_or_else(PoisonError::into_inner);
-    resolve(&table, name).map(|(_, schema, _)| schema)
+    table.get(name).map(|e| e.schema)
 }
 
 /// All registered names, sorted.
@@ -488,6 +434,7 @@ mod tests {
         };
         assert_eq!(err.name, "no-such-algo");
         assert!(err.known.contains(&"test-dummy".to_string()));
+        assert!(schema_of("no-such-algo").is_none());
         let msg = err.to_string();
         assert!(msg.contains("no-such-algo"), "{msg}");
     }
@@ -603,86 +550,6 @@ mod tests {
             Err(e) => unwrap_unknown(e),
         };
         assert_eq!(err.name, "nosuch-algo:eps=banana");
-    }
-
-    #[test]
-    fn schema_of_resolves_aliases() {
-        register_with_schema(
-            "test-schema-target",
-            TUNED_SCHEMA,
-            Box::new(|_| Box::new(Dummy)),
-        );
-        register_alias("test-schema-alias", "test-schema-target");
-        let schema = schema_of("test-schema-alias").expect("alias resolves");
-        assert_eq!(schema.len(), 1);
-        assert_eq!(schema[0].key, "rate");
-        // And specs through the alias validate against the target schema.
-        assert!(by_name("test-schema-alias:rate=2", &CcParams::default()).is_ok());
-        assert!(by_name("test-schema-alias:bogus=2", &CcParams::default()).is_err());
-        assert!(schema_of("test-no-such-name").is_none());
-    }
-
-    #[test]
-    fn aliases_resolve_to_target() {
-        register("test-target", Box::new(|_| Box::new(Dummy)));
-        register_alias("test-alias", "test-target");
-        let cc = by_name("test-alias", &CcParams::default()).expect("alias works");
-        assert_eq!(cc.name(), "dummy");
-        assert!(contains("test-alias"));
-    }
-
-    #[test]
-    fn alias_chains_resolve_within_the_hop_budget() {
-        register("chain-0", Box::new(|_| Box::new(Dummy)));
-        for i in 1..=5 {
-            register_alias(&format!("chain-{i}"), &format!("chain-{}", i - 1));
-        }
-        let cc = by_name("chain-5", &CcParams::default()).expect("deep chain");
-        assert_eq!(cc.name(), "dummy");
-    }
-
-    #[test]
-    fn cyclic_aliases_are_a_typed_error_not_a_crash() {
-        // Regression: `a → b → a` used to recurse unboundedly through the
-        // alias factories and overflow the stack on the first lookup.
-        register_alias("cycle-a", "cycle-b");
-        register_alias("cycle-b", "cycle-a");
-        for name in ["cycle-a", "cycle-b"] {
-            let err = match by_name(name, &CcParams::default()) {
-                Ok(_) => panic!("cycle must not resolve"),
-                Err(e) => unwrap_unknown(e),
-            };
-            assert_eq!(err.name, name);
-            // The error must not advertise the unresolvable names as
-            // registered — that message would contradict itself.
-            assert!(!err.known.contains(&"cycle-a".to_string()), "{err}");
-            assert!(!err.known.contains(&"cycle-b".to_string()), "{err}");
-        }
-    }
-
-    #[test]
-    fn self_alias_is_a_typed_error() {
-        // An alias shadowing its own target is the one-hop cycle.
-        register_alias("self-alias", "self-alias");
-        let err = match by_name("self-alias", &CcParams::default()) {
-            Ok(_) => panic!("self-cycle must not resolve"),
-            Err(e) => unwrap_unknown(e),
-        };
-        assert_eq!(err.name, "self-alias");
-        assert!(err.to_string().contains("self-alias"));
-    }
-
-    #[test]
-    fn dangling_alias_reports_the_requested_name() {
-        register_alias("dangling", "no-such-target");
-        let err = match by_name("dangling", &CcParams::default()) {
-            Ok(_) => panic!("dangling alias must not resolve"),
-            Err(e) => unwrap_unknown(e),
-        };
-        // The caller typed `dangling`; that is the name the error must
-        // carry (and must not advertise as registered).
-        assert_eq!(err.name, "dangling");
-        assert!(!err.known.contains(&"dangling".to_string()), "{err}");
     }
 
     #[test]

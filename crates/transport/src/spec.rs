@@ -162,7 +162,7 @@ impl SpecParams {
 /// `key=value` pairs in source order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AlgoSpec {
-    /// The algorithm (or alias) name before the `:`.
+    /// The algorithm name before the `:`.
     pub name: String,
     /// Raw `key=value` pairs, unvalidated.
     pub params: Vec<(String, String)>,

@@ -30,6 +30,5 @@ pub mod wire;
 
 pub use receiver::{receive, ReceiverReport};
 pub use sender::{
-    install_registry, send_hosted, send_named, send_pcc, send_with, wire_mss, SenderReport,
-    UdpSenderConfig,
+    install_registry, send_hosted, send_named, send_with, wire_mss, SenderReport, UdpSenderConfig,
 };

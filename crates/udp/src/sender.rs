@@ -18,7 +18,6 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
-use pcc_core::{PccConfig, PccController};
 use pcc_simnet::endpoint::{Action, Endpoint, EndpointCtx};
 use pcc_simnet::ids::{FlowId, Side};
 use pcc_simnet::packet::{AckInfo, Packet};
@@ -120,32 +119,14 @@ pub fn wire_mss(cfg: &UdpSenderConfig) -> u32 {
     (cfg.payload + WIRE_OVERHEAD_BYTES) as u32
 }
 
-/// The PCC controller [`send_pcc`] runs: paper config plus the *wire*
-/// MSS. Threading the MSS through is load-bearing — the monitor measures
-/// throughput, the 2·MSS/RTT starting rate, and the rate floor in units
-/// of this packet size, and a controller left at the 1500 B default
-/// over-reports all three on a `payload + 40` wire (the skew the paper's
-/// utility function is sensitive to).
-pub fn pcc_controller(cfg: &UdpSenderConfig, pcc: PccConfig) -> PccController {
-    PccController::new(pcc).with_mss(wire_mss(cfg))
-}
-
-/// Send `cfg.total_bytes` to `peer` over `socket`, paced by a PCC
-/// controller with the given config.
-pub fn send_pcc(
-    socket: &UdpSocket,
-    peer: SocketAddr,
-    cfg: UdpSenderConfig,
-    pcc: PccConfig,
-) -> std::io::Result<SenderReport> {
-    let ctrl = pcc_controller(&cfg, pcc);
-    send_with(socket, peer, cfg, Box::new(ctrl))
-}
-
 /// Send with any registered algorithm, resolved by name or parameterized
 /// spec (`"pcc"`, `"cubic-paced"`, `"cubic:beta=0.7,iw=32"`, ...).
 /// Unknown names and invalid spec parameters surface the registry's typed
-/// [`SpecError`].
+/// [`SpecError`]. The algorithm is built with the *wire* MSS
+/// ([`wire_mss`]): PCC's monitor measures throughput, its 2·MSS/RTT
+/// starting rate and its rate floor in units of the packet size, and a
+/// controller left at the 1500 B default over-reports all three on a
+/// `payload + 40` wire.
 pub fn send_named(
     socket: &UdpSocket,
     peer: SocketAddr,
@@ -384,24 +365,4 @@ pub fn send_with(
         final_cwnd_pkts: d.engine.cwnd_pkts().unwrap_or(0.0),
         timeouts: d.engine.timeouts(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn send_pcc_threads_the_wire_mss() {
-        // Regression: `send_pcc` must hand the controller the *wire* MSS
-        // (`payload + 40`), not leave it at the 1500 B default — the
-        // monitor's throughput, the 2·MSS/RTT starting rate, and the rate
-        // floor are all denominated in it.
-        let cfg = UdpSenderConfig {
-            payload: 1200,
-            ..Default::default()
-        };
-        let ctrl = pcc_controller(&cfg, PccConfig::paper());
-        assert_eq!(ctrl.mss(), 1240);
-        assert_eq!(wire_mss(&cfg), 1240);
-    }
 }

@@ -6,11 +6,10 @@
 use std::net::UdpSocket;
 use std::thread;
 
-use pcc_core::PccConfig;
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent, SentEvent};
 use pcc_transport::registry::{self, CcParams, SpecError};
-use pcc_udp::{install_registry, receive, send_named, send_pcc, send_with, UdpSenderConfig};
+use pcc_udp::{install_registry, receive, send_named, send_with, wire_mss, UdpSenderConfig};
 
 fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
     let rx_sock = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
@@ -31,8 +30,9 @@ fn pcc_transfers_over_loopback() {
         seed: 3,
         ..Default::default()
     };
-    let pcc = PccConfig::paper().with_rtt_hint(SimDuration::from_millis(2));
-    let report = send_pcc(&tx_sock, rx_addr, cfg, pcc).expect("send");
+    let report = send_named(&tx_sock, rx_addr, cfg, "pcc", SimDuration::from_millis(2))
+        .expect("io")
+        .expect("pcc is registered");
     let rx_report = rx.join().expect("join").expect("receive");
 
     assert!(rx_report.unique_bytes >= total, "all payload arrived");
@@ -220,11 +220,22 @@ fn bbr_transfers_over_loopback_as_a_hybrid() {
 }
 
 #[test]
-fn send_pcc_uses_wire_mss_on_a_nonstandard_payload() {
-    // Regression for the MSS skew: send_pcc must account with the wire
-    // packet size (payload + 40), not the 1500 B default. The wiring
-    // itself is asserted by pcc_controller's unit test; this exercises the
-    // fixed path end-to-end with a payload far from the default.
+fn send_named_builds_the_algorithm_with_the_wire_mss() {
+    // Regression for the MSS skew: the algorithm must account with the
+    // wire packet size (payload + 40), not the 1500 B default. A probe
+    // registration records the MSS its factory is handed and builds the
+    // real `pcc`, so the fixed path also runs end-to-end with a payload far
+    // from the default.
+    use std::sync::atomic::{AtomicU32, Ordering};
+    static BUILT_WITH_MSS: AtomicU32 = AtomicU32::new(0);
+    install_registry();
+    registry::register(
+        "mss-probe",
+        Box::new(|params| {
+            BUILT_WITH_MSS.store(params.mss, Ordering::SeqCst);
+            registry::by_name("pcc", params).expect("pcc is registered")
+        }),
+    );
     let (rx_sock, tx_sock, rx_addr) = sockets();
     let total: u64 = 256 * 1024;
     let rx = thread::spawn(move || receive(&rx_sock, total));
@@ -235,10 +246,16 @@ fn send_pcc_uses_wire_mss_on_a_nonstandard_payload() {
         seed: 5,
         ..Default::default()
     };
-    let pcc = PccConfig::paper().with_rtt_hint(SimDuration::from_millis(2));
-    let report = send_pcc(&tx_sock, rx_addr, cfg, pcc).expect("send");
+    let rtt = SimDuration::from_millis(2);
+    let report = send_named(&tx_sock, rx_addr, cfg, "mss-probe", rtt)
+        .expect("io")
+        .expect("just registered");
     let rx_report = rx.join().expect("join").expect("receive");
 
+    assert_eq!(
+        (wire_mss(&cfg), BUILT_WITH_MSS.load(Ordering::SeqCst)),
+        (440, 440)
+    );
     assert!(rx_report.unique_bytes >= total, "all payload arrived");
     assert!(report.final_rate_bps > 0.0, "PCC drives a rate");
 }

@@ -10,7 +10,7 @@
 //! cargo run --release --example datacenter_incast
 //! ```
 
-use pcc::scenarios::incast::{run_incast, INCAST_RTT};
+use pcc::scenarios::incast::run_incast;
 use pcc::scenarios::Protocol;
 
 fn main() {
@@ -21,8 +21,8 @@ fn main() {
         "senders", "tcp [Mbps]", "pcc [Mbps]", "pcc/tcp"
     );
     for n in [2, 4, 8, 16, 24, 33] {
-        let tcp = run_incast(|| Protocol::Tcp("newreno"), n, block, 11);
-        let pcc = run_incast(|| Protocol::pcc_default(INCAST_RTT), n, block, 11);
+        let tcp = run_incast(Protocol::Tcp("newreno"), n, block, 11);
+        let pcc = run_incast(Protocol::named("pcc"), n, block, 11);
         println!(
             "{:>8} {:>14.1} {:>14.1} {:>9.1}x   (tcp {}/{} done, pcc {}/{} done)",
             n,

@@ -8,7 +8,7 @@
 //! cargo run --release --example satellite
 //! ```
 
-use pcc::scenarios::links::{run_satellite, SATELLITE_RTT};
+use pcc::scenarios::links::run_satellite;
 use pcc::scenarios::Protocol;
 use pcc::simnet::time::{SimDuration, SimTime};
 
@@ -18,7 +18,7 @@ fn main() {
     println!("WINDS satellite link: 42 Mbps, 800 ms RTT, 0.74% loss, {buffer} B buffer");
     println!("(steady state measured over the last 30 s of a 60 s run)\n");
     let contenders = [
-        Protocol::pcc_default(SATELLITE_RTT),
+        Protocol::named("pcc"),
         Protocol::Tcp("hybla"),
         Protocol::Tcp("illinois"),
         Protocol::Tcp("cubic"),
@@ -26,7 +26,7 @@ fn main() {
     ];
     let mut results = Vec::new();
     for proto in contenders {
-        let label = proto.label();
+        let label = proto.label().to_string();
         let r = run_satellite(proto, buffer, dur, 7);
         let tput = r.throughput_in(0, SimTime::from_secs(30), SimTime::from_secs(60));
         results.push((label, tput));

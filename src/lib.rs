@@ -105,10 +105,9 @@ pub mod prelude {
     pub use pcc_scenarios::vary::{run_trace, TraceRun};
     pub use pcc_scenarios::{
         install_registry, run_dumbbell, run_single, FlowPlan, LinkSetup, Protocol, QueueKind,
-        UtilityKind,
     };
     pub use pcc_simnet::prelude::*;
-    pub use pcc_tcp::{by_name as tcp_by_name, Cubic, Hybla, Illinois, NewReno};
+    pub use pcc_tcp::{Cubic, Hybla, Illinois, NewReno};
     pub use pcc_transport::{
         CcParams, CcSender, CcSenderConfig, CongestionControl, FlowSize, InvalidParam,
         SackReceiver, SpecError, TransportConfig, UnknownAlgorithm,

@@ -5,7 +5,7 @@
 //! simulator + transport + controller + scenario layers at once.
 
 use pcc::prelude::*;
-use pcc::scenarios::links::{run_lossy, run_satellite, run_shallow, SATELLITE_RTT};
+use pcc::scenarios::links::{run_lossy, run_satellite, run_shallow};
 use pcc::scenarios::power::{pcc_interactive, pcc_loss_resilient, run_high_loss, run_power};
 use pcc::scenarios::{run_dumbbell, FlowPlan, LinkSetup, Protocol, QueueKind};
 
@@ -18,12 +18,7 @@ fn secs(s: u64) -> SimTime {
 #[test]
 fn claim_random_loss_resilience() {
     let dur = SimDuration::from_secs(20);
-    let pcc = run_lossy(
-        Protocol::pcc_default(SimDuration::from_millis(30)),
-        0.01,
-        dur,
-        1,
-    );
+    let pcc = run_lossy(Protocol::named("pcc"), 0.01, dur, 1);
     let cubic = run_lossy(Protocol::Tcp("cubic"), 0.01, dur, 1);
     let t_pcc = pcc.throughput_in(0, secs(8), secs(20));
     let t_cubic = cubic.throughput_in(0, secs(8), secs(20));
@@ -36,7 +31,7 @@ fn claim_random_loss_resilience() {
 #[test]
 fn claim_satellite() {
     let dur = SimDuration::from_secs(60);
-    let pcc = run_satellite(Protocol::pcc_default(SATELLITE_RTT), 7_500, dur, 2);
+    let pcc = run_satellite(Protocol::named("pcc"), 7_500, dur, 2);
     let hybla = run_satellite(Protocol::Tcp("hybla"), 7_500, dur, 2);
     let t_pcc = pcc.throughput_in(0, secs(30), secs(60));
     let t_hybla = hybla.throughput_in(0, secs(30), secs(60));
@@ -48,12 +43,7 @@ fn claim_satellite() {
 #[test]
 fn claim_shallow_buffer() {
     let dur = SimDuration::from_secs(15);
-    let pcc = run_shallow(
-        Protocol::pcc_default(SimDuration::from_millis(30)),
-        9_000,
-        dur,
-        3,
-    );
+    let pcc = run_shallow(Protocol::named("pcc"), 9_000, dur, 3);
     let t = pcc.throughput_in(0, secs(5), secs(15));
     assert!(t > 60.0, "PCC with 9 KB buffer on 100 Mbps: {t:.1}");
 }
@@ -66,8 +56,8 @@ fn claim_fair_convergence() {
     let r = run_dumbbell(
         setup,
         vec![
-            FlowPlan::new(Protocol::pcc_default(rtt), rtt),
-            FlowPlan::new(Protocol::pcc_default(rtt), rtt).starting_at(secs(10)),
+            FlowPlan::new(Protocol::named("pcc"), rtt),
+            FlowPlan::new(Protocol::named("pcc"), rtt).starting_at(secs(10)),
         ],
         secs(140),
         4,
@@ -108,7 +98,7 @@ fn claim_extreme_loss_with_fq() {
 fn claim_deterministic_replay() {
     let run = |seed| {
         let r = run_lossy(
-            Protocol::pcc_default(SimDuration::from_millis(30)),
+            Protocol::named("pcc"),
             0.02,
             SimDuration::from_secs(5),
             seed,
@@ -128,7 +118,7 @@ fn claim_deterministic_replay() {
 fn claim_all_protocols_functional() {
     let rtt = SimDuration::from_millis(20);
     for proto in [
-        Protocol::pcc_default(rtt),
+        Protocol::named("pcc"),
         Protocol::Tcp("newreno"),
         Protocol::Tcp("cubic"),
         Protocol::Tcp("illinois"),
@@ -136,11 +126,11 @@ fn claim_all_protocols_functional() {
         Protocol::Tcp("vegas"),
         Protocol::Tcp("bic"),
         Protocol::Tcp("westwood"),
-        Protocol::TcpPaced("newreno"),
-        Protocol::Sabul,
-        Protocol::Pcp,
+        Protocol::named("newreno-paced"),
+        Protocol::named("sabul"),
+        Protocol::named("pcp"),
     ] {
-        let label = proto.label();
+        let label = proto.label().to_string();
         let r = pcc::scenarios::run_single(
             proto,
             LinkSetup::new(20e6, rtt, 75_000),
