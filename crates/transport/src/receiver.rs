@@ -55,12 +55,31 @@ impl SackReceiver {
     /// point advanced over any now-contiguous prefix), false for a
     /// duplicate. The reassembly state behind both datapaths' receivers.
     pub fn accept(&mut self, seq: u64, bytes: u32) -> bool {
+        if seq == self.cum_ack {
+            // In order: the set never holds the cumulative point itself, so
+            // bump it directly, then advance over any now-contiguous prefix
+            // (on an empty set `remove` touches no node).
+            self.cum_ack += 1;
+            while self.ooo.remove(&self.cum_ack) {
+                self.cum_ack += 1;
+            }
+        } else if seq < self.cum_ack || !self.ooo.insert(seq) {
+            self.duplicates += 1;
+            return false;
+        }
+        self.recv_bytes += bytes as u64;
+        true
+    }
+
+    /// [`SackReceiver::accept`] as insert-then-drain: every packet goes
+    /// through the set. The reference the proptest compares against.
+    #[cfg(test)]
+    fn accept_by_insert_then_drain(&mut self, seq: u64, bytes: u32) -> bool {
         if seq < self.cum_ack || self.ooo.contains(&seq) {
             self.duplicates += 1;
             return false;
         }
         self.ooo.insert(seq);
-        // Advance the cumulative point over any now-contiguous prefix.
         while self.ooo.remove(&self.cum_ack) {
             self.cum_ack += 1;
         }
@@ -180,5 +199,48 @@ mod tests {
         assert_eq!(a.probe_train, Some(7));
         assert_eq!(a.echo_sent_at, SimTime::from_millis(9));
         assert_eq!(a.recv_at, SimTime::from_millis(12));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The in-order fast path changes no answer: any arrival order,
+        /// duplicates included, gives the same verdict per packet and the
+        /// same `cum_ack`, `recv_bytes` and `duplicates` after it.
+        #[test]
+        fn accept_equals_insert_then_drain(
+            n in 1u64..80,
+            swaps in proptest::collection::vec((0usize..1000, 0usize..1000), 0..120),
+            dups in proptest::collection::vec(0usize..1000, 0..40),
+        ) {
+            // A permutation of 0..n that is in order when `swaps` is short,
+            // with some sequences arriving again later.
+            let mut arrivals: Vec<u64> = (0..n).collect();
+            for (a, b) in swaps {
+                let len = arrivals.len();
+                arrivals.swap(a % len, b % len);
+            }
+            for d in dups {
+                let seq = arrivals[d % arrivals.len()];
+                arrivals.insert((d * 7 + 1) % (arrivals.len() + 1), seq);
+            }
+            let (mut fast, mut slow) = (SackReceiver::new(), SackReceiver::new());
+            for seq in arrivals {
+                let bytes = 100 + seq as u32;
+                prop_assert_eq!(
+                    fast.accept(seq, bytes),
+                    slow.accept_by_insert_then_drain(seq, bytes)
+                );
+                prop_assert_eq!(fast.cum_ack(), slow.cum_ack());
+                prop_assert_eq!(fast.recv_bytes(), slow.recv_bytes());
+                prop_assert_eq!(fast.duplicates(), slow.duplicates());
+            }
+            prop_assert_eq!(fast.cum_ack(), n);
+            prop_assert!(fast.ooo.is_empty());
+        }
     }
 }

@@ -65,13 +65,22 @@ pub struct Scoreboard {
     losses: u64,
     /// Reordering threshold in packets.
     dup_thresh: u64,
-    /// Conservative lower bound on the oldest `Outstanding` entry's
-    /// `last_sent_at` (never later than the true minimum, possibly
-    /// earlier once that entry resolves). Lets [`Scoreboard::detect_losses`]
-    /// skip its timeout sweep entirely while nothing can have timed out —
-    /// the sweep itself refreshes the bound, so a stale value costs at
-    /// most one extra sweep per RTO. `None` until the first send.
-    timeout_floor: Option<SimTime>,
+    /// Timeout frontier over *original* transmissions: no sequence below
+    /// it is an `Outstanding` original (`retx_count == 0`) — each was
+    /// acked, declared lost or retransmitted when the cursor passed it,
+    /// and none of those can be undone. New data is sent in sequence
+    /// order, so the originals at and above it are sorted by send time
+    /// and the first one that has not timed out ends the search.
+    timeout_cursor: u64,
+    /// Timeout frontier over retransmissions, which happen in any
+    /// sequence order: one `(sent_at, seq)` record per retransmission, in
+    /// send order. A record is stale once its entry is gone, no longer
+    /// `Outstanding`, or was sent again since (`last_sent_at != sent_at`).
+    retx_log: VecDeque<(SimTime, u64)>,
+    /// Entries and records the two frontiers have looked at (the
+    /// complexity tripwire's count).
+    #[cfg(test)]
+    frontier_steps: u64,
     /// Sequences below this have already been judged by the reordering
     /// rule. Once a scan reaches a cutoff, no entry below it can ever
     /// qualify again (originals there were marked `Lost` on the spot and
@@ -100,7 +109,10 @@ impl Scoreboard {
             in_flight: 0,
             losses: 0,
             dup_thresh: 3,
-            timeout_floor: None,
+            timeout_cursor: 0,
+            retx_log: VecDeque::new(),
+            #[cfg(test)]
+            frontier_steps: 0,
             reorder_floor: 0,
         }
     }
@@ -123,11 +135,20 @@ impl Scoreboard {
 
     /// Record a transmission of `seq` at `now`. New sequences must be sent
     /// in order; retransmissions may target any outstanding sequence.
+    ///
+    /// `now` must never decrease from one call to the next (true of
+    /// `Simulation`'s clock and of `pcc-udp`'s `Instant`-derived one): the
+    /// timeout rule in [`Scoreboard::detect_losses`] stops at the first
+    /// transmission, in send order, that has not timed out. A send
+    /// stamped earlier than its predecessor would wait behind it and be
+    /// declared late — never wrongly, since every declaration checks the
+    /// transmission's own age.
     pub fn on_send(&mut self, seq: u64, now: SimTime, retx: bool) {
-        self.timeout_floor = Some(match self.timeout_floor {
-            Some(floor) => floor.min(now),
-            None => now,
-        });
+        debug_assert!(
+            self.entries.back().is_none_or(|e| e.last_sent_at <= now)
+                && self.retx_log.back().is_none_or(|r| r.0 <= now),
+            "send at {now:?} is earlier than the one before it"
+        );
         if !retx {
             assert_eq!(seq, self.high_seq, "new data must be sent in order");
             self.entries.push_back(SeqEntry {
@@ -147,6 +168,7 @@ impl Scoreboard {
             e.state = SeqState::Outstanding;
             e.last_sent_at = now;
             e.retx_count += 1;
+            self.retx_log.push_back((now, seq));
         }
     }
 
@@ -199,16 +221,69 @@ impl Scoreboard {
     /// Returns the newly lost sequences (oldest first); the caller should
     /// queue them for retransmission.
     ///
-    /// This runs on every ACK, so both rules are bounded instead of
-    /// sweeping the whole window each call: reorder candidates all sit in
-    /// the SACK-hole region `[base, dup_cutoff)` (empty for an in-order
-    /// flow), and the timeout sweep is skipped while `timeout_floor`
-    /// proves nothing has been outstanding for an RTO yet.
+    /// This runs on every ACK, so neither rule walks the window: reorder
+    /// candidates all sit in the SACK-hole region `[base, dup_cutoff)`
+    /// (empty for an in-order flow), and the timeout rule reads two
+    /// frontiers that are each sorted by send time — a cursor over the
+    /// originals and a log of the retransmissions — visiting every
+    /// transmission once over the scoreboard's life, plus the one at
+    /// each frontier that stops the call.
     pub fn detect_losses(&mut self, now: SimTime, rto: SimDuration) -> Vec<u64> {
+        let mut lost = self.reorder_losses();
+        let timed_out = |sent_at: SimTime| now.saturating_since(sent_at) >= rto;
+        // Timeout rule, originals: in sequence order from the cursor.
+        self.timeout_cursor = self.timeout_cursor.max(self.base);
+        while let Some(e) = self
+            .entries
+            .get_mut((self.timeout_cursor - self.base) as usize)
+        {
+            #[cfg(test)]
+            {
+                self.frontier_steps += 1;
+            }
+            if e.state == SeqState::Outstanding && e.retx_count == 0 {
+                if !timed_out(e.last_sent_at) {
+                    break;
+                }
+                e.state = SeqState::Lost;
+                self.in_flight -= 1;
+                self.losses += 1;
+                lost.push(self.timeout_cursor);
+            }
+            self.timeout_cursor += 1;
+        }
+        // Timeout rule, retransmissions (which the reorder rule cannot
+        // judge): in send order from the front of the log.
+        while let Some(&(sent_at, seq)) = self.retx_log.front() {
+            #[cfg(test)]
+            {
+                self.frontier_steps += 1;
+            }
+            if let Some(i) = self.idx(seq) {
+                let e = &mut self.entries[i];
+                if e.state == SeqState::Outstanding && e.last_sent_at == sent_at {
+                    if !timed_out(sent_at) {
+                        break;
+                    }
+                    e.state = SeqState::Lost;
+                    self.in_flight -= 1;
+                    self.losses += 1;
+                    lost.push(seq);
+                }
+            }
+            self.retx_log.pop_front();
+        }
+        // Each of the three passes emits in its own order; restore the
+        // global oldest-first contract.
+        lost.sort_unstable();
+        lost
+    }
+
+    /// The reordering rule: only *original* transmissions below the SACK
+    /// frontier minus DupThresh qualify, and everything below `base` is
+    /// acked — so the candidates live in `[base, dup_cutoff)`.
+    fn reorder_losses(&mut self) -> Vec<u64> {
         let mut lost = Vec::new();
-        // Reordering rule: only *original* transmissions below the SACK
-        // frontier minus DupThresh qualify, and everything below `base` is
-        // acked — so the candidates live in `[base, dup_cutoff)`.
         let dup_cutoff = self.high_sacked.saturating_sub(self.dup_thresh);
         let start = self.base.max(self.reorder_floor);
         if dup_cutoff > start {
@@ -224,39 +299,24 @@ impl Scoreboard {
             }
             self.reorder_floor = self.base + end as u64;
         }
-        // Timeout rule (covers retransmissions the reorder rule cannot
-        // judge): sweep only when the floor says a timeout is possible,
-        // and refresh the floor from what the sweep actually saw.
-        let timeout_possible = match self.timeout_floor {
-            Some(floor) => now.saturating_since(floor) >= rto,
-            None => false,
-        };
-        if timeout_possible {
-            let had_reorder_losses = !lost.is_empty();
-            let mut new_floor: Option<SimTime> = None;
-            for (i, e) in self.entries.iter_mut().enumerate() {
-                if e.state != SeqState::Outstanding {
-                    continue;
-                }
-                if now.saturating_since(e.last_sent_at) >= rto {
-                    e.state = SeqState::Lost;
-                    self.in_flight -= 1;
-                    self.losses += 1;
-                    lost.push(self.base + i as u64);
-                } else {
-                    new_floor = Some(match new_floor {
-                        Some(f) => f.min(e.last_sent_at),
-                        None => e.last_sent_at,
-                    });
-                }
-            }
-            self.timeout_floor = new_floor;
-            // The two passes each emit in ascending order; restore the
-            // global oldest-first contract when both contributed.
-            if had_reorder_losses {
-                lost.sort_unstable();
+        lost
+    }
+
+    /// What [`Scoreboard::detect_losses`] must equal, call for call: the
+    /// timeout rule as a sweep of the whole window. The reference the
+    /// oracle proptest compares against.
+    #[cfg(test)]
+    fn detect_losses_by_sweep(&mut self, now: SimTime, rto: SimDuration) -> Vec<u64> {
+        let mut lost = self.reorder_losses();
+        for (i, e) in self.entries.iter_mut().enumerate() {
+            if e.state == SeqState::Outstanding && now.saturating_since(e.last_sent_at) >= rto {
+                e.state = SeqState::Lost;
+                self.in_flight -= 1;
+                self.losses += 1;
+                lost.push(self.base + i as u64);
             }
         }
+        lost.sort_unstable();
         lost
     }
 
@@ -291,22 +351,14 @@ impl Scoreboard {
     }
 
     /// Oldest sequence not yet acked, if any (`== cum ack` point).
-    pub fn oldest_unacked(&self) -> Option<u64> {
+    #[cfg(test)]
+    fn oldest_unacked(&self) -> Option<u64> {
         for i in 0..self.entries.len() {
             if self.entries[i].state != SeqState::Acked {
                 return Some(self.base + i as u64);
             }
         }
         None
-    }
-
-    /// Send time of the oldest outstanding transmission.
-    pub fn oldest_outstanding_sent_at(&self) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .filter(|e| e.state == SeqState::Outstanding)
-            .map(|e| e.last_sent_at)
-            .min()
     }
 
     /// True when every sequence below `upper` has been acked.
@@ -358,7 +410,8 @@ impl Scoreboard {
     }
 
     /// Retransmission count for `seq` (0 when unknown).
-    pub fn retx_count(&self, seq: u64) -> u32 {
+    #[cfg(test)]
+    fn retx_count(&self, seq: u64) -> u32 {
         self.entry(seq).map(|e| e.retx_count).unwrap_or(0)
     }
 
@@ -381,7 +434,7 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    fn ack(acked_seq: u64, cum_ack: u64, sent_at: SimTime) -> AckInfo {
+    pub(super) fn ack(acked_seq: u64, cum_ack: u64, sent_at: SimTime) -> AckInfo {
         AckInfo {
             acked_seq,
             cum_ack,
@@ -557,10 +610,165 @@ mod tests {
         assert!(sb.all_acked_below(1));
         assert!(!sb.all_acked_below(5), "seqs 1..5 never sent");
     }
+
+    /// Two scoreboards fed identically: `fast` detects with the frontiers,
+    /// `slow` with the reference sweep. Every call checks that they agree.
+    pub(super) struct Pair {
+        pub(super) fast: Scoreboard,
+        slow: Scoreboard,
+    }
+
+    impl Pair {
+        pub(super) fn new() -> Self {
+            Pair {
+                fast: Scoreboard::new(),
+                slow: Scoreboard::new(),
+            }
+        }
+
+        pub(super) fn send(&mut self, seq: u64, now: SimTime, retx: bool) {
+            self.fast.on_send(seq, now, retx);
+            self.slow.on_send(seq, now, retx);
+            self.check();
+        }
+
+        pub(super) fn ack(&mut self, info: &AckInfo, now: SimTime) {
+            self.fast.on_ack(info, now);
+            self.slow.on_ack(info, now);
+            self.check();
+        }
+
+        pub(super) fn mark_all_lost(&mut self) {
+            assert_eq!(self.fast.mark_all_lost(), self.slow.mark_all_lost());
+            self.check();
+        }
+
+        pub(super) fn detect(&mut self, now: SimTime, rto: SimDuration) -> Vec<u64> {
+            let lost = self.fast.detect_losses(now, rto);
+            assert_eq!(lost, self.slow.detect_losses_by_sweep(now, rto));
+            self.check();
+            lost
+        }
+
+        fn check(&self) {
+            assert_eq!(self.fast.in_flight(), self.slow.in_flight());
+            assert_eq!(self.fast.total_losses(), self.slow.total_losses());
+            for seq in self.fast.cum_ack()..self.fast.next_seq() {
+                assert_eq!(self.fast.is_lost(seq), self.slow.is_lost(seq), "seq {seq}");
+            }
+        }
+    }
+
+    #[test]
+    fn retransmission_below_the_cursor_times_out_again() {
+        let mut p = Pair::new();
+        for s in 0..10 {
+            p.send(s, t(s), false);
+        }
+        for s in 1..=4 {
+            p.ack(&ack(s, 0, t(s)), t(10));
+        }
+        // The reordering rule takes 0; the cursor passes it and the four
+        // SACKed entries and stops at 5, which is 7 ms old.
+        assert_eq!(p.detect(t(12), SimDuration::from_millis(60)), vec![0]);
+        p.send(0, t(13), true);
+        assert!(p.detect(t(14), SimDuration::from_millis(60)).is_empty());
+        // 0 now sits below the cursor: only the log can time it out.
+        assert_eq!(
+            p.detect(t(80), SimDuration::from_millis(60)),
+            vec![0, 5, 6, 7, 8, 9]
+        );
+    }
+
+    #[test]
+    fn only_the_latest_retransmission_of_a_sequence_is_live() {
+        let mut p = Pair::new();
+        for s in 0..6 {
+            p.send(s, t(s), false);
+        }
+        for s in 1..=5 {
+            p.ack(&ack(s, 0, t(s)), t(10));
+        }
+        assert_eq!(p.detect(t(11), SimDuration::from_secs(1)), vec![0]);
+        p.send(0, t(20), true);
+        p.mark_all_lost();
+        p.send(0, t(25), true);
+        // Two records for 0. The one from t = 20 is 11 ms old but stale;
+        // the live one from t = 25 is 6 ms old.
+        assert!(p.detect(t(31), SimDuration::from_millis(10)).is_empty());
+        assert_eq!(p.detect(t(35), SimDuration::from_millis(10)), vec![0]);
+        // A retransmission of a sequence still in flight supersedes the
+        // earlier one the same way.
+        p.send(0, t(40), true);
+        p.send(0, t(44), true);
+        assert!(p.detect(t(51), SimDuration::from_millis(10)).is_empty());
+        assert_eq!(p.detect(t(54), SimDuration::from_millis(10)), vec![0]);
+    }
+
+    /// The shape that made the timeout rule the most expensive thing in a
+    /// high-BDP run: a full window in flight, an RTO just above the RTT
+    /// (so the oldest outstanding send is always nearly due), and holes
+    /// that pin the cumulative point. Counts work, not time.
+    #[test]
+    fn timeout_rule_does_not_walk_the_window() {
+        const WINDOW: u64 = 2_500;
+        const PACKETS: u64 = 200_000;
+        const HOLE_EVERY: u64 = 50;
+        let gap = SimDuration::from_micros(12);
+        let rto = gap * WINDOW + SimDuration::from_micros(1);
+        let sent_at = |seq: u64| SimTime::ZERO + gap * (seq + 1);
+        let mut sb = Scoreboard::new();
+        // Holes not yet repaired, oldest first: `(seq, retransmitted)`.
+        let mut holes: VecDeque<(u64, bool)> = VecDeque::new();
+        let (mut sends, mut calls, mut lost) = (0u64, 0u64, 0u64);
+        for next in 0..PACKETS {
+            let now = sent_at(next);
+            sb.on_send(next, now, false);
+            sends += 1;
+            let Some(due) = next.checked_sub(WINDOW) else {
+                continue;
+            };
+            // Repair the oldest hole: retransmit it a window after its ACK
+            // was due, acknowledge the retransmission a window after that.
+            if let Some(&mut (seq, ref mut retx)) = holes.front_mut() {
+                if !*retx && due >= seq + WINDOW {
+                    sb.on_send(seq, now, true);
+                    sends += 1;
+                    *retx = true;
+                } else if *retx && due >= seq + 2 * WINDOW {
+                    holes.pop_front();
+                    let cum = holes.front().map_or(due, |h| h.0);
+                    sb.on_ack(&ack(seq, cum, now), now);
+                }
+            }
+            if due % HOLE_EVERY == HOLE_EVERY / 2 {
+                holes.push_back((due, false));
+            } else {
+                let cum = holes.front().map_or(due + 1, |h| h.0);
+                sb.on_ack(&ack(due, cum, sent_at(due)), now);
+            }
+            lost += sb.detect_losses(now, rto).len() as u64;
+            calls += 1;
+        }
+        assert_eq!(
+            lost,
+            (PACKETS - WINDOW) / HOLE_EVERY,
+            "every hole is declared exactly once and no retransmission is"
+        );
+        assert!(sb.tracked() as u64 > WINDOW, "the holes pin the window");
+        // Each frontier looks at every transmission once, plus the one
+        // that stops each call: at most `sends + 2 * calls`.
+        assert!(
+            sb.frontier_steps <= 2 * (sends + calls),
+            "{} frontier steps for {sends} sends and {calls} calls",
+            sb.frontier_steps
+        );
+    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{ack, Pair};
     use super::*;
     use proptest::prelude::*;
 
@@ -619,6 +827,47 @@ mod proptests {
                     .count() as u64;
                 prop_assert!(sb.in_flight() <= unacked);
                 prop_assert!(sb.high_sacked() <= sb.next_seq());
+            }
+        }
+
+        /// The frontiers declare exactly what a sweep of the whole window
+        /// on every call declares, in the same order, whatever the RTO does
+        /// between calls.
+        #[test]
+        fn frontiers_equal_the_sweep(script in proptest::collection::vec((0u8..10, 0u64..1000), 1..400)) {
+            let mut p = Pair::new();
+            let mut now = SimTime::ZERO;
+            let mut rto = SimDuration::from_millis(20);
+            for (op, arg) in script {
+                // Steps of 0 ms keep equal timestamps in play.
+                now += SimDuration::from_millis(arg % 4);
+                let (base, next) = (p.fast.cum_ack(), p.fast.next_seq());
+                match op {
+                    0..=2 => p.send(next, now, false),
+                    // A SACK above the cumulative point: leaves a hole.
+                    3 if next > base => p.ack(&ack(base + arg % (next - base), base, now), now),
+                    // A cumulative ACK over the oldest few sequences.
+                    4 if next > base => {
+                        let cum = (base + 1 + arg % 3).min(next);
+                        p.ack(&ack(cum - 1, cum, now), now);
+                    }
+                    5 | 6 => {
+                        let lost = p.fast.lost_seqs();
+                        if !lost.is_empty() {
+                            p.send(lost[arg as usize % lost.len()], now, true);
+                        }
+                    }
+                    // Rarely, an RTO writes the whole window off.
+                    7 if arg % 8 == 0 => p.mark_all_lost(),
+                    _ => {
+                        rto = match arg % 3 {
+                            0 => rto.mul_f64(0.6),
+                            1 => rto,
+                            _ => rto.mul_f64(1.5) + SimDuration::from_millis(1),
+                        };
+                        p.detect(now, rto);
+                    }
+                }
             }
         }
     }
