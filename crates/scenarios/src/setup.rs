@@ -511,8 +511,14 @@ mod tests {
         // switcher on its own cadence, and a per-ACK PCC run whose monitor
         // closes ~275 intervals by deadline write-off (1 ms RTT: a lost
         // retransmission waits out the engine's 10 ms RTO floor, past the
-        // 2.5-SRTT deadline; 2% loss each way).
-        use crate::chaos::report_fingerprint;
+        // 2.5-SRTT deadline; 2% loss each way). Then the PCC controller
+        // paths nothing above reaches: single-pair decisions on fixed MI
+        // timing, single-pair decisions report-clocked, two `pcc-latency`
+        // flows competing (inconclusive rounds escalate ε, and the
+        // latency utility reads the previous interval's RTT), the
+        // loss-resilient utility at 20% loss, and `on_resume` after an
+        // ACK-path blackout.
+        use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
 
         let rtt = SimDuration::from_millis(30);
         let short = SimDuration::from_millis(1);
@@ -521,9 +527,11 @@ mod tests {
             .with_loss(0.02)
             .with_ack_loss(0.02);
         let named = |name: &str| Protocol::Named(name.into());
-        let run = |setup, plan| {
-            report_fingerprint(&run_dumbbell(setup, vec![plan], SimTime::from_secs(8), 42).report)
+        let run_all = |setup, plans| {
+            report_fingerprint(&run_dumbbell(setup, plans, SimTime::from_secs(8), 42).report)
         };
+        let run = |setup, plan| run_all(setup, vec![plan]);
+        let per_ack = |name| FlowPlan::new(named(name), rtt);
         let batched = |name| FlowPlan::new(named(name), rtt).reporting(ReportMode::batched_rtt());
         let golden = [
             (
@@ -555,6 +563,37 @@ mod tests {
                 "pcc per-ack deadline write-offs",
                 run(lossy, FlowPlan::new(named("pcc"), short)),
                 0x8090_82c0_b61e_1168,
+            ),
+            (
+                "pcc single-pair fixed-tm per-ack",
+                run(setup, per_ack("pcc:tm=1,rct=false")),
+                0xbf41_996f_f058_a95a,
+            ),
+            (
+                "pcc single-pair batched",
+                run(setup, batched("pcc:rct=false")),
+                0xfaa6_bdf6_e4b7_c967,
+            ),
+            (
+                "pcc-latency x2 competing",
+                run_all(
+                    setup,
+                    vec![
+                        per_ack("pcc-latency"),
+                        per_ack("pcc-latency").starting_at(SimTime::from_secs(1)),
+                    ],
+                ),
+                0xcc55_5380_a6be_7713,
+            ),
+            (
+                "pcc-lossresilient 20% loss",
+                run(setup.with_loss(0.2), per_ack("pcc-lossresilient")),
+                0x7eac_8afa_9453_5cb5,
+            ),
+            (
+                "pcc chaos blackout",
+                run_chaos(&named("pcc"), ChaosScript::Blackout, 9).fingerprint,
+                0xb6fd_5919_5a2c_42d3,
             ),
         ];
         let moved: Vec<String> = golden
