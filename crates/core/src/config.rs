@@ -1,4 +1,4 @@
-//! PCC configuration: every constant from §2.2/§3 of the paper, tunable.
+//! PCC configuration: the §2.2/§3 constants of the paper a spec can tune.
 
 use pcc_simnet::time::SimDuration;
 
@@ -6,24 +6,12 @@ use pcc_simnet::time::SimDuration;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MiTiming {
     /// The paper's default (§3.1): `Tm = max(time to send 10 packets,
-    /// U[lo, hi] · RTT)` with `lo = 1.7`, `hi = 2.2` — the randomization
-    /// desynchronizes competing senders' intervals.
-    Randomized {
-        /// Lower bound of the RTT multiplier.
-        lo: f64,
-        /// Upper bound of the RTT multiplier.
-        hi: f64,
-    },
+    /// U[1.7, 2.2] · RTT)` — the randomization desynchronizes competing
+    /// senders' intervals.
+    Randomized,
     /// Fixed multiple of RTT (used by the Fig. 16 stability/reactiveness
     /// sweep, which varies `Tm` from 4.8×RTT down to 1×RTT).
     FixedRttMultiple(f64),
-}
-
-impl MiTiming {
-    /// The paper's default randomized timing.
-    pub fn paper_default() -> Self {
-        MiTiming::Randomized { lo: 1.7, hi: 2.2 }
-    }
 }
 
 /// Tunable PCC parameters.
@@ -43,16 +31,9 @@ pub struct PccConfig {
     /// RTT assumed before the first measurement (drives the initial rate
     /// `2·MSS/RTT` and the first MI length).
     pub rtt_hint: SimDuration,
-    /// Floor on the controlled sending rate (bits/sec).
-    pub min_rate_bps: f64,
-    /// Ceiling on the controlled sending rate (bits/sec).
-    pub max_rate_bps: f64,
     /// Extra wait after an MI ends before unresolved packets are written
-    /// off as lost, expressed as a multiple of SRTT (clamped below by
-    /// `deadline_floor`).
+    /// off as lost, expressed as a multiple of SRTT (never below 2 ms).
     pub deadline_rtts: f64,
-    /// Minimum absolute MI-resolution deadline slack.
-    pub deadline_floor: SimDuration,
 }
 
 impl Default for PccConfig {
@@ -60,14 +41,11 @@ impl Default for PccConfig {
         PccConfig {
             eps_min: 0.01,
             eps_max: 0.05,
-            mi_timing: MiTiming::paper_default(),
+            mi_timing: MiTiming::Randomized,
             mi_min_packets: 10,
             rct: true,
             rtt_hint: SimDuration::from_millis(100),
-            min_rate_bps: 24_000.0, // 2 × 1500 B packets per second
-            max_rate_bps: 10e9,
             deadline_rtts: 2.5,
-            deadline_floor: SimDuration::from_millis(2),
         }
     }
 }
@@ -76,24 +54,6 @@ impl PccConfig {
     /// Paper defaults.
     pub fn paper() -> Self {
         Self::default()
-    }
-
-    /// Disable randomized controlled trials (single-pair decisions) — the
-    /// "PCC without RCT" line of Fig. 16.
-    pub fn without_rct(mut self) -> Self {
-        self.rct = false;
-        self
-    }
-
-    /// Set the experiment granularity bounds.
-    pub fn with_eps(mut self, eps_min: f64, eps_max: f64) -> Self {
-        assert!(
-            eps_min > 0.0 && eps_min <= eps_max,
-            "0 < eps_min <= eps_max"
-        );
-        self.eps_min = eps_min;
-        self.eps_max = eps_max;
-        self
     }
 
     /// Set the MI timing policy.
@@ -120,25 +80,15 @@ mod tests {
         assert_eq!(c.eps_max, 0.05);
         assert_eq!(c.mi_min_packets, 10);
         assert!(c.rct);
-        assert_eq!(c.mi_timing, MiTiming::Randomized { lo: 1.7, hi: 2.2 });
+        assert_eq!(c.mi_timing, MiTiming::Randomized);
     }
 
     #[test]
     fn builders() {
         let c = PccConfig::paper()
-            .without_rct()
-            .with_eps(0.02, 0.06)
             .with_mi_timing(MiTiming::FixedRttMultiple(1.0))
             .with_rtt_hint(SimDuration::from_millis(30));
-        assert!(!c.rct);
-        assert_eq!(c.eps_min, 0.02);
         assert_eq!(c.mi_timing, MiTiming::FixedRttMultiple(1.0));
         assert_eq!(c.rtt_hint, SimDuration::from_millis(30));
-    }
-
-    #[test]
-    #[should_panic(expected = "eps_min")]
-    fn eps_validation() {
-        let _ = PccConfig::paper().with_eps(0.05, 0.01);
     }
 }

@@ -20,8 +20,14 @@
 //! processes them asynchronously and applies the §3.1 "re-align" trick —
 //! concluding a decision immediately re-bases the current MI rather than
 //! waiting for the next boundary.
+//!
+//! Every MI goes through one pipeline: `begin_mi` issues it onto the
+//! `issued` queue, `on_mi_complete` judges the front of that queue. Two
+//! clocks close an interval — the [`Monitor`] with its boundary/deadline
+//! timers on the per-ACK path, the engine's report on the batched path —
+//! and both deliver results in issue order.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::{AckEvent, CongestionControl, Ctx as CtrlCtx, LossEvent, SentEvent};
@@ -32,40 +38,66 @@ use crate::config::{MiTiming, PccConfig};
 use crate::monitor::Monitor;
 use crate::utility::{MiMetrics, SafeSigmoid, UtilityFunction};
 
-/// Why a given MI was run (controller-side bookkeeping).
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Floor on the controlled sending rate: two 1500 B packets per second.
+const MIN_RATE_BPS: f64 = 24_000.0;
+/// Ceiling on the controlled sending rate.
+const MAX_RATE_BPS: f64 = 10e9;
+/// Minimum absolute MI-resolution deadline slack.
+const DEADLINE_FLOOR: SimDuration = SimDuration::from_millis(2);
+
+/// Why a given MI was run.
+#[derive(Clone, Copy, Debug)]
 enum Purpose {
     /// Starting phase, step `k` (rate = r0·2^k).
-    Start { step: u32, rate: f64 },
-    /// Decision trial `slot` of `round`, testing `dir` = ±1 at `rate`.
-    Trial {
-        round: u64,
-        slot: u8,
-        dir: f64,
-        rate: f64,
-    },
-    /// Rate-adjusting step `n` at `rate`.
-    Adjust { n: u32, rate: f64 },
+    Start { step: u32 },
+    /// Decision trial `slot` of `round`.
+    Trial { round: u64, slot: usize },
+    /// Rate-adjusting step `n`.
+    Adjust { n: u32 },
     /// Holding at the base rate (e.g. while awaiting trial results).
     Hold,
 }
 
-/// Control phase.
-#[derive(Clone, Debug, PartialEq)]
+/// A monitor interval that was issued and has not been judged yet.
+#[derive(Clone, Copy, Debug)]
+struct Issued {
+    id: u64,
+    /// The pacing rate it ran at (what a report-clocked result is
+    /// measured against; the monitor keeps its own copy).
+    rate: f64,
+    purpose: Purpose,
+}
+
+/// Control phase: §3.2's three states, each holding the results it
+/// compares.
+#[derive(Debug)]
 enum Phase {
     /// Doubling until utility drops.
-    Starting,
-    /// Issuing trial MIs (`issued` of `dirs.len()` so far).
-    Trials {
+    Starting {
+        /// The newest judged step and the utility the next one must beat.
+        prev: Option<(u32, f64)>,
+        /// Consecutive non-improving steps (for noise tolerance).
+        misses: u32,
+    },
+    /// Issuing trial MIs (`issued` of `dirs.len()` so far), then holding at
+    /// the base rate until every slot's result is in.
+    Deciding {
         round: u64,
         eps: f64,
+        /// The direction (±1) each trial slot tests.
         dirs: Vec<f64>,
-        issued: u8,
+        issued: usize,
+        /// The utility each trial slot measured.
+        results: Vec<Option<f64>>,
     },
-    /// All trials issued; holding at base rate until results are in.
-    WaitResults { round: u64, eps: f64 },
-    /// Moving in `dir` with growing steps.
-    Adjusting { dir: f64, n: u32 },
+    /// Moving in `dir` with growing steps, `n` issued so far.
+    Adjusting {
+        dir: f64,
+        n: u32,
+        /// The newest judged step and its utility (step 0 is seeded from
+        /// the winning trials).
+        last: (u32, f64),
+    },
 }
 
 /// Snapshot of controller state for tests and introspection.
@@ -97,31 +129,23 @@ pub struct PccController {
     phase: Phase,
     /// Base rate `r` (bits/sec) that decisions perturb around.
     rate: f64,
-    purposes: BTreeMap<u64, Purpose>,
-    /// Starting-phase utilities by step.
-    start_utils: BTreeMap<u32, f64>,
-    /// Consecutive non-improving starting steps (for noise tolerance).
-    start_misses: u32,
-    /// Trial utilities by (round, slot).
-    trial_utils: BTreeMap<(u64, u8), (f64, f64)>,
-    /// Adjusting utilities by n (0 = seed from winning trials).
-    adjust_utils: BTreeMap<u32, f64>,
+    /// MIs issued and not yet judged, oldest first; the back is the one on
+    /// the wire. Both clocks complete intervals in issue order
+    /// ([`Monitor::poll`] publishes its head, a report judges the front),
+    /// so a result always belongs to the front. Report-clocked, the queue
+    /// is two deep: a report's ACKs measure the MI issued one window back
+    /// (its acks arrive ≈1 RTT after that MI's sends — the §3.1 result
+    /// lag).
+    issued: VecDeque<Issued>,
+    /// Next MI id. Never reset, so a timer token armed for one interval
+    /// cannot name an interval issued after a resume or a clock switch.
+    next_mi: u64,
     trial_round: u64,
     stats: PccStats,
     mss: u32,
-    /// Off-path (batched-report) operation detected: the [`Monitor`] and
-    /// its boundary/deadline timers are bypassed — each engine report is
+    /// Off-path (batched-report) operation detected: each engine report is
     /// one MI, and `set_report_interval` plays the boundary timer's role.
     batched: bool,
-    /// Batched mode: issued MIs awaiting measurement `(id, rate)`, oldest
-    /// first. A report evaluates the MI from one window back (its acks
-    /// arrive ≈1 RTT after that MI's sends — the §3.1 result lag).
-    pending_mis: VecDeque<(u64, f64)>,
-    /// Batched mode: next synthetic MI id.
-    next_batched_mi: u64,
-    /// Batched mode: a `begin_mi` ran while processing the current report
-    /// (the re-align trick already advanced the pipeline).
-    mi_begun: bool,
     /// Batched mode: previous report's average RTT (latency-gradient
     /// chaining; the monitor keeps its own for the per-ACK path).
     prev_avg_rtt: Option<SimDuration>,
@@ -140,20 +164,17 @@ impl PccController {
             utility,
             monitor: Monitor::new(),
             rtt: RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(120)),
-            phase: Phase::Starting,
+            phase: Phase::Starting {
+                prev: None,
+                misses: 0,
+            },
             rate: 0.0,
-            purposes: BTreeMap::new(),
-            start_utils: BTreeMap::new(),
-            start_misses: 0,
-            trial_utils: BTreeMap::new(),
-            adjust_utils: BTreeMap::new(),
+            issued: VecDeque::new(),
+            next_mi: 0,
             trial_round: 0,
             stats: PccStats::default(),
             mss: 1500,
             batched: false,
-            pending_mis: VecDeque::new(),
-            next_batched_mi: 0,
-            mi_begun: false,
             prev_avg_rtt: None,
         }
     }
@@ -198,9 +219,8 @@ impl PccController {
     /// Human-readable phase name.
     pub fn phase_name(&self) -> &'static str {
         match self.phase {
-            Phase::Starting => "starting",
-            Phase::Trials { .. } => "decision-trials",
-            Phase::WaitResults { .. } => "decision-wait",
+            Phase::Starting { .. } => "starting",
+            Phase::Deciding { .. } => "deciding",
             Phase::Adjusting { .. } => "adjusting",
         }
     }
@@ -212,8 +232,8 @@ impl PccController {
         // most needs to react (e.g. a joiner that got squeezed while the
         // incumbent holds the buffer full).
         let floor = (2.0 * self.mss as f64 * 8.0 / self.control_rtt().as_secs_f64().max(1e-6))
-            .max(self.cfg.min_rate_bps);
-        rate.clamp(floor.min(self.cfg.max_rate_bps), self.cfg.max_rate_bps)
+            .max(MIN_RATE_BPS);
+        rate.clamp(floor.min(MAX_RATE_BPS), MAX_RATE_BPS)
     }
 
     /// "Utility improved" test with a small relative tolerance.
@@ -253,7 +273,7 @@ impl PccController {
         );
         let rtt = self.control_rtt();
         let rtt_mult = match self.cfg.mi_timing {
-            MiTiming::Randomized { lo, hi } => ctx.rng.range_f64(lo, hi),
+            MiTiming::Randomized => ctx.rng.range_f64(1.7, 2.2),
             MiTiming::FixedRttMultiple(f) => f,
         };
         pkt_time.max(rtt.mul_f64(rtt_mult))
@@ -264,43 +284,30 @@ impl PccController {
     fn deadline_slack(&self) -> SimDuration {
         self.srtt()
             .mul_f64(self.cfg.deadline_rtts)
-            .max(self.cfg.deadline_floor)
+            .max(DEADLINE_FLOOR)
     }
 
-    /// Begin a new MI at `rate` with the given purpose.
+    /// Issue a new MI at `rate` with the given purpose, and arm the clock
+    /// that will end it.
     ///
     /// On-path (per-ACK) mode opens a [`Monitor`] interval and arms its
     /// boundary and deadline timers. Batched mode has no monitor: the MI
-    /// *is* the next report interval — record the purpose, request the
-    /// rate, and ask the engine to deliver the next report one MI
-    /// duration from now (which also implements the §3.1 re-align: a
-    /// mid-interval decision re-bases the boundary).
+    /// *is* the next report interval — ask the engine to deliver the next
+    /// report one MI duration from now (which also implements the §3.1
+    /// re-align: a mid-interval decision re-bases the boundary).
     fn begin_mi(&mut self, rate_bps: f64, purpose: Purpose, ctx: &mut CtrlCtx) {
         let rate = self.clamp_rate(rate_bps);
+        let id = self.next_mi;
+        self.next_mi += 1;
+        self.issued.push_back(Issued { id, rate, purpose });
+        ctx.set_rate(rate);
+        let dur = self.mi_duration(rate, ctx);
         if self.batched {
-            self.mi_begun = true;
-            let id = self.next_batched_mi;
-            self.next_batched_mi += 1;
-            self.purposes.insert(id, purpose);
-            self.pending_mis.push_back((id, rate));
-            // A re-align abandons the interval it interrupts: keep only
-            // the most recent two issues (the one measuring now and the
-            // one just issued) so stale purposes can't conclude later.
-            while self.pending_mis.len() > 2 {
-                if let Some((old, _)) = self.pending_mis.pop_front() {
-                    self.purposes.remove(&old);
-                }
-            }
-            ctx.set_rate(rate);
-            let dur = self.mi_duration(rate, ctx);
             ctx.set_report_interval(dur);
             return;
         }
         let slack = self.deadline_slack();
-        let id = self.monitor.begin(ctx.now, rate, slack);
-        self.purposes.insert(id, purpose);
-        ctx.set_rate(rate);
-        let dur = self.mi_duration(rate, ctx);
+        self.monitor.begin(id, ctx.now, rate, slack);
         ctx.set_timer(ctx.now + dur, (id << 2) | TOKEN_KIND_BOUNDARY);
         // Deadline poll for the MI that just ended (if any is pending).
         if let Some(dl) = self.monitor.next_deadline() {
@@ -326,150 +333,99 @@ impl PccController {
     /// Enter decision making at the current base rate.
     fn enter_decision(&mut self, eps: f64, ctx: &mut CtrlCtx) {
         self.trial_round += 1;
-        let round = self.trial_round;
-        // Results from abandoned rounds can never conclude; drop them.
-        self.trial_utils.retain(|(r, _), _| *r >= round);
-        let eps = eps.clamp(self.cfg.eps_min, self.cfg.eps_max);
         let dirs = self.make_trial_dirs(ctx);
-        // Issue the first trial immediately (re-align).
-        let dir0 = dirs[0];
-        let rate0 = self.clamp_rate(self.rate * (1.0 + dir0 * eps));
-        self.phase = Phase::Trials {
-            round,
-            eps,
+        self.phase = Phase::Deciding {
+            round: self.trial_round,
+            eps: eps.clamp(self.cfg.eps_min, self.cfg.eps_max),
+            results: vec![None; dirs.len()],
             dirs,
-            issued: 1,
+            issued: 0,
         };
-        self.begin_mi(
-            rate0,
-            Purpose::Trial {
-                round,
-                slot: 0,
-                dir: dir0,
-                rate: rate0,
-            },
-            ctx,
-        );
+        // Issue the first trial immediately (re-align).
+        self.advance_phase(ctx);
     }
 
     /// Enter rate adjusting in direction `dir` from the just-decided rate.
     fn enter_adjusting(&mut self, dir: f64, seed_utility: f64, ctx: &mut CtrlCtx) {
-        self.adjust_utils.clear();
-        self.adjust_utils.insert(0, seed_utility);
-        self.phase = Phase::Adjusting { dir, n: 0 };
+        self.phase = Phase::Adjusting {
+            dir,
+            n: 0,
+            last: (0, seed_utility),
+        };
         self.stats.decisions += 1;
         // First adjusting MI starts at the next boundary; meanwhile run at
         // the new base rate (n = 0 plays the role of r0).
-        self.begin_mi(
-            self.rate,
-            Purpose::Adjust {
-                n: 0,
-                rate: self.rate,
-            },
-            ctx,
-        );
+        self.begin_mi(self.rate, Purpose::Adjust { n: 0 }, ctx);
     }
 
-    /// An MI boundary fired for MI `mi_id` — if it's still the active MI,
-    /// start the next one per the current phase.
-    fn on_boundary(&mut self, mi_id: u64, ctx: &mut CtrlCtx) {
-        if self.monitor.current_id() != Some(mi_id) {
-            return; // stale boundary: the MI was re-aligned away
+    /// Starting-phase step of the MI on the wire.
+    fn wire_start_step(&self) -> Option<u32> {
+        match self.issued.back()?.purpose {
+            Purpose::Start { step } => Some(step),
+            _ => None,
         }
-        let step = match self.purposes.get(&mi_id) {
-            Some(Purpose::Start { step, .. }) => *step,
-            _ => 0,
-        };
-        self.advance_phase(step, ctx);
     }
 
-    /// The phase machine's boundary action: the active MI ended (timer in
-    /// per-ACK mode, report delivery in batched mode); issue the next MI.
-    /// `start_step` is the starting-phase step of the MI that just ended.
-    fn advance_phase(&mut self, start_step: u32, ctx: &mut CtrlCtx) {
-        match self.phase.clone() {
-            Phase::Starting => {
-                let step = start_step;
-                let next_rate = self.clamp_rate(self.rate * 2.0);
-                self.rate = next_rate;
-                self.begin_mi(
-                    next_rate,
-                    Purpose::Start {
-                        step: step + 1,
-                        rate: next_rate,
-                    },
-                    ctx,
-                );
+    /// The phase machine's boundary action: the MI on the wire ended (timer
+    /// in per-ACK mode, report delivery in batched mode); issue the next
+    /// one.
+    fn advance_phase(&mut self, ctx: &mut CtrlCtx) {
+        let (rate, purpose) = match &mut self.phase {
+            Phase::Starting { .. } => {
+                let step = self.wire_start_step().unwrap_or(0) + 1;
+                self.rate = self.clamp_rate(self.rate * 2.0);
+                (self.rate, Purpose::Start { step })
             }
-            Phase::Trials {
+            Phase::Deciding {
                 round,
                 eps,
                 dirs,
                 issued,
-            } => {
-                if (issued as usize) < dirs.len() {
-                    let slot = issued;
-                    let dir = dirs[slot as usize];
-                    let rate = self.clamp_rate(self.rate * (1.0 + dir * eps));
-                    self.phase = Phase::Trials {
-                        round,
-                        eps,
-                        dirs,
-                        issued: issued + 1,
+                ..
+            } => match dirs.get(*issued) {
+                Some(&dir) => {
+                    let purpose = Purpose::Trial {
+                        round: *round,
+                        slot: *issued,
                     };
-                    self.begin_mi(
-                        rate,
-                        Purpose::Trial {
-                            round,
-                            slot,
-                            dir,
-                            rate,
-                        },
-                        ctx,
-                    );
-                } else {
-                    // All trials issued; hold at r while results arrive
-                    // (§3.2: "changes the rate back to r and keeps
-                    // aggregating SACKs").
-                    self.phase = Phase::WaitResults { round, eps };
-                    self.begin_mi(self.rate, Purpose::Hold, ctx);
+                    *issued += 1;
+                    (self.rate * (1.0 + dir * *eps), purpose)
                 }
-            }
-            Phase::WaitResults { .. } => {
-                self.begin_mi(self.rate, Purpose::Hold, ctx);
-            }
-            Phase::Adjusting { dir, n } => {
+                // All trials issued; hold at r while results arrive
+                // (§3.2: "changes the rate back to r and keeps
+                // aggregating SACKs").
+                None => (self.rate, Purpose::Hold),
+            },
+            Phase::Adjusting { dir, n, last } => {
                 // Bounded optimism: utility results lag ≈1 RTT behind the
                 // MI they measure. Racing more than two un-evaluated steps
                 // ahead turns that lag into a large overshoot (each step is
                 // n·ε, so late steps are big). Hold the current rate until
                 // the pipeline catches up.
-                let newest_result = self.adjust_utils.keys().copied().max().unwrap_or(0);
-                if n.saturating_sub(newest_result) >= 3 {
-                    self.begin_mi(self.rate, Purpose::Hold, ctx);
-                    return;
+                if n.saturating_sub(last.0) >= 3 {
+                    (self.rate, Purpose::Hold)
+                } else {
+                    *n += 1;
+                    let (dir, n) = (*dir, *n);
+                    self.rate =
+                        self.clamp_rate(self.rate * (1.0 + n as f64 * self.cfg.eps_min * dir));
+                    (self.rate, Purpose::Adjust { n })
                 }
-                let next_n = n + 1;
-                let next_rate =
-                    self.clamp_rate(self.rate * (1.0 + next_n as f64 * self.cfg.eps_min * dir));
-                self.rate = next_rate;
-                self.phase = Phase::Adjusting { dir, n: next_n };
-                self.begin_mi(
-                    next_rate,
-                    Purpose::Adjust {
-                        n: next_n,
-                        rate: next_rate,
-                    },
-                    ctx,
-                );
             }
-        }
+        };
+        self.begin_mi(rate, purpose, ctx);
     }
 
     /// A completed MI's utility is available.
     fn on_mi_complete(&mut self, m: &MiMetrics, ctx: &mut CtrlCtx) {
         self.stats.mis_completed += 1;
-        let Some(purpose) = self.purposes.remove(&m.mi_id) else {
+        debug_assert!(
+            self.issued.front().is_none_or(|mi| m.mi_id <= mi.id),
+            "MI {} completed ahead of the front of {:?}",
+            m.mi_id,
+            self.issued
+        );
+        let Some(Issued { purpose, .. }) = self.issued.pop_front_if(|mi| mi.id == m.mi_id) else {
             return;
         };
         // Skip empty MIs for control decisions: a 0-packet MI carries no
@@ -480,73 +436,65 @@ impl PccController {
             self.utility.utility(m)
         };
         match purpose {
-            Purpose::Start { step, rate: _ } => {
-                self.start_utils.insert(step, u);
-                if !matches!(self.phase, Phase::Starting) {
-                    return;
-                }
-                if step == 0 {
-                    return;
-                }
-                let Some(&prev) = self.start_utils.get(&(step - 1)) else {
+            Purpose::Start { step } => {
+                let Phase::Starting { prev, misses } = &mut self.phase else {
                     return;
                 };
-                if !Self::improved(u, prev) {
-                    let prev_rate = match self.purposes.values().find_map(|p| match p {
-                        Purpose::Start { step: s, rate } if *s == step - 1 => Some(*rate),
-                        _ => None,
-                    }) {
-                        Some(r) => r,
-                        // The previous MI's purpose is gone (already
-                        // completed); its rate is half of this MI's.
-                        None => self.clamp_rate(self.rate_of_start_step(step - 1)),
-                    };
-                    // Early MIs carry only tens of packets, so the measured
-                    // loss rate is quantized and the sigmoid makes single
-                    // unlucky samples look like cliffs. Exit immediately
-                    // only on unambiguous evidence — a lossless delivery
-                    // plateau (buffer filling: T capped, L = 0) or a deep
-                    // multi-loss utility cliff; otherwise tolerate exactly
-                    // one noisy dip before concluding.
-                    self.start_misses += 1;
-                    let plateau = m.lost == 0;
-                    let cliff = m.lost >= 2 && u < prev * 0.6;
-                    if plateau || cliff || self.start_misses >= 2 {
-                        self.exit_starting(prev_rate, m, ctx);
-                    } else {
-                        // Spurious dip: keep doubling and let the next
-                        // comparison use the pre-dip level.
-                        self.start_utils.insert(step, prev);
-                    }
+                // Step 0 has nothing to be compared with.
+                let Some((_, before)) = prev.replace((step, u)).filter(|&(s, _)| s + 1 == step)
+                else {
+                    return;
+                };
+                if Self::improved(u, before) {
+                    *misses = 0;
+                    return;
+                }
+                // Early MIs carry only tens of packets, so the measured
+                // loss rate is quantized and the sigmoid makes single
+                // unlucky samples look like cliffs. Exit immediately
+                // only on unambiguous evidence — a lossless delivery
+                // plateau (buffer filling: T capped, L = 0) or a deep
+                // multi-loss utility cliff; otherwise tolerate exactly
+                // one noisy dip before concluding.
+                *misses += 1;
+                let plateau = m.lost == 0;
+                let cliff = m.lost >= 2 && u < before * 0.6;
+                if plateau || cliff || *misses >= 2 {
+                    let revert = self.clamp_rate(self.rate_of_start_step(step - 1));
+                    self.exit_starting(revert, m, ctx);
                 } else {
-                    self.start_misses = 0;
+                    // Spurious dip: keep doubling and let the next
+                    // comparison use the pre-dip level.
+                    *prev = Some((step, before));
                 }
             }
-            Purpose::Trial {
-                round, slot, dir, ..
-            } => {
-                self.trial_utils.insert((round, slot), (dir, u));
-                self.maybe_conclude_decision(round, ctx);
-            }
-            Purpose::Adjust { n, .. } => {
-                if !matches!(self.phase, Phase::Adjusting { .. }) {
+            Purpose::Trial { round, slot } => {
+                let Phase::Deciding {
+                    round: current,
+                    results,
+                    ..
+                } = &mut self.phase
+                else {
                     return;
+                };
+                // A trial of an abandoned round can never conclude.
+                if *current == round {
+                    results[slot] = Some(u);
+                    self.maybe_conclude_decision(ctx);
                 }
-                self.adjust_utils.insert(n, u);
+            }
+            Purpose::Adjust { n } => {
+                let Phase::Adjusting { dir, last, .. } = &mut self.phase else {
+                    return;
+                };
+                let dir = *dir;
                 // Only the previous step's utility is ever compared again.
-                self.adjust_utils.retain(|&k, _| k + 2 > n);
-                if n == 0 {
-                    // n = 0 re-measures the decided rate; only replace the
-                    // trial-seeded utility, no comparison yet.
+                let (judged, prev) = std::mem::replace(last, (n, u));
+                // n = 0 re-measures the decided rate; it only replaces the
+                // trial-seeded utility, no comparison yet.
+                if n == 0 || judged + 1 != n {
                     return;
                 }
-                let Some(&prev) = self.adjust_utils.get(&(n - 1)) else {
-                    return;
-                };
-                let dir = match self.phase {
-                    Phase::Adjusting { dir, .. } => dir,
-                    _ => unreachable!("checked above"),
-                };
                 // Two revert triggers. (a) Utility actually fell — the
                 // paper's rule; a plain comparison, so measurement noise on
                 // a lossy link doesn't kill genuine climbing momentum.
@@ -557,27 +505,16 @@ impl PccController {
                 let queue_filling =
                     dir > 0.0 && m.throughput_bps < 0.95 * m.send_rate_bps && m.loss_rate < 0.025;
                 if u < prev || queue_filling {
-                    // Utility stopped improving at r_n: revert to r_{n−1}
-                    // and decide.
-                    let dir = match self.phase {
-                        Phase::Adjusting { dir, .. } => dir,
-                        _ => unreachable!(),
-                    };
-                    let r_n_minus_1 = self.rate / (1.0 + n as f64 * self.cfg.eps_min * dir);
-                    // If further adjusting MIs already ran past n, self.rate
-                    // is ahead; recompute r_{n−1} by unwinding from the
-                    // stored purposes instead when available.
-                    let target = self
-                        .purposes
-                        .values()
-                        .find_map(|p| match p {
-                            Purpose::Adjust { n: pn, rate } if *pn == n.saturating_sub(1) => {
-                                Some(*rate)
-                            }
-                            _ => None,
-                        })
-                        .unwrap_or(r_n_minus_1);
-                    self.rate = self.clamp_rate(target);
+                    // Utility stopped improving at r_n: fall back and
+                    // decide. `self.rate` is the rate of the newest step
+                    // *issued*, r_m with m ≥ n (results lag, so the phase
+                    // is usually one step ahead of the step judged), and
+                    // this divides it by step n's factor alone: r_{n−1}
+                    // when m = n, but r_{n−1}·(1 + (n+1)·ε·dir) when
+                    // m = n + 1 — not §3.2's r_{n−1}. ROADMAP tracks the
+                    // fix and what it re-pins.
+                    self.rate =
+                        self.clamp_rate(self.rate / (1.0 + n as f64 * self.cfg.eps_min * dir));
                     self.stats.adjust_reverts += 1;
                     self.enter_decision(self.cfg.eps_min, ctx);
                 }
@@ -599,76 +536,61 @@ impl PccController {
         };
         self.rate = self.clamp_rate(revert_rate.min(drain_cap));
         self.stats.starts_exited += 1;
-        self.start_utils.clear();
-        self.start_misses = 0;
         self.enter_decision(self.cfg.eps_min, ctx);
     }
 
-    /// Rate of starting step `k` assuming pure doubling from the current
-    /// overshoot position (used when the step's purpose is gone).
+    /// Rate of starting step `step`, assuming pure doubling up to the
+    /// current overshoot position: the base rate is that of the step on
+    /// the wire, so halve once per step back (twice in the common case —
+    /// the decrease is detected one step late).
     fn rate_of_start_step(&self, step: u32) -> f64 {
-        // The active rate is r0·2^latest; walk back via stored purposes if
-        // possible, else halve once (the common case: the decrease is
-        // detected one step late).
-        let latest = self
-            .purposes
-            .values()
-            .filter_map(|p| match p {
-                Purpose::Start { step, .. } => Some(*step),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(step + 1);
-        let back = latest.saturating_sub(step) as i32;
-        self.rate / 2f64.powi(back)
+        let latest = self.wire_start_step().unwrap_or(step + 1);
+        self.rate / 2f64.powi(latest.saturating_sub(step) as i32)
     }
 
-    /// If all trials of `round` have results, conclude the decision.
-    fn maybe_conclude_decision(&mut self, round: u64, ctx: &mut CtrlCtx) {
-        let (cur_round, eps) = match self.phase {
-            Phase::Trials { round, eps, .. } => (round, eps),
-            Phase::WaitResults { round, eps } => (round, eps),
-            _ => return,
-        };
-        if round != cur_round {
+    /// If all trials of the round have results, conclude the decision.
+    fn maybe_conclude_decision(&mut self, ctx: &mut CtrlCtx) {
+        let Phase::Deciding {
+            eps, dirs, results, ..
+        } = &self.phase
+        else {
             return;
-        }
-        let n_trials = if self.cfg.rct { 4 } else { 2 };
-        let mut pair_winners = Vec::new();
-        let mut utils_by_dir: [(f64, u32); 2] = [(0.0, 0); 2]; // [down, up]
-        for pair in 0..n_trials / 2 {
-            let a = self.trial_utils.get(&(round, pair * 2));
-            let b = self.trial_utils.get(&(round, pair * 2 + 1));
-            let (Some(&(dir_a, u_a)), Some(&(dir_b, u_b))) = (a, b) else {
+        };
+        let (eps, pairs) = (*eps, dirs.len() / 2);
+        let (mut all_up, mut all_down) = (true, true);
+        let mut utility_sum = [0.0; 2]; // over the trials that went [down, up]
+        for (dirs, results) in dirs.chunks(2).zip(results.chunks(2)) {
+            let (Some(u_a), Some(u_b)) = (results[0], results[1]) else {
                 return; // not all results in yet
             };
             // Each pair has one +ε and one −ε MI; the winner is the
             // direction of the higher-utility MI (exact ties go to the
             // later-run trial, which is a uniformly random direction).
-            let winner = if u_a > u_b { dir_a } else { dir_b };
-            pair_winners.push(winner);
-            for (d, u) in [(dir_a, u_a), (dir_b, u_b)] {
-                let slot = if d > 0.0 { 1 } else { 0 };
-                utils_by_dir[slot].0 += u;
-                utils_by_dir[slot].1 += 1;
+            let winner = if u_a > u_b { dirs[0] } else { dirs[1] };
+            all_up &= winner > 0.0;
+            all_down &= winner < 0.0;
+            for (d, u) in [(dirs[0], u_a), (dirs[1], u_b)] {
+                utility_sum[usize::from(d > 0.0)] += u;
             }
         }
-        self.trial_utils.retain(|(r, _), _| *r != round);
-        let all_up = pair_winners.iter().all(|&w| w > 0.0);
-        let all_down = pair_winners.iter().all(|&w| w < 0.0);
         if all_up || all_down {
             let dir = if all_up { 1.0 } else { -1.0 };
-            let new_rate = self.clamp_rate(self.rate * (1.0 + dir * eps));
-            self.rate = new_rate;
+            self.rate = self.clamp_rate(self.rate * (1.0 + dir * eps));
             // Seed u(r0) for the first adjusting comparison with the mean
             // utility the winning-direction trials measured at ≈ this rate.
-            let (sum, n) = utils_by_dir[if dir > 0.0 { 1 } else { 0 }];
-            let seed = if n > 0 { sum / n as f64 } else { 0.0 };
+            let seed = utility_sum[usize::from(all_up)] / pairs as f64;
             self.enter_adjusting(dir, seed, ctx);
         } else {
             // Inconclusive: hold r, escalate ε, try again (§3.2).
             self.stats.inconclusive += 1;
             self.enter_decision(eps + self.cfg.eps_min, ctx);
+        }
+    }
+
+    /// Drain the monitor's finished intervals into the phase machine.
+    fn poll_monitor(&mut self, ctx: &mut CtrlCtx) {
+        for m in self.monitor.poll(ctx.now) {
+            self.on_mi_complete(&m, ctx);
         }
     }
 }
@@ -683,15 +605,7 @@ impl CongestionControl for PccController {
         // the rate through the effects sink.
         let r0 = 2.0 * self.mss as f64 * 8.0 / self.cfg.rtt_hint.as_secs_f64();
         self.rate = self.clamp_rate(r0);
-        self.phase = Phase::Starting;
-        self.begin_mi(
-            self.rate,
-            Purpose::Start {
-                step: 0,
-                rate: self.rate,
-            },
-            ctx,
-        );
+        self.begin_mi(self.rate, Purpose::Start { step: 0 }, ctx);
     }
 
     fn on_sent(&mut self, ev: &SentEvent, _ctx: &mut CtrlCtx) {
@@ -714,34 +628,25 @@ impl CongestionControl for PccController {
         // reverse-path ACK loss masquerade as data loss whenever the
         // only surviving proof rode on a retransmission's ACK.
         self.monitor.on_cum_ack(ack.cum_ack);
-        for m in self.monitor.poll(ctx.now) {
-            self.on_mi_complete(&m, ctx);
-        }
+        self.poll_monitor(ctx);
     }
 
     fn on_loss(&mut self, loss: &LossEvent, ctx: &mut CtrlCtx) {
         for &seq in loss.seqs {
             self.monitor.on_loss(seq);
         }
-        for m in self.monitor.poll(ctx.now) {
-            self.on_mi_complete(&m, ctx);
-        }
+        self.poll_monitor(ctx);
     }
 
     fn on_resume(&mut self, ctx: &mut CtrlCtx) {
         // Outage recovery: every in-flight MI measured a path that no
         // longer exists (or a blackout). Discard the measurement pipeline
-        // wholesale — stale boundary/deadline timers die against the
-        // fresh monitor's id space — keep the base rate as the operating
+        // wholesale — stale boundary/deadline timers die against ids the
+        // queue no longer holds — keep the base rate as the operating
         // point, and re-probe around it with a fresh decision round
         // instead of concluding half-dark trials.
         self.monitor = Monitor::new();
-        self.purposes.clear();
-        self.start_utils.clear();
-        self.start_misses = 0;
-        self.trial_utils.clear();
-        self.adjust_utils.clear();
-        self.pending_mis.clear();
+        self.issued.clear();
         self.prev_avg_rtt = None;
         self.rtt = RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(120));
         self.rate = self.clamp_rate(self.rate);
@@ -751,26 +656,22 @@ impl CongestionControl for PccController {
     fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut CtrlCtx) {
         if !self.batched {
             // First report: the engine runs us off-path. Abandon the
-            // monitor pipeline (its timers are dead from here on) and
-            // restart the MI pipeline report-clocked at the current rate
-            // and phase. This report measured the unmonitored prelude, so
-            // it issues the first batched MI instead of being judged.
+            // monitor pipeline (its timers are dead from here on: their
+            // ids are gone from the queue) and restart the MI pipeline
+            // report-clocked at the current rate and phase. This report
+            // measured the unmonitored prelude, so it issues the first
+            // batched MI instead of being judged.
             self.batched = true;
-            self.purposes.clear();
-            self.pending_mis.clear();
-            self.start_utils.clear();
-            self.start_misses = 0;
-            let purpose = if matches!(self.phase, Phase::Starting) {
-                Purpose::Start {
-                    step: 0,
-                    rate: self.rate,
+            self.monitor = Monitor::new();
+            self.issued.clear();
+            let purpose = match &mut self.phase {
+                Phase::Starting { prev, misses } => {
+                    (*prev, *misses) = (None, 0);
+                    Purpose::Start { step: 0 }
                 }
-            } else {
-                Purpose::Hold
+                _ => Purpose::Hold,
             };
-            let rate = self.rate;
-            self.begin_mi(rate, purpose, ctx);
-            self.mi_begun = false;
+            self.begin_mi(self.rate, purpose, ctx);
             return;
         }
         // The estimator normally eats every sampled ACK; feed it the
@@ -782,47 +683,35 @@ impl CongestionControl for PccController {
             }
             self.rtt.on_sample(rep.mean_rtt());
         }
-        self.mi_begun = false;
+        let issued_before = self.next_mi;
         // This report's ACKs measure the MI issued one window back
         // (results lag ≈1 RTT, §3.1); judge it now.
-        if self.pending_mis.len() >= 2 {
-            if let Some((id, rate)) = self.pending_mis.pop_front() {
-                let min_rtt = (!rep.min_rtt.is_zero()).then_some(rep.min_rtt);
-                let m = MiMetrics::from_report(id, rate, rep, self.prev_avg_rtt, min_rtt);
-                self.prev_avg_rtt = Some(m.avg_rtt);
-                self.on_mi_complete(&m, ctx);
-            }
+        if self.issued.len() >= 2 {
+            let Issued { id, rate, .. } = self.issued[0];
+            let min_rtt = (!rep.min_rtt.is_zero()).then_some(rep.min_rtt);
+            let m = MiMetrics::from_report(id, rate, rep, self.prev_avg_rtt, min_rtt);
+            self.prev_avg_rtt = Some(m.avg_rtt);
+            self.on_mi_complete(&m, ctx);
         }
-        // Unless judging re-aligned the pipeline, the report boundary is
-        // the MI boundary: issue the next MI per the current phase.
-        if !self.mi_begun {
-            let step = self
-                .purposes
-                .values()
-                .filter_map(|p| match p {
-                    Purpose::Start { step, .. } => Some(*step),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            self.advance_phase(step, ctx);
+        // Unless judging re-aligned the pipeline (concluding a decision
+        // issues its first MI on the spot), the report boundary is the MI
+        // boundary: issue the next MI per the current phase.
+        if self.next_mi == issued_before {
+            self.advance_phase(ctx);
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut CtrlCtx) {
-        if self.batched {
-            // Leftover monitor boundary/deadline timers from the per-ACK
-            // prelude — meaningless once report-clocked.
-            return;
-        }
         let mi_id = token >> 2;
-        let kind = token & 0b11;
-        match kind {
-            TOKEN_KIND_BOUNDARY => self.on_boundary(mi_id, ctx),
+        match token & 0b11 {
+            // A boundary counts only for the MI on the wire: one that was
+            // re-aligned away — or armed before a resume or the switch to
+            // report clocking — is stale.
+            TOKEN_KIND_BOUNDARY if self.issued.back().is_some_and(|mi| mi.id == mi_id) => {
+                self.advance_phase(ctx);
+            }
             TOKEN_KIND_DEADLINE => {
-                for m in self.monitor.poll(ctx.now) {
-                    self.on_mi_complete(&m, ctx);
-                }
+                self.poll_monitor(ctx);
                 // Keep the pending queue covered by a deadline timer.
                 if let Some(dl) = self.monitor.next_deadline() {
                     ctx.set_timer(dl, (mi_id << 2) | TOKEN_KIND_DEADLINE);
@@ -865,7 +754,13 @@ mod tests {
             }
         }
 
-        fn drain(&mut self) {
+        /// One controller callback at the current time, its effects
+        /// collected like an engine would.
+        fn call(&mut self, f: impl FnOnce(&mut PccController, &mut CtrlCtx)) {
+            f(
+                &mut self.ctrl,
+                &mut CtrlCtx::new(self.now, &mut self.rng, &mut self.fx),
+            );
             let d = self.fx.drain();
             if let Some(r) = d.rate {
                 self.rate = r;
@@ -874,11 +769,57 @@ mod tests {
         }
 
         fn start(&mut self) {
-            {
-                let mut cc = CtrlCtx::new(self.now, &mut self.rng, &mut self.fx);
-                self.ctrl.on_start(&mut cc);
-            }
-            self.drain();
+            self.call(|c, cc| c.on_start(cc));
+        }
+
+        fn fire(&mut self, token: u64) {
+            self.call(|c, cc| c.on_timer(token, cc));
+        }
+
+        fn sent(&mut self, seq: u64) {
+            let ev = SentEvent {
+                now: self.now,
+                seq,
+                bytes: 1500,
+                retx: false,
+                in_flight: 1,
+            };
+            self.call(|c, cc| c.on_sent(&ev, cc));
+        }
+
+        /// An ACK of `seq` arriving now. `sampled: false` is the ACK of a
+        /// retransmission: no usable RTT, but its cumulative ACK counts.
+        fn ack(&mut self, seq: u64, rtt: SimDuration, sampled: bool, recv_at: SimTime) {
+            let ack = AckEvent {
+                now: self.now,
+                seq,
+                rtt,
+                sampled,
+                srtt: rtt,
+                min_rtt: rtt,
+                max_rtt: rtt,
+                recv_at,
+                probe_train: None,
+                of_retx: !sampled,
+                cum_ack: seq + 1,
+                newly_acked: 1,
+                in_flight: 1,
+                mss: 1500,
+                in_recovery: false,
+            };
+            self.call(|c, cc| c.on_ack(&ack, cc));
+        }
+
+        fn loss(&mut self, seq: u64) {
+            let ev = LossEvent {
+                now: self.now,
+                seqs: &[seq],
+                kind: LossKind::Detected,
+                new_episode: true,
+                in_flight: 1,
+                mss: 1500,
+            };
+            self.call(|c, cc| c.on_loss(&ev, cc));
         }
 
         /// Fire every timer due at or before `t` (in time order).
@@ -893,11 +834,7 @@ mod tests {
                 }
                 self.timers.remove(0);
                 self.now = at;
-                {
-                    let mut cc = CtrlCtx::new(self.now, &mut self.rng, &mut self.fx);
-                    self.ctrl.on_timer(token, &mut cc);
-                }
-                self.drain();
+                self.fire(token);
             }
             self.now = t;
         }
@@ -905,57 +842,18 @@ mod tests {
         /// Send `n` packets now and immediately resolve them: `acked` of
         /// them delivered with `rtt`, the rest lost.
         fn traffic(&mut self, n: u64, acked: u64, rtt_ms: u64) {
-            for i in 0..n {
-                let seq = self.next_seq + i;
-                let ev = SentEvent {
-                    now: self.now,
-                    seq,
-                    bytes: 1500,
-                    retx: false,
-                    in_flight: n,
-                };
-                let mut cc = CtrlCtx::new(self.now, &mut self.rng, &mut self.fx);
-                self.ctrl.on_sent(&ev, &mut cc);
-            }
+            let seqs = self.next_seq..self.next_seq + n;
+            self.next_seq += n;
+            seqs.clone().for_each(|seq| self.sent(seq));
             let rtt = SimDuration::from_millis(rtt_ms);
-            for i in 0..n {
-                let seq = self.next_seq + i;
-                if i < acked {
-                    let ack = AckEvent {
-                        now: self.now,
-                        seq,
-                        rtt,
-                        sampled: true,
-                        srtt: rtt,
-                        min_rtt: rtt,
-                        max_rtt: rtt,
-                        recv_at: self.now + SimDuration::from_micros(i * 120),
-                        probe_train: None,
-                        of_retx: false,
-                        cum_ack: seq + 1,
-                        newly_acked: 1,
-                        in_flight: n - i,
-                        mss: 1500,
-                        in_recovery: false,
-                    };
-                    let mut cc = CtrlCtx::new(self.now, &mut self.rng, &mut self.fx);
-                    self.ctrl.on_ack(&ack, &mut cc);
+            for (i, seq) in seqs.enumerate() {
+                if (i as u64) < acked {
+                    let recv_at = self.now + SimDuration::from_micros(i as u64 * 120);
+                    self.ack(seq, rtt, true, recv_at);
                 } else {
-                    let seqs = [seq];
-                    let ev = LossEvent {
-                        now: self.now,
-                        seqs: &seqs,
-                        kind: LossKind::Detected,
-                        new_episode: true,
-                        in_flight: n - i,
-                        mss: 1500,
-                    };
-                    let mut cc = CtrlCtx::new(self.now, &mut self.rng, &mut self.fx);
-                    self.ctrl.on_loss(&ev, &mut cc);
+                    self.loss(seq);
                 }
             }
-            self.next_seq += n;
-            self.drain();
         }
     }
 
@@ -1045,41 +943,10 @@ mod tests {
         // Step 1: 20 packets, and not one per-packet SACK survives the
         // reverse path — delivery is proven solely by the cumulative
         // ACK riding on a retransmission's (unsampled) ACK.
-        for i in 0..20 {
-            let ev = SentEvent {
-                now: h.now,
-                seq: h.next_seq + i,
-                bytes: 1500,
-                retx: false,
-                in_flight: 20,
-            };
-            let mut cc = CtrlCtx::new(h.now, &mut h.rng, &mut h.fx);
-            h.ctrl.on_sent(&ev, &mut cc);
-        }
+        let step1 = h.next_seq..h.next_seq + 20;
         h.next_seq += 20;
-        let rtt = SimDuration::from_millis(100);
-        let ack = AckEvent {
-            now: h.now,
-            seq: h.next_seq - 1,
-            rtt,
-            sampled: false,
-            srtt: rtt,
-            min_rtt: rtt,
-            max_rtt: rtt,
-            recv_at: h.now,
-            probe_train: None,
-            of_retx: true,
-            cum_ack: h.next_seq,
-            newly_acked: 20,
-            in_flight: 0,
-            mss: 1500,
-            in_recovery: false,
-        };
-        {
-            let mut cc = CtrlCtx::new(h.now, &mut h.rng, &mut h.fx);
-            h.ctrl.on_ack(&ack, &mut cc);
-        }
-        h.drain();
+        step1.clone().for_each(|seq| h.sent(seq));
+        h.ack(step1.end - 1, SimDuration::from_millis(100), false, h.now);
         // Step 1's MI ends at its 750 ms boundary. With the fix it is
         // already fully resolved by the cumulative ACK, so it publishes
         // right there (two completed MIs by 900 ms) and startup keeps
@@ -1116,7 +983,7 @@ mod tests {
         h.advance_to(SimTime::from_millis(500));
         h.traffic(400, 80, 100); // collapse
         h.advance_to(SimTime::from_secs(2));
-        assert_eq!(h.ctrl.phase_name(), "decision-trials");
+        assert_eq!(h.ctrl.phase_name(), "deciding");
         let base = h.ctrl.base_rate_bps();
         // The active trial rate is clamp(base·(1±kε)) for some escalation
         // step k — the clamp matters because a post-collapse base can sit
@@ -1147,17 +1014,21 @@ mod tests {
     }
 
     #[test]
-    fn rate_stays_within_configured_bounds() {
-        let mut c = cfg();
-        c.max_rate_bps = 1e6;
-        let mut h = Harness::new(c);
+    fn rate_stays_within_the_bounds() {
+        let mut h = Harness::new(cfg());
         h.start();
-        // Let it double unboundedly with clean traffic: must clamp at max.
-        for step in 0..12 {
-            h.traffic(10, 10, 100);
-            h.advance_to(SimTime::from_millis(250 * (step + 1)));
-        }
-        assert!(h.rate <= 1e6 + 1.0, "clamped: {}", h.rate);
+        // One doubling from just under the ceiling clamps at it (the first
+        // boundary fires at 500 ms).
+        h.ctrl.rate = 0.75 * MAX_RATE_BPS;
+        h.advance_to(SimTime::from_millis(600));
+        assert_eq!(h.rate, MAX_RATE_BPS);
+        assert_eq!(h.ctrl.base_rate_bps(), MAX_RATE_BPS);
+        // The floor is 2·MSS/RTT — 240 kbit/s at the 100 ms hint —
+        let floor = h.ctrl.clamp_rate(0.0);
+        assert!((floor - 240_000.0).abs() < 1.0, "floor {floor}");
+        // and never under the absolute minimum, however long the RTT.
+        let slow = PccConfig::paper().with_rtt_hint(SimDuration::from_secs(2));
+        assert_eq!(Harness::new(slow).ctrl.clamp_rate(0.0), MIN_RATE_BPS);
     }
 
     /// A report window: `sent` packets over `[start_ms, end_ms)`, `acked`
@@ -1197,11 +1068,7 @@ mod tests {
     impl Harness {
         fn report(&mut self, rep: &MeasurementReport) {
             self.now = rep.end;
-            {
-                let mut cc = CtrlCtx::new(self.now, &mut self.rng, &mut self.fx);
-                self.ctrl.on_report(rep, &mut cc);
-            }
-            self.drain();
+            self.call(|c, cc| c.on_report(rep, cc));
         }
     }
 
@@ -1233,7 +1100,7 @@ mod tests {
             "cliff ends starting off-path: {:?}",
             h.ctrl.stats()
         );
-        assert_eq!(h.ctrl.phase_name(), "decision-trials");
+        assert_eq!(h.ctrl.phase_name(), "deciding");
     }
 
     #[test]
@@ -1266,5 +1133,107 @@ mod tests {
             .min_by_key(|(at, _)| *at)
             .expect("boundary armed");
         assert!((at.as_secs_f64() - 0.5).abs() < 1e-6, "Tm = {at:?}");
+    }
+
+    #[test]
+    fn a_boundary_armed_before_a_resume_is_stale_after_it() {
+        let mut h = Harness::new(cfg());
+        h.start();
+        let (at, boundary) = h.timers.remove(0);
+        assert_eq!(boundary & 0b11, TOKEN_KIND_BOUNDARY);
+        assert!(h.timers.is_empty(), "the first MI arms its boundary only");
+        h.now = SimTime::from_millis(10);
+        h.call(|c, cc| c.on_resume(cc));
+        let (rate, armed) = (h.rate, h.timers.len());
+        // MI ids do not restart with the measurement pipeline, so the old
+        // token names no live interval: firing it must not issue the
+        // round's second trial early.
+        h.now = at;
+        h.fire(boundary);
+        assert_eq!((h.rate, h.timers.len()), (rate, armed), "no effect");
+        assert_eq!(h.ctrl.issued.len(), 1, "still on the first trial");
+    }
+
+    proptest::proptest! {
+        /// The invariant the `issued` queue rests on: however sends, sampled
+        /// ACKs, cumulative-only ACKs, losses, live and stale timers, resumes
+        /// and reports interleave, every interval handed to `on_mi_complete`
+        /// is the front of the queue — each completion pops exactly the
+        /// front, nothing completes ahead of it, and nothing that was
+        /// dropped (a resume, the switch to report clocking) completes later.
+        #[test]
+        fn intervals_complete_in_issue_order(
+            script in proptest::collection::vec((0u8..16, 0u8..=255), 1..400),
+            first_report in 0usize..800,
+        ) {
+            use proptest::prop_assert;
+            let mut h = Harness::new(cfg());
+            h.start();
+            let mut outstanding = VecDeque::new();
+            let mut fired: Vec<u64> = Vec::new();
+            let rtt = SimDuration::from_millis(100);
+            for (i, (op, mag)) in script.into_iter().enumerate() {
+                h.now += SimDuration::from_micros(mag as u64 * 500);
+                let ids = |h: &Harness| h.ctrl.issued.iter().map(|mi| mi.id).collect::<Vec<_>>();
+                let (before, next_mi) = (ids(&h), h.ctrl.next_mi);
+                let completed = h.ctrl.stats.mis_completed;
+                let mut restarted = false;
+                // Off-path the engine delivers reports and timers only.
+                match if h.ctrl.batched && op < 8 { 13 } else { op } {
+                    0..=3 => {
+                        outstanding.push_back(h.next_seq);
+                        h.sent(h.next_seq);
+                        h.next_seq += 1;
+                    }
+                    4..=7 => match (op, outstanding.pop_front()) {
+                        (4 | 5, Some(seq)) => h.ack(seq, rtt, true, h.now),
+                        (6, Some(seq)) => h.ack(seq, rtt, false, h.now),
+                        (_, Some(seq)) => h.loss(seq),
+                        (_, None) => {}
+                    },
+                    // A token that already fired, delivered again.
+                    11 if !fired.is_empty() => h.fire(fired[mag as usize % fired.len()]),
+                    12 if mag < 32 => {
+                        restarted = true;
+                        h.call(|c, cc| c.on_resume(cc));
+                    }
+                    13 if i >= first_report => {
+                        restarted = !h.ctrl.batched;
+                        let start_ms = h.now.as_nanos() / 1_000_000;
+                        let lost = u64::from(mag) % 4 * 10;
+                        h.report(&mk_rep(start_ms, start_ms + 1 + mag as u64, 40, 40 - lost, lost));
+                    }
+                    // The earliest pending timer, boundary or deadline.
+                    8..=10 | 12 | 13 => {
+                        h.timers.sort_by_key(|(at, _)| *at);
+                        if !h.timers.is_empty() {
+                            let (at, token) = h.timers.remove(0);
+                            h.now = h.now.max(at);
+                            h.fire(token);
+                            fired.push(token);
+                        }
+                    }
+                    _ => {}
+                }
+                let after = ids(&h);
+                prop_assert!(after.windows(2).all(|w| w[0] < w[1]), "ids ascend: {after:?}");
+                prop_assert!(after.iter().all(|&id| id < h.ctrl.next_mi));
+                prop_assert!(!after.is_empty(), "some MI is always on the wire");
+                if h.ctrl.batched {
+                    prop_assert!(after.len() <= 2, "report-clocked: two deep, {after:?}");
+                }
+                if restarted {
+                    prop_assert!(after.iter().all(|&id| id >= next_mi), "{after:?}");
+                    continue;
+                }
+                let popped = (h.ctrl.stats.mis_completed - completed) as usize;
+                prop_assert!(popped <= before.len(), "{popped} completions, queue {before:?}");
+                let kept = &before[popped..];
+                prop_assert!(
+                    after.starts_with(kept) && after[kept.len()..].iter().all(|&id| id >= next_mi),
+                    "{popped} completions took {before:?} to {after:?}"
+                );
+            }
+        }
     }
 }

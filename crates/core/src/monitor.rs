@@ -145,7 +145,6 @@ impl SeqRing {
 /// per-MI metrics once each interval's packets are resolved.
 #[derive(Debug, Default)]
 pub struct Monitor {
-    next_id: u64,
     current: Option<MiState>,
     /// Ended MIs awaiting resolution, oldest first.
     pending: VecDeque<MiState>,
@@ -167,13 +166,18 @@ impl Monitor {
         Self::default()
     }
 
-    /// Begin a new MI at `now` with the given pacing target. Any active MI
+    /// Begin MI `id` at `now` with the given pacing target. Any active MI
     /// is ended first (with `deadline` applied to it — see
-    /// [`Monitor::end_current`]). Returns the new MI's id.
-    pub fn begin(&mut self, now: SimTime, target_rate_bps: f64, prev_deadline: SimDuration) -> u64 {
+    /// [`Monitor::end_current`]). Ids are the caller's, and must increase.
+    pub fn begin(
+        &mut self,
+        id: u64,
+        now: SimTime,
+        target_rate_bps: f64,
+        prev_deadline: SimDuration,
+    ) {
         self.end_current(now, prev_deadline);
-        let id = self.next_id;
-        self.next_id += 1;
+        debug_assert!(self.pending.back().is_none_or(|mi| mi.id < id));
         self.current = Some(MiState {
             id,
             target_rate_bps,
@@ -183,7 +187,6 @@ impl Monitor {
                 ..Default::default()
             },
         });
-        id
     }
 
     /// End the active MI at `now`; its unresolved packets will be written
@@ -194,11 +197,6 @@ impl Monitor {
             mi.deadline = now + deadline_slack;
             self.pending.push_back(mi);
         }
-    }
-
-    /// Id of the active MI, if any.
-    pub fn current_id(&self) -> Option<u64> {
-        self.current.as_ref().map(|m| m.id)
     }
 
     /// Attribute a transmission to the active MI.
@@ -340,13 +338,13 @@ mod tests {
     #[test]
     fn mi_lifecycle_and_metrics() {
         let mut mon = Monitor::new();
-        let id = mon.begin(t(0), 10e6, ms(50));
-        assert_eq!(mon.current_id(), Some(id));
+        let id = 7;
+        mon.begin(id, t(0), 10e6, ms(50));
         // Send 10 packets of 1500 B over a 60 ms MI.
         for seq in 0..10 {
             mon.on_sent(seq, 1500);
         }
-        mon.begin(t(60), 12e6, ms(50)); // ends the first MI at 60 ms
+        mon.begin(8, t(60), 12e6, ms(50)); // ends the first MI at 60 ms
         assert!(mon.poll(t(60)).is_empty(), "unresolved: nothing published");
         // Resolve: 8 acked, 2 lost.
         for seq in 0..8 {
@@ -371,7 +369,7 @@ mod tests {
     #[test]
     fn deadline_writes_off_unresolved_as_lost() {
         let mut mon = Monitor::new();
-        mon.begin(t(0), 1e6, ms(50));
+        mon.begin(0, t(0), 1e6, ms(50));
         for seq in 0..5 {
             mon.on_sent(seq, 1500);
         }
@@ -388,11 +386,11 @@ mod tests {
     #[test]
     fn late_ack_after_writeoff_is_ignored() {
         let mut mon = Monitor::new();
-        mon.begin(t(0), 1e6, ms(10));
+        mon.begin(0, t(0), 1e6, ms(10));
         mon.on_sent(0, 1500);
         mon.end_current(t(10), ms(10));
         let _ = mon.poll(t(30)); // force-completed
-        mon.begin(t(30), 1e6, ms(10));
+        mon.begin(1, t(30), 1e6, ms(10));
         mon.on_sent(1, 1500);
         mon.on_ack(0, ms(25), t(0)); // late ack for dead MI: must not touch MI 2
         mon.end_current(t(40), ms(10));
@@ -406,9 +404,9 @@ mod tests {
     #[test]
     fn completion_is_strictly_in_order() {
         let mut mon = Monitor::new();
-        mon.begin(t(0), 1e6, ms(100));
+        mon.begin(0, t(0), 1e6, ms(100));
         mon.on_sent(0, 1500);
-        mon.begin(t(20), 1e6, ms(100)); // MI0 ends (deadline 120 ms)
+        mon.begin(1, t(20), 1e6, ms(100)); // MI0 ends (deadline 120 ms)
         mon.on_sent(1, 1500);
         mon.end_current(t(40), ms(100)); // MI1 ends (deadline 140 ms)
                                          // MI1 resolves first, but MI0 must still publish first.
@@ -426,10 +424,10 @@ mod tests {
     #[test]
     fn retransmission_attributed_to_latest_mi() {
         let mut mon = Monitor::new();
-        mon.begin(t(0), 1e6, ms(20));
+        mon.begin(0, t(0), 1e6, ms(20));
         mon.on_sent(0, 1500);
         mon.on_loss(0); // lost in MI0
-        mon.begin(t(20), 1e6, ms(20));
+        mon.begin(1, t(20), 1e6, ms(20));
         mon.on_sent(0, 1500); // retransmitted in MI1
         mon.on_ack(0, ms(10), t(0));
         mon.end_current(t(40), ms(20));
@@ -443,8 +441,8 @@ mod tests {
     #[test]
     fn empty_mi_publishes_zeroes() {
         let mut mon = Monitor::new();
-        mon.begin(t(0), 1e6, ms(10));
-        mon.begin(t(10), 2e6, ms(10));
+        mon.begin(0, t(0), 1e6, ms(10));
+        mon.begin(1, t(10), 2e6, ms(10));
         let out = mon.poll(t(10));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].sent, 0);
@@ -456,10 +454,10 @@ mod tests {
     fn realign_shortens_current_mi() {
         // §3.1 optimization: a rate change mid-MI ends the MI early.
         let mut mon = Monitor::new();
-        mon.begin(t(0), 1e6, ms(10));
+        mon.begin(0, t(0), 1e6, ms(10));
         mon.on_sent(0, 1500);
         // Re-align after only 5 ms.
-        mon.begin(t(5), 3e6, ms(10));
+        mon.begin(1, t(5), 3e6, ms(10));
         mon.on_ack(0, ms(4), t(0));
         let out = mon.poll(t(9));
         assert_eq!(out.len(), 1);
@@ -474,7 +472,7 @@ mod tests {
         // carries cum_ack = 5, which must resolve the prefix as delivered
         // instead of letting the deadline write it off as lost.
         let mut mon = Monitor::new();
-        mon.begin(t(0), 1e6, ms(50));
+        mon.begin(0, t(0), 1e6, ms(50));
         for seq in 0..5 {
             mon.on_sent(seq, 1500);
         }
@@ -495,7 +493,7 @@ mod tests {
         // seqs resolve via the second ACK's cum_ack. avg must be 60 ms —
         // the old duplication reported (20 + 4·100)/5 = 84 ms.
         let mut mon = Monitor::new();
-        mon.begin(t(0), 1e6, ms(50));
+        mon.begin(0, t(0), 1e6, ms(50));
         for seq in 0..5 {
             mon.on_sent(seq, 1500);
         }
@@ -518,7 +516,7 @@ mod tests {
         // counted 15 000 B and reported 1.087× link capacity.
         let mut mon = Monitor::new();
         let capacity_bps = 1e6;
-        mon.begin(t(0), capacity_bps, ms(50));
+        mon.begin(0, t(0), capacity_bps, ms(50));
         for seq in 0..9 {
             mon.on_sent(seq, 1500);
         }
@@ -548,7 +546,7 @@ mod tests {
     #[test]
     fn conservation_sent_equals_acked_plus_lost() {
         let mut mon = Monitor::new();
-        mon.begin(t(0), 1e6, ms(50));
+        mon.begin(0, t(0), 1e6, ms(50));
         for seq in 0..100 {
             mon.on_sent(seq, 1500);
         }
@@ -583,7 +581,8 @@ mod proptests {
             let mut now = SimTime::ZERO;
             let mut next_seq = 0u64;
             let mut outstanding: Vec<u64> = Vec::new();
-            mon.begin(now, 1e6, SimDuration::from_millis(20));
+            mon.begin(0, now, 1e6, SimDuration::from_millis(20));
+            let mut next_id = 1;
             let mut published = Vec::new();
             for op in script {
                 now += SimDuration::from_millis(1);
@@ -614,7 +613,8 @@ mod proptests {
                         }
                     }
                     _ => {
-                        mon.begin(now, 2e6, SimDuration::from_millis(20));
+                        mon.begin(next_id, now, 2e6, SimDuration::from_millis(20));
+                        next_id += 1;
                     }
                 }
                 published.extend(mon.poll(now));
@@ -645,7 +645,7 @@ mod proptests {
         ) {
             let mut mon = Monitor::new();
             let mut agg = ReportAggregator::default();
-            mon.begin(SimTime::ZERO, 5e6, SimDuration::from_millis(20));
+            mon.begin(0, SimTime::ZERO, 5e6, SimDuration::from_millis(20));
             agg.begin(SimTime::ZERO);
             let mut now = SimTime::ZERO;
             let mut outstanding = VecDeque::new();

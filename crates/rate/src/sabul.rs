@@ -75,11 +75,6 @@ impl Sabul {
         }
     }
 
-    /// Current capacity estimate (peak delivery rate seen), bits/sec.
-    pub fn capacity_estimate_bps(&self) -> f64 {
-        self.capacity_est_bps
-    }
-
     /// UDT's increase step per SYN: `inc = max(10^ceil(log10((B−C)·S)) ·
     /// 1.5e-6, 1/S)` packets, where B is estimated link capacity and C the
     /// current rate (in packets/sec), S the packet size in bytes. We keep

@@ -133,12 +133,6 @@ impl LinkConfig {
         self.schedule = schedule;
         self
     }
-
-    /// Attach an impairment stage (jitter / reordering / policing).
-    pub fn with_shaper(mut self, shaper: ShaperConfig) -> Self {
-        self.shaper = shaper;
-        self
-    }
 }
 
 /// What a link does with a packet offered to it.

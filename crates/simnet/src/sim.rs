@@ -357,7 +357,6 @@ impl NetworkBuilder {
             record_series: self.record_series,
             scratch: Vec::new(),
             events_processed: 0,
-            started: false,
         }
     }
 }
@@ -399,15 +398,9 @@ pub struct Simulation {
     record_series: bool,
     scratch: Vec<Action>,
     events_processed: u64,
-    started: bool,
 }
 
 impl Simulation {
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     fn bootstrap(&mut self) {
         for (i, slot) in self.flows.iter().enumerate() {
             if let Some(f) = slot.live() {
@@ -443,26 +436,23 @@ impl Simulation {
                 self.events.schedule(at, Event::ChurnArrival);
             }
         }
-        self.started = true;
     }
 
     /// Run until `horizon` (inclusive), then produce the report.
     pub fn run_until(mut self, horizon: SimTime) -> SimReport {
-        if !self.started {
-            self.bootstrap();
-            // The horizon fixes the series lengths exactly; reserve once.
-            let samples = (horizon.as_nanos() / self.config.sample_interval.as_nanos().max(1))
-                .min(1 << 24) as usize;
-            if self.record_series {
-                for slot in &mut self.flows {
-                    if let Some(rt) = slot.live_mut() {
-                        let s = &mut rt.stats.series;
-                        s.throughput_mbps.reserve_exact(samples);
-                        s.goodput_mbps.reserve_exact(samples);
-                        s.rate_mbps.reserve_exact(samples);
-                        s.rtt_ms.reserve_exact(samples);
-                        s.losses.reserve_exact(samples);
-                    }
+        self.bootstrap();
+        // The horizon fixes the series lengths exactly; reserve once.
+        let samples = (horizon.as_nanos() / self.config.sample_interval.as_nanos().max(1))
+            .min(1 << 24) as usize;
+        if self.record_series {
+            for slot in &mut self.flows {
+                if let Some(rt) = slot.live_mut() {
+                    let s = &mut rt.stats.series;
+                    s.throughput_mbps.reserve_exact(samples);
+                    s.goodput_mbps.reserve_exact(samples);
+                    s.rate_mbps.reserve_exact(samples);
+                    s.rtt_ms.reserve_exact(samples);
+                    s.losses.reserve_exact(samples);
                 }
             }
         }

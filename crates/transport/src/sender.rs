@@ -158,7 +158,6 @@ pub struct CcSender {
     pace_gen: u64,
     pace_armed: bool,
     scan_armed: bool,
-    tso_gen: u64,
     tso_armed: bool,
     finished: bool,
     last_rate_report: (SimTime, f64),
@@ -205,7 +204,6 @@ impl CcSender {
             pace_gen: 0,
             pace_armed: false,
             scan_armed: false,
-            tso_gen: 0,
             tso_armed: false,
             finished: false,
             last_rate_report: (SimTime::MAX, 0.0),
@@ -219,11 +217,6 @@ impl CcSender {
             resolved_min_rto: RATE_MIN_RTO,
             last_cum_ack: 0,
         }
-    }
-
-    /// The algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
     }
 
     /// Current pacing rate in bits/sec, if the algorithm drives one.
@@ -544,11 +537,7 @@ impl CcSender {
             return;
         }
         self.tso_armed = true;
-        self.tso_gen += 1;
-        ctx.set_timer(
-            ctx.now + TSO_FLUSH,
-            TOKEN_TSO | (self.tso_gen & TOKEN_GEN_MASK),
-        );
+        ctx.set_timer(ctx.now + TSO_FLUSH, TOKEN_TSO);
     }
 
     fn on_tso_flush(&mut self, ctx: &mut EndpointCtx) {
@@ -1006,11 +995,8 @@ impl Endpoint for CcSender {
                     self.on_rto_event(ctx);
                 }
             }
-            TOKEN_TSO => {
-                if gen == (self.tso_gen & TOKEN_GEN_MASK) {
-                    self.on_tso_flush(ctx);
-                }
-            }
+            // Armed only while none is pending: never stale.
+            TOKEN_TSO => self.on_tso_flush(ctx),
             TOKEN_REPORT => {
                 if gen == (self.report_gen & TOKEN_GEN_MASK) {
                     self.flush_report(ctx);
