@@ -369,7 +369,7 @@ impl CongestionControl for Bbr {
 
     fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut Ctx) {
         // Batched feedback: one report ≈ one packet-timed round trip (the
-        // engine's default cadence is `Rtts(1.0)`), so the report sequence
+        // engine's cadence is one smoothed RTT), so the report sequence
         // itself clocks the round counter and the bandwidth filter — the
         // per-packet `DeliverySampler` never sees batched traffic.
         if rep.rtt_samples > 0 {

@@ -162,7 +162,10 @@ fn run() -> ExitCode {
         "all" => {
             for (id, desc, run) in &reg {
                 println!("\n### {id}: {desc}\n");
-                // lint: allow(L002) — wall clock only times the CLI's per-module progress report; results are computed by the deterministic runner
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall clock only times the CLI's per-module progress report; results are computed by the deterministic runner"
+                )]
                 let t0 = std::time::Instant::now();
                 let _ = run(&opts);
                 println!("[{id} done in {:.1}s]", t0.elapsed().as_secs_f64());

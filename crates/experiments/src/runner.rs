@@ -89,15 +89,23 @@ pub fn run_jobs<T: Send>(opts: &Opts, label: &str, jobs: Vec<Job<'_, T>>) -> Vec
                 if i >= total {
                     break;
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "propagation is the point: a poisoned slot means a sibling job panicked, and the runner's contract is to fail the whole experiment loudly, never emit a half-filled table"
+                )]
                 let job = jobs[i]
-                    // lint: allow(L004) — propagation is the point: a poisoned slot means a sibling job panicked, and the runner's contract is to fail the whole experiment loudly, never emit a half-filled table
                     .lock()
                     .expect("job slot poisoned")
                     .take()
                     .expect("each slot is taken exactly once");
                 let result = job();
-                // lint: allow(L004) — same panic-propagation contract as the job-slot lock above
-                *results[i].lock().expect("result slot poisoned") = Some(result);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "same panic-propagation contract as the job-slot lock above"
+                )]
+                {
+                    *results[i].lock().expect("result slot poisoned") = Some(result);
+                }
                 progress.tick();
             });
         }
@@ -152,7 +160,10 @@ impl Progress {
             label: label.to_string(),
             total,
             done: AtomicUsize::new(0),
-            // lint: allow(L002) — wall clock feeds the stderr progress/ETA line only; no simulated result ever reads it
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall clock feeds the stderr progress/ETA line only; no simulated result ever reads it"
+            )]
             started: Instant::now(),
             enabled,
         }

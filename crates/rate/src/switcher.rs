@@ -299,7 +299,7 @@ mod tests {
         }
         fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut CtrlCtx) {
             self.inner.on_report(rep, ctx);
-            let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
+            let mut seen = pcc_simnet::sync::lock(&self.seen);
             *seen = (seen.0 + 1, self.inner.in_window_mode());
         }
     }
@@ -334,7 +334,7 @@ mod tests {
             start_at: SimTime::ZERO,
         });
         let report = net.build().run_until(SimTime::from_secs(4));
-        let (reports, in_window) = *seen.lock().unwrap_or_else(|e| e.into_inner());
+        let (reports, in_window) = *pcc_simnet::sync::lock(&seen);
         assert!(reports > 50, "reports still delivered: {reports}");
         assert!(in_window, "window mode reached");
         let tput = report.avg_throughput_mbps(flow, SimTime::from_secs(2), SimTime::from_secs(4));

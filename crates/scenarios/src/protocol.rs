@@ -43,10 +43,11 @@ pub fn batched_reports_forced() -> bool {
 /// `pcc-core`, the seven TCP baselines (plus `-paced` variants) from
 /// `pcc-tcp`, SABUL/PCP from `pcc-rate`, and the BBR-style hybrid from
 /// `pcc-bbr` — into the [`pcc_transport::registry`]. Idempotent and
-/// cheap; called automatically by [`Protocol::build_sender`]. Twin of
-/// `pcc_udp::install_registry` (neither crate can depend on the other
-/// without warping the graph); a new algorithm crate must be added to
-/// BOTH registration lists.
+/// cheap; called automatically by [`Protocol::build_sender`]. This is the
+/// workspace's one registration list (`pcc::install_registry` re-exports
+/// it; `pcc-udp` names no algorithm and resolves against whatever the
+/// process registered), so a new algorithm crate is added here and
+/// nowhere else.
 pub fn install_registry() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {

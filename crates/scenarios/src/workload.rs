@@ -110,39 +110,6 @@ pub struct SizeCdf {
 }
 
 impl SizeCdf {
-    /// Build a CDF from `(bytes, cum_prob)` breakpoints (files go through
-    /// [`SizeCdf::parse`]). Sizes must be strictly increasing and
-    /// positive; probabilities non-decreasing in `(0, 1]`, ending at
-    /// exactly `1.0`.
-    pub fn from_points(name: &str, points: Vec<(u64, f64)>) -> Result<SizeCdf, CdfError> {
-        if points.is_empty() {
-            return Err(err(0, "distribution has no breakpoints"));
-        }
-        for &(bytes, prob) in &points {
-            if bytes == 0 {
-                return Err(err(0, "flow sizes must be positive"));
-            }
-            if !prob.is_finite() || prob <= 0.0 || prob > 1.0 {
-                return Err(err(0, "cum_prob must be in (0, 1]"));
-            }
-        }
-        for w in points.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err(err(0, "byte sizes must be strictly increasing"));
-            }
-            if w[1].1 < w[0].1 {
-                return Err(err(0, "cum_prob must be non-decreasing"));
-            }
-        }
-        if points[points.len() - 1].1 != 1.0 {
-            return Err(err(0, "last cum_prob must be exactly 1.0"));
-        }
-        Ok(SizeCdf {
-            name: name.to_string(),
-            points,
-        })
-    }
-
     /// Parse the plain-text `size_cdf` format (see the module docs).
     /// Returns the first offending line on failure, never panics.
     pub fn parse(name: &str, text: &str) -> Result<SizeCdf, CdfError> {

@@ -15,7 +15,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// What an endpoint asks the simulator to do.
 #[derive(Debug)]
-#[allow(missing_docs)] // variant fields are self-describing
+#[allow(missing_docs, reason = "variant fields are self-describing")]
 pub enum Action {
     /// Transmit a packet (data from senders, ACKs from receivers). The
     /// simulator fixes up the flow id, direction, and hop index.

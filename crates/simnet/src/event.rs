@@ -23,7 +23,7 @@ use crate::time::SimTime;
 
 /// Everything that can happen in the simulator.
 #[derive(Clone, Debug)]
-#[allow(missing_docs)] // variant fields are self-describing
+#[allow(missing_docs, reason = "variant fields are self-describing")]
 pub enum Event {
     /// A link finished serializing the packet at the head of its queue.
     TxComplete { link: LinkId },

@@ -6,6 +6,10 @@ macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the derived partial_cmp compares one integer field, never a float"
+        )]
         pub struct $name(pub u32);
 
         impl $name {
@@ -65,16 +69,6 @@ pub enum Direction {
     Reverse,
 }
 
-impl Direction {
-    /// The opposite direction.
-    pub fn flip(self) -> Direction {
-        match self {
-            Direction::Forward => Direction::Reverse,
-            Direction::Reverse => Direction::Forward,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,11 +78,5 @@ mod tests {
         assert_eq!(format!("{:?}", LinkId(3)), "LinkId(3)");
         assert_eq!(format!("{}", FlowId(9)), "9");
         assert_eq!(LinkId(7).index(), 7);
-    }
-
-    #[test]
-    fn direction_flip() {
-        assert_eq!(Direction::Forward.flip(), Direction::Reverse);
-        assert_eq!(Direction::Reverse.flip(), Direction::Forward);
     }
 }

@@ -72,6 +72,7 @@ pub mod rng;
 pub mod shaper;
 pub mod sim;
 pub mod stats;
+pub mod sync;
 pub mod time;
 pub mod topo;
 pub mod topology;
@@ -84,7 +85,7 @@ pub mod prelude {
     pub use crate::ids::{Direction, EdgeId, FlowId, LinkId, NodeId, Side};
     pub use crate::link::{LinkConfig, LinkSchedule, LinkStep};
     pub use crate::packet::{AckInfo, DataInfo, Packet, PacketKind};
-    pub use crate::queue::{fq_codel, BufferLimit, Codel, CodelParams, DropTail, FairQueue, Queue};
+    pub use crate::queue::{fq_codel, Codel, DropTail, FairQueue, Queue};
     pub use crate::rng::SimRng;
     pub use crate::shaper::{JitterConfig, PolicerConfig, ShaperConfig};
     pub use crate::sim::{

@@ -137,7 +137,7 @@ impl LinkConfig {
 
 /// What a link does with a packet offered to it.
 #[derive(Debug, PartialEq)]
-#[allow(missing_docs)] // variant fields are self-describing
+#[allow(missing_docs, reason = "variant fields are self-describing")]
 pub enum LinkOutcome {
     /// Packet queued or started serializing; `tx_done` tells the simulation
     /// when to fire `TxComplete` (only when serialization started now).

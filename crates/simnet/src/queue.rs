@@ -2,7 +2,7 @@
 //!
 //! Four disciplines cover everything the paper's evaluation needs:
 //!
-//! * [`DropTail`] — plain FIFO with a byte or packet limit (all of §4.1).
+//! * [`DropTail`] — plain FIFO with a byte limit (all of §4.1).
 //! * [`FairQueue`] — per-flow deficit round robin with longest-queue drop
 //!   (the FQ of §4.4).
 //! * [`Codel`] — the CoDel AQM per RFC 8289 (Fig. 17).
@@ -72,24 +72,6 @@ pub trait Queue: Send {
     }
 }
 
-/// Buffer capacity expressed in bytes or packets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BufferLimit {
-    /// Capacity in bytes (the paper quotes buffer sizes in KB).
-    Bytes(u64),
-    /// Capacity in whole packets.
-    Packets(usize),
-}
-
-impl BufferLimit {
-    fn admits(&self, cur_bytes: u64, cur_pkts: usize, incoming_bytes: u32) -> bool {
-        match *self {
-            BufferLimit::Bytes(b) => cur_bytes + incoming_bytes as u64 <= b,
-            BufferLimit::Packets(p) => cur_pkts < p,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // DropTail
 // ---------------------------------------------------------------------------
@@ -98,34 +80,20 @@ impl BufferLimit {
 pub struct DropTail {
     q: VecDeque<Packet>,
     bytes: u64,
-    limit: BufferLimit,
+    /// Capacity in bytes (the paper quotes buffer sizes in KB).
+    limit_bytes: u64,
     stats: QueueStats,
 }
 
 impl DropTail {
-    /// FIFO limited to `limit_bytes` bytes.
+    /// FIFO limited to `limit_bytes` bytes. The backing ring is pre-sized
+    /// from the limit (capped — a bufferbloat buffer must not allocate
+    /// megabytes up front), so steady-state enqueues never reallocate.
     pub fn bytes(limit_bytes: u64) -> Self {
-        Self::new(BufferLimit::Bytes(limit_bytes))
-    }
-
-    /// FIFO limited to `limit_pkts` packets.
-    pub fn packets(limit_pkts: usize) -> Self {
-        Self::new(BufferLimit::Packets(limit_pkts))
-    }
-
-    /// FIFO with an explicit [`BufferLimit`]. The backing ring is
-    /// pre-sized from the limit (capped — a bufferbloat buffer must not
-    /// allocate megabytes up front), so steady-state enqueues never
-    /// reallocate.
-    pub fn new(limit: BufferLimit) -> Self {
-        let hint = match limit {
-            BufferLimit::Bytes(b) => (b / 1500 + 1).min(1024) as usize,
-            BufferLimit::Packets(p) => p.min(1024),
-        };
         DropTail {
-            q: VecDeque::with_capacity(hint),
+            q: VecDeque::with_capacity((limit_bytes / 1500 + 1).min(1024) as usize),
             bytes: 0,
-            limit,
+            limit_bytes,
             stats: QueueStats::default(),
         }
     }
@@ -133,7 +101,7 @@ impl DropTail {
 
 impl Queue for DropTail {
     fn enqueue(&mut self, mut pkt: Packet, now: SimTime) -> bool {
-        if !self.limit.admits(self.bytes, self.q.len(), pkt.bytes) {
+        if self.bytes + pkt.bytes as u64 > self.limit_bytes {
             self.stats.dropped_tail += 1;
             self.stats.dropped_bytes += pkt.bytes as u64;
             return false;
@@ -182,9 +150,9 @@ struct DrrFlow {
 ///
 /// A shared byte budget is policed by dropping from the *longest* per-flow
 /// queue on overflow (as in Linux `fq_codel`), which protects low-rate flows
-/// from aggressive ones — the isolation property §4.4 relies on. With
-/// [`FairQueue::with_codel`] each per-flow queue additionally runs the CoDel
-/// drop law (FQ-CoDel).
+/// from aggressive ones — the isolation property §4.4 relies on. Built by
+/// [`fq_codel`], each per-flow queue additionally runs the CoDel drop law
+/// (FQ-CoDel).
 pub struct FairQueue {
     flows: Vec<DrrFlow>,
     active: VecDeque<usize>,
@@ -193,7 +161,7 @@ pub struct FairQueue {
     bytes: u64,
     pkts: usize,
     stats: QueueStats,
-    codel_params: Option<CodelParams>,
+    codel: bool,
 }
 
 impl FairQueue {
@@ -207,15 +175,8 @@ impl FairQueue {
             bytes: 0,
             pkts: 0,
             stats: QueueStats::default(),
-            codel_params: None,
+            codel: false,
         }
-    }
-
-    /// DRR fair queue with per-flow CoDel (FQ-CoDel).
-    pub fn with_codel(limit_bytes: u64, params: CodelParams) -> Self {
-        let mut fq = Self::new(limit_bytes);
-        fq.codel_params = Some(params);
-        fq
     }
 
     fn flow_slot(&mut self, flow: FlowId) -> usize {
@@ -227,7 +188,7 @@ impl FairQueue {
             q: VecDeque::new(),
             bytes: 0,
             deficit: 0,
-            codel: self.codel_params.map(CodelState::new),
+            codel: self.codel.then(CodelState::new),
         });
         self.flows.len() - 1
     }
@@ -361,26 +322,14 @@ impl Queue for FairQueue {
 // CoDel
 // ---------------------------------------------------------------------------
 
-/// CoDel parameters (defaults per RFC 8289: 5 ms target, 100 ms interval).
-#[derive(Clone, Copy, Debug)]
-pub struct CodelParams {
-    /// Acceptable standing-queue sojourn time.
-    pub target: SimDuration,
-    /// Sliding window over which sojourn must exceed target before dropping.
-    pub interval: SimDuration,
-    /// Don't drop when the backlog is at or below this many bytes.
-    pub min_backlog_bytes: u64,
-}
-
-impl Default for CodelParams {
-    fn default() -> Self {
-        CodelParams {
-            target: SimDuration::from_millis(5),
-            interval: SimDuration::from_millis(100),
-            min_backlog_bytes: 1514,
-        }
-    }
-}
+/// Acceptable standing-queue sojourn time (RFC 8289: 5 ms).
+const CODEL_TARGET: SimDuration = SimDuration::from_millis(5);
+/// Sliding window over which sojourn must exceed the target before
+/// dropping (RFC 8289: 100 ms).
+const CODEL_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Don't drop when the backlog is at or below this many bytes (RFC 8289:
+/// one MTU).
+const CODEL_MIN_BACKLOG_BYTES: u64 = 1514;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CodelVerdict {
@@ -392,7 +341,6 @@ enum CodelVerdict {
 /// (FQ-CoDel). One instance per (sub-)queue.
 #[derive(Clone, Copy, Debug)]
 struct CodelState {
-    params: CodelParams,
     first_above_time: Option<SimTime>,
     drop_next: SimTime,
     count: u32,
@@ -401,9 +349,8 @@ struct CodelState {
 }
 
 impl CodelState {
-    fn new(params: CodelParams) -> Self {
+    fn new() -> Self {
         CodelState {
-            params,
             first_above_time: None,
             drop_next: SimTime::ZERO,
             count: 0,
@@ -413,10 +360,7 @@ impl CodelState {
     }
 
     fn control_law(&self, t: SimTime) -> SimTime {
-        t + self
-            .params
-            .interval
-            .mul_f64(1.0 / (self.count.max(1) as f64).sqrt())
+        t + CODEL_INTERVAL.mul_f64(1.0 / (self.count.max(1) as f64).sqrt())
     }
 
     /// Decide the fate of the packet at the head of the queue.
@@ -444,7 +388,7 @@ impl CodelState {
             // Resume close to the previous drop rate if we were dropping
             // recently (RFC 8289 §5.4).
             let delta = self.count.saturating_sub(self.last_count);
-            self.count = if delta > 1 && now < self.drop_next + self.params.interval * 16 {
+            self.count = if delta > 1 && now < self.drop_next + CODEL_INTERVAL * 16 {
                 delta
             } else {
                 1
@@ -458,13 +402,13 @@ impl CodelState {
     }
 
     fn update_sojourn(&mut self, now: SimTime, sojourn: SimDuration, backlog_bytes: u64) -> bool {
-        if sojourn < self.params.target || backlog_bytes <= self.params.min_backlog_bytes {
+        if sojourn < CODEL_TARGET || backlog_bytes <= CODEL_MIN_BACKLOG_BYTES {
             self.first_above_time = None;
             false
         } else {
             match self.first_above_time {
                 None => {
-                    self.first_above_time = Some(now + self.params.interval);
+                    self.first_above_time = Some(now + CODEL_INTERVAL);
                     false
                 }
                 Some(fat) => now >= fat,
@@ -477,24 +421,19 @@ impl CodelState {
 pub struct Codel {
     q: VecDeque<Packet>,
     bytes: u64,
-    limit: BufferLimit,
+    limit_bytes: u64,
     state: CodelState,
     stats: QueueStats,
 }
 
 impl Codel {
-    /// CoDel with default parameters and `limit_bytes` of physical buffer.
+    /// CoDel with `limit_bytes` of physical buffer.
     pub fn bytes(limit_bytes: u64) -> Self {
-        Self::new(BufferLimit::Bytes(limit_bytes), CodelParams::default())
-    }
-
-    /// CoDel with explicit parameters.
-    pub fn new(limit: BufferLimit, params: CodelParams) -> Self {
         Codel {
             q: VecDeque::new(),
             bytes: 0,
-            limit,
-            state: CodelState::new(params),
+            limit_bytes,
+            state: CodelState::new(),
             stats: QueueStats::default(),
         }
     }
@@ -502,7 +441,7 @@ impl Codel {
 
 impl Queue for Codel {
     fn enqueue(&mut self, mut pkt: Packet, now: SimTime) -> bool {
-        if !self.limit.admits(self.bytes, self.q.len(), pkt.bytes) {
+        if self.bytes + pkt.bytes as u64 > self.limit_bytes {
             self.stats.dropped_tail += 1;
             self.stats.dropped_bytes += pkt.bytes as u64;
             return false;
@@ -551,9 +490,12 @@ impl Queue for Codel {
 /// FQ-CoDel: DRR fair queueing with per-flow CoDel (Linux `fq_codel`).
 pub type FqCodel = FairQueue;
 
-/// Convenience constructor for FQ-CoDel with default CoDel parameters.
+/// DRR fair queue with per-flow CoDel (FQ-CoDel).
 pub fn fq_codel(limit_bytes: u64) -> FairQueue {
-    FairQueue::with_codel(limit_bytes, CodelParams::default())
+    FairQueue {
+        codel: true,
+        ..FairQueue::new(limit_bytes)
+    }
 }
 
 #[cfg(test)]
@@ -588,15 +530,6 @@ mod tests {
         assert_eq!(q.len_bytes(), 3000);
         assert_eq!(q.stats().dropped_tail, 1);
         assert_conserved(&q);
-    }
-
-    #[test]
-    fn droptail_respects_packet_limit() {
-        let mut q = DropTail::packets(1);
-        assert!(q.enqueue(pkt(0, 0, 100), t(0)));
-        assert!(!q.enqueue(pkt(0, 1, 100), t(0)));
-        assert_eq!(q.dequeue(t(1)).unwrap().as_data().unwrap().seq, 0);
-        assert!(q.dequeue(t(1)).is_none());
     }
 
     #[test]

@@ -124,14 +124,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.range_u64(0, i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// A random boolean (fair coin).
     pub fn coin(&mut self) -> bool {
         self.next_u64() & 1 == 0
@@ -237,16 +229,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean={mean}");
-    }
-
-    #[test]
-    fn shuffle_permutes() {
-        let mut r = SimRng::new(19);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
     }
 }

@@ -9,10 +9,18 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// An absolute simulation timestamp (nanoseconds since simulation start).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the derived partial_cmp compares one integer field, never a float"
+)]
 pub struct SimTime(u64);
 
 /// A span of simulation time (nanoseconds).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the derived partial_cmp compares one integer field, never a float"
+)]
 pub struct SimDuration(u64);
 
 /// Nanoseconds per second.
@@ -61,11 +69,6 @@ impl SimTime {
     /// Duration elapsed since `earlier`, saturating at zero.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked duration since `earlier`; `None` if `earlier` is later.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
     }
 }
 
@@ -296,7 +299,6 @@ mod tests {
         assert_eq!((t1 - t0).as_millis_f64(), 50.0);
         assert_eq!(t1.saturating_since(t0).as_millis_f64(), 50.0);
         assert_eq!(t0.saturating_since(t1), SimDuration::ZERO);
-        assert_eq!(t0.checked_since(t1), None);
     }
 
     #[test]

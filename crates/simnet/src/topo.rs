@@ -435,16 +435,6 @@ impl FatTree {
         self.k / 2
     }
 
-    /// The ToR serving host index `h`.
-    pub fn tor_of(&self, h: usize) -> NodeId {
-        self.tors[h / self.hosts_per_rack()]
-    }
-
-    /// The pod containing host index `h`.
-    pub fn pod_of(&self, h: usize) -> usize {
-        h / (self.hosts_per_rack() * self.hosts_per_rack())
-    }
-
     /// The ToR → host down-link edge of host index `h`.
     pub fn down_edge(&self, h: usize) -> EdgeId {
         self.host_edges[h].1
@@ -533,11 +523,6 @@ impl LeafSpine {
     /// Hosts per leaf.
     pub fn hosts_per_leaf(&self) -> usize {
         self.hosts_per_leaf
-    }
-
-    /// The leaf serving host index `h`.
-    pub fn leaf_of(&self, h: usize) -> NodeId {
-        self.leaves[h / self.hosts_per_leaf]
     }
 }
 
@@ -762,9 +747,6 @@ mod tests {
         assert_eq!(ft.cores.len(), 4);
         // 16 host duplexes + 8 pods·(2·2) tor-agg + 4·(2·2) agg-core.
         assert_eq!(ft.topo.num_edges(), 2 * (16 + 16 + 16));
-        assert_eq!(ft.pod_of(0), 0);
-        assert_eq!(ft.pod_of(15), 3);
-        assert_eq!(ft.tor_of(3), ft.tors[1]);
     }
 
     #[test]
@@ -796,7 +778,6 @@ mod tests {
         // 8 Gbps of hosts over 2 spines at 4:1 → 1 Gbps per uplink.
         let uplink = EdgeId((2 * 32) as u32); // first edge after host duplexes
         assert_eq!(ls.topo.edge_rate_bps(uplink), Some(1e9));
-        assert_eq!(ls.leaf_of(9), ls.leaves[1]);
         let mut topo = ls.topo;
         assert_eq!(hops(&mut topo, ls.hosts[0], ls.hosts[31]), Some(4));
     }

@@ -142,18 +142,8 @@ pub enum CcMode {
     Hybrid,
 }
 
-/// How long one measurement interval lasts in batched mode.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ReportInterval {
-    /// A multiple of the smoothed RTT, re-evaluated at each report
-    /// boundary (the adaptive default: 1 RTT).
-    Rtts(f64),
-    /// A fixed wall-clock interval.
-    Fixed(SimDuration),
-}
-
 /// How the engine delivers measurement feedback to an algorithm.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReportMode {
     /// Every ACK and loss event is delivered individually through
     /// `on_ack` / `on_loss`.
@@ -161,14 +151,16 @@ pub enum ReportMode {
     /// Off-path control plane: the engine aggregates events locally and
     /// delivers one [`MeasurementReport`] per interval through
     /// [`CongestionControl::on_report`]. `on_ack` / `on_loss` are *not*
-    /// called.
-    Batched(ReportInterval),
+    /// called. An interval lasts one smoothed RTT, re-read at each report
+    /// boundary, unless the algorithm sets the next one itself
+    /// ([`Ctx::set_report_interval`]).
+    Batched,
 }
 
 impl ReportMode {
-    /// The batched default: one report per smoothed RTT.
+    /// Batched delivery: one report per smoothed RTT.
     pub fn batched_rtt() -> Self {
-        ReportMode::Batched(ReportInterval::Rtts(1.0))
+        ReportMode::Batched
     }
 }
 

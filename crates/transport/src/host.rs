@@ -21,7 +21,9 @@
 //! decisions to the same algorithm running in-path (asserted for every
 //! registered name by the root conformance suite).
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
+
+use pcc_simnet::sync::lock;
 
 use crate::cc::{AckEvent, CongestionControl, Ctx, LossEvent, ReportMode, SentEvent};
 use crate::report::MeasurementReport;
@@ -29,6 +31,10 @@ use crate::report::MeasurementReport;
 /// Dense per-host flow identifier. Slots are recycled: removing a flow
 /// frees its id for the next [`CcHost::add_flow`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the derived partial_cmp compares one integer field, never a float"
+)]
 pub struct HostFlowId(u32);
 
 impl HostFlowId {
@@ -101,7 +107,10 @@ impl CcHost {
     }
 }
 
-/// A shareable, lock-protected host handle.
+/// A shareable, lock-protected host handle. Take it with
+/// [`pcc_simnet::sync::lock`]: a poisoned host is still structurally sound
+/// (algorithm state may be mid-update, but every field is a valid value),
+/// so keep serving rather than wedging every flow.
 pub type SharedHost = Arc<Mutex<CcHost>>;
 
 /// Create a [`SharedHost`] ready to drive many flows.
@@ -133,13 +142,6 @@ impl HostedCc {
     fn with<R>(&self, f: impl FnOnce(&mut dyn CongestionControl) -> R) -> R {
         lock(&self.host).with_flow(self.flow, f)
     }
-}
-
-/// Mutex recovery per the workspace convention: a poisoned host is still
-/// structurally sound (algorithm state may be mid-update, but every field
-/// is a valid value), so keep serving rather than wedging every flow.
-fn lock(host: &SharedHost) -> MutexGuard<'_, CcHost> {
-    host.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Drop for HostedCc {

@@ -44,8 +44,7 @@ pub mod sender;
 pub mod spec;
 
 pub use cc::{
-    AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportInterval,
-    ReportMode, SentEvent,
+    AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportMode, SentEvent,
 };
 pub use error::TransferError;
 pub use flow::{FlowSize, TransportConfig};

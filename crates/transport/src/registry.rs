@@ -25,36 +25,20 @@
 //! [`InvalidParam`] that lists the valid keys — never a panic. `"name:"`
 //! is equivalent to `"name"`.
 //!
-//! The workspace's registered keys (see each crate's
-//! `register_algorithms()` for the authoritative schema):
-//!
-//! | Algorithm | Keys |
-//! |---|---|
-//! | `pcc`, `pcc-simple`, `pcc-lossresilient`, `pcc-latency` | `eps`, `eps_max`, `tm`, `slack`, `mi_pkts`, `rct`, `util`, `alpha`, `cutoff`, `slope_penalty` |
-//! | `newreno[-paced]`, `reno` | `iw` |
-//! | `cubic[-paced]` | `beta`, `c`, `iw` |
-//! | `illinois[-paced]` | `alpha_max`, `beta_max`, `iw` |
-//! | `hybla[-paced]` | `rtt0_ms`, `iw` |
-//! | `vegas[-paced]` | `alpha`, `beta`, `iw` |
-//! | `bic[-paced]` | `beta`, `iw` |
-//! | `westwood[-paced]` | `gain`, `iw` |
-//! | `sabul` | `syn_ms`, `decrease`, `rate0_mbps` |
-//! | `pcp` | `train`, `poll_ms`, `rate0_mbps` |
-//! | `bbr` | `probe_rtt_ms`, `cwnd_gain` |
-//!
-//! Use [`schema_of`] to inspect a name's schema programmatically
-//! (`pcc-experiments algos` prints these tables from it).
+//! `pcc-experiments algos` prints every registered name with its keys,
+//! types and ranges from [`schema_of`], so the list cannot drift from the
+//! `register_algorithms()` that declare it.
 //!
 //! Registration is explicit because the algorithm crates sit *above* this
 //! crate in the dependency graph (they implement the trait defined here):
 //! each of `pcc-core`, `pcc-tcp`, `pcc-rate`, and `pcc-bbr` exposes a
-//! `register_algorithms()` function, and the aggregation layers
-//! (`pcc-scenarios`' `install_registry`, the `pcc` facade) call them once
-//! at startup. Registering the same name twice is idempotent by design
-//! (last registration wins), so multiple entry points may install the
-//! defaults without coordination. The table holds factories only: a
-//! second name for an algorithm (`reno` for `newreno`) is a second
-//! registration of the same constructor.
+//! `register_algorithms()` function, and `pcc_scenarios::install_registry`
+//! (re-exported as `pcc::install_registry`) is the one function that calls
+//! all four, once per process. Registering the same name twice is
+//! idempotent by design (last registration wins), so multiple entry points
+//! may install the defaults without coordination. The table holds
+//! factories only: a second name for an algorithm (`reno` for `newreno`)
+//! is a second registration of the same constructor.
 //!
 //! The global table recovers from lock poisoning (a panicking test thread
 //! mid-registration) by adopting the poisoned state: every write holds the
@@ -62,8 +46,9 @@
 //! left consistent and the poison flag carries no information.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
+use pcc_simnet::sync;
 use pcc_simnet::time::SimDuration;
 
 use crate::cc::CongestionControl;
@@ -188,16 +173,6 @@ impl From<InvalidParam> for SpecError {
     }
 }
 
-impl SpecError {
-    /// The requested name/spec, whichever variant.
-    pub fn requested(&self) -> &str {
-        match self {
-            SpecError::Unknown(e) => &e.name,
-            SpecError::InvalidParam(e) => &e.algo,
-        }
-    }
-}
-
 /// A table entry: a constructor with its parameter schema. A second name
 /// for an algorithm is a second registration of the same constructor.
 struct Entry {
@@ -241,17 +216,14 @@ pub fn register_with_schema_checked(
 }
 
 fn insert_factory(name: &str, schema: Schema, check: Option<Arc<SchemaCheck>>, factory: CcFactory) {
-    table()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(
-            name.to_string(),
-            Entry {
-                f: Arc::new(factory),
-                schema,
-                check,
-            },
-        );
+    sync::write(table()).insert(
+        name.to_string(),
+        Entry {
+            f: Arc::new(factory),
+            schema,
+            check,
+        },
+    );
 }
 
 /// Construct an algorithm from a spec — a bare name (`"cubic"`) or a
@@ -266,7 +238,7 @@ fn insert_factory(name: &str, schema: Schema, check: Option<Arc<SchemaCheck>>, f
 ///
 /// // A minimal algorithm, registered with a one-key schema. (Real
 /// // algorithms register via their crate's `register_algorithms()`,
-/// // installed by `pcc_scenarios::install_registry()` or pcc-udp's twin.)
+/// // installed by `pcc_scenarios::install_registry()`.)
 /// struct Fixed(f64);
 /// impl CongestionControl for Fixed {
 ///     fn name(&self) -> &'static str { "fixed" }
@@ -314,7 +286,7 @@ pub fn by_name(name: &str, params: &CcParams) -> Result<Box<dyn CongestionContro
     // Drop the read guard *before* invoking the factory so factories can
     // never deadlock std's RwLock against a queued writer.
     let (factory, schema, check) = {
-        let table = table().read().unwrap_or_else(PoisonError::into_inner);
+        let table = sync::read(table());
         match table.get(&base) {
             Some(e) => (Arc::clone(&e.f), e.schema, e.check.clone()),
             None => {
@@ -349,26 +321,17 @@ pub fn by_name(name: &str, params: &CcParams) -> Result<Box<dyn CongestionContro
 /// slice means the algorithm takes no parameters. Accepts bare names, not
 /// specs.
 pub fn schema_of(name: &str) -> Option<Schema> {
-    let table = table().read().unwrap_or_else(PoisonError::into_inner);
-    table.get(name).map(|e| e.schema)
+    sync::read(table()).get(name).map(|e| e.schema)
 }
 
 /// All registered names, sorted.
 pub fn names() -> Vec<String> {
-    table()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .keys()
-        .cloned()
-        .collect()
+    sync::read(table()).keys().cloned().collect()
 }
 
 /// True if `name` is registered (exact table key, not a spec).
 pub fn contains(name: &str) -> bool {
-    table()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .contains_key(name)
+    sync::read(table()).contains_key(name)
 }
 
 #[cfg(test)]
@@ -560,7 +523,7 @@ mod tests {
         // every subsequent test in the process.
         register("test-poison-pre", Box::new(|_| Box::new(Dummy)));
         let _ = std::panic::catch_unwind(|| {
-            let _guard = table().write().unwrap_or_else(PoisonError::into_inner);
+            let _guard = sync::write(table());
             panic!("poison the registry lock");
         });
         assert!(table().is_poisoned(), "lock is genuinely poisoned");

@@ -39,8 +39,7 @@ use pcc_simnet::packet::Packet;
 use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::cc::{
-    AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportInterval,
-    ReportMode, SentEvent,
+    AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportMode, SentEvent,
 };
 use crate::flow::TransportConfig;
 use crate::report::ReportAggregator;
@@ -68,10 +67,10 @@ pub struct CcSenderConfig {
     pub tso_burst_pkts: u32,
     /// Feedback path override. `None` (the default) honours the
     /// algorithm's own [`CongestionControl::report_mode`] preference;
-    /// `Some(Batched(_))` forces batched delivery at that cadence — e.g. a
-    /// host driving many flows off-path batches all of them. The override
-    /// can only coarsen: `Some(PerAck)` leaves a natively batched
-    /// algorithm on reports (it has no per-ACK path to fall back to).
+    /// `Some(Batched)` forces batched delivery — e.g. a host driving many
+    /// flows off-path batches all of them. The override can only coarsen:
+    /// `Some(PerAck)` leaves a natively batched algorithm on reports (it
+    /// has no per-ACK path to fall back to).
     pub report: Option<ReportMode>,
     /// Dead-time budget: if the flow makes no forward progress (no new
     /// cumulative bytes acknowledged) for this long while the RTO keeps
@@ -266,7 +265,7 @@ impl CcSender {
 
     /// Events are aggregated locally and delivered as reports.
     fn batched(&self) -> bool {
-        matches!(self.report_mode, ReportMode::Batched(_))
+        self.report_mode == ReportMode::Batched
     }
 
     /// Effective in-flight limit right now: the memory guard, tightened by
@@ -769,21 +768,15 @@ impl CcSender {
 
     /// Length of the next report interval: the algorithm's one-shot
     /// override if it set one (PCC aligning reports with its monitor
-    /// intervals), else the configured cadence. The adaptive default
-    /// re-reads the smoothed RTT at every boundary.
+    /// intervals), else one smoothed RTT, re-read at every boundary and
+    /// floored at 1 ms.
     fn report_interval(&mut self) -> SimDuration {
-        if let Some(d) = self.requested_interval.take() {
-            return d.max(SimDuration::from_micros(100));
-        }
-        match self.report_mode {
-            ReportMode::Batched(ReportInterval::Rtts(k)) => self
+        match self.requested_interval.take() {
+            Some(d) => d.max(SimDuration::from_micros(100)),
+            None => self
                 .rtt
                 .srtt_or(SimDuration::from_millis(100))
-                .mul_f64(k)
                 .max(SimDuration::from_millis(1)),
-            ReportMode::Batched(ReportInterval::Fixed(d)) => d.max(SimDuration::from_micros(100)),
-            // Unreachable: the report timer is only armed in batched mode.
-            ReportMode::PerAck => SimDuration::MAX,
         }
     }
 
@@ -837,7 +830,7 @@ impl CcSender {
         // The override may coarsen the algorithm's preference, never refine
         // it.
         self.report_mode = match self.cfg.report {
-            Some(batched @ ReportMode::Batched(_)) => batched,
+            Some(ReportMode::Batched) => ReportMode::Batched,
             _ => self.cc.report_mode(),
         };
         self.with_cc(ctx, |c, cc| c.on_start(cc));
@@ -1626,10 +1619,7 @@ mod tests {
             ReportMode::batched_rtt()
         }
         fn on_report(&mut self, rep: &crate::report::MeasurementReport, _ctx: &mut Ctx) {
-            let mut s = self
-                .sink
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut s = pcc_simnet::sync::lock(&self.sink);
             s.0 += 1;
             s.1 += rep.acked_pkts;
             s.2 += rep.lost_pkts;
@@ -1660,9 +1650,7 @@ mod tests {
         });
         let report = net.build().run_until(SimTime::from_secs(10));
         let st = &report.flows[flow.index()];
-        let (reports, acked, lost) = *sink
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (reports, acked, lost) = *pcc_simnet::sync::lock(&sink);
         // ~10 s at one report per 30 ms RTT ⇒ hundreds of reports, far
         // fewer than the ~8000 ACKs per-ACK mode would have delivered.
         assert!(reports > 100, "reports delivered on cadence: {reports}");

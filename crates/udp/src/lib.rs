@@ -13,10 +13,11 @@
 //! PCP), a congestion window (any TCP baseline), or both (paced TCP).
 //!
 //! Resolve algorithms by name with [`send_named`] (via the workspace
-//! registry; unknown names are a typed error), hand a constructed
-//! algorithm to [`send_with`], or park the algorithm's brain in a shared
-//! off-path [`pcc_transport::CcHost`] with [`send_hosted`] — one host
-//! drives all of a process's concurrent transfers, consuming batched
+//! registry, against whatever the process registered — this crate depends
+//! on no algorithm crate; unknown names are a typed error), hand a
+//! constructed algorithm to [`send_with`], or park the algorithm's brain in
+//! a shared off-path [`pcc_transport::CcHost`] with [`send_hosted`] — one
+//! host drives all of a process's concurrent transfers, consuming batched
 //! [`pcc_transport::MeasurementReport`]s when the algorithm (or a
 //! [`UdpSenderConfig::report`] override) opts in.
 //!
@@ -24,11 +25,14 @@
 //! demonstration (pick the algorithm on the command line), and
 //! `crates/udp/tests/loopback.rs` for the integration tests.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "pcc-udp's entire job is real sockets on a real clock, so its outputs are outside the determinism contract"
+)]
+
 pub mod receiver;
 pub mod sender;
 pub mod wire;
 
 pub use receiver::{receive, ReceiverReport};
-pub use sender::{
-    install_registry, send_hosted, send_named, send_with, wire_mss, SenderReport, UdpSenderConfig,
-};
+pub use sender::{send_hosted, send_named, send_with, wire_mss, SenderReport, UdpSenderConfig};

@@ -43,7 +43,7 @@ pub struct UdpSenderConfig {
     pub seed: u64,
     /// Feedback-path override. `None` honours the algorithm's own
     /// [`CongestionControl::report_mode`] preference;
-    /// `Some(Batched(_))` forces batched delivery (the override can only
+    /// `Some(Batched)` forces batched delivery (the override can only
     /// coarsen). Passed through as `CcSenderConfig::report`.
     pub report: Option<ReportMode>,
     /// Dead-time budget, passed through as
@@ -93,22 +93,6 @@ pub struct SenderReport {
     pub timeouts: u64,
 }
 
-/// Install every workspace algorithm into the
-/// [`pcc_transport::registry`] so [`send_named`] can resolve any of them.
-/// Idempotent. Twin of `pcc_scenarios::install_registry` (neither crate
-/// can depend on the other without warping the graph); a new algorithm
-/// crate must be added to BOTH registration lists.
-pub fn install_registry() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        pcc_core::register_algorithms();
-        pcc_tcp::register_algorithms();
-        pcc_rate::register_algorithms();
-        pcc_bbr::register_algorithms();
-    });
-}
-
 /// Bytes of UDP/IP framing added to each payload datagram; what the
 /// engine accounts as the wire packet size must include it, and so must
 /// the MSS handed to the algorithm.
@@ -120,9 +104,13 @@ pub fn wire_mss(cfg: &UdpSenderConfig) -> u32 {
 }
 
 /// Send with any registered algorithm, resolved by name or parameterized
-/// spec (`"pcc"`, `"cubic-paced"`, `"cubic:beta=0.7,iw=32"`, ...).
-/// Unknown names and invalid spec parameters surface the registry's typed
-/// [`SpecError`]. The algorithm is built with the *wire* MSS
+/// spec (`"pcc"`, `"cubic-paced"`, `"cubic:beta=0.7,iw=32"`, ...) against
+/// whatever the process has registered: this crate names no algorithm and
+/// installs none, so call `pcc::install_registry()` (or
+/// [`registry::register`] your own) first. Unknown names and invalid spec
+/// parameters surface the registry's typed [`SpecError`]; with nothing
+/// registered every name is unknown and the error says the registry is
+/// empty. The algorithm is built with the *wire* MSS
 /// ([`wire_mss`]): PCC's monitor measures throughput, its 2·MSS/RTT
 /// starting rate and its rate floor in units of the packet size, and a
 /// controller left at the 1500 B default over-reports all three on a
@@ -134,7 +122,6 @@ pub fn send_named(
     name: &str,
     rtt_hint: SimDuration,
 ) -> std::io::Result<Result<SenderReport, SpecError>> {
-    install_registry();
     let params = CcParams::default()
         .with_mss(wire_mss(&cfg))
         .with_rtt_hint(rtt_hint);

@@ -7,9 +7,15 @@
 //! captures. Cargo runs test binaries sequentially, so isolation here
 //! makes the timing deterministic enough to assert tightly.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests time real loopback transfers; wall clock is the thing under test, not a simulation input"
+)]
+
 use std::net::UdpSocket;
 use std::thread;
 
+use pcc_scenarios::install_registry;
 use pcc_simnet::time::SimDuration;
 use pcc_udp::{send_named, UdpSenderConfig};
 
@@ -22,6 +28,7 @@ fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
 
 #[test]
 fn rto_backoff_limits_blackout_refires_and_recovers() {
+    install_registry();
     // Regression for the datapath's missing RTO backoff: a receiver that
     // goes silent mid-transfer used to re-fire the whole-window loss
     // declaration every *base* RTO (~10 ms on loopback), hammering the
@@ -155,6 +162,7 @@ fn never_returning_receiver_stalls_within_budget_without_parting_burst() {
 }
 
 fn never_returning_receiver_stalls(algo: &str) {
+    install_registry();
     // Graceful-degradation hardening: a receiver that ACKs the start of a
     // transfer and then goes silent *forever* must not be retried on the
     // capped-backoff timer until the heat death of the universe. With a

@@ -7,11 +7,12 @@ use std::net::UdpSocket;
 use std::sync::Arc;
 use std::thread;
 
+use pcc_scenarios::install_registry;
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::ReportMode;
 use pcc_transport::host::shared_host;
 use pcc_transport::registry::{self, CcParams};
-use pcc_udp::{install_registry, receive, send_hosted, send_named, UdpSenderConfig};
+use pcc_udp::{receive, send_hosted, send_named, UdpSenderConfig};
 
 fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
     let rx_sock = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
@@ -58,14 +59,15 @@ fn one_host_drives_concurrent_transfers() {
         w.join().expect("transfer thread");
     }
     // Every HostedCc stub dropped on completion → the host is empty again.
-    let h = host
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    assert!(h.is_empty(), "flows deregistered on drop");
+    assert!(
+        pcc_simnet::sync::lock(&host).is_empty(),
+        "flows deregistered on drop"
+    );
 }
 
 #[test]
 fn batched_reports_move_data_over_loopback() {
+    install_registry();
     // Force 1-RTT batched reports on the real-socket engine: per-packet
     // callbacks are withheld, the algorithm only hears report boundaries,
     // and the transfer still completes for a window algorithm (cubic) and

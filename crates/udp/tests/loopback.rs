@@ -6,10 +6,11 @@
 use std::net::UdpSocket;
 use std::thread;
 
+use pcc_scenarios::install_registry;
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent, SentEvent};
 use pcc_transport::registry::{self, CcParams, SpecError};
-use pcc_udp::{install_registry, receive, send_named, send_with, wire_mss, UdpSenderConfig};
+use pcc_udp::{receive, send_named, send_with, wire_mss, UdpSenderConfig};
 
 fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
     let rx_sock = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
@@ -20,6 +21,7 @@ fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
 
 #[test]
 fn pcc_transfers_over_loopback() {
+    install_registry();
     let (rx_sock, tx_sock, rx_addr) = sockets();
     let total: u64 = 2 * 1024 * 1024; // 2 MB keeps CI fast
     let rx = thread::spawn(move || receive(&rx_sock, total));
@@ -47,6 +49,7 @@ fn pcc_transfers_over_loopback() {
 
 #[test]
 fn cubic_transfers_over_loopback_via_registry() {
+    install_registry();
     // A *window* algorithm on the real-UDP datapath, resolved by name —
     // impossible in the seed design, where only RateControllers could
     // drive real sockets.
@@ -80,6 +83,7 @@ fn cubic_transfers_over_loopback_via_registry() {
 
 #[test]
 fn unknown_algorithm_is_typed_error_not_panic() {
+    install_registry();
     let (_rx_sock, tx_sock, rx_addr) = sockets();
     let cfg = UdpSenderConfig::default();
     let err = match send_named(&tx_sock, rx_addr, cfg, "tahoe", SimDuration::from_millis(2))
@@ -125,6 +129,7 @@ fn algorithm_without_operating_point_is_invalid_input_not_panic() {
 
 #[test]
 fn invalid_spec_param_is_typed_error_not_panic() {
+    install_registry();
     // The datapath threads parameterized specs through the registry, so a
     // bad key/value surfaces the schema's typed error (listing valid
     // keys) instead of constructing a mis-tuned controller.
@@ -153,6 +158,7 @@ fn invalid_spec_param_is_typed_error_not_panic() {
 
 #[test]
 fn parameterized_specs_transfer_over_loopback() {
+    install_registry();
     // The acceptance surface: `name:key=val` resolves on the *real*
     // datapath too — a tuned cubic and a tuned PCC both move real bytes.
     for spec in ["cubic:beta=0.7,iw=32", "pcc:eps=0.05"] {
@@ -183,6 +189,7 @@ fn parameterized_specs_transfer_over_loopback() {
 
 #[test]
 fn bbr_transfers_over_loopback_as_a_hybrid() {
+    install_registry();
     // The first algorithm to drive *both* machineries of the UDP engine
     // at once: a pacing rate and a congestion window, live simultaneously
     // for the whole transfer.

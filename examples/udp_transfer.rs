@@ -24,10 +24,10 @@ use std::thread;
 
 use pcc::simnet::time::SimDuration;
 use pcc::transport::{registry, shared_host, ReportMode};
-use pcc::udp::{install_registry, receive, send_hosted, send_named, wire_mss, UdpSenderConfig};
+use pcc::udp::{receive, send_hosted, send_named, wire_mss, UdpSenderConfig};
 
 fn main() -> std::io::Result<()> {
-    install_registry();
+    pcc::install_registry();
     let mut algo = String::from("pcc");
     let mut batched = false;
     let mut hosted = false;

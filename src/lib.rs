@@ -87,12 +87,7 @@ pub use pcc_tcp as tcp;
 pub use pcc_transport as transport;
 pub use pcc_udp as udp;
 
-/// Install every algorithm in the workspace into
-/// [`transport::registry`]. Idempotent; delegates to
-/// [`scenarios::install_registry`].
-pub fn install_registry() {
-    pcc_scenarios::install_registry();
-}
+pub use pcc_scenarios::install_registry;
 
 /// Everything needed for typical simulation-based use.
 pub mod prelude {

@@ -412,7 +412,10 @@ mod hybrid_enforcement {
             seed: 3,
             ..Default::default()
         };
-        // lint: allow(L002) — this test times a real loopback UDP transfer; wall clock is the thing under test, not a simulation input
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this test times a real loopback UDP transfer; wall clock is the thing under test, not a simulation input"
+        )]
         let t0 = std::time::Instant::now();
         pcc::udp::send_with(&tx_sock, rx_addr, cfg, Box::new(cc)).expect("send");
         let elapsed = t0.elapsed();

@@ -1,0 +1,90 @@
+//! Workspace hygiene the toolchain does not check by itself: the build
+//! needs no network, no crate sits outside the lint floor, and every
+//! `clippy.toml` entry is live. (The determinism rules themselves are
+//! `clippy.toml` + `[workspace.lints]`; see ARCHITECTURE.md, "Determinism
+//! contract, enforced".)
+
+use std::path::Path;
+
+fn read(rel: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn lock_files_name_no_external_source() {
+    // A path dependency never has a `source` line in a lock file; a
+    // registry or git dependency always does.
+    for lock in ["Cargo.lock", "benchmark/Cargo.lock"] {
+        let text = read(lock);
+        let external: Vec<&str> = text
+            .lines()
+            .filter(|l| l.trim_start().starts_with("source = "))
+            .collect();
+        assert!(
+            external.is_empty(),
+            "{lock} names a dependency that is not an in-repo path (no-network build): {external:?}"
+        );
+    }
+}
+
+#[test]
+fn every_member_opts_into_the_workspace_lints() {
+    let root = read("Cargo.toml");
+    let members = root
+        .split_once("members = [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .expect("root Cargo.toml lists its members")
+        .0;
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    manifests.extend(
+        members
+            .split(',')
+            .map(|m| m.trim().trim_matches('"'))
+            .filter(|m| !m.is_empty())
+            .map(|m| format!("{m}/Cargo.toml")),
+    );
+    assert!(manifests.len() > 1, "no members parsed from {members:?}");
+    for manifest in manifests {
+        assert!(
+            read(&manifest).contains("[lints]\nworkspace = true"),
+            "{manifest} does not opt into [workspace.lints]: rustc and clippy would not \
+             hold that crate to the workspace's deny levels"
+        );
+    }
+}
+
+/// One use of every construct `clippy.toml` disallows, each under its own
+/// `#[expect]`. Clippy reports a mistyped path in `clippy.toml` as a plain
+/// warning that `-D warnings` does not promote (clippy 0.1.95 exits 0), so
+/// a typo or a deleted line would switch a rule off in silence; here it
+/// leaves an expectation unfulfilled, which `-D warnings` does fail. The
+/// count at the end closes the other direction: an entry added without a
+/// canary fails this test.
+#[test]
+fn every_clippy_toml_entry_has_a_canary() {
+    #[expect(clippy::disallowed_types, reason = "canary: HashMap entry")]
+    let _ = std::collections::HashMap::<u8, u8>::new();
+    #[expect(clippy::disallowed_types, reason = "canary: HashSet entry")]
+    let _ = std::collections::HashSet::<u8>::new();
+    #[expect(clippy::disallowed_types, reason = "canary: RandomState entry")]
+    let _ = std::collections::hash_map::RandomState::new();
+    #[expect(clippy::disallowed_types, reason = "canary: SystemTime entry")]
+    let _ = std::time::SystemTime::UNIX_EPOCH;
+    #[expect(clippy::disallowed_methods, reason = "canary: Instant::now entry")]
+    let _ = std::time::Instant::now();
+    #[expect(clippy::disallowed_methods, reason = "canary: partial_cmp entry")]
+    let _ = 1.0_f64.partial_cmp(&2.0);
+    let (mutex, rwlock) = (std::sync::Mutex::new(()), std::sync::RwLock::new(()));
+    #[expect(clippy::disallowed_methods, reason = "canary: Mutex::lock entry")]
+    drop(mutex.lock());
+    #[expect(clippy::disallowed_methods, reason = "canary: RwLock::read entry")]
+    drop(rwlock.read());
+    #[expect(clippy::disallowed_methods, reason = "canary: RwLock::write entry")]
+    drop(rwlock.write());
+    assert_eq!(
+        read("clippy.toml").matches("path = ").count(),
+        9,
+        "clippy.toml and the canaries above must list the same entries"
+    );
+}
