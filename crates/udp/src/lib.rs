@@ -25,11 +25,6 @@
 //! demonstration (pick the algorithm on the command line), and
 //! `crates/udp/tests/loopback.rs` for the integration tests.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "pcc-udp's entire job is real sockets on a real clock, so its outputs are outside the determinism contract"
-)]
-
 pub mod receiver;
 pub mod sender;
 pub mod wire;

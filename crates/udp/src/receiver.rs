@@ -23,6 +23,10 @@ pub struct ReceiverReport {
 /// Receive `expected_bytes` of payload on `socket`, acking every datagram
 /// back to its source address, then return.
 pub fn receive(socket: &UdpSocket, expected_bytes: u64) -> std::io::Result<ReceiverReport> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pcc-udp's entire job is real sockets on a real clock, so its outputs are outside the determinism contract"
+    )]
     let start = Instant::now();
     let mut buf = vec![0u8; 65_536];
     let mut rx = SackReceiver::new();

@@ -292,6 +292,10 @@ pub fn send_with(
         socket,
         peer,
         payload: vec![0xA5u8; cfg.payload],
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pcc-udp's entire job is real sockets on a real clock, so its outputs are outside the determinism contract"
+        )]
         start: Instant::now(),
         engine: CcSender::new(engine_cfg, cc),
         rng: SimRng::new(cfg.seed),

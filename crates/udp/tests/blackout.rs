@@ -7,11 +7,6 @@
 //! captures. Cargo runs test binaries sequentially, so isolation here
 //! makes the timing deterministic enough to assert tightly.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "these tests time real loopback transfers; wall clock is the thing under test, not a simulation input"
-)]
-
 use std::net::UdpSocket;
 use std::thread;
 
@@ -27,6 +22,10 @@ fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this test times a real loopback transfer; wall clock is the thing under test, not a simulation input"
+)]
 fn rto_backoff_limits_blackout_refires_and_recovers() {
     install_registry();
     // Regression for the datapath's missing RTO backoff: a receiver that
@@ -161,6 +160,10 @@ fn never_returning_receiver_stalls_within_budget_without_parting_burst() {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this test times a real loopback transfer; wall clock is the thing under test, not a simulation input"
+)]
 fn never_returning_receiver_stalls(algo: &str) {
     install_registry();
     // Graceful-degradation hardening: a receiver that ACKs the start of a

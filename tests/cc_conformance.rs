@@ -496,6 +496,7 @@ fn parameterized_specs_transfer_on_the_udp_datapath() {
     // The same spec strings on the *real-socket* engine: tuned cubic and
     // tuned PCC each deliver a loopback transfer end-to-end (the sim
     // datapath's half of this contract is the test above).
+    pcc::install_registry();
     for spec in ["cubic:beta=0.7,iw=32", "pcc:eps=0.05"] {
         let rx_sock = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind rx");
         let rx_addr = rx_sock.local_addr().expect("addr");
