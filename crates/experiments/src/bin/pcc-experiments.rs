@@ -67,6 +67,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--out" => cli.opts.out_dir = value(&mut args, "--out <dir>")?,
             "--points" => cli.points = value(&mut args, "--points <n>")?,
             "--secs" => cli.secs = Some(value(&mut args, "--secs <n>")?),
+            other if other.starts_with("--") => return Err(format!("unknown flag: {other}")),
             other if cli.which.is_none() => cli.which = Some(other.to_string()),
             other if matches!(cli.which.as_deref(), Some("sweep" | "vary")) => {
                 cli.extras.push(other.to_string())
@@ -216,6 +217,12 @@ mod tests {
         }
         let e = parse(&["fig07", "stray"]).err().expect("stray positional");
         assert_eq!(e, "unexpected argument: stray");
+        // A mistyped flag is never taken for the experiment id or a
+        // `sweep` / `vary` positional, wherever it stands.
+        for args in [&["--ful", "fig07"][..], &["--ful"], &["sweep", "--ful"]] {
+            let e = parse(args).err().expect("unknown flag");
+            assert_eq!(e, "unknown flag: --ful", "{args:?}");
+        }
     }
 
     #[test]

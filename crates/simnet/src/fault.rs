@@ -751,28 +751,10 @@ mod proptests {
     use crate::packet::{AckInfo, Packet};
     use crate::sim::{FlowSpec, NetworkBuilder, SimConfig};
     use crate::time::{SimDuration, SimTime};
-    use crate::topo::{ecmp_key, Topology};
+    use crate::topo::{ecmp_key, random_connected, Topology};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    /// A random connected switch graph: a spanning tree over `n` nodes plus
-    /// random chords (same construction as the topo proptests).
-    fn random_connected(n: usize, picks: &[u64]) -> Vec<(u32, u32)> {
-        let mut pairs = Vec::new();
-        for v in 1..n as u32 {
-            let u = picks[(v as usize - 1) % picks.len()] % v as u64;
-            pairs.push((u as u32, v));
-        }
-        for (i, &p) in picks.iter().enumerate() {
-            let a = (p % n as u64) as u32;
-            let b = ((p >> 17).wrapping_add(i as u64) % n as u64) as u32;
-            if a != b {
-                pairs.push((a, b));
-            }
-        }
-        pairs
-    }
 
     /// Paced sender that counts the ACKs it hears back.
     struct CountingSender {

@@ -1,12 +1,12 @@
 //! Queue disciplines for bottleneck links.
 //!
-//! Four disciplines cover everything the paper's evaluation needs:
+//! Three types cover everything the paper's evaluation needs:
 //!
 //! * [`DropTail`] — plain FIFO with a byte limit (all of §4.1).
 //! * [`FairQueue`] — per-flow deficit round robin with longest-queue drop
-//!   (the FQ of §4.4).
+//!   (the FQ of §4.4); built by [`fq_codel`] it also keeps per-flow CoDel
+//!   state (Fig. 17's "CoDel + FQ").
 //! * [`Codel`] — the CoDel AQM per RFC 8289 (Fig. 17).
-//! * [`FqCodel`] — DRR with per-flow CoDel state (Fig. 17's "CoDel + FQ").
 //!
 //! "Bufferbloat" in Fig. 17 is simply a [`DropTail`] with a very deep buffer.
 //!
@@ -487,10 +487,7 @@ impl Queue for Codel {
     }
 }
 
-/// FQ-CoDel: DRR fair queueing with per-flow CoDel (Linux `fq_codel`).
-pub type FqCodel = FairQueue;
-
-/// DRR fair queue with per-flow CoDel (FQ-CoDel).
+/// DRR fair queue with per-flow CoDel (FQ-CoDel, Linux `fq_codel`).
 pub fn fq_codel(limit_bytes: u64) -> FairQueue {
     FairQueue {
         codel: true,

@@ -369,6 +369,26 @@ impl Topology {
     }
 }
 
+/// A random connected switch graph for the routing and fault proptests: a
+/// spanning tree over `n` nodes plus one random duplex chord per pick.
+/// Returns the duplex node pairs.
+#[cfg(test)]
+pub(crate) fn random_connected(n: usize, picks: &[u64]) -> Vec<(u32, u32)> {
+    let mut pairs = Vec::new();
+    for v in 1..n as u32 {
+        let u = picks[(v as usize - 1) % picks.len()] % v as u64;
+        pairs.push((u as u32, v));
+    }
+    for (i, &p) in picks.iter().enumerate() {
+        let a = (p % n as u64) as u32;
+        let b = ((p >> 17).wrapping_add(i as u64) % n as u64) as u32;
+        if a != b {
+            pairs.push((a, b));
+        }
+    }
+    pairs
+}
+
 /// Combine an experiment seed and a flow index into a flow key for
 /// [`Topology::path_edges`]: deterministic, and distinct flows land on
 /// decorrelated hash streams.
@@ -428,11 +448,6 @@ impl FatTree {
     /// The arity the tree was built with.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Hosts per rack (`k/2`).
-    pub fn hosts_per_rack(&self) -> usize {
-        self.k / 2
     }
 
     /// The ToR → host down-link edge of host index `h`.
@@ -516,14 +531,6 @@ pub struct LeafSpine {
     pub spines: Vec<NodeId>,
     /// Per host: the `(host → leaf, leaf → host)` edge pair.
     pub host_edges: Vec<(EdgeId, EdgeId)>,
-    hosts_per_leaf: usize,
-}
-
-impl LeafSpine {
-    /// Hosts per leaf.
-    pub fn hosts_per_leaf(&self) -> usize {
-        self.hosts_per_leaf
-    }
 }
 
 /// Build a leaf-spine fabric: `leaves` ToRs each serving `hosts_per_leaf`
@@ -572,7 +579,6 @@ pub fn leaf_spine(
         leaves: leaf_nodes,
         spines: spine_nodes,
         host_edges,
-        hosts_per_leaf,
     }
 }
 
@@ -846,24 +852,6 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-
-    /// A random connected switch graph: a spanning tree over `n` nodes plus
-    /// `extra` random duplex chords. Returns the duplex node pairs.
-    fn random_connected(n: usize, picks: &[u64]) -> Vec<(u32, u32)> {
-        let mut pairs = Vec::new();
-        for v in 1..n as u32 {
-            let u = picks[(v as usize - 1) % picks.len()] % v as u64;
-            pairs.push((u as u32, v));
-        }
-        for (i, &p) in picks.iter().enumerate() {
-            let a = (p % n as u64) as u32;
-            let b = ((p >> 17).wrapping_add(i as u64) % n as u64) as u32;
-            if a != b {
-                pairs.push((a, b));
-            }
-        }
-        pairs
-    }
 
     fn cfg() -> LinkConfig {
         LinkConfig::bottleneck(1e9, SimDuration::from_micros(10), 64_000)

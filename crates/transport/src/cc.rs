@@ -291,17 +291,18 @@ pub trait CongestionControl: Send {
     /// (the default) delivers every event through `on_ack` / `on_loss`;
     /// [`ReportMode::Batched`] makes the engine aggregate locally and
     /// deliver one [`MeasurementReport`] per interval through
-    /// [`CongestionControl::on_report`] instead. An engine may coarsen the
-    /// preference per flow (a host driving many flows batches all of
-    /// them) but never refines it: an algorithm that asks for reports is
-    /// never handed per-ACK events.
+    /// [`CongestionControl::on_report`] instead. An engine config may
+    /// coarsen the preference per flow (`CcSenderConfig::report`; the
+    /// benchmark's `lossy_mix` and the `--batched` flags are the callers)
+    /// but never refines it: an algorithm that asks for reports is never
+    /// handed per-ACK events.
     fn report_mode(&self) -> ReportMode {
         ReportMode::PerAck
     }
 
     /// One aggregated measurement interval completed (batched mode). The
     /// default implementation ignores it; algorithms opting into
-    /// [`ReportMode::Batched`] — or hosted behind an engine that forces
+    /// [`ReportMode::Batched`] — or run by an engine whose config forces
     /// batching — must implement it.
     fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut Ctx) {
         let _ = (rep, ctx);

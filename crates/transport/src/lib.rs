@@ -34,7 +34,6 @@
 pub mod cc;
 pub mod error;
 pub mod flow;
-pub mod host;
 pub mod receiver;
 pub mod registry;
 pub mod report;
@@ -48,7 +47,6 @@ pub use cc::{
 };
 pub use error::TransferError;
 pub use flow::{FlowSize, TransportConfig};
-pub use host::{shared_host, CcHost, HostFlowId, HostedCc, SharedHost};
 pub use receiver::SackReceiver;
 pub use registry::{CcParams, SpecError, UnknownAlgorithm};
 pub use report::{MeasurementReport, ReportAggregator};

@@ -14,12 +14,10 @@
 //!
 //! Resolve algorithms by name with [`send_named`] (via the workspace
 //! registry, against whatever the process registered — this crate depends
-//! on no algorithm crate; unknown names are a typed error), hand a
-//! constructed algorithm to [`send_with`], or park the algorithm's brain in
-//! a shared off-path [`pcc_transport::CcHost`] with [`send_hosted`] — one
-//! host drives all of a process's concurrent transfers, consuming batched
-//! [`pcc_transport::MeasurementReport`]s when the algorithm (or a
-//! [`UdpSenderConfig::report`] override) opts in.
+//! on no algorithm crate; unknown names are a typed error) or hand a
+//! constructed algorithm to [`send_with`]. Either way the engine feeds it
+//! per-ACK events, or batched [`pcc_transport::MeasurementReport`]s when
+//! the algorithm (or a [`UdpSenderConfig::report`] override) opts in.
 //!
 //! See `examples/udp_transfer.rs` at the workspace root for a loopback
 //! demonstration (pick the algorithm on the command line), and
@@ -30,4 +28,4 @@ pub mod sender;
 pub mod wire;
 
 pub use receiver::{receive, ReceiverReport};
-pub use sender::{send_hosted, send_named, send_with, wire_mss, SenderReport, UdpSenderConfig};
+pub use sender::{send_named, send_with, wire_mss, SenderReport, UdpSenderConfig};

@@ -25,7 +25,6 @@ use pcc_simnet::rng::SimRng;
 use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_transport::cc::{CongestionControl, ReportMode};
 use pcc_transport::error::TransferError;
-use pcc_transport::host::{HostedCc, SharedHost};
 use pcc_transport::registry::{self, CcParams, SpecError};
 use pcc_transport::sender::RATE_MIN_RTO;
 use pcc_transport::{CcSender, CcSenderConfig, FlowSize, TransportConfig};
@@ -129,23 +128,6 @@ pub fn send_named(
         Ok(cc) => send_with(socket, peer, cfg, cc).map(Ok),
         Err(e) => Ok(Err(e)),
     }
-}
-
-/// Send with the algorithm's brain living in a shared
-/// [`CcHost`](pcc_transport::CcHost) — the
-/// off-path control plane on the real-socket datapath. The flow is
-/// registered with `host`, every engine callback runs the host's instance
-/// under the host lock, and one host can drive all of a process's
-/// concurrent transfers. The flow is removed from the host when the
-/// transfer ends.
-pub fn send_hosted(
-    socket: &UdpSocket,
-    peer: SocketAddr,
-    cfg: UdpSenderConfig,
-    host: SharedHost,
-    cc: Box<dyn CongestionControl>,
-) -> std::io::Result<SenderReport> {
-    send_with(socket, peer, cfg, Box::new(HostedCc::new(host, cc)))
 }
 
 /// Upper bound on one idle nap, so ACK processing stays responsive while

@@ -9,33 +9,28 @@
 //! cargo run --release --example udp_transfer -- "cubic:iw=32"      # parameterized spec
 //! cargo run --release --example udp_transfer -- "pcc:eps=0.05,util=latency"
 //! cargo run --release --example udp_transfer -- cubic --batched    # 1-RTT batched reports
-//! cargo run --release --example udp_transfer -- pcc --hosted       # brain in a shared CcHost
 //! cargo run --release --example udp_transfer -- list               # registry + spec keys
 //! ```
 //!
 //! `--batched` flips the engine from per-ACK callbacks to 1-RTT
-//! aggregated measurement reports; `--hosted` additionally moves the
-//! algorithm instance into a shared [`pcc::transport::CcHost`] — the
-//! off-path control plane, one controller able to drive every transfer
-//! in the process (see ARCHITECTURE.md's control-plane section).
+//! aggregated measurement reports — the off-path control plane's
+//! feedback path (see ARCHITECTURE.md's control-plane section).
 
 use std::net::UdpSocket;
 use std::thread;
 
 use pcc::simnet::time::SimDuration;
-use pcc::transport::{registry, shared_host, ReportMode};
-use pcc::udp::{receive, send_hosted, send_named, wire_mss, UdpSenderConfig};
+use pcc::transport::{registry, ReportMode};
+use pcc::udp::{receive, send_named, UdpSenderConfig};
 
 fn main() -> std::io::Result<()> {
     pcc::install_registry();
     let mut algo = String::from("pcc");
     let mut batched = false;
-    let mut hosted = false;
     let mut spec_set = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--batched" => batched = true,
-            "--hosted" => hosted = true,
             other if !spec_set => {
                 algo = other.to_string();
                 spec_set = true;
@@ -60,10 +55,10 @@ fn main() -> std::io::Result<()> {
     let rx_sock = UdpSocket::bind("127.0.0.1:0")?;
     let rx_addr = rx_sock.local_addr()?;
     let tx_sock = UdpSocket::bind("127.0.0.1:0")?;
-    let path = match (hosted, batched) {
-        (true, _) => " through a shared CcHost",
-        (false, true) => " on 1-RTT batched reports",
-        (false, false) => "",
+    let path = if batched {
+        " on 1-RTT batched reports"
+    } else {
+        ""
     };
     println!("receiver on {rx_addr}, sending 16 MB of real datagrams with `{algo}`{path}...");
 
@@ -78,25 +73,11 @@ fn main() -> std::io::Result<()> {
         ..Default::default()
     };
     let rtt_hint = SimDuration::from_millis(1);
-    let report = if hosted {
-        let params = registry::CcParams::default()
-            .with_mss(wire_mss(&cfg))
-            .with_rtt_hint(rtt_hint);
-        let cc = match registry::by_name(&algo, &params) {
-            Ok(cc) => cc,
-            Err(unknown) => {
-                eprintln!("{unknown}");
-                std::process::exit(2);
-            }
-        };
-        send_hosted(&tx_sock, rx_addr, cfg, shared_host(), cc)?
-    } else {
-        match send_named(&tx_sock, rx_addr, cfg, &algo, rtt_hint)? {
-            Ok(report) => report,
-            Err(unknown) => {
-                eprintln!("{unknown}");
-                std::process::exit(2);
-            }
+    let report = match send_named(&tx_sock, rx_addr, cfg, &algo, rtt_hint)? {
+        Ok(report) => report,
+        Err(unknown) => {
+            eprintln!("{unknown}");
+            std::process::exit(2);
         }
     };
     let rx_report = rx.join().expect("receiver thread")?;

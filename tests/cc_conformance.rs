@@ -656,45 +656,3 @@ fn batched_reports_are_deterministic_end_to_end() {
         b.report.flows[0].sent_packets
     );
 }
-
-#[test]
-fn hosted_algorithms_decide_exactly_like_bare_ones() {
-    // `CcHost` claims a hosted algorithm makes bit-identical decisions to
-    // the same algorithm in-path. Every registered name, on its own
-    // feedback path, over a lossy link (so RNG draws, loss callbacks and
-    // timers all cross the host): same run fingerprint either way.
-    use pcc::scenarios::chaos::report_fingerprint;
-    use pcc::transport::{shared_host, HostedCc};
-    let rtt = SimDuration::from_millis(20);
-    let run = |name: &str, hosted: bool| {
-        let mut cc =
-            registry::by_name(name, &CcParams::default().with_rtt_hint(rtt)).expect("registered");
-        if hosted {
-            cc = Box::new(HostedCc::new(shared_host(), cc));
-        }
-        let mut net = NetworkBuilder::new(SimConfig {
-            sample_interval: SimDuration::from_millis(100),
-            seed: 17,
-        });
-        let mut db = Dumbbell::new(
-            &mut net,
-            LinkConfig::bottleneck(20e6, SimDuration::ZERO, 75_000).with_loss(0.005),
-        );
-        let path = db.attach_flow(&mut net, rtt);
-        net.add_flow(FlowSpec {
-            sender: Box::new(CcSender::new(CcSenderConfig::default(), cc)),
-            receiver: Box::new(SackReceiver::new()),
-            fwd_path: path.fwd,
-            rev_path: path.rev,
-            start_at: SimTime::ZERO,
-        });
-        report_fingerprint(&net.build().run_until(SimTime::from_secs(3)))
-    };
-    for name in all_names() {
-        assert_eq!(
-            run(&name, true),
-            run(&name, false),
-            "{name}: hosted and bare runs diverge"
-        );
-    }
-}
