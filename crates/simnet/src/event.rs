@@ -5,13 +5,19 @@
 //! the same instant fire in scheduling order, which makes every run with
 //! the same seed bit-identical.
 //!
-//! Most events come from sources that already emit them in time order — a
-//! link's serialization completions, a link's propagation arrivals. Each
-//! such source gets a FIFO **lane** (a `VecDeque`), and a small heap holds
-//! one key per non-empty lane; everything else (timers, control events, and
-//! any lane push that would go back in time) lives in the general heap.
-//! [`EventQueue::pop`] takes the smaller of the two tops, so the pop order
-//! is the total `(time, sequence)` order wherever an event was stored.
+//! Most events are due a fixed **delay** after the instant that schedules
+//! them (a serialization time, a propagation delay). The queue's clock is
+//! the time of the latest pop and never goes backwards;
+//! [`EventQueue::schedule_after`] puts an event in the FIFO **lane** bound
+//! to its delay. Each lane entry is one constant delay after a clock that
+//! only moves forward, so a lane is in `(time, sequence)` order by
+//! construction and no push can go back in time. A delay finds its lane
+//! slot by a multiplicative hash, tagged with the slot's delay; an empty
+//! slot rebinds to the next delay, and a push whose slot is busy with
+//! another delay goes to the heap, with timers, control events and shaped
+//! arrivals. A small heap keys each non-empty lane by its front entry, and
+//! [`EventQueue::pop`] takes the smaller top of the two heaps: the pop
+//! order is the total `(time, sequence)` order wherever an event is stored.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
@@ -19,7 +25,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::ids::{FlowId, LinkId, Side};
 use crate::packet::Packet;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Everything that can happen in the simulator.
 #[derive(Clone, Debug)]
@@ -80,24 +86,40 @@ impl Ord for Entry {
     }
 }
 
+/// log2 of the lane slot count. A simulator workload binds three delays
+/// (data and ACK serialization, propagation); spare slots avoid collisions.
+const LANE_BITS: u32 = 4;
+
+/// The lane slot of `delay`: Fibonacci hashing of its nanoseconds.
+fn lane_slot(delay: SimDuration) -> usize {
+    (delay.as_nanos().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - LANE_BITS)) as usize
+}
+
+/// Events each scheduled `delay` after the clock; `delay` is the slot's tag
+/// while `q` is non-empty.
+#[derive(Default)]
+struct Lane {
+    delay: SimDuration,
+    q: VecDeque<Entry>,
+}
+
 /// Deterministic earliest-first event queue.
 #[derive(Default)]
 pub struct EventQueue {
-    /// Events with no lane, and lane pushes that would have gone back in
-    /// time.
+    /// Events with no lane.
     heap: BinaryHeap<Entry>,
-    /// FIFO lanes; within each, entries are in `(at, seq)` order.
-    lanes: Vec<VecDeque<Entry>>,
-    /// One `(key, lane)` per non-empty lane: the `(at, seq)` of the lane's
+    /// Delay lanes by [`lane_slot`], each in `(at, seq)` order.
+    lanes: [Lane; 1 << LANE_BITS],
+    /// One `(key, slot)` per non-empty lane: the `(at, seq)` of the lane's
     /// front entry, reversed for earliest-first. `seq` is unique, so the
-    /// lane index never decides the order.
-    heads: BinaryHeap<(Reverse<(SimTime, u64)>, u32)>,
-    /// Entries currently held in lanes.
-    in_lanes: usize,
+    /// slot index never decides the order.
+    heads: BinaryHeap<(Reverse<(SimTime, u64)>, u8)>,
+    /// The time of the latest pop, never going backwards:
+    /// [`EventQueue::schedule_after`] counts from it.
+    clock: SimTime,
     next_seq: u64,
     scheduled: u64,
     lane_scheduled: u64,
-    lane_fallbacks: u64,
 }
 
 impl EventQueue {
@@ -116,14 +138,6 @@ impl EventQueue {
         }
     }
 
-    /// Add `n` FIFO lanes; they take the indices following the existing
-    /// lanes. A lane is for one source whose events are (almost always)
-    /// scheduled in non-decreasing time order.
-    pub fn add_lanes(&mut self, n: usize) {
-        self.lanes.resize_with(self.lanes.len() + n, VecDeque::new);
-        self.heads.reserve(n);
-    }
-
     fn next_entry(&mut self, at: SimTime, event: Event) -> Entry {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -131,32 +145,30 @@ impl EventQueue {
         Entry { at, seq, event }
     }
 
-    /// Schedule `event` to fire at absolute time `at`.
+    /// Schedule `event` to fire at absolute time `at`. A time before the
+    /// latest pop is allowed: it pops next, and the clock stays put.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
         let entry = self.next_entry(at, event);
         self.heap.push(entry);
     }
 
-    /// Schedule `event` at `at` through FIFO lane `lane`. Pop order is the
-    /// same as [`EventQueue::schedule`]'s; only the cost differs. A push
-    /// earlier than the lane's newest entry (a reordering shaper, a delay
-    /// that just fell) cannot join the lane and goes to the heap instead.
-    ///
-    /// # Panics
-    /// If `lane` was not created by [`EventQueue::add_lanes`].
-    pub fn schedule_in(&mut self, lane: usize, at: SimTime, event: Event) {
-        let entry = self.next_entry(at, event);
-        let q = &mut self.lanes[lane];
-        if q.back().is_some_and(|back| at < back.at) {
-            self.lane_fallbacks += 1;
+    /// Schedule `event` to fire `delay` after the latest pop (time zero
+    /// before the first). Pop order is the same as [`EventQueue::schedule`]'s
+    /// at that time; only the cost differs. The event joins the lane bound
+    /// to `delay`, unless that slot holds another delay's pending events.
+    pub fn schedule_after(&mut self, delay: SimDuration, event: Event) {
+        let entry = self.next_entry(self.clock + delay, event);
+        let slot = lane_slot(delay);
+        let lane = &mut self.lanes[slot];
+        if lane.q.is_empty() {
+            lane.delay = delay;
+            self.heads
+                .push((Reverse((entry.at, entry.seq)), slot as u8));
+        } else if lane.delay != delay {
             self.heap.push(entry);
             return;
         }
-        if q.is_empty() {
-            self.heads.push((Reverse((at, entry.seq)), lane as u32));
-        }
-        q.push_back(entry);
-        self.in_lanes += 1;
+        lane.q.push_back(entry);
         self.lane_scheduled += 1;
     }
 
@@ -172,12 +184,13 @@ impl EventQueue {
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         if !self.lane_is_next() {
-            return self.heap.pop().map(|e| (e.at, e.event));
+            let e = self.heap.pop()?;
+            self.clock = self.clock.max(e.at);
+            return Some((e.at, e.event));
         }
         let mut head = self.heads.peek_mut()?;
-        let q = &mut self.lanes[head.1 as usize];
+        let q = &mut self.lanes[head.1 as usize].q;
         let e = q.pop_front().expect("a lane with a head key is non-empty");
-        self.in_lanes -= 1;
         match q.front() {
             // Re-key in place: dropping the `PeekMut` sifts it down once.
             Some(next) => head.0 = Reverse((next.at, next.seq)),
@@ -185,6 +198,9 @@ impl EventQueue {
                 PeekMut::pop(head);
             }
         }
+        // Counted from an earlier clock, and everything popped since came
+        // before it: a lane entry never moves the clock back.
+        self.clock = e.at;
         Some((e.at, e.event))
     }
 
@@ -199,7 +215,7 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.in_lanes
+        self.heap.len() + self.lanes.iter().map(|l| l.q.len()).sum::<usize>()
     }
 
     /// True if no events are pending.
@@ -216,12 +232,6 @@ impl EventQueue {
     pub fn lane_scheduled(&self) -> u64 {
         self.lane_scheduled
     }
-
-    /// How many [`EventQueue::schedule_in`] pushes went to the heap because
-    /// they were earlier than their lane's newest entry.
-    pub fn lane_fallbacks(&self) -> u64 {
-        self.lane_fallbacks
-    }
 }
 
 #[cfg(test)]
@@ -230,6 +240,22 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    fn d(ms: u64) -> SimDuration {
+        SimDuration::from_millis(ms)
+    }
+
+    /// The first two whole-millisecond delays that share a lane slot, in
+    /// increasing order (there is one among the first slots + 1 delays).
+    pub(super) fn colliding_delays() -> (SimDuration, SimDuration) {
+        let mut seen = [None; 1 << LANE_BITS];
+        for ms in 1.. {
+            if let Some(first) = seen[lane_slot(d(ms))].replace(ms) {
+                return (d(first), d(ms));
+            }
+        }
+        unreachable!("the slot table is finite")
     }
 
     #[test]
@@ -291,58 +317,68 @@ mod tests {
     #[test]
     fn same_instant_duplicate_keeps_scheduling_order() {
         // The fault plane's duplication delivers a packet twice at one
-        // instant through one lane; a timer armed between them for that
-        // instant must still fire between them.
+        // instant through one delay lane; a timer armed between them for
+        // that instant must still fire between them.
         let mut q = EventQueue::new();
-        q.add_lanes(1);
-        q.schedule_in(0, t(7), Event::Fault { index: 0 });
+        q.schedule(t(3), Event::Sample);
+        q.pop();
+        q.schedule_after(d(4), Event::Fault { index: 0 });
         q.schedule(t(7), Event::Fault { index: 1 });
-        q.schedule_in(0, t(7), Event::Fault { index: 2 });
+        q.schedule_after(d(4), Event::Fault { index: 2 });
         assert_eq!(q.lane_scheduled(), 2);
         assert_eq!(drain(&mut q), vec![(t(7), 0), (t(7), 1), (t(7), 2)]);
     }
 
     #[test]
-    fn non_monotone_push_falls_back_to_the_heap() {
+    fn busy_colliding_slot_sends_the_push_to_the_heap() {
+        let (a, b) = colliding_delays();
         let mut q = EventQueue::new();
-        q.add_lanes(2);
-        q.schedule_in(0, t(10), Event::Fault { index: 0 });
-        q.schedule_in(0, t(20), Event::Fault { index: 1 });
-        // Earlier than the lane's back: cannot join the lane...
-        q.schedule_in(0, t(15), Event::Fault { index: 2 });
-        assert_eq!((q.lane_scheduled(), q.lane_fallbacks()), (2, 1));
-        // ...and the lane keeps accepting pushes at or after its back.
-        q.schedule_in(0, t(20), Event::Fault { index: 3 });
-        q.schedule_in(1, t(5), Event::Fault { index: 4 });
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.peek_time(), Some(t(5)));
+        q.schedule_after(b, Event::Fault { index: 0 });
+        // `a`'s slot holds `b`'s pending event, so `a` cannot join it.
+        q.schedule_after(a, Event::Fault { index: 1 });
+        q.schedule_after(b, Event::Fault { index: 2 });
+        assert_eq!((q.lane_scheduled(), q.len()), (2, 3));
+        assert_eq!(q.peek_time(), Some(SimTime::ZERO + a));
         assert_eq!(
             drain(&mut q),
-            vec![(t(5), 4), (t(10), 0), (t(15), 2), (t(20), 1), (t(20), 3)]
+            vec![
+                (SimTime::ZERO + a, 1),
+                (SimTime::ZERO + b, 0),
+                (SimTime::ZERO + b, 2)
+            ]
         );
     }
 
     #[test]
-    fn lane_that_empties_refills() {
+    fn emptied_slot_rebinds() {
+        let (a, b) = colliding_delays();
         let mut q = EventQueue::new();
-        q.add_lanes(1);
         for round in 0..3 {
-            let base = 10 * round as u64;
-            q.schedule_in(0, t(base + 1), Event::Fault { index: round });
-            q.schedule_in(0, t(base + 2), Event::Fault { index: round });
-            assert_eq!(q.len(), 2);
-            assert_eq!(
-                drain(&mut q),
-                vec![(t(base + 1), round), (t(base + 2), round)]
-            );
+            q.schedule_after(b, Event::Fault { index: round });
+            q.schedule_after(b, Event::Fault { index: round });
+            let at = SimTime::ZERO + b * (round as u64 + 1);
+            assert_eq!(drain(&mut q), vec![(at, round), (at, round)]);
             assert!(q.is_empty());
             assert_eq!(q.peek_time(), None);
         }
-        // An emptied lane has no back: an earlier time than it ever held
-        // is in order again.
-        q.schedule_in(0, t(1), Event::Fault { index: 9 });
-        assert_eq!(q.lane_fallbacks(), 0);
-        assert_eq!(drain(&mut q), vec![(t(1), 9)]);
+        // The drained slot takes the other delay: a lane push, no heap.
+        q.schedule_after(a, Event::Fault { index: 9 });
+        assert_eq!(q.lane_scheduled(), 7);
+        assert_eq!(drain(&mut q), vec![(SimTime::ZERO + b * 3 + a, 9)]);
+    }
+
+    #[test]
+    fn past_schedule_pops_first_and_leaves_the_clock() {
+        let mut q = EventQueue::new();
+        q.schedule(t(10), Event::Fault { index: 0 });
+        assert_eq!(q.pop().map(tagged), Some((t(10), 0)));
+        q.schedule_after(d(1), Event::Fault { index: 1 });
+        q.schedule(t(5), Event::Fault { index: 2 });
+        assert_eq!(q.pop().map(tagged), Some((t(5), 2)));
+        assert_eq!(q.clock, t(10));
+        // Still counted from t = 10, so it queues behind index 1.
+        q.schedule_after(d(1), Event::Fault { index: 3 });
+        assert_eq!(drain(&mut q), vec![(t(11), 1), (t(11), 3)]);
     }
 }
 
@@ -350,6 +386,9 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// More distinct delays than the table has slots, so some share one.
+    const DELAYS: u64 = (1 << LANE_BITS) + 8;
 
     proptest! {
         /// Events always pop in non-decreasing time order, and same-time
@@ -376,36 +415,44 @@ mod proptests {
         }
 
         /// The queue is a priority queue on `(at, seq)` wherever an event
-        /// is stored: under any interleaving of heap pushes, lane pushes
-        /// (ties and backward steps included) and pops, it agrees with a
-        /// sorted reference at every step.
+        /// is stored: under any interleaving of heap pushes (before the
+        /// clock included), delay-lane pushes (colliding delays included)
+        /// and pops, it agrees with a sorted reference at every step.
         #[test]
         fn pop_order_is_the_models_order(
-            ops in proptest::collection::vec((0u32..7, 0u64..12), 1..300),
+            ops in proptest::collection::vec((0u32..3, 0u64..DELAYS), 1..300),
         ) {
-            const LANES: u32 = 4;
+            let (_, b) = super::tests::colliding_delays();
+            prop_assert!(b < SimDuration::from_millis(DELAYS), "the alphabet holds a collision");
             let mut q = EventQueue::new();
-            q.add_lanes(LANES as usize);
             // Pending `(at, seq)` keys; `seq` doubles as the event's tag.
             let mut model: Vec<(SimTime, usize)> = Vec::new();
+            let mut clock = SimTime::ZERO;
             let mut seq = 0;
             for (op, ms) in ops {
-                let at = SimTime::from_millis(ms);
-                // Ops 0..LANES push through that lane, LANES pushes to the
-                // heap, the rest pop.
-                if op <= LANES {
-                    let event = Event::Fault { index: seq };
-                    if op < LANES {
-                        q.schedule_in(op as usize, at, event);
-                    } else {
+                let event = Event::Fault { index: seq };
+                match op {
+                    0 => {
+                        // Any absolute time, often before the clock.
+                        let at = SimTime::from_millis(ms * 3);
                         q.schedule(at, event);
+                        model.push((at, seq));
+                        seq += 1;
                     }
-                    model.push((at, seq));
-                    seq += 1;
-                } else {
-                    let want = model.iter().copied().min();
-                    model.retain(|&k| Some(k) != want);
-                    prop_assert_eq!(q.pop().map(super::tests::tagged), want);
+                    1 => {
+                        let delay = SimDuration::from_millis(ms);
+                        q.schedule_after(delay, event);
+                        model.push((clock + delay, seq));
+                        seq += 1;
+                    }
+                    _ => {
+                        let want = model.iter().copied().min();
+                        model.retain(|&k| Some(k) != want);
+                        if let Some((at, _)) = want {
+                            clock = clock.max(at);
+                        }
+                        prop_assert_eq!(q.pop().map(super::tests::tagged), want);
+                    }
                 }
                 prop_assert_eq!(q.len(), model.len());
                 prop_assert_eq!(q.is_empty(), model.is_empty());

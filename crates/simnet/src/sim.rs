@@ -220,14 +220,10 @@ pub struct SimReport {
     pub ended_at: SimTime,
     /// Total events processed (for performance accounting).
     pub events_processed: u64,
-    /// Events stored in a per-link FIFO lane of the event queue; every
-    /// other scheduled event went through its heap (for performance
-    /// accounting — pop order does not depend on it).
+    /// Events stored in a delay lane of the event queue; every other
+    /// scheduled event went through its heap (for performance accounting —
+    /// pop order does not depend on it).
     pub lane_events: u64,
-    /// Link events that were due earlier than their lane's newest entry
-    /// (a reordering shaper, a delay that just fell) and went through the
-    /// heap instead.
-    pub lane_fallbacks: u64,
     /// Churn-engine accounting (all zeros unless a [`ChurnDriver`] ran).
     pub churn: ChurnStats,
 }
@@ -323,12 +319,14 @@ impl NetworkBuilder {
 
     /// Finalize into a runnable [`Simulation`].
     pub fn build(self) -> Simulation {
-        // Packets in flight wait in their link's lanes; the heap holds
-        // only timers (a handful per flow: pacing, RTO, scan, controller,
-        // delayed ACK) and control events (one pending step per link).
+        // Link events wait in the queue's delay lanes, whatever the link
+        // count. The heap holds timers (19–21 pending per flow on
+        // `fabric_perm`; 4 618 of `churn_web`'s 5 335 entries are dead),
+        // control events (one pending step per scheduled link), shaped
+        // arrivals and lane-slot collisions; no lane is per link. The hint is
+        // a starting size; the heap grows by doubling.
         let hint = (self.flows.len() * 8 + self.links.len()).max(256);
-        let mut events = EventQueue::with_capacity(hint);
-        events.add_lanes(2 * self.links.len());
+        let events = EventQueue::with_capacity(hint);
         // Deriving is consumption-independent, so taking the fault stream
         // unconditionally leaves every other stream untouched.
         let fault_rng = self.rng.derive(FAULT_RNG_SALT);
@@ -359,16 +357,6 @@ impl NetworkBuilder {
             events_processed: 0,
         }
     }
-}
-
-/// The event-queue lane of `link`'s serialization completions.
-fn tx_lane(link: LinkId) -> usize {
-    2 * link.index()
-}
-
-/// The event-queue lane of arrivals that propagated over `link`.
-fn prop_lane(link: LinkId) -> usize {
-    2 * link.index() + 1
 }
 
 /// A runnable simulation.
@@ -493,15 +481,11 @@ impl Simulation {
                 let res = self.links[link.index()].tx_complete(self.now);
                 if let Some(next) = res.next_tx_done {
                     self.events
-                        .schedule_in(tx_lane(link), next, Event::TxComplete { link });
+                        .schedule_after(next - self.now, Event::TxComplete { link });
                 }
-                for (mut pkt, arrive_at) in [res.delivered, res.duplicate].into_iter().flatten() {
+                for (mut pkt, at) in [res.delivered, res.duplicate].into_iter().flatten() {
                     pkt.hop += 1;
-                    self.events.schedule_in(
-                        prop_lane(link),
-                        arrive_at,
-                        Event::Arrive { packet: pkt },
-                    );
+                    self.schedule_arrival(link, at, pkt);
                 }
             }
             Event::Arrive { packet } => {
@@ -704,12 +688,9 @@ impl Simulation {
             let out = link.egress(self.now);
             if let Some(at) = out.arrive {
                 pkt.hop += 1;
-                let lane = prop_lane(link_id);
-                self.events
-                    .schedule_in(lane, at, Event::Arrive { packet: pkt });
+                self.schedule_arrival(link_id, at, pkt);
                 if out.duplicated {
-                    self.events
-                        .schedule_in(lane, at, Event::Arrive { packet: pkt });
+                    self.schedule_arrival(link_id, at, pkt);
                 }
             }
             return;
@@ -718,14 +699,23 @@ impl Simulation {
             LinkOutcome::Accepted {
                 start_tx: Some(done),
             } => {
-                self.events.schedule_in(
-                    tx_lane(link_id),
-                    done,
-                    Event::TxComplete { link: link_id },
-                );
+                self.events
+                    .schedule_after(done - self.now, Event::TxComplete { link: link_id });
             }
             LinkOutcome::Accepted { start_tx: None } => {}
             LinkOutcome::Dropped => {}
+        }
+    }
+
+    /// Schedule `pkt`'s arrival at `at` over `link`: exactly the link's delay
+    /// from now joins that delay's lane; a shaped arrival goes by its time.
+    fn schedule_arrival(&mut self, link: LinkId, at: SimTime, pkt: Packet) {
+        let delay = self.links[link.index()].delay();
+        let event = Event::Arrive { packet: pkt };
+        if at == self.now + delay {
+            self.events.schedule_after(delay, event);
+        } else {
+            self.events.schedule(at, event);
         }
     }
 
@@ -940,7 +930,6 @@ impl Simulation {
             ended_at: self.now,
             events_processed: self.events_processed,
             lane_events: self.events.lane_scheduled(),
-            lane_fallbacks: self.events.lane_fallbacks(),
             churn: self.churn,
         }
     }
