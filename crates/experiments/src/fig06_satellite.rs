@@ -5,8 +5,8 @@
 //! PCC reaches 90% of capacity with a 7.5 KB buffer; Hybla manages only
 //! ~2 Mbps even with 1 MB (17×), Illinois 54× worse at 1 MB.
 
-use pcc_scenarios::links::run_satellite;
-use pcc_scenarios::Protocol;
+use pcc_scenarios::links::satellite_setup;
+use pcc_scenarios::{run_single, Protocol};
 use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::{fmt, runner, scaled, Opts, Table};
@@ -38,7 +38,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         &["buffer_kb", "pcc", "hybla", "illinois", "cubic", "newreno"],
     );
     let grid = runner::run_grid(opts, "fig06", BUFFERS, &protocols(), |&buf, proto| {
-        let r = run_satellite(proto.clone(), buf, dur, opts.seed);
+        let r = run_single(proto.clone(), satellite_setup(buf), dur, opts.seed);
         r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
     });
     for (&buf, cells) in BUFFERS.iter().zip(grid) {

@@ -11,8 +11,8 @@
 //! design, it holds high utilization at low loss rates where CUBIC
 //! collapses, giving the figure a post-paper comparison point.
 
-use pcc_scenarios::links::run_lossy;
-use pcc_scenarios::Protocol;
+use pcc_scenarios::links::lossy_setup;
+use pcc_scenarios::{run_single, Protocol};
 use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::{fmt, runner, scaled, Opts, Table};
@@ -40,7 +40,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         &["loss", "pcc", "bbr", "illinois", "cubic"],
     );
     let grid = runner::run_grid(opts, "fig07", LOSS_RATES, &protocols(), |&loss, proto| {
-        let r = run_lossy(proto.clone(), loss, dur, opts.seed);
+        let r = run_single(proto.clone(), lossy_setup(loss), dur, opts.seed);
         r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
     });
     for (&loss, cells) in LOSS_RATES.iter().zip(grid) {

@@ -5,8 +5,8 @@
 //! Paper result: PCC reaches 90% capacity with a 6-packet buffer (CUBIC:
 //! 2%, paced TCP: 30%) and 25% of capacity with a single-packet buffer.
 
-use pcc_scenarios::links::run_shallow;
-use pcc_scenarios::Protocol;
+use pcc_scenarios::links::shallow_setup;
+use pcc_scenarios::{run_single, Protocol};
 use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::{fmt, runner, scaled, Opts, Table};
@@ -35,7 +35,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         &["buffer_kb", "pcc", "tcp_pacing", "cubic"],
     );
     let grid = runner::run_grid(opts, "fig09", BUFFERS, &protocols(), |&buf, proto| {
-        let r = run_shallow(proto.clone(), buf, dur, opts.seed);
+        let r = run_single(proto.clone(), shallow_setup(buf), dur, opts.seed);
         r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
     });
     for (&buf, cells) in BUFFERS.iter().zip(grid) {

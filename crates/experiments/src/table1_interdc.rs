@@ -6,8 +6,8 @@
 //! pairs, SABUL 480–700, CUBIC 80–550, Illinois 90–560 (PCC beats Illinois
 //! by 5.2× on average).
 
-use pcc_scenarios::links::{run_interdc, INTERDC_PAIRS};
-use pcc_scenarios::Protocol;
+use pcc_scenarios::links::{interdc_setup, INTERDC_PAIRS};
+use pcc_scenarios::{run_single, Protocol};
 use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::{fmt, runner, scaled, Opts, Table};
@@ -37,7 +37,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         INTERDC_PAIRS,
         &protocols(),
         |pair, proto| {
-            let r = run_interdc(proto.clone(), pair, dur, opts.seed);
+            let r = run_single(proto.clone(), interdc_setup(pair), dur, opts.seed);
             r.throughput_in(0, SimTime::from_secs(warmup), SimTime::from_secs(secs))
         },
     );

@@ -1,10 +1,10 @@
 //! Fixed-path scenarios: satellite (Fig. 6), lossy links (Fig. 7), shallow
-//! buffers (Fig. 9), and inter-data-center paths (Table 1).
+//! buffers (Fig. 9), and inter-data-center paths (Table 1). Each is a
+//! [`LinkSetup`]; run one with [`crate::run_single`].
 
 use pcc_simnet::time::SimDuration;
 
-use crate::protocol::Protocol;
-use crate::setup::{run_single, LinkSetup, ScenarioResult};
+use crate::setup::LinkSetup;
 
 /// Fig. 6 parameters: the WINDS satellite link — 800 ms RTT, 42 Mbps,
 /// 0.74% random loss (§4.1.3).
@@ -22,16 +22,6 @@ pub fn satellite_setup(buffer_bytes: u64) -> LinkSetup {
         .with_ack_loss(SATELLITE_LOSS)
 }
 
-/// Run one protocol on the satellite link (Fig. 6 data point).
-pub fn run_satellite(
-    protocol: Protocol,
-    buffer_bytes: u64,
-    duration: SimDuration,
-    seed: u64,
-) -> ScenarioResult {
-    run_single(protocol, satellite_setup(buffer_bytes), duration, seed)
-}
-
 /// Fig. 7 parameters: 100 Mbps, 30 ms RTT, loss swept 0–6% on both
 /// directions (§4.1.4).
 pub fn lossy_setup(loss: f64) -> LinkSetup {
@@ -40,30 +30,10 @@ pub fn lossy_setup(loss: f64) -> LinkSetup {
         .with_ack_loss(loss)
 }
 
-/// Run one protocol on the lossy link (Fig. 7 data point).
-pub fn run_lossy(
-    protocol: Protocol,
-    loss: f64,
-    duration: SimDuration,
-    seed: u64,
-) -> ScenarioResult {
-    run_single(protocol, lossy_setup(loss), duration, seed)
-}
-
 /// Fig. 9 parameters: 100 Mbps, 30 ms RTT, buffer swept 1.5 KB – 375 KB
 /// (1 packet to 1×BDP), no random loss (§4.1.6).
 pub fn shallow_setup(buffer_bytes: u64) -> LinkSetup {
     LinkSetup::new(100e6, SimDuration::from_millis(30), buffer_bytes)
-}
-
-/// Run one protocol against a shallow buffer (Fig. 9 data point).
-pub fn run_shallow(
-    protocol: Protocol,
-    buffer_bytes: u64,
-    duration: SimDuration,
-    seed: u64,
-) -> ScenarioResult {
-    run_single(protocol, shallow_setup(buffer_bytes), duration, seed)
 }
 
 /// One Table-1 transmission pair: name and measured RTT (ms).
@@ -131,19 +101,11 @@ pub fn interdc_setup(pair: &InterDcPair) -> LinkSetup {
     )
 }
 
-/// Run one protocol on one Table-1 pair.
-pub fn run_interdc(
-    protocol: Protocol,
-    pair: &InterDcPair,
-    duration: SimDuration,
-    seed: u64,
-) -> ScenarioResult {
-    run_single(protocol, interdc_setup(pair), duration, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Protocol;
+    use crate::setup::run_single;
     use pcc_simnet::time::SimTime;
 
     #[test]
@@ -157,8 +119,8 @@ mod tests {
         // of the satellite capacity with a 7.5 KB (5-packet) bottleneck
         // buffer, where every TCP collapses.
         let dur = SimDuration::from_secs(60);
-        let pcc = run_satellite(Protocol::named("pcc"), 7_500, dur, 1);
-        let hybla = run_satellite(Protocol::Tcp("hybla"), 7_500, dur, 1);
+        let pcc = run_single(Protocol::named("pcc"), satellite_setup(7_500), dur, 1);
+        let hybla = run_single(Protocol::Tcp("hybla"), satellite_setup(7_500), dur, 1);
         let t_pcc = pcc.throughput_in(0, SimTime::from_secs(30), SimTime::from_secs(60));
         let t_hybla = hybla.throughput_in(0, SimTime::from_secs(30), SimTime::from_secs(60));
         assert!(
@@ -172,8 +134,8 @@ mod tests {
     fn lossy_pcc_resilient_cubic_collapses() {
         // Fig. 7 shape at 1% loss: PCC near capacity, CUBIC collapsed.
         let dur = SimDuration::from_secs(15);
-        let pcc = run_lossy(Protocol::named("pcc"), 0.01, dur, 2);
-        let cubic = run_lossy(Protocol::Tcp("cubic"), 0.01, dur, 2);
+        let pcc = run_single(Protocol::named("pcc"), lossy_setup(0.01), dur, 2);
+        let cubic = run_single(Protocol::Tcp("cubic"), lossy_setup(0.01), dur, 2);
         let t_pcc = pcc.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));
         let t_cubic = cubic.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));
         assert!(t_pcc > 70.0, "PCC holds capacity under 1% loss: {t_pcc}");
@@ -190,8 +152,8 @@ mod tests {
         // the same conditions that collapse CUBIC — running unmodified on
         // the simulator datapath, resolved purely by registry name.
         let dur = SimDuration::from_secs(15);
-        let bbr = run_lossy(Protocol::Named("bbr".into()), 0.01, dur, 4);
-        let cubic = run_lossy(Protocol::Tcp("cubic"), 0.01, dur, 4);
+        let bbr = run_single(Protocol::Named("bbr".into()), lossy_setup(0.01), dur, 4);
+        let cubic = run_single(Protocol::Tcp("cubic"), lossy_setup(0.01), dur, 4);
         let t_bbr = bbr.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));
         let t_cubic = cubic.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));
         assert!(t_bbr > 80.0, "BBR ≥80% utilization at 1% loss: {t_bbr}");
@@ -206,8 +168,8 @@ mod tests {
         // Fig. 9 shape: with a 9 KB (6-packet) buffer PCC reaches most of
         // capacity while CUBIC can't.
         let dur = SimDuration::from_secs(15);
-        let pcc = run_shallow(Protocol::named("pcc"), 9_000, dur, 3);
-        let cubic = run_shallow(Protocol::Tcp("cubic"), 9_000, dur, 3);
+        let pcc = run_single(Protocol::named("pcc"), shallow_setup(9_000), dur, 3);
+        let cubic = run_single(Protocol::Tcp("cubic"), shallow_setup(9_000), dur, 3);
         let t_pcc = pcc.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));
         let t_cubic = cubic.throughput_in(0, SimTime::from_secs(5), SimTime::from_secs(15));
         assert!(t_pcc > 60.0, "PCC with 6-packet buffer: {t_pcc} Mbps");

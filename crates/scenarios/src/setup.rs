@@ -15,8 +15,6 @@ pub enum QueueKind {
     DropTail,
     /// Per-flow DRR fair queueing (§4.4).
     Fq,
-    /// CoDel AQM (Fig. 17).
-    Codel,
     /// FQ-CoDel (Fig. 17's "CoDel + FQ").
     FqCodel,
     /// Fair queueing with a 16 MB buffer, ignoring `buffer_bytes` (Fig.
@@ -29,7 +27,6 @@ impl QueueKind {
         match self {
             QueueKind::DropTail => Box::new(DropTail::bytes(buffer_bytes)),
             QueueKind::Fq => Box::new(FairQueue::new(buffer_bytes)),
-            QueueKind::Codel => Box::new(Codel::bytes(buffer_bytes)),
             QueueKind::FqCodel => Box::new(fq_codel(buffer_bytes)),
             QueueKind::Bufferbloat => Box::new(FairQueue::new(16 * 1024 * 1024)),
         }

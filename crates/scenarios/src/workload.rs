@@ -8,7 +8,8 @@
 //!
 //! * [`SizeCdf`] — a flow-size distribution loaded from a plain-text
 //!   `size_cdf` file (bundled `web-search` and `cache-follower` profiles,
-//!   parsed with line-attributed errors like `LinkTrace`), sampled via
+//!   parsed by the same line reader as `LinkTrace`,
+//!   [`pcc_simnet::text`]), sampled via
 //!   inverse-CDF with linear interpolation on a derived [`SimRng`] stream.
 //! * [`Arrival`] — the arrival process: open-loop Poisson (the classic
 //!   M/G model) or deterministic intervals.
@@ -49,6 +50,7 @@ use std::rc::Rc;
 
 use pcc_simnet::link::LinkSchedule;
 use pcc_simnet::prelude::*;
+use pcc_simnet::text::{self, lines};
 
 use crate::protocol::Protocol;
 use crate::scenario::{Arrivals, Churn, Flow, Scenario};
@@ -60,30 +62,7 @@ const ARRIVAL_STREAM: u64 = 0x574C_4152_0000_0000;
 /// RNG stream tag for flow sizes ("WLSZ").
 const SIZE_STREAM: u64 = 0x574C_535A_0000_0000;
 
-/// A `size_cdf` file that failed to parse: the offending line and why
-/// (line 0 means the file as a whole).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CdfError {
-    /// 1-based line number in the input (0 for whole-file errors).
-    pub line: usize,
-    /// What was wrong with it.
-    pub reason: String,
-}
-
-impl std::fmt::Display for CdfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "size_cdf line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for CdfError {}
-
-fn err(line: usize, reason: impl Into<String>) -> CdfError {
-    CdfError {
-        line,
-        reason: reason.into(),
-    }
-}
+const SIZE_CDF: &str = "size_cdf";
 
 const BUILTIN: &[(&str, &str)] = &[
     (
@@ -112,56 +91,51 @@ pub struct SizeCdf {
 impl SizeCdf {
     /// Parse the plain-text `size_cdf` format (see the module docs).
     /// Returns the first offending line on failure, never panics.
-    pub fn parse(name: &str, text: &str) -> Result<SizeCdf, CdfError> {
+    pub fn parse(name: &str, text: &str) -> Result<SizeCdf, TextError> {
         let mut points: Vec<(u64, f64)> = Vec::new();
         let mut last_line = 0;
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut cols = line.split_whitespace();
-            let bytes_tok = cols.next().unwrap_or("");
-            let Some(prob_tok) = cols.next() else {
-                return Err(err(lineno, "expected two columns: `bytes cum_prob`"));
+        for (n, cols) in lines(text) {
+            let err = |reason: &str| Err(text::err(SIZE_CDF, n, reason));
+            let [bytes_tok, prob_tok] = cols[..] else {
+                return err(if cols.len() < 2 {
+                    "expected two columns: `bytes cum_prob`"
+                } else {
+                    "too many columns (expected `bytes cum_prob`)"
+                });
             };
-            if cols.next().is_some() {
-                return Err(err(lineno, "too many columns (expected `bytes cum_prob`)"));
-            }
-            let bytes: u64 = bytes_tok
-                .parse()
-                .map_err(|_| err(lineno, format!("bad byte count `{bytes_tok}`")))?;
-            let prob: f64 = prob_tok
-                .parse()
-                .map_err(|_| err(lineno, format!("bad probability `{prob_tok}`")))?;
+            let Ok(bytes) = bytes_tok.parse::<u64>() else {
+                return err(&format!("bad byte count `{bytes_tok}`"));
+            };
+            let prob = text::num(SIZE_CDF, n, prob_tok, "probability")?;
             if bytes == 0 {
-                return Err(err(lineno, "flow sizes must be positive"));
+                return err("flow sizes must be positive");
             }
-            if !prob.is_finite() || prob <= 0.0 || prob > 1.0 {
-                return Err(err(lineno, "cum_prob must be in (0, 1]"));
+            if prob <= 0.0 || prob > 1.0 {
+                return err("cum_prob must be in (0, 1]");
             }
             if let Some(&(pb, pp)) = points.last() {
                 if bytes <= pb {
-                    return Err(err(lineno, "byte sizes must be strictly increasing"));
+                    return err("byte sizes must be strictly increasing");
                 }
                 if prob < pp {
-                    return Err(err(lineno, "cum_prob must be non-decreasing"));
+                    return err("cum_prob must be non-decreasing");
                 }
             }
             points.push((bytes, prob));
-            last_line = lineno;
+            last_line = n;
         }
-        if points.is_empty() {
-            return Err(err(0, "distribution has no breakpoints"));
+        match points.last() {
+            None => Err(text::err(SIZE_CDF, 0, "distribution has no breakpoints")),
+            Some(&(_, p)) if p != 1.0 => Err(text::err(
+                SIZE_CDF,
+                last_line,
+                "last cum_prob must be exactly 1.0",
+            )),
+            Some(_) => Ok(SizeCdf {
+                name: name.to_string(),
+                points,
+            }),
         }
-        if points[points.len() - 1].1 != 1.0 {
-            return Err(err(last_line, "last cum_prob must be exactly 1.0"));
-        }
-        Ok(SizeCdf {
-            name: name.to_string(),
-            points,
-        })
     }
 
     /// Load a bundled distribution by name (see [`builtin_names`]).
@@ -475,9 +449,9 @@ impl ChurnConfig {
 
     /// Inject a fault script in the [`FaultScript::parse`] plain-text
     /// format (see [`crate::chaos`] for examples). Malformed text is a
-    /// line-attributed [`FaultError`] here, where it enters, not a panic
+    /// line-attributed [`TextError`] here, where it enters, not a panic
     /// when the run starts.
-    pub fn with_fault_script(mut self, script: &str) -> Result<ChurnConfig, FaultError> {
+    pub fn with_fault_script(mut self, script: &str) -> Result<ChurnConfig, TextError> {
         self.fault_script = Some(FaultScript::parse(script)?);
         Ok(self)
     }
@@ -813,48 +787,124 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use pcc_simnet::text::TextError;
     use proptest::prelude::*;
 
-    proptest! {
-        /// The parser never panics on junk: any input either parses into
-        /// a valid CDF or yields a line-attributed error.
-        #[test]
-        fn parse_never_panics(
-            bytes in collection::vec(0u8..128, 0..200)
-        ) {
-            let text: String = bytes.into_iter().map(|b| b as char).collect();
-            match SizeCdf::parse("fuzz", &text) {
-                Ok(cdf) => {
-                    prop_assert!(!cdf.points().is_empty());
-                    prop_assert_eq!(cdf.points().last().unwrap().1, 1.0);
-                }
-                Err(e) => prop_assert!(!e.reason.is_empty()),
-            }
-        }
+    /// Per-format column vocabularies, mixing legal values with ones the
+    /// format rejects. Entry `c` lists what column `c + 1` draws from;
+    /// column 0 is a running count (a time, or a byte count).
+    const SHAPES: [&[&str]; 3] = [
+        // trace: rate_mbps delay_ms loss
+        &["1 10 0.5 24 nan", "0 5 30 12 -1", "0 0.01 0.5 0.1 1"],
+        // fault script: event target duration probability
+        &[
+            "down up node_down node_up corrupt duplicate explode",
+            "0 1 2 7 x",
+            "0.5 1 3 0.1 -1",
+            "0.2 1 0 0.5 1.5",
+        ],
+        // size_cdf: cum_prob
+        &["0.5 0.9 1 1.0 1 0 -0.5 2"],
+    ];
 
-        /// Structured junk: random lines of numbers, still never panics,
-        /// and any accepted CDF is internally consistent (monotone with a
-        /// normalized tail).
-        #[test]
-        fn parse_structured_junk(
-            rows in proptest::collection::vec((0u64..5000, -1.0f64..2.0), 0..12)
-        ) {
-            let text: String = rows
-                .iter()
-                .map(|(b, p)| format!("{b} {p}\n"))
-                .collect();
-            if let Ok(cdf) = SizeCdf::parse("fuzz", &text) {
-                let pts = cdf.points();
-                for w in pts.windows(2) {
-                    prop_assert!(w[1].0 > w[0].0);
-                    prop_assert!(w[1].1 >= w[0].1);
+    /// The one input generator for every plain-text reader: raw byte junk,
+    /// or lines in one format's shape. Short shaped inputs let each
+    /// grammar accept often; long ones reach the ordering checks.
+    fn plain_text() -> impl Strategy<Value = String> {
+        let junk = collection::vec(0u8..128, 0..200)
+            .prop_map(|bytes| bytes.into_iter().map(char::from).collect::<String>());
+        prop_oneof![junk, shaped(3), shaped(13)]
+    }
+
+    /// Fewer than `max_rows` lines in one format's shape. The running count
+    /// starts at 0, 1 or 2 and may fall. A pick past a column's vocabulary,
+    /// or a column past the shape, is a random fraction in [0, 1).
+    fn shaped(max_rows: usize) -> impl Strategy<Value = String> {
+        // (step, width, column picks); steps 6 and 7 go back.
+        let row = (
+            0u64..8,
+            0usize..8,
+            collection::vec((0usize..12, 0.0f64..1.0), 5),
+        );
+        let rows = collection::vec(row, 0..max_rows);
+        (0usize..3, 0u64..3, rows).prop_map(|(format, mut at, rows)| {
+            let shape = SHAPES[format];
+            let mut text = String::new();
+            for (step, width, picks) in rows {
+                // Width 0 is a `loop` directive, 1 one column too many.
+                let width = match width {
+                    0 => {
+                        text += "loop ";
+                        0
+                    }
+                    1 => shape.len() + 1,
+                    w => 1 + w % shape.len(),
+                };
+                text += &at.to_string();
+                for (c, (pick, x)) in picks.into_iter().take(width).enumerate() {
+                    let vocab = shape.get(c).and_then(|v| v.split_whitespace().nth(pick));
+                    text += " ";
+                    text += &vocab.map_or_else(|| x.to_string(), str::to_string);
                 }
-                prop_assert_eq!(pts.last().unwrap().1, 1.0);
-                // And sampling from it stays in-support.
-                let mut rng = SimRng::new(3);
-                for _ in 0..32 {
-                    let s = cdf.sample(&mut rng);
-                    prop_assert!(s >= cdf.min_bytes() && s <= cdf.max_bytes());
+                text += "\n";
+                at = if step < 6 {
+                    at + step
+                } else {
+                    at.saturating_sub(step - 4)
+                };
+            }
+            text
+        })
+    }
+
+    /// An error names its format and a line that exists (0: the whole
+    /// input).
+    fn check_error(e: &TextError, format: &str, text: &str) {
+        prop_assert!(e.line <= text.lines().count(), "{e} in {text:?}");
+        prop_assert!(!e.reason.is_empty());
+        prop_assert!(e
+            .to_string()
+            .starts_with(&format!("{format} line {}: ", e.line)));
+    }
+
+    proptest! {
+        /// No input panics a reader. Each either names a real line or
+        /// yields a value that keeps its format's invariants.
+        #[test]
+        fn readers_never_panic(text in plain_text()) {
+            match LinkTrace::parse("fuzz", &text) {
+                Err(e) => check_error(&e, "trace", &text),
+                Ok(tr) => {
+                    let pts = tr.points();
+                    prop_assert_eq!(pts[0].at, SimDuration::ZERO);
+                    prop_assert!(pts.windows(2).all(|w| w[0].at < w[1].at));
+                    prop_assert!(tr.period().is_none_or(|p| p > pts[pts.len() - 1].at));
+                    prop_assert!(pts.iter().all(|p| p.rate_bps.is_finite() && p.rate_bps > 0.0));
+                }
+            }
+            match FaultScript::parse(&text) {
+                Err(e) => check_error(&e, "fault script", &text),
+                Ok(script) => {
+                    // Each line compiles into a start and at most one stop.
+                    prop_assert!(script.len() <= 2 * text.lines().count());
+                    for &(_, ev) in script.entries() {
+                        if let FaultEvent::CorruptOn { prob, .. } | FaultEvent::DuplicateOn { prob, .. } = ev {
+                            prop_assert!((0.0..=1.0).contains(&prob));
+                        }
+                    }
+                }
+            }
+            match SizeCdf::parse("fuzz", &text) {
+                Err(e) => check_error(&e, "size_cdf", &text),
+                Ok(cdf) => {
+                    let pts = cdf.points();
+                    prop_assert!(pts.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
+                    prop_assert_eq!(pts[pts.len() - 1].1, 1.0);
+                    let mut rng = SimRng::new(3);
+                    for _ in 0..32 {
+                        let s = cdf.sample(&mut rng);
+                        prop_assert!(s >= cdf.min_bytes() && s <= cdf.max_bytes());
+                    }
                 }
             }
         }

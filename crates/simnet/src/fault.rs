@@ -46,35 +46,13 @@
 //! per-packet tunnels.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 use crate::ids::{EdgeId, FlowId, LinkId, NodeId};
+use crate::text::{self, lines, TextError};
 use crate::time::SimTime;
 use crate::topo::{Router, Topology};
 
-/// A fault-script parse error, attributed to its source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub reason: String,
-}
-
-impl fmt::Display for FaultError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fault script line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for FaultError {}
-
-fn err(line: usize, reason: impl Into<String>) -> FaultError {
-    FaultError {
-        line,
-        reason: reason.into(),
-    }
-}
+const FAULT: &str = "fault script";
 
 /// One schedulable fault transition.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -169,136 +147,85 @@ impl FaultScript {
     /// Parse the plain-text format (see the module docs). Lines must be in
     /// non-decreasing start-time order; durations compile into a paired
     /// repair/stop event.
-    pub fn parse(text: &str) -> Result<FaultScript, FaultError> {
+    pub fn parse(text: &str) -> Result<FaultScript, TextError> {
         let mut script = FaultScript::new();
-        let mut last_start = None::<f64>;
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let cols: Vec<&str> = line.split_whitespace().collect();
+        let mut last_start = 0.0;
+        for (n, cols) in lines(text) {
+            let err = |reason: String| Err(text::err(FAULT, n, reason));
             if cols.len() < 3 {
-                return Err(err(lineno, "expected `time_s event target [args]`"));
+                return err("expected `time_s event target [args]`".into());
             }
-            let num = |field: &str, what: &str| -> Result<f64, FaultError> {
-                field
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|v| v.is_finite())
-                    .ok_or_else(|| err(lineno, format!("{what} is not a finite number: {field}")))
-            };
-            let t = num(cols[0], "time")?;
+            let t = text::num(FAULT, n, cols[0], "time")?;
             if t < 0.0 {
-                return Err(err(lineno, format!("time must be >= 0, got {t}")));
+                return err(format!("time must be >= 0, got {t}"));
             }
-            if let Some(prev) = last_start {
-                if t < prev {
-                    return Err(err(
-                        lineno,
-                        format!("start times must be non-decreasing ({t} after {prev})"),
-                    ));
+            if t < last_start {
+                return err(format!(
+                    "start times must be non-decreasing ({t} after {last_start})"
+                ));
+            }
+            last_start = t;
+            let Ok(target) = cols[2].parse::<u32>() else {
+                return err(format!("target is not an index: {}", cols[2]));
+            };
+            let (link, node) = (LinkId(target), NodeId(target));
+            let end = match cols.get(3) {
+                None => None,
+                Some(_) if matches!(cols[1], "up" | "node_up") => {
+                    return err(format!("`{}` takes no arguments after the target", cols[1]))
                 }
-            }
-            last_start = Some(t);
-            let target = cols[2]
-                .parse::<u32>()
-                .map_err(|_| err(lineno, format!("target is not an index: {}", cols[2])))?;
-            let at = SimTime::from_secs_f64(t);
-            let duration = |idx: usize| -> Result<Option<SimTime>, FaultError> {
-                match cols.get(idx) {
-                    None => Ok(None),
-                    Some(d) => {
-                        let d = num(d, "duration")?;
-                        if d <= 0.0 {
-                            return Err(err(lineno, format!("duration must be > 0, got {d}")));
-                        }
-                        Ok(Some(SimTime::from_secs_f64(t + d)))
+                Some(tok) => {
+                    let d = text::num(FAULT, n, tok, "duration")?;
+                    if d <= 0.0 {
+                        return err(format!("duration must be > 0, got {d}"));
                     }
+                    Some(SimTime::from_secs_f64(t + d))
                 }
             };
-            let prob = |idx: usize| -> Result<f64, FaultError> {
-                match cols.get(idx) {
-                    None => Ok(DEFAULT_FAULT_PROB),
-                    Some(p) => {
-                        let p = num(p, "probability")?;
-                        if !(0.0..=1.0).contains(&p) {
-                            return Err(err(
-                                lineno,
-                                format!("probability must be in [0, 1], got {p}"),
-                            ));
-                        }
-                        Ok(p)
-                    }
-                }
+            let prob = || match cols.get(4) {
+                None => Ok(DEFAULT_FAULT_PROB),
+                Some(tok) => match text::num(FAULT, n, tok, "probability")? {
+                    p if (0.0..=1.0).contains(&p) => Ok(p),
+                    p => Err(text::err(
+                        FAULT,
+                        n,
+                        format!("probability must be in [0, 1], got {p}"),
+                    )),
+                },
             };
-            match cols[1] {
-                "down" => {
-                    let link = LinkId(target);
-                    script.push(at, FaultEvent::LinkDown { link });
-                    if let Some(end) = duration(3)? {
-                        script.push(end, FaultEvent::LinkUp { link });
-                    }
+            let (start, stop) = match cols[1] {
+                "down" => (
+                    FaultEvent::LinkDown { link },
+                    Some(FaultEvent::LinkUp { link }),
+                ),
+                "up" => (FaultEvent::LinkUp { link }, None),
+                "node_down" => (
+                    FaultEvent::NodeDown { node },
+                    Some(FaultEvent::NodeUp { node }),
+                ),
+                "node_up" => (FaultEvent::NodeUp { node }, None),
+                "corrupt" | "duplicate" if end.is_none() => {
+                    return err(format!("`{}` requires a duration", cols[1]))
                 }
-                "up" => {
-                    if cols.len() > 3 {
-                        return Err(err(lineno, "`up` takes no arguments after the target"));
-                    }
-                    script.push(
-                        at,
-                        FaultEvent::LinkUp {
-                            link: LinkId(target),
-                        },
-                    );
-                }
-                "node_down" => {
-                    let node = NodeId(target);
-                    script.push(at, FaultEvent::NodeDown { node });
-                    if let Some(end) = duration(3)? {
-                        script.push(end, FaultEvent::NodeUp { node });
-                    }
-                }
-                "node_up" => {
-                    if cols.len() > 3 {
-                        return Err(err(lineno, "`node_up` takes no arguments after the target"));
-                    }
-                    script.push(
-                        at,
-                        FaultEvent::NodeUp {
-                            node: NodeId(target),
-                        },
-                    );
-                }
-                "corrupt" => {
-                    let link = LinkId(target);
-                    let end =
-                        duration(3)?.ok_or_else(|| err(lineno, "`corrupt` requires a duration"))?;
-                    script.push(
-                        at,
-                        FaultEvent::CorruptOn {
-                            link,
-                            prob: prob(4)?,
-                        },
-                    );
-                    script.push(end, FaultEvent::CorruptOff { link });
-                }
-                "duplicate" => {
-                    let link = LinkId(target);
-                    let end = duration(3)?
-                        .ok_or_else(|| err(lineno, "`duplicate` requires a duration"))?;
-                    script.push(
-                        at,
-                        FaultEvent::DuplicateOn {
-                            link,
-                            prob: prob(4)?,
-                        },
-                    );
-                    script.push(end, FaultEvent::DuplicateOff { link });
-                }
-                other => {
-                    return Err(err(lineno, format!("unknown event `{other}`")));
-                }
+                "corrupt" => (
+                    FaultEvent::CorruptOn {
+                        link,
+                        prob: prob()?,
+                    },
+                    Some(FaultEvent::CorruptOff { link }),
+                ),
+                "duplicate" => (
+                    FaultEvent::DuplicateOn {
+                        link,
+                        prob: prob()?,
+                    },
+                    Some(FaultEvent::DuplicateOff { link }),
+                ),
+                other => return err(format!("unknown event `{other}`")),
+            };
+            script.push(SimTime::from_secs_f64(t), start);
+            if let (Some(end), Some(stop)) = (end, stop) {
+                script.push(end, stop);
             }
         }
         Ok(script)

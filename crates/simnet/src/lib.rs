@@ -9,13 +9,13 @@
 //! ## Architecture
 //!
 //! * [`event::EventQueue`] — `(time, sequence)`-ordered scheduler with
-//!   deterministic tie-breaking: a FIFO lane per link-event source beside a
-//!   binary heap for timers and control events.
+//!   deterministic tie-breaking: FIFO lanes keyed by a fixed scheduling
+//!   delay beside a binary heap for timers and control events.
 //! * [`link::Link`] — serialization rate + propagation delay + Bernoulli
 //!   egress loss, with an attached [`queue::Queue`] discipline and optional
 //!   time-varying [`link::LinkSchedule`].
-//! * [`queue`] — DropTail, DRR [`queue::FairQueue`], RFC 8289
-//!   [`queue::Codel`], and FQ-CoDel.
+//! * [`queue`] — DropTail, DRR [`queue::FairQueue`], and FQ-CoDel
+//!   ([`queue::fq_codel`], DRR with the RFC 8289 CoDel law per flow).
 //! * [`shaper::LinkShaper`] — per-link impairment stage: stochastic
 //!   jitter, bounded reordering, and token-bucket policing.
 //! * [`trace::LinkTrace`] — trace-driven time-varying capacity: a
@@ -33,6 +33,9 @@
 //! * [`fault`] — deterministic fault-injection plane: scripted link/node
 //!   failures, corruption, and duplication ([`fault::FaultScript`] →
 //!   [`fault::FaultPlane`]), with post-failure ECMP re-resolution.
+//! * [`text`] — the one reader behind every plain-text input (traces,
+//!   fault scripts, flow-size CDFs): `#` comments, blank lines, columns,
+//!   and one [`text::TextError`] that names its format and line.
 //!
 //! ## Example
 //!
@@ -73,6 +76,7 @@ pub mod shaper;
 pub mod sim;
 pub mod stats;
 pub mod sync;
+pub mod text;
 pub mod time;
 pub mod topo;
 pub mod topology;
@@ -81,11 +85,11 @@ pub mod trace;
 /// Convenient glob-import of the simulator's main types.
 pub mod prelude {
     pub use crate::endpoint::{Action, Endpoint, EndpointCtx};
-    pub use crate::fault::{FaultError, FaultEvent, FaultPlane, FaultScript};
+    pub use crate::fault::{FaultEvent, FaultPlane, FaultScript};
     pub use crate::ids::{Direction, EdgeId, FlowId, LinkId, NodeId, Side};
     pub use crate::link::{LinkConfig, LinkSchedule, LinkStep};
     pub use crate::packet::{AckInfo, DataInfo, Packet, PacketKind};
-    pub use crate::queue::{fq_codel, Codel, DropTail, FairQueue, Queue};
+    pub use crate::queue::{fq_codel, DropTail, FairQueue, Queue};
     pub use crate::rng::SimRng;
     pub use crate::shaper::{JitterConfig, PolicerConfig, ShaperConfig};
     pub use crate::sim::{
@@ -96,6 +100,7 @@ pub mod prelude {
         convergence_time, jain_index, jain_index_at_scale, mean, percentile, std_dev, FlowStats,
         StallInfo,
     };
+    pub use crate::text::TextError;
     pub use crate::time::{rate_bps, tx_time, SimDuration, SimTime};
     pub use crate::topo::{
         ecmp_key, fat_tree, leaf_spine, link_usage, DcLinkSpec, FatTree, LeafSpine, LinkUse,

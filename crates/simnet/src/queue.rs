@@ -1,12 +1,11 @@
 //! Queue disciplines for bottleneck links.
 //!
-//! Three types cover everything the paper's evaluation needs:
+//! Two types cover everything the paper's evaluation needs:
 //!
 //! * [`DropTail`] — plain FIFO with a byte limit (all of §4.1).
 //! * [`FairQueue`] — per-flow deficit round robin with longest-queue drop
-//!   (the FQ of §4.4); built by [`fq_codel`] it also keeps per-flow CoDel
-//!   state (Fig. 17's "CoDel + FQ").
-//! * [`Codel`] — the CoDel AQM per RFC 8289 (Fig. 17).
+//!   (the FQ of §4.4); built by [`fq_codel`] it also runs the RFC 8289
+//!   CoDel law per flow (Fig. 17's "CoDel + FQ").
 //!
 //! "Bufferbloat" in Fig. 17 is simply a [`DropTail`] with a very deep buffer.
 //!
@@ -337,8 +336,8 @@ enum CodelVerdict {
     Drop,
 }
 
-/// The CoDel control-law state machine, shared by [`Codel`] and [`FairQueue`]
-/// (FQ-CoDel). One instance per (sub-)queue.
+/// The CoDel control-law state machine of [`fq_codel`]: one instance per
+/// flow queue.
 #[derive(Clone, Copy, Debug)]
 struct CodelState {
     first_above_time: Option<SimTime>,
@@ -414,76 +413,6 @@ impl CodelState {
                 Some(fat) => now >= fat,
             }
         }
-    }
-}
-
-/// Single-FIFO CoDel queue.
-pub struct Codel {
-    q: VecDeque<Packet>,
-    bytes: u64,
-    limit_bytes: u64,
-    state: CodelState,
-    stats: QueueStats,
-}
-
-impl Codel {
-    /// CoDel with `limit_bytes` of physical buffer.
-    pub fn bytes(limit_bytes: u64) -> Self {
-        Codel {
-            q: VecDeque::new(),
-            bytes: 0,
-            limit_bytes,
-            state: CodelState::new(),
-            stats: QueueStats::default(),
-        }
-    }
-}
-
-impl Queue for Codel {
-    fn enqueue(&mut self, mut pkt: Packet, now: SimTime) -> bool {
-        if self.bytes + pkt.bytes as u64 > self.limit_bytes {
-            self.stats.dropped_tail += 1;
-            self.stats.dropped_bytes += pkt.bytes as u64;
-            return false;
-        }
-        pkt.enqueued_at = now;
-        self.bytes += pkt.bytes as u64;
-        self.q.push_back(pkt);
-        self.stats.enqueued += 1;
-        self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.bytes);
-        true
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        loop {
-            let head = *self.q.front()?;
-            match self.state.on_dequeue(now, head.enqueued_at, self.bytes) {
-                CodelVerdict::Drop => {
-                    self.q.pop_front();
-                    self.bytes -= head.bytes as u64;
-                    self.stats.dropped_aqm += 1;
-                    self.stats.dropped_bytes += head.bytes as u64;
-                }
-                CodelVerdict::Pass => {
-                    self.q.pop_front();
-                    self.bytes -= head.bytes as u64;
-                    self.stats.dequeued += 1;
-                    return Some(head);
-                }
-            }
-        }
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    fn len_pkts(&self) -> usize {
-        self.q.len()
-    }
-
-    fn stats(&self) -> QueueStats {
-        self.stats
     }
 }
 
@@ -615,9 +544,11 @@ mod tests {
         assert_conserved(&q);
     }
 
+    // The three CoDel-law tests below offer flow 0 only, so FQ-CoDel is one
+    // CoDel queue.
     #[test]
     fn codel_no_drops_below_target() {
-        let mut q = Codel::bytes(1 << 20);
+        let mut q = fq_codel(1 << 20);
         // Sojourn stays at 1 ms << 5 ms target: CoDel never drops.
         let mut now = t(0);
         for s in 0..1000u64 {
@@ -630,7 +561,7 @@ mod tests {
 
     #[test]
     fn codel_drops_on_persistent_queue() {
-        let mut q = Codel::bytes(1 << 20);
+        let mut q = fq_codel(1 << 20);
         // Build a standing queue, then dequeue slowly: sojourn stays far
         // above the 5 ms target for longer than the 100 ms interval.
         let mut now = t(0);
@@ -651,7 +582,7 @@ mod tests {
 
     #[test]
     fn codel_recovers_when_queue_drains() {
-        let mut q = Codel::bytes(1 << 20);
+        let mut q = fq_codel(1 << 20);
         let mut now = t(0);
         for s in 0..200u64 {
             q.enqueue(pkt(0, s, 1500), now);
@@ -767,14 +698,6 @@ mod proptests {
         #[test]
         fn fq_codel_conservation(ops in proptest::collection::vec(op_strategy(), 1..300)) {
             let mut q = fq_codel(8000);
-            let offered = ops.iter().filter(|o| matches!(o, Op::Enq { .. })).count() as u64;
-            run_ops(&mut q, &ops, SimDuration::from_millis(3));
-            prop_assert!(conservation_holds(&q, offered));
-        }
-
-        #[test]
-        fn codel_conservation(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-            let mut q = Codel::bytes(8000);
             let offered = ops.iter().filter(|o| matches!(o, Op::Enq { .. })).count() as u64;
             run_ops(&mut q, &ops, SimDuration::from_millis(3));
             prop_assert!(conservation_holds(&q, offered));

@@ -23,7 +23,8 @@
 //! ```
 //!
 //! * `#` starts a comment (whole-line or trailing); blank lines are
-//!   ignored.
+//!   ignored; errors name their line ([`crate::text`], the reader every
+//!   plain-text input shares).
 //! * An optional `loop <period_s>` directive makes the trace repeat with
 //!   that period; the period must be strictly greater than the last
 //!   sample's time. Without it, the final sample holds forever.
@@ -42,6 +43,7 @@
 //! [`LinkTrace::builtin`]; enumerate them with [`builtin_names`].
 
 use crate::link::{LinkSchedule, LinkStep};
+use crate::text::{self, lines, TextError};
 use crate::time::{SimDuration, SimTime};
 
 /// One piecewise-constant sample of a [`LinkTrace`].
@@ -67,29 +69,7 @@ pub struct LinkTrace {
     period: Option<SimDuration>,
 }
 
-/// A trace file that failed to parse: the offending line and why.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceError {
-    /// 1-based line number in the input.
-    pub line: usize,
-    /// What was wrong with it.
-    pub reason: String,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-fn err(line: usize, reason: impl Into<String>) -> TraceError {
-    TraceError {
-        line,
-        reason: reason.into(),
-    }
-}
+const TRACE: &str = "trace";
 
 const BUILTIN: &[(&str, &str)] = &[
     ("lte", include_str!("../traces/lte.trace")),
@@ -106,37 +86,32 @@ impl LinkTrace {
     /// Build a trace from parts (scenario generators use this; files go
     /// through [`LinkTrace::parse`]). Points must start at offset zero
     /// and be strictly time-ordered; a `period`, if given, must exceed
-    /// the last point's offset.
+    /// the last point's offset. Errors name line 0: there is no text.
     pub fn from_points(
         name: &str,
         points: Vec<TracePoint>,
         period: Option<SimDuration>,
-    ) -> Result<LinkTrace, TraceError> {
-        if points.is_empty() {
-            return Err(err(0, "trace has no samples"));
-        }
+    ) -> Result<LinkTrace, TextError> {
+        let err = |reason| Err(text::err(TRACE, 0, reason));
+        let Some(last) = points.last() else {
+            return err("trace has no samples");
+        };
         if points[0].at != SimDuration::ZERO {
-            return Err(err(0, "first sample must be at time 0"));
+            return err("first sample must be at time 0");
         }
-        for w in points.windows(2) {
-            if w[1].at <= w[0].at {
-                return Err(err(0, "sample times must be strictly increasing"));
-            }
+        if points.windows(2).any(|w| w[1].at <= w[0].at) {
+            return err("sample times must be strictly increasing");
         }
         for p in &points {
             if !(p.rate_bps.is_finite() && p.rate_bps > 0.0) {
-                return Err(err(0, "rate must be a positive finite number"));
+                return err("rate must be a positive finite number");
             }
-            if let Some(l) = p.loss {
-                if !(0.0..1.0).contains(&l) {
-                    return Err(err(0, "loss must be in [0, 1)"));
-                }
+            if p.loss.is_some_and(|l| !(0.0..1.0).contains(&l)) {
+                return err("loss must be in [0, 1)");
             }
         }
-        if let Some(period) = period {
-            if period <= points[points.len() - 1].at {
-                return Err(err(0, "loop period must exceed the last sample time"));
-            }
+        if period.is_some_and(|p| p <= last.at) {
+            return err("loop period must exceed the last sample time");
         }
         Ok(LinkTrace {
             name: name.to_string(),
@@ -147,95 +122,73 @@ impl LinkTrace {
 
     /// Parse the plain-text trace format (see the module docs). Returns
     /// the first offending line on failure, never panics.
-    pub fn parse(name: &str, text: &str) -> Result<LinkTrace, TraceError> {
-        let mut points = Vec::new();
+    pub fn parse(name: &str, text: &str) -> Result<LinkTrace, TextError> {
+        let mut points: Vec<TracePoint> = Vec::new();
         let mut period = None;
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("loop") {
+        for (n, cols) in lines(text) {
+            let err = |reason: &str| Err(text::err(TRACE, n, reason));
+            if let Some(glued) = cols[0].strip_prefix("loop") {
                 if period.is_some() {
-                    return Err(err(lineno, "duplicate `loop` directive"));
+                    return err("duplicate `loop` directive");
                 }
-                let secs: f64 = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(lineno, format!("bad loop period `{}`", rest.trim())))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(err(lineno, "loop period must be positive"));
+                // `loop 60`, or the period glued on as `loop60`.
+                let tok = match (glued, &cols[1..]) {
+                    ("", &[tok]) | (tok, &[]) => tok,
+                    _ => return err("expected `loop <period_s>`"),
+                };
+                let secs = text::num(TRACE, n, tok, "loop period")?;
+                if secs <= 0.0 {
+                    return err("loop period must be positive");
                 }
                 period = Some(SimDuration::from_secs_f64(secs));
                 continue;
             }
-            let cols: Vec<&str> = line.split_whitespace().collect();
             if !(2..=4).contains(&cols.len()) {
-                return Err(err(
-                    lineno,
-                    format!(
-                        "expected 2-4 columns (time_s rate_mbps [delay_ms [loss]]), got {}",
-                        cols.len()
-                    ),
+                let got = cols.len();
+                return err(&format!(
+                    "expected 2-4 columns (time_s rate_mbps [delay_ms [loss]]), got {got}"
                 ));
             }
-            let num = |col: usize, what: &str| -> Result<f64, TraceError> {
-                cols[col]
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|v| v.is_finite())
-                    .ok_or_else(|| err(lineno, format!("bad {what} `{}`", cols[col])))
+            let col = |i: usize, what| {
+                cols.get(i)
+                    .map(|tok| text::num(TRACE, n, tok, what))
+                    .transpose()
             };
-            let t = num(0, "time")?;
+            let t = text::num(TRACE, n, cols[0], "time")?;
             if t < 0.0 {
-                return Err(err(lineno, "time must be non-negative"));
+                return err("time must be non-negative");
             }
-            let rate_mbps = num(1, "rate")?;
+            let rate_mbps = text::num(TRACE, n, cols[1], "rate")?;
             if rate_mbps <= 0.0 {
-                return Err(err(
-                    lineno,
-                    "rate must be positive (model outages via loss)",
-                ));
+                return err("rate must be positive (model outages via loss)");
             }
-            let delay = if cols.len() >= 3 {
-                let ms = num(2, "delay")?;
-                if ms < 0.0 {
-                    return Err(err(lineno, "delay must be non-negative"));
-                }
-                Some(SimDuration::from_secs_f64(ms / 1e3))
-            } else {
-                None
-            };
-            let loss = if cols.len() >= 4 {
-                let l = num(3, "loss")?;
-                if !(0.0..1.0).contains(&l) {
-                    return Err(err(lineno, "loss must be in [0, 1)"));
-                }
-                Some(l)
-            } else {
-                None
-            };
+            let delay_ms = col(2, "delay")?;
+            if delay_ms.is_some_and(|ms| ms < 0.0) {
+                return err("delay must be non-negative");
+            }
+            let loss = col(3, "loss")?;
+            if loss.is_some_and(|l| !(0.0..1.0).contains(&l)) {
+                return err("loss must be in [0, 1)");
+            }
             let at = SimDuration::from_secs_f64(t);
-            if let Some(last) = points.last() {
-                let last: &TracePoint = last;
-                if at <= last.at {
-                    return Err(err(lineno, "sample times must be strictly increasing"));
+            match points.last() {
+                Some(last) if at <= last.at => {
+                    return err("sample times must be strictly increasing")
                 }
-            } else if at != SimDuration::ZERO {
-                return Err(err(lineno, "first sample must be at time 0"));
+                None if at != SimDuration::ZERO => return err("first sample must be at time 0"),
+                _ => {}
             }
             points.push(TracePoint {
                 at,
                 rate_bps: rate_mbps * 1e6,
-                delay,
+                delay: delay_ms.map(|ms| SimDuration::from_secs_f64(ms / 1e3)),
                 loss,
             });
         }
-        LinkTrace::from_points(name, points, period).map_err(|mut e| {
+        LinkTrace::from_points(name, points, period).map_err(|e| TextError {
             // from_points re-checks structure it cannot attribute to a line.
-            e.line = text.lines().count();
-            e
+            line: text.lines().count(),
+            ..e
         })
     }
 

@@ -8,8 +8,8 @@
 //! cargo run --release --example satellite
 //! ```
 
-use pcc::scenarios::links::run_satellite;
-use pcc::scenarios::Protocol;
+use pcc::scenarios::links::satellite_setup;
+use pcc::scenarios::{run_single, Protocol};
 use pcc::simnet::time::{SimDuration, SimTime};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     let mut results = Vec::new();
     for proto in contenders {
         let label = proto.label().to_string();
-        let r = run_satellite(proto, buffer, dur, 7);
+        let r = run_single(proto, satellite_setup(buffer), dur, 7);
         let tput = r.throughput_in(0, SimTime::from_secs(30), SimTime::from_secs(60));
         results.push((label, tput));
     }

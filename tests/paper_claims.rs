@@ -5,9 +5,9 @@
 //! simulator + transport + controller + scenario layers at once.
 
 use pcc::prelude::*;
-use pcc::scenarios::links::{run_lossy, run_satellite, run_shallow};
+use pcc::scenarios::links::{lossy_setup, satellite_setup, shallow_setup};
 use pcc::scenarios::power::{pcc_interactive, pcc_loss_resilient, run_high_loss, run_power};
-use pcc::scenarios::{run_dumbbell, FlowPlan, LinkSetup, Protocol, QueueKind};
+use pcc::scenarios::{run_dumbbell, run_single, FlowPlan, LinkSetup, Protocol, QueueKind};
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -18,8 +18,8 @@ fn secs(s: u64) -> SimTime {
 #[test]
 fn claim_random_loss_resilience() {
     let dur = SimDuration::from_secs(20);
-    let pcc = run_lossy(Protocol::named("pcc"), 0.01, dur, 1);
-    let cubic = run_lossy(Protocol::Tcp("cubic"), 0.01, dur, 1);
+    let pcc = run_single(Protocol::named("pcc"), lossy_setup(0.01), dur, 1);
+    let cubic = run_single(Protocol::Tcp("cubic"), lossy_setup(0.01), dur, 1);
     let t_pcc = pcc.throughput_in(0, secs(8), secs(20));
     let t_cubic = cubic.throughput_in(0, secs(8), secs(20));
     assert!(t_pcc > 80.0, "PCC ≈ capacity at 1% loss: {t_pcc:.1}");
@@ -31,8 +31,8 @@ fn claim_random_loss_resilience() {
 #[test]
 fn claim_satellite() {
     let dur = SimDuration::from_secs(60);
-    let pcc = run_satellite(Protocol::named("pcc"), 7_500, dur, 2);
-    let hybla = run_satellite(Protocol::Tcp("hybla"), 7_500, dur, 2);
+    let pcc = run_single(Protocol::named("pcc"), satellite_setup(7_500), dur, 2);
+    let hybla = run_single(Protocol::Tcp("hybla"), satellite_setup(7_500), dur, 2);
     let t_pcc = pcc.throughput_in(0, secs(30), secs(60));
     let t_hybla = hybla.throughput_in(0, secs(30), secs(60));
     assert!(t_pcc > 25.0, "PCC most of 42 Mbps: {t_pcc:.1}");
@@ -43,7 +43,7 @@ fn claim_satellite() {
 #[test]
 fn claim_shallow_buffer() {
     let dur = SimDuration::from_secs(15);
-    let pcc = run_shallow(Protocol::named("pcc"), 9_000, dur, 3);
+    let pcc = run_single(Protocol::named("pcc"), shallow_setup(9_000), dur, 3);
     let t = pcc.throughput_in(0, secs(5), secs(15));
     assert!(t > 60.0, "PCC with 9 KB buffer on 100 Mbps: {t:.1}");
 }
@@ -97,9 +97,9 @@ fn claim_extreme_loss_with_fq() {
 #[test]
 fn claim_deterministic_replay() {
     let run = |seed| {
-        let r = run_lossy(
+        let r = run_single(
             Protocol::named("pcc"),
-            0.02,
+            lossy_setup(0.02),
             SimDuration::from_secs(5),
             seed,
         );
@@ -131,7 +131,7 @@ fn claim_all_protocols_functional() {
         Protocol::named("pcp"),
     ] {
         let label = proto.label().to_string();
-        let r = pcc::scenarios::run_single(
+        let r = run_single(
             proto,
             LinkSetup::new(20e6, rtt, 75_000),
             SimDuration::from_secs(10),
