@@ -527,6 +527,52 @@ mod tests {
     }
 
     #[test]
+    fn golden_fingerprints_pin_the_zero_delay_hop_fallbacks() {
+        // A dumbbell's bottleneck has no delay of its own, so a packet
+        // reaches the next hop at the instant its serialization completes.
+        // Two cases still make that arrival wait in the event queue, and
+        // each run below reaches one: a fault-plane duplicate delivered
+        // with its original (383 of them here), and a paced sender's next
+        // departure falling due at that same instant (23 323 here).
+        // Fingerprints and lane counts captured on the queue that scheduled
+        // every arrival.
+        use crate::chaos::report_fingerprint;
+
+        let rtt = SimDuration::from_millis(30);
+        let setup = LinkSetup::new(50e6, rtt, 187_500);
+        let mut db = Dumbbell::graph(setup.bottleneck(LinkSchedule::new()));
+        let flow = Flow::new(
+            db.source(),
+            db.add_receiver(rtt, 0.0),
+            Protocol::Tcp("cubic"),
+        );
+        let script = "1.0 duplicate 0 2.0 0.05\n";
+        let duplicated = Scenario {
+            flows: vec![flow],
+            faults: Some(FaultScript::parse(script).expect("a valid script")),
+            ..Scenario::new(db.into_topology(), 42)
+        }
+        .run(SimTime::from_secs(4))
+        .report;
+        let paced = run_single(
+            Protocol::named("cubic-paced"),
+            setup,
+            SimDuration::from_secs(8),
+            42,
+        )
+        .report;
+        assert!(duplicated.links[0].stats.fault_duplicated > 0);
+        assert_eq!(
+            [&duplicated, &paced].map(|r| (report_fingerprint(r), r.lane_events)),
+            [
+                (0x3f01_615e_debc_bae7, 66_252),
+                (0x54b3_3399_7a1f_8431, 131_463)
+            ],
+            "fingerprints or lane counts moved (duplicate, paced tie)"
+        );
+    }
+
+    #[test]
     fn golden_fingerprints_pin_both_feedback_paths() {
         // What crosses the `CongestionControl` seam, pinned per algorithm
         // family: the four algorithms with a report estimator of their own

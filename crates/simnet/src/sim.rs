@@ -483,6 +483,10 @@ impl Simulation {
                     self.events
                         .schedule_after(next - self.now, Event::TxComplete { link });
                 }
+                #[cfg(test)]
+                if res.delivered.is_some_and(|(_, at)| at == self.now) {
+                    self.arrival_pops_next(res.duplicate.is_some());
+                }
                 for (mut pkt, at) in [res.delivered, res.duplicate].into_iter().flatten() {
                     pkt.hop += 1;
                     self.schedule_arrival(link, at, pkt);
@@ -516,6 +520,22 @@ impl Simulation {
                 }
             }
         }
+    }
+
+    /// True when an `Arrive` scheduled now, for now, would be the very next
+    /// pop: no duplicate is scheduled behind it, and nothing else is due at
+    /// this instant.
+    #[cfg(test)]
+    fn arrival_pops_next(&self, duplicated: bool) -> bool {
+        if duplicated {
+            tests::count_fallback(tests::Fallback::Duplicate);
+            return false;
+        }
+        let tie = self.events.peek_time().is_some_and(|t| t <= self.now);
+        if tie {
+            tests::count_fallback(tests::Fallback::Tie);
+        }
+        !tie
     }
 
     /// Apply one fault-plane schedule entry: link state changes, per-fault
@@ -938,6 +958,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultEvent, FaultPlane, FaultScript};
     use crate::packet::AckInfo;
 
     /// A sender that emits `count` packets at fixed spacing, one per timer.
@@ -1001,6 +1022,111 @@ mod tests {
         let fwd = nb.add_link(LinkConfig::bottleneck(rate_bps, one_way, 64_000));
         let rev = nb.add_link(LinkConfig::delay_only(one_way));
         (nb, fwd, rev)
+    }
+
+    /// Why a zero-delay hop's arrival went into the event queue instead of
+    /// being routed in place.
+    #[derive(Clone, Copy)]
+    pub(super) enum Fallback {
+        /// A fault-plane duplicate follows it.
+        Duplicate,
+        /// Another event is due at the same instant.
+        Tie,
+    }
+
+    thread_local! {
+        /// This test thread's fallback counts, indexed by [`Fallback`].
+        static FALLBACKS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+    }
+
+    pub(super) fn count_fallback(why: Fallback) {
+        FALLBACKS.with(|c| {
+            let mut n = c.get();
+            n[why as usize] += 1;
+            c.set(n);
+        });
+    }
+
+    /// Take this thread's fallback counts, `[duplicate, tie]`.
+    fn take_fallbacks() -> [u64; 2] {
+        FALLBACKS.with(|c| c.take())
+    }
+
+    /// One `TickSender` flow over a zero-delay 10 Mbit/s bottleneck (link
+    /// 0) and a 5 ms shim, the shape of a scenario dumbbell, with ACKs back
+    /// over 5 ms; `script` runs on the fault plane. Returns the report and
+    /// the fallback counts of the run.
+    fn run_zero_delay_hop(spacing: SimDuration, script: FaultScript) -> (SimReport, [u64; 2]) {
+        let mut nb = NetworkBuilder::new(SimConfig {
+            sample_interval: SimDuration::from_millis(100),
+            seed: 7,
+        });
+        let bottleneck = nb.add_link(LinkConfig::bottleneck(10e6, SimDuration::ZERO, 64_000));
+        let shim = nb.add_link(LinkConfig::delay_only(SimDuration::from_millis(5)));
+        let rev = nb.add_link(LinkConfig::delay_only(SimDuration::from_millis(5)));
+        nb.add_flow(FlowSpec {
+            sender: Box::new(TickSender {
+                next_seq: 0,
+                count: 500,
+                spacing,
+                acked: 0,
+            }),
+            receiver: Box::new(EchoReceiver { received: 0 }),
+            fwd_path: vec![bottleneck, shim],
+            rev_path: vec![rev],
+            start_at: SimTime::ZERO,
+        });
+        nb.set_fault_plane(FaultPlane::new(script));
+        take_fallbacks();
+        let report = nb.build().run_until(SimTime::from_secs(2));
+        (report, take_fallbacks())
+    }
+
+    /// What a change to the event loop must not move: the event count and
+    /// the flow's delivery.
+    fn delivery(r: &SimReport) -> (u64, u64, u64, Option<SimTime>) {
+        let f = &r.flows[0];
+        (
+            r.events_processed,
+            f.delivered_packets,
+            f.rtt_sum_ns,
+            f.completed_at,
+        )
+    }
+
+    #[test]
+    fn zero_delay_hop_waits_behind_its_duplicate() {
+        let mut script = FaultScript::new();
+        let link = LinkId(0);
+        script.push(
+            SimTime::from_millis(100),
+            FaultEvent::DuplicateOn { link, prob: 0.5 },
+        );
+        script.push(SimTime::from_millis(400), FaultEvent::DuplicateOff { link });
+        let (r, [duplicate, tie]) = run_zero_delay_hop(SimDuration::from_millis(2), script);
+        assert!(r.links[0].stats.fault_duplicated > 0);
+        assert!(
+            duplicate > 0 && tie == 0,
+            "{duplicate} duplicates, {tie} ties"
+        );
+        // Captured with every zero-delay arrival scheduled.
+        let done = SimTime::from_nanos(865_200_000);
+        assert_eq!(delivery(&r), (2_740, 572, 6_406_400_000, Some(done)));
+    }
+
+    #[test]
+    fn zero_delay_hop_waits_behind_a_same_instant_event() {
+        // A departure every serialization time (1 500 B at 10 Mbit/s): the
+        // sender's next timer, armed just after the link scheduled its
+        // completion, falls due at that completion's instant.
+        let spacing = SimDuration::from_micros(1200);
+        let (r, [duplicate, tie]) = run_zero_delay_hop(spacing, FaultScript::new());
+        assert!(
+            duplicate == 0 && tie > 0,
+            "{duplicate} duplicates, {tie} ties"
+        );
+        let done = SimTime::from_millis(610);
+        assert_eq!(delivery(&r), (2_522, 500, 5_600_000_000, Some(done)));
     }
 
     #[test]
