@@ -363,7 +363,11 @@ mod tests {
         // (The three pcc fabric values were re-pinned once: finished
         // senders stopped ticking their controller to the horizon, which
         // moved the event count folded into the fingerprint and no
-        // per-flow counter.)
+        // per-flow counter. The churn value was re-pinned once, from
+        // 0x3825_46ff_6868_73c8, when a retired flow's timer stopped being
+        // an event: 204 557 events became 199 977, 4 580 fewer, which is
+        // its `stale_timers` on both sides. Every harvested flow and every
+        // other churn counter is unchanged.)
         use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
         use crate::dc::{run_ft_permutation, run_ls_mix, run_rack_incast, LsFabric};
         use crate::vary::run_trace;
@@ -439,7 +443,7 @@ mod tests {
             (
                 "churn benchmark 3000",
                 run_churn(churn_benchmark_config(3000, 1)).fingerprint(),
-                0x3825_46ff_6868_73c8,
+                0x3837_6aff_6887_46f4,
             ),
             (
                 "dumbbell cubic batched",
@@ -530,12 +534,14 @@ mod tests {
     fn golden_fingerprints_pin_the_zero_delay_hop_fallbacks() {
         // A dumbbell's bottleneck has no delay of its own, so a packet
         // reaches the next hop at the instant its serialization completes.
-        // Two cases still make that arrival wait in the event queue, and
-        // each run below reaches one: a fault-plane duplicate delivered
-        // with its original (383 of them here), and a paced sender's next
-        // departure falling due at that same instant (23 323 here).
-        // Fingerprints and lane counts captured on the queue that scheduled
-        // every arrival.
+        // The simulation routes it in place, except in two cases where the
+        // arrival still waits in the event queue. Each run below reaches
+        // one: a fault-plane duplicate delivered with its original (383
+        // times here), and a paced sender's next departure falling due at
+        // that same instant (23 323 times). Fingerprints captured when
+        // every arrival was scheduled. The lane counts were 66 252 and
+        // 131 463 then, and fell by exactly the hops routed in place
+        // (15 908 and 9 558); routing a fallback case in place moves them.
         use crate::chaos::report_fingerprint;
 
         let rtt = SimDuration::from_millis(30);
@@ -565,8 +571,8 @@ mod tests {
         assert_eq!(
             [&duplicated, &paced].map(|r| (report_fingerprint(r), r.lane_events)),
             [
-                (0x3f01_615e_debc_bae7, 66_252),
-                (0x54b3_3399_7a1f_8431, 131_463)
+                (0x3f01_615e_debc_bae7, 50_344),
+                (0x54b3_3399_7a1f_8431, 121_905)
             ],
             "fingerprints or lane counts moved (duplicate, paced tie)"
         );

@@ -18,6 +18,13 @@
 //! arrivals. A small heap keys each non-empty lane by its front entry, and
 //! [`EventQueue::pop`] takes the smaller top of the two heaps: the pop
 //! order is the total `(time, sequence)` order wherever an event is stored.
+//!
+//! The simulation keeps two kinds of event out of the queue without
+//! changing that order. A zero-delay hop's arrival that would be the very
+//! next pop is never scheduled: it is routed in place (see
+//! `Simulation::arrival_pops_next`). A retired churn flow's timers, which
+//! would only be discarded when they came due, leave the heap in batches
+//! through [`EventQueue::retain_heap`].
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
@@ -211,6 +218,26 @@ impl EventQueue {
         } else {
             self.heap.peek().map(|e| e.at)
         }
+    }
+
+    /// Drop every event in the heap that fails `keep`; returns how many
+    /// went. Lanes are not walked. Removing entries leaves the others'
+    /// `(time, sequence)` order as it was.
+    pub fn retain_heap(&mut self, mut keep: impl FnMut(&Event) -> bool) -> usize {
+        let before = self.heap.len();
+        self.heap.retain(|e| keep(&e.event));
+        before - self.heap.len()
+    }
+
+    /// Number of pending events in the heap, the lanes left out.
+    pub fn heap_len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The events in the heap, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn heap_events(&self) -> impl Iterator<Item = &Event> {
+        self.heap.iter().map(|e| &e.event)
     }
 
     /// Number of pending events.

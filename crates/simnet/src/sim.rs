@@ -21,6 +21,9 @@ use crate::time::{SimDuration, SimTime};
 /// seed (`"FAUL"`); per-fault streams derive from it by schedule index.
 const FAULT_RNG_SALT: u64 = 0x4641_554C;
 
+/// Dead timers a heap may hold before any purge, however small it is.
+const DEAD_TIMER_FLOOR: usize = 256;
+
 /// Global simulation parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
@@ -102,7 +105,10 @@ pub struct ChurnStats {
     pub recycled: u64,
     /// Packets dropped on arrival because their flow had already retired.
     pub stale_packets: u64,
-    /// Timers discarded because their flow had already retired.
+    /// Timers discarded because their flow had already retired: every timer
+    /// a retired flow left armed, whether it came due first, a purge took
+    /// it out of the heap, or it was still pending at the horizon. None of
+    /// them counts as an event.
     pub stale_timers: u64,
 }
 
@@ -183,9 +189,24 @@ impl FlowRuntime {
 struct FlowSlot {
     gen: u32,
     rt: Option<FlowRuntime>,
+    /// Timers the current tenant has armed that have not fired yet.
+    timers: u32,
 }
 
 impl FlowSlot {
+    fn new(rt: Option<FlowRuntime>) -> Self {
+        FlowSlot {
+            gen: 0,
+            rt,
+            timers: 0,
+        }
+    }
+
+    /// True if the live tenant is the one that stamped `gen`.
+    fn owns(&self, gen: u32) -> bool {
+        self.gen == gen && self.rt.is_some()
+    }
+
     /// The live tenant, or `None` for a retired (free-listed) slot.
     fn live(&self) -> Option<&FlowRuntime> {
         self.rt.as_ref()
@@ -218,11 +239,13 @@ pub struct SimReport {
     pub sample_interval: SimDuration,
     /// When the run ended.
     pub ended_at: SimTime,
-    /// Total events processed (for performance accounting).
+    /// Total events processed (for performance accounting). A zero-delay
+    /// hop routed in place counts as the `Arrive` it stood in for.
     pub events_processed: u64,
     /// Events stored in a delay lane of the event queue; every other
-    /// scheduled event went through its heap (for performance accounting —
-    /// pop order does not depend on it).
+    /// scheduled event went through its heap, and a zero-delay hop routed
+    /// in place was never stored (for performance accounting — pop order
+    /// does not depend on it).
     pub lane_events: u64,
     /// Churn-engine accounting (all zeros unless a [`ChurnDriver`] ran).
     pub churn: ChurnStats,
@@ -310,21 +333,25 @@ impl NetworkBuilder {
         let id = FlowId(self.flows.len() as u32);
         let sender_rng = self.rng.derive(0x534E_4400_0000 + id.0 as u64);
         let receiver_rng = self.rng.derive(0x5243_5600_0000 + id.0 as u64);
-        self.flows.push(FlowSlot {
-            gen: 0,
-            rt: Some(FlowRuntime::new(spec, sender_rng, receiver_rng, None)),
-        });
+        self.flows.push(FlowSlot::new(Some(FlowRuntime::new(
+            spec,
+            sender_rng,
+            receiver_rng,
+            None,
+        ))));
         id
     }
 
     /// Finalize into a runnable [`Simulation`].
     pub fn build(self) -> Simulation {
         // Link events wait in the queue's delay lanes, whatever the link
-        // count. The heap holds timers (19–21 pending per flow on
-        // `fabric_perm`; 4 618 of `churn_web`'s 5 335 entries are dead),
-        // control events (one pending step per scheduled link), shaped
-        // arrivals and lane-slot collisions; no lane is per link. The hint is
-        // a starting size; the heap grows by doubling.
+        // count, and a zero-delay hop is often routed without an event at
+        // all. The heap holds live timers (19–21 pending per flow on
+        // `fabric_perm`), retired flows' timers until the next purge (at
+        // most half the heap past a floor), control events (one pending
+        // step per scheduled link), shaped arrivals and lane-slot
+        // collisions; no lane is per link. The hint is a starting size; the
+        // heap grows by doubling.
         let hint = (self.flows.len() * 8 + self.links.len()).max(256);
         let events = EventQueue::with_capacity(hint);
         // Deriving is consumption-independent, so taking the fault stream
@@ -352,6 +379,7 @@ impl NetworkBuilder {
                 ..ChurnStats::default()
             },
             live_count: live,
+            dead_timers: 0,
             record_series: self.record_series,
             scratch: Vec::new(),
             events_processed: 0,
@@ -383,6 +411,8 @@ pub struct Simulation {
     churn_seq: u64,
     churn: ChurnStats,
     live_count: u64,
+    /// Timers of retired flows still in the event queue's heap.
+    dead_timers: usize,
     record_series: bool,
     scratch: Vec<Action>,
     events_processed: u64,
@@ -428,6 +458,12 @@ impl Simulation {
 
     /// Run until `horizon` (inclusive), then produce the report.
     pub fn run_until(mut self, horizon: SimTime) -> SimReport {
+        self.run_to(horizon);
+        self.finalize()
+    }
+
+    /// Process every event due up to `horizon`, leaving the rest queued.
+    fn run_to(&mut self, horizon: SimTime) {
         self.bootstrap();
         // The horizon fixes the series lengths exactly; reserve once.
         let samples = (horizon.as_nanos() / self.config.sample_interval.as_nanos().max(1))
@@ -446,6 +482,9 @@ impl Simulation {
         }
         while let Some((at, event)) = self.events.pop() {
             if at > horizon {
+                // Back into the queue unprocessed, so it ends holding
+                // exactly what is still pending.
+                self.events.schedule(at, event);
                 break;
             }
             self.now = at;
@@ -453,7 +492,12 @@ impl Simulation {
             self.dispatch(event, horizon);
         }
         self.now = horizon;
-        self.finalize()
+        // The timers retired flows left armed past the horizon are
+        // discarded too, so `stale_timers` does not depend on when purges
+        // ran.
+        if self.dead_timers > 0 {
+            self.purge_dead_timers();
+        }
     }
 
     fn dispatch(&mut self, event: Event, horizon: SimTime) {
@@ -468,13 +512,17 @@ impl Simulation {
                 token,
                 gen,
             } => {
-                let slot = &self.flows[flow.index()];
-                if slot.gen != gen || slot.rt.is_none() {
-                    // The slot was recycled after this timer was armed: it
-                    // belongs to a retired flow, never to the new tenant.
-                    self.churn.stale_timers += 1;
-                } else {
+                let slot = &mut self.flows[flow.index()];
+                if slot.owns(gen) {
+                    slot.timers -= 1;
                     self.call_endpoint(flow, side, |e, ctx| e.on_timer(token, ctx));
+                } else {
+                    // Armed by a retired flow, never by the slot's new
+                    // tenant, and it came due before a purge took it:
+                    // discarded, and not an event.
+                    self.dead_timers -= 1;
+                    self.churn.stale_timers += 1;
+                    self.events_processed -= 1;
                 }
             }
             Event::TxComplete { link } => {
@@ -483,12 +531,19 @@ impl Simulation {
                     self.events
                         .schedule_after(next - self.now, Event::TxComplete { link });
                 }
-                #[cfg(test)]
-                if res.delivered.is_some_and(|(_, at)| at == self.now) {
-                    self.arrival_pops_next(res.duplicate.is_some());
+                let Some((mut pkt, at)) = res.delivered else {
+                    return;
+                };
+                pkt.hop += 1;
+                if at == self.now && self.arrival_pops_next(res.duplicate.is_some()) {
+                    // A zero-delay hop whose `Arrive` would be the very next
+                    // pop: route the packet now, and count it as that event.
+                    self.events_processed += 1;
+                    self.route(pkt);
+                    return;
                 }
-                for (mut pkt, at) in [res.delivered, res.duplicate].into_iter().flatten() {
-                    pkt.hop += 1;
+                self.schedule_arrival(link, at, pkt);
+                if res.duplicate.is_some() {
                     self.schedule_arrival(link, at, pkt);
                 }
             }
@@ -524,14 +579,16 @@ impl Simulation {
 
     /// True when an `Arrive` scheduled now, for now, would be the very next
     /// pop: no duplicate is scheduled behind it, and nothing else is due at
-    /// this instant.
-    #[cfg(test)]
+    /// this instant. Its sequence number would be the newest, so anything
+    /// already due now pops before it; anything later pops after it.
     fn arrival_pops_next(&self, duplicated: bool) -> bool {
         if duplicated {
+            #[cfg(test)]
             tests::count_fallback(tests::Fallback::Duplicate);
             return false;
         }
         let tie = self.events.peek_time().is_some_and(|t| t <= self.now);
+        #[cfg(test)]
         if tie {
             tests::count_fallback(tests::Fallback::Tie);
         }
@@ -636,7 +693,7 @@ impl Simulation {
                 i as usize
             }
             None => {
-                self.flows.push(FlowSlot { gen: 0, rt: None });
+                self.flows.push(FlowSlot::new(None));
                 self.flows.len() - 1
             }
         };
@@ -658,6 +715,7 @@ impl Simulation {
             return;
         };
         slot.gen = slot.gen.wrapping_add(1);
+        self.dead_timers += std::mem::take(&mut slot.timers) as usize;
         self.live_count -= 1;
         if rt.stats.completed_at.is_some() {
             self.churn.completions += 1;
@@ -672,6 +730,23 @@ impl Simulation {
             // harvest and deliver it when the driver is re-installed.
             None => self.pending_harvest.push((rt.tag, rt.stats)),
         }
+        // Amortised O(1) per dead timer: a purge walks the heap only once
+        // the dead outnumber half of it.
+        if self.dead_timers > DEAD_TIMER_FLOOR.max(self.events.heap_len() / 2) {
+            self.purge_dead_timers();
+        }
+    }
+
+    /// Take every timer of a retired flow out of the event queue's heap.
+    fn purge_dead_timers(&mut self) {
+        let flows = &self.flows;
+        let purged = self.events.retain_heap(|event| match *event {
+            Event::Timer { flow, gen, .. } => flows[flow.index()].owns(gen),
+            _ => true,
+        });
+        debug_assert_eq!(purged, self.dead_timers, "every dead timer is counted");
+        self.churn.stale_timers += purged as u64;
+        self.dead_timers = 0;
     }
 
     /// Move `pkt` along its path: offer to the next link, or deliver to the
@@ -817,7 +892,9 @@ impl Simulation {
             }
             Action::SetTimer { at, token } => {
                 let at = if at < self.now { self.now } else { at };
-                let gen = self.flows[flow.index()].gen;
+                let slot = &mut self.flows[flow.index()];
+                slot.timers += 1;
+                let gen = slot.gen;
                 self.events.schedule(
                     at,
                     Event::Timer {
@@ -1847,6 +1924,61 @@ mod tests {
         // slot; the generation check must discard it (either endpoint would
         // panic if it fired).
         assert!(c.stale_timers >= 1, "leaked timer was discarded: {c:?}");
+    }
+
+    /// Admits a `TimerLeaker` every millisecond, `count` in all.
+    struct LeakerStream {
+        admitted: u64,
+        count: u64,
+        fwd: LinkId,
+        rev: LinkId,
+    }
+
+    impl ChurnDriver for LeakerStream {
+        fn next_arrival(&mut self, _now: SimTime) -> Option<(SimTime, ChurnFlow)> {
+            if self.admitted == self.count {
+                return None;
+            }
+            self.admitted += 1;
+            Some((
+                SimTime::from_millis(self.admitted),
+                ChurnFlow {
+                    sender: Box::new(TimerLeaker),
+                    receiver: Box::new(EchoReceiver { received: 0 }),
+                    fwd_path: vec![self.fwd],
+                    rev_path: vec![self.rev],
+                    tag: self.admitted,
+                },
+            ))
+        }
+
+        fn on_flow_complete(&mut self, _tag: u64, _stats: &FlowStats, _now: SimTime) {}
+    }
+
+    #[test]
+    fn retired_flows_leave_no_timer_in_the_heap() {
+        // Each flow retires ~10 ms after it arrives with its 300 ms timer
+        // still armed. Some of those timers come due before a purge takes
+        // them, most are purged first, and the last ~100 are still pending
+        // at the horizon.
+        let (mut nb, fwd, rev) = two_way_net(100e6, SimDuration::from_millis(5));
+        nb.set_churn_driver(Box::new(LeakerStream {
+            admitted: 0,
+            count: 1_000,
+            fwd,
+            rev,
+        }));
+        let mut sim = nb.build();
+        sim.run_to(SimTime::from_millis(1_200));
+        let orphaned = sim
+            .events
+            .heap_events()
+            .filter(|e| matches!(e, Event::Timer { flow, gen, .. } if !sim.flows[flow.index()].owns(*gen)))
+            .count();
+        assert_eq!(orphaned, 0, "timers of retired flows left in the heap");
+        let c = sim.finalize().churn;
+        assert_eq!(c.completions, 1_000);
+        assert_eq!(c.stale_timers, 1_000, "every orphaned timer is counted");
     }
 
     #[test]
