@@ -24,7 +24,7 @@
 //! next pop is never scheduled: it is routed in place (see
 //! `Simulation::arrival_pops_next`). A retired churn flow's timers, which
 //! would only be discarded when they came due, leave the heap in batches
-//! through [`EventQueue::retain_heap`].
+//! through `EventQueue::retain_heap`.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
@@ -223,14 +223,14 @@ impl EventQueue {
     /// Drop every event in the heap that fails `keep`; returns how many
     /// went. Lanes are not walked. Removing entries leaves the others'
     /// `(time, sequence)` order as it was.
-    pub fn retain_heap(&mut self, mut keep: impl FnMut(&Event) -> bool) -> usize {
+    pub(crate) fn retain_heap(&mut self, mut keep: impl FnMut(&Event) -> bool) -> usize {
         let before = self.heap.len();
         self.heap.retain(|e| keep(&e.event));
         before - self.heap.len()
     }
 
     /// Number of pending events in the heap, the lanes left out.
-    pub fn heap_len(&self) -> usize {
+    pub(crate) fn heap_len(&self) -> usize {
         self.heap.len()
     }
 

@@ -186,6 +186,7 @@ impl FlowRuntime {
 /// One arena slot: a generation counter plus the current tenant, if any.
 /// The generation increments on every retire, so packets and timers stamped
 /// with an older generation can never alias the slot's next tenant.
+#[derive(Default)]
 struct FlowSlot {
     gen: u32,
     rt: Option<FlowRuntime>,
@@ -194,14 +195,6 @@ struct FlowSlot {
 }
 
 impl FlowSlot {
-    fn new(rt: Option<FlowRuntime>) -> Self {
-        FlowSlot {
-            gen: 0,
-            rt,
-            timers: 0,
-        }
-    }
-
     /// True if the live tenant is the one that stamped `gen`.
     fn owns(&self, gen: u32) -> bool {
         self.gen == gen && self.rt.is_some()
@@ -333,12 +326,10 @@ impl NetworkBuilder {
         let id = FlowId(self.flows.len() as u32);
         let sender_rng = self.rng.derive(0x534E_4400_0000 + id.0 as u64);
         let receiver_rng = self.rng.derive(0x5243_5600_0000 + id.0 as u64);
-        self.flows.push(FlowSlot::new(Some(FlowRuntime::new(
-            spec,
-            sender_rng,
-            receiver_rng,
-            None,
-        ))));
+        self.flows.push(FlowSlot {
+            rt: Some(FlowRuntime::new(spec, sender_rng, receiver_rng, None)),
+            ..FlowSlot::default()
+        });
         id
     }
 
@@ -693,7 +684,7 @@ impl Simulation {
                 i as usize
             }
             None => {
-                self.flows.push(FlowSlot::new(None));
+                self.flows.push(FlowSlot::default());
                 self.flows.len() - 1
             }
         };
