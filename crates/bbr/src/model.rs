@@ -265,6 +265,145 @@ mod tests {
         assert_eq!(s.delivered(), 1);
     }
 
+    /// The sampler as a `BTreeMap` keyed by sequence, pruned by
+    /// `split_off` on every ACK: the reference the ring-backed sampler must
+    /// match sample for sample.
+    #[derive(Default)]
+    struct TreeSampler {
+        delivered: u64,
+        records: std::collections::BTreeMap<u64, SendRecord>,
+    }
+
+    impl TreeSampler {
+        fn on_sent(&mut self, seq: u64, now: SimTime, retx: bool) {
+            if !retx {
+                let delivered = self.delivered;
+                let rec = SendRecord {
+                    delivered,
+                    sent_at: now,
+                };
+                self.records.insert(seq, rec);
+            }
+        }
+
+        fn on_ack(
+            &mut self,
+            seq: u64,
+            cum_ack: u64,
+            newly_acked: u32,
+            of_retx: bool,
+            mss: u32,
+            now: SimTime,
+        ) -> Option<RateSample> {
+            self.delivered += u64::from(newly_acked);
+            let rec = self.records.remove(&seq);
+            self.records = self.records.split_off(&cum_ack);
+            let rec = rec?;
+            let interval = now.saturating_since(rec.sent_at);
+            if of_retx || interval.is_zero() {
+                return None;
+            }
+            let pkts = self.delivered.saturating_sub(rec.delivered) as f64;
+            Some(RateSample {
+                bw_bps: pkts * mss as f64 * 8.0 / interval.as_secs_f64(),
+                delivered_at_send: rec.delivered,
+            })
+        }
+
+        fn on_loss(&mut self, seqs: &[u64]) {
+            for seq in seqs {
+                self.records.remove(seq);
+            }
+        }
+    }
+
+    /// Cases per randomized test: `PROPTEST_CASES`, as the workspace's
+    /// `proptest!` reads it, else 256.
+    fn cases() -> u64 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256)
+    }
+
+    /// Random sends, reordered ACKs (stale cumulative points and hole
+    /// fills that jump the cumulative point included), loss declarations
+    /// and retransmissions give the same sample sequence, and the same
+    /// delivery count, from the sampler and from its `BTreeMap` twin.
+    #[test]
+    fn sampler_matches_its_btreemap_twin() {
+        use pcc_simnet::rng::SimRng;
+        use std::collections::BTreeSet;
+
+        let key = |s: Option<RateSample>| s.map(|s| (s.bw_bps.to_bits(), s.delivered_at_send));
+        for case in 0..cases() {
+            let mut rng = SimRng::new(case);
+            let (mut ring, mut tree) = (DeliverySampler::new(), TreeSampler::default());
+            let mut now = SimTime::ZERO;
+            let mut next_seq = 0u64;
+            // Sent and not yet delivered or declared lost, with the
+            // retransmission flag; declared lost and not yet resent.
+            let mut flight: Vec<(u64, bool)> = Vec::new();
+            let mut lost: Vec<u64> = Vec::new();
+            let (mut got, mut cum_ack) = (BTreeSet::new(), 0u64);
+            for _ in 0..rng.range_u64(1, 400) {
+                now += SimDuration::from_micros(rng.range_u64(0, 3) * 500);
+                match rng.range_u64(0, 10) {
+                    0..=3 => {
+                        ring.on_sent(next_seq, now, false);
+                        tree.on_sent(next_seq, now, false);
+                        flight.push((next_seq, false));
+                        next_seq += 1;
+                    }
+                    4..=6 if !flight.is_empty() => {
+                        let (seq, retx) =
+                            flight.swap_remove(rng.range_u64(0, flight.len() as u64) as usize);
+                        got.insert(seq);
+                        while got.contains(&cum_ack) {
+                            cum_ack += 1;
+                        }
+                        // Now and then an older ACK overtaken on the way
+                        // back carries a stale cumulative point.
+                        let cum = match rng.range_u64(0, 5) {
+                            0 => cum_ack.saturating_sub(rng.range_u64(0, 8)),
+                            _ => cum_ack,
+                        };
+                        let newly = rng.range_u64(0, 4) as u32;
+                        let a = ring.on_ack(seq, cum, newly, retx, 1500, now);
+                        let b = tree.on_ack(seq, cum, newly, retx, 1500, now);
+                        assert_eq!(key(a), key(b), "case {case}: ACK of {seq}, cum {cum}");
+                    }
+                    7 if !flight.is_empty() => {
+                        let n = rng.range_u64(1, 4).min(flight.len() as u64);
+                        let seqs: Vec<u64> = (0..n)
+                            .map(|_| {
+                                let i = rng.range_u64(0, flight.len() as u64) as usize;
+                                flight.swap_remove(i).0
+                            })
+                            .collect();
+                        ring.on_loss(&seqs);
+                        tree.on_loss(&seqs);
+                        lost.extend(seqs);
+                    }
+                    8 if !lost.is_empty() => {
+                        let seq = lost.swap_remove(rng.range_u64(0, lost.len() as u64) as usize);
+                        ring.on_sent(seq, now, true);
+                        tree.on_sent(seq, now, true);
+                        flight.push((seq, true));
+                    }
+                    _ => {
+                        // A duplicate or spurious ACK of anything sent.
+                        let seq = rng.range_u64(0, next_seq.max(1));
+                        let a = ring.on_ack(seq, cum_ack, 0, false, 1500, now);
+                        let b = tree.on_ack(seq, cum_ack, 0, false, 1500, now);
+                        assert_eq!(key(a), key(b), "case {case}: repeat ACK of {seq}");
+                    }
+                }
+                assert_eq!(ring.delivered(), tree.delivered);
+            }
+        }
+    }
+
     #[test]
     fn records_pruned_below_cum_ack() {
         let mut s = DeliverySampler::new();

@@ -592,7 +592,9 @@ mod tests {
         // flows competing (inconclusive rounds escalate ε, and the
         // latency utility reads the previous interval's RTT), the
         // loss-resilient utility at 20% loss, and `on_resume` after an
-        // ACK-path blackout.
+        // ACK-path blackout. Last, per-ACK BBR through 1% loss and a
+        // reordering jitter stage: its delivery sampler takes ACKs behind
+        // holes, cumulative jumps as holes fill, and loss declarations.
         use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
 
         let rtt = SimDuration::from_millis(30);
@@ -601,6 +603,8 @@ mod tests {
         let lossy = LinkSetup::new(100e6, short, 15_000)
             .with_loss(0.02)
             .with_ack_loss(0.02);
+        let jitter = JitterConfig::uniform(SimDuration::from_millis(2)).with_reordering(0.02, 4);
+        let reordered = setup.with_loss(0.01).with_jitter(jitter);
         let named = |name: &str| Protocol::Named(name.into());
         let run_all = |setup, plans| {
             report_fingerprint(&run_dumbbell(setup, plans, SimTime::from_secs(8), 42).report)
@@ -669,6 +673,11 @@ mod tests {
                 "pcc chaos blackout",
                 run_chaos(&named("pcc"), ChaosScript::Blackout, 9).fingerprint,
                 0xb6fd_5919_5a2c_42d3,
+            ),
+            (
+                "bbr per-ack 1% loss reordered",
+                run(reordered, per_ack("bbr")),
+                0x16e8_b760_6dcc_01f6,
             ),
         ];
         let moved: Vec<String> = golden
