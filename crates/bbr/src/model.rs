@@ -10,10 +10,16 @@
 //! `(delivered_now − delivered_at_send) / (now − sent_at)` — measures the
 //! rate the network actually sustained, independent of how ACKs were
 //! batched on the return path.
+//!
+//! The sampler runs on every ACK of a per-ACK BBR flow, so its send
+//! records live in the workspace's one per-packet table, a
+//! [`SeqRing`]: taking the acked record and dropping everything below the
+//! cumulative ACK cost a slot each, not a tree walk and a fresh tree.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use pcc_simnet::time::{SimDuration, SimTime};
+use pcc_transport::SeqRing;
 
 /// Windowed maximum filter keyed by round-trip count: reports the largest
 /// sample seen in the last `window` rounds. Implemented as a monotonic
@@ -130,7 +136,11 @@ pub struct RateSample {
 #[derive(Clone, Debug, Default)]
 pub struct DeliverySampler {
     delivered: u64,
-    records: BTreeMap<u64, SendRecord>,
+    /// Send records of first transmissions not yet acked, lost or below
+    /// the cumulative ACK.
+    records: SeqRing<SendRecord>,
+    /// Highest cumulative ACK seen; no new data is sent below it.
+    cum_ack: u64,
 }
 
 impl DeliverySampler {
@@ -149,6 +159,11 @@ impl DeliverySampler {
     /// measures.
     pub fn on_sent(&mut self, seq: u64, now: SimTime, retx: bool) {
         if !retx {
+            debug_assert!(
+                seq >= self.cum_ack,
+                "new data {seq} sent below the cumulative ACK {}",
+                self.cum_ack
+            );
             self.records.insert(
                 seq,
                 SendRecord {
@@ -174,9 +189,10 @@ impl DeliverySampler {
         self.delivered += u64::from(newly_acked);
         // Take the acked record *before* pruning: the cumulative ack
         // usually covers `seq` itself.
-        let rec = self.records.remove(&seq);
+        let rec = self.records.take(seq);
         // Everything below the cumulative ack can never be sampled again.
-        self.records = self.records.split_off(&cum_ack);
+        self.records.drop_below(cum_ack);
+        self.cum_ack = self.cum_ack.max(cum_ack);
         let rec = rec?;
         if of_retx {
             return None;
@@ -195,8 +211,8 @@ impl DeliverySampler {
     /// Sequences were declared lost: their records can no longer produce a
     /// clean sample (any later ACK will be for a retransmission).
     pub fn on_loss(&mut self, seqs: &[u64]) {
-        for seq in seqs {
-            self.records.remove(seq);
+        for &seq in seqs {
+            self.records.take(seq);
         }
     }
 }
@@ -326,10 +342,11 @@ mod tests {
             .unwrap_or(256)
     }
 
-    /// Random sends, reordered ACKs (stale cumulative points and hole
-    /// fills that jump the cumulative point included), loss declarations
-    /// and retransmissions give the same sample sequence, and the same
-    /// delivery count, from the sampler and from its `BTreeMap` twin.
+    /// Random sends, reordered ACKs (stale cumulative points, hole fills
+    /// that jump the cumulative point, and ACKs lost on the way back
+    /// included), loss declarations and retransmissions give the same
+    /// sample sequence, and the same delivery count, from the sampler and
+    /// from its `BTreeMap` twin.
     #[test]
     fn sampler_matches_its_btreemap_twin() {
         use pcc_simnet::rng::SimRng;
@@ -369,9 +386,13 @@ mod tests {
                             _ => cum_ack,
                         };
                         let newly = rng.range_u64(0, 4) as u32;
-                        let a = ring.on_ack(seq, cum, newly, retx, 1500, now);
-                        let b = tree.on_ack(seq, cum, newly, retx, 1500, now);
-                        assert_eq!(key(a), key(b), "case {case}: ACK of {seq}, cum {cum}");
+                        // Some ACKs die on the way back: the record stays
+                        // until a later cumulative point passes it.
+                        if rng.range_u64(0, 6) > 0 {
+                            let a = ring.on_ack(seq, cum, newly, retx, 1500, now);
+                            let b = tree.on_ack(seq, cum, newly, retx, 1500, now);
+                            assert_eq!(key(a), key(b), "case {case}: ACK of {seq}, cum {cum}");
+                        }
                     }
                     7 if !flight.is_empty() => {
                         let n = rng.range_u64(1, 4).min(flight.len() as u64);
@@ -392,8 +413,13 @@ mod tests {
                         flight.push((seq, true));
                     }
                     _ => {
-                        // A duplicate or spurious ACK of anything sent.
-                        let seq = rng.range_u64(0, next_seq.max(1));
+                        // A duplicate or spurious ACK of anything sent,
+                        // often of a sequence just below the cumulative
+                        // point, whose record must already be gone.
+                        let seq = match rng.coin() {
+                            true => cum_ack.saturating_sub(rng.range_u64(1, 3)),
+                            false => rng.range_u64(0, next_seq.max(1)),
+                        };
                         let a = ring.on_ack(seq, cum_ack, 0, false, 1500, now);
                         let b = tree.on_ack(seq, cum_ack, 0, false, 1500, now);
                         assert_eq!(key(a), key(b), "case {case}: repeat ACK of {seq}");

@@ -18,6 +18,7 @@ use std::collections::VecDeque;
 use pcc_simnet::time::{SimDuration, SimTime};
 
 use pcc_transport::report::MeasurementReport;
+use pcc_transport::SeqRing;
 
 use crate::utility::MiMetrics;
 
@@ -50,97 +51,6 @@ struct SeqInfo {
     bytes: u32,
 }
 
-/// Offset-indexed ring of in-flight sequence attributions.
-///
-/// Sequence numbers are dense and arrive almost in order (new data is
-/// strictly increasing; retransmissions revisit recent holes), so a
-/// `VecDeque<Option<SeqInfo>>` indexed by `seq - base` gives O(1)
-/// insert/lookup/remove where the previous `BTreeMap<u64, SeqInfo>` paid a
-/// tree rebalance per packet — this is the per-packet hot path of every
-/// PCC sender. `base` tracks the oldest retained slot and advances as the
-/// front resolves.
-#[derive(Debug, Default)]
-struct SeqRing {
-    base: u64,
-    slots: VecDeque<Option<SeqInfo>>,
-    live: usize,
-}
-
-impl SeqRing {
-    fn insert(&mut self, seq: u64, info: SeqInfo) {
-        if self.slots.is_empty() {
-            self.base = seq;
-            self.slots.push_back(Some(info));
-            self.live = 1;
-            return;
-        }
-        if seq < self.base {
-            // A retransmission below the resolved frontier (its earlier
-            // incarnation already resolved and the front moved past it):
-            // grow the front back down to it.
-            for _ in 0..(self.base - seq) {
-                self.slots.push_front(None);
-            }
-            self.base = seq;
-        }
-        let idx = (seq - self.base) as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        if self.slots[idx].replace(info).is_none() {
-            self.live += 1;
-        }
-    }
-
-    fn remove(&mut self, seq: u64) -> Option<SeqInfo> {
-        if seq < self.base {
-            return None;
-        }
-        let idx = (seq - self.base) as usize;
-        let info = self.slots.get_mut(idx)?.take()?;
-        self.live -= 1;
-        self.shrink_front();
-        Some(info)
-    }
-
-    /// Pop the oldest retained slot if its seq is below `upper`, returning
-    /// the attribution when the slot was live.
-    fn pop_below(&mut self, upper: u64) -> Option<Option<SeqInfo>> {
-        if self.base >= upper {
-            return None;
-        }
-        let slot = self.slots.pop_front()?;
-        self.base += 1;
-        if slot.is_some() {
-            self.live -= 1;
-        }
-        Some(slot)
-    }
-
-    /// Drop every attribution pointing at MI `mi`.
-    fn clear_mi(&mut self, mi: u64) {
-        for slot in self.slots.iter_mut() {
-            if matches!(slot, Some(info) if info.mi == mi) {
-                *slot = None;
-                self.live -= 1;
-            }
-        }
-        self.shrink_front();
-    }
-
-    fn shrink_front(&mut self) {
-        if self.live == 0 {
-            self.base += self.slots.len() as u64;
-            self.slots.clear();
-            return;
-        }
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-    }
-}
-
 /// The §3.1 monitor: attributes packets to monitor intervals and publishes
 /// per-MI metrics once each interval's packets are resolved.
 #[derive(Debug, Default)]
@@ -148,10 +58,10 @@ pub struct Monitor {
     current: Option<MiState>,
     /// Ended MIs awaiting resolution, oldest first.
     pending: VecDeque<MiState>,
-    /// seq → (MI id, sent bytes) of its *latest* transmission, held in an
-    /// offset-indexed ring (ordered, so cumulative ACKs can resolve whole
-    /// prefixes by popping the front).
-    seq_mi: SeqRing,
+    /// seq → (MI id, sent bytes) of its *latest* transmission, held in the
+    /// shared offset-indexed ring (ordered, so cumulative ACKs can resolve
+    /// whole prefixes by popping the front).
+    seq_mi: SeqRing<SeqInfo>,
     /// Average RTT of the most recently completed MI.
     last_avg_rtt: Option<SimDuration>,
     /// Minimum RTT sample ever observed (propagation estimate).
@@ -229,7 +139,7 @@ impl Monitor {
             Some(m) => m.min(rtt),
             None => rtt,
         });
-        let Some(info) = self.seq_mi.remove(seq) else {
+        let Some(info) = self.seq_mi.take(seq) else {
             return; // duplicate ACK or MI already force-completed
         };
         if let Some(mi) = self.mi_mut(info.mi) {
@@ -271,16 +181,14 @@ impl Monitor {
     /// seq over-counted `acked_bytes` whenever a short tail packet was
     /// covered — reporting per-MI throughput above link capacity.
     pub fn on_cum_ack(&mut self, cum_ack: u64) {
-        while let Some(slot) = self.seq_mi.pop_below(cum_ack) {
-            if let Some(info) = slot {
-                self.credit_delivery(info);
-            }
+        while let Some(info) = self.seq_mi.pop_below(cum_ack) {
+            self.credit_delivery(info);
         }
     }
 
     /// Resolve `seq` as lost.
     pub fn on_loss(&mut self, seq: u64) {
-        let Some(info) = self.seq_mi.remove(seq) else {
+        let Some(info) = self.seq_mi.take(seq) else {
             return;
         };
         if let Some(mi) = self.mi_mut(info.mi) {
@@ -298,7 +206,7 @@ impl Monitor {
                 // lost, and drop their seq attributions so a late ACK
                 // can't corrupt a future MI's counters.
                 if !mi.resolved() {
-                    self.seq_mi.clear_mi(mi.id);
+                    self.seq_mi.retain(|info| info.mi != mi.id);
                     mi.rep.lost_pkts = mi.rep.sent_pkts - mi.rep.acked_pkts;
                 }
                 let metrics = MiMetrics::from_report(

@@ -286,6 +286,7 @@ pub fn run_single(
 mod tests {
     use super::*;
     use crate::protocol::Protocol;
+    use pcc_transport::receiver::span_rejections;
 
     fn quick(proto: Protocol, setup: LinkSetup, secs: u64) -> ScenarioResult {
         run_single(proto, setup, SimDuration::from_secs(secs), 42)
@@ -461,6 +462,11 @@ mod tests {
             "fingerprints moved:\n{}",
             moved.join("\n")
         );
+        assert_eq!(
+            span_rejections(),
+            0,
+            "no simulated arrival is beyond the span"
+        );
     }
 
     #[test]
@@ -528,6 +534,11 @@ mod tests {
             [0x30ed_aec2_a7d2_8b33, 0x0891_0ff7_dc13_83d9],
             "fingerprints moved (delay step, reordering shaper)"
         );
+        assert_eq!(
+            span_rejections(),
+            0,
+            "no simulated arrival is beyond the span"
+        );
     }
 
     #[test]
@@ -575,6 +586,11 @@ mod tests {
                 (0x54b3_3399_7a1f_8431, 121_905)
             ],
             "fingerprints or lane counts moved (duplicate, paced tie)"
+        );
+        assert_eq!(
+            span_rejections(),
+            0,
+            "no simulated arrival is beyond the span"
         );
     }
 
@@ -689,6 +705,11 @@ mod tests {
             moved.is_empty(),
             "fingerprints moved:\n{}",
             moved.join("\n")
+        );
+        assert_eq!(
+            span_rejections(),
+            0,
+            "no simulated arrival is beyond the span"
         );
     }
 

@@ -25,6 +25,9 @@
 //! * [`rtt::RttEstimator`] — SRTT/RTTVAR/RTO per RFC 6298.
 //! * [`receiver::SackReceiver`] — the single receiver used by all senders
 //!   (per-packet selective ACKs; §2.3: "TCP SACK is enough feedback").
+//! * [`seq_ring::SeqRing`] — the one per-packet sequence table: the
+//!   receiver's reorder buffer, BBR's delivery sampler and PCC's monitor
+//!   all key their per-packet state on it.
 //!
 //! The seed design's two parallel engines (`RateSender` for rate
 //! controllers, `WindowSender` for window algorithms) and their two traits
@@ -40,6 +43,7 @@ pub mod report;
 pub mod rtt;
 pub mod sack;
 pub mod sender;
+pub mod seq_ring;
 pub mod spec;
 
 pub use cc::{
@@ -53,4 +57,5 @@ pub use report::{MeasurementReport, ReportAggregator};
 pub use rtt::RttEstimator;
 pub use sack::{AckOutcome, Scoreboard};
 pub use sender::{CcSender, CcSenderConfig};
+pub use seq_ring::SeqRing;
 pub use spec::{AlgoSpec, InvalidParam, ParamKind, ParamSpec, Schema, SpecParams};

@@ -7,11 +7,45 @@
 //! arrival timestamp (used by dispersion-based bandwidth probers). This
 //! matches the paper's prototype, which relies on TCP SACK as its only
 //! feedback (§2.3: "No receiver change: TCP SACK is enough feedback").
+//!
+//! Under random loss every packet behind a hole waits in the reorder
+//! buffer, so that buffer is a [`SeqRing`]: a slot per sequence between the
+//! cumulative point and the highest arrival, no tree node per packet. The
+//! same state reassembles raw datagrams in `pcc-udp`, where a sequence
+//! number is whatever arrived on the socket; an arrival [`REORDER_SPAN`] or
+//! more past the cumulative point is ACKed but neither stored nor counted,
+//! so a forged number cannot make the ring allocate without bound.
 
-use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use pcc_simnet::endpoint::{Endpoint, EndpointCtx};
 use pcc_simnet::packet::{AckInfo, Packet};
+
+use crate::sender::MAX_IN_FLIGHT;
+use crate::seq_ring::SeqRing;
+
+/// How far past the cumulative point an arrival may land and still be
+/// stored.
+///
+/// The engine keeps at most [`MAX_IN_FLIGHT`] packets in flight, and its
+/// scoreboard — every sequence from its cumulative point to its next
+/// fresh one — is debug-asserted to stay within `2 · MAX_IN_FLIGHT + 64`
+/// entries. The sender's cumulative point never passes the receiver's, so
+/// a genuine arrival lands within that distance of it. Twice that again
+/// leaves headroom, and caps a forged number's cost at 256 Ki one-byte
+/// slots.
+pub const REORDER_SPAN: u64 = 4 * MAX_IN_FLIGHT;
+
+/// Arrivals refused for landing [`REORDER_SPAN`] or more past the
+/// cumulative point, summed over every receiver in the process.
+static SPAN_REJECTIONS: AtomicU64 = AtomicU64::new(0);
+
+/// How many arrivals every [`SackReceiver`] in this process has refused as
+/// beyond [`REORDER_SPAN`]. Only a forged or corrupt sequence number gets
+/// there, so a simulation leaves it at 0.
+pub fn span_rejections() -> u64 {
+    SPAN_REJECTIONS.load(Ordering::Relaxed)
+}
 
 /// SACK-generating receiver with duplicate suppression for goodput
 /// accounting.
@@ -19,12 +53,10 @@ use pcc_simnet::packet::{AckInfo, Packet};
 pub struct SackReceiver {
     /// All sequences below this point received.
     cum_ack: u64,
-    /// Received sequences at or above `cum_ack` (out-of-order buffer).
-    ooo: BTreeSet<u64>,
+    /// Received sequences above `cum_ack` (out-of-order buffer).
+    ooo: SeqRing<()>,
     /// Unique data bytes accepted.
     recv_bytes: u64,
-    /// Total data packets seen (including duplicates).
-    packets_seen: u64,
     /// Duplicate data packets seen.
     duplicates: u64,
 }
@@ -53,17 +85,23 @@ impl SackReceiver {
     /// Record the arrival of `seq` carrying `bytes`: true when it is new
     /// data (counted into [`recv_bytes`](Self::recv_bytes), cumulative
     /// point advanced over any now-contiguous prefix), false for a
-    /// duplicate. The reassembly state behind both datapaths' receivers.
+    /// duplicate or for an arrival [`REORDER_SPAN`] or more past the
+    /// cumulative point. The reassembly state behind both datapaths'
+    /// receivers.
     pub fn accept(&mut self, seq: u64, bytes: u32) -> bool {
+        if seq >= self.cum_ack && seq - self.cum_ack >= REORDER_SPAN {
+            SPAN_REJECTIONS.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
         if seq == self.cum_ack {
-            // In order: the set never holds the cumulative point itself, so
-            // bump it directly, then advance over any now-contiguous prefix
-            // (on an empty set `remove` touches no node).
+            // In order: the ring never holds the cumulative point itself,
+            // so bump it directly, then advance over any now-contiguous
+            // prefix.
             self.cum_ack += 1;
-            while self.ooo.remove(&self.cum_ack) {
+            while self.ooo.take(self.cum_ack).is_some() {
                 self.cum_ack += 1;
             }
-        } else if seq < self.cum_ack || !self.ooo.insert(seq) {
+        } else if seq < self.cum_ack || self.ooo.insert(seq, ()).is_some() {
             self.duplicates += 1;
             return false;
         }
@@ -80,7 +118,6 @@ impl Endpoint for SackReceiver {
             debug_assert!(false, "receiver got a non-data packet");
             return;
         };
-        self.packets_seen += 1;
         let fresh = self.accept(data.seq, pkt.bytes);
         if fresh {
             ctx.record_goodput(pkt.bytes as u64);
@@ -169,6 +206,40 @@ mod tests {
         assert_eq!(a.acked_seq, 0);
         assert_eq!(rx.duplicates(), 1);
         assert_eq!(rx.recv_bytes(), 1500);
+    }
+
+    #[test]
+    fn forged_sequence_numbers_are_acked_but_not_stored() {
+        let mut rx = SackReceiver::new();
+        for seq in [0, 1, 3] {
+            assert!(rx.accept(seq, 1500));
+        }
+        let held = (rx.cum_ack(), rx.recv_bytes(), rx.ooo.len(), rx.ooo.slots());
+        assert_eq!(held, (2, 4500, 1, 1));
+        let rejected = span_rejections();
+        for forged in [u64::MAX - 1, rx.cum_ack() + REORDER_SPAN] {
+            let pkt = Packet::data(FlowId(0), forged, 1500, SimTime::ZERO, false);
+            let actions = drive(&mut rx, pkt, SimTime::from_millis(5));
+            assert_eq!(ack_of(&actions).acked_seq, forged, "still ACKed");
+            assert!(
+                !actions
+                    .iter()
+                    .any(|a| matches!(a, Action::RecordGoodput(_))),
+                "not fresh data"
+            );
+            assert_eq!(
+                (rx.cum_ack(), rx.recv_bytes(), rx.ooo.len(), rx.ooo.slots()),
+                held,
+                "neither stored nor counted"
+            );
+        }
+        assert!(span_rejections() >= rejected + 2);
+        assert_eq!(rx.duplicates(), 0, "a forged number is not a duplicate");
+        // Later in-range packets still land, up to the span's last slot.
+        assert!(rx.accept(2, 1500));
+        assert_eq!(rx.cum_ack(), 4);
+        assert!(rx.accept(rx.cum_ack() + REORDER_SPAN - 1, 1500));
+        assert_eq!((rx.cum_ack(), rx.ooo.len()), (4, 1));
     }
 
     #[test]

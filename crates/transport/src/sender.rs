@@ -108,7 +108,7 @@ pub const WINDOWED_MIN_RTO: SimDuration = SimDuration::from_millis(200);
 pub const RATE_MIN_RTO: SimDuration = SimDuration::from_millis(10);
 /// Hard cap on packets in flight (memory guard; generously above any BDP
 /// in the evaluation). Applies in every mode.
-const MAX_IN_FLIGHT: u64 = 65_536;
+pub(crate) const MAX_IN_FLIGHT: u64 = 65_536;
 /// Receiver-window-like clamp on the effective window, packets. Real
 /// stacks are bounded by the advertised window; 20 000 packets (30 MB)
 /// models a well-tuned host and comfortably exceeds every BDP in the

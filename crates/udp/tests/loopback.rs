@@ -11,7 +11,9 @@ use std::thread;
 use pcc_scenarios::install_registry;
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent, ReportMode, SentEvent};
+use pcc_transport::receiver::span_rejections;
 use pcc_transport::registry::{self, CcParams, SpecError};
+use pcc_udp::wire::{encode_data, DataHeader};
 use pcc_udp::{receive, send_named, send_with, wire_mss, UdpSenderConfig};
 
 fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
@@ -187,6 +189,47 @@ fn parameterized_specs_transfer_over_loopback() {
             report.goodput_mbps
         );
     }
+}
+
+#[test]
+fn a_forged_far_ahead_datagram_is_not_counted() {
+    install_registry();
+    // A third party injects one data datagram numbered far past anything
+    // the sender will reach. The receiver ACKs it to the forger but must
+    // neither store it nor count its payload: counted, it would end the
+    // transfer one datagram early with a byte total that is not the
+    // payload's.
+    let (rx_sock, tx_sock, rx_addr) = sockets();
+    let total: u64 = 1024 * 1200;
+    let rx = thread::spawn(move || receive(&rx_sock, total));
+    let forger = thread::spawn(move || {
+        thread::sleep(std::time::Duration::from_millis(5));
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("bind forger");
+        let h = DataHeader {
+            seq: 1 << 40,
+            sent_us: 0,
+            retx: false,
+            probe_train: None,
+        };
+        sock.send_to(&encode_data(&h, &[0u8; 1200]), rx_addr)
+            .expect("forge");
+    });
+    let cfg = UdpSenderConfig {
+        payload: 1200,
+        total_bytes: total,
+        seed: 17,
+        ..Default::default()
+    };
+    send_named(&tx_sock, rx_addr, cfg, "cubic", SimDuration::from_millis(2))
+        .expect("io")
+        .expect("cubic is registered");
+    forger.join().expect("join forger");
+    let rx_report = rx.join().expect("join").expect("receive");
+    assert_eq!(rx_report.unique_bytes, total, "exactly the payload");
+    assert!(
+        span_rejections() >= 1,
+        "the forged datagram was read and refused"
+    );
 }
 
 #[test]

@@ -15,12 +15,15 @@
 //!   test builds and fire on violation; the report aggregator is
 //!   counters-only by construction, so it cannot grow with loss volume;
 //! * **bit-identical reruns** — the same seed reproduces the same
-//!   counter fingerprint, script by script.
+//!   counter fingerprint, script by script;
+//! * **no arrival beyond the reorder span** — every receiver stores every
+//!   data packet it is sent.
 
 use pcc::scenarios::chaos::{run_chaos, ChaosScript};
 use pcc::scenarios::workload::{run_churn, Arrival, ChurnConfig, SizeCdf};
 use pcc::scenarios::{LinkSetup, Protocol};
 use pcc::simnet::time::SimDuration;
+use pcc::transport::receiver::span_rejections;
 use pcc::transport::registry;
 
 fn all_names() -> Vec<String> {
@@ -65,6 +68,10 @@ fn every_algorithm_survives_every_chaos_script() {
             );
         }
     }
+    // Every receiver in the battery stored every arrival it was sent: no
+    // simulated sequence number lands `REORDER_SPAN` past the cumulative
+    // point, faults and all.
+    assert_eq!(span_rejections(), 0);
 }
 
 #[test]
