@@ -27,7 +27,7 @@ use crate::seq_ring::SeqRing;
 /// How far past the cumulative point an arrival may land and still be
 /// stored.
 ///
-/// The engine keeps at most [`MAX_IN_FLIGHT`] packets in flight, and its
+/// The engine keeps at most `MAX_IN_FLIGHT` packets in flight, and its
 /// scoreboard — every sequence from its cumulative point to its next
 /// fresh one — is debug-asserted to stay within `2 · MAX_IN_FLIGHT + 64`
 /// entries. The sender's cumulative point never passes the receiver's, so
