@@ -294,11 +294,13 @@ mod tests {
         fn on_sent(&mut self, seq: u64, now: SimTime, retx: bool) {
             if !retx {
                 let delivered = self.delivered;
-                let rec = SendRecord {
-                    delivered,
-                    sent_at: now,
-                };
-                self.records.insert(seq, rec);
+                self.records.insert(
+                    seq,
+                    SendRecord {
+                        delivered,
+                        sent_at: now,
+                    },
+                );
             }
         }
 
