@@ -1319,6 +1319,246 @@ mod tests {
         assert!(resumed > 5.0, "flow resumed after blackout: {resumed} Mbps");
     }
 
+    /// Drives one `CcSender` by hand, callback by callback. Every token the
+    /// engine arms is kept, so a test fires the token the engine emitted.
+    struct Harness {
+        s: CcSender,
+        rng: SimRng,
+        /// What the last callback emitted.
+        out: Vec<Action>,
+        /// Every timer armed so far as `(due, token)`, oldest arm first.
+        armed: Vec<(SimTime, u64)>,
+    }
+
+    impl Harness {
+        fn new(cfg: CcSenderConfig, cc: impl CongestionControl + 'static) -> Self {
+            Harness {
+                s: CcSender::new(cfg, Box::new(cc)),
+                rng: SimRng::new(1),
+                out: Vec::new(),
+                armed: Vec::new(),
+            }
+        }
+
+        fn call(&mut self, now: SimTime, f: impl FnOnce(&mut CcSender, &mut EndpointCtx)) {
+            self.out.clear();
+            let mut ctx =
+                EndpointCtx::new(now, FlowId(0), Side::Sender, &mut self.rng, &mut self.out);
+            f(&mut self.s, &mut ctx);
+            self.armed.extend(self.out.iter().filter_map(|a| match *a {
+                Action::SetTimer { at, token } => Some((at, token)),
+                _ => None,
+            }));
+        }
+
+        /// The timers of `kind` armed so far, oldest arm first.
+        fn arms(&self, kind: u64) -> Vec<(SimTime, u64)> {
+            let of_kind = |&(_, t): &(SimTime, u64)| t & !TOKEN_GEN_MASK == kind;
+            self.armed.iter().copied().filter(of_kind).collect()
+        }
+
+        /// Fire the newest token of `kind` at `now`.
+        fn fire(&mut self, now: SimTime, kind: u64) {
+            let (_, token) = *self
+                .arms(kind)
+                .last()
+                .expect("a timer of this kind was armed");
+            self.call(now, |s, ctx| s.on_timer(token, ctx));
+        }
+
+        /// `(seq, retx)` of every data packet the last callback sent.
+        fn sent(&self) -> Vec<(u64, bool)> {
+            self.out
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send(p) => p.as_data().map(|d| (d.seq, d.retx)),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    /// An ACK for `seq` that echoes a packet sent at `sent_at`.
+    fn ack(seq: u64, cum_ack: u64, sent_at: SimTime, now: SimTime) -> Packet {
+        let info = AckInfo {
+            acked_seq: seq,
+            cum_ack,
+            echo_sent_at: sent_at,
+            recv_at: now,
+            recv_bytes: 0,
+            probe_train: None,
+            of_retx: false,
+        };
+        Packet::ack(FlowId(0), info, now)
+    }
+
+    /// Rate or window set by `start` in `on_start`, then `tick` each time
+    /// its own timer fires; the timer is re-armed for the same instant.
+    struct Scripted<S, T> {
+        start: S,
+        tick: T,
+    }
+
+    impl<S, T> CongestionControl for Scripted<S, T>
+    where
+        S: FnMut(&mut Ctx) + Send,
+        T: FnMut(&mut Ctx) + Send,
+    {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            (self.start)(ctx);
+            ctx.set_timer(ctx.now, 0);
+        }
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx) {
+            (self.tick)(ctx);
+            ctx.set_timer(ctx.now, 0);
+        }
+        fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut Ctx) {}
+        fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
+    }
+
+    fn sized(pkts: u64) -> CcSenderConfig {
+        CcSenderConfig {
+            transport: TransportConfig {
+                mss: 1500,
+                size: FlowSize::Bytes(pkts * 1500),
+            },
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn only_the_newest_arm_of_each_engine_timer_fires() {
+        // Each case arms one engine timer kind, then supersedes the arm,
+        // cancels it or arms it again while it is pending. Every token of
+        // the kind but the newest must be ignored; the newest must act if
+        // its timer is still pending and be ignored if it was cancelled.
+        const MS: fn(u64) -> SimTime = SimTime::from_millis;
+        let start = |h: &mut Harness| h.call(SimTime::ZERO, |s, ctx| s.start(ctx));
+        let flip = |window: &mut bool, ctx: &mut Ctx| {
+            *window = !*window;
+            ctx.set_mode(if *window {
+                CcMode::Window
+            } else {
+                CcMode::Rate
+            });
+        };
+        type Case = (&'static str, u64, usize, bool, Harness);
+        let cases: Vec<Case> = vec![
+            {
+                // A Window switch invalidates the pending pace tick.
+                let mut window = false;
+                let cc = Scripted {
+                    start: |ctx: &mut Ctx| ctx.set_rate(1e6),
+                    tick: move |ctx: &mut Ctx| flip(&mut window, ctx),
+                };
+                let mut h = Harness::new(sized(100), cc);
+                start(&mut h);
+                h.fire(SimTime::ZERO, TOKEN_CTRL);
+                ("pace tick after a Window switch", TOKEN_PACE, 1, false, h)
+            },
+            {
+                // Switching back to Rate wakes the pacer with a new arm.
+                let mut window = false;
+                let cc = Scripted {
+                    start: |ctx: &mut Ctx| ctx.set_rate(1e6),
+                    tick: move |ctx: &mut Ctx| flip(&mut window, ctx),
+                };
+                let mut h = Harness::new(sized(100), cc);
+                start(&mut h);
+                h.fire(SimTime::ZERO, TOKEN_CTRL);
+                h.fire(MS(1), TOKEN_CTRL);
+                ("pace tick after Window and back", TOKEN_PACE, 2, true, h)
+            },
+            {
+                // The first RTO is armed off the 1 s initial RTO; the first
+                // RTT sample brings the deadline forward to 220 ms.
+                let cfg = CcSenderConfig {
+                    tso_burst_pkts: 1,
+                    ..sized(100)
+                };
+                let mut h = Harness::new(cfg, MiniReno::new());
+                start(&mut h);
+                h.call(MS(20), |s, ctx| {
+                    s.on_packet(&ack(0, 1, SimTime::ZERO, ctx.now), ctx)
+                });
+                ("RTO re-armed to an earlier deadline", TOKEN_RTO, 2, true, h)
+            },
+            {
+                // A loss episode flushes a report out of cadence, and the
+                // next interval starts there.
+                let cfg = CcSenderConfig {
+                    report: Some(ReportMode::Batched),
+                    ..sized(5)
+                };
+                let cc = Scripted {
+                    start: |ctx: &mut Ctx| {
+                        ctx.set_rate(1e9);
+                        ctx.set_report_interval(SimDuration::from_secs(10));
+                    },
+                    tick: |_: &mut Ctx| {},
+                };
+                let mut h = Harness::new(cfg, cc);
+                start(&mut h);
+                for _ in 0..5 {
+                    h.fire(SimTime::ZERO, TOKEN_PACE);
+                }
+                for ms in (100..=1_000).step_by(100) {
+                    h.fire(MS(ms), TOKEN_SCAN);
+                }
+                ("report tick after a loss flush", TOKEN_REPORT, 2, true, h)
+            },
+            {
+                // A window too small for one offload burst waits for the
+                // flush; growing it while the flush is pending arms nothing.
+                let cc = Scripted {
+                    start: |ctx: &mut Ctx| ctx.set_cwnd(10.0),
+                    tick: |ctx: &mut Ctx| ctx.set_cwnd(12.0),
+                };
+                let mut h = Harness::new(sized(100), cc);
+                start(&mut h);
+                h.fire(SimTime::ZERO, TOKEN_CTRL);
+                ("second TSO arm while one is pending", TOKEN_TSO, 1, true, h)
+            },
+            {
+                // Re-entering Rate mode arms the scan only if none is
+                // pending.
+                let cc = Scripted {
+                    start: |ctx: &mut Ctx| ctx.set_rate(1e6),
+                    tick: |ctx: &mut Ctx| ctx.set_mode(CcMode::Rate),
+                };
+                let mut h = Harness::new(sized(100), cc);
+                start(&mut h);
+                h.fire(SimTime::ZERO, TOKEN_CTRL);
+                (
+                    "second scan arm while one is pending",
+                    TOKEN_SCAN,
+                    1,
+                    true,
+                    h,
+                )
+            },
+        ];
+        for (name, kind, arms, pending, mut h) in cases {
+            let mut due = h.arms(kind);
+            assert_eq!(due.len(), arms, "{name}: armed {due:x?}");
+            let (_, newest) = *due.last().expect("armed");
+            // Each token fires at its own deadline, earliest first.
+            due.sort_by_key(|&(at, _)| at);
+            for (at, token) in due {
+                h.call(at, |s, ctx| s.on_timer(token, ctx));
+                assert_eq!(
+                    !h.out.is_empty(),
+                    token == newest && pending,
+                    "{name}: token {token:x} at {at:?} emitted {:?}",
+                    h.out
+                );
+            }
+        }
+    }
+
     #[test]
     fn stale_retx_entries_drain_in_one_send_slot() {
         // Five packets go out, a scan writes all five off, then 0..4 turn
@@ -1326,61 +1566,25 @@ mod tests {
         // entries are stale. The next pacing slot must skip every stale
         // entry and retransmit the one still-lost sequence — burning one
         // slot per stale entry would stall the tail of the transfer.
-        use pcc_simnet::endpoint::Action;
-        use pcc_simnet::packet::AckInfo;
-        let cfg = CcSenderConfig {
-            transport: TransportConfig {
-                mss: 1500,
-                size: FlowSize::Bytes(5 * 1500),
-            },
-            ..Default::default()
-        };
-        let mut s = CcSender::new(cfg, Box::new(FixedRate::new(1e9)));
-        let mut rng = pcc_simnet::rng::SimRng::new(1);
-        let mut actions = Vec::new();
-        let mut at = |s: &mut CcSender,
-                      now: SimTime,
-                      f: &dyn Fn(&mut CcSender, &mut EndpointCtx)| {
-            actions.clear();
-            let mut ctx = EndpointCtx::new(now, FlowId(0), Side::Sender, &mut rng, &mut actions);
-            f(s, &mut ctx);
-            actions
-                .iter()
-                .filter_map(|a| match a {
-                    Action::Send(p) => p.as_data().map(|d| (d.seq, d.retx)),
-                    _ => None,
-                })
-                .collect::<Vec<_>>()
-        };
-        let pace = |s: &mut CcSender, ctx: &mut EndpointCtx| {
-            let token = TOKEN_PACE | (s.pace_gen & TOKEN_GEN_MASK);
-            s.on_timer(token, ctx);
-        };
-        at(&mut s, SimTime::ZERO, &|s, ctx| s.start(ctx));
+        let mut h = Harness::new(sized(5), FixedRate::new(1e9));
+        h.call(SimTime::ZERO, |s, ctx| s.start(ctx));
         for seq in 0..5 {
-            assert_eq!(at(&mut s, SimTime::ZERO, &pace), vec![(seq, false)]);
+            h.fire(SimTime::ZERO, TOKEN_PACE);
+            assert_eq!(h.sent(), vec![(seq, false)]);
         }
         let later = SimTime::from_secs(1);
-        at(&mut s, later, &|s, ctx| s.on_timer(TOKEN_SCAN, ctx));
-        assert_eq!(s.retx_queue.len(), 5, "the scan wrote the window off");
+        h.fire(later, TOKEN_SCAN);
+        assert_eq!(h.s.retx_queue.len(), 5, "the scan wrote the window off");
         for seq in 0..4 {
-            let sent = at(&mut s, later, &|s, ctx| {
-                let info = AckInfo {
-                    acked_seq: seq,
-                    cum_ack: seq + 1,
-                    echo_sent_at: SimTime::ZERO,
-                    recv_at: later,
-                    recv_bytes: 0,
-                    probe_train: None,
-                    of_retx: false,
-                };
-                s.on_packet(&Packet::ack(ctx.flow, info, ctx.now), ctx);
+            h.call(later, |s, ctx| {
+                s.on_packet(&ack(seq, seq + 1, SimTime::ZERO, later), ctx)
             });
-            assert!(sent.is_empty(), "ACKs open no pacing slot");
+            assert!(h.sent().is_empty(), "ACKs open no pacing slot");
         }
-        assert_eq!(s.retx_queue.len(), 5, "four entries are now stale");
-        assert_eq!(at(&mut s, later, &pace), vec![(4, true)]);
-        assert!(s.retx_queue.is_empty(), "stale entries discarded eagerly");
+        assert_eq!(h.s.retx_queue.len(), 5, "four entries are now stale");
+        h.fire(later, TOKEN_PACE);
+        assert_eq!(h.sent(), vec![(4, true)]);
+        assert!(h.s.retx_queue.is_empty(), "stale entries discarded eagerly");
     }
 
     // ---- graceful degradation: dead-time budget & resumption -------------
