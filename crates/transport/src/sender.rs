@@ -2,10 +2,7 @@
 //!
 //! [`CcSender`] hosts any [`CongestionControl`] algorithm and enforces
 //! whichever operating point the algorithm requests through its
-//! [`Effects`]: a pacing rate, a congestion window, or both. This collapses the seed design's two engines (`RateSender` /
-//! `WindowSender`) into one, so *any* algorithm runs on *any* datapath —
-//! the paper's §3 split between dumb sending machinery and pluggable
-//! control intelligence, taken to its conclusion.
+//! [`Effects`]: a pacing rate, a congestion window, or both.
 //!
 //! The engine is sans-IO: it touches neither a clock nor a socket. Its
 //! inputs are the three [`Endpoint`] callbacks (`start`, an arrived ACK,
@@ -128,6 +125,41 @@ const TOKEN_TSO: u64 = 5 << TOKEN_KIND_SHIFT;
 const TOKEN_REPORT: u64 = 6 << TOKEN_KIND_SHIFT;
 const TOKEN_GEN_MASK: u64 = (1 << TOKEN_KIND_SHIFT) - 1;
 
+/// One engine-owned timer kind: the generation of its newest arm and that
+/// arm's deadline while it is pending. A fired token is acted on only if it
+/// carries the newest generation and was not cancelled, so re-arming or
+/// cancelling needs no event-queue removal.
+#[derive(Default)]
+struct Timer {
+    gen: u64,
+    due: Option<SimTime>,
+}
+
+impl Timer {
+    fn arm(&mut self, kind: u64, at: SimTime, ctx: &mut EndpointCtx) {
+        self.gen += 1;
+        self.due = Some(at);
+        ctx.set_timer(at, kind | (self.gen & TOKEN_GEN_MASK));
+    }
+
+    fn cancel(&mut self) {
+        self.due = None;
+    }
+
+    fn armed(&self) -> bool {
+        self.due.is_some()
+    }
+
+    /// True (and no longer pending) if `gen` is the pending arm's.
+    fn fire(&mut self, gen: u64) -> bool {
+        let newest = self.armed() && gen == self.gen & TOKEN_GEN_MASK;
+        if newest {
+            self.due = None;
+        }
+        newest
+    }
+}
+
 /// The unified sender endpoint: reliability + transmission scheduling
 /// around a [`CongestionControl`] algorithm.
 pub struct CcSender {
@@ -143,7 +175,6 @@ pub struct CcSender {
     /// While `Some`, a recovery episode is active until cum-ack passes it
     /// (windowed machinery only).
     recovery_point: Option<u64>,
-    rto_gen: u64,
     rto_backoff: u32,
     /// When the RTO should actually fire. Re-based on every ACK without
     /// touching the event queue: the one scheduled timer event checks this
@@ -151,13 +182,12 @@ pub struct CcSender {
     /// cancellation — the alternative schedules a fresh heap entry per
     /// ACK and lets thousands of stale ones churn through the queue).
     rto_deadline: SimTime,
-    /// When the currently scheduled RTO timer event fires, if one is
-    /// outstanding.
-    rto_event_at: Option<SimTime>,
-    pace_gen: u64,
-    pace_armed: bool,
-    scan_armed: bool,
-    tso_armed: bool,
+    /// The one RTO event in the queue, due at or before `rto_deadline`.
+    rto: Timer,
+    pace: Timer,
+    scan: Timer,
+    tso: Timer,
+    report: Timer,
     finished: bool,
     last_rate_report: (SimTime, f64),
     /// Resolved feedback path (a batching config override, else the
@@ -165,7 +195,6 @@ pub struct CcSender {
     report_mode: ReportMode,
     /// Local event accumulator for batched mode.
     agg: ReportAggregator,
-    report_gen: u64,
     /// One-shot report-interval override requested by the algorithm.
     requested_interval: Option<SimDuration>,
     /// When the flow last made forward progress (new cumulative bytes
@@ -196,19 +225,17 @@ impl CcSender {
             rate_bps: None,
             cwnd_pkts: None,
             recovery_point: None,
-            rto_gen: 0,
             rto_backoff: 0,
             rto_deadline: SimTime::MAX,
-            rto_event_at: None,
-            pace_gen: 0,
-            pace_armed: false,
-            scan_armed: false,
-            tso_armed: false,
+            rto: Timer::default(),
+            pace: Timer::default(),
+            scan: Timer::default(),
+            tso: Timer::default(),
+            report: Timer::default(),
             finished: false,
             last_rate_report: (SimTime::MAX, 0.0),
             report_mode: ReportMode::PerAck,
             agg: ReportAggregator::default(),
-            report_gen: 0,
             requested_interval: None,
             last_progress_at: SimTime::ZERO,
             timeouts_since_progress: 0,
@@ -344,12 +371,11 @@ impl CcSender {
     }
 
     /// Switch transmission machinery mid-flow ([`Ctx::set_mode`]). The
-    /// machinery of the departed mode is disengaged (its timers are
-    /// invalidated lazily — a stale pace tick is generation-checked, the
-    /// loss scan simply keeps re-arming and is harmless under window
-    /// clocking); if the algorithm did not set the new mode's operating
-    /// point in the same callback the engine derives one from the old
-    /// point. The RTO floor keeps the convention chosen at `start()`.
+    /// machinery of the departed mode is disengaged (a pending pace tick is
+    /// cancelled; the loss scan simply keeps re-arming and is harmless
+    /// under window clocking); if the algorithm did not set the new mode's
+    /// operating point in the same callback the engine derives one from the
+    /// old point. The RTO floor keeps the convention chosen at `start()`.
     fn apply_mode(&mut self, mode: CcMode, ctx: &mut EndpointCtx) {
         if mode != CcMode::Window && self.rate_bps.is_none() {
             self.rate_bps = Some(self.derived_rate().max(1.0));
@@ -367,9 +393,7 @@ impl CcSender {
             }
             CcMode::Window => {
                 self.rate_bps = None;
-                // Invalidate any in-flight pace tick.
-                self.pace_gen += 1;
-                self.pace_armed = false;
+                self.pace.cancel();
                 self.report_rate(ctx);
                 self.try_send(ctx);
                 self.arm_rto(ctx);
@@ -439,21 +463,14 @@ impl CcSender {
 
     // ---- paced release ---------------------------------------------------
 
-    fn arm_pacer(&mut self, ctx: &mut EndpointCtx, at: SimTime) {
-        self.pace_gen += 1;
-        self.pace_armed = true;
-        ctx.set_timer(at, TOKEN_PACE | (self.pace_gen & TOKEN_GEN_MASK));
-    }
-
     fn on_pace_tick(&mut self, ctx: &mut EndpointCtx) {
-        self.pace_armed = false;
         if self.sb.in_flight() >= self.flight_limit() {
             if self.windowed() {
                 // Window-blocked: the next ACK re-arms the pacer.
                 return;
             }
             // Flow-window blocked (memory guard); re-check one gap later.
-            self.arm_pacer(ctx, ctx.now + self.pace_gap());
+            self.pace.arm(TOKEN_PACE, ctx.now + self.pace_gap(), ctx);
             return;
         }
         if self.send_one(ctx) {
@@ -461,7 +478,7 @@ impl CcSender {
                 self.arm_rto(ctx);
             }
             if self.has_work() {
-                self.arm_pacer(ctx, ctx.now + self.pace_gap());
+                self.pace.arm(TOKEN_PACE, ctx.now + self.pace_gap(), ctx);
             }
         }
         // If idle (nothing to send), the pacer re-arms when work arrives
@@ -472,11 +489,11 @@ impl CcSender {
     /// again.
     fn wake_pacer(&mut self, ctx: &mut EndpointCtx) {
         if !self.finished
-            && !self.pace_armed
+            && !self.pace.armed()
             && self.has_work()
             && self.sb.in_flight() < self.flight_limit()
         {
-            self.arm_pacer(ctx, ctx.now);
+            self.pace.arm(TOKEN_PACE, ctx.now, ctx);
         }
     }
 
@@ -506,11 +523,10 @@ impl CcSender {
             return;
         }
         // Loss repair is never held back by offload aggregation.
-        while !self.retx_queue.is_empty() && self.sb.in_flight() < self.flight_limit() {
-            if !self.send_one(ctx) {
-                break;
-            }
-        }
+        while !self.retx_queue.is_empty()
+            && self.sb.in_flight() < self.flight_limit()
+            && self.send_one(ctx)
+        {}
         let burst = self.cfg.tso_burst_pkts.max(1) as u64;
         let n = self.sendable_new();
         if n > 0 {
@@ -519,37 +535,29 @@ impl CcSender {
                 None => false,
             };
             if n >= burst || last_chunk {
-                for _ in 0..n {
-                    if !self.send_one(ctx) {
-                        break;
-                    }
-                }
-            } else {
-                self.arm_tso_flush(ctx);
+                self.send_up_to(n, ctx);
+            } else if !self.tso.armed() {
+                self.tso.arm(TOKEN_TSO, ctx.now + TSO_FLUSH, ctx);
             }
         }
         self.arm_rto(ctx);
     }
 
-    fn arm_tso_flush(&mut self, ctx: &mut EndpointCtx) {
-        if self.tso_armed {
-            return;
-        }
-        self.tso_armed = true;
-        ctx.set_timer(ctx.now + TSO_FLUSH, TOKEN_TSO);
-    }
-
-    fn on_tso_flush(&mut self, ctx: &mut EndpointCtx) {
-        self.tso_armed = false;
-        if self.paced() {
-            return;
-        }
-        let n = self.sendable_new();
+    /// Transmit up to `n` packets, fewer if the data runs out.
+    fn send_up_to(&mut self, n: u64, ctx: &mut EndpointCtx) {
         for _ in 0..n {
             if !self.send_one(ctx) {
                 break;
             }
         }
+    }
+
+    fn on_tso_flush(&mut self, ctx: &mut EndpointCtx) {
+        if self.paced() {
+            return;
+        }
+        let n = self.sendable_new();
+        self.send_up_to(n, ctx);
         if n > 0 {
             self.arm_rto(ctx);
         }
@@ -596,32 +604,37 @@ impl CcSender {
             in_flight: self.sb.in_flight(),
             mss: self.mss(),
         };
-        if self.batched() {
-            self.agg.on_loss(&ev);
-            if ev.new_episode {
-                // Urgent flush: a fresh loss episode is delivered on the
-                // spot so batched loss-driven algorithms react as promptly
-                // as per-ACK ones (only growth is deferred to the cadence).
-                self.flush_report(ctx);
-            }
-        } else {
-            self.with_cc(ctx, |c, cc| c.on_loss(&ev, cc));
-        }
+        self.deliver_loss(&ev, ctx);
         if self.paced() {
             self.wake_pacer(ctx);
         }
     }
 
-    fn arm_scan(&mut self, ctx: &mut EndpointCtx) {
-        if self.scan_armed || self.finished {
+    /// Hand a loss event to the algorithm. In batched mode it joins the
+    /// current report, and a new episode (every timeout is one) flushes the
+    /// report on the spot: loss-driven algorithms react as promptly as
+    /// per-ACK ones, and a timeout collapses the window or rate before the
+    /// retransmission burst. Only growth is deferred to the cadence.
+    fn deliver_loss(&mut self, ev: &LossEvent, ctx: &mut EndpointCtx) {
+        if !self.batched() {
+            self.with_cc(ctx, |c, cc| c.on_loss(ev, cc));
             return;
         }
-        self.scan_armed = true;
+        self.agg.on_loss(ev);
+        if ev.new_episode {
+            self.flush_report(ctx);
+        }
+    }
+
+    fn arm_scan(&mut self, ctx: &mut EndpointCtx) {
+        if self.scan.armed() || self.finished {
+            return;
+        }
         let interval = self
             .rtt
             .srtt_or(SimDuration::from_millis(100))
             .max(SimDuration::from_millis(10));
-        ctx.set_timer(ctx.now + interval, TOKEN_SCAN);
+        self.scan.arm(TOKEN_SCAN, ctx.now + interval, ctx);
     }
 
     fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
@@ -633,27 +646,20 @@ impl CcSender {
         self.rto_deadline = deadline;
         // Lazy re-arm: an event already due at or before the deadline will
         // fire, notice the pushed-out deadline, and re-schedule itself.
-        match self.rto_event_at {
+        match self.rto.due {
             Some(at) if at <= deadline => {}
-            _ => self.schedule_rto_event(ctx, deadline),
+            _ => self.rto.arm(TOKEN_RTO, deadline, ctx),
         }
     }
 
-    fn schedule_rto_event(&mut self, ctx: &mut EndpointCtx, at: SimTime) {
-        self.rto_gen += 1;
-        self.rto_event_at = Some(at);
-        ctx.set_timer(at, TOKEN_RTO | (self.rto_gen & TOKEN_GEN_MASK));
-    }
-
     fn on_rto_event(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_event_at = None;
         if self.sb.in_flight() == 0 && self.retx_queue.is_empty() {
             return; // nothing outstanding; stay disarmed
         }
         if ctx.now < self.rto_deadline {
             // The deadline moved while this event sat in the queue (ACKs
             // re-based it); chase it instead of declaring a timeout.
-            self.schedule_rto_event(ctx, self.rto_deadline);
+            self.rto.arm(TOKEN_RTO, self.rto_deadline, ctx);
             return;
         }
         self.on_rto_fire(ctx);
@@ -703,14 +709,7 @@ impl CcSender {
             in_flight: self.sb.in_flight(),
             mss: self.mss(),
         };
-        if self.batched() {
-            self.agg.on_loss(&ev);
-            // A timeout is always flushed immediately: the algorithm must
-            // collapse its window / rate before the retransmission burst.
-            self.flush_report(ctx);
-        } else {
-            self.with_cc(ctx, |c, cc| c.on_loss(&ev, cc));
-        }
+        self.deliver_loss(&ev, ctx);
         self.report_rate(ctx);
         self.try_send(ctx);
         self.arm_rto(ctx);
@@ -785,11 +784,7 @@ impl CcSender {
             return;
         }
         let interval = self.report_interval();
-        self.report_gen += 1;
-        ctx.set_timer(
-            ctx.now + interval,
-            TOKEN_REPORT | (self.report_gen & TOKEN_GEN_MASK),
-        );
+        self.report.arm(TOKEN_REPORT, ctx.now + interval, ctx);
     }
 
     /// Close the current interval, stamp the engine snapshot, and deliver
@@ -812,8 +807,8 @@ impl CcSender {
     }
 
     /// Emit a report now and start the next interval: the cadence tick,
-    /// and the out-of-cadence report of a loss episode or timeout (which
-    /// invalidates the pending tick via generation).
+    /// and the out-of-cadence report of a loss episode or timeout (whose
+    /// re-arm supersedes the pending tick).
     fn flush_report(&mut self, ctx: &mut EndpointCtx) {
         self.emit_report(ctx);
         self.arm_report(ctx);
@@ -852,7 +847,7 @@ impl CcSender {
         self.rtt = RttEstimator::new(min_rto, SimDuration::from_secs(120));
         if let Some(rate) = self.rate_bps {
             ctx.record_rate(rate);
-            self.arm_pacer(ctx, ctx.now);
+            self.pace.arm(TOKEN_PACE, ctx.now, ctx);
         }
         if self.windowed() {
             if !self.paced() {
@@ -966,36 +961,22 @@ impl Endpoint for CcSender {
             // intervals to the horizon.
             return;
         }
-        let kind = token & !TOKEN_GEN_MASK;
         let gen = token & TOKEN_GEN_MASK;
-        match kind {
-            TOKEN_PACE => {
-                if gen == (self.pace_gen & TOKEN_GEN_MASK) {
-                    self.on_pace_tick(ctx);
-                }
-            }
-            TOKEN_SCAN => {
-                self.scan_armed = false;
-                self.scan_losses(ctx);
-                self.arm_scan(ctx);
-            }
+        match token & !TOKEN_GEN_MASK {
             TOKEN_CTRL => {
                 self.with_cc(ctx, |c, cc| c.on_timer(gen, cc));
                 self.try_send(ctx);
             }
-            TOKEN_RTO => {
-                if gen == (self.rto_gen & TOKEN_GEN_MASK) {
-                    self.on_rto_event(ctx);
-                }
+            TOKEN_PACE if self.pace.fire(gen) => self.on_pace_tick(ctx),
+            TOKEN_SCAN if self.scan.fire(gen) => {
+                self.scan_losses(ctx);
+                self.arm_scan(ctx);
             }
-            // Armed only while none is pending: never stale.
-            TOKEN_TSO => self.on_tso_flush(ctx),
-            TOKEN_REPORT => {
-                if gen == (self.report_gen & TOKEN_GEN_MASK) {
-                    self.flush_report(ctx);
-                }
-            }
-            _ => debug_assert!(false, "unknown timer token"),
+            TOKEN_RTO if self.rto.fire(gen) => self.on_rto_event(ctx),
+            TOKEN_TSO if self.tso.fire(gen) => self.on_tso_flush(ctx),
+            TOKEN_REPORT if self.report.fire(gen) => self.flush_report(ctx),
+            // A superseded or cancelled arm.
+            _ => {}
         }
     }
 }
