@@ -64,6 +64,7 @@
 //! assert_eq!(report.flows.len(), 1);
 //! ```
 
+mod arena;
 pub mod endpoint;
 pub mod event;
 pub mod fault;

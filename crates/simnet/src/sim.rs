@@ -6,6 +6,7 @@
 //! link paths), then [`NetworkBuilder::build`] and [`Simulation::run_until`].
 //! The run produces a [`SimReport`] with per-flow statistics and series.
 
+use crate::arena::FlowArena;
 use crate::endpoint::{Action, Endpoint, EndpointCtx};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultPlane;
@@ -131,28 +132,29 @@ struct FlowRuntime {
     receiver: Box<dyn Endpoint>,
     fwd_path: Vec<LinkId>,
     rev_path: Vec<LinkId>,
-    start_at: SimTime,
     sender_rng: SimRng,
     receiver_rng: SimRng,
     stats: FlowStats,
-    // Sampling accumulators (reset every sample tick).
-    window_delivered_bytes: u64,
-    window_goodput_bytes: u64,
-    window_rtt_sum_ns: u64,
-    window_rtt_count: u64,
-    window_losses: u64,
+    window: Window,
     last_rate_bps: f64,
-    finished: bool,
-    /// True for driver-admitted flows: retire (harvest stats, recycle the
-    /// slot) on finish or stall instead of lingering to the horizon.
-    churn: bool,
-    /// Driver-owned tag echoed back on harvest.
-    tag: u64,
+    /// The driver's tag for a driver-admitted flow, which retires (harvest
+    /// stats, recycle the slot) on finish or stall instead of lingering to
+    /// the horizon; `None` for a flow registered with the builder.
+    churn: Option<u64>,
+}
+
+/// A flow's sampling accumulators, reset every sample tick.
+#[derive(Default)]
+struct Window {
+    delivered_bytes: u64,
+    goodput_bytes: u64,
+    rtt_sum_ns: u64,
+    rtt_count: u64,
+    losses: u64,
 }
 
 impl FlowRuntime {
-    /// A flow that has sent nothing yet. `churn` is the driver's tag for a
-    /// driver-admitted flow, `None` for one registered with the builder.
+    /// A flow that has sent nothing yet.
     fn new(spec: FlowSpec, sender_rng: SimRng, receiver_rng: SimRng, churn: Option<u64>) -> Self {
         assert!(
             !spec.fwd_path.is_empty() && !spec.rev_path.is_empty(),
@@ -163,50 +165,16 @@ impl FlowRuntime {
             receiver: spec.receiver,
             fwd_path: spec.fwd_path,
             rev_path: spec.rev_path,
-            start_at: spec.start_at,
             sender_rng,
             receiver_rng,
             stats: FlowStats {
                 started_at: spec.start_at,
                 ..Default::default()
             },
-            window_delivered_bytes: 0,
-            window_goodput_bytes: 0,
-            window_rtt_sum_ns: 0,
-            window_rtt_count: 0,
-            window_losses: 0,
+            window: Window::default(),
             last_rate_bps: 0.0,
-            finished: false,
-            churn: churn.is_some(),
-            tag: churn.unwrap_or(0),
+            churn,
         }
-    }
-}
-
-/// One arena slot: a generation counter plus the current tenant, if any.
-/// The generation increments on every retire, so packets and timers stamped
-/// with an older generation can never alias the slot's next tenant.
-#[derive(Default)]
-struct FlowSlot {
-    gen: u32,
-    rt: Option<FlowRuntime>,
-    /// Timers the current tenant has armed that have not fired yet.
-    timers: u32,
-}
-
-impl FlowSlot {
-    /// True if the live tenant is the one that stamped `gen`.
-    fn owns(&self, gen: u32) -> bool {
-        self.gen == gen && self.rt.is_some()
-    }
-
-    /// The live tenant, or `None` for a retired (free-listed) slot.
-    fn live(&self) -> Option<&FlowRuntime> {
-        self.rt.as_ref()
-    }
-
-    fn live_mut(&mut self) -> Option<&mut FlowRuntime> {
-        self.rt.as_mut()
     }
 }
 
@@ -272,7 +240,7 @@ impl SimReport {
 pub struct NetworkBuilder {
     config: SimConfig,
     links: Vec<Link>,
-    flows: Vec<FlowSlot>,
+    flows: Vec<FlowRuntime>,
     fault: Option<FaultPlane>,
     driver: Option<Box<dyn ChurnDriver>>,
     record_series: bool,
@@ -326,10 +294,8 @@ impl NetworkBuilder {
         let id = FlowId(self.flows.len() as u32);
         let sender_rng = self.rng.derive(0x534E_4400_0000 + id.0 as u64);
         let receiver_rng = self.rng.derive(0x5243_5600_0000 + id.0 as u64);
-        self.flows.push(FlowSlot {
-            rt: Some(FlowRuntime::new(spec, sender_rng, receiver_rng, None)),
-            ..FlowSlot::default()
-        });
+        self.flows
+            .push(FlowRuntime::new(spec, sender_rng, receiver_rng, None));
         id
     }
 
@@ -354,8 +320,7 @@ impl NetworkBuilder {
             now: SimTime::ZERO,
             events,
             links: self.links,
-            flows: self.flows,
-            free_slots: Vec::new(),
+            flows: FlowArena::new(self.flows),
             config: self.config,
             fault: self.fault,
             fault_rng,
@@ -369,8 +334,6 @@ impl NetworkBuilder {
                 peak_live: if has_driver { live } else { 0 },
                 ..ChurnStats::default()
             },
-            live_count: live,
-            dead_timers: 0,
             record_series: self.record_series,
             scratch: Vec::new(),
             events_processed: 0,
@@ -383,9 +346,7 @@ pub struct Simulation {
     now: SimTime,
     events: EventQueue,
     links: Vec<Link>,
-    flows: Vec<FlowSlot>,
-    /// Retired slot indices awaiting reuse (the churn free list).
-    free_slots: Vec<u32>,
+    flows: FlowArena<FlowRuntime>,
     config: SimConfig,
     fault: Option<FaultPlane>,
     fault_rng: SimRng,
@@ -401,9 +362,6 @@ pub struct Simulation {
     /// recycled slot never replays its previous tenant's randomness.
     churn_seq: u64,
     churn: ChurnStats,
-    live_count: u64,
-    /// Timers of retired flows still in the event queue's heap.
-    dead_timers: usize,
     record_series: bool,
     scratch: Vec<Action>,
     events_processed: u64,
@@ -411,15 +369,9 @@ pub struct Simulation {
 
 impl Simulation {
     fn bootstrap(&mut self) {
-        for (i, slot) in self.flows.iter().enumerate() {
-            if let Some(f) = slot.live() {
-                self.events.schedule(
-                    f.start_at,
-                    Event::FlowStart {
-                        flow: FlowId(i as u32),
-                    },
-                );
-            }
+        for (flow, f) in self.flows.iter_mut() {
+            self.events
+                .schedule(f.stats.started_at, Event::FlowStart { flow });
         }
         for (i, l) in self.links.iter().enumerate() {
             if let Some(step) = l.schedule().step(0) {
@@ -460,15 +412,13 @@ impl Simulation {
         let samples = (horizon.as_nanos() / self.config.sample_interval.as_nanos().max(1))
             .min(1 << 24) as usize;
         if self.record_series {
-            for slot in &mut self.flows {
-                if let Some(rt) = slot.live_mut() {
-                    let s = &mut rt.stats.series;
-                    s.throughput_mbps.reserve_exact(samples);
-                    s.goodput_mbps.reserve_exact(samples);
-                    s.rate_mbps.reserve_exact(samples);
-                    s.rtt_ms.reserve_exact(samples);
-                    s.losses.reserve_exact(samples);
-                }
+            for (_, rt) in self.flows.iter_mut() {
+                let s = &mut rt.stats.series;
+                s.throughput_mbps.reserve_exact(samples);
+                s.goodput_mbps.reserve_exact(samples);
+                s.rate_mbps.reserve_exact(samples);
+                s.rtt_ms.reserve_exact(samples);
+                s.losses.reserve_exact(samples);
             }
         }
         while let Some((at, event)) = self.events.pop() {
@@ -486,9 +436,7 @@ impl Simulation {
         // The timers retired flows left armed past the horizon are
         // discarded too, so `stale_timers` does not depend on when purges
         // ran.
-        if self.dead_timers > 0 {
-            self.purge_dead_timers();
-        }
+        self.churn.stale_timers += self.flows.purge(&mut self.events) as u64;
     }
 
     fn dispatch(&mut self, event: Event, horizon: SimTime) {
@@ -503,15 +451,12 @@ impl Simulation {
                 token,
                 gen,
             } => {
-                let slot = &mut self.flows[flow.index()];
-                if slot.owns(gen) {
-                    slot.timers -= 1;
+                if self.flows.fire_timer(flow, gen) {
                     self.call_endpoint(flow, side, |e, ctx| e.on_timer(token, ctx));
                 } else {
                     // Armed by a retired flow, never by the slot's new
                     // tenant, and it came due before a purge took it:
                     // discarded, and not an event.
-                    self.dead_timers -= 1;
                     self.churn.stale_timers += 1;
                     self.events_processed -= 1;
                 }
@@ -621,11 +566,9 @@ impl Simulation {
         }
         if change.reroute {
             for (flow, fwd, rev) in plane.reroute() {
-                if flow.index() < self.flows.len() {
-                    if let Some(rt) = self.flows[flow.index()].live_mut() {
-                        rt.fwd_path = fwd;
-                        rt.rev_path = rev;
-                    }
+                if let Some(rt) = self.flows.get_mut(flow) {
+                    rt.fwd_path = fwd;
+                    rt.rev_path = rev;
                 }
             }
         }
@@ -678,88 +621,60 @@ impl Simulation {
             start_at: self.now,
         };
         let rt = FlowRuntime::new(spec, sender_rng, receiver_rng, Some(flow.tag));
-        let idx = match self.free_slots.pop() {
-            Some(i) => {
-                self.churn.recycled += 1;
-                i as usize
-            }
-            None => {
-                self.flows.push(FlowSlot::default());
-                self.flows.len() - 1
-            }
-        };
-        debug_assert!(self.flows[idx].rt.is_none(), "allocated an occupied slot");
-        self.flows[idx].rt = Some(rt);
-        self.live_count += 1;
-        self.churn.peak_live = self.churn.peak_live.max(self.live_count);
-        let id = FlowId(idx as u32);
+        let id = self.flows.admit(rt);
+        self.churn.peak_live = self.churn.peak_live.max(self.flows.live() as u64);
         self.call_endpoint(id, Side::Sender, |e, ctx| e.start(ctx));
         self.call_endpoint(id, Side::Receiver, |e, ctx| e.start(ctx));
     }
 
-    /// Harvest a terminal churn flow: hand its stats to the driver, bump the
-    /// slot generation (orphaning any in-flight packets/timers), and free
-    /// the slot for reuse.
-    fn retire_flow(&mut self, flow: FlowId) {
-        let slot = &mut self.flows[flow.index()];
-        let Some(rt) = slot.rt.take() else {
-            return;
-        };
-        slot.gen = slot.gen.wrapping_add(1);
-        self.dead_timers += std::mem::take(&mut slot.timers) as usize;
-        self.live_count -= 1;
+    /// Harvest a terminal churn flow: free its slot (orphaning whatever it
+    /// left in flight) and hand its stats to the driver with its `tag`.
+    fn retire_flow(&mut self, flow: FlowId, tag: u64) {
+        let rt = self.flows.retire(flow).expect("a terminal flow is live");
         if rt.stats.completed_at.is_some() {
             self.churn.completions += 1;
         } else {
             self.churn.stalls += 1;
         }
-        self.free_slots.push(flow.0);
         match &mut self.driver {
-            Some(driver) => driver.on_flow_complete(rt.tag, &rt.stats, self.now),
+            Some(driver) => driver.on_flow_complete(tag, &rt.stats, self.now),
             // The driver is momentarily out while admit_arrivals runs (a
             // flow can go terminal inside its own start); buffer the
             // harvest and deliver it when the driver is re-installed.
-            None => self.pending_harvest.push((rt.tag, rt.stats)),
+            None => self.pending_harvest.push((tag, rt.stats)),
         }
         // Amortised O(1) per dead timer: a purge walks the heap only once
         // the dead outnumber half of it.
-        if self.dead_timers > DEAD_TIMER_FLOOR.max(self.events.heap_len() / 2) {
-            self.purge_dead_timers();
+        if self.flows.dead_timers() > DEAD_TIMER_FLOOR.max(self.events.heap_len() / 2) {
+            self.churn.stale_timers += self.flows.purge(&mut self.events) as u64;
         }
-    }
-
-    /// Take every timer of a retired flow out of the event queue's heap.
-    fn purge_dead_timers(&mut self) {
-        let flows = &self.flows;
-        let purged = self.events.retain_heap(|event| match *event {
-            Event::Timer { flow, gen, .. } => flows[flow.index()].owns(gen),
-            _ => true,
-        });
-        debug_assert_eq!(purged, self.dead_timers, "every dead timer is counted");
-        self.churn.stale_timers += purged as u64;
-        self.dead_timers = 0;
     }
 
     /// Move `pkt` along its path: offer to the next link, or deliver to the
     /// destination endpoint if all links are traversed.
     fn route(&mut self, mut pkt: Packet) {
-        let slot = &self.flows[pkt.flow.index()];
-        let Some(flow) = slot.live() else {
+        let Some(flow) = self.flows.owner_mut(pkt.flow, pkt.gen) else {
+            // Sent by a retired flow: it must not bleed into the slot's
+            // next tenant.
             self.churn.stale_packets += 1;
             return;
         };
-        if slot.gen != pkt.gen {
-            // Sent by a retired tenant of this (recycled) slot.
-            self.churn.stale_packets += 1;
-            return;
-        }
         let path = match pkt.dir {
             Direction::Forward => &flow.fwd_path,
             Direction::Reverse => &flow.rev_path,
         };
         let hop = pkt.hop as usize;
         if hop >= path.len() {
-            self.deliver(pkt);
+            if pkt.is_data() {
+                flow.stats.delivered_bytes += pkt.bytes as u64;
+                flow.stats.delivered_packets += 1;
+                flow.window.delivered_bytes += pkt.bytes as u64;
+            }
+            let side = match pkt.dir {
+                Direction::Forward => Side::Receiver,
+                Direction::Reverse => Side::Sender,
+            };
+            self.call_endpoint(pkt.flow, side, |e, ctx| e.on_packet(&pkt, ctx));
             return;
         }
         let link_id = path[hop];
@@ -805,29 +720,6 @@ impl Simulation {
         }
     }
 
-    /// Hand a fully propagated packet to its destination endpoint.
-    fn deliver(&mut self, pkt: Packet) {
-        let flow_id = pkt.flow;
-        // The generation check comes before any stats update: a packet from
-        // a retired tenant must not bleed bytes into the slot's new flow.
-        let slot = &mut self.flows[flow_id.index()];
-        if slot.gen != pkt.gen || slot.rt.is_none() {
-            self.churn.stale_packets += 1;
-            return;
-        }
-        let side = match pkt.dir {
-            Direction::Forward => Side::Receiver,
-            Direction::Reverse => Side::Sender,
-        };
-        if pkt.is_data() {
-            let rt = slot.live_mut().expect("checked live above");
-            rt.stats.delivered_bytes += pkt.bytes as u64;
-            rt.stats.delivered_packets += 1;
-            rt.window_delivered_bytes += pkt.bytes as u64;
-        }
-        self.call_endpoint(flow_id, side, |e, ctx| e.on_packet(&pkt, ctx));
-    }
-
     /// Invoke an endpoint callback and apply the actions it emitted.
     fn call_endpoint(
         &mut self,
@@ -838,7 +730,7 @@ impl Simulation {
         let mut actions = std::mem::take(&mut self.scratch);
         actions.clear();
         {
-            let Some(rt) = self.flows[flow.index()].live_mut() else {
+            let Some(rt) = self.flows.get_mut(flow) else {
                 self.scratch = actions;
                 return;
             };
@@ -856,50 +748,44 @@ impl Simulation {
         self.scratch = actions;
         // Retire terminal churn flows only after the whole action batch is
         // applied, so trailing Record* actions still land on this flow.
-        let terminal = self.flows[flow.index()]
-            .live()
-            .is_some_and(|rt| rt.churn && (rt.finished || rt.stats.stalled.is_some()));
-        if terminal {
-            self.retire_flow(flow);
+        let terminal = self.flows.get_mut(flow).and_then(|rt| {
+            let done = rt.stats.completed_at.is_some() || rt.stats.stalled.is_some();
+            rt.churn.filter(|_| done)
+        });
+        if let Some(tag) = terminal {
+            self.retire_flow(flow, tag);
         }
     }
 
     fn apply_action(&mut self, flow: FlowId, side: Side, action: Action) {
+        let Some(rt) = self.flows.get_mut(flow) else {
+            return;
+        };
         match action {
             Action::Send(mut pkt) => {
+                if side == Side::Sender && pkt.is_data() {
+                    rt.stats.sent_packets += 1;
+                }
                 pkt.flow = flow;
                 pkt.dir = match side {
                     Side::Sender => Direction::Forward,
                     Side::Receiver => Direction::Reverse,
                 };
                 pkt.hop = 0;
-                pkt.gen = self.flows[flow.index()].gen;
-                if side == Side::Sender && pkt.is_data() {
-                    if let Some(rt) = self.flows[flow.index()].live_mut() {
-                        rt.stats.sent_packets += 1;
-                    }
-                }
+                pkt.gen = self.flows.stamp(flow);
                 self.route(pkt);
             }
             Action::SetTimer { at, token } => {
-                let at = if at < self.now { self.now } else { at };
-                let slot = &mut self.flows[flow.index()];
-                slot.timers += 1;
-                let gen = slot.gen;
-                self.events.schedule(
-                    at,
-                    Event::Timer {
-                        flow,
-                        side,
-                        token,
-                        gen,
-                    },
-                );
+                let gen = self.flows.arm_timer(flow);
+                let timer = Event::Timer {
+                    flow,
+                    side,
+                    token,
+                    gen,
+                };
+                self.events.schedule(at.max(self.now), timer);
             }
             Action::RecordRate(bps) => {
-                let Some(rt) = self.flows[flow.index()].live_mut() else {
-                    return;
-                };
                 rt.last_rate_bps = bps;
                 // Downsample to at most one entry per sample interval
                 // (keeping the latest decision in the window, like the
@@ -916,94 +802,63 @@ impl Simulation {
                 }
             }
             Action::RecordRtt(rtt) => {
-                let Some(rt) = self.flows[flow.index()].live_mut() else {
-                    return;
-                };
                 rt.stats.rtt_sum_ns += rtt.as_nanos();
                 rt.stats.rtt_samples += 1;
-                rt.window_rtt_sum_ns += rtt.as_nanos();
-                rt.window_rtt_count += 1;
+                rt.window.rtt_sum_ns += rtt.as_nanos();
+                rt.window.rtt_count += 1;
             }
             Action::RecordLoss(n) => {
-                let Some(rt) = self.flows[flow.index()].live_mut() else {
-                    return;
-                };
                 rt.stats.detected_losses += n;
-                rt.window_losses += n;
+                rt.window.losses += n;
             }
             Action::RecordGoodput(bytes) => {
-                let Some(rt) = self.flows[flow.index()].live_mut() else {
-                    return;
-                };
                 rt.stats.goodput_bytes += bytes;
-                rt.window_goodput_bytes += bytes;
+                rt.window.goodput_bytes += bytes;
             }
             Action::Stall { dark, timeouts } => {
-                let Some(rt) = self.flows[flow.index()].live_mut() else {
-                    return;
-                };
-                if rt.stats.stalled.is_none() {
-                    rt.stats.stalled = Some(StallInfo {
-                        at: self.now,
-                        dark,
-                        timeouts,
-                    });
-                }
+                let at = self.now;
+                rt.stats
+                    .stalled
+                    .get_or_insert(StallInfo { at, dark, timeouts });
             }
             Action::Finish => {
-                let Some(rt) = self.flows[flow.index()].live_mut() else {
-                    return;
-                };
-                if !rt.finished {
-                    rt.finished = true;
-                    rt.stats.completed_at = Some(self.now);
-                }
+                rt.stats.completed_at.get_or_insert(self.now);
             }
         }
     }
 
     fn take_sample(&mut self) {
         let dt = self.config.sample_interval.as_secs_f64();
-        let record = self.record_series;
-        for slot in &mut self.flows {
-            let Some(rt) = slot.live_mut() else {
-                continue;
-            };
-            if record {
-                let tput = rt.window_delivered_bytes as f64 * 8.0 / dt / 1e6;
-                let goodput = rt.window_goodput_bytes as f64 * 8.0 / dt / 1e6;
-                let rtt_ms = if rt.window_rtt_count > 0 {
-                    (rt.window_rtt_sum_ns as f64 / rt.window_rtt_count as f64) / 1e6
+        for (_, rt) in self.flows.iter_mut() {
+            let w = std::mem::take(&mut rt.window);
+            if self.record_series {
+                let rtt_ms = if w.rtt_count > 0 {
+                    (w.rtt_sum_ns as f64 / w.rtt_count as f64) / 1e6
                 } else {
                     f64::NAN
                 };
-                rt.stats.series.throughput_mbps.push(tput);
-                rt.stats.series.goodput_mbps.push(goodput);
-                rt.stats.series.rate_mbps.push(rt.last_rate_bps / 1e6);
-                rt.stats.series.rtt_ms.push(rtt_ms);
-                rt.stats.series.losses.push(rt.window_losses);
+                let s = &mut rt.stats.series;
+                s.throughput_mbps
+                    .push(w.delivered_bytes as f64 * 8.0 / dt / 1e6);
+                s.goodput_mbps.push(w.goodput_bytes as f64 * 8.0 / dt / 1e6);
+                s.rate_mbps.push(rt.last_rate_bps / 1e6);
+                s.rtt_ms.push(rtt_ms);
+                s.losses.push(w.losses);
             }
-            rt.window_delivered_bytes = 0;
-            rt.window_goodput_bytes = 0;
-            rt.window_rtt_sum_ns = 0;
-            rt.window_rtt_count = 0;
-            rt.window_losses = 0;
         }
     }
 
     fn finalize(mut self) -> SimReport {
-        self.churn.live_at_end = self
-            .flows
-            .iter()
-            .filter(|s| s.live().is_some_and(|rt| rt.churn))
-            .count() as u64;
+        let live = self.flows.iter_mut();
+        self.churn.live_at_end = live.filter(|(_, rt)| rt.churn.is_some()).count() as u64;
+        self.churn.recycled = self.flows.recycled();
         SimReport {
             // A retired slot reports default (empty) stats: its real stats
             // were harvested through the driver when the flow retired.
             flows: self
                 .flows
-                .into_iter()
-                .map(|s| s.rt.map(|f| f.stats).unwrap_or_default())
+                .into_tenants()
+                .map(|f| f.map(|f| f.stats).unwrap_or_default())
                 .collect(),
             links: self
                 .links
@@ -1964,7 +1819,7 @@ mod tests {
         let orphaned = sim
             .events
             .heap_events()
-            .filter(|e| matches!(e, Event::Timer { flow, gen, .. } if !sim.flows[flow.index()].owns(*gen)))
+            .filter(|e| matches!(e, Event::Timer { flow, gen, .. } if sim.flows.owner(*flow, *gen).is_none()))
             .count();
         assert_eq!(orphaned, 0, "timers of retired flows left in the heap");
         let c = sim.finalize().churn;
