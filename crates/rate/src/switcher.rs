@@ -123,14 +123,12 @@ impl CongestionControl for RateThenWindow {
                 // Switch: install a window worth what the path actually
                 // delivered over the last measured RTT, and tell the
                 // engine to re-plumb (clear pacing, clock on ACKs).
+                // With nothing delivered there is no evidence for more than
+                // the floor: the probed rate is no stand-in, since a sender
+                // that never filled it kept doubling it without bound.
                 let srtt = self.srtt_or_hint(rep);
-                let base = if delivery > 0.0 {
-                    delivery
-                } else {
-                    self.rate_bps
-                };
-                self.cwnd_pkts =
-                    (base * srtt.as_secs_f64() / (self.mss as f64 * 8.0)).max(SWITCH_CWND_FLOOR);
+                self.cwnd_pkts = (delivery * srtt.as_secs_f64() / (self.mss as f64 * 8.0))
+                    .max(SWITCH_CWND_FLOOR);
                 self.in_window = true;
                 ctx.set_cwnd(self.cwnd_pkts);
                 ctx.set_mode(CcMode::Window);
@@ -228,6 +226,25 @@ mod tests {
         // delivery ≈ 40 pkts over 30 ms, srtt 30 ms ⇒ ≈ 40 pkts (±1 for
         // the (n−1)-spacing estimator).
         assert!((35.0..=45.0).contains(&cwnd), "cwnd {cwnd}");
+    }
+
+    #[test]
+    fn a_switch_on_nothing_delivered_installs_the_floor() {
+        // A sender that never fills its probe keeps doubling the rate (the
+        // plateau check needs it sent), so the rate says nothing about the
+        // path. A lossy report that then delivers nothing must not size
+        // the window from it: 60 doublings would be ~1e19 packets, far
+        // past the engine's 20 000-packet clamp.
+        let mut c = cc();
+        let mut fx = Effects::default();
+        for i in 0..60 {
+            deliver(&mut c, &report(i * 30, 1, 0, false), &mut fx);
+        }
+        assert!(!c.in_window_mode() && c.rate_bps() > 1e20, "runaway rate");
+        deliver(&mut c, &report(60 * 30, 0, 5, true), &mut fx);
+        assert!(c.in_window_mode());
+        assert!(c.cwnd_pkts() <= 20_000.0, "cwnd {}", c.cwnd_pkts());
+        assert_eq!(fx.drain().cwnd, Some(SWITCH_CWND_FLOOR));
     }
 
     #[test]
