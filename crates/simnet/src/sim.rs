@@ -135,7 +135,7 @@ struct FlowRuntime {
     sender_rng: SimRng,
     receiver_rng: SimRng,
     stats: FlowStats,
-    window: Window,
+    window: SampleWindow,
     last_rate_bps: f64,
     /// The driver's tag for a driver-admitted flow, which retires (harvest
     /// stats, recycle the slot) on finish or stall instead of lingering to
@@ -145,7 +145,7 @@ struct FlowRuntime {
 
 /// A flow's sampling accumulators, reset every sample tick.
 #[derive(Default)]
-struct Window {
+struct SampleWindow {
     delivered_bytes: u64,
     goodput_bytes: u64,
     rtt_sum_ns: u64,
@@ -171,7 +171,7 @@ impl FlowRuntime {
                 started_at: spec.start_at,
                 ..Default::default()
             },
-            window: Window::default(),
+            window: SampleWindow::default(),
             last_rate_bps: 0.0,
             churn,
         }
@@ -749,8 +749,8 @@ impl Simulation {
         // Retire terminal churn flows only after the whole action batch is
         // applied, so trailing Record* actions still land on this flow.
         let terminal = self.flows.get_mut(flow).and_then(|rt| {
-            let done = rt.stats.completed_at.is_some() || rt.stats.stalled.is_some();
-            rt.churn.filter(|_| done)
+            rt.churn
+                .filter(|_| rt.stats.completed_at.is_some() || rt.stats.stalled.is_some())
         });
         if let Some(tag) = terminal {
             self.retire_flow(flow, tag);

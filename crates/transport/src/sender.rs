@@ -1418,40 +1418,31 @@ mod tests {
         // its timer is still pending and be ignored if it was cancelled.
         const MS: fn(u64) -> SimTime = SimTime::from_millis;
         let start = |h: &mut Harness| h.call(SimTime::ZERO, |s, ctx| s.start(ctx));
-        let flip = |window: &mut bool, ctx: &mut Ctx| {
-            *window = !*window;
-            ctx.set_mode(if *window {
-                CcMode::Window
-            } else {
-                CcMode::Rate
-            });
+        // Rate mode, switched to Window (and back, and so on) by its own
+        // timer; the first switch has happened.
+        let flipped = || {
+            let mut window = false;
+            let cc = Scripted {
+                start: |ctx: &mut Ctx| ctx.set_rate(1e6),
+                tick: move |ctx: &mut Ctx| {
+                    window = !window;
+                    ctx.set_mode(if window { CcMode::Window } else { CcMode::Rate });
+                },
+            };
+            let mut h = Harness::new(sized(100), cc);
+            start(&mut h);
+            h.fire(SimTime::ZERO, TOKEN_CTRL);
+            h
         };
         type Case = (&'static str, u64, usize, bool, Harness);
         let cases: Vec<Case> = vec![
-            {
-                // A Window switch invalidates the pending pace tick.
-                let mut window = false;
-                let cc = Scripted {
-                    start: |ctx: &mut Ctx| ctx.set_rate(1e6),
-                    tick: move |ctx: &mut Ctx| flip(&mut window, ctx),
-                };
-                let mut h = Harness::new(sized(100), cc);
-                start(&mut h);
-                h.fire(SimTime::ZERO, TOKEN_CTRL);
-                ("pace tick after a Window switch", TOKEN_PACE, 1, false, h)
-            },
+            // The Window switch cancelled the pending pace tick.
+            ("pace after Window switch", TOKEN_PACE, 1, false, flipped()),
             {
                 // Switching back to Rate wakes the pacer with a new arm.
-                let mut window = false;
-                let cc = Scripted {
-                    start: |ctx: &mut Ctx| ctx.set_rate(1e6),
-                    tick: move |ctx: &mut Ctx| flip(&mut window, ctx),
-                };
-                let mut h = Harness::new(sized(100), cc);
-                start(&mut h);
-                h.fire(SimTime::ZERO, TOKEN_CTRL);
+                let mut h = flipped();
                 h.fire(MS(1), TOKEN_CTRL);
-                ("pace tick after Window and back", TOKEN_PACE, 2, true, h)
+                ("pace after Window and back", TOKEN_PACE, 2, true, h)
             },
             {
                 // The first RTO is armed off the 1 s initial RTO; the first
@@ -1501,7 +1492,7 @@ mod tests {
                 let mut h = Harness::new(sized(100), cc);
                 start(&mut h);
                 h.fire(SimTime::ZERO, TOKEN_CTRL);
-                ("second TSO arm while one is pending", TOKEN_TSO, 1, true, h)
+                ("second TSO arm while pending", TOKEN_TSO, 1, true, h)
             },
             {
                 // Re-entering Rate mode arms the scan only if none is
@@ -1513,13 +1504,7 @@ mod tests {
                 let mut h = Harness::new(sized(100), cc);
                 start(&mut h);
                 h.fire(SimTime::ZERO, TOKEN_CTRL);
-                (
-                    "second scan arm while one is pending",
-                    TOKEN_SCAN,
-                    1,
-                    true,
-                    h,
-                )
+                ("second scan arm while pending", TOKEN_SCAN, 1, true, h)
             },
         ];
         for (name, kind, arms, pending, mut h) in cases {
