@@ -371,6 +371,8 @@ mod tests {
         // other churn counter is unchanged.)
         use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
         use crate::dc::{run_ft_permutation, run_ls_mix, run_rack_incast, LsFabric};
+        use crate::dynamics::run_convergence;
+        use crate::rapid::run_rapid_change;
         use crate::vary::run_trace;
         use crate::workload::{churn_benchmark_config, run_churn};
         use pcc_simnet::trace::LinkTrace;
@@ -399,7 +401,11 @@ mod tests {
         // A paced window algorithm seeds its first pacing rate from the
         // RTT hint, so the cubic-paced spine run pins the fabric hint too.
         let paced = Protocol::named("cubic-paced");
-        let golden: [(&str, u64, u64); 11] = [
+        // A scheduled bottleneck, and a dumbbell sampled every second.
+        let secs = SimDuration::from_secs;
+        let rapid = run_rapid_change(pcc.clone(), secs(5), secs(60), 13, 2);
+        let convergence = run_convergence(pcc.clone(), 2, secs(20), secs(60), 6);
+        let golden: [(&str, u64, u64); 13] = [
             ("trace lte cubic", fp(&trace.report), 0x3de2_d6da_d5d5_7a24),
             (
                 "rack incast k=4 pcc",
@@ -450,6 +456,12 @@ mod tests {
                 "dumbbell cubic batched",
                 fp(&batched.report),
                 0x7932_2d0f_ac7c_3d7d,
+            ),
+            ("rapid pcc", fp(&rapid.inner.report), 0x37d1_df91_6f7a_152d),
+            (
+                "convergence pcc n=2",
+                fp(&convergence.inner.report),
+                0x1896_201c_0e0b_9495,
             ),
         ];
         let moved: Vec<String> = golden
