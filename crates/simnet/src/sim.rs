@@ -150,7 +150,6 @@ struct SampleWindow {
     goodput_bytes: u64,
     rtt_sum_ns: u64,
     rtt_count: u64,
-    losses: u64,
 }
 
 impl FlowRuntime {
@@ -418,7 +417,6 @@ impl Simulation {
                 s.goodput_mbps.reserve_exact(samples);
                 s.rate_mbps.reserve_exact(samples);
                 s.rtt_ms.reserve_exact(samples);
-                s.losses.reserve_exact(samples);
             }
         }
         while let Some((at, event)) = self.events.pop() {
@@ -807,10 +805,7 @@ impl Simulation {
                 rt.window.rtt_sum_ns += rtt.as_nanos();
                 rt.window.rtt_count += 1;
             }
-            Action::RecordLoss(n) => {
-                rt.stats.detected_losses += n;
-                rt.window.losses += n;
-            }
+            Action::RecordLoss(n) => rt.stats.detected_losses += n,
             Action::RecordGoodput(bytes) => {
                 rt.stats.goodput_bytes += bytes;
                 rt.window.goodput_bytes += bytes;
@@ -843,7 +838,6 @@ impl Simulation {
                 s.goodput_mbps.push(w.goodput_bytes as f64 * 8.0 / dt / 1e6);
                 s.rate_mbps.push(rt.last_rate_bps / 1e6);
                 s.rtt_ms.push(rtt_ms);
-                s.losses.push(w.losses);
             }
         }
     }
@@ -1211,7 +1205,6 @@ mod tests {
         assert_eq!(s.goodput_mbps.len(), 10);
         assert_eq!(s.rate_mbps.len(), 10);
         assert_eq!(s.rtt_ms.len(), 10);
-        assert_eq!(s.losses.len(), 10);
     }
 
     #[test]

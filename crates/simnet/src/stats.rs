@@ -1,7 +1,8 @@
 //! Per-flow measurement and post-run analysis.
 //!
 //! The simulation samples each flow at a fixed interval, producing aligned
-//! time series of throughput, goodput, control rate, RTT, and loss. The
+//! time series of throughput, goodput, control rate and RTT; losses are
+//! counted over the flow's lifetime ([`FlowStats::detected_losses`]). The
 //! analysis helpers compute the paper's metrics: Jain's fairness index
 //! (Fig. 13), convergence time and post-convergence standard deviation
 //! (Fig. 16), and flow completion times (Fig. 15).
@@ -20,8 +21,6 @@ pub struct FlowSeries {
     pub rate_mbps: Vec<f64>,
     /// Mean RTT over each sample window, milliseconds (NaN when no sample).
     pub rtt_ms: Vec<f64>,
-    /// Sender-detected losses per sample window.
-    pub losses: Vec<u64>,
 }
 
 /// How a flow stalled out: recorded when a sender's dead-time budget
