@@ -7,7 +7,7 @@
 
 use pcc_scenarios::rapid::run_rapid_change;
 use pcc_scenarios::Protocol;
-use pcc_simnet::time::{SimDuration, SimTime};
+use pcc_simnet::time::SimDuration;
 
 use crate::{fmt, runner, scaled, Opts, Table};
 
@@ -26,7 +26,6 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     let dur = SimDuration::from_secs(secs);
     let step = SimDuration::from_secs(5);
     let env_seed = opts.seed ^ 0xEAF1;
-    let horizon = SimTime::ZERO + dur;
 
     let mut summary = Table::new(
         "Fig. 11 — rapidly changing network (5 s re-draws): achieved vs optimal",
@@ -37,8 +36,6 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         &["t_s", "optimal", "pcc", "cubic", "illinois"],
     );
     let runs = protocols();
-    let mut rate_series: Vec<Vec<f64>> = Vec::new();
-    let mut optimal = None;
     let jobs = runs
         .iter()
         .map(|proto| {
@@ -47,9 +44,12 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         })
         .collect();
     let results = runner::run_jobs(opts, "fig11", jobs);
-    for (proto, r) in runs.iter().zip(results) {
-        let opt = r.optimal_mbps(horizon);
-        let ach = r.achieved_mbps();
+    // Every protocol faces the same environment: its trace is the optimal line.
+    let trace = &results[0].trace;
+    let opt = trace.avg_capacity_mbps(dur);
+    let mut rate_series: Vec<Vec<f64>> = Vec::new();
+    for (proto, r) in runs.iter().zip(&results) {
+        let ach = r.inner.throughput_mbps(0);
         summary.row(vec![
             proto.label().into(),
             fmt(ach),
@@ -59,22 +59,13 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         // Control-decision rate series sampled at 1 s from the 100 ms grid.
         let s = &r.inner.report.flows[0].series.rate_mbps;
         rate_series.push(s.iter().step_by(10).copied().collect());
-        if optimal.is_none() {
-            let epochs = &r.epochs;
-            let mut opt_series = Vec::new();
-            for t in 0..secs {
-                let at = SimTime::from_secs(t);
-                let e = epochs
-                    .iter()
-                    .rev()
-                    .find(|e| e.at <= at)
-                    .expect("epoch covers");
-                opt_series.push(e.rate_bps * (1.0 - e.loss) / 1e6);
-            }
-            optimal = Some(opt_series);
-        }
     }
-    let optimal = optimal.expect("at least one run");
+    let optimal: Vec<f64> = (0..secs)
+        .map(|t| {
+            let p = trace.at(SimDuration::from_secs(t));
+            p.rate_bps * (1.0 - p.loss.unwrap_or(0.0)) / 1e6
+        })
+        .collect();
     let n = optimal
         .len()
         .min(rate_series.iter().map(|s| s.len()).min().unwrap_or(0));

@@ -62,22 +62,21 @@ pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table
     let grid = runner::run_grid(opts, "vary", &loaded, &algos, |trace, algo| {
         let shaper = ShaperConfig::default();
         let r = run_trace(Protocol::named(algo), trace, dur, opts.seed, shaper);
-        (
-            r.achieved_mbps(),
-            r.avg_capacity_mbps,
-            r.utilization(),
-            r.loss_rate(),
-            r.mean_rtt_ms(),
-        )
+        let achieved = r.throughput_mbps(0);
+        // Utilization: the fraction of the trace's deliverable capacity
+        // achieved (`0..≈1`).
+        let utilization = achieved / trace.avg_capacity_mbps(dur);
+        (achieved, utilization, r.loss_rate(0), r.mean_rtt_ms(0))
     });
     let mut tables = Vec::with_capacity(loaded.len());
     for (trace, cells) in loaded.iter().zip(&grid) {
+        let cap = trace.avg_capacity_mbps(dur);
         let mut table = Table::new(
             &format!(
                 "vary — {} trace ({} s per cell, {:.1} Mbps deliverable): utilization by algorithm",
                 trace.name(),
                 secs,
-                trace.avg_capacity_mbps(dur),
+                cap,
             ),
             &[
                 "spec",
@@ -88,7 +87,7 @@ pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table
                 "rtt_ms",
             ],
         );
-        for (algo, &(ach, cap, util, loss, rtt)) in algos.iter().zip(cells) {
+        for (algo, &(ach, util, loss, rtt)) in algos.iter().zip(cells) {
             table.row(vec![
                 algo.clone(),
                 fmt(ach),
@@ -104,7 +103,7 @@ pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table
     // The headline consistency ratio, when both contenders are in view.
     for (trace, cells) in loaded.iter().zip(&grid) {
         let util_of = |name: &str| -> Option<f64> {
-            algos.iter().position(|a| a == name).map(|a| cells[a].2)
+            algos.iter().position(|a| a == name).map(|a| cells[a].1)
         };
         if let (Some(pcc), Some(cubic)) = (util_of("pcc"), util_of("cubic")) {
             println!(

@@ -2,11 +2,13 @@
 //! (Figs. 12–13), TCP friendliness (Fig. 14), and the
 //! stability/reactiveness trade-off (Fig. 16).
 
+use pcc_simnet::link::LinkSchedule;
 use pcc_simnet::prelude::*;
 use pcc_simnet::stats::{convergence_time, jain_index_at_scale, std_dev};
 
 use crate::protocol::Protocol;
-use crate::setup::{run_dumbbell, FlowPlan, LinkSetup, ScenarioResult};
+use crate::scenario::{Scenario, ScenarioRun};
+use crate::setup::{dumbbell, run_dumbbell, FlowPlan, LinkSetup};
 
 // ---------------------------------------------------------------------------
 // Fig. 8 — RTT fairness
@@ -52,8 +54,8 @@ pub fn rtt_fairness_ratio(
 
 /// Result of the staggered-convergence scenario.
 pub struct ConvergenceResult {
-    /// Underlying scenario result (1 s samples).
-    pub inner: ScenarioResult,
+    /// The run (1 s samples).
+    pub inner: ScenarioRun,
     /// Stagger between consecutive flow starts.
     pub stagger: SimDuration,
     /// Per-flow lifetime.
@@ -78,15 +80,11 @@ pub fn run_convergence(
             FlowPlan::new(protocol.clone(), rtt).starting_at(SimTime::ZERO + stagger * i as u64)
         })
         .collect();
-    let horizon = SimTime::ZERO + lifetime;
-    let inner = crate::setup::run_dumbbell_scheduled(
-        setup,
-        plans,
-        horizon,
-        seed,
-        Default::default(),
-        Some(SimDuration::from_secs(1)),
-    );
+    let inner = Scenario {
+        sample_interval: SimDuration::from_secs(1),
+        ..dumbbell(setup, LinkSchedule::new(), plans, seed)
+    }
+    .run(SimTime::ZERO + lifetime);
     ConvergenceResult {
         inner,
         stagger,
@@ -199,17 +197,15 @@ pub fn run_tradeoff(protocol: Protocol, stability_window: u64, seed: u64) -> Tra
     let setup = LinkSetup::new(100e6, rtt, 375_000);
     let join = 20u64;
     let horizon_secs = join + 120 + stability_window;
-    let r = crate::setup::run_dumbbell_scheduled(
-        setup,
-        vec![
-            FlowPlan::new(protocol.clone(), rtt),
-            FlowPlan::new(protocol, rtt).starting_at(SimTime::from_secs(join)),
-        ],
-        SimTime::from_secs(horizon_secs),
-        seed,
-        Default::default(),
-        Some(SimDuration::from_secs(1)),
-    );
+    let plans = vec![
+        FlowPlan::new(protocol.clone(), rtt),
+        FlowPlan::new(protocol, rtt).starting_at(SimTime::from_secs(join)),
+    ];
+    let r = Scenario {
+        sample_interval: SimDuration::from_secs(1),
+        ..dumbbell(setup, LinkSchedule::new(), plans, seed)
+    }
+    .run(SimTime::from_secs(horizon_secs));
     let series = &r.report.flows[r.flows[1].index()].series.throughput_mbps;
     let b_series = &series[join as usize..];
     match convergence_time(b_series, 50.0, 0.25, 5) {

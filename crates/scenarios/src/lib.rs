@@ -4,12 +4,13 @@
 //! place — [`Scenario::run`] in [`scenario`]: a topology, the flows on it,
 //! optional faults and churn, run to a horizon. Every `run_*` below is
 //! *data in, reduction out*: it describes a [`Scenario`], calls `run`, and
-//! reduces the [`ScenarioRun`] to its own result type.
+//! returns the [`ScenarioRun`] (the one run record, with per-flow
+//! accessors) or a reduction of it.
 //!
 //! | Module | Describes | Reproduces |
 //! |---|---|---|
-//! | [`scenario`] | — (the builder: [`Scenario`], [`Flow`], [`Churn`]) | |
-//! | [`setup`] | dumbbell + per-flow RTT shims ([`run_dumbbell`], [`LinkSetup`], [`FlowPlan`]) | the substrate of every figure below |
+//! | [`scenario`] | — (the builder: [`Scenario`], [`Flow`], [`Churn`]; the record: [`ScenarioRun`]) | |
+//! | [`setup`] | dumbbell + per-flow RTT shims ([`dumbbell`], [`run_dumbbell`], [`LinkSetup`], [`FlowPlan`]) | the substrate of every figure below |
 //! | [`internet`] | dumbbells drawn from a path population | Figs. 4–5 |
 //! | [`links`] | one dumbbell per link class | Fig. 6 (satellite), Fig. 7 (lossy), Fig. 9 (shallow buffer), Table 1 (inter-DC) |
 //! | [`dynamics`] | multi-flow dumbbells | Fig. 8 (RTT fairness), Figs. 12–13 (convergence), Fig. 14 (friendliness), Fig. 16 (trade-off) |
@@ -47,10 +48,7 @@ pub mod workload;
 
 pub use protocol::{batched_reports_forced, force_batched_reports, install_registry, Protocol};
 pub use scenario::{Arrivals, Churn, Flow, Scenario, ScenarioRun};
-pub use setup::{
-    run_dumbbell, run_dumbbell_scheduled, run_single, FlowPlan, LinkSetup, QueueKind,
-    ScenarioResult,
-};
+pub use setup::{dumbbell, run_dumbbell, run_single, FlowPlan, LinkSetup, QueueKind};
 pub use workload::{
     run_churn, Arrival, ChurnConfig, ChurnReport, ChurnSample, FctSummary, SizeCdf,
 };

@@ -5,66 +5,28 @@
 //! 10–100 ms, 0–1%). The paper tracks whether each protocol's *decided
 //! sending rate* follows the optimal (available bandwidth) line.
 //!
-//! The generated environment is materialized as a [`LinkTrace`] — the
-//! same substrate the bundled LTE/WiFi/satellite profiles use (see
-//! [`crate::vary`]) — so Fig. 11 is just one member of the trace-driven
-//! workload family, with a freshly synthesized trace per `env_seed`.
+//! The generated environment is a [`LinkTrace`] — the same substrate the
+//! bundled LTE/WiFi/satellite profiles use (see [`crate::vary`]) — so Fig.
+//! 11 is just one member of the trace-driven workload family, with a
+//! freshly synthesized trace per `env_seed`. The trace is also the optimal
+//! line: [`LinkTrace::at`] per second, [`LinkTrace::avg_capacity_mbps`] on
+//! average.
 
 use pcc_simnet::rng::SimRng;
 use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_simnet::trace::{LinkTrace, TracePoint};
 
 use crate::protocol::Protocol;
-use crate::setup::{run_dumbbell_scheduled, FlowPlan, LinkSetup, ScenarioResult};
+use crate::scenario::ScenarioRun;
+use crate::setup::{dumbbell, FlowPlan, LinkSetup};
 
-/// One epoch of the generated environment.
-#[derive(Clone, Copy, Debug)]
-pub struct RapidEpoch {
-    /// Epoch start.
-    pub at: SimTime,
-    /// Drawn bandwidth, bits/sec.
-    pub rate_bps: f64,
-    /// Drawn one-way forward delay.
-    pub delay: SimDuration,
-    /// Drawn loss rate.
-    pub loss: f64,
-}
-
-/// The generated environment plus run results.
+/// The generated environment plus the run over it.
 pub struct RapidResult {
-    /// Scenario output (100 ms samples).
-    pub inner: ScenarioResult,
-    /// The environment's epochs (the "optimal" line of Fig. 11).
-    pub epochs: Vec<RapidEpoch>,
-    /// The same environment as a replayable trace (delays stored as the
-    /// one-way forward component applied to the bottleneck).
+    /// The run (100 ms samples); flow 0 is the protocol under test.
+    pub inner: ScenarioRun,
+    /// The environment (delays stored as the one-way forward component
+    /// applied to the bottleneck).
     pub trace: LinkTrace,
-}
-
-impl RapidResult {
-    /// Time-average of the optimal rate `bw·(1−loss)` in Mbit/s.
-    pub fn optimal_mbps(&self, horizon: SimTime) -> f64 {
-        if self.epochs.is_empty() {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for (i, e) in self.epochs.iter().enumerate() {
-            let end = self
-                .epochs
-                .get(i + 1)
-                .map(|n| n.at)
-                .unwrap_or(horizon)
-                .min(horizon);
-            let dur = end.saturating_since(e.at).as_secs_f64();
-            acc += e.rate_bps * (1.0 - e.loss) * dur;
-        }
-        acc / horizon.as_secs_f64() / 1e6
-    }
-
-    /// The protocol's average delivered throughput, Mbit/s.
-    pub fn achieved_mbps(&self) -> f64 {
-        self.inner.throughput_mbps(0)
-    }
 }
 
 /// Generate the Fig. 11 environment and run one protocol over it.
@@ -80,52 +42,36 @@ pub fn run_rapid_change(
     seed: u64,
 ) -> RapidResult {
     let mut env_rng = SimRng::new(env_seed);
-    let mut epochs = Vec::new();
     let mut points = Vec::new();
-    let mut at = SimTime::ZERO;
-    let horizon = SimTime::ZERO + duration;
+    let mut at = SimDuration::ZERO;
     // Initial epoch uses the same distribution.
     loop {
         let rate_bps = env_rng.range_f64(10e6, 100e6);
         let delay = SimDuration::from_secs_f64(env_rng.range_f64(0.010, 0.100) / 2.0);
         let loss = env_rng.range_f64(0.0, 0.01);
-        epochs.push(RapidEpoch {
-            at,
-            rate_bps,
-            delay: delay * 2,
-            loss,
-        });
         points.push(TracePoint {
-            at: at.saturating_since(SimTime::ZERO),
+            at,
             rate_bps,
             delay: Some(delay),
             loss: Some(loss),
         });
         at += step;
-        if at >= horizon {
+        if at >= duration {
             break;
         }
     }
     let trace = LinkTrace::from_points("fig11", points, None)
         .expect("generated points are ordered and positive");
-    let first = epochs[0];
-    // Base RTT shims carry half the initial delay; the scheduled bottleneck
+    let first = trace.initial();
+    let rtt = first.delay.expect("every epoch draws a delay") * 2;
+    // Base RTT shims carry the initial delay; the scheduled bottleneck
     // delay (expanded from the trace) carries the varying forward
     // component.
-    let setup = LinkSetup::new(first.rate_bps, first.delay, 375_000).with_loss(first.loss);
-    let inner = run_dumbbell_scheduled(
-        setup,
-        vec![FlowPlan::new(protocol, first.delay)],
-        horizon,
-        seed,
-        trace.to_schedule(horizon),
-        None,
-    );
-    RapidResult {
-        inner,
-        epochs,
-        trace,
-    }
+    let setup = LinkSetup::new(first.rate_bps, rtt, 375_000).with_loss(first.loss.unwrap_or(0.0));
+    let horizon = SimTime::ZERO + duration;
+    let plans = vec![FlowPlan::new(protocol, rtt)];
+    let inner = dumbbell(setup, trace.to_schedule(horizon), plans, seed).run(horizon);
+    RapidResult { inner, trace }
 }
 
 #[cfg(test)]
@@ -148,44 +94,22 @@ mod tests {
             9,
             1,
         );
-        assert_eq!(a.epochs.len(), b.epochs.len());
-        for (x, y) in a.epochs.iter().zip(&b.epochs) {
-            assert_eq!(x.rate_bps.to_bits(), y.rate_bps.to_bits());
-            assert_eq!(x.loss.to_bits(), y.loss.to_bits());
-        }
+        assert_eq!(a.trace.points(), b.trace.points());
     }
 
     #[test]
     fn epochs_cover_duration() {
+        let dur = SimDuration::from_secs(30);
         let r = run_rapid_change(
             Protocol::named("pcc"),
             SimDuration::from_secs(5),
-            SimDuration::from_secs(30),
+            dur,
             11,
             1,
         );
-        assert_eq!(r.epochs.len(), 6, "30 s / 5 s steps");
-        let opt = r.optimal_mbps(SimTime::from_secs(30));
+        assert_eq!(r.trace.points().len(), 6, "30 s / 5 s steps");
+        let opt = r.trace.avg_capacity_mbps(dur);
         assert!((10.0..100.0).contains(&opt), "optimal in range: {opt}");
-    }
-
-    #[test]
-    fn trace_mirrors_epochs() {
-        // Fig. 11's environment now *is* a LinkTrace: the materialized
-        // trace must agree with the epoch list sample-for-sample, and
-        // its deliverable-capacity average must equal the figure's
-        // optimal line.
-        let dur = SimDuration::from_secs(20);
-        let r = run_rapid_change(Protocol::named("pcc"), SimDuration::from_secs(5), dur, 9, 1);
-        assert_eq!(r.trace.points().len(), r.epochs.len());
-        for (p, e) in r.trace.points().iter().zip(&r.epochs) {
-            assert_eq!(p.rate_bps.to_bits(), e.rate_bps.to_bits());
-            assert_eq!(p.delay, Some(e.delay / 2), "trace stores one-way");
-            assert_eq!(p.loss.map(f64::to_bits), Some(e.loss.to_bits()));
-        }
-        let opt = r.optimal_mbps(SimTime::ZERO + dur);
-        let avg = r.trace.avg_capacity_mbps(dur);
-        assert!((opt - avg).abs() < 1e-9, "optimal {opt} vs trace avg {avg}");
     }
 
     #[test]
@@ -196,9 +120,9 @@ mod tests {
         let dur = SimDuration::from_secs(60);
         let pcc = run_rapid_change(Protocol::named("pcc"), step, dur, 13, 2);
         let cubic = run_rapid_change(Protocol::Tcp("cubic"), step, dur, 13, 2);
-        let opt = pcc.optimal_mbps(SimTime::ZERO + dur);
-        let f_pcc = pcc.achieved_mbps() / opt;
-        let f_cubic = cubic.achieved_mbps() / opt;
+        let opt = pcc.trace.avg_capacity_mbps(dur);
+        let f_pcc = pcc.inner.throughput_mbps(0) / opt;
+        let f_cubic = cubic.inner.throughput_mbps(0) / opt;
         assert!(
             f_pcc > 1.5 * f_cubic,
             "PCC tracks optimal: {:.2} vs CUBIC {:.2} (optimal {opt:.1} Mbps)",

@@ -2,8 +2,8 @@
 //! and churn, run to a horizon.
 //!
 //! Every `run_*` in this crate is data in, reduction out: it describes a
-//! [`Scenario`], calls [`Scenario::run`], and reduces the [`ScenarioRun`]
-//! to its own result type. This module is the only place a simulation is
+//! [`Scenario`], calls [`Scenario::run`], and returns the [`ScenarioRun`]
+//! or a reduction of it. This module is the only place a simulation is
 //! wired — network builder, topology installation, path resolution, fault
 //! plane, churn driver, senders and receivers — so link-id order, per-link
 //! RNG streams, ECMP keys and flow-id order are decided once:
@@ -109,6 +109,36 @@ pub struct ScenarioRun {
     pub flows: Vec<FlowId>,
     /// The installed topology (edge → link lookups, utilization).
     pub topology: Topology,
+}
+
+impl ScenarioRun {
+    /// Whole-lifetime average delivered throughput of flow `i`, Mbit/s.
+    pub fn throughput_mbps(&self, i: usize) -> f64 {
+        self.report.flow_throughput_mbps(self.flows[i])
+    }
+
+    /// Average throughput of flow `i` over `[from, to]`, Mbit/s.
+    pub fn throughput_in(&self, i: usize, from: SimTime, to: SimTime) -> f64 {
+        self.report.avg_throughput_mbps(self.flows[i], from, to)
+    }
+
+    /// Sender-observed loss rate of flow `i`.
+    pub fn loss_rate(&self, i: usize) -> f64 {
+        self.report.flows[self.flows[i].index()].loss_rate()
+    }
+
+    /// Mean RTT of flow `i`, milliseconds.
+    pub fn mean_rtt_ms(&self, i: usize) -> f64 {
+        self.report.flows[self.flows[i].index()]
+            .mean_rtt()
+            .map(|d| d.as_millis_f64())
+            .unwrap_or(f64::NAN)
+    }
+
+    /// Flow completion time of flow `i`, if it finished.
+    pub fn fct(&self, i: usize) -> Option<SimDuration> {
+        self.report.flows[self.flows[i].index()].fct()
+    }
 }
 
 impl Scenario {

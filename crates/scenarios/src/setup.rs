@@ -1,12 +1,15 @@
-//! Core scenario runners: single- and multi-flow dumbbells with arbitrary
-//! queue disciplines, the building blocks every figure reuses.
+//! The dumbbell, the building block every figure reuses: one bottleneck
+//! ([`LinkSetup`]: rate, buffer, queue discipline, loss, impairments) and
+//! per-flow RTT shims, one [`FlowPlan`] per flow. [`dumbbell`] describes it
+//! as a [`Scenario`]; [`run_dumbbell`] and [`run_single`] run it and hand
+//! back the [`ScenarioRun`].
 
 use pcc_simnet::link::LinkSchedule;
 use pcc_simnet::prelude::*;
 use pcc_transport::{FlowSize, ReportMode};
 
 use crate::protocol::Protocol;
-use crate::scenario::{Flow, Scenario};
+use crate::scenario::{Flow, Scenario, ScenarioRun};
 
 /// Queue discipline selection for the bottleneck.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,69 +177,17 @@ impl FlowPlan {
     }
 }
 
-/// Result of a scenario run.
-pub struct ScenarioResult {
-    /// Full simulator report.
-    pub report: SimReport,
-    /// The flows, in plan order.
-    pub flows: Vec<FlowId>,
-    /// The bottleneck link.
-    pub bottleneck: LinkId,
-}
-
-impl ScenarioResult {
-    /// Whole-lifetime average delivered throughput of flow `i`, Mbit/s.
-    pub fn throughput_mbps(&self, i: usize) -> f64 {
-        self.report.flow_throughput_mbps(self.flows[i])
-    }
-
-    /// Average throughput of flow `i` over `[from, to]`, Mbit/s.
-    pub fn throughput_in(&self, i: usize, from: SimTime, to: SimTime) -> f64 {
-        self.report.avg_throughput_mbps(self.flows[i], from, to)
-    }
-
-    /// Sender-observed loss rate of flow `i`.
-    pub fn loss_rate(&self, i: usize) -> f64 {
-        self.report.flows[self.flows[i].index()].loss_rate()
-    }
-
-    /// Mean RTT of flow `i`, milliseconds.
-    pub fn mean_rtt_ms(&self, i: usize) -> f64 {
-        self.report.flows[self.flows[i].index()]
-            .mean_rtt()
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN)
-    }
-
-    /// Flow completion time of flow `i`, if it finished.
-    pub fn fct(&self, i: usize) -> Option<SimDuration> {
-        self.report.flows[self.flows[i].index()].fct()
-    }
-}
-
-/// Run `plans` over a shared bottleneck described by `setup` (each flow
-/// gets its own RTT shims) until `horizon`.
-pub fn run_dumbbell(
+/// The dumbbell scenario: `plans` share one bottleneck described by `setup`
+/// and varied by `schedule` (Fig. 11's environment, or none); each plan
+/// gets a receiver host behind its own RTT shims. Static flow `i` is
+/// `plans[i]`. Adjust the returned [`Scenario`] (its `sample_interval`,
+/// say) before running it.
+pub fn dumbbell(
     setup: LinkSetup,
-    plans: Vec<FlowPlan>,
-    horizon: SimTime,
-    seed: u64,
-) -> ScenarioResult {
-    run_dumbbell_scheduled(setup, plans, horizon, seed, LinkSchedule::new(), None)
-}
-
-/// [`run_dumbbell`] with a time-varying bottleneck schedule (Fig. 11) and
-/// an optional stats sampling interval override.
-pub fn run_dumbbell_scheduled(
-    setup: LinkSetup,
-    plans: Vec<FlowPlan>,
-    horizon: SimTime,
-    seed: u64,
     schedule: LinkSchedule,
-    sample_interval: Option<SimDuration>,
-) -> ScenarioResult {
-    // The bottleneck edge carries the schedule, shaper and queue
-    // discipline; each plan gets a receiver host behind its own RTT shims.
+    plans: Vec<FlowPlan>,
+    seed: u64,
+) -> Scenario {
     let mut db = Dumbbell::graph(setup.bottleneck(schedule));
     let flows = plans
         .into_iter()
@@ -251,18 +202,21 @@ pub fn run_dumbbell_scheduled(
             )
         })
         .collect();
-    let bottleneck = db.bottleneck_edge();
-    let mut scenario = Scenario::new(db.into_topology(), seed);
-    scenario.flows = flows;
-    if let Some(interval) = sample_interval {
-        scenario.sample_interval = interval;
+    Scenario {
+        flows,
+        ..Scenario::new(db.into_topology(), seed)
     }
-    let run = scenario.run(horizon);
-    ScenarioResult {
-        bottleneck: run.topology.link_of(bottleneck),
-        report: run.report,
-        flows: run.flows,
-    }
+}
+
+/// Run `plans` over a shared bottleneck described by `setup` (each flow
+/// gets its own RTT shims) until `horizon`.
+pub fn run_dumbbell(
+    setup: LinkSetup,
+    plans: Vec<FlowPlan>,
+    horizon: SimTime,
+    seed: u64,
+) -> ScenarioRun {
+    dumbbell(setup, LinkSchedule::new(), plans, seed).run(horizon)
 }
 
 /// Run one protocol alone on a path (the workhorse of Figs. 6, 7, 9 and
@@ -272,7 +226,7 @@ pub fn run_single(
     setup: LinkSetup,
     duration: SimDuration,
     seed: u64,
-) -> ScenarioResult {
+) -> ScenarioRun {
     let rtt = setup.rtt;
     run_dumbbell(
         setup,
@@ -288,7 +242,7 @@ mod tests {
     use crate::protocol::Protocol;
     use pcc_transport::receiver::span_rejections;
 
-    fn quick(proto: Protocol, setup: LinkSetup, secs: u64) -> ScenarioResult {
+    fn quick(proto: Protocol, setup: LinkSetup, secs: u64) -> ScenarioRun {
         run_single(proto, setup, SimDuration::from_secs(secs), 42)
     }
 
@@ -509,7 +463,7 @@ mod tests {
             });
         }
         let horizon = SimTime::from_secs(6);
-        let lowered = run_dumbbell_scheduled(setup, plans(), horizon, 42, schedule, None);
+        let lowered = dumbbell(setup, schedule, plans(), 42).run(horizon);
         let jitter = JitterConfig::uniform(SimDuration::from_millis(2)).with_reordering(0.02, 4);
         let reordered = run_dumbbell(setup.with_jitter(jitter), plans(), horizon, 42);
         // Every link event of the lowered run is stored in a delay lane:

@@ -8,59 +8,18 @@
 //! WiFi-like and satellite-handoff profiles, or any trace file), with
 //! optional jitter/reordering/policing from the [`ShaperConfig`] stage.
 //!
-//! [`run_trace`] plays one protocol over one trace; the
-//! `pcc-experiments vary` command sweeps every registered algorithm spec
-//! over every bundled trace through this entry point.
+//! [`run_trace`] plays one protocol over one trace and returns the
+//! [`ScenarioRun`]: the protocol's throughput is `throughput_mbps(0)`, and
+//! the optimal line it is measured against is the trace's own
+//! [`LinkTrace::avg_capacity_mbps`]. The `pcc-experiments vary` command
+//! sweeps every registered algorithm spec over every bundled trace through
+//! this entry point.
 
 use pcc_simnet::prelude::*;
 use pcc_simnet::trace::LinkTrace;
 
 use crate::protocol::Protocol;
-use crate::scenario::{Flow, Scenario};
-
-/// Result of one protocol run over one trace.
-pub struct TraceRun {
-    /// Full simulator report (100 ms samples).
-    pub report: SimReport,
-    /// The flow under test.
-    pub flow: FlowId,
-    /// The traced bottleneck link.
-    pub bottleneck: LinkId,
-    /// Time-average deliverable capacity `rate · (1 − loss)` over the
-    /// run, Mbit/s — the optimal line.
-    pub avg_capacity_mbps: f64,
-    /// How long the run was.
-    pub duration: SimDuration,
-}
-
-impl TraceRun {
-    /// The protocol's whole-run average delivered throughput, Mbit/s.
-    pub fn achieved_mbps(&self) -> f64 {
-        self.report.flow_throughput_mbps(self.flow)
-    }
-
-    /// Fraction of the deliverable capacity achieved (`0..≈1`).
-    pub fn utilization(&self) -> f64 {
-        let cap = self.avg_capacity_mbps;
-        if cap <= 0.0 {
-            return 0.0;
-        }
-        self.achieved_mbps() / cap
-    }
-
-    /// Sender-observed loss rate.
-    pub fn loss_rate(&self) -> f64 {
-        self.report.flows[self.flow.index()].loss_rate()
-    }
-
-    /// Mean RTT in milliseconds.
-    pub fn mean_rtt_ms(&self) -> f64 {
-        self.report.flows[self.flow.index()]
-            .mean_rtt()
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN)
-    }
-}
+use crate::scenario::{Flow, Scenario, ScenarioRun};
 
 /// The buffer the traced bottleneck gets: 1.5× the bandwidth-delay
 /// product of the trace's *average* capacity at the trace's initial RTT,
@@ -85,11 +44,11 @@ pub fn trace_rtt(trace: &LinkTrace) -> SimDuration {
 
 /// Play `protocol` alone over `trace` for `duration`.
 ///
-/// Topology: one traced bottleneck (initial rate/delay/loss from the
-/// trace's first sample; the expanded [`LinkTrace::to_schedule`] varies
-/// them), a pure-delay reverse shim at the initial one-way delay, and an
-/// optional impairment stage (`shaper`) on the bottleneck. The trace
-/// drives the *environment* deterministically; `seed` drives the
+/// Topology: one traced bottleneck (edge 0; initial rate/delay/loss from
+/// the trace's first sample; the expanded [`LinkTrace::to_schedule`]
+/// varies them), a pure-delay reverse shim at the initial one-way delay,
+/// and an optional impairment stage (`shaper`) on the bottleneck. The
+/// trace drives the *environment* deterministically; `seed` drives the
 /// protocol's own randomness, so every protocol faces the identical
 /// network.
 pub fn run_trace(
@@ -98,14 +57,14 @@ pub fn run_trace(
     duration: SimDuration,
     seed: u64,
     shaper: ShaperConfig,
-) -> TraceRun {
+) -> ScenarioRun {
     let horizon = SimTime::ZERO + duration;
     let first = trace.initial();
     let rtt = trace_rtt(trace);
     let one_way = rtt / 2;
     let mut topo = Topology::new();
     let (src, dst) = (topo.add_host(), topo.add_host());
-    let bottleneck = topo.add_link(
+    topo.add_link(
         src,
         dst,
         LinkConfig {
@@ -118,16 +77,11 @@ pub fn run_trace(
         },
     );
     topo.add_link(dst, src, LinkConfig::delay_only(rtt - one_way));
-    let mut scenario = Scenario::new(topo, seed);
-    scenario.flows = vec![Flow::new(src, dst, protocol)];
-    let run = scenario.run(horizon);
-    TraceRun {
-        flow: run.flows[0],
-        bottleneck: run.topology.link_of(bottleneck),
-        report: run.report,
-        avg_capacity_mbps: trace.avg_capacity_mbps(duration),
-        duration,
+    Scenario {
+        flows: vec![Flow::new(src, dst, protocol)],
+        ..Scenario::new(topo, seed)
     }
+    .run(horizon)
 }
 
 #[cfg(test)]
@@ -156,39 +110,24 @@ mod tests {
 
     #[test]
     fn pcc_doubles_cubic_utilization_on_the_lte_trace() {
-        // The repo's headline consistency claim (ISSUE 5 acceptance):
-        // on the LTE-like trace — capacity fades, delay wander, and a
-        // non-congestive loss floor — PCC sustains at least twice
-        // CUBIC's utilization, the paper's §4.3 story on a replayable
-        // workload. `pcc-experiments vary` measures the same pair at
-        // larger scale.
+        // The repo's headline consistency claim: on the LTE-like trace —
+        // capacity fades, delay wander, and a non-congestive loss floor —
+        // PCC sustains at least twice CUBIC's utilization, the paper's
+        // §4.3 story on a replayable workload. `pcc-experiments vary`
+        // measures the same pair at larger scale.
         let dur = SimDuration::from_secs(40);
-        let pcc = run_trace(
-            Protocol::named("pcc"),
-            &lte(),
-            dur,
-            11,
-            ShaperConfig::default(),
-        );
-        let cubic = run_trace(
-            Protocol::Tcp("cubic"),
-            &lte(),
-            dur,
-            11,
-            ShaperConfig::default(),
-        );
+        let cap = lte().avg_capacity_mbps(dur);
+        let utilization = |protocol| {
+            let r = run_trace(protocol, &lte(), dur, 11, ShaperConfig::default());
+            r.throughput_mbps(0) / cap
+        };
+        let pcc = utilization(Protocol::named("pcc"));
+        let cubic = utilization(Protocol::Tcp("cubic"));
         assert!(
-            pcc.utilization() >= 2.0 * cubic.utilization(),
-            "PCC {:.2} vs CUBIC {:.2} of {:.1} Mbps deliverable",
-            pcc.utilization(),
-            cubic.utilization(),
-            pcc.avg_capacity_mbps,
+            pcc >= 2.0 * cubic,
+            "PCC {pcc:.2} vs CUBIC {cubic:.2} of {cap:.1} Mbps deliverable"
         );
-        assert!(
-            pcc.utilization() > 0.4,
-            "PCC achieves a solid fraction: {:.2}",
-            pcc.utilization()
-        );
+        assert!(pcc > 0.4, "PCC achieves a solid fraction: {pcc:.2}");
     }
 
     #[test]
@@ -208,10 +147,11 @@ mod tests {
             2,
             shaper,
         );
-        let stats = r.report.links[r.bottleneck.index()].stats;
+        // The traced bottleneck is edge 0, so link 0.
+        let stats = r.report.links[0].stats;
         assert!(stats.policed > 0, "policer engaged");
         assert!(stats.reordered > 0, "reordering engaged");
-        let tput = r.achieved_mbps();
+        let tput = r.throughput_mbps(0);
         assert!(
             tput < 6.0,
             "5 Mbps policer caps a ~19 Mbps trace: {tput} Mbps"
@@ -223,19 +163,18 @@ mod tests {
     fn every_bundled_trace_carries_a_flow() {
         for name in pcc_simnet::trace::builtin_names() {
             let trace = LinkTrace::builtin(name).unwrap();
+            let dur = SimDuration::from_secs(8);
             let r = run_trace(
                 Protocol::named("pcc"),
                 &trace,
-                SimDuration::from_secs(8),
+                dur,
                 5,
                 ShaperConfig::default(),
             );
-            assert!(
-                r.achieved_mbps() > 0.5,
-                "{name}: data moves ({} Mbps)",
-                r.achieved_mbps()
-            );
-            assert!(r.avg_capacity_mbps > 1.0, "{name} capacity sane");
+            let tput = r.throughput_mbps(0);
+            assert!(tput > 0.5, "{name}: data moves ({tput} Mbps)");
+            let cap = trace.avg_capacity_mbps(dur);
+            assert!(cap > 1.0, "{name} capacity sane");
         }
     }
 }

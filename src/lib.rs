@@ -74,7 +74,7 @@
 //!     1,
 //!     ShaperConfig::default(),
 //! );
-//! assert!(run.utilization() > 0.0);
+//! assert!(run.throughput_mbps(0) > 0.0);
 //! ```
 
 pub use pcc_bbr as bbr;
@@ -97,7 +97,7 @@ pub mod prelude {
         UtilityFunction,
     };
     pub use pcc_rate::{Pcp, Sabul};
-    pub use pcc_scenarios::vary::{run_trace, TraceRun};
+    pub use pcc_scenarios::vary::run_trace;
     pub use pcc_scenarios::{
         install_registry, run_dumbbell, run_single, FlowPlan, LinkSetup, Protocol, QueueKind,
     };
