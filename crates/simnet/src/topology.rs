@@ -6,13 +6,12 @@
 //! path: `rev shim(RTT/2)`. All queueing happens at the bottleneck, exactly
 //! as in the paper's Emulab setups.
 //!
-//! Since the [`crate::topo`] subsystem landed, [`Dumbbell`] is a thin
-//! wrapper over a [`Topology`] graph: one shared source host, one middle
-//! switch (the bottleneck edge between them), and one receiver host per
-//! flow whose down-edge and return-edge are the RTT shims. Paths come from
-//! the graph's routing, and the edge installation order reproduces the
-//! historical [`crate::ids::LinkId`] assignment exactly, so pre-graph
-//! experiment outputs are bit-identical.
+//! [`Dumbbell`] is a thin wrapper over a [`crate::topo`] [`Topology`]
+//! graph: one shared source host, one middle switch (the bottleneck edge
+//! between them), and one receiver host per flow whose down-edge and
+//! return-edge are the RTT shims. Paths come from the graph's routing.
+//! Edge order is the [`crate::ids::LinkId`] layout: the bottleneck first,
+//! then each receiver's forward shim followed by its reverse shim.
 
 use crate::ids::{EdgeId, LinkId, NodeId};
 use crate::link::LinkConfig;
@@ -65,9 +64,8 @@ impl Dumbbell {
     /// Add a receiver host behind delay shims realizing a round-trip time
     /// of `rtt` (forward shim `rtt/2`, reverse shim the rest, so odd
     /// nanoseconds still sum exactly), with random loss `ack_loss` on the
-    /// reverse shim. Edge order is the historical [`LinkId`] layout:
-    /// bottleneck first, then per receiver the forward shim followed by the
-    /// reverse shim.
+    /// reverse shim. Edge order is the [`LinkId`] layout: bottleneck first,
+    /// then per receiver the forward shim followed by the reverse shim.
     pub fn add_receiver(&mut self, rtt: SimDuration, ack_loss: f64) -> NodeId {
         let half = rtt / 2;
         let recv = self.topo.add_host();
@@ -84,11 +82,6 @@ impl Dumbbell {
     /// The shared sending host.
     pub fn source(&self) -> NodeId {
         self.src
-    }
-
-    /// The bottleneck edge.
-    pub fn bottleneck_edge(&self) -> EdgeId {
-        self.bottleneck
     }
 
     /// Give up the graph (to install and route it elsewhere).

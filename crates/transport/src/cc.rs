@@ -7,10 +7,7 @@
 //! an [`Effects`] sink through which an algorithm requests a pacing rate, a
 //! congestion window, *or both*.
 //!
-//! This replaces the seed design's two disjoint traits (`RateController`
-//! for PCC/SABUL/PCP over a paced engine, `WindowCc` for the TCP variants
-//! over an ack-clocked engine), which locked every algorithm to one engine
-//! and one datapath. With a single vocabulary:
+//! Every algorithm speaks this one vocabulary:
 //!
 //! * rate-based algorithms (PCC, SABUL, PCP) call [`Ctx::set_rate`];
 //! * window-based algorithms (the TCPs) call [`Ctx::set_cwnd`];
