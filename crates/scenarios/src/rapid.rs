@@ -64,9 +64,9 @@ pub fn run_rapid_change(
         .expect("generated points are ordered and positive");
     let first = trace.initial();
     let rtt = first.delay.expect("every epoch draws a delay") * 2;
-    // Base RTT shims carry the initial delay; the scheduled bottleneck
-    // delay (expanded from the trace) carries the varying forward
-    // component.
+    // The RTT shims realize the initial round trip; the scheduled
+    // bottleneck delay (expanded from the trace) carries the varying
+    // forward component.
     let setup = LinkSetup::new(first.rate_bps, rtt, 375_000).with_loss(first.loss.unwrap_or(0.0));
     let horizon = SimTime::ZERO + duration;
     let plans = vec![FlowPlan::new(protocol, rtt)];
