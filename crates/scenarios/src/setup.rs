@@ -577,7 +577,11 @@ mod tests {
         // ACK-path blackout. Last, per-ACK BBR through 1% loss and a
         // reordering jitter stage: its delivery sampler takes ACKs behind
         // holes, cumulative jumps as holes fill, and loss declarations.
+        // And the paced window adapter on both feedback paths: per-ACK New
+        // Reno on Fig. 9's 6 kB buffer, Illinois on batched reports, and
+        // tuned Vegas, whose spec keys pass through the pacing wrapper.
         use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
+        use crate::links::shallow_setup;
 
         let rtt = SimDuration::from_millis(30);
         let short = SimDuration::from_millis(1);
@@ -660,6 +664,21 @@ mod tests {
                 "bbr per-ack 1% loss reordered",
                 run(reordered, per_ack("bbr")),
                 0x16e8_b760_6dcc_01f6,
+            ),
+            (
+                "newreno-paced per-ack fig09 6 kB buffer",
+                run(shallow_setup(6_000), per_ack("newreno-paced")),
+                0x574a_77d5_724e_a679,
+            ),
+            (
+                "illinois-paced batched",
+                run(setup, batched("illinois-paced")),
+                0x42e0_08ce_2619_10d3,
+            ),
+            (
+                "vegas-paced:alpha=3,beta=6 per-ack",
+                run(setup, per_ack("vegas-paced:alpha=3,beta=6")),
+                0x663c_daa0_c887_20a9,
             ),
         ];
         let moved: Vec<String> = golden
