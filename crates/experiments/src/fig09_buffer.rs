@@ -20,7 +20,7 @@ pub const BUFFERS: &[u64] = &[
 pub fn protocols() -> [Protocol; 3] {
     [
         Protocol::named("pcc"),
-        Protocol::named("newreno-paced"),
+        Protocol::named("newreno:paced=true"),
         Protocol::Tcp("cubic"),
     ]
 }

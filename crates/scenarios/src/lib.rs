@@ -25,7 +25,7 @@
 //!
 //! [`protocol`] turns a protocol description into a sender
 //! ([`Protocol::build_sender`], the one way to an engine). A [`Protocol`]
-//! is a registry spec — `"pcc"`, `"cubic-paced"`, `"pcc:rct=false"` — and
+//! is a registry spec — `"pcc"`, `"cubic:paced=true"`, `"pcc:rct=false"` — and
 //! nothing else, so every `run_*` takes protocols as plain values and the
 //! builder alone supplies each sender's RTT hint. All scenarios
 //! take explicit durations/seeds so tests can run scaled-down versions

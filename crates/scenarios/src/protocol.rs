@@ -40,7 +40,7 @@ pub fn batched_reports_forced() -> bool {
 }
 
 /// Install every algorithm in the workspace — the PCC×utility family from
-/// `pcc-core`, the seven TCP baselines (plus `-paced` variants) from
+/// `pcc-core`, the seven TCP baselines (each with a `paced` key) from
 /// `pcc-tcp`, SABUL/PCP from `pcc-rate`, and the BBR-style hybrid from
 /// `pcc-bbr` — into the [`pcc_transport::registry`]. Idempotent and
 /// cheap; called automatically by [`Protocol::build_sender`]. This is the
@@ -59,8 +59,8 @@ pub fn install_registry() {
 }
 
 /// A protocol under evaluation: a registry spec — a bare name (`"pcc"`,
-/// `"cubic-paced"`) or a parameterized one (`"pcc:rct=false"`,
-/// `"cubic:beta=0.7,iw=32"`). Both variants hold the same thing; `Tcp` is
+/// `"cubic"`) or a parameterized one (`"pcc:rct=false"`,
+/// `"cubic:beta=0.7,iw=32,paced=true"`). Both variants hold the same thing; `Tcp` is
 /// the `&'static str` spelling the benchmark package compiles against.
 #[derive(Clone, Debug)]
 pub enum Protocol {
@@ -94,7 +94,7 @@ impl Protocol {
     /// Build just the congestion-control algorithm (shared by the
     /// simulator path here and by real-datapath callers that bring their
     /// own engine). `params` seeds pre-sample state — MSS, and the RTT
-    /// hint PCC's starting rate and paced variants' initial pacing rate
+    /// hint PCC's starting rate and a paced TCP's initial pacing rate
     /// derive from.
     pub fn build_cc(&self, params: &CcParams) -> Result<Box<dyn CongestionControl>, SpecError> {
         install_registry();

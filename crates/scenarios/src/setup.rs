@@ -353,8 +353,8 @@ mod tests {
             42,
         );
         // A paced window algorithm seeds its first pacing rate from the
-        // RTT hint, so the cubic-paced spine run pins the fabric hint too.
-        let paced = Protocol::named("cubic-paced");
+        // RTT hint, so the paced cubic spine run pins the fabric hint too.
+        let paced = Protocol::named("cubic:paced=true");
         // A scheduled bottleneck, and a dumbbell sampled every second.
         let secs = SimDuration::from_secs;
         let rapid = run_rapid_change(pcc.clone(), secs(5), secs(60), 13, 2);
@@ -538,7 +538,7 @@ mod tests {
         .run(SimTime::from_secs(4))
         .report;
         let paced = run_single(
-            Protocol::named("cubic-paced"),
+            Protocol::named("cubic:paced=true"),
             setup,
             SimDuration::from_secs(8),
             42,
@@ -579,7 +579,7 @@ mod tests {
         // holes, cumulative jumps as holes fill, and loss declarations.
         // And the paced window adapter on both feedback paths: per-ACK New
         // Reno on Fig. 9's 6 kB buffer, Illinois on batched reports, and
-        // tuned Vegas, whose spec keys pass through the pacing wrapper.
+        // tuned Vegas, whose spec keys pass through with `paced`.
         use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
         use crate::links::shallow_setup;
 
@@ -666,18 +666,18 @@ mod tests {
                 0x16e8_b760_6dcc_01f6,
             ),
             (
-                "newreno-paced per-ack fig09 6 kB buffer",
-                run(shallow_setup(6_000), per_ack("newreno-paced")),
+                "newreno:paced=true per-ack fig09 6 kB buffer",
+                run(shallow_setup(6_000), per_ack("newreno:paced=true")),
                 0x574a_77d5_724e_a679,
             ),
             (
-                "illinois-paced batched",
-                run(setup, batched("illinois-paced")),
+                "illinois:paced=true batched",
+                run(setup, batched("illinois:paced=true")),
                 0x42e0_08ce_2619_10d3,
             ),
             (
-                "vegas-paced:alpha=3,beta=6 per-ack",
-                run(setup, per_ack("vegas-paced:alpha=3,beta=6")),
+                "vegas:alpha=3,beta=6,paced=true per-ack",
+                run(setup, per_ack("vegas:alpha=3,beta=6,paced=true")),
                 0x663c_daa0_c887_20a9,
             ),
         ];

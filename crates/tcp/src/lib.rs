@@ -17,10 +17,10 @@
 //! | [`Bic`] | binary increase (Fig. 16) |
 //! | [`Westwood`] | bandwidth-estimate backoff (Fig. 16) |
 //!
-//! "TCP pacing" (Fig. 9) is any of these wrapped in
-//! [`window::PacedWindowed`], which sets a `cwnd/SRTT` pacing rate *and*
-//! the window — two effects on the unified API rather than an engine
-//! config flag. Request it with a `-paced` suffix (`"cubic-paced"`).
+//! "TCP pacing" (Fig. 9) is any of these with the `paced=true` spec key
+//! (`"cubic:paced=true"`): the same adapter then sets a `cwnd/SRTT` pacing
+//! rate *and* the window, two effects on the unified API rather than an
+//! engine config flag.
 //!
 //! Construction by name goes through the workspace-wide
 //! [`pcc_transport::registry`] after [`register_algorithms`] has run.
@@ -45,7 +45,7 @@ pub use illinois::Illinois;
 pub use newreno::NewReno;
 pub use vegas::Vegas;
 pub use westwood::Westwood;
-pub use window::{CcAck, PacedWindowed, WindowAlgo, Windowed};
+pub use window::{CcAck, WindowAlgo, Windowed};
 
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::CongestionControl;
@@ -53,7 +53,7 @@ use pcc_transport::registry::{self, CcParams};
 use pcc_transport::spec::{ParamKind, ParamSpec, Schema, SpecParams};
 
 /// CUBIC's spec parameters (`cubic:beta=0.7,c=0.4,iw=32`): the RFC 8312
-/// constants plus the initial window.
+/// constants plus the initial window and pacing.
 pub const CUBIC_SCHEMA: Schema = &[
     ParamSpec {
         key: "beta",
@@ -72,10 +72,11 @@ pub const CUBIC_SCHEMA: Schema = &[
         doc: "cubic scaling constant C (RFC 8312: 0.4)",
     },
     IW_PARAM,
+    PACED_PARAM,
 ];
 
 /// Vegas' spec parameters (`vegas:alpha=2,beta=4,iw=10`): the backlog
-/// band targets plus the initial window.
+/// band targets plus the initial window and pacing.
 pub const VEGAS_SCHEMA: Schema = &[
     ParamSpec {
         key: "alpha",
@@ -94,6 +95,7 @@ pub const VEGAS_SCHEMA: Schema = &[
         doc: "upper backlog target β, packets (classic: 4)",
     },
     IW_PARAM,
+    PACED_PARAM,
 ];
 
 /// The initial-window key every baseline shares.
@@ -106,8 +108,15 @@ const IW_PARAM: ParamSpec = ParamSpec {
     doc: "initial congestion window, packets (default IW10)",
 };
 
+/// The pacing key every baseline shares (`newreno:paced=true`).
+const PACED_PARAM: ParamSpec = ParamSpec {
+    key: "paced",
+    kind: ParamKind::Bool,
+    doc: "pace at cwnd·MSS/SRTT; Fig. 9's TCP pacing",
+};
+
 /// New Reno's spec parameters (`newreno:iw=32`).
-pub const NEWRENO_SCHEMA: Schema = &[IW_PARAM];
+pub const NEWRENO_SCHEMA: Schema = &[IW_PARAM, PACED_PARAM];
 
 /// BIC's spec parameters (`bic:beta=0.7,iw=32`).
 pub const BIC_SCHEMA: Schema = &[
@@ -120,6 +129,7 @@ pub const BIC_SCHEMA: Schema = &[
         doc: "multiplicative-decrease factor β (Linux: 819/1024)",
     },
     IW_PARAM,
+    PACED_PARAM,
 ];
 
 /// Hybla's spec parameters (`hybla:rtt0_ms=50,iw=32`).
@@ -133,6 +143,7 @@ pub const HYBLA_SCHEMA: Schema = &[
         doc: "reference RTT growth is normalized to, ms (classic: 25)",
     },
     IW_PARAM,
+    PACED_PARAM,
 ];
 
 /// Illinois' spec parameters (`illinois:alpha_max=5,beta_max=0.3,iw=32`).
@@ -151,6 +162,7 @@ pub const ILLINOIS_SCHEMA: Schema = &[
         doc: "multiplicative-decrease ceiling β_max (Linux: 0.5)",
     },
     IW_PARAM,
+    PACED_PARAM,
 ];
 
 /// Westwood's spec parameters (`westwood:gain=0.5,iw=32`).
@@ -164,6 +176,7 @@ pub const WESTWOOD_SCHEMA: Schema = &[
         doc: "bandwidth-filter new-sample weight (Linux: 1/8)",
     },
     IW_PARAM,
+    PACED_PARAM,
 ];
 
 /// Builds a baseline from its validated spec keys and the initial window.
@@ -218,35 +231,24 @@ const VARIANTS: &[Variant] = &[
     }),
 ];
 
-/// Build the baseline and adapt it onto [`CongestionControl`], windowed or
-/// paced.
-fn construct(build: Build, paced: bool, params: &CcParams) -> Box<dyn CongestionControl> {
+/// Build the baseline and adapt it onto [`CongestionControl`], paced when
+/// its spec says `paced=true`.
+fn construct(build: Build, params: &CcParams) -> Box<dyn CongestionControl> {
     let iw = params.spec.f64("iw").unwrap_or(common::INITIAL_CWND);
-    let algo = build(&params.spec, iw);
-    if paced {
-        Box::new(PacedWindowed::new(algo, params))
-    } else {
-        Box::new(Windowed::new(algo))
-    }
+    let paced = params.spec.bool("paced").unwrap_or(false);
+    Box::new(Windowed::new(build(&params.spec, iw), paced, params))
 }
 
-/// Register every TCP baseline and its `-paced` variant with the
-/// workspace-wide [`pcc_transport::registry`], each under its variant's
-/// spec schema (`cubic:beta=0.7,iw=32` works on both the plain and the
-/// `-paced` name), plus `reno` as a second name for `newreno`. Idempotent.
+/// Register every TCP baseline with the workspace-wide
+/// [`pcc_transport::registry`] under its spec schema
+/// (`cubic:beta=0.7,iw=32,paced=true`). Idempotent.
 pub fn register_algorithms() {
     for &(name, schema, build) in VARIANTS {
-        let mut names = vec![(name.to_string(), false), (format!("{name}-paced"), true)];
-        if name == "newreno" {
-            names.push(("reno".to_string(), false));
-        }
-        for (name, paced) in names {
-            registry::register_with_schema(
-                &name,
-                schema,
-                Box::new(move |params| construct(build, paced, params)),
-            );
-        }
+        registry::register_with_schema(
+            name,
+            schema,
+            Box::new(move |params| construct(build, params)),
+        );
     }
 }
 
@@ -255,34 +257,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registration_installs_all_names() {
+    fn registration_installs_the_seven_baselines_and_nothing_else() {
+        use pcc_transport::registry::{by_name, names, SpecError};
+
         register_algorithms();
         let params = pcc_transport::registry::CcParams::default();
-        assert_eq!(VARIANTS.len(), 7);
+        let mut expected: Vec<String> = VARIANTS.iter().map(|v| v.0.to_string()).collect();
+        expected.sort();
+        assert_eq!(names(), expected, "one name per baseline");
         for &(name, ..) in VARIANTS {
-            for spec in [name.to_string(), format!("{name}-paced")] {
-                let cc = pcc_transport::registry::by_name(&spec, &params)
-                    .unwrap_or_else(|e| panic!("{spec} registered: {e}"));
+            for spec in [name.to_string(), format!("{name}:paced=true")] {
+                let cc = by_name(&spec, &params).unwrap_or_else(|e| panic!("{spec}: {e}"));
                 assert_eq!(cc.name(), name);
             }
+        }
+        // Pacing is a key, not a second name; New Reno has one name.
+        for gone in ["cubic-paced", "reno"] {
+            assert!(
+                matches!(by_name(gone, &params), Err(SpecError::Unknown(_))),
+                "{gone} is not registered"
+            );
         }
     }
 
     #[test]
-    fn reno_builds_a_newreno_with_newrenos_schema() {
+    fn paced_key_paces_and_defaults_off() {
+        use pcc_simnet::rng::SimRng;
+        use pcc_simnet::time::SimTime;
+        use pcc_transport::cc::{Ctx, Effects};
+
         register_algorithms();
         let params = pcc_transport::registry::CcParams::default();
-        let reno = pcc_transport::registry::by_name("reno:iw=4", &params).expect("second name");
-        assert_eq!(reno.name(), "newreno");
-        let keys = |name| -> Vec<&str> {
-            let schema = pcc_transport::registry::schema_of(name).expect("registered");
-            schema.iter().map(|p| p.key).collect()
+        let start = |spec: &str| {
+            let mut cc = pcc_transport::registry::by_name(spec, &params).expect("builds");
+            let mut rng = SimRng::new(1);
+            let mut fx = Effects::default();
+            cc.on_start(&mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
+            let d = fx.drain();
+            (d.cwnd, d.rate)
         };
-        assert_eq!(keys("reno"), keys("newreno"));
-        assert!(
-            !pcc_transport::registry::contains("reno-paced"),
-            "one extra name, not a second variant"
-        );
+        // 4 pkts × 1500 B × 8 / the 100 ms default hint = 480 kbps.
+        assert_eq!(start("newreno:paced=true,iw=4"), (Some(4.0), Some(480e3)));
+        assert_eq!(start("newreno:paced=false,iw=4"), (Some(4.0), None));
+        assert_eq!(start("newreno:iw=4"), (Some(4.0), None));
     }
 
     #[test]
@@ -315,15 +332,16 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_has_a_schema_with_iw() {
-        // The ROADMAP PR 3 gap: all seven baselines now expose tunables.
+    fn every_variant_has_a_schema_with_iw_and_paced() {
         register_algorithms();
         for &(name, ..) in VARIANTS {
             let schema = pcc_transport::registry::schema_of(name).expect("registered");
-            assert!(
-                schema.iter().any(|p| p.key == "iw"),
-                "{name} exposes iw: {schema:?}"
-            );
+            for key in ["iw", "paced"] {
+                assert!(
+                    schema.iter().any(|p| p.key == key),
+                    "{name} exposes {key}: {schema:?}"
+                );
+            }
         }
     }
 
@@ -342,8 +360,8 @@ mod tests {
             "hybla:rtt0_ms=50,iw=32",
             "illinois:alpha_max=5,beta_max=0.3,iw=32",
             "westwood:gain=0.5,iw=32",
-            "illinois-paced:alpha_max=5",
-            "westwood-paced:gain=0.25",
+            "illinois:alpha_max=5,paced=true",
+            "westwood:gain=0.25,paced=true",
         ] {
             let mut cc = pcc_transport::registry::by_name(spec, &params)
                 .unwrap_or_else(|e| panic!("{spec}: {e}"));
@@ -381,8 +399,10 @@ mod tests {
             pcc_transport::registry::by_name("vegas:alpha=3,beta=6,iw=4", &params).is_ok(),
             "tuned vegas constructs"
         );
-        // Tuning applies on the paced wrapper too (same schema).
-        assert!(pcc_transport::registry::by_name("vegas-paced:alpha=3,beta=6", &params).is_ok());
+        // Tuning applies to a paced Vegas too (same schema).
+        assert!(
+            pcc_transport::registry::by_name("vegas:alpha=3,beta=6,paced=true", &params).is_ok()
+        );
         // Out-of-range band is a typed error listing keys.
         let err = match pcc_transport::registry::by_name("vegas:alpha=1000", &params) {
             Ok(_) => panic!("must fail"),

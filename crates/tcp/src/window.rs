@@ -18,9 +18,10 @@
 //! callback, floored at the crate-private `MIN_CWND` (2 packets) so the
 //! engine can always keep loss detection alive.
 //!
-//! [`PacedWindowed`] additionally derives a pacing rate (`cwnd/SRTT`) and
-//! sets *both* effects — the paper's Fig. 9 "TCP pacing" baseline as a
-//! trivial composition rather than an engine config flag.
+//! A paced [`Windowed`] also sets a `cwnd·MSS/SRTT` pacing rate after every
+//! callback, so the engine spreads each window over one RTT instead of
+//! releasing it in ack-clocked bursts: the paper's Fig. 9 "TCP pacing" is
+//! any baseline with `paced=true`, not a second algorithm.
 
 use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent, LossKind};
@@ -82,15 +83,25 @@ pub trait WindowAlgo: Send {
     }
 }
 
-/// Adapter: any [`WindowAlgo`] as a [`CongestionControl`].
+/// Adapter: any [`WindowAlgo`] as a [`CongestionControl`], optionally
+/// paced.
 pub struct Windowed {
     inner: Box<dyn WindowAlgo>,
+    paced: bool,
+    mss: u32,
+    srtt: SimDuration,
 }
 
 impl Windowed {
-    /// Wrap a window algorithm.
-    pub fn new(inner: Box<dyn WindowAlgo>) -> Self {
-        Windowed { inner }
+    /// Wrap a window algorithm; `params` seeds the MSS and the RTT the
+    /// pacing rate uses before the first sample.
+    pub fn new(inner: Box<dyn WindowAlgo>, paced: bool, params: &CcParams) -> Self {
+        Windowed {
+            inner,
+            paced,
+            mss: params.mss,
+            srtt: params.rtt_hint,
+        }
     }
 
     /// The wrapped algorithm's effective window: its cwnd, floored at
@@ -99,8 +110,15 @@ impl Windowed {
         self.inner.cwnd().max(MIN_CWND)
     }
 
-    fn push_cwnd(&self, ctx: &mut Ctx) {
-        ctx.set_cwnd(self.effective_cwnd());
+    /// Hand the engine the window and, when paced, the rate that spreads
+    /// it over one smoothed RTT.
+    fn push(&self, ctx: &mut Ctx) {
+        let cwnd = self.effective_cwnd();
+        ctx.set_cwnd(cwnd);
+        if self.paced {
+            let srtt = self.srtt.as_secs_f64().max(1e-6);
+            ctx.set_rate(cwnd * self.mss as f64 * 8.0 / srtt);
+        }
     }
 
     fn translate(ack: &AckEvent) -> CcAck {
@@ -123,19 +141,22 @@ impl CongestionControl for Windowed {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
-        self.push_cwnd(ctx);
+        self.push(ctx);
     }
 
     fn on_ack(&mut self, ack: &AckEvent, ctx: &mut Ctx) {
+        self.mss = ack.mss;
+        self.srtt = ack.srtt;
         // Window growth only outside recovery episodes and only for ACKs
         // that advance the scoreboard (standard TCP behaviour).
         if ack.newly_acked > 0 && !ack.in_recovery {
             self.inner.on_ack(&Self::translate(ack));
         }
-        self.push_cwnd(ctx);
+        self.push(ctx);
     }
 
     fn on_loss(&mut self, loss: &LossEvent, ctx: &mut Ctx) {
+        self.mss = loss.mss;
         match loss.kind {
             LossKind::Detected => {
                 if loss.new_episode {
@@ -144,10 +165,12 @@ impl CongestionControl for Windowed {
             }
             LossKind::Timeout => self.inner.on_rto(loss.now),
         }
-        self.push_cwnd(ctx);
+        self.push(ctx);
     }
 
     fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut Ctx) {
+        self.mss = rep.mss;
+        self.srtt = rep.srtt;
         // Loss-event-driven semantics reconstructed from report deltas:
         // a timeout collapses, a fresh loss episode cuts once, and growth
         // is credited only for clean intervals (the engine flushes a
@@ -171,63 +194,7 @@ impl CongestionControl for Windowed {
             };
             self.inner.on_ack(&ack);
         }
-        self.push_cwnd(ctx);
-    }
-}
-
-/// Adapter: a [`WindowAlgo`] with pacing — sets the congestion window
-/// *and* a `cwnd/SRTT` pacing rate, so the engine releases packets
-/// smoothly instead of in ack-clocked TSO bursts (Fig. 9's "TCP Pacing").
-pub struct PacedWindowed {
-    inner: Windowed,
-    mss: u32,
-    last_srtt: SimDuration,
-}
-
-impl PacedWindowed {
-    /// Wrap a window algorithm; `params` seeds the pre-sample pacing rate.
-    pub fn new(inner: Box<dyn WindowAlgo>, params: &CcParams) -> Self {
-        PacedWindowed {
-            inner: Windowed::new(inner),
-            mss: params.mss,
-            last_srtt: params.rtt_hint,
-        }
-    }
-
-    fn push_rate(&self, ctx: &mut Ctx) {
-        let srtt = self.last_srtt.as_secs_f64().max(1e-6);
-        ctx.set_rate(self.inner.effective_cwnd() * self.mss as f64 * 8.0 / srtt);
-    }
-}
-
-impl CongestionControl for PacedWindowed {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.inner.on_start(ctx);
-        self.push_rate(ctx);
-    }
-
-    fn on_ack(&mut self, ack: &AckEvent, ctx: &mut Ctx) {
-        self.mss = ack.mss;
-        self.last_srtt = ack.srtt;
-        self.inner.on_ack(ack, ctx);
-        self.push_rate(ctx);
-    }
-
-    fn on_loss(&mut self, loss: &LossEvent, ctx: &mut Ctx) {
-        self.mss = loss.mss;
-        self.inner.on_loss(loss, ctx);
-        self.push_rate(ctx);
-    }
-
-    fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut Ctx) {
-        self.mss = rep.mss;
-        self.last_srtt = rep.srtt;
-        self.inner.on_report(rep, ctx);
-        self.push_rate(ctx);
+        self.push(ctx);
     }
 }
 
@@ -259,13 +226,19 @@ mod tests {
         }
     }
 
+    /// New Reno behind the adapter, seeded with a 100 ms RTT hint.
+    fn reno(paced: bool) -> Windowed {
+        let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(100));
+        Windowed::new(Box::new(NewReno::new()), paced, &params)
+    }
+
     fn drain_cwnd(fx: &mut Effects) -> Option<f64> {
         fx.drain().cwnd
     }
 
     #[test]
     fn adapter_grows_outside_recovery_only() {
-        let mut cc = Windowed::new(Box::new(NewReno::new()));
+        let mut cc = reno(false);
         let mut rng = SimRng::new(1);
         let mut fx = Effects::default();
         cc.on_start(&mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
@@ -284,7 +257,7 @@ mod tests {
 
     #[test]
     fn adapter_maps_loss_kinds() {
-        let mut cc = Windowed::new(Box::new(NewReno::new()));
+        let mut cc = reno(false);
         let mut rng = SimRng::new(1);
         let mut fx = Effects::default();
         cc.on_start(&mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
@@ -310,7 +283,7 @@ mod tests {
 
     #[test]
     fn min_cwnd_floor_enforced_after_rto() {
-        let mut cc = Windowed::new(Box::new(NewReno::new()));
+        let mut cc = reno(false);
         let mut rng = SimRng::new(1);
         let mut fx = Effects::default();
         cc.on_start(&mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
@@ -333,8 +306,7 @@ mod tests {
 
     #[test]
     fn paced_adapter_sets_both_effects() {
-        let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(100));
-        let mut cc = PacedWindowed::new(Box::new(NewReno::new()), &params);
+        let mut cc = reno(true);
         let mut rng = SimRng::new(1);
         let mut fx = Effects::default();
         cc.on_start(&mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
@@ -343,6 +315,11 @@ mod tests {
         // 10 pkts × 1500 B × 8 / 100 ms = 1.2 Mbps.
         let rate = d.rate.expect("pacing rate set");
         assert!((rate - 1.2e6).abs() < 1.0, "rate {rate}");
+        // Unpaced, the same adapter sets the window only.
+        let mut cc = reno(false);
+        cc.on_start(&mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
+        let d = fx.drain();
+        assert_eq!((d.cwnd, d.rate), (Some(10.0), None));
     }
 
     fn report(acked: u64, loss_events: u32, new_episode: bool, timeouts: u32) -> MeasurementReport {
@@ -367,7 +344,7 @@ mod tests {
         // The same NewReno through reports: a clean 5-ack interval grows
         // exactly like 5 per-ACK deliveries; a loss-episode report cuts
         // once; a timeout report collapses to the floor.
-        let mut cc = Windowed::new(Box::new(NewReno::new()));
+        let mut cc = reno(false);
         let mut rng = SimRng::new(1);
         let mut fx = Effects::default();
         cc.on_start(&mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
@@ -398,8 +375,8 @@ mod tests {
         // 20 packets acked in one clean interval must land on the same
         // window as 4 per-ACK events of 5 — lossless aggregation end to
         // end for ack-counting algorithms.
-        let mut per_ack = Windowed::new(Box::new(NewReno::new()));
-        let mut batched = Windowed::new(Box::new(NewReno::new()));
+        let mut per_ack = reno(false);
+        let mut batched = reno(false);
         let mut rng = SimRng::new(1);
         let mut fx = Effects::default();
         per_ack.on_start(&mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));

@@ -22,9 +22,9 @@
 //! as `bbr`): a BBR-style model-based controller whose every control
 //! decision sets `set_rate(pacing_gain · btl_bw)` *and*
 //! `set_cwnd(cwnd_gain · BDP)`, so both machineries — pacing and window
-//! clocking — run simultaneously for the whole flow. The `-paced` TCP
-//! wrappers (`pcc-tcp`'s `PacedWindowed`) are the thin end of the same
-//! path. The engine enforces *both* effects when both are set: a closed
+//! clocking — run simultaneously for the whole flow. A TCP baseline with
+//! `paced=true` (`pcc-tcp`'s `Windowed` adapter setting a `cwnd/SRTT`
+//! rate) is the thin end of the same path. The engine enforces *both* effects when both are set: a closed
 //! window blocks transmission even when the pacing gap has elapsed, and
 //! vice versa (asserted under both drivers by the root conformance
 //! suite's `hybrid_enforcement` tests).

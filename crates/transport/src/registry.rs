@@ -36,9 +36,9 @@
 //! (re-exported as `pcc::install_registry`) is the one function that calls
 //! all four, once per process. Registering the same name twice is
 //! idempotent by design (last registration wins), so multiple entry points
-//! may install the defaults without coordination. The table holds
-//! factories only: a second name for an algorithm (`reno` for `newreno`)
-//! is a second registration of the same constructor.
+//! may install the defaults without coordination. The table holds one
+//! factory per algorithm: a variant of one (a paced TCP, say) is a spec
+//! key of its schema, not a second name.
 //!
 //! The global table recovers from lock poisoning (a panicking test thread
 //! mid-registration) by adopting the poisoned state: every write holds the
@@ -62,7 +62,7 @@ pub struct CcParams {
     /// Packet size on the wire, bytes.
     pub mss: u32,
     /// A-priori RTT estimate for algorithms that need one before the first
-    /// sample (PCC's starting rate, paced-TCP's initial pacing rate).
+    /// sample (PCC's starting rate, a paced TCP's initial pacing rate).
     pub rtt_hint: SimDuration,
     /// Validated spec parameters (`name:key=val` — empty for plain-name
     /// construction). [`by_name`] fills this from the spec string after
@@ -173,8 +173,7 @@ impl From<InvalidParam> for SpecError {
     }
 }
 
-/// A table entry: a constructor with its parameter schema. A second name
-/// for an algorithm is a second registration of the same constructor.
+/// A table entry: a constructor with its parameter schema.
 struct Entry {
     f: Arc<CcFactory>,
     schema: Schema,

@@ -1894,7 +1894,7 @@ mod tests {
         let late = report.avg_throughput_mbps(flow, SimTime::from_secs(5), SimTime::from_secs(10));
         // Startup paces at 2 Mbps; after the switch a 40-packet window over
         // 30 ms RTT wants 16 Mbps and pins the 10 Mbps bottleneck.
-        assert!(early < 4.0, "rate-paced startup: {early} Mbps");
+        assert!(early < 4.0, "paced startup: {early} Mbps");
         assert!(
             late > 8.0,
             "window steady state fills the pipe: {late} Mbps"

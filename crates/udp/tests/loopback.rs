@@ -428,7 +428,7 @@ fn batched_reports_move_data_over_loopback() {
 
 #[test]
 fn mode_switcher_switches_on_batched_reports_over_loopback() {
-    // rate-then-window starts rate-paced and switches the engine to Window
+    // rate-then-window starts on a pacing rate and switches the engine to Window
     // mid-flight via `Effects::set_mode`, hearing nothing but forced
     // batched reports — and the transfer still lands every byte.
     install_registry();

@@ -19,7 +19,7 @@
 //! | [`core`] | `pcc-core` | monitor intervals, utility functions, the learning controller, the game-theoretic fluid model |
 //! | [`simnet`] | `pcc-simnet` | deterministic discrete-event network simulator |
 //! | [`transport`] | `pcc-transport` | SACK scoreboard, the unified `CongestionControl` API, the one `CcSender` engine, the algorithm registry |
-//! | [`tcp`] | `pcc-tcp` | New Reno, CUBIC, Illinois, Hybla, Vegas, BIC, Westwood (plus `-paced` variants) |
+//! | [`tcp`] | `pcc-tcp` | New Reno, CUBIC, Illinois, Hybla, Vegas, BIC, Westwood, each optionally paced |
 //! | [`rate`] | `pcc-rate` | SABUL/UDT-style and PCP-style rate control |
 //! | [`bbr`] | `pcc-bbr` | BBR-style model-based control — the reference *hybrid* (rate + cwnd) algorithm |
 //! | [`scenarios`] | `pcc-scenarios` | every §4 evaluation scenario as a reusable builder |

@@ -1,6 +1,6 @@
 //! Conformance suite for the unified `CongestionControl` API: every
 //! algorithm in the registry — the PCC×utility family, all seven TCP
-//! baselines (plain and `-paced`), SABUL, PCP, and the BBR-style hybrid —
+//! baselines (plain and `paced=true`), SABUL, PCP, and the BBR-style hybrid —
 //! is driven through the same scripted event sequence and the same
 //! end-to-end simulation, and must uphold the API contract:
 //!
@@ -22,18 +22,26 @@ fn params() -> CcParams {
     CcParams::default().with_rtt_hint(SimDuration::from_millis(30))
 }
 
+/// Every registered name, plus `"{name}:paced=true"` for each name whose
+/// schema has a `paced` key: 15 names and the 7 paced TCPs.
 fn all_names() -> Vec<String> {
     pcc::install_registry();
     let names = registry::names();
-    assert!(
-        names.len() >= 12,
-        "registry spans PCC×utilities, 7 TCPs, SABUL, PCP, BBR: {names:?}"
+    let paced = names
+        .iter()
+        .filter(|n| registry::schema_of(n).is_some_and(|s| s.iter().any(|p| p.key == "paced")))
+        .map(|n| format!("{n}:paced=true"));
+    let specs: Vec<String> = names.iter().cloned().chain(paced).collect();
+    assert_eq!(
+        specs.len(),
+        22,
+        "PCC×utilities, 7 TCPs plain and paced, SABUL, PCP, BBR, the switcher: {specs:?}"
     );
     assert!(
         names.contains(&"bbr".to_string()),
         "the hybrid is registered: {names:?}"
     );
-    names
+    specs
 }
 
 /// A scripted pseudo-engine: feeds a deterministic event sequence and logs
@@ -445,7 +453,7 @@ const PARAMETERIZED_SPECS: &[&str] = &[
     "pcc:eps=0.02,util=latency,alpha=50",
     "pcc-lossresilient:tm=1.5,rct=false",
     "cubic:beta=0.7,iw=32",
-    "cubic-paced:iw=4",
+    "cubic:paced=true,iw=4",
     "vegas:alpha=3,beta=6",
     "bbr:probe_rtt_ms=5000,cwnd_gain=2.5",
     "sabul:syn_ms=20,decrease=0.8",
@@ -543,6 +551,7 @@ fn invalid_specs_are_typed_errors_never_panics() {
         "pcc:nope=1",
         "cubic:iw=0",
         "cubic:beta",
+        "cubic:paced=1",
         "bbr:cwnd_gain=99",
         "nosuch:eps=0.05",
         ":::",
@@ -565,6 +574,49 @@ fn invalid_specs_are_typed_errors_never_panics() {
         "valid keys listed: {:?}",
         err.valid
     );
+}
+
+#[test]
+fn paced_is_a_key_of_the_seven_tcps_only() {
+    // `paced` belongs to the TCP window adapter; every other algorithm
+    // (`pcc:paced=true`, say) rejects it as a typed error naming the key.
+    pcc::install_registry();
+    let mut paced = Vec::new();
+    for name in registry::names() {
+        let spec = format!("{name}:paced=true");
+        match registry::by_name(&spec, &params()) {
+            Ok(cc) => paced.push(cc.name()),
+            Err(registry::SpecError::InvalidParam(e)) => assert_eq!(e.key, "paced", "{spec}"),
+            Err(e) => panic!("{spec}: {e}"),
+        }
+    }
+    assert_eq!(
+        paced,
+        ["bic", "cubic", "hybla", "illinois", "newreno", "vegas", "westwood"]
+    );
+}
+
+#[test]
+fn unpaced_is_the_plain_name() {
+    // `cubic:paced=false` is `cubic`, effect for effect, through the whole
+    // scripted session; `paced=true` adds a rate to the same windows.
+    pcc::install_registry();
+    let session = |spec: &str| {
+        let mut s = Script::new(spec, 42);
+        s.run_session();
+        s.log
+    };
+    let plain = session("cubic");
+    assert_eq!(session("cubic:paced=false"), plain);
+    let paced = session("cubic:paced=true");
+    let windows = |log: &[String]| -> Vec<String> {
+        log.iter()
+            .filter(|e| !e.starts_with("rate="))
+            .cloned()
+            .collect()
+    };
+    assert_eq!(windows(&paced), plain);
+    assert!(paced.iter().any(|e| e.starts_with("rate=")), "{paced:?}");
 }
 
 #[test]
@@ -604,10 +656,6 @@ fn every_algorithm_moves_data_with_batched_reports() {
     // move a meaningful share of the link.
     use pcc::transport::cc::ReportMode;
     let names = all_names();
-    assert!(
-        names.len() >= 23,
-        "the batched battery covers the whole registry: {names:?}"
-    );
     let rtt = SimDuration::from_millis(20);
     for name in names {
         let r = pcc::scenarios::run_dumbbell(

@@ -26,14 +26,22 @@ use pcc::simnet::time::SimDuration;
 use pcc::transport::receiver::span_rejections;
 use pcc::transport::registry;
 
+/// Every registered name, plus `"{name}:paced=true"` for each name whose
+/// schema has a `paced` key: 15 names and the 7 paced TCPs.
 fn all_names() -> Vec<String> {
     pcc::install_registry();
     let names = registry::names();
-    assert!(
-        names.len() >= 12,
-        "registry spans PCC×utilities, 7 TCPs, SABUL, PCP, BBR: {names:?}"
+    let paced = names
+        .iter()
+        .filter(|n| registry::schema_of(n).is_some_and(|s| s.iter().any(|p| p.key == "paced")))
+        .map(|n| format!("{n}:paced=true"));
+    let specs: Vec<String> = names.iter().cloned().chain(paced).collect();
+    assert_eq!(
+        specs.len(),
+        22,
+        "PCC×utilities, 7 TCPs plain and paced, SABUL, PCP, BBR, the switcher: {specs:?}"
     );
-    names
+    specs
 }
 
 #[test]

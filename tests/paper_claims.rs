@@ -126,7 +126,7 @@ fn claim_all_protocols_functional() {
         Protocol::Tcp("vegas"),
         Protocol::Tcp("bic"),
         Protocol::Tcp("westwood"),
-        Protocol::named("newreno-paced"),
+        Protocol::named("newreno:paced=true"),
         Protocol::named("sabul"),
         Protocol::named("pcp"),
     ] {
