@@ -60,8 +60,9 @@ pub fn install_registry() {
 
 /// A protocol under evaluation: a registry spec — a bare name (`"pcc"`,
 /// `"cubic"`) or a parameterized one (`"pcc:rct=false"`,
-/// `"cubic:beta=0.7,iw=32,paced=true"`). Both variants hold the same thing; `Tcp` is
-/// the `&'static str` spelling the benchmark package compiles against.
+/// `"cubic:beta=0.7,iw=32,paced=true"`). Both variants hold the same
+/// thing; `Tcp` is the `&'static str` spelling the benchmark package
+/// compiles against.
 #[derive(Clone, Debug)]
 pub enum Protocol {
     /// A spec known at compile time (any registered name, not only TCPs).

@@ -281,28 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn paced_key_paces_and_defaults_off() {
-        use pcc_simnet::rng::SimRng;
-        use pcc_simnet::time::SimTime;
-        use pcc_transport::cc::{Ctx, Effects};
-
-        register_algorithms();
-        let params = pcc_transport::registry::CcParams::default();
-        let start = |spec: &str| {
-            let mut cc = pcc_transport::registry::by_name(spec, &params).expect("builds");
-            let mut rng = SimRng::new(1);
-            let mut fx = Effects::default();
-            cc.on_start(&mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
-            let d = fx.drain();
-            (d.cwnd, d.rate)
-        };
-        // 4 pkts × 1500 B × 8 / the 100 ms default hint = 480 kbps.
-        assert_eq!(start("newreno:paced=true,iw=4"), (Some(4.0), Some(480e3)));
-        assert_eq!(start("newreno:paced=false,iw=4"), (Some(4.0), None));
-        assert_eq!(start("newreno:iw=4"), (Some(4.0), None));
-    }
-
-    #[test]
     fn cubic_spec_tunes_iw_and_beta() {
         use pcc_simnet::rng::SimRng;
         use pcc_simnet::time::SimTime;

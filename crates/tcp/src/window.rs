@@ -104,16 +104,10 @@ impl Windowed {
         }
     }
 
-    /// The wrapped algorithm's effective window: its cwnd, floored at
-    /// `MIN_CWND` (2 packets).
-    pub fn effective_cwnd(&self) -> f64 {
-        self.inner.cwnd().max(MIN_CWND)
-    }
-
-    /// Hand the engine the window and, when paced, the rate that spreads
-    /// it over one smoothed RTT.
+    /// Hand the engine the window, floored at `MIN_CWND`, and, when paced,
+    /// the rate that spreads it over one smoothed RTT.
     fn push(&self, ctx: &mut Ctx) {
-        let cwnd = self.effective_cwnd();
+        let cwnd = self.inner.cwnd().max(MIN_CWND);
         ctx.set_cwnd(cwnd);
         if self.paced {
             let srtt = self.srtt.as_secs_f64().max(1e-6);

@@ -24,10 +24,10 @@
 //! `set_cwnd(cwnd_gain · BDP)`, so both machineries — pacing and window
 //! clocking — run simultaneously for the whole flow. A TCP baseline with
 //! `paced=true` (`pcc-tcp`'s `Windowed` adapter setting a `cwnd/SRTT`
-//! rate) is the thin end of the same path. The engine enforces *both* effects when both are set: a closed
-//! window blocks transmission even when the pacing gap has elapsed, and
-//! vice versa (asserted under both drivers by the root conformance
-//! suite's `hybrid_enforcement` tests).
+//! rate) is the thin end of the same path. The engine enforces *both*
+//! effects when both are set: a closed window blocks transmission even
+//! when the pacing gap has elapsed, and vice versa (asserted under both
+//! drivers by the root conformance suite's `hybrid_enforcement` tests).
 
 use pcc_simnet::rng::SimRng;
 use pcc_simnet::time::{SimDuration, SimTime};

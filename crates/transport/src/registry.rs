@@ -36,9 +36,9 @@
 //! (re-exported as `pcc::install_registry`) is the one function that calls
 //! all four, once per process. Registering the same name twice is
 //! idempotent by design (last registration wins), so multiple entry points
-//! may install the defaults without coordination. The table holds one
-//! factory per algorithm: a variant of one (a paced TCP, say) is a spec
-//! key of its schema, not a second name.
+//! may install the defaults without coordination. The table holds
+//! factories only; a TCP's pacing is a key of its schema
+//! (`cubic:paced=true`), not a second name.
 //!
 //! The global table recovers from lock poisoning (a panicking test thread
 //! mid-registration) by adopting the poisoned state: every write holds the

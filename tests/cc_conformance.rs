@@ -551,7 +551,6 @@ fn invalid_specs_are_typed_errors_never_panics() {
         "pcc:nope=1",
         "cubic:iw=0",
         "cubic:beta",
-        "cubic:paced=1",
         "bbr:cwnd_gain=99",
         "nosuch:eps=0.05",
         ":::",
