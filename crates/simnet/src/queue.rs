@@ -85,12 +85,12 @@ pub struct DropTail {
 }
 
 impl DropTail {
-    /// FIFO limited to `limit_bytes` bytes. The backing ring is pre-sized
-    /// from the limit (capped — a bufferbloat buffer must not allocate
-    /// megabytes up front), so steady-state enqueues never reallocate.
+    /// FIFO limited to `limit_bytes` bytes. The ring starts empty and grows
+    /// by doubling to the largest backlog it holds: a ring that cycles writes
+    /// every slot it owns, so one sized from the limit would keep it resident.
     pub fn bytes(limit_bytes: u64) -> Self {
         DropTail {
-            q: VecDeque::with_capacity((limit_bytes / 1500 + 1).min(1024) as usize),
+            q: VecDeque::new(),
             bytes: 0,
             limit_bytes,
             stats: QueueStats::default(),
@@ -470,6 +470,28 @@ mod tests {
     }
 
     #[test]
+    fn droptail_ring_grows_with_backlog_not_limit() {
+        for limit in [0, 1500, 256_000, u64::MAX] {
+            assert_eq!(DropTail::bytes(limit).q.capacity(), 0, "limit {limit}");
+        }
+        for peak in [1u64, 3, 5, 40, 170] {
+            let mut q = DropTail::bytes(256_000);
+            // Cycle at a backlog of `peak` packets for many times its size:
+            // the ring holds on to no more than the doubling of that peak.
+            for s in 0..peak {
+                assert!(q.enqueue(pkt(0, s, 1500), t(0)));
+            }
+            for s in peak..peak * 20 {
+                assert!(q.dequeue(t(1)).is_some());
+                assert!(q.enqueue(pkt(0, s, 1500), t(1)));
+            }
+            while q.dequeue(t(2)).is_some() {}
+            let bound = (2 * peak as usize).max(8);
+            assert!(q.q.capacity() <= bound, "peak {peak}: {}", q.q.capacity());
+        }
+    }
+
+    #[test]
     fn droptail_sets_enqueue_timestamp() {
         let mut q = DropTail::bytes(1 << 20);
         q.enqueue(pkt(0, 0, 1500), t(7));
@@ -703,14 +725,45 @@ mod proptests {
             prop_assert!(conservation_holds(&q, offered));
         }
 
-        /// Byte accounting never goes negative or exceeds what's possible.
+        /// `DropTail` against a model: a FIFO of `(seq, bytes)` and a byte
+        /// counter under the same `bytes + pkt > limit` drop rule. Limits
+        /// below one packet are drawn too, and random dequeues make the
+        /// ring grow while it is wrapped; its capacity stays within twice
+        /// the largest backlog it has held.
         #[test]
-        fn byte_accounting(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-            let mut q = DropTail::bytes(12_000);
-            run_ops(&mut q, &ops, SimDuration::from_micros(11));
-            prop_assert!(q.len_bytes() <= 12_000);
-            let sum: u64 = (0..q.len_pkts()).map(|_| 0u64).sum();
-            let _ = sum; // len_bytes consistency is implied by per-op bookkeeping
+        fn byte_accounting(
+            limit in 0u64..20_000,
+            ops in proptest::collection::vec(op_strategy(), 1..300),
+        ) {
+            let mut q = DropTail::bytes(limit);
+            let mut model: VecDeque<(u64, u32)> = VecDeque::new();
+            let mut model_bytes = 0u64;
+            let mut peak = 0usize;
+            let mut now = SimTime::ZERO;
+            for (seq, op) in (0u64..).zip(&ops) {
+                now += SimDuration::from_micros(11);
+                match *op {
+                    Op::Enq { flow, bytes } => {
+                        let fits = model_bytes + bytes as u64 <= limit;
+                        let pkt = Packet::data(FlowId(flow), seq, bytes, now, false);
+                        prop_assert_eq!(q.enqueue(pkt, now), fits);
+                        if fits {
+                            model.push_back((seq, bytes));
+                            model_bytes += bytes as u64;
+                        }
+                    }
+                    Op::Deq => {
+                        let got = q.dequeue(now).map(|p| (p.as_data().unwrap().seq, p.bytes));
+                        let want = model.pop_front();
+                        model_bytes -= want.map_or(0, |(_, b)| b as u64);
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                peak = peak.max(model.len());
+                prop_assert_eq!(q.len_bytes(), model_bytes);
+                prop_assert_eq!(q.len_pkts(), model.len());
+                prop_assert!(q.q.capacity() <= (2 * peak).max(8));
+            }
         }
     }
 }
