@@ -87,7 +87,7 @@ pub struct DropTail {
 impl DropTail {
     /// FIFO limited to `limit_bytes` bytes. The ring starts empty and grows
     /// by doubling to the largest backlog it holds: a ring that cycles writes
-    /// every slot it owns, so one sized from the limit would keep it resident.
+    /// every slot it owns, so one sized from the limit keeps that much resident.
     pub fn bytes(limit_bytes: u64) -> Self {
         DropTail {
             q: VecDeque::new(),
