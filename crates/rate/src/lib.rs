@@ -14,20 +14,15 @@
 //! Simplifications relative to the original codebases are documented on
 //! each type; both preserve the control laws the paper's comparison is
 //! about. [`register_algorithms`] installs them as `sabul` and `pcp` in
-//! the workspace-wide [`pcc_transport::registry`].
-//!
-//! The crate also hosts [`RateThenWindow`] (`rate-then-window`), the
-//! mode-switching reference algorithm for the off-path control plane:
-//! rate-driven startup that asks the engine to re-plumb it as a window
-//! controller for steady state.
+//! the workspace-wide [`pcc_transport::registry`]. Both take per-ACK
+//! events by preference and implement `on_report` too, so a host may batch
+//! them.
 
 mod pcp;
 mod sabul;
-mod switcher;
 
 pub use pcp::Pcp;
 pub use sabul::Sabul;
-pub use switcher::RateThenWindow;
 
 use pcc_simnet::time::SimDuration;
 use pcc_transport::registry;
@@ -85,18 +80,8 @@ pub const PCP_SCHEMA: Schema = &[
     },
 ];
 
-/// `rate-then-window`'s spec parameters (`rate-then-window:rate0_mbps=4`).
-pub const RATE_THEN_WINDOW_SCHEMA: Schema = &[ParamSpec {
-    key: "rate0_mbps",
-    kind: ParamKind::Float {
-        min: 0.1,
-        max: 10_000.0,
-    },
-    doc: "starting rate for the rate-mode probe phase, Mbit/s (default: 10 packets per RTT hint)",
-}];
-
-/// Register `sabul`, `pcp` and `rate-then-window` (with their spec
-/// schemas) in the workspace-wide [`pcc_transport::registry`]. Idempotent.
+/// Register `sabul` and `pcp` (with their spec schemas) in the
+/// workspace-wide [`pcc_transport::registry`]. Idempotent.
 pub fn register_algorithms() {
     registry::register_with_schema(
         "sabul",
@@ -130,17 +115,12 @@ pub fn register_algorithms() {
             ))
         }),
     );
-    registry::register_with_schema(
-        "rate-then-window",
-        RATE_THEN_WINDOW_SCHEMA,
-        Box::new(|p| Box::new(RateThenWindow::new(p))),
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcc_transport::registry::CcParams;
+    use pcc_transport::registry::{CcParams, SpecError};
 
     #[test]
     fn baselines_register() {
@@ -154,11 +134,12 @@ mod tests {
             registry::by_name("pcp", &params).expect("pcp").name(),
             "pcp"
         );
-        assert_eq!(
-            registry::by_name("rate-then-window", &params)
-                .expect("rate-then-window")
-                .name(),
-            "rate-then-window"
+        assert!(
+            matches!(
+                registry::by_name("rate-then-window", &params),
+                Err(SpecError::Unknown(_))
+            ),
+            "the mode switcher is no longer registered"
         );
     }
 

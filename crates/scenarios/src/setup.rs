@@ -564,11 +564,10 @@ mod tests {
     fn golden_fingerprints_pin_both_feedback_paths() {
         // What crosses the `CongestionControl` seam, pinned per algorithm
         // family: the four algorithms with a report estimator of their own
-        // on forced 1-RTT batched reports, the natively batched mode
-        // switcher on its own cadence, and a per-ACK PCC run whose monitor
-        // closes ~275 intervals by deadline write-off (1 ms RTT: a lost
-        // retransmission waits out the engine's 10 ms RTO floor, past the
-        // 2.5-SRTT deadline; 2% loss each way). Then the PCC controller
+        // on forced 1-RTT batched reports, and a per-ACK PCC run whose
+        // monitor closes ~275 intervals by deadline write-off (1 ms RTT: a
+        // lost retransmission waits out the engine's 10 ms RTO floor, past
+        // the 2.5-SRTT deadline; 2% loss each way). Then the PCC controller
         // paths nothing above reaches: single-pair decisions on fixed MI
         // timing, single-pair decisions report-clocked, two `pcc-latency`
         // flows competing (inconclusive rounds escalate ε, and the
@@ -618,11 +617,6 @@ mod tests {
                 "sabul batched",
                 run(setup, batched("sabul")),
                 0x8245_b5ef_1f97_d32b,
-            ),
-            (
-                "rate-then-window native",
-                run(setup, FlowPlan::new(named("rate-then-window"), rtt)),
-                0xbe5b_ec96_1730_46b5,
             ),
             (
                 "pcc per-ack deadline write-offs",
@@ -762,25 +756,6 @@ mod tests {
             (tr - tb).abs() / tb < 0.10,
             "within 10% of per-ACK: {tb} vs {tr} Mbps"
         );
-    }
-
-    #[test]
-    fn mode_switching_algorithm_completes_a_scenario() {
-        // rate-then-window starts in Rate mode and hands the engine a
-        // window mid-flight; the sim datapath must survive the switch.
-        let setup = LinkSetup::new(20e6, SimDuration::from_millis(30), 75_000);
-        let rtt = SimDuration::from_millis(30);
-        let r = run_dumbbell(
-            setup,
-            vec![FlowPlan::new(
-                Protocol::Named("rate-then-window".into()),
-                rtt,
-            )],
-            SimTime::from_secs(8),
-            11,
-        );
-        let t = r.throughput_in(0, SimTime::from_secs(4), SimTime::from_secs(8));
-        assert!(t > 5.0, "rate-then-window makes progress: {t} Mbps");
     }
 
     #[test]

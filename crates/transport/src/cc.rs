@@ -15,7 +15,9 @@
 //!
 //! and the one engine ([`crate::sender::CcSender`], driven by the
 //! simulator's event loop or by `pcc-udp`'s socket loop) enforces whichever
-//! combination the algorithm requested. The same boxed algorithm object —
+//! combination the algorithm requested. The machinery is what the
+//! algorithm sets — a rate means paced, a cwnd means windowed, both mean
+//! hybrid — and there is no other switch. The same boxed algorithm object —
 //! and the same engine under it — runs unchanged on either datapath.
 //!
 //! The reference *hybrid* implementation is `pcc-bbr`'s `Bbr` (registered
@@ -118,28 +120,11 @@ pub struct LossEvent<'a> {
     pub mss: u32,
 }
 
-/// Which transmission machinery the engine runs for a flow.
-///
-/// Normally implied by what the algorithm set in `on_start` (rate →
-/// [`CcMode::Rate`], cwnd → [`CcMode::Window`], both →
-/// [`CcMode::Hybrid`]); an algorithm can *switch* modes mid-flow with
-/// [`Ctx::set_mode`] — e.g. rate-based startup followed by window-based
-/// steady state. On a switch the engine derives a sane operating point for
-/// the new mode from the old one (rate × SRTT → cwnd and vice versa)
-/// unless the algorithm set one explicitly in the same callback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CcMode {
-    /// Pure pacing: the engine clocks transmissions off the requested rate.
-    Rate,
-    /// Pure window clocking: ack-clocked with TSO burstiness and RTO
-    /// machinery.
-    Window,
-    /// Both machineries run; a closed window blocks transmission even when
-    /// the pacing gap has elapsed, and vice versa.
-    Hybrid,
-}
-
 /// How the engine delivers measurement feedback to an algorithm.
+///
+/// Every shipped algorithm prefers [`ReportMode::PerAck`] and also
+/// implements [`CongestionControl::on_report`], so a host can batch any of
+/// them through `CcSenderConfig::report`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReportMode {
     /// Every ACK and loss event is delivered individually through
@@ -165,15 +150,13 @@ impl ReportMode {
 /// through [`Ctx`] and read back by whoever hosts the algorithm.
 ///
 /// The engine applies whatever subset was set: a pacing rate, a congestion
-/// window, or both — plus mode switches and report-cadence overrides.
+/// window, or both — plus report-cadence overrides and timers.
 #[derive(Debug, Default)]
 pub struct Effects {
     /// Pacing rate (bits/sec), if requested.
     pub rate: Option<f64>,
     /// Congestion window (packets), if requested.
     pub cwnd: Option<f64>,
-    /// Engine-mode switch, if requested.
-    pub mode: Option<CcMode>,
     /// One-shot override for the next report interval, if requested.
     pub report_in: Option<SimDuration>,
     /// Timers to arm; each token is redelivered through
@@ -193,7 +176,6 @@ impl Effects {
     pub fn is_empty(&self) -> bool {
         self.rate.is_none()
             && self.cwnd.is_none()
-            && self.mode.is_none()
             && self.report_in.is_none()
             && self.timers.is_empty()
     }
@@ -230,15 +212,6 @@ impl<'a> Ctx<'a> {
     /// [`CongestionControl::on_timer`].
     pub fn set_timer(&mut self, at: SimTime, token: u64) {
         self.effects.timers.push((at, token));
-    }
-
-    /// Switch the engine's transmission machinery mid-flow (the
-    /// mode-switch seam: rate-based startup, window-based steady state).
-    /// If the algorithm does not also set the new mode's operating point
-    /// in the same callback, the engine derives one from the current
-    /// operating point (rate × SRTT → cwnd and vice versa).
-    pub fn set_mode(&mut self, mode: CcMode) {
-        self.effects.mode = Some(mode);
     }
 
     /// One-shot override of the *next* report interval (batched mode
@@ -292,7 +265,7 @@ pub trait CongestionControl: Send {
     /// coarsen the preference per flow (`CcSenderConfig::report`; the
     /// benchmark's `lossy_mix` and the `--batched` flags are the callers)
     /// but never refines it: an algorithm that asks for reports is never
-    /// handed per-ACK events.
+    /// handed per-ACK events, even under `Some(PerAck)`.
     fn report_mode(&self) -> ReportMode {
         ReportMode::PerAck
     }
@@ -369,15 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn effects_carry_mode_and_report_interval() {
+    fn effects_carry_report_interval() {
         let mut fx = Effects::default();
         let mut rng = SimRng::new(1);
         let mut ctx = Ctx::new(SimTime::ZERO, &mut rng, &mut fx);
-        ctx.set_mode(CcMode::Window);
         ctx.set_report_interval(SimDuration::from_millis(30));
         assert!(!fx.is_empty());
         let d = fx.drain();
-        assert_eq!(d.mode, Some(CcMode::Window));
         assert_eq!(d.report_in, Some(SimDuration::from_millis(30)));
         assert!(fx.is_empty());
     }

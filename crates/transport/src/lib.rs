@@ -47,7 +47,7 @@ pub mod seq_ring;
 pub mod spec;
 
 pub use cc::{
-    AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportMode, SentEvent,
+    AckEvent, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportMode, SentEvent,
 };
 pub use error::TransferError;
 pub use flow::{FlowSize, TransportConfig};

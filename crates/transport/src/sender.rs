@@ -36,7 +36,7 @@ use pcc_simnet::packet::Packet;
 use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::cc::{
-    AckEvent, CcMode, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportMode, SentEvent,
+    AckEvent, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportMode, SentEvent,
 };
 use crate::flow::TransportConfig;
 use crate::report::ReportAggregator;
@@ -66,8 +66,10 @@ pub struct CcSenderConfig {
     /// algorithm's own [`CongestionControl::report_mode`] preference;
     /// `Some(Batched)` forces batched delivery — e.g. a host driving many
     /// flows off-path batches all of them. The override can only coarsen:
-    /// `Some(PerAck)` leaves a natively batched algorithm on reports (it
-    /// has no per-ACK path to fall back to).
+    /// `Some(PerAck)` acts like `None`, so an algorithm whose
+    /// `report_mode()` is `Batched` stays on reports (it may have no
+    /// per-ACK path to fall back to). No shipped algorithm prefers
+    /// reports; a test-local one pins the rule.
     pub report: Option<ReportMode>,
     /// Dead-time budget: if the flow makes no forward progress (no new
     /// cumulative bytes acknowledged) for this long while the RTO keeps
@@ -127,8 +129,8 @@ const TOKEN_GEN_MASK: u64 = (1 << TOKEN_KIND_SHIFT) - 1;
 
 /// One engine-owned timer kind: the generation of its newest arm and that
 /// arm's deadline while it is pending. A fired token is acted on only if it
-/// carries the newest generation and was not cancelled, so re-arming or
-/// cancelling needs no event-queue removal.
+/// carries the newest generation and that arm is still pending, so
+/// re-arming needs no event-queue removal.
 #[derive(Default)]
 struct Timer {
     gen: u64,
@@ -140,10 +142,6 @@ impl Timer {
         self.gen += 1;
         self.due = Some(at);
         ctx.set_timer(at, kind | (self.gen & TOKEN_GEN_MASK));
-    }
-
-    fn cancel(&mut self) {
-        self.due = None;
     }
 
     fn armed(&self) -> bool {
@@ -339,9 +337,8 @@ impl CcSender {
                 .exhausted(self.sb.next_seq(), self.mss())
     }
 
-    /// Apply rate/cwnd changes, mode switches, and timers the algorithm
-    /// requested. Order matters: the operating point is applied first so a
-    /// mode switch in the same callback derives from the values just set.
+    /// Apply the rate/cwnd changes, report interval and timers the
+    /// algorithm requested.
     fn apply_effects(&mut self, d: Effects, ctx: &mut EndpointCtx) {
         if let Some(rate) = d.rate {
             if self.rate_bps != Some(rate) {
@@ -364,45 +361,6 @@ impl CcSender {
         for (at, token) in d.timers {
             debug_assert!(token <= TOKEN_GEN_MASK, "algorithm token too large");
             ctx.set_timer(at, TOKEN_CTRL | (token & TOKEN_GEN_MASK));
-        }
-        if let Some(mode) = d.mode {
-            self.apply_mode(mode, ctx);
-        }
-    }
-
-    /// Switch transmission machinery mid-flow ([`Ctx::set_mode`]). The
-    /// machinery of the departed mode is disengaged (a pending pace tick is
-    /// cancelled; the loss scan simply keeps re-arming and is harmless
-    /// under window clocking); if the algorithm did not set the new mode's
-    /// operating point in the same callback the engine derives one from the
-    /// old point. The RTO floor keeps the convention chosen at `start()`.
-    fn apply_mode(&mut self, mode: CcMode, ctx: &mut EndpointCtx) {
-        if mode != CcMode::Window && self.rate_bps.is_none() {
-            self.rate_bps = Some(self.derived_rate().max(1.0));
-        }
-        if mode != CcMode::Rate && self.cwnd_pkts.is_none() {
-            self.cwnd_pkts = Some(self.derived_cwnd());
-        }
-        match mode {
-            CcMode::Rate => {
-                self.cwnd_pkts = None;
-                self.recovery_point = None;
-                ctx.record_rate(self.rate_bps.unwrap_or(1.0));
-                self.arm_scan(ctx);
-                self.wake_pacer(ctx);
-            }
-            CcMode::Window => {
-                self.rate_bps = None;
-                self.pace.cancel();
-                self.report_rate(ctx);
-                self.try_send(ctx);
-                self.arm_rto(ctx);
-            }
-            CcMode::Hybrid => {
-                self.report_rate(ctx);
-                self.wake_pacer(ctx);
-                self.arm_rto(ctx);
-            }
         }
     }
 
@@ -975,7 +933,7 @@ impl Endpoint for CcSender {
             TOKEN_RTO if self.rto.fire(gen) => self.on_rto_event(ctx),
             TOKEN_TSO if self.tso.fire(gen) => self.on_tso_flush(ctx),
             TOKEN_REPORT if self.report.fire(gen) => self.flush_report(ctx),
-            // A superseded or cancelled arm.
+            // A superseded arm.
             _ => {}
         }
     }
@@ -1412,38 +1370,13 @@ mod tests {
 
     #[test]
     fn only_the_newest_arm_of_each_engine_timer_fires() {
-        // Each case arms one engine timer kind, then supersedes the arm,
-        // cancels it or arms it again while it is pending. Every token of
-        // the kind but the newest must be ignored; the newest must act if
-        // its timer is still pending and be ignored if it was cancelled.
+        // Each case arms one engine timer kind, then supersedes the arm or
+        // arms it again while it is pending. Every token of the kind but
+        // the newest must be ignored; the newest must act.
         const MS: fn(u64) -> SimTime = SimTime::from_millis;
         let start = |h: &mut Harness| h.call(SimTime::ZERO, |s, ctx| s.start(ctx));
-        // Rate mode, switched to Window (and back, and so on) by its own
-        // timer; the first switch has happened.
-        let flipped = || {
-            let mut window = false;
-            let cc = Scripted {
-                start: |ctx: &mut Ctx| ctx.set_rate(1e6),
-                tick: move |ctx: &mut Ctx| {
-                    window = !window;
-                    ctx.set_mode(if window { CcMode::Window } else { CcMode::Rate });
-                },
-            };
-            let mut h = Harness::new(sized(100), cc);
-            start(&mut h);
-            h.fire(SimTime::ZERO, TOKEN_CTRL);
-            h
-        };
-        type Case = (&'static str, u64, usize, bool, Harness);
+        type Case = (&'static str, u64, usize, Harness);
         let cases: Vec<Case> = vec![
-            // The Window switch cancelled the pending pace tick.
-            ("pace after Window switch", TOKEN_PACE, 1, false, flipped()),
-            {
-                // Switching back to Rate wakes the pacer with a new arm.
-                let mut h = flipped();
-                h.fire(MS(1), TOKEN_CTRL);
-                ("pace after Window and back", TOKEN_PACE, 2, true, h)
-            },
             {
                 // The first RTO is armed off the 1 s initial RTO; the first
                 // RTT sample brings the deadline forward to 220 ms.
@@ -1456,7 +1389,7 @@ mod tests {
                 h.call(MS(20), |s, ctx| {
                     s.on_packet(&ack(0, 1, SimTime::ZERO, ctx.now), ctx)
                 });
-                ("RTO re-armed to an earlier deadline", TOKEN_RTO, 2, true, h)
+                ("RTO re-armed to an earlier deadline", TOKEN_RTO, 2, h)
             },
             {
                 // A loss episode flushes a report out of cadence, and the
@@ -1480,7 +1413,7 @@ mod tests {
                 for ms in (100..=1_000).step_by(100) {
                     h.fire(MS(ms), TOKEN_SCAN);
                 }
-                ("report tick after a loss flush", TOKEN_REPORT, 2, true, h)
+                ("report tick after a loss flush", TOKEN_REPORT, 2, h)
             },
             {
                 // A window too small for one offload burst waits for the
@@ -1492,22 +1425,10 @@ mod tests {
                 let mut h = Harness::new(sized(100), cc);
                 start(&mut h);
                 h.fire(SimTime::ZERO, TOKEN_CTRL);
-                ("second TSO arm while pending", TOKEN_TSO, 1, true, h)
-            },
-            {
-                // Re-entering Rate mode arms the scan only if none is
-                // pending.
-                let cc = Scripted {
-                    start: |ctx: &mut Ctx| ctx.set_rate(1e6),
-                    tick: |ctx: &mut Ctx| ctx.set_mode(CcMode::Rate),
-                };
-                let mut h = Harness::new(sized(100), cc);
-                start(&mut h);
-                h.fire(SimTime::ZERO, TOKEN_CTRL);
-                ("second scan arm while pending", TOKEN_SCAN, 1, true, h)
+                ("second TSO arm while pending", TOKEN_TSO, 1, h)
             },
         ];
-        for (name, kind, arms, pending, mut h) in cases {
+        for (name, kind, arms, mut h) in cases {
             let mut due = h.arms(kind);
             assert_eq!(due.len(), arms, "{name}: armed {due:x?}");
             let (_, newest) = *due.last().expect("armed");
@@ -1517,7 +1438,7 @@ mod tests {
                 h.call(at, |s, ctx| s.on_timer(token, ctx));
                 assert_eq!(
                     !h.out.is_empty(),
-                    token == newest && pending,
+                    token == newest,
                     "{name}: token {token:x} at {at:?} emitted {:?}",
                     h.out
                 );
@@ -1763,7 +1684,7 @@ mod tests {
         assert!(tput > 0.5, "data still flows: {tput} Mbps");
     }
 
-    // ---- batched reports & mode switching --------------------------------
+    // ---- batched reports ------------------------------------------------
 
     /// Rate algorithm on the batched path: counts its reports and sums the
     /// per-report ack totals (shared with the test via a sink).
@@ -1796,10 +1717,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_path_aggregates_instead_of_per_ack() {
+    /// Run one [`BatchedFixed`] flow at 10 Mbps over a 2%-lossy 30 ms
+    /// dumbbell; returns its `(reports, acked, lost)` sums and the
+    /// packets the flow delivered.
+    fn run_batched_fixed(cfg: CcSenderConfig, seed: u64, secs: u64) -> ((u64, u64, u64), u64) {
         let sink = std::sync::Arc::new(std::sync::Mutex::new((0u64, 0u64, 0u64)));
-        let mut net = net(21);
+        let mut net = net(seed);
         let mut db = Dumbbell::new(
             &mut net,
             LinkConfig::bottleneck(100e6, SimDuration::ZERO, 64_000).with_loss(0.02),
@@ -1807,7 +1730,7 @@ mod tests {
         let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
         let flow = net.add_flow(FlowSpec {
             sender: Box::new(CcSender::new(
-                CcSenderConfig::default(),
+                cfg,
                 Box::new(BatchedFixed {
                     bps: 10e6,
                     sink: std::sync::Arc::clone(&sink),
@@ -1818,87 +1741,41 @@ mod tests {
             rev_path: path.rev,
             start_at: SimTime::ZERO,
         });
-        let report = net.build().run_until(SimTime::from_secs(10));
-        let st = &report.flows[flow.index()];
-        let (reports, acked, lost) = *pcc_simnet::sync::lock(&sink);
+        let report = net.build().run_until(SimTime::from_secs(secs));
+        let sums = *pcc_simnet::sync::lock(&sink);
+        (sums, report.flows[flow.index()].delivered_packets)
+    }
+
+    #[test]
+    fn batched_path_aggregates_instead_of_per_ack() {
+        let ((reports, acked, lost), delivered) =
+            run_batched_fixed(CcSenderConfig::default(), 21, 10);
         // ~10 s at one report per 30 ms RTT ⇒ hundreds of reports, far
         // fewer than the ~8000 ACKs per-ACK mode would have delivered.
         assert!(reports > 100, "reports delivered on cadence: {reports}");
         assert!(
-            reports < st.delivered_packets / 4,
-            "batching amortized: {reports} reports vs {} acks",
-            st.delivered_packets
+            reports < delivered / 4,
+            "batching amortized: {reports} reports vs {delivered} acks"
         );
         // Aggregation is lossless: summed report fields cover what the
         // engine resolved (the final partial interval is never emitted).
-        assert!(acked <= st.delivered_packets);
-        assert!(acked >= st.delivered_packets * 95 / 100);
+        assert!(acked <= delivered);
+        assert!(acked >= delivered * 95 / 100);
         assert!(lost > 0, "2% loss surfaced through reports");
     }
 
-    /// Rate-based startup, window-based steady state: the mode-switch
-    /// seam. Switches on the first productive report *without* setting a
-    /// cwnd (exercising the engine's rate→cwnd derivation), then opens the
-    /// window explicitly.
-    struct SwitchToy {
-        switched: bool,
-    }
-
-    impl CongestionControl for SwitchToy {
-        fn name(&self) -> &'static str {
-            "switch-toy"
-        }
-        fn on_start(&mut self, ctx: &mut Ctx) {
-            ctx.set_rate(2e6);
-        }
-        fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut Ctx) {}
-        fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
-        fn report_mode(&self) -> ReportMode {
-            ReportMode::batched_rtt()
-        }
-        fn on_report(&mut self, rep: &crate::report::MeasurementReport, ctx: &mut Ctx) {
-            if !self.switched {
-                // Hold the rate phase for 2 s so both phases are visible
-                // at the report's 100 ms sampling grid.
-                if rep.acked_pkts > 0 && rep.end >= SimTime::from_secs(2) {
-                    self.switched = true;
-                    ctx.set_mode(CcMode::Window);
-                }
-            } else {
-                ctx.set_cwnd(40.0);
-            }
-        }
-    }
-
     #[test]
-    fn mode_switch_rate_startup_then_window_steady_state() {
-        let mut net = net(22);
-        let mut db = Dumbbell::new(
-            &mut net,
-            LinkConfig::bottleneck(10e6, SimDuration::ZERO, 64_000),
-        );
-        let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
-        let flow = net.add_flow(FlowSpec {
-            sender: Box::new(CcSender::new(
-                CcSenderConfig::default(),
-                Box::new(SwitchToy { switched: false }),
-            )),
-            receiver: Box::new(SackReceiver::new()),
-            fwd_path: path.fwd,
-            rev_path: path.rev,
-            start_at: SimTime::ZERO,
-        });
-        let report = net.build().run_until(SimTime::from_secs(10));
-        let early =
-            report.avg_throughput_mbps(flow, SimTime::from_millis(500), SimTime::from_secs(2));
-        let late = report.avg_throughput_mbps(flow, SimTime::from_secs(5), SimTime::from_secs(10));
-        // Startup paces at 2 Mbps; after the switch a 40-packet window over
-        // 30 ms RTT wants 16 Mbps and pins the 10 Mbps bottleneck.
-        assert!(early < 4.0, "paced startup: {early} Mbps");
-        assert!(
-            late > 8.0,
-            "window steady state fills the pipe: {late} Mbps"
-        );
+    fn a_per_ack_override_cannot_refine_a_batched_algorithm() {
+        // The config override only coarsens: an algorithm that asks for
+        // reports has no per-ACK path, so `Some(PerAck)` leaves it on
+        // reports. `BatchedFixed` panics on any `on_ack` or `on_loss`.
+        let cfg = CcSenderConfig {
+            report: Some(ReportMode::PerAck),
+            ..Default::default()
+        };
+        let ((reports, acked, _), delivered) = run_batched_fixed(cfg, 24, 2);
+        assert!(reports > 10, "reports still delivered: {reports}");
+        assert!(acked > 0 && acked <= delivered, "{acked} of {delivered}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! driver around the one transport engine. [`send_with`] owns a socket, a
 //! monotonic clock and a timer heap — nothing else. Every transmission
 //! decision (pacing, window clocking, SACK reliability, RTO backoff, batched
-//! reports, mode switches, the dead-time budget) is made by
+//! reports, the dead-time budget) is made by
 //! [`CcSender`], the same sans-IO engine the simulator drives: the loop
 //! feeds it `start`, each decoded ACK and each due timer through the
 //! simulator's own [`Endpoint`] interface with real time mapped onto

@@ -23,7 +23,7 @@ fn params() -> CcParams {
 }
 
 /// Every registered name, plus `"{name}:paced=true"` for each name whose
-/// schema has a `paced` key: 15 names and the 7 paced TCPs.
+/// schema has a `paced` key: 14 names and the 7 paced TCPs.
 fn all_names() -> Vec<String> {
     pcc::install_registry();
     let names = registry::names();
@@ -34,8 +34,8 @@ fn all_names() -> Vec<String> {
     let specs: Vec<String> = names.iter().cloned().chain(paced).collect();
     assert_eq!(
         specs.len(),
-        22,
-        "PCC×utilities, 7 TCPs plain and paced, SABUL, PCP, BBR, the switcher: {specs:?}"
+        21,
+        "PCC×utilities, 7 TCPs plain and paced, SABUL, PCP, BBR: {specs:?}"
     );
     assert!(
         names.contains(&"bbr".to_string()),
@@ -87,9 +87,6 @@ impl Script {
             assert!(w >= 1.0 && w.is_finite(), "cwnd floor respected: {w}");
             self.cwnd = Some(w);
             self.log.push(format!("cwnd={w:.3}"));
-        }
-        if let Some(m) = d.mode {
-            self.log.push(format!("mode={m:?}"));
         }
         if let Some(ri) = d.report_in {
             self.log.push(format!("report_in={}", ri.as_nanos()));
@@ -651,8 +648,7 @@ fn every_algorithm_moves_data_with_batched_reports() {
     // The tentpole acceptance gate: the identical end-to-end scenario as
     // `every_algorithm_moves_data_end_to_end`, but the engine withholds
     // per-ACK callbacks and delivers one aggregated report per RTT. Every
-    // algorithm — including the rate→window mode switcher — must still
-    // move a meaningful share of the link.
+    // algorithm must still move a meaningful share of the link.
     use pcc::transport::cc::ReportMode;
     let names = all_names();
     let rtt = SimDuration::from_millis(20);

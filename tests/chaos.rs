@@ -27,7 +27,7 @@ use pcc::transport::receiver::span_rejections;
 use pcc::transport::registry;
 
 /// Every registered name, plus `"{name}:paced=true"` for each name whose
-/// schema has a `paced` key: 15 names and the 7 paced TCPs.
+/// schema has a `paced` key: 14 names and the 7 paced TCPs.
 fn all_names() -> Vec<String> {
     pcc::install_registry();
     let names = registry::names();
@@ -38,8 +38,8 @@ fn all_names() -> Vec<String> {
     let specs: Vec<String> = names.iter().cloned().chain(paced).collect();
     assert_eq!(
         specs.len(),
-        22,
-        "PCC×utilities, 7 TCPs plain and paced, SABUL, PCP, BBR, the switcher: {specs:?}"
+        21,
+        "PCC×utilities, 7 TCPs plain and paced, SABUL, PCP, BBR: {specs:?}"
     );
     specs
 }
