@@ -64,9 +64,10 @@ pub const BBR_SCHEMA: Schema = &[
 /// Register `bbr` (with [`BBR_SCHEMA`]) in the workspace-wide
 /// [`pcc_transport::registry`]. Idempotent.
 pub fn register_algorithms() {
-    registry::register_with_schema(
+    registry::register(
         "bbr",
         BBR_SCHEMA,
+        None,
         Box::new(|params| Box::new(Bbr::new(params))),
     );
 }

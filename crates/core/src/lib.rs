@@ -239,10 +239,10 @@ pub fn register_algorithms() {
         ("pcc-lossresilient", "lossresilient"),
         ("pcc-latency", "latency"),
     ] {
-        registry::register_with_schema_checked(
+        registry::register(
             name,
             PCC_SCHEMA,
-            Box::new(move |bag| {
+            Some(Box::new(move |bag| {
                 let effective = bag.choice("util").unwrap_or(util);
                 for key in ["alpha", "cutoff", "slope_penalty"] {
                     if bag.f64(key).is_some() && !utility_reads(effective, key) {
@@ -269,7 +269,7 @@ pub fn register_algorithms() {
                     }
                 }
                 Ok(())
-            }),
+            })),
             Box::new(move |p| Box::new(controller_from_params(p, util))),
         );
     }

@@ -8,7 +8,6 @@
 //! pcc-experiments all             # run everything
 //! pcc-experiments all --seed 42 --out target/experiments
 //! pcc-experiments all --jobs 8  # 8 simulation workers (0 = auto, default)
-//! pcc-experiments fig07 --batched # engines on 1-RTT batched reports
 //! pcc-experiments sweep "pcc:eps=0.01..0.1" "cubic:iw=4|32" --points 3
 //! pcc-experiments vary            # every algorithm over the bundled traces
 //! pcc-experiments vary lte --secs 30 --jobs 4
@@ -31,7 +30,6 @@ struct Cli {
     points: usize,
     /// `--secs`, if given (`sweep` and `vary` have different defaults).
     secs: Option<u64>,
-    batched: bool,
     opts: Opts,
 }
 
@@ -51,7 +49,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         extras: Vec::new(),
         points: 3,
         secs: None,
-        batched: false,
         opts: Opts {
             jobs: 0, // auto: one worker per core (library default is serial)
             ..Opts::default()
@@ -61,7 +58,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--full" => cli.opts.full = true,
-            "--batched" => cli.batched = true,
             "--jobs" => cli.opts.jobs = value(&mut args, "--jobs <n> (0 = auto)")?,
             "--seed" => cli.opts.seed = value(&mut args, "--seed <u64>")?,
             "--out" => cli.opts.out_dir = value(&mut args, "--out <dir>")?,
@@ -95,7 +91,6 @@ fn run() -> ExitCode {
         extras,
         points,
         secs,
-        batched,
         opts,
     } = match parse_args(&args) {
         Ok(cli) => cli,
@@ -104,11 +99,6 @@ fn run() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Process-wide: every engine this run switches from per-ACK callbacks
-    // to 1-RTT batched measurement reports (the off-path control plane).
-    // Numbers shift within the documented tolerance; fingerprints are
-    // per-ACK only.
-    pcc_scenarios::force_batched_reports(batched);
     let which = which.unwrap_or_else(|| "list".into());
     // `vary` has its own scaled default duration; 0 lets the module pick
     // it (sweep keeps its historical 4 s default).
@@ -223,6 +213,10 @@ mod tests {
             let e = parse(args).err().expect("unknown flag");
             assert_eq!(e, "unknown flag: --ful", "{args:?}");
         }
+        // No process-wide report switch: batched reports are chosen per
+        // flow (`FlowPlan::reporting`, `Flow::report`).
+        let e = parse(&["fig07", "--batched"]).err().expect("no --batched");
+        assert_eq!(e, "unknown flag: --batched");
     }
 
     #[test]
@@ -241,7 +235,6 @@ mod tests {
             "--out",
             "x/y",
             "--full",
-            "--batched",
         ])
         .expect("well-formed");
         assert_eq!(cli.which.as_deref(), Some("sweep"));
@@ -249,7 +242,7 @@ mod tests {
         assert_eq!((cli.opts.jobs, cli.opts.seed, cli.points), (2, 7, 5));
         assert_eq!(cli.secs, Some(9));
         assert_eq!(cli.opts.out_dir, std::path::PathBuf::from("x/y"));
-        assert!(cli.opts.full && cli.batched);
+        assert!(cli.opts.full);
         let bare = parse(&[]).expect("empty is `list`");
         assert!(bare.which.is_none() && bare.secs.is_none() && bare.opts.jobs == 0);
     }

@@ -54,18 +54,27 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Fig. 16 — stability vs reactiveness (flow B joins at 20 s)",
         &["point", "convergence_s", "stddev_mbps", "converged"],
     );
-    // Every point is `trials` independent runs, folded back per point.
-    let points = protocols();
+    // Every point is `trials` independent runs, folded back per row. The ε
+    // sweep's first row restates the row before it (`eps_max=0.05` is PCC's
+    // default), so it prints that row's runs again.
+    let rows = protocols();
+    let twin = eps_spec(EPS_SWEEP[0]);
+    let points: Vec<&Protocol> = rows.iter().filter(|p| p.label() != twin).collect();
     let trial_ids: Vec<u64> = (0..trials).collect();
-    let grid = runner::run_grid(opts, "fig16", &points, &trial_ids, |proto, &t| {
-        run_tradeoff(proto.clone(), stability_window, opts.seed ^ (t * 7919))
-    });
-    for (proto, runs) in points.iter().zip(grid) {
+    let mut grid = runner::run_grid(opts, "fig16", &points, &trial_ids, |proto, &t| {
+        run_tradeoff((*proto).clone(), stability_window, opts.seed ^ (t * 7919))
+    })
+    .into_iter();
+    let mut runs = Vec::new();
+    for proto in &rows {
+        if proto.label() != twin {
+            runs = grid.next().expect("one run per distinct point");
+        }
         let label = proto.label().to_string();
         let mut conv = 0.0;
         let mut dev = 0.0;
         let mut ok = 0u32;
-        for p in runs {
+        for p in &runs {
             if p.converged {
                 conv += p.convergence_secs;
                 dev += p.stddev_mbps;
@@ -90,6 +99,9 @@ pub fn run(opts: &Opts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcc_core::{controller_from_params, PCC_SCHEMA};
+    use pcc_transport::registry::CcParams;
+    use pcc_transport::spec::{validate, AlgoSpec};
 
     #[test]
     fn templates_expand_to_the_paper_sweep() {
@@ -105,5 +117,30 @@ mod tests {
         all.extend(eps);
         all.push(NORCT_SPEC.to_string());
         sweep::validate_specs(&all).expect("schema-valid");
+    }
+
+    #[test]
+    fn one_controller_runs_once_and_prints_twice() {
+        // The ε sweep's first row resolves to the PCC configuration of the
+        // row before it, the Tm sweep's last, and no other two PCC rows
+        // agree: 16 rows, 15 distinct points.
+        let config = |spec: &str| {
+            let parsed = AlgoSpec::parse(spec).expect("parses");
+            let bag = validate(&parsed.name, PCC_SCHEMA, &parsed.params).expect("valid");
+            let params = CcParams::default().with_spec(bag);
+            format!("{:?}", controller_from_params(&params, "safe").config())
+        };
+        let rows = protocols();
+        assert_eq!(rows.len(), 16);
+        let pcc: Vec<&str> = rows[..10].iter().map(Protocol::label).collect();
+        let twin = eps_spec(EPS_SWEEP[0]);
+        let at = pcc.iter().position(|r| *r == twin).expect("twin row");
+        assert_eq!(pcc[at - 1], "pcc:tm=1,eps=0.01", "the Tm sweep's last");
+        for (i, a) in pcc.iter().enumerate() {
+            for (j, b) in pcc.iter().enumerate().skip(i + 1) {
+                let twins = (i, j) == (at - 1, at);
+                assert_eq!(config(a) == config(b), twins, "{a} vs {b}");
+            }
+        }
     }
 }

@@ -83,9 +83,10 @@ pub const PCP_SCHEMA: Schema = &[
 /// Register `sabul` and `pcp` (with their spec schemas) in the
 /// workspace-wide [`pcc_transport::registry`]. Idempotent.
 pub fn register_algorithms() {
-    registry::register_with_schema(
+    registry::register(
         "sabul",
         SABUL_SCHEMA,
+        None,
         Box::new(|p| {
             let s = &p.spec;
             Box::new(Sabul::with_params(
@@ -99,9 +100,10 @@ pub fn register_algorithms() {
             ))
         }),
     );
-    registry::register_with_schema(
+    registry::register(
         "pcp",
         PCP_SCHEMA,
+        None,
         Box::new(|p| {
             let s = &p.spec;
             Box::new(Pcp::with_params(

@@ -10,7 +10,6 @@
 //! by string. Unknown names and invalid parameters are a typed
 //! [`SpecError`], never a panic.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 
 use pcc_simnet::endpoint::Endpoint;
@@ -20,24 +19,8 @@ use pcc_transport::{
     CcSender, CcSenderConfig, CongestionControl, FlowSize, ReportMode, TransportConfig,
 };
 
-/// Process-global default feedback granularity for scenario-built senders
-/// (see [`force_batched_reports`]).
-static FORCE_BATCHED: AtomicBool = AtomicBool::new(false);
-
-/// Force every sender subsequently built through [`Protocol`] onto
-/// batched one-RTT measurement reports (the off-path control plane),
-/// regardless of each algorithm's preferred [`ReportMode`]. Per-flow
-/// overrides (e.g. `FlowPlan::reporting`) still win. Used by
-/// `pcc-experiments --batched` and the CI smoke run; golden-fingerprint
-/// scenarios run with this off, so defaults stay bit-identical.
-pub fn force_batched_reports(on: bool) {
-    FORCE_BATCHED.store(on, Ordering::SeqCst);
-}
-
-/// Whether [`force_batched_reports`] is currently set.
-pub fn batched_reports_forced() -> bool {
-    FORCE_BATCHED.load(Ordering::SeqCst)
-}
+/// Segment size of every sender [`Protocol::build_sender`] builds.
+pub const MSS: u32 = 1500;
 
 /// Install every algorithm in the workspace — the PCC×utility family from
 /// `pcc-core`, the seven TCP baselines (each with a `paced` key) from
@@ -103,31 +86,30 @@ impl Protocol {
     }
 
     /// Build the sender endpoint for a flow of `size` (use
-    /// [`FlowSize::Infinite`] for long-running throughput flows) — the one
-    /// way from a protocol description to an engine. `rtt_hint` is the
-    /// path's base RTT, threaded into the algorithm's construction
-    /// parameters. `report: None` falls through to the process-global
-    /// [`force_batched_reports`] default, then to the algorithm's own
-    /// [`ReportMode`] preference. With a `dead_time_budget` the engine
-    /// aborts the flow as [`pcc_transport::TransferError::Stalled`]
-    /// (recorded in `FlowStats::stalled`) once that long passes without
-    /// forward progress while timeouts keep firing, so a wedged flow is a
+    /// [`FlowSize::Infinite`] for long-running throughput flows) with
+    /// [`MSS`]-byte segments — the one way from a protocol description to
+    /// an engine. `rtt_hint` is the path's base RTT, threaded into the
+    /// algorithm's construction parameters. `report: None` keeps the
+    /// algorithm's own [`ReportMode`] preference; `Some(mode)` is the
+    /// engine's per-flow override (`CcSenderConfig::report`). With a
+    /// `dead_time_budget` the engine aborts the flow as
+    /// [`pcc_transport::TransferError::Stalled`] (recorded in
+    /// `FlowStats::stalled`) once that long passes without forward
+    /// progress while timeouts keep firing, so a wedged flow is a
     /// typed outcome instead of burning the rest of the horizon. Unknown
     /// algorithm names and invalid spec parameters surface as a typed
     /// [`SpecError`].
     pub fn build_sender(
         &self,
         size: FlowSize,
-        mss: u32,
         rtt_hint: SimDuration,
         report: Option<ReportMode>,
         dead_time_budget: Option<SimDuration>,
     ) -> Result<Box<dyn Endpoint>, SpecError> {
-        let params = CcParams::default().with_mss(mss).with_rtt_hint(rtt_hint);
+        let params = CcParams::default().with_mss(MSS).with_rtt_hint(rtt_hint);
         let cc = self.build_cc(&params)?;
-        let report = report.or_else(|| batched_reports_forced().then(ReportMode::batched_rtt));
         let cfg = CcSenderConfig {
-            transport: TransportConfig { mss, size },
+            transport: TransportConfig { mss: MSS, size },
             report,
             dead_time_budget,
             ..Default::default()
@@ -142,7 +124,7 @@ mod tests {
 
     fn build(p: &Protocol) -> Result<Box<dyn Endpoint>, SpecError> {
         let rtt = SimDuration::from_millis(100);
-        p.build_sender(FlowSize::Infinite, 1500, rtt, None, None)
+        p.build_sender(FlowSize::Infinite, rtt, None, None)
     }
 
     #[test]

@@ -24,9 +24,6 @@ use pcc_transport::{FlowSize, ReportMode, SackReceiver};
 
 use crate::protocol::Protocol;
 
-/// Segment size of every scenario-built sender.
-const MSS: u32 = 1500;
-
 /// One flow between two hosts of the scenario's topology.
 pub struct Flow {
     /// Sending host.
@@ -39,9 +36,8 @@ pub struct Flow {
     pub size: FlowSize,
     /// When it starts.
     pub start_at: SimTime,
-    /// Feedback granularity override (`None` = the process-global
-    /// [`crate::protocol::force_batched_reports`] default, then the
-    /// algorithm's own preference).
+    /// Feedback granularity override (`None` = the algorithm's own
+    /// preference).
     pub report: Option<ReportMode>,
     /// Abort as a typed stall after this long without forward progress.
     pub dead_time_budget: Option<SimDuration>,
@@ -183,13 +179,7 @@ impl Scenario {
             let key = ecmp_key(seed, i as u64);
             let path = topology.flow_path(flow.src, flow.dst, key);
             let id = net.add_flow(FlowSpec {
-                sender: build_sender(
-                    &flow.protocol,
-                    flow.size,
-                    path.base_rtt,
-                    flow.report,
-                    flow.dead_time_budget,
-                ),
+                sender: build_sender(&flow, flow.size, path.base_rtt),
                 receiver: Box::new(SackReceiver::new()),
                 fwd_path: path.fwd,
                 rev_path: path.rev,
@@ -204,9 +194,7 @@ impl Scenario {
             let key = ecmp_key(seed, ids.len() as u64);
             let path = topology.flow_path(flow.src, flow.dst, key);
             net.set_churn_driver(Box::new(ChurnAdapter {
-                protocol: flow.protocol,
-                report: flow.report,
-                dead_time_budget: flow.dead_time_budget,
+                flow,
                 path,
                 arrivals,
             }));
@@ -223,25 +211,20 @@ impl Scenario {
     }
 }
 
-fn build_sender(
-    protocol: &Protocol,
-    size: FlowSize,
-    base_rtt: SimDuration,
-    report: Option<ReportMode>,
-    dead_time_budget: Option<SimDuration>,
-) -> Box<dyn Endpoint> {
-    protocol
-        .build_sender(size, MSS, base_rtt, report, dead_time_budget)
+/// `flow`'s sender for a transfer of `size` on a path of `base_rtt`: a
+/// function of the [`Flow`] alone, for static flows and churn arrivals
+/// alike.
+fn build_sender(flow: &Flow, size: FlowSize, base_rtt: SimDuration) -> Box<dyn Endpoint> {
+    flow.protocol
+        .build_sender(size, base_rtt, flow.report, flow.dead_time_budget)
         .unwrap_or_else(|e| panic!("scenario references an unknown algorithm: {e}"))
 }
 
 /// [`Arrivals`] as the simulator's churn driver: every arrival becomes a
-/// sender/receiver pair on the template flow's resolved path, tagged with
-/// its size.
+/// sender/receiver pair of the template `flow` on its resolved path,
+/// tagged with its size.
 struct ChurnAdapter {
-    protocol: Protocol,
-    report: Option<ReportMode>,
-    dead_time_budget: Option<SimDuration>,
+    flow: Flow,
     path: FlowPath,
     arrivals: Box<dyn Arrivals>,
 }
@@ -250,13 +233,7 @@ impl ChurnDriver for ChurnAdapter {
     fn next_arrival(&mut self, _now: SimTime) -> Option<(SimTime, ChurnFlow)> {
         let (at, bytes) = self.arrivals.next_arrival()?;
         let flow = ChurnFlow {
-            sender: build_sender(
-                &self.protocol,
-                FlowSize::Bytes(bytes),
-                self.path.base_rtt,
-                self.report,
-                self.dead_time_budget,
-            ),
+            sender: build_sender(&self.flow, FlowSize::Bytes(bytes), self.path.base_rtt),
             receiver: Box::new(SackReceiver::new()),
             fwd_path: self.path.fwd.clone(),
             rev_path: self.path.rev.clone(),
@@ -272,7 +249,15 @@ impl ChurnDriver for ChurnAdapter {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent};
+    use pcc_transport::{registry, MeasurementReport};
+
     use super::*;
+    use crate::protocol::MSS;
 
     #[test]
     fn the_routed_path_is_the_only_rtt_hint() {
@@ -296,6 +281,112 @@ mod tests {
         assert!(
             (first_rate - want).abs() < 1e-6 * want,
             "started at {first_rate} bit/s, 2·MSS/61 ms is {want}"
+        );
+    }
+
+    /// Reports delivered to [`ReportsOnly`] across the process.
+    static REPORTS: AtomicU64 = AtomicU64::new(0);
+
+    /// A fixed 2 Mbit/s sender that prefers per-ACK events (the trait
+    /// default) and panics on one: it runs only on a flow whose engine
+    /// was told to batch.
+    struct ReportsOnly;
+
+    impl CongestionControl for ReportsOnly {
+        fn name(&self) -> &'static str {
+            "reports-only"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.set_rate(2e6);
+        }
+        fn on_ack(&mut self, _: &AckEvent, _: &mut Ctx) {
+            panic!("a per-ACK event reached a flow that should batch");
+        }
+        fn on_loss(&mut self, _: &LossEvent, _: &mut Ctx) {
+            panic!("a per-event loss reached a flow that should batch");
+        }
+        fn on_report(&mut self, _: &MeasurementReport, _: &mut Ctx) {
+            REPORTS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// `left` arrivals 100 ms apart, each too large to finish; keeps
+    /// `(stalled, delivered bytes)` of every retired flow.
+    struct Spaced {
+        left: u64,
+        at: SimTime,
+        retired: Rc<RefCell<Vec<(bool, u64)>>>,
+    }
+
+    impl Arrivals for Spaced {
+        fn next_arrival(&mut self) -> Option<(SimTime, u64)> {
+            self.left = self.left.checked_sub(1)?;
+            self.at += SimDuration::from_millis(100);
+            Some((self.at, 1 << 30))
+        }
+
+        fn on_flow_complete(&mut self, _bytes: u64, stats: &FlowStats) {
+            let stalled = stats.stalled.is_some();
+            self.retired
+                .borrow_mut()
+                .push((stalled, stats.delivered_bytes));
+        }
+    }
+
+    #[test]
+    fn every_churn_arrival_is_built_from_the_template_flow() {
+        // Five arrivals in the first half second, then the bottleneck goes
+        // down at 1 s for longer than the run. Each arrival must carry the
+        // template's `report` (else `ReportsOnly` panics on its first ACK)
+        // and its 1 s `dead_time_budget` (else it is still live at the
+        // horizon instead of stalled).
+        registry::register(
+            "test-reports-only",
+            &[],
+            None,
+            Box::new(|_| Box::new(ReportsOnly)),
+        );
+        let mut db = Dumbbell::graph(LinkConfig::bottleneck(
+            20e6,
+            SimDuration::from_millis(10),
+            100_000,
+        ));
+        let dst = db.add_receiver(SimDuration::from_millis(10), 0.0);
+        let template = Flow {
+            report: Some(ReportMode::batched_rtt()),
+            dead_time_budget: Some(SimDuration::from_secs(1)),
+            ..Flow::new(db.source(), dst, Protocol::named("test-reports-only"))
+        };
+        let retired = Rc::new(RefCell::new(Vec::new()));
+        let arrivals = Spaced {
+            left: 5,
+            at: SimTime::ZERO,
+            retired: Rc::clone(&retired),
+        };
+        let run = Scenario {
+            faults: Some(FaultScript::parse("1 down 0 100").expect("script parses")),
+            churn: Some(Churn {
+                flow: template,
+                arrivals: Box::new(arrivals),
+            }),
+            ..Scenario::new(db.into_topology(), 3)
+        }
+        .run(SimTime::from_secs(10));
+        let c = run.report.churn;
+        assert_eq!(
+            (c.arrivals, c.stalls),
+            (5, 5),
+            "every arrival stalls: {c:?}"
+        );
+        assert_eq!((c.completions, c.live_at_end), (0, 0), "{c:?}");
+        let retired = retired.borrow();
+        assert_eq!(retired.len(), 5);
+        for &(stalled, delivered) in retired.iter() {
+            assert!(stalled && delivered > 0, "moved data, then stalled");
+        }
+        assert!(
+            REPORTS.load(Ordering::Relaxed) > 0,
+            "reports were delivered"
         );
     }
 }

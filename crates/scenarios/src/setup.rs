@@ -140,8 +140,7 @@ pub struct FlowPlan {
     /// How much it sends.
     pub size: FlowSize,
     /// Feedback granularity override for this flow (`None` = the
-    /// process-global [`crate::protocol::force_batched_reports`] default,
-    /// then the algorithm's own preference).
+    /// algorithm's own preference).
     pub report: Option<ReportMode>,
 }
 

@@ -411,20 +411,22 @@ pub struct ChurnConfig {
     pub flows: u64,
     /// Scenario seed (drives arrivals, sizes, and the simulator).
     pub seed: u64,
-    /// Extra horizon after the last arrival for in-flight flows to drain.
-    pub drain: SimDuration,
-    /// Dead-time budget per sender: a flow making no progress for this
-    /// long aborts as a typed stall instead of wedging the run.
-    pub dead_time_budget: Option<SimDuration>,
     /// Optional fault script injected into the run — churn under failures.
     pub fault_script: Option<FaultScript>,
-    /// Stats sampling interval.
-    pub sample_interval: SimDuration,
 }
 
+/// Extra horizon after the last arrival for in-flight flows to drain.
+const DRAIN: SimDuration = SimDuration::from_secs(10);
+/// Dead-time budget per sender: a flow making no progress for this long
+/// aborts as a typed stall instead of wedging the run.
+const DEAD_TIME_BUDGET: SimDuration = SimDuration::from_secs(10);
+/// Stats sampling interval of a churn run.
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 impl ChurnConfig {
-    /// A churn run with drain 10 s, a 10 s dead-time budget, no faults,
-    /// and 1 s sampling.
+    /// A churn run with no faults. Every run drains 10 s past its last
+    /// arrival, gives each sender a 10 s dead-time budget and samples
+    /// every second.
     pub fn new(
         protocol: Protocol,
         link: LinkSetup,
@@ -440,10 +442,7 @@ impl ChurnConfig {
             arrival,
             flows,
             seed,
-            drain: SimDuration::from_secs(10),
-            dead_time_budget: Some(SimDuration::from_secs(10)),
             fault_script: None,
-            sample_interval: SimDuration::from_secs(1),
         }
     }
 
@@ -517,7 +516,7 @@ fn last_arrival_secs(cfg: &ChurnConfig) -> f64 {
 /// arena, then summarize FCTs by size bucket.
 pub fn run_churn(cfg: ChurnConfig) -> ChurnReport {
     let last_arrival = last_arrival_secs(&cfg);
-    let horizon = SimTime::from_secs_f64(last_arrival) + cfg.drain;
+    let horizon = SimTime::from_secs_f64(last_arrival) + DRAIN;
 
     // One shared path for every flow: the dumbbell with a single receiver
     // host, not one per flow.
@@ -528,7 +527,7 @@ pub fn run_churn(cfg: ChurnConfig) -> ChurnReport {
     let master = SimRng::new(cfg.seed);
     let churn = Churn {
         flow: Flow {
-            dead_time_budget: cfg.dead_time_budget,
+            dead_time_budget: Some(DEAD_TIME_BUDGET),
             ..Flow::new(db.source(), recv, cfg.protocol)
         },
         arrivals: Box::new(WorkloadArrivals {
@@ -544,7 +543,7 @@ pub fn run_churn(cfg: ChurnConfig) -> ChurnReport {
     let report = Scenario {
         faults: cfg.fault_script,
         churn: Some(churn),
-        sample_interval: cfg.sample_interval,
+        sample_interval: SAMPLE_INTERVAL,
         ..Scenario::new(db.into_topology(), cfg.seed)
     }
     .run(horizon)

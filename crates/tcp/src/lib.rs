@@ -244,9 +244,10 @@ fn construct(build: Build, params: &CcParams) -> Box<dyn CongestionControl> {
 /// (`cubic:beta=0.7,iw=32,paced=true`). Idempotent.
 pub fn register_algorithms() {
     for &(name, schema, build) in VARIANTS {
-        registry::register_with_schema(
+        registry::register(
             name,
             schema,
+            None,
             Box::new(move |params| construct(build, params)),
         );
     }

@@ -263,9 +263,10 @@ pub trait CongestionControl: Send {
     /// deliver one [`MeasurementReport`] per interval through
     /// [`CongestionControl::on_report`] instead. An engine config may
     /// coarsen the preference per flow (`CcSenderConfig::report`; the
-    /// benchmark's `lossy_mix` and the `--batched` flags are the callers)
-    /// but never refines it: an algorithm that asks for reports is never
-    /// handed per-ACK events, even under `Some(PerAck)`.
+    /// benchmark's `lossy_mix`, `udp_transfer --batched` and the batched
+    /// conformance battery are the callers) but never refines it: an
+    /// algorithm that asks for reports is never handed per-ACK events,
+    /// even under `Some(PerAck)`.
     fn report_mode(&self) -> ReportMode {
         ReportMode::PerAck
     }

@@ -18,9 +18,9 @@
 //!                                      bbr:probe_rtt_ms=5000
 //! ```
 //!
-//! Algorithms registered via [`register_with_schema`] declare which keys
-//! they accept and with what types/ranges; [`by_name`] validates the spec
-//! against the schema and hands the factory a typed [`SpecParams`] bag on
+//! Algorithms registered via [`register`] declare which keys they accept
+//! and with what types/ranges; [`by_name`] validates the spec against the
+//! schema and hands the factory a typed [`SpecParams`] bag on
 //! [`CcParams::spec`]. An unknown key or out-of-range value is a typed
 //! [`InvalidParam`] that lists the valid keys — never a panic. `"name:"`
 //! is equivalent to `"name"`.
@@ -185,42 +185,23 @@ fn table() -> &'static RwLock<BTreeMap<String, Entry>> {
     TABLE.get_or_init(|| RwLock::new(BTreeMap::new()))
 }
 
-/// Register (or replace) a named algorithm factory that takes no spec
-/// parameters (any `name:key=val` key is an [`InvalidParam`]).
-pub fn register(name: &str, factory: CcFactory) {
-    register_with_schema(name, &[], factory);
-}
-
-/// Register (or replace) a named algorithm factory together with its
-/// parameter schema. [`by_name`] validates spec parameters against the
-/// schema before invoking the factory, which receives the typed bag on
-/// [`CcParams::spec`] — so factories never see an unknown key or an
-/// out-of-range value.
-pub fn register_with_schema(name: &str, schema: Schema, factory: CcFactory) {
-    insert_factory(name, schema, None, factory);
-}
-
-/// [`register_with_schema`] plus a cross-key [`SchemaCheck`] that runs
-/// after per-key validation — for constraints a single key cannot
-/// express (e.g. a parameter that only takes effect under a particular
-/// `util` choice). A check failure is an [`InvalidParam`], so factories
-/// stay infallible.
-pub fn register_with_schema_checked(
-    name: &str,
-    schema: Schema,
-    check: Box<SchemaCheck>,
-    factory: CcFactory,
-) {
-    insert_factory(name, schema, Some(Arc::from(check)), factory);
-}
-
-fn insert_factory(name: &str, schema: Schema, check: Option<Arc<SchemaCheck>>, factory: CcFactory) {
+/// Register (or replace) a named algorithm factory with its parameter
+/// schema and an optional cross-key [`SchemaCheck`]. [`by_name`]
+/// validates spec parameters against the schema (`&[]`: the algorithm
+/// takes none, so any `name:key=val` key is an [`InvalidParam`]), then
+/// runs the check — for constraints a single key cannot express (e.g. a
+/// parameter that only takes effect under a particular `util` choice) —
+/// and only then invokes the factory, which receives the typed bag on
+/// [`CcParams::spec`]. A check failure is an [`InvalidParam`] too, so
+/// factories never see an unknown key or an out-of-range value and stay
+/// infallible.
+pub fn register(name: &str, schema: Schema, check: Option<Box<SchemaCheck>>, factory: CcFactory) {
     sync::write(table()).insert(
         name.to_string(),
         Entry {
             f: Arc::new(factory),
             schema,
-            check,
+            check: check.map(Arc::from),
         },
     );
 }
@@ -245,13 +226,14 @@ fn insert_factory(name: &str, schema: Schema, check: Option<Arc<SchemaCheck>>, f
 ///     fn on_ack(&mut self, _: &AckEvent, _: &mut Ctx) {}
 ///     fn on_loss(&mut self, _: &LossEvent, _: &mut Ctx) {}
 /// }
-/// registry::register_with_schema(
+/// registry::register(
 ///     "doc-fixed",
 ///     &[ParamSpec {
 ///         key: "rate",
 ///         kind: ParamKind::Float { min: 1.0, max: 1e9 },
 ///         doc: "fixed sending rate, bits/sec",
 ///     }],
+///     None,
 ///     Box::new(|p| Box::new(Fixed(p.spec.f64("rate").unwrap_or(1e6)))),
 /// );
 /// let params = CcParams::default();
@@ -386,7 +368,7 @@ mod tests {
 
     #[test]
     fn lookup_roundtrip_and_typed_error() {
-        register("test-dummy", Box::new(|_| Box::new(Dummy)));
+        register("test-dummy", &[], None, Box::new(|_| Box::new(Dummy)));
         let cc = by_name("test-dummy", &CcParams::default()).expect("registered");
         assert_eq!(cc.name(), "dummy");
 
@@ -403,9 +385,10 @@ mod tests {
 
     #[test]
     fn schema_validates_and_reaches_the_factory() {
-        register_with_schema(
+        register(
             "test-tuned",
             TUNED_SCHEMA,
+            None,
             Box::new(|p| Box::new(Tuned(p.spec.f64("rate").unwrap_or(1e6)))),
         );
         // Plain name: defaults.
@@ -432,7 +415,12 @@ mod tests {
 
     #[test]
     fn invalid_params_are_typed_and_list_valid_keys() {
-        register_with_schema("test-strict", TUNED_SCHEMA, Box::new(|_| Box::new(Dummy)));
+        register(
+            "test-strict",
+            TUNED_SCHEMA,
+            None,
+            Box::new(|_| Box::new(Dummy)),
+        );
         for (spec, needle) in [
             ("test-strict:bogus=1", "unknown key"),
             ("test-strict:rate=0.5", "out of range"),
@@ -453,7 +441,7 @@ mod tests {
             );
         }
         // A no-parameter algorithm says so.
-        register("test-bare", Box::new(|_| Box::new(Dummy)));
+        register("test-bare", &[], None, Box::new(|_| Box::new(Dummy)));
         let err = match by_name("test-bare:x=1", &CcParams::default()) {
             Ok(_) => panic!("must fail"),
             Err(e) => unwrap_invalid(e),
@@ -478,10 +466,10 @@ mod tests {
                 doc: "operating mode",
             },
         ];
-        register_with_schema_checked(
+        register(
             "test-checked",
             CHECKED_SCHEMA,
-            Box::new(|bag| {
+            Some(Box::new(|bag| {
                 if bag.choice("mode") == Some("auto") && bag.f64("rate").is_some() {
                     return Err((
                         "rate".to_string(),
@@ -489,7 +477,7 @@ mod tests {
                     ));
                 }
                 Ok(())
-            }),
+            })),
             Box::new(|_| Box::new(Dummy)),
         );
         assert!(by_name("test-checked:mode=fixed,rate=5", &CcParams::default()).is_ok());
@@ -520,7 +508,7 @@ mod tests {
         // registry must keep serving (the table is always consistent —
         // every write is a single insert). Before the fix, this panicked
         // every subsequent test in the process.
-        register("test-poison-pre", Box::new(|_| Box::new(Dummy)));
+        register("test-poison-pre", &[], None, Box::new(|_| Box::new(Dummy)));
         let _ = std::panic::catch_unwind(|| {
             let _guard = sync::write(table());
             panic!("poison the registry lock");
@@ -528,7 +516,7 @@ mod tests {
         assert!(table().is_poisoned(), "lock is genuinely poisoned");
         // Reads, writes, and lookups all still work.
         assert!(contains("test-poison-pre"));
-        register("test-poison-post", Box::new(|_| Box::new(Dummy)));
+        register("test-poison-post", &[], None, Box::new(|_| Box::new(Dummy)));
         assert!(by_name("test-poison-post", &CcParams::default()).is_ok());
         assert!(!names().is_empty());
         assert!(schema_of("test-poison-post").is_some());

@@ -18,7 +18,7 @@
 //! as a typed [`InvalidParam`] that lists the algorithm's valid keys.
 //!
 //! Each registered algorithm carries a [`Schema`] (see
-//! [`crate::registry::register_with_schema`]) declaring its keys, their
+//! [`crate::registry::register`]) declaring its keys, their
 //! types/ranges, and one-line docs. Validation happens inside
 //! [`crate::registry::by_name`], so factories receive a pre-validated
 //! [`SpecParams`] bag on [`crate::registry::CcParams`] and never need to

@@ -46,7 +46,7 @@ fn send_named_resolves_against_what_the_process_registered() {
     }
 
     // One registration later the same call moves data.
-    registry::register("bare-fixed", Box::new(|_| Box::new(Fixed)));
+    registry::register("bare-fixed", &[], None, Box::new(|_| Box::new(Fixed)));
     let rx = thread::spawn(move || receive(&rx_sock, total));
     let report = send_named(&tx_sock, rx_addr, cfg, "bare-fixed", rtt)
         .expect("io")

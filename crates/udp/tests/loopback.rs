@@ -282,6 +282,8 @@ fn send_named_builds_the_algorithm_with_the_wire_mss() {
     install_registry();
     registry::register(
         "mss-probe",
+        &[],
+        None,
         Box::new(|params| {
             BUILT_WITH_MSS.store(params.mss, Ordering::SeqCst);
             registry::by_name("pcc", params).expect("pcc is registered")

@@ -50,13 +50,13 @@ fn main() {
     // 1. The safe utility: loss-capped, as everywhere in §4.1. A plain
     //    registry name (the RTT hint rides on build_sender).
     let safe = Protocol::Named("pcc".into())
-        .build_sender(FlowSize::Infinite, 1500, rtt, None, None)
+        .build_sender(FlowSize::Infinite, rtt, None, None)
         .expect("pcc builds");
     let t_safe = run_with("safe sigmoid (loss-capped)", safe);
 
     // 2. The §4.4.2 loss-resilient utility — one spec string away.
     let resilient = Protocol::Named("pcc:util=lossresilient".into())
-        .build_sender(FlowSize::Infinite, 1500, rtt, None, None)
+        .build_sender(FlowSize::Infinite, rtt, None, None)
         .expect("spec builds");
     let t_res = run_with("pcc:util=lossresilient", resilient);
 

@@ -648,25 +648,32 @@ fn every_algorithm_moves_data_with_batched_reports() {
     // The tentpole acceptance gate: the identical end-to-end scenario as
     // `every_algorithm_moves_data_end_to_end`, but the engine withholds
     // per-ACK callbacks and delivers one aggregated report per RTT. Every
-    // algorithm must still move a meaningful share of the link.
+    // algorithm must still move a meaningful share of the link, clean and
+    // with 1% random loss in each direction (so reports carry losses and
+    // thinned ACKs, not only clean intervals).
     use pcc::transport::cc::ReportMode;
     let names = all_names();
     let rtt = SimDuration::from_millis(20);
-    for name in names {
-        let r = pcc::scenarios::run_dumbbell(
-            LinkSetup::new(20e6, rtt, 75_000),
-            vec![
-                pcc::scenarios::FlowPlan::new(pcc::scenarios::Protocol::Named(name.clone()), rtt)
-                    .reporting(ReportMode::batched_rtt()),
-            ],
-            SimTime::from_secs(4),
-            17,
-        );
-        let tput = r.throughput_in(0, SimTime::from_secs(1), SimTime::from_secs(4));
-        assert!(
-            tput > 0.5,
-            "{name}: moves data on batched reports: {tput:.2} Mbps"
-        );
+    let clean = LinkSetup::new(20e6, rtt, 75_000);
+    let lossy = clean.with_loss(0.01).with_ack_loss(0.01);
+    for (path, setup) in [("clean", clean), ("1% loss", lossy)] {
+        for name in &names {
+            let r = pcc::scenarios::run_dumbbell(
+                setup,
+                vec![pcc::scenarios::FlowPlan::new(
+                    pcc::scenarios::Protocol::Named(name.clone()),
+                    rtt,
+                )
+                .reporting(ReportMode::batched_rtt())],
+                SimTime::from_secs(4),
+                17,
+            );
+            let tput = r.throughput_in(0, SimTime::from_secs(1), SimTime::from_secs(4));
+            assert!(
+                tput > 0.5,
+                "{name}: moves data on batched reports ({path}): {tput:.2} Mbps"
+            );
+        }
     }
 }
 
