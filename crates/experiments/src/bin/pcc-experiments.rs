@@ -213,10 +213,6 @@ mod tests {
             let e = parse(args).err().expect("unknown flag");
             assert_eq!(e, "unknown flag: --ful", "{args:?}");
         }
-        // No process-wide report switch: batched reports are chosen per
-        // flow (`FlowPlan::reporting`, `Flow::report`).
-        let e = parse(&["fig07", "--batched"]).err().expect("no --batched");
-        assert_eq!(e, "unknown flag: --batched");
     }
 
     #[test]
@@ -243,6 +239,10 @@ mod tests {
         assert_eq!(cli.secs, Some(9));
         assert_eq!(cli.opts.out_dir, std::path::PathBuf::from("x/y"));
         assert!(cli.opts.full);
+        // No process-wide report switch: batched reports are chosen per
+        // flow (`FlowPlan::reporting`, `Flow::report`).
+        let e = parse(&["fig07", "--batched"]).err().expect("no --batched");
+        assert_eq!(e, "unknown flag: --batched");
         let bare = parse(&[]).expect("empty is `list`");
         assert!(bare.which.is_none() && bare.secs.is_none() && bare.opts.jobs == 0);
     }
