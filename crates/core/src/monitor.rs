@@ -12,8 +12,17 @@
 //! MIs complete strictly in order, so each [`MiMetrics`] carries the
 //! previous MI's average RTT — which the latency-sensitive utility of
 //! §4.4.1 needs.
+//!
+//! The seq → MI table holds one 8-byte slot per tracked sequence: the low
+//! 32 bits of the MI's id and the packet's size. Two live MIs cannot share
+//! those bits. Ids increase, the live MIs (the current one and those
+//! awaiting resolution) span fewer than 2^32 ids, and an MI leaves no slot
+//! behind once it is published: a resolved MI's slots were each taken when
+//! its packets were acked or lost, and a written-off MI's are dropped by
+//! `retain`.
 
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 use pcc_simnet::time::{SimDuration, SimTime};
 
@@ -43,12 +52,25 @@ impl MiState {
 }
 
 /// What the monitor remembers about an in-flight transmission: the MI it
-/// belongs to and the bytes it actually carried (so resolution credits
-/// real sizes — a short tail packet must not be credited as a full MSS).
+/// belongs to (the low 32 bits of its id; see the module docs) and the bytes
+/// it actually carried (so resolution credits real sizes — a short tail
+/// packet must not be credited as a full MSS). A transmission carries at
+/// least one byte, which leaves `Option<SeqInfo>` its 8 bytes.
 #[derive(Clone, Copy, Debug)]
 struct SeqInfo {
-    mi: u64,
-    bytes: u32,
+    mi: u32,
+    bytes: NonZeroU32,
+}
+
+impl SeqInfo {
+    fn bytes(self) -> u64 {
+        u64::from(self.bytes.get())
+    }
+}
+
+/// The low 32 bits of an MI id: what a [`SeqInfo`] stores.
+fn short_id(id: u64) -> u32 {
+    id as u32
 }
 
 /// The §3.1 monitor: attributes packets to monitor intervals and publishes
@@ -88,6 +110,12 @@ impl Monitor {
     ) {
         self.end_current(now, prev_deadline);
         debug_assert!(self.pending.back().is_none_or(|mi| mi.id < id));
+        debug_assert!(
+            self.pending
+                .front()
+                .is_none_or(|mi| id - mi.id <= u64::from(u32::MAX)),
+            "live MIs span 2^32 ids: their slots would alias"
+        );
         self.current = Some(MiState {
             id,
             target_rate_bps,
@@ -109,24 +137,30 @@ impl Monitor {
         }
     }
 
-    /// Attribute a transmission to the active MI.
+    /// Attribute a transmission of `bytes` (at least one) to the active MI.
     pub fn on_sent(&mut self, seq: u64, bytes: u32) {
         let Some(cur) = self.current.as_mut() else {
             debug_assert!(false, "sent packet outside any MI");
             return;
         };
+        let bytes = NonZeroU32::new(bytes).expect("a transmission carries bytes");
         cur.rep.sent_pkts += 1;
-        cur.rep.sent_bytes += bytes as u64;
-        self.seq_mi.insert(seq, SeqInfo { mi: cur.id, bytes });
+        cur.rep.sent_bytes += u64::from(bytes.get());
+        let info = SeqInfo {
+            mi: short_id(cur.id),
+            bytes,
+        };
+        self.seq_mi.insert(seq, info);
     }
 
-    fn mi_mut(&mut self, id: u64) -> Option<&mut MiState> {
+    /// The live MI whose id's low 32 bits are `mi`.
+    fn mi_mut(&mut self, mi: u32) -> Option<&mut MiState> {
         if let Some(cur) = self.current.as_mut() {
-            if cur.id == id {
+            if short_id(cur.id) == mi {
                 return Some(cur);
             }
         }
-        self.pending.iter_mut().find(|m| m.id == id)
+        self.pending.iter_mut().find(|m| short_id(m.id) == mi)
     }
 
     /// Resolve `seq` as acknowledged by its own (S)ACK, which carries a
@@ -145,7 +179,7 @@ impl Monitor {
         if let Some(mi) = self.mi_mut(info.mi) {
             let rep = &mut mi.rep;
             rep.acked_pkts += 1;
-            rep.acked_bytes += info.bytes as u64;
+            rep.acked_bytes += info.bytes();
             rep.rtt_sum_ns += rtt.as_nanos() as u128;
             rep.rtt_samples += 1;
             if rep.first_recv.is_none() {
@@ -164,7 +198,7 @@ impl Monitor {
     fn credit_delivery(&mut self, info: SeqInfo) {
         if let Some(mi) = self.mi_mut(info.mi) {
             mi.rep.acked_pkts += 1;
-            mi.rep.acked_bytes += info.bytes as u64;
+            mi.rep.acked_bytes += info.bytes();
         }
     }
 
@@ -206,7 +240,8 @@ impl Monitor {
                 // lost, and drop their seq attributions so a late ACK
                 // can't corrupt a future MI's counters.
                 if !mi.resolved() {
-                    self.seq_mi.retain(|info| info.mi != mi.id);
+                    let id = short_id(mi.id);
+                    self.seq_mi.retain(|info| info.mi != id);
                     mi.rep.lost_pkts = mi.rep.sent_pkts - mi.rep.acked_pkts;
                 }
                 let metrics = MiMetrics::from_report(
@@ -449,6 +484,53 @@ mod tests {
             "and the full payload is still credited: {}",
             m.throughput_bps
         );
+    }
+
+    #[test]
+    fn a_seq_slot_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Option<SeqInfo>>(), 8);
+    }
+
+    /// MI ids straddle 2^32, where the slots' 32-bit ids wrap, with every
+    /// MI's packets still in flight when the next begins. Each resolution
+    /// path must credit the MI that sent the packet.
+    #[test]
+    fn ids_across_the_32_bit_boundary_resolve_to_their_own_mi() {
+        let counts = |out: Vec<MiMetrics>| -> Vec<(u64, u64, u64, u64)> {
+            out.iter()
+                .map(|m| (m.mi_id, m.sent, m.acked, m.lost))
+                .collect()
+        };
+        let first = u64::from(u32::MAX) - 1;
+        let mut mon = Monitor::new();
+        // Five MIs of four packets each: seq / 4 is the MI's offset.
+        for k in 0..5 {
+            mon.begin(first + k, t(10 * k), 1e6, ms(1_000));
+            for seq in 4 * k..4 * k + 4 {
+                mon.on_sent(seq, 1500);
+            }
+        }
+        mon.end_current(t(50), ms(100)); // the last MI's deadline: 150 ms
+        for k in 0..5 {
+            mon.on_ack(4 * k, ms(30), t(60));
+            mon.on_loss(4 * k + 1);
+        }
+        mon.on_cum_ack(15); // 2, 3, 6, 7, 10, 11, 14
+        mon.on_ack(15, ms(30), t(70));
+        let resolved: Vec<_> = (first..first + 4).map(|id| (id, 4, 3, 1)).collect();
+        assert_eq!(
+            counts(mon.poll(t(100))),
+            resolved,
+            "the last MI waits for its deadline"
+        );
+        // 18 and 19 are written off; a late ACK of 18 credits nobody.
+        assert_eq!(counts(mon.poll(t(150))), [(first + 4, 4, 1, 3)]);
+        mon.begin(first + 5, t(150), 1e6, ms(10));
+        mon.on_sent(20, 1500);
+        mon.on_ack(18, ms(30), t(155));
+        mon.on_ack(20, ms(5), t(155));
+        mon.end_current(t(160), ms(10));
+        assert_eq!(counts(mon.poll(t(160))), [(first + 5, 1, 1, 0)]);
     }
 
     #[test]

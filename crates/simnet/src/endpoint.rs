@@ -93,7 +93,7 @@ impl<'a> EndpointCtx<'a> {
     pub fn send_ack(&mut self, info: AckInfo) {
         debug_assert_eq!(self.side, Side::Receiver, "only receivers send ACKs");
         self.actions
-            .push(Action::Send(Packet::ack(self.flow, info, self.now)));
+            .push(Action::Send(Packet::ack(self.flow, info)));
     }
 
     /// Arm a timer.

@@ -2,6 +2,12 @@
 //!
 //! The simulator is packet-level but content-free: a packet carries transport
 //! metadata (sequence numbers, timestamps, SACK summary) but no payload bytes.
+//!
+//! A packet carries what the wire carries, plus the few fields the
+//! simulation loop needs to route it (`flow`, `dir`, `hop`, `gen`). Every
+//! queue ring, delay lane and event-heap entry holds a `Packet` by value,
+//! so it is kept at 72 bytes: a queue that needs bookkeeping of its own,
+//! like FQ-CoDel's enqueue times, keeps it beside the packet.
 
 use crate::ids::{Direction, FlowId};
 use crate::time::SimTime;
@@ -73,9 +79,6 @@ pub struct Packet {
     pub gen: u32,
     /// Wire size in bytes (includes all headers).
     pub bytes: u32,
-    /// Time this packet was enqueued at its current queue (set by queues;
-    /// used by CoDel for sojourn time).
-    pub enqueued_at: SimTime,
     /// Transport metadata.
     pub kind: PacketKind,
 }
@@ -89,7 +92,6 @@ impl Packet {
             hop: 0,
             gen: 0,
             bytes,
-            enqueued_at: now,
             kind: PacketKind::Data(DataInfo {
                 seq,
                 retx,
@@ -100,14 +102,13 @@ impl Packet {
     }
 
     /// Build an ACK packet for `flow`.
-    pub fn ack(flow: FlowId, info: AckInfo, now: SimTime) -> Packet {
+    pub fn ack(flow: FlowId, info: AckInfo) -> Packet {
         Packet {
             flow,
             dir: Direction::Reverse,
             hop: 0,
             gen: 0,
             bytes: DEFAULT_ACK_BYTES,
-            enqueued_at: now,
             kind: PacketKind::Ack(info),
         }
     }
@@ -161,7 +162,7 @@ mod tests {
             probe_train: None,
             of_retx: false,
         };
-        let p = Packet::ack(FlowId(0), info, SimTime::from_millis(2));
+        let p = Packet::ack(FlowId(0), info);
         assert!(!p.is_data());
         assert_eq!(p.dir, Direction::Reverse);
         assert_eq!(p.bytes, DEFAULT_ACK_BYTES);

@@ -99,13 +99,12 @@ impl DropTail {
 }
 
 impl Queue for DropTail {
-    fn enqueue(&mut self, mut pkt: Packet, now: SimTime) -> bool {
+    fn enqueue(&mut self, pkt: Packet, _now: SimTime) -> bool {
         if self.bytes + pkt.bytes as u64 > self.limit_bytes {
             self.stats.dropped_tail += 1;
             self.stats.dropped_bytes += pkt.bytes as u64;
             return false;
         }
-        pkt.enqueued_at = now;
         self.bytes += pkt.bytes as u64;
         self.q.push_back(pkt);
         self.stats.enqueued += 1;
@@ -139,7 +138,8 @@ impl Queue for DropTail {
 
 struct DrrFlow {
     flow: FlowId,
-    q: VecDeque<Packet>,
+    /// Each packet with the instant it was enqueued (CoDel's sojourn).
+    q: VecDeque<(SimTime, Packet)>,
     bytes: u64,
     deficit: i64,
     codel: Option<CodelState>,
@@ -154,6 +154,7 @@ struct DrrFlow {
 /// (FQ-CoDel).
 pub struct FairQueue {
     flows: Vec<DrrFlow>,
+    /// The DRR round: the slot of every backlogged flow, each once.
     active: VecDeque<usize>,
     quantum: u32,
     limit_bytes: u64,
@@ -201,16 +202,21 @@ impl FairQueue {
             .map(|(i, _)| i)
     }
 
+    /// Evict the newest packet of `slot`. A flow this empties leaves the
+    /// round, so its next packet rejoins it once.
     fn pop_tail(&mut self, slot: usize) -> Packet {
-        let victim = self.flows[slot].q.pop_back().expect("non-empty");
+        let (_, victim) = self.flows[slot].q.pop_back().expect("non-empty");
         self.flows[slot].bytes -= victim.bytes as u64;
         self.bytes -= victim.bytes as u64;
         self.pkts -= 1;
+        if self.flows[slot].q.is_empty() {
+            self.active.retain(|&s| s != slot);
+        }
         victim
     }
 
     fn drop_head(&mut self, slot: usize) {
-        let victim = self.flows[slot].q.pop_front().expect("non-empty");
+        let (_, victim) = self.flows[slot].q.pop_front().expect("non-empty");
         self.flows[slot].bytes -= victim.bytes as u64;
         self.bytes -= victim.bytes as u64;
         self.pkts -= 1;
@@ -220,12 +226,11 @@ impl FairQueue {
 }
 
 impl Queue for FairQueue {
-    fn enqueue(&mut self, mut pkt: Packet, now: SimTime) -> bool {
-        pkt.enqueued_at = now;
+    fn enqueue(&mut self, pkt: Packet, now: SimTime) -> bool {
         let slot = self.flow_slot(pkt.flow);
         let was_empty = self.flows[slot].q.is_empty();
         let pkt_bytes = pkt.bytes as u64;
-        self.flows[slot].q.push_back(pkt);
+        self.flows[slot].q.push_back((now, pkt));
         self.flows[slot].bytes += pkt_bytes;
         self.bytes += pkt_bytes;
         self.pkts += 1;
@@ -261,11 +266,7 @@ impl Queue for FairQueue {
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
         loop {
             let slot = *self.active.front()?;
-            if self.flows[slot].q.is_empty() {
-                self.active.pop_front();
-                continue;
-            }
-            let head_bytes = self.flows[slot].q.front().expect("non-empty").bytes as i64;
+            let head_bytes = self.flows[slot].q.front().expect("in the round").1.bytes as i64;
             if self.flows[slot].deficit < head_bytes {
                 self.flows[slot].deficit += self.quantum as i64;
                 self.active.rotate_left(1);
@@ -273,13 +274,13 @@ impl Queue for FairQueue {
             }
             // CoDel pass (FQ-CoDel): may shed head packets of this flow.
             if self.flows[slot].codel.is_some() {
-                while let Some(head) = self.flows[slot].q.front().copied() {
+                while let Some(&(enqueued_at, _)) = self.flows[slot].q.front() {
                     let backlog = self.flows[slot].bytes;
                     let verdict = self.flows[slot]
                         .codel
                         .as_mut()
                         .expect("checked")
-                        .on_dequeue(now, head.enqueued_at, backlog);
+                        .on_dequeue(now, enqueued_at, backlog);
                     if verdict == CodelVerdict::Drop {
                         self.drop_head(slot);
                         continue;
@@ -291,7 +292,7 @@ impl Queue for FairQueue {
                     continue;
                 }
             }
-            let pkt = self.flows[slot].q.pop_front().expect("non-empty");
+            let (_, pkt) = self.flows[slot].q.pop_front().expect("non-empty");
             self.flows[slot].bytes -= pkt.bytes as u64;
             self.flows[slot].deficit -= pkt.bytes as i64;
             self.bytes -= pkt.bytes as u64;
@@ -492,13 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn droptail_sets_enqueue_timestamp() {
-        let mut q = DropTail::bytes(1 << 20);
-        q.enqueue(pkt(0, 0, 1500), t(7));
-        assert_eq!(q.dequeue(t(8)).unwrap().enqueued_at, t(7));
-    }
-
-    #[test]
     fn drr_alternates_between_flows() {
         let mut q = FairQueue::new(1 << 20);
         for s in 0..4 {
@@ -550,6 +544,28 @@ mod tests {
         }
         assert_eq!(flows_seen[2], 1, "flow 2's packet survived");
         assert_eq!(flows_seen[1], 3, "flow 1 lost one packet");
+    }
+
+    /// A flow emptied by eviction leaves the DRR round. Flow 2's 1000-B
+    /// packets tie flow 1's queue for longest, so each is evicted on
+    /// arrival; its 500-B packets fit. With each flow refilled as soon as
+    /// it is served, both stay backlogged and must take turns.
+    #[test]
+    fn drr_flow_emptied_by_eviction_takes_one_turn_per_round() {
+        let mut q = FairQueue::new(1500);
+        assert!(q.enqueue(pkt(1, 0, 1000), t(0)));
+        assert!(!q.enqueue(pkt(2, 0, 1000), t(0)));
+        assert!(!q.enqueue(pkt(2, 1, 1000), t(0)));
+        assert!(q.enqueue(pkt(2, 2, 500), t(0)));
+        let mut order = Vec::new();
+        for seq in 3..11 {
+            let served = q.dequeue(t(1)).expect("both flows backlogged").flow.0;
+            let bytes = if served == 1 { 1000 } else { 500 };
+            assert!(q.enqueue(pkt(served, seq, bytes), t(1)));
+            order.push(served);
+        }
+        assert_eq!(order, [1, 2, 1, 2, 1, 2, 1, 2]);
+        assert_conserved(&q);
     }
 
     #[test]
@@ -623,6 +639,36 @@ mod tests {
             assert!(q.dequeue(now).is_some());
         }
         assert_eq!(q.stats().dropped_aqm, drops_after_drain);
+    }
+
+    /// CoDel measures each packet's sojourn from the instant it entered
+    /// the queue. The packets are built at t = 0 and offered from t = 1 s
+    /// at a standing queue of `ahead` packets, one in and one out every
+    /// 0.4 ms: every sojourn is `ahead` × 0.4 ms. Timed from when a packet
+    /// was built, 4 ms would read as a second and drop; timed from a later
+    /// instant (the dequeue, the tail's arrival), 6 ms would not.
+    #[test]
+    fn fq_codel_times_sojourn_from_the_packets_own_enqueue() {
+        let standing = |ahead: u64| {
+            let mut q = fq_codel(1 << 20);
+            let gap = SimDuration::from_micros(400);
+            let mut now = SimTime::from_secs(1);
+            for seq in 0..ahead {
+                assert!(q.enqueue(pkt(0, seq, 1500), now));
+                now += gap;
+            }
+            for seq in ahead..ahead + 1000 {
+                assert!(q.dequeue(now).is_some());
+                assert!(q.enqueue(pkt(0, seq, 1500), now));
+                now += gap;
+            }
+            q.stats().dropped()
+        };
+        assert_eq!(standing(10), 0, "4 ms is under the 5 ms target");
+        assert!(
+            standing(15) > 0,
+            "6 ms for 400 ms is over it for an interval"
+        );
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! * **Timeout**: any transmission (including retransmissions, whose
 //!   sequence-based detection would be ambiguous) is lost once it has been
 //!   outstanding longer than the supplied RTO.
+//!
+//! One sequence costs one `u64` in the window (`SeqEntry`): bits 0–1 hold
+//! its state, bits 2–7 its retransmission count, saturating at 63 (every
+//! rule only asks whether the count is zero), and bits 8–63 the time of
+//! its latest transmission in nanoseconds. That bounds a send time to
+//! 2^56 ns, about 2.3 years of simulated or process time, and
+//! [`Scoreboard::on_send`] asserts it.
 
 use std::collections::VecDeque;
 
@@ -20,20 +27,72 @@ use pcc_simnet::time::{SimDuration, SimTime};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SeqState {
     /// In flight, fate unknown.
-    Outstanding,
+    Outstanding = 0,
     /// SACKed (or cumulatively acked).
-    Acked,
+    Acked = 1,
     /// Declared lost, waiting for retransmission to be scheduled.
-    Lost,
+    Lost = 2,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct SeqEntry {
-    state: SeqState,
+/// One sequence's record, packed into a `u64` (layout in the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SeqEntry(u64);
+
+impl SeqEntry {
+    const STATE_MASK: u64 = 0b11;
+    const RETX_SHIFT: u32 = 2;
+    /// Retransmission counts stop here.
+    const MAX_RETX: u32 = 63;
+    const TIME_SHIFT: u32 = 8;
+    /// The latest send time an entry can hold, in nanoseconds.
+    const MAX_SENT_NS: u64 = u64::MAX >> Self::TIME_SHIFT;
+
+    /// An original transmission at `sent_at`, outstanding.
+    fn sent(sent_at: SimTime) -> Self {
+        let ns = sent_at.as_nanos();
+        assert!(
+            ns <= Self::MAX_SENT_NS,
+            "send time {sent_at:?} is past the scoreboard's 2^56 ns"
+        );
+        SeqEntry(ns << Self::TIME_SHIFT)
+    }
+
+    fn state(self) -> SeqState {
+        match self.0 & Self::STATE_MASK {
+            0 => SeqState::Outstanding,
+            1 => SeqState::Acked,
+            2 => SeqState::Lost,
+            _ => unreachable!("state bits hold a SeqState"),
+        }
+    }
+
+    fn set_state(&mut self, state: SeqState) {
+        self.0 = self.0 & !Self::STATE_MASK | state as u64;
+    }
+
     /// Time of the most recent transmission of this sequence.
-    last_sent_at: SimTime,
-    /// Number of retransmissions so far (0 = original only).
-    retx_count: u32,
+    fn last_sent_at(self) -> SimTime {
+        SimTime::from_nanos(self.0 >> Self::TIME_SHIFT)
+    }
+
+    /// Number of retransmissions so far (0 = original only), saturating
+    /// at [`SeqEntry::MAX_RETX`].
+    fn retx_count(self) -> u32 {
+        (self.0 >> Self::RETX_SHIFT) as u32 & Self::MAX_RETX
+    }
+
+    /// An original transmission still in flight: what both loss rules
+    /// look for.
+    fn is_outstanding_original(self) -> bool {
+        self.state() == SeqState::Outstanding && self.retx_count() == 0
+    }
+
+    /// Record a retransmission at `now`: outstanding again, one more
+    /// retransmission, a new send time.
+    fn resent(&mut self, now: SimTime) {
+        let retx = (self.retx_count() + 1).min(Self::MAX_RETX);
+        *self = SeqEntry(Self::sent(now).0 | u64::from(retx) << Self::RETX_SHIFT);
+    }
 }
 
 /// Outcome of processing one ACK.
@@ -145,29 +204,23 @@ impl Scoreboard {
     /// transmission's own age.
     pub fn on_send(&mut self, seq: u64, now: SimTime, retx: bool) {
         debug_assert!(
-            self.entries.back().is_none_or(|e| e.last_sent_at <= now)
+            self.entries.back().is_none_or(|e| e.last_sent_at() <= now)
                 && self.retx_log.back().is_none_or(|r| r.0 <= now),
             "send at {now:?} is earlier than the one before it"
         );
         if !retx {
             assert_eq!(seq, self.high_seq, "new data must be sent in order");
-            self.entries.push_back(SeqEntry {
-                state: SeqState::Outstanding,
-                last_sent_at: now,
-                retx_count: 0,
-            });
+            self.entries.push_back(SeqEntry::sent(now));
             self.high_seq += 1;
             self.in_flight += 1;
         } else if let Some(i) = self.idx(seq) {
             let e = &mut self.entries[i];
-            debug_assert_ne!(e.state, SeqState::Acked, "retransmitting acked seq");
-            if e.state == SeqState::Lost {
+            debug_assert_ne!(e.state(), SeqState::Acked, "retransmitting acked seq");
+            if e.state() == SeqState::Lost {
                 // Back in flight.
                 self.in_flight += 1;
             }
-            e.state = SeqState::Outstanding;
-            e.last_sent_at = now;
-            e.retx_count += 1;
+            e.resent(now);
             self.retx_log.push_back((now, seq));
         }
     }
@@ -178,11 +231,11 @@ impl Scoreboard {
         // Selective part.
         if let Some(i) = self.idx(info.acked_seq) {
             let e = &mut self.entries[i];
-            if e.state != SeqState::Acked {
-                if e.state == SeqState::Outstanding {
+            if e.state() != SeqState::Acked {
+                if e.state() == SeqState::Outstanding {
                     self.in_flight -= 1;
                 }
-                e.state = SeqState::Acked;
+                e.set_state(SeqState::Acked);
                 out.newly_acked += 1;
                 out.advanced = true;
                 out.rtt = Some(now.saturating_since(info.echo_sent_at));
@@ -198,11 +251,11 @@ impl Scoreboard {
             for seq in self.base..upto {
                 let i = (seq - self.base) as usize;
                 let e = &mut self.entries[i];
-                if e.state != SeqState::Acked {
-                    if e.state == SeqState::Outstanding {
+                if e.state() != SeqState::Acked {
+                    if e.state() == SeqState::Outstanding {
                         self.in_flight -= 1;
                     }
-                    e.state = SeqState::Acked;
+                    e.set_state(SeqState::Acked);
                     out.newly_acked += 1;
                     out.advanced = true;
                 }
@@ -241,11 +294,11 @@ impl Scoreboard {
             {
                 self.frontier_steps += 1;
             }
-            if e.state == SeqState::Outstanding && e.retx_count == 0 {
-                if !timed_out(e.last_sent_at) {
+            if e.is_outstanding_original() {
+                if !timed_out(e.last_sent_at()) {
                     break;
                 }
-                e.state = SeqState::Lost;
+                e.set_state(SeqState::Lost);
                 self.in_flight -= 1;
                 self.losses += 1;
                 lost.push(self.timeout_cursor);
@@ -261,11 +314,11 @@ impl Scoreboard {
             }
             if let Some(i) = self.idx(seq) {
                 let e = &mut self.entries[i];
-                if e.state == SeqState::Outstanding && e.last_sent_at == sent_at {
+                if e.state() == SeqState::Outstanding && e.last_sent_at() == sent_at {
                     if !timed_out(sent_at) {
                         break;
                     }
-                    e.state = SeqState::Lost;
+                    e.set_state(SeqState::Lost);
                     self.in_flight -= 1;
                     self.losses += 1;
                     lost.push(seq);
@@ -290,8 +343,8 @@ impl Scoreboard {
             let skip = (start - self.base) as usize;
             let end = ((dup_cutoff - self.base) as usize).min(self.entries.len());
             for (i, e) in self.entries.iter_mut().enumerate().take(end).skip(skip) {
-                if e.state == SeqState::Outstanding && e.retx_count == 0 {
-                    e.state = SeqState::Lost;
+                if e.is_outstanding_original() {
+                    e.set_state(SeqState::Lost);
                     self.in_flight -= 1;
                     self.losses += 1;
                     lost.push(self.base + i as u64);
@@ -309,8 +362,8 @@ impl Scoreboard {
     fn detect_losses_by_sweep(&mut self, now: SimTime, rto: SimDuration) -> Vec<u64> {
         let mut lost = self.reorder_losses();
         for (i, e) in self.entries.iter_mut().enumerate() {
-            if e.state == SeqState::Outstanding && now.saturating_since(e.last_sent_at) >= rto {
-                e.state = SeqState::Lost;
+            if e.state() == SeqState::Outstanding && now.saturating_since(e.last_sent_at()) >= rto {
+                e.set_state(SeqState::Lost);
                 self.in_flight -= 1;
                 self.losses += 1;
                 lost.push(self.base + i as u64);
@@ -326,8 +379,8 @@ impl Scoreboard {
         for i in 0..self.entries.len() {
             let seq = self.base + i as u64;
             let e = &mut self.entries[i];
-            if e.state == SeqState::Outstanding {
-                e.state = SeqState::Lost;
+            if e.state() == SeqState::Outstanding {
+                e.set_state(SeqState::Lost);
                 self.in_flight -= 1;
                 self.losses += 1;
                 lost.push(seq);
@@ -345,7 +398,7 @@ impl Scoreboard {
         self.entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.state == SeqState::Lost)
+            .filter(|(_, e)| e.state() == SeqState::Lost)
             .map(|(i, _)| self.base + i as u64)
             .collect()
     }
@@ -354,7 +407,7 @@ impl Scoreboard {
     #[cfg(test)]
     fn oldest_unacked(&self) -> Option<u64> {
         for i in 0..self.entries.len() {
-            if self.entries[i].state != SeqState::Acked {
+            if self.entries[i].state() != SeqState::Acked {
                 return Some(self.base + i as u64);
             }
         }
@@ -373,7 +426,7 @@ impl Scoreboard {
             return false;
         }
         (self.base..upper.min(self.high_seq))
-            .all(|seq| matches!(self.entry(seq), Some(e) if e.state == SeqState::Acked))
+            .all(|seq| matches!(self.entry(seq), Some(e) if e.state() == SeqState::Acked))
     }
 
     /// Packets currently in flight (sent, not acked, not declared lost).
@@ -412,17 +465,17 @@ impl Scoreboard {
     /// Retransmission count for `seq` (0 when unknown).
     #[cfg(test)]
     fn retx_count(&self, seq: u64) -> u32 {
-        self.entry(seq).map(|e| e.retx_count).unwrap_or(0)
+        self.entry(seq).map(|e| e.retx_count()).unwrap_or(0)
     }
 
     /// True if `seq` is currently marked lost (awaiting retransmission).
     pub fn is_lost(&self, seq: u64) -> bool {
-        matches!(self.entry(seq), Some(e) if e.state == SeqState::Lost)
+        matches!(self.entry(seq), Some(e) if e.state() == SeqState::Lost)
     }
 
     /// True if `seq` has been acked (or pruned, implying acked).
     pub fn is_acked(&self, seq: u64) -> bool {
-        seq < self.base || matches!(self.entry(seq), Some(e) if e.state == SeqState::Acked)
+        seq < self.base || matches!(self.entry(seq), Some(e) if e.state() == SeqState::Acked)
     }
 }
 
@@ -444,6 +497,55 @@ mod tests {
             probe_train: None,
             of_retx: false,
         }
+    }
+
+    #[test]
+    fn an_entry_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<SeqEntry>(), 8);
+    }
+
+    /// Every state, the retransmission count up to where it saturates and
+    /// the latest send time the entry can hold come back as written, and
+    /// no field disturbs another.
+    #[test]
+    fn an_entry_round_trips_its_fields() {
+        let latest = SimTime::from_nanos(SeqEntry::MAX_SENT_NS);
+        for sent_at in [SimTime::ZERO, t(1), latest] {
+            let mut e = SeqEntry::sent(sent_at);
+            assert_eq!(
+                (e.state(), e.retx_count(), e.last_sent_at()),
+                (SeqState::Outstanding, 0, sent_at)
+            );
+            assert!(e.is_outstanding_original());
+            for state in [SeqState::Lost, SeqState::Acked, SeqState::Outstanding] {
+                e.set_state(state);
+                assert_eq!(
+                    (e.state(), e.retx_count(), e.last_sent_at()),
+                    (state, 0, sent_at)
+                );
+            }
+            for retx in 1..=SeqEntry::MAX_RETX + 2 {
+                e.set_state(SeqState::Lost);
+                e.resent(sent_at);
+                let want = retx.min(SeqEntry::MAX_RETX);
+                assert_eq!(
+                    (e.state(), e.retx_count(), e.last_sent_at()),
+                    (SeqState::Outstanding, want, sent_at)
+                );
+                assert!(!e.is_outstanding_original());
+                e.set_state(SeqState::Acked);
+                assert_eq!(
+                    (e.state(), e.retx_count(), e.last_sent_at()),
+                    (SeqState::Acked, want, sent_at)
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "2^56 ns")]
+    fn a_send_time_past_the_entry_panics() {
+        Scoreboard::new().on_send(0, SimTime::from_nanos(SeqEntry::MAX_SENT_NS + 1), false);
     }
 
     #[test]

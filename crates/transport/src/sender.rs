@@ -1328,7 +1328,7 @@ mod tests {
             probe_train: None,
             of_retx: false,
         };
-        Packet::ack(FlowId(0), info, now)
+        Packet::ack(FlowId(0), info)
     }
 
     /// Rate or window set by `start` in `on_start`, then `tick` each time

@@ -237,7 +237,7 @@ impl Driver<'_> {
             probe_train,
             of_retx: a.of_retx,
         };
-        self.step(|e, ctx| e.on_packet(&Packet::ack(ctx.flow, info, ctx.now), ctx))
+        self.step(|e, ctx| e.on_packet(&Packet::ack(ctx.flow, info), ctx))
     }
 }
 

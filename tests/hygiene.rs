@@ -88,3 +88,15 @@ fn every_clippy_toml_entry_has_a_canary() {
         "clippy.toml and the canaries above must list the same entries"
     );
 }
+
+/// Every queue ring, delay lane and event-heap entry holds a packet by
+/// value, so a field added to `Packet` costs memory in all of them at
+/// once (ARCHITECTURE.md, "Per-sequence and per-packet state").
+#[test]
+fn packet_event_and_action_stay_72_bytes() {
+    use pcc_simnet::{endpoint::Action, event::Event, packet::Packet};
+    use std::mem::size_of;
+    assert_eq!(size_of::<Packet>(), 72, "Packet");
+    assert_eq!(size_of::<Event>(), 72, "Event");
+    assert_eq!(size_of::<Action>(), 72, "Action");
+}
