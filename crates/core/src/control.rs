@@ -22,20 +22,21 @@
 //! waiting for the next boundary.
 //!
 //! Every MI goes through one pipeline: `begin_mi` issues it onto the
-//! `issued` queue, `on_mi_complete` judges the front of that queue. Two
-//! clocks close an interval — the [`Monitor`] with its boundary/deadline
-//! timers on the per-ACK path, the engine's report on the batched path —
-//! and both deliver results in issue order.
+//! `issued` queue and opens a send epoch in the engine
+//! ([`ReportMode::Epochs`]); the engine credits each packet's fate to the
+//! epoch that sent it and reports the epochs in order, so each report
+//! judges the front of that queue. The controller decides when an MI
+//! ends (its boundary timer); the engine decides when its packets are
+//! resolved.
 
 use std::collections::VecDeque;
 
 use pcc_simnet::time::SimDuration;
-use pcc_transport::cc::{AckEvent, CongestionControl, Ctx as CtrlCtx, LossEvent, SentEvent};
+use pcc_transport::cc::{AckEvent, CongestionControl, Ctx as CtrlCtx, LossEvent, ReportMode};
 use pcc_transport::report::MeasurementReport;
 use pcc_transport::rtt::RttEstimator;
 
 use crate::config::{MiTiming, PccConfig};
-use crate::monitor::Monitor;
 use crate::utility::{MiMetrics, SafeSigmoid, UtilityFunction};
 
 /// Floor on the controlled sending rate: two 1500 B packets per second.
@@ -62,8 +63,7 @@ enum Purpose {
 #[derive(Clone, Copy, Debug)]
 struct Issued {
     id: u64,
-    /// The pacing rate it ran at (what a report-clocked result is
-    /// measured against; the monitor keeps its own copy).
+    /// The pacing rate it ran at (what its report is measured against).
     rate: f64,
     purpose: Purpose,
 }
@@ -115,39 +115,29 @@ pub struct PccStats {
     pub mis_completed: u64,
 }
 
-const TOKEN_KIND_BOUNDARY: u64 = 0;
-const TOKEN_KIND_DEADLINE: u64 = 1;
-
 /// The PCC controller: a rate-driving [`CongestionControl`] (plugs into
 /// [`pcc_transport::CcSender`], in simulation and under the `pcc-udp`
 /// driver on real sockets).
 pub struct PccController {
     cfg: PccConfig,
     utility: Box<dyn UtilityFunction>,
-    monitor: Monitor,
     rtt: RttEstimator,
     phase: Phase,
     /// Base rate `r` (bits/sec) that decisions perturb around.
     rate: f64,
     /// MIs issued and not yet judged, oldest first; the back is the one on
-    /// the wire. Both clocks complete intervals in issue order
-    /// ([`Monitor::poll`] publishes its head, a report judges the front),
-    /// so a result always belongs to the front. Report-clocked, the queue
-    /// is two deep: a report's ACKs measure the MI issued one window back
-    /// (its acks arrive ≈1 RTT after that MI's sends — the §3.1 result
-    /// lag).
+    /// the wire. Each has one send epoch, and the engine reports epochs in
+    /// order, so a report always belongs to the front.
     issued: VecDeque<Issued>,
-    /// Next MI id. Never reset, so a timer token armed for one interval
-    /// cannot name an interval issued after a resume or a clock switch.
+    /// Next MI id, the boundary timer's token. Never reset, so a token
+    /// armed for one interval cannot name an interval issued after a
+    /// resume.
     next_mi: u64,
     trial_round: u64,
     stats: PccStats,
     mss: u32,
-    /// Off-path (batched-report) operation detected: each engine report is
-    /// one MI, and `set_report_interval` plays the boundary timer's role.
-    batched: bool,
-    /// Batched mode: previous report's average RTT (latency-gradient
-    /// chaining; the monitor keeps its own for the per-ACK path).
+    /// The previous judged MI's average RTT (the latency utilities read
+    /// it).
     prev_avg_rtt: Option<SimDuration>,
 }
 
@@ -162,7 +152,6 @@ impl PccController {
         PccController {
             cfg,
             utility,
-            monitor: Monitor::new(),
             rtt: RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(120)),
             phase: Phase::Starting {
                 prev: None,
@@ -174,13 +163,11 @@ impl PccController {
             trial_round: 0,
             stats: PccStats::default(),
             mss: 1500,
-            batched: false,
             prev_avg_rtt: None,
         }
     }
 
-    /// Set the wire packet size the monitor accounts with (default
-    /// 1500 B). Datapaths with a different MSS — e.g. the UDP prototype's
+    /// Set the wire packet size the controller assumes (default 1500 B). Datapaths with a different MSS — e.g. the UDP prototype's
     /// `payload + 40` — must thread theirs through, or throughput, the
     /// 2·MSS/RTT starting rate, and the rate floor are all skewed.
     pub fn with_mss(mut self, mss: u32) -> Self {
@@ -188,7 +175,7 @@ impl PccController {
         self
     }
 
-    /// The wire packet size the monitor accounts with (see
+    /// The wire packet size the controller assumes (see
     /// [`PccController::with_mss`]).
     pub fn mss(&self) -> u32 {
         self.mss
@@ -287,14 +274,9 @@ impl PccController {
             .max(DEADLINE_FLOOR)
     }
 
-    /// Issue a new MI at `rate` with the given purpose, and arm the clock
-    /// that will end it.
-    ///
-    /// On-path (per-ACK) mode opens a [`Monitor`] interval and arms its
-    /// boundary and deadline timers. Batched mode has no monitor: the MI
-    /// *is* the next report interval — ask the engine to deliver the next
-    /// report one MI duration from now (which also implements the §3.1
-    /// re-align: a mid-interval decision re-bases the boundary).
+    /// Issue a new MI at `rate` with the given purpose: arm the boundary
+    /// timer that will end it, and open its send epoch, which closes the
+    /// previous MI's (the §3.1 re-align, when that one ends early).
     fn begin_mi(&mut self, rate_bps: f64, purpose: Purpose, ctx: &mut CtrlCtx) {
         let rate = self.clamp_rate(rate_bps);
         let id = self.next_mi;
@@ -302,17 +284,8 @@ impl PccController {
         self.issued.push_back(Issued { id, rate, purpose });
         ctx.set_rate(rate);
         let dur = self.mi_duration(rate, ctx);
-        if self.batched {
-            ctx.set_report_interval(dur);
-            return;
-        }
-        let slack = self.deadline_slack();
-        self.monitor.begin(id, ctx.now, rate, slack);
-        ctx.set_timer(ctx.now + dur, (id << 2) | TOKEN_KIND_BOUNDARY);
-        // Deadline poll for the MI that just ended (if any is pending).
-        if let Some(dl) = self.monitor.next_deadline() {
-            ctx.set_timer(dl, (id << 2) | TOKEN_KIND_DEADLINE);
-        }
+        ctx.set_timer(ctx.now + dur, id);
+        ctx.begin_epoch(self.deadline_slack());
     }
 
     /// Build the randomized trial direction sequence for one decision round:
@@ -366,9 +339,8 @@ impl PccController {
         }
     }
 
-    /// The phase machine's boundary action: the MI on the wire ended (timer
-    /// in per-ACK mode, report delivery in batched mode); issue the next
-    /// one.
+    /// The phase machine's boundary action: the MI on the wire ended;
+    /// issue the next one.
     fn advance_phase(&mut self, ctx: &mut CtrlCtx) {
         let (rate, purpose) = match &mut self.phase {
             Phase::Starting { .. } => {
@@ -419,13 +391,7 @@ impl PccController {
     /// A completed MI's utility is available.
     fn on_mi_complete(&mut self, m: &MiMetrics, ctx: &mut CtrlCtx) {
         self.stats.mis_completed += 1;
-        debug_assert!(
-            self.issued.front().is_none_or(|mi| m.mi_id <= mi.id),
-            "MI {} completed ahead of the front of {:?}",
-            m.mi_id,
-            self.issued
-        );
-        let Some(Issued { purpose, .. }) = self.issued.pop_front_if(|mi| mi.id == m.mi_id) else {
+        let Some(Issued { purpose, .. }) = self.issued.pop_front() else {
             return;
         };
         // Skip empty MIs for control decisions: a 0-packet MI carries no
@@ -586,13 +552,6 @@ impl PccController {
             self.enter_decision(eps + self.cfg.eps_min, ctx);
         }
     }
-
-    /// Drain the monitor's finished intervals into the phase machine.
-    fn poll_monitor(&mut self, ctx: &mut CtrlCtx) {
-        for m in self.monitor.poll(ctx.now) {
-            self.on_mi_complete(&m, ctx);
-        }
-    }
 }
 
 impl CongestionControl for PccController {
@@ -608,44 +567,28 @@ impl CongestionControl for PccController {
         self.begin_mi(self.rate, Purpose::Start { step: 0 }, ctx);
     }
 
-    fn on_sent(&mut self, ev: &SentEvent, _ctx: &mut CtrlCtx) {
-        self.monitor.on_sent(ev.seq, ev.bytes);
+    fn report_mode(&self) -> ReportMode {
+        ReportMode::Epochs
     }
 
-    fn on_ack(&mut self, ack: &AckEvent, ctx: &mut CtrlCtx) {
+    fn on_ack(&mut self, ack: &AckEvent, _ctx: &mut CtrlCtx) {
+        // Only exact per-packet samples feed the estimator; an ACK of a
+        // retransmission is ambiguous about which transmission it measures.
         if ack.sampled {
-            // Only exact per-packet samples feed the RTT estimator and
-            // the monitor's timing state; an ACK of a retransmission is
-            // ambiguous about which transmission it measures. The acked
-            // seq is credited (with its timing) before the cumulative
-            // prefix so the sample isn't lost to untimed resolution.
             self.rtt.on_sample(ack.rtt);
-            self.monitor.on_ack(ack.seq, ack.rtt, ack.recv_at);
         }
-        // The cumulative ACK proves delivery even when this ACK carries
-        // no usable RTT sample — a retransmission's ACK is ambiguous
-        // about timing, not about delivery. Skipping it here let
-        // reverse-path ACK loss masquerade as data loss whenever the
-        // only surviving proof rode on a retransmission's ACK.
-        self.monitor.on_cum_ack(ack.cum_ack);
-        self.poll_monitor(ctx);
     }
 
-    fn on_loss(&mut self, loss: &LossEvent, ctx: &mut CtrlCtx) {
-        for &seq in loss.seqs {
-            self.monitor.on_loss(seq);
-        }
-        self.poll_monitor(ctx);
-    }
+    /// Losses reach the controller through its epochs' reports.
+    fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut CtrlCtx) {}
 
     fn on_resume(&mut self, ctx: &mut CtrlCtx) {
         // Outage recovery: every in-flight MI measured a path that no
-        // longer exists (or a blackout). Discard the measurement pipeline
-        // wholesale — stale boundary/deadline timers die against ids the
-        // queue no longer holds — keep the base rate as the operating
-        // point, and re-probe around it with a fresh decision round
-        // instead of concluding half-dark trials.
-        self.monitor = Monitor::new();
+        // longer exists (or a blackout). The engine has dropped their
+        // epochs; drop them here too — stale boundary timers die against
+        // ids the queue no longer holds — keep the base rate as the
+        // operating point, and re-probe around it with a fresh decision
+        // round instead of concluding half-dark trials.
         self.issued.clear();
         self.prev_avg_rtt = None;
         self.rtt = RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(120));
@@ -653,71 +596,21 @@ impl CongestionControl for PccController {
         self.enter_decision(self.cfg.eps_min, ctx);
     }
 
+    /// The front MI's send epoch is resolved (or past its deadline).
     fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut CtrlCtx) {
-        if !self.batched {
-            // First report: the engine runs us off-path. Abandon the
-            // monitor pipeline (its timers are dead from here on: their
-            // ids are gone from the queue) and restart the MI pipeline
-            // report-clocked at the current rate and phase. This report
-            // measured the unmonitored prelude, so it issues the first
-            // batched MI instead of being judged.
-            self.batched = true;
-            self.monitor = Monitor::new();
-            self.issued.clear();
-            let purpose = match &mut self.phase {
-                Phase::Starting { prev, misses } => {
-                    (*prev, *misses) = (None, 0);
-                    Purpose::Start { step: 0 }
-                }
-                _ => Purpose::Hold,
-            };
-            self.begin_mi(self.rate, purpose, ctx);
+        let Some(&Issued { id, rate, .. }) = self.issued.front() else {
             return;
-        }
-        // The estimator normally eats every sampled ACK; feed it the
-        // report's extremes instead (the min keeps the propagation
-        // estimate honest, the mean drives SRTT-scaled slacks).
-        if rep.rtt_samples > 0 {
-            if let Some(min) = rep.rtt_min {
-                self.rtt.on_sample(min);
-            }
-            self.rtt.on_sample(rep.mean_rtt());
-        }
-        let issued_before = self.next_mi;
-        // This report's ACKs measure the MI issued one window back
-        // (results lag ≈1 RTT, §3.1); judge it now.
-        if self.issued.len() >= 2 {
-            let Issued { id, rate, .. } = self.issued[0];
-            let min_rtt = (!rep.min_rtt.is_zero()).then_some(rep.min_rtt);
-            let m = MiMetrics::from_report(id, rate, rep, self.prev_avg_rtt, min_rtt);
-            self.prev_avg_rtt = Some(m.avg_rtt);
-            self.on_mi_complete(&m, ctx);
-        }
-        // Unless judging re-aligned the pipeline (concluding a decision
-        // issues its first MI on the spot), the report boundary is the MI
-        // boundary: issue the next MI per the current phase.
-        if self.next_mi == issued_before {
-            self.advance_phase(ctx);
-        }
+        };
+        let m = MiMetrics::from_report(id, rate, rep, self.prev_avg_rtt, self.rtt.min_rtt());
+        self.prev_avg_rtt = Some(m.avg_rtt);
+        self.on_mi_complete(&m, ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut CtrlCtx) {
-        let mi_id = token >> 2;
-        match token & 0b11 {
-            // A boundary counts only for the MI on the wire: one that was
-            // re-aligned away — or armed before a resume or the switch to
-            // report clocking — is stale.
-            TOKEN_KIND_BOUNDARY if self.issued.back().is_some_and(|mi| mi.id == mi_id) => {
-                self.advance_phase(ctx);
-            }
-            TOKEN_KIND_DEADLINE => {
-                self.poll_monitor(ctx);
-                // Keep the pending queue covered by a deadline timer.
-                if let Some(dl) = self.monitor.next_deadline() {
-                    ctx.set_timer(dl, (mi_id << 2) | TOKEN_KIND_DEADLINE);
-                }
-            }
-            _ => {}
+        // A boundary counts only for the MI on the wire: one that was
+        // re-aligned away, or armed before a resume, is stale.
+        if self.issued.back().is_some_and(|mi| mi.id == token) {
+            self.advance_phase(ctx);
         }
     }
 }
@@ -725,37 +618,54 @@ impl CongestionControl for PccController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use pcc_simnet::rng::SimRng;
     use pcc_simnet::time::SimTime;
     use pcc_transport::cc::{Effects as CtrlEffects, LossKind};
+    use pcc_transport::report::Epochs;
+
+    /// The token the harness arms for the engine's epoch deadlines.
+    const DEADLINE: u64 = u64::MAX;
 
     /// Minimal harness: drives the controller directly with a virtual
-    /// clock, collecting rate changes and timers like an engine would.
+    /// clock, collecting rate changes and timers, and keeping send epochs
+    /// and reporting them, like the engine does.
     struct Harness {
         ctrl: PccController,
         rng: SimRng,
         fx: CtrlEffects,
         now: SimTime,
         rate: f64,
+        /// Boundary tokens, and [`DEADLINE`] for an epoch deadline.
         timers: Vec<(SimTime, u64)>,
         next_seq: u64,
+        epochs: Epochs,
+        /// Send time of each packet still in flight.
+        outstanding: BTreeMap<u64, SimTime>,
     }
 
     impl Harness {
         fn new(cfg: PccConfig) -> Self {
+            Self::with_controller(PccController::new(cfg))
+        }
+
+        fn with_controller(ctrl: PccController) -> Self {
             Harness {
-                ctrl: PccController::new(cfg),
+                ctrl,
                 rng: SimRng::new(7),
                 fx: CtrlEffects::default(),
                 now: SimTime::ZERO,
                 rate: 0.0,
                 timers: Vec::new(),
                 next_seq: 0,
+                epochs: Epochs::default(),
+                outstanding: BTreeMap::new(),
             }
         }
 
         /// One controller callback at the current time, its effects
-        /// collected like an engine would.
+        /// applied like the engine would.
         fn call(&mut self, f: impl FnOnce(&mut PccController, &mut CtrlCtx)) {
             f(
                 &mut self.ctrl,
@@ -766,6 +676,19 @@ mod tests {
                 self.rate = r;
             }
             self.timers.extend(d.timers);
+            for slack in d.epochs {
+                self.epochs.begin(self.now, slack);
+                self.timers
+                    .extend(self.epochs.next_deadline().map(|at| (at, DEADLINE)));
+            }
+        }
+
+        /// Report every epoch that is ready now.
+        fn deliver(&mut self) {
+            for _ in 0..self.epochs.ready(self.now) {
+                let rep = self.epochs.pop().expect("ready");
+                self.call(|c, cc| c.on_report(&rep, cc));
+            }
         }
 
         fn start(&mut self) {
@@ -773,23 +696,35 @@ mod tests {
         }
 
         fn fire(&mut self, token: u64) {
-            self.call(|c, cc| c.on_timer(token, cc));
+            if token != DEADLINE {
+                return self.call(|c, cc| c.on_timer(token, cc));
+            }
+            self.deliver();
+            self.timers
+                .extend(self.epochs.next_deadline().map(|at| (at, DEADLINE)));
+        }
+
+        fn resume(&mut self) {
+            self.epochs.clear();
+            self.call(|c, cc| c.on_resume(cc));
         }
 
         fn sent(&mut self, seq: u64) {
-            let ev = SentEvent {
-                now: self.now,
-                seq,
-                bytes: 1500,
-                retx: false,
-                in_flight: 1,
-            };
-            self.call(|c, cc| c.on_sent(&ev, cc));
+            self.epochs.on_sent(self.now, 1500);
+            self.outstanding.insert(seq, self.now);
         }
 
         /// An ACK of `seq` arriving now. `sampled: false` is the ACK of a
         /// retransmission: no usable RTT, but its cumulative ACK counts.
         fn ack(&mut self, seq: u64, rtt: SimDuration, sampled: bool, recv_at: SimTime) {
+            if let Some(at) = sampled.then(|| self.outstanding.remove(&seq)).flatten() {
+                self.epochs.stage(at, true);
+            }
+            let rest = self.outstanding.split_off(&(seq + 1));
+            for (_, at) in std::mem::replace(&mut self.outstanding, rest) {
+                self.epochs.stage(at, false);
+            }
+            self.epochs.credit_staged(1500, Some((rtt, recv_at)));
             let ack = AckEvent {
                 now: self.now,
                 seq,
@@ -808,9 +743,13 @@ mod tests {
                 in_recovery: false,
             };
             self.call(|c, cc| c.on_ack(&ack, cc));
+            self.deliver();
         }
 
         fn loss(&mut self, seq: u64) {
+            if let Some(at) = self.outstanding.remove(&seq) {
+                self.epochs.on_lost(at);
+            }
             let ev = LossEvent {
                 now: self.now,
                 seqs: &[seq],
@@ -820,6 +759,7 @@ mod tests {
                 mss: 1500,
             };
             self.call(|c, cc| c.on_loss(&ev, cc));
+            self.deliver();
         }
 
         /// Fire every timer due at or before `t` (in time order).
@@ -929,9 +869,9 @@ mod tests {
         // (`sampled: false`), but its cumulative ACK still proves the
         // prefix arrived. Step 1's packets are resolved *only* by such
         // an ACK and no later ACK re-covers them before the MI deadline
-        // — so the pre-fix sampling guard (which returned before
-        // `on_cum_ack`) wrote all 20 packets off as lost at the
-        // deadline and aborted startup on a phantom loss cliff.
+        // — so a measurement that dropped that proof would write all 20
+        // packets off as lost at the deadline and abort startup on a
+        // phantom loss cliff.
         let mut h = Harness::new(cfg());
         h.start();
         // Step 0: clean, sampled traffic (step 0 is never compared).
@@ -947,13 +887,13 @@ mod tests {
         h.next_seq += 20;
         step1.clone().for_each(|seq| h.sent(seq));
         h.ack(step1.end - 1, SimDuration::from_millis(100), false, h.now);
-        // Step 1's MI ends at its 750 ms boundary. With the fix it is
-        // already fully resolved by the cumulative ACK, so it publishes
-        // right there (two completed MIs by 900 ms) and startup keeps
-        // climbing. Pre-fix, the guard dropped the cum_ack: the MI sat
-        // unresolved past 900 ms awaiting its ~1000 ms deadline, where
-        // all 20 packets were written off as lost and the phantom
-        // utility cliff ended the starting phase.
+        // Step 1's MI ends at its 750 ms boundary, already fully
+        // resolved by the cumulative ACK, so it is reported right there
+        // (two completed MIs by 900 ms) and startup keeps climbing.
+        // Without that proof it would sit unresolved past 900 ms awaiting
+        // its ~1000 ms deadline, where all 20 packets would be written
+        // off as lost and the phantom utility cliff end the starting
+        // phase.
         h.advance_to(SimTime::from_millis(900));
         assert_eq!(
             h.ctrl.stats().mis_completed,
@@ -1031,95 +971,6 @@ mod tests {
         assert_eq!(Harness::new(slow).ctrl.clamp_rate(0.0), MIN_RATE_BPS);
     }
 
-    /// A report window: `sent` packets over `[start_ms, end_ms)`, `acked`
-    /// delivered (100 ms RTT — matching the hint, so the 2·MSS/RTT floor
-    /// stays put — arrivals spanning the window) and `lost` written off.
-    /// Engine snapshots stamped like `CcSender::emit_report`.
-    fn mk_rep(start_ms: u64, end_ms: u64, sent: u64, acked: u64, lost: u64) -> MeasurementReport {
-        let rtt = SimDuration::from_millis(100);
-        MeasurementReport {
-            start: SimTime::from_millis(start_ms),
-            end: SimTime::from_millis(end_ms),
-            sent_pkts: sent,
-            sent_bytes: sent * 1500,
-            acked_pkts: acked,
-            acked_bytes: acked * 1500,
-            lost_pkts: lost,
-            loss_events: u32::from(lost > 0),
-            new_loss_episode: lost > 0,
-            rtt_min: (acked > 0).then_some(rtt),
-            rtt_max: (acked > 0).then_some(rtt),
-            first_rtt: (acked > 0).then_some(rtt),
-            last_rtt: (acked > 0).then_some(rtt),
-            rtt_sum_ns: rtt.as_nanos() as u128 * acked as u128,
-            rtt_samples: acked,
-            first_recv: (acked > 0).then(|| SimTime::from_millis(start_ms + 1)),
-            last_recv: (acked > 0).then(|| SimTime::from_millis(end_ms)),
-            srtt: rtt,
-            min_rtt: rtt,
-            in_flight: 4,
-            cum_ack: 0,
-            mss: 1500,
-            in_recovery: false,
-            ..MeasurementReport::default()
-        }
-    }
-
-    impl Harness {
-        fn report(&mut self, rep: &MeasurementReport) {
-            self.now = rep.end;
-            self.call(|c, cc| c.on_report(rep, cc));
-        }
-    }
-
-    #[test]
-    fn batched_reports_clock_the_mi_pipeline() {
-        let mut h = Harness::new(cfg());
-        h.start();
-        // First report flips the controller off-path and issues the first
-        // report-clocked MI: a rate and a report interval, no new timers.
-        let before = h.timers.len();
-        h.report(&mk_rep(0, 100, 3, 3, 0));
-        let d = h.fx.drain();
-        assert_eq!(h.timers.len(), before, "no monitor timers off-path");
-        // Starting phase: each subsequent report boundary doubles.
-        let r1 = h.rate;
-        h.report(&mk_rep(100, 200, 6, 6, 0));
-        assert!((h.rate - 2.0 * r1).abs() < 1.0, "doubled: {}", h.rate);
-        h.report(&mk_rep(200, 300, 12, 12, 0));
-        assert!((h.rate - 4.0 * r1).abs() < 1.0, "doubled again");
-        assert_eq!(h.ctrl.phase_name(), "starting");
-        drop(d);
-        // A collapse window — three quarters lost — judged against the
-        // clean previous step is an unambiguous utility cliff.
-        h.report(&mk_rep(300, 400, 48, 12, 36));
-        h.report(&mk_rep(400, 500, 40, 10, 30));
-        assert_eq!(
-            h.ctrl.stats().starts_exited,
-            1,
-            "cliff ends starting off-path: {:?}",
-            h.ctrl.stats()
-        );
-        assert_eq!(h.ctrl.phase_name(), "deciding");
-    }
-
-    #[test]
-    fn batched_reports_request_their_own_interval() {
-        let mut h = Harness::new(cfg());
-        h.start();
-        h.fx.drain();
-        {
-            let mut cc = CtrlCtx::new(SimTime::from_millis(100), &mut h.rng, &mut h.fx);
-            h.ctrl.on_report(&mk_rep(0, 100, 3, 3, 0), &mut cc);
-        }
-        let d = h.fx.drain();
-        assert!(d.rate.is_some(), "rate re-asserted");
-        let next = d.report_in.expect("MI duration drives the report clock");
-        // ≥ the 10-packet MI floor at this rate, and bounded by the RTT
-        // multiple rule — i.e. a genuine mi_duration, not a default.
-        assert!(next > SimDuration::from_millis(50), "interval {next:?}");
-    }
-
     #[test]
     fn mi_timing_fixed_multiple_is_deterministic() {
         let c = cfg().with_mi_timing(MiTiming::FixedRttMultiple(2.0));
@@ -1140,10 +991,10 @@ mod tests {
         let mut h = Harness::new(cfg());
         h.start();
         let (at, boundary) = h.timers.remove(0);
-        assert_eq!(boundary & 0b11, TOKEN_KIND_BOUNDARY);
+        assert_eq!(boundary, 0, "a boundary's token is its MI's id");
         assert!(h.timers.is_empty(), "the first MI arms its boundary only");
         h.now = SimTime::from_millis(10);
-        h.call(|c, cc| c.on_resume(cc));
+        h.resume();
         let (rate, armed) = (h.rate, h.timers.len());
         // MI ids do not restart with the measurement pipeline, so the old
         // token names no live interval: firing it must not issue the
@@ -1154,17 +1005,57 @@ mod tests {
         assert_eq!(h.ctrl.issued.len(), 1, "still on the first trial");
     }
 
+    /// Records every judged MI's metrics.
+    struct Recording(std::sync::Arc<std::sync::Mutex<Vec<MiMetrics>>>);
+
+    impl UtilityFunction for Recording {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+        fn utility(&self, m: &MiMetrics) -> f64 {
+            pcc_simnet::sync::lock(&self.0).push(*m);
+            m.throughput_bps
+        }
+    }
+
+    #[test]
+    fn reports_are_judged_in_issue_order_and_chain_the_previous_rtt() {
+        let judged = std::sync::Arc::default();
+        let recording = Box::new(Recording(std::sync::Arc::clone(&judged)));
+        // A 1 s deadline slack: MI 0 waits for its packet past MI 1's end.
+        let mut c = cfg();
+        c.deadline_rtts = 10.0;
+        let mut h = Harness::with_controller(PccController::with_utility(c, recording));
+        h.start();
+        // Sequence numbers are the harness's labels; the ACK of `seq`
+        // covers every label below it, so MI 1's packet takes the lower.
+        h.sent(5);
+        h.advance_to(SimTime::from_millis(600)); // MI 1 begins at 500 ms
+        h.sent(0);
+        h.advance_to(SimTime::from_millis(1_100)); // and ends at 1 s
+        let ms = SimDuration::from_millis;
+        // MI 1 resolves first, but MI 0 must still be judged first.
+        h.ack(0, ms(15), true, h.now);
+        assert_eq!(h.ctrl.stats().mis_completed, 0, "MI 0 unresolved");
+        h.ack(5, ms(55), true, h.now);
+        let judged = pcc_simnet::sync::lock(&judged);
+        let got: Vec<_> = judged
+            .iter()
+            .map(|m| (m.mi_id, m.avg_rtt, m.prev_avg_rtt))
+            .collect();
+        assert_eq!(got, [(0, ms(55), None), (1, ms(15), Some(ms(55)))]);
+    }
+
     proptest::proptest! {
         /// The invariant the `issued` queue rests on: however sends, sampled
-        /// ACKs, cumulative-only ACKs, losses, live and stale timers, resumes
-        /// and reports interleave, every interval handed to `on_mi_complete`
-        /// is the front of the queue — each completion pops exactly the
-        /// front, nothing completes ahead of it, and nothing that was
-        /// dropped (a resume, the switch to report clocking) completes later.
+        /// ACKs, cumulative-only ACKs, losses, boundaries, epoch deadlines,
+        /// stale timers and resumes interleave, every epoch report is judged
+        /// against the front of the queue — each pops exactly the front,
+        /// nothing completes ahead of it, and nothing that a resume dropped
+        /// completes later.
         #[test]
         fn intervals_complete_in_issue_order(
             script in proptest::collection::vec((0u8..16, 0u8..=255), 1..400),
-            first_report in 0usize..800,
         ) {
             use proptest::prop_assert;
             let mut h = Harness::new(cfg());
@@ -1172,14 +1063,13 @@ mod tests {
             let mut outstanding = VecDeque::new();
             let mut fired: Vec<u64> = Vec::new();
             let rtt = SimDuration::from_millis(100);
-            for (i, (op, mag)) in script.into_iter().enumerate() {
+            for (op, mag) in script {
                 h.now += SimDuration::from_micros(mag as u64 * 500);
                 let ids = |h: &Harness| h.ctrl.issued.iter().map(|mi| mi.id).collect::<Vec<_>>();
                 let (before, next_mi) = (ids(&h), h.ctrl.next_mi);
                 let completed = h.ctrl.stats.mis_completed;
                 let mut restarted = false;
-                // Off-path the engine delivers reports and timers only.
-                match if h.ctrl.batched && op < 8 { 13 } else { op } {
+                match op {
                     0..=3 => {
                         outstanding.push_back(h.next_seq);
                         h.sent(h.next_seq);
@@ -1195,16 +1085,10 @@ mod tests {
                     11 if !fired.is_empty() => h.fire(fired[mag as usize % fired.len()]),
                     12 if mag < 32 => {
                         restarted = true;
-                        h.call(|c, cc| c.on_resume(cc));
-                    }
-                    13 if i >= first_report => {
-                        restarted = !h.ctrl.batched;
-                        let start_ms = h.now.as_nanos() / 1_000_000;
-                        let lost = u64::from(mag) % 4 * 10;
-                        h.report(&mk_rep(start_ms, start_ms + 1 + mag as u64, 40, 40 - lost, lost));
+                        h.resume();
                     }
                     // The earliest pending timer, boundary or deadline.
-                    8..=10 | 12 | 13 => {
+                    _ => {
                         h.timers.sort_by_key(|(at, _)| *at);
                         if !h.timers.is_empty() {
                             let (at, token) = h.timers.remove(0);
@@ -1213,15 +1097,11 @@ mod tests {
                             fired.push(token);
                         }
                     }
-                    _ => {}
                 }
                 let after = ids(&h);
                 prop_assert!(after.windows(2).all(|w| w[0] < w[1]), "ids ascend: {after:?}");
                 prop_assert!(after.iter().all(|&id| id < h.ctrl.next_mi));
                 prop_assert!(!after.is_empty(), "some MI is always on the wire");
-                if h.ctrl.batched {
-                    prop_assert!(after.len() <= 2, "report-clocked: two deep, {after:?}");
-                }
                 if restarted {
                     prop_assert!(after.iter().all(|&id| id >= next_mi), "{after:?}");
                     continue;

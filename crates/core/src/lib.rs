@@ -5,12 +5,12 @@
 //! NSDI 2015), implemented as a rate-driving
 //! [`pcc_transport::CongestionControl`]:
 //!
-//! * [`monitor`] — monitor intervals (§3.1): continuous measurement windows
-//!   aggregating SACK feedback into `(rate → throughput, loss, RTT)` facts.
 //! * [`utility`] — pluggable utility functions (§2.2, §4.4): the provably
 //!   safe sigmoid objective plus latency-sensitive and loss-resilient ones.
 //! * [`control`] — the online learning control algorithm (§3.2): Starting /
-//!   Decision-Making (randomized controlled trials) / Rate-Adjusting.
+//!   Decision-Making (randomized controlled trials) / Rate-Adjusting, over
+//!   monitor intervals (§3.1) that the engine measures as send epochs
+//!   ([`pcc_transport::ReportMode::Epochs`]).
 //! * [`fluid`] — the game-theoretic model behind Theorems 1–2, with
 //!   numerical verification in its test-suite.
 //!
@@ -49,13 +49,11 @@
 pub mod config;
 pub mod control;
 pub mod fluid;
-pub mod monitor;
 pub mod utility;
 
 pub use config::{MiTiming, PccConfig};
 pub use control::{PccController, PccStats};
 pub use fluid::FluidModel;
-pub use monitor::Monitor;
 pub use utility::{
     sigmoid, CustomUtility, LatencyGradient, LatencySensitive, LossResilient, MiMetrics,
     SafeSigmoid, SimpleThroughputLoss, UtilityFunction,

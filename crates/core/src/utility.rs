@@ -51,9 +51,9 @@ pub struct MiMetrics {
 impl MiMetrics {
     /// The metrics of one closed measurement interval — the only place a
     /// [`MeasurementReport`] becomes the (x, T, L, RTT) tuple of §3.1,
-    /// whoever closed the interval: the [`crate::Monitor`] (per-ACK path;
-    /// unresolved packets already written off into `lost_pkts`) or the
-    /// engine (batched path). `prev_avg_rtt` is the previous interval's
+    /// whichever fold filled it: the engine's send epochs (unresolved
+    /// packets already written off into `lost_pkts`) or its batched
+    /// reports. `prev_avg_rtt` is the previous interval's
     /// mean RTT, which also stands in when this one has no sample;
     /// `min_rtt` is the flow's propagation estimate, defaulting to this
     /// interval's mean.
@@ -522,6 +522,87 @@ mod proptests {
             let b = sigmoid(100.0, y1 + dy);
             prop_assert!(a > 0.0 && a < 1.0);
             prop_assert!(b <= a);
+        }
+
+        /// One interval, two folds: a random send/ack/loss sequence folded
+        /// by the engine's send epochs (per-transmission attribution) and
+        /// by a `ReportAggregator` (plain sums) closes to equal `MiMetrics`
+        /// — one record, one formula, whoever fills it.
+        #[test]
+        fn epochs_and_aggregator_close_an_interval_to_equal_metrics(
+            script in proptest::collection::vec((0u8..4, 0u8..=255), 1..300),
+        ) {
+            use pcc_transport::cc::{AckEvent, LossEvent, LossKind, SentEvent};
+            use pcc_transport::report::{Epochs, ReportAggregator};
+            use pcc_simnet::time::SimTime;
+
+            let mut epochs = Epochs::default();
+            let mut agg = ReportAggregator::default();
+            epochs.begin(SimTime::ZERO, SimDuration::from_millis(20));
+            agg.begin(SimTime::ZERO);
+            let mut now = SimTime::ZERO;
+            let mut outstanding = std::collections::VecDeque::new();
+            let lose = |epochs: &mut Epochs, agg: &mut ReportAggregator, sent: &[SimTime], now| {
+                sent.iter().for_each(|&at| epochs.on_lost(at));
+                let seqs = vec![0; sent.len()];
+                agg.on_loss(&LossEvent {
+                    now,
+                    seqs: &seqs,
+                    kind: LossKind::Detected,
+                    new_episode: true,
+                    in_flight: 0,
+                    mss: 1500,
+                });
+            };
+            for (seq, (op, mag)) in script.into_iter().enumerate() {
+                now += SimDuration::from_micros(mag as u64 * 40);
+                match (op, outstanding.pop_front()) {
+                    (0 | 1, oldest) => {
+                        outstanding.extend(oldest);
+                        outstanding.push_back(now);
+                        epochs.on_sent(now, 1500);
+                        agg.on_sent(&SentEvent {
+                            now,
+                            seq: seq as u64,
+                            bytes: 1500,
+                            retx: false,
+                            in_flight: outstanding.len() as u64,
+                        });
+                    }
+                    (2, Some(sent_at)) => {
+                        let rtt = SimDuration::from_micros(10_000 + mag as u64 * 50);
+                        epochs.on_acked(sent_at, 1500, Some((rtt, now)));
+                        agg.on_ack(&AckEvent {
+                            now,
+                            seq: seq as u64,
+                            rtt,
+                            sampled: true,
+                            srtt: rtt,
+                            min_rtt: rtt,
+                            max_rtt: rtt,
+                            recv_at: now,
+                            probe_train: None,
+                            of_retx: false,
+                            cum_ack: 0,
+                            newly_acked: 1,
+                            in_flight: outstanding.len() as u64,
+                            mss: 1500,
+                            in_recovery: false,
+                        });
+                    }
+                    (_, Some(sent_at)) => lose(&mut epochs, &mut agg, &[sent_at], now),
+                    (_, None) => {}
+                }
+            }
+            // The aggregator has no deadline to write off against, so
+            // nothing stays unresolved when the interval closes.
+            let rest: Vec<SimTime> = outstanding.into_iter().collect();
+            lose(&mut epochs, &mut agg, &rest, now);
+            now += SimDuration::from_millis(1);
+            epochs.begin(now, SimDuration::ZERO);
+            prop_assert_eq!(epochs.ready(now), 1);
+            let closed = |rep: &MeasurementReport| MiMetrics::from_report(0, 5e6, rep, None, rep.rtt_min);
+            prop_assert_eq!(closed(&epochs.pop().expect("ready")), closed(&agg.take(now)));
         }
     }
 }

@@ -562,13 +562,14 @@ mod tests {
     #[test]
     fn golden_fingerprints_pin_both_feedback_paths() {
         // What crosses the `CongestionControl` seam, pinned per algorithm
-        // family: the four algorithms with a report estimator of their own
-        // on forced 1-RTT batched reports, and a per-ACK PCC run whose
-        // monitor closes ~275 intervals by deadline write-off (1 ms RTT: a
-        // lost retransmission waits out the engine's 10 ms RTO floor, past
-        // the 2.5-SRTT deadline; 2% loss each way). Then the PCC controller
-        // paths nothing above reaches: single-pair decisions on fixed MI
-        // timing, single-pair decisions report-clocked, two `pcc-latency`
+        // family: the three algorithms with a report estimator of their own
+        // on forced 1-RTT batched reports (PCC's epochs ignore the
+        // override, so batched PCC must equal per-ACK PCC), and a PCC run
+        // whose engine closes ~275 send epochs by deadline write-off (1 ms
+        // RTT: a lost retransmission waits out the engine's 10 ms RTO floor,
+        // past the 2.5-SRTT deadline; 2% loss each way). Then the PCC
+        // controller paths nothing above reaches: single-pair decisions on
+        // fixed MI timing, and on the default timing, two `pcc-latency`
         // flows competing (inconclusive rounds escalate ε, and the
         // latency utility reads the previous interval's RTT), the
         // loss-resilient utility at 20% loss, and `on_resume` after an
@@ -596,12 +597,16 @@ mod tests {
         let run = |setup, plan| run_all(setup, vec![plan]);
         let per_ack = |name| FlowPlan::new(named(name), rtt);
         let batched = |name| FlowPlan::new(named(name), rtt).reporting(ReportMode::batched_rtt());
+        // PCC reports by send epochs, which the batching override leaves
+        // alone: batched PCC is per-ACK PCC.
+        for spec in ["pcc", "pcc:rct=false"] {
+            assert_eq!(
+                run(setup, batched(spec)),
+                run(setup, per_ack(spec)),
+                "{spec} batched"
+            );
+        }
         let golden = [
-            (
-                "pcc batched",
-                run(setup, batched("pcc")),
-                0x324e_75ae_c643_c0cf,
-            ),
             (
                 "bbr batched",
                 run(setup, batched("bbr")),
@@ -626,11 +631,6 @@ mod tests {
                 "pcc single-pair fixed-tm per-ack",
                 run(setup, per_ack("pcc:tm=1,rct=false")),
                 0xbf41_996f_f058_a95a,
-            ),
-            (
-                "pcc single-pair batched",
-                run(setup, batched("pcc:rct=false")),
-                0xfaa6_bdf6_e4b7_c967,
             ),
             (
                 "pcc-latency x2 competing",

@@ -122,9 +122,10 @@ pub struct LossEvent<'a> {
 
 /// How the engine delivers measurement feedback to an algorithm.
 ///
-/// Every shipped algorithm prefers [`ReportMode::PerAck`] and also
+/// Every shipped algorithm but PCC prefers [`ReportMode::PerAck`] and also
 /// implements [`CongestionControl::on_report`], so a host can batch any of
-/// them through `CcSenderConfig::report`.
+/// them through `CcSenderConfig::report`. PCC prefers
+/// [`ReportMode::Epochs`], which batching leaves alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReportMode {
     /// Every ACK and loss event is delivered individually through
@@ -134,9 +135,14 @@ pub enum ReportMode {
     /// delivers one [`MeasurementReport`] per interval through
     /// [`CongestionControl::on_report`]. `on_ack` / `on_loss` are *not*
     /// called. An interval lasts one smoothed RTT, re-read at each report
-    /// boundary, unless the algorithm sets the next one itself
-    /// ([`Ctx::set_report_interval`]).
+    /// boundary.
     Batched,
+    /// Per-ACK events, plus one [`MeasurementReport`] per *send epoch*
+    /// ([`Ctx::begin_epoch`]): the fates of the packets sent in it, handed
+    /// to [`CongestionControl::on_report`] oldest first, right after the
+    /// `on_ack` / `on_loss` that resolved its last packet, or at its
+    /// deadline (see [`crate::report::Epochs`]).
+    Epochs,
 }
 
 impl ReportMode {
@@ -150,18 +156,19 @@ impl ReportMode {
 /// through [`Ctx`] and read back by whoever hosts the algorithm.
 ///
 /// The engine applies whatever subset was set: a pacing rate, a congestion
-/// window, or both — plus report-cadence overrides and timers.
+/// window, or both — plus send epochs and timers.
 #[derive(Debug, Default)]
 pub struct Effects {
     /// Pacing rate (bits/sec), if requested.
     pub rate: Option<f64>,
     /// Congestion window (packets), if requested.
     pub cwnd: Option<f64>,
-    /// One-shot override for the next report interval, if requested.
-    pub report_in: Option<SimDuration>,
     /// Timers to arm; each token is redelivered through
     /// [`CongestionControl::on_timer`].
     pub timers: Vec<(SimTime, u64)>,
+    /// Send epochs opened, in order, each as the deadline slack of the
+    /// epoch it closes ([`Ctx::begin_epoch`]).
+    pub epochs: Vec<SimDuration>,
 }
 
 impl Effects {
@@ -176,8 +183,8 @@ impl Effects {
     pub fn is_empty(&self) -> bool {
         self.rate.is_none()
             && self.cwnd.is_none()
-            && self.report_in.is_none()
             && self.timers.is_empty()
+            && self.epochs.is_empty()
     }
 }
 
@@ -214,12 +221,11 @@ impl<'a> Ctx<'a> {
         self.effects.timers.push((at, token));
     }
 
-    /// One-shot override of the *next* report interval (batched mode
-    /// only): the next [`MeasurementReport`] is emitted `d` after now.
-    /// Lets interval-structured algorithms (PCC) align report boundaries
-    /// with their own monitor intervals.
-    pub fn set_report_interval(&mut self, d: SimDuration) {
-        self.effects.report_in = Some(d);
+    /// Open a send epoch now ([`ReportMode::Epochs`] only), closing the
+    /// open one: its packets unresolved `deadline_slack` from now are
+    /// written off as lost.
+    pub fn begin_epoch(&mut self, deadline_slack: SimDuration) {
+        self.effects.epochs.push(deadline_slack);
     }
 }
 
@@ -261,20 +267,21 @@ pub trait CongestionControl: Send {
     /// (the default) delivers every event through `on_ack` / `on_loss`;
     /// [`ReportMode::Batched`] makes the engine aggregate locally and
     /// deliver one [`MeasurementReport`] per interval through
-    /// [`CongestionControl::on_report`] instead. An engine config may
-    /// coarsen the preference per flow (`CcSenderConfig::report`; the
+    /// [`CongestionControl::on_report`] instead; [`ReportMode::Epochs`]
+    /// adds one report per send epoch to the per-ACK events. An engine
+    /// config may batch a per-ACK algorithm (`CcSenderConfig::report`; the
     /// benchmark's `lossy_mix`, `udp_transfer --batched` and the batched
-    /// conformance battery are the callers) but never refines it: an
-    /// algorithm that asks for reports is never handed per-ACK events,
-    /// even under `Some(PerAck)`.
+    /// conformance battery are the callers) but changes no other
+    /// preference: an algorithm that asks for reports is never handed
+    /// per-ACK events, and one that asks for epochs keeps them.
     fn report_mode(&self) -> ReportMode {
         ReportMode::PerAck
     }
 
-    /// One aggregated measurement interval completed (batched mode). The
-    /// default implementation ignores it; algorithms opting into
-    /// [`ReportMode::Batched`] — or run by an engine whose config forces
-    /// batching — must implement it.
+    /// One measurement interval completed: a batched report or a send
+    /// epoch. The default implementation ignores it; algorithms opting into
+    /// [`ReportMode::Batched`] or [`ReportMode::Epochs`] — or run by an
+    /// engine whose config forces batching — must implement it.
     fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut Ctx) {
         let _ = (rep, ctx);
     }
@@ -283,7 +290,8 @@ pub trait CongestionControl: Send {
     /// resumed after deep RTO backoff. The engine has already re-seeded
     /// its RTT estimator from the first post-repair sample; the algorithm
     /// should discard measurement state accumulated against the dead path
-    /// (e.g. PCC resets its monitor machinery) and may set a fresh
+    /// (the engine has already dropped every send epoch; PCC drops its
+    /// intervals awaiting judgement) and may set a fresh
     /// operating point. Default: no-op — any rate/cwnd the algorithm does
     /// not reset is re-derived by the engine from the surviving operating
     /// point and the fresh RTT.
@@ -343,14 +351,16 @@ mod tests {
     }
 
     #[test]
-    fn effects_carry_report_interval() {
+    fn effects_collect_send_epochs_in_order() {
         let mut fx = Effects::default();
         let mut rng = SimRng::new(1);
         let mut ctx = Ctx::new(SimTime::ZERO, &mut rng, &mut fx);
-        ctx.set_report_interval(SimDuration::from_millis(30));
+        ctx.begin_epoch(SimDuration::from_millis(30));
+        ctx.begin_epoch(SimDuration::from_millis(10));
         assert!(!fx.is_empty());
         let d = fx.drain();
-        assert_eq!(d.report_in, Some(SimDuration::from_millis(30)));
+        let slacks = [30, 10].map(SimDuration::from_millis);
+        assert_eq!(d.epochs, slacks);
         assert!(fx.is_empty());
     }
 }

@@ -25,9 +25,12 @@
 //! * [`rtt::RttEstimator`] — SRTT/RTTVAR/RTO per RFC 6298.
 //! * [`receiver::SackReceiver`] — the single receiver used by all senders
 //!   (per-packet selective ACKs; §2.3: "TCP SACK is enough feedback").
+//! * [`report`] — measurement reports: batched per interval
+//!   ([`report::ReportAggregator`]) or per send epoch ([`report::Epochs`],
+//!   PCC's monitor intervals).
 //! * [`seq_ring::SeqRing`] — the one per-packet sequence table: the
-//!   receiver's reorder buffer, BBR's delivery sampler and PCC's monitor
-//!   all key their per-packet state on it.
+//!   receiver's reorder buffer and BBR's delivery sampler key their
+//!   per-packet state on it.
 //!
 //! The seed design's two parallel engines (`RateSender` for rate
 //! controllers, `WindowSender` for window algorithms) and their two traits
@@ -53,7 +56,7 @@ pub use error::TransferError;
 pub use flow::{FlowSize, TransportConfig};
 pub use receiver::SackReceiver;
 pub use registry::{CcParams, SpecError, UnknownAlgorithm};
-pub use report::{MeasurementReport, ReportAggregator};
+pub use report::{Epochs, MeasurementReport, ReportAggregator};
 pub use rtt::RttEstimator;
 pub use sack::{AckOutcome, Scoreboard};
 pub use sender::{CcSender, CcSenderConfig};

@@ -1,17 +1,23 @@
-//! Batched measurement reports: the off-path control plane's data format.
+//! Measurement reports: the data format of both report paths.
 //!
 //! PCC's decisions are interval-structured (per-monitor-interval utility,
 //! §2 of the paper), and CCP-style architectures generalize the point:
 //! congestion logic does not need to run on every ACK. This module defines
 //! [`MeasurementReport`] — everything an algorithm needs to know about one
-//! measurement interval — and [`ReportAggregator`], the engine-side
-//! accumulator that folds per-ACK/loss/send events into a report with *no
-//! information loss on the aggregate fields* (summed bytes/packets, RTT
-//! bounds, interval span; proptested below).
+//! measurement interval — and the two engine-side folds that fill it:
 //!
-//! The engine emits one report per `report_interval` (default 1 smoothed
-//! RTT, adaptive) through [`crate::cc::CongestionControl::on_report`] when
-//! an algorithm opts into [`crate::cc::ReportMode::Batched`].
+//! * [`ReportAggregator`] folds the events that *happen* in an interval —
+//!   sends, and the ACKs and losses that arrive — into one report per
+//!   smoothed RTT (re-read at each boundary), with *no
+//!   information loss on the aggregate fields* (summed bytes/packets, RTT
+//!   bounds, interval span; proptested below). The engine delivers them
+//!   when an algorithm opts into [`crate::cc::ReportMode::Batched`].
+//! * [`Epochs`] credits each packet's fate to the *send epoch* of its
+//!   latest transmission (§3.1: an MI is judged by the packets sent in
+//!   it), and closes an epoch once all its packets are resolved or its
+//!   deadline passes, for [`crate::cc::ReportMode::Epochs`].
+
+use std::collections::VecDeque;
 
 use pcc_simnet::time::{SimDuration, SimTime};
 
@@ -121,6 +127,16 @@ impl MeasurementReport {
         }
     }
 
+    /// Fold one exact RTT sample into the RTT fields.
+    fn add_rtt(&mut self, r: SimDuration) {
+        self.rtt_min = Some(self.rtt_min.map_or(r, |m| m.min(r)));
+        self.rtt_max = Some(self.rtt_max.map_or(r, |m| m.max(r)));
+        self.first_rtt = self.first_rtt.or(Some(r));
+        self.last_rtt = Some(r);
+        self.rtt_sum_ns += r.as_nanos() as u128;
+        self.rtt_samples += 1;
+    }
+
     /// Latency gradient over the interval: `(last_rtt − first_rtt)` over
     /// the receiver-side time between those samples, seconds of RTT per
     /// second — the within-interval queue-growth signal. A standing queue
@@ -170,19 +186,9 @@ impl ReportAggregator {
         self.cur.acked_pkts += newly;
         self.cur.acked_bytes += newly * ack.mss as u64;
         if ack.sampled {
-            let r = ack.rtt;
-            self.cur.rtt_min = Some(self.cur.rtt_min.map_or(r, |m| m.min(r)));
-            self.cur.rtt_max = Some(self.cur.rtt_max.map_or(r, |m| m.max(r)));
-            if self.cur.first_rtt.is_none() {
-                self.cur.first_rtt = Some(r);
-            }
-            self.cur.last_rtt = Some(r);
-            self.cur.rtt_sum_ns += r.as_nanos() as u128;
-            self.cur.rtt_samples += 1;
+            self.cur.add_rtt(ack.rtt);
         }
-        if self.cur.first_recv.is_none() {
-            self.cur.first_recv = Some(ack.recv_at);
-        }
+        self.cur.first_recv = self.cur.first_recv.or(Some(ack.recv_at));
         self.cur.last_recv = Some(ack.recv_at);
     }
 
@@ -206,6 +212,161 @@ impl ReportAggregator {
         rep.end = now;
         self.begin(now);
         rep
+    }
+}
+
+/// One send epoch: the report it fills, and which transmissions are its.
+#[derive(Clone, Debug)]
+struct Epoch {
+    /// A transmission whose latest send is at or after this instant, and
+    /// before the next epoch's, belongs to this epoch.
+    from: SimTime,
+    /// When its unresolved packets are written off; `None` while open.
+    deadline: Option<SimTime>,
+    /// `start`/`end`, the sent/acked/lost sums, the RTT fields and the
+    /// first/last *timed* ack's arrival.
+    rep: MeasurementReport,
+}
+
+impl Epoch {
+    fn resolved(&self) -> bool {
+        self.rep.acked_pkts + self.rep.lost_pkts >= self.rep.sent_pkts
+    }
+}
+
+/// The send epochs of [`crate::cc::ReportMode::Epochs`], kept by the
+/// engine: no per-sequence table, because the scoreboard already holds
+/// every transmission's latest send time.
+///
+/// The algorithm opens an epoch with [`Epochs::begin`], which closes the
+/// open one. A transmission, and later its fate, is credited to the newest
+/// live epoch that began at or before its send, so a retransmission
+/// belongs to the epoch that retransmitted it. A fate is a selective ACK
+/// (with its RTT and arrival), a delivery proven only by the cumulative
+/// ACK (bytes, no timing: that ACK measured another packet's flight) or a
+/// loss. A closed epoch is ready once all its packets are resolved or its
+/// deadline passes. Epochs are handed out strictly oldest first, so a
+/// written-off epoch's late ACKs credit nobody.
+#[derive(Clone, Debug, Default)]
+pub struct Epochs {
+    /// Closed epochs awaiting resolution, oldest first, then the open one.
+    live: VecDeque<Epoch>,
+    /// When the newest transmission left.
+    last_send: Option<SimTime>,
+    /// The current ACK's transitions out of `Outstanding`, as (latest send,
+    /// selective), held until the algorithm sees that ACK.
+    staged: Vec<(SimTime, bool)>,
+}
+
+impl Epochs {
+    /// Close the open epoch at `now`, to be written off `deadline_slack`
+    /// later, and open the next. An epoch opened at an instant that already
+    /// carried a transmission claims sends from 1 ns later: that
+    /// transmission went out before the epoch began.
+    pub fn begin(&mut self, now: SimTime, deadline_slack: SimDuration) {
+        if let Some(open) = self.live.back_mut().filter(|e| e.deadline.is_none()) {
+            open.rep.end = now;
+            open.deadline = Some(now + deadline_slack);
+        }
+        let after_a_send = self.last_send == Some(now);
+        self.live.push_back(Epoch {
+            from: now + SimDuration::from_nanos(after_a_send.into()),
+            deadline: None,
+            rep: MeasurementReport {
+                start: now,
+                end: now,
+                ..Default::default()
+            },
+        });
+    }
+
+    /// Count a transmission of `bytes` at `now`, in the epoch its fate
+    /// will be credited to.
+    pub fn on_sent(&mut self, now: SimTime, bytes: u32) {
+        self.last_send = Some(now);
+        if let Some(rep) = self.of(now) {
+            rep.sent_pkts += 1;
+            rep.sent_bytes += u64::from(bytes);
+        }
+    }
+
+    /// The report of the live epoch a transmission sent at `sent_at` is in.
+    fn of(&mut self, sent_at: SimTime) -> Option<&mut MeasurementReport> {
+        let epoch = self.live.iter_mut().rev().find(|e| e.from <= sent_at)?;
+        Some(&mut epoch.rep)
+    }
+
+    /// Credit the delivery of `bytes` sent at `sent_at`: with the RTT and
+    /// receiver arrival of its own selective ACK, or with `None` when only
+    /// a cumulative ACK proved it.
+    pub fn on_acked(
+        &mut self,
+        sent_at: SimTime,
+        bytes: u32,
+        timing: Option<(SimDuration, SimTime)>,
+    ) {
+        let Some(rep) = self.of(sent_at) else {
+            return;
+        };
+        rep.acked_pkts += 1;
+        rep.acked_bytes += u64::from(bytes);
+        if let Some((rtt, recv_at)) = timing {
+            rep.add_rtt(rtt);
+            rep.first_recv = rep.first_recv.or(Some(recv_at));
+            rep.last_recv = Some(recv_at);
+        }
+    }
+
+    /// Credit the loss of a transmission sent at `sent_at`.
+    pub fn on_lost(&mut self, sent_at: SimTime) {
+        if let Some(rep) = self.of(sent_at) {
+            rep.lost_pkts += 1;
+        }
+    }
+
+    /// Hold a delivery (see [`Epochs::credit_staged`]).
+    pub fn stage(&mut self, sent_at: SimTime, selective: bool) {
+        self.staged.push((sent_at, selective));
+    }
+
+    /// Credit the held deliveries of one ACK; `timing` is its RTT sample
+    /// and receiver arrival, which only the selective one carries.
+    pub fn credit_staged(&mut self, bytes: u32, timing: Option<(SimDuration, SimTime)>) {
+        let mut staged = std::mem::take(&mut self.staged);
+        for &(sent_at, selective) in &staged {
+            self.on_acked(sent_at, bytes, timing.filter(|_| selective));
+        }
+        staged.clear();
+        self.staged = staged;
+    }
+
+    /// How many epochs, oldest first, are closed and resolved or past
+    /// their deadline at `now`.
+    pub fn ready(&self, now: SimTime) -> usize {
+        self.live
+            .iter()
+            .take_while(|e| e.deadline.is_some_and(|d| e.resolved() || now >= d))
+            .count()
+    }
+
+    /// Hand out the oldest epoch's report, its unresolved packets written
+    /// off as lost. Call it only for an epoch [`Epochs::ready`] counted.
+    pub fn pop(&mut self) -> Option<MeasurementReport> {
+        let mut epoch = self.live.pop_front()?;
+        if !epoch.resolved() {
+            epoch.rep.lost_pkts = epoch.rep.sent_pkts - epoch.rep.acked_pkts;
+        }
+        Some(epoch.rep)
+    }
+
+    /// The oldest closed epoch's deadline.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.live.front()?.deadline
+    }
+
+    /// Drop every epoch (an outage ended: they measured a dead path).
+    pub fn clear(&mut self) {
+        self.live.clear();
     }
 }
 
@@ -303,6 +464,223 @@ mod tests {
         // With no samples, mean_rtt falls back to the (caller-stamped)
         // engine SRTT — zero here because nothing stamped it.
         assert_eq!(rep.mean_rtt(), SimDuration::ZERO);
+    }
+}
+
+#[cfg(test)]
+mod epoch_tests {
+    use super::*;
+
+    fn t(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
+
+    fn ms(v: u64) -> SimDuration {
+        SimDuration::from_millis(v)
+    }
+
+    /// Every ready report at `now`, oldest first.
+    fn poll(ep: &mut Epochs, now: SimTime) -> Vec<MeasurementReport> {
+        (0..ep.ready(now)).filter_map(|_| ep.pop()).collect()
+    }
+
+    /// (sent, acked, lost) of each report.
+    fn counts(reps: &[MeasurementReport]) -> Vec<(u64, u64, u64)> {
+        reps.iter()
+            .map(|r| (r.sent_pkts, r.acked_pkts, r.lost_pkts))
+            .collect()
+    }
+
+    /// A selective ACK of a packet sent at `sent_at`, arriving at `recv_at`.
+    fn sack(ep: &mut Epochs, sent_at: SimTime, rtt: SimDuration, recv_at: SimTime) {
+        ep.on_acked(sent_at, 1500, Some((rtt, recv_at)));
+    }
+
+    #[test]
+    fn epoch_lifecycle_and_report() {
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(50));
+        // Ten 1500 B packets over a 60 ms epoch.
+        (0..10).for_each(|k| ep.on_sent(t(6 * k), 1500));
+        ep.begin(t(60), ms(50)); // closes the first epoch at 60 ms
+        assert!(poll(&mut ep, t(60)).is_empty(), "unresolved: nothing ready");
+        (0..8).for_each(|k| sack(&mut ep, t(6 * k), ms(30), t(30)));
+        ep.on_lost(t(48));
+        ep.on_lost(t(54));
+        let out = poll(&mut ep, t(70));
+        assert_eq!(counts(&out), [(10, 8, 2)]);
+        let r = &out[0];
+        assert_eq!((r.start, r.end), (t(0), t(60)));
+        assert_eq!((r.sent_bytes, r.acked_bytes), (15_000, 12_000));
+        assert_eq!(
+            (r.mean_rtt(), r.rtt_min, r.rtt_samples),
+            (ms(30), Some(ms(30)), 8)
+        );
+        // One arrival instant: T = 12 000 B · 8 / 60 ms.
+        assert!((r.delivery_rate_bps() - 1.6e6).abs() < 1e3);
+        assert_eq!(ep.next_deadline(), None, "the open epoch has no deadline");
+    }
+
+    #[test]
+    fn a_deadline_writes_off_the_unresolved_as_lost() {
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(50));
+        (0..5).for_each(|k| ep.on_sent(t(k), 1500));
+        ep.begin(t(60), ms(40)); // deadline at 100 ms
+        assert_eq!(ep.next_deadline(), Some(t(100)));
+        sack(&mut ep, t(0), ms(20), t(20));
+        ep.on_lost(t(1));
+        assert!(poll(&mut ep, t(99)).is_empty(), "before the deadline");
+        assert_eq!(counts(&poll(&mut ep, t(100))), [(5, 1, 4)]);
+    }
+
+    #[test]
+    fn a_late_ack_after_a_write_off_credits_nobody() {
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(10));
+        ep.on_sent(t(0), 1500);
+        ep.begin(t(10), ms(10));
+        assert_eq!(counts(&poll(&mut ep, t(20))), [(1, 0, 1)]);
+        ep.on_sent(t(25), 1500);
+        sack(&mut ep, t(0), ms(25), t(15)); // the dead epoch's packet
+        sack(&mut ep, t(25), ms(12), t(31));
+        ep.begin(t(40), ms(10));
+        assert_eq!(
+            counts(&poll(&mut ep, t(40))),
+            [(1, 1, 0)],
+            "its own packet only"
+        );
+    }
+
+    #[test]
+    fn epochs_are_handed_out_in_order() {
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(100));
+        ep.on_sent(t(0), 1500);
+        ep.begin(t(20), ms(100));
+        ep.on_sent(t(20), 1500);
+        ep.begin(t(40), ms(100));
+        // The second resolves first, but the first must still go first.
+        sack(&mut ep, t(20), ms(15), t(30));
+        assert!(poll(&mut ep, t(50)).is_empty(), "the oldest is unresolved");
+        sack(&mut ep, t(0), ms(55), t(50));
+        let out = poll(&mut ep, t(56));
+        let starts: Vec<_> = out.iter().map(|r| (r.start, r.mean_rtt())).collect();
+        assert_eq!(starts, [(t(0), ms(55)), (t(20), ms(15))]);
+    }
+
+    #[test]
+    fn a_retransmission_is_credited_to_its_latest_epoch() {
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(20));
+        ep.on_sent(t(0), 1500);
+        ep.on_lost(t(0)); // lost in the first epoch
+        ep.begin(t(20), ms(20));
+        ep.on_sent(t(25), 1500); // retransmitted in the second
+        sack(&mut ep, t(25), ms(10), t(30));
+        ep.begin(t(40), ms(20));
+        let out = poll(&mut ep, t(40));
+        assert_eq!(counts(&out), [(1, 0, 1), (1, 1, 0)]);
+    }
+
+    #[test]
+    fn an_empty_epoch_reports_zeroes() {
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(10));
+        ep.begin(t(10), ms(10));
+        let out = poll(&mut ep, t(10));
+        assert_eq!(counts(&out), [(0, 0, 0)]);
+        assert_eq!(out[0].delivery_rate_bps(), 0.0);
+    }
+
+    #[test]
+    fn a_realign_shortens_the_epoch() {
+        // §3.1: a rate change mid-MI ends its epoch early.
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(10));
+        ep.on_sent(t(0), 1500);
+        ep.begin(t(5), ms(10));
+        sack(&mut ep, t(0), ms(4), t(4));
+        let out = poll(&mut ep, t(9));
+        assert_eq!(out[0].span(), ms(5));
+    }
+
+    #[test]
+    fn a_cumulative_ack_resolves_packets_whose_sacks_were_lost() {
+        // The SACKs of four packets die on the reverse path; the fifth's
+        // ACK proves them delivered cumulatively, without timing. The
+        // RTT mean takes only the two genuine samples: 60 ms, where
+        // copying the triggering ACK's RTT over the prefix read 84 ms.
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(50));
+        (0..5).for_each(|k| ep.on_sent(t(k), 1500));
+        ep.begin(t(60), ms(60));
+        sack(&mut ep, t(0), ms(20), t(20));
+        ep.stage(t(4), true);
+        (1..4).for_each(|k| ep.stage(t(k), false));
+        ep.credit_staged(1500, Some((ms(100), t(55))));
+        let out = poll(&mut ep, t(70));
+        assert_eq!(
+            counts(&out),
+            [(5, 5, 0)],
+            "reverse-path loss is not data loss"
+        );
+        assert_eq!((out[0].mean_rtt(), out[0].rtt_samples), (ms(60), 2));
+        assert_eq!(
+            (out[0].first_recv, out[0].last_recv),
+            (Some(t(20)), Some(t(55)))
+        );
+    }
+
+    #[test]
+    fn throughput_stays_within_capacity_when_only_a_cumulative_ack_survives() {
+        // A 1 Mbps link carries ten 1500 B packets in 120 ms. Every SACK
+        // but the last is lost; the cumulative ACK credits the rest with
+        // their bytes and no arrival, so the estimate is the interval
+        // average: the link rate, not above it.
+        let capacity_bps = 1e6;
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(50));
+        (0..10).for_each(|k| ep.on_sent(t(12 * k), 1500));
+        ep.begin(t(120), ms(50));
+        ep.stage(t(108), true);
+        (0..9).for_each(|k| ep.stage(t(12 * k), false));
+        ep.credit_staged(1500, Some((ms(30), t(125))));
+        let out = poll(&mut ep, t(200));
+        assert_eq!(counts(&out), [(10, 10, 0)]);
+        let tput = out[0].delivery_rate_bps();
+        assert!(tput <= capacity_bps * 1.0001, "{tput} above {capacity_bps}");
+        assert!(
+            tput >= capacity_bps * 0.999,
+            "the full payload is credited: {tput}"
+        );
+    }
+
+    #[test]
+    fn conservation_sent_equals_acked_plus_lost() {
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(50));
+        (0..100).for_each(|k| ep.on_sent(t(k), 1500));
+        (0..60).for_each(|k| sack(&mut ep, t(k), ms(30), t(k + 30)));
+        (60..80).for_each(|k| ep.on_lost(t(k)));
+        ep.begin(t(100), ms(10));
+        assert_eq!(counts(&poll(&mut ep, t(200))), [(100, 60, 40)]);
+    }
+
+    #[test]
+    fn an_epoch_opened_at_a_send_instant_leaves_that_send_out() {
+        // A packet sent at the instant an epoch opens, before it opened,
+        // is not the new epoch's: after `clear` (a resume) it is nobody's.
+        let mut ep = Epochs::default();
+        ep.begin(t(0), ms(10));
+        ep.on_sent(t(5), 1500);
+        ep.clear();
+        ep.begin(t(5), ms(10));
+        ep.on_sent(t(6), 1500);
+        sack(&mut ep, t(5), ms(1), t(6));
+        sack(&mut ep, t(6), ms(1), t(7));
+        ep.begin(t(8), ms(10));
+        assert_eq!(counts(&poll(&mut ep, t(8))), [(1, 1, 0)]);
     }
 }
 
@@ -432,6 +810,53 @@ mod proptests {
             let last = reports.iter().rev().find_map(|r| r.last_rtt);
             prop_assert_eq!(first, total.first_rtt);
             prop_assert_eq!(last, total.last_rtt);
+        }
+
+        /// However sends, ACKs (selective or cumulative), losses, epoch
+        /// boundaries and clears interleave, every report conserves its
+        /// packets (acked + lost = sent) and reports come out in start
+        /// order.
+        #[test]
+        fn epoch_conservation(script in proptest::collection::vec((0u8..7, 0u8..4), 1..500)) {
+            let mut ep = Epochs::default();
+            let mut now = SimTime::ZERO;
+            let mut outstanding = std::collections::VecDeque::new();
+            ep.begin(now, SimDuration::from_millis(20));
+            let mut reports = Vec::new();
+            for (op, step) in script {
+                now += SimDuration::from_millis(u64::from(step));
+                match (op, outstanding.pop_front()) {
+                    (0 | 1, oldest) => {
+                        outstanding.extend(oldest);
+                        outstanding.push_back(now);
+                        ep.on_sent(now, 1500);
+                    }
+                    (2, Some(at)) => ep.on_acked(at, 1500, Some((SimDuration::from_millis(10), now))),
+                    (3, Some(at)) => ep.on_acked(at, 1500, None),
+                    (4, Some(at)) => ep.on_lost(at),
+                    (5, oldest) => {
+                        outstanding.extend(oldest);
+                        ep.begin(now, SimDuration::from_millis(20));
+                    }
+                    (_, oldest) => {
+                        outstanding.extend(oldest);
+                        if step == 0 {
+                            ep.clear();
+                            ep.begin(now, SimDuration::from_millis(20));
+                        }
+                    }
+                }
+                reports.extend((0..ep.ready(now)).filter_map(|_| ep.pop()));
+            }
+            ep.begin(now, SimDuration::ZERO);
+            let later = now + SimDuration::from_secs(10);
+            reports.extend((0..ep.ready(later)).filter_map(|_| ep.pop()));
+            for r in &reports {
+                prop_assert_eq!(r.acked_pkts + r.lost_pkts, r.sent_pkts, "conservation");
+                prop_assert_eq!(r.acked_bytes, r.acked_pkts * 1500);
+                prop_assert!(r.delivery_rate_bps().is_finite());
+            }
+            prop_assert!(reports.windows(2).all(|w| w[0].start <= w[1].start));
         }
     }
 }

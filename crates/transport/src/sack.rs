@@ -227,6 +227,19 @@ impl Scoreboard {
 
     /// Process a SACK. Returns what the ACK newly covered.
     pub fn on_ack(&mut self, info: &AckInfo, now: SimTime) -> AckOutcome {
+        self.on_ack_with(info, now, |_, _| {})
+    }
+
+    /// [`Scoreboard::on_ack`], reporting each transmission it moves out of
+    /// `Outstanding` to `delivered(latest send, selective)`: the selective
+    /// one first, then the cumulative prefix in sequence order. A
+    /// declared-lost sequence ACKed late is not reported; its loss was.
+    pub(crate) fn on_ack_with(
+        &mut self,
+        info: &AckInfo,
+        now: SimTime,
+        mut delivered: impl FnMut(SimTime, bool),
+    ) -> AckOutcome {
         let mut out = AckOutcome::default();
         // Selective part.
         if let Some(i) = self.idx(info.acked_seq) {
@@ -234,6 +247,7 @@ impl Scoreboard {
             if e.state() != SeqState::Acked {
                 if e.state() == SeqState::Outstanding {
                     self.in_flight -= 1;
+                    delivered(e.last_sent_at(), true);
                 }
                 e.set_state(SeqState::Acked);
                 out.newly_acked += 1;
@@ -254,6 +268,7 @@ impl Scoreboard {
                 if e.state() != SeqState::Acked {
                     if e.state() == SeqState::Outstanding {
                         self.in_flight -= 1;
+                        delivered(e.last_sent_at(), false);
                     }
                     e.set_state(SeqState::Acked);
                     out.newly_acked += 1;
@@ -468,6 +483,11 @@ impl Scoreboard {
         self.entry(seq).map(|e| e.retx_count()).unwrap_or(0)
     }
 
+    /// When `seq`'s latest transmission left, while it is tracked.
+    pub(crate) fn sent_at(&self, seq: u64) -> Option<SimTime> {
+        self.entry(seq).map(|e| e.last_sent_at())
+    }
+
     /// True if `seq` is currently marked lost (awaiting retransmission).
     pub fn is_lost(&self, seq: u64) -> bool {
         matches!(self.entry(seq), Some(e) if e.state() == SeqState::Lost)
@@ -497,6 +517,25 @@ mod tests {
             probe_train: None,
             of_retx: false,
         }
+    }
+
+    /// The delivery hook names each transmission an ACK moves out of
+    /// `Outstanding`, with its latest send time: the selective one, then
+    /// the cumulative prefix. A late ACK of a declared loss is not one.
+    #[test]
+    fn on_ack_with_reports_only_transitions_out_of_outstanding() {
+        let mut sb = Scoreboard::new();
+        (0..4).for_each(|seq| sb.on_send(seq, t(seq), false));
+        sb.on_send(2, t(5), true); // a retransmission's latest send
+        let mut seen = Vec::new();
+        sb.on_ack_with(&ack(3, 0, t(3)), t(20), |at, sel| seen.push((at, sel)));
+        assert_eq!(seen, [(t(3), true)]);
+        assert_eq!(sb.mark_all_lost(), [0, 1, 2]);
+        sb.on_send(0, t(30), true);
+        seen.clear();
+        let out = sb.on_ack_with(&ack(1, 3, t(1)), t(40), |at, sel| seen.push((at, sel)));
+        assert_eq!(seen, [(t(30), false)], "1 and 2 were declared lost");
+        assert_eq!(out.newly_acked, 3);
     }
 
     #[test]

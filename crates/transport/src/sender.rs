@@ -27,7 +27,11 @@
 //!   window, with the full TCP loss machinery.
 //!
 //! Reliability (SACK scoreboard + retransmission) is engine business in
-//! every mode; algorithms only decide how fast data may leave.
+//! every mode; algorithms only decide how fast data may leave. So is
+//! measurement: under [`ReportMode::Epochs`] the engine credits each
+//! packet's fate to the send epoch of its latest transmission, read from
+//! the scoreboard, and reports each epoch once it is resolved
+//! ([`crate::report::Epochs`]).
 
 use std::collections::VecDeque;
 
@@ -39,7 +43,7 @@ use crate::cc::{
     AckEvent, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportMode, SentEvent,
 };
 use crate::flow::TransportConfig;
-use crate::report::ReportAggregator;
+use crate::report::{Epochs, MeasurementReport, ReportAggregator};
 use crate::rtt::RttEstimator;
 use crate::sack::Scoreboard;
 
@@ -51,8 +55,8 @@ pub struct CcSenderConfig {
     /// Floor for the retransmission timeout. `None` picks the mode default
     /// once the algorithm has declared itself: 200 ms when it drives a
     /// congestion window (TCP's convention — the incast experiment depends
-    /// on it), 10 ms for pure rate control (PCC's monitor resolves packet
-    /// fates at MI+RTT granularity, §3.1).
+    /// on it), 10 ms for pure rate control (PCC's monitor intervals
+    /// resolve packet fates at MI+RTT granularity, §3.1).
     pub min_rto: Option<SimDuration>,
     /// Segmentation-offload burst size in packets, for ack-clocked (cwnd,
     /// unpaced) operation. Paper-era kernels hand the NIC up to 64 KB
@@ -64,12 +68,13 @@ pub struct CcSenderConfig {
     pub tso_burst_pkts: u32,
     /// Feedback path override. `None` (the default) honours the
     /// algorithm's own [`CongestionControl::report_mode`] preference;
-    /// `Some(Batched)` forces batched delivery — e.g. a host driving many
-    /// flows off-path batches all of them. The override can only coarsen:
-    /// `Some(PerAck)` acts like `None`, so an algorithm whose
-    /// `report_mode()` is `Batched` stays on reports (it may have no
-    /// per-ACK path to fall back to). No shipped algorithm prefers
-    /// reports; a test-local one pins the rule.
+    /// `Some(Batched)` forces batched delivery on a per-ACK algorithm —
+    /// e.g. a host driving many flows off-path batches all of them. Every
+    /// other case keeps the preference: an algorithm whose `report_mode()`
+    /// is `Batched` stays on reports under `Some(PerAck)` (it may have no
+    /// per-ACK path to fall back to; a test-local one pins the rule), one
+    /// that asks for `Epochs` (PCC) stays on epochs under `Some(Batched)`,
+    /// and `Some(Epochs)` acts like `None`.
     pub report: Option<ReportMode>,
     /// Dead-time budget: if the flow makes no forward progress (no new
     /// cumulative bytes acknowledged) for this long while the RTO keeps
@@ -125,6 +130,8 @@ const TOKEN_CTRL: u64 = 3 << TOKEN_KIND_SHIFT;
 const TOKEN_RTO: u64 = 4 << TOKEN_KIND_SHIFT;
 const TOKEN_TSO: u64 = 5 << TOKEN_KIND_SHIFT;
 const TOKEN_REPORT: u64 = 6 << TOKEN_KIND_SHIFT;
+/// Epoch deadlines: every arm acts, like an algorithm timer.
+const TOKEN_EPOCH: u64 = 7 << TOKEN_KIND_SHIFT;
 const TOKEN_GEN_MASK: u64 = (1 << TOKEN_KIND_SHIFT) - 1;
 
 /// One engine-owned timer kind: the generation of its newest arm and that
@@ -193,8 +200,8 @@ pub struct CcSender {
     report_mode: ReportMode,
     /// Local event accumulator for batched mode.
     agg: ReportAggregator,
-    /// One-shot report-interval override requested by the algorithm.
-    requested_interval: Option<SimDuration>,
+    /// Send epochs, under [`ReportMode::Epochs`].
+    epochs: Option<Epochs>,
     /// When the flow last made forward progress (new cumulative bytes
     /// acknowledged); seeds the dead-time budget clock.
     last_progress_at: SimTime,
@@ -234,7 +241,7 @@ impl CcSender {
             last_rate_report: (SimTime::MAX, 0.0),
             report_mode: ReportMode::PerAck,
             agg: ReportAggregator::default(),
-            requested_interval: None,
+            epochs: None,
             last_progress_at: SimTime::ZERO,
             timeouts_since_progress: 0,
             rto_fires: 0,
@@ -337,8 +344,9 @@ impl CcSender {
                 .exhausted(self.sb.next_seq(), self.mss())
     }
 
-    /// Apply the rate/cwnd changes, report interval and timers the
-    /// algorithm requested.
+    /// Apply the rate/cwnd changes, timers and send epochs the algorithm
+    /// requested. Each epoch that closes another arms
+    /// a deadline event at the oldest pending epoch's deadline.
     fn apply_effects(&mut self, d: Effects, ctx: &mut EndpointCtx) {
         if let Some(rate) = d.rate {
             if self.rate_bps != Some(rate) {
@@ -355,12 +363,18 @@ impl CcSender {
         if let Some(cwnd) = d.cwnd {
             self.cwnd_pkts = Some(cwnd);
         }
-        if let Some(d) = d.report_in {
-            self.requested_interval = Some(d);
-        }
         for (at, token) in d.timers {
             debug_assert!(token <= TOKEN_GEN_MASK, "algorithm token too large");
             ctx.set_timer(at, TOKEN_CTRL | (token & TOKEN_GEN_MASK));
+        }
+        let Some(epochs) = self.epochs.as_mut() else {
+            return;
+        };
+        for slack in d.epochs {
+            epochs.begin(ctx.now, slack);
+            if let Some(at) = epochs.next_deadline() {
+                ctx.set_timer(at, TOKEN_EPOCH);
+            }
         }
     }
 
@@ -411,6 +425,9 @@ impl CcSender {
             retx,
             in_flight: self.sb.in_flight(),
         };
+        if let Some(epochs) = self.epochs.as_mut() {
+            epochs.on_sent(ev.now, ev.bytes);
+        }
         if self.batched() {
             self.agg.on_sent(&ev);
         } else {
@@ -575,7 +592,12 @@ impl CcSender {
     /// retransmission burst. Only growth is deferred to the cadence.
     fn deliver_loss(&mut self, ev: &LossEvent, ctx: &mut EndpointCtx) {
         if !self.batched() {
+            if let Some(epochs) = self.epochs.as_mut() {
+                let sent = ev.seqs.iter().filter_map(|&seq| self.sb.sent_at(seq));
+                sent.for_each(|at| epochs.on_lost(at));
+            }
             self.with_cc(ctx, |c, cc| c.on_loss(ev, cc));
+            self.deliver_epochs(ctx);
             return;
         }
         self.agg.on_loss(ev);
@@ -687,6 +709,9 @@ impl CcSender {
             fresh.on_sample(s);
         }
         self.rtt = fresh;
+        if let Some(epochs) = self.epochs.as_mut() {
+            epochs.clear();
+        }
         let cwnd_before = self.cwnd_pkts;
         self.with_cc(ctx, |c, cc| c.on_resume(cc));
         if self.paced() && self.windowed() && self.cwnd_pkts == cwnd_before {
@@ -723,33 +748,19 @@ impl CcSender {
 
     // ---- batched measurement reports -------------------------------------
 
-    /// Length of the next report interval: the algorithm's one-shot
-    /// override if it set one (PCC aligning reports with its monitor
-    /// intervals), else one smoothed RTT, re-read at every boundary and
-    /// floored at 1 ms.
-    fn report_interval(&mut self) -> SimDuration {
-        match self.requested_interval.take() {
-            Some(d) => d.max(SimDuration::from_micros(100)),
-            None => self
-                .rtt
-                .srtt_or(SimDuration::from_millis(100))
-                .max(SimDuration::from_millis(1)),
-        }
-    }
-
+    /// Arm the next report: one smoothed RTT from now, re-read at every
+    /// boundary and floored at 1 ms.
     fn arm_report(&mut self, ctx: &mut EndpointCtx) {
         if self.finished {
             return;
         }
-        let interval = self.report_interval();
+        let srtt = self.rtt.srtt_or(SimDuration::from_millis(100));
+        let interval = srtt.max(SimDuration::from_millis(1));
         self.report.arm(TOKEN_REPORT, ctx.now + interval, ctx);
     }
 
-    /// Close the current interval, stamp the engine snapshot, and deliver
-    /// the report. Empty intervals are delivered too — interval-structured
-    /// algorithms (PCC) use the boundary itself as their clock.
-    fn emit_report(&mut self, ctx: &mut EndpointCtx) {
-        let mut rep = self.agg.take(ctx.now);
+    /// Stamp the engine snapshot on a report about to be delivered.
+    fn stamp(&self, rep: &mut MeasurementReport) {
         let srtt = self.rtt.srtt_or(SimDuration::from_millis(100));
         rep.srtt = srtt;
         rep.min_rtt = self.rtt.min_rtt().unwrap_or(srtt);
@@ -757,11 +768,40 @@ impl CcSender {
         rep.cum_ack = self.sb.cum_ack();
         rep.mss = self.mss();
         rep.in_recovery = self.in_recovery();
+    }
+
+    /// Close the current interval, stamp the engine snapshot, and deliver
+    /// the report. Empty intervals are delivered too — an algorithm may use
+    /// the boundary itself as its clock.
+    fn emit_report(&mut self, ctx: &mut EndpointCtx) {
+        let mut rep = self.agg.take(ctx.now);
+        self.stamp(&mut rep);
         self.with_cc(ctx, |c, cc| c.on_report(&rep, cc));
         if self.windowed() {
             self.report_rate(ctx);
         }
         self.try_send(ctx);
+    }
+
+    /// Deliver every send epoch that is ready now, oldest first. The count
+    /// is fixed before the first delivery, so an epoch that the algorithm
+    /// closes while judging one waits for the next ACK, loss or deadline,
+    /// and the effects of all the deliveries apply together.
+    fn deliver_epochs(&mut self, ctx: &mut EndpointCtx) {
+        let ready = self.epochs.as_ref().map_or(0, |e| e.ready(ctx.now));
+        if ready == 0 {
+            return;
+        }
+        let mut effects = Effects::default();
+        for _ in 0..ready {
+            let Some(mut rep) = self.epochs.as_mut().and_then(Epochs::pop) else {
+                break;
+            };
+            self.stamp(&mut rep);
+            let mut cc = Ctx::new(ctx.now, ctx.rng(), &mut effects);
+            self.cc.on_report(&rep, &mut cc);
+        }
+        self.apply_effects(effects, ctx);
     }
 
     /// Emit a report now and start the next interval: the cadence tick,
@@ -779,13 +819,15 @@ impl CcSender {
     /// returned as the error message `start` would have panicked with.
     pub fn try_start(&mut self, ctx: &mut EndpointCtx) -> Result<(), String> {
         // Resolve the feedback path before the first callback so a
-        // `set_report_interval` in `on_start` lands on the right machinery.
-        // The override may coarsen the algorithm's preference, never refine
-        // it.
-        self.report_mode = match self.cfg.report {
-            Some(ReportMode::Batched) => ReportMode::Batched,
-            _ => self.cc.report_mode(),
+        // `begin_epoch` in `on_start` lands on the right machinery. The
+        // override may batch a per-ACK algorithm and changes nothing else.
+        self.report_mode = match self.cc.report_mode() {
+            ReportMode::PerAck if self.cfg.report == Some(ReportMode::Batched) => {
+                ReportMode::Batched
+            }
+            mode => mode,
         };
+        self.epochs = (self.report_mode == ReportMode::Epochs).then(Epochs::default);
         self.with_cc(ctx, |c, cc| c.on_start(cc));
         if self.rate_bps.is_none() && self.cwnd_pkts.is_none() {
             return Err(format!(
@@ -840,7 +882,12 @@ impl Endpoint for CcSender {
             // A stalled flow ignores stragglers (a real socket is closed).
             return;
         }
-        let out = self.sb.on_ack(info, ctx.now);
+        let out = match self.epochs.as_mut() {
+            Some(epochs) => self
+                .sb
+                .on_ack_with(info, ctx.now, |at, sel| epochs.stage(at, sel)),
+            None => self.sb.on_ack(info, ctx.now),
+        };
         debug_assert!(
             self.sb.cum_ack() >= self.last_cum_ack,
             "cumulative ack went backwards: {} < {}",
@@ -899,7 +946,15 @@ impl Endpoint for CcSender {
             if self.batched() {
                 self.agg.on_ack(&ack);
             } else {
+                // The ACK's deliveries count toward their epochs only now,
+                // after the losses it revealed were delivered, and an epoch
+                // they complete is reported after the algorithm has seen
+                // the ACK (and its RTT sample).
+                if let Some(epochs) = self.epochs.as_mut() {
+                    epochs.credit_staged(ack.mss, out.rtt.map(|rtt| (rtt, ack.recv_at)));
+                }
                 self.with_cc(ctx, |c, cc| c.on_ack(&ack, cc));
+                self.deliver_epochs(ctx);
             }
         }
         if self.windowed() {
@@ -933,6 +988,13 @@ impl Endpoint for CcSender {
             TOKEN_RTO if self.rto.fire(gen) => self.on_rto_event(ctx),
             TOKEN_TSO if self.tso.fire(gen) => self.on_tso_flush(ctx),
             TOKEN_REPORT if self.report.fire(gen) => self.flush_report(ctx),
+            TOKEN_EPOCH => {
+                self.deliver_epochs(ctx);
+                if let Some(at) = self.epochs.as_ref().and_then(Epochs::next_deadline) {
+                    ctx.set_timer(at, TOKEN_EPOCH);
+                }
+                self.try_send(ctx);
+            }
             // A superseded arm.
             _ => {}
         }
@@ -1399,10 +1461,7 @@ mod tests {
                     ..sized(5)
                 };
                 let cc = Scripted {
-                    start: |ctx: &mut Ctx| {
-                        ctx.set_rate(1e9);
-                        ctx.set_report_interval(SimDuration::from_secs(10));
-                    },
+                    start: |ctx: &mut Ctx| ctx.set_rate(1e9),
                     tick: |_: &mut Ctx| {},
                 };
                 let mut h = Harness::new(cfg, cc);
@@ -1805,6 +1864,228 @@ mod tests {
         let tput = report.avg_throughput_mbps(flow, SimTime::from_secs(1), SimTime::from_secs(5));
         // 10-packet initial window over 30 ms RTT ⇒ ~4 Mbps, ack-clocked.
         assert!(tput > 2.0, "static window still moves data: {tput} Mbps");
+    }
+
+    // ---- send epochs ----------------------------------------------------
+
+    /// What each epoch report said: (start, sent, acked, lost).
+    type EpochLog = std::sync::Arc<std::sync::Mutex<Vec<(SimTime, u64, u64, u64)>>>;
+
+    /// A fixed-rate algorithm on send epochs: it opens one at start, at
+    /// each of its timers and at a resume, and logs every report.
+    struct EpochProbe {
+        bps: f64,
+        log: EpochLog,
+    }
+
+    impl EpochProbe {
+        const SLACK: SimDuration = SimDuration::from_secs(10);
+
+        fn next_epoch(ctx: &mut Ctx) {
+            ctx.begin_epoch(Self::SLACK);
+            ctx.set_timer(ctx.now + SimDuration::from_secs(100), 0);
+        }
+    }
+
+    impl CongestionControl for EpochProbe {
+        fn name(&self) -> &'static str {
+            "epoch-probe"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.set_rate(self.bps);
+            Self::next_epoch(ctx);
+        }
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx) {
+            Self::next_epoch(ctx);
+        }
+        fn on_resume(&mut self, ctx: &mut Ctx) {
+            Self::next_epoch(ctx);
+        }
+        fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut Ctx) {}
+        fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
+        fn report_mode(&self) -> ReportMode {
+            ReportMode::Epochs
+        }
+        fn on_report(&mut self, rep: &crate::report::MeasurementReport, _ctx: &mut Ctx) {
+            let counts = (rep.start, rep.sent_pkts, rep.acked_pkts, rep.lost_pkts);
+            pcc_simnet::sync::lock(&self.log).push(counts);
+        }
+    }
+
+    #[test]
+    fn the_batching_override_leaves_epochs_alone() {
+        let resolved = |report, cc: Box<dyn CongestionControl>| {
+            let mut s = CcSender::new(CcSenderConfig { report, ..sized(4) }, cc);
+            let mut rng = SimRng::new(1);
+            let mut out = Vec::new();
+            s.start(&mut EndpointCtx::new(
+                SimTime::ZERO,
+                FlowId(0),
+                Side::Sender,
+                &mut rng,
+                &mut out,
+            ));
+            (s.report_mode, s.epochs.is_some())
+        };
+        let probe = || {
+            Box::new(EpochProbe {
+                bps: 1e6,
+                log: EpochLog::default(),
+            })
+        };
+        let fixed = || Box::new(FixedRate::new(1e6));
+        assert_eq!(
+            resolved(Some(ReportMode::Batched), probe()),
+            (ReportMode::Epochs, true)
+        );
+        assert_eq!(
+            resolved(Some(ReportMode::PerAck), probe()),
+            (ReportMode::Epochs, true)
+        );
+        assert_eq!(
+            resolved(Some(ReportMode::Epochs), fixed()),
+            (ReportMode::PerAck, false)
+        );
+        assert_eq!(
+            resolved(Some(ReportMode::Batched), fixed()),
+            (ReportMode::Batched, false)
+        );
+    }
+
+    #[test]
+    fn epoch_reports_conserve_packets_over_a_lossy_link() {
+        // Epochs of 50 ms at 10 Mbps through 2% loss: every report
+        // accounts for each packet it sent exactly once, and together they
+        // cover all but the last few epochs' packets.
+        struct Timed(EpochProbe);
+        impl CongestionControl for Timed {
+            fn name(&self) -> &'static str {
+                "timed-epochs"
+            }
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                self.0.on_start(ctx);
+                ctx.set_timer(ctx.now + SimDuration::from_millis(50), 0);
+            }
+            fn on_timer(&mut self, _token: u64, ctx: &mut Ctx) {
+                ctx.begin_epoch(SimDuration::from_millis(100));
+                ctx.set_timer(ctx.now + SimDuration::from_millis(50), 0);
+            }
+            fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut Ctx) {}
+            fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
+            fn report_mode(&self) -> ReportMode {
+                ReportMode::Epochs
+            }
+            fn on_report(&mut self, rep: &crate::report::MeasurementReport, ctx: &mut Ctx) {
+                self.0.on_report(rep, ctx);
+            }
+        }
+        let log = EpochLog::default();
+        let mut net = net(41);
+        let mut db = Dumbbell::new(
+            &mut net,
+            LinkConfig::bottleneck(100e6, SimDuration::ZERO, 64_000).with_loss(0.02),
+        );
+        let path = db.attach_flow(&mut net, SimDuration::from_millis(30));
+        let probe = EpochProbe {
+            bps: 10e6,
+            log: std::sync::Arc::clone(&log),
+        };
+        let flow = net.add_flow(FlowSpec {
+            sender: Box::new(CcSender::new(
+                CcSenderConfig::default(),
+                Box::new(Timed(probe)),
+            )),
+            receiver: Box::new(SackReceiver::new()),
+            fwd_path: path.fwd,
+            rev_path: path.rev,
+            start_at: SimTime::ZERO,
+        });
+        let report = net.build().run_until(SimTime::from_secs(5));
+        let log = pcc_simnet::sync::lock(&log);
+        assert!(
+            log.len() > 90,
+            "an epoch per 50 ms, reported: {}",
+            log.len()
+        );
+        assert!(log.windows(2).all(|w| w[0].0 < w[1].0), "in order");
+        assert!(log
+            .iter()
+            .all(|&(_, sent, acked, lost)| acked + lost == sent));
+        let lost: u64 = log.iter().map(|r| r.3).sum();
+        let sent: u64 = log.iter().map(|r| r.1).sum();
+        let all = report.flows[flow.index()].sent_packets;
+        assert!(
+            sent <= all && sent + 100 >= all,
+            "{sent} of {all} sent in reported epochs"
+        );
+        assert!(
+            lost * 100 > sent && lost * 100 < sent * 4,
+            "2% loss: {lost} of {sent}"
+        );
+    }
+
+    /// Four packets sent at 0 and written off by three fruitless scans
+    /// (1, 2 and 3 s), retransmitted after the first two; then a
+    /// retransmission of 0 at `resend_at` (after `close_at`, an epoch
+    /// boundary, if given). At 4 s the late ACK of 1 ends the outage:
+    /// the engine resumes, and the algorithm opens an epoch at 4 s. Then
+    /// the ACK of 0 arrives, an epoch boundary closes the resume's epoch,
+    /// and its deadline reports it. Returns every report.
+    fn epochs_through_a_resume(
+        resend_at: SimTime,
+        close_at: Option<SimTime>,
+    ) -> Vec<(SimTime, u64, u64, u64)> {
+        let secs = SimTime::from_secs;
+        let log = EpochLog::default();
+        let probe = EpochProbe {
+            bps: 1e9,
+            log: std::sync::Arc::clone(&log),
+        };
+        let mut h = Harness::new(sized(4), probe);
+        h.call(SimTime::ZERO, |s, ctx| s.start(ctx));
+        (0..4).for_each(|_| h.fire(SimTime::ZERO, TOKEN_PACE));
+        for s in 1..=3 {
+            h.fire(secs(s), TOKEN_SCAN);
+            assert_eq!(h.s.sb.lost_seqs(), [0, 1, 2, 3], "scan at {s} s");
+            if s < 3 {
+                (0..4).for_each(|_| h.fire(secs(s), TOKEN_PACE));
+            }
+        }
+        h.fire(resend_at, TOKEN_PACE);
+        assert_eq!(h.sent(), [(0, true)]);
+        if let Some(at) = close_at {
+            h.fire(at, TOKEN_CTRL);
+        }
+        h.call(secs(4), |s, ctx| {
+            s.on_packet(&ack(1, 0, secs(2), ctx.now), ctx)
+        });
+        assert_eq!(h.s.timeouts_since_progress, 0, "the outage ended");
+        let later = |ms| secs(4) + SimDuration::from_millis(ms);
+        h.call(later(10), |s, ctx| {
+            s.on_packet(&ack(0, 2, resend_at, ctx.now), ctx)
+        });
+        h.fire(later(20), TOKEN_CTRL);
+        h.fire(later(30), TOKEN_EPOCH);
+        let log = pcc_simnet::sync::lock(&log).clone();
+        log
+    }
+
+    #[test]
+    fn a_send_at_the_resume_instant_is_not_the_resumed_epochs() {
+        // The retransmission at 4 s left before the resume at 4 s: the
+        // epoch the resume opens must not be credited with its ACK.
+        let reports = epochs_through_a_resume(SimTime::from_secs(4), None);
+        assert_eq!(reports, [(SimTime::from_secs(4), 0, 0, 0)]);
+    }
+
+    #[test]
+    fn a_resume_drops_the_epochs_awaiting_resolution() {
+        // The retransmission at 3.5 s is the only unresolved packet of an
+        // epoch closed at 3.6 s. The resume drops that epoch, so the ACK
+        // that would have resolved it completes nothing.
+        let ms = SimTime::from_millis;
+        let reports = epochs_through_a_resume(ms(3_500), Some(ms(3_600)));
+        assert_eq!(reports, [(SimTime::from_secs(4), 0, 0, 0)]);
     }
 
     #[test]

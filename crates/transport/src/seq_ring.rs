@@ -1,8 +1,9 @@
 //! The one per-packet sequence table: an offset-indexed ring.
 //!
 //! Every table keyed by packet sequence number uses it — the receiver's
-//! reorder buffer ([`crate::receiver::SackReceiver`]), BBR's delivery-rate
-//! sampler and PCC's monitor-interval attribution.
+//! reorder buffer ([`crate::receiver::SackReceiver`]) and BBR's
+//! delivery-rate sampler. (PCC's monitor intervals need none: the engine
+//! credits them by send time, which the scoreboard already holds.)
 
 use std::collections::VecDeque;
 
@@ -100,17 +101,6 @@ impl<T> SeqRing<T> {
         while self.pop_below(seq).is_some() {}
     }
 
-    /// Keep only the entries for which `keep` returns true.
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        for slot in &mut self.slots {
-            if slot.as_ref().is_some_and(|value| !keep(value)) {
-                *slot = None;
-                self.live -= 1;
-            }
-        }
-        self.trim_front();
-    }
-
     /// Slots held, live or not: the ring's footprint.
     #[cfg(test)]
     pub(crate) fn slots(&self) -> usize {
@@ -182,23 +172,5 @@ mod proptests {
             }
         }
 
-        /// `retain` drops exactly the entries its predicate rejects.
-        #[test]
-        fn retain_matches_a_btreemap(
-            seqs in proptest::collection::vec((0u64..64, 0u32..4), 0..64),
-            drop in 0u32..4,
-        ) {
-            let mut ring = SeqRing::new();
-            let mut model = BTreeMap::new();
-            for (seq, value) in seqs {
-                ring.insert(seq, value);
-                model.insert(seq, value);
-            }
-            ring.retain(|&v| v != drop);
-            model.retain(|_, v| *v != drop);
-            let want: Vec<(u64, u32)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-            prop_assert_eq!(entries(&ring), want);
-            prop_assert_eq!(ring.len(), model.len());
-        }
     }
 }

@@ -16,8 +16,9 @@
 //! registry, against whatever the process registered — this crate depends
 //! on no algorithm crate; unknown names are a typed error) or hand a
 //! constructed algorithm to [`send_with`]. Either way the engine feeds it
-//! per-ACK events, or batched [`pcc_transport::MeasurementReport`]s when
-//! the algorithm (or a [`UdpSenderConfig::report`] override) opts in.
+//! per-ACK events, batched [`pcc_transport::MeasurementReport`]s when the
+//! algorithm (or a [`UdpSenderConfig::report`] override) opts in, or
+//! per-ACK events plus a report per send epoch (PCC).
 //!
 //! See `examples/udp_transfer.rs` at the workspace root for a loopback
 //! demonstration (pick the algorithm on the command line), and

@@ -42,8 +42,8 @@ pub struct UdpSenderConfig {
     pub seed: u64,
     /// Feedback-path override. `None` honours the algorithm's own
     /// [`CongestionControl::report_mode`] preference;
-    /// `Some(Batched)` forces batched delivery (the override can only
-    /// coarsen). Passed through as `CcSenderConfig::report`.
+    /// `Some(Batched)` batches a per-ACK algorithm and changes no other
+    /// preference. Passed through as `CcSenderConfig::report`.
     pub report: Option<ReportMode>,
     /// Dead-time budget, passed through as
     /// `CcSenderConfig::dead_time_budget`: if no forward progress (no new
@@ -110,10 +110,9 @@ pub fn wire_mss(cfg: &UdpSenderConfig) -> u32 {
 /// parameters surface the registry's typed [`SpecError`]; with nothing
 /// registered every name is unknown and the error says the registry is
 /// empty. The algorithm is built with the *wire* MSS
-/// ([`wire_mss`]): PCC's monitor measures throughput, its 2·MSS/RTT
-/// starting rate and its rate floor in units of the packet size, and a
-/// controller left at the 1500 B default over-reports all three on a
-/// `payload + 40` wire.
+/// ([`wire_mss`]): PCC's 2·MSS/RTT starting rate and its rate floor are
+/// in units of the packet size, and a controller left at the 1500 B
+/// default overshoots both on a `payload + 40` wire.
 pub fn send_named(
     socket: &UdpSocket,
     peer: SocketAddr,

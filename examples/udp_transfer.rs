@@ -14,7 +14,8 @@
 //!
 //! `--batched` flips the engine from per-ACK callbacks to 1-RTT
 //! aggregated measurement reports — the off-path control plane's
-//! feedback path (see ARCHITECTURE.md's control-plane section).
+//! feedback path (see ARCHITECTURE.md's "Measurement reports"). It
+//! changes nothing for PCC, which reports by send epochs either way.
 
 use std::net::UdpSocket;
 use std::thread;

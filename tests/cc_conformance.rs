@@ -88,9 +88,6 @@ impl Script {
             self.cwnd = Some(w);
             self.log.push(format!("cwnd={w:.3}"));
         }
-        if let Some(ri) = d.report_in {
-            self.log.push(format!("report_in={}", ri.as_nanos()));
-        }
         for (at, token) in d.timers {
             self.log.push(format!("timer@{}#{token}", at.as_nanos()));
             self.timers.push((at, token));
@@ -647,10 +644,11 @@ fn every_algorithm_moves_data_end_to_end() {
 fn every_algorithm_moves_data_with_batched_reports() {
     // The tentpole acceptance gate: the identical end-to-end scenario as
     // `every_algorithm_moves_data_end_to_end`, but the engine withholds
-    // per-ACK callbacks and delivers one aggregated report per RTT. Every
-    // algorithm must still move a meaningful share of the link, clean and
-    // with 1% random loss in each direction (so reports carry losses and
-    // thinned ACKs, not only clean intervals).
+    // per-ACK callbacks and delivers one aggregated report per RTT (PCC
+    // excepted: forced batching leaves its send-epoch reports alone).
+    // Every algorithm must still move a meaningful share of the link,
+    // clean and with 1% random loss in each direction (so reports carry
+    // losses and thinned ACKs, not only clean intervals).
     use pcc::transport::cc::ReportMode;
     let names = all_names();
     let rtt = SimDuration::from_millis(20);
@@ -679,30 +677,28 @@ fn every_algorithm_moves_data_with_batched_reports() {
 
 #[test]
 fn batched_reports_are_deterministic_end_to_end() {
-    // Same seed, same batched run, bit-identical results — the off-path
-    // report machinery must not introduce any nondeterminism.
+    // Same seed, same batched run, bit-identical results — the report
+    // machinery must not introduce any nondeterminism: SABUL on batched
+    // reports, beside PCC, which the same override leaves on send epochs.
     use pcc::transport::cc::ReportMode;
     pcc::install_registry();
     let rtt = SimDuration::from_millis(20);
     let run = || {
+        let plan = |name: &str| {
+            pcc::scenarios::FlowPlan::new(pcc::scenarios::Protocol::Named(name.into()), rtt)
+                .reporting(ReportMode::batched_rtt())
+        };
         pcc::scenarios::run_dumbbell(
             LinkSetup::new(20e6, rtt, 75_000),
-            vec![
-                pcc::scenarios::FlowPlan::new(pcc::scenarios::Protocol::Named("pcc".into()), rtt)
-                    .reporting(ReportMode::batched_rtt()),
-            ],
+            vec![plan("pcc"), plan("sabul")],
             SimTime::from_secs(4),
             17,
         )
     };
     let (a, b) = (run(), run());
     assert_eq!(a.report.events_processed, b.report.events_processed);
-    assert_eq!(
-        a.report.flows[0].delivered_bytes,
-        b.report.flows[0].delivered_bytes
-    );
-    assert_eq!(
-        a.report.flows[0].sent_packets,
-        b.report.flows[0].sent_packets
-    );
+    for (fa, fb) in a.report.flows.iter().zip(&b.report.flows) {
+        assert_eq!(fa.delivered_bytes, fb.delivered_bytes);
+        assert_eq!(fa.sent_packets, fb.sent_packets);
+    }
 }
