@@ -24,16 +24,18 @@
 //! Every MI goes through one pipeline: `begin_mi` issues it onto the
 //! `issued` queue and opens a send epoch in the engine
 //! ([`ReportMode::Epochs`]); the engine credits each packet's fate to the
-//! epoch that sent it and reports the epochs in order, so each report
-//! judges the front of that queue. The controller decides when an MI
+//! epoch that sent it and hands the epochs' reports over in order, with
+//! the ACK, loss or deadline that resolved them, so each report judges
+//! the front of that queue. The controller decides when an MI
 //! ends (its boundary timer); the engine decides when its packets are
 //! resolved.
 
 use std::collections::VecDeque;
 
 use pcc_simnet::time::SimDuration;
-use pcc_transport::cc::{AckEvent, CongestionControl, Ctx as CtrlCtx, LossEvent, ReportMode};
-use pcc_transport::report::MeasurementReport;
+use pcc_transport::cc::{
+    AckEvent, CongestionControl, Ctx as CtrlCtx, LossEvent, ReportMode, EPOCH_DEADLINE,
+};
 use pcc_transport::rtt::RttEstimator;
 
 use crate::config::{MiTiming, PccConfig};
@@ -388,6 +390,19 @@ impl PccController {
         self.begin_mi(rate, purpose, ctx);
     }
 
+    /// Judge the front MI by each send epoch this callback resolved (or
+    /// wrote off at its deadline), oldest first.
+    fn judge_epochs(&mut self, ctx: &mut CtrlCtx) {
+        for rep in ctx.epoch_reports() {
+            let Some(&Issued { id, rate, .. }) = self.issued.front() else {
+                return;
+            };
+            let m = MiMetrics::from_report(id, rate, rep, self.prev_avg_rtt, self.rtt.min_rtt());
+            self.prev_avg_rtt = Some(m.avg_rtt);
+            self.on_mi_complete(&m, ctx);
+        }
+    }
+
     /// A completed MI's utility is available.
     fn on_mi_complete(&mut self, m: &MiMetrics, ctx: &mut CtrlCtx) {
         self.stats.mis_completed += 1;
@@ -571,16 +586,19 @@ impl CongestionControl for PccController {
         ReportMode::Epochs
     }
 
-    fn on_ack(&mut self, ack: &AckEvent, _ctx: &mut CtrlCtx) {
+    fn on_ack(&mut self, ack: &AckEvent, ctx: &mut CtrlCtx) {
         // Only exact per-packet samples feed the estimator; an ACK of a
         // retransmission is ambiguous about which transmission it measures.
         if ack.sampled {
             self.rtt.on_sample(ack.rtt);
         }
+        self.judge_epochs(ctx);
     }
 
     /// Losses reach the controller through its epochs' reports.
-    fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut CtrlCtx) {}
+    fn on_loss(&mut self, _loss: &LossEvent, ctx: &mut CtrlCtx) {
+        self.judge_epochs(ctx);
+    }
 
     fn on_resume(&mut self, ctx: &mut CtrlCtx) {
         // Outage recovery: every in-flight MI measured a path that no
@@ -596,17 +614,10 @@ impl CongestionControl for PccController {
         self.enter_decision(self.cfg.eps_min, ctx);
     }
 
-    /// The front MI's send epoch is resolved (or past its deadline).
-    fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut CtrlCtx) {
-        let Some(&Issued { id, rate, .. }) = self.issued.front() else {
-            return;
-        };
-        let m = MiMetrics::from_report(id, rate, rep, self.prev_avg_rtt, self.rtt.min_rtt());
-        self.prev_avg_rtt = Some(m.avg_rtt);
-        self.on_mi_complete(&m, ctx);
-    }
-
     fn on_timer(&mut self, token: u64, ctx: &mut CtrlCtx) {
+        if token == EPOCH_DEADLINE {
+            return self.judge_epochs(ctx);
+        }
         // A boundary counts only for the MI on the wire: one that was
         // re-aligned away, or armed before a resume, is stale.
         if self.issued.back().is_some_and(|mi| mi.id == token) {
@@ -623,21 +634,18 @@ mod tests {
     use pcc_simnet::rng::SimRng;
     use pcc_simnet::time::SimTime;
     use pcc_transport::cc::{Effects as CtrlEffects, LossKind};
-    use pcc_transport::report::Epochs;
-
-    /// The token the harness arms for the engine's epoch deadlines.
-    const DEADLINE: u64 = u64::MAX;
+    use pcc_transport::report::{Epochs, MeasurementReport};
 
     /// Minimal harness: drives the controller directly with a virtual
     /// clock, collecting rate changes and timers, and keeping send epochs
-    /// and reporting them, like the engine does.
+    /// and handing their reports over, like the engine does.
     struct Harness {
         ctrl: PccController,
         rng: SimRng,
         fx: CtrlEffects,
         now: SimTime,
         rate: f64,
-        /// Boundary tokens, and [`DEADLINE`] for an epoch deadline.
+        /// Boundary tokens, and [`EPOCH_DEADLINE`] for an epoch deadline.
         timers: Vec<(SimTime, u64)>,
         next_seq: u64,
         epochs: Epochs,
@@ -664,12 +672,17 @@ mod tests {
             }
         }
 
-        /// One controller callback at the current time, its effects
-        /// applied like the engine would.
-        fn call(&mut self, f: impl FnOnce(&mut PccController, &mut CtrlCtx)) {
+        /// One controller callback at the current time, carrying
+        /// `reports`, its effects applied like the engine would.
+        fn call_with(
+            &mut self,
+            reports: &[MeasurementReport],
+            f: impl FnOnce(&mut PccController, &mut CtrlCtx),
+        ) {
             f(
                 &mut self.ctrl,
-                &mut CtrlCtx::new(self.now, &mut self.rng, &mut self.fx),
+                &mut CtrlCtx::new(self.now, &mut self.rng, &mut self.fx)
+                    .with_epoch_reports(reports),
             );
             let d = self.fx.drain();
             if let Some(r) = d.rate {
@@ -679,16 +692,20 @@ mod tests {
             for slack in d.epochs {
                 self.epochs.begin(self.now, slack);
                 self.timers
-                    .extend(self.epochs.next_deadline().map(|at| (at, DEADLINE)));
+                    .extend(self.epochs.next_deadline().map(|at| (at, EPOCH_DEADLINE)));
             }
         }
 
-        /// Report every epoch that is ready now.
-        fn deliver(&mut self) {
-            for _ in 0..self.epochs.ready(self.now) {
-                let rep = self.epochs.pop().expect("ready");
-                self.call(|c, cc| c.on_report(&rep, cc));
-            }
+        fn call(&mut self, f: impl FnOnce(&mut PccController, &mut CtrlCtx)) {
+            self.call_with(&[], f);
+        }
+
+        /// A callback whose event may have resolved epochs: it carries the
+        /// report of every epoch ready now.
+        fn resolving(&mut self, f: impl FnOnce(&mut PccController, &mut CtrlCtx)) {
+            let ready = self.epochs.ready(self.now);
+            let reports: Vec<_> = (0..ready).filter_map(|_| self.epochs.pop()).collect();
+            self.call_with(&reports, f);
         }
 
         fn start(&mut self) {
@@ -696,12 +713,14 @@ mod tests {
         }
 
         fn fire(&mut self, token: u64) {
-            if token != DEADLINE {
+            if token != EPOCH_DEADLINE {
                 return self.call(|c, cc| c.on_timer(token, cc));
             }
-            self.deliver();
+            if self.epochs.ready(self.now) > 0 {
+                self.resolving(|c, cc| c.on_timer(EPOCH_DEADLINE, cc));
+            }
             self.timers
-                .extend(self.epochs.next_deadline().map(|at| (at, DEADLINE)));
+                .extend(self.epochs.next_deadline().map(|at| (at, EPOCH_DEADLINE)));
         }
 
         fn resume(&mut self) {
@@ -742,8 +761,7 @@ mod tests {
                 mss: 1500,
                 in_recovery: false,
             };
-            self.call(|c, cc| c.on_ack(&ack, cc));
-            self.deliver();
+            self.resolving(|c, cc| c.on_ack(&ack, cc));
         }
 
         fn loss(&mut self, seq: u64) {
@@ -758,8 +776,7 @@ mod tests {
                 in_flight: 1,
                 mss: 1500,
             };
-            self.call(|c, cc| c.on_loss(&ev, cc));
-            self.deliver();
+            self.resolving(|c, cc| c.on_loss(&ev, cc));
         }
 
         /// Fire every timer due at or before `t` (in time order).
@@ -1052,7 +1069,8 @@ mod tests {
         /// stale timers and resumes interleave, every epoch report is judged
         /// against the front of the queue — each pops exactly the front,
         /// nothing completes ahead of it, and nothing that a resume dropped
-        /// completes later.
+        /// completes later. Reports carry no MI id, so the pairing rests on
+        /// one live epoch per issued MI, checked after every step.
         #[test]
         fn intervals_complete_in_issue_order(
             script in proptest::collection::vec((0u8..16, 0u8..=255), 1..400),
@@ -1099,6 +1117,11 @@ mod tests {
                     }
                 }
                 let after = ids(&h);
+                prop_assert!(
+                    h.epochs.live() == after.len(),
+                    "{} live epochs for the MIs {after:?}",
+                    h.epochs.live()
+                );
                 prop_assert!(after.windows(2).all(|w| w[0] < w[1]), "ids ascend: {after:?}");
                 prop_assert!(after.iter().all(|&id| id < h.ctrl.next_mi));
                 prop_assert!(!after.is_empty(), "some MI is always on the wire");

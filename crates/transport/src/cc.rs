@@ -137,13 +137,21 @@ pub enum ReportMode {
     /// called. An interval lasts one smoothed RTT, re-read at each report
     /// boundary.
     Batched,
-    /// Per-ACK events, plus one [`MeasurementReport`] per *send epoch*
-    /// ([`Ctx::begin_epoch`]): the fates of the packets sent in it, handed
-    /// to [`CongestionControl::on_report`] oldest first, right after the
-    /// `on_ack` / `on_loss` that resolved its last packet, or at its
-    /// deadline (see [`crate::report::Epochs`]).
+    /// Per-ACK events, and one [`MeasurementReport`] per *send epoch*
+    /// ([`Ctx::begin_epoch`]): the fates of the packets sent in it, carried
+    /// oldest first in [`Ctx::epoch_reports`] by the `on_ack` / `on_loss`
+    /// that resolved its last packet, or by
+    /// `on_timer(`[`EPOCH_DEADLINE`]`)` at its deadline (see
+    /// [`crate::report::Epochs`]). One callback path: `on_report` is not
+    /// called.
     Epochs,
 }
+
+/// The token [`CongestionControl::on_timer`] carries when send epochs
+/// reached their deadline ([`ReportMode::Epochs`]); their reports are in
+/// [`Ctx::epoch_reports`]. No algorithm timer can carry it: the engine
+/// passes algorithm tokens below 2^56.
+pub const EPOCH_DEADLINE: u64 = u64::MAX;
 
 impl ReportMode {
     /// Batched delivery: one report per smoothed RTT.
@@ -188,19 +196,41 @@ impl Effects {
     }
 }
 
-/// Algorithm-side view during a callback: clock, RNG, and effect sink.
+/// Algorithm-side view during a callback: clock, RNG, effect sink and
+/// the send epochs the callback's event resolved.
 pub struct Ctx<'a> {
     /// Current time.
     pub now: SimTime,
     /// Deterministic per-flow random stream.
     pub rng: &'a mut SimRng,
     effects: &'a mut Effects,
+    epoch_reports: &'a [MeasurementReport],
 }
 
 impl<'a> Ctx<'a> {
     /// Build a context (also used directly by algorithm unit tests).
     pub fn new(now: SimTime, rng: &'a mut SimRng, effects: &'a mut Effects) -> Self {
-        Ctx { now, rng, effects }
+        Ctx {
+            now,
+            rng,
+            effects,
+            epoch_reports: &[],
+        }
+    }
+
+    /// Hand the callback the reports of the send epochs its event
+    /// resolved, oldest first (the engine does; so do harnesses driving an
+    /// algorithm directly).
+    pub fn with_epoch_reports(mut self, reports: &'a [MeasurementReport]) -> Self {
+        self.epoch_reports = reports;
+        self
+    }
+
+    /// The send epochs this callback's event resolved, oldest first
+    /// ([`ReportMode::Epochs`]): an ACK or a loss that settled an epoch's
+    /// last packet, or [`EPOCH_DEADLINE`]. Empty otherwise.
+    pub fn epoch_reports(&self) -> &'a [MeasurementReport] {
+        self.epoch_reports
     }
 
     /// Request a pacing rate (bits/sec), effective immediately. Floored at
@@ -258,7 +288,8 @@ pub trait CongestionControl: Send {
     /// Sequences were newly declared lost.
     fn on_loss(&mut self, loss: &LossEvent, ctx: &mut Ctx);
 
-    /// A previously armed algorithm timer fired.
+    /// A previously armed algorithm timer fired, or — token
+    /// [`EPOCH_DEADLINE`] — send epochs reached their deadline.
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
         let _ = (token, ctx);
     }
@@ -268,7 +299,8 @@ pub trait CongestionControl: Send {
     /// [`ReportMode::Batched`] makes the engine aggregate locally and
     /// deliver one [`MeasurementReport`] per interval through
     /// [`CongestionControl::on_report`] instead; [`ReportMode::Epochs`]
-    /// adds one report per send epoch to the per-ACK events. An engine
+    /// adds one report per send epoch to the per-ACK events
+    /// ([`Ctx::epoch_reports`]). An engine
     /// config may batch a per-ACK algorithm (`CcSenderConfig::report`; the
     /// benchmark's `lossy_mix`, `udp_transfer --batched` and the batched
     /// conformance battery are the callers) but changes no other
@@ -278,10 +310,10 @@ pub trait CongestionControl: Send {
         ReportMode::PerAck
     }
 
-    /// One measurement interval completed: a batched report or a send
-    /// epoch. The default implementation ignores it; algorithms opting into
-    /// [`ReportMode::Batched`] or [`ReportMode::Epochs`] — or run by an
-    /// engine whose config forces batching — must implement it.
+    /// One batched measurement interval completed. The default
+    /// implementation ignores it; algorithms opting into
+    /// [`ReportMode::Batched`] — or run by an engine whose config forces
+    /// batching — must implement it.
     fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut Ctx) {
         let _ = (rep, ctx);
     }

@@ -51,6 +51,7 @@ pub mod spec;
 
 pub use cc::{
     AckEvent, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportMode, SentEvent,
+    EPOCH_DEADLINE,
 };
 pub use error::TransferError;
 pub use flow::{FlowSize, TransportConfig};

@@ -359,6 +359,13 @@ impl Epochs {
         Some(epoch.rep)
     }
 
+    /// How many epochs are live: the open one and the closed ones not yet
+    /// handed out. An algorithm that pairs each report with the interval
+    /// it opened holds exactly this many intervals.
+    pub fn live(&self) -> usize {
+        self.live.len()
+    }
+
     /// The oldest closed epoch's deadline.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.live.front()?.deadline

@@ -30,8 +30,8 @@
 //! every mode; algorithms only decide how fast data may leave. So is
 //! measurement: under [`ReportMode::Epochs`] the engine credits each
 //! packet's fate to the send epoch of its latest transmission, read from
-//! the scoreboard, and reports each epoch once it is resolved
-//! ([`crate::report::Epochs`]).
+//! the scoreboard, and hands each epoch's report to the callback of the
+//! ACK, loss or deadline that resolved it ([`crate::report::Epochs`]).
 
 use std::collections::VecDeque;
 
@@ -41,6 +41,7 @@ use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::cc::{
     AckEvent, CongestionControl, Ctx, Effects, LossEvent, LossKind, ReportMode, SentEvent,
+    EPOCH_DEADLINE,
 };
 use crate::flow::TransportConfig;
 use crate::report::{Epochs, MeasurementReport, ReportAggregator};
@@ -72,9 +73,10 @@ pub struct CcSenderConfig {
     /// e.g. a host driving many flows off-path batches all of them. Every
     /// other case keeps the preference: an algorithm whose `report_mode()`
     /// is `Batched` stays on reports under `Some(PerAck)` (it may have no
-    /// per-ACK path to fall back to; a test-local one pins the rule), one
-    /// that asks for `Epochs` (PCC) stays on epochs under `Some(Batched)`,
-    /// and `Some(Epochs)` acts like `None`.
+    /// per-ACK path to fall back to; a test-local one pins the rule) and
+    /// one that asks for `Epochs` (PCC) stays on epochs under
+    /// `Some(Batched)`. `Some(Epochs)` is refused at start: send epochs
+    /// are opened by the algorithm, so no host can force them.
     pub report: Option<ReportMode>,
     /// Dead-time budget: if the flow makes no forward progress (no new
     /// cumulative bytes acknowledged) for this long while the RTO keeps
@@ -130,7 +132,12 @@ const TOKEN_CTRL: u64 = 3 << TOKEN_KIND_SHIFT;
 const TOKEN_RTO: u64 = 4 << TOKEN_KIND_SHIFT;
 const TOKEN_TSO: u64 = 5 << TOKEN_KIND_SHIFT;
 const TOKEN_REPORT: u64 = 6 << TOKEN_KIND_SHIFT;
-/// Epoch deadlines: every arm acts, like an algorithm timer.
+/// Epoch deadlines. They carry no generation and every arm acts, so a
+/// duplicate arm fires too: they are armed each time an epoch closes and
+/// after each firing, exactly where PCC once armed its own deadline
+/// polls, which keeps every event count of the simulator unchanged.
+/// Folding them into one [`Timer`] at the oldest pending deadline would
+/// drop the duplicates and move those counts.
 const TOKEN_EPOCH: u64 = 7 << TOKEN_KIND_SHIFT;
 const TOKEN_GEN_MASK: u64 = (1 << TOKEN_KIND_SHIFT) - 1;
 
@@ -383,10 +390,37 @@ impl CcSender {
         ctx: &mut EndpointCtx,
         f: impl FnOnce(&mut dyn CongestionControl, &mut Ctx),
     ) {
+        self.with_cc_carrying(ctx, &[], f);
+    }
+
+    /// [`CcSender::with_cc`] for a callback whose event may have resolved
+    /// send epochs (an ACK, a loss, a deadline): it carries the report of
+    /// every epoch ready now, oldest first, in [`Ctx::epoch_reports`]. The
+    /// count is fixed before the callback, so an epoch that the algorithm
+    /// closes while judging one waits for the next ACK, loss or deadline.
+    fn with_cc_resolving(
+        &mut self,
+        ctx: &mut EndpointCtx,
+        f: impl FnOnce(&mut dyn CongestionControl, &mut Ctx),
+    ) {
+        let ready = self.epochs.as_ref().map_or(0, |e| e.ready(ctx.now));
+        let mut reports: Vec<_> = (0..ready)
+            .filter_map(|_| self.epochs.as_mut()?.pop())
+            .collect();
+        reports.iter_mut().for_each(|rep| self.stamp(rep));
+        self.with_cc_carrying(ctx, &reports, f);
+    }
+
+    fn with_cc_carrying(
+        &mut self,
+        ctx: &mut EndpointCtx,
+        reports: &[MeasurementReport],
+        f: impl FnOnce(&mut dyn CongestionControl, &mut Ctx),
+    ) {
         let mut effects = Effects::default();
         f(
             self.cc.as_mut(),
-            &mut Ctx::new(ctx.now, ctx.rng(), &mut effects),
+            &mut Ctx::new(ctx.now, ctx.rng(), &mut effects).with_epoch_reports(reports),
         );
         self.apply_effects(effects, ctx);
     }
@@ -596,8 +630,7 @@ impl CcSender {
                 let sent = ev.seqs.iter().filter_map(|&seq| self.sb.sent_at(seq));
                 sent.for_each(|at| epochs.on_lost(at));
             }
-            self.with_cc(ctx, |c, cc| c.on_loss(ev, cc));
-            self.deliver_epochs(ctx);
+            self.with_cc_resolving(ctx, |c, cc| c.on_loss(ev, cc));
             return;
         }
         self.agg.on_loss(ev);
@@ -783,27 +816,6 @@ impl CcSender {
         self.try_send(ctx);
     }
 
-    /// Deliver every send epoch that is ready now, oldest first. The count
-    /// is fixed before the first delivery, so an epoch that the algorithm
-    /// closes while judging one waits for the next ACK, loss or deadline,
-    /// and the effects of all the deliveries apply together.
-    fn deliver_epochs(&mut self, ctx: &mut EndpointCtx) {
-        let ready = self.epochs.as_ref().map_or(0, |e| e.ready(ctx.now));
-        if ready == 0 {
-            return;
-        }
-        let mut effects = Effects::default();
-        for _ in 0..ready {
-            let Some(mut rep) = self.epochs.as_mut().and_then(Epochs::pop) else {
-                break;
-            };
-            self.stamp(&mut rep);
-            let mut cc = Ctx::new(ctx.now, ctx.rng(), &mut effects);
-            self.cc.on_report(&rep, &mut cc);
-        }
-        self.apply_effects(effects, ctx);
-    }
-
     /// Emit a report now and start the next interval: the cadence tick,
     /// and the out-of-cadence report of a loss episode or timeout (whose
     /// re-arm supersedes the pending tick).
@@ -815,12 +827,19 @@ impl CcSender {
 
 impl CcSender {
     /// [`Endpoint::start`] for drivers that must not panic on a broken
-    /// algorithm: an `on_start` that declared no operating point is
-    /// returned as the error message `start` would have panicked with.
+    /// algorithm or config: an `on_start` that declared no operating
+    /// point, or a `report: Some(Epochs)` override, is returned as the
+    /// error message `start` would have panicked with.
     pub fn try_start(&mut self, ctx: &mut EndpointCtx) -> Result<(), String> {
         // Resolve the feedback path before the first callback so a
         // `begin_epoch` in `on_start` lands on the right machinery. The
         // override may batch a per-ACK algorithm and changes nothing else.
+        if self.cfg.report == Some(ReportMode::Epochs) {
+            return Err(format!(
+                "send epochs cannot be forced on `{}`: an algorithm opens them",
+                self.cc.name()
+            ));
+        }
         self.report_mode = match self.cc.report_mode() {
             ReportMode::PerAck if self.cfg.report == Some(ReportMode::Batched) => {
                 ReportMode::Batched
@@ -948,13 +967,12 @@ impl Endpoint for CcSender {
             } else {
                 // The ACK's deliveries count toward their epochs only now,
                 // after the losses it revealed were delivered, and an epoch
-                // they complete is reported after the algorithm has seen
-                // the ACK (and its RTT sample).
+                // they complete is reported with the ACK (and its RTT
+                // sample).
                 if let Some(epochs) = self.epochs.as_mut() {
                     epochs.credit_staged(ack.mss, out.rtt.map(|rtt| (rtt, ack.recv_at)));
                 }
-                self.with_cc(ctx, |c, cc| c.on_ack(&ack, cc));
-                self.deliver_epochs(ctx);
+                self.with_cc_resolving(ctx, |c, cc| c.on_ack(&ack, cc));
             }
         }
         if self.windowed() {
@@ -989,7 +1007,9 @@ impl Endpoint for CcSender {
             TOKEN_TSO if self.tso.fire(gen) => self.on_tso_flush(ctx),
             TOKEN_REPORT if self.report.fire(gen) => self.flush_report(ctx),
             TOKEN_EPOCH => {
-                self.deliver_epochs(ctx);
+                if self.epochs.as_ref().is_some_and(|e| e.ready(ctx.now) > 0) {
+                    self.with_cc_resolving(ctx, |c, cc| c.on_timer(EPOCH_DEADLINE, cc));
+                }
                 if let Some(at) = self.epochs.as_ref().and_then(Epochs::next_deadline) {
                     ctx.set_timer(at, TOKEN_EPOCH);
                 }
@@ -1885,6 +1905,13 @@ mod tests {
             ctx.begin_epoch(Self::SLACK);
             ctx.set_timer(ctx.now + SimDuration::from_secs(100), 0);
         }
+
+        fn record(&self, ctx: &Ctx) {
+            let mut log = pcc_simnet::sync::lock(&self.log);
+            for rep in ctx.epoch_reports() {
+                log.push((rep.start, rep.sent_pkts, rep.acked_pkts, rep.lost_pkts));
+            }
+        }
     }
 
     impl CongestionControl for EpochProbe {
@@ -1895,20 +1922,26 @@ mod tests {
             ctx.set_rate(self.bps);
             Self::next_epoch(ctx);
         }
-        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx) {
-            Self::next_epoch(ctx);
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
+            self.record(ctx);
+            if token != EPOCH_DEADLINE {
+                Self::next_epoch(ctx);
+            }
         }
         fn on_resume(&mut self, ctx: &mut Ctx) {
             Self::next_epoch(ctx);
         }
-        fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut Ctx) {}
-        fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
+        fn on_ack(&mut self, _ack: &AckEvent, ctx: &mut Ctx) {
+            self.record(ctx);
+        }
+        fn on_loss(&mut self, _loss: &LossEvent, ctx: &mut Ctx) {
+            self.record(ctx);
+        }
         fn report_mode(&self) -> ReportMode {
             ReportMode::Epochs
         }
-        fn on_report(&mut self, rep: &crate::report::MeasurementReport, _ctx: &mut Ctx) {
-            let counts = (rep.start, rep.sent_pkts, rep.acked_pkts, rep.lost_pkts);
-            pcc_simnet::sync::lock(&self.log).push(counts);
+        fn on_report(&mut self, _rep: &crate::report::MeasurementReport, _ctx: &mut Ctx) {
+            panic!("epoch reports ride on the per-ACK callbacks");
         }
     }
 
@@ -1918,14 +1951,14 @@ mod tests {
             let mut s = CcSender::new(CcSenderConfig { report, ..sized(4) }, cc);
             let mut rng = SimRng::new(1);
             let mut out = Vec::new();
-            s.start(&mut EndpointCtx::new(
+            s.try_start(&mut EndpointCtx::new(
                 SimTime::ZERO,
                 FlowId(0),
                 Side::Sender,
                 &mut rng,
                 &mut out,
-            ));
-            (s.report_mode, s.epochs.is_some())
+            ))
+            .map(|()| (s.report_mode, s.epochs.is_some()))
         };
         let probe = || {
             Box::new(EpochProbe {
@@ -1936,20 +1969,21 @@ mod tests {
         let fixed = || Box::new(FixedRate::new(1e6));
         assert_eq!(
             resolved(Some(ReportMode::Batched), probe()),
-            (ReportMode::Epochs, true)
+            Ok((ReportMode::Epochs, true))
         );
         assert_eq!(
             resolved(Some(ReportMode::PerAck), probe()),
-            (ReportMode::Epochs, true)
-        );
-        assert_eq!(
-            resolved(Some(ReportMode::Epochs), fixed()),
-            (ReportMode::PerAck, false)
+            Ok((ReportMode::Epochs, true))
         );
         assert_eq!(
             resolved(Some(ReportMode::Batched), fixed()),
-            (ReportMode::Batched, false)
+            Ok((ReportMode::Batched, false))
         );
+        // No host can force epochs: the algorithm opens them.
+        for cc in [probe() as Box<dyn CongestionControl>, fixed()] {
+            let err = resolved(Some(ReportMode::Epochs), cc).unwrap_err();
+            assert!(err.contains("send epochs cannot be forced"), "{err}");
+        }
     }
 
     #[test]
@@ -1966,17 +2000,21 @@ mod tests {
                 self.0.on_start(ctx);
                 ctx.set_timer(ctx.now + SimDuration::from_millis(50), 0);
             }
-            fn on_timer(&mut self, _token: u64, ctx: &mut Ctx) {
-                ctx.begin_epoch(SimDuration::from_millis(100));
-                ctx.set_timer(ctx.now + SimDuration::from_millis(50), 0);
+            fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
+                self.0.record(ctx);
+                if token != EPOCH_DEADLINE {
+                    ctx.begin_epoch(SimDuration::from_millis(100));
+                    ctx.set_timer(ctx.now + SimDuration::from_millis(50), 0);
+                }
             }
-            fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut Ctx) {}
-            fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
+            fn on_ack(&mut self, ack: &AckEvent, ctx: &mut Ctx) {
+                self.0.on_ack(ack, ctx);
+            }
+            fn on_loss(&mut self, loss: &LossEvent, ctx: &mut Ctx) {
+                self.0.on_loss(loss, ctx);
+            }
             fn report_mode(&self) -> ReportMode {
                 ReportMode::Epochs
-            }
-            fn on_report(&mut self, rep: &crate::report::MeasurementReport, ctx: &mut Ctx) {
-                self.0.on_report(rep, ctx);
             }
         }
         let log = EpochLog::default();

@@ -43,7 +43,8 @@ pub struct UdpSenderConfig {
     /// Feedback-path override. `None` honours the algorithm's own
     /// [`CongestionControl::report_mode`] preference;
     /// `Some(Batched)` batches a per-ACK algorithm and changes no other
-    /// preference. Passed through as `CcSenderConfig::report`.
+    /// preference; `Some(Epochs)` is an `InvalidInput` error. Passed
+    /// through as `CcSenderConfig::report`.
     pub report: Option<ReportMode>,
     /// Dead-time budget, passed through as
     /// `CcSenderConfig::dead_time_budget`: if no forward progress (no new

@@ -132,6 +132,22 @@ fn algorithm_without_operating_point_is_invalid_input_not_panic() {
 }
 
 #[test]
+fn forcing_send_epochs_is_invalid_input_not_panic() {
+    // Send epochs are opened by the algorithm; a host that asks for them
+    // gets a typed error before anything is sent.
+    install_registry();
+    let (_rx_sock, tx_sock, rx_addr) = sockets();
+    let cfg = UdpSenderConfig {
+        report: Some(ReportMode::Epochs),
+        ..UdpSenderConfig::default()
+    };
+    let err = send_named(&tx_sock, rx_addr, cfg, "pcc", SimDuration::from_millis(2))
+        .expect_err("epochs cannot be forced");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("cannot be forced"), "{err}");
+}
+
+#[test]
 fn invalid_spec_param_is_typed_error_not_panic() {
     install_registry();
     // The datapath threads parameterized specs through the registry, so a

@@ -15,7 +15,8 @@
 //! `--batched` flips the engine from per-ACK callbacks to 1-RTT
 //! aggregated measurement reports — the off-path control plane's
 //! feedback path (see ARCHITECTURE.md's "Measurement reports"). It
-//! changes nothing for PCC, which reports by send epochs either way.
+//! changes nothing for PCC, which reports by send epochs either way, and
+//! the banner says so.
 
 use std::net::UdpSocket;
 use std::thread;
@@ -56,10 +57,12 @@ fn main() -> std::io::Result<()> {
     let rx_sock = UdpSocket::bind("127.0.0.1:0")?;
     let rx_addr = rx_sock.local_addr()?;
     let tx_sock = UdpSocket::bind("127.0.0.1:0")?;
-    let path = if batched {
-        " on 1-RTT batched reports"
-    } else {
-        ""
+    let on_epochs = registry::by_name(&algo, &registry::CcParams::default())
+        .is_ok_and(|cc| cc.report_mode() == ReportMode::Epochs);
+    let path = match (batched, on_epochs) {
+        (true, false) => " on 1-RTT batched reports",
+        (true, true) => " on its send-epoch reports (--batched batches per-ACK algorithms only)",
+        (false, _) => "",
     };
     println!("receiver on {rx_addr}, sending 16 MB of real datagrams with `{algo}`{path}...");
 
