@@ -118,6 +118,11 @@ pub struct ChaosOutcome {
     /// Order-independent digest of the run's counters; equal
     /// fingerprints mean bit-identical runs.
     pub fingerprint: u64,
+    /// Simulator events the run processed.
+    pub events: u64,
+    /// [`flows_fingerprint`] of the run: the digest without the event
+    /// count, which a change to the engine's timers alone moves.
+    pub flows_fingerprint: u64,
 }
 
 /// SplitMix64 finalizer-based fold step.
@@ -128,10 +133,22 @@ fn mix(h: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Seed of both report digests.
+const FINGERPRINT_SEED: u64 = 0x43_48_41_4F_53;
+
 /// Fold a report's deterministic counters into one digest: event count,
 /// then per-flow delivery/loss/lifecycle counters in flow order.
 pub fn report_fingerprint(report: &SimReport) -> u64 {
-    let mut h = mix(0x43_48_41_4F_53, report.events_processed);
+    fold_flows(mix(FINGERPRINT_SEED, report.events_processed), report)
+}
+
+/// [`report_fingerprint`] without the event count: the per-flow
+/// delivery/loss/lifecycle counters alone, in flow order.
+pub fn flows_fingerprint(report: &SimReport) -> u64 {
+    fold_flows(FINGERPRINT_SEED, report)
+}
+
+fn fold_flows(mut h: u64, report: &SimReport) -> u64 {
     for f in &report.flows {
         h = mix(h, f.delivered_bytes);
         h = mix(h, f.sent_packets);
@@ -211,6 +228,8 @@ fn outcome(
         goodput_mbps: delivered as f64 * 8.0 / end.as_secs_f64().max(f64::MIN_POSITIVE) / 1e6,
         recovery_ms: recovery_ms(report, flows, repair),
         fingerprint: report_fingerprint(report),
+        events: report.events_processed,
+        flows_fingerprint: flows_fingerprint(report),
     }
 }
 

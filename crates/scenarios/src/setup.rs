@@ -238,11 +238,34 @@ pub fn run_single(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::flows_fingerprint;
     use crate::protocol::Protocol;
     use pcc_transport::receiver::span_rejections;
 
     fn quick(proto: Protocol, setup: LinkSetup, secs: u64) -> ScenarioRun {
         run_single(proto, setup, SimDuration::from_secs(secs), 42)
+    }
+
+    /// A golden row: its name, then what the run gave and what is pinned,
+    /// each as (events processed, digest of the per-flow counters).
+    type Golden<'a> = (&'a str, (u64, u64), (u64, u64));
+
+    fn assert_pinned(golden: &[Golden]) {
+        let moved: Vec<String> = golden
+            .iter()
+            .filter(|(_, got, want)| got != want)
+            .map(|(name, (events, digest), (was_events, was_digest))| {
+                format!(
+                    "{name}: ({events}, {digest:#018x}), pinned ({was_events}, {was_digest:#018x})"
+                )
+            })
+            .collect();
+        assert!(moved.is_empty(), "rows moved:\n{}", moved.join("\n"));
+    }
+
+    /// A run's events processed and [`flows_fingerprint`].
+    fn pin(report: &SimReport) -> (u64, u64) {
+        (report.events_processed, flows_fingerprint(report))
     }
 
     #[test]
@@ -312,17 +335,18 @@ mod tests {
         assert_eq!(r.report.flows[0].detected_losses, 263);
         assert_eq!(r.report.flows[1].detected_losses, 28);
 
-        // Every other scenario family, one fingerprint each, captured on
-        // the hand-wired constructions that preceded the shared builder.
-        // (The three pcc fabric values were re-pinned once: finished
-        // senders stopped ticking their controller to the horizon, which
-        // moved the event count folded into the fingerprint and no
-        // per-flow counter. The churn value was re-pinned once, from
-        // 0x3825_46ff_6868_73c8, when a retired flow's timer stopped being
-        // an event: 204 557 events became 199 977, 4 580 fewer, which is
-        // its `stale_timers` on both sides. Every harvested flow and every
-        // other churn counter is unchanged.)
-        use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
+        // Every other scenario family, one row each, captured on the
+        // hand-wired constructions that preceded the shared builder. A row
+        // pins the event count apart from a digest of the per-flow
+        // counters, so a change to the engine's timers alone moves only
+        // the count. (The three pcc fabric values were re-pinned once:
+        // finished senders stopped ticking their controller to the
+        // horizon, which moved the event count and no per-flow counter.
+        // The churn row was re-pinned once, when a retired flow's timer
+        // stopped being an event: 204 557 events became 199 977, 4 580
+        // fewer, which is its `stale_timers` on both sides. Every
+        // harvested flow and every other churn counter is unchanged.)
+        use crate::chaos::{run_chaos, ChaosScript};
         use crate::dc::{run_ft_permutation, run_ls_mix, run_rack_incast, LsFabric};
         use crate::dynamics::run_convergence;
         use crate::rapid::run_rapid_change;
@@ -330,11 +354,13 @@ mod tests {
         use crate::workload::{churn_benchmark_config, run_churn};
         use pcc_simnet::trace::LinkTrace;
 
-        let fp = report_fingerprint;
         let cubic = Protocol::Tcp("cubic");
         let pcc = Protocol::named("pcc");
         let mk_pcc = |_| pcc.clone();
-        let chaos = |p: &Protocol, s| run_chaos(p, s, 9).fingerprint;
+        let chaos = |p: &Protocol, s| {
+            let o = run_chaos(p, s, 9);
+            (o.events, o.flows_fingerprint)
+        };
         let lte = LinkTrace::builtin("lte").expect("bundled");
         let shaper = ShaperConfig::default();
         let trace = run_trace(cubic.clone(), &lte, SimDuration::from_secs(10), 3, shaper);
@@ -358,75 +384,75 @@ mod tests {
         let secs = SimDuration::from_secs;
         let rapid = run_rapid_change(pcc.clone(), secs(5), secs(60), 13, 2);
         let convergence = run_convergence(pcc.clone(), 2, secs(20), secs(60), 6);
-        let golden: [(&str, u64, u64); 13] = [
-            ("trace lte cubic", fp(&trace.report), 0x3de2_d6da_d5d5_7a24),
+        let churn = run_churn(churn_benchmark_config(3000, 1));
+        let golden: [Golden; 13] = [
+            (
+                "trace lte cubic",
+                pin(&trace.report),
+                (6_316, 0xac32_6cb7_2dbc_c1b7),
+            ),
             (
                 "rack incast k=4 pcc",
-                fp(&run_rack_incast(4, &pcc, 12, 256 * 1024, 5).run.report),
-                0xa228_3ad0_50a9_784e,
+                pin(&run_rack_incast(4, &pcc, 12, 256 * 1024, 5).run.report),
+                (56_899, 0x62a6_4067_2d9d_e4c9),
             ),
             (
                 "ft permutation k=4 pcc",
-                fp(&run_ft_permutation(4, &mk_pcc, 64 * 1024, 9).1.report),
-                0xe36b_19bf_d059_1368,
+                pin(&run_ft_permutation(4, &mk_pcc, 64 * 1024, 9).1.report),
+                (18_044, 0xff47_5bf4_282b_989a),
             ),
             (
                 "leaf-spine mix pcc",
-                fp(&run_ls_mix(fabric, &pcc, 512 * 1024, 32 * 1024, 11).2.report),
-                0xb142_374d_02f1_e05d,
+                pin(&run_ls_mix(fabric, &pcc, 512 * 1024, 32 * 1024, 11).2.report),
+                (52_480, 0xfb23_ed94_2601_466a),
             ),
             (
                 "chaos flap",
                 chaos(&cubic, ChaosScript::LinkFlap),
-                0xa843_4449_f592_033d,
+                (12_811, 0x0681_3285_85a1_755e),
             ),
             (
                 "chaos blackout",
                 chaos(&cubic, ChaosScript::Blackout),
-                0xdfd7_8268_0cba_429f,
+                (12_773, 0x853f_4ff8_6c44_6e4e),
             ),
             (
                 "chaos spine",
                 chaos(&cubic, ChaosScript::SpineFailure),
-                0x8e47_4fc0_1f03_061f,
+                (2_157_482, 0x8602_5284_6601_f95b),
             ),
             (
                 "chaos corrupt",
                 chaos(&cubic, ChaosScript::CorruptStorm),
-                0x385b_cc20_d989_33e1,
+                (13_791, 0x82a7_b3ff_8b80_cedd),
             ),
             (
                 "chaos spine paced",
                 chaos(&paced, ChaosScript::SpineFailure),
-                0xd3d1_d33a_8958_e5ea,
+                (2_296_227, 0x0d04_44dd_1937_b44c),
             ),
             (
                 "churn benchmark 3000",
-                run_churn(churn_benchmark_config(3000, 1)).fingerprint(),
-                0x3837_6aff_6887_46f4,
+                (churn.events_processed, churn.flows_fingerprint()),
+                (199_977, 0x2487_65f6_9152_c4f3),
             ),
             (
                 "dumbbell cubic batched",
-                fp(&batched.report),
-                0x7932_2d0f_ac7c_3d7d,
+                pin(&batched.report),
+                (137_549, 0xddff_0b69_51cb_9e63),
             ),
-            ("rapid pcc", fp(&rapid.inner.report), 0x37d1_df91_6f7a_152d),
+            (
+                "rapid pcc",
+                pin(&rapid.inner.report),
+                (1_223_630, 0xb5e3_a7c2_24ae_3007),
+            ),
             (
                 "convergence pcc n=2",
-                fp(&convergence.inner.report),
-                0x1896_201c_0e0b_9495,
+                pin(&convergence.inner.report),
+                (2_491_522, 0x9a60_3568_b6b9_478f),
             ),
         ];
-        let moved: Vec<String> = golden
-            .iter()
-            .filter(|(_, got, want)| got != want)
-            .map(|(name, got, want)| format!("{name}: {got:#018x}, pinned {want:#018x}"))
-            .collect();
-        assert!(
-            moved.is_empty(),
-            "fingerprints moved:\n{}",
-            moved.join("\n")
-        );
+        assert_pinned(&golden);
         assert_eq!(
             span_rejections(),
             0,
@@ -441,7 +467,6 @@ mod tests {
         // sent after the step land before ones sent just ahead of it) and
         // a jitter stage with bounded reordering. Fingerprints captured on
         // the single-heap event queue.
-        use crate::chaos::report_fingerprint;
         use pcc_simnet::link::LinkStep;
 
         let rtt = SimDuration::from_millis(30);
@@ -494,11 +519,18 @@ mod tests {
         // Jittered arrivals are off the nominal delay and go to the heap.
         let plain = run_dumbbell(setup, plans(), horizon, 42);
         assert!(reordered.report.lane_events < plain.report.lane_events);
-        assert_eq!(
-            [&lowered, &reordered].map(|r| report_fingerprint(&r.report)),
-            [0x30ed_aec2_a7d2_8b33, 0x0891_0ff7_dc13_83d9],
-            "fingerprints moved (delay step, reordering shaper)"
-        );
+        assert_pinned(&[
+            (
+                "delay step",
+                pin(&lowered.report),
+                (105_304, 0x1b41_6a17_79bf_0138),
+            ),
+            (
+                "reordering shaper",
+                pin(&reordered.report),
+                (117_817, 0x6a35_fd70_73eb_0a51),
+            ),
+        ]);
         assert_eq!(
             span_rejections(),
             0,
@@ -579,7 +611,7 @@ mod tests {
         // And the paced window adapter on both feedback paths: per-ACK New
         // Reno on Fig. 9's 6 kB buffer, Illinois on batched reports, and
         // tuned Vegas, whose spec keys pass through with `paced`.
-        use crate::chaos::{report_fingerprint, run_chaos, ChaosScript};
+        use crate::chaos::{run_chaos, ChaosScript};
         use crate::links::shallow_setup;
 
         let rtt = SimDuration::from_millis(30);
@@ -591,9 +623,8 @@ mod tests {
         let jitter = JitterConfig::uniform(SimDuration::from_millis(2)).with_reordering(0.02, 4);
         let reordered = setup.with_loss(0.01).with_jitter(jitter);
         let named = |name: &str| Protocol::Named(name.into());
-        let run_all = |setup, plans| {
-            report_fingerprint(&run_dumbbell(setup, plans, SimTime::from_secs(8), 42).report)
-        };
+        let run_all =
+            |setup, plans| pin(&run_dumbbell(setup, plans, SimTime::from_secs(8), 42).report);
         let run = |setup, plan| run_all(setup, vec![plan]);
         let per_ack = |name| FlowPlan::new(named(name), rtt);
         let batched = |name| FlowPlan::new(named(name), rtt).reporting(ReportMode::batched_rtt());
@@ -606,31 +637,31 @@ mod tests {
                 "{spec} batched"
             );
         }
-        let golden = [
+        let golden: [Golden; 12] = [
             (
                 "bbr batched",
                 run(setup, batched("bbr")),
-                0x2199_7b56_53ce_9149,
+                (164_319, 0x759b_d66a_abd1_41fe),
             ),
             (
                 "pcp batched",
                 run(setup, batched("pcp")),
-                0x60ea_870f_9d8f_94f3,
+                (2_364, 0xbd7c_ce83_b584_6a00),
             ),
             (
                 "sabul batched",
                 run(setup, batched("sabul")),
-                0x8245_b5ef_1f97_d32b,
+                (537_676, 0xa316_e501_1300_b577),
             ),
             (
                 "pcc per-ack deadline write-offs",
                 run(lossy, FlowPlan::new(named("pcc"), short)),
-                0x8090_82c0_b61e_1168,
+                (338_422, 0xbe1c_d842_f1cf_078a),
             ),
             (
                 "pcc single-pair fixed-tm per-ack",
                 run(setup, per_ack("pcc:tm=1,rct=false")),
-                0xbf41_996f_f058_a95a,
+                (171_861, 0x6716_8feb_0bc2_d1dc),
             ),
             (
                 "pcc-latency x2 competing",
@@ -641,49 +672,43 @@ mod tests {
                         per_ack("pcc-latency").starting_at(SimTime::from_secs(1)),
                     ],
                 ),
-                0xcc55_5380_a6be_7713,
+                (145_977, 0x4dfc_873d_bdc0_05d4),
             ),
             (
                 "pcc-lossresilient 20% loss",
                 run(setup.with_loss(0.2), per_ack("pcc-lossresilient")),
-                0x7eac_8afa_9453_5cb5,
+                (128_656, 0xecfa_ede5_4590_4719),
             ),
             (
                 "pcc chaos blackout",
-                run_chaos(&named("pcc"), ChaosScript::Blackout, 9).fingerprint,
-                0xb6fd_5919_5a2c_42d3,
+                {
+                    let o = run_chaos(&named("pcc"), ChaosScript::Blackout, 9);
+                    (o.events, o.flows_fingerprint)
+                },
+                (23_079, 0x5b5e_b619_b185_9188),
             ),
             (
                 "bbr per-ack 1% loss reordered",
                 run(reordered, per_ack("bbr")),
-                0x16e8_b760_6dcc_01f6,
+                (165_614, 0xf593_69ac_8182_0780),
             ),
             (
                 "newreno:paced=true per-ack fig09 6 kB buffer",
                 run(shallow_setup(6_000), per_ack("newreno:paced=true")),
-                0x574a_77d5_724e_a679,
+                (252_103, 0x3b53_1127_9a9c_2e6f),
             ),
             (
                 "illinois:paced=true batched",
                 run(setup, batched("illinois:paced=true")),
-                0x42e0_08ce_2619_10d3,
+                (184_702, 0x6ed5_e496_2592_5be3),
             ),
             (
                 "vegas:alpha=3,beta=6,paced=true per-ack",
                 run(setup, per_ack("vegas:alpha=3,beta=6,paced=true")),
-                0x663c_daa0_c887_20a9,
+                (177_957, 0xd81a_4a8d_b52f_aa4d),
             ),
         ];
-        let moved: Vec<String> = golden
-            .iter()
-            .filter(|(_, got, want)| got != want)
-            .map(|(name, got, want)| format!("{name}: {got:#018x}, pinned {want:#018x}"))
-            .collect();
-        assert!(
-            moved.is_empty(),
-            "fingerprints moved:\n{}",
-            moved.join("\n")
-        );
+        assert_pinned(&golden);
         assert_eq!(
             span_rejections(),
             0,

@@ -370,17 +370,20 @@ impl ChurnReport {
     /// engine counters — two runs are behaviorally identical iff their
     /// fingerprints match (FNV-1a over the sample stream).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325_u64;
-        let mix = |h: &mut u64, v: u64| {
-            *h ^= v;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for s in &self.samples {
-            mix(&mut h, s.bytes);
-            mix(&mut h, s.fct.map_or(u64::MAX, f64::to_bits));
-            mix(&mut h, s.goodput);
-        }
-        for v in [
+        [self.churn.stale_timers, self.events_processed]
+            .into_iter()
+            .fold(self.flows_fingerprint(), fnv1a)
+    }
+
+    /// [`ChurnReport::fingerprint`] without the two counts a change to the
+    /// engine's timers alone moves: the dead timers of retired flows and
+    /// the event count.
+    pub fn flows_fingerprint(&self) -> u64 {
+        let samples = self
+            .samples
+            .iter()
+            .flat_map(|s| [s.bytes, s.fct.map_or(u64::MAX, f64::to_bits), s.goodput]);
+        let counters = [
             self.churn.arrivals,
             self.churn.completions,
             self.churn.stalls,
@@ -388,13 +391,14 @@ impl ChurnReport {
             self.churn.peak_live,
             self.churn.recycled,
             self.churn.stale_packets,
-            self.churn.stale_timers,
-            self.events_processed,
-        ] {
-            mix(&mut h, v);
-        }
-        h
+        ];
+        samples.chain(counters).fold(0xcbf2_9ce4_8422_2325, fnv1a)
     }
+}
+
+/// One FNV-1a step.
+fn fnv1a(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 /// Configuration for an open-loop churn run.
