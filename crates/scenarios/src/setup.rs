@@ -308,7 +308,7 @@ mod tests {
         // all have to come out identical.
         let setup = LinkSetup::new(50e6, SimDuration::from_millis(30), 64_000);
         let r = run_single(Protocol::named("pcc"), setup, SimDuration::from_secs(8), 42);
-        assert_eq!(r.report.events_processed, 157_939);
+        assert_eq!(r.report.events_processed, 157_622);
         assert_eq!(r.report.flows[0].delivered_bytes, 46_510_500);
         assert_eq!(r.report.flows[0].goodput_bytes, 46_510_500);
         assert_eq!(r.report.flows[0].sent_packets, 32_974);
@@ -394,7 +394,7 @@ mod tests {
             (
                 "rack incast k=4 pcc",
                 pin(&run_rack_incast(4, &pcc, 12, 256 * 1024, 5).run.report),
-                (56_899, 0x62a6_4067_2d9d_e4c9),
+                (56_378, 0x62a6_4067_2d9d_e4c9),
             ),
             (
                 "ft permutation k=4 pcc",
@@ -404,7 +404,7 @@ mod tests {
             (
                 "leaf-spine mix pcc",
                 pin(&run_ls_mix(fabric, &pcc, 512 * 1024, 32 * 1024, 11).2.report),
-                (52_480, 0xfb23_ed94_2601_466a),
+                (52_067, 0xfb23_ed94_2601_466a),
             ),
             (
                 "chaos flap",
@@ -444,12 +444,12 @@ mod tests {
             (
                 "rapid pcc",
                 pin(&rapid.inner.report),
-                (1_223_630, 0xb5e3_a7c2_24ae_3007),
+                (1_218_669, 0xb5e3_a7c2_24ae_3007),
             ),
             (
                 "convergence pcc n=2",
                 pin(&convergence.inner.report),
-                (2_491_522, 0x9a60_3568_b6b9_478f),
+                (2_489_277, 0x9a60_3568_b6b9_478f),
             ),
         ];
         assert_pinned(&golden);
@@ -523,12 +523,12 @@ mod tests {
             (
                 "delay step",
                 pin(&lowered.report),
-                (105_304, 0x1b41_6a17_79bf_0138),
+                (104_971, 0x1b41_6a17_79bf_0138),
             ),
             (
                 "reordering shaper",
                 pin(&reordered.report),
-                (117_817, 0x6a35_fd70_73eb_0a51),
+                (117_676, 0x6a35_fd70_73eb_0a51),
             ),
         ]);
         assert_eq!(
@@ -656,12 +656,12 @@ mod tests {
             (
                 "pcc per-ack deadline write-offs",
                 run(lossy, FlowPlan::new(named("pcc"), short)),
-                (338_422, 0xbe1c_d842_f1cf_078a),
+                (332_162, 0xbe1c_d842_f1cf_078a),
             ),
             (
                 "pcc single-pair fixed-tm per-ack",
                 run(setup, per_ack("pcc:tm=1,rct=false")),
-                (171_861, 0x6716_8feb_0bc2_d1dc),
+                (162_361, 0x6716_8feb_0bc2_d1dc),
             ),
             (
                 "pcc-latency x2 competing",
@@ -672,12 +672,12 @@ mod tests {
                         per_ack("pcc-latency").starting_at(SimTime::from_secs(1)),
                     ],
                 ),
-                (145_977, 0x4dfc_873d_bdc0_05d4),
+                (145_269, 0x4dfc_873d_bdc0_05d4),
             ),
             (
                 "pcc-lossresilient 20% loss",
                 run(setup.with_loss(0.2), per_ack("pcc-lossresilient")),
-                (128_656, 0xecfa_ede5_4590_4719),
+                (128_378, 0xecfa_ede5_4590_4719),
             ),
             (
                 "pcc chaos blackout",
@@ -685,7 +685,7 @@ mod tests {
                     let o = run_chaos(&named("pcc"), ChaosScript::Blackout, 9);
                     (o.events, o.flows_fingerprint)
                 },
-                (23_079, 0x5b5e_b619_b185_9188),
+                (22_591, 0x5b5e_b619_b185_9188),
             ),
             (
                 "bbr per-ack 1% loss reordered",

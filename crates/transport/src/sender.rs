@@ -132,12 +132,12 @@ const TOKEN_CTRL: u64 = 3 << TOKEN_KIND_SHIFT;
 const TOKEN_RTO: u64 = 4 << TOKEN_KIND_SHIFT;
 const TOKEN_TSO: u64 = 5 << TOKEN_KIND_SHIFT;
 const TOKEN_REPORT: u64 = 6 << TOKEN_KIND_SHIFT;
-/// Epoch deadlines. They carry no generation and every arm acts, so a
-/// duplicate arm fires too: they are armed each time an epoch closes and
-/// after each firing, exactly where PCC once armed its own deadline
-/// polls, which keeps every event count of the simulator unchanged.
-/// Folding them into one [`Timer`] at the oldest pending deadline would
-/// drop the duplicates and move those counts.
+/// Epoch deadlines. They carry no generation and every arm acts, so there
+/// is at most one pending per instant: an arm at the oldest pending
+/// epoch's deadline (each time an epoch closes, and after each firing) is
+/// dropped when an event for that instant is already pending. The first
+/// arm at an instant keeps its place in the event order; a single timer
+/// chasing the oldest deadline, as the RTO does, would move it.
 const TOKEN_EPOCH: u64 = 7 << TOKEN_KIND_SHIFT;
 const TOKEN_GEN_MASK: u64 = (1 << TOKEN_KIND_SHIFT) - 1;
 
@@ -209,6 +209,8 @@ pub struct CcSender {
     agg: ReportAggregator,
     /// Send epochs, under [`ReportMode::Epochs`].
     epochs: Option<Epochs>,
+    /// The instants with a pending [`TOKEN_EPOCH`] event, one event each.
+    epoch_arms: Vec<SimTime>,
     /// When the flow last made forward progress (new cumulative bytes
     /// acknowledged); seeds the dead-time budget clock.
     last_progress_at: SimTime,
@@ -249,6 +251,7 @@ impl CcSender {
             report_mode: ReportMode::PerAck,
             agg: ReportAggregator::default(),
             epochs: None,
+            epoch_arms: Vec::new(),
             last_progress_at: SimTime::ZERO,
             timeouts_since_progress: 0,
             rto_fires: 0,
@@ -352,8 +355,8 @@ impl CcSender {
     }
 
     /// Apply the rate/cwnd changes, timers and send epochs the algorithm
-    /// requested. Each epoch that closes another arms
-    /// a deadline event at the oldest pending epoch's deadline.
+    /// requested. Opening epochs arms a deadline event at the oldest
+    /// pending epoch's deadline.
     fn apply_effects(&mut self, d: Effects, ctx: &mut EndpointCtx) {
         if let Some(rate) = d.rate {
             if self.rate_bps != Some(rate) {
@@ -377,12 +380,50 @@ impl CcSender {
         let Some(epochs) = self.epochs.as_mut() else {
             return;
         };
+        if d.epochs.is_empty() {
+            return;
+        }
         for slack in d.epochs {
             epochs.begin(ctx.now, slack);
-            if let Some(at) = epochs.next_deadline() {
-                ctx.set_timer(at, TOKEN_EPOCH);
-            }
         }
+        self.arm_epoch_deadline(ctx);
+    }
+
+    /// Arm a deadline event at the oldest pending epoch's deadline unless
+    /// one is pending for that instant already. A deadline already past
+    /// (an older epoch's later deadline held its epoch back) is armed for
+    /// now, where the event would fire anyway, so the pending instants are
+    /// the instants the events fire at.
+    fn arm_epoch_deadline(&mut self, ctx: &mut EndpointCtx) {
+        let Some(deadline) = self.epochs.as_ref().and_then(Epochs::next_deadline) else {
+            return;
+        };
+        let at = deadline.max(ctx.now);
+        if !self.epoch_arms.contains(&at) {
+            self.epoch_arms.push(at);
+            ctx.set_timer(at, TOKEN_EPOCH);
+        }
+    }
+
+    /// An epoch-deadline event fired. Timers fire in deadline order, so it
+    /// is the earliest pending one. It hands out the epochs ready now and,
+    /// in one more pass, any that its own callback closed already
+    /// resolved; a third pass is left to the next event, so an algorithm
+    /// that closes a resolved epoch in every callback cannot hold the
+    /// clock at one instant.
+    fn on_epoch_deadline(&mut self, ctx: &mut EndpointCtx) {
+        let earliest = (0..self.epoch_arms.len()).min_by_key(|&i| self.epoch_arms[i]);
+        if let Some(i) = earliest {
+            self.epoch_arms.swap_remove(i);
+        }
+        for _ in 0..2 {
+            if self.epochs.as_ref().is_none_or(|e| e.ready(ctx.now) == 0) {
+                break;
+            }
+            self.with_cc_resolving(ctx, |c, cc| c.on_timer(EPOCH_DEADLINE, cc));
+        }
+        self.arm_epoch_deadline(ctx);
+        self.try_send(ctx);
     }
 
     fn with_cc(
@@ -397,7 +438,8 @@ impl CcSender {
     /// send epochs (an ACK, a loss, a deadline): it carries the report of
     /// every epoch ready now, oldest first, in [`Ctx::epoch_reports`]. The
     /// count is fixed before the callback, so an epoch that the algorithm
-    /// closes while judging one waits for the next ACK, loss or deadline.
+    /// closes while judging one waits for the next ACK, loss or deadline
+    /// (or the second pass of the deadline firing it was judged in).
     fn with_cc_resolving(
         &mut self,
         ctx: &mut EndpointCtx,
@@ -1006,15 +1048,7 @@ impl Endpoint for CcSender {
             TOKEN_RTO if self.rto.fire(gen) => self.on_rto_event(ctx),
             TOKEN_TSO if self.tso.fire(gen) => self.on_tso_flush(ctx),
             TOKEN_REPORT if self.report.fire(gen) => self.flush_report(ctx),
-            TOKEN_EPOCH => {
-                if self.epochs.as_ref().is_some_and(|e| e.ready(ctx.now) > 0) {
-                    self.with_cc_resolving(ctx, |c, cc| c.on_timer(EPOCH_DEADLINE, cc));
-                }
-                if let Some(at) = self.epochs.as_ref().and_then(Epochs::next_deadline) {
-                    ctx.set_timer(at, TOKEN_EPOCH);
-                }
-                self.try_send(ctx);
-            }
+            TOKEN_EPOCH => self.on_epoch_deadline(ctx),
             // A superseded arm.
             _ => {}
         }
@@ -2124,6 +2158,372 @@ mod tests {
         let ms = SimTime::from_millis;
         let reports = epochs_through_a_resume(ms(3_500), Some(ms(3_600)));
         assert_eq!(reports, [(SimTime::from_secs(4), 0, 0, 0)]);
+    }
+
+    #[test]
+    fn closing_epochs_arms_one_deadline_event_per_instant() {
+        // Five epochs, each with one packet that is never ACKed, closed
+        // 1 ms apart: each close arms at the oldest epoch's deadline, and
+        // one event is pending for it, not one per close. Each firing
+        // writes off one epoch and arms the next deadline once.
+        let ms = SimTime::from_millis;
+        let due = |i| ms(i) + EpochProbe::SLACK;
+        let log = EpochLog::default();
+        let probe = EpochProbe {
+            bps: 1e6,
+            log: std::sync::Arc::clone(&log),
+        };
+        let mut h = Harness::new(CcSenderConfig::default(), probe);
+        h.call(SimTime::ZERO, |s, ctx| s.start(ctx));
+        for i in 1..=5 {
+            h.fire(ms(i - 1), TOKEN_PACE);
+            h.fire(ms(i), TOKEN_CTRL);
+        }
+        assert_eq!(h.arms(TOKEN_EPOCH), [(due(1), TOKEN_EPOCH)]);
+        assert_eq!(h.s.epoch_arms, [due(1)]);
+        for i in 1..=5 {
+            h.fire(due(i), TOKEN_EPOCH);
+            let armed: Vec<_> = h.arms(TOKEN_EPOCH).iter().map(|&(at, _)| at).collect();
+            let next = (i < 5).then(|| due(i + 1));
+            assert_eq!(armed, (1..=i).map(due).chain(next).collect::<Vec<_>>());
+            assert_eq!(h.s.epoch_arms, Vec::from_iter(next));
+        }
+        let reports: Vec<_> = (0..5).map(|i| (ms(i), 1, 0, 1)).collect();
+        assert_eq!(*pcc_simnet::sync::lock(&log), reports);
+    }
+
+    /// Hand-outs as (instant, epoch start, packets sent).
+    type HandOuts = std::sync::Arc<std::sync::Mutex<Vec<(SimTime, SimTime, u64)>>>;
+
+    /// Closes the open epoch in every deadline callback, as PCC does when
+    /// a judgement starts a new interval, and panics if called a third
+    /// time at one instant.
+    struct Reopener {
+        log: HandOuts,
+        /// The instant of the latest deadline callback, and how many
+        /// callbacks that instant had.
+        calls: (SimTime, u32),
+    }
+
+    impl CongestionControl for Reopener {
+        fn name(&self) -> &'static str {
+            "reopener"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.set_rate(1e6);
+            ctx.begin_epoch(EpochProbe::SLACK);
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
+            if token == EPOCH_DEADLINE {
+                let reports = ctx.epoch_reports().iter();
+                pcc_simnet::sync::lock(&self.log)
+                    .extend(reports.map(|rep| (ctx.now, rep.start, rep.sent_pkts)));
+                let (at, n) = self.calls;
+                let n = if at == ctx.now { n + 1 } else { 1 };
+                assert!(n <= 2, "a third deadline pass at {:?}", ctx.now);
+                self.calls = (ctx.now, n);
+            }
+            ctx.begin_epoch(EpochProbe::SLACK);
+        }
+        fn on_ack(&mut self, _ack: &AckEvent, _ctx: &mut Ctx) {}
+        fn on_loss(&mut self, _loss: &LossEvent, _ctx: &mut Ctx) {}
+        fn report_mode(&self) -> ReportMode {
+            ReportMode::Epochs
+        }
+    }
+
+    /// A [`Reopener`] whose first epoch sent one packet at 0 and closed at
+    /// 1 ms; nothing is ever ACKed. Returns it and its hand-outs.
+    fn reopened() -> (Harness, HandOuts) {
+        let log = HandOuts::default();
+        let probe = Reopener {
+            log: std::sync::Arc::clone(&log),
+            calls: (SimTime::MAX, 0),
+        };
+        let mut h = Harness::new(CcSenderConfig::default(), probe);
+        h.call(SimTime::ZERO, |s, ctx| s.start(ctx));
+        h.fire(SimTime::ZERO, TOKEN_PACE);
+        h.call(SimTime::from_millis(1), |s, ctx| {
+            s.on_timer(TOKEN_CTRL, ctx)
+        });
+        (h, log)
+    }
+
+    #[test]
+    fn a_deadline_hands_out_the_resolved_epoch_its_callback_closed() {
+        // The first epoch's deadline writes it off; judging it closes the
+        // second, empty and so resolved, which the same firing hands out.
+        let (mut h, log) = reopened();
+        let due = SimTime::from_millis(1) + EpochProbe::SLACK;
+        h.fire(due, TOKEN_EPOCH);
+        assert_eq!(
+            *pcc_simnet::sync::lock(&log),
+            [(due, SimTime::ZERO, 1), (due, SimTime::from_millis(1), 0)]
+        );
+    }
+
+    #[test]
+    fn a_deadline_firing_stops_after_two_passes() {
+        // Every pass closes another empty epoch. The firing returns after
+        // the second, leaving the third resolved epoch to an event at its
+        // own deadline: none is pending at this instant, so the probe is
+        // never called a third time here.
+        let (mut h, log) = reopened();
+        let due = SimTime::from_millis(1) + EpochProbe::SLACK;
+        h.fire(due, TOKEN_EPOCH);
+        assert_eq!(h.s.epochs.as_ref().map(|e| e.ready(due)), Some(1));
+        let next = due + EpochProbe::SLACK;
+        assert_eq!(h.s.epoch_arms, [next]);
+        h.fire(next, TOKEN_EPOCH);
+        let at: Vec<_> = pcc_simnet::sync::lock(&log).iter().map(|r| r.0).collect();
+        assert_eq!(at, [due, due, next, next]);
+    }
+
+    /// Random scripts against the deadline machinery: every closed epoch
+    /// is handed out once, in order, by its deadline (or an older epoch's
+    /// later one, which holds it back), and the engine's pending instants
+    /// are exactly the deadline events armed and not yet fired.
+    mod deadline_liveness {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+        use std::sync::{Arc, Mutex};
+
+        /// What the algorithm saw, in order.
+        #[derive(Clone, Copy, Debug)]
+        enum Seen {
+            /// It opened an epoch at this instant with this slack.
+            Begin(SimTime, SimDuration),
+            /// The engine resumed (and dropped every epoch first).
+            Resume,
+            /// A report handed out: (instant, start, sent, acked, lost).
+            Report(SimTime, SimTime, u64, u64, u64),
+        }
+
+        #[derive(Default)]
+        struct Shared {
+            seen: Vec<Seen>,
+            /// The slack of the next epoch it opens.
+            slack: SimDuration,
+        }
+
+        /// Paced at 100 Mbps on send epochs; opens an epoch at start, at
+        /// each of its timers and at a resume.
+        struct Opener(Arc<Mutex<Shared>>);
+
+        impl Opener {
+            fn begin(&self, ctx: &mut Ctx) {
+                let mut shared = pcc_simnet::sync::lock(&self.0);
+                let slack = shared.slack;
+                shared.seen.push(Seen::Begin(ctx.now, slack));
+                ctx.begin_epoch(slack);
+            }
+            fn record(&self, ctx: &Ctx) {
+                let reports = ctx.epoch_reports().iter().map(|rep| {
+                    let counts = (rep.sent_pkts, rep.acked_pkts, rep.lost_pkts);
+                    Seen::Report(ctx.now, rep.start, counts.0, counts.1, counts.2)
+                });
+                pcc_simnet::sync::lock(&self.0).seen.extend(reports);
+            }
+        }
+
+        impl CongestionControl for Opener {
+            fn name(&self) -> &'static str {
+                "opener"
+            }
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                ctx.set_rate(100e6);
+                self.begin(ctx);
+            }
+            fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
+                self.record(ctx);
+                if token != EPOCH_DEADLINE {
+                    self.begin(ctx);
+                }
+            }
+            fn on_resume(&mut self, ctx: &mut Ctx) {
+                pcc_simnet::sync::lock(&self.0).seen.push(Seen::Resume);
+                self.begin(ctx);
+            }
+            fn on_ack(&mut self, _ack: &AckEvent, ctx: &mut Ctx) {
+                self.record(ctx);
+            }
+            fn on_loss(&mut self, _loss: &LossEvent, ctx: &mut Ctx) {
+                self.record(ctx);
+            }
+            fn report_mode(&self) -> ReportMode {
+                ReportMode::Epochs
+            }
+        }
+
+        /// The epochs the engine should hold, replayed from what the
+        /// algorithm saw: each live one's start and, once closed, the
+        /// instant it must be handed out by.
+        #[derive(Default)]
+        struct Model {
+            live: VecDeque<(SimTime, Option<SimTime>)>,
+            /// The latest deadline since the last resume.
+            latest: Option<SimTime>,
+        }
+
+        impl Model {
+            fn replay(&mut self, seen: &[Seen]) {
+                for &ev in seen {
+                    match ev {
+                        Seen::Begin(now, slack) => {
+                            if let Some(open) = self.live.back_mut().filter(|e| e.1.is_none()) {
+                                self.latest = self.latest.max(Some(now + slack));
+                                open.1 = self.latest;
+                            }
+                            self.live.push_back((now, None));
+                        }
+                        Seen::Resume => *self = Model::default(),
+                        Seen::Report(at, start, sent, acked, lost) => {
+                            let (began, by) = self.live.pop_front().expect("a live epoch");
+                            prop_assert_eq!(began, start, "oldest first, each once");
+                            let by = by.expect("only closed epochs are handed out");
+                            prop_assert!(at <= by, "handed out at {at:?}, due by {by:?}");
+                            prop_assert_eq!(acked + lost, sent);
+                        }
+                    }
+                }
+            }
+
+            /// True if no closed epoch was due by `now`.
+            fn none_overdue(&self, now: SimTime) -> bool {
+                self.live.iter().all(|e| e.1.is_none_or(|by| by > now))
+            }
+        }
+
+        struct Driver {
+            h: Harness,
+            shared: Arc<Mutex<Shared>>,
+            replayed: usize,
+            model: Model,
+            now: SimTime,
+            /// Deadline events armed and not fired: (instant, arm order).
+            pending: Vec<(SimTime, u64)>,
+            arms: u64,
+            /// Sequences sent and not yet ACKed, with their latest send.
+            outstanding: BTreeMap<u64, SimTime>,
+            received: BTreeSet<u64>,
+        }
+
+        impl Driver {
+            fn new() -> Self {
+                let shared = Arc::new(Mutex::new(Shared::default()));
+                let h = Harness::new(CcSenderConfig::default(), Opener(Arc::clone(&shared)));
+                let mut d = Driver {
+                    h,
+                    shared,
+                    replayed: 0,
+                    model: Model::default(),
+                    now: SimTime::ZERO,
+                    pending: Vec::new(),
+                    arms: 0,
+                    outstanding: BTreeMap::new(),
+                    received: BTreeSet::new(),
+                };
+                d.call(|s, ctx| s.start(ctx));
+                d
+            }
+
+            /// Run `f` at the driver's clock, then check the engine's
+            /// pending instants against the events armed and not fired.
+            fn call(&mut self, f: impl FnOnce(&mut CcSender, &mut EndpointCtx)) {
+                let now = self.now;
+                self.h.call(now, f);
+                for a in &self.h.out {
+                    match a {
+                        Action::SetTimer { at, token }
+                            if token & !TOKEN_GEN_MASK == TOKEN_EPOCH =>
+                        {
+                            prop_assert!(*at >= now, "armed in the past");
+                            self.pending.push((*at, self.arms));
+                            self.arms += 1;
+                        }
+                        Action::Send(p) => {
+                            if let Some(d) = p.as_data() {
+                                self.outstanding.insert(d.seq, now);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                let seen = pcc_simnet::sync::lock(&self.shared).seen.clone();
+                self.model.replay(&seen[self.replayed..]);
+                self.replayed = seen.len();
+                let mut armed: Vec<SimTime> = self.pending.iter().map(|p| p.0).collect();
+                armed.sort();
+                let mut engine = self.h.s.epoch_arms.clone();
+                engine.sort();
+                prop_assert_eq!(&engine, &armed);
+                armed.dedup();
+                prop_assert_eq!(engine.len(), armed.len(), "one event per instant");
+            }
+
+            /// Fire the newest armed token of an engine timer kind.
+            fn fire(&mut self, kind: u64) {
+                if let Some(&(_, token)) = self.h.arms(kind).last() {
+                    self.call(|s, ctx| s.on_timer(token, ctx));
+                }
+            }
+
+            /// Fire every deadline event due by `t` in firing order, then
+            /// move the clock to `t`.
+            fn advance(&mut self, t: SimTime) {
+                while let Some(i) = (0..self.pending.len())
+                    .filter(|&i| self.pending[i].0 <= t)
+                    .min_by_key(|&i| self.pending[i])
+                {
+                    self.now = self.pending.remove(i).0;
+                    self.call(|s, ctx| s.on_timer(TOKEN_EPOCH, ctx));
+                }
+                self.now = t;
+                prop_assert!(self.model.none_overdue(t), "an epoch overdue at {t:?}");
+            }
+
+            /// ACK the `pick`-th outstanding sequence.
+            fn ack(&mut self, pick: usize) {
+                let Some((&seq, &sent_at)) = self
+                    .outstanding
+                    .iter()
+                    .nth(pick % self.outstanding.len().max(1))
+                else {
+                    return;
+                };
+                self.outstanding.remove(&seq);
+                self.received.insert(seq);
+                let cum = (0..).find(|s| !self.received.contains(s)).unwrap_or(0);
+                self.call(|s, ctx| s.on_packet(&ack(seq, cum, sent_at, ctx.now), ctx));
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn every_closed_epoch_is_handed_out_once_by_its_deadline(
+                script in proptest::collection::vec((0u8..6, 0u8..=255, 0u8..10), 1..200),
+            ) {
+                let mut d = Driver::new();
+                for (kind, mag, dt) in script {
+                    d.advance(d.now + SimDuration::from_millis(u64::from(dt)));
+                    match kind {
+                        0 | 1 => d.fire(TOKEN_PACE),
+                        2 => d.ack(usize::from(mag)),
+                        3 => d.fire(TOKEN_SCAN),
+                        4 => {
+                            let slack = SimDuration::from_millis(u64::from(mag % 64));
+                            pcc_simnet::sync::lock(&d.shared).slack = slack;
+                            d.call(|s, ctx| s.on_timer(TOKEN_CTRL, ctx));
+                        }
+                        _ if mag % 8 == 0 => d.call(|s, ctx| s.resume(ctx, None)),
+                        _ => d.ack(usize::from(mag)),
+                    }
+                }
+                d.advance(SimTime::MAX);
+                prop_assert!(d.pending.is_empty());
+            }
+        }
     }
 
     #[test]
