@@ -336,10 +336,9 @@ mod tests {
         assert_eq!(r.report.flows[1].detected_losses, 28);
 
         // Every other scenario family, one row each, captured on the
-        // hand-wired constructions that preceded the shared builder. A row
-        // pins the event count apart from a digest of the per-flow
-        // counters, so a change to the engine's timers alone moves only
-        // the count. (The three pcc fabric values were re-pinned once:
+        // hand-wired constructions that preceded `Scenario`. A row pins
+        // the event count apart from a digest of the per-flow counters,
+        // so a change to the engine's timers alone moves only the count. (The three pcc fabric values were re-pinned once:
         // finished senders stopped ticking their controller to the
         // horizon, which moved the event count and no per-flow counter.
         // The churn row was re-pinned once, when a retired flow's timer

@@ -2395,7 +2395,7 @@ mod tests {
             }
         }
 
-        struct Driver {
+        struct Rig {
             h: Harness,
             shared: Arc<Mutex<Shared>>,
             replayed: usize,
@@ -2409,11 +2409,11 @@ mod tests {
             received: BTreeSet<u64>,
         }
 
-        impl Driver {
+        impl Rig {
             fn new() -> Self {
                 let shared = Arc::new(Mutex::new(Shared::default()));
                 let h = Harness::new(CcSenderConfig::default(), Opener(Arc::clone(&shared)));
-                let mut d = Driver {
+                let mut d = Rig {
                     h,
                     shared,
                     replayed: 0,
@@ -2428,7 +2428,7 @@ mod tests {
                 d
             }
 
-            /// Run `f` at the driver's clock, then check the engine's
+            /// Run `f` at the rig's clock, then check the engine's
             /// pending instants against the events armed and not fired.
             fn call(&mut self, f: impl FnOnce(&mut CcSender, &mut EndpointCtx)) {
                 let now = self.now;
@@ -2504,7 +2504,7 @@ mod tests {
             fn every_closed_epoch_is_handed_out_once_by_its_deadline(
                 script in proptest::collection::vec((0u8..6, 0u8..=255, 0u8..10), 1..200),
             ) {
-                let mut d = Driver::new();
+                let mut d = Rig::new();
                 for (kind, mag, dt) in script {
                     d.advance(d.now + SimDuration::from_millis(u64::from(dt)));
                     match kind {
