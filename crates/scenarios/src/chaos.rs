@@ -118,11 +118,6 @@ pub struct ChaosOutcome {
     /// Order-independent digest of the run's counters; equal
     /// fingerprints mean bit-identical runs.
     pub fingerprint: u64,
-    /// Simulator events the run processed.
-    pub events: u64,
-    /// [`flows_fingerprint`] of the run: the digest without the event
-    /// count, which a change to the engine's timers alone moves.
-    pub flows_fingerprint: u64,
 }
 
 /// SplitMix64 finalizer-based fold step.
@@ -228,8 +223,6 @@ fn outcome(
         goodput_mbps: delivered as f64 * 8.0 / end.as_secs_f64().max(f64::MIN_POSITIVE) / 1e6,
         recovery_ms: recovery_ms(report, flows, repair),
         fingerprint: report_fingerprint(report),
-        events: report.events_processed,
-        flows_fingerprint: flows_fingerprint(report),
     }
 }
 
@@ -237,7 +230,12 @@ fn outcome(
 /// dumbbell is the historical three-link layout (bottleneck `0`, forward
 /// shim `1`, reverse shim `2`), which is what the script link indices
 /// address.
-fn run_dumbbell_chaos(protocol: &Protocol, text: &str, repair: SimTime, seed: u64) -> ChaosOutcome {
+fn run_dumbbell_chaos(
+    protocol: &Protocol,
+    text: &str,
+    repair: SimTime,
+    seed: u64,
+) -> (ChaosOutcome, SimReport) {
     let mut db = Dumbbell::graph(LinkConfig::bottleneck(
         CHAOS_RATE_BPS,
         SimDuration::ZERO,
@@ -250,14 +248,15 @@ fn run_dumbbell_chaos(protocol: &Protocol, text: &str, repair: SimTime, seed: u6
         CHAOS_BYTES,
     );
     let run = chaos_scenario(db.into_topology(), vec![flow], text, seed).run(CHAOS_HORIZON);
-    outcome(&run.report, &run.flows, CHAOS_BYTES, repair)
+    let outcome = outcome(&run.report, &run.flows, CHAOS_BYTES, repair);
+    (outcome, run.report)
 }
 
 /// Run four cross-pod flows of `protocol` on a `k=4` fat-tree and kill
 /// one core switch mid-transfer. The builder registers every flow with the
 /// fault plane, so survivors of the dead spine re-route via ECMP
 /// re-resolution over the surviving graph.
-fn run_spine_failure(protocol: &Protocol, seed: u64) -> ChaosOutcome {
+fn run_spine_failure(protocol: &Protocol, seed: u64) -> (ChaosOutcome, SimReport) {
     let ft = fat_tree(4, dc_link(), dc_link());
     let text = format!("0.05 node_down {} 1", ft.cores[0].index());
     let n = ft.hosts.len();
@@ -272,12 +271,13 @@ fn run_spine_failure(protocol: &Protocol, seed: u64) -> ChaosOutcome {
         })
         .collect();
     let run = chaos_scenario(ft.topo, flows, &text, seed).run(CHAOS_HORIZON);
-    outcome(
+    let outcome = outcome(
         &run.report,
         &run.flows,
         SPINE_BYTES * run.flows.len() as u64,
         ChaosScript::SpineFailure.repair_at(),
-    )
+    );
+    (outcome, run.report)
 }
 
 /// A finite chaos flow: `bytes` under the battery's dead-time budget.
@@ -304,6 +304,15 @@ fn chaos_scenario(topology: Topology, flows: Vec<Flow>, text: &str, seed: u64) -
 /// `seed`. Bit-deterministic: same inputs, same [`ChaosOutcome`] (and
 /// fingerprint), at any runner parallelism.
 pub fn run_chaos(protocol: &Protocol, script: ChaosScript, seed: u64) -> ChaosOutcome {
+    run_chaos_report(protocol, script, seed).0
+}
+
+/// [`run_chaos`] with the run's whole report next to its outcome.
+pub(crate) fn run_chaos_report(
+    protocol: &Protocol,
+    script: ChaosScript,
+    seed: u64,
+) -> (ChaosOutcome, SimReport) {
     let repair = script.repair_at();
     match script {
         ChaosScript::LinkFlap => run_dumbbell_chaos(protocol, "1 down 0 0.5", repair, seed),
@@ -361,7 +370,7 @@ mod tests {
     fn permanent_blackout_is_a_typed_stall_not_a_wedge() {
         // A repair-less variant of the ACK blackout: the budget must turn
         // the wedge into a recorded stall with partial progress.
-        let o = run_dumbbell_chaos(
+        let (o, _) = run_dumbbell_chaos(
             &Protocol::Tcp("cubic"),
             "1 down 2",
             SimTime::from_secs(1),

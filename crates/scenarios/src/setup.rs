@@ -338,14 +338,17 @@ mod tests {
         // Every other scenario family, one row each, captured on the
         // hand-wired constructions that preceded `Scenario`. A row pins
         // the event count apart from a digest of the per-flow counters,
-        // so a change to the engine's timers alone moves only the count. (The three pcc fabric values were re-pinned once:
-        // finished senders stopped ticking their controller to the
-        // horizon, which moved the event count and no per-flow counter.
-        // The churn row was re-pinned once, when a retired flow's timer
-        // stopped being an event: 204 557 events became 199 977, 4 580
-        // fewer, which is its `stale_timers` on both sides. Every
-        // harvested flow and every other churn counter is unchanged.)
-        use crate::chaos::{run_chaos, ChaosScript};
+        // so a change to the engine's timers alone moves only the count.
+        // The churn row's digest leaves out its dead timers of retired
+        // flows too, so they are pinned on their own below. (The three
+        // pcc fabric values were re-pinned once: finished senders stopped
+        // ticking their controller to the horizon, which moved the event
+        // count and no per-flow counter. The churn row was re-pinned once,
+        // when a retired flow's timer stopped being an event: 204 557
+        // events became 199 977, 4 580 fewer, which is its `stale_timers`
+        // on both sides. Every harvested flow and every other churn
+        // counter is unchanged.)
+        use crate::chaos::{run_chaos_report, ChaosScript};
         use crate::dc::{run_ft_permutation, run_ls_mix, run_rack_incast, LsFabric};
         use crate::dynamics::run_convergence;
         use crate::rapid::run_rapid_change;
@@ -356,10 +359,7 @@ mod tests {
         let cubic = Protocol::Tcp("cubic");
         let pcc = Protocol::named("pcc");
         let mk_pcc = |_| pcc.clone();
-        let chaos = |p: &Protocol, s| {
-            let o = run_chaos(p, s, 9);
-            (o.events, o.flows_fingerprint)
-        };
+        let chaos = |p: &Protocol, s| pin(&run_chaos_report(p, s, 9).1);
         let lte = LinkTrace::builtin("lte").expect("bundled");
         let shaper = ShaperConfig::default();
         let trace = run_trace(cubic.clone(), &lte, SimDuration::from_secs(10), 3, shaper);
@@ -452,6 +452,7 @@ mod tests {
             ),
         ];
         assert_pinned(&golden);
+        assert_eq!(churn.churn.stale_timers, 4_580, "churn dead timers");
         assert_eq!(
             span_rejections(),
             0,
@@ -610,7 +611,7 @@ mod tests {
         // And the paced window adapter on both feedback paths: per-ACK New
         // Reno on Fig. 9's 6 kB buffer, Illinois on batched reports, and
         // tuned Vegas, whose spec keys pass through with `paced`.
-        use crate::chaos::{run_chaos, ChaosScript};
+        use crate::chaos::{run_chaos_report, ChaosScript};
         use crate::links::shallow_setup;
 
         let rtt = SimDuration::from_millis(30);
@@ -680,10 +681,7 @@ mod tests {
             ),
             (
                 "pcc chaos blackout",
-                {
-                    let o = run_chaos(&named("pcc"), ChaosScript::Blackout, 9);
-                    (o.events, o.flows_fingerprint)
-                },
+                pin(&run_chaos_report(&named("pcc"), ChaosScript::Blackout, 9).1),
                 (22_591, 0x5b5e_b619_b185_9188),
             ),
             (
