@@ -389,4 +389,197 @@ mod tests {
         );
         assert_eq!(drain_cwnd(&mut fx), Some(per_ack_cwnd));
     }
+
+    /// Every registered baseline, unpaced and paced, behind the adapter
+    /// over two scripted histories. The long one: ACK runs of varying size
+    /// and RTT through slow start, a new loss episode and a repeat, ACKs
+    /// in recovery, a long congestion-avoidance run, a timeout, three
+    /// batched reports (loss episode, clean, timeout) and a cut after the
+    /// timeout. The short one cuts before any bandwidth estimate and grows
+    /// a small window under swinging RTTs. Each spec's FNV-1a digest of
+    /// every pushed window and rate, bit for bit, is pinned, so a drift in
+    /// any variant's law that reaches the engine, down to one ulp, fails
+    /// here in seconds.
+    #[test]
+    fn every_baseline_replays_two_scripted_histories_bit_for_bit() {
+        use pcc_simnet::rng::SimRng;
+        use pcc_simnet::time::{SimDuration, SimTime};
+        use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, Effects, LossEvent, LossKind};
+        use pcc_transport::registry::{self, CcParams};
+        use pcc_transport::report::MeasurementReport;
+
+        const GOLDEN: [(&str, u64); 14] = [
+            ("newreno", 0xbcf6_97ad_5a45_db50),
+            ("newreno:paced=true", 0x0594_7c9c_3ada_6a46),
+            ("cubic", 0x7106_ae9a_7222_0242),
+            ("cubic:paced=true", 0xa565_0549_6164_e397),
+            ("illinois", 0xecae_f723_fcce_e464),
+            ("illinois:paced=true", 0xa1ff_4d1b_f485_17d6),
+            ("hybla", 0xe363_54f3_4a9a_526d),
+            ("hybla:paced=true", 0x944d_816e_ef26_100b),
+            ("vegas", 0x8daf_abb7_b8df_4c27),
+            ("vegas:paced=true", 0xa0c3_3648_d029_8b04),
+            ("bic", 0x7938_5ecd_783b_fc9d),
+            ("bic:paced=true", 0xfc57_e39c_30b0_f14f),
+            ("westwood", 0x6c17_aef9_cf06_eba5),
+            ("westwood:paced=true", 0xb72e_e4ab_10de_3c70),
+        ];
+
+        struct Script {
+            cc: Box<dyn CongestionControl>,
+            rng: SimRng,
+            fx: Effects,
+            now: SimTime,
+            srtt: SimDuration,
+            min_rtt: SimDuration,
+            max_rtt: SimDuration,
+            digest: u64,
+        }
+
+        impl Script {
+            /// Fold the callback's effects into the digest.
+            fn fold(&mut self) {
+                let d = self.fx.drain();
+                for word in [d.cwnd, d.rate].map(|v| v.map_or(u64::MAX, f64::to_bits)) {
+                    for b in word.to_le_bytes() {
+                        self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+
+            fn ack(&mut self, newly_acked: u32, rtt_ms: u64, step_ms: u64, in_recovery: bool) {
+                self.now += SimDuration::from_millis(step_ms);
+                let rtt = SimDuration::from_millis(rtt_ms);
+                self.srtt =
+                    SimDuration::from_nanos((self.srtt.as_nanos() * 7 + rtt.as_nanos()) / 8);
+                self.min_rtt = self.min_rtt.min(rtt);
+                self.max_rtt = self.max_rtt.max(rtt);
+                let ack = AckEvent {
+                    now: self.now,
+                    seq: 0,
+                    rtt,
+                    sampled: true,
+                    srtt: self.srtt,
+                    min_rtt: self.min_rtt,
+                    max_rtt: self.max_rtt,
+                    recv_at: self.now,
+                    probe_train: None,
+                    of_retx: false,
+                    cum_ack: 0,
+                    newly_acked,
+                    in_flight: 20,
+                    mss: 1500,
+                    in_recovery,
+                };
+                let mut ctx = Ctx::new(self.now, &mut self.rng, &mut self.fx);
+                self.cc.on_ack(&ack, &mut ctx);
+                self.fold();
+            }
+
+            fn loss(&mut self, kind: LossKind, new_episode: bool) {
+                let seqs = [7u64, 8];
+                let loss = LossEvent {
+                    now: self.now,
+                    seqs: &seqs,
+                    kind,
+                    new_episode,
+                    in_flight: 12,
+                    mss: 1500,
+                };
+                let mut ctx = Ctx::new(self.now, &mut self.rng, &mut self.fx);
+                self.cc.on_loss(&loss, &mut ctx);
+                self.fold();
+            }
+
+            fn report(&mut self, acked: u64, loss_events: u32, timeouts: u32) {
+                let start = self.now;
+                self.now += SimDuration::from_millis(45);
+                let rep = MeasurementReport {
+                    start,
+                    end: self.now,
+                    acked_pkts: acked,
+                    acked_bytes: acked * 1500,
+                    loss_events,
+                    new_loss_episode: loss_events > 0,
+                    timeouts,
+                    rtt_min: Some(SimDuration::from_millis(38)),
+                    rtt_max: Some(SimDuration::from_millis(71)),
+                    rtt_sum_ns: u128::from(acked) * 52_000_000,
+                    rtt_samples: acked,
+                    srtt: SimDuration::from_millis(47),
+                    min_rtt: self.min_rtt,
+                    in_flight: 16,
+                    mss: 1500,
+                    ..Default::default()
+                };
+                let mut ctx = Ctx::new(self.now, &mut self.rng, &mut self.fx);
+                self.cc.on_report(&rep, &mut ctx);
+                self.fold();
+            }
+        }
+
+        crate::register_algorithms();
+        let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(40));
+        let mut got = Vec::new();
+        for (spec, _) in GOLDEN {
+            let mut digest = 0xcbf2_9ce4_8422_2325;
+            // Both histories fold into the spec's one digest.
+            for long in [true, false] {
+                let cc = registry::by_name(spec, &params).unwrap_or_else(|e| panic!("{spec}: {e}"));
+                let mut s = Script {
+                    cc,
+                    rng: SimRng::new(1),
+                    fx: Effects::default(),
+                    now: SimTime::ZERO,
+                    srtt: SimDuration::from_millis(40),
+                    min_rtt: SimDuration::MAX,
+                    max_rtt: SimDuration::ZERO,
+                    digest,
+                };
+                let mut ctx = Ctx::new(s.now, &mut s.rng, &mut s.fx);
+                s.cc.on_start(&mut ctx);
+                s.fold();
+                if !long {
+                    for i in 0..3u64 {
+                        s.ack(1, 30 + i, 5, false);
+                    }
+                    s.loss(LossKind::Detected, true);
+                    for i in 0..400u64 {
+                        s.ack(1 + i as u32 % 2, [20, 90][i as usize / 20 % 2], 5, false);
+                    }
+                    digest = s.digest;
+                    continue;
+                }
+                for i in 0..400u64 {
+                    let n = [1, 2, 1, 3, 0, 4][i as usize % 6];
+                    s.ack(n, 30 + i * 37 % 50, 5, false);
+                }
+                s.loss(LossKind::Detected, true);
+                s.loss(LossKind::Detected, false);
+                for i in 0..30u64 {
+                    s.ack(1 + i as u32 % 2, 60, 2, true);
+                }
+                for i in 0..5000u64 {
+                    s.ack([8, 12, 16][i as usize % 3], 35 + i * 13 % 40, 4, false);
+                }
+                s.loss(LossKind::Timeout, true);
+                for i in 0..30u64 {
+                    s.ack(1 + i as u32 % 3, 40 + i % 20, 3, false);
+                }
+                s.report(5, 1, 0);
+                s.report(30, 0, 0);
+                s.report(0, 2, 1);
+                for i in 0..1600u64 {
+                    s.ack(1 + i as u32 % 2, 45 + i % 15, 3, false);
+                    if i == 400 {
+                        s.loss(LossKind::Detected, true);
+                    }
+                }
+                digest = s.digest;
+            }
+            got.push((spec, digest));
+        }
+        let want: Vec<_> = GOLDEN.to_vec();
+        assert_eq!(got, want, "a baseline's window or rate moved");
+    }
 }
