@@ -582,4 +582,108 @@ mod tests {
         let want: Vec<_> = GOLDEN.to_vec();
         assert_eq!(got, want, "a baseline's window or rate moved");
     }
+
+    /// The slow-start threshold the adapter holds for its variant.
+    fn ssthresh(cc: &Windowed) -> f64 {
+        cc.inner.ssthresh()
+    }
+
+    proptest::proptest! {
+        /// Whatever the history of ACKs, losses, timeouts and batched
+        /// reports, every variant hands the engine a finite window of at
+        /// least `MIN_CWND` and, when paced, a finite positive rate; and
+        /// right after a cut or a collapse its ssthresh is at least
+        /// `MIN_SSTHRESH`.
+        #[test]
+        fn every_variant_keeps_the_window_sane(
+            iw in 1u32..=64,
+            script in proptest::collection::vec((0u8..4, 0u32..=64, 1u64..=500), 1..200),
+        ) {
+            use crate::common::MIN_SSTHRESH;
+            use pcc_transport::spec::SpecParams;
+
+            let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(40));
+            for &(_, _, build) in crate::VARIANTS {
+                for paced in [false, true] {
+                    let mut cc = Windowed::new(build(&SpecParams::default(), f64::from(iw)), paced, &params);
+                    let mut rng = SimRng::new(1);
+                    let mut fx = Effects::default();
+                    let mut now = SimTime::ZERO;
+                    let mut srtt = SimDuration::from_millis(40);
+                    let mut min_rtt = SimDuration::MAX;
+                    cc.on_start(&mut Ctx::new(now, &mut rng, &mut fx));
+                    let check = |fx: &mut Effects, cc: &Windowed, cut: bool| {
+                        let d = fx.drain();
+                        let cwnd = d.cwnd.expect("every callback pushes the window");
+                        proptest::prop_assert!(cwnd.is_finite() && cwnd >= MIN_CWND, "{} cwnd {cwnd}", cc.name());
+                        if paced {
+                            let rate = d.rate.expect("a paced adapter sets a rate");
+                            proptest::prop_assert!(rate.is_finite() && rate > 0.0, "{} rate {rate}", cc.name());
+                        }
+                        if cut {
+                            proptest::prop_assert!(ssthresh(cc) >= MIN_SSTHRESH, "{} ssthresh {}", cc.name(), ssthresh(cc));
+                        }
+                    };
+                    check(&mut fx, &cc, false);
+                    for &(op, a, b) in &script {
+                        now += SimDuration::from_millis(u64::from(a % 20));
+                        let rtt = SimDuration::from_millis(b);
+                        srtt = SimDuration::from_nanos((srtt.as_nanos() * 7 + rtt.as_nanos()) / 8);
+                        min_rtt = min_rtt.min(rtt);
+                        let mut ctx = Ctx::new(now, &mut rng, &mut fx);
+                        let cut = match op {
+                            0 => {
+                                let ack = AckEvent {
+                                    now,
+                                    rtt,
+                                    srtt,
+                                    min_rtt,
+                                    newly_acked: a,
+                                    in_recovery: b % 5 == 0,
+                                    ..ack_event(0, false)
+                                };
+                                cc.on_ack(&ack, &mut ctx);
+                                false
+                            }
+                            1 | 2 => {
+                                let seqs = [1u64];
+                                let loss = LossEvent {
+                                    now,
+                                    seqs: &seqs,
+                                    kind: if op == 1 { LossKind::Detected } else { LossKind::Timeout },
+                                    new_episode: b % 2 == 0,
+                                    in_flight: u64::from(a),
+                                    mss: 1500,
+                                };
+                                cc.on_loss(&loss, &mut ctx);
+                                op == 2 || loss.new_episode
+                            }
+                            _ => {
+                                let rep = MeasurementReport {
+                                    start: now,
+                                    end: now + rtt,
+                                    acked_pkts: u64::from(a),
+                                    acked_bytes: u64::from(a) * 1500,
+                                    loss_events: (b % 3) as u32,
+                                    new_loss_episode: b % 2 == 0,
+                                    timeouts: u32::from(b % 7 == 0),
+                                    rtt_max: (a % 2 == 0).then_some(rtt),
+                                    rtt_sum_ns: u128::from(a) * u128::from(rtt.as_nanos()),
+                                    rtt_samples: u64::from(a),
+                                    srtt,
+                                    min_rtt,
+                                    mss: 1500,
+                                    in_recovery: b % 11 == 0,
+                                    ..Default::default()
+                                };
+                                cc.on_report(&rep, &mut ctx);
+                                rep.timeouts > 0 || (rep.loss_events > 0 && rep.new_loss_episode)
+                            }
+                        };
+                        check(&mut fx, &cc, cut);
+                    }
+                }
+            }
+        }
+    }
 }
