@@ -5,10 +5,10 @@
 //! toward it (fast far away, slow close up); above it, max probing
 //! accelerates away. Constants follow Linux `tcp_bic.c`.
 
-use crate::window::{CcAck, WindowAlgo};
-use pcc_simnet::time::SimTime;
+use crate::window::{Window, WindowAlgo};
+use pcc_transport::cc::AckEvent;
 
-use crate::common::{slow_start, INITIAL_CWND, MIN_SSTHRESH};
+use crate::common::{halved, slow_start, MIN_SSTHRESH};
 
 /// Don't binary-search below this window; behave like Reno.
 const LOW_WINDOW: f64 = 14.0;
@@ -24,8 +24,6 @@ pub(crate) const BETA: f64 = 819.0 / 1024.0;
 /// TCP BIC congestion control.
 #[derive(Clone, Debug)]
 pub struct Bic {
-    cwnd: f64,
-    ssthresh: f64,
     /// Window right before the last reduction.
     last_max: f64,
     /// Multiplicative decrease factor.
@@ -33,54 +31,40 @@ pub struct Bic {
 }
 
 impl Bic {
-    /// New instance with IW10 and the Linux decrease factor.
-    pub fn new() -> Self {
-        Self::with_params(BETA, INITIAL_CWND)
-    }
-
-    /// New instance with an explicit decrease factor and initial window
-    /// (`bic:beta=0.7,iw=32`).
-    pub fn with_params(beta: f64, iw: f64) -> Self {
+    /// BIC with an explicit decrease factor (`bic:beta=0.7`).
+    pub fn with_params(beta: f64) -> Self {
         Bic {
-            cwnd: iw,
-            ssthresh: f64::MAX,
             last_max: 0.0,
             beta,
         }
     }
 
-    /// Packets that must be ACKed for cwnd to grow by 1 (Linux `cnt`).
-    fn cnt(&self) -> f64 {
-        if self.cwnd < LOW_WINDOW {
+    /// Packets that must be ACKed for `cwnd` to grow by 1 (Linux `cnt`).
+    fn cnt(&self, cwnd: f64) -> f64 {
+        if cwnd < LOW_WINDOW {
             // Reno region.
-            return self.cwnd;
+            return cwnd;
         }
-        if self.cwnd < self.last_max {
+        if cwnd < self.last_max {
             // Binary search toward last_max.
-            let dist = (self.last_max - self.cwnd) / B;
+            let dist = (self.last_max - cwnd) / B;
             if dist > MAX_INCREMENT {
-                self.cwnd / MAX_INCREMENT
+                cwnd / MAX_INCREMENT
             } else if dist <= 1.0 {
-                self.cwnd * SMOOTH_PART / B
+                cwnd * SMOOTH_PART / B
             } else {
-                self.cwnd / dist
+                cwnd / dist
             }
         } else {
             // Max probing.
-            if self.cwnd < self.last_max + B {
-                self.cwnd * SMOOTH_PART / B
-            } else if self.cwnd < self.last_max + MAX_INCREMENT * (B - 1.0) {
-                self.cwnd * (B - 1.0) / (self.cwnd - self.last_max)
+            if cwnd < self.last_max + B {
+                cwnd * SMOOTH_PART / B
+            } else if cwnd < self.last_max + MAX_INCREMENT * (B - 1.0) {
+                cwnd * (B - 1.0) / (cwnd - self.last_max)
             } else {
-                self.cwnd / MAX_INCREMENT
+                cwnd / MAX_INCREMENT
             }
         }
-    }
-}
-
-impl Default for Bic {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -89,78 +73,69 @@ impl WindowAlgo for Bic {
         "bic"
     }
 
-    fn on_ack(&mut self, ack: &CcAck) {
-        if self.cwnd < self.ssthresh {
-            slow_start(&mut self.cwnd, ack.newly_acked);
+    fn on_ack(&mut self, w: &mut Window, ack: &AckEvent) {
+        if w.cwnd < w.ssthresh {
+            slow_start(&mut w.cwnd, ack.newly_acked);
             return;
         }
         for _ in 0..ack.newly_acked {
-            self.cwnd += 1.0 / self.cnt();
+            w.cwnd += 1.0 / self.cnt(w.cwnd);
         }
     }
 
-    fn on_loss_event(&mut self, _now: SimTime) {
+    fn on_loss_event(&mut self, w: &mut Window) {
         // Fast convergence.
-        if self.cwnd < self.last_max {
-            self.last_max = self.cwnd * (2.0 - (1.0 - self.beta)) / 2.0;
+        if w.cwnd < self.last_max {
+            self.last_max = w.cwnd * (2.0 - (1.0 - self.beta)) / 2.0;
         } else {
-            self.last_max = self.cwnd;
+            self.last_max = w.cwnd;
         }
-        self.ssthresh = if self.cwnd < LOW_WINDOW {
-            (self.cwnd / 2.0).max(MIN_SSTHRESH)
+        w.ssthresh = if w.cwnd < LOW_WINDOW {
+            halved(w.cwnd)
         } else {
-            (self.cwnd * self.beta).max(MIN_SSTHRESH)
+            (w.cwnd * self.beta).max(MIN_SSTHRESH)
         };
-        self.cwnd = self.ssthresh;
+        w.cwnd = w.ssthresh;
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.last_max = self.cwnd;
-        self.ssthresh = (self.cwnd * self.beta).max(MIN_SSTHRESH);
-        self.cwnd = 1.0;
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
+    fn on_rto(&mut self, cwnd: f64) -> f64 {
+        self.last_max = cwnd;
+        (cwnd * self.beta).max(MIN_SSTHRESH)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::drive_acks;
+    use crate::testutil::Driven;
 
     #[test]
     fn gentle_decrease_above_low_window() {
-        let mut cc = Bic::new();
-        drive_acks(&mut cc, 90, 1); // 100
+        let mut cc = Driven::new(Bic::with_params(BETA));
+        cc.acks(90, 1); // 100
         let before = cc.cwnd();
-        cc.on_loss_event(SimTime::ZERO);
+        cc.loss();
         assert!((cc.cwnd() - before * BETA).abs() < 1e-9, "~20% cut only");
     }
 
     #[test]
     fn reno_halving_below_low_window() {
-        let mut cc = Bic::new();
-        cc.on_loss_event(SimTime::ZERO); // from 10 (< LOW_WINDOW): halve
+        let mut cc = Driven::new(Bic::with_params(BETA));
+        cc.loss(); // from 10 (< LOW_WINDOW): halve
         assert_eq!(cc.cwnd(), 5.0);
     }
 
     #[test]
     fn binary_search_fast_when_far_slow_when_near() {
-        let mut cc = Bic::new();
-        drive_acks(&mut cc, 190, 1); // cwnd 200
-        cc.on_loss_event(SimTime::ZERO); // last_max=200, cwnd=159.9
-        let far_cnt = cc.cnt();
+        let mut cc = Driven::new(Bic::with_params(BETA));
+        cc.acks(190, 1); // cwnd 200
+        cc.loss(); // last_max=200, cwnd=159.9
+        let far_cnt = cc.cc.cnt(cc.w.cwnd);
         // Grow until near last_max.
-        while cc.cwnd() < cc.last_max - 2.0 {
-            drive_acks(&mut cc, 1, 1);
+        while cc.cwnd() < cc.cc.last_max - 2.0 {
+            cc.acks(1, 1);
         }
-        let near_cnt = cc.cnt();
+        let near_cnt = cc.cc.cnt(cc.w.cwnd);
         assert!(
             near_cnt > far_cnt,
             "growth slows near the old max: cnt {near_cnt} vs {far_cnt}"
@@ -169,18 +144,18 @@ mod tests {
 
     #[test]
     fn max_probing_accelerates_past_old_peak() {
-        let mut cc = Bic::new();
-        drive_acks(&mut cc, 90, 1); // 100
-        cc.on_loss_event(SimTime::ZERO); // last_max 100
-                                         // Push well past the old max.
-        while cc.cwnd() < cc.last_max + 2.0 {
-            drive_acks(&mut cc, 1, 1);
+        let mut cc = Driven::new(Bic::with_params(BETA));
+        cc.acks(90, 1); // 100
+        cc.loss(); // last_max 100
+                   // Push well past the old max.
+        while cc.cwnd() < cc.cc.last_max + 2.0 {
+            cc.acks(1, 1);
         }
-        let just_past = cc.cnt();
-        while cc.cwnd() < cc.last_max + MAX_INCREMENT * (B - 1.0) + 5.0 {
-            drive_acks(&mut cc, 1, 1);
+        let just_past = cc.cc.cnt(cc.w.cwnd);
+        while cc.cwnd() < cc.cc.last_max + MAX_INCREMENT * (B - 1.0) + 5.0 {
+            cc.acks(1, 1);
         }
-        let far_past = cc.cnt();
+        let far_past = cc.cc.cnt(cc.w.cwnd);
         assert!(
             far_past < just_past,
             "probing accelerates with distance: {far_past} vs {just_past}"

@@ -6,13 +6,18 @@ pub const INITIAL_CWND: f64 = 10.0;
 
 /// Floor for the congestion window the engine is ever asked to run with.
 /// Enforced by the [`crate::window::Windowed`] adapter for every variant:
-/// whatever a variant's internal state says (e.g. cwnd = 1 after an RTO),
-/// the effective window stays at least this, so the flow always keeps
+/// whatever the window says (e.g. cwnd = 1 after an RTO), the effective
+/// window stays at least this, so the flow always keeps
 /// enough packets moving for SACK-based loss detection to function.
 pub const MIN_CWND: f64 = 2.0;
 
 /// Floor for the slow-start threshold after a loss.
 pub const MIN_SSTHRESH: f64 = 2.0;
+
+/// Reno's cut: half the window, floored at [`MIN_SSTHRESH`].
+pub fn halved(cwnd: f64) -> f64 {
+    (cwnd / 2.0).max(MIN_SSTHRESH)
+}
 
 /// Standard slow-start growth: +1 packet per acked packet.
 pub fn slow_start(cwnd: &mut f64, newly_acked: u32) {

@@ -6,10 +6,11 @@
 //! motivation for Fig. 8's RTT-fairness comparison), with a TCP-friendly
 //! region that keeps it no slower than Reno on short paths.
 
-use crate::window::{CcAck, WindowAlgo};
+use crate::window::{Window, WindowAlgo};
 use pcc_simnet::time::SimTime;
+use pcc_transport::cc::AckEvent;
 
-use crate::common::{slow_start, INITIAL_CWND, MIN_SSTHRESH};
+use crate::common::{slow_start, MIN_SSTHRESH};
 
 /// CUBIC's scaling constant (RFC 8312: 0.4).
 pub const DEFAULT_C: f64 = 0.4;
@@ -19,8 +20,6 @@ pub const DEFAULT_BETA: f64 = 0.7;
 /// CUBIC congestion control.
 #[derive(Clone, Debug)]
 pub struct Cubic {
-    cwnd: f64,
-    ssthresh: f64,
     /// Window size just before the last reduction.
     w_max: f64,
     /// Start of the current congestion-avoidance epoch.
@@ -36,18 +35,10 @@ pub struct Cubic {
 }
 
 impl Cubic {
-    /// New instance with IW10 and the RFC 8312 constants.
-    pub fn new() -> Self {
-        Self::with_params(DEFAULT_BETA, DEFAULT_C, INITIAL_CWND)
-    }
-
-    /// New instance with explicit constants: multiplicative-decrease
-    /// factor `beta`, scaling constant `c`, and initial window `iw`
-    /// packets (the `cubic:beta=…,c=…,iw=…` spec surface).
-    pub fn with_params(beta: f64, c: f64, iw: f64) -> Self {
+    /// CUBIC with multiplicative-decrease factor `beta` and scaling
+    /// constant `c` (the `cubic:beta=…,c=…` spec surface).
+    pub fn with_params(beta: f64, c: f64) -> Self {
         Cubic {
-            cwnd: iw.max(1.0),
-            ssthresh: f64::MAX,
             w_max: 0.0,
             epoch_start: None,
             k: 0.0,
@@ -57,10 +48,10 @@ impl Cubic {
         }
     }
 
-    fn enter_epoch(&mut self, now: SimTime) {
+    fn enter_epoch(&mut self, now: SimTime, cwnd: f64) {
         self.epoch_start = Some(now);
-        self.k = if self.cwnd < self.w_max {
-            ((self.w_max - self.cwnd) / self.c).cbrt()
+        self.k = if cwnd < self.w_max {
+            ((self.w_max - cwnd) / self.c).cbrt()
         } else {
             0.0
         };
@@ -71,24 +62,18 @@ impl Cubic {
     }
 }
 
-impl Default for Cubic {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl WindowAlgo for Cubic {
     fn name(&self) -> &'static str {
         "cubic"
     }
 
-    fn on_ack(&mut self, ack: &CcAck) {
-        if self.cwnd < self.ssthresh {
-            slow_start(&mut self.cwnd, ack.newly_acked);
+    fn on_ack(&mut self, w: &mut Window, ack: &AckEvent) {
+        if w.cwnd < w.ssthresh {
+            slow_start(&mut w.cwnd, ack.newly_acked);
             return;
         }
         if self.epoch_start.is_none() {
-            self.enter_epoch(ack.now);
+            self.enter_epoch(ack.now, w.cwnd);
         }
         let t = ack
             .now
@@ -103,68 +88,58 @@ impl WindowAlgo for Cubic {
             + (3.0 * (1.0 - self.beta) / (1.0 + self.beta)) * (t / rtt.max(1e-6));
         for _ in 0..ack.newly_acked {
             let goal = target.max(w_est);
-            if goal > self.cwnd {
-                self.cwnd += (goal - self.cwnd) / self.cwnd;
+            if goal > w.cwnd {
+                w.cwnd += (goal - w.cwnd) / w.cwnd;
             } else {
                 // Max-probing plateau: creep forward slowly.
-                self.cwnd += 0.01 / self.cwnd;
+                w.cwnd += 0.01 / w.cwnd;
             }
         }
     }
 
-    fn on_loss_event(&mut self, now: SimTime) {
+    fn on_loss_event(&mut self, w: &mut Window) {
         // Fast convergence (RFC 8312 §4.6): if the loss came below the
         // previous W_max, release bandwidth by remembering a smaller peak.
-        if self.cwnd < self.w_last_max {
-            self.w_max = self.cwnd * (2.0 - self.beta) / 2.0;
+        if w.cwnd < self.w_last_max {
+            self.w_max = w.cwnd * (2.0 - self.beta) / 2.0;
         } else {
-            self.w_max = self.cwnd;
+            self.w_max = w.cwnd;
         }
-        self.w_last_max = self.cwnd;
-        self.ssthresh = (self.cwnd * self.beta).max(MIN_SSTHRESH);
-        self.cwnd = self.ssthresh;
-        self.epoch_start = None;
-        let _ = now;
-    }
-
-    fn on_rto(&mut self, _now: SimTime) {
-        self.w_max = self.cwnd;
-        self.w_last_max = self.cwnd;
-        self.ssthresh = (self.cwnd * self.beta).max(MIN_SSTHRESH);
-        self.cwnd = 1.0;
+        self.w_last_max = w.cwnd;
+        w.ssthresh = (w.cwnd * self.beta).max(MIN_SSTHRESH);
+        w.cwnd = w.ssthresh;
         self.epoch_start = None;
     }
 
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
+    fn on_rto(&mut self, cwnd: f64) -> f64 {
+        self.w_max = cwnd;
+        self.w_last_max = cwnd;
+        self.epoch_start = None;
+        (cwnd * self.beta).max(MIN_SSTHRESH)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{ack_at, drive_acks, drive_acks_timed};
+    use crate::testutil::{ack_at, Driven};
     use pcc_simnet::time::SimDuration;
 
     #[test]
     fn loss_reduces_by_beta() {
-        let mut cc = Cubic::new();
-        drive_acks(&mut cc, 90, 1); // slow start to 100
+        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        cc.acks(90, 1); // slow start to 100
         let before = cc.cwnd();
-        cc.on_loss_event(SimTime::from_secs(1));
+        cc.loss();
         assert!((cc.cwnd() - before * DEFAULT_BETA).abs() < 1e-9);
     }
 
     #[test]
     fn concave_recovery_toward_w_max() {
-        let mut cc = Cubic::new();
-        drive_acks(&mut cc, 90, 1);
+        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        cc.acks(90, 1);
         let w_before_loss = cc.cwnd();
-        cc.on_loss_event(SimTime::from_secs(1));
+        cc.loss();
         // Drive ACKs over several seconds: cwnd must approach W_max and
         // plateau near it (concave region).
         let rtt = SimDuration::from_millis(30);
@@ -172,7 +147,7 @@ mod tests {
         let mut last = cc.cwnd();
         let mut grew = 0;
         for _ in 0..200 {
-            now = drive_acks_timed(&mut cc, 10, 1, now, SimDuration::from_millis(3), rtt);
+            now = cc.acks_timed(10, 1, now, SimDuration::from_millis(3), rtt);
             if cc.cwnd() > last {
                 grew += 1;
             }
@@ -191,47 +166,47 @@ mod tests {
     fn inflection_point_k_matches_rfc() {
         // After a loss at W = 1000: W_max = 1000, cwnd = 700, and
         // K = cbrt(W_max·(1−β)/C) = cbrt(300/0.4) ≈ 9.086 s (RFC 8312 §4.1).
-        let mut cc = Cubic::new();
-        drive_acks(&mut cc, 990, 1); // slow start to 1000
-        cc.on_loss_event(SimTime::from_secs(5));
-        cc.enter_epoch(SimTime::from_secs(5));
-        assert!((cc.w_max - 1000.0).abs() < 1e-9);
+        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        cc.acks(990, 1); // slow start to 1000
+        cc.loss();
+        cc.cc.enter_epoch(SimTime::from_secs(5), cc.w.cwnd);
+        assert!((cc.cc.w_max - 1000.0).abs() < 1e-9);
         assert!((cc.cwnd() - 700.0).abs() < 1e-9);
         let expected_k = (1000.0 * (1.0 - DEFAULT_BETA) / DEFAULT_C).cbrt();
-        assert!((cc.k - expected_k).abs() < 1e-9, "K = {}", cc.k);
+        assert!((cc.cc.k - expected_k).abs() < 1e-9, "K = {}", cc.cc.k);
         // The curve anchors: W(0) = cwnd at reduction, W(K) = W_max, and
         // it grows monotonically through the concave and convex regions.
-        assert!((cc.w_cubic(0.0) - 700.0).abs() < 1e-6);
-        assert!((cc.w_cubic(cc.k) - 1000.0).abs() < 1e-9);
-        assert!(cc.w_cubic(2.0) > cc.w_cubic(1.0));
-        assert!(cc.w_cubic(cc.k + 2.0) > cc.w_cubic(cc.k + 1.0));
+        assert!((cc.cc.w_cubic(0.0) - 700.0).abs() < 1e-6);
+        assert!((cc.cc.w_cubic(cc.cc.k) - 1000.0).abs() < 1e-9);
+        assert!(cc.cc.w_cubic(2.0) > cc.cc.w_cubic(1.0));
+        assert!(cc.cc.w_cubic(cc.cc.k + 2.0) > cc.cc.w_cubic(cc.cc.k + 1.0));
         // Wall-clock (not RTT) drives the curve — the design property the
         // paper's Fig. 8 RTT-fairness experiment leans on.
-        assert!(cc.w_cubic(12.0) > 1000.0, "convex growth past K");
+        assert!(cc.cc.w_cubic(12.0) > 1000.0, "convex growth past K");
     }
 
     #[test]
     fn fast_convergence_shrinks_peak() {
-        let mut cc = Cubic::new();
-        drive_acks(&mut cc, 90, 1);
-        cc.on_loss_event(SimTime::ZERO);
-        let w1 = cc.w_max;
+        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        cc.acks(90, 1);
+        cc.loss();
+        let w1 = cc.cc.w_max;
         // Second loss below the previous peak triggers fast convergence.
-        cc.on_loss_event(SimTime::from_millis(100));
-        assert!(cc.w_max < w1, "fast convergence lowers the target peak");
+        cc.loss();
+        assert!(cc.cc.w_max < w1, "fast convergence lowers the target peak");
     }
 
     #[test]
     fn tcp_friendly_region_floors_growth() {
-        let mut cc = Cubic::new();
-        drive_acks(&mut cc, 20, 1); // cwnd 30
-        cc.on_loss_event(SimTime::ZERO);
+        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        cc.acks(20, 1); // cwnd 30
+        cc.loss();
         let after_loss = cc.cwnd();
         // With a long RTT and small window, W_est (Reno-like) dominates.
         let rtt = SimDuration::from_millis(200);
         let mut now = SimTime::ZERO;
         for _ in 0..50 {
-            cc.on_ack(&ack_at(1, now, rtt));
+            cc.ack(&ack_at(1, now, rtt));
             now += SimDuration::from_millis(40);
         }
         assert!(cc.cwnd() > after_loss, "friendly region keeps growing");

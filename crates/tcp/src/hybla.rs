@@ -7,10 +7,11 @@
 //! halving — which is exactly why it still collapses under the random loss
 //! of a real satellite link (Fig. 6: 17× below PCC).
 
-use crate::window::{CcAck, WindowAlgo};
-use pcc_simnet::time::{SimDuration, SimTime};
+use crate::window::{Window, WindowAlgo};
+use pcc_simnet::time::SimDuration;
+use pcc_transport::cc::AckEvent;
 
-use crate::common::{INITIAL_CWND, MIN_SSTHRESH};
+use crate::common::halved;
 
 /// Hybla's reference RTT (25 ms, per the paper and Linux tcp_hybla.c).
 pub(crate) const RTT0: SimDuration = SimDuration::from_millis(25);
@@ -18,8 +19,6 @@ pub(crate) const RTT0: SimDuration = SimDuration::from_millis(25);
 /// TCP Hybla congestion control.
 #[derive(Clone, Debug)]
 pub struct Hybla {
-    cwnd: f64,
-    ssthresh: f64,
     /// ρ = max(RTT/RTT₀, 1).
     rho: f64,
     /// The reference RTT growth is normalized to.
@@ -27,20 +26,13 @@ pub struct Hybla {
 }
 
 impl Hybla {
-    /// New instance with IW10 and the 25 ms reference RTT.
-    pub fn new() -> Self {
-        Self::with_params(RTT0, INITIAL_CWND)
-    }
-
-    /// New instance with an explicit reference RTT and initial window
-    /// (`hybla:rtt0_ms=50,iw=32`). A zero reference RTT would divide by
-    /// zero in ρ; it is raised to 1 ms (the registry schema floors
-    /// `rtt0_ms` at 1 too, but direct construction must not produce an
-    /// instance whose first ACK makes the window infinite).
-    pub fn with_params(rtt0: SimDuration, iw: f64) -> Self {
+    /// Hybla with an explicit reference RTT (`hybla:rtt0_ms=50`). A zero
+    /// reference RTT would divide by zero in ρ; it is raised to 1 ms (the
+    /// registry schema floors `rtt0_ms` at 1 too, but direct construction
+    /// must not produce an instance whose first ACK makes the window
+    /// infinite).
+    pub fn with_params(rtt0: SimDuration) -> Self {
         Hybla {
-            cwnd: iw,
-            ssthresh: f64::MAX,
             rho: 1.0,
             rtt0: rtt0.max(SimDuration::from_millis(1)),
         }
@@ -49,17 +41,6 @@ impl Hybla {
     fn update_rho(&mut self, srtt: SimDuration) {
         self.rho = (srtt.as_secs_f64() / self.rtt0.as_secs_f64()).max(1.0);
     }
-
-    /// Current RTT-normalization factor ρ.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-}
-
-impl Default for Hybla {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl WindowAlgo for Hybla {
@@ -67,89 +48,81 @@ impl WindowAlgo for Hybla {
         "hybla"
     }
 
-    fn on_ack(&mut self, ack: &CcAck) {
+    fn on_ack(&mut self, w: &mut Window, ack: &AckEvent) {
         self.update_rho(ack.srtt);
-        if self.cwnd < self.ssthresh {
+        if w.cwnd < w.ssthresh {
             // cwnd += 2^ρ − 1 per ACK; like Linux tcp_hybla.c, the slow-
             // start exponent is clamped (ρ ≤ 16) or the window goes
             // astronomical within a single ACK on GEO-satellite RTTs.
-            self.cwnd += (2f64.powf(self.rho.min(16.0)) - 1.0) * ack.newly_acked as f64;
+            w.cwnd += (2f64.powf(self.rho.min(16.0)) - 1.0) * ack.newly_acked as f64;
         } else {
             // cwnd += ρ²/cwnd per ACK.
-            self.cwnd += self.rho * self.rho * ack.newly_acked as f64 / self.cwnd;
+            w.cwnd += self.rho * self.rho * ack.newly_acked as f64 / w.cwnd;
         }
     }
 
-    fn on_loss_event(&mut self, _now: SimTime) {
-        self.ssthresh = (self.cwnd / 2.0).max(MIN_SSTHRESH);
-        self.cwnd = self.ssthresh;
+    fn on_loss_event(&mut self, w: &mut Window) {
+        w.ssthresh = halved(w.cwnd);
+        w.cwnd = w.ssthresh;
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.ssthresh = (self.cwnd / 2.0).max(MIN_SSTHRESH);
-        self.cwnd = 1.0;
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
+    fn on_rto(&mut self, cwnd: f64) -> f64 {
+        halved(cwnd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::ack_at;
+    use crate::testutil::{ack_at, Driven};
+    use pcc_simnet::time::SimTime;
 
     #[test]
     fn short_rtt_behaves_like_reno() {
-        let mut cc = Hybla::new();
+        let mut cc = Driven::new(Hybla::with_params(RTT0));
         // 25 ms RTT ⇒ ρ = 1 ⇒ slow start +1/ack, CA +1/cwnd.
-        cc.on_ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(25)));
-        assert!((cc.rho() - 1.0).abs() < 1e-9);
+        cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(25)));
+        assert!((cc.cc.rho - 1.0).abs() < 1e-9);
         assert_eq!(cc.cwnd(), 11.0);
     }
 
     #[test]
     fn rho_floors_at_one() {
-        let mut cc = Hybla::new();
-        cc.on_ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(5)));
-        assert_eq!(cc.rho(), 1.0, "sub-reference RTT does not slow growth");
+        let mut cc = Driven::new(Hybla::with_params(RTT0));
+        cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(5)));
+        assert_eq!(cc.cc.rho, 1.0, "sub-reference RTT does not slow growth");
     }
 
     #[test]
     fn long_rtt_ramps_aggressively() {
         // 800 ms satellite RTT ⇒ ρ = 32 ⇒ slow-start adds 2^32−1... in
         // practice cwnd explodes per ACK, compensating the slow ACK clock.
-        let mut cc = Hybla::new();
+        let mut cc = Driven::new(Hybla::with_params(RTT0));
         let before = cc.cwnd();
-        cc.on_ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(250)));
+        cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(250)));
         // ρ = 10 ⇒ +1023 per ack.
-        assert!((cc.rho() - 10.0).abs() < 1e-9);
+        assert!((cc.cc.rho - 10.0).abs() < 1e-9);
         assert!((cc.cwnd() - (before + 1023.0)).abs() < 1e-6);
     }
 
     #[test]
     fn ca_growth_scales_with_rho_squared() {
-        let mut cc = Hybla::new();
-        cc.on_loss_event(SimTime::ZERO); // force CA (cwnd 5, ssthresh 5)
+        let mut cc = Driven::new(Hybla::with_params(RTT0));
+        cc.loss(); // force CA (cwnd 5, ssthresh 5)
         let w = cc.cwnd();
-        cc.on_ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(50)));
+        cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(50)));
         // ρ = 2 ⇒ +4/cwnd.
         assert!((cc.cwnd() - (w + 4.0 / w)).abs() < 1e-9);
     }
 
     #[test]
     fn loss_still_halves() {
-        let mut cc = Hybla::new();
+        let mut cc = Driven::new(Hybla::with_params(RTT0));
         for _ in 0..5 {
-            cc.on_ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(800)));
+            cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(800)));
         }
         let before = cc.cwnd();
-        cc.on_loss_event(SimTime::ZERO);
+        cc.loss();
         assert!((cc.cwnd() - before / 2.0).abs() < 1e-6, "hardwired halving");
     }
 
@@ -159,10 +132,10 @@ mod tests {
         // and the first CA ACK drove cwnd to infinity. Direct
         // construction now floors the reference RTT at 1 ms, mirroring
         // Illinois::with_params' degenerate-parameter guard.
-        let mut cc = Hybla::with_params(SimDuration::ZERO, 10.0);
-        cc.on_loss_event(SimTime::ZERO); // force CA
-        cc.on_ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(50)));
-        assert!(cc.rho().is_finite(), "rho stays finite: {}", cc.rho());
+        let mut cc = Driven::new(Hybla::with_params(SimDuration::ZERO));
+        cc.loss(); // force CA
+        cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(50)));
+        assert!(cc.cc.rho.is_finite(), "rho stays finite: {}", cc.cc.rho);
         assert!(cc.cwnd().is_finite(), "cwnd stays finite: {}", cc.cwnd());
     }
 }

@@ -8,10 +8,11 @@
 //! decrease factor β does the opposite. The *event→response* wiring stays
 //! hardwired: a loss still always shrinks the window.
 
-use crate::window::{CcAck, WindowAlgo};
-use pcc_simnet::time::{SimDuration, SimTime};
+use crate::window::{Window, WindowAlgo};
+use pcc_simnet::time::SimDuration;
+use pcc_transport::cc::AckEvent;
 
-use crate::common::{slow_start, INITIAL_CWND, MIN_SSTHRESH};
+use crate::common::{slow_start, MIN_SSTHRESH};
 
 pub(crate) const ALPHA_MAX: f64 = 10.0;
 const ALPHA_MIN: f64 = 0.3;
@@ -23,8 +24,6 @@ const WIN_THRESH: f64 = 15.0;
 /// TCP Illinois congestion control.
 #[derive(Clone, Debug)]
 pub struct Illinois {
-    cwnd: f64,
-    ssthresh: f64,
     base_rtt: SimDuration,
     max_rtt: SimDuration,
     /// RTT samples accumulated over the current window-epoch.
@@ -42,23 +41,16 @@ pub struct Illinois {
 }
 
 impl Illinois {
-    /// New instance with IW10 and the Linux α/β envelope.
-    pub fn new() -> Self {
-        Self::with_params(ALPHA_MAX, BETA_MAX, INITIAL_CWND)
-    }
-
-    /// New instance with an explicit α/β envelope and initial window
-    /// (`illinois:alpha_max=5,beta_max=0.3,iw=32`). Ceilings below the
+    /// Illinois with an explicit α/β envelope
+    /// (`illinois:alpha_max=5,beta_max=0.3`). Ceilings below the
     /// corresponding floors (`α_min` 0.3, `β_min` 0.125) are raised to
     /// them — `f64::clamp(lo, hi)` panics on an inverted range, and the
     /// registry schema's wider public floor cannot protect direct
     /// callers.
-    pub fn with_params(alpha_max: f64, beta_max: f64, iw: f64) -> Self {
+    pub fn with_params(alpha_max: f64, beta_max: f64) -> Self {
         let alpha_max = alpha_max.max(ALPHA_MIN);
         let beta_max = beta_max.max(BETA_MIN);
         Illinois {
-            cwnd: iw,
-            ssthresh: f64::MAX,
             base_rtt: SimDuration::MAX,
             max_rtt: SimDuration::ZERO,
             rtt_sum: 0.0,
@@ -72,15 +64,15 @@ impl Illinois {
     }
 
     /// Recompute α(d_a) and β(d_a) from the average queueing delay of the
-    /// last RTT epoch (tcp_illinois.c `update_params`).
-    fn update_params(&mut self) {
+    /// last RTT epoch at window `cwnd` (tcp_illinois.c `update_params`).
+    fn update_params(&mut self, cwnd: f64) {
         if self.rtt_cnt == 0 {
             return;
         }
         let avg_rtt = self.rtt_sum / self.rtt_cnt as f64;
         self.rtt_sum = 0.0;
         self.rtt_cnt = 0;
-        if self.cwnd < WIN_THRESH {
+        if cwnd < WIN_THRESH {
             self.alpha = 1.0;
             self.beta = self.beta_max;
             return;
@@ -112,18 +104,12 @@ impl Illinois {
     }
 }
 
-impl Default for Illinois {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl WindowAlgo for Illinois {
     fn name(&self) -> &'static str {
         "illinois"
     }
 
-    fn on_ack(&mut self, ack: &CcAck) {
+    fn on_ack(&mut self, w: &mut Window, ack: &AckEvent) {
         // Delay bookkeeping.
         if ack.rtt < self.base_rtt {
             self.base_rtt = ack.rtt;
@@ -133,47 +119,38 @@ impl WindowAlgo for Illinois {
         }
         self.rtt_sum += ack.rtt.as_secs_f64();
         self.rtt_cnt += 1;
-        if self.cwnd < self.ssthresh {
-            slow_start(&mut self.cwnd, ack.newly_acked);
+        if w.cwnd < w.ssthresh {
+            slow_start(&mut w.cwnd, ack.newly_acked);
             return;
         }
         // Once per window of ACKs, refresh α/β.
         self.acked_since_update += ack.newly_acked as f64;
-        if self.acked_since_update >= self.cwnd {
+        if self.acked_since_update >= w.cwnd {
             self.acked_since_update = 0.0;
-            self.update_params();
+            self.update_params(w.cwnd);
         }
-        self.cwnd += self.alpha * ack.newly_acked as f64 / self.cwnd;
+        w.cwnd += self.alpha * ack.newly_acked as f64 / w.cwnd;
     }
 
-    fn on_loss_event(&mut self, _now: SimTime) {
-        self.ssthresh = ((1.0 - self.beta) * self.cwnd).max(MIN_SSTHRESH);
-        self.cwnd = self.ssthresh;
+    fn on_loss_event(&mut self, w: &mut Window) {
+        w.ssthresh = ((1.0 - self.beta) * w.cwnd).max(MIN_SSTHRESH);
+        w.cwnd = w.ssthresh;
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.ssthresh = ((1.0 - self.beta) * self.cwnd).max(MIN_SSTHRESH);
-        self.cwnd = 1.0;
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
+    fn on_rto(&mut self, cwnd: f64) -> f64 {
+        ((1.0 - self.beta) * cwnd).max(MIN_SSTHRESH)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{ack_at, drive_acks};
-    use pcc_simnet::time::SimDuration;
+    use crate::testutil::{ack_at, Driven};
+    use pcc_simnet::time::SimTime;
 
-    fn feed_epoch(cc: &mut Illinois, rtt_ms: u64, n: u32) {
+    fn feed_epoch(cc: &mut Driven<Illinois>, rtt_ms: u64, n: u32) {
         for _ in 0..n {
-            cc.on_ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(rtt_ms)));
+            cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(rtt_ms)));
         }
     }
 
@@ -182,8 +159,8 @@ mod tests {
         // Regression: `alpha_max` below the 0.3 floor made the α update's
         // `clamp(ALPHA_MIN, alpha_max)` an inverted range, which panics.
         // Direct construction bypasses the registry schema's floor.
-        let mut cc = Illinois::with_params(0.1, 0.05, 10.0);
-        cc.on_loss_event(SimTime::ZERO); // leave slow start
+        let mut cc = Driven::new(Illinois::with_params(0.1, 0.05));
+        cc.loss(); // leave slow start
         for rtt_ms in [10, 10, 40, 40, 80, 80] {
             feed_epoch(&mut cc, rtt_ms, 40); // spans an epoch: update_params runs
         }
@@ -192,10 +169,10 @@ mod tests {
 
     #[test]
     fn low_delay_accelerates() {
-        let mut cc = Illinois::new();
-        drive_acks(&mut cc, 90, 1); // slow start to 100
-        cc.on_loss_event(SimTime::ZERO); // enter CA
-                                         // Establish delay range: base 20 ms, max 100 ms.
+        let mut cc = Driven::new(Illinois::with_params(ALPHA_MAX, BETA_MAX));
+        cc.acks(90, 1); // slow start to 100
+        cc.loss(); // enter CA
+                   // Establish delay range: base 20 ms, max 100 ms.
         feed_epoch(&mut cc, 100, 1);
         feed_epoch(&mut cc, 20, 1);
         // Run epochs at the base RTT: queueing delay 0 ⇒ α → α_max.
@@ -204,19 +181,19 @@ mod tests {
             feed_epoch(&mut cc, 20, n);
         }
         assert!(
-            (cc.alpha - ALPHA_MAX).abs() < 1e-9,
+            (cc.cc.alpha - ALPHA_MAX).abs() < 1e-9,
             "α at max under low delay: {}",
-            cc.alpha
+            cc.cc.alpha
         );
         // β should be at its minimum.
-        assert!((cc.beta - BETA_MIN).abs() < 1e-9, "β={}", cc.beta);
+        assert!((cc.cc.beta - BETA_MIN).abs() < 1e-9, "β={}", cc.cc.beta);
     }
 
     #[test]
     fn high_delay_brakes() {
-        let mut cc = Illinois::new();
-        drive_acks(&mut cc, 90, 1);
-        cc.on_loss_event(SimTime::ZERO);
+        let mut cc = Driven::new(Illinois::with_params(ALPHA_MAX, BETA_MAX));
+        cc.acks(90, 1);
+        cc.loss();
         feed_epoch(&mut cc, 20, 1); // base
         feed_epoch(&mut cc, 100, 1); // max
                                      // Run epochs near max RTT: α → α_min, β → β_max.
@@ -224,15 +201,19 @@ mod tests {
             let n = cc.cwnd() as u32 + 1;
             feed_epoch(&mut cc, 95, n);
         }
-        assert!(cc.alpha < 1.0, "α small under high delay: {}", cc.alpha);
-        assert!(cc.beta > 0.4, "β large under high delay: {}", cc.beta);
+        assert!(
+            cc.cc.alpha < 1.0,
+            "α small under high delay: {}",
+            cc.cc.alpha
+        );
+        assert!(cc.cc.beta > 0.4, "β large under high delay: {}", cc.cc.beta);
     }
 
     #[test]
     fn loss_uses_adaptive_beta() {
-        let mut cc = Illinois::new();
-        drive_acks(&mut cc, 90, 1);
-        cc.on_loss_event(SimTime::ZERO);
+        let mut cc = Driven::new(Illinois::with_params(ALPHA_MAX, BETA_MAX));
+        cc.acks(90, 1);
+        cc.loss();
         feed_epoch(&mut cc, 20, 1);
         feed_epoch(&mut cc, 100, 1);
         for _ in 0..4 {
@@ -240,17 +221,17 @@ mod tests {
             feed_epoch(&mut cc, 20, n);
         }
         let before = cc.cwnd();
-        cc.on_loss_event(SimTime::ZERO);
+        cc.loss();
         // β = β_min = 0.125 ⇒ cwnd shrinks by only 12.5%.
         assert!((cc.cwnd() - before * (1.0 - BETA_MIN)).abs() < 1e-6);
     }
 
     #[test]
     fn small_window_behaves_like_reno() {
-        let mut cc = Illinois::new();
+        let mut cc = Driven::new(Illinois::with_params(ALPHA_MAX, BETA_MAX));
         // cwnd 10 < WIN_THRESH: α pinned to 1.
-        cc.on_loss_event(SimTime::ZERO); // cwnd 5, CA mode
+        cc.loss(); // cwnd 5, CA mode
         feed_epoch(&mut cc, 30, 20);
-        assert_eq!(cc.alpha, 1.0);
+        assert_eq!(cc.cc.alpha, 1.0);
     }
 }

@@ -1,11 +1,17 @@
 //! # pcc-tcp — the TCP congestion-control baselines
 //!
 //! Faithful implementations of every TCP variant the paper evaluates
-//! against. Each variant implements the crate-local [`WindowAlgo`]
-//! sub-API (cwnd/ssthresh, the `tcp_congestion_ops` shape) and is adapted
-//! onto the workspace-wide [`pcc_transport::CongestionControl`] trait by
-//! [`window::Windowed`], so the same [`pcc_transport::CcSender`] engine —
-//! and the real-UDP datapath — runs any of them:
+//! against, as the paper frames them: one machine, packet-level events
+//! wired to fixed window responses, with only the response law changing.
+//! [`Windowed`] is that machine and the crate's one
+//! [`pcc_transport::CongestionControl`]: it owns the [`Window`] (cwnd and
+//! ssthresh, starting at the initial window), grows it only outside
+//! recovery, collapses it to one packet on a timeout, pushes it to the
+//! engine floored at two packets, and reads batched reports as the same
+//! events. Each variant is a [`WindowAlgo`] that supplies only its laws —
+//! growth on an ACK, the cut on a loss event, the threshold after a
+//! timeout — so the same [`pcc_transport::CcSender`] engine, and the
+//! real-UDP datapath, runs any of them:
 //!
 //! | Algorithm | Paper role |
 //! |---|---|
@@ -45,7 +51,7 @@ pub use illinois::Illinois;
 pub use newreno::NewReno;
 pub use vegas::Vegas;
 pub use westwood::Westwood;
-pub use window::{CcAck, WindowAlgo, Windowed};
+pub use window::{Window, WindowAlgo, Windowed};
 
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::CongestionControl;
@@ -179,7 +185,8 @@ pub const WESTWOOD_SCHEMA: Schema = &[
     PACED_PARAM,
 ];
 
-/// Builds a baseline from its validated spec keys and the initial window.
+/// Builds a baseline from its validated spec keys and the initial window
+/// (which only Vegas' first epoch reads: the adapter owns the window).
 type Build = fn(&SpecParams, f64) -> Box<dyn WindowAlgo>;
 
 /// One baseline: name, spec schema, constructor.
@@ -188,29 +195,24 @@ type Variant = (&'static str, Schema, Build);
 /// Every baseline, in the order used by reports; what
 /// [`register_algorithms`] registers.
 const VARIANTS: &[Variant] = &[
-    ("newreno", NEWRENO_SCHEMA, |_, iw| {
-        Box::new(NewReno::with_iw(iw))
-    }),
-    ("cubic", CUBIC_SCHEMA, |s, iw| {
+    ("newreno", NEWRENO_SCHEMA, |_, _| Box::new(NewReno)),
+    ("cubic", CUBIC_SCHEMA, |s, _| {
         Box::new(Cubic::with_params(
             s.f64("beta").unwrap_or(cubic::DEFAULT_BETA),
             s.f64("c").unwrap_or(cubic::DEFAULT_C),
-            iw,
         ))
     }),
-    ("illinois", ILLINOIS_SCHEMA, |s, iw| {
+    ("illinois", ILLINOIS_SCHEMA, |s, _| {
         Box::new(Illinois::with_params(
             s.f64("alpha_max").unwrap_or(illinois::ALPHA_MAX),
             s.f64("beta_max").unwrap_or(illinois::BETA_MAX),
-            iw,
         ))
     }),
-    ("hybla", HYBLA_SCHEMA, |s, iw| {
+    ("hybla", HYBLA_SCHEMA, |s, _| {
         Box::new(Hybla::with_params(
             s.f64("rtt0_ms")
                 .map(|ms| SimDuration::from_secs_f64(ms / 1000.0))
                 .unwrap_or(hybla::RTT0),
-            iw,
         ))
     }),
     ("vegas", VEGAS_SCHEMA, |s, iw| {
@@ -220,23 +222,22 @@ const VARIANTS: &[Variant] = &[
             iw,
         ))
     }),
-    ("bic", BIC_SCHEMA, |s, iw| {
-        Box::new(Bic::with_params(s.f64("beta").unwrap_or(bic::BETA), iw))
+    ("bic", BIC_SCHEMA, |s, _| {
+        Box::new(Bic::with_params(s.f64("beta").unwrap_or(bic::BETA)))
     }),
-    ("westwood", WESTWOOD_SCHEMA, |s, iw| {
+    ("westwood", WESTWOOD_SCHEMA, |s, _| {
         Box::new(Westwood::with_params(
             s.f64("gain").unwrap_or(westwood::DEFAULT_GAIN),
-            iw,
         ))
     }),
 ];
 
-/// Build the baseline and adapt it onto [`CongestionControl`], paced when
-/// its spec says `paced=true`.
+/// Build the baseline and adapt it onto [`CongestionControl`] at its
+/// initial window, paced when its spec says `paced=true`.
 fn construct(build: Build, params: &CcParams) -> Box<dyn CongestionControl> {
     let iw = params.spec.f64("iw").unwrap_or(common::INITIAL_CWND);
     let paced = params.spec.bool("paced").unwrap_or(false);
-    Box::new(Windowed::new(build(&params.spec, iw), paced, params))
+    Box::new(Windowed::new(build(&params.spec, iw), iw, paced, params))
 }
 
 /// Register every TCP baseline with the workspace-wide

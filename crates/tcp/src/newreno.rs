@@ -5,106 +5,70 @@
 //! example of a hardwired event→response mapping: "a packet loss halves the
 //! congestion window size" regardless of why the loss happened.
 
-use crate::window::{CcAck, WindowAlgo};
-use pcc_simnet::time::SimTime;
+use crate::window::{Window, WindowAlgo};
+use pcc_transport::cc::AckEvent;
 
-use crate::common::{reno_ca, slow_start, INITIAL_CWND, MIN_SSTHRESH};
+use crate::common::{halved, reno_ca, slow_start};
 
-/// New Reno congestion control.
-#[derive(Clone, Debug)]
-pub struct NewReno {
-    cwnd: f64,
-    ssthresh: f64,
-}
-
-impl NewReno {
-    /// New instance with IW10.
-    pub fn new() -> Self {
-        Self::with_iw(INITIAL_CWND)
-    }
-
-    /// New instance with an explicit initial window
-    /// (`newreno:iw=32`).
-    pub fn with_iw(iw: f64) -> Self {
-        NewReno {
-            cwnd: iw,
-            ssthresh: f64::MAX,
-        }
-    }
-}
-
-impl Default for NewReno {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// New Reno congestion control: no state beyond the window.
+#[derive(Clone, Copy, Debug)]
+pub struct NewReno;
 
 impl WindowAlgo for NewReno {
     fn name(&self) -> &'static str {
         "newreno"
     }
 
-    fn on_ack(&mut self, ack: &CcAck) {
-        if self.cwnd < self.ssthresh {
-            slow_start(&mut self.cwnd, ack.newly_acked);
+    fn on_ack(&mut self, w: &mut Window, ack: &AckEvent) {
+        if w.cwnd < w.ssthresh {
+            slow_start(&mut w.cwnd, ack.newly_acked);
         } else {
-            reno_ca(&mut self.cwnd, ack.newly_acked);
+            reno_ca(&mut w.cwnd, ack.newly_acked);
         }
     }
 
-    fn on_loss_event(&mut self, _now: SimTime) {
-        self.ssthresh = (self.cwnd / 2.0).max(MIN_SSTHRESH);
-        self.cwnd = self.ssthresh;
+    fn on_loss_event(&mut self, w: &mut Window) {
+        w.ssthresh = halved(w.cwnd);
+        w.cwnd = w.ssthresh;
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.ssthresh = (self.cwnd / 2.0).max(MIN_SSTHRESH);
-        self.cwnd = 1.0;
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
+    fn on_rto(&mut self, cwnd: f64) -> f64 {
+        halved(cwnd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{ack, drive_acks};
+    use crate::common::MIN_SSTHRESH;
+    use crate::testutil::{ack, Driven};
 
     #[test]
     fn slow_start_then_ca() {
-        let mut cc = NewReno::new();
-        assert!(cc.in_slow_start());
-        drive_acks(&mut cc, 10, 1);
+        let mut cc = Driven::new(NewReno);
+        cc.acks(10, 1);
         assert_eq!(cc.cwnd(), 20.0, "doubled in slow start");
-        cc.on_loss_event(SimTime::ZERO);
+        cc.loss();
         assert_eq!(cc.cwnd(), 10.0, "halved");
-        assert_eq!(cc.ssthresh(), 10.0);
-        assert!(!cc.in_slow_start());
-        cc.on_ack(&ack(1));
+        assert_eq!(cc.w.ssthresh, 10.0);
+        cc.ack(&ack(1));
         assert!((cc.cwnd() - 10.1).abs() < 1e-9, "CA adds 1/cwnd");
     }
 
     #[test]
     fn rto_collapses_to_one() {
-        let mut cc = NewReno::new();
-        drive_acks(&mut cc, 30, 1);
-        cc.on_rto(SimTime::ZERO);
+        let mut cc = Driven::new(NewReno);
+        cc.acks(30, 1);
+        cc.rto();
         assert_eq!(cc.cwnd(), 1.0);
-        assert_eq!(cc.ssthresh(), 20.0);
-        assert!(cc.in_slow_start());
+        assert_eq!(cc.w.ssthresh, 20.0);
     }
 
     #[test]
     fn repeated_losses_floor_at_min() {
-        let mut cc = NewReno::new();
+        let mut cc = Driven::new(NewReno);
         for _ in 0..20 {
-            cc.on_loss_event(SimTime::ZERO);
+            cc.loss();
         }
         assert_eq!(cc.cwnd(), MIN_SSTHRESH);
     }

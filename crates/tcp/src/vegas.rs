@@ -6,10 +6,11 @@
 //! `diff` between α = 2 and β = 4 packets. Gentle and stable — but it
 //! needs an accurate baseRTT and gets starved by loss-based competitors.
 
-use crate::window::{CcAck, WindowAlgo};
-use pcc_simnet::time::{SimDuration, SimTime};
+use crate::window::{Window, WindowAlgo};
+use pcc_simnet::time::SimDuration;
+use pcc_transport::cc::AckEvent;
 
-use crate::common::{INITIAL_CWND, MIN_SSTHRESH};
+use crate::common::{halved, MIN_SSTHRESH};
 
 /// Lower backlog target α, packets (Brakmo & Peterson: 2).
 pub const DEFAULT_ALPHA_PKTS: f64 = 2.0;
@@ -20,8 +21,6 @@ const GAMMA_PKTS: f64 = 1.0;
 /// TCP Vegas congestion control.
 #[derive(Clone, Debug)]
 pub struct Vegas {
-    cwnd: f64,
-    ssthresh: f64,
     base_rtt: SimDuration,
     /// Minimum RTT seen during the current epoch.
     epoch_min_rtt: SimDuration,
@@ -37,15 +36,10 @@ pub struct Vegas {
 }
 
 impl Vegas {
-    /// New instance with IW10 and the classic α = 2 / β = 4 band.
-    pub fn new() -> Self {
-        Self::with_params(DEFAULT_ALPHA_PKTS, DEFAULT_BETA_PKTS, INITIAL_CWND)
-    }
-
-    /// New instance with an explicit backlog band `[alpha, beta]` (in
-    /// packets) and initial window `iw` — the `vegas:alpha=…,beta=…,iw=…`
-    /// spec surface. A band handed in backwards is reordered rather than
-    /// oscillating forever.
+    /// Vegas with an explicit backlog band `[alpha, beta]` (in packets)
+    /// — the `vegas:alpha=…,beta=…` spec surface — whose first epoch
+    /// lasts the initial window of `iw` packets. A band handed in
+    /// backwards is reordered rather than oscillating forever.
     pub fn with_params(alpha: f64, beta: f64, iw: f64) -> Self {
         let (alpha, beta) = if alpha <= beta {
             (alpha, beta)
@@ -53,8 +47,6 @@ impl Vegas {
             (beta, alpha)
         };
         Vegas {
-            cwnd: iw.max(1.0),
-            ssthresh: f64::MAX,
             base_rtt: SimDuration::MAX,
             epoch_min_rtt: SimDuration::MAX,
             epoch_acks_left: iw.max(1.0),
@@ -64,41 +56,35 @@ impl Vegas {
         }
     }
 
-    /// Estimated queue backlog in packets.
-    fn diff(&self) -> f64 {
+    /// Estimated queue backlog in packets at window `cwnd`.
+    fn diff(&self, cwnd: f64) -> f64 {
         let rtt = self.epoch_min_rtt.as_secs_f64();
         let base = self.base_rtt.as_secs_f64();
         if rtt <= 0.0 || !rtt.is_finite() || base > rtt {
             return 0.0;
         }
-        self.cwnd * (rtt - base) / rtt
+        cwnd * (rtt - base) / rtt
     }
 
-    fn end_epoch(&mut self) {
-        let diff = self.diff();
-        if self.cwnd < self.ssthresh {
+    fn end_epoch(&mut self, w: &mut Window) {
+        let diff = self.diff(w.cwnd);
+        if w.cwnd < w.ssthresh {
             // Slow start: grow every other epoch; leave once the backlog
             // exceeds γ.
             if diff > GAMMA_PKTS {
-                self.ssthresh = self.cwnd.min(self.ssthresh);
-                self.cwnd = (self.cwnd - diff).max(MIN_SSTHRESH);
+                w.ssthresh = w.cwnd.min(w.ssthresh);
+                w.cwnd = (w.cwnd - diff).max(MIN_SSTHRESH);
             } else if self.ss_grow_this_epoch {
-                self.cwnd *= 2.0;
+                w.cwnd *= 2.0;
             }
             self.ss_grow_this_epoch = !self.ss_grow_this_epoch;
         } else if diff < self.alpha_pkts {
-            self.cwnd += 1.0;
+            w.cwnd += 1.0;
         } else if diff > self.beta_pkts {
-            self.cwnd = (self.cwnd - 1.0).max(MIN_SSTHRESH);
+            w.cwnd = (w.cwnd - 1.0).max(MIN_SSTHRESH);
         }
         self.epoch_min_rtt = SimDuration::MAX;
-        self.epoch_acks_left = self.cwnd;
-    }
-}
-
-impl Default for Vegas {
-    fn default() -> Self {
-        Self::new()
+        self.epoch_acks_left = w.cwnd;
     }
 }
 
@@ -107,7 +93,7 @@ impl WindowAlgo for Vegas {
         "vegas"
     }
 
-    fn on_ack(&mut self, ack: &CcAck) {
+    fn on_ack(&mut self, w: &mut Window, ack: &AckEvent) {
         if ack.rtt < self.base_rtt {
             self.base_rtt = ack.rtt;
         }
@@ -116,50 +102,51 @@ impl WindowAlgo for Vegas {
         }
         self.epoch_acks_left -= ack.newly_acked as f64;
         if self.epoch_acks_left <= 0.0 {
-            self.end_epoch();
+            self.end_epoch(w);
         }
     }
 
-    fn on_loss_event(&mut self, _now: SimTime) {
-        self.ssthresh = (self.cwnd / 2.0).max(MIN_SSTHRESH);
-        self.cwnd = self.ssthresh;
-        self.epoch_acks_left = self.cwnd;
+    fn on_loss_event(&mut self, w: &mut Window) {
+        w.ssthresh = halved(w.cwnd);
+        w.cwnd = w.ssthresh;
+        self.epoch_acks_left = w.cwnd;
         self.epoch_min_rtt = SimDuration::MAX;
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.ssthresh = (self.cwnd / 2.0).max(MIN_SSTHRESH);
-        self.cwnd = 1.0;
+    fn on_rto(&mut self, cwnd: f64) -> f64 {
+        // The next epoch is the collapsed window's one packet.
         self.epoch_acks_left = 1.0;
         self.epoch_min_rtt = SimDuration::MAX;
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
+        halved(cwnd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::ack_at;
+    use crate::testutil::{ack_at, Driven};
+    use pcc_simnet::time::SimTime;
+
+    fn vegas() -> Driven<Vegas> {
+        Driven::new(Vegas::with_params(
+            DEFAULT_ALPHA_PKTS,
+            DEFAULT_BETA_PKTS,
+            10.0,
+        ))
+    }
 
     /// Feed exactly one epoch's worth of ACKs so `end_epoch` fires once.
-    fn epoch(cc: &mut Vegas, rtt_ms: u64) {
-        let n = cc.epoch_acks_left.ceil().max(1.0) as u32;
+    fn epoch(cc: &mut Driven<Vegas>, rtt_ms: u64) {
+        let n = cc.cc.epoch_acks_left.ceil().max(1.0) as u32;
         for _ in 0..n {
-            cc.on_ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(rtt_ms)));
+            cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(rtt_ms)));
         }
     }
 
     #[test]
     fn increments_when_queue_empty() {
-        let mut cc = Vegas::new();
-        cc.on_loss_event(SimTime::ZERO); // into CA at cwnd 5
+        let mut cc = vegas();
+        cc.loss(); // into CA at cwnd 5
         let w = cc.cwnd();
         // RTT equals baseRTT ⇒ diff = 0 < α ⇒ +1 per epoch.
         epoch(&mut cc, 30);
@@ -169,8 +156,8 @@ mod tests {
 
     #[test]
     fn decrements_when_backlogged() {
-        let mut cc = Vegas::new();
-        cc.on_loss_event(SimTime::ZERO);
+        let mut cc = vegas();
+        cc.loss();
         epoch(&mut cc, 20); // establish baseRTT = 20 ms
                             // Grow the window a bit first.
         epoch(&mut cc, 20);
@@ -182,8 +169,8 @@ mod tests {
 
     #[test]
     fn holds_inside_band() {
-        let mut cc = Vegas::new();
-        cc.on_loss_event(SimTime::ZERO); // cwnd 5
+        let mut cc = vegas();
+        cc.loss(); // cwnd 5
         epoch(&mut cc, 30); // baseRTT 30; diff 0 -> +1 (cwnd 6)
         let w = cc.cwnd();
         // Choose RTT so diff lands inside [α, β]: w = 6, r = 50 gives
@@ -194,15 +181,15 @@ mod tests {
 
     #[test]
     fn slow_start_exits_on_backlog() {
-        let mut cc = Vegas::new();
+        let mut cc = vegas();
         // Establish base 30 ms, then queueing RTTs in slow start.
         epoch(&mut cc, 30);
         for _ in 0..10 {
             epoch(&mut cc, 60);
-            if cc.cwnd() >= cc.ssthresh() {
+            if cc.cwnd() >= cc.w.ssthresh {
                 break;
             }
         }
-        assert!(cc.ssthresh() < f64::MAX, "left slow start via delay signal");
+        assert!(cc.w.ssthresh < f64::MAX, "left slow start via delay signal");
     }
 }

@@ -6,10 +6,11 @@
 //! — so random loss that doesn't reduce delivered bandwidth doesn't shrink
 //! the operating point as much. Growth is Reno's.
 
-use crate::window::{CcAck, WindowAlgo};
+use crate::window::{Window, WindowAlgo};
 use pcc_simnet::time::{SimDuration, SimTime};
+use pcc_transport::cc::AckEvent;
 
-use crate::common::{reno_ca, slow_start, INITIAL_CWND, MIN_SSTHRESH};
+use crate::common::{halved, reno_ca, slow_start, MIN_SSTHRESH};
 
 /// Westwood's default bandwidth-filter new-sample weight (Linux
 /// tcp_westwood.c: 1/8).
@@ -18,8 +19,6 @@ pub(crate) const DEFAULT_GAIN: f64 = 0.125;
 /// TCP Westwood+ congestion control.
 #[derive(Clone, Debug)]
 pub struct Westwood {
-    cwnd: f64,
-    ssthresh: f64,
     /// Filtered bandwidth estimate, packets/sec.
     bwe: f64,
     /// Bytes acked since the last bandwidth sample.
@@ -32,28 +31,15 @@ pub struct Westwood {
 }
 
 impl Westwood {
-    /// New instance with IW10 and the Linux 1/8 filter gain.
-    pub fn new() -> Self {
-        Self::with_params(DEFAULT_GAIN, INITIAL_CWND)
-    }
-
-    /// New instance with an explicit filter gain and initial window
-    /// (`westwood:gain=0.5,iw=32`).
-    pub fn with_params(gain: f64, iw: f64) -> Self {
+    /// Westwood+ with an explicit filter gain (`westwood:gain=0.5`).
+    pub fn with_params(gain: f64) -> Self {
         Westwood {
-            cwnd: iw,
-            ssthresh: f64::MAX,
             bwe: 0.0,
             acked_since_sample: 0.0,
             last_sample_at: None,
             min_rtt: SimDuration::MAX,
             gain,
         }
-    }
-
-    /// Current bandwidth estimate in packets/sec.
-    pub fn bwe_pkts_per_sec(&self) -> f64 {
-        self.bwe
     }
 
     /// Westwood+ samples bandwidth once per RTT and low-pass filters it.
@@ -77,14 +63,14 @@ impl Westwood {
         self.last_sample_at = Some(now);
     }
 
-    fn bdp_window(&self) -> f64 {
-        (self.bwe * self.min_rtt.as_secs_f64()).max(MIN_SSTHRESH)
-    }
-}
-
-impl Default for Westwood {
-    fn default() -> Self {
-        Self::new()
+    /// The threshold a loss or a timeout backs off to: the estimated BDP,
+    /// not half the window, once there is an estimate.
+    fn threshold(&self, cwnd: f64) -> f64 {
+        if self.bwe > 0.0 && self.min_rtt < SimDuration::MAX {
+            (self.bwe * self.min_rtt.as_secs_f64()).max(MIN_SSTHRESH)
+        } else {
+            halved(cwnd)
+        }
     }
 }
 
@@ -93,60 +79,43 @@ impl WindowAlgo for Westwood {
         "westwood"
     }
 
-    fn on_ack(&mut self, ack: &CcAck) {
+    fn on_ack(&mut self, w: &mut Window, ack: &AckEvent) {
         if ack.rtt < self.min_rtt {
             self.min_rtt = ack.rtt;
         }
         self.acked_since_sample += ack.newly_acked as f64;
         self.sample(ack.now, ack.srtt);
-        if self.cwnd < self.ssthresh {
-            slow_start(&mut self.cwnd, ack.newly_acked);
+        if w.cwnd < w.ssthresh {
+            slow_start(&mut w.cwnd, ack.newly_acked);
         } else {
-            reno_ca(&mut self.cwnd, ack.newly_acked);
+            reno_ca(&mut w.cwnd, ack.newly_acked);
         }
     }
 
-    fn on_loss_event(&mut self, _now: SimTime) {
-        // Backoff to the estimated BDP, not half the window.
-        self.ssthresh = if self.bwe > 0.0 && self.min_rtt < SimDuration::MAX {
-            self.bdp_window()
-        } else {
-            (self.cwnd / 2.0).max(MIN_SSTHRESH)
-        };
-        if self.cwnd > self.ssthresh {
-            self.cwnd = self.ssthresh;
+    fn on_loss_event(&mut self, w: &mut Window) {
+        w.ssthresh = self.threshold(w.cwnd);
+        // A window already below the estimate is never raised by a loss.
+        if w.cwnd > w.ssthresh {
+            w.cwnd = w.ssthresh;
         }
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.ssthresh = if self.bwe > 0.0 && self.min_rtt < SimDuration::MAX {
-            self.bdp_window()
-        } else {
-            (self.cwnd / 2.0).max(MIN_SSTHRESH)
-        };
-        self.cwnd = 1.0;
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
+    fn on_rto(&mut self, cwnd: f64) -> f64 {
+        self.threshold(cwnd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::ack_at;
+    use crate::testutil::{ack_at, Driven};
 
     /// Feed a steady 100 pkt/s delivery for a while to converge the filter.
-    fn feed_steady(cc: &mut Westwood, secs: u64, pkts_per_sec: u64) -> SimTime {
+    fn feed_steady(cc: &mut Driven<Westwood>, secs: u64, pkts_per_sec: u64) -> SimTime {
         let mut now = SimTime::ZERO;
         let gap = SimDuration::from_nanos(1_000_000_000 / pkts_per_sec);
         for _ in 0..(secs * pkts_per_sec) {
-            cc.on_ack(&ack_at(1, now, SimDuration::from_millis(50)));
+            cc.ack(&ack_at(1, now, SimDuration::from_millis(50)));
             now += gap;
         }
         now
@@ -154,9 +123,9 @@ mod tests {
 
     #[test]
     fn bandwidth_estimate_converges() {
-        let mut cc = Westwood::new();
+        let mut cc = Driven::new(Westwood::with_params(DEFAULT_GAIN));
         feed_steady(&mut cc, 10, 100);
-        let bwe = cc.bwe_pkts_per_sec();
+        let bwe = cc.cc.bwe;
         assert!(
             (bwe - 100.0).abs() < 15.0,
             "BWE ≈ delivery rate: {bwe} pkts/s"
@@ -165,32 +134,32 @@ mod tests {
 
     #[test]
     fn loss_backs_off_to_bdp_not_half() {
-        let mut cc = Westwood::new();
+        let mut cc = Driven::new(Westwood::with_params(DEFAULT_GAIN));
         feed_steady(&mut cc, 10, 100);
         // BDP = 100 pkt/s × 50 ms = 5 packets.
         let w_before = cc.cwnd();
-        cc.on_loss_event(SimTime::ZERO);
+        cc.loss();
         assert!(
-            (cc.ssthresh() - 5.0).abs() < 1.0,
+            (cc.w.ssthresh - 5.0).abs() < 1.0,
             "ssthresh ≈ BDP: {}",
-            cc.ssthresh()
+            cc.w.ssthresh
         );
         assert!(cc.cwnd() <= w_before);
     }
 
     #[test]
     fn loss_without_estimate_halves() {
-        let mut cc = Westwood::new();
-        cc.on_loss_event(SimTime::ZERO);
-        assert_eq!(cc.ssthresh(), 5.0, "fallback to halving from IW10");
+        let mut cc = Driven::new(Westwood::with_params(DEFAULT_GAIN));
+        cc.loss();
+        assert_eq!(cc.w.ssthresh, 5.0, "fallback to halving from IW10");
     }
 
     #[test]
     fn cwnd_below_bdp_not_raised_by_loss() {
-        let mut cc = Westwood::new();
+        let mut cc = Driven::new(Westwood::with_params(DEFAULT_GAIN));
         feed_steady(&mut cc, 10, 1000); // BDP = 1000*0.05 = 50
-        cc.on_rto(SimTime::ZERO);
+        cc.rto();
         assert_eq!(cc.cwnd(), 1.0, "RTO still collapses cwnd");
-        assert!(cc.ssthresh() > 30.0, "but ssthresh holds the BDP estimate");
+        assert!(cc.w.ssthresh > 30.0, "but ssthresh holds the BDP estimate");
     }
 }

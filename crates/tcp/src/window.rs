@@ -1,103 +1,97 @@
-//! The classic cwnd/ssthresh sub-API and its adapter onto the unified
-//! [`CongestionControl`] trait.
+//! The one window machine behind every TCP baseline, adapted onto the
+//! unified [`CongestionControl`] trait.
 //!
-//! Every TCP baseline in this crate is, structurally, the same thing: a
-//! little state machine that owns a congestion window and a slow-start
-//! threshold, grows on ACKs, shrinks on loss events, and collapses on RTO.
-//! [`WindowAlgo`] captures exactly that shape (it mirrors Linux's
-//! `tcp_congestion_ops`), and [`Windowed`] adapts any such algorithm onto
-//! the workspace-wide [`CongestionControl`] API by translating the unified
-//! event vocabulary:
+//! The paper's case against TCP is that every variant is the same machine
+//! with a different response law: a congestion window and a slow-start
+//! threshold, grown on ACKs, cut on a loss event, collapsed on a timeout.
+//! [`Windowed`] is that machine. It owns the [`Window`] (starting at the
+//! initial window, with no threshold yet), maps the unified event
+//! vocabulary onto it, and lends it to a [`WindowAlgo`], which supplies
+//! only its laws:
 //!
-//! * `on_ack` with `newly_acked > 0` outside recovery → [`WindowAlgo::on_ack`];
-//! * `on_loss` with [`LossKind::Detected`] opening a new episode →
+//! * `on_ack` with `newly_acked > 0` outside recovery → the growth law,
+//!   [`WindowAlgo::on_ack`];
+//! * `on_loss` with [`LossKind::Detected`] opening a new episode → the cut,
 //!   [`WindowAlgo::on_loss_event`];
-//! * `on_loss` with [`LossKind::Timeout`] → [`WindowAlgo::on_rto`];
+//! * `on_loss` with [`LossKind::Timeout`] → the threshold from
+//!   [`WindowAlgo::on_rto`], after which the adapter alone collapses the
+//!   window to one packet;
+//! * a batched `on_report` → the same three, reconstructed from the
+//!   report's deltas, its clean interval folded into one [`AckEvent`].
 //!
-//! and pushing the resulting window through [`Ctx::set_cwnd`] after every
-//! callback, floored at the crate-private `MIN_CWND` (2 packets) so the
-//! engine can always keep loss detection alive.
+//! After every callback the adapter pushes the window through
+//! [`Ctx::set_cwnd`], floored at the crate-private `MIN_CWND` (2 packets)
+//! so the engine can always keep loss detection alive.
 //!
 //! A paced [`Windowed`] also sets a `cwnd·MSS/SRTT` pacing rate after every
 //! callback, so the engine spreads each window over one RTT instead of
 //! releasing it in ack-clocked bursts: the paper's Fig. 9 "TCP pacing" is
 //! any baseline with `paced=true`, not a second algorithm.
 
-use pcc_simnet::time::{SimDuration, SimTime};
+use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent, LossKind};
 use pcc_transport::registry::CcParams;
 use pcc_transport::report::MeasurementReport;
 
 use crate::common::MIN_CWND;
 
-/// Everything a classic window algorithm sees on each (growth-eligible)
-/// ACK.
-#[derive(Clone, Copy, Debug)]
-pub struct CcAck {
-    /// Current time.
-    pub now: SimTime,
-    /// Exact RTT of the acknowledged transmission.
-    pub rtt: SimDuration,
-    /// Smoothed RTT.
-    pub srtt: SimDuration,
-    /// Minimum RTT observed (propagation estimate).
-    pub min_rtt: SimDuration,
-    /// Maximum RTT observed.
-    pub max_rtt: SimDuration,
-    /// Packets newly acknowledged by this ACK.
-    pub newly_acked: u32,
-    /// Packets currently in flight.
-    pub in_flight: u64,
-    /// Packet size in bytes.
-    pub mss: u32,
+/// The congestion window and slow-start threshold, in packets: what
+/// [`Windowed`] owns and lends to its [`WindowAlgo`] on each event.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Window {
+    /// Congestion window.
+    pub cwnd: f64,
+    /// Slow-start threshold (`f64::MAX` until the first cut).
+    pub ssthresh: f64,
 }
 
-/// A classic window-based congestion-control algorithm (cwnd + ssthresh).
-///
-/// Implementations own their `cwnd`/`ssthresh`; the [`Windowed`] adapter
-/// reads [`WindowAlgo::cwnd`] after each event and forwards it to the
-/// engine. This is a convenience sub-API for this crate's TCP baselines —
-/// engines and datapaths only ever see [`CongestionControl`].
+impl Window {
+    /// A retransmission timeout: the variant's threshold, and the window
+    /// collapses to one packet.
+    pub(crate) fn collapse(&mut self, ssthresh: f64) {
+        self.ssthresh = ssthresh;
+        self.cwnd = 1.0;
+    }
+}
+
+/// A TCP variant's laws over the [`Window`] its [`Windowed`] adapter owns
+/// (the shape of Linux's `tcp_congestion_ops`). A sub-API for this crate's
+/// baselines: engines and datapaths only ever see [`CongestionControl`].
 pub trait WindowAlgo: Send {
     /// Algorithm name (for reports).
     fn name(&self) -> &'static str;
 
-    /// Process an ACK (called only outside recovery episodes).
-    fn on_ack(&mut self, ack: &CcAck);
+    /// Growth: an ACK that advances the scoreboard outside recovery.
+    fn on_ack(&mut self, w: &mut Window, ack: &AckEvent);
 
-    /// A loss event begins a recovery episode (fast retransmit).
-    fn on_loss_event(&mut self, now: SimTime);
+    /// Cut: a loss event begins a recovery episode (fast retransmit).
+    fn on_loss_event(&mut self, w: &mut Window);
 
-    /// Retransmission timeout fired.
-    fn on_rto(&mut self, now: SimTime);
-
-    /// Current congestion window in packets.
-    fn cwnd(&self) -> f64;
-
-    /// Current slow-start threshold in packets.
-    fn ssthresh(&self) -> f64;
-
-    /// True while in slow start.
-    fn in_slow_start(&self) -> bool {
-        self.cwnd() < self.ssthresh()
-    }
+    /// A retransmission timeout fired at window `cwnd`: the slow-start
+    /// threshold to restart from (the adapter collapses the window).
+    fn on_rto(&mut self, cwnd: f64) -> f64;
 }
 
 /// Adapter: any [`WindowAlgo`] as a [`CongestionControl`], optionally
 /// paced.
 pub struct Windowed {
     inner: Box<dyn WindowAlgo>,
+    window: Window,
     paced: bool,
     mss: u32,
     srtt: SimDuration,
 }
 
 impl Windowed {
-    /// Wrap a window algorithm; `params` seeds the MSS and the RTT the
-    /// pacing rate uses before the first sample.
-    pub fn new(inner: Box<dyn WindowAlgo>, paced: bool, params: &CcParams) -> Self {
+    /// Wrap a window algorithm starting at `iw` packets; `params` seeds
+    /// the MSS and the RTT the pacing rate uses before the first sample.
+    pub fn new(inner: Box<dyn WindowAlgo>, iw: f64, paced: bool, params: &CcParams) -> Self {
         Windowed {
             inner,
+            window: Window {
+                cwnd: iw,
+                ssthresh: f64::MAX,
+            },
             paced,
             mss: params.mss,
             srtt: params.rtt_hint,
@@ -107,24 +101,11 @@ impl Windowed {
     /// Hand the engine the window, floored at `MIN_CWND`, and, when paced,
     /// the rate that spreads it over one smoothed RTT.
     fn push(&self, ctx: &mut Ctx) {
-        let cwnd = self.inner.cwnd().max(MIN_CWND);
+        let cwnd = self.window.cwnd.max(MIN_CWND);
         ctx.set_cwnd(cwnd);
         if self.paced {
             let srtt = self.srtt.as_secs_f64().max(1e-6);
             ctx.set_rate(cwnd * self.mss as f64 * 8.0 / srtt);
-        }
-    }
-
-    fn translate(ack: &AckEvent) -> CcAck {
-        CcAck {
-            now: ack.now,
-            rtt: ack.rtt,
-            srtt: ack.srtt,
-            min_rtt: ack.min_rtt,
-            max_rtt: ack.max_rtt,
-            newly_acked: ack.newly_acked,
-            in_flight: ack.in_flight,
-            mss: ack.mss,
         }
     }
 }
@@ -144,7 +125,7 @@ impl CongestionControl for Windowed {
         // Window growth only outside recovery episodes and only for ACKs
         // that advance the scoreboard (standard TCP behaviour).
         if ack.newly_acked > 0 && !ack.in_recovery {
-            self.inner.on_ack(&Self::translate(ack));
+            self.inner.on_ack(&mut self.window, ack);
         }
         self.push(ctx);
     }
@@ -154,10 +135,10 @@ impl CongestionControl for Windowed {
         match loss.kind {
             LossKind::Detected => {
                 if loss.new_episode {
-                    self.inner.on_loss_event(loss.now);
+                    self.inner.on_loss_event(&mut self.window);
                 }
             }
-            LossKind::Timeout => self.inner.on_rto(loss.now),
+            LossKind::Timeout => self.window.collapse(self.inner.on_rto(self.window.cwnd)),
         }
         self.push(ctx);
     }
@@ -170,23 +151,31 @@ impl CongestionControl for Windowed {
         // is credited only for clean intervals (the engine flushes a
         // report the moment an episode opens, so a lossy interval never
         // smuggles its ACKs past the cut — same once-per-episode behaviour
-        // as the per-ACK path).
+        // as the per-ACK path). A clean interval is one ACK of all its
+        // packets at its mean RTT.
         if rep.timeouts > 0 {
-            self.inner.on_rto(rep.end);
+            self.window.collapse(self.inner.on_rto(self.window.cwnd));
         } else if rep.loss_events > 0 && rep.new_loss_episode {
-            self.inner.on_loss_event(rep.end);
+            self.inner.on_loss_event(&mut self.window);
         } else if rep.acked_pkts > 0 && !rep.in_recovery {
-            let ack = CcAck {
+            let ack = AckEvent {
                 now: rep.end,
+                seq: rep.cum_ack,
                 rtt: rep.mean_rtt(),
+                sampled: rep.rtt_samples > 0,
                 srtt: rep.srtt,
                 min_rtt: rep.min_rtt,
                 max_rtt: rep.rtt_max.unwrap_or(rep.srtt),
+                recv_at: rep.last_recv.unwrap_or(rep.end),
+                probe_train: None,
+                of_retx: false,
+                cum_ack: rep.cum_ack,
                 newly_acked: rep.acked_pkts.min(u32::MAX as u64) as u32,
                 in_flight: rep.in_flight,
                 mss: rep.mss,
+                in_recovery: false,
             };
-            self.inner.on_ack(&ack);
+            self.inner.on_ack(&mut self.window, &ack);
         }
         self.push(ctx);
     }
@@ -195,8 +184,10 @@ impl CongestionControl for Windowed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::INITIAL_CWND;
     use crate::NewReno;
     use pcc_simnet::rng::SimRng;
+    use pcc_simnet::time::SimTime;
     use pcc_transport::cc::Effects;
 
     fn ack_event(newly_acked: u32, in_recovery: bool) -> AckEvent {
@@ -223,7 +214,7 @@ mod tests {
     /// New Reno behind the adapter, seeded with a 100 ms RTT hint.
     fn reno(paced: bool) -> Windowed {
         let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(100));
-        Windowed::new(Box::new(NewReno::new()), paced, &params)
+        Windowed::new(Box::new(NewReno), INITIAL_CWND, paced, &params)
     }
 
     fn drain_cwnd(fx: &mut Effects) -> Option<f64> {
@@ -292,8 +283,8 @@ mod tests {
             mss: 1500,
         };
         cc.on_loss(&loss, &mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
-        // NewReno internally collapses to cwnd = 1 on RTO; the adapter
-        // floors the window handed to the engine at MIN_CWND.
+        // The adapter collapses the window to 1 on RTO and floors the
+        // window handed to the engine at MIN_CWND.
         let cwnd = drain_cwnd(&mut fx).expect("cwnd pushed");
         assert_eq!(cwnd, MIN_CWND, "floor enforced: {cwnd}");
     }
@@ -585,7 +576,7 @@ mod tests {
 
     /// The slow-start threshold the adapter holds for its variant.
     fn ssthresh(cc: &Windowed) -> f64 {
-        cc.inner.ssthresh()
+        cc.window.ssthresh
     }
 
     proptest::proptest! {
@@ -605,7 +596,7 @@ mod tests {
             let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(40));
             for &(_, _, build) in crate::VARIANTS {
                 for paced in [false, true] {
-                    let mut cc = Windowed::new(build(&SpecParams::default(), f64::from(iw)), paced, &params);
+                    let mut cc = Windowed::new(build(&SpecParams::default(), f64::from(iw)), f64::from(iw), paced, &params);
                     let mut rng = SimRng::new(1);
                     let mut fx = Effects::default();
                     let mut now = SimTime::ZERO;
