@@ -275,8 +275,10 @@ mod tests {
         let flow = Flow::new(db.source(), dst, protocol);
         let mut scenario = Scenario::new(db.into_topology(), 1);
         scenario.flows = vec![flow];
+        // Sample the rate at 0.5 ms, well inside PCC's first interval.
+        scenario.sample_interval = SimDuration::from_micros(500);
         let run = scenario.run(SimTime::from_millis(1));
-        let (_, first_rate) = run.report.flows[0].rate_log[0];
+        let first_rate = run.report.flows[0].series.rate_mbps[0] * 1e6;
         let want = 2.0 * f64::from(MSS) * 8.0 / 0.061;
         assert!(
             (first_rate - want).abs() < 1e-6 * want,

@@ -729,19 +729,21 @@ mod tests {
         };
         let horizon = SimTime::from_secs(30);
         let full = run_dumbbell(setup, plans(), horizon, 42).report;
+        let tick = full.sample_interval.as_nanos();
         let mut done = SimTime::ZERO;
         for flow in &full.flows {
             let completed = flow.completed_at.expect("4 MiB finishes in 30 s");
-            let last_rate = flow.rate_log.last().expect("a rate was set").0;
+            // Sample k is taken at (k + 1) ticks: every one from the first
+            // tick after completion on sees the same rate decision.
+            let after = &flow.series.rate_mbps[(completed.as_nanos() / tick) as usize..];
             assert!(
-                last_rate <= completed,
-                "rate decided at {last_rate:?}, after completing at {completed:?}"
+                after.iter().all(|&r| r == after[0]),
+                "rate decided after completing at {completed:?}: {after:?}"
             );
             done = done.max(completed);
         }
         // The same run cut at the last completion is the same run up to it.
         let cut = run_dumbbell(setup, plans(), done, 42).report;
-        let tick = full.sample_interval.as_nanos();
         let samples = horizon.as_nanos() / tick - done.as_nanos() / tick;
         let after = full.events_processed - cut.events_processed;
         assert!(

@@ -784,22 +784,7 @@ impl Simulation {
                 };
                 self.events.schedule(at.max(self.now), timer);
             }
-            Action::RecordRate(bps) => {
-                rt.last_rate_bps = bps;
-                // Downsample to at most one entry per sample interval
-                // (keeping the latest decision in the window, like the
-                // sampled series does): per-ACK rate reporters would
-                // otherwise grow this log without bound on long runs.
-                let interval = self.config.sample_interval.as_nanos().max(1);
-                match rt.stats.rate_log.last_mut() {
-                    Some(last)
-                        if last.0.as_nanos() / interval == self.now.as_nanos() / interval =>
-                    {
-                        *last = (self.now, bps);
-                    }
-                    _ => rt.stats.rate_log.push((self.now, bps)),
-                }
-            }
+            Action::RecordRate(bps) => rt.last_rate_bps = bps,
             Action::RecordRtt(rtt) => {
                 rt.stats.rtt_sum_ns += rtt.as_nanos();
                 rt.stats.rtt_samples += 1;
@@ -1206,50 +1191,6 @@ mod tests {
         assert_eq!(s.goodput_mbps.len(), 10);
         assert_eq!(s.rate_mbps.len(), 10);
         assert_eq!(s.rtt_ms.len(), 10);
-    }
-
-    #[test]
-    fn rate_log_is_downsampled_to_the_sample_interval() {
-        // Regression: a sender that reports a rate on every tick used to
-        // grow `rate_log` without bound (one entry per RecordRate forever);
-        // the log must stay ≤ one entry per sample interval, keeping the
-        // latest decision in each window.
-        struct Chatty {
-            n: u64,
-        }
-        impl Endpoint for Chatty {
-            fn start(&mut self, ctx: &mut EndpointCtx) {
-                ctx.set_timer(ctx.now, 0);
-            }
-            fn on_packet(&mut self, _pkt: &Packet, _ctx: &mut EndpointCtx) {}
-            fn on_timer(&mut self, _token: u64, ctx: &mut EndpointCtx) {
-                self.n += 1;
-                ctx.record_rate(self.n as f64 * 1e6);
-                if self.n < 2000 {
-                    ctx.set_timer(ctx.now + SimDuration::from_millis(1), 0);
-                }
-            }
-        }
-        let (mut nb, fwd, rev) = two_way_net(10e6, SimDuration::from_millis(5));
-        let flow = nb.add_flow(FlowSpec {
-            sender: Box::new(Chatty { n: 0 }),
-            receiver: Box::new(EchoReceiver { received: 0 }),
-            fwd_path: vec![fwd],
-            rev_path: vec![rev],
-            start_at: SimTime::ZERO,
-        });
-        let report = nb.build().run_until(SimTime::from_secs(2));
-        let log = &report.flows[flow.index()].rate_log;
-        // 2 s at one bucket per 100 ms sample interval: ≤ 21 entries, not
-        // the 2000 raw RecordRate calls.
-        assert!(
-            !log.is_empty() && log.len() <= 21,
-            "bounded log, got {} entries",
-            log.len()
-        );
-        // The latest decision in the run survives, and stamps ascend.
-        assert_eq!(log.last().expect("non-empty").1, 2000e6);
-        assert!(log.windows(2).all(|w| w[0].0 < w[1].0), "ascending stamps");
     }
 
     #[test]

@@ -61,8 +61,6 @@ pub struct FlowStats {
     pub stalled: Option<StallInfo>,
     /// Sampled series.
     pub series: FlowSeries,
-    /// Sparse log of control-rate changes `(when, bits/sec)`.
-    pub rate_log: Vec<(SimTime, f64)>,
 }
 
 impl FlowStats {
