@@ -119,16 +119,31 @@ impl Pcp {
         // Dispersion estimate: (n−1) packets delivered over the arrival
         // span ⇒ the rate the path sustained for this train.
         let span = last.saturating_since(first).as_secs_f64();
-        let est = (obs.count as f64 - 1.0) * self.pkt_bits / span;
+        self.commit((obs.count as f64 - 1.0) * self.pkt_bits / span, probe_rate);
+        ctx.set_rate(self.rate_bps);
+    }
+
+    /// PCP's verdict on a probe at `probe_rate` the path sustained at
+    /// `est`: if it sustained (almost) the probed rate, commit to it;
+    /// otherwise settle slightly below the estimate.
+    fn commit(&mut self, est: f64, probe_rate: f64) {
         self.last_estimate_bps = Some(est);
-        // PCP decision: if the path sustained (almost) the probed rate,
-        // commit to it; otherwise settle slightly below the estimate.
         self.rate_bps = if est >= probe_rate * 0.9 {
             probe_rate
         } else {
             (est * 0.9).min(probe_rate)
         }
         .max(1e5);
+    }
+
+    /// Loss means the estimate was optimistic: back off to the last
+    /// estimate (or half) — PCP treats loss as a failed probe.
+    fn back_off(&mut self, ctx: &mut CtrlCtx) {
+        let fallback = self
+            .last_estimate_bps
+            .map(|e| e * 0.8)
+            .unwrap_or(self.rate_bps * 0.5);
+        self.rate_bps = fallback.min(self.rate_bps).max(1e5);
         ctx.set_rate(self.rate_bps);
     }
 }
@@ -186,17 +201,9 @@ impl CongestionControl for Pcp {
     }
 
     fn on_loss(&mut self, loss: &LossEvent, ctx: &mut CtrlCtx) {
-        if loss.seqs.is_empty() {
-            return;
+        if !loss.seqs.is_empty() {
+            self.back_off(ctx);
         }
-        // Loss means the estimate was optimistic: back off to the last
-        // estimate (or half) — PCP treats loss as a failed probe.
-        let fallback = self
-            .last_estimate_bps
-            .map(|e| e * 0.8)
-            .unwrap_or(self.rate_bps * 0.5);
-        self.rate_bps = fallback.min(self.rate_bps).max(1e5);
-        ctx.set_rate(self.rate_bps);
     }
 
     /// Batched feedback: the report's own arrival statistics *are* a
@@ -216,12 +223,7 @@ impl CongestionControl for Pcp {
                 self.trains.remove(&id);
                 self.probe_rates.remove(&id);
             }
-            let fallback = self
-                .last_estimate_bps
-                .map(|e| e * 0.8)
-                .unwrap_or(self.rate_bps * 0.5);
-            self.rate_bps = fallback.min(self.rate_bps).max(1e5);
-            ctx.set_rate(self.rate_bps);
+            self.back_off(ctx);
             return;
         }
         if let Some((id, _)) = self.tagging.take() {
@@ -229,13 +231,7 @@ impl CongestionControl for Pcp {
             let probe_rate = self.probe_rates.remove(&id).unwrap_or(self.rate_bps);
             let est = rep.delivery_rate_bps();
             if rep.acked_pkts >= 2 && est > 0.0 {
-                self.last_estimate_bps = Some(est);
-                self.rate_bps = if est >= probe_rate * 0.9 {
-                    probe_rate
-                } else {
-                    (est * 0.9).min(probe_rate)
-                }
-                .max(1e5);
+                self.commit(est, probe_rate);
             }
             ctx.set_rate(self.rate_bps);
         }

@@ -113,6 +113,17 @@ impl Sabul {
         self.loss_since_tick = false;
         ctx.set_timer(ctx.now + self.syn, TOKEN_SYN);
     }
+
+    /// A NAK of `lost` packets: multiplicative decrease, at most once per
+    /// SYN.
+    fn nak(&mut self, lost: u64, ctx: &mut CtrlCtx) {
+        self.losses += lost;
+        if !self.loss_since_tick {
+            self.rate_bps = (self.rate_bps * self.decrease).max(1e5);
+            ctx.set_rate(self.rate_bps);
+        }
+        self.loss_since_tick = true;
+    }
 }
 
 impl Default for Sabul {
@@ -149,13 +160,7 @@ impl CongestionControl for Sabul {
         if loss.seqs.is_empty() {
             return;
         }
-        self.losses += loss.seqs.len() as u64;
-        // NAK: multiplicative decrease, at most once per SYN.
-        if !self.loss_since_tick {
-            self.rate_bps = (self.rate_bps * self.decrease).max(1e5);
-            ctx.set_rate(self.rate_bps);
-        }
-        self.loss_since_tick = true;
+        self.nak(loss.seqs.len() as u64, ctx);
     }
 
     fn on_report(&mut self, rep: &MeasurementReport, ctx: &mut CtrlCtx) {
@@ -168,12 +173,7 @@ impl CongestionControl for Sabul {
         }
         self.acked_bytes_window += rep.acked_bytes;
         if rep.lost_pkts > 0 {
-            self.losses += rep.lost_pkts;
-            if !self.loss_since_tick {
-                self.rate_bps = (self.rate_bps * self.decrease).max(1e5);
-                ctx.set_rate(self.rate_bps);
-            }
-            self.loss_since_tick = true;
+            self.nak(rep.lost_pkts, ctx);
         }
     }
 
