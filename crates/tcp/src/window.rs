@@ -37,7 +37,7 @@ use crate::common::MIN_CWND;
 
 /// The congestion window and slow-start threshold, in packets: what
 /// [`Windowed`] owns and lends to its [`WindowAlgo`] on each event.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct Window {
     /// Congestion window.
     pub cwnd: f64,
@@ -339,6 +339,12 @@ mod tests {
             &mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx),
         );
         assert_eq!(drain_cwnd(&mut fx), Some(15.0), "slow start via report");
+        let frozen = MeasurementReport {
+            in_recovery: true,
+            ..report(5, 0, false, 0)
+        };
+        cc.on_report(&frozen, &mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx));
+        assert_eq!(drain_cwnd(&mut fx), Some(15.0), "frozen in recovery");
         cc.on_report(
             &report(3, 1, true, 0),
             &mut Ctx::new(SimTime::ZERO, &mut rng, &mut fx),
