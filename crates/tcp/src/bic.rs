@@ -39,6 +39,24 @@ impl Bic {
         }
     }
 
+    /// The threshold after a loss event or a timeout, remembering the
+    /// peak to search back toward (Linux `bictcp_recalc_ssthresh`, which
+    /// serves both): fast convergence, then a Reno halving below
+    /// `LOW_WINDOW` and a β cut above it.
+    fn recalc_ssthresh(&mut self, cwnd: f64) -> f64 {
+        // Fast convergence.
+        if cwnd < self.last_max {
+            self.last_max = cwnd * (2.0 - (1.0 - self.beta)) / 2.0;
+        } else {
+            self.last_max = cwnd;
+        }
+        if cwnd < LOW_WINDOW {
+            halved(cwnd)
+        } else {
+            (cwnd * self.beta).max(MIN_SSTHRESH)
+        }
+    }
+
     /// Packets that must be ACKed for `cwnd` to grow by 1 (Linux `cnt`).
     fn cnt(&self, cwnd: f64) -> f64 {
         if cwnd < LOW_WINDOW {
@@ -84,23 +102,12 @@ impl WindowAlgo for Bic {
     }
 
     fn on_loss_event(&mut self, w: &mut Window) {
-        // Fast convergence.
-        if w.cwnd < self.last_max {
-            self.last_max = w.cwnd * (2.0 - (1.0 - self.beta)) / 2.0;
-        } else {
-            self.last_max = w.cwnd;
-        }
-        w.ssthresh = if w.cwnd < LOW_WINDOW {
-            halved(w.cwnd)
-        } else {
-            (w.cwnd * self.beta).max(MIN_SSTHRESH)
-        };
+        w.ssthresh = self.recalc_ssthresh(w.cwnd);
         w.cwnd = w.ssthresh;
     }
 
     fn on_rto(&mut self, cwnd: f64) -> f64 {
-        self.last_max = cwnd;
-        (cwnd * self.beta).max(MIN_SSTHRESH)
+        self.recalc_ssthresh(cwnd)
     }
 }
 
@@ -123,6 +130,24 @@ mod tests {
         let mut cc = Driven::new(Bic::with_params(BETA));
         cc.loss(); // from 10 (< LOW_WINDOW): halve
         assert_eq!(cc.cwnd(), 5.0);
+    }
+
+    #[test]
+    fn a_timeout_shares_the_loss_threshold() {
+        // Below LOW_WINDOW a timeout halves, as a loss does, rather than
+        // taking the β cut; the window itself collapses to one packet.
+        let mut cc = Driven::new(Bic::with_params(BETA));
+        cc.rto(); // from 10
+        assert_eq!(cc.w.ssthresh, 5.0);
+        assert_eq!(cc.cwnd(), 1.0);
+        // Above it, a timeout under the remembered peak converges fast.
+        let mut cc = Driven::new(Bic::with_params(BETA));
+        cc.acks(90, 1); // 100
+        cc.loss(); // last_max 100, cwnd 79.98
+        let cwnd = cc.cwnd();
+        cc.rto();
+        assert_eq!(cc.w.ssthresh, cwnd * BETA);
+        assert!((cc.cc.last_max - cwnd * (1.0 + BETA) / 2.0).abs() < 1e-9);
     }
 
     #[test]

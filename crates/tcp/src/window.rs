@@ -416,8 +416,8 @@ mod tests {
             ("hybla:paced=true", 0x944d_816e_ef26_100b),
             ("vegas", 0x8daf_abb7_b8df_4c27),
             ("vegas:paced=true", 0xa0c3_3648_d029_8b04),
-            ("bic", 0x7938_5ecd_783b_fc9d),
-            ("bic:paced=true", 0xfc57_e39c_30b0_f14f),
+            ("bic", 0xe96d_7392_3d76_07c7),
+            ("bic:paced=true", 0x93bd_b5c0_1939_9de0),
             ("westwood", 0x6c17_aef9_cf06_eba5),
             ("westwood:paced=true", 0xb72e_e4ab_10de_3c70),
         ];
