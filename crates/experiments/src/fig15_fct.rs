@@ -4,9 +4,12 @@
 //! 60 ms path at 5–75% load. Paper result: PCC's FCT is similar to TCP's
 //! at the median and 95th percentile (95th at 75% load is 20% longer) —
 //! the learning startup does not fundamentally harm short flows.
+//!
+//! Each cell is a churn run of one flow size ([`fct_config`]), reduced to
+//! its overall FCT summary.
 
-use pcc_scenarios::fct::run_fct;
-use pcc_scenarios::Protocol;
+use pcc_scenarios::fct::fct_config;
+use pcc_scenarios::{run_churn, Protocol};
 use pcc_simnet::time::SimDuration;
 
 use crate::{fmt, runner, scaled, Opts, Table};
@@ -36,7 +39,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         ],
     );
     let grid = runner::run_grid(opts, "fig15", LOADS, &protocols(), |&load, proto| {
-        run_fct(proto.clone(), load, dur, opts.seed)
+        run_churn(fct_config(proto.clone(), load, dur, opts.seed)).overall
     });
     for (&load, cells) in LOADS.iter().zip(grid) {
         let (pcc, tcp) = (&cells[0], &cells[1]);

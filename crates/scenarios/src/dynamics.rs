@@ -2,7 +2,6 @@
 //! (Figs. 12–13), TCP friendliness (Fig. 14), and the
 //! stability/reactiveness trade-off (Fig. 16).
 
-use pcc_simnet::link::LinkSchedule;
 use pcc_simnet::prelude::*;
 use pcc_simnet::stats::{convergence_time, jain_index_at_scale, std_dev};
 
@@ -82,7 +81,7 @@ pub fn run_convergence(
         .collect();
     let inner = Scenario {
         sample_interval: SimDuration::from_secs(1),
-        ..dumbbell(setup, LinkSchedule::new(), plans, seed)
+        ..dumbbell(setup, plans, seed)
     }
     .run(SimTime::ZERO + lifetime);
     ConvergenceResult {
@@ -203,7 +202,7 @@ pub fn run_tradeoff(protocol: Protocol, stability_window: u64, seed: u64) -> Tra
     ];
     let r = Scenario {
         sample_interval: SimDuration::from_secs(1),
-        ..dumbbell(setup, LinkSchedule::new(), plans, seed)
+        ..dumbbell(setup, plans, seed)
     }
     .run(SimTime::from_secs(horizon_secs));
     let series = &r.report.flows[r.flows[1].index()].series.throughput_mbps;

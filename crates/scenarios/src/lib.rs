@@ -15,8 +15,8 @@
 //! | [`links`] | one dumbbell per link class | Fig. 6 (satellite), Fig. 7 (lossy), Fig. 9 (shallow buffer), Table 1 (inter-DC) |
 //! | [`dynamics`] | multi-flow dumbbells | Fig. 8 (RTT fairness), Figs. 12–13 (convergence), Fig. 14 (friendliness), Fig. 16 (trade-off) |
 //! | [`incast`] | many-to-one dumbbell | Fig. 10 |
-//! | [`rapid`] | dumbbell with a bottleneck schedule | Fig. 11 |
-//! | [`fct`] | Poisson short flows on a dumbbell | Fig. 15 |
+//! | [`rapid`] | a generated [`LinkTrace`](pcc_simnet::trace::LinkTrace), run by [`vary::run_trace`] | Fig. 11 |
+//! | [`fct`] | Poisson 100 KB flows as a [`ChurnConfig`], run by [`run_churn`] | Fig. 15 |
 //! | [`power`] | dumbbells under AQM / FQ | Fig. 17 and §4.4.2 |
 //! | [`vary`] | two hosts, one traced link | trace-driven time-varying links (`pcc-experiments vary`) |
 //! | [`dc`] | fat-tree / leaf-spine fabrics, ECMP-routed flows | rack incast, cross-pod permutation, oversubscribed mix (`pcc-experiments dc`) |

@@ -6,26 +6,30 @@
 //! sending rate* follows the optimal (available bandwidth) line.
 //!
 //! The generated environment is a [`LinkTrace`] — the same substrate the
-//! bundled LTE/WiFi/satellite profiles use (see [`crate::vary`]) — so Fig.
-//! 11 is just one member of the trace-driven workload family, with a
-//! freshly synthesized trace per `env_seed`. The trace is also the optimal
-//! line: [`LinkTrace::at`] per second, [`LinkTrace::avg_capacity_mbps`] on
-//! average.
+//! bundled LTE/WiFi/satellite profiles use — and the run is
+//! [`vary::run_trace`] over it, so Fig. 11 is one member of the
+//! trace-driven workload family with a freshly synthesized trace per
+//! `env_seed`: the traced bottleneck carries each epoch's one-way delay
+//! (the reverse path keeps the initial one), so epoch k runs at an RTT of
+//! d₀ + d_k, and [`vary::trace_buffer_bytes`] sizes its buffer. The trace
+//! is also the optimal line: [`LinkTrace::at`] per second,
+//! [`LinkTrace::avg_capacity_mbps`] on average.
 
+use pcc_simnet::prelude::*;
 use pcc_simnet::rng::SimRng;
-use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_simnet::trace::{LinkTrace, TracePoint};
 
 use crate::protocol::Protocol;
 use crate::scenario::ScenarioRun;
-use crate::setup::{dumbbell, FlowPlan, LinkSetup};
+use crate::vary;
 
 /// The generated environment plus the run over it.
 pub struct RapidResult {
-    /// The run (100 ms samples); flow 0 is the protocol under test.
+    /// The [`vary::run_trace`] run (100 ms samples); flow 0 is the
+    /// protocol under test.
     pub inner: ScenarioRun,
-    /// The environment (delays stored as the one-way forward component
-    /// applied to the bottleneck).
+    /// The environment (each delay is the one-way forward delay of the
+    /// traced bottleneck).
     pub trace: LinkTrace,
 }
 
@@ -62,15 +66,7 @@ pub fn run_rapid_change(
     }
     let trace = LinkTrace::from_points("fig11", points, None)
         .expect("generated points are ordered and positive");
-    let first = trace.initial();
-    let rtt = first.delay.expect("every epoch draws a delay") * 2;
-    // The RTT shims realize the initial round trip; the scheduled
-    // bottleneck delay (expanded from the trace) carries the varying
-    // forward component.
-    let setup = LinkSetup::new(first.rate_bps, rtt, 375_000).with_loss(first.loss.unwrap_or(0.0));
-    let horizon = SimTime::ZERO + duration;
-    let plans = vec![FlowPlan::new(protocol, rtt)];
-    let inner = dumbbell(setup, trace.to_schedule(horizon), plans, seed).run(horizon);
+    let inner = vary::run_trace(protocol, &trace, duration, seed, ShaperConfig::default());
     RapidResult { inner, trace }
 }
 
@@ -110,6 +106,46 @@ mod tests {
         assert_eq!(r.trace.points().len(), 6, "30 s / 5 s steps");
         let opt = r.trace.avg_capacity_mbps(dur);
         assert!((10.0..100.0).contains(&opt), "optimal in range: {opt}");
+    }
+
+    #[test]
+    fn every_epoch_runs_at_the_initial_reverse_delay_plus_its_own() {
+        // The traced bottleneck carries d₀ forward from time zero, so the
+        // base RTT is 2·d₀ and epoch k's is d₀ + d_k: the lowest 100 ms mean
+        // RTT of each epoch (its first sample straddles the step) sits at
+        // most d₀/2 of queueing above it, so a second d₀ in any later
+        // epoch (shims carrying the initial round trip beside a bottleneck
+        // with no delay of its own) fails.
+        let step = SimDuration::from_secs(5);
+        let mut r = run_rapid_change(
+            Protocol::named("pcc"),
+            step,
+            SimDuration::from_secs(60),
+            13,
+            2,
+        );
+        let d0 = r.trace.initial().delay.expect("every epoch draws a delay");
+        let (src, dst) = (NodeId(0), NodeId(1));
+        assert_eq!(
+            r.inner.topology.num_edges(),
+            2,
+            "one traced link and its reverse"
+        );
+        assert_eq!(r.inner.topology.flow_path(src, dst, 0).base_rtt, d0 * 2);
+        let rtt_ms = &r.inner.report.flows[0].series.rtt_ms;
+        let per_epoch = (step.as_nanos() / r.inner.report.sample_interval.as_nanos()) as usize;
+        for (k, p) in r.trace.points().iter().enumerate() {
+            let base = (d0 + p.delay.expect("drawn")).as_millis_f64();
+            let lowest = rtt_ms[k * per_epoch + 1..(k + 1) * per_epoch]
+                .iter()
+                .copied()
+                .filter(|ms| !ms.is_nan())
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                (base..base + d0.as_millis_f64() / 2.0).contains(&lowest),
+                "epoch {k}: lowest RTT {lowest:.2} ms, d0 + dk = {base:.2} ms"
+            );
+        }
     }
 
     #[test]

@@ -110,15 +110,15 @@ impl LinkSetup {
         }
     }
 
-    /// The bottleneck link this setup describes, varying by `schedule`.
-    /// It carries no delay of its own: the RTT lives in per-flow shims.
-    pub(crate) fn bottleneck(&self, schedule: LinkSchedule) -> LinkConfig {
+    /// The bottleneck link this setup describes. It carries no delay of
+    /// its own: the RTT lives in per-flow shims.
+    pub(crate) fn bottleneck(&self) -> LinkConfig {
         LinkConfig {
             rate_bps: Some(self.rate_bps),
             delay: SimDuration::ZERO,
             loss: self.loss,
             queue: self.queue.build(self.buffer_bytes),
-            schedule,
+            schedule: LinkSchedule::new(),
             shaper: self.shaper(),
         }
     }
@@ -176,18 +176,12 @@ impl FlowPlan {
     }
 }
 
-/// The dumbbell scenario: `plans` share one bottleneck described by `setup`
-/// and varied by `schedule` (Fig. 11's environment, or none); each plan
-/// gets a receiver host behind its own RTT shims. Static flow `i` is
-/// `plans[i]`. Adjust the returned [`Scenario`] (its `sample_interval`,
-/// say) before running it.
-pub fn dumbbell(
-    setup: LinkSetup,
-    schedule: LinkSchedule,
-    plans: Vec<FlowPlan>,
-    seed: u64,
-) -> Scenario {
-    let mut db = Dumbbell::graph(setup.bottleneck(schedule));
+/// The dumbbell scenario: `plans` share one bottleneck described by
+/// `setup`; each plan gets a receiver host behind its own RTT shims.
+/// Static flow `i` is `plans[i]`. Adjust the returned [`Scenario`] (its
+/// `sample_interval`, say) before running it.
+pub fn dumbbell(setup: LinkSetup, plans: Vec<FlowPlan>, seed: u64) -> Scenario {
+    let mut db = Dumbbell::graph(setup.bottleneck());
     let flows = plans
         .into_iter()
         .map(|plan| Flow {
@@ -215,7 +209,7 @@ pub fn run_dumbbell(
     horizon: SimTime,
     seed: u64,
 ) -> ScenarioRun {
-    dumbbell(setup, LinkSchedule::new(), plans, seed).run(horizon)
+    dumbbell(setup, plans, seed).run(horizon)
 }
 
 /// Run one protocol alone on a path (the workhorse of Figs. 6, 7, 9 and
@@ -347,7 +341,10 @@ mod tests {
         // when a retired flow's timer stopped being an event: 204 557
         // events became 199 977, 4 580 fewer, which is its `stale_timers`
         // on both sides. Every harvested flow and every other churn
-        // counter is unchanged.)
+        // counter is unchanged. The rapid row was re-pinned once, when Fig.
+        // 11 moved onto `run_trace`: its bottleneck carries the initial
+        // one-way delay and a trace-sized buffer, so every epoch's RTT lost
+        // the extra d0 the shims had added.)
         use crate::chaos::{run_chaos_report, ChaosScript};
         use crate::dc::{run_ft_permutation, run_ls_mix, run_rack_incast, LsFabric};
         use crate::dynamics::run_convergence;
@@ -379,7 +376,7 @@ mod tests {
         // A paced window algorithm seeds its first pacing rate from the
         // RTT hint, so the paced cubic spine run pins the fabric hint too.
         let paced = Protocol::named("cubic:paced=true");
-        // A scheduled bottleneck, and a dumbbell sampled every second.
+        // Fig. 11's generated trace, and a dumbbell sampled every second.
         let secs = SimDuration::from_secs;
         let rapid = run_rapid_change(pcc.clone(), secs(5), secs(60), 13, 2);
         let convergence = run_convergence(pcc.clone(), 2, secs(20), secs(60), 6);
@@ -443,7 +440,7 @@ mod tests {
             (
                 "rapid pcc",
                 pin(&rapid.inner.report),
-                (1_218_669, 0xb5e3_a7c2_24ae_3007),
+                (993_556, 0x8d04_d64d_457b_9c4a),
             ),
             (
                 "convergence pcc n=2",
@@ -487,7 +484,19 @@ mod tests {
             });
         }
         let horizon = SimTime::from_secs(6);
-        let lowered = dumbbell(setup, schedule, plans(), 42).run(horizon);
+        let mut db = Dumbbell::graph(LinkConfig {
+            schedule,
+            ..setup.bottleneck()
+        });
+        let flows = plans()
+            .into_iter()
+            .map(|plan| Flow::new(db.source(), db.add_receiver(rtt, 0.0), plan.protocol))
+            .collect();
+        let lowered = Scenario {
+            flows,
+            ..Scenario::new(db.into_topology(), 42)
+        }
+        .run(horizon);
         let jitter = JitterConfig::uniform(SimDuration::from_millis(2)).with_reordering(0.02, 4);
         let reordered = run_dumbbell(setup.with_jitter(jitter), plans(), horizon, 42);
         // Every link event of the lowered run is stored in a delay lane:
@@ -554,7 +563,7 @@ mod tests {
 
         let rtt = SimDuration::from_millis(30);
         let setup = LinkSetup::new(50e6, rtt, 187_500);
-        let mut db = Dumbbell::graph(setup.bottleneck(LinkSchedule::new()));
+        let mut db = Dumbbell::graph(setup.bottleneck());
         let flow = Flow::new(
             db.source(),
             db.add_receiver(rtt, 0.0),

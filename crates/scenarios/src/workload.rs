@@ -48,7 +48,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pcc_simnet::link::LinkSchedule;
 use pcc_simnet::prelude::*;
 use pcc_simnet::text::{self, lines};
 
@@ -269,8 +268,7 @@ impl Arrival {
     }
 }
 
-/// FCT distribution summary — the one flow-completion-time type shared by
-/// the churn engine and the Fig. 15 short-flow scenario.
+/// FCT distribution summary of a churn run (a Fig. 15 cell is one).
 #[derive(Clone, Debug, Default)]
 pub struct FctSummary {
     /// All completion times, seconds, in harvest order.
@@ -525,7 +523,7 @@ pub fn run_churn(cfg: ChurnConfig) -> ChurnReport {
     // One shared path for every flow: the dumbbell with a single receiver
     // host, not one per flow.
     let setup = cfg.link;
-    let mut db = Dumbbell::graph(setup.bottleneck(LinkSchedule::new()));
+    let mut db = Dumbbell::graph(setup.bottleneck());
     let recv = db.add_receiver(setup.rtt, setup.ack_loss);
     let samples: Rc<RefCell<Vec<ChurnSample>>> = Rc::new(RefCell::new(Vec::new()));
     let master = SimRng::new(cfg.seed);
