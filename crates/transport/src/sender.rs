@@ -362,8 +362,10 @@ impl CcSender {
             if self.rate_bps != Some(rate) {
                 self.rate_bps = Some(rate);
                 if self.windowed() {
-                    // Hybrid algorithms update the rate every ACK; keep the
-                    // throttled reporting path so samples stay bounded.
+                    // Hybrid algorithms update the rate every ACK; the
+                    // throttle in `report_rate` bounds the `RecordRate`
+                    // actions that costs to one per 100 ms or per > 5%
+                    // change, not one per ACK.
                     self.report_rate(ctx);
                 } else {
                     ctx.record_rate(rate);
