@@ -273,7 +273,10 @@ impl Arrival {
 pub struct FctSummary {
     /// All completion times, seconds, in harvest order.
     pub fcts: Vec<f64>,
-    /// Flows that did not complete (stalled or truncated by the horizon).
+    /// Flows that did not complete: the harvested ones that stalled and,
+    /// in [`ChurnReport::overall`] only, the flows still live at the
+    /// horizon (a live flow's size is never harvested, so no bucket
+    /// counts it).
     pub incomplete: usize,
 }
 
@@ -329,12 +332,14 @@ pub struct ChurnSample {
     pub goodput: u64,
 }
 
-/// Per-size-bucket FCT summary.
+/// Per-size-bucket FCT summary over harvested flows only: a flow still
+/// live at the horizon is never harvested, so its size, and with it its
+/// bucket, is unknown ([`ChurnReport::overall`] counts it as incomplete).
 #[derive(Clone, Debug)]
 pub struct ChurnBucket {
     /// Bucket label from [`SIZE_BUCKETS`].
     pub label: &'static str,
-    /// Flows whose size fell in this bucket.
+    /// Harvested flows whose size fell in this bucket.
     pub flows: usize,
     /// FCT summary over the bucket's completed flows.
     pub fct: FctSummary,
@@ -591,8 +596,9 @@ fn summarize(
             }
         }
     }
-    let horizon_secs = horizon.as_secs_f64();
     let churn = report.churn;
+    overall.incomplete += churn.live_at_end as usize;
+    let horizon_secs = horizon.as_secs_f64();
     ChurnReport {
         overall,
         buckets,
@@ -750,6 +756,27 @@ mod tests {
         // Every bucket flow count sums back to the total.
         let n: usize = r.buckets.iter().map(|b| b.flows).sum();
         assert_eq!(n, 400);
+    }
+
+    #[test]
+    fn flows_live_at_the_horizon_count_as_incomplete() {
+        // Half the flows are 10 kB and half 50 MB: a 10 Mbps bottleneck
+        // drains none of the big ones in the 10 s after the last arrival.
+        let cdf = SizeCdf::parse("bimodal", "10000 0.5\n50000000 0.5\n50000001 1\n").unwrap();
+        let link = LinkSetup::new(10e6, SimDuration::from_millis(20), 25_000);
+        let arrival = Arrival::every(SimDuration::from_millis(100));
+        let cfg = ChurnConfig::new(Protocol::Tcp("cubic"), link, cdf, arrival, 20, 7);
+        let r = run_churn(cfg);
+        let c = r.churn;
+        assert!(c.live_at_end > 0 && r.overall.count() > 0, "{c:?}");
+        assert_eq!(
+            r.overall.count() + r.overall.incomplete,
+            c.arrivals as usize,
+            "every arrival is a completion or incomplete: {c:?}"
+        );
+        // The buckets hold harvested flows only.
+        let bucketed: usize = r.buckets.iter().map(|b| b.flows).sum();
+        assert_eq!(bucketed as u64, c.completions + c.stalls, "{c:?}");
     }
 
     #[test]

@@ -200,15 +200,61 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// `p`-th percentile (0..=100) by nearest-rank on a sorted copy.
+/// `p`-th percentile (0..=100) by nearest rank in [`f64::total_cmp`]
+/// order: the value a copy sorted by `total_cmp` holds at index
+/// `round(p/100 · (n − 1))`, clamped to the slice. A NaN `p` reads rank 0.
+///
+/// Found by selection, not by sorting: O(n) time and no allocation.
+/// NaN sorts as `total_cmp` puts it — a positive NaN above +∞, a negative
+/// one below −∞ — and −0.0 below +0.0. Empty input reads 0.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
+    let Some(last) = values.len().checked_sub(1) else {
         return 0.0;
+    };
+    let rank = ((p / 100.0) * last as f64).round() as usize;
+    select_total(values, rank.min(last))
+}
+
+/// A `u64` whose unsigned order is [`f64::total_cmp`]'s order on `v`.
+fn total_key(v: f64) -> u64 {
+    let b = v.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+}
+
+/// The inverse of [`total_key`].
+fn from_total_key(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k ^ 1 << 63 } else { !k })
+}
+
+/// The `rank`-th smallest (from 0) of `values` in `total_cmp` order, for
+/// `rank < values.len()`: a most-significant-digit radix select over
+/// [`total_key`]s. Each of the eight passes counts, by their next byte,
+/// the keys that share the bytes fixed so far, and fixes the byte whose
+/// counts span `rank`.
+fn select_total(values: &[f64], mut rank: usize) -> f64 {
+    let mut prefix = 0u64;
+    for shift in (0..64).step_by(8).rev() {
+        // The bits above this digit, fixed by the passes before it.
+        let fixed = u64::MAX.checked_shl(shift + 8).unwrap_or(0);
+        let mut counts = [0usize; 256];
+        for &v in values {
+            let key = total_key(v);
+            if key & fixed == prefix {
+                counts[usize::from((key >> shift) as u8)] += 1;
+            }
+        }
+        let mut digit = 0;
+        while rank >= counts[digit] {
+            rank -= counts[digit];
+            digit += 1;
+        }
+        prefix |= (digit as u64) << shift;
+    }
+    from_total_key(prefix)
 }
 
 /// The paper's "forward-looking" convergence-time definition (§4.2.2): the
@@ -226,11 +272,10 @@ pub fn convergence_time(
     }
     let lo = target * (1.0 - tolerance);
     let hi = target * (1.0 + tolerance);
-    let within: Vec<bool> = series.iter().map(|&v| v >= lo && v <= hi).collect();
     // Scan with a running count of in-range samples.
     let mut run = 0usize;
-    for (i, &ok) in within.iter().enumerate() {
-        if ok {
+    for (i, &v) in series.iter().enumerate() {
+        if v >= lo && v <= hi {
             run += 1;
             if run >= window {
                 return Some(i + 1 - window);
@@ -313,6 +358,19 @@ mod tests {
     }
 
     #[test]
+    fn percentile_orders_signed_zeros_and_nans_as_total_cmp() {
+        // Ranks 0..=4 of five values: a negative NaN sorts below −∞, −0.0
+        // below +0.0, and a positive NaN above everything.
+        let v = [0.0, f64::NAN, -0.0, -f64::NAN, f64::NEG_INFINITY];
+        let at = |rank: u32| percentile(&v, f64::from(rank) * 25.0);
+        assert_eq!(at(0).to_bits(), (-f64::NAN).to_bits(), "negative NaN first");
+        assert_eq!(at(1), f64::NEG_INFINITY);
+        assert_eq!(at(2).to_bits(), (-0.0f64).to_bits(), "-0.0 before +0.0");
+        assert_eq!(at(3).to_bits(), 0.0f64.to_bits());
+        assert_eq!(at(4).to_bits(), f64::NAN.to_bits());
+    }
+
+    #[test]
     fn convergence_found() {
         // Ramp up, then stable around 10.
         let mut s: Vec<f64> = (0..10).map(|i| i as f64).collect();
@@ -377,6 +435,52 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// What [`percentile`] computes, the slow way: nearest rank on a copy
+    /// sorted by `total_cmp`.
+    fn sorted_copy_percentile(values: &[f64], p: f64) -> f64 {
+        if values.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
+        sorted[rank.min(sorted.len() - 1)]
+    }
+
+    /// Values that stress a `total_cmp` order: signed zeros, infinities and
+    /// NaNs of both signs drawn from a small pool (so duplicates are
+    /// heavy), subnormals of both signs, arbitrary bit patterns (NaN
+    /// payloads, every exponent) and plain FCT-like seconds.
+    fn awkward_f64() -> impl Strategy<Value = f64> {
+        const POOL: [f64; 8] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        prop_oneof![
+            (0usize..POOL.len()).prop_map(|i| POOL[i]),
+            (0u64..1 << 53).prop_map(|m| f64::from_bits((m & 1) << 63 | m >> 1)),
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+            0.0f64..10.0,
+        ]
+    }
+
+    /// Percentile ranks over [−10, 110] (out of range both ways), NaN, and
+    /// the ranks the tables print.
+    fn awkward_p() -> impl Strategy<Value = f64> {
+        const PRINTED: [f64; 5] = [0.0, 50.0, 99.0, 99.9, 100.0];
+        prop_oneof![
+            -10.0f64..110.0,
+            Just(f64::NAN),
+            (0usize..PRINTED.len()).prop_map(|i| PRINTED[i]),
+        ]
+    }
+
     proptest! {
         /// Jain's index is always in [1/n, 1] for non-negative inputs.
         #[test]
@@ -400,6 +504,20 @@ mod proptests {
                                p1 in 0.0f64..100.0, p2 in 0.0f64..100.0) {
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
             prop_assert!(percentile(&values, lo) <= percentile(&values, hi) + 1e-12);
+        }
+
+        /// The selection kernel returns the very bits the sorted copy
+        /// holds at the nearest rank, for any `p` (out of range or NaN).
+        #[test]
+        fn percentile_is_the_sorted_copys_nearest_rank(
+            values in proptest::collection::vec(awkward_f64(), 0..300),
+            p in awkward_p(),
+        ) {
+            prop_assert_eq!(
+                percentile(&values, p).to_bits(),
+                sorted_copy_percentile(&values, p).to_bits(),
+                "p = {} over {:?}", p, values
+            );
         }
 
         /// std_dev is translation invariant.
