@@ -627,7 +627,11 @@ impl CongestionControl for PccController {
 }
 
 #[cfg(test)]
+mod model;
+
+#[cfg(test)]
 mod tests {
+    use super::model::Model;
     use super::*;
     use std::collections::BTreeMap;
 
@@ -635,6 +639,8 @@ mod tests {
     use pcc_simnet::time::SimTime;
     use pcc_transport::cc::{Effects as CtrlEffects, LossKind};
     use pcc_transport::report::{Epochs, MeasurementReport};
+
+    use crate::utility::LossResilient;
 
     /// Minimal harness: drives the controller directly with a virtual
     /// clock, collecting rate changes and timers, and keeping send epochs
@@ -710,6 +716,13 @@ mod tests {
 
         fn start(&mut self) {
             self.call(|c, cc| c.on_start(cc));
+        }
+
+        /// Hand over a scripted report for the oldest live epoch, as its
+        /// deadline would.
+        fn report(&mut self, rep: MeasurementReport) {
+            self.epochs.pop();
+            self.call_with(&[rep], |c, cc| c.on_timer(EPOCH_DEADLINE, cc));
         }
 
         fn fire(&mut self, token: u64) {
@@ -1138,5 +1151,259 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One bottleneck as scripted epoch reports. Each MI meets a capacity
+    /// of `cap·(1 + noise·U[−1, 1))`; it delivers the smaller of its rate
+    /// and that capacity, loses a share `spill` of the excess (the rest
+    /// queues), and loses each packet at random with probability `loss`.
+    #[derive(Clone, Copy, Debug)]
+    struct Bottleneck {
+        cap: f64,
+        noise: f64,
+        spill: f64,
+        loss: f64,
+        rtt: SimDuration,
+    }
+
+    impl Bottleneck {
+        /// The report of an MI run at `rate`, long enough for ten packets
+        /// and two RTTs. The receiver-side spacing of its ACKs puts the
+        /// delivery rate at min(rate, capacity), thinned by random loss.
+        fn report(&self, rate: f64, rng: &mut SimRng) -> MeasurementReport {
+            let pkt_bits = 1500.0 * 8.0;
+            let sent = ((rate * 2.0 * self.rtt.as_secs_f64() / pkt_bits).round() as u64).max(10);
+            let cap = self.cap * (1.0 + self.noise * rng.range_f64(-1.0, 1.0));
+            let dropped = (sent as f64 * (1.0 - cap / rate).max(0.0) * self.spill).round() as u64;
+            let random = binomial(sent - dropped, self.loss, rng);
+            let acked = sent - dropped - random;
+            let delivery = rate.min(cap) * acked as f64 / (sent - dropped).max(1) as f64;
+            let spacing = (acked.max(1) - 1) as f64 * pkt_bits / delivery.max(1.0);
+            MeasurementReport {
+                end: SimTime::ZERO + SimDuration::from_secs_f64(sent as f64 * pkt_bits / rate),
+                sent_pkts: sent,
+                sent_bytes: sent * 1500,
+                acked_pkts: acked,
+                acked_bytes: acked * 1500,
+                lost_pkts: dropped + random,
+                first_recv: Some(SimTime::ZERO),
+                last_recv: Some(SimTime::ZERO + SimDuration::from_secs_f64(spacing)),
+                ..Default::default()
+            }
+        }
+    }
+
+    /// Losses among `n` packets each lost with probability `p`: drawn per
+    /// packet for a small MI, where quantization matters, and from a
+    /// uniform of the binomial's mean and variance for a large one.
+    fn binomial(n: u64, p: f64, rng: &mut SimRng) -> u64 {
+        if p <= 0.0 {
+            0
+        } else if n <= 64 {
+            (0..n).filter(|_| rng.chance(p)).count() as u64
+        } else {
+            let (mean, var) = (n as f64 * p, n as f64 * p * (1.0 - p));
+            let draw = mean + (rng.uniform() - 0.5) * (12.0 * var).sqrt();
+            (draw.round().max(0.0) as u64).min(n)
+        }
+    }
+
+    /// One lockstep run: configuration, path, utility, the seed of the
+    /// controller's random stream and of the path's, and the number of
+    /// events.
+    #[derive(Clone, Copy, Debug)]
+    struct Case {
+        cfg: PccConfig,
+        path: Bottleneck,
+        utility: fn() -> Box<dyn UtilityFunction>,
+        seed: u64,
+        events: usize,
+    }
+
+    fn safe() -> Box<dyn UtilityFunction> {
+        Box::new(SafeSigmoid::default())
+    }
+
+    /// The case of `seed`: capacity 0.5 Mbit/s–2 Gbit/s (one case in 16
+    /// at 20 Gbit/s, over the rate ceiling), RTT 5–200 ms, noise up to
+    /// 40%, a buffer that absorbs all the excess in a quarter of the
+    /// cases, random loss up to 10% in half, single-pair trials and fixed
+    /// MI timing each in a quarter.
+    fn case(seed: u64) -> Case {
+        let mut rng = SimRng::new(seed ^ 0x5EED);
+        let cap = if rng.range_u64(0, 16) == 0 {
+            20e9
+        } else {
+            0.5e6 * 4000f64.powf(rng.uniform())
+        };
+        let rtt = SimDuration::from_secs_f64(rng.range_f64(0.005, 0.2));
+        let cfg = PccConfig {
+            rct: rng.range_u64(0, 4) != 0,
+            mi_timing: if rng.range_u64(0, 4) == 0 {
+                MiTiming::FixedRttMultiple(rng.range_f64(1.0, 4.8))
+            } else {
+                MiTiming::Randomized
+            },
+            ..PccConfig::paper().with_rtt_hint(rtt)
+        };
+        let path = Bottleneck {
+            cap,
+            noise: rng.range_f64(0.0, 0.4),
+            spill: if rng.range_u64(0, 4) == 0 {
+                0.0
+            } else {
+                rng.uniform()
+            },
+            loss: if rng.coin() {
+                0.0
+            } else {
+                rng.range_f64(0.0, 0.1)
+            },
+            rtt,
+        };
+        Case {
+            cfg,
+            path,
+            utility: safe,
+            seed,
+            events: rng.range_u64(50, 600) as usize,
+        }
+    }
+
+    /// Drive the controller through the harness on the path's scripted
+    /// reports, and the model on the same judgements; every MI either
+    /// issues must run at bit-equal rates. An ended MI is judged after 0–2
+    /// more have ended, and now and then the flow resumes from an outage.
+    /// Returns how often the model took each transition, and the rates
+    /// issued.
+    fn lockstep(case: &Case) -> (BTreeMap<&'static str, u32>, Vec<f64>) {
+        let mut h =
+            Harness::with_controller(PccController::with_utility(case.cfg, (case.utility)()));
+        h.rng = SimRng::new(case.seed);
+        let mut model = Model::new(case.cfg, 1500, SimRng::new(case.seed));
+        let (utility, mut env) = ((case.utility)(), SimRng::new(!case.seed));
+        h.start();
+        let (mut want, mut got) = (vec![model.start()], vec![h.ctrl.issued[0].rate]);
+        let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        for event in 0..case.events {
+            let checked = got.len();
+            let next = h.ctrl.next_mi;
+            let closed = h.ctrl.issued.len() - 1;
+            if env.chance(0.003) {
+                h.resume();
+                want.push(model.resume());
+            } else if closed == 0 || (closed < 3 && env.coin()) {
+                let wire = h.ctrl.issued[closed].id;
+                h.fire(wire);
+                want.push(model.boundary());
+            } else {
+                let Issued { id, rate, .. } = h.ctrl.issued[0];
+                let rep = case.path.report(rate, &mut env);
+                let m = MiMetrics::from_report(id, rate, &rep, None, None);
+                h.report(rep);
+                want.extend(model.judge(utility.utility(&m), &m));
+            }
+            got.extend(
+                h.ctrl
+                    .issued
+                    .iter()
+                    .filter(|mi| mi.id >= next)
+                    .map(|mi| mi.rate),
+            );
+            assert_eq!(h.epochs.live(), h.ctrl.issued.len());
+            assert_eq!(
+                bits(&got[checked..]),
+                bits(&want[checked..]),
+                "event {event}, from MI {checked}: controller {:?} model {:?} in {case:?}",
+                &got[checked..],
+                &want[checked..],
+            );
+        }
+        (model.seen, got)
+    }
+
+    proptest::proptest! {
+        /// The controller is §3.2's model plus its named adapters: over
+        /// seeded paths, configurations and report lags, both issue the
+        /// same rates bit for bit.
+        #[test]
+        fn controller_issues_the_reference_models_rates(seed in 0u64..u64::MAX) {
+            lockstep(&case(seed));
+        }
+    }
+
+    /// The lockstep above is not vacuous: over a fixed set of cases, the
+    /// model takes every transition of §3.2 and of its adapters at least
+    /// once, under both trial counts and both MI timings.
+    #[test]
+    fn the_lockstep_cases_take_every_transition() {
+        let mut total = BTreeMap::new();
+        for seed in 0..96 {
+            let case = case(seed);
+            let (seen, _) = lockstep(&case);
+            let configs = [
+                (!case.cfg.rct, "single-pair case"),
+                (case.cfg.mi_timing != MiTiming::Randomized, "fixed-tm case"),
+            ];
+            let configs = configs
+                .into_iter()
+                .filter(|c| c.0)
+                .map(|(_, what)| (what, 1));
+            for (what, count) in seen.into_iter().chain(configs) {
+                *total.entry(what).or_insert(0) += count;
+            }
+        }
+        for what in [
+            "start exit: plateau",
+            "start exit: cliff",
+            "start exit: second miss",
+            "concluded decision",
+            "inconclusive decision",
+            "round at eps_max",
+            "revert: utility fell",
+            "revert: queue filling",
+            "bounded-optimism hold",
+            "resume",
+            "single-pair case",
+            "fixed-tm case",
+        ] {
+            assert!(total.contains_key(what), "no {what} in {total:?}");
+        }
+    }
+
+    /// `sec442`'s trap, scripted: the loss-resilient utility on a
+    /// 100 Mbit/s, 30 ms path with 20% random loss and no capacity noise —
+    /// the smallest loss floor at which any of 40 seeds traps, and capacity
+    /// noise up to 50% changes no seed's outcome. A noisy cliff at the
+    /// lowest rates ends the starting phase back at 2·MSS/RTT, and
+    /// adjusting's ε-sized steps, reverted by the loss noise, then hold the
+    /// flow within 2× of that rate for hundreds of MIs. The model falls
+    /// into it too: the lockstep holds throughout.
+    #[test]
+    fn sec442s_trap_is_the_models_too() {
+        let rtt = SimDuration::from_millis(30);
+        let trap = Case {
+            cfg: PccConfig::paper().with_rtt_hint(rtt),
+            path: Bottleneck {
+                cap: 100e6,
+                noise: 0.0,
+                spill: 1.0,
+                loss: 0.2,
+                rtt,
+            },
+            utility: || Box::new(LossResilient),
+            seed: 2,
+            events: 600,
+        };
+        let (seen, rates) = lockstep(&trap);
+        assert_eq!(seen.get("start exit: cliff"), Some(&1), "{seen:?}");
+        let low = rates.iter().map(|&r| r <= 2.0 * rates[0]);
+        let longest = low
+            .scan(0, |run, low| {
+                *run = if low { *run + 1 } else { 0 };
+                Some(*run)
+            })
+            .max();
+        assert!(longest >= Some(50), "{longest:?} MIs in a row under 2·r0");
     }
 }
