@@ -56,12 +56,6 @@ impl PccConfig {
         Self::default()
     }
 
-    /// Set the MI timing policy.
-    pub fn with_mi_timing(mut self, timing: MiTiming) -> Self {
-        self.mi_timing = timing;
-        self
-    }
-
     /// Set the pre-measurement RTT hint.
     pub fn with_rtt_hint(mut self, rtt: SimDuration) -> Self {
         self.rtt_hint = rtt;
@@ -85,10 +79,7 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = PccConfig::paper()
-            .with_mi_timing(MiTiming::FixedRttMultiple(1.0))
-            .with_rtt_hint(SimDuration::from_millis(30));
-        assert_eq!(c.mi_timing, MiTiming::FixedRttMultiple(1.0));
+        let c = PccConfig::paper().with_rtt_hint(SimDuration::from_millis(30));
         assert_eq!(c.rtt_hint, SimDuration::from_millis(30));
     }
 }

@@ -52,7 +52,7 @@ pub mod fluid;
 pub mod utility;
 
 pub use config::{MiTiming, PccConfig};
-pub use control::{PccController, PccStats};
+pub use control::PccController;
 pub use fluid::FluidModel;
 pub use utility::{
     sigmoid, CustomUtility, LatencyGradient, LatencySensitive, LossResilient, MiMetrics,
