@@ -100,3 +100,20 @@ fn packet_event_and_action_stay_72_bytes() {
     assert_eq!(size_of::<Event>(), 72, "Event");
     assert_eq!(size_of::<Action>(), 72, "Action");
 }
+
+/// Tier-1 (`cargo test -q`) runs in the dev profile, which the root
+/// `Cargo.toml` optimises (`opt-level = 1`) for speed. Debug assertions and
+/// overflow checks must stay armed there: the chaos battery's invariants
+/// and every `debug_assert!` are what tier-1 is for, so speed must not be
+/// bought by switching them off.
+#[test]
+#[expect(
+    clippy::assertions_on_constants,
+    reason = "the constant is the build profile's; the test exists to fail when it changes"
+)]
+fn tier_one_runs_with_debug_assertions_armed() {
+    assert!(
+        cfg!(debug_assertions),
+        "the test profile must keep debug assertions (run tier-1 without --release)"
+    );
+}
