@@ -1116,10 +1116,6 @@ mod tests {
         events: usize,
     }
 
-    fn safe() -> Box<dyn UtilityFunction> {
-        Box::new(SafeSigmoid::default())
-    }
-
     /// The case of `seed`: capacity 0.5 Mbit/s–2 Gbit/s (one case in 16
     /// at 20 Gbit/s, over the rate ceiling), RTT 5–200 ms, noise up to
     /// 40%, a buffer that absorbs all the excess in a quarter of the
@@ -1160,7 +1156,7 @@ mod tests {
         Case {
             cfg,
             path,
-            utility: safe,
+            utility: || Box::new(SafeSigmoid::default()),
             seed,
             events: rng.range_u64(50, 600) as usize,
         }
