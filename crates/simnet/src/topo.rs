@@ -369,11 +369,11 @@ impl Topology {
     }
 }
 
-/// A random connected switch graph for the routing and fault proptests: a
-/// spanning tree over `n` nodes plus one random duplex chord per pick.
-/// Returns the duplex node pairs.
-#[cfg(test)]
-pub(crate) fn random_connected(n: usize, picks: &[u64]) -> Vec<(u32, u32)> {
+/// A random connected switch graph for property tests (routing, the fault
+/// plane, the network twin): a spanning tree over `n` nodes plus one random
+/// duplex chord per pick. Returns the duplex node pairs; `picks` must not
+/// be empty when `n > 1`.
+pub fn random_connected(n: usize, picks: &[u64]) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
     for v in 1..n as u32 {
         let u = picks[(v as usize - 1) % picks.len()] % v as u64;
