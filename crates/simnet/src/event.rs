@@ -175,6 +175,7 @@ impl EventQueue {
             self.heap.push(entry);
             return;
         }
+        crate::ring::reserve(&mut lane.q, 1);
         lane.q.push_back(entry);
         self.lane_scheduled += 1;
     }

@@ -16,6 +16,8 @@
 //!   time-varying [`link::LinkSchedule`].
 //! * [`queue`] — DropTail, DRR [`queue::FairQueue`], and FQ-CoDel
 //!   ([`queue::fq_codel`], DRR with the RFC 8289 CoDel law per flow).
+//! * [`ring::reserve`] — the one growth rule of every long-lived ring on
+//!   the packet path: doubling below 64 slots, a quarter from there.
 //! * [`shaper::LinkShaper`] — per-link impairment stage: stochastic
 //!   jitter, bounded reordering, and token-bucket policing.
 //! * [`trace::LinkTrace`] — trace-driven time-varying capacity: a
@@ -72,6 +74,7 @@ pub mod ids;
 pub mod link;
 pub mod packet;
 pub mod queue;
+pub mod ring;
 pub mod rng;
 pub mod shaper;
 pub mod sim;

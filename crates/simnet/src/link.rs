@@ -230,8 +230,9 @@ pub struct Link {
     in_flight: Option<Packet>,
     schedule: LinkSchedule,
     /// Impairment stage, present only when configured (a no-op config
-    /// costs nothing on the hot path).
-    shaper: Option<LinkShaper>,
+    /// costs nothing on the hot path). Boxed: few links have one, and every
+    /// link would otherwise carry its size inline.
+    shaper: Option<Box<LinkShaper>>,
     /// Injected-fault state, allocated only once the fault plane first
     /// touches this link (no-fault runs never allocate it).
     fault: Option<Box<FaultState>>,
@@ -250,7 +251,7 @@ impl Link {
         // one never perturbs this link's loss process (derive depends
         // only on the seed, not on stream consumption).
         let shaper = (!config.shaper.is_noop())
-            .then(|| LinkShaper::new(config.shaper, rng.derive(0x5348_4150_4552)));
+            .then(|| Box::new(LinkShaper::new(config.shaper, rng.derive(0x5348_4150_4552))));
         Link {
             id,
             rate_bps: config.rate_bps,

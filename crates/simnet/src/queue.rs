@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 
 use crate::ids::FlowId;
 use crate::packet::Packet;
+use crate::ring;
 use crate::time::{SimDuration, SimTime};
 
 /// Lifetime counters every queue maintains.
@@ -86,8 +87,10 @@ pub struct DropTail {
 
 impl DropTail {
     /// FIFO limited to `limit_bytes` bytes. The ring starts empty and grows
-    /// by doubling to the largest backlog it holds: a ring that cycles writes
-    /// every slot it owns, so one sized from the limit keeps that much resident.
+    /// with its backlog by [`ring::reserve`]'s rule, to at most a quarter
+    /// past the largest backlog it holds once that passes 64 packets: a ring
+    /// that cycles writes every slot it owns, so one sized from the limit
+    /// keeps that much resident.
     pub fn bytes(limit_bytes: u64) -> Self {
         DropTail {
             q: VecDeque::new(),
@@ -106,6 +109,7 @@ impl Queue for DropTail {
             return false;
         }
         self.bytes += pkt.bytes as u64;
+        ring::reserve(&mut self.q, 1);
         self.q.push_back(pkt);
         self.stats.enqueued += 1;
         self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.bytes);
@@ -230,6 +234,7 @@ impl Queue for FairQueue {
         let slot = self.flow_slot(pkt.flow);
         let was_empty = self.flows[slot].q.is_empty();
         let pkt_bytes = pkt.bytes as u64;
+        ring::reserve(&mut self.flows[slot].q, 1);
         self.flows[slot].q.push_back((now, pkt));
         self.flows[slot].bytes += pkt_bytes;
         self.bytes += pkt_bytes;
@@ -475,10 +480,11 @@ mod tests {
         for limit in [0, 1500, 256_000, u64::MAX] {
             assert_eq!(DropTail::bytes(limit).q.capacity(), 0, "limit {limit}");
         }
-        for peak in [1u64, 3, 5, 40, 170] {
-            let mut q = DropTail::bytes(256_000);
+        for peak in [1u64, 3, 5, 40, 63, 64, 65, 81, 170, 333, 640, 1000] {
+            let mut q = DropTail::bytes(2_000_000);
             // Cycle at a backlog of `peak` packets for many times its size:
-            // the ring holds on to no more than the doubling of that peak.
+            // the ring holds on to no more than the doubling of a small peak,
+            // and a quarter past one of 64 packets or more.
             for s in 0..peak {
                 assert!(q.enqueue(pkt(0, s, 1500), t(0)));
             }
@@ -487,7 +493,12 @@ mod tests {
                 assert!(q.enqueue(pkt(0, s, 1500), t(1)));
             }
             while q.dequeue(t(2)).is_some() {}
-            let bound = (2 * peak as usize).max(8);
+            let peak = peak as usize;
+            let bound = if peak >= 64 {
+                (5 * peak).div_ceil(4)
+            } else {
+                (2 * peak).max(8)
+            };
             assert!(q.q.capacity() <= bound, "peak {peak}: {}", q.q.capacity());
         }
     }
@@ -775,7 +786,8 @@ mod proptests {
         /// counter under the same `bytes + pkt > limit` drop rule. Limits
         /// below one packet are drawn too, and random dequeues make the
         /// ring grow while it is wrapped; its capacity stays within twice
-        /// the largest backlog it has held.
+        /// the largest backlog it has held (`ring`'s proptest holds the
+        /// tighter bound past 64 slots).
         #[test]
         fn byte_accounting(
             limit in 0u64..20_000,

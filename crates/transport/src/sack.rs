@@ -21,6 +21,7 @@
 use std::collections::VecDeque;
 
 use pcc_simnet::packet::AckInfo;
+use pcc_simnet::ring;
 use pcc_simnet::time::{SimDuration, SimTime};
 
 /// Fate of one sequence number.
@@ -210,6 +211,7 @@ impl Scoreboard {
         );
         if !retx {
             assert_eq!(seq, self.high_seq, "new data must be sent in order");
+            ring::reserve(&mut self.entries, 1);
             self.entries.push_back(SeqEntry::sent(now));
             self.high_seq += 1;
             self.in_flight += 1;
@@ -221,6 +223,7 @@ impl Scoreboard {
                 self.in_flight += 1;
             }
             e.resent(now);
+            ring::reserve(&mut self.retx_log, 1);
             self.retx_log.push_back((now, seq));
         }
     }

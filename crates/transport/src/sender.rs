@@ -37,6 +37,7 @@ use std::collections::VecDeque;
 
 use pcc_simnet::endpoint::{Endpoint, EndpointCtx};
 use pcc_simnet::packet::Packet;
+use pcc_simnet::ring;
 use pcc_simnet::time::{SimDuration, SimTime};
 
 use crate::cc::{
@@ -637,6 +638,7 @@ impl CcSender {
         } else {
             true
         };
+        ring::reserve(&mut self.retx_queue, lost.len());
         self.retx_queue.extend(lost.iter().copied());
         if !self.windowed() {
             // Pure rate control never arms the RTO timer — the
@@ -755,7 +757,9 @@ impl CcSender {
         // `clear()` left them permanently unretransmitted (a sized flow
         // would wedge with the cum-ack hole open and no timer armed).
         self.retx_queue.clear();
-        self.retx_queue.extend(self.sb.lost_seqs());
+        let requeued = self.sb.lost_seqs();
+        ring::reserve(&mut self.retx_queue, requeued.len());
+        self.retx_queue.extend(requeued);
         // RTO aborts any recovery episode; slow-start restart.
         self.recovery_point = None;
         let ev = LossEvent {

@@ -7,6 +7,8 @@
 
 use std::collections::VecDeque;
 
+use pcc_simnet::ring;
+
 /// A map from sequence numbers to `T`, held as a `VecDeque<Option<T>>`
 /// indexed by `seq - base`.
 ///
@@ -59,6 +61,7 @@ impl<T> SeqRing<T> {
         if self.slots.is_empty() {
             self.base = seq;
         } else if seq < self.base {
+            ring::reserve(&mut self.slots, (self.base - seq) as usize);
             for _ in seq..self.base {
                 self.slots.push_front(None);
             }
@@ -66,6 +69,8 @@ impl<T> SeqRing<T> {
         }
         let idx = (seq - self.base) as usize;
         if idx >= self.slots.len() {
+            let grow = idx + 1 - self.slots.len();
+            ring::reserve(&mut self.slots, grow);
             self.slots.resize_with(idx + 1, || None);
         }
         let old = self.slots[idx].replace(value);

@@ -101,6 +101,15 @@ fn packet_event_and_action_stay_72_bytes() {
     assert_eq!(size_of::<Action>(), 72, "Action");
 }
 
+/// A fabric has hundreds of links and only a shaped one needs its
+/// impairment stage, so `Link` keeps the shaper boxed: inline it was 432
+/// bytes a link, boxed 280.
+#[test]
+fn link_keeps_its_shaper_out_of_line() {
+    let size = std::mem::size_of::<pcc_simnet::link::Link>();
+    assert!(size <= 280, "Link is {size} bytes");
+}
+
 /// Tier-1 (`cargo test -q`) runs in the dev profile, which the root
 /// `Cargo.toml` optimises (`opt-level = 1`) for speed. Debug assertions and
 /// overflow checks must stay armed there: the chaos battery's invariants
