@@ -17,13 +17,13 @@ use std::collections::VecDeque;
 /// Below this many slots a ring doubles as `VecDeque` does, so the small,
 /// short-lived rings of churn flows grow exactly as before; from here it
 /// grows by a quarter.
-pub const GROWTH_KNEE: usize = 64;
+const GROWTH_KNEE: usize = 64;
 
-/// Make room in `ring` for `additional` more items. Below [`GROWTH_KNEE`]
-/// slots the capacity doubles (from 4, as `VecDeque`'s does for items of
-/// up to 1 KiB) but not past the knee; from there it grows by a quarter.
-/// A batch that needs more gets exactly what it needs. A ring whose backlog
-/// peaked at `p ≥ GROWTH_KNEE` items so holds at most ⌈1.25 p⌉ slots.
+/// Make room in `ring` for `additional` more items. Below 64 slots the
+/// capacity doubles (from 4, as `VecDeque`'s does for items of up to
+/// 1 KiB) but not past 64; from there it grows by a quarter. A batch that
+/// needs more gets exactly what it needs. A ring whose backlog peaked at
+/// `p ≥ 64` items so holds at most ⌈1.25 p⌉ slots.
 #[inline]
 pub fn reserve<T>(ring: &mut VecDeque<T>, additional: usize) {
     if ring.len() + additional > ring.capacity() {
