@@ -76,9 +76,6 @@ pub struct Bbr {
     rtt_hint: SimDuration,
     bw: MaxBwFilter,
     min_rtt: MinRttTracker,
-    /// Steady-state cwnd gain (spec key `cwnd_gain`; default
-    /// [`CWND_GAIN`]).
-    cwnd_gain: f64,
     sampler: DeliverySampler,
     /// Packet-timed round trips observed.
     round: u64,
@@ -97,22 +94,14 @@ pub struct Bbr {
 }
 
 impl Bbr {
-    /// Build from registry construction parameters. MSS and RTT hint
-    /// seed the pre-sample model; the validated spec bag may override the
-    /// ProbeRTT refresh interval (`probe_rtt_ms`) and the steady-state
-    /// cwnd gain (`cwnd_gain`) — see [`crate::BBR_SCHEMA`].
+    /// Build from registry construction parameters: MSS and RTT hint
+    /// seed the pre-sample model.
     pub fn new(params: &CcParams) -> Self {
-        let min_rtt_window = params
-            .spec
-            .u64("probe_rtt_ms")
-            .map(SimDuration::from_millis)
-            .unwrap_or(MIN_RTT_WINDOW);
         Bbr {
             mss: params.mss.max(1),
             rtt_hint: params.rtt_hint,
             bw: MaxBwFilter::new(BW_WINDOW_ROUNDS),
-            min_rtt: MinRttTracker::new(min_rtt_window),
-            cwnd_gain: params.spec.f64("cwnd_gain").unwrap_or(CWND_GAIN),
+            min_rtt: MinRttTracker::new(MIN_RTT_WINDOW),
             sampler: DeliverySampler::new(),
             round: 0,
             next_round_delivered: 0,
@@ -159,18 +148,6 @@ impl Bbr {
         self.filled_pipe
     }
 
-    /// The ProbeRTT refresh interval this instance runs with (default
-    /// [`MIN_RTT_WINDOW`]; spec key `probe_rtt_ms`).
-    pub fn min_rtt_window(&self) -> SimDuration {
-        self.min_rtt.window()
-    }
-
-    /// The steady-state cwnd gain this instance runs with (default
-    /// [`CWND_GAIN`]; spec key `cwnd_gain`).
-    pub fn steady_cwnd_gain(&self) -> f64 {
-        self.cwnd_gain
-    }
-
     fn pacing_gain(&self) -> f64 {
         match self.state {
             State::Startup => STARTUP_GAIN,
@@ -183,7 +160,7 @@ impl Bbr {
     fn cwnd_gain(&self) -> f64 {
         match self.state {
             State::Startup | State::Drain => STARTUP_GAIN,
-            State::ProbeBw { .. } => self.cwnd_gain,
+            State::ProbeBw { .. } => CWND_GAIN,
             State::ProbeRtt { .. } => 1.0,
         }
     }

@@ -40,33 +40,13 @@ pub use bbr::{
 };
 
 use pcc_transport::registry;
-use pcc_transport::spec::{ParamKind, ParamSpec, Schema};
 
-/// BBR's spec parameters (`bbr:probe_rtt_ms=5000,cwnd_gain=2.5`): the
-/// ProbeRTT refresh interval and the steady-state cwnd gain — the two
-/// knobs the BBR-variant evaluation literature sweeps most.
-pub const BBR_SCHEMA: Schema = &[
-    ParamSpec {
-        key: "probe_rtt_ms",
-        kind: ParamKind::Int {
-            min: 100,
-            max: 120_000,
-        },
-        doc: "min-RTT estimate lifetime before a ProbeRTT re-probe, ms (default 10000)",
-    },
-    ParamSpec {
-        key: "cwnd_gain",
-        kind: ParamKind::Float { min: 1.0, max: 8.0 },
-        doc: "steady-state cwnd gain over the BDP (default 2)",
-    },
-];
-
-/// Register `bbr` (with [`BBR_SCHEMA`]) in the workspace-wide
-/// [`pcc_transport::registry`]. Idempotent.
+/// Register `bbr` in the workspace-wide [`pcc_transport::registry`]. It
+/// takes no spec keys: every constant is BBR v1's. Idempotent.
 pub fn register_algorithms() {
     registry::register(
         "bbr",
-        BBR_SCHEMA,
+        &[],
         None,
         Box::new(|params| Box::new(Bbr::new(params))),
     );
@@ -75,9 +55,7 @@ pub fn register_algorithms() {
 #[cfg(test)]
 mod registry_tests {
     use super::*;
-    use pcc_simnet::time::SimDuration;
-    use pcc_transport::registry::CcParams;
-    use pcc_transport::spec;
+    use pcc_transport::registry::{CcParams, SpecError};
 
     #[test]
     fn bbr_registers() {
@@ -87,30 +65,15 @@ mod registry_tests {
     }
 
     #[test]
-    fn spec_tunes_probe_rtt_and_cwnd_gain() {
-        let raw = vec![
-            ("probe_rtt_ms".to_string(), "5000".to_string()),
-            ("cwnd_gain".to_string(), "2.5".to_string()),
-        ];
-        let params =
-            CcParams::default().with_spec(spec::validate("bbr", BBR_SCHEMA, &raw).expect("valid"));
-        let bbr = Bbr::new(&params);
-        assert_eq!(bbr.min_rtt_window(), SimDuration::from_millis(5000));
-        assert_eq!(bbr.steady_cwnd_gain(), 2.5);
-        // Defaults when the bag is empty.
-        let bbr = Bbr::new(&CcParams::default());
-        assert_eq!(bbr.min_rtt_window(), MIN_RTT_WINDOW);
-        assert_eq!(bbr.steady_cwnd_gain(), CWND_GAIN);
-    }
-
-    #[test]
-    fn registry_rejects_bad_bbr_specs() {
+    fn removed_keys_are_typed_errors() {
         register_algorithms();
-        let err = match registry::by_name("bbr:probe_rtt_ms=1", &CcParams::default()) {
-            Ok(_) => panic!("must fail"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("probe_rtt_ms=<"), "{err}");
-        assert!(registry::by_name("bbr:probe_rtt_ms=5000", &CcParams::default()).is_ok());
+        for gone in ["bbr:probe_rtt_ms=5000", "bbr:cwnd_gain=2.5"] {
+            let err = match registry::by_name(gone, &CcParams::default()) {
+                Ok(_) => panic!("{gone} must fail"),
+                Err(SpecError::InvalidParam(e)) => e,
+                Err(e) => panic!("{gone}: expected InvalidParam, got {e}"),
+            };
+            assert!(err.to_string().contains("takes no parameters"), "{err}");
+        }
     }
 }

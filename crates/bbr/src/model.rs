@@ -103,11 +103,6 @@ impl MinRttTracker {
         self.value
     }
 
-    /// The configured expiry window.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     /// True when the estimate has gone `window` without a refresh.
     pub fn expired(&self, now: SimTime) -> bool {
         self.value.is_some() && now.saturating_since(self.stamp) > self.window

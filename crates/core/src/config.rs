@@ -23,17 +23,12 @@ pub struct PccConfig {
     pub eps_max: f64,
     /// Monitor-interval duration policy.
     pub mi_timing: MiTiming,
-    /// Minimum packets per MI (paper: the time to send 10 data packets).
-    pub mi_min_packets: u64,
     /// Run randomized controlled trials with two pairs (4 MIs) instead of a
     /// single pair (2 MIs). Paper §2.1/§3.2; Fig. 16 quantifies the benefit.
     pub rct: bool,
     /// RTT assumed before the first measurement (drives the initial rate
     /// `2·MSS/RTT` and the first MI length).
     pub rtt_hint: SimDuration,
-    /// Extra wait after an MI ends before unresolved packets are written
-    /// off as lost, expressed as a multiple of SRTT (never below 2 ms).
-    pub deadline_rtts: f64,
 }
 
 impl Default for PccConfig {
@@ -42,10 +37,8 @@ impl Default for PccConfig {
             eps_min: 0.01,
             eps_max: 0.05,
             mi_timing: MiTiming::Randomized,
-            mi_min_packets: 10,
             rct: true,
             rtt_hint: SimDuration::from_millis(100),
-            deadline_rtts: 2.5,
         }
     }
 }
@@ -72,7 +65,6 @@ mod tests {
         let c = PccConfig::paper();
         assert_eq!(c.eps_min, 0.01);
         assert_eq!(c.eps_max, 0.05);
-        assert_eq!(c.mi_min_packets, 10);
         assert!(c.rct);
         assert_eq!(c.mi_timing, MiTiming::Randomized);
     }

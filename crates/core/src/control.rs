@@ -55,6 +55,11 @@ use pcc_transport::rtt::RttEstimator;
 use crate::config::{MiTiming, PccConfig};
 use crate::utility::{MiMetrics, SafeSigmoid, UtilityFunction};
 
+/// Minimum packets per MI (paper §3.1: the time to send 10 data packets).
+const MI_MIN_PACKETS: f64 = 10.0;
+/// Extra wait after an MI ends before unresolved packets are written off
+/// as lost, in SRTT multiples (never below [`DEADLINE_FLOOR`]).
+const DEADLINE_RTTS: f64 = 2.5;
 /// Floor on the controlled sending rate: two 1500 B packets per second.
 const MIN_RATE_BPS: f64 = 24_000.0;
 /// Ceiling on the controlled sending rate.
@@ -235,11 +240,10 @@ impl PccController {
     }
 
     /// MI duration for a given pacing rate (§3.1): long enough for
-    /// `mi_min_packets` packets and the configured RTT multiple.
+    /// [`MI_MIN_PACKETS`] packets and the configured RTT multiple.
     fn mi_duration(&self, rate_bps: f64, ctx: &mut CtrlCtx) -> SimDuration {
-        let pkt_time = SimDuration::from_secs_f64(
-            self.cfg.mi_min_packets as f64 * self.mss as f64 * 8.0 / rate_bps.max(1.0),
-        );
+        let pkt_time =
+            SimDuration::from_secs_f64(MI_MIN_PACKETS * self.mss as f64 * 8.0 / rate_bps.max(1.0));
         let rtt = self.control_rtt();
         let rtt_mult = match self.cfg.mi_timing {
             MiTiming::Randomized => ctx.rng.range_f64(1.7, 2.2),
@@ -251,9 +255,7 @@ impl PccController {
     /// Deadline slack applied when an MI ends: how long to wait for its
     /// SACKs before writing unresolved packets off as lost.
     fn deadline_slack(&self) -> SimDuration {
-        self.srtt()
-            .mul_f64(self.cfg.deadline_rtts)
-            .max(DEADLINE_FLOOR)
+        self.srtt().mul_f64(DEADLINE_RTTS).max(DEADLINE_FLOOR)
     }
 
     /// Issue a new MI at `rate` with the given purpose: arm the boundary
@@ -948,17 +950,20 @@ mod tests {
     fn reports_are_judged_in_issue_order_and_chain_the_previous_rtt() {
         let judged = std::sync::Arc::default();
         let recording = Box::new(Recording(std::sync::Arc::clone(&judged)));
-        // A 1 s deadline slack: MI 0 waits for its packet past MI 1's end.
-        let mut c = cfg();
-        c.deadline_rtts = 10.0;
+        // A 2 s RTT hint puts the starting rate on its 24 kbit/s floor:
+        // MI 0 lasts the 5 s its 10 packets take, and the 2.5×SRTT slack
+        // keeps it open until 10 s. MI 1, at twice the rate, lasts its
+        // 1.7–2.2 RTT multiple and ends by 9.4 s, before MI 0 is written
+        // off.
+        let c = PccConfig::paper().with_rtt_hint(SimDuration::from_secs(2));
         let mut h = Harness::with_controller(PccController::with_utility(c, recording));
         h.start();
         // Sequence numbers are the harness's labels; the ACK of `seq`
         // covers every label below it, so MI 1's packet takes the lower.
         h.sent(5);
-        h.advance_to(SimTime::from_millis(600)); // MI 1 begins at 500 ms
+        h.advance_to(SimTime::from_secs(6)); // MI 1 begins at 5 s
         h.sent(0);
-        h.advance_to(SimTime::from_millis(1_100)); // and ends at 1 s
+        h.advance_to(SimTime::from_millis(9_600)); // and has ended
         let ms = SimDuration::from_millis;
         // MI 1 resolves first, but MI 0 must still be judged first.
         h.ack(0, ms(15), true, h.now);

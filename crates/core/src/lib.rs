@@ -55,17 +55,17 @@ pub use config::{MiTiming, PccConfig};
 pub use control::PccController;
 pub use fluid::FluidModel;
 pub use utility::{
-    sigmoid, CustomUtility, LatencyGradient, LatencySensitive, LossResilient, MiMetrics,
-    SafeSigmoid, SimpleThroughputLoss, UtilityFunction,
+    sigmoid, CustomUtility, LatencySensitive, LossResilient, MiMetrics, SafeSigmoid,
+    SimpleThroughputLoss, UtilityFunction,
 };
 
 use pcc_transport::registry::{self, CcParams};
 use pcc_transport::spec::{ParamKind, ParamSpec, Schema};
 
 /// The PCC family's spec-parameter schema (`pcc:eps=0.05,util=latency`):
-/// the §3.2 control constants, the MI timing/resolution policy, the
-/// utility choice, and the chosen utility's exponents. Shared by all four
-/// registered variants — a variant is just a different `util` default.
+/// the §3.2 constants Fig. 16 turns and the utility choice. Shared by all
+/// four registered variants — a variant is just a different `util`
+/// default.
 pub const PCC_SCHEMA: Schema = &[
     ParamSpec {
         key: "eps",
@@ -92,54 +92,14 @@ pub const PCC_SCHEMA: Schema = &[
         doc: "fixed MI duration in RTT multiples (replaces the randomized 1.7–2.2 timing)",
     },
     ParamSpec {
-        key: "slack",
-        kind: ParamKind::Float {
-            min: 0.5,
-            max: 20.0,
-        },
-        doc: "MI-resolution deadline slack, in SRTT multiples (paper-era default 2.5)",
-    },
-    ParamSpec {
-        key: "mi_pkts",
-        kind: ParamKind::Int {
-            min: 1,
-            max: 10_000,
-        },
-        doc: "minimum packets per MI (paper: 10)",
-    },
-    ParamSpec {
         key: "rct",
         kind: ParamKind::Bool,
         doc: "randomized controlled trials: two ±ε pairs instead of one",
     },
     ParamSpec {
         key: "util",
-        kind: ParamKind::Choice(&[
-            "safe",
-            "simple",
-            "lossresilient",
-            "latency",
-            "latency-gradient",
-        ]),
+        kind: ParamKind::Choice(&["safe", "simple", "lossresilient", "latency"]),
         doc: "utility function (overrides the variant's default objective)",
-    },
-    ParamSpec {
-        key: "alpha",
-        kind: ParamKind::Float { min: 1.0, max: 1e4 },
-        doc: "sigmoid steepness α of the utility (paper: 100)",
-    },
-    ParamSpec {
-        key: "cutoff",
-        kind: ParamKind::Float {
-            min: 1e-3,
-            max: 0.5,
-        },
-        doc: "loss knee of the utility (paper: 0.05)",
-    },
-    ParamSpec {
-        key: "slope_penalty",
-        kind: ParamKind::Float { min: 0.0, max: 1e4 },
-        doc: "RTT-slope penalty β of the latency-sensitive utility",
     },
 ];
 
@@ -164,56 +124,16 @@ pub fn controller_from_params(params: &CcParams, default_util: &str) -> PccContr
     if let Some(tm) = s.f64("tm") {
         cfg.mi_timing = MiTiming::FixedRttMultiple(tm);
     }
-    if let Some(slack) = s.f64("slack") {
-        cfg.deadline_rtts = slack;
-    }
-    if let Some(n) = s.u64("mi_pkts") {
-        cfg.mi_min_packets = n;
-    }
     if let Some(rct) = s.bool("rct") {
         cfg.rct = rct;
     }
-    let alpha = s.f64("alpha");
-    let cutoff = s.f64("cutoff");
     let utility: Box<dyn UtilityFunction> = match s.choice("util").unwrap_or(default_util) {
         "simple" => Box::new(SimpleThroughputLoss),
         "lossresilient" => Box::new(LossResilient),
-        "latency" => {
-            let mut u = LatencySensitive::default();
-            u.alpha = alpha.unwrap_or(u.alpha);
-            u.loss_cutoff = cutoff.unwrap_or(u.loss_cutoff);
-            u.slope_penalty = s.f64("slope_penalty").unwrap_or(u.slope_penalty);
-            Box::new(u)
-        }
-        "latency-gradient" => {
-            let mut u = LatencyGradient::default();
-            u.alpha = alpha.unwrap_or(u.alpha);
-            u.loss_cutoff = cutoff.unwrap_or(u.loss_cutoff);
-            Box::new(u)
-        }
-        _ => {
-            let mut u = SafeSigmoid::default();
-            u.alpha = alpha.unwrap_or(u.alpha);
-            u.loss_cutoff = cutoff.unwrap_or(u.loss_cutoff);
-            Box::new(u)
-        }
+        "latency" => Box::new(LatencySensitive::default()),
+        _ => Box::new(SafeSigmoid::default()),
     };
     PccController::with_utility(cfg, utility).with_mss(params.mss)
-}
-
-/// The utility-exponent keys each objective actually reads. A spec that
-/// sets an exponent its (explicit or variant-default) utility ignores is
-/// rejected with a typed error — sweeping `pcc-simple:alpha=…` would
-/// otherwise run N identical simulations and report them as a sweep.
-fn utility_reads(util: &str, key: &str) -> bool {
-    match util {
-        // No constants at all: `T − x·L` and `T·(1−L)`.
-        "simple" | "lossresilient" => false,
-        // Sigmoid objectives read α and the loss knee; only the
-        // Vivace-style latency utility also has the slope penalty β.
-        "latency" => true,
-        _ => key != "slope_penalty",
-    }
 }
 
 /// Register the PCC×utility family with the workspace-wide
@@ -226,10 +146,9 @@ fn utility_reads(util: &str, key: &str) -> bool {
 ///
 /// Every variant carries [`PCC_SCHEMA`], so all of them accept
 /// parameterized specs (`"pcc:eps=0.05,util=latency"`,
-/// `"pcc-latency:slope_penalty=50"`), plus a cross-key check that
-/// rejects utility exponents the effective objective ignores
-/// (`"pcc-simple:alpha=50"` is a typed error, not a silent no-op).
-/// Idempotent.
+/// `"pcc-latency:tm=1"`), plus a cross-key check that rejects an
+/// escalation ceiling below ε (`"pcc:eps=0.2,eps_max=0.1"` is a typed
+/// error, not a silent no-op). Idempotent.
 pub fn register_algorithms() {
     for (name, util) in [
         ("pcc", "safe"),
@@ -240,16 +159,7 @@ pub fn register_algorithms() {
         registry::register(
             name,
             PCC_SCHEMA,
-            Some(Box::new(move |bag| {
-                let effective = bag.choice("util").unwrap_or(util);
-                for key in ["alpha", "cutoff", "slope_penalty"] {
-                    if bag.f64(key).is_some() && !utility_reads(effective, key) {
-                        return Err((
-                            key.to_string(),
-                            format!("has no effect with util={effective}"),
-                        ));
-                    }
-                }
+            Some(Box::new(|bag| {
                 // An escalation ceiling below ε would be silently raised
                 // back to ε — reject it instead, like any other
                 // parameter that cannot take effect. (ε *above* the
@@ -302,21 +212,13 @@ mod registry_tests {
     #[test]
     fn spec_keys_tune_the_controller() {
         let c = controller_from_params(
-            &bag(&[
-                ("eps", "0.05"),
-                ("tm", "1.5"),
-                ("slack", "4"),
-                ("mi_pkts", "20"),
-                ("rct", "false"),
-            ]),
+            &bag(&[("eps", "0.05"), ("tm", "1.5"), ("rct", "false")]),
             "safe",
         );
         let cfg = c.config();
         assert_eq!(cfg.eps_min, 0.05);
         assert_eq!(cfg.eps_max, 0.05, "ceiling raised to ε, no panic");
         assert_eq!(cfg.mi_timing, MiTiming::FixedRttMultiple(1.5));
-        assert_eq!(cfg.deadline_rtts, 4.0);
-        assert_eq!(cfg.mi_min_packets, 20);
         assert!(!cfg.rct);
         assert_eq!(cfg.rtt_hint, SimDuration::from_millis(30));
     }
@@ -327,8 +229,6 @@ mod registry_tests {
         assert_eq!(c.utility_name(), "latency-sensitive");
         let c = controller_from_params(&bag(&[]), "lossresilient");
         assert_eq!(c.utility_name(), "loss-resilient");
-        let c = controller_from_params(&bag(&[("util", "latency-gradient")]), "safe");
-        assert_eq!(c.utility_name(), "latency-gradient");
     }
 
     #[test]
@@ -348,34 +248,30 @@ mod registry_tests {
     }
 
     #[test]
-    fn ineffective_utility_exponents_are_rejected() {
+    fn removed_keys_are_typed_errors_listing_the_surviving_ones() {
         register_algorithms();
         let params = CcParams::default();
-        // Exponents the effective utility ignores are typed errors, not
-        // silent no-ops (the variant default counts as the utility).
-        for bad in [
-            "pcc:util=simple,alpha=50",
-            "pcc-simple:alpha=50",
-            "pcc-lossresilient:cutoff=0.2",
-            "pcc:slope_penalty=5",
-            "pcc:util=latency-gradient,slope_penalty=5",
+        for gone in [
+            "pcc:slack=4",
+            "pcc:mi_pkts=20",
+            "pcc:alpha=50",
+            "pcc-latency:slope_penalty=5",
+            "pcc-simple:cutoff=0.2",
         ] {
-            let err = match registry::by_name(bad, &params) {
-                Ok(_) => panic!("{bad} must fail"),
-                Err(e) => e,
+            let err = match registry::by_name(gone, &params) {
+                Ok(_) => panic!("{gone} must fail"),
+                Err(registry::SpecError::InvalidParam(e)) => e,
+                Err(e) => panic!("{gone}: expected InvalidParam, got {e}"),
             };
-            assert!(err.to_string().contains("has no effect"), "{bad}: {err}");
+            assert!(err.reason.contains("unknown key"), "{gone}: {err}");
+            let keys: Vec<&str> = err
+                .valid
+                .iter()
+                .map(|k| k.split('=').next().unwrap_or(k))
+                .collect();
+            assert_eq!(keys, ["eps", "eps_max", "tm", "rct", "util"], "{gone}");
         }
-        // The same keys are accepted where the objective reads them.
-        for good in [
-            "pcc:alpha=50,cutoff=0.1",
-            "pcc:util=latency,slope_penalty=5",
-            "pcc-latency:alpha=50,slope_penalty=5",
-            "pcc-simple:util=latency,alpha=50",
-            "pcc:util=latency-gradient,alpha=50",
-        ] {
-            assert!(registry::by_name(good, &params).is_ok(), "{good}");
-        }
+        assert!(registry::by_name("pcc:util=latency-gradient", &params).is_err());
     }
 
     #[test]

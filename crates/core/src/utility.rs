@@ -28,7 +28,8 @@ pub struct MiMetrics {
     pub loss_rate: f64,
     /// Mean RTT of the MI's acked packets.
     pub avg_rtt: SimDuration,
-    /// Mean RTT of the previous MI (for latency-gradient objectives).
+    /// Mean RTT of the previous MI (for objectives that compare
+    /// consecutive intervals).
     pub prev_avg_rtt: Option<SimDuration>,
     /// Minimum RTT ever sampled on this flow (propagation-delay estimate,
     /// for latency-level objectives).
@@ -216,8 +217,7 @@ impl UtilityFunction for LossResilient {
 /// slope differs by `2ε·x` between the trials regardless of queue depth.
 /// With this utility PCC holds its rate just below the fair share with an
 /// empty queue, reproducing Fig. 17's observation that CoDel never sees a
-/// queue worth dropping from. The paper-literal form is available as
-/// [`LatencyGradient`].
+/// queue worth dropping from.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencySensitive {
     /// Sigmoid steepness.
@@ -252,46 +252,6 @@ impl UtilityFunction for LatencySensitive {
         let slope_pen = self.slope_penalty * x * m.rtt_slope.max(0.0);
         (t * sigmoid(self.alpha, l - self.loss_cutoff) * (rtt_min / rtt_n) - x * l - slope_pen)
             / rtt_n
-    }
-}
-
-/// The paper-literal §4.4.1 utility with the consecutive-MI RTT ratio:
-/// `u = (T·Sigmoid_α(L−0.05)·(RTT_{n−1}/RTT_n) − x·L) / RTT_n`. See
-/// [`LatencySensitive`] for why the bundled experiments use the
-/// min-RTT-referenced variant instead.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencyGradient {
-    /// Sigmoid steepness.
-    pub alpha: f64,
-    /// Loss knee.
-    pub loss_cutoff: f64,
-}
-
-impl Default for LatencyGradient {
-    fn default() -> Self {
-        LatencyGradient {
-            alpha: 100.0,
-            loss_cutoff: 0.05,
-        }
-    }
-}
-
-impl UtilityFunction for LatencyGradient {
-    fn name(&self) -> &'static str {
-        "latency-gradient"
-    }
-
-    fn utility(&self, m: &MiMetrics) -> f64 {
-        let rtt_n = m.avg_rtt.as_secs_f64().max(1e-6);
-        let rtt_prev = m
-            .prev_avg_rtt
-            .map(|r| r.as_secs_f64())
-            .unwrap_or(rtt_n)
-            .max(1e-6);
-        let x = m.x_mbps();
-        let t = m.t_mbps();
-        let l = m.loss_rate;
-        (t * sigmoid(self.alpha, l - self.loss_cutoff) * (rtt_prev / rtt_n) - x * l) / rtt_n
     }
 }
 
@@ -440,21 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_gradient_penalizes_rtt_growth() {
-        let u = LatencyGradient::default();
-        let mut stable = metrics(40.0, 40.0, 0.0);
-        stable.avg_rtt = SimDuration::from_millis(20);
-        stable.prev_avg_rtt = Some(SimDuration::from_millis(20));
-        let mut growing = stable;
-        growing.avg_rtt = SimDuration::from_millis(40);
-        growing.prev_avg_rtt = Some(SimDuration::from_millis(20));
-        assert!(
-            u.utility(&stable) > u.utility(&growing),
-            "rising RTT must hurt"
-        );
-    }
-
-    #[test]
     fn custom_utility_wraps_closure() {
         let u = CustomUtility::new("t-squared", |m: &MiMetrics| m.t_mbps().powi(2));
         assert_eq!(u.name(), "t-squared");
@@ -487,7 +432,6 @@ mod proptests {
                 Box::new(SimpleThroughputLoss),
                 Box::new(LossResilient),
                 Box::new(LatencySensitive::default()),
-                Box::new(LatencyGradient::default()),
             ];
             for f in &funcs {
                 prop_assert!(f.utility(&m2) >= f.utility(&m1),
@@ -507,7 +451,6 @@ mod proptests {
                 Box::new(SimpleThroughputLoss),
                 Box::new(LossResilient),
                 Box::new(LatencySensitive::default()),
-                Box::new(LatencyGradient::default()),
             ];
             for f in &funcs {
                 prop_assert!(f.utility(&m2) <= f.utility(&m1),

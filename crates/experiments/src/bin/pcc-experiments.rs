@@ -8,7 +8,7 @@
 //! pcc-experiments all             # run everything
 //! pcc-experiments all --seed 42 --out target/experiments
 //! pcc-experiments all --jobs 8  # 8 simulation workers (0 = auto, default)
-//! pcc-experiments sweep "pcc:eps=0.01..0.1" "cubic:iw=4|32" --points 3
+//! pcc-experiments sweep "pcc:eps=0.01..0.1" "pcc:eps_max=0.05|0.1" --points 3
 //! pcc-experiments vary            # every algorithm over the bundled traces
 //! pcc-experiments vary lte --secs 30 --jobs 4
 //! ```
@@ -219,7 +219,7 @@ mod tests {
     fn flags_land_in_their_fields() {
         let cli = parse(&[
             "sweep",
-            "cubic:iw=4|32",
+            "pcc:eps_max=0.05|0.1",
             "--jobs",
             "2",
             "--seed",
@@ -234,7 +234,7 @@ mod tests {
         ])
         .expect("well-formed");
         assert_eq!(cli.which.as_deref(), Some("sweep"));
-        assert_eq!(cli.extras, ["cubic:iw=4|32"]);
+        assert_eq!(cli.extras, ["pcc:eps_max=0.05|0.1"]);
         assert_eq!((cli.opts.jobs, cli.opts.seed, cli.points), (2, 7, 5));
         assert_eq!(cli.secs, Some(9));
         assert_eq!(cli.opts.out_dir, std::path::PathBuf::from("x/y"));

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! pcc:eps=0.01..0.1            # linspace over --points steps
-//! cubic:iw=4|16|32             # explicit list
+//! pcc:eps_max=0.05|0.1         # explicit list
 //! pcc:tm=1|2,eps=0.01..0.05    # cross-product of both axes
 //! ```
 //!
@@ -19,62 +19,74 @@
 use pcc_scenarios::{install_registry, run_single, LinkSetup, Protocol};
 use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_transport::registry::{self, CcParams};
-use pcc_transport::spec::{AlgoSpec, ParamKind};
+use pcc_transport::spec::AlgoSpec;
 
 use crate::{fmt, runner, Opts, Table};
 
+/// Most specs one invocation may expand to. Each is a simulation, so a
+/// bound far above any real sweep still stops `--points` from asking
+/// for more specs than memory holds.
+const MAX_SPECS: usize = 10_000;
+
+/// The linspace range `lo..hi` of a value expression, if it is one.
+fn range(value: &str) -> Option<(f64, f64)> {
+    let (lo, hi) = value.split_once("..")?;
+    Some((lo.parse().ok()?, hi.parse().ok()?))
+}
+
+/// How many values [`expand_value`] yields for `value`, without building
+/// them.
+fn value_count(value: &str, points: usize) -> usize {
+    if range(value).is_some() {
+        points.max(2)
+    } else {
+        value.split('|').count()
+    }
+}
+
 /// Expand one value expression: `lo..hi` (linspace over `points` steps),
-/// `a|b|c` (explicit list), or a scalar. `integral` comes from the key's
-/// schema kind — an `Int` parameter's points are rounded to whole
-/// numbers; a `Float` parameter keeps its fractional interior points
-/// even when both endpoints happen to be whole (guessing int-ness from
-/// the endpoints used to collapse `tm=1..2` to `[1, 1, 2, 2, 2]`).
-fn expand_value(value: &str, points: usize, integral: bool) -> Vec<String> {
-    if let Some((lo, hi)) = value.split_once("..") {
-        if let (Ok(lo), Ok(hi)) = (lo.parse::<f64>(), hi.parse::<f64>()) {
-            let n = points.max(2);
-            return (0..n)
-                .map(|i| {
-                    let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-                    if integral {
-                        format!("{}", x.round() as i64)
-                    } else {
-                        // Snap to 9 decimals so linspace artifacts don't
-                        // leak into the spec strings (0.055, not
-                        // 0.055000000000000004).
-                        format!("{}", (x * 1e9).round() / 1e9)
-                    }
-                })
-                .collect();
-        }
+/// `a|b|c` (explicit list), or a scalar. Interior points keep their
+/// fractions, snapped to 9 decimals so linspace artifacts don't leak into
+/// the spec strings (0.055, not 0.055000000000000004).
+fn expand_value(value: &str, points: usize) -> Vec<String> {
+    if let Some((lo, hi)) = range(value) {
+        let n = points.max(2);
+        return (0..n)
+            .map(|i| {
+                let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
+                format!("{}", (x * 1e9).round() / 1e9)
+            })
+            .collect();
     }
-    if value.contains('|') {
-        return value.split('|').map(str::to_string).collect();
-    }
-    vec![value.to_string()]
+    value.split('|').map(str::to_string).collect()
 }
 
 /// Expand a spec template into concrete spec strings: every range/list
 /// value is enumerated and the axes are crossed in template order (last
 /// key varies fastest). A template with no ranges expands to itself.
-/// Syntax errors are a readable message, never a panic.
+/// Syntax errors, and a cross product above 10 000 specs (counted before
+/// anything is built), are a readable message, never a panic.
 pub fn expand(template: &str, points: usize) -> Result<Vec<String>, String> {
-    install_registry();
     let spec = AlgoSpec::parse(template).map_err(|e| {
         format!(
             "bad template `{template}`: {} in `{}`",
             e.reason, e.fragment
         )
     })?;
-    // The key's schema kind decides whether range points are rounded to
-    // integers (an unregistered name validates — and fails — later).
-    let schema = registry::schema_of(&spec.name).unwrap_or(&[]);
+    let fits = spec
+        .params
+        .iter()
+        .try_fold(1usize, |n, (_, v)| n.checked_mul(value_count(v, points)))
+        .is_some_and(|n| n <= MAX_SPECS);
+    if !fits {
+        return Err(format!(
+            "usage: template `{template}` at --points {points} expands to more than \
+             {MAX_SPECS} specs"
+        ));
+    }
     let mut combos: Vec<Vec<(String, String)>> = vec![Vec::new()];
     for (key, value) in &spec.params {
-        let integral = schema
-            .iter()
-            .any(|p| p.key == key.as_str() && matches!(p.kind, ParamKind::Int { .. }));
-        let values = expand_value(value, points, integral);
+        let values = expand_value(value, points);
         let mut next = Vec::with_capacity(combos.len() * values.len());
         for combo in &combos {
             for v in &values {
@@ -175,22 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn integer_ranges_stay_integers() {
-        let specs = expand("cubic:iw=4..32", 3).expect("expands");
-        assert_eq!(specs, vec!["cubic:iw=4", "cubic:iw=18", "cubic:iw=32"]);
-        // Rounding applies off-grid interior points onto integers too.
-        let specs = expand("cubic:iw=4..32", 4).expect("expands");
-        assert_eq!(
-            specs,
-            vec!["cubic:iw=4", "cubic:iw=13", "cubic:iw=23", "cubic:iw=32"]
-        );
-    }
-
-    #[test]
     fn float_ranges_keep_interior_points_between_whole_endpoints() {
         // Regression: int-ness used to be guessed from the endpoints, so
-        // a *float* parameter swept between whole numbers collapsed to
-        // its endpoints ([1, 1, 2, 2, 2]). The schema kind decides now.
+        // a parameter swept between whole numbers collapsed to its
+        // endpoints ([1, 1, 2, 2, 2]).
         let specs = expand("pcc:tm=1..2", 5).expect("expands");
         assert_eq!(
             specs,
@@ -223,19 +223,33 @@ mod tests {
     fn plain_specs_expand_to_themselves() {
         assert_eq!(expand("bbr", 3).expect("expands"), vec!["bbr"]);
         assert_eq!(
-            expand("cubic:beta=0.7", 5).expect("expands"),
-            vec!["cubic:beta=0.7"]
+            expand("cubic:paced=true", 5).expect("expands"),
+            vec!["cubic:paced=true"]
         );
     }
 
     #[test]
     fn expanded_specs_validate_against_schemas() {
         let mut specs = expand("pcc:eps=0.01..0.05", 3).expect("expands");
-        specs.extend(expand("cubic:iw=4|32", 3).expect("expands"));
+        specs.extend(expand("pcc:eps_max=0.05|0.1", 3).expect("expands"));
         validate_specs(&specs).expect("all schema-valid");
-        let bad = vec!["cubic:iw=0".to_string()];
+        let bad = vec!["pcc:eps_max=0.9".to_string()];
         let err = validate_specs(&bad).expect_err("out of range");
-        assert!(err.contains("iw"), "{err}");
+        assert!(err.contains("eps_max"), "{err}");
+    }
+
+    #[test]
+    fn oversized_sweeps_are_errors_counted_before_allocation() {
+        // `--points usize::MAX` once asked `collect` for usize::MAX
+        // strings ("capacity overflow"); three 1 000-point axes ask for
+        // 10⁹. Both are refused by count.
+        let err = expand("pcc:eps=0.01..0.1", usize::MAX).expect_err("usize::MAX points");
+        assert!(err.contains("more than"), "{err}");
+        assert!(expand("pcc:eps=0.01..0.1,eps_max=0.1..0.2,tm=1..2", 1_000).is_err());
+        assert_eq!(
+            expand("pcc:eps=0.01..0.1", MAX_SPECS).map(|v| v.len()),
+            Ok(MAX_SPECS)
+        );
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn churn_tables_parallel_are_bit_identical_to_serial() {
 fn sweep_parallel_is_bit_identical_to_serial() {
     let template = [
         "pcc:eps=0.01..0.05".to_string(),
-        "cubic:iw=4|32".to_string(),
+        "pcc:eps_max=0.05|0.1".to_string(),
     ];
     let serial = opts(1, "pcc_det_sweep_serial");
     let parallel = opts(4, "pcc_det_sweep_parallel");

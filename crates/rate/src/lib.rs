@@ -24,99 +24,14 @@ mod sabul;
 pub use pcp::Pcp;
 pub use sabul::Sabul;
 
-use pcc_simnet::time::SimDuration;
 use pcc_transport::registry;
-use pcc_transport::spec::{ParamKind, ParamSpec, Schema};
 
-/// SABUL's spec parameters (`sabul:syn_ms=20,decrease=0.8`): the UDT
-/// control-law constants.
-pub const SABUL_SCHEMA: Schema = &[
-    ParamSpec {
-        key: "syn_ms",
-        kind: ParamKind::Int { min: 1, max: 1000 },
-        doc: "SYN control-clock interval, milliseconds (UDT: 10)",
-    },
-    ParamSpec {
-        key: "decrease",
-        kind: ParamKind::Float {
-            min: 0.1,
-            max: 0.999,
-        },
-        doc: "multiplicative decrease per NAK (UDT: 1/1.125 ≈ 0.889)",
-    },
-    ParamSpec {
-        key: "rate0_mbps",
-        kind: ParamKind::Float {
-            min: 0.1,
-            max: 10_000.0,
-        },
-        doc: "starting rate, Mbit/s (default 1)",
-    },
-];
-
-/// PCP's spec parameters (`pcp:train=16,poll_ms=50`): the probing
-/// schedule constants.
-pub const PCP_SCHEMA: Schema = &[
-    ParamSpec {
-        key: "train",
-        kind: ParamKind::Int { min: 2, max: 64 },
-        doc: "packets per probe train (default 8)",
-    },
-    ParamSpec {
-        key: "poll_ms",
-        kind: ParamKind::Int {
-            min: 1,
-            max: 10_000,
-        },
-        doc: "interval between probe trains, milliseconds (default 100)",
-    },
-    ParamSpec {
-        key: "rate0_mbps",
-        kind: ParamKind::Float {
-            min: 0.1,
-            max: 10_000.0,
-        },
-        doc: "starting rate, Mbit/s (default 1)",
-    },
-];
-
-/// Register `sabul` and `pcp` (with their spec schemas) in the
-/// workspace-wide [`pcc_transport::registry`]. Idempotent.
+/// Register `sabul` and `pcp` in the workspace-wide
+/// [`pcc_transport::registry`]. Neither takes spec keys: both run at the
+/// constants the paper's comparison used. Idempotent.
 pub fn register_algorithms() {
-    registry::register(
-        "sabul",
-        SABUL_SCHEMA,
-        None,
-        Box::new(|p| {
-            let s = &p.spec;
-            Box::new(Sabul::with_params(
-                s.u64("syn_ms")
-                    .map(SimDuration::from_millis)
-                    .unwrap_or(sabul::DEFAULT_SYN),
-                s.f64("decrease").unwrap_or(sabul::DEFAULT_DECREASE),
-                s.f64("rate0_mbps")
-                    .map(|m| m * 1e6)
-                    .unwrap_or(sabul::DEFAULT_RATE0_BPS),
-            ))
-        }),
-    );
-    registry::register(
-        "pcp",
-        PCP_SCHEMA,
-        None,
-        Box::new(|p| {
-            let s = &p.spec;
-            Box::new(Pcp::with_params(
-                s.u64("train").unwrap_or(pcp::DEFAULT_TRAIN_LEN as u64) as u32,
-                s.u64("poll_ms")
-                    .map(SimDuration::from_millis)
-                    .unwrap_or(pcp::DEFAULT_POLL),
-                s.f64("rate0_mbps")
-                    .map(|m| m * 1e6)
-                    .unwrap_or(pcp::DEFAULT_RATE0_BPS),
-            ))
-        }),
-    );
+    registry::register("sabul", &[], None, Box::new(|_| Box::new(Sabul::new())));
+    registry::register("pcp", &[], None, Box::new(|_| Box::new(Pcp::new())));
 }
 
 #[cfg(test)]
@@ -146,26 +61,23 @@ mod tests {
     }
 
     #[test]
-    fn spec_constants_construct_and_validate() {
+    fn removed_keys_are_typed_errors() {
         register_algorithms();
         let params = CcParams::default();
-        for good in [
-            "sabul:syn_ms=20,decrease=0.8",
+        for gone in [
+            "sabul:syn_ms=20",
+            "sabul:decrease=0.8",
             "sabul:rate0_mbps=10",
-            "pcp:train=16,poll_ms=50",
+            "pcp:train=16",
+            "pcp:poll_ms=50",
             "pcp:rate0_mbps=2",
         ] {
-            assert!(registry::by_name(good, &params).is_ok(), "{good}");
-        }
-        for bad in ["sabul:decrease=2", "pcp:train=1", "sabul:nope=1"] {
-            let err = match registry::by_name(bad, &params) {
-                Ok(_) => panic!("{bad} must fail"),
-                Err(e) => e,
+            let err = match registry::by_name(gone, &params) {
+                Ok(_) => panic!("{gone} must fail"),
+                Err(SpecError::InvalidParam(e)) => e,
+                Err(e) => panic!("{gone}: expected InvalidParam, got {e}"),
             };
-            assert!(
-                err.to_string().contains("valid keys"),
-                "{bad}: lists keys: {err}"
-            );
+            assert!(err.to_string().contains("takes no parameters"), "{err}");
         }
     }
 }

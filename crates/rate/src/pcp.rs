@@ -25,15 +25,13 @@ use pcc_transport::cc::{AckEvent, CongestionControl, Ctx as CtrlCtx, LossEvent, 
 use pcc_transport::report::MeasurementReport;
 
 /// Packets per probe train.
-pub const DEFAULT_TRAIN_LEN: u32 = 8;
+const TRAIN_LEN: u32 = 8;
 /// Interval between probes.
-pub const DEFAULT_POLL: SimDuration = SimDuration::from_millis(100);
+const POLL: SimDuration = SimDuration::from_millis(100);
 /// Starting rate, bits/sec (the paper's PCP setup).
-pub const DEFAULT_RATE0_BPS: f64 = 1e6;
+const RATE0_BPS: f64 = 1e6;
 /// Timer token for the poll tick.
 const TOKEN_POLL: u64 = 1;
-#[cfg(test)]
-const TRAIN_LEN: u32 = DEFAULT_TRAIN_LEN;
 
 #[derive(Debug, Default, Clone)]
 struct TrainObs {
@@ -57,32 +55,20 @@ pub struct Pcp {
     last_estimate_bps: Option<f64>,
     /// Sequences assigned to the in-progress train (tagging window).
     tagging: Option<(u32, u32)>, // (train id, packets left to tag)
-    /// Packets per probe train.
-    train_len: u32,
-    /// Interval between probes.
-    poll: SimDuration,
 }
 
 impl Pcp {
     /// New controller starting at 1 Mbps with 8-packet trains every
     /// 100 ms (the paper's PCP setup).
     pub fn new() -> Self {
-        Self::with_params(DEFAULT_TRAIN_LEN, DEFAULT_POLL, DEFAULT_RATE0_BPS)
-    }
-
-    /// New controller with explicit probing constants — the
-    /// `pcp:train=…,poll_ms=…,rate0_mbps=…` spec surface.
-    pub fn with_params(train_len: u32, poll: SimDuration, rate0_bps: f64) -> Self {
         Pcp {
-            rate_bps: rate0_bps.max(1e5),
+            rate_bps: RATE0_BPS,
             pkt_bits: 1500.0 * 8.0,
             next_train: 0,
             trains: BTreeMap::new(),
             probe_rates: BTreeMap::new(),
             last_estimate_bps: None,
             tagging: None,
-            train_len: train_len.max(2),
-            poll: poll.max(SimDuration::from_millis(1)),
         }
     }
 
@@ -91,7 +77,7 @@ impl Pcp {
         self.last_estimate_bps
     }
 
-    /// Begin a probe: tag the next `train_len` packets and pace them at
+    /// Begin a probe: tag the next [`TRAIN_LEN`] packets and pace them at
     /// `probe_rate` (PCP probes *at* a target rate and checks whether the
     /// path sustains it).
     fn start_train(&mut self, ctx: &mut CtrlCtx) -> u32 {
@@ -100,7 +86,7 @@ impl Pcp {
         self.trains.insert(id, TrainObs::default());
         let probe_rate = self.rate_bps * 2.0;
         self.probe_rates.insert(id, probe_rate);
-        self.tagging = Some((id, self.train_len));
+        self.tagging = Some((id, TRAIN_LEN));
         ctx.set_rate(probe_rate);
         id
     }
@@ -160,7 +146,7 @@ impl CongestionControl for Pcp {
     }
 
     fn on_start(&mut self, ctx: &mut CtrlCtx) {
-        ctx.set_timer(ctx.now + self.poll, TOKEN_POLL);
+        ctx.set_timer(ctx.now + POLL, TOKEN_POLL);
         ctx.set_rate(self.rate_bps);
         self.start_train(ctx);
     }
@@ -192,7 +178,7 @@ impl CongestionControl for Pcp {
                 }
                 obs.last_recv = Some(ack.recv_at);
                 obs.count += 1;
-                obs.count >= self.train_len
+                obs.count >= TRAIN_LEN
             };
             if finished {
                 self.finish_train(train, ctx);
@@ -240,7 +226,7 @@ impl CongestionControl for Pcp {
     fn on_timer(&mut self, token: u64, ctx: &mut CtrlCtx) {
         if token == TOKEN_POLL {
             self.start_train(ctx);
-            ctx.set_timer(ctx.now + self.poll, TOKEN_POLL);
+            ctx.set_timer(ctx.now + POLL, TOKEN_POLL);
         }
     }
 

@@ -21,11 +21,11 @@ use pcc_transport::cc::{AckEvent, CongestionControl, Ctx as CtrlCtx, LossEvent, 
 use pcc_transport::report::MeasurementReport;
 
 /// UDT's SYN interval: the fixed control clock.
-pub const DEFAULT_SYN: SimDuration = SimDuration::from_millis(10);
+const SYN: SimDuration = SimDuration::from_millis(10);
 /// Multiplicative decrease on a loss event (UDT: rate /= 1.125).
-pub const DEFAULT_DECREASE: f64 = 1.0 / 1.125;
+const DECREASE: f64 = 1.0 / 1.125;
 /// Starting rate, bits/sec.
-pub const DEFAULT_RATE0_BPS: f64 = 1e6;
+const RATE0_BPS: f64 = 1e6;
 /// Timer token for the SYN tick.
 const TOKEN_SYN: u64 = 1;
 
@@ -45,24 +45,14 @@ pub struct Sabul {
     /// Losses observed (for reports).
     losses: u64,
     started: bool,
-    /// The fixed control clock (UDT: 10 ms).
-    syn: SimDuration,
-    /// Multiplicative decrease factor applied per NAK.
-    decrease: f64,
 }
 
 impl Sabul {
     /// New controller with the UDT constants (1 Mbps start, 10 ms SYN
     /// clock, ×8/9 decrease).
     pub fn new() -> Self {
-        Self::with_params(DEFAULT_SYN, DEFAULT_DECREASE, DEFAULT_RATE0_BPS)
-    }
-
-    /// New controller with explicit constants — the
-    /// `sabul:syn_ms=…,decrease=…,rate0_mbps=…` spec surface.
-    pub fn with_params(syn: SimDuration, decrease: f64, rate0_bps: f64) -> Self {
         Sabul {
-            rate_bps: rate0_bps.max(1e5),
+            rate_bps: RATE0_BPS,
             pkt_bits: 1500.0 * 8.0,
             loss_since_tick: false,
             acked_bytes_window: 0,
@@ -70,8 +60,6 @@ impl Sabul {
             capacity_est_bps: 0.0,
             losses: 0,
             started: false,
-            syn: syn.max(SimDuration::from_millis(1)),
-            decrease: decrease.clamp(0.1, 0.999),
         }
     }
 
@@ -106,12 +94,12 @@ impl Sabul {
         self.window_start = ctx.now;
         if !self.loss_since_tick {
             // Additive increase: `increase_pkts` more packets per SYN.
-            let add_bps = self.increase_pkts() * self.pkt_bits / self.syn.as_secs_f64();
+            let add_bps = self.increase_pkts() * self.pkt_bits / SYN.as_secs_f64();
             self.rate_bps += add_bps;
             ctx.set_rate(self.rate_bps);
         }
         self.loss_since_tick = false;
-        ctx.set_timer(ctx.now + self.syn, TOKEN_SYN);
+        ctx.set_timer(ctx.now + SYN, TOKEN_SYN);
     }
 
     /// A NAK of `lost` packets: multiplicative decrease, at most once per
@@ -119,7 +107,7 @@ impl Sabul {
     fn nak(&mut self, lost: u64, ctx: &mut CtrlCtx) {
         self.losses += lost;
         if !self.loss_since_tick {
-            self.rate_bps = (self.rate_bps * self.decrease).max(1e5);
+            self.rate_bps = (self.rate_bps * DECREASE).max(1e5);
             ctx.set_rate(self.rate_bps);
         }
         self.loss_since_tick = true;
@@ -140,7 +128,7 @@ impl CongestionControl for Sabul {
     fn on_start(&mut self, ctx: &mut CtrlCtx) {
         self.started = true;
         self.window_start = ctx.now;
-        ctx.set_timer(ctx.now + self.syn, TOKEN_SYN);
+        ctx.set_timer(ctx.now + SYN, TOKEN_SYN);
         ctx.set_rate(self.rate_bps);
     }
 

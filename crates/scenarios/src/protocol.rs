@@ -5,7 +5,7 @@
 //! [`install_registry`]), [`Protocol::label`] is the spec, and every
 //! sender is the same engine — [`CcSender`] — hosting whatever
 //! [`pcc_transport::CongestionControl`] the spec names. Specs may carry
-//! parameters (`"pcc:eps=0.05,util=latency"`, `"cubic:iw=32"` — see
+//! parameters (`"pcc:eps=0.05,util=latency"`, `"cubic:paced=true"` — see
 //! `pcc_transport::spec`), so scenario tables sweep algorithm parameters
 //! by string. Unknown names and invalid parameters are a typed
 //! [`SpecError`], never a panic.
@@ -43,7 +43,7 @@ pub fn install_registry() {
 
 /// A protocol under evaluation: a registry spec — a bare name (`"pcc"`,
 /// `"cubic"`) or a parameterized one (`"pcc:rct=false"`,
-/// `"cubic:beta=0.7,iw=32,paced=true"`). Both variants hold the same
+/// `"cubic:paced=true"`). Both variants hold the same
 /// thing; `Tcp` is the `&'static str` spelling the benchmark package
 /// compiles against.
 #[derive(Clone, Debug)]
@@ -163,7 +163,7 @@ mod tests {
     fn named_specs_resolve_and_invalid_params_are_typed() {
         // A parameterized spec builds a sender exactly like a bare name —
         // the surface the experiments sweep rides on.
-        for spec in ["pcc:eps=0.05,util=latency", "cubic:beta=0.7,iw=32"] {
+        for spec in ["pcc:eps=0.05,util=latency", "cubic:paced=true"] {
             let p = Protocol::Named(spec.into());
             assert_eq!(p.label(), spec, "label is the spec string");
             assert!(build(&p).is_ok(), "{spec} builds");
@@ -175,7 +175,7 @@ mod tests {
         };
         assert_eq!(err.algo, "cubic");
         assert!(
-            err.valid.iter().any(|k| k.contains("beta")),
+            err.valid.iter().any(|k| k.contains("paced")),
             "lists cubic's keys: {:?}",
             err.valid
         );

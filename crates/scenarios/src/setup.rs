@@ -709,9 +709,9 @@ mod tests {
                 (184_702, 0x6ed5_e496_2592_5be3),
             ),
             (
-                "vegas:alpha=3,beta=6,paced=true per-ack",
-                run(setup, per_ack("vegas:alpha=3,beta=6,paced=true")),
-                (177_957, 0xd81a_4a8d_b52f_aa4d),
+                "vegas:paced=true per-ack",
+                run(setup, per_ack("vegas:paced=true")),
+                (177_698, 0x256b_5fbf_290d_93fa),
             ),
         ];
         assert_pinned(&golden);

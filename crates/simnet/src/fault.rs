@@ -223,6 +223,20 @@ impl FaultScript {
                 ),
                 other => return err(format!("unknown event `{other}`")),
             };
+            // `time event target [duration [probability]]`; only `corrupt`
+            // and `duplicate` read a probability.
+            let most = if matches!(cols[1], "corrupt" | "duplicate") {
+                5
+            } else {
+                4
+            };
+            if cols.len() > most {
+                return err(format!(
+                    "too many columns for `{}`: expected at most {most}, got {}",
+                    cols[1],
+                    cols.len()
+                ));
+            }
             script.push(SimTime::from_secs_f64(t), start);
             if let (Some(end), Some(stop)) = (end, stop) {
                 script.push(end, stop);
@@ -484,6 +498,10 @@ mod tests {
             ("0.5 down 3 -1", "duration must be > 0"),
             ("0.5 down x", "not an index"),
             ("0.5 up 3 9", "takes no arguments"),
+            ("1 down 0 0.5 0.3", "too many columns"),
+            ("1 node_down 0 0.5 0.3", "too many columns"),
+            ("1 corrupt 0 0.5 0.3 7", "too many columns"),
+            ("1 duplicate 0 0.5 0.3 7", "too many columns"),
         ];
         for (text, want) in cases {
             let e = FaultScript::parse(text).expect_err(text);

@@ -19,26 +19,16 @@ const B: f64 = 4.0;
 /// Smoothing for the plateau near the old maximum.
 const SMOOTH_PART: f64 = 20.0;
 /// Multiplicative decrease factor (Linux: 819/1024).
-pub(crate) const BETA: f64 = 819.0 / 1024.0;
+const BETA: f64 = 819.0 / 1024.0;
 
 /// TCP BIC congestion control.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Bic {
     /// Window right before the last reduction.
     last_max: f64,
-    /// Multiplicative decrease factor.
-    beta: f64,
 }
 
 impl Bic {
-    /// BIC with an explicit decrease factor (`bic:beta=0.7`).
-    pub fn with_params(beta: f64) -> Self {
-        Bic {
-            last_max: 0.0,
-            beta,
-        }
-    }
-
     /// The threshold after a loss event or a timeout, remembering the
     /// peak to search back toward (Linux `bictcp_recalc_ssthresh`, which
     /// serves both): fast convergence, then a Reno halving below
@@ -46,14 +36,14 @@ impl Bic {
     fn recalc_ssthresh(&mut self, cwnd: f64) -> f64 {
         // Fast convergence.
         if cwnd < self.last_max {
-            self.last_max = cwnd * (2.0 - (1.0 - self.beta)) / 2.0;
+            self.last_max = cwnd * (2.0 - (1.0 - BETA)) / 2.0;
         } else {
             self.last_max = cwnd;
         }
         if cwnd < LOW_WINDOW {
             halved(cwnd)
         } else {
-            (cwnd * self.beta).max(MIN_SSTHRESH)
+            (cwnd * BETA).max(MIN_SSTHRESH)
         }
     }
 
@@ -118,7 +108,7 @@ mod tests {
 
     #[test]
     fn gentle_decrease_above_low_window() {
-        let mut cc = Driven::new(Bic::with_params(BETA));
+        let mut cc = Driven::new(Bic::default());
         cc.acks(90, 1); // 100
         let before = cc.cwnd();
         cc.loss();
@@ -127,7 +117,7 @@ mod tests {
 
     #[test]
     fn reno_halving_below_low_window() {
-        let mut cc = Driven::new(Bic::with_params(BETA));
+        let mut cc = Driven::new(Bic::default());
         cc.loss(); // from 10 (< LOW_WINDOW): halve
         assert_eq!(cc.cwnd(), 5.0);
     }
@@ -136,12 +126,12 @@ mod tests {
     fn a_timeout_shares_the_loss_threshold() {
         // Below LOW_WINDOW a timeout halves, as a loss does, rather than
         // taking the β cut; the window itself collapses to one packet.
-        let mut cc = Driven::new(Bic::with_params(BETA));
+        let mut cc = Driven::new(Bic::default());
         cc.rto(); // from 10
         assert_eq!(cc.w.ssthresh, 5.0);
         assert_eq!(cc.cwnd(), 1.0);
         // Above it, a timeout under the remembered peak converges fast.
-        let mut cc = Driven::new(Bic::with_params(BETA));
+        let mut cc = Driven::new(Bic::default());
         cc.acks(90, 1); // 100
         cc.loss(); // last_max 100, cwnd 79.98
         let cwnd = cc.cwnd();
@@ -152,7 +142,7 @@ mod tests {
 
     #[test]
     fn binary_search_fast_when_far_slow_when_near() {
-        let mut cc = Driven::new(Bic::with_params(BETA));
+        let mut cc = Driven::new(Bic::default());
         cc.acks(190, 1); // cwnd 200
         cc.loss(); // last_max=200, cwnd=159.9
         let far_cnt = cc.cc.cnt(cc.w.cwnd);
@@ -169,7 +159,7 @@ mod tests {
 
     #[test]
     fn max_probing_accelerates_past_old_peak() {
-        let mut cc = Driven::new(Bic::with_params(BETA));
+        let mut cc = Driven::new(Bic::default());
         cc.acks(90, 1); // 100
         cc.loss(); // last_max 100
                    // Push well past the old max.

@@ -13,9 +13,9 @@ use pcc_transport::cc::AckEvent;
 use crate::common::{slow_start, MIN_SSTHRESH};
 
 /// CUBIC's scaling constant (RFC 8312: 0.4).
-pub const DEFAULT_C: f64 = 0.4;
+const C: f64 = 0.4;
 /// Multiplicative decrease factor (RFC 8312: β = 0.7).
-pub const DEFAULT_BETA: f64 = 0.7;
+const BETA: f64 = 0.7;
 
 /// CUBIC congestion control.
 #[derive(Clone, Debug)]
@@ -28,37 +28,31 @@ pub struct Cubic {
     k: f64,
     /// Fast-convergence memory of the previous `w_max`.
     w_last_max: f64,
-    /// Multiplicative-decrease factor β (tunable; RFC 8312: 0.7).
-    beta: f64,
-    /// Cubic scaling constant C (tunable; RFC 8312: 0.4).
-    c: f64,
 }
 
-impl Cubic {
-    /// CUBIC with multiplicative-decrease factor `beta` and scaling
-    /// constant `c` (the `cubic:beta=…,c=…` spec surface).
-    pub fn with_params(beta: f64, c: f64) -> Self {
+impl Default for Cubic {
+    fn default() -> Self {
         Cubic {
             w_max: 0.0,
             epoch_start: None,
             k: 0.0,
             w_last_max: 0.0,
-            beta,
-            c: c.max(1e-6),
         }
     }
+}
 
+impl Cubic {
     fn enter_epoch(&mut self, now: SimTime, cwnd: f64) {
         self.epoch_start = Some(now);
         self.k = if cwnd < self.w_max {
-            ((self.w_max - cwnd) / self.c).cbrt()
+            ((self.w_max - cwnd) / C).cbrt()
         } else {
             0.0
         };
     }
 
     fn w_cubic(&self, t: f64) -> f64 {
-        self.c * (t - self.k).powi(3) + self.w_max
+        C * (t - self.k).powi(3) + self.w_max
     }
 }
 
@@ -84,8 +78,7 @@ impl WindowAlgo for Cubic {
         let target = self.w_cubic(t + rtt);
         // TCP-friendly region (RFC 8312 §4.2): CUBIC must not be slower
         // than standard AIMD with its β: W_est = W_max·β + [3(1−β)/(1+β)]·(t/RTT).
-        let w_est = self.w_max * self.beta
-            + (3.0 * (1.0 - self.beta) / (1.0 + self.beta)) * (t / rtt.max(1e-6));
+        let w_est = self.w_max * BETA + (3.0 * (1.0 - BETA) / (1.0 + BETA)) * (t / rtt.max(1e-6));
         for _ in 0..ack.newly_acked {
             let goal = target.max(w_est);
             if goal > w.cwnd {
@@ -101,12 +94,12 @@ impl WindowAlgo for Cubic {
         // Fast convergence (RFC 8312 §4.6): if the loss came below the
         // previous W_max, release bandwidth by remembering a smaller peak.
         if w.cwnd < self.w_last_max {
-            self.w_max = w.cwnd * (2.0 - self.beta) / 2.0;
+            self.w_max = w.cwnd * (2.0 - BETA) / 2.0;
         } else {
             self.w_max = w.cwnd;
         }
         self.w_last_max = w.cwnd;
-        w.ssthresh = (w.cwnd * self.beta).max(MIN_SSTHRESH);
+        w.ssthresh = (w.cwnd * BETA).max(MIN_SSTHRESH);
         w.cwnd = w.ssthresh;
         self.epoch_start = None;
     }
@@ -115,7 +108,7 @@ impl WindowAlgo for Cubic {
         self.w_max = cwnd;
         self.w_last_max = cwnd;
         self.epoch_start = None;
-        (cwnd * self.beta).max(MIN_SSTHRESH)
+        (cwnd * BETA).max(MIN_SSTHRESH)
     }
 }
 
@@ -127,16 +120,16 @@ mod tests {
 
     #[test]
     fn loss_reduces_by_beta() {
-        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        let mut cc = Driven::new(Cubic::default());
         cc.acks(90, 1); // slow start to 100
         let before = cc.cwnd();
         cc.loss();
-        assert!((cc.cwnd() - before * DEFAULT_BETA).abs() < 1e-9);
+        assert!((cc.cwnd() - before * BETA).abs() < 1e-9);
     }
 
     #[test]
     fn concave_recovery_toward_w_max() {
-        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        let mut cc = Driven::new(Cubic::default());
         cc.acks(90, 1);
         let w_before_loss = cc.cwnd();
         cc.loss();
@@ -166,13 +159,13 @@ mod tests {
     fn inflection_point_k_matches_rfc() {
         // After a loss at W = 1000: W_max = 1000, cwnd = 700, and
         // K = cbrt(W_max·(1−β)/C) = cbrt(300/0.4) ≈ 9.086 s (RFC 8312 §4.1).
-        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        let mut cc = Driven::new(Cubic::default());
         cc.acks(990, 1); // slow start to 1000
         cc.loss();
         cc.cc.enter_epoch(SimTime::from_secs(5), cc.w.cwnd);
         assert!((cc.cc.w_max - 1000.0).abs() < 1e-9);
         assert!((cc.cwnd() - 700.0).abs() < 1e-9);
-        let expected_k = (1000.0 * (1.0 - DEFAULT_BETA) / DEFAULT_C).cbrt();
+        let expected_k = (1000.0 * (1.0 - BETA) / C).cbrt();
         assert!((cc.cc.k - expected_k).abs() < 1e-9, "K = {}", cc.cc.k);
         // The curve anchors: W(0) = cwnd at reduction, W(K) = W_max, and
         // it grows monotonically through the concave and convex regions.
@@ -187,7 +180,7 @@ mod tests {
 
     #[test]
     fn fast_convergence_shrinks_peak() {
-        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        let mut cc = Driven::new(Cubic::default());
         cc.acks(90, 1);
         cc.loss();
         let w1 = cc.cc.w_max;
@@ -198,7 +191,7 @@ mod tests {
 
     #[test]
     fn tcp_friendly_region_floors_growth() {
-        let mut cc = Driven::new(Cubic::with_params(DEFAULT_BETA, DEFAULT_C));
+        let mut cc = Driven::new(Cubic::default());
         cc.acks(20, 1); // cwnd 30
         cc.loss();
         let after_loss = cc.cwnd();

@@ -14,32 +14,24 @@ use pcc_transport::cc::AckEvent;
 use crate::common::halved;
 
 /// Hybla's reference RTT (25 ms, per the paper and Linux tcp_hybla.c).
-pub(crate) const RTT0: SimDuration = SimDuration::from_millis(25);
+const RTT0: SimDuration = SimDuration::from_millis(25);
 
 /// TCP Hybla congestion control.
 #[derive(Clone, Debug)]
 pub struct Hybla {
     /// ρ = max(RTT/RTT₀, 1).
     rho: f64,
-    /// The reference RTT growth is normalized to.
-    rtt0: SimDuration,
+}
+
+impl Default for Hybla {
+    fn default() -> Self {
+        Hybla { rho: 1.0 }
+    }
 }
 
 impl Hybla {
-    /// Hybla with an explicit reference RTT (`hybla:rtt0_ms=50`). A zero
-    /// reference RTT would divide by zero in ρ; it is raised to 1 ms (the
-    /// registry schema floors `rtt0_ms` at 1 too, but direct construction
-    /// must not produce an instance whose first ACK makes the window
-    /// infinite).
-    pub fn with_params(rtt0: SimDuration) -> Self {
-        Hybla {
-            rho: 1.0,
-            rtt0: rtt0.max(SimDuration::from_millis(1)),
-        }
-    }
-
     fn update_rho(&mut self, srtt: SimDuration) {
-        self.rho = (srtt.as_secs_f64() / self.rtt0.as_secs_f64()).max(1.0);
+        self.rho = (srtt.as_secs_f64() / RTT0.as_secs_f64()).max(1.0);
     }
 }
 
@@ -79,7 +71,7 @@ mod tests {
 
     #[test]
     fn short_rtt_behaves_like_reno() {
-        let mut cc = Driven::new(Hybla::with_params(RTT0));
+        let mut cc = Driven::new(Hybla::default());
         // 25 ms RTT ⇒ ρ = 1 ⇒ slow start +1/ack, CA +1/cwnd.
         cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(25)));
         assert!((cc.cc.rho - 1.0).abs() < 1e-9);
@@ -88,7 +80,7 @@ mod tests {
 
     #[test]
     fn rho_floors_at_one() {
-        let mut cc = Driven::new(Hybla::with_params(RTT0));
+        let mut cc = Driven::new(Hybla::default());
         cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(5)));
         assert_eq!(cc.cc.rho, 1.0, "sub-reference RTT does not slow growth");
     }
@@ -97,7 +89,7 @@ mod tests {
     fn long_rtt_ramps_aggressively() {
         // 800 ms satellite RTT ⇒ ρ = 32 ⇒ slow-start adds 2^32−1... in
         // practice cwnd explodes per ACK, compensating the slow ACK clock.
-        let mut cc = Driven::new(Hybla::with_params(RTT0));
+        let mut cc = Driven::new(Hybla::default());
         let before = cc.cwnd();
         cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(250)));
         // ρ = 10 ⇒ +1023 per ack.
@@ -107,7 +99,7 @@ mod tests {
 
     #[test]
     fn ca_growth_scales_with_rho_squared() {
-        let mut cc = Driven::new(Hybla::with_params(RTT0));
+        let mut cc = Driven::new(Hybla::default());
         cc.loss(); // force CA (cwnd 5, ssthresh 5)
         let w = cc.cwnd();
         cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(50)));
@@ -117,25 +109,12 @@ mod tests {
 
     #[test]
     fn loss_still_halves() {
-        let mut cc = Driven::new(Hybla::with_params(RTT0));
+        let mut cc = Driven::new(Hybla::default());
         for _ in 0..5 {
             cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(800)));
         }
         let before = cc.cwnd();
         cc.loss();
         assert!((cc.cwnd() - before / 2.0).abs() < 1e-6, "hardwired halving");
-    }
-
-    #[test]
-    fn zero_reference_rtt_is_raised_not_divided_by() {
-        // Regression: rtt0 = 0 made update_rho divide by zero (ρ = inf)
-        // and the first CA ACK drove cwnd to infinity. Direct
-        // construction now floors the reference RTT at 1 ms, mirroring
-        // Illinois::with_params' degenerate-parameter guard.
-        let mut cc = Driven::new(Hybla::with_params(SimDuration::ZERO));
-        cc.loss(); // force CA
-        cc.ack(&ack_at(1, SimTime::ZERO, SimDuration::from_millis(50)));
-        assert!(cc.cc.rho.is_finite(), "rho stays finite: {}", cc.cc.rho);
-        assert!(cc.cwnd().is_finite(), "cwnd stays finite: {}", cc.cwnd());
     }
 }

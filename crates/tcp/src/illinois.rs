@@ -14,10 +14,10 @@ use pcc_transport::cc::AckEvent;
 
 use crate::common::{slow_start, MIN_SSTHRESH};
 
-pub(crate) const ALPHA_MAX: f64 = 10.0;
+const ALPHA_MAX: f64 = 10.0;
 const ALPHA_MIN: f64 = 0.3;
 const BETA_MIN: f64 = 0.125;
-pub(crate) const BETA_MAX: f64 = 0.5;
+const BETA_MAX: f64 = 0.5;
 /// Below this window, behave like Reno (tcp_illinois.c `win_thresh`).
 const WIN_THRESH: f64 = 15.0;
 
@@ -34,35 +34,23 @@ pub struct Illinois {
     beta: f64,
     /// Acked packets since the last per-RTT parameter update.
     acked_since_update: f64,
-    /// α ceiling (reached when queueing delay is minimal).
-    alpha_max: f64,
-    /// β ceiling (reached when queueing delay nears its maximum).
-    beta_max: f64,
 }
 
-impl Illinois {
-    /// Illinois with an explicit α/β envelope
-    /// (`illinois:alpha_max=5,beta_max=0.3`). Ceilings below the
-    /// corresponding floors (`α_min` 0.3, `β_min` 0.125) are raised to
-    /// them — `f64::clamp(lo, hi)` panics on an inverted range, and the
-    /// registry schema's wider public floor cannot protect direct
-    /// callers.
-    pub fn with_params(alpha_max: f64, beta_max: f64) -> Self {
-        let alpha_max = alpha_max.max(ALPHA_MIN);
-        let beta_max = beta_max.max(BETA_MIN);
+impl Default for Illinois {
+    fn default() -> Self {
         Illinois {
             base_rtt: SimDuration::MAX,
             max_rtt: SimDuration::ZERO,
             rtt_sum: 0.0,
             rtt_cnt: 0,
             alpha: 1.0,
-            beta: beta_max,
+            beta: BETA_MAX,
             acked_since_update: 0.0,
-            alpha_max,
-            beta_max,
         }
     }
+}
 
+impl Illinois {
     /// Recompute α(d_a) and β(d_a) from the average queueing delay of the
     /// last RTT epoch at window `cwnd` (tcp_illinois.c `update_params`).
     fn update_params(&mut self, cwnd: f64) {
@@ -74,7 +62,7 @@ impl Illinois {
         self.rtt_cnt = 0;
         if cwnd < WIN_THRESH {
             self.alpha = 1.0;
-            self.beta = self.beta_max;
+            self.beta = BETA_MAX;
             return;
         }
         let base = self.base_rtt.as_secs_f64();
@@ -83,12 +71,12 @@ impl Illinois {
         // α: maximum when delay under d1 = dm/100, hyperbolic decay after.
         let d1 = dm / 100.0;
         self.alpha = if da <= d1 {
-            self.alpha_max
+            ALPHA_MAX
         } else {
-            let spread = (self.alpha_max - ALPHA_MIN).max(1e-9);
-            let k1 = (dm - d1) * ALPHA_MIN * self.alpha_max / spread;
+            let spread = ALPHA_MAX - ALPHA_MIN;
+            let k1 = (dm - d1) * ALPHA_MIN * ALPHA_MAX / spread;
             let k2 = (dm - d1) * ALPHA_MIN / spread - d1;
-            (k1 / (k2 + da)).clamp(ALPHA_MIN, self.alpha_max)
+            (k1 / (k2 + da)).clamp(ALPHA_MIN, ALPHA_MAX)
         };
         // β: minimum under d2 = dm/10, maximum above d3 = 8dm/10, linear
         // in between.
@@ -97,9 +85,9 @@ impl Illinois {
         self.beta = if da <= d2 {
             BETA_MIN
         } else if da >= d3 {
-            self.beta_max
+            BETA_MAX
         } else {
-            (BETA_MIN * (d3 - da) + self.beta_max * (da - d2)) / (d3 - d2)
+            (BETA_MIN * (d3 - da) + BETA_MAX * (da - d2)) / (d3 - d2)
         };
     }
 }
@@ -155,21 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_envelope_does_not_panic() {
-        // Regression: `alpha_max` below the 0.3 floor made the α update's
-        // `clamp(ALPHA_MIN, alpha_max)` an inverted range, which panics.
-        // Direct construction bypasses the registry schema's floor.
-        let mut cc = Driven::new(Illinois::with_params(0.1, 0.05));
-        cc.loss(); // leave slow start
-        for rtt_ms in [10, 10, 40, 40, 80, 80] {
-            feed_epoch(&mut cc, rtt_ms, 40); // spans an epoch: update_params runs
-        }
-        assert!(cc.cwnd() >= 1.0, "still sane: {}", cc.cwnd());
-    }
-
-    #[test]
     fn low_delay_accelerates() {
-        let mut cc = Driven::new(Illinois::with_params(ALPHA_MAX, BETA_MAX));
+        let mut cc = Driven::new(Illinois::default());
         cc.acks(90, 1); // slow start to 100
         cc.loss(); // enter CA
                    // Establish delay range: base 20 ms, max 100 ms.
@@ -191,7 +166,7 @@ mod tests {
 
     #[test]
     fn high_delay_brakes() {
-        let mut cc = Driven::new(Illinois::with_params(ALPHA_MAX, BETA_MAX));
+        let mut cc = Driven::new(Illinois::default());
         cc.acks(90, 1);
         cc.loss();
         feed_epoch(&mut cc, 20, 1); // base
@@ -211,7 +186,7 @@ mod tests {
 
     #[test]
     fn loss_uses_adaptive_beta() {
-        let mut cc = Driven::new(Illinois::with_params(ALPHA_MAX, BETA_MAX));
+        let mut cc = Driven::new(Illinois::default());
         cc.acks(90, 1);
         cc.loss();
         feed_epoch(&mut cc, 20, 1);
@@ -228,7 +203,7 @@ mod tests {
 
     #[test]
     fn small_window_behaves_like_reno() {
-        let mut cc = Driven::new(Illinois::with_params(ALPHA_MAX, BETA_MAX));
+        let mut cc = Driven::new(Illinois::default());
         // cwnd 10 < WIN_THRESH: α pinned to 1.
         cc.loss(); // cwnd 5, CA mode
         feed_epoch(&mut cc, 30, 20);

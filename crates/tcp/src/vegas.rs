@@ -10,12 +10,12 @@ use crate::window::{Window, WindowAlgo};
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::AckEvent;
 
-use crate::common::{halved, MIN_SSTHRESH};
+use crate::common::{halved, INITIAL_CWND, MIN_SSTHRESH};
 
-/// Lower backlog target α, packets (Brakmo & Peterson: 2).
-pub const DEFAULT_ALPHA_PKTS: f64 = 2.0;
-/// Upper backlog target β, packets (Brakmo & Peterson: 4).
-pub const DEFAULT_BETA_PKTS: f64 = 4.0;
+/// Lower backlog target α, packets (Brakmo & Peterson: 2): grow below it.
+const ALPHA_PKTS: f64 = 2.0;
+/// Upper backlog target β, packets (Brakmo & Peterson: 4): shrink above it.
+const BETA_PKTS: f64 = 4.0;
 const GAMMA_PKTS: f64 = 1.0;
 
 /// TCP Vegas congestion control.
@@ -29,33 +29,21 @@ pub struct Vegas {
     /// Slow-start epochs alternate growth/hold (Vegas doubles every
     /// *other* RTT).
     ss_grow_this_epoch: bool,
-    /// Lower backlog target α, packets (grow below it).
-    alpha_pkts: f64,
-    /// Upper backlog target β, packets (shrink above it).
-    beta_pkts: f64,
 }
 
-impl Vegas {
-    /// Vegas with an explicit backlog band `[alpha, beta]` (in packets)
-    /// — the `vegas:alpha=…,beta=…` spec surface — whose first epoch
-    /// lasts the initial window of `iw` packets. A band handed in
-    /// backwards is reordered rather than oscillating forever.
-    pub fn with_params(alpha: f64, beta: f64, iw: f64) -> Self {
-        let (alpha, beta) = if alpha <= beta {
-            (alpha, beta)
-        } else {
-            (beta, alpha)
-        };
+impl Default for Vegas {
+    /// Vegas whose first epoch lasts the initial window.
+    fn default() -> Self {
         Vegas {
             base_rtt: SimDuration::MAX,
             epoch_min_rtt: SimDuration::MAX,
-            epoch_acks_left: iw.max(1.0),
+            epoch_acks_left: INITIAL_CWND,
             ss_grow_this_epoch: true,
-            alpha_pkts: alpha,
-            beta_pkts: beta,
         }
     }
+}
 
+impl Vegas {
     /// Estimated queue backlog in packets at window `cwnd`.
     fn diff(&self, cwnd: f64) -> f64 {
         let rtt = self.epoch_min_rtt.as_secs_f64();
@@ -78,9 +66,9 @@ impl Vegas {
                 w.cwnd *= 2.0;
             }
             self.ss_grow_this_epoch = !self.ss_grow_this_epoch;
-        } else if diff < self.alpha_pkts {
+        } else if diff < ALPHA_PKTS {
             w.cwnd += 1.0;
-        } else if diff > self.beta_pkts {
+        } else if diff > BETA_PKTS {
             w.cwnd = (w.cwnd - 1.0).max(MIN_SSTHRESH);
         }
         self.epoch_min_rtt = SimDuration::MAX;
@@ -128,11 +116,7 @@ mod tests {
     use pcc_simnet::time::SimTime;
 
     fn vegas() -> Driven<Vegas> {
-        Driven::new(Vegas::with_params(
-            DEFAULT_ALPHA_PKTS,
-            DEFAULT_BETA_PKTS,
-            10.0,
-        ))
+        Driven::new(Vegas::default())
     }
 
     /// Feed exactly one epoch's worth of ACKs so `end_epoch` fires once.

@@ -12,9 +12,9 @@ use pcc_transport::cc::AckEvent;
 
 use crate::common::{halved, reno_ca, slow_start, MIN_SSTHRESH};
 
-/// Westwood's default bandwidth-filter new-sample weight (Linux
-/// tcp_westwood.c: 1/8).
-pub(crate) const DEFAULT_GAIN: f64 = 0.125;
+/// Westwood's bandwidth-filter new-sample weight (Linux tcp_westwood.c:
+/// 1/8).
+const GAIN: f64 = 0.125;
 
 /// TCP Westwood+ congestion control.
 #[derive(Clone, Debug)]
@@ -26,22 +26,20 @@ pub struct Westwood {
     /// Time of the last bandwidth sample.
     last_sample_at: Option<SimTime>,
     min_rtt: SimDuration,
-    /// New-sample weight of the bandwidth low-pass filter.
-    gain: f64,
 }
 
-impl Westwood {
-    /// Westwood+ with an explicit filter gain (`westwood:gain=0.5`).
-    pub fn with_params(gain: f64) -> Self {
+impl Default for Westwood {
+    fn default() -> Self {
         Westwood {
             bwe: 0.0,
             acked_since_sample: 0.0,
             last_sample_at: None,
             min_rtt: SimDuration::MAX,
-            gain,
         }
     }
+}
 
+impl Westwood {
     /// Westwood+ samples bandwidth once per RTT and low-pass filters it.
     fn sample(&mut self, now: SimTime, srtt: SimDuration) {
         let Some(last) = self.last_sample_at else {
@@ -53,11 +51,11 @@ impl Westwood {
             return;
         }
         let sample = self.acked_since_sample / elapsed.as_secs_f64().max(1e-9);
-        // 7/8 old + 1/8 new by default (Linux tcp_westwood.c filter).
+        // 7/8 old + 1/8 new (Linux tcp_westwood.c filter).
         self.bwe = if self.bwe == 0.0 {
             sample
         } else {
-            (1.0 - self.gain) * self.bwe + self.gain * sample
+            (1.0 - GAIN) * self.bwe + GAIN * sample
         };
         self.acked_since_sample = 0.0;
         self.last_sample_at = Some(now);
@@ -123,7 +121,7 @@ mod tests {
 
     #[test]
     fn bandwidth_estimate_converges() {
-        let mut cc = Driven::new(Westwood::with_params(DEFAULT_GAIN));
+        let mut cc = Driven::new(Westwood::default());
         feed_steady(&mut cc, 10, 100);
         let bwe = cc.cc.bwe;
         assert!(
@@ -134,7 +132,7 @@ mod tests {
 
     #[test]
     fn loss_backs_off_to_bdp_not_half() {
-        let mut cc = Driven::new(Westwood::with_params(DEFAULT_GAIN));
+        let mut cc = Driven::new(Westwood::default());
         feed_steady(&mut cc, 10, 100);
         // BDP = 100 pkt/s × 50 ms = 5 packets.
         let w_before = cc.cwnd();
@@ -149,14 +147,14 @@ mod tests {
 
     #[test]
     fn loss_without_estimate_halves() {
-        let mut cc = Driven::new(Westwood::with_params(DEFAULT_GAIN));
+        let mut cc = Driven::new(Westwood::default());
         cc.loss();
         assert_eq!(cc.w.ssthresh, 5.0, "fallback to halving from IW10");
     }
 
     #[test]
     fn cwnd_below_bdp_not_raised_by_loss() {
-        let mut cc = Driven::new(Westwood::with_params(DEFAULT_GAIN));
+        let mut cc = Driven::new(Westwood::default());
         feed_steady(&mut cc, 10, 1000); // BDP = 1000*0.05 = 50
         cc.rto();
         assert_eq!(cc.cwnd(), 1.0, "RTO still collapses cwnd");

@@ -33,7 +33,7 @@ use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent, LossKind};
 use pcc_transport::registry::CcParams;
 use pcc_transport::report::MeasurementReport;
 
-use crate::common::MIN_CWND;
+use crate::common::{INITIAL_CWND, MIN_CWND};
 
 /// The congestion window and slow-start threshold, in packets: what
 /// [`Windowed`] owns and lends to its [`WindowAlgo`] on each event.
@@ -83,13 +83,14 @@ pub struct Windowed {
 }
 
 impl Windowed {
-    /// Wrap a window algorithm starting at `iw` packets; `params` seeds
-    /// the MSS and the RTT the pacing rate uses before the first sample.
-    pub fn new(inner: Box<dyn WindowAlgo>, iw: f64, paced: bool, params: &CcParams) -> Self {
+    /// Wrap a window algorithm starting at the IW10 initial window;
+    /// `params` seeds the MSS and the RTT the pacing rate uses before the
+    /// first sample.
+    pub fn new(inner: Box<dyn WindowAlgo>, paced: bool, params: &CcParams) -> Self {
         Windowed {
             inner,
             window: Window {
-                cwnd: iw,
+                cwnd: INITIAL_CWND,
                 ssthresh: f64::MAX,
             },
             paced,
@@ -184,7 +185,6 @@ impl CongestionControl for Windowed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::INITIAL_CWND;
     use crate::NewReno;
     use pcc_simnet::rng::SimRng;
     use pcc_simnet::time::SimTime;
@@ -214,7 +214,7 @@ mod tests {
     /// New Reno behind the adapter, seeded with a 100 ms RTT hint.
     fn reno(paced: bool) -> Windowed {
         let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(100));
-        Windowed::new(Box::new(NewReno), INITIAL_CWND, paced, &params)
+        Windowed::new(Box::new(NewReno), paced, &params)
     }
 
     fn drain_cwnd(fx: &mut Effects) -> Option<f64> {
@@ -593,16 +593,14 @@ mod tests {
         /// `MIN_SSTHRESH`.
         #[test]
         fn every_variant_keeps_the_window_sane(
-            iw in 1u32..=64,
             script in proptest::collection::vec((0u8..4, 0u32..=64, 1u64..=500), 1..200),
         ) {
             use crate::common::MIN_SSTHRESH;
-            use pcc_transport::spec::SpecParams;
 
             let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(40));
-            for &(_, _, build) in crate::VARIANTS {
+            for &(_, build) in crate::VARIANTS {
                 for paced in [false, true] {
-                    let mut cc = Windowed::new(build(&SpecParams::default(), f64::from(iw)), f64::from(iw), paced, &params);
+                    let mut cc = Windowed::new(build(), paced, &params);
                     let mut rng = SimRng::new(1);
                     let mut fx = Effects::default();
                     let mut now = SimTime::ZERO;

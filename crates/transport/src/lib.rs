@@ -17,7 +17,7 @@
 //!   `pcc-udp`'s socket loop are two thin drivers around it.
 //! * [`registry`] — datapath-agnostic algorithm registry: construct any
 //!   registered algorithm via [`registry::by_name`], including
-//!   parameterized specs (`"cubic:beta=0.7,iw=32"` — see [`spec`]);
+//!   parameterized specs (`"pcc:eps=0.05,util=latency"` — see [`spec`]);
 //!   unknown names and invalid parameters are typed
 //!   [`registry::SpecError`]s, never a panic.
 //! * [`sack::Scoreboard`] — per-packet fate tracking with RFC 6675-style

@@ -14,8 +14,8 @@
 //!
 //! ```text
 //! name[:key=val[,key=val]*]      e.g.  pcc:eps=0.05,util=latency
-//!                                      cubic:beta=0.7,iw=32
-//!                                      bbr:probe_rtt_ms=5000
+//!                                      pcc:tm=1,rct=false
+//!                                      cubic:paced=true
 //! ```
 //!
 //! Algorithms registered via [`register`] declare which keys they accept
@@ -189,8 +189,8 @@ fn table() -> &'static RwLock<BTreeMap<String, Entry>> {
 /// schema and an optional cross-key [`SchemaCheck`]. [`by_name`]
 /// validates spec parameters against the schema (`&[]`: the algorithm
 /// takes none, so any `name:key=val` key is an [`InvalidParam`]), then
-/// runs the check — for constraints a single key cannot express (e.g. a
-/// parameter that only takes effect under a particular `util` choice) —
+/// runs the check — for constraints a single key cannot express (e.g. an
+/// escalation ceiling that cannot sit below its floor) —
 /// and only then invokes the factory, which receives the typed bag on
 /// [`CcParams::spec`]. A check failure is an [`InvalidParam`] too, so
 /// factories never see an unknown key or an out-of-range value and stay
@@ -207,7 +207,7 @@ pub fn register(name: &str, schema: Schema, check: Option<Box<SchemaCheck>>, fac
 }
 
 /// Construct an algorithm from a spec — a bare name (`"cubic"`) or a
-/// parameterized one (`"cubic:beta=0.7,iw=32"`). Unknown names are
+/// parameterized one (`"cubic:paced=true"`). Unknown names are
 /// [`SpecError::Unknown`]; malformed, unknown, or out-of-range parameters
 /// are [`SpecError::InvalidParam`]. Never a panic.
 ///

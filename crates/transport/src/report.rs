@@ -59,7 +59,7 @@ pub struct MeasurementReport {
     pub rtt_min: Option<SimDuration>,
     /// Largest exact RTT sample in the interval.
     pub rtt_max: Option<SimDuration>,
-    /// First exact RTT sample (for the latency-gradient slope).
+    /// First exact RTT sample (for the latency utility's RTT slope).
     pub first_rtt: Option<SimDuration>,
     /// Last exact RTT sample.
     pub last_rtt: Option<SimDuration>,

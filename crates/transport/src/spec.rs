@@ -4,7 +4,7 @@
 //!
 //! A *spec* is how callers ask the [`crate::registry`] for an algorithm at
 //! a non-default operating point — `"pcc:eps=0.05,util=latency"`,
-//! `"cubic:beta=0.7,iw=32"`, `"bbr:probe_rtt_ms=5000"`. The grammar:
+//! `"pcc:tm=1,rct=false"`, `"cubic:paced=true"`. The grammar:
 //!
 //! ```text
 //! spec   := name [ ":" pairs ]
@@ -36,13 +36,6 @@ pub enum ParamKind {
         /// Largest admissible value.
         max: f64,
     },
-    /// An integer in `[min, max]`.
-    Int {
-        /// Smallest admissible value.
-        min: i64,
-        /// Largest admissible value.
-        max: i64,
-    },
     /// `true` or `false`.
     Bool,
     /// One of a fixed set of identifiers.
@@ -55,7 +48,6 @@ impl ParamKind {
     pub fn describe(&self) -> String {
         match self {
             ParamKind::Float { min, max } => format!("float {min}..={max}"),
-            ParamKind::Int { min, max } => format!("int {min}..={max}"),
             ParamKind::Bool => "bool".to_string(),
             ParamKind::Choice(opts) => format!("one of {}", opts.join("|")),
         }
@@ -79,8 +71,8 @@ pub type Schema = &'static [ParamSpec];
 
 /// A cross-key validation hook, run by the registry after every key has
 /// individually validated against the [`Schema`]. Use it for constraints
-/// one key cannot express — e.g. "`alpha` has no effect when
-/// `util=simple`". Returns the offending key and the reason; the
+/// one key cannot express — e.g. "`eps_max` has no effect below `eps`".
+/// Returns the offending key and the reason; the
 /// registry wraps both into an [`InvalidParam`] that lists the valid
 /// keys, so a parameter that cannot take effect is rejected exactly like
 /// an unknown one.
@@ -91,8 +83,6 @@ pub type SchemaCheck = dyn Fn(&SpecParams) -> Result<(), (String, String)> + Sen
 pub enum ParamValue {
     /// Validated [`ParamKind::Float`].
     Float(f64),
-    /// Validated [`ParamKind::Int`].
-    Int(i64),
     /// Validated [`ParamKind::Bool`].
     Bool(bool),
     /// Validated [`ParamKind::Choice`] — the canonical option string.
@@ -109,26 +99,12 @@ pub struct SpecParams {
 }
 
 impl SpecParams {
-    /// The float value of `key` (integer values coerce), if present.
+    /// The float value of `key`, if present.
     pub fn f64(&self, key: &str) -> Option<f64> {
         match self.vals.get(key)? {
             ParamValue::Float(v) => Some(*v),
-            ParamValue::Int(v) => Some(*v as f64),
             _ => None,
         }
-    }
-
-    /// The integer value of `key`, if present.
-    pub fn i64(&self, key: &str) -> Option<i64> {
-        match self.vals.get(key)? {
-            ParamValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The non-negative integer value of `key`, if present.
-    pub fn u64(&self, key: &str) -> Option<u64> {
-        self.i64(key).and_then(|v| u64::try_from(v).ok())
     }
 
     /// The boolean value of `key`, if present.
@@ -189,10 +165,10 @@ impl AlgoSpec {
     /// use pcc_transport::spec::AlgoSpec;
     ///
     /// // Valid spec strings: a bare name, and name:key=val pairs.
-    /// let spec = AlgoSpec::parse("cubic:beta=0.7,iw=32").unwrap();
-    /// assert_eq!(spec.name, "cubic");
+    /// let spec = AlgoSpec::parse("pcc:eps=0.05,util=latency").unwrap();
+    /// assert_eq!(spec.name, "pcc");
     /// assert_eq!(spec.params.len(), 2);
-    /// assert_eq!(spec.render(), "cubic:beta=0.7,iw=32");
+    /// assert_eq!(spec.render(), "pcc:eps=0.05,util=latency");
     /// assert_eq!(AlgoSpec::parse("bbr").unwrap().params.len(), 0);
     /// assert_eq!(AlgoSpec::parse("pcc:").unwrap(), AlgoSpec::parse("pcc").unwrap());
     ///
@@ -200,11 +176,11 @@ impl AlgoSpec {
     /// // this is the *syntax* layer — semantic checks such as unknown
     /// // keys or out-of-range values happen against the algorithm's
     /// // schema in `registry::by_name`.)
-    /// let err = AlgoSpec::parse("cubic:beta").unwrap_err();
-    /// assert_eq!(err.name, "cubic");
+    /// let err = AlgoSpec::parse("pcc:eps").unwrap_err();
+    /// assert_eq!(err.name, "pcc");
     /// assert!(err.reason.contains("expected `key=value`"));
-    /// assert!(AlgoSpec::parse("cubic:=1").is_err());      // empty key
-    /// assert!(AlgoSpec::parse("cubic:beta=").is_err());   // empty value
+    /// assert!(AlgoSpec::parse("pcc:=1").is_err());      // empty key
+    /// assert!(AlgoSpec::parse("pcc:eps=").is_err());    // empty value
     /// ```
     pub fn parse(s: &str) -> Result<AlgoSpec, SpecSyntaxError> {
         let Some((name, rest)) = s.split_once(':') else {
@@ -336,16 +312,6 @@ pub fn validate(
                 }
                 Err(_) => return Err(invalid(key, format!("`{value}` is not a float"))),
             },
-            ParamKind::Int { min, max } => match value.parse::<i64>() {
-                Ok(v) if v >= min && v <= max => ParamValue::Int(v),
-                Ok(v) => {
-                    return Err(invalid(
-                        key,
-                        format!("value {v} out of range {min}..={max}"),
-                    ))
-                }
-                Err(_) => return Err(invalid(key, format!("`{value}` is not an integer"))),
-            },
             ParamKind::Bool => match value.as_str() {
                 "true" => ParamValue::Bool(true),
                 "false" => ParamValue::Bool(false),
@@ -380,11 +346,6 @@ mod tests {
                 max: 0.5,
             },
             doc: "granularity",
-        },
-        ParamSpec {
-            key: "iw",
-            kind: ParamKind::Int { min: 1, max: 1000 },
-            doc: "initial window",
         },
         ParamSpec {
             key: "rct",
@@ -449,26 +410,18 @@ mod tests {
         let bag = validate(
             "x",
             SCHEMA,
-            &raw(&[
-                ("eps", "0.05"),
-                ("iw", "32"),
-                ("rct", "false"),
-                ("util", "latency"),
-            ]),
+            &raw(&[("eps", "0.05"), ("rct", "false"), ("util", "latency")]),
         )
         .expect("all valid");
         assert_eq!(bag.f64("eps"), Some(0.05));
-        assert_eq!(bag.u64("iw"), Some(32));
-        assert_eq!(bag.f64("iw"), Some(32.0), "ints coerce to float");
         assert_eq!(bag.bool("rct"), Some(false));
         assert_eq!(bag.choice("util"), Some("latency"));
-        assert_eq!(bag.len(), 4);
+        assert_eq!(bag.len(), 3);
 
         for (pairs, needle) in [
             (raw(&[("nope", "1")]), "unknown key"),
             (raw(&[("eps", "0.9")]), "out of range"),
             (raw(&[("eps", "abc")]), "not a float"),
-            (raw(&[("iw", "1.5")]), "not an integer"),
             (raw(&[("rct", "yes")]), "not `true`/`false`"),
             (raw(&[("util", "fast")]), "not one of"),
             (raw(&[("eps", "0.01"), ("eps", "0.02")]), "duplicate"),

@@ -104,7 +104,7 @@ pub fn wire_mss(cfg: &UdpSenderConfig) -> u32 {
 }
 
 /// Send with any registered algorithm, resolved by name or parameterized
-/// spec (`"pcc"`, `"cubic:paced=true"`, `"cubic:beta=0.7,iw=32"`, ...) against
+/// spec (`"pcc"`, `"cubic:paced=true"`, `"pcc:eps=0.05,util=latency"`, ...) against
 /// whatever the process has registered: this crate names no algorithm and
 /// installs none, so call `pcc::install_registry()` (or
 /// [`registry::register`] your own) first. Unknown names and invalid spec

@@ -159,18 +159,18 @@ fn invalid_spec_param_is_typed_error_not_panic() {
         &tx_sock,
         rx_addr,
         cfg,
-        "cubic:iw=0",
+        "cubic:paced=yes",
         SimDuration::from_millis(2),
     )
     .expect("io ok")
     {
-        Ok(_) => panic!("iw=0 is out of range"),
+        Ok(_) => panic!("paced=yes is not a bool"),
         Err(SpecError::InvalidParam(e)) => e,
         Err(other) => panic!("expected InvalidParam, got {other}"),
     };
     assert_eq!(err.algo, "cubic");
     assert!(
-        err.valid.iter().any(|k| k.contains("iw")),
+        err.valid.iter().any(|k| k.contains("paced")),
         "{:?}",
         err.valid
     );
@@ -180,8 +180,8 @@ fn invalid_spec_param_is_typed_error_not_panic() {
 fn parameterized_specs_transfer_over_loopback() {
     install_registry();
     // The acceptance surface: `name:key=val` resolves on the *real*
-    // datapath too — a tuned cubic and a tuned PCC both move real bytes.
-    for spec in ["cubic:beta=0.7,iw=32", "pcc:eps=0.05"] {
+    // datapath too — a paced cubic and a tuned PCC both move real bytes.
+    for spec in ["cubic:paced=true", "pcc:eps=0.05"] {
         let (rx_sock, tx_sock, rx_addr) = sockets();
         let total: u64 = 512 * 1024;
         let rx = thread::spawn(move || receive(&rx_sock, total));
@@ -399,7 +399,7 @@ fn pcp_probe_trains_cross_the_wire() {
         .with_rtt_hint(SimDuration::from_millis(2));
     let tagged_acks = Arc::new(AtomicU64::new(0));
     let cc = TagWatch {
-        inner: registry::by_name("pcp:poll_ms=5,rate0_mbps=20", &params).expect("registered"),
+        inner: registry::by_name("pcp", &params).expect("registered"),
         issued: AtomicU64::new(0),
         tagged_acks: Arc::clone(&tagged_acks),
     };

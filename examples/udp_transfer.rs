@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run --release --example udp_transfer                       # PCC (default)
 //! cargo run --release --example udp_transfer -- cubic              # any registered name
-//! cargo run --release --example udp_transfer -- "cubic:iw=32"      # parameterized spec
+//! cargo run --release --example udp_transfer -- "cubic:paced=true" # parameterized spec
 //! cargo run --release --example udp_transfer -- "pcc:eps=0.05,util=latency"
 //! cargo run --release --example udp_transfer -- cubic --batched    # 1-RTT batched reports
 //! cargo run --release --example udp_transfer -- list               # registry + spec keys

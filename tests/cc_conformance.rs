@@ -440,18 +440,14 @@ mod hybrid_enforcement {
     }
 }
 
-/// Parameterized specs covering ≥1 tunable of every algorithm family —
-/// the conformance battery runs over these exactly as over bare names.
+/// Parameterized specs covering every spec key — the conformance battery
+/// runs over these exactly as over bare names.
 const PARAMETERIZED_SPECS: &[&str] = &[
     "pcc:eps=0.05",
-    "pcc:eps=0.02,util=latency,alpha=50",
+    "pcc:eps=0.02,util=latency",
+    "pcc:eps_max=0.1",
     "pcc-lossresilient:tm=1.5,rct=false",
-    "cubic:beta=0.7,iw=32",
-    "cubic:paced=true,iw=4",
-    "vegas:alpha=3,beta=6",
-    "bbr:probe_rtt_ms=5000,cwnd_gain=2.5",
-    "sabul:syn_ms=20,decrease=0.8",
-    "pcp:train=4,poll_ms=50",
+    "cubic:paced=true",
 ];
 
 #[test]
@@ -495,11 +491,11 @@ fn parameterized_specs_move_data_end_to_end() {
 
 #[test]
 fn parameterized_specs_transfer_on_the_udp_datapath() {
-    // The same spec strings on the *real-socket* engine: tuned cubic and
+    // The same spec strings on the *real-socket* engine: paced cubic and
     // tuned PCC each deliver a loopback transfer end-to-end (the sim
     // datapath's half of this contract is the test above).
     pcc::install_registry();
-    for spec in ["cubic:beta=0.7,iw=32", "pcc:eps=0.05"] {
+    for spec in ["cubic:paced=true", "pcc:eps=0.05"] {
         let rx_sock = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind rx");
         let rx_addr = rx_sock.local_addr().expect("addr");
         let tx_sock = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind tx");
@@ -526,15 +522,18 @@ fn parameterized_specs_transfer_on_the_udp_datapath() {
 
 #[test]
 fn spec_tuning_reaches_the_engine() {
-    // `cubic:iw=32` is not merely accepted — the initial window the
-    // engine sees IS 32 (and the default stays IW10).
+    // `cubic:paced=true` is not merely accepted — the engine is handed
+    // a pacing rate of IW10 over the 30 ms hint, on top of the same
+    // window; plain `cubic` sets the window only.
     pcc::install_registry();
-    let mut tuned = Script::new("cubic:iw=32", 7);
-    tuned.start();
-    assert_eq!(tuned.cwnd, Some(32.0), "iw=32 is the initial window");
+    let mut paced = Script::new("cubic:paced=true", 7);
+    paced.start();
+    assert_eq!(paced.cwnd, Some(10.0), "IW10 either way");
+    let rate = paced.rate.expect("paced=true sets a rate");
+    assert!((rate - 10.0 * 1500.0 * 8.0 / 0.030).abs() < 1.0, "{rate}");
     let mut stock = Script::new("cubic", 7);
     stock.start();
-    assert_eq!(stock.cwnd, Some(10.0), "default stays IW10");
+    assert_eq!((stock.cwnd, stock.rate), (Some(10.0), None), "window only");
 }
 
 #[test]
@@ -542,9 +541,12 @@ fn invalid_specs_are_typed_errors_never_panics() {
     pcc::install_registry();
     for bad in [
         "pcc:eps=banana",
+        "pcc:eps_max=0.9",
         "pcc:nope=1",
+        "pcc:alpha=50",
         "cubic:iw=0",
-        "cubic:beta",
+        "cubic:paced",
+        "cubic:paced=yes",
         "bbr:cwnd_gain=99",
         "nosuch:eps=0.05",
         ":::",
@@ -562,11 +564,7 @@ fn invalid_specs_are_typed_errors_never_panics() {
         Err(pcc::transport::registry::SpecError::InvalidParam(e)) => e,
         Err(other) => panic!("expected InvalidParam: {other}"),
     };
-    assert!(
-        err.valid.iter().any(|k| k.contains("beta")) && err.valid.iter().any(|k| k.contains("iw")),
-        "valid keys listed: {:?}",
-        err.valid
-    );
+    assert_eq!(err.valid, ["paced=<bool>"], "valid keys listed");
 }
 
 #[test]

@@ -126,3 +126,37 @@ fn tier_one_runs_with_debug_assertions_armed() {
         "the test profile must keep debug assertions (run tier-1 without --release)"
     );
 }
+
+/// A spec key exists only while a figure, the benchmark or a shipped
+/// default turns it (ROADMAP.md, build note): Fig. 16 turns PCC's `eps`,
+/// `eps_max`, `tm` and `rct`, the four PCC names are `util` defaults, and
+/// Fig. 9 paces New Reno. Every other constant is a constant.
+#[test]
+fn spec_keys_are_the_ones_a_figure_turns() {
+    use pcc::transport::registry;
+    use std::collections::BTreeSet;
+
+    pcc::install_registry();
+    let got: BTreeSet<(String, &str)> = registry::names()
+        .into_iter()
+        .flat_map(|name| {
+            let schema = registry::schema_of(&name).unwrap_or(&[]);
+            schema.iter().map(move |p| (name.clone(), p.key))
+        })
+        .collect();
+    let pcc = ["pcc", "pcc-latency", "pcc-lossresilient", "pcc-simple"];
+    let tcp = [
+        "bic", "cubic", "hybla", "illinois", "newreno", "vegas", "westwood",
+    ];
+    let want: BTreeSet<(String, &str)> = pcc
+        .iter()
+        .flat_map(|n| ["eps", "eps_max", "tm", "rct", "util"].map(|k| (n.to_string(), k)))
+        .chain(tcp.iter().map(|n| (n.to_string(), "paced")))
+        .collect();
+    assert_eq!(want.len(), 27);
+    assert_eq!(
+        got, want,
+        "the registered spec keys moved: a key is added with the figure, benchmark \
+         workload or shipped default that turns it (ROADMAP.md, build note, \"Decided\")"
+    );
+}
