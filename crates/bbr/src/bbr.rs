@@ -101,7 +101,7 @@ impl Bbr {
             mss: params.mss.max(1),
             rtt_hint: params.rtt_hint,
             bw: MaxBwFilter::new(BW_WINDOW_ROUNDS),
-            min_rtt: MinRttTracker::new(MIN_RTT_WINDOW),
+            min_rtt: MinRttTracker::new(),
             sampler: DeliverySampler::new(),
             round: 0,
             next_round_delivered: 0,

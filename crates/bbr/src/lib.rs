@@ -26,8 +26,8 @@
 //! the cap the rate-based machinery needs plus the inflight bound that
 //! keeps a wrong bandwidth estimate from flooding the path.
 //!
-//! [`register_algorithms`] installs it as `bbr` in the workspace-wide
-//! [`pcc_transport::registry`], which makes it constructible by name from
+//! [`ALGORITHMS`] lists it as the `bbr` [`pcc_transport::registry`]
+//! entry, which makes it constructible by name from
 //! the scenario builders, the conformance suite, the experiments binary,
 //! and the real-UDP datapath with zero per-harness code.
 
@@ -39,36 +39,31 @@ pub use bbr::{
     PROBE_RTT_DURATION, STARTUP_GAIN,
 };
 
-use pcc_transport::registry;
+use pcc_transport::registry::Algorithm;
 
-/// Register `bbr` in the workspace-wide [`pcc_transport::registry`]. It
-/// takes no spec keys: every constant is BBR v1's. Idempotent.
-pub fn register_algorithms() {
-    registry::register(
-        "bbr",
-        &[],
-        None,
-        Box::new(|params| Box::new(Bbr::new(params))),
-    );
-}
+/// `bbr`. It takes no spec keys: every constant is BBR v1's.
+pub const ALGORITHMS: &[Algorithm] = &[Algorithm {
+    name: "bbr",
+    schema: &[],
+    check: None,
+    build: |params| Box::new(Bbr::new(params)),
+}];
 
 #[cfg(test)]
 mod registry_tests {
     use super::*;
-    use pcc_transport::registry::{CcParams, SpecError};
+    use pcc_transport::registry::{self, CcParams, SpecError};
 
     #[test]
-    fn bbr_registers() {
-        register_algorithms();
-        let cc = registry::by_name("bbr", &CcParams::default()).expect("registered");
+    fn the_table_holds_bbr() {
+        let cc = registry::by_name(&[ALGORITHMS], "bbr", &CcParams::default()).expect("registered");
         assert_eq!(cc.name(), "bbr");
     }
 
     #[test]
     fn removed_keys_are_typed_errors() {
-        register_algorithms();
         for gone in ["bbr:probe_rtt_ms=5000", "bbr:cwnd_gain=2.5"] {
-            let err = match registry::by_name(gone, &CcParams::default()) {
+            let err = match registry::by_name(&[ALGORITHMS], gone, &CcParams::default()) {
                 Ok(_) => panic!("{gone} must fail"),
                 Err(SpecError::InvalidParam(e)) => e,
                 Err(e) => panic!("{gone}: expected InvalidParam, got {e}"),

@@ -21,6 +21,8 @@ use std::collections::VecDeque;
 use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_transport::SeqRing;
 
+use crate::MIN_RTT_WINDOW;
+
 /// Windowed maximum filter keyed by round-trip count: reports the largest
 /// sample seen in the last `window` rounds. Implemented as a monotonic
 /// deque, so `update` is amortized O(1).
@@ -61,26 +63,22 @@ impl MaxBwFilter {
     }
 }
 
-/// Minimum-RTT tracker with an explicit expiry window (10 s in BBR): the
-/// minimum only *tightens* inside the window; when no equal-or-lower
-/// sample has arrived for `window`, the estimate is stale and the
-/// algorithm must deliberately re-probe (ProbeRTT) rather than silently
-/// trust an inflated value.
-#[derive(Clone, Copy, Debug)]
+/// Minimum-RTT tracker with an explicit expiry window
+/// ([`MIN_RTT_WINDOW`], 10 s in BBR): the minimum only *tightens* inside
+/// the window; when no equal-or-lower sample has arrived for the window,
+/// the estimate is stale and the algorithm must deliberately re-probe
+/// (ProbeRTT) rather than silently trust an inflated value.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MinRttTracker {
-    window: SimDuration,
     value: Option<SimDuration>,
     stamp: SimTime,
 }
 
 impl MinRttTracker {
-    /// Tracker whose estimate expires after `window` without refresh.
-    pub fn new(window: SimDuration) -> Self {
-        MinRttTracker {
-            window,
-            value: None,
-            stamp: SimTime::ZERO,
-        }
+    /// Tracker whose estimate expires after [`MIN_RTT_WINDOW`] without
+    /// refresh.
+    pub fn new() -> Self {
+        MinRttTracker::default()
     }
 
     /// Feed an RTT sample. Equal samples refresh the stamp, so a flow
@@ -103,9 +101,10 @@ impl MinRttTracker {
         self.value
     }
 
-    /// True when the estimate has gone `window` without a refresh.
+    /// True when the estimate has gone [`MIN_RTT_WINDOW`] without a
+    /// refresh.
     pub fn expired(&self, now: SimTime) -> bool {
-        self.value.is_some() && now.saturating_since(self.stamp) > self.window
+        self.value.is_some() && now.saturating_since(self.stamp) > MIN_RTT_WINDOW
     }
 }
 
@@ -233,8 +232,7 @@ mod tests {
 
     #[test]
     fn min_rtt_tightens_and_expires() {
-        let win = SimDuration::from_secs(10);
-        let mut m = MinRttTracker::new(win);
+        let mut m = MinRttTracker::new();
         m.update(SimDuration::from_millis(30), SimTime::from_secs(1));
         m.update(SimDuration::from_millis(40), SimTime::from_secs(2));
         assert_eq!(m.get(), Some(SimDuration::from_millis(30)));

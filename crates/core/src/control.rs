@@ -152,7 +152,7 @@ pub struct PccController {
 impl PccController {
     /// PCC with the §2.2 safe utility function.
     pub fn new(cfg: PccConfig) -> Self {
-        Self::with_utility(cfg, Box::new(SafeSigmoid::default()))
+        Self::with_utility(cfg, Box::new(SafeSigmoid))
     }
 
     /// PCC with a custom utility function (§2.4 / §4.4).
@@ -1161,7 +1161,7 @@ mod tests {
         Case {
             cfg,
             path,
-            utility: || Box::new(SafeSigmoid::default()),
+            utility: || Box::new(SafeSigmoid),
             seed,
             events: rng.range_u64(50, 600) as usize,
         }

@@ -17,9 +17,9 @@
 //! Because [`PccController`] speaks the unified congestion-control API, the
 //! *same object* drives the deterministic simulator
 //! ([`pcc_transport::CcSender`]) and the real-UDP datapath (`pcc-udp`).
-//! [`register_algorithms`] installs the PCC×utility family (`pcc`,
-//! `pcc-simple`, `pcc-lossresilient`, `pcc-latency`) into the
-//! [`pcc_transport::registry`].
+//! [`ALGORITHMS`] lists the PCC×utility family (`pcc`, `pcc-simple`,
+//! `pcc-lossresilient`, `pcc-latency`) as [`pcc_transport::registry`]
+//! entries.
 //!
 //! ## Quick start (simulation)
 //!
@@ -59,12 +59,13 @@ pub use utility::{
     SimpleThroughputLoss, UtilityFunction,
 };
 
-use pcc_transport::registry::{self, CcParams};
-use pcc_transport::spec::{ParamKind, ParamSpec, Schema};
+use pcc_transport::registry::{Algorithm, CcParams};
+use pcc_transport::spec::{ParamKind, ParamSpec, Schema, SpecParams};
+use pcc_transport::CongestionControl;
 
 /// The PCC family's spec-parameter schema (`pcc:eps=0.05,util=latency`):
 /// the §3.2 constants Fig. 16 turns and the utility choice. Shared by all
-/// four registered variants — a variant is just a different `util`
+/// four [`ALGORITHMS`] — a variant is just a different `util`
 /// default.
 pub const PCC_SCHEMA: Schema = &[
     ParamSpec {
@@ -103,12 +104,12 @@ pub const PCC_SCHEMA: Schema = &[
     },
 ];
 
-/// Build a [`PccController`] from registry construction parameters,
+/// Build a [`PccController`] from construction parameters,
 /// applying any validated spec keys (see [`PCC_SCHEMA`]) over the paper
 /// defaults. `default_util` names the objective used when the spec sets
-/// no `util` key — it is what distinguishes the four registered variants.
+/// no `util` key — it is what distinguishes the four [`ALGORITHMS`].
 ///
-/// The spec bag is pre-validated by the registry, so this never fails; a
+/// The spec bag is pre-validated by `registry::by_name`, so this never fails; a
 /// spec-set ε above the default ε ceiling raises the ceiling rather than
 /// violating the `eps_min ≤ eps_max` invariant.
 pub fn controller_from_params(params: &CcParams, default_util: &str) -> PccController {
@@ -130,14 +131,41 @@ pub fn controller_from_params(params: &CcParams, default_util: &str) -> PccContr
     let utility: Box<dyn UtilityFunction> = match s.choice("util").unwrap_or(default_util) {
         "simple" => Box::new(SimpleThroughputLoss),
         "lossresilient" => Box::new(LossResilient),
-        "latency" => Box::new(LatencySensitive::default()),
-        _ => Box::new(SafeSigmoid::default()),
+        "latency" => Box::new(LatencySensitive),
+        _ => Box::new(SafeSigmoid),
     };
     PccController::with_utility(cfg, utility).with_mss(params.mss)
 }
 
-/// Register the PCC×utility family with the workspace-wide
-/// [`pcc_transport::registry`]:
+/// Reject an escalation ceiling below ε: it would be silently raised back
+/// to ε, so it is refused like any other parameter that cannot take
+/// effect. (ε *above* the default ceiling raises the ceiling
+/// deliberately, so a lone `eps=0.2` stays valid.)
+fn eps_max_not_below_eps(bag: &SpecParams) -> Result<(), (String, String)> {
+    let eps = bag.f64("eps").unwrap_or(PccConfig::paper().eps_min);
+    match bag.f64("eps_max") {
+        Some(eps_max) if eps_max < eps => Err((
+            "eps_max".to_string(),
+            format!("has no effect below eps ({eps}) — the ceiling is raised to eps"),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// A PCC variant: [`PCC_SCHEMA`] and the ε-ceiling check around `build`.
+const fn variant(
+    name: &'static str,
+    build: fn(&CcParams) -> Box<dyn CongestionControl>,
+) -> Algorithm {
+    Algorithm {
+        name,
+        schema: PCC_SCHEMA,
+        check: Some(eps_max_not_below_eps),
+        build,
+    }
+}
+
+/// The PCC×utility family:
 ///
 /// * `pcc` — the §2.2 safe sigmoid objective (the default everywhere);
 /// * `pcc-simple` — the naive `T − x·L` starting point;
@@ -148,53 +176,32 @@ pub fn controller_from_params(params: &CcParams, default_util: &str) -> PccContr
 /// parameterized specs (`"pcc:eps=0.05,util=latency"`,
 /// `"pcc-latency:tm=1"`), plus a cross-key check that rejects an
 /// escalation ceiling below ε (`"pcc:eps=0.2,eps_max=0.1"` is a typed
-/// error, not a silent no-op). Idempotent.
-pub fn register_algorithms() {
-    for (name, util) in [
-        ("pcc", "safe"),
-        ("pcc-simple", "simple"),
-        ("pcc-lossresilient", "lossresilient"),
-        ("pcc-latency", "latency"),
-    ] {
-        registry::register(
-            name,
-            PCC_SCHEMA,
-            Some(Box::new(|bag| {
-                // An escalation ceiling below ε would be silently raised
-                // back to ε — reject it instead, like any other
-                // parameter that cannot take effect. (ε *above* the
-                // default ceiling raises the ceiling deliberately, so a
-                // lone `eps=0.2` stays valid.)
-                let eps = bag.f64("eps").unwrap_or(PccConfig::paper().eps_min);
-                if let Some(eps_max) = bag.f64("eps_max") {
-                    if eps_max < eps {
-                        return Err((
-                            "eps_max".to_string(),
-                            format!(
-                                "has no effect below eps ({eps}) — the ceiling is raised to eps"
-                            ),
-                        ));
-                    }
-                }
-                Ok(())
-            })),
-            Box::new(move |p| Box::new(controller_from_params(p, util))),
-        );
-    }
-}
+/// error, not a silent no-op).
+pub const ALGORITHMS: &[Algorithm] = &[
+    variant("pcc", |p| Box::new(controller_from_params(p, "safe"))),
+    variant("pcc-simple", |p| {
+        Box::new(controller_from_params(p, "simple"))
+    }),
+    variant("pcc-lossresilient", |p| {
+        Box::new(controller_from_params(p, "lossresilient"))
+    }),
+    variant("pcc-latency", |p| {
+        Box::new(controller_from_params(p, "latency"))
+    }),
+];
 
 #[cfg(test)]
 mod registry_tests {
     use super::*;
     use pcc_simnet::time::SimDuration;
-    use pcc_transport::spec;
+    use pcc_transport::{registry, spec};
 
     #[test]
-    fn pcc_family_registers() {
-        register_algorithms();
+    fn the_table_holds_the_pcc_family() {
         let params = CcParams::default();
         for name in ["pcc", "pcc-simple", "pcc-lossresilient", "pcc-latency"] {
-            let cc = registry::by_name(name, &params).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let cc = registry::by_name(&[ALGORITHMS], name, &params)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(cc.name(), "pcc");
         }
     }
@@ -233,10 +240,9 @@ mod registry_tests {
 
     #[test]
     fn registry_rejects_bad_pcc_specs_with_typed_errors() {
-        register_algorithms();
         let params = CcParams::default();
         for spec_str in ["pcc:eps=0.9", "pcc:util=fastest", "pcc:nope=1"] {
-            let err = match registry::by_name(spec_str, &params) {
+            let err = match registry::by_name(&[ALGORITHMS], spec_str, &params) {
                 Ok(_) => panic!("{spec_str} must fail"),
                 Err(e) => e,
             };
@@ -244,12 +250,11 @@ mod registry_tests {
             assert!(msg.contains("eps=<"), "{spec_str}: lists keys: {msg}");
         }
         // And a valid spec constructs.
-        assert!(registry::by_name("pcc:eps=0.05,util=latency", &params).is_ok());
+        assert!(registry::by_name(&[ALGORITHMS], "pcc:eps=0.05,util=latency", &params).is_ok());
     }
 
     #[test]
     fn removed_keys_are_typed_errors_listing_the_surviving_ones() {
-        register_algorithms();
         let params = CcParams::default();
         for gone in [
             "pcc:slack=4",
@@ -258,7 +263,7 @@ mod registry_tests {
             "pcc-latency:slope_penalty=5",
             "pcc-simple:cutoff=0.2",
         ] {
-            let err = match registry::by_name(gone, &params) {
+            let err = match registry::by_name(&[ALGORITHMS], gone, &params) {
                 Ok(_) => panic!("{gone} must fail"),
                 Err(registry::SpecError::InvalidParam(e)) => e,
                 Err(e) => panic!("{gone}: expected InvalidParam, got {e}"),
@@ -271,17 +276,16 @@ mod registry_tests {
                 .collect();
             assert_eq!(keys, ["eps", "eps_max", "tm", "rct", "util"], "{gone}");
         }
-        assert!(registry::by_name("pcc:util=latency-gradient", &params).is_err());
+        assert!(registry::by_name(&[ALGORITHMS], "pcc:util=latency-gradient", &params).is_err());
     }
 
     #[test]
     fn eps_max_below_eps_is_rejected_not_silently_raised() {
-        register_algorithms();
         let params = CcParams::default();
         // An explicit ceiling below ε (spec-set or the 0.01 default)
         // would be silently raised back to ε — typed error instead.
         for bad in ["pcc:eps_max=0.001", "pcc:eps=0.2,eps_max=0.1"] {
-            let err = match registry::by_name(bad, &params) {
+            let err = match registry::by_name(&[ALGORITHMS], bad, &params) {
                 Ok(_) => panic!("{bad} must fail"),
                 Err(e) => e,
             };
@@ -294,7 +298,10 @@ mod registry_tests {
             "pcc:eps_max=0.2",
             "pcc:eps=0.2",
         ] {
-            assert!(registry::by_name(good, &params).is_ok(), "{good}");
+            assert!(
+                registry::by_name(&[ALGORITHMS], good, &params).is_ok(),
+                "{good}"
+            );
         }
     }
 }

@@ -123,6 +123,16 @@ pub fn sigmoid(alpha: f64, y: f64) -> f64 {
     1.0 / (1.0 + z.exp())
 }
 
+/// Sigmoid steepness α of [`SafeSigmoid`] and [`LatencySensitive`]
+/// (paper: α = 100 for up to ~46 senders).
+pub const SIGMOID_ALPHA: f64 = 100.0;
+
+/// Loss knee of [`SafeSigmoid`] and [`LatencySensitive`] (paper: 5%).
+pub const LOSS_CUTOFF: f64 = 0.05;
+
+/// RTT-slope penalty coefficient β of [`LatencySensitive`] (Vivace's `b`).
+pub const SLOPE_PENALTY: f64 = 25.0;
+
 /// §2.2 "safe" utility:
 /// `u(x) = T·Sigmoid_α(L − 0.05) − x·L` (rates in Mbit/s).
 ///
@@ -131,22 +141,8 @@ pub fn sigmoid(alpha: f64, y: f64) -> f64 {
 /// `−x·L` term dominates, capping aggregate loss near 5% (Theorem 1 makes
 /// this precise: with α ≥ max(2.2(n−1), 100) the unique equilibrium is fair
 /// and total rate stays within (C, 20C/19)).
-#[derive(Clone, Copy, Debug)]
-pub struct SafeSigmoid {
-    /// Sigmoid steepness (paper: α = 100 for up to ~46 senders).
-    pub alpha: f64,
-    /// Loss knee (paper: 5%).
-    pub loss_cutoff: f64,
-}
-
-impl Default for SafeSigmoid {
-    fn default() -> Self {
-        SafeSigmoid {
-            alpha: 100.0,
-            loss_cutoff: 0.05,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SafeSigmoid;
 
 impl UtilityFunction for SafeSigmoid {
     fn name(&self) -> &'static str {
@@ -157,7 +153,7 @@ impl UtilityFunction for SafeSigmoid {
         let x = m.x_mbps();
         let t = m.t_mbps();
         let l = m.loss_rate;
-        t * sigmoid(self.alpha, l - self.loss_cutoff) - x * l
+        t * sigmoid(SIGMOID_ALPHA, l - LOSS_CUTOFF) - x * l
     }
 }
 
@@ -218,25 +214,8 @@ impl UtilityFunction for LossResilient {
 /// With this utility PCC holds its rate just below the fair share with an
 /// empty queue, reproducing Fig. 17's observation that CoDel never sees a
 /// queue worth dropping from.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencySensitive {
-    /// Sigmoid steepness.
-    pub alpha: f64,
-    /// Loss knee.
-    pub loss_cutoff: f64,
-    /// RTT-slope penalty coefficient β (Vivace's `b`).
-    pub slope_penalty: f64,
-}
-
-impl Default for LatencySensitive {
-    fn default() -> Self {
-        LatencySensitive {
-            alpha: 100.0,
-            loss_cutoff: 0.05,
-            slope_penalty: 25.0,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LatencySensitive;
 
 impl UtilityFunction for LatencySensitive {
     fn name(&self) -> &'static str {
@@ -249,8 +228,8 @@ impl UtilityFunction for LatencySensitive {
         let x = m.x_mbps();
         let t = m.t_mbps();
         let l = m.loss_rate;
-        let slope_pen = self.slope_penalty * x * m.rtt_slope.max(0.0);
-        (t * sigmoid(self.alpha, l - self.loss_cutoff) * (rtt_min / rtt_n) - x * l - slope_pen)
+        let slope_pen = SLOPE_PENALTY * x * m.rtt_slope.max(0.0);
+        (t * sigmoid(SIGMOID_ALPHA, l - LOSS_CUTOFF) * (rtt_min / rtt_n) - x * l - slope_pen)
             / rtt_n
     }
 }
@@ -321,7 +300,7 @@ mod tests {
 
     #[test]
     fn safe_utility_rewards_rate_without_loss() {
-        let u = SafeSigmoid::default();
+        let u = SafeSigmoid;
         let lo = u.utility(&metrics(50.0, 50.0, 0.0));
         let hi = u.utility(&metrics(100.0, 100.0, 0.0));
         assert!(hi > lo, "no loss: more throughput is better");
@@ -333,7 +312,7 @@ mod tests {
     fn safe_utility_peaks_at_capacity() {
         // Single sender on C = 100 Mbps: u(x) for x <= C is ~x; for x > C,
         // T = C and L = (x - C)/x. The peak must sit at x = C.
-        let u = SafeSigmoid::default();
+        let u = SafeSigmoid;
         let capacity = 100.0;
         let eval = |x: f64| {
             let (t, l) = if x <= capacity {
@@ -353,7 +332,7 @@ mod tests {
     fn safe_utility_ignores_moderate_random_loss() {
         // Random (non-congestion) loss below the knee: higher rate still
         // wins — the architectural point of §2.1's example.
-        let u = SafeSigmoid::default();
+        let u = SafeSigmoid;
         let l = 0.01;
         let lo = u.utility(&metrics(100.0, 100.0 * (1.0 - l), l));
         let hi = u.utility(&metrics(105.0, 105.0 * (1.0 - l), l));
@@ -362,7 +341,7 @@ mod tests {
 
     #[test]
     fn safe_utility_negative_past_cutoff() {
-        let u = SafeSigmoid::default();
+        let u = SafeSigmoid;
         let m = metrics(100.0, 90.0, 0.10);
         assert!(u.utility(&m) < 0.0, "10% loss ⇒ negative utility");
     }
@@ -376,13 +355,13 @@ mod tests {
         let lo = u.utility(&metrics(50.0, 25.0, l));
         let hi = u.utility(&metrics(100.0, 50.0, l));
         assert!(hi > lo);
-        let safe = SafeSigmoid::default();
+        let safe = SafeSigmoid;
         assert!(safe.utility(&metrics(100.0, 50.0, l)) < 0.0);
     }
 
     #[test]
     fn latency_sensitive_penalizes_standing_queue() {
-        let u = LatencySensitive::default();
+        let u = LatencySensitive;
         let mut empty = metrics(40.0, 40.0, 0.0);
         empty.avg_rtt = SimDuration::from_millis(20);
         empty.min_rtt = SimDuration::from_millis(20);
@@ -428,10 +407,10 @@ mod proptests {
             let m1 = metrics(x, t1, l);
             let m2 = metrics(x, t1 + dt, l);
             let funcs: Vec<Box<dyn UtilityFunction>> = vec![
-                Box::new(SafeSigmoid::default()),
+                Box::new(SafeSigmoid),
                 Box::new(SimpleThroughputLoss),
                 Box::new(LossResilient),
-                Box::new(LatencySensitive::default()),
+                Box::new(LatencySensitive),
             ];
             for f in &funcs {
                 prop_assert!(f.utility(&m2) >= f.utility(&m1),
@@ -447,10 +426,10 @@ mod proptests {
             let m1 = metrics(x, t, l1);
             let m2 = metrics(x, t, (l1 + dl).min(1.0));
             let funcs: Vec<Box<dyn UtilityFunction>> = vec![
-                Box::new(SafeSigmoid::default()),
+                Box::new(SafeSigmoid),
                 Box::new(SimpleThroughputLoss),
                 Box::new(LossResilient),
-                Box::new(LatencySensitive::default()),
+                Box::new(LatencySensitive),
             ];
             for f in &funcs {
                 prop_assert!(f.utility(&m2) <= f.utility(&m1),

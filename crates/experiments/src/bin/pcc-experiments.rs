@@ -119,12 +119,13 @@ fn run() -> ExitCode {
             ExitCode::SUCCESS
         }
         "algos" => {
-            pcc_scenarios::install_registry();
+            use pcc_scenarios::ALGORITHMS;
+            use pcc_transport::registry::{names, schema_of};
             println!("registered congestion-control algorithms (datapath-agnostic);");
             println!("parameterize with name:key=val,... :");
-            for name in pcc_transport::registry::names() {
+            for name in names(ALGORITHMS) {
                 println!("  {name}");
-                for p in pcc_transport::registry::schema_of(&name).unwrap_or(&[]) {
+                for p in schema_of(ALGORITHMS, name).unwrap_or(&[]) {
                     println!("      {}=<{}>  {}", p.key, p.kind.describe(), p.doc);
                 }
             }

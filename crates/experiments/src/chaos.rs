@@ -17,7 +17,7 @@
 //! ```
 
 use pcc_scenarios::chaos::{run_chaos, ChaosOutcome, ChaosScript};
-use pcc_scenarios::{install_registry, Protocol};
+use pcc_scenarios::{Protocol, ALGORITHMS};
 use pcc_transport::registry;
 
 use crate::{fmt, runner, Opts, Table};
@@ -41,11 +41,13 @@ fn row(algo: &str, o: &ChaosOutcome) -> Vec<String> {
 }
 
 /// Run the battery for `specs` (registry names or parameterized specs;
-/// empty = every registered algorithm). One table per script.
+/// empty = every algorithm in [`ALGORITHMS`]). One table per script.
 pub fn run_specs(opts: &Opts, specs: &[String]) -> Vec<Table> {
-    install_registry();
     let algos: Vec<String> = if specs.is_empty() {
-        registry::names()
+        registry::names(ALGORITHMS)
+            .into_iter()
+            .map(String::from)
+            .collect()
     } else {
         specs.to_vec()
     };

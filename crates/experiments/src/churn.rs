@@ -18,7 +18,7 @@
 //! ```
 
 use pcc_scenarios::workload::{builtin_names, run_churn, Arrival, ChurnReport, SizeCdf};
-use pcc_scenarios::{install_registry, ChurnConfig, LinkSetup, Protocol};
+use pcc_scenarios::{ChurnConfig, LinkSetup, Protocol};
 use pcc_simnet::time::SimDuration;
 
 use crate::{fmt, runner, scaled, Opts, Table};
@@ -57,7 +57,6 @@ fn pct(count: usize, ms: f64) -> String {
 /// Run the churn battery with `flows` flows per cell. One FCT table per
 /// workload plus an engine-accounting table.
 pub fn run_flows(opts: &Opts, flows: u64) -> Vec<Table> {
-    install_registry();
     let workloads = builtin_names();
     let protos = protocols();
     let grid: Vec<Vec<ChurnReport>> =

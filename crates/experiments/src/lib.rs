@@ -196,7 +196,6 @@ mod tests {
         use pcc_simnet::time::SimDuration;
         use pcc_transport::registry::{self, CcParams};
 
-        pcc_scenarios::install_registry();
         let mut all = vec![
             Protocol::pcc_default(SimDuration::from_millis(30)),
             pcc_interactive(),
@@ -219,7 +218,8 @@ mod tests {
         all.extend(dc::protocols());
         all.extend(churn::protocols());
         for p in all {
-            let built = registry::by_name(p.label(), &CcParams::default());
+            let built =
+                registry::by_name(pcc_scenarios::ALGORITHMS, p.label(), &CcParams::default());
             assert!(built.is_ok(), "`{}`: {:?}", p.label(), built.err());
         }
     }

@@ -16,7 +16,7 @@
 //! builds its PCC sweep points through [`expand`] as well, so the figure
 //! and the CLI share one expansion path.
 
-use pcc_scenarios::{install_registry, run_single, LinkSetup, Protocol};
+use pcc_scenarios::{run_single, LinkSetup, Protocol, ALGORITHMS};
 use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_transport::registry::{self, CcParams};
 use pcc_transport::spec::AlgoSpec;
@@ -27,6 +27,9 @@ use crate::{fmt, runner, Opts, Table};
 /// bound far above any real sweep still stops `--points` from asking
 /// for more specs than memory holds.
 const MAX_SPECS: usize = 10_000;
+
+/// Simulated seconds [`run_specs`] discards before it averages throughput.
+const WARMUP_SECS: u64 = 1;
 
 /// The linspace range `lo..hi` of a value expression, if it is one.
 fn range(value: &str) -> Option<(f64, f64)> {
@@ -112,9 +115,8 @@ pub fn expand(template: &str, points: usize) -> Result<Vec<String>, String> {
 /// Validate that every spec resolves (schema included) before any
 /// simulation time is spent; returns the registry's typed error text.
 pub fn validate_specs(specs: &[String]) -> Result<(), String> {
-    install_registry();
     for spec in specs {
-        registry::by_name(spec, &CcParams::default()).map_err(|e| e.to_string())?;
+        registry::by_name(ALGORITHMS, spec, &CcParams::default()).map_err(|e| e.to_string())?;
     }
     Ok(())
 }
@@ -139,7 +141,8 @@ pub fn run_specs(opts: &Opts, specs: &[String], secs: u64) -> Table {
                     SimDuration::from_secs(secs),
                     seed,
                 );
-                let tput = r.throughput_in(0, SimTime::from_secs(1), SimTime::from_secs(secs));
+                let warm = SimTime::from_secs(WARMUP_SECS);
+                let tput = r.throughput_in(0, warm, SimTime::from_secs(secs));
                 (tput, r.loss_rate(0), r.mean_rtt_ms(0))
             })
         })
@@ -153,7 +156,9 @@ pub fn run_specs(opts: &Opts, specs: &[String], secs: u64) -> Table {
 
 /// The `pcc-experiments sweep` entry point: expand every template, bail
 /// early (with the registry's typed error) on anything that does not
-/// validate, then measure and print.
+/// validate, then measure and print. A `secs` that ends at or before the
+/// warm-up leaves no window to average throughput over, so it is a usage
+/// error too.
 pub fn run_cli(
     opts: &Opts,
     templates: &[String],
@@ -165,6 +170,13 @@ pub fn run_cli(
             "sweep needs at least one template, e.g. `sweep \"pcc:eps=0.01..0.1\" --points 3`"
                 .to_string(),
         );
+    }
+    if secs <= WARMUP_SECS {
+        return Err(format!(
+            "usage: --secs {secs} leaves no measured window: sweep discards the first \
+             {WARMUP_SECS} s, so it needs --secs {} or more",
+            WARMUP_SECS + 1
+        ));
     }
     let mut specs = Vec::new();
     for template in templates {
@@ -253,9 +265,24 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_shorter_than_its_warm_up_is_a_usage_error() {
+        // `--secs 1` once printed `tput_mbps` 0 for every spec beside a
+        // non-zero loss rate and RTT: the throughput window was empty.
+        for secs in [0, 1] {
+            let err = run_cli(&Opts::default(), &["cubic".to_string()], 3, secs)
+                .expect_err("no measured window");
+            assert!(
+                err.starts_with("usage: ") && err.contains("--secs 2"),
+                "{err}"
+            );
+            assert!(!err.contains('\n'), "one line: {err:?}");
+        }
+    }
+
+    #[test]
     fn bad_templates_are_errors_not_panics() {
         assert!(expand("pcc:eps", 3).is_err());
-        let err = run_cli(&Opts::default(), &[], 3, 1).expect_err("no templates");
+        let err = run_cli(&Opts::default(), &[], 3, 4).expect_err("no templates");
         assert!(err.contains("sweep needs"), "{err}");
     }
 }

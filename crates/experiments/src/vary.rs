@@ -18,7 +18,7 @@
 //! ```
 
 use pcc_scenarios::vary::run_trace;
-use pcc_scenarios::{install_registry, Protocol};
+use pcc_scenarios::{Protocol, ALGORITHMS};
 use pcc_simnet::shaper::ShaperConfig;
 use pcc_simnet::time::SimDuration;
 use pcc_simnet::trace::{builtin_names, LinkTrace};
@@ -39,7 +39,6 @@ pub fn run(opts: &Opts) -> Vec<Table> {
 /// (`0` = scaled default: 30 s, `--full` 300 s). Unknown trace names are
 /// a readable error listing the bundled ones, never a panic.
 pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table>, String> {
-    install_registry();
     let secs = if secs == 0 {
         scaled(opts, 30, 300)
     } else {
@@ -56,12 +55,12 @@ pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table
         })?;
         loaded.push(trace);
     }
-    let algos = registry::names();
+    let algos = registry::names(ALGORITHMS);
     // One flat batch: every (trace × algorithm) cell is independent, so a
     // slow cell on one trace never serializes another trace's sweep.
     let grid = runner::run_grid(opts, "vary", &loaded, &algos, |trace, algo| {
         let shaper = ShaperConfig::default();
-        let r = run_trace(Protocol::named(algo), trace, dur, opts.seed, shaper);
+        let r = run_trace(Protocol::Tcp(algo), trace, dur, opts.seed, shaper);
         let achieved = r.throughput_mbps(0);
         // Utilization: the fraction of the trace's deliverable capacity
         // achieved (`0..≈1`).
@@ -89,7 +88,7 @@ pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table
         );
         for (algo, &(ach, util, loss, rtt)) in algos.iter().zip(cells) {
             table.row(vec![
-                algo.clone(),
+                algo.to_string(),
                 fmt(ach),
                 fmt(cap),
                 format!("{util:.3}"),
@@ -103,7 +102,7 @@ pub fn run_traces(opts: &Opts, traces: &[String], secs: u64) -> Result<Vec<Table
     // The headline consistency ratio, when both contenders are in view.
     for (trace, cells) in loaded.iter().zip(&grid) {
         let util_of = |name: &str| -> Option<f64> {
-            algos.iter().position(|a| a == name).map(|a| cells[a].1)
+            algos.iter().position(|a| *a == name).map(|a| cells[a].1)
         };
         if let (Some(pcc), Some(cubic)) = (util_of("pcc"), util_of("cubic")) {
             println!(
@@ -146,15 +145,14 @@ mod tests {
     }
 
     #[test]
-    fn one_trace_tabulates_every_registered_algorithm() {
-        install_registry();
+    fn one_trace_tabulates_every_algorithm() {
         let opts = Opts {
             out_dir: std::env::temp_dir().join("pcc_vary_unit"),
             ..Opts::default()
         };
         let tables = run_traces(&opts, &["wifi".to_string()], 2).expect("runs");
         assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].len(), registry::names().len());
+        assert_eq!(tables[0].len(), registry::names(ALGORITHMS).len());
         let rendered = tables[0].render();
         assert!(rendered.contains("pcc"), "{rendered}");
         assert!(rendered.contains("cubic"), "{rendered}");

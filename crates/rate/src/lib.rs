@@ -13,8 +13,8 @@
 //!
 //! Simplifications relative to the original codebases are documented on
 //! each type; both preserve the control laws the paper's comparison is
-//! about. [`register_algorithms`] installs them as `sabul` and `pcp` in
-//! the workspace-wide [`pcc_transport::registry`]. Both take per-ACK
+//! about. [`ALGORITHMS`] lists them as `sabul` and `pcp`
+//! [`pcc_transport::registry`] entries. Both take per-ACK
 //! events by preference and implement `on_report` too, so a host may batch
 //! them.
 
@@ -24,36 +24,48 @@ mod sabul;
 pub use pcp::Pcp;
 pub use sabul::Sabul;
 
-use pcc_transport::registry;
+use pcc_transport::registry::Algorithm;
 
-/// Register `sabul` and `pcp` in the workspace-wide
-/// [`pcc_transport::registry`]. Neither takes spec keys: both run at the
-/// constants the paper's comparison used. Idempotent.
-pub fn register_algorithms() {
-    registry::register("sabul", &[], None, Box::new(|_| Box::new(Sabul::new())));
-    registry::register("pcp", &[], None, Box::new(|_| Box::new(Pcp::new())));
-}
+/// `sabul` and `pcp`. Neither takes spec keys: both run at the constants
+/// the paper's comparison used.
+pub const ALGORITHMS: &[Algorithm] = &[
+    Algorithm {
+        name: "sabul",
+        schema: &[],
+        check: None,
+        build: |_| Box::new(Sabul::new()),
+    },
+    Algorithm {
+        name: "pcp",
+        schema: &[],
+        check: None,
+        build: |_| Box::new(Pcp::new()),
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcc_transport::registry::{CcParams, SpecError};
+    use pcc_transport::registry::{self, CcParams, SpecError};
 
     #[test]
-    fn baselines_register() {
-        register_algorithms();
+    fn the_table_holds_both_baselines() {
         let params = CcParams::default();
         assert_eq!(
-            registry::by_name("sabul", &params).expect("sabul").name(),
+            registry::by_name(&[ALGORITHMS], "sabul", &params)
+                .expect("sabul")
+                .name(),
             "sabul"
         );
         assert_eq!(
-            registry::by_name("pcp", &params).expect("pcp").name(),
+            registry::by_name(&[ALGORITHMS], "pcp", &params)
+                .expect("pcp")
+                .name(),
             "pcp"
         );
         assert!(
             matches!(
-                registry::by_name("rate-then-window", &params),
+                registry::by_name(&[ALGORITHMS], "rate-then-window", &params),
                 Err(SpecError::Unknown(_))
             ),
             "the mode switcher is no longer registered"
@@ -62,7 +74,6 @@ mod tests {
 
     #[test]
     fn removed_keys_are_typed_errors() {
-        register_algorithms();
         let params = CcParams::default();
         for gone in [
             "sabul:syn_ms=20",
@@ -72,7 +83,7 @@ mod tests {
             "pcp:poll_ms=50",
             "pcp:rate0_mbps=2",
         ] {
-            let err = match registry::by_name(gone, &params) {
+            let err = match registry::by_name(&[ALGORITHMS], gone, &params) {
                 Ok(_) => panic!("{gone} must fail"),
                 Err(SpecError::InvalidParam(e)) => e,
                 Err(e) => panic!("{gone}: expected InvalidParam, got {e}"),

@@ -46,7 +46,7 @@ pub mod setup;
 pub mod vary;
 pub mod workload;
 
-pub use protocol::{install_registry, Protocol};
+pub use protocol::{install_registry, Protocol, ALGORITHMS};
 pub use scenario::{Arrivals, Churn, Flow, Scenario, ScenarioRun};
 pub use setup::{dumbbell, run_dumbbell, run_single, FlowPlan, LinkSetup, QueueKind};
 pub use workload::{

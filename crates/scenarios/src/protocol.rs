@@ -1,8 +1,9 @@
 //! Protocol factory: build any evaluated sender by description.
 //!
 //! A [`Protocol`] is a [`pcc_transport::registry`] spec and nothing else:
-//! [`Protocol::build_cc`] is `registry::by_name(spec, params)` (after
-//! [`install_registry`]), [`Protocol::label`] is the spec, and every
+//! [`Protocol::build_cc`] is `registry::by_name(ALGORITHMS, spec, params)`
+//! over the workspace's one list, [`ALGORITHMS`]; [`Protocol::label`] is
+//! the spec, and every
 //! sender is the same engine — [`CcSender`] — hosting whatever
 //! [`pcc_transport::CongestionControl`] the spec names. Specs may carry
 //! parameters (`"pcc:eps=0.05,util=latency"`, `"cubic:paced=true"` — see
@@ -10,11 +11,9 @@
 //! by string. Unknown names and invalid parameters are a typed
 //! [`SpecError`], never a panic.
 
-use std::sync::Once;
-
 use pcc_simnet::endpoint::Endpoint;
 use pcc_simnet::time::SimDuration;
-use pcc_transport::registry::{self, CcParams, SpecError};
+use pcc_transport::registry::{self, Algorithm, CcParams, SpecError};
 use pcc_transport::{
     CcSender, CcSenderConfig, CongestionControl, FlowSize, ReportMode, TransportConfig,
 };
@@ -22,24 +21,24 @@ use pcc_transport::{
 /// Segment size of every sender [`Protocol::build_sender`] builds.
 pub const MSS: u32 = 1500;
 
-/// Install every algorithm in the workspace — the PCC×utility family from
-/// `pcc-core`, the seven TCP baselines (each with a `paced` key) from
-/// `pcc-tcp`, SABUL/PCP from `pcc-rate`, and the BBR-style hybrid from
-/// `pcc-bbr` — into the [`pcc_transport::registry`]. Idempotent and
-/// cheap; called automatically by [`Protocol::build_sender`]. This is the
-/// workspace's one registration list (`pcc::install_registry` re-exports
-/// it; `pcc-udp` names no algorithm and resolves against whatever the
-/// process registered), so a new algorithm crate is added here and
-/// nowhere else.
-pub fn install_registry() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        pcc_core::register_algorithms();
-        pcc_tcp::register_algorithms();
-        pcc_rate::register_algorithms();
-        pcc_bbr::register_algorithms();
-    });
-}
+/// Every algorithm in the workspace, one table per crate: the PCC×utility
+/// family from `pcc-core`, the seven TCP baselines (each with a `paced`
+/// key) from `pcc-tcp`, SABUL/PCP from `pcc-rate`, and the BBR-style
+/// hybrid from `pcc-bbr`. This is the workspace's one list
+/// (`pcc::ALGORITHMS` re-exports it; `pcc-udp` names no algorithm and
+/// resolves against the tables its caller passes), so a new algorithm
+/// crate is added here and nowhere else.
+pub const ALGORITHMS: &[&[Algorithm]] = &[
+    pcc_core::ALGORITHMS,
+    pcc_tcp::ALGORITHMS,
+    pcc_rate::ALGORITHMS,
+    pcc_bbr::ALGORITHMS,
+];
+
+/// Does nothing: [`ALGORITHMS`] is compile-time data. Kept only because
+/// the benchmark package, which compiles against this crate's public
+/// surface, still calls it.
+pub fn install_registry() {}
 
 /// A protocol under evaluation: a registry spec — a bare name (`"pcc"`,
 /// `"cubic"`) or a parameterized one (`"pcc:rct=false"`,
@@ -81,8 +80,7 @@ impl Protocol {
     /// hint PCC's starting rate and a paced TCP's initial pacing rate
     /// derive from.
     pub fn build_cc(&self, params: &CcParams) -> Result<Box<dyn CongestionControl>, SpecError> {
-        install_registry();
-        registry::by_name(self.label(), params)
+        registry::by_name(ALGORITHMS, self.label(), params)
     }
 
     /// Build the sender endpoint for a flow of `size` (use
@@ -153,10 +151,7 @@ mod tests {
             Err(other) => panic!("expected Unknown, got {other}"),
         };
         assert_eq!(err.name, "tahoe");
-        assert!(
-            err.known.contains(&"cubic".to_string()),
-            "lists known: {err}"
-        );
+        assert!(err.known.contains(&"cubic"), "lists known: {err}");
     }
 
     #[test]
@@ -182,8 +177,8 @@ mod tests {
     }
 
     #[test]
-    fn bbr_resolves_through_the_registry() {
-        // The hybrid is a first-class registry citizen: scenario builders
+    fn bbr_resolves_through_the_table() {
+        // The hybrid is a first-class table entry: scenario builders
         // pick it up by name with zero per-harness code.
         let p = Protocol::Named("bbr".into());
         assert_eq!(p.label(), "bbr");
@@ -191,10 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn every_registered_name_builds_a_sender() {
-        install_registry();
-        for name in registry::names() {
-            let p = Protocol::Named(name.clone());
+    fn every_name_builds_a_sender() {
+        for name in registry::names(ALGORITHMS) {
+            let p = Protocol::Tcp(name);
             assert!(build(&p).is_ok(), "{name} builds");
         }
     }

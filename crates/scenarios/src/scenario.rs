@@ -154,7 +154,7 @@ impl Scenario {
     /// Wire the simulation and run it until `horizon`.
     ///
     /// # Panics
-    /// If a flow names an algorithm the registry cannot build.
+    /// If a flow names an algorithm [`crate::ALGORITHMS`] cannot build.
     pub fn run(self, horizon: SimTime) -> ScenarioRun {
         let Scenario {
             mut topology,
@@ -251,10 +251,6 @@ impl ChurnDriver for ChurnAdapter {
 mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent};
-    use pcc_transport::{registry, MeasurementReport};
 
     use super::*;
     use crate::protocol::MSS;
@@ -286,68 +282,45 @@ mod tests {
         );
     }
 
-    /// Reports delivered to [`ReportsOnly`] across the process.
-    static REPORTS: AtomicU64 = AtomicU64::new(0);
+    /// What a retired flow did: stalled, completion time, delivered
+    /// bytes, sent packets.
+    type Retired = (bool, Option<SimTime>, u64, u64);
 
-    /// A fixed 2 Mbit/s sender that prefers per-ACK events (the trait
-    /// default) and panics on one: it runs only on a flow whose engine
-    /// was told to batch.
-    struct ReportsOnly;
-
-    impl CongestionControl for ReportsOnly {
-        fn name(&self) -> &'static str {
-            "reports-only"
-        }
-        fn on_start(&mut self, ctx: &mut Ctx) {
-            ctx.set_rate(2e6);
-        }
-        fn on_ack(&mut self, _: &AckEvent, _: &mut Ctx) {
-            panic!("a per-ACK event reached a flow that should batch");
-        }
-        fn on_loss(&mut self, _: &LossEvent, _: &mut Ctx) {
-            panic!("a per-event loss reached a flow that should batch");
-        }
-        fn on_report(&mut self, _: &MeasurementReport, _: &mut Ctx) {
-            REPORTS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// `left` arrivals 100 ms apart, each too large to finish; keeps
-    /// `(stalled, delivered bytes)` of every retired flow.
+    /// `left` arrivals of `bytes` each, 100 ms apart; keeps a [`Retired`]
+    /// for every retired flow.
     struct Spaced {
         left: u64,
         at: SimTime,
-        retired: Rc<RefCell<Vec<(bool, u64)>>>,
+        bytes: u64,
+        retired: Rc<RefCell<Vec<Retired>>>,
     }
 
     impl Arrivals for Spaced {
         fn next_arrival(&mut self) -> Option<(SimTime, u64)> {
             self.left = self.left.checked_sub(1)?;
             self.at += SimDuration::from_millis(100);
-            Some((self.at, 1 << 30))
+            Some((self.at, self.bytes))
         }
 
         fn on_flow_complete(&mut self, _bytes: u64, stats: &FlowStats) {
-            let stalled = stats.stalled.is_some();
-            self.retired
-                .borrow_mut()
-                .push((stalled, stats.delivered_bytes));
+            self.retired.borrow_mut().push((
+                stats.stalled.is_some(),
+                stats.completed_at,
+                stats.delivered_bytes,
+                stats.sent_packets,
+            ));
         }
     }
 
-    #[test]
-    fn every_churn_arrival_is_built_from_the_template_flow() {
-        // Five arrivals in the first half second, then the bottleneck goes
-        // down at 1 s for longer than the run. Each arrival must carry the
-        // template's `report` (else `ReportsOnly` panics on its first ACK)
-        // and its 1 s `dead_time_budget` (else it is still live at the
-        // horizon instead of stalled).
-        registry::register(
-            "test-reports-only",
-            &[],
-            None,
-            Box::new(|_| Box::new(ReportsOnly)),
-        );
+    /// Five `cubic` arrivals of `bytes` in the first half second on a
+    /// 20 Mbit/s dumbbell, built from a template with `report` and
+    /// `dead_time_budget`, under `faults`; run for 10 s.
+    fn five_arrivals(
+        report: Option<ReportMode>,
+        dead_time_budget: Option<SimDuration>,
+        bytes: u64,
+        faults: Option<&str>,
+    ) -> (ChurnStats, Vec<Retired>) {
         let mut db = Dumbbell::graph(LinkConfig::bottleneck(
             20e6,
             SimDuration::from_millis(10),
@@ -355,18 +328,19 @@ mod tests {
         ));
         let dst = db.add_receiver(SimDuration::from_millis(10), 0.0);
         let template = Flow {
-            report: Some(ReportMode::batched_rtt()),
-            dead_time_budget: Some(SimDuration::from_secs(1)),
-            ..Flow::new(db.source(), dst, Protocol::named("test-reports-only"))
+            report,
+            dead_time_budget,
+            ..Flow::new(db.source(), dst, Protocol::Tcp("cubic"))
         };
         let retired = Rc::new(RefCell::new(Vec::new()));
         let arrivals = Spaced {
             left: 5,
             at: SimTime::ZERO,
+            bytes,
             retired: Rc::clone(&retired),
         };
         let run = Scenario {
-            faults: Some(FaultScript::parse("1 down 0 100").expect("script parses")),
+            faults: faults.map(|f| FaultScript::parse(f).expect("script parses")),
             churn: Some(Churn {
                 flow: template,
                 arrivals: Box::new(arrivals),
@@ -374,21 +348,30 @@ mod tests {
             ..Scenario::new(db.into_topology(), 3)
         }
         .run(SimTime::from_secs(10));
-        let c = run.report.churn;
+        (run.report.churn, retired.take())
+    }
+
+    #[test]
+    fn every_churn_arrival_is_built_from_the_template_flow() {
+        // The bottleneck goes down at 1 s for longer than the run, and no
+        // arrival can finish: each must carry the template's 1 s
+        // `dead_time_budget`, else it is still live at the horizon instead
+        // of stalled.
+        let budget = Some(SimDuration::from_secs(1));
+        let (c, retired) = five_arrivals(None, budget, 1 << 30, Some("1 down 0 100"));
         assert_eq!(
             (c.arrivals, c.stalls),
             (5, 5),
             "every arrival stalls: {c:?}"
         );
         assert_eq!((c.completions, c.live_at_end), (0, 0), "{c:?}");
-        let retired = retired.borrow();
         assert_eq!(retired.len(), 5);
-        for &(stalled, delivered) in retired.iter() {
-            assert!(stalled && delivered > 0, "moved data, then stalled");
-        }
-        assert!(
-            REPORTS.load(Ordering::Relaxed) > 0,
-            "reports were delivered"
-        );
+        assert!(retired.iter().all(|r| r.0), "{retired:?}");
+        // Each must carry the template's `report` too, else the batched
+        // run replays the per-ACK one flow for flow.
+        let (c, per_ack) = five_arrivals(None, None, 1 << 20, None);
+        assert_eq!(c.completions, 5, "{c:?}");
+        let (_, batched) = five_arrivals(Some(ReportMode::batched_rtt()), None, 1 << 20, None);
+        assert_ne!(batched, per_ack, "the template's report reached no arrival");
     }
 }

@@ -28,8 +28,8 @@
 //! rate *and* the window, two effects on the unified API rather than an
 //! engine config flag.
 //!
-//! Construction by name goes through the workspace-wide
-//! [`pcc_transport::registry`] after [`register_algorithms`] has run.
+//! [`ALGORITHMS`] lists the seven as [`pcc_transport::registry`] entries,
+//! which construct them by name.
 
 mod bic;
 mod common;
@@ -53,8 +53,7 @@ pub use vegas::Vegas;
 pub use westwood::Westwood;
 pub use window::{Window, WindowAlgo, Windowed};
 
-use pcc_transport::cc::CongestionControl;
-use pcc_transport::registry::{self, CcParams};
+use pcc_transport::registry::Algorithm;
 use pcc_transport::spec::{ParamKind, ParamSpec, Schema};
 
 /// Every baseline's spec parameters: only the pacing switch
@@ -66,65 +65,61 @@ const TCP_SCHEMA: Schema = &[ParamSpec {
     doc: "pace at cwnd·MSS/SRTT; Fig. 9's TCP pacing",
 }];
 
-/// Builds a baseline's window laws.
-type Build = fn() -> Box<dyn WindowAlgo>;
-
-/// Every baseline, in the order used by reports; what
-/// [`register_algorithms`] registers.
-const VARIANTS: &[(&str, Build)] = &[
-    ("newreno", || Box::new(NewReno)),
-    ("cubic", || Box::<Cubic>::default()),
-    ("illinois", || Box::<Illinois>::default()),
-    ("hybla", || Box::<Hybla>::default()),
-    ("vegas", || Box::<Vegas>::default()),
-    ("bic", || Box::<Bic>::default()),
-    ("westwood", || Box::<Westwood>::default()),
-];
-
-/// Build the baseline and adapt it onto [`CongestionControl`], paced when
-/// its spec says `paced=true`.
-fn construct(build: Build, params: &CcParams) -> Box<dyn CongestionControl> {
-    let paced = params.spec.bool("paced").unwrap_or(false);
-    Box::new(Windowed::new(build(), paced, params))
-}
-
-/// Register every TCP baseline with the workspace-wide
-/// [`pcc_transport::registry`], each taking the one `paced` key
-/// (`cubic:paced=true`). Idempotent.
-pub fn register_algorithms() {
-    for &(name, build) in VARIANTS {
-        registry::register(
-            name,
-            TCP_SCHEMA,
-            None,
-            Box::new(move |params| construct(build, params)),
-        );
+/// A baseline's window laws `A`, adapted onto
+/// [`pcc_transport::CongestionControl`] by [`Windowed`], paced when its
+/// spec says `paced=true`.
+const fn tcp<A: WindowAlgo + Default + 'static>(name: &'static str) -> Algorithm {
+    Algorithm {
+        name,
+        schema: TCP_SCHEMA,
+        check: None,
+        build: |params| {
+            let paced = params.spec.bool("paced").unwrap_or(false);
+            Box::new(Windowed::new(Box::<A>::default(), paced, params))
+        },
     }
 }
+
+/// Every baseline, in the order used by reports, each taking the one
+/// `paced` key (`cubic:paced=true`).
+pub const ALGORITHMS: &[Algorithm] = &[
+    tcp::<NewReno>("newreno"),
+    tcp::<Cubic>("cubic"),
+    tcp::<Illinois>("illinois"),
+    tcp::<Hybla>("hybla"),
+    tcp::<Vegas>("vegas"),
+    tcp::<Bic>("bic"),
+    tcp::<Westwood>("westwood"),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn registration_installs_the_seven_baselines_and_nothing_else() {
+    fn the_table_holds_the_seven_baselines_and_nothing_else() {
         use pcc_transport::registry::{by_name, names, SpecError};
 
-        register_algorithms();
         let params = pcc_transport::registry::CcParams::default();
-        let mut expected: Vec<String> = VARIANTS.iter().map(|v| v.0.to_string()).collect();
-        expected.sort();
-        assert_eq!(names(), expected, "one name per baseline");
-        for &(name, ..) in VARIANTS {
+        assert_eq!(
+            names(&[ALGORITHMS]),
+            ["bic", "cubic", "hybla", "illinois", "newreno", "vegas", "westwood"],
+            "one name per baseline"
+        );
+        for name in ALGORITHMS.iter().map(|a| a.name) {
             for spec in [name.to_string(), format!("{name}:paced=true")] {
-                let cc = by_name(&spec, &params).unwrap_or_else(|e| panic!("{spec}: {e}"));
+                let cc = by_name(&[ALGORITHMS], &spec, &params)
+                    .unwrap_or_else(|e| panic!("{spec}: {e}"));
                 assert_eq!(cc.name(), name);
             }
         }
         // Pacing is a key, not a second name; New Reno has one name.
         for gone in ["cubic-paced", "reno"] {
             assert!(
-                matches!(by_name(gone, &params), Err(SpecError::Unknown(_))),
+                matches!(
+                    by_name(&[ALGORITHMS], gone, &params),
+                    Err(SpecError::Unknown(_))
+                ),
                 "{gone} is not registered"
             );
         }
@@ -134,7 +129,6 @@ mod tests {
     fn removed_keys_are_typed_errors_listing_paced() {
         use pcc_transport::registry::{by_name, SpecError};
 
-        register_algorithms();
         let params = pcc_transport::registry::CcParams::default();
         for gone in [
             "newreno:iw=32",
@@ -146,7 +140,7 @@ mod tests {
             "illinois:alpha_max=5",
             "westwood:gain=0.5",
         ] {
-            let err = match by_name(gone, &params) {
+            let err = match by_name(&[ALGORITHMS], gone, &params) {
                 Ok(_) => panic!("{gone} must fail"),
                 Err(SpecError::InvalidParam(e)) => e,
                 Err(e) => panic!("{gone}: expected InvalidParam, got {e}"),

@@ -11,7 +11,7 @@ use pcc_transport::cc::AckEvent;
 use crate::common::{halved, reno_ca, slow_start};
 
 /// New Reno congestion control: no state beyond the window.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct NewReno;
 
 impl WindowAlgo for NewReno {

@@ -515,14 +515,14 @@ mod tests {
             }
         }
 
-        crate::register_algorithms();
         let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(40));
         let mut got = Vec::new();
         for (spec, _) in GOLDEN {
             let mut digest = 0xcbf2_9ce4_8422_2325;
             // Both histories fold into the spec's one digest.
             for long in [true, false] {
-                let cc = registry::by_name(spec, &params).unwrap_or_else(|e| panic!("{spec}: {e}"));
+                let cc = registry::by_name(&[crate::ALGORITHMS], spec, &params)
+                    .unwrap_or_else(|e| panic!("{spec}: {e}"));
                 let mut s = Script {
                     cc,
                     rng: SimRng::new(1),
@@ -585,6 +585,24 @@ mod tests {
         cc.window.ssthresh
     }
 
+    /// Every baseline's laws, in [`crate::ALGORITHMS`] order.
+    const LAWS: [fn() -> Box<dyn WindowAlgo>; 7] = [
+        || Box::new(NewReno),
+        || Box::<crate::Cubic>::default(),
+        || Box::<crate::Illinois>::default(),
+        || Box::<crate::Hybla>::default(),
+        || Box::<crate::Vegas>::default(),
+        || Box::<crate::Bic>::default(),
+        || Box::<crate::Westwood>::default(),
+    ];
+
+    #[test]
+    fn the_laws_list_every_baseline_in_table_order() {
+        let names: Vec<&str> = LAWS.iter().map(|laws| laws().name()).collect();
+        let table: Vec<&str> = crate::ALGORITHMS.iter().map(|a| a.name).collect();
+        assert_eq!(names, table);
+    }
+
     proptest::proptest! {
         /// Whatever the history of ACKs, losses, timeouts and batched
         /// reports, every variant hands the engine a finite window of at
@@ -598,9 +616,9 @@ mod tests {
             use crate::common::MIN_SSTHRESH;
 
             let params = CcParams::default().with_rtt_hint(SimDuration::from_millis(40));
-            for &(_, build) in crate::VARIANTS {
+            for laws in LAWS {
                 for paced in [false, true] {
-                    let mut cc = Windowed::new(build(), paced, &params);
+                    let mut cc = Windowed::new(laws(), paced, &params);
                     let mut rng = SimRng::new(1);
                     let mut fx = Effects::default();
                     let mut now = SimTime::ZERO;

@@ -15,11 +15,12 @@
 //!   algorithm requested (pacing, window clocking with TSO burstiness and
 //!   RTO machinery, or both). Sans-IO: the simulator's event loop and
 //!   `pcc-udp`'s socket loop are two thin drivers around it.
-//! * [`registry`] — datapath-agnostic algorithm registry: construct any
-//!   registered algorithm via [`registry::by_name`], including
-//!   parameterized specs (`"pcc:eps=0.05,util=latency"` — see [`spec`]);
-//!   unknown names and invalid parameters are typed
-//!   [`registry::SpecError`]s, never a panic.
+//! * [`registry`] — the datapath-agnostic [`registry::Algorithm`] entry
+//!   that each algorithm crate lists in a compile-time table: construct
+//!   any algorithm in the tables a caller passes via
+//!   [`registry::by_name`], including parameterized specs
+//!   (`"pcc:eps=0.05,util=latency"` — see [`spec`]); unknown names and
+//!   invalid parameters are typed [`registry::SpecError`]s, never a panic.
 //! * [`sack::Scoreboard`] — per-packet fate tracking with RFC 6675-style
 //!   reordering-threshold loss detection plus timeout detection.
 //! * [`rtt::RttEstimator`] — SRTT/RTTVAR/RTO per RFC 6298.

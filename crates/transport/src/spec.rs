@@ -17,12 +17,11 @@
 //! violations (unknown key, out-of-range or mistyped value) both surface
 //! as a typed [`InvalidParam`] that lists the algorithm's valid keys.
 //!
-//! Each registered algorithm carries a [`Schema`] (see
-//! [`crate::registry::register`]) declaring its keys, their
-//! types/ranges, and one-line docs. Validation happens inside
-//! [`crate::registry::by_name`], so factories receive a pre-validated
-//! [`SpecParams`] bag on [`crate::registry::CcParams`] and never need to
-//! re-check or fail.
+//! Each [`crate::registry::Algorithm`] carries a [`Schema`] declaring
+//! its keys, their types/ranges, and one-line docs. Validation happens
+//! inside [`crate::registry::by_name`], so constructors receive a
+//! pre-validated [`SpecParams`] bag on [`crate::registry::CcParams`] and
+//! never need to re-check or fail.
 
 use std::collections::BTreeMap;
 
@@ -69,15 +68,6 @@ pub struct ParamSpec {
 /// empty schema means the algorithm takes no parameters.
 pub type Schema = &'static [ParamSpec];
 
-/// A cross-key validation hook, run by the registry after every key has
-/// individually validated against the [`Schema`]. Use it for constraints
-/// one key cannot express — e.g. "`eps_max` has no effect below `eps`".
-/// Returns the offending key and the reason; the
-/// registry wraps both into an [`InvalidParam`] that lists the valid
-/// keys, so a parameter that cannot take effect is rejected exactly like
-/// an unknown one.
-pub type SchemaCheck = dyn Fn(&SpecParams) -> Result<(), (String, String)> + Send + Sync;
-
 /// A validated, typed parameter value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ParamValue {
@@ -90,9 +80,9 @@ pub enum ParamValue {
 }
 
 /// The typed key/value bag a validated spec produces, carried to the
-/// algorithm factory on [`crate::registry::CcParams::spec`]. All lookups
+/// algorithm's constructor on [`crate::registry::CcParams::spec`]. All lookups
 /// are by key; values are pre-validated against the algorithm's
-/// [`Schema`], so factories can trust types and ranges.
+/// [`Schema`], so constructors can trust types and ranges.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SpecParams {
     vals: BTreeMap<String, ParamValue>,

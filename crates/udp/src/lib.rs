@@ -12,9 +12,9 @@
 //! enforces whatever the algorithm requests: a pacing rate (PCC, SABUL,
 //! PCP), a congestion window (any TCP baseline), or both (paced TCP).
 //!
-//! Resolve algorithms by name with [`send_named`] (via the workspace
-//! registry, against whatever the process registered — this crate depends
-//! on no algorithm crate; unknown names are a typed error) or hand a
+//! Resolve algorithms by name with [`send_named`] (against the algorithm
+//! tables the caller passes — this crate depends on no algorithm crate;
+//! unknown names are a typed error) or hand a
 //! constructed algorithm to [`send_with`]. Either way the engine feeds it
 //! per-ACK events, batched [`pcc_transport::MeasurementReport`]s when the
 //! algorithm (or a [`UdpSenderConfig::report`] override) opts in, or

@@ -25,7 +25,7 @@ use pcc_simnet::rng::SimRng;
 use pcc_simnet::time::{SimDuration, SimTime};
 use pcc_transport::cc::{CongestionControl, ReportMode};
 use pcc_transport::error::TransferError;
-use pcc_transport::registry::{self, CcParams, SpecError};
+use pcc_transport::registry::{self, Algorithm, CcParams, SpecError};
 use pcc_transport::sender::RATE_MIN_RTO;
 use pcc_transport::{CcSender, CcSenderConfig, FlowSize, TransportConfig};
 
@@ -103,14 +103,12 @@ pub fn wire_mss(cfg: &UdpSenderConfig) -> u32 {
     (cfg.payload + WIRE_OVERHEAD_BYTES) as u32
 }
 
-/// Send with any registered algorithm, resolved by name or parameterized
-/// spec (`"pcc"`, `"cubic:paced=true"`, `"pcc:eps=0.05,util=latency"`, ...) against
-/// whatever the process has registered: this crate names no algorithm and
-/// installs none, so call `pcc::install_registry()` (or
-/// [`registry::register`] your own) first. Unknown names and invalid spec
-/// parameters surface the registry's typed [`SpecError`]; with nothing
-/// registered every name is unknown and the error says the registry is
-/// empty. The algorithm is built with the *wire* MSS
+/// Send with any algorithm in `tables`, resolved by name or parameterized
+/// spec (`"pcc"`, `"cubic:paced=true"`, `"pcc:eps=0.05,util=latency"`, ...):
+/// this crate names no algorithm, so the caller passes the tables
+/// (`pcc::ALGORITHMS` for the workspace's). Unknown names and invalid spec
+/// parameters surface the registry's typed [`SpecError`]. The algorithm
+/// is built with the *wire* MSS
 /// ([`wire_mss`]): PCC's 2·MSS/RTT starting rate and its rate floor are
 /// in units of the packet size, and a controller left at the 1500 B
 /// default overshoots both on a `payload + 40` wire.
@@ -118,13 +116,14 @@ pub fn send_named(
     socket: &UdpSocket,
     peer: SocketAddr,
     cfg: UdpSenderConfig,
+    tables: &[&[Algorithm]],
     name: &str,
     rtt_hint: SimDuration,
 ) -> std::io::Result<Result<SenderReport, SpecError>> {
     let params = CcParams::default()
         .with_mss(wire_mss(&cfg))
         .with_rtt_hint(rtt_hint);
-    match registry::by_name(name, &params) {
+    match registry::by_name(tables, name, &params) {
         Ok(cc) => send_with(socket, peer, cfg, cc).map(Ok),
         Err(e) => Ok(Err(e)),
     }

@@ -10,7 +10,7 @@
 use std::net::UdpSocket;
 use std::thread;
 
-use pcc_scenarios::install_registry;
+use pcc_scenarios::ALGORITHMS;
 use pcc_simnet::time::SimDuration;
 use pcc_udp::{send_named, UdpSenderConfig};
 
@@ -27,7 +27,6 @@ fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
     reason = "this test times a real loopback transfer; wall clock is the thing under test, not a simulation input"
 )]
 fn rto_backoff_limits_blackout_refires_and_recovers() {
-    install_registry();
     // Regression for the datapath's missing RTO backoff: a receiver that
     // goes silent mid-transfer used to re-fire the whole-window loss
     // declaration every *base* RTO (~10 ms on loopback), hammering the
@@ -108,9 +107,16 @@ fn rto_backoff_limits_blackout_refires_and_recovers() {
         ..Default::default()
     };
     let t0 = Instant::now();
-    let report = send_named(&tx_sock, rx_addr, cfg, "cubic", SimDuration::from_millis(2))
-        .expect("io")
-        .expect("cubic is registered");
+    let report = send_named(
+        &tx_sock,
+        rx_addr,
+        cfg,
+        ALGORITHMS,
+        "cubic",
+        SimDuration::from_millis(2),
+    )
+    .expect("io")
+    .expect("cubic is in the table");
     let elapsed = t0.elapsed();
     let (received, dark) = rx.join().expect("join").expect("receive");
 
@@ -165,7 +171,6 @@ fn never_returning_receiver_stalls_within_budget_without_parting_burst() {
     reason = "this test times a real loopback transfer; wall clock is the thing under test, not a simulation input"
 )]
 fn never_returning_receiver_stalls(algo: &str) {
-    install_registry();
     // Graceful-degradation hardening: a receiver that ACKs the start of a
     // transfer and then goes silent *forever* must not be retried on the
     // capped-backoff timer until the heat death of the universe. With a
@@ -247,8 +252,15 @@ fn never_returning_receiver_stalls(algo: &str) {
         ..Default::default()
     };
     let t0 = Instant::now();
-    let err = send_named(&tx_sock, rx_addr, cfg, algo, SimDuration::from_millis(2))
-        .expect_err("a permanently silent receiver must abort the transfer");
+    let err = send_named(
+        &tx_sock,
+        rx_addr,
+        cfg,
+        ALGORITHMS,
+        algo,
+        SimDuration::from_millis(2),
+    )
+    .expect_err("a permanently silent receiver must abort the transfer");
     let aborted_at = Instant::now();
     let elapsed = t0.elapsed();
 

@@ -1,6 +1,6 @@
 //! Loopback integration tests: real datagrams, real clock, and the same
 //! algorithm objects that drive the simulator — both a rate-based one
-//! (PCC) and a window-based one (CUBIC via the registry), proving the
+//! (PCC) and a window-based one (CUBIC resolved by name), proving the
 //! real-UDP datapath is algorithm-agnostic — on per-ACK callbacks and on
 //! forced 1-RTT batched reports, one transfer at a time and several at
 //! once in one process.
@@ -8,7 +8,7 @@
 use std::net::UdpSocket;
 use std::thread;
 
-use pcc_scenarios::install_registry;
+use pcc_scenarios::ALGORITHMS;
 use pcc_simnet::time::SimDuration;
 use pcc_transport::cc::{AckEvent, CongestionControl, Ctx, LossEvent, ReportMode, SentEvent};
 use pcc_transport::receiver::span_rejections;
@@ -25,7 +25,6 @@ fn sockets() -> (UdpSocket, UdpSocket, std::net::SocketAddr) {
 
 #[test]
 fn pcc_transfers_over_loopback() {
-    install_registry();
     let (rx_sock, tx_sock, rx_addr) = sockets();
     let total: u64 = 2 * 1024 * 1024; // 2 MB keeps CI fast
     let rx = thread::spawn(move || receive(&rx_sock, total));
@@ -36,9 +35,16 @@ fn pcc_transfers_over_loopback() {
         seed: 3,
         ..Default::default()
     };
-    let report = send_named(&tx_sock, rx_addr, cfg, "pcc", SimDuration::from_millis(2))
-        .expect("io")
-        .expect("pcc is registered");
+    let report = send_named(
+        &tx_sock,
+        rx_addr,
+        cfg,
+        ALGORITHMS,
+        "pcc",
+        SimDuration::from_millis(2),
+    )
+    .expect("io")
+    .expect("pcc is in the table");
     let rx_report = rx.join().expect("join").expect("receive");
 
     assert!(rx_report.unique_bytes >= total, "all payload arrived");
@@ -52,8 +58,7 @@ fn pcc_transfers_over_loopback() {
 }
 
 #[test]
-fn cubic_transfers_over_loopback_via_registry() {
-    install_registry();
+fn cubic_transfers_over_loopback_by_name() {
     // A *window* algorithm on the real-UDP datapath, resolved by name —
     // impossible in the seed design, where only RateControllers could
     // drive real sockets.
@@ -67,9 +72,16 @@ fn cubic_transfers_over_loopback_via_registry() {
         seed: 7,
         ..Default::default()
     };
-    let report = send_named(&tx_sock, rx_addr, cfg, "cubic", SimDuration::from_millis(2))
-        .expect("io")
-        .expect("cubic is registered");
+    let report = send_named(
+        &tx_sock,
+        rx_addr,
+        cfg,
+        ALGORITHMS,
+        "cubic",
+        SimDuration::from_millis(2),
+    )
+    .expect("io")
+    .expect("cubic is in the table");
     let rx_report = rx.join().expect("join").expect("receive");
 
     assert!(rx_report.unique_bytes >= total, "all payload arrived");
@@ -87,21 +99,27 @@ fn cubic_transfers_over_loopback_via_registry() {
 
 #[test]
 fn unknown_algorithm_is_typed_error_not_panic() {
-    install_registry();
     let (_rx_sock, tx_sock, rx_addr) = sockets();
     let cfg = UdpSenderConfig::default();
-    let err = match send_named(&tx_sock, rx_addr, cfg, "tahoe", SimDuration::from_millis(2))
-        .expect("io ok")
+    let err = match send_named(
+        &tx_sock,
+        rx_addr,
+        cfg,
+        ALGORITHMS,
+        "tahoe",
+        SimDuration::from_millis(2),
+    )
+    .expect("io ok")
     {
-        Ok(_) => panic!("tahoe is not registered"),
+        Ok(_) => panic!("tahoe is in no table"),
         Err(SpecError::Unknown(e)) => e,
         Err(other) => panic!("expected Unknown, got {other}"),
     };
     assert_eq!(err.name, "tahoe");
-    assert!(err.known.contains(&"cubic".to_string()));
+    assert!(err.known.contains(&"cubic"));
     assert!(
-        err.known.contains(&"bbr".to_string()),
-        "the hybrid is a registered real-socket citizen"
+        err.known.contains(&"bbr"),
+        "the hybrid is a real-socket citizen"
     );
 }
 
@@ -135,21 +153,26 @@ fn algorithm_without_operating_point_is_invalid_input_not_panic() {
 fn forcing_send_epochs_is_invalid_input_not_panic() {
     // Send epochs are opened by the algorithm; a host that asks for them
     // gets a typed error before anything is sent.
-    install_registry();
     let (_rx_sock, tx_sock, rx_addr) = sockets();
     let cfg = UdpSenderConfig {
         report: Some(ReportMode::Epochs),
         ..UdpSenderConfig::default()
     };
-    let err = send_named(&tx_sock, rx_addr, cfg, "pcc", SimDuration::from_millis(2))
-        .expect_err("epochs cannot be forced");
+    let err = send_named(
+        &tx_sock,
+        rx_addr,
+        cfg,
+        ALGORITHMS,
+        "pcc",
+        SimDuration::from_millis(2),
+    )
+    .expect_err("epochs cannot be forced");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("cannot be forced"), "{err}");
 }
 
 #[test]
 fn invalid_spec_param_is_typed_error_not_panic() {
-    install_registry();
     // The datapath threads parameterized specs through the registry, so a
     // bad key/value surfaces the schema's typed error (listing valid
     // keys) instead of constructing a mis-tuned controller.
@@ -159,6 +182,7 @@ fn invalid_spec_param_is_typed_error_not_panic() {
         &tx_sock,
         rx_addr,
         cfg,
+        ALGORITHMS,
         "cubic:paced=yes",
         SimDuration::from_millis(2),
     )
@@ -178,7 +202,6 @@ fn invalid_spec_param_is_typed_error_not_panic() {
 
 #[test]
 fn parameterized_specs_transfer_over_loopback() {
-    install_registry();
     // The acceptance surface: `name:key=val` resolves on the *real*
     // datapath too — a paced cubic and a tuned PCC both move real bytes.
     for spec in ["cubic:paced=true", "pcc:eps=0.05"] {
@@ -191,9 +214,16 @@ fn parameterized_specs_transfer_over_loopback() {
             seed: 13,
             ..Default::default()
         };
-        let report = send_named(&tx_sock, rx_addr, cfg, spec, SimDuration::from_millis(2))
-            .expect("io")
-            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let report = send_named(
+            &tx_sock,
+            rx_addr,
+            cfg,
+            ALGORITHMS,
+            spec,
+            SimDuration::from_millis(2),
+        )
+        .expect("io")
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
         let rx_report = rx.join().expect("join").expect("receive");
         assert!(
             rx_report.unique_bytes >= total,
@@ -209,7 +239,6 @@ fn parameterized_specs_transfer_over_loopback() {
 
 #[test]
 fn a_forged_far_ahead_datagram_is_not_counted() {
-    install_registry();
     // A third party injects one data datagram numbered far past anything
     // the sender will reach. The receiver ACKs it to the forger but must
     // neither store it nor count its payload: counted, it would end the
@@ -236,9 +265,16 @@ fn a_forged_far_ahead_datagram_is_not_counted() {
         seed: 17,
         ..Default::default()
     };
-    send_named(&tx_sock, rx_addr, cfg, "cubic", SimDuration::from_millis(2))
-        .expect("io")
-        .expect("cubic is registered");
+    send_named(
+        &tx_sock,
+        rx_addr,
+        cfg,
+        ALGORITHMS,
+        "cubic",
+        SimDuration::from_millis(2),
+    )
+    .expect("io")
+    .expect("cubic is in the table");
     let rx_report = rx.join().expect("join").expect("receive");
     assert_eq!(rx_report.unique_bytes, total, "exactly the payload");
     assert!(
@@ -249,7 +285,6 @@ fn a_forged_far_ahead_datagram_is_not_counted() {
 
 #[test]
 fn bbr_transfers_over_loopback_as_a_hybrid() {
-    install_registry();
     // The first algorithm to drive *both* machineries of the UDP engine
     // at once: a pacing rate and a congestion window, live simultaneously
     // for the whole transfer.
@@ -263,9 +298,16 @@ fn bbr_transfers_over_loopback_as_a_hybrid() {
         seed: 11,
         ..Default::default()
     };
-    let report = send_named(&tx_sock, rx_addr, cfg, "bbr", SimDuration::from_millis(2))
-        .expect("io")
-        .expect("bbr is registered");
+    let report = send_named(
+        &tx_sock,
+        rx_addr,
+        cfg,
+        ALGORITHMS,
+        "bbr",
+        SimDuration::from_millis(2),
+    )
+    .expect("io")
+    .expect("bbr is registered");
     let rx_report = rx.join().expect("join").expect("receive");
 
     assert!(rx_report.unique_bytes >= total, "all payload arrived");
@@ -290,21 +332,21 @@ fn bbr_transfers_over_loopback_as_a_hybrid() {
 fn send_named_builds_the_algorithm_with_the_wire_mss() {
     // Regression for the MSS skew: the algorithm must account with the
     // wire packet size (payload + 40), not the 1500 B default. A probe
-    // registration records the MSS its factory is handed and builds the
+    // table entry records the MSS its constructor is handed and builds the
     // real `pcc`, so the fixed path also runs end-to-end with a payload far
     // from the default.
+    use pcc_transport::registry::Algorithm;
     use std::sync::atomic::{AtomicU32, Ordering};
     static BUILT_WITH_MSS: AtomicU32 = AtomicU32::new(0);
-    install_registry();
-    registry::register(
-        "mss-probe",
-        &[],
-        None,
-        Box::new(|params| {
+    const PROBE: &[Algorithm] = &[Algorithm {
+        name: "mss-probe",
+        schema: &[],
+        check: None,
+        build: |params| {
             BUILT_WITH_MSS.store(params.mss, Ordering::SeqCst);
-            registry::by_name("pcc", params).expect("pcc is registered")
-        }),
-    );
+            registry::by_name(ALGORITHMS, "pcc", params).expect("pcc is in the table")
+        },
+    }];
     let (rx_sock, tx_sock, rx_addr) = sockets();
     let total: u64 = 256 * 1024;
     let rx = thread::spawn(move || receive(&rx_sock, total));
@@ -316,9 +358,9 @@ fn send_named_builds_the_algorithm_with_the_wire_mss() {
         ..Default::default()
     };
     let rtt = SimDuration::from_millis(2);
-    let report = send_named(&tx_sock, rx_addr, cfg, "mss-probe", rtt)
+    let report = send_named(&tx_sock, rx_addr, cfg, &[PROBE], "mss-probe", rtt)
         .expect("io")
-        .expect("just registered");
+        .expect("mss-probe is in the table");
     let rx_report = rx.join().expect("join").expect("receive");
 
     assert_eq!(
@@ -384,7 +426,6 @@ fn pcp_probe_trains_cross_the_wire() {
         }
     }
 
-    install_registry();
     let (rx_sock, tx_sock, rx_addr) = sockets();
     let total: u64 = 256 * 1024;
     let rx = thread::spawn(move || receive(&rx_sock, total));
@@ -399,7 +440,7 @@ fn pcp_probe_trains_cross_the_wire() {
         .with_rtt_hint(SimDuration::from_millis(2));
     let tagged_acks = Arc::new(AtomicU64::new(0));
     let cc = TagWatch {
-        inner: registry::by_name("pcp", &params).expect("registered"),
+        inner: registry::by_name(ALGORITHMS, "pcp", &params).expect("in the table"),
         issued: AtomicU64::new(0),
         tagged_acks: Arc::clone(&tagged_acks),
     };
@@ -414,7 +455,6 @@ fn pcp_probe_trains_cross_the_wire() {
 
 #[test]
 fn batched_reports_move_data_over_loopback() {
-    install_registry();
     // Force 1-RTT batched reports on the real-socket engine: per-packet
     // callbacks are withheld, the algorithm only hears report boundaries,
     // and the transfer still completes for a window algorithm (cubic) and
@@ -430,9 +470,16 @@ fn batched_reports_move_data_over_loopback() {
             report: Some(ReportMode::batched_rtt()),
             ..Default::default()
         };
-        let report = send_named(&tx_sock, rx_addr, cfg, name, SimDuration::from_millis(2))
-            .expect("io")
-            .expect("registered");
+        let report = send_named(
+            &tx_sock,
+            rx_addr,
+            cfg,
+            ALGORITHMS,
+            name,
+            SimDuration::from_millis(2),
+        )
+        .expect("io")
+        .expect("in the table");
         let rx_report = rx.join().expect("join").expect("receive");
         assert!(rx_report.unique_bytes >= total, "{name}: all bytes arrived");
         assert!(
@@ -446,10 +493,8 @@ fn batched_reports_move_data_over_loopback() {
 #[test]
 fn concurrent_transfers_share_one_process() {
     // Three flows, three algorithms (window, rate, hybrid), three socket
-    // pairs, one process: the only test that resolves specs against the
-    // process-wide registry from several threads at once, and each
-    // transfer completes as if alone.
-    install_registry();
+    // pairs, one process: the only test that resolves specs from several
+    // threads at once, and each transfer completes as if alone.
     let mut workers = Vec::new();
     for (i, name) in ["cubic", "pcc", "bbr"].iter().enumerate() {
         let (rx_sock, tx_sock, rx_addr) = sockets();
@@ -462,9 +507,16 @@ fn concurrent_transfers_share_one_process() {
                 seed: 31 + i as u64,
                 ..Default::default()
             };
-            let report = send_named(&tx_sock, rx_addr, cfg, name, SimDuration::from_millis(2))
-                .expect("io")
-                .expect("registered");
+            let report = send_named(
+                &tx_sock,
+                rx_addr,
+                cfg,
+                ALGORITHMS,
+                name,
+                SimDuration::from_millis(2),
+            )
+            .expect("io")
+            .expect("in the table");
             let rx_report = rx.join().expect("join").expect("receive");
             assert!(rx_report.unique_bytes >= total, "{name}: all bytes arrived");
             assert!(

@@ -1,7 +1,7 @@
 //! Real data over real sockets: any congestion-control algorithm pacing a
 //! UDP transfer across loopback — the paper's "user-space implementation
 //! that can deliver real data today" (§1), in Rust, generalized to the
-//! whole algorithm registry.
+//! whole algorithm list, `pcc::ALGORITHMS`.
 //!
 //! ```text
 //! cargo run --release --example udp_transfer                       # PCC (default)
@@ -9,7 +9,7 @@
 //! cargo run --release --example udp_transfer -- "cubic:paced=true" # parameterized spec
 //! cargo run --release --example udp_transfer -- "pcc:eps=0.05,util=latency"
 //! cargo run --release --example udp_transfer -- cubic --batched    # 1-RTT batched reports
-//! cargo run --release --example udp_transfer -- list               # registry + spec keys
+//! cargo run --release --example udp_transfer -- list               # every name + its spec keys
 //! ```
 //!
 //! `--batched` flips the engine from per-ACK callbacks to 1-RTT
@@ -24,9 +24,9 @@ use std::thread;
 use pcc::simnet::time::SimDuration;
 use pcc::transport::{registry, ReportMode};
 use pcc::udp::{receive, send_named, UdpSenderConfig};
+use pcc::ALGORITHMS;
 
 fn main() -> std::io::Result<()> {
-    pcc::install_registry();
     let mut algo = String::from("pcc");
     let mut batched = false;
     let mut spec_set = false;
@@ -45,9 +45,9 @@ fn main() -> std::io::Result<()> {
     }
     if algo == "list" {
         println!("registered algorithms (parameterize with name:key=val,...):");
-        for name in registry::names() {
+        for name in registry::names(ALGORITHMS) {
             println!("  {name}");
-            for p in registry::schema_of(&name).unwrap_or(&[]) {
+            for p in registry::schema_of(ALGORITHMS, name).unwrap_or(&[]) {
                 println!("      {}=<{}>  {}", p.key, p.kind.describe(), p.doc);
             }
         }
@@ -57,7 +57,7 @@ fn main() -> std::io::Result<()> {
     let rx_sock = UdpSocket::bind("127.0.0.1:0")?;
     let rx_addr = rx_sock.local_addr()?;
     let tx_sock = UdpSocket::bind("127.0.0.1:0")?;
-    let on_epochs = registry::by_name(&algo, &registry::CcParams::default())
+    let on_epochs = registry::by_name(ALGORITHMS, &algo, &registry::CcParams::default())
         .is_ok_and(|cc| cc.report_mode() == ReportMode::Epochs);
     let path = match (batched, on_epochs) {
         (true, false) => " on 1-RTT batched reports",
@@ -77,7 +77,7 @@ fn main() -> std::io::Result<()> {
         ..Default::default()
     };
     let rtt_hint = SimDuration::from_millis(1);
-    let report = match send_named(&tx_sock, rx_addr, cfg, &algo, rtt_hint)? {
+    let report = match send_named(&tx_sock, rx_addr, cfg, ALGORITHMS, &algo, rtt_hint)? {
         Ok(report) => report,
         Err(unknown) => {
             eprintln!("{unknown}");

@@ -9,8 +9,9 @@
 //!
 //! All control intelligence speaks one API —
 //! [`transport::CongestionControl`] — and all of it is constructible by
-//! name through [`transport::registry`] (see [`install_registry`]), so the
-//! same algorithm object runs on the simulator *and* on real UDP sockets.
+//! name through [`transport::registry::by_name`] over [`ALGORITHMS`], the
+//! workspace's one compile-time list, so the same algorithm object runs on
+//! the simulator *and* on real UDP sockets.
 //!
 //! This crate is a facade re-exporting the workspace members:
 //!
@@ -18,7 +19,7 @@
 //! |---|---|---|
 //! | [`core`] | `pcc-core` | monitor intervals, utility functions, the learning controller, the game-theoretic fluid model |
 //! | [`simnet`] | `pcc-simnet` | deterministic discrete-event network simulator |
-//! | [`transport`] | `pcc-transport` | SACK scoreboard, the unified `CongestionControl` API, the one `CcSender` engine, the algorithm registry |
+//! | [`transport`] | `pcc-transport` | SACK scoreboard, the unified `CongestionControl` API, the one `CcSender` engine, spec lookup over algorithm tables |
 //! | [`tcp`] | `pcc-tcp` | New Reno, CUBIC, Illinois, Hybla, Vegas, BIC, Westwood, each optionally paced |
 //! | [`rate`] | `pcc-rate` | SABUL/UDT-style and PCP-style rate control |
 //! | [`bbr`] | `pcc-bbr` | BBR-style model-based control — the reference *hybrid* (rate + cwnd) algorithm |
@@ -53,8 +54,7 @@
 //! ```
 //! use pcc::prelude::*;
 //!
-//! pcc::install_registry();
-//! let cc = pcc::transport::registry::by_name("cubic", &CcParams::default()).unwrap();
+//! let cc = pcc::transport::registry::by_name(pcc::ALGORITHMS, "cubic", &CcParams::default()).unwrap();
 //! let sender = CcSender::new(CcSenderConfig::default(), cc);
 //! # let _ = sender;
 //! ```
@@ -87,7 +87,7 @@ pub use pcc_tcp as tcp;
 pub use pcc_transport as transport;
 pub use pcc_udp as udp;
 
-pub use pcc_scenarios::install_registry;
+pub use pcc_scenarios::ALGORITHMS;
 
 /// Everything needed for typical simulation-based use.
 pub mod prelude {
@@ -99,7 +99,7 @@ pub mod prelude {
     pub use pcc_rate::{Pcp, Sabul};
     pub use pcc_scenarios::vary::run_trace;
     pub use pcc_scenarios::{
-        install_registry, run_dumbbell, run_single, FlowPlan, LinkSetup, Protocol, QueueKind,
+        run_dumbbell, run_single, FlowPlan, LinkSetup, Protocol, QueueKind, ALGORITHMS,
     };
     pub use pcc_simnet::prelude::*;
     pub use pcc_tcp::{Cubic, Hybla, Illinois, NewReno};

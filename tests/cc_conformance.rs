@@ -1,5 +1,5 @@
 //! Conformance suite for the unified `CongestionControl` API: every
-//! algorithm in the registry — the PCC×utility family, all seven TCP
+//! algorithm in `pcc::ALGORITHMS` — the PCC×utility family, all seven TCP
 //! baselines (plain and `paced=true`), SABUL, PCP, and the BBR-style hybrid —
 //! is driven through the same scripted event sequence and the same
 //! end-to-end simulation, and must uphold the API contract:
@@ -22,24 +22,25 @@ fn params() -> CcParams {
     CcParams::default().with_rtt_hint(SimDuration::from_millis(30))
 }
 
-/// Every registered name, plus `"{name}:paced=true"` for each name whose
-/// schema has a `paced` key: 14 names and the 7 paced TCPs.
+/// Every name in `pcc::ALGORITHMS`, plus `"{name}:paced=true"` for each
+/// name whose schema has a `paced` key: 14 names and the 7 paced TCPs.
 fn all_names() -> Vec<String> {
-    pcc::install_registry();
-    let names = registry::names();
+    let names = registry::names(ALGORITHMS);
     let paced = names
         .iter()
-        .filter(|n| registry::schema_of(n).is_some_and(|s| s.iter().any(|p| p.key == "paced")))
+        .filter(|n| {
+            registry::schema_of(ALGORITHMS, n).is_some_and(|s| s.iter().any(|p| p.key == "paced"))
+        })
         .map(|n| format!("{n}:paced=true"));
-    let specs: Vec<String> = names.iter().cloned().chain(paced).collect();
+    let specs: Vec<String> = names.iter().map(|n| n.to_string()).chain(paced).collect();
     assert_eq!(
         specs.len(),
         21,
         "PCC×utilities, 7 TCPs plain and paced, SABUL, PCP, BBR: {specs:?}"
     );
     assert!(
-        names.contains(&"bbr".to_string()),
-        "the hybrid is registered: {names:?}"
+        names.contains(&"bbr"),
+        "the hybrid is in the list: {names:?}"
     );
     specs
 }
@@ -62,7 +63,7 @@ struct Script {
 
 impl Script {
     fn new(name: &str, seed: u64) -> Script {
-        let cc = registry::by_name(name, &params()).expect("registered");
+        let cc = registry::by_name(ALGORITHMS, name, &params()).expect("in the list");
         Script {
             cc,
             rng: SimRng::new(seed),
@@ -455,7 +456,6 @@ fn parameterized_specs_run_the_conformance_battery() {
     // The sanity + determinism battery over tuned operating points: a
     // spec-built algorithm must uphold the same API contract as its
     // default-built sibling.
-    pcc::install_registry();
     for spec in PARAMETERIZED_SPECS {
         let mut s = Script::new(spec, 11);
         s.start();
@@ -476,7 +476,6 @@ fn parameterized_specs_move_data_end_to_end() {
     // Both datapaths resolve specs: this drives the simulator engine for
     // every table entry (the UDP datapath's spec transfers live in
     // crates/udp/tests/loopback.rs, which CI also runs).
-    pcc::install_registry();
     for spec in PARAMETERIZED_SPECS {
         let r = pcc::scenarios::run_single(
             pcc::scenarios::Protocol::Named(spec.to_string()),
@@ -494,7 +493,6 @@ fn parameterized_specs_transfer_on_the_udp_datapath() {
     // The same spec strings on the *real-socket* engine: paced cubic and
     // tuned PCC each deliver a loopback transfer end-to-end (the sim
     // datapath's half of this contract is the test above).
-    pcc::install_registry();
     for spec in ["cubic:paced=true", "pcc:eps=0.05"] {
         let rx_sock = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind rx");
         let rx_addr = rx_sock.local_addr().expect("addr");
@@ -507,10 +505,16 @@ fn parameterized_specs_transfer_on_the_udp_datapath() {
             seed: 23,
             ..Default::default()
         };
-        let report =
-            pcc::udp::send_named(&tx_sock, rx_addr, cfg, spec, SimDuration::from_millis(2))
-                .expect("io")
-                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let report = pcc::udp::send_named(
+            &tx_sock,
+            rx_addr,
+            cfg,
+            ALGORITHMS,
+            spec,
+            SimDuration::from_millis(2),
+        )
+        .expect("io")
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
         let rx_report = rx.join().expect("join").expect("receive");
         assert!(
             rx_report.unique_bytes >= total,
@@ -525,7 +529,6 @@ fn spec_tuning_reaches_the_engine() {
     // `cubic:paced=true` is not merely accepted — the engine is handed
     // a pacing rate of IW10 over the 30 ms hint, on top of the same
     // window; plain `cubic` sets the window only.
-    pcc::install_registry();
     let mut paced = Script::new("cubic:paced=true", 7);
     paced.start();
     assert_eq!(paced.cwnd, Some(10.0), "IW10 either way");
@@ -538,7 +541,6 @@ fn spec_tuning_reaches_the_engine() {
 
 #[test]
 fn invalid_specs_are_typed_errors_never_panics() {
-    pcc::install_registry();
     for bad in [
         "pcc:eps=banana",
         "pcc:eps_max=0.9",
@@ -552,14 +554,14 @@ fn invalid_specs_are_typed_errors_never_panics() {
         ":::",
         "pcc:,",
     ] {
-        let err = match registry::by_name(bad, &params()) {
+        let err = match registry::by_name(ALGORITHMS, bad, &params()) {
             Ok(_) => panic!("{bad} must not resolve"),
             Err(e) => e,
         };
         assert!(!err.to_string().is_empty(), "{bad}: displayable error");
     }
     // And the error for a bad key lists the valid ones (self-documenting).
-    let err = match registry::by_name("cubic:wrong=1", &params()) {
+    let err = match registry::by_name(ALGORITHMS, "cubic:wrong=1", &params()) {
         Ok(_) => panic!("must fail"),
         Err(pcc::transport::registry::SpecError::InvalidParam(e)) => e,
         Err(other) => panic!("expected InvalidParam: {other}"),
@@ -571,11 +573,10 @@ fn invalid_specs_are_typed_errors_never_panics() {
 fn paced_is_a_key_of_the_seven_tcps_only() {
     // `paced` belongs to the TCP window adapter; every other algorithm
     // (`pcc:paced=true`, say) rejects it as a typed error naming the key.
-    pcc::install_registry();
     let mut paced = Vec::new();
-    for name in registry::names() {
+    for name in registry::names(ALGORITHMS) {
         let spec = format!("{name}:paced=true");
-        match registry::by_name(&spec, &params()) {
+        match registry::by_name(ALGORITHMS, &spec, &params()) {
             Ok(cc) => paced.push(cc.name()),
             Err(registry::SpecError::InvalidParam(e)) => assert_eq!(e.key, "paced", "{spec}"),
             Err(e) => panic!("{spec}: {e}"),
@@ -591,7 +592,6 @@ fn paced_is_a_key_of_the_seven_tcps_only() {
 fn unpaced_is_the_plain_name() {
     // `cubic:paced=false` is `cubic`, effect for effect, through the whole
     // scripted session; `paced=true` adds a rate to the same windows.
-    pcc::install_registry();
     let session = |spec: &str| {
         let mut s = Script::new(spec, 42);
         s.run_session();
@@ -613,9 +613,8 @@ fn unpaced_is_the_plain_name() {
 #[test]
 fn empty_param_list_is_the_plain_name() {
     // `"pcc:"` ≡ `"pcc"` on the registry surface.
-    pcc::install_registry();
-    let a = registry::by_name("pcc:", &params()).expect("trailing colon resolves");
-    let b = registry::by_name("pcc", &params()).expect("plain resolves");
+    let a = registry::by_name(ALGORITHMS, "pcc:", &params()).expect("trailing colon resolves");
+    let b = registry::by_name(ALGORITHMS, "pcc", &params()).expect("plain resolves");
     assert_eq!(a.name(), b.name());
 }
 
@@ -679,7 +678,6 @@ fn batched_reports_are_deterministic_end_to_end() {
     // machinery must not introduce any nondeterminism: SABUL on batched
     // reports, beside PCC, which the same override leaves on send epochs.
     use pcc::transport::cc::ReportMode;
-    pcc::install_registry();
     let rtt = SimDuration::from_millis(20);
     let run = || {
         let plan = |name: &str| {

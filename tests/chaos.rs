@@ -1,5 +1,5 @@
-//! Chaos conformance battery: every registered algorithm through every
-//! canonical fault script (`pcc_scenarios::chaos`) — a mid-flow
+//! Chaos conformance battery: every algorithm in `pcc::ALGORITHMS`
+//! through every canonical fault script (`pcc_scenarios::chaos`) — a mid-flow
 //! bottleneck flap, an ACK-path blackout spanning several backed-off
 //! RTOs, a core-switch failure under a k=4 fat-tree, and a corruption
 //! storm.
@@ -25,17 +25,19 @@ use pcc::scenarios::{LinkSetup, Protocol};
 use pcc::simnet::time::SimDuration;
 use pcc::transport::receiver::span_rejections;
 use pcc::transport::registry;
+use pcc::ALGORITHMS;
 
-/// Every registered name, plus `"{name}:paced=true"` for each name whose
-/// schema has a `paced` key: 14 names and the 7 paced TCPs.
+/// Every name in `pcc::ALGORITHMS`, plus `"{name}:paced=true"` for each
+/// name whose schema has a `paced` key: 14 names and the 7 paced TCPs.
 fn all_names() -> Vec<String> {
-    pcc::install_registry();
-    let names = registry::names();
+    let names = registry::names(ALGORITHMS);
     let paced = names
         .iter()
-        .filter(|n| registry::schema_of(n).is_some_and(|s| s.iter().any(|p| p.key == "paced")))
+        .filter(|n| {
+            registry::schema_of(ALGORITHMS, n).is_some_and(|s| s.iter().any(|p| p.key == "paced"))
+        })
         .map(|n| format!("{n}:paced=true"));
-    let specs: Vec<String> = names.iter().cloned().chain(paced).collect();
+    let specs: Vec<String> = names.iter().map(|n| n.to_string()).chain(paced).collect();
     assert_eq!(
         specs.len(),
         21,

@@ -127,22 +127,50 @@ fn tier_one_runs_with_debug_assertions_armed() {
     );
 }
 
+/// `pcc::ALGORITHMS` holds the 14 names and each exactly once. A lookup
+/// takes the first entry of a name, so a second entry, in the same table
+/// or another crate's, would be dead and silently shadowed.
+#[test]
+fn the_algorithm_list_holds_fourteen_names_once_each() {
+    let mut names: Vec<&str> = pcc::ALGORITHMS
+        .iter()
+        .flat_map(|table| table.iter().map(|a| a.name))
+        .collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        [
+            "bbr",
+            "bic",
+            "cubic",
+            "hybla",
+            "illinois",
+            "newreno",
+            "pcc",
+            "pcc-latency",
+            "pcc-lossresilient",
+            "pcc-simple",
+            "pcp",
+            "sabul",
+            "vegas",
+            "westwood",
+        ],
+        "a name was added, dropped or listed twice"
+    );
+}
+
 /// A spec key exists only while a figure, the benchmark or a shipped
 /// default turns it (ROADMAP.md, build note): Fig. 16 turns PCC's `eps`,
 /// `eps_max`, `tm` and `rct`, the four PCC names are `util` defaults, and
 /// Fig. 9 paces New Reno. Every other constant is a constant.
 #[test]
 fn spec_keys_are_the_ones_a_figure_turns() {
-    use pcc::transport::registry;
     use std::collections::BTreeSet;
 
-    pcc::install_registry();
-    let got: BTreeSet<(String, &str)> = registry::names()
-        .into_iter()
-        .flat_map(|name| {
-            let schema = registry::schema_of(&name).unwrap_or(&[]);
-            schema.iter().map(move |p| (name.clone(), p.key))
-        })
+    let got: BTreeSet<(String, &str)> = pcc::ALGORITHMS
+        .iter()
+        .flat_map(|table| table.iter())
+        .flat_map(|a| a.schema.iter().map(|p| (a.name.to_string(), p.key)))
         .collect();
     let pcc = ["pcc", "pcc-latency", "pcc-lossresilient", "pcc-simple"];
     let tcp = [
@@ -156,7 +184,7 @@ fn spec_keys_are_the_ones_a_figure_turns() {
     assert_eq!(want.len(), 27);
     assert_eq!(
         got, want,
-        "the registered spec keys moved: a key is added with the figure, benchmark \
+        "the spec keys in pcc::ALGORITHMS moved: a key is added with the figure, benchmark \
          workload or shipped default that turns it (ROADMAP.md, build note, \"Decided\")"
     );
 }
