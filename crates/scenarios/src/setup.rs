@@ -723,6 +723,26 @@ mod tests {
     }
 
     #[test]
+    fn golden_fingerprints_pin_fig14s_normal_flow() {
+        // Fig. 14 reads one number per run: the normal New Reno flow's
+        // throughput against k = 2 selfish entities, either two bundles of
+        // ten New Reno flows or two PCC flows. Pinned bit for bit, with the
+        // series of every flow recorded.
+        use crate::dynamics::{normal_tcp_throughput, Selfish};
+
+        let rtt = SimDuration::from_millis(10);
+        let normal = |selfish| {
+            normal_tcp_throughput(selfish, 2, 10e6, rtt, SimDuration::from_secs(20), 1).to_bits()
+        };
+        assert_eq!(
+            [normal(Selfish::TcpBundle), normal(Selfish::Pcc)],
+            // 0.81 and 4.806 Mbit/s.
+            [0x3fe9_eb85_1eb8_51e6, 0x4013_3958_1062_4dd2],
+            "the normal flow's throughput moved (bundles, pcc)"
+        );
+    }
+
+    #[test]
     fn completed_flows_are_silent() {
         // A finished sender's controller must stop with it: once both
         // sized flows complete, a 30 s horizon costs only the sampling
