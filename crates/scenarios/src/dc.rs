@@ -66,7 +66,8 @@ pub struct DcRun {
 /// Each flow's path comes from the fabric's ECMP routing keyed by
 /// `ecmp_key(seed, flow index)`; its sender's RTT hint is the routed path's
 /// base RTT (hop count times [`DC_HOP_DELAY`] on these fabrics). All flows
-/// start at t=0 (synchronized, the hardest case for shallow buffers).
+/// start at t=0 (synchronized, the hardest case for shallow buffers). The
+/// reductions read FCTs, totals and link counters, so no flow is sampled.
 pub fn run_dc(
     topo: Topology,
     hosts: &[NodeId],
@@ -80,6 +81,7 @@ pub fn run_dc(
         .iter()
         .map(|f| Flow {
             size: FlowSize::Bytes(f.size_bytes),
+            sampled: false,
             ..Flow::new(hosts[f.src], hosts[f.dst], protocol.clone())
         })
         .collect();
@@ -87,6 +89,7 @@ pub fn run_dc(
         report,
         flows: ids,
         topology: topo,
+        ..
     } = scenario.run(horizon);
     // Utilization over the busy period (last completion), not the full
     // horizon — short workloads would otherwise dilute every link toward

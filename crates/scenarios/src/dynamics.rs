@@ -144,7 +144,8 @@ pub enum Selfish {
 
 /// Average throughput of one normal TCP flow competing with `k` selfish
 /// entities on `rate_bps`/`rtt` (Fig. 14 measures the ratio between the
-/// [`Selfish::Pcc`] and [`Selfish::TcpBundle`] values of this).
+/// [`Selfish::Pcc`] and [`Selfish::TcpBundle`] values of this). Only the
+/// normal flow is sampled.
 pub fn normal_tcp_throughput(
     selfish: Selfish,
     k: usize,
@@ -160,10 +161,10 @@ pub fn normal_tcp_throughput(
         match selfish {
             Selfish::TcpBundle => {
                 for _ in 0..10 {
-                    plans.push(FlowPlan::new(Protocol::Tcp("newreno"), rtt));
+                    plans.push(FlowPlan::new(Protocol::Tcp("newreno"), rtt).unsampled());
                 }
             }
-            Selfish::Pcc => plans.push(FlowPlan::new(Protocol::named("pcc"), rtt)),
+            Selfish::Pcc => plans.push(FlowPlan::new(Protocol::named("pcc"), rtt).unsampled()),
         }
     }
     let horizon = SimTime::ZERO + duration;

@@ -35,11 +35,15 @@ pub struct IncastResult {
 }
 
 /// Run one incast round: `n` senders, `block_bytes` each, synchronized
-/// start.
+/// start. Only FCTs are read, so no flow is sampled.
 pub fn run_incast(protocol: Protocol, n: usize, block_bytes: u64, seed: u64) -> IncastResult {
     let setup = LinkSetup::new(INCAST_RATE_BPS, INCAST_RTT, INCAST_BUFFER_BYTES);
     let plans = (0..n)
-        .map(|_| FlowPlan::new(protocol.clone(), INCAST_RTT).sized(FlowSize::Bytes(block_bytes)))
+        .map(|_| {
+            FlowPlan::new(protocol.clone(), INCAST_RTT)
+                .sized(FlowSize::Bytes(block_bytes))
+                .unsampled()
+        })
         .collect();
     // Generous horizon: even a collapsed TCP round finishes in seconds.
     let horizon = SimTime::from_secs(30);

@@ -17,7 +17,9 @@
 //!   [`Protocol`] is a registry spec and carries no RTT, so this is the
 //!   only hint any algorithm sees;
 //! * with a fault script, the plane copies the topology's router and
-//!   registers every static flow, so node failures re-route them.
+//!   registers every static flow, so node failures re-route them;
+//! * once every path is resolved, the topology's route tables are freed
+//!   ([`Topology::forget_routes`]) before the run starts.
 
 use pcc_simnet::prelude::*;
 use pcc_transport::{FlowSize, ReportMode, SackReceiver};
@@ -41,11 +43,15 @@ pub struct Flow {
     pub report: Option<ReportMode>,
     /// Abort as a typed stall after this long without forward progress.
     pub dead_time_budget: Option<SimDuration>,
+    /// Record the flow's sampled series (throughput, goodput, rate, RTT).
+    /// A reduction that reads only totals or FCTs turns it off; an
+    /// unsampled flow runs exactly as a sampled one.
+    pub sampled: bool,
 }
 
 impl Flow {
-    /// An infinite flow starting at t=0 with default feedback and no
-    /// dead-time budget.
+    /// An infinite, sampled flow starting at t=0 with default feedback and
+    /// no dead-time budget.
     pub fn new(src: NodeId, dst: NodeId, protocol: Protocol) -> Self {
         Flow {
             src,
@@ -55,6 +61,7 @@ impl Flow {
             start_at: SimTime::ZERO,
             report: None,
             dead_time_budget: None,
+            sampled: true,
         }
     }
 }
@@ -88,8 +95,9 @@ pub struct Scenario {
     pub flows: Vec<Flow>,
     /// Fault script injected into the run.
     pub faults: Option<FaultScript>,
-    /// Open-loop churn workload (turns per-flow sampled series off: a churn
-    /// run keeps aggregates and FCTs only).
+    /// Open-loop churn workload. No arrival is sampled, and neither is a
+    /// static flow of a churn run, whatever its [`Flow::sampled`]: a churn
+    /// run keeps aggregates and FCTs only.
     pub churn: Option<Churn>,
     /// Stats sampling interval.
     pub sample_interval: SimDuration,
@@ -105,6 +113,8 @@ pub struct ScenarioRun {
     pub flows: Vec<FlowId>,
     /// The installed topology (edge → link lookups, utilization).
     pub topology: Topology,
+    /// Whether each static flow's series were recorded.
+    sampled: Vec<bool>,
 }
 
 impl ScenarioRun {
@@ -114,7 +124,15 @@ impl ScenarioRun {
     }
 
     /// Average throughput of flow `i` over `[from, to]`, Mbit/s.
+    ///
+    /// # Panics
+    /// If flow `i` ran unsampled: it has no series to average.
     pub fn throughput_in(&self, i: usize, from: SimTime, to: SimTime) -> f64 {
+        assert!(
+            self.sampled[i],
+            "flow {i} ({:?}) ran unsampled: it has no throughput series",
+            self.flows[i]
+        );
         self.report.avg_throughput_mbps(self.flows[i], from, to)
     }
 
@@ -175,9 +193,12 @@ impl Scenario {
             plane
         });
         let mut ids = Vec::with_capacity(flows.len());
+        let mut sampled = Vec::with_capacity(flows.len());
         for (i, flow) in flows.into_iter().enumerate() {
             let key = ecmp_key(seed, i as u64);
             let path = topology.flow_path(flow.src, flow.dst, key);
+            sampled.push(flow.sampled && churn.is_none());
+            net.set_record_series(sampled[i]);
             let id = net.add_flow(FlowSpec {
                 sender: build_sender(&flow, flow.size, path.base_rtt),
                 receiver: Box::new(SackReceiver::new()),
@@ -198,8 +219,10 @@ impl Scenario {
                 path,
                 arrivals,
             }));
-            net.set_record_series(false);
         }
+        // Every path the run uses is resolved; the fault plane re-routes on
+        // its own copy of the router.
+        topology.forget_routes();
         if let Some(plane) = plane {
             net.set_fault_plane(plane);
         }
@@ -207,6 +230,7 @@ impl Scenario {
             report: net.build().run_until(horizon),
             flows: ids,
             topology,
+            sampled,
         }
     }
 }

@@ -142,10 +142,12 @@ pub struct FlowPlan {
     /// Feedback granularity override for this flow (`None` = the
     /// algorithm's own preference).
     pub report: Option<ReportMode>,
+    /// Record the flow's sampled series ([`Flow::sampled`]).
+    pub sampled: bool,
 }
 
 impl FlowPlan {
-    /// An infinite flow starting at t=0.
+    /// An infinite, sampled flow starting at t=0.
     pub fn new(protocol: Protocol, rtt: SimDuration) -> Self {
         FlowPlan {
             protocol,
@@ -153,6 +155,7 @@ impl FlowPlan {
             start_at: SimTime::ZERO,
             size: FlowSize::Infinite,
             report: None,
+            sampled: true,
         }
     }
 
@@ -174,6 +177,13 @@ impl FlowPlan {
         self.report = Some(mode);
         self
     }
+
+    /// Record none of this flow's series: for a flow whose reduction reads
+    /// only totals and FCTs, or nothing at all.
+    pub fn unsampled(mut self) -> Self {
+        self.sampled = false;
+        self
+    }
 }
 
 /// The dumbbell scenario: `plans` share one bottleneck described by
@@ -188,6 +198,7 @@ pub fn dumbbell(setup: LinkSetup, plans: Vec<FlowPlan>, seed: u64) -> Scenario {
             size: plan.size,
             start_at: plan.start_at,
             report: plan.report,
+            sampled: plan.sampled,
             ..Flow::new(
                 db.source(),
                 db.add_receiver(plan.rtt, setup.ack_loss),

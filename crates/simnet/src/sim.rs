@@ -141,6 +141,9 @@ struct FlowRuntime {
     /// stats, recycle the slot) on finish or stall instead of lingering to
     /// the horizon; `None` for a flow registered with the builder.
     churn: Option<u64>,
+    /// Whether the sample tick appends to `stats.series`; fixed when the
+    /// flow is added.
+    sampled: bool,
 }
 
 /// A flow's sampling accumulators, reset every sample tick.
@@ -154,7 +157,13 @@ struct SampleWindow {
 
 impl FlowRuntime {
     /// A flow that has sent nothing yet.
-    fn new(spec: FlowSpec, sender_rng: SimRng, receiver_rng: SimRng, churn: Option<u64>) -> Self {
+    fn new(
+        spec: FlowSpec,
+        sender_rng: SimRng,
+        receiver_rng: SimRng,
+        churn: Option<u64>,
+        sampled: bool,
+    ) -> Self {
         assert!(
             !spec.fwd_path.is_empty() && !spec.rev_path.is_empty(),
             "flow needs at least one link each way"
@@ -173,6 +182,7 @@ impl FlowRuntime {
             window: SampleWindow::default(),
             last_rate_bps: 0.0,
             churn,
+            sampled,
         }
     }
 }
@@ -272,10 +282,13 @@ impl NetworkBuilder {
         self.driver = Some(driver);
     }
 
-    /// Enable or disable per-flow sampled series (on by default). Churn
-    /// runs over O(100k) flows turn this off: aggregate stats and FCTs are
-    /// still recorded, but the five per-flow series stay empty, keeping
-    /// steady-state memory proportional to *concurrent* flows only.
+    /// Record the sampled series of the flows added after this call, or
+    /// not (on by default). An unsampled flow keeps every total, its FCT
+    /// and its RTT sums, and the run's events are the same, but its four
+    /// series stay empty: a reduction that reads only totals or FCTs need
+    /// not hold a sample per flow per interval. A churn arrival is never
+    /// sampled, so a run's steady-state memory stays proportional to its
+    /// *concurrent* flows.
     pub fn set_record_series(&mut self, record: bool) {
         self.record_series = record;
     }
@@ -293,8 +306,13 @@ impl NetworkBuilder {
         let id = FlowId(self.flows.len() as u32);
         let sender_rng = self.rng.derive(0x534E_4400_0000 + id.0 as u64);
         let receiver_rng = self.rng.derive(0x5243_5600_0000 + id.0 as u64);
-        self.flows
-            .push(FlowRuntime::new(spec, sender_rng, receiver_rng, None));
+        self.flows.push(FlowRuntime::new(
+            spec,
+            sender_rng,
+            receiver_rng,
+            None,
+            self.record_series,
+        ));
         id
     }
 
@@ -334,7 +352,6 @@ impl NetworkBuilder {
                 peak_live: if has_driver { live } else { 0 },
                 ..ChurnStats::default()
             },
-            record_series: self.record_series,
             scratch: Vec::new(),
             events_processed: 0,
         }
@@ -362,7 +379,6 @@ pub struct Simulation {
     /// recycled slot never replays its previous tenant's randomness.
     churn_seq: u64,
     churn: ChurnStats,
-    record_series: bool,
     scratch: Vec<Action>,
     events_processed: u64,
 }
@@ -411,14 +427,12 @@ impl Simulation {
         // The horizon fixes the series lengths exactly; reserve once.
         let samples = (horizon.as_nanos() / self.config.sample_interval.as_nanos().max(1))
             .min(1 << 24) as usize;
-        if self.record_series {
-            for (_, rt) in self.flows.iter_mut() {
-                let s = &mut rt.stats.series;
-                s.throughput_mbps.reserve_exact(samples);
-                s.goodput_mbps.reserve_exact(samples);
-                s.rate_mbps.reserve_exact(samples);
-                s.rtt_ms.reserve_exact(samples);
-            }
+        for (_, rt) in self.flows.iter_mut().filter(|(_, rt)| rt.sampled) {
+            let s = &mut rt.stats.series;
+            s.throughput_mbps.reserve_exact(samples);
+            s.goodput_mbps.reserve_exact(samples);
+            s.rate_mbps.reserve_exact(samples);
+            s.rtt_ms.reserve_exact(samples);
         }
         while let Some((at, event)) = self.events.pop() {
             if at > horizon {
@@ -619,7 +633,7 @@ impl Simulation {
             rev_path: flow.rev_path,
             start_at: self.now,
         };
-        let rt = FlowRuntime::new(spec, sender_rng, receiver_rng, Some(flow.tag));
+        let rt = FlowRuntime::new(spec, sender_rng, receiver_rng, Some(flow.tag), false);
         let id = self.flows.admit(rt);
         self.churn.peak_live = self.churn.peak_live.max(self.flows.live() as u64);
         self.call_endpoint(id, Side::Sender, |e, ctx| e.start(ctx));
@@ -812,7 +826,7 @@ impl Simulation {
         let dt = self.config.sample_interval.as_secs_f64();
         for (_, rt) in self.flows.iter_mut() {
             let w = std::mem::take(&mut rt.window);
-            if self.record_series {
+            if rt.sampled {
                 let rtt_ms = if w.rtt_count > 0 {
                     (w.rtt_sum_ns as f64 / w.rtt_count as f64) / 1e6
                 } else {
@@ -1763,11 +1777,18 @@ mod tests {
     }
 
     #[test]
-    fn record_series_opt_out_keeps_aggregates() {
-        let run = |record| {
+    fn a_flow_added_unsampled_keeps_everything_but_its_series() {
+        // Two identical flows on disjoint paths; recording is turned off
+        // between adding the first and the second, or left on.
+        let run = |second_sampled| {
             let (mut nb, fwd, rev) = two_way_net(10e6, SimDuration::from_millis(10));
-            nb.set_record_series(record);
-            let flow = nb.add_flow(FlowSpec {
+            let fwd2 = nb.add_link(LinkConfig::bottleneck(
+                10e6,
+                SimDuration::from_millis(10),
+                64_000,
+            ));
+            let rev2 = nb.add_link(LinkConfig::delay_only(SimDuration::from_millis(10)));
+            let spec = |fwd, rev| FlowSpec {
                 sender: Box::new(TickSender {
                     next_seq: 0,
                     count: 100,
@@ -1778,22 +1799,45 @@ mod tests {
                 fwd_path: vec![fwd],
                 rev_path: vec![rev],
                 start_at: SimTime::ZERO,
-            });
-            let r = nb.build().run_until(SimTime::from_secs(2));
+            };
+            nb.add_flow(spec(fwd, rev));
+            nb.set_record_series(second_sampled);
+            nb.add_flow(spec(fwd2, rev2));
+            nb.build().run_until(SimTime::from_secs(2))
+        };
+        let totals = |f: &FlowStats| {
             (
-                r.flows[flow.index()].delivered_bytes,
-                r.flows[flow.index()].goodput_bytes,
-                r.flows[flow.index()].series.throughput_mbps.len(),
-                r.events_processed,
+                f.delivered_bytes,
+                f.goodput_bytes,
+                f.sent_packets,
+                f.delivered_packets,
+                f.fct(),
+                f.rtt_sum_ns,
+                f.rtt_samples,
             )
         };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.0, off.0, "aggregates identical");
-        assert_eq!(on.1, off.1);
-        assert_eq!(on.3, off.3, "event stream identical");
-        assert_eq!(on.2, 20, "series recorded by default");
-        assert_eq!(off.2, 0, "series empty when opted out");
+        let lens = |f: &FlowStats| {
+            let s = &f.series;
+            [
+                s.throughput_mbps.len(),
+                s.goodput_mbps.len(),
+                s.rate_mbps.len(),
+                s.rtt_ms.len(),
+            ]
+        };
+        let mixed = run(false);
+        let both = run(true);
+        let (sampled, unsampled) = (&mixed.flows[0], &mixed.flows[1]);
+        assert!(sampled.fct().is_some(), "the transfer completes");
+        assert_eq!(totals(sampled), totals(unsampled), "totals identical");
+        assert_eq!(totals(unsampled), totals(&both.flows[1]));
+        assert_eq!(
+            mixed.events_processed, both.events_processed,
+            "event stream identical"
+        );
+        assert_eq!(lens(sampled), [20; 4], "one sample per 100 ms of 2 s");
+        assert_eq!(lens(&both.flows[1]), [20; 4]);
+        assert_eq!(lens(unsampled), [0; 4], "an unsampled flow's series stay empty");
     }
 
     #[test]
