@@ -306,6 +306,44 @@ mod tests {
         );
     }
 
+    /// Two `cubic` flows on a 20 Mbit/s dumbbell for 2 s, the second
+    /// unsampled.
+    fn one_sampled_one_not() -> ScenarioRun {
+        let mut db = Dumbbell::graph(LinkConfig::bottleneck(
+            20e6,
+            SimDuration::from_millis(10),
+            100_000,
+        ));
+        let src = db.source();
+        let rtt = SimDuration::from_millis(10);
+        let sampled = Flow::new(src, db.add_receiver(rtt, 0.0), Protocol::Tcp("cubic"));
+        let unsampled = Flow {
+            sampled: false,
+            ..Flow::new(src, db.add_receiver(rtt, 0.0), Protocol::Tcp("cubic"))
+        };
+        Scenario {
+            flows: vec![sampled, unsampled],
+            ..Scenario::new(db.into_topology(), 5)
+        }
+        .run(SimTime::from_secs(2))
+    }
+
+    #[test]
+    fn an_unsampled_flow_keeps_its_totals() {
+        let run = one_sampled_one_not();
+        let (on, off) = (&run.report.flows[0], &run.report.flows[1]);
+        assert_eq!(on.series.throughput_mbps.len(), 20);
+        assert!(off.series.throughput_mbps.is_empty() && off.series.rtt_ms.is_empty());
+        assert!(off.delivered_bytes > 0 && off.rtt_samples > 0);
+        assert!(run.throughput_in(0, SimTime::ZERO, SimTime::from_secs(2)) > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 1 (FlowId(1)) ran unsampled")]
+    fn reading_an_unsampled_flows_series_panics() {
+        one_sampled_one_not().throughput_in(1, SimTime::ZERO, SimTime::from_secs(2));
+    }
+
     /// What a retired flow did: stalled, completion time, delivered
     /// bytes, sent packets.
     type Retired = (bool, Option<SimTime>, u64, u64);

@@ -1837,7 +1837,11 @@ mod tests {
         );
         assert_eq!(lens(sampled), [20; 4], "one sample per 100 ms of 2 s");
         assert_eq!(lens(&both.flows[1]), [20; 4]);
-        assert_eq!(lens(unsampled), [0; 4], "an unsampled flow's series stay empty");
+        assert_eq!(
+            lens(unsampled),
+            [0; 4],
+            "an unsampled flow's series stay empty"
+        );
     }
 
     #[test]

@@ -788,15 +788,21 @@ mod tests {
         );
         let hosts = ft.hosts.clone();
         let topo = &mut ft.topo;
-        let mut all = |topo: &mut Topology| -> Vec<Vec<EdgeId>> {
-            let pairs = hosts.iter().flat_map(|&a| hosts.iter().map(move |&b| (a, b)));
+        let all = |topo: &mut Topology| -> Vec<Vec<EdgeId>> {
+            let pairs = hosts
+                .iter()
+                .flat_map(|&a| hosts.iter().map(move |&b| (a, b)));
             pairs
                 .filter(|(a, b)| a != b)
                 .map(|(a, b)| topo.path_edges(a, b, ecmp_key(7, a.0 as u64)))
                 .collect()
         };
         let before = all(topo);
-        assert_eq!(topo.router.dist.len(), hosts.len(), "one table per destination");
+        assert_eq!(
+            topo.router.dist.len(),
+            hosts.len(),
+            "one table per destination"
+        );
         topo.forget_routes();
         assert!(topo.router.dist.is_empty());
         assert_eq!(all(topo), before);
