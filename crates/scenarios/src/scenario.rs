@@ -113,8 +113,6 @@ pub struct ScenarioRun {
     pub flows: Vec<FlowId>,
     /// The installed topology (edge → link lookups, utilization).
     pub topology: Topology,
-    /// Whether each static flow's series were recorded.
-    sampled: Vec<bool>,
 }
 
 impl ScenarioRun {
@@ -128,11 +126,6 @@ impl ScenarioRun {
     /// # Panics
     /// If flow `i` ran unsampled: it has no series to average.
     pub fn throughput_in(&self, i: usize, from: SimTime, to: SimTime) -> f64 {
-        assert!(
-            self.sampled[i],
-            "flow {i} ({:?}) ran unsampled: it has no throughput series",
-            self.flows[i]
-        );
         self.report.avg_throughput_mbps(self.flows[i], from, to)
     }
 
@@ -193,12 +186,10 @@ impl Scenario {
             plane
         });
         let mut ids = Vec::with_capacity(flows.len());
-        let mut sampled = Vec::with_capacity(flows.len());
         for (i, flow) in flows.into_iter().enumerate() {
             let key = ecmp_key(seed, i as u64);
             let path = topology.flow_path(flow.src, flow.dst, key);
-            sampled.push(flow.sampled && churn.is_none());
-            net.set_record_series(sampled[i]);
+            net.set_record_series(flow.sampled && churn.is_none());
             let id = net.add_flow(FlowSpec {
                 sender: build_sender(&flow, flow.size, path.base_rtt),
                 receiver: Box::new(SackReceiver::new()),
@@ -230,7 +221,6 @@ impl Scenario {
             report: net.build().run_until(horizon),
             flows: ids,
             topology,
-            sampled,
         }
     }
 }

@@ -53,8 +53,6 @@ pub struct LinkSetup {
     pub queue: QueueKind,
     /// Optional jitter / bounded reordering at the bottleneck egress.
     pub jitter: Option<JitterConfig>,
-    /// Optional token-bucket policer at the bottleneck ingress.
-    pub policer: Option<PolicerConfig>,
 }
 
 impl LinkSetup {
@@ -68,7 +66,6 @@ impl LinkSetup {
             ack_loss: 0.0,
             queue: QueueKind::DropTail,
             jitter: None,
-            policer: None,
         }
     }
 
@@ -96,17 +93,10 @@ impl LinkSetup {
         self
     }
 
-    /// Add a token-bucket policer at the bottleneck ingress.
-    pub fn with_policer(mut self, policer: PolicerConfig) -> Self {
-        self.policer = Some(policer);
-        self
-    }
-
     /// The impairment-stage configuration this setup implies.
     pub fn shaper(&self) -> ShaperConfig {
         ShaperConfig {
             jitter: self.jitter,
-            policer: self.policer,
         }
     }
 
@@ -562,47 +552,25 @@ mod tests {
     fn golden_fingerprints_pin_the_zero_delay_hop_fallbacks() {
         // A dumbbell's bottleneck has no delay of its own, so a packet
         // reaches the next hop at the instant its serialization completes.
-        // The simulation routes it in place, except in two cases where the
-        // arrival still waits in the event queue. Each run below reaches
-        // one: a fault-plane duplicate delivered with its original (383
-        // times here), and a paced sender's next departure falling due at
-        // that same instant (23 323 times). Fingerprints captured when
-        // every arrival was scheduled. The lane counts were 66 252 and
-        // 131 463 then, and fell by exactly the hops routed in place
-        // (15 908 and 9 558); routing a fallback case in place moves them.
+        // The simulation routes it in place, except when a paced sender's
+        // next departure falls due at that same instant (23 323 times
+        // here): then the arrival still waits in the event queue. The
+        // fingerprint was captured when every arrival was scheduled. The
+        // lane count was 131 463 then, and fell by exactly the hops routed
+        // in place (9 558); routing the fallback case in place moves it.
         use crate::chaos::report_fingerprint;
 
-        let rtt = SimDuration::from_millis(30);
-        let setup = LinkSetup::new(50e6, rtt, 187_500);
-        let mut db = Dumbbell::graph(setup.bottleneck());
-        let flow = Flow::new(
-            db.source(),
-            db.add_receiver(rtt, 0.0),
-            Protocol::Tcp("cubic"),
-        );
-        let script = "1.0 duplicate 0 2.0 0.05\n";
-        let duplicated = Scenario {
-            flows: vec![flow],
-            faults: Some(FaultScript::parse(script).expect("a valid script")),
-            ..Scenario::new(db.into_topology(), 42)
-        }
-        .run(SimTime::from_secs(4))
-        .report;
         let paced = run_single(
             Protocol::named("cubic:paced=true"),
-            setup,
+            LinkSetup::new(50e6, SimDuration::from_millis(30), 187_500),
             SimDuration::from_secs(8),
             42,
         )
         .report;
-        assert!(duplicated.links[0].stats.fault_duplicated > 0);
         assert_eq!(
-            [&duplicated, &paced].map(|r| (report_fingerprint(r), r.lane_events)),
-            [
-                (0x3f01_615e_debc_bae7, 50_344),
-                (0x54b3_3399_7a1f_8431, 121_905)
-            ],
-            "fingerprints or lane counts moved (duplicate, paced tie)"
+            (report_fingerprint(&paced), paced.lane_events),
+            (0x54b3_3399_7a1f_8431, 121_905),
+            "fingerprint or lane count moved (paced tie)"
         );
         assert_eq!(
             span_rejections(),

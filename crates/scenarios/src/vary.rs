@@ -6,7 +6,7 @@
 //! 11 probes that with one synthetic step-function environment; this
 //! module generalizes it to replayable [`LinkTrace`]s (bundled LTE-like,
 //! WiFi-like and satellite-handoff profiles, or any trace file), with
-//! optional jitter/reordering/policing from the [`ShaperConfig`] stage.
+//! optional jitter/reordering from the [`ShaperConfig`] stage.
 //!
 //! [`run_trace`] plays one protocol over one trace and returns the
 //! [`ScenarioRun`]: the protocol's throughput is `throughput_mbps(0)`, and
@@ -132,14 +132,11 @@ mod tests {
 
     #[test]
     fn impairments_compose_onto_a_trace() {
-        // Jitter + bounded reordering + a policer tighter than the trace
-        // rate, all on the traced bottleneck: the run completes, the
-        // policer caps throughput, and reordering is observed.
-        let shaper = ShaperConfig::default()
-            .with_jitter(
-                JitterConfig::uniform(SimDuration::from_millis(3)).with_reordering(0.05, 3),
-            )
-            .with_policer(PolicerConfig::new(5e6, 30_000));
+        // Jitter + bounded reordering on the traced bottleneck: the run
+        // completes, moves data, and reordering is observed.
+        let shaper = ShaperConfig::default().with_jitter(
+            JitterConfig::uniform(SimDuration::from_millis(3)).with_reordering(0.05, 3),
+        );
         let r = run_trace(
             Protocol::named("pcc"),
             &lte(),
@@ -149,13 +146,8 @@ mod tests {
         );
         // The traced bottleneck is edge 0, so link 0.
         let stats = r.report.links[0].stats;
-        assert!(stats.policed > 0, "policer engaged");
         assert!(stats.reordered > 0, "reordering engaged");
         let tput = r.throughput_mbps(0);
-        assert!(
-            tput < 6.0,
-            "5 Mbps policer caps a ~19 Mbps trace: {tput} Mbps"
-        );
         assert!(tput > 1.0, "still moves data: {tput} Mbps");
     }
 

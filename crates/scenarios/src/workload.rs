@@ -916,7 +916,7 @@ mod proptests {
                     // Each line compiles into a start and at most one stop.
                     prop_assert!(script.len() <= 2 * text.lines().count());
                     for &(_, ev) in script.entries() {
-                        if let FaultEvent::CorruptOn { prob, .. } | FaultEvent::DuplicateOn { prob, .. } = ev {
+                        if let FaultEvent::CorruptOn { prob, .. } = ev {
                             prop_assert!((0.0..=1.0).contains(&prob));
                         }
                     }

@@ -343,10 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_duplicate_keeps_scheduling_order() {
-        // The fault plane's duplication delivers a packet twice at one
-        // instant through one delay lane; a timer armed between them for
-        // that instant must still fire between them.
+    fn same_instant_lane_entries_keep_scheduling_order() {
+        // A pure-delay link forwarding two packets in one instant puts two
+        // arrivals for one later instant in one delay lane; a timer armed
+        // between them for that instant must still fire between them.
         let mut q = EventQueue::new();
         q.schedule(t(3), Event::Sample);
         q.pop();

@@ -1,5 +1,5 @@
-//! Deterministic fault-injection plane: scheduled link/node failures,
-//! corruption, and duplication.
+//! Deterministic fault-injection plane: scheduled link/node failures and
+//! corruption.
 //!
 //! A [`FaultScript`] is a plain-text schedule (same spirit as
 //! [`crate::trace::LinkTrace`]: one event per line, `#` comments,
@@ -20,7 +20,6 @@
 //! 1.5     node_down  2       1.0         # node 2 (and adjacent links) down for 1 s
 //! 2.0     node_up    5
 //! 3.0     corrupt    3       0.5  0.2    # kill 20% of link 3's packets for 0.5 s
-//! 3.0     duplicate  4       0.5  0.1    # duplicate 10% of link 4's packets
 //! ```
 //!
 //! Semantics:
@@ -36,7 +35,7 @@
 //!   surviving path keep their (dead) path and stall against it; repair
 //!   restores the original routing because a path is a pure function of
 //!   `(key, graph, live nodes)`.
-//! * **Corrupt / duplicate** roll per-packet on dedicated
+//! * **Corrupt** rolls per-packet on dedicated
 //!   [`crate::rng::SimRng::derive`] streams salted by the fault's schedule index, so
 //!   activating a fault never perturbs any other random process and runs
 //!   stay bit-identical per seed at any `--jobs`.
@@ -91,21 +90,9 @@ pub enum FaultEvent {
         /// The link to restore.
         link: LinkId,
     },
-    /// Start delivering a fraction of the link's packets twice.
-    DuplicateOn {
-        /// The link to duplicate on.
-        link: LinkId,
-        /// Per-packet duplication probability in `[0, 1]`.
-        prob: f64,
-    },
-    /// Stop the duplication fault on a link.
-    DuplicateOff {
-        /// The link to restore.
-        link: LinkId,
-    },
 }
 
-/// Default corruption/duplication probability when a script omits one.
+/// Default corruption probability when a script omits one.
 pub const DEFAULT_FAULT_PROB: f64 = 0.5;
 
 /// A parsed, compiled fault schedule: `(time, event)` pairs.
@@ -204,7 +191,7 @@ impl FaultScript {
                     Some(FaultEvent::NodeUp { node }),
                 ),
                 "node_up" => (FaultEvent::NodeUp { node }, None),
-                "corrupt" | "duplicate" if end.is_none() => {
+                "corrupt" if end.is_none() => {
                     return err(format!("`{}` requires a duration", cols[1]))
                 }
                 "corrupt" => (
@@ -214,22 +201,11 @@ impl FaultScript {
                     },
                     Some(FaultEvent::CorruptOff { link }),
                 ),
-                "duplicate" => (
-                    FaultEvent::DuplicateOn {
-                        link,
-                        prob: prob()?,
-                    },
-                    Some(FaultEvent::DuplicateOff { link }),
-                ),
                 other => return err(format!("unknown event `{other}`")),
             };
             // `time event target [duration [probability]]`; only `corrupt`
-            // and `duplicate` read a probability.
-            let most = if matches!(cols[1], "corrupt" | "duplicate") {
-                5
-            } else {
-                4
-            };
+            // reads a probability.
+            let most = if cols[1] == "corrupt" { 5 } else { 4 };
             if cols.len() > most {
                 return err(format!(
                     "too many columns for `{}`: expected at most {most}, got {}",
@@ -275,8 +251,6 @@ pub(crate) struct FaultChange {
     pub(crate) link_up: Vec<LinkId>,
     /// Corruption faults to install (`Some(prob)`) or clear (`None`).
     pub(crate) corrupt: Vec<(LinkId, Option<f64>)>,
-    /// Duplication faults to install or clear.
-    pub(crate) duplicate: Vec<(LinkId, Option<f64>)>,
     /// True when registered flows must be re-routed.
     pub(crate) reroute: bool,
 }
@@ -389,8 +363,6 @@ impl FaultPlane {
             }
             FaultEvent::CorruptOn { link, prob } => change.corrupt.push((link, Some(prob))),
             FaultEvent::CorruptOff { link } => change.corrupt.push((link, None)),
-            FaultEvent::DuplicateOn { link, prob } => change.duplicate.push((link, Some(prob))),
-            FaultEvent::DuplicateOff { link } => change.duplicate.push((link, None)),
         }
         change
     }
@@ -449,11 +421,11 @@ mod tests {
              1.5  node_down 2  1.0\n\
              2.0  node_up   5\n\
              3.0  corrupt   3  0.5 0.2\n\
-             3.0  duplicate 4  0.5\n",
+             3.5  corrupt   4  0.5\n",
         )
         .expect("valid script");
-        // 6 lines, 4 with paired end events... down+up, node_down+node_up,
-        // corrupt on/off, duplicate on/off.
+        // 6 lines, 4 with paired end events: down+up, node_down+node_up,
+        // and two corrupt on/off pairs.
         assert_eq!(s.len(), 10);
         let plane = FaultPlane::new(s);
         let times: Vec<f64> = plane
@@ -481,7 +453,7 @@ mod tests {
         )));
         assert!(plane.entries().iter().any(|&(_, e)| matches!(
             e,
-            FaultEvent::DuplicateOn { link: LinkId(4), prob }
+            FaultEvent::CorruptOn { link: LinkId(4), prob }
                 if (prob - DEFAULT_FAULT_PROB).abs() < 1e-12
         )));
     }
@@ -491,6 +463,10 @@ mod tests {
         let cases = [
             ("0.5 down", "expected"),
             ("0.5 explode 3", "unknown event"),
+            (
+                "1.0 duplicate 0 2.0 0.05",
+                "line 1: unknown event `duplicate`",
+            ),
             ("nan down 3", "not a finite number"),
             ("1.0 down 3\n0.5 down 4", "non-decreasing"),
             ("0.5 corrupt 3", "requires a duration"),
@@ -501,7 +477,6 @@ mod tests {
             ("1 down 0 0.5 0.3", "too many columns"),
             ("1 node_down 0 0.5 0.3", "too many columns"),
             ("1 corrupt 0 0.5 0.3 7", "too many columns"),
-            ("1 duplicate 0 0.5 0.3 7", "too many columns"),
         ];
         for (text, want) in cases {
             let e = FaultScript::parse(text).expect_err(text);
@@ -759,15 +734,13 @@ mod proptests {
         let link = crate::ids::LinkId((target % (2 * links)) as u32);
         let node = NodeId((target % (2 * nodes)) as u32);
         let prob = (extra % 101) as f64 / 100.0;
-        match kind % 8 {
+        match kind % 6 {
             0 => FaultEvent::LinkDown { link },
             1 => FaultEvent::LinkUp { link },
             2 => FaultEvent::NodeDown { node },
             3 => FaultEvent::NodeUp { node },
             4 => FaultEvent::CorruptOn { link, prob },
-            5 => FaultEvent::CorruptOff { link },
-            6 => FaultEvent::DuplicateOn { link, prob },
-            _ => FaultEvent::DuplicateOff { link },
+            _ => FaultEvent::CorruptOff { link },
         }
     }
 
@@ -780,7 +753,6 @@ mod proptests {
         data_delivered: u64,
         acks_sent: u64,
         acks_heard: u64,
-        duplicated: u64,
         removed: u64,
     }
 
@@ -841,14 +813,11 @@ mod proptests {
         nb.set_fault_plane(plane);
         let report = nb.build().run_until(SimTime::from_secs(4));
         let st = &report.flows[flow.index()];
-        let mut duplicated = 0;
         let mut removed = 0;
         for l in &report.links {
-            duplicated += l.stats.fault_duplicated;
             removed += l.stats.egress_lost
                 + l.stats.fault_dropped
                 + l.stats.fault_corrupted
-                + l.stats.policed
                 + l.queue.dropped_tail
                 + l.queue.dropped_aqm;
         }
@@ -858,7 +827,6 @@ mod proptests {
             data_delivered: st.delivered_packets,
             acks_sent: acks_sent.load(Ordering::Relaxed),
             acks_heard: acks_heard.load(Ordering::Relaxed),
-            duplicated,
             removed,
         }
     }
@@ -877,7 +845,7 @@ mod proptests {
             seed in 0u64..u64::MAX,
         ) {
             let out = run_chaos(n, &picks, &events, seed);
-            let injected = out.data_sent + out.acks_sent + out.duplicated;
+            let injected = out.data_sent + out.acks_sent;
             let accounted = out.data_delivered + out.acks_heard + out.removed;
             prop_assert_eq!(
                 injected, accounted,

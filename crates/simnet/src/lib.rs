@@ -19,7 +19,7 @@
 //! * [`ring::reserve`] — the one growth rule of every long-lived ring on
 //!   the packet path: doubling below 64 slots, a quarter from there.
 //! * [`shaper::LinkShaper`] — per-link impairment stage: stochastic
-//!   jitter, bounded reordering, and token-bucket policing.
+//!   jitter and bounded reordering.
 //! * [`trace::LinkTrace`] — trace-driven time-varying capacity: a
 //!   plain-text trace format with bundled LTE/WiFi/satellite profiles,
 //!   expanded into a [`link::LinkSchedule`].
@@ -33,7 +33,7 @@
 //!   deterministic per-flow ECMP, datacenter fabric builders
 //!   ([`topo::fat_tree`], [`topo::leaf_spine`]), per-link utilization.
 //! * [`fault`] — deterministic fault-injection plane: scripted link/node
-//!   failures, corruption, and duplication ([`fault::FaultScript`] →
+//!   failures and corruption ([`fault::FaultScript`] →
 //!   [`fault::FaultPlane`]), with post-failure ECMP re-resolution.
 //! * [`text`] — the one reader behind every plain-text input (traces,
 //!   fault scripts, flow-size CDFs): `#` comments, blank lines, columns,
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::packet::{AckInfo, DataInfo, Packet, PacketKind};
     pub use crate::queue::{fq_codel, DropTail, FairQueue, Queue};
     pub use crate::rng::SimRng;
-    pub use crate::shaper::{JitterConfig, PolicerConfig, ShaperConfig};
+    pub use crate::shaper::{JitterConfig, ShaperConfig};
     pub use crate::sim::{
         ChurnDriver, ChurnFlow, ChurnStats, FlowSpec, LinkReport, NetworkBuilder, SimConfig,
         SimReport, Simulation,

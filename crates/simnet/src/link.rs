@@ -85,8 +85,7 @@ pub struct LinkConfig {
     pub queue: Box<dyn Queue>,
     /// Optional time-varying parameter schedule.
     pub schedule: LinkSchedule,
-    /// Impairment stage: jitter, bounded reordering, token-bucket
-    /// policing (default: none).
+    /// Impairment stage: jitter and bounded reordering (default: none).
     pub shaper: ShaperConfig,
 }
 
@@ -154,10 +153,6 @@ pub struct TxResult {
     pub delivered: Option<(Packet, SimTime)>,
     /// The packet was killed by random egress loss.
     pub egress_lost: bool,
-    /// A fault-injected duplicate of the delivered packet, arriving at the
-    /// same nominal time (the event queue's tie-break keeps it right behind
-    /// the original).
-    pub duplicate: Option<(Packet, SimTime)>,
     /// If another packet is waiting, when its serialization completes.
     pub next_tx_done: Option<SimTime>,
 }
@@ -168,8 +163,6 @@ pub(crate) struct Egress {
     pub(crate) lost: bool,
     /// When it arrives at the next hop; `None` if lost or corrupted.
     pub(crate) arrive: Option<SimTime>,
-    /// A fault-injected duplicate arrives with it.
-    pub(crate) duplicated: bool,
 }
 
 /// Per-link lifetime counters.
@@ -183,7 +176,8 @@ pub struct LinkStats {
     pub egress_lost: u64,
     /// Bytes that completed serialization.
     pub transmitted_bytes: u64,
-    /// Packets dropped by the ingress token-bucket policer.
+    /// Always 0: links no longer police. Kept because the repo benchmark
+    /// still reads it.
     pub policed: u64,
     /// Deliveries the shaper rushed ahead of an already-scheduled one
     /// (actual out-of-order arrivals).
@@ -193,8 +187,6 @@ pub struct LinkStats {
     pub fault_dropped: u64,
     /// Packets killed by an injected corruption fault at egress.
     pub fault_corrupted: u64,
-    /// Extra deliveries created by an injected duplication fault.
-    pub fault_duplicated: u64,
 }
 
 /// Injected-fault state attached to a link, present only while the fault
@@ -205,8 +197,6 @@ struct FaultState {
     up: bool,
     /// Corruption fault: kill probability and its dedicated RNG stream.
     corrupt: Option<(f64, SimRng)>,
-    /// Duplication fault: duplicate probability and its dedicated stream.
-    duplicate: Option<(f64, SimRng)>,
 }
 
 impl FaultState {
@@ -214,7 +204,6 @@ impl FaultState {
         FaultState {
             up: true,
             corrupt: None,
-            duplicate: None,
         }
     }
 }
@@ -320,14 +309,6 @@ impl Link {
             self.stats.fault_dropped += 1;
             return LinkOutcome::Dropped;
         }
-        // Policing happens at ingress, before any queueing — a policer
-        // never buffers, it only passes or drops.
-        if let Some(shaper) = &mut self.shaper {
-            if !shaper.admit(pkt.bytes, now) {
-                self.stats.policed += 1;
-                return LinkOutcome::Dropped;
-            }
-        }
         match self.rate_bps {
             None => {
                 // Pure delay: no queue, no serialization.
@@ -368,14 +349,12 @@ impl Link {
             return TxResult {
                 delivered: None,
                 egress_lost: false,
-                duplicate: None,
                 next_tx_done: None,
             };
         }
         self.stats.transmitted += 1;
         self.stats.transmitted_bytes += pkt.bytes as u64;
         let out = self.egress(now);
-        let delivered = out.arrive.map(|at| (pkt, at));
         // Pull the next packet from the queue, if any.
         let next_tx_done = self.queue.dequeue(now).map(|next| {
             let done = now + tx_time(next.bytes as u64, rate);
@@ -383,17 +362,16 @@ impl Link {
             done
         });
         TxResult {
-            delivered,
+            delivered: out.arrive.map(|at| (pkt, at)),
             egress_lost: out.lost,
-            duplicate: delivered.filter(|_| out.duplicated),
             next_tx_done,
         }
     }
 
     /// Decide the fate of a packet leaving the link at `now`: the random
     /// egress-loss roll (every hit counted in [`LinkStats::egress_lost`]),
-    /// a corruption roll only if it survived, the impairment stage on its
-    /// arrival time, and a duplication roll only if it is delivered.
+    /// a corruption roll only if it survived, and the impairment stage on
+    /// its arrival time.
     /// [`Link::tx_complete`] ends with this; a pure-delay link has no
     /// serialization to complete, so the simulation calls it straight after
     /// [`Link::offer`].
@@ -402,22 +380,14 @@ impl Link {
         if lost {
             self.stats.egress_lost += 1;
         }
-        // Fault rolls draw from their own derived streams *after* the
-        // link's loss roll, so activating a fault never shifts the link's
-        // base loss process.
-        let fault = self.fault.as_deref_mut();
-        let corrupt = fault.and_then(|f| f.corrupt.as_mut());
-        let corrupted = !lost && roll_fault(corrupt, &mut self.stats.fault_corrupted);
+        // The corruption roll draws from the fault's own derived stream
+        // *after* the link's loss roll, so activating a fault never shifts
+        // the link's base loss process.
+        let corrupt = self.fault.as_deref_mut().and_then(|f| f.corrupt.as_mut());
+        let corrupted = !lost && corrupt.is_some_and(|(prob, rng)| rng.chance(*prob));
+        self.stats.fault_corrupted += corrupted as u64;
         let arrive = (!lost && !corrupted).then(|| self.shape_arrival(now + self.delay));
-        let fault = self.fault.as_deref_mut();
-        let duplicate = fault.and_then(|f| f.duplicate.as_mut());
-        let duplicated =
-            arrive.is_some() && roll_fault(duplicate, &mut self.stats.fault_duplicated);
-        Egress {
-            lost,
-            arrive,
-            duplicated,
-        }
+        Egress { lost, arrive }
     }
 
     /// True unless an injected fault has taken the link down.
@@ -451,13 +421,6 @@ impl Link {
     /// stream.
     pub fn set_fault_corrupt(&mut self, fault: Option<(f64, SimRng)>) {
         self.fault_state().corrupt = fault;
-    }
-
-    /// Install or clear a duplication fault: each delivered packet is
-    /// delivered twice with probability `prob`, rolled on the fault's own
-    /// RNG stream.
-    pub fn set_fault_duplicate(&mut self, fault: Option<(f64, SimRng)>) {
-        self.fault_state().duplicate = fault;
     }
 
     fn fault_state(&mut self) -> &mut FaultState {
@@ -503,14 +466,6 @@ impl Link {
     pub fn is_busy(&self) -> bool {
         self.in_flight.is_some()
     }
-}
-
-/// One trial of an injected per-packet fault on the fault's own stream; a
-/// hit is counted in `hits`. Always false while the fault is not active.
-fn roll_fault(fault: Option<&mut (f64, SimRng)>, hits: &mut u64) -> bool {
-    let hit = fault.is_some_and(|(prob, rng)| rng.chance(*prob));
-    *hits += hit as u64;
-    hit
 }
 
 #[cfg(test)]

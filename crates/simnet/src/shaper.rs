@@ -1,14 +1,8 @@
-//! Per-link impairment stage: stochastic jitter, bounded reordering, and
-//! token-bucket policing.
+//! Per-link impairment stage: stochastic jitter and bounded reordering.
 //!
 //! A [`LinkShaper`] composes onto the existing link/queue path (see
 //! [`crate::link::Link`]) without touching the event loop:
 //!
-//! * **Policing** happens at link ingress, *before* the queue: a token
-//!   bucket of `rate_bps` with `burst_bytes` of depth; non-conforming
-//!   packets are dropped and counted ([`crate::link::LinkStats::policed`]).
-//!   This is a classic policer — it never queues, so it works on
-//!   pure-delay links too.
 //! * **Jitter** happens at link egress, *after* serialization and loss:
 //!   each delivery gets an extra delay drawn uniformly from
 //!   `[0, max]` out of the shaper's own [`SimRng`] stream. Deliveries are
@@ -20,8 +14,7 @@
 //!   before it, but never more than `reorder_depth` of them, and nothing
 //!   older (the shaper tracks a high-water mark of arrivals that have
 //!   left the window and floors rushed deliveries at it). The shaper
-//!   itself never drops a packet; only the policer does, and those drops
-//!   are accounted.
+//!   never drops a packet.
 //!
 //! Every draw comes from a stream derived from the link's RNG, so runs
 //! stay bit-deterministic per seed and enabling a shaper on one link
@@ -65,50 +58,23 @@ impl JitterConfig {
     }
 }
 
-/// Token-bucket policer parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PolicerConfig {
-    /// Long-term conforming rate in bits/sec.
-    pub rate_bps: f64,
-    /// Bucket depth in bytes (the largest conforming burst).
-    pub burst_bytes: u64,
-}
-
-impl PolicerConfig {
-    /// A policer of `rate_bps` with `burst_bytes` of burst tolerance.
-    pub fn new(rate_bps: f64, burst_bytes: u64) -> Self {
-        PolicerConfig {
-            rate_bps,
-            burst_bytes,
-        }
-    }
-}
-
 /// Which impairments a link's shaper applies. The default is a no-op.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ShaperConfig {
     /// Per-packet jitter and bounded reordering at egress.
     pub jitter: Option<JitterConfig>,
-    /// Token-bucket policing at ingress.
-    pub policer: Option<PolicerConfig>,
 }
 
 impl ShaperConfig {
     /// True if no impairment is configured (the shaper is a no-op and
     /// draws no randomness).
     pub fn is_noop(&self) -> bool {
-        self.jitter.is_none() && self.policer.is_none()
+        self.jitter.is_none()
     }
 
     /// Add jitter/reordering.
     pub fn with_jitter(mut self, jitter: JitterConfig) -> Self {
         self.jitter = Some(jitter);
-        self
-    }
-
-    /// Add a token-bucket policer.
-    pub fn with_policer(mut self, policer: PolicerConfig) -> Self {
-        self.policer = Some(policer);
         self
     }
 }
@@ -118,9 +84,6 @@ impl ShaperConfig {
 pub struct LinkShaper {
     config: ShaperConfig,
     rng: SimRng,
-    // Token bucket (bytes). Refilled lazily on each admission test.
-    tokens: f64,
-    refilled_at: SimTime,
     // Reordering window: arrival times of the last `reorder_depth`
     // deliveries, plus the high-water mark of everything older.
     recent: VecDeque<SimTime>,
@@ -141,43 +104,12 @@ impl LinkShaper {
                 "reorder probability must be in [0,1]"
             );
         }
-        if let Some(p) = &config.policer {
-            assert!(
-                p.rate_bps.is_finite() && p.rate_bps > 0.0,
-                "policer rate must be positive"
-            );
-        }
-        let tokens = config.policer.map(|p| p.burst_bytes as f64).unwrap_or(0.0);
         LinkShaper {
             config,
             rng,
-            tokens,
-            refilled_at: SimTime::ZERO,
             recent: VecDeque::new(),
             old_max: SimTime::ZERO,
             last_arrival: SimTime::ZERO,
-        }
-    }
-
-    /// The configuration this shaper was built with.
-    pub fn config(&self) -> &ShaperConfig {
-        &self.config
-    }
-
-    /// Token-bucket admission test at ingress: `true` admits the packet,
-    /// `false` polices it (the caller drops and accounts it).
-    pub fn admit(&mut self, bytes: u32, now: SimTime) -> bool {
-        let Some(p) = self.config.policer else {
-            return true;
-        };
-        let elapsed = now.saturating_since(self.refilled_at).as_secs_f64();
-        self.refilled_at = now;
-        self.tokens = (self.tokens + elapsed * p.rate_bps / 8.0).min(p.burst_bytes as f64);
-        if self.tokens >= bytes as f64 {
-            self.tokens -= bytes as f64;
-            true
-        } else {
-            false
         }
     }
 
@@ -225,37 +157,7 @@ mod tests {
     #[test]
     fn noop_shaper_passes_through() {
         let mut s = shaper(ShaperConfig::default());
-        assert!(s.config().is_noop());
-        assert!(s.admit(1500, t(0)));
         assert_eq!(s.arrival(t(5)), (t(5), false));
-    }
-
-    #[test]
-    fn policer_enforces_rate_and_burst() {
-        // 12 Mbps, 3 KB burst: two 1500 B packets pass at t=0, the third
-        // is policed; after 1 ms (1500 B of tokens) one more passes.
-        let mut s = shaper(ShaperConfig::default().with_policer(PolicerConfig::new(12e6, 3000)));
-        assert!(s.admit(1500, t(0)));
-        assert!(s.admit(1500, t(0)));
-        assert!(!s.admit(1500, t(0)), "burst exhausted");
-        assert!(s.admit(1500, t(1)), "refilled at line rate");
-        assert!(!s.admit(1500, t(1)));
-    }
-
-    #[test]
-    fn policer_long_term_rate_converges() {
-        // Offer 3000 packets at 30 Mbps against a 10 Mbps policer: about
-        // one third must conform.
-        let mut s = shaper(ShaperConfig::default().with_policer(PolicerConfig::new(10e6, 15_000)));
-        let spacing_ns = 400_000u64; // 1500 B / 400 us = 30 Mbps
-        let admitted = (0..3000u64)
-            .filter(|i| s.admit(1500, SimTime::from_nanos(i * spacing_ns)))
-            .count();
-        let rate = admitted as f64 / 3000.0;
-        assert!(
-            (rate - 1.0 / 3.0).abs() < 0.05,
-            "conforming fraction {rate}"
-        );
     }
 
     #[test]
@@ -374,36 +276,6 @@ mod proptests {
                 prop_assert!(
                     overtaken <= depth,
                     "packet {} overtook {} > depth {}", i, overtaken, depth
-                );
-            }
-        }
-
-        /// The policer admits exactly what the bucket allows: cumulative
-        /// admitted bytes never exceed burst + rate·elapsed, and it never
-        /// polices a packet the bucket could cover.
-        #[test]
-        fn policer_conforms_to_rate_plus_burst(
-            rate_mbps in 1.0f64..200.0,
-            burst_kb in 2u64..64,
-            gaps in proptest::collection::vec(0u64..3_000_000, 10..300),
-        ) {
-            let burst = burst_kb * 1024;
-            let mut s = LinkShaper::new(
-                ShaperConfig::default()
-                    .with_policer(PolicerConfig::new(rate_mbps * 1e6, burst)),
-                SimRng::new(1),
-            );
-            let mut now = SimTime::ZERO;
-            let mut admitted_bytes = 0u64;
-            for gap in &gaps {
-                now += SimDuration::from_nanos(*gap);
-                if s.admit(1500, now) {
-                    admitted_bytes += 1500;
-                }
-                let bound = burst as f64 + rate_mbps * 1e6 / 8.0 * now.as_secs_f64();
-                prop_assert!(
-                    admitted_bytes as f64 <= bound + 1.0,
-                    "admitted {} > bound {}", admitted_bytes, bound
                 );
             }
         }

@@ -15,7 +15,7 @@ use crate::link::{Link, LinkConfig, LinkOutcome, LinkStats};
 use crate::packet::Packet;
 use crate::queue::QueueStats;
 use crate::rng::SimRng;
-use crate::stats::{FlowStats, StallInfo};
+use crate::stats::{window_mean, FlowSeries, FlowStats, StallInfo};
 use crate::time::{SimDuration, SimTime};
 
 /// Salt deriving the fault plane's master RNG stream from the simulation
@@ -141,9 +141,6 @@ struct FlowRuntime {
     /// stats, recycle the slot) on finish or stall instead of lingering to
     /// the horizon; `None` for a flow registered with the builder.
     churn: Option<u64>,
-    /// Whether the sample tick appends to `stats.series`; fixed when the
-    /// flow is added.
-    sampled: bool,
 }
 
 /// A flow's sampling accumulators, reset every sample tick.
@@ -177,12 +174,12 @@ impl FlowRuntime {
             receiver_rng,
             stats: FlowStats {
                 started_at: spec.start_at,
+                sampled,
                 ..Default::default()
             },
             window: SampleWindow::default(),
             last_rate_bps: 0.0,
             churn,
-            sampled,
         }
     }
 }
@@ -222,14 +219,30 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Average delivered throughput of `flow` in Mbit/s over `[from, to]`.
+    /// Average delivered throughput of `flow` in Mbit/s over `[from, to]`,
+    /// from its series. Panics if `flow` ran unsampled.
     pub fn avg_throughput_mbps(&self, flow: FlowId, from: SimTime, to: SimTime) -> f64 {
-        self.flows[flow.index()].avg_throughput_mbps(self.sample_interval, from, to)
+        let series = &self.series(flow).throughput_mbps;
+        window_mean(series, self.sample_interval, from, to)
     }
 
-    /// Average goodput of `flow` in Mbit/s over `[from, to]`.
+    /// Average goodput of `flow` in Mbit/s over `[from, to]`, from its
+    /// series. Panics if `flow` ran unsampled.
     pub fn avg_goodput_mbps(&self, flow: FlowId, from: SimTime, to: SimTime) -> f64 {
-        self.flows[flow.index()].avg_goodput_mbps(self.sample_interval, from, to)
+        let series = &self.series(flow).goodput_mbps;
+        window_mean(series, self.sample_interval, from, to)
+    }
+
+    /// `flow`'s series, which must have been recorded: an unsampled flow's
+    /// are empty, and their average would read as a silent 0.
+    fn series(&self, flow: FlowId) -> &FlowSeries {
+        let st = &self.flows[flow.index()];
+        assert!(
+            st.sampled,
+            "flow {} ({flow:?}) ran unsampled: it has no series to average",
+            flow.index()
+        );
+        &st.series
     }
 
     /// Whole-run average delivered throughput of `flow` in Mbit/s, measured
@@ -427,7 +440,7 @@ impl Simulation {
         // The horizon fixes the series lengths exactly; reserve once.
         let samples = (horizon.as_nanos() / self.config.sample_interval.as_nanos().max(1))
             .min(1 << 24) as usize;
-        for (_, rt) in self.flows.iter_mut().filter(|(_, rt)| rt.sampled) {
+        for (_, rt) in self.flows.iter_mut().filter(|(_, rt)| rt.stats.sampled) {
             let s = &mut rt.stats.series;
             s.throughput_mbps.reserve_exact(samples);
             s.goodput_mbps.reserve_exact(samples);
@@ -484,7 +497,7 @@ impl Simulation {
                     return;
                 };
                 pkt.hop += 1;
-                if at == self.now && self.arrival_pops_next(res.duplicate.is_some()) {
+                if at == self.now && self.arrival_pops_next() {
                     // A zero-delay hop whose `Arrive` would be the very next
                     // pop: route the packet now, and count it as that event.
                     self.events_processed += 1;
@@ -492,9 +505,6 @@ impl Simulation {
                     return;
                 }
                 self.schedule_arrival(link, at, pkt);
-                if res.duplicate.is_some() {
-                    self.schedule_arrival(link, at, pkt);
-                }
             }
             Event::Arrive { packet } => {
                 self.route(packet);
@@ -527,25 +537,20 @@ impl Simulation {
     }
 
     /// True when an `Arrive` scheduled now, for now, would be the very next
-    /// pop: no duplicate is scheduled behind it, and nothing else is due at
-    /// this instant. Its sequence number would be the newest, so anything
-    /// already due now pops before it; anything later pops after it.
-    fn arrival_pops_next(&self, duplicated: bool) -> bool {
-        if duplicated {
-            #[cfg(test)]
-            tests::count_fallback(tests::Fallback::Duplicate);
-            return false;
-        }
+    /// pop: nothing else is due at this instant. Its sequence number would
+    /// be the newest, so anything already due now pops before it; anything
+    /// later pops after it.
+    fn arrival_pops_next(&self) -> bool {
         let tie = self.events.peek_time().is_some_and(|t| t <= self.now);
         #[cfg(test)]
         if tie {
-            tests::count_fallback(tests::Fallback::Tie);
+            tests::count_tie();
         }
         !tie
     }
 
     /// Apply one fault-plane schedule entry: link state changes, per-fault
-    /// corruption/duplication streams, and post-failure ECMP re-resolution.
+    /// corruption streams, and post-failure ECMP re-resolution.
     fn apply_fault(&mut self, index: usize) {
         let Some(mut plane) = self.fault.take() else {
             return;
@@ -569,12 +574,6 @@ impl Simulation {
             if link.index() < n {
                 let fault = prob.map(|p| (p, self.fault_rng.derive(index as u64)));
                 self.links[link.index()].set_fault_corrupt(fault);
-            }
-        }
-        for (link, prob) in change.duplicate {
-            if link.index() < n {
-                let fault = prob.map(|p| (p, self.fault_rng.derive(index as u64)));
-                self.links[link.index()].set_fault_duplicate(fault);
             }
         }
         if change.reroute {
@@ -693,19 +692,15 @@ impl Simulation {
         let link_id = path[hop];
         let link = &mut self.links[link_id.index()];
         if link.rate_bps().is_none() {
-            // Pure-delay link: ingress (policing, the downed-link black
-            // hole) is all `offer` does, and with nothing to serialize the
-            // packet leaves at once.
+            // Pure-delay link: ingress (the downed-link black hole) is all
+            // `offer` does, and with nothing to serialize the packet leaves
+            // at once.
             if link.offer(pkt, self.now) == LinkOutcome::Dropped {
                 return;
             }
-            let out = link.egress(self.now);
-            if let Some(at) = out.arrive {
+            if let Some(at) = link.egress(self.now).arrive {
                 pkt.hop += 1;
                 self.schedule_arrival(link_id, at, pkt);
-                if out.duplicated {
-                    self.schedule_arrival(link_id, at, pkt);
-                }
             }
             return;
         }
@@ -826,7 +821,7 @@ impl Simulation {
         let dt = self.config.sample_interval.as_secs_f64();
         for (_, rt) in self.flows.iter_mut() {
             let w = std::mem::take(&mut rt.window);
-            if rt.sampled {
+            if rt.stats.sampled {
                 let rtt_ms = if w.rtt_count > 0 {
                     (w.rtt_sum_ns as f64 / w.rtt_count as f64) / 1e6
                 } else {
@@ -875,7 +870,6 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultEvent, FaultPlane, FaultScript};
     use crate::packet::AckInfo;
 
     /// A sender that emits `count` packets at fixed spacing, one per timer.
@@ -941,39 +935,21 @@ mod tests {
         (nb, fwd, rev)
     }
 
-    /// Why a zero-delay hop's arrival went into the event queue instead of
-    /// being routed in place.
-    #[derive(Clone, Copy)]
-    pub(super) enum Fallback {
-        /// A fault-plane duplicate follows it.
-        Duplicate,
-        /// Another event is due at the same instant.
-        Tie,
-    }
-
     thread_local! {
-        /// This test thread's fallback counts, indexed by [`Fallback`].
-        static FALLBACKS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+        /// How often a zero-delay hop's arrival on this test thread went
+        /// into the event queue because another event was due at the same
+        /// instant.
+        static TIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
-    pub(super) fn count_fallback(why: Fallback) {
-        FALLBACKS.with(|c| {
-            let mut n = c.get();
-            n[why as usize] += 1;
-            c.set(n);
-        });
-    }
-
-    /// Take this thread's fallback counts, `[duplicate, tie]`.
-    fn take_fallbacks() -> [u64; 2] {
-        FALLBACKS.with(|c| c.take())
+    pub(super) fn count_tie() {
+        TIES.with(|c| c.set(c.get() + 1));
     }
 
     /// One `TickSender` flow over a zero-delay 10 Mbit/s bottleneck (link
     /// 0) and a 5 ms shim, the shape of a scenario dumbbell, with ACKs back
-    /// over 5 ms; `script` runs on the fault plane. Returns the report and
-    /// the fallback counts of the run.
-    fn run_zero_delay_hop(spacing: SimDuration, script: FaultScript) -> (SimReport, [u64; 2]) {
+    /// over 5 ms. Returns the report and the run's tie count.
+    fn run_zero_delay_hop(spacing: SimDuration) -> (SimReport, u64) {
         let mut nb = NetworkBuilder::new(SimConfig {
             sample_interval: SimDuration::from_millis(100),
             seed: 7,
@@ -993,10 +969,9 @@ mod tests {
             rev_path: vec![rev],
             start_at: SimTime::ZERO,
         });
-        nb.set_fault_plane(FaultPlane::new(script));
-        take_fallbacks();
+        TIES.with(|c| c.set(0));
         let report = nb.build().run_until(SimTime::from_secs(2));
-        (report, take_fallbacks())
+        (report, TIES.with(|c| c.take()))
     }
 
     /// What a change to the event loop must not move: the event count and
@@ -1012,36 +987,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_delay_hop_waits_behind_its_duplicate() {
-        let mut script = FaultScript::new();
-        let link = LinkId(0);
-        script.push(
-            SimTime::from_millis(100),
-            FaultEvent::DuplicateOn { link, prob: 0.5 },
-        );
-        script.push(SimTime::from_millis(400), FaultEvent::DuplicateOff { link });
-        let (r, [duplicate, tie]) = run_zero_delay_hop(SimDuration::from_millis(2), script);
-        assert!(r.links[0].stats.fault_duplicated > 0);
-        assert!(
-            duplicate > 0 && tie == 0,
-            "{duplicate} duplicates, {tie} ties"
-        );
-        // Captured with every zero-delay arrival scheduled.
-        let done = SimTime::from_nanos(865_200_000);
-        assert_eq!(delivery(&r), (2_740, 572, 6_406_400_000, Some(done)));
-    }
-
-    #[test]
     fn zero_delay_hop_waits_behind_a_same_instant_event() {
         // A departure every serialization time (1 500 B at 10 Mbit/s): the
         // sender's next timer, armed just after the link scheduled its
         // completion, falls due at that completion's instant.
         let spacing = SimDuration::from_micros(1200);
-        let (r, [duplicate, tie]) = run_zero_delay_hop(spacing, FaultScript::new());
-        assert!(
-            duplicate == 0 && tie > 0,
-            "{duplicate} duplicates, {tie} ties"
-        );
+        let (r, ties) = run_zero_delay_hop(spacing);
+        assert!(ties > 0, "no arrival waited behind a same-instant event");
         let done = SimTime::from_millis(610);
         assert_eq!(delivery(&r), (2_522, 500, 5_600_000_000, Some(done)));
     }
@@ -1246,7 +1198,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_and_corrupt_faults_are_counted() {
+    fn corrupt_faults_are_counted() {
         use crate::fault::{FaultEvent, FaultPlane, FaultScript};
         let (mut nb, fwd, rev) = two_way_net(10e6, SimDuration::from_millis(5));
         let flow = nb.add_flow(FlowSpec {
@@ -1263,17 +1215,6 @@ mod tests {
         });
         let mut script = FaultScript::new();
         script.push(
-            SimTime::from_millis(100),
-            FaultEvent::DuplicateOn {
-                link: fwd,
-                prob: 0.5,
-            },
-        );
-        script.push(
-            SimTime::from_millis(400),
-            FaultEvent::DuplicateOff { link: fwd },
-        );
-        script.push(
             SimTime::from_millis(500),
             FaultEvent::CorruptOn {
                 link: fwd,
@@ -1288,13 +1229,11 @@ mod tests {
         let report = nb.build().run_until(SimTime::from_secs(2));
         let st = &report.flows[flow.index()];
         let ls = report.links[fwd.index()].stats;
-        assert!(ls.fault_duplicated > 0, "duplication fault fired");
         assert!(ls.fault_corrupted > 0, "corruption fault fired");
-        // Conservation with duplicates counted as extra deliveries.
         assert_eq!(
-            st.sent_packets + ls.fault_duplicated,
+            st.sent_packets,
             st.delivered_packets + ls.fault_corrupted,
-            "every packet delivered, duplicated-and-delivered, or corrupted"
+            "every packet delivered or corrupted"
         );
     }
 
@@ -1842,6 +1781,30 @@ mod tests {
             [0; 4],
             "an unsampled flow's series stay empty"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 1 (FlowId(1)) ran unsampled")]
+    fn averaging_an_unsampled_flows_series_panics() {
+        // Its series are empty: a mean over them would read 0 Mbit/s.
+        let (mut nb, fwd, rev) = two_way_net(10e6, SimDuration::from_millis(5));
+        let spec = || FlowSpec {
+            sender: Box::new(TickSender {
+                next_seq: 0,
+                count: 100,
+                spacing: SimDuration::from_millis(2),
+                acked: 0,
+            }),
+            receiver: Box::new(EchoReceiver { received: 0 }),
+            fwd_path: vec![fwd],
+            rev_path: vec![rev],
+            start_at: SimTime::ZERO,
+        };
+        nb.add_flow(spec());
+        nb.set_record_series(false);
+        let unsampled = nb.add_flow(spec());
+        let report = nb.build().run_until(SimTime::from_secs(1));
+        report.avg_goodput_mbps(unsampled, SimTime::ZERO, SimTime::from_secs(1));
     }
 
     #[test]

@@ -59,6 +59,11 @@ pub struct FlowStats {
     /// Set when the sender aborted the transfer on its dead-time budget
     /// (graceful degradation instead of retrying forever).
     pub stalled: Option<StallInfo>,
+    /// Whether the sample tick recorded [`FlowStats::series`]; fixed when
+    /// the flow was added (see
+    /// [`crate::sim::NetworkBuilder::set_record_series`]). An unsampled
+    /// flow's series stay empty.
+    pub sampled: bool,
     /// Sampled series.
     pub series: FlowSeries,
 }
@@ -75,28 +80,6 @@ impl FlowStats {
     pub fn fct(&self) -> Option<SimDuration> {
         self.completed_at
             .map(|t| t.saturating_since(self.started_at))
-    }
-
-    /// Average delivered throughput in Mbit/s over `[from, to]`.
-    ///
-    /// Uses the sampled series, so resolution is the sample interval.
-    pub fn avg_throughput_mbps(
-        &self,
-        sample_interval: SimDuration,
-        from: SimTime,
-        to: SimTime,
-    ) -> f64 {
-        window_mean(&self.series.throughput_mbps, sample_interval, from, to)
-    }
-
-    /// Average goodput in Mbit/s over `[from, to]`.
-    pub fn avg_goodput_mbps(
-        &self,
-        sample_interval: SimDuration,
-        from: SimTime,
-        to: SimTime,
-    ) -> f64 {
-        window_mean(&self.series.goodput_mbps, sample_interval, from, to)
     }
 
     /// Loss rate observed by the sender over the whole run.

@@ -110,6 +110,15 @@ fn link_keeps_its_shaper_out_of_line() {
     assert!(size <= 280, "Link is {size} bytes");
 }
 
+/// Every serialization a link completes returns a `TxResult`. It is the
+/// delivered packet with its arrival time, the next completion and one
+/// flag: 184 bytes while it also carried a fault-plane duplicate.
+#[test]
+fn tx_result_stays_104_bytes() {
+    let size = std::mem::size_of::<pcc_simnet::link::TxResult>();
+    assert_eq!(size, 104, "TxResult is {size} bytes");
+}
+
 /// Tier-1 (`cargo test -q`) runs in the dev profile, which the root
 /// `Cargo.toml` optimises (`opt-level = 1`) for speed. Debug assertions and
 /// overflow checks must stay armed there: the chaos battery's invariants
